@@ -2,7 +2,7 @@
 //! graph construction, BFS and the XtraPuLP initialisation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use xtrapulp::{init::init_partition, PartitionParams};
+use xtrapulp::{exchange::HaloPlan, init::init_partition, PartitionParams};
 use xtrapulp_comm::Runtime;
 use xtrapulp_gen::{GraphConfig, GraphKind};
 use xtrapulp_graph::{bfs::dist_bfs, csr_from_edges, DistGraph, Distribution};
@@ -40,7 +40,10 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| {
             Runtime::run(4, |ctx| {
                 let g = DistGraph::from_shared_edges(ctx, Distribution::Hashed, n, &el.edges);
-                init_partition(ctx, &g, &PartitionParams::with_parts(16)).len()
+                let halo = HaloPlan::build(ctx, &g).expect("ranks built one graph");
+                init_partition(ctx, &g, &halo, &PartitionParams::with_parts(16))
+                    .expect("halo plan matches the graph")
+                    .len()
             })
         })
     });

@@ -183,13 +183,14 @@ impl Runtime {
         let mut local_ranks = Vec::with_capacity(transports.len());
         let mut job_txs = Vec::with_capacity(transports.len());
         let mut workers = Vec::with_capacity(transports.len());
+        let colocated = transports.len();
         for (local, transport) in transports.into_iter().enumerate() {
             let rank = transport.rank();
             let (job_tx, job_rx) = channel::<Job>();
             let results_tx = results_tx.clone();
             let spawned = std::thread::Builder::new()
                 .name(format!("xtrapulp-rank-{rank}"))
-                .spawn(move || Self::worker_main(transport, job_rx, results_tx, local));
+                .spawn(move || Self::worker_main(transport, job_rx, results_tx, local, colocated));
             match spawned {
                 Ok(handle) => {
                     local_ranks.push(rank);
@@ -627,6 +628,7 @@ impl Runtime {
         job_rx: Receiver<Job>,
         results_tx: Sender<(usize, std::thread::Result<ErasedResult>)>,
         local: usize,
+        colocated: usize,
     ) {
         // The Arc never leaves this thread; it only lets each job's RankCtx
         // share the long-lived endpoint.
@@ -638,7 +640,7 @@ impl Runtime {
         while let Ok(job) = job_rx.recv() {
             let outcome = match job {
                 Job::Run { f, wd_deadline } => {
-                    let ctx = RankCtx::new(Arc::clone(&transport), wd_deadline);
+                    let ctx = RankCtx::new(Arc::clone(&transport), wd_deadline, colocated);
                     std::panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)))
                 }
                 Job::Recover => std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -761,6 +763,8 @@ struct Beacon {
 pub struct RankCtx {
     rank: usize,
     nranks: usize,
+    /// How many ranks of the job this process's runtime hosts.
+    colocated: usize,
     /// Whether the transport moves real bytes (serialise) or typed boxes.
     wire: bool,
     transport: Arc<dyn Transport>,
@@ -771,10 +775,11 @@ pub struct RankCtx {
 }
 
 impl RankCtx {
-    fn new(transport: Arc<dyn Transport>, wd_deadline: Option<Duration>) -> Self {
+    fn new(transport: Arc<dyn Transport>, wd_deadline: Option<Duration>, colocated: usize) -> Self {
         RankCtx {
             rank: transport.rank(),
             nranks: transport.nranks(),
+            colocated,
             wire: transport.is_wire(),
             transport,
             stats: CommStats::new(),
@@ -795,6 +800,14 @@ impl RankCtx {
     /// Number of ranks in the runtime.
     pub fn nranks(&self) -> usize {
         self.nranks
+    }
+
+    /// Number of ranks hosted by this rank's [`Runtime`], itself included: all `nranks`
+    /// for [`Runtime::new`], one for [`Runtime::with_transport`]. These are the ranks
+    /// that share this process's cores, which is what intra-rank thread pools should
+    /// divide the machine by.
+    pub fn colocated_ranks(&self) -> usize {
+        self.colocated
     }
 
     /// True on rank 0, the conventional root for rooted collectives.

@@ -17,7 +17,7 @@
 //!
 //! Both phases run on the shared sweep engine in [`crate::sweep`]: refinement is
 //! frontier-driven (a vertex is rescored only when it or a neighbour — including a
-//! ghost, via [`push_part_updates_marking`] — changed part), the intra-rank proposal
+//! ghost, via [`push_part_updates`] — changed part), the intra-rank proposal
 //! phase is thread-parallel with deterministic two-phase chunk application, and
 //! balancing follows the fixed-point perturbation policy (skip while refinement is
 //! active, one churn sweep at a refinement fixed point, the full schedule while the
@@ -26,7 +26,8 @@
 use xtrapulp_comm::RankCtx;
 use xtrapulp_graph::{DistGraph, LocalId};
 
-use crate::exchange::{push_part_updates_marking, GhostNeighborMap, PartUpdate};
+use crate::error::PartitionError;
+use crate::exchange::{push_part_updates, HaloPlan, PartUpdate};
 use crate::params::PartitionParams;
 use crate::sweep::{
     refine_budget, RefineConvergence, ScoreScratch, StageKind, SweepMode, SweepStage,
@@ -90,7 +91,7 @@ pub fn global_cut_counts(
 }
 
 /// Enqueue-neighbours closure over a rank's local graph: only owned neighbours are
-/// marked (ghost re-activation travels through [`push_part_updates_marking`] on the
+/// marked (ghost re-activation travels through [`push_part_updates`] on the
 /// owning side).
 pub(crate) fn dist_neighbors(graph: &DistGraph) -> impl Fn(u32, &mut dyn FnMut(u32)) + '_ {
     let n_owned = graph.n_owned();
@@ -237,8 +238,8 @@ pub fn vertex_balance(
     params: &PartitionParams,
     counter: &mut StageCounter,
     ws: &mut SweepWorkspace,
-    ghosts: &GhostNeighborMap,
-) {
+    halo: &HaloPlan,
+) -> Result<(), PartitionError> {
     let p = params.num_parts;
     let nranks = ctx.nranks();
     let n_owned = graph.n_owned();
@@ -310,16 +311,7 @@ pub fn vertex_balance(
             |v, part| updates.push((v, part)),
         );
 
-        if std::env::var_os("XTRAPULP_DEBUG").is_some() {
-            eprintln!(
-                "[balance dbg] rank {} iter_tot {} moved {} sizes {:?}",
-                ctx.rank(),
-                counter.iter_tot,
-                updates.len(),
-                size_v
-            );
-        }
-        push_part_updates_marking(ctx, graph, &updates, parts, ghosts, &mut engine.frontier);
+        push_part_updates(ctx, halo, &updates, parts, Some(&mut engine.frontier))?;
         let mut all = Vec::with_capacity(p + 1);
         all.extend_from_slice(&counters.change_v);
         all.push(updates.len() as i64);
@@ -336,6 +328,7 @@ pub fn vertex_balance(
             break;
         }
     }
+    Ok(())
 }
 
 /// One distributed constrained-refinement sweep (Algorithm 5).
@@ -408,9 +401,9 @@ pub fn vertex_refine(
     params: &PartitionParams,
     counter: &mut StageCounter,
     ws: &mut SweepWorkspace,
-    ghosts: &GhostNeighborMap,
+    halo: &HaloPlan,
     convergence: RefineConvergence,
-) {
+) -> Result<(), PartitionError> {
     let p = params.num_parts;
     let nranks = ctx.nranks();
     let n_owned = graph.n_owned();
@@ -422,7 +415,7 @@ pub fn vertex_refine(
     if frontier_mode && convergence == RefineConvergence::FrontierOnly {
         let global_active = ctx.allreduce_scalar_sum_u64(ws.engine.frontier.active_len() as u64);
         if global_active == 0 {
-            return;
+            return Ok(());
         }
     }
     let mut size_v = global_vertex_counts(ctx, graph, parts, p);
@@ -481,7 +474,7 @@ pub fn vertex_refine(
             |v, part| updates.push((v, part)),
         );
 
-        push_part_updates_marking(ctx, graph, &updates, parts, ghosts, &mut engine.frontier);
+        push_part_updates(ctx, halo, &updates, parts, Some(&mut engine.frontier))?;
         let mut all = Vec::with_capacity(p + 1);
         all.extend_from_slice(&counters.change_v);
         all.push(updates.len() as i64);
@@ -500,6 +493,7 @@ pub fn vertex_refine(
             break;
         }
     }
+    Ok(())
 }
 
 /// Explicit final rebalance pass, the distributed analogue of the multilevel drivers'
@@ -520,8 +514,8 @@ pub fn final_rebalance(
     parts: &mut [i32],
     params: &PartitionParams,
     ws: &mut SweepWorkspace,
-    ghosts: &GhostNeighborMap,
-) {
+    halo: &HaloPlan,
+) -> Result<(), PartitionError> {
     let p = params.num_parts;
     let nranks = ctx.nranks();
     let n_owned = graph.n_owned();
@@ -539,7 +533,7 @@ pub fn final_rebalance(
         .iter()
         .all(|&s| (s as f64) <= imb_v * crate::pulp::WARM_BALANCE_SLACK)
     {
-        return;
+        return Ok(());
     }
 
     let max_rounds = 4 * params.balance_iters.max(1);
@@ -618,7 +612,7 @@ pub fn final_rebalance(
                 updates.push((v as LocalId, target as i32));
             }
         }
-        push_part_updates_marking(ctx, graph, &updates, parts, ghosts, &mut engine.frontier);
+        push_part_updates(ctx, halo, &updates, parts, Some(&mut engine.frontier))?;
         let mut all = Vec::with_capacity(2 * p + 1);
         all.extend_from_slice(change_v);
         all.extend_from_slice(change_e);
@@ -634,6 +628,7 @@ pub fn final_rebalance(
             break;
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -662,13 +657,14 @@ mod tests {
     }
 
     fn stage_env(
+        ctx: &RankCtx,
         graph: &DistGraph,
         params: &PartitionParams,
-    ) -> (SweepWorkspace, GhostNeighborMap) {
+    ) -> (SweepWorkspace, HaloPlan) {
         let mut ws = SweepWorkspace::new(params.sweep_threads);
         ws.begin_run(graph.n_owned(), params.num_parts);
         ws.engine.frontier.seed_all(graph.n_owned());
-        (ws, GhostNeighborMap::build(graph))
+        (ws, HaloPlan::build(ctx, graph).unwrap())
     }
 
     #[test]
@@ -682,12 +678,12 @@ mod tests {
                 seed: 3,
                 ..Default::default()
             };
-            let mut parts = init_partition(ctx, &g, &params);
-            let (mut ws, ghosts) = stage_env(&g, &params);
+            let (mut ws, halo) = stage_env(ctx, &g, &params);
+            let mut parts = init_partition(ctx, &g, &halo, &params).unwrap();
             let before = PartitionQuality::evaluate_dist(ctx, &g, &parts, 4);
             let mut counter = StageCounter::default();
             for _ in 0..params.outer_iters {
-                vertex_balance(ctx, &g, &mut parts, &params, &mut counter, &mut ws, &ghosts);
+                vertex_balance(ctx, &g, &mut parts, &params, &mut counter, &mut ws, &halo).unwrap();
                 vertex_refine(
                     ctx,
                     &g,
@@ -695,11 +691,12 @@ mod tests {
                     &params,
                     &mut counter,
                     &mut ws,
-                    &ghosts,
+                    &halo,
                     RefineConvergence::Polish,
-                );
+                )
+                .unwrap();
             }
-            final_rebalance(ctx, &g, &mut parts, &params, &mut ws, &ghosts);
+            final_rebalance(ctx, &g, &mut parts, &params, &mut ws, &halo).unwrap();
             let after = PartitionQuality::evaluate_dist(ctx, &g, &parts, 4);
             assert!(is_valid_partition(&parts, 4));
             (before, after)
@@ -733,8 +730,8 @@ mod tests {
                 seed: 7,
                 ..Default::default()
             };
-            let mut parts = init_partition(ctx, &g, &params);
-            let (mut ws, ghosts) = stage_env(&g, &params);
+            let (mut ws, halo) = stage_env(ctx, &g, &params);
+            let mut parts = init_partition(ctx, &g, &halo, &params).unwrap();
             let before = PartitionQuality::evaluate_dist(ctx, &g, &parts, 4);
             let mut counter = StageCounter::default();
             vertex_refine(
@@ -744,9 +741,10 @@ mod tests {
                 &params,
                 &mut counter,
                 &mut ws,
-                &ghosts,
+                &halo,
                 RefineConvergence::Polish,
-            );
+            )
+            .unwrap();
             let after = PartitionQuality::evaluate_dist(ctx, &g, &parts, 4);
             assert!(is_valid_partition(&parts, 4));
             // Random initialisation cuts nearly everything; refinement must improve it.
@@ -769,10 +767,10 @@ mod tests {
                 sweep_mode: SweepMode::Full,
                 ..PartitionParams::with_parts(2)
             };
-            let mut parts = init_partition(ctx, &g, &params);
-            let (mut ws, ghosts) = stage_env(&g, &params);
+            let (mut ws, halo) = stage_env(ctx, &g, &params);
+            let mut parts = init_partition(ctx, &g, &halo, &params).unwrap();
             let mut counter = StageCounter::default();
-            vertex_balance(ctx, &g, &mut parts, &params, &mut counter, &mut ws, &ghosts);
+            vertex_balance(ctx, &g, &mut parts, &params, &mut counter, &mut ws, &halo).unwrap();
             assert_eq!(counter.iter_tot, params.balance_iters);
             vertex_refine(
                 ctx,
@@ -781,34 +779,11 @@ mod tests {
                 &params,
                 &mut counter,
                 &mut ws,
-                &ghosts,
+                &halo,
                 RefineConvergence::Polish,
-            );
+            )
+            .unwrap();
             assert_eq!(counter.iter_tot, params.balance_iters + params.refine_iters);
-        });
-    }
-
-    #[test]
-    fn ghost_updates_mark_owned_neighbors_into_the_frontier() {
-        // A ring split over two ranks: every boundary vertex has a ghost neighbour.
-        let edges: Vec<(u64, u64)> = (0..12).map(|i| (i, (i + 1) % 12)).collect();
-        Runtime::run(2, |ctx| {
-            let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 12, &edges);
-            let ghosts = GhostNeighborMap::build(&g);
-            let mut parts = vec![0i32; g.n_total()];
-            let mut frontier = crate::sweep::Frontier::default();
-            frontier.ensure(g.n_owned());
-            // Every rank reassigns its first owned vertex.
-            let updates: Vec<PartUpdate> = vec![(0, ctx.rank() as i32 + 1)];
-            parts[0] = ctx.rank() as i32 + 1;
-            push_part_updates_marking(ctx, &g, &updates, &mut parts, &ghosts, &mut frontier);
-            // The other rank's first vertex is adjacent to one of ours (ring), so at
-            // least one owned neighbour of an updated ghost must now be active.
-            assert!(
-                frontier.active_len() > 0,
-                "rank {}: ghost change did not reactivate owned neighbours",
-                ctx.rank()
-            );
         });
     }
 
@@ -822,7 +797,8 @@ mod tests {
                 init: InitStrategy::VertexBlock,
                 ..Default::default()
             };
-            let parts = init_partition(ctx, &g, &params);
+            let halo = HaloPlan::build(ctx, &g).unwrap();
+            let parts = init_partition(ctx, &g, &halo, &params).unwrap();
             let verts = global_vertex_counts(ctx, &g, &parts, 5);
             let arcs = global_arc_counts(ctx, &g, &parts, 5);
             let cuts = global_cut_counts(ctx, &g, &parts, 5);

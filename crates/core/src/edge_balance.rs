@@ -28,7 +28,8 @@ use xtrapulp_graph::{DistGraph, LocalId};
 use crate::balance::{
     dist_neighbors, global_arc_counts, global_cut_counts, global_vertex_counts, StageCounter,
 };
-use crate::exchange::{push_part_updates_marking, GhostNeighborMap, PartUpdate};
+use crate::error::PartitionError;
+use crate::exchange::{push_part_updates, HaloPlan, PartUpdate};
 use crate::params::PartitionParams;
 use crate::sweep::{
     refine_budget, RefineConvergence, ScoreScratch, StageKind, SweepMode, SweepStage,
@@ -190,8 +191,8 @@ pub fn edge_balance(
     params: &PartitionParams,
     counter: &mut StageCounter,
     ws: &mut SweepWorkspace,
-    ghosts: &GhostNeighborMap,
-) {
+    halo: &HaloPlan,
+) -> Result<(), PartitionError> {
     let p = params.num_parts;
     let nranks = ctx.nranks();
     let n_owned = graph.n_owned();
@@ -313,7 +314,7 @@ pub fn edge_balance(
             |v, part| updates.push((v, part)),
         );
 
-        push_part_updates_marking(ctx, graph, &updates, parts, ghosts, &mut engine.frontier);
+        push_part_updates(ctx, halo, &updates, parts, Some(&mut engine.frontier))?;
         let mut all = Vec::with_capacity(3 * p + 1);
         all.extend_from_slice(&counters.change_v);
         all.extend_from_slice(&counters.change_e);
@@ -331,6 +332,7 @@ pub fn edge_balance(
             break;
         }
     }
+    Ok(())
 }
 
 /// One distributed edge-stage refinement sweep: constrained label propagation that
@@ -417,9 +419,9 @@ pub fn edge_refine(
     params: &PartitionParams,
     counter: &mut StageCounter,
     ws: &mut SweepWorkspace,
-    ghosts: &GhostNeighborMap,
+    halo: &HaloPlan,
     convergence: RefineConvergence,
-) {
+) -> Result<(), PartitionError> {
     let p = params.num_parts;
     let nranks = ctx.nranks();
     let n_owned = graph.n_owned();
@@ -432,7 +434,7 @@ pub fn edge_refine(
     if frontier_mode && convergence == RefineConvergence::FrontierOnly {
         let global_active = ctx.allreduce_scalar_sum_u64(ws.engine.frontier.active_len() as u64);
         if global_active == 0 {
-            return;
+            return Ok(());
         }
     }
 
@@ -502,7 +504,7 @@ pub fn edge_refine(
             |v, part| updates.push((v, part)),
         );
 
-        push_part_updates_marking(ctx, graph, &updates, parts, ghosts, &mut engine.frontier);
+        push_part_updates(ctx, halo, &updates, parts, Some(&mut engine.frontier))?;
         let mut all = Vec::with_capacity(3 * p + 1);
         all.extend_from_slice(&counters.change_v);
         all.extend_from_slice(&counters.change_e);
@@ -523,6 +525,7 @@ pub fn edge_refine(
             break;
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -561,13 +564,14 @@ mod tests {
     }
 
     fn stage_env(
+        ctx: &RankCtx,
         graph: &DistGraph,
         params: &PartitionParams,
-    ) -> (SweepWorkspace, GhostNeighborMap) {
+    ) -> (SweepWorkspace, HaloPlan) {
         let mut ws = SweepWorkspace::new(params.sweep_threads);
         ws.begin_run(graph.n_owned(), params.num_parts);
         ws.engine.frontier.seed_all(graph.n_owned());
-        (ws, GhostNeighborMap::build(graph))
+        (ws, HaloPlan::build(ctx, graph).unwrap())
     }
 
     #[test]
@@ -580,11 +584,11 @@ mod tests {
                 seed: 11,
                 ..Default::default()
             };
-            let mut parts = init_partition(ctx, &g, &params);
-            let (mut ws, ghosts) = stage_env(&g, &params);
+            let (mut ws, halo) = stage_env(ctx, &g, &params);
+            let mut parts = init_partition(ctx, &g, &halo, &params).unwrap();
             let mut counter = StageCounter::default();
             for _ in 0..params.outer_iters {
-                vertex_balance(ctx, &g, &mut parts, &params, &mut counter, &mut ws, &ghosts);
+                vertex_balance(ctx, &g, &mut parts, &params, &mut counter, &mut ws, &halo).unwrap();
                 vertex_refine(
                     ctx,
                     &g,
@@ -592,14 +596,15 @@ mod tests {
                     &params,
                     &mut counter,
                     &mut ws,
-                    &ghosts,
+                    &halo,
                     RefineConvergence::Polish,
-                );
+                )
+                .unwrap();
             }
             let before = PartitionQuality::evaluate_dist(ctx, &g, &parts, 4);
             let mut counter = StageCounter::default();
             for _ in 0..params.outer_iters {
-                edge_balance(ctx, &g, &mut parts, &params, &mut counter, &mut ws, &ghosts);
+                edge_balance(ctx, &g, &mut parts, &params, &mut counter, &mut ws, &halo).unwrap();
                 edge_refine(
                     ctx,
                     &g,
@@ -607,9 +612,10 @@ mod tests {
                     &params,
                     &mut counter,
                     &mut ws,
-                    &ghosts,
+                    &halo,
                     RefineConvergence::Polish,
-                );
+                )
+                .unwrap();
             }
             let after = PartitionQuality::evaluate_dist(ctx, &g, &parts, 4);
             assert!(is_valid_partition(&parts, 4));
@@ -641,10 +647,10 @@ mod tests {
                 seed: 5,
                 ..Default::default()
             };
-            let mut parts = init_partition(ctx, &g, &params);
-            let (mut ws, ghosts) = stage_env(&g, &params);
+            let (mut ws, halo) = stage_env(ctx, &g, &params);
+            let mut parts = init_partition(ctx, &g, &halo, &params).unwrap();
             let mut counter = StageCounter::default();
-            vertex_balance(ctx, &g, &mut parts, &params, &mut counter, &mut ws, &ghosts);
+            vertex_balance(ctx, &g, &mut parts, &params, &mut counter, &mut ws, &halo).unwrap();
             vertex_refine(
                 ctx,
                 &g,
@@ -652,9 +658,10 @@ mod tests {
                 &params,
                 &mut counter,
                 &mut ws,
-                &ghosts,
+                &halo,
                 RefineConvergence::Polish,
-            );
+            )
+            .unwrap();
             let before = PartitionQuality::evaluate_dist(ctx, &g, &parts, 3);
             let mut counter = StageCounter::default();
             edge_refine(
@@ -664,9 +671,10 @@ mod tests {
                 &params,
                 &mut counter,
                 &mut ws,
-                &ghosts,
+                &halo,
                 RefineConvergence::Polish,
-            );
+            )
+            .unwrap();
             let after = PartitionQuality::evaluate_dist(ctx, &g, &parts, 3);
             assert!(
                 after.edge_cut <= before.edge_cut + before.edge_cut / 4 + 2,
@@ -686,10 +694,10 @@ mod tests {
                 sweep_mode: SweepMode::Full,
                 ..PartitionParams::with_parts(2)
             };
-            let mut parts = init_partition(ctx, &g, &params);
-            let (mut ws, ghosts) = stage_env(&g, &params);
+            let (mut ws, halo) = stage_env(ctx, &g, &params);
+            let mut parts = init_partition(ctx, &g, &halo, &params).unwrap();
             let mut counter = StageCounter::default();
-            edge_balance(ctx, &g, &mut parts, &params, &mut counter, &mut ws, &ghosts);
+            edge_balance(ctx, &g, &mut parts, &params, &mut counter, &mut ws, &halo).unwrap();
             edge_refine(
                 ctx,
                 &g,
@@ -697,9 +705,10 @@ mod tests {
                 &params,
                 &mut counter,
                 &mut ws,
-                &ghosts,
+                &halo,
                 RefineConvergence::Polish,
-            );
+            )
+            .unwrap();
             assert_eq!(counter.iter_tot, params.balance_iters + params.refine_iters);
         });
     }

@@ -63,6 +63,16 @@ pub enum PartitionError {
         /// What was wrong with the vector.
         detail: String,
     },
+    /// The boundary exchange delivered something the receiving rank cannot apply: a part
+    /// update addressed to a local id that is not one of its ghosts, or a halo-plan
+    /// handshake the two ranks' graphs do not agree on. Reported instead of indexing
+    /// out of bounds; the partition it interrupted must be discarded.
+    CorruptExchange {
+        /// The rank the offending message came from.
+        peer: usize,
+        /// What was wrong with it.
+        detail: String,
+    },
     /// The communication layer failed underneath the job: an invalid rank
     /// configuration, or — on a multi-process transport — a peer process died,
     /// timed out or sent a corrupt frame mid-collective.
@@ -111,6 +121,9 @@ impl fmt::Display for PartitionError {
             PartitionError::InvalidWarmStart { detail } => {
                 write!(f, "invalid warm-start part vector: {detail}")
             }
+            PartitionError::CorruptExchange { peer, detail } => {
+                write!(f, "corrupt boundary exchange from rank {peer}: {detail}")
+            }
             PartitionError::Comm(e) => write!(f, "communication layer failed: {e}"),
         }
     }
@@ -142,6 +155,11 @@ mod tests {
             detail: "wrong length".into(),
         };
         assert!(e.to_string().contains("wrong length"));
+        let e = PartitionError::CorruptExchange {
+            peer: 3,
+            detail: "slot 7".into(),
+        };
+        assert!(e.to_string().contains("rank 3") && e.to_string().contains("slot 7"));
     }
 
     #[test]

@@ -15,18 +15,25 @@ use rand::{Rng, SeedableRng};
 use xtrapulp_comm::RankCtx;
 use xtrapulp_graph::{DistGraph, GlobalId, LocalId, UNASSIGNED};
 
-use crate::exchange::{push_part_updates, refresh_ghost_parts, PartUpdate};
+use crate::error::PartitionError;
+use crate::exchange::{push_part_updates, refresh_ghost_parts, HaloPlan, PartUpdate};
 use crate::params::{InitStrategy, PartitionParams};
 
 /// Produce the initial part assignment for this rank's owned + ghost vertices.
 ///
 /// The returned vector has length `graph.n_total()` and every entry is a valid part id
-/// (no `UNASSIGNED` values remain). Must be called collectively.
-pub fn init_partition(ctx: &RankCtx, graph: &DistGraph, params: &PartitionParams) -> Vec<i32> {
+/// (no `UNASSIGNED` values remain). `halo` is the job's exchange plan for `graph`; the
+/// only failure is a corrupt boundary exchange. Must be called collectively.
+pub fn init_partition(
+    ctx: &RankCtx,
+    graph: &DistGraph,
+    halo: &HaloPlan,
+    params: &PartitionParams,
+) -> Result<Vec<i32>, PartitionError> {
     match params.init {
-        InitStrategy::BfsGrow => bfs_grow_init(ctx, graph, params),
-        InitStrategy::Random => random_init(ctx, graph, params),
-        InitStrategy::VertexBlock => block_init(ctx, graph, params),
+        InitStrategy::BfsGrow => bfs_grow_init(ctx, graph, halo, params),
+        InitStrategy::Random => Ok(random_init(ctx, graph, params)),
+        InitStrategy::VertexBlock => Ok(block_init(ctx, graph, params)),
     }
 }
 
@@ -56,7 +63,12 @@ fn block_init(_ctx: &RankCtx, graph: &DistGraph, params: &PartitionParams) -> Ve
 }
 
 /// The paper's hybrid BFS-growing / label-propagation initialisation (Algorithm 2).
-fn bfs_grow_init(ctx: &RankCtx, graph: &DistGraph, params: &PartitionParams) -> Vec<i32> {
+fn bfs_grow_init(
+    ctx: &RankCtx,
+    graph: &DistGraph,
+    halo: &HaloPlan,
+    params: &PartitionParams,
+) -> Result<Vec<i32>, PartitionError> {
     let p = params.num_parts;
     let n = graph.global_n();
     let rank = ctx.rank();
@@ -111,7 +123,7 @@ fn bfs_grow_init(ctx: &RankCtx, graph: &DistGraph, params: &PartitionParams) -> 
             }
         }
     }
-    push_part_updates(ctx, graph, &seed_updates, &mut parts);
+    push_part_updates(ctx, halo, &seed_updates, &mut parts, None)?;
 
     let mut rng = SmallRng::seed_from_u64(
         params.seed ^ 0xDEAD_BEEF ^ (rank as u64).wrapping_mul(0x85EB_CA6B),
@@ -145,7 +157,7 @@ fn bfs_grow_init(ctx: &RankCtx, graph: &DistGraph, params: &PartitionParams) -> 
             parts[v as usize] = w;
         }
         let local_updates = updates.len() as u64;
-        push_part_updates(ctx, graph, &updates, &mut parts);
+        push_part_updates(ctx, halo, &updates, &mut parts, None)?;
         let global_updates = ctx.allreduce_scalar_sum_u64(local_updates);
         if global_updates == 0 {
             break;
@@ -162,11 +174,11 @@ fn bfs_grow_init(ctx: &RankCtx, graph: &DistGraph, params: &PartitionParams) -> 
             leftover_updates.push((v as LocalId, w));
         }
     }
-    push_part_updates(ctx, graph, &leftover_updates, &mut parts);
+    push_part_updates(ctx, halo, &leftover_updates, &mut parts, None)?;
     // Ghosts of vertices that were never pushed (e.g. assigned before their neighbourhood
     // was built) are refreshed wholesale to be safe.
     refresh_ghost_parts(ctx, graph, &mut parts);
-    parts
+    Ok(parts)
 }
 
 #[cfg(test)]
@@ -175,6 +187,11 @@ mod tests {
     use crate::metrics::is_valid_partition;
     use xtrapulp_comm::Runtime;
     use xtrapulp_graph::Distribution;
+
+    fn init(ctx: &RankCtx, g: &DistGraph, params: &PartitionParams) -> Vec<i32> {
+        let halo = HaloPlan::build(ctx, g).unwrap();
+        init_partition(ctx, g, &halo, params).unwrap()
+    }
 
     fn grid_edges(w: u64, h: u64) -> Vec<(GlobalId, GlobalId)> {
         let mut e = Vec::new();
@@ -202,7 +219,7 @@ mod tests {
                 init: strategy,
                 ..Default::default()
             };
-            let parts = init_partition(ctx, &g, &params);
+            let parts = init(ctx, &g, &params);
             assert_eq!(parts.len(), g.n_total());
             assert!(
                 is_valid_partition(&parts, 4),
@@ -258,7 +275,7 @@ mod tests {
                 init: InitStrategy::VertexBlock,
                 ..Default::default()
             };
-            let parts = init_partition(ctx, &g, &params);
+            let parts = init(ctx, &g, &params);
             (0..g.n_owned())
                 .map(|v| (g.global_id(v as LocalId), parts[v]))
                 .collect::<Vec<_>>()
@@ -284,7 +301,7 @@ mod tests {
                 seed: 5,
                 ..Default::default()
             };
-            let parts = init_partition(ctx, &g, &params);
+            let parts = init(ctx, &g, &params);
             assert!(is_valid_partition(&parts[..g.n_owned()], 3));
         });
     }
@@ -298,7 +315,7 @@ mod tests {
                 num_parts: 8,
                 ..Default::default()
             };
-            let parts = init_partition(ctx, &g, &params);
+            let parts = init(ctx, &g, &params);
             assert!(is_valid_partition(&parts, 8));
         });
     }
@@ -314,7 +331,7 @@ mod tests {
                     seed: 99,
                     ..Default::default()
                 };
-                init_partition(ctx, &g, &params)
+                init(ctx, &g, &params)
             })
         };
         assert_eq!(run(), run());

@@ -60,7 +60,8 @@ pub struct PartitionParams {
     /// the frontier-vs-full parity tests. See [`crate::sweep`].
     pub sweep_mode: SweepMode,
     /// Worker threads for the intra-rank parallel proposal phase of each sweep
-    /// (`0` = auto: `XTRAPULP_THREADS`, then the machine's available parallelism).
+    /// (`0` = auto: `XTRAPULP_THREADS`, then the machine's available parallelism
+    /// divided by the ranks sharing the process).
     /// Results are bit-identical for every thread count.
     pub sweep_threads: usize,
     /// RNG seed; every stage derives its own deterministic stream from it.

@@ -9,9 +9,7 @@ use crate::balance::{final_rebalance, vertex_balance, vertex_refine, StageCounte
 use crate::baselines;
 use crate::edge_balance::{edge_balance, edge_refine};
 use crate::error::PartitionError;
-use crate::exchange::{
-    push_part_updates_marking, refresh_ghost_parts, GhostNeighborMap, PartUpdate,
-};
+use crate::exchange::{push_part_updates, refresh_ghost_parts, HaloPlan, PartUpdate};
 use crate::init::init_partition;
 use crate::metrics::PartitionQuality;
 use crate::params::PartitionParams;
@@ -52,14 +50,16 @@ impl PartitionResult {
 /// typed error.
 ///
 /// Validation is deterministic, so every rank of a collective call returns the same
-/// `Err` and no rank enters a collective the others skipped.
+/// `Err` and no rank enters a collective the others skipped. The one mid-run failure is
+/// [`PartitionError::CorruptExchange`]: a boundary exchange delivered something this
+/// rank cannot apply, and the rank reporting it has left the collective sequence.
 pub fn try_xtrapulp_partition(
     ctx: &RankCtx,
     graph: &DistGraph,
     params: &PartitionParams,
 ) -> Result<PartitionResult, PartitionError> {
     params.validate()?;
-    Ok(xtrapulp_partition_validated(ctx, graph, params))
+    xtrapulp_partition_validated(ctx, graph, params)
 }
 
 /// Run the full multi-constraint multi-objective XtraPuLP algorithm (Algorithm 1)
@@ -86,12 +86,12 @@ fn xtrapulp_partition_validated(
     ctx: &RankCtx,
     graph: &DistGraph,
     params: &PartitionParams,
-) -> PartitionResult {
+) -> Result<PartitionResult, PartitionError> {
     let mut timings = PhaseTimer::new();
-    let mut ws = SweepWorkspace::new(params.sweep_threads);
+    let mut ws = SweepWorkspace::colocated(params.sweep_threads, ctx.colocated_ranks());
     ws.begin_run(graph.n_owned(), params.num_parts);
-    let ghosts = GhostNeighborMap::build(graph);
-    let parts = timings.time("init", || init_partition(ctx, graph, params));
+    let halo = HaloPlan::build(ctx, graph)?;
+    let parts = timings.time("init", || init_partition(ctx, graph, &halo, params))?;
     // Initialisation changed every label: every owned vertex starts active.
     ws.engine.frontier.seed_all(graph.n_owned());
     run_stages(
@@ -104,7 +104,7 @@ fn xtrapulp_partition_validated(
         true,
         timings,
         &mut ws,
-        &ghosts,
+        &halo,
     )
 }
 
@@ -158,12 +158,12 @@ pub fn try_xtrapulp_partition_from_touched(
     }
 
     let mut timings = PhaseTimer::new();
-    let mut ws = SweepWorkspace::new(params.sweep_threads);
+    let mut ws = SweepWorkspace::colocated(params.sweep_threads, ctx.colocated_ranks());
     ws.begin_run(graph.n_owned(), params.num_parts);
-    let ghosts = GhostNeighborMap::build(graph);
+    let halo = HaloPlan::build(ctx, graph)?;
     let parts = timings.time("warm_seed", || {
-        warm_seed(ctx, graph, params, initial_owned, &mut ws, &ghosts)
-    });
+        warm_seed(ctx, graph, params, initial_owned, &mut ws, &halo)
+    })?;
     // Warm runs skip the (aggressively label-churning) balance passes when the seeded
     // partition already satisfies both balance constraints — with the same slack as the
     // serial path, since a converged run routinely lands within rounding of the
@@ -203,7 +203,7 @@ pub fn try_xtrapulp_partition_from_touched(
                             }
                         }
                     } else {
-                        for &v in ghosts.owned_neighbors(lid as usize - n_owned) {
+                        for &v in halo.owned_neighbors(lid as usize - n_owned) {
                             ws.engine.frontier.mark(v);
                         }
                     }
@@ -224,7 +224,7 @@ pub fn try_xtrapulp_partition_from_touched(
     } else {
         outer
     };
-    Ok(run_stages(
+    run_stages(
         ctx,
         graph,
         params,
@@ -234,8 +234,8 @@ pub fn try_xtrapulp_partition_from_touched(
         balance,
         timings,
         &mut ws,
-        &ghosts,
-    ))
+        &halo,
+    )
 }
 
 /// The shared balance/refine pipeline. Cold (and fallback-warm) runs execute `outer`
@@ -254,8 +254,8 @@ fn run_stages(
     balance: bool,
     mut timings: PhaseTimer,
     ws: &mut SweepWorkspace,
-    ghosts: &GhostNeighborMap,
-) -> PartitionResult {
+    halo: &HaloPlan,
+) -> Result<PartitionResult, PartitionError> {
     let frontier_mode = params.sweep_mode == SweepMode::Frontier;
     // The dynamic multiplier ramps from `Y` to `X` over the stage schedule; normalise it
     // by the rounds actually run (warm starts run `warm_outer_iters`, not `outer_iters`)
@@ -270,9 +270,9 @@ fn run_stages(
     if balance {
         // Stage 1: vertex balance + refinement.
         let mut counter = StageCounter::default();
-        timings.time("vertex_stage", || {
+        timings.time("vertex_stage", || -> Result<(), PartitionError> {
             for _ in 0..outer {
-                vertex_balance(ctx, graph, &mut parts, params, &mut counter, ws, ghosts);
+                vertex_balance(ctx, graph, &mut parts, params, &mut counter, ws, halo)?;
                 vertex_refine(
                     ctx,
                     graph,
@@ -280,20 +280,21 @@ fn run_stages(
                     params,
                     &mut counter,
                     ws,
-                    ghosts,
+                    halo,
                     RefineConvergence::Polish,
-                );
+                )?;
             }
-        });
+            Ok(())
+        })?;
         lp_sweeps = counter.iter_tot as u64;
 
         // Stage 2: edge balance + refinement (the "MM" in PuLP-MM). The iteration
         // counter is reset, as in Algorithm 1.
         if params.edge_balance_stage && params.num_parts > 1 {
             let mut counter = StageCounter::default();
-            timings.time("edge_stage", || {
+            timings.time("edge_stage", || -> Result<(), PartitionError> {
                 for _ in 0..outer {
-                    edge_balance(ctx, graph, &mut parts, params, &mut counter, ws, ghosts);
+                    edge_balance(ctx, graph, &mut parts, params, &mut counter, ws, halo)?;
                     edge_refine(
                         ctx,
                         graph,
@@ -301,11 +302,12 @@ fn run_stages(
                         params,
                         &mut counter,
                         ws,
-                        ghosts,
+                        halo,
                         RefineConvergence::Polish,
-                    );
+                    )?;
                 }
-            });
+                Ok(())
+            })?;
             lp_sweeps += counter.iter_tot as u64;
         }
 
@@ -314,14 +316,15 @@ fn run_stages(
         // final rebalance pass drains any remaining overweight parts cut-awarely. A
         // no-op when the constraint already holds.
         timings.time("rebalance", || {
-            final_rebalance(ctx, graph, &mut parts, params, ws, ghosts)
-        });
+            final_rebalance(ctx, graph, &mut parts, params, ws, halo)
+        })?;
     } else {
         // Warm refine-only run: the seed meets both balance targets, so only
         // refinement runs. Frontier mode iterates to empty-frontier convergence
         // (capped); full mode keeps the legacy fixed schedule.
         let mut counter = StageCounter::default();
-        timings.time("vertex_stage", || {
+        let edge_stage = params.edge_balance_stage && params.num_parts > 1;
+        timings.time("vertex_stage", || -> Result<(), PartitionError> {
             if outer == 0 {
                 // Seed-only schedule: nothing to refine.
             } else if frontier_mode {
@@ -330,35 +333,27 @@ fn run_stages(
                 // superset of the vertex stage's and whose score rule is identical —
                 // running `vertex_refine` first would consume the frontier to
                 // convergence and leave the edge-capped pass nothing to check.
+                let refine = if edge_stage {
+                    edge_refine
+                } else {
+                    vertex_refine
+                };
                 for _ in 0..warm_rounds_cap {
                     let active =
                         ctx.allreduce_scalar_sum_u64(ws.engine.frontier.active_len() as u64);
                     if active == 0 {
                         break;
                     }
-                    if params.edge_balance_stage && params.num_parts > 1 {
-                        edge_refine(
-                            ctx,
-                            graph,
-                            &mut parts,
-                            params,
-                            &mut counter,
-                            ws,
-                            ghosts,
-                            RefineConvergence::FrontierOnly,
-                        );
-                    } else {
-                        vertex_refine(
-                            ctx,
-                            graph,
-                            &mut parts,
-                            params,
-                            &mut counter,
-                            ws,
-                            ghosts,
-                            RefineConvergence::FrontierOnly,
-                        );
-                    }
+                    refine(
+                        ctx,
+                        graph,
+                        &mut parts,
+                        params,
+                        &mut counter,
+                        ws,
+                        halo,
+                        RefineConvergence::FrontierOnly,
+                    )?;
                 }
             } else {
                 for _ in 0..outer {
@@ -369,11 +364,11 @@ fn run_stages(
                         params,
                         &mut counter,
                         ws,
-                        ghosts,
+                        halo,
                         RefineConvergence::FrontierOnly,
-                    );
+                    )?;
                 }
-                if params.edge_balance_stage && params.num_parts > 1 {
+                if edge_stage {
                     for _ in 0..outer {
                         edge_refine(
                             ctx,
@@ -382,13 +377,14 @@ fn run_stages(
                             params,
                             &mut counter,
                             ws,
-                            ghosts,
+                            halo,
                             RefineConvergence::FrontierOnly,
-                        );
+                        )?;
                     }
                 }
             }
-        });
+            Ok(())
+        })?;
         lp_sweeps = counter.iter_tot as u64;
     }
 
@@ -424,14 +420,14 @@ fn run_stages(
     };
     timings.merge_max(&ws.engine.stage_timings());
 
-    PartitionResult {
+    Ok(PartitionResult {
         parts,
         quality,
         timings,
         lp_sweeps,
         vertices_scored,
         stages,
-    }
+    })
 }
 
 /// Extend the previous epoch's owned part labels to a full (owned + ghost) assignment:
@@ -446,8 +442,8 @@ fn warm_seed(
     params: &PartitionParams,
     initial_owned: &[i32],
     ws: &mut SweepWorkspace,
-    ghosts: &GhostNeighborMap,
-) -> Vec<i32> {
+    halo: &HaloPlan,
+) -> Result<Vec<i32>, PartitionError> {
     let p = params.num_parts;
     let n_owned = graph.n_owned();
     let mut parts = vec![UNASSIGNED; graph.n_total()];
@@ -496,14 +492,13 @@ fn warm_seed(
             parts[v as usize] = w;
             mark_assigned(&mut ws.engine.frontier, v);
         }
-        push_part_updates_marking(
+        push_part_updates(
             ctx,
-            graph,
+            halo,
             &updates,
             &mut parts,
-            ghosts,
-            &mut ws.engine.frontier,
-        );
+            Some(&mut ws.engine.frontier),
+        )?;
         if ctx.allreduce_scalar_sum_u64(updates.len() as u64) == 0 {
             break;
         }
@@ -520,15 +515,14 @@ fn warm_seed(
     for &(v, _) in &leftovers {
         mark_assigned(&mut ws.engine.frontier, v);
     }
-    push_part_updates_marking(
+    push_part_updates(
         ctx,
-        graph,
+        halo,
         &leftovers,
         &mut parts,
-        ghosts,
-        &mut ws.engine.frontier,
-    );
-    parts
+        Some(&mut ws.engine.frontier),
+    )?;
+    Ok(parts)
 }
 
 /// A (serial-facing) graph partitioner: given a whole graph and parameters, produce one
@@ -774,13 +768,15 @@ impl Partitioner for XtraPulpPartitioner {
             return Ok(Vec::new());
         }
         let dist = self.distribution.clone();
-        let per_rank: Vec<Vec<(u64, i32)>> = Runtime::run(self.nranks, |ctx| {
-            let graph = DistGraph::from_csr(ctx, dist.clone(), csr);
-            let result = xtrapulp_partition_validated(ctx, &graph, params);
-            (0..graph.n_owned())
-                .map(|v| (graph.global_id(v as LocalId), result.parts[v]))
-                .collect()
-        });
+        let per_rank: Vec<Result<Vec<(u64, i32)>, PartitionError>> =
+            Runtime::run(self.nranks, |ctx| {
+                let graph = DistGraph::from_csr(ctx, dist.clone(), csr);
+                let result = xtrapulp_partition_validated(ctx, &graph, params)?;
+                Ok((0..graph.n_owned())
+                    .map(|v| (graph.global_id(v as LocalId), result.parts[v]))
+                    .collect())
+            });
+        let per_rank: Vec<Vec<(u64, i32)>> = per_rank.into_iter().collect::<Result<_, _>>()?;
         assemble_gathered_parts(n, params.num_parts, per_rank)
     }
 }

@@ -21,6 +21,11 @@
 //!   functions of the chunk-start state, and application order is fixed — so the result
 //!   is bit-identical for 1, 2 or any number of threads.
 //!
+//! Scoring itself stays `O(degree)`: the per-part [`ScoreScratch`] clears by bumping an
+//! epoch stamp instead of re-zeroing, and the same stamp tells a part's first touch from
+//! a repeat without searching, so the touched list keeps first-touch order — the order
+//! the stages' tie-breaks iterate in, hence part of what makes results reproducible.
+//!
 //! The two-phase chunk application is also what makes the semantics well defined: the
 //! propose phase sees a consistent snapshot, and the apply phase rechecks each proposal
 //! against the counters as earlier moves in the same chunk land (dropping proposals the
@@ -94,10 +99,12 @@ pub fn refine_budget(refine_iters: usize, mode: SweepMode) -> u64 {
     }
 }
 
-/// Resolve the worker-thread count for the sweep engine: an explicit non-zero request
-/// wins, then the `XTRAPULP_THREADS` environment variable, then the machine's available
-/// parallelism.
-pub fn resolve_threads(requested: usize) -> usize {
+/// Resolve the worker-thread count for the sweep engine of one of `colocated` ranks
+/// sharing this process: an explicit non-zero request wins, then the `XTRAPULP_THREADS`
+/// environment variable, then this rank's share of the machine's available parallelism
+/// (at least one) — four in-process ranks on two cores would otherwise fork eight
+/// workers per chunk.
+pub fn resolve_threads(requested: usize, colocated: usize) -> usize {
     if requested > 0 {
         return requested;
     }
@@ -108,60 +115,88 @@ pub fn resolve_threads(requested: usize) -> usize {
     {
         return n;
     }
-    std::thread::available_parallelism()
+    let machine = std::thread::available_parallelism()
         .map(NonZeroUsize::get)
-        .unwrap_or(1)
+        .unwrap_or(1);
+    (machine / colocated.max(1)).max(1)
 }
 
-/// Dense per-part score accumulator with sparse clearing: only the entries touched by
-/// the current vertex are reset, so scoring costs `O(degree)` instead of `O(p)`.
+/// Dense per-part score accumulator with `O(1)` clearing, so scoring a vertex costs
+/// `O(degree)` instead of `O(p)`.
+///
+/// Every entry carries the *epoch* it was last started in: [`clear`](ScoreScratch::clear)
+/// bumps the current epoch instead of re-zeroing anything, and an entry whose stamp is
+/// stale reads as zero and restarts on its next [`add`](ScoreScratch::add). The stamp
+/// also answers "is this the part's first touch?" without searching the touched list,
+/// which therefore stays in **first-touch order** — the order every stage's tie-break
+/// iterates in, so partitions are bit-identical to a scratch that re-zeroes and scans.
 #[derive(Debug, Default)]
 pub struct ScoreScratch {
     scores: Vec<f64>,
+    /// The epoch each entry of `scores` belongs to; never equal to `epoch` when stale.
+    stamps: Vec<Stamp>,
+    epoch: Stamp,
     touched: Vec<usize>,
 }
+
+/// The epoch counter of a [`ScoreScratch`]: wide enough that a wrap (which costs one
+/// `O(p)` stamp reset) happens once in four billion vertices.
+type Stamp = u32;
 
 impl ScoreScratch {
     /// A scratch for `num_parts` parts.
     pub fn new(num_parts: usize) -> Self {
-        ScoreScratch {
-            scores: vec![0.0; num_parts],
-            touched: Vec::with_capacity(64),
-        }
+        let mut scratch = ScoreScratch::default();
+        scratch.ensure(num_parts);
+        scratch
     }
 
     /// Resize for `num_parts` parts, clearing all state.
     pub fn ensure(&mut self, num_parts: usize) {
         self.scores.clear();
         self.scores.resize(num_parts, 0.0);
+        self.stamps.clear();
+        self.stamps.resize(num_parts, 0);
+        self.epoch = 1;
         self.touched.clear();
     }
 
-    /// Reset the touched entries.
+    /// Forget every score.
     #[inline]
     pub fn clear(&mut self) {
-        for &t in &self.touched {
-            self.scores[t] = 0.0;
-        }
         self.touched.clear();
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: stamps from four billion clears ago would read as current.
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
     }
 
     /// Accumulate `value` onto `part`'s score.
     #[inline]
     pub fn add(&mut self, part: usize, value: f64) {
-        if self.scores[part] == 0.0 && !self.touched.contains(&part) {
+        if self.stamps[part] == self.epoch {
+            self.scores[part] += value;
+        } else {
+            self.stamps[part] = self.epoch;
+            self.scores[part] = value;
             self.touched.push(part);
         }
-        self.scores[part] += value;
     }
 
     /// Current score of `part`.
     #[inline]
     pub fn get(&self, part: usize) -> f64 {
-        self.scores[part]
+        if self.stamps[part] == self.epoch {
+            self.scores[part]
+        } else {
+            0.0
+        }
     }
 
-    /// The parts touched since the last [`clear`](ScoreScratch::clear).
+    /// The parts touched since the last [`clear`](ScoreScratch::clear), in first-touch
+    /// order.
     #[inline]
     pub fn touched(&self) -> &[usize] {
         &self.touched
@@ -210,6 +245,12 @@ impl Frontier {
     /// Number of vertices queued for the next sweep.
     pub fn active_len(&self) -> usize {
         self.next.len()
+    }
+
+    /// The vertices queued for the next sweep, in marking order.
+    #[cfg(test)]
+    pub(crate) fn queued(&self) -> &[u32] {
+        &self.next
     }
 
     /// Drop everything queued for the next sweep.
@@ -376,9 +417,16 @@ pub struct SweepEngine {
 }
 
 impl SweepEngine {
-    /// An engine running `threads` workers (`0` = auto, see [`resolve_threads`]).
+    /// An engine running `threads` workers (`0` = auto, see [`resolve_threads`]) on a
+    /// rank that has the process to itself.
     pub fn new(threads: usize) -> Self {
-        let threads = resolve_threads(threads).max(1);
+        SweepEngine::colocated(threads, 1)
+    }
+
+    /// An engine for one of `colocated` ranks sharing this process: the automatic
+    /// worker count is the rank's share of the machine (see [`resolve_threads`]).
+    pub fn colocated(threads: usize, colocated: usize) -> Self {
+        let threads = resolve_threads(threads, colocated).max(1);
         SweepEngine {
             frontier: Frontier::default(),
             scratches: (0..threads).map(|_| ScoreScratch::default()).collect(),
@@ -654,10 +702,18 @@ pub struct SweepWorkspace {
 }
 
 impl SweepWorkspace {
-    /// A workspace running `threads` proposal workers (`0` = auto).
+    /// A workspace running `threads` proposal workers (`0` = auto) on a rank that has
+    /// the process to itself.
     pub fn new(threads: usize) -> Self {
+        SweepWorkspace::colocated(threads, 1)
+    }
+
+    /// A workspace for one of `colocated` ranks sharing this process (a distributed
+    /// driver passes [`RankCtx::colocated_ranks`](xtrapulp_comm::RankCtx::colocated_ranks)),
+    /// so automatic worker counts divide the machine instead of multiplying it.
+    pub fn colocated(threads: usize, colocated: usize) -> Self {
         SweepWorkspace {
-            engine: SweepEngine::new(threads),
+            engine: SweepEngine::colocated(threads, colocated),
             counters: PartCounters::default(),
             edge_balance_last_max: None,
             edge_balance_stalled: false,
@@ -909,5 +965,82 @@ mod tests {
         s.clear();
         assert_eq!(s.get(1), 0.0);
         assert!(s.touched().is_empty());
+    }
+
+    /// The scratch the epoch stamps replaced: re-zero by list, first touch found by
+    /// scanning the list.
+    struct NaiveScratch {
+        scores: Vec<f64>,
+        touched: Vec<usize>,
+    }
+
+    impl NaiveScratch {
+        fn clear(&mut self) {
+            self.scores.iter_mut().for_each(|s| *s = 0.0);
+            self.touched.clear();
+        }
+
+        fn add(&mut self, part: usize, value: f64) {
+            if !self.touched.contains(&part) {
+                self.touched.push(part);
+            }
+            self.scores[part] += value;
+        }
+    }
+
+    #[test]
+    fn score_scratch_matches_a_naive_reference_across_epoch_wrap() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        for seed in 0..20u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let p = rng.gen_range(1..24usize);
+            let mut fast = ScoreScratch::new(p);
+            let mut naive = NaiveScratch {
+                scores: vec![0.0; p],
+                touched: Vec::new(),
+            };
+            // Start a few clears short of the wrap, so every sequence crosses it with
+            // live stamps on both sides.
+            fast.epoch = Stamp::MAX - rng.gen_range(0..4u32);
+            for _ in 0..600 {
+                match rng.gen_range(0..10u32) {
+                    0 => {
+                        fast.clear();
+                        naive.clear();
+                    }
+                    1..=2 => {
+                        // Zero-valued adds still count as a touch, once.
+                        let part = rng.gen_range(0..p);
+                        fast.add(part, 0.0);
+                        naive.add(part, 0.0);
+                    }
+                    _ => {
+                        let part = rng.gen_range(0..p);
+                        let value = rng.gen_range(0..64u32) as f64 * 0.25;
+                        fast.add(part, value);
+                        naive.add(part, value);
+                    }
+                }
+                assert_eq!(fast.touched(), &naive.touched[..]);
+                for part in 0..p {
+                    assert_eq!(fast.get(part).to_bits(), naive.scores[part].to_bits());
+                }
+            }
+            assert!(fast.epoch < Stamp::MAX - 4, "the sequence never wrapped");
+        }
+    }
+
+    #[test]
+    fn auto_thread_count_is_shared_between_colocated_ranks() {
+        // An explicit request always wins.
+        assert_eq!(resolve_threads(3, 4), 3);
+        if std::env::var_os("XTRAPULP_THREADS").is_none() {
+            let machine = resolve_threads(0, 1);
+            assert_eq!(resolve_threads(0, 2), (machine / 2).max(1));
+            assert_eq!(resolve_threads(0, 4 * machine), 1);
+            assert_eq!(resolve_threads(0, 0), machine);
+        }
     }
 }

@@ -161,9 +161,18 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
     engine::lint_source(path, source, &default_deterministic_prefixes())
 }
 
-/// Directories never scanned: third-party stand-ins, build output, and the
-/// lint crate's own fixture corpus (which contains deliberate violations).
-const SKIP_DIRS: &[&str] = &["vendor", "target", ".git", "fixtures", "node_modules"];
+/// Directories never scanned: third-party stand-ins, build output, the lint
+/// crate's own fixture corpus (which contains deliberate violations), and the
+/// repo benchmark — a measurement harness in a workspace of its own
+/// (`benchmark/Cargo.toml`), not library code of this one.
+const SKIP_DIRS: &[&str] = &[
+    "vendor",
+    "target",
+    ".git",
+    "fixtures",
+    "node_modules",
+    "benchmark",
+];
 
 /// Walk the workspace and lint every `.rs` file. Returns the findings plus
 /// the list of scanned files (for `--verbose` / diagnostics).
