@@ -93,7 +93,8 @@ pub use pulp::{
     pulp_partition, try_pulp_partition, try_pulp_partition_from,
     try_pulp_partition_from_with_stats, try_pulp_partition_from_with_stats_timed,
     try_pulp_partition_from_with_sweeps, try_pulp_partition_with_stats,
-    try_pulp_partition_with_stats_timed, try_pulp_partition_with_sweeps, PulpPartitioner,
+    try_pulp_partition_with_stats_timed, try_pulp_partition_with_sweeps, try_pulp_run,
+    PulpPartitioner, PulpRun, PulpWarmStart,
 };
 pub use sweep::{StageBreakdown, StageKind, SweepMode, SweepStats, SweepWorkspace};
 

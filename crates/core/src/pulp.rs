@@ -170,6 +170,45 @@ pub fn try_pulp_partition_from_with_stats_timed(
     Ok(pulp_run(csr, params, Some((initial, touched))))
 }
 
+/// What one serial PuLP run produced.
+#[derive(Debug, Clone)]
+pub struct PulpRun {
+    /// One part id per vertex.
+    pub parts: Vec<i32>,
+    /// The engine's work counters (sweeps, vertices scored, moves, per-stage split).
+    pub stats: SweepStats,
+    /// Per-stage sweep wall-clock under the `sweep_refine`/`sweep_balance`/`sweep_churn`
+    /// phase names distributed runs put in `PartitionResult::timings`.
+    pub timings: PhaseTimer,
+}
+
+/// A warm start for [`try_pulp_run`]: the seed part vector (see
+/// [`try_pulp_partition_from`]) and, when known, the vertices the mutation delta
+/// touched (endpoints of inserted/deleted edges, added vertices). With a touched set
+/// the refinement frontier is seeded from it plus its one-hop neighbourhood, so an
+/// epoch with a small delta scores only the delta region instead of the whole graph;
+/// without one the frontier is seeded conservatively from every vertex.
+pub type PulpWarmStart<'a> = (&'a [i32], Option<&'a [GlobalId]>);
+
+/// The full-accounting entry point: run PuLP-MM cold (`warm == None`) or warm-started,
+/// and report the part vector together with the work counters and sweep timings.
+pub fn try_pulp_run(
+    csr: &Csr,
+    params: &PartitionParams,
+    warm: Option<PulpWarmStart<'_>>,
+) -> Result<PulpRun, PartitionError> {
+    params.validate()?;
+    if let Some((initial, _)) = warm {
+        validate_warm_start(csr.num_vertices(), params.num_parts, initial)?;
+    }
+    let (parts, stats, timings) = pulp_run(csr, params, warm);
+    Ok(PulpRun {
+        parts,
+        stats,
+        timings,
+    })
+}
+
 /// Shared cold/warm driver; returns the part vector and the sweep statistics
 /// (refinement sweeps stop early on convergence, so these are measurements, not a
 /// schedule). `initial`, when given, must already be validated by
