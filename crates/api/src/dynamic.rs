@@ -3,10 +3,7 @@
 use serde::Serialize;
 use xtrapulp::metrics::PartitionQuality;
 use xtrapulp::sweep::{StageBreakdown, SweepStats};
-use xtrapulp::{
-    try_pulp_partition_from_with_stats_timed, try_pulp_partition_with_stats_timed,
-    validate_warm_start, PartitionError,
-};
+use xtrapulp::{try_pulp_run, validate_warm_start, PartitionError};
 use xtrapulp_comm::{CommStatsSnapshot, PhaseTimer};
 use xtrapulp_dynamic::{
     seed_from_previous, DynamicGraph, GraphDelta, UpdateBatch, UpdateError, UpdateSummary,
@@ -317,21 +314,14 @@ impl DynamicSession {
         let params = self.job.params;
         let mut timings = PhaseTimer::new();
         let (parts, stats) = match (self.job.method, warm_seed) {
-            (Method::Pulp, None) => {
-                let (parts, stats, sweep_timings) = timings.time("partition", || {
-                    try_pulp_partition_with_stats_timed(csr, &params)
+            (Method::Pulp, seed) => {
+                let run = timings.time("partition", || {
+                    try_pulp_run(csr, &params, seed.map(|seed| (seed, touched)))
                 })?;
                 // The per-stage sweep wall-clock breakdown ends up in the report's
                 // timings, same phase names as the distributed path.
-                timings.merge_max(&sweep_timings);
-                (parts, stats)
-            }
-            (Method::Pulp, Some(seed)) => {
-                let (parts, stats, sweep_timings) = timings.time("partition", || {
-                    try_pulp_partition_from_with_stats_timed(csr, &params, seed, touched)
-                })?;
-                timings.merge_max(&sweep_timings);
-                (parts, stats)
+                timings.merge_max(&run.timings);
+                (run.parts, run.stats)
             }
             (method, Some(seed)) => {
                 let partitioner = method

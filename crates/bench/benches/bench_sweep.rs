@@ -15,9 +15,7 @@
 //! distributed engine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use xtrapulp::{
-    try_pulp_partition_from_with_stats, try_pulp_partition_with_stats, PartitionParams, SweepMode,
-};
+use xtrapulp::{try_pulp_run, PartitionParams, SweepMode};
 use xtrapulp_bench::scaled;
 use xtrapulp_gen::{GraphConfig, GraphKind};
 
@@ -61,7 +59,7 @@ fn bench_sweep(c: &mut Criterion) {
                 ..Default::default()
             };
             group.bench_function(format!("cold_{label}_{name}"), |b| {
-                b.iter(|| try_pulp_partition_with_stats(csr, &params).unwrap())
+                b.iter(|| try_pulp_run(csr, &params, None).unwrap())
             });
         }
     }
@@ -73,15 +71,15 @@ fn bench_sweep(c: &mut Criterion) {
         seed: 29,
         ..Default::default()
     };
-    let (seed_parts, _) = try_pulp_partition_with_stats(csr, &params).expect("valid params");
+    let seed_parts = try_pulp_run(csr, &params, None)
+        .expect("valid params")
+        .parts;
     let touched: Vec<u64> = (0..32u64).collect();
     group.bench_function(format!("warm_blind_{name}"), |b| {
-        b.iter(|| try_pulp_partition_from_with_stats(csr, &params, &seed_parts, None).unwrap())
+        b.iter(|| try_pulp_run(csr, &params, Some((&seed_parts, None))).unwrap())
     });
     group.bench_function(format!("warm_touched_{name}"), |b| {
-        b.iter(|| {
-            try_pulp_partition_from_with_stats(csr, &params, &seed_parts, Some(&touched)).unwrap()
-        })
+        b.iter(|| try_pulp_run(csr, &params, Some((&seed_parts, Some(&touched)))).unwrap())
     });
     group.finish();
 }

@@ -14,11 +14,12 @@
 //!
 //! 1. **Initialisation** ([`init`]): `p` random roots are grown breadth-first; unassigned
 //!    vertices adopt a random neighbouring part.
-//! 2. **Vertex stage** ([`balance`]): weighted label propagation drives part *vertex*
-//!    counts towards balance, alternating with constrained refinement sweeps that reduce
-//!    the cut.
-//! 3. **Edge stage** ([`edge_balance`]): the same machinery driven by per-part *edge* and
-//!    *cut* counts, yielding the multi-constraint, multi-objective result.
+//! 2. **Vertex stage** (the balance and refinement passes in `pass.rs`): weighted label
+//!    propagation drives part *vertex* counts towards balance, alternating with
+//!    constrained refinement sweeps that reduce the cut.
+//! 3. **Edge stage** (the same passes with the edge objective): the same machinery
+//!    driven by per-part *edge* and *cut* counts, yielding the multi-constraint,
+//!    multi-objective result.
 //!
 //! The distributed-memory realisation keeps a one-dimensional vertex distribution
 //! (see [`xtrapulp_graph::DistGraph`]), exchanges boundary labels with an
@@ -69,15 +70,14 @@
 //! assert!(XtraPulpPartitioner::new(2).try_partition(&graph, &bad).is_err());
 //! ```
 
-pub mod balance;
 pub mod baselines;
-pub mod edge_balance;
 pub mod error;
 pub mod exchange;
 pub mod init;
 pub mod metrics;
 pub mod params;
 pub mod partitioner;
+mod pass;
 pub mod pulp;
 pub mod sweep;
 
@@ -90,11 +90,8 @@ pub use partitioner::{
     WarmStartPartitioner, XtraPulpPartitioner,
 };
 pub use pulp::{
-    pulp_partition, try_pulp_partition, try_pulp_partition_from,
-    try_pulp_partition_from_with_stats, try_pulp_partition_from_with_stats_timed,
-    try_pulp_partition_from_with_sweeps, try_pulp_partition_with_stats,
-    try_pulp_partition_with_stats_timed, try_pulp_partition_with_sweeps, try_pulp_run,
-    PulpPartitioner, PulpRun, PulpWarmStart,
+    pulp_partition, try_pulp_partition, try_pulp_partition_from, try_pulp_run, PulpPartitioner,
+    PulpRun, PulpWarmStart,
 };
 pub use sweep::{StageBreakdown, StageKind, SweepMode, SweepStats, SweepWorkspace};
 

@@ -5,15 +5,17 @@ use xtrapulp_comm::{PhaseTimer, RankCtx, Runtime};
 use xtrapulp_graph::distribution::splitmix64;
 use xtrapulp_graph::{Csr, DistGraph, Distribution, GlobalId, LocalId, UNASSIGNED};
 
-use crate::balance::{final_rebalance, vertex_balance, vertex_refine, StageCounter};
 use crate::baselines;
-use crate::edge_balance::{edge_balance, edge_refine};
 use crate::error::PartitionError;
 use crate::exchange::{push_part_updates, refresh_ghost_parts, HaloPlan, PartUpdate};
 use crate::init::init_partition;
 use crate::metrics::PartitionQuality;
 use crate::params::PartitionParams;
-use crate::sweep::{RefineConvergence, StageBreakdown, SweepMode, SweepWorkspace};
+use crate::pass::{
+    balance_refine_rounds, final_rebalance, global_part_loads, warm_refine_rounds, Dist, Load,
+    Objective,
+};
+use crate::sweep::{StageBreakdown, SweepMode, SweepWorkspace};
 
 /// The outcome of one distributed XtraPuLP run on one rank.
 #[derive(Debug, Clone)]
@@ -176,10 +178,10 @@ pub fn try_xtrapulp_partition_from_touched(
         let p = params.num_parts;
         let imb_v = params.target_max_vertices(graph.global_n()) * crate::pulp::WARM_BALANCE_SLACK;
         let imb_e = params.target_max_arcs(2 * graph.global_m()) * crate::pulp::WARM_BALANCE_SLACK;
-        crate::balance::global_vertex_counts(ctx, graph, &parts, p)
+        global_part_loads(ctx, graph, &parts, p, Load::Vertices)
             .iter()
             .any(|&s| s as f64 > imb_v)
-            || crate::balance::global_arc_counts(ctx, graph, &parts, p)
+            || global_part_loads(ctx, graph, &parts, p, Load::Arcs)
                 .iter()
                 .any(|&s| s as f64 > imb_e)
     };
@@ -256,7 +258,6 @@ fn run_stages(
     ws: &mut SweepWorkspace,
     halo: &HaloPlan,
 ) -> Result<PartitionResult, PartitionError> {
-    let frontier_mode = params.sweep_mode == SweepMode::Frontier;
     // The dynamic multiplier ramps from `Y` to `X` over the stage schedule; normalise it
     // by the rounds actually run (warm starts run `warm_outer_iters`, not `outer_iters`)
     // so a short schedule still reaches the conservative end-of-run multiplier instead of
@@ -266,49 +267,23 @@ fn run_stages(
         outer_iters: outer,
         ..*params
     };
+    let mut dist = Dist::new(ctx, graph, halo);
     let mut lp_sweeps;
     if balance {
         // Stage 1: vertex balance + refinement.
-        let mut counter = StageCounter::default();
-        timings.time("vertex_stage", || -> Result<(), PartitionError> {
-            for _ in 0..outer {
-                vertex_balance(ctx, graph, &mut parts, params, &mut counter, ws, halo)?;
-                vertex_refine(
-                    ctx,
-                    graph,
-                    &mut parts,
-                    params,
-                    &mut counter,
-                    ws,
-                    halo,
-                    RefineConvergence::Polish,
-                )?;
-            }
-            Ok(())
+        timings.time("vertex_stage", || {
+            balance_refine_rounds(&mut dist, Objective::Vertex, outer, &mut parts, params, ws)
         })?;
-        lp_sweeps = counter.iter_tot as u64;
+        lp_sweeps = dist.iter_tot as u64;
 
         // Stage 2: edge balance + refinement (the "MM" in PuLP-MM). The iteration
         // counter is reset, as in Algorithm 1.
         if params.edge_balance_stage && params.num_parts > 1 {
-            let mut counter = StageCounter::default();
-            timings.time("edge_stage", || -> Result<(), PartitionError> {
-                for _ in 0..outer {
-                    edge_balance(ctx, graph, &mut parts, params, &mut counter, ws, halo)?;
-                    edge_refine(
-                        ctx,
-                        graph,
-                        &mut parts,
-                        params,
-                        &mut counter,
-                        ws,
-                        halo,
-                        RefineConvergence::Polish,
-                    )?;
-                }
-                Ok(())
+            dist.iter_tot = 0;
+            timings.time("edge_stage", || {
+                balance_refine_rounds(&mut dist, Objective::Edge, outer, &mut parts, params, ws)
             })?;
-            lp_sweeps += counter.iter_tot as u64;
+            lp_sweeps += dist.iter_tot as u64;
         }
 
         // Label propagation can leave skewed graphs above the vertex target (the same
@@ -316,76 +291,15 @@ fn run_stages(
         // final rebalance pass drains any remaining overweight parts cut-awarely. A
         // no-op when the constraint already holds.
         timings.time("rebalance", || {
-            final_rebalance(ctx, graph, &mut parts, params, ws, halo)
+            final_rebalance(&mut dist, &mut parts, params, ws)
         })?;
     } else {
         // Warm refine-only run: the seed meets both balance targets, so only
-        // refinement runs. Frontier mode iterates to empty-frontier convergence
-        // (capped); full mode keeps the legacy fixed schedule.
-        let mut counter = StageCounter::default();
-        let edge_stage = params.edge_balance_stage && params.num_parts > 1;
-        timings.time("vertex_stage", || -> Result<(), PartitionError> {
-            if outer == 0 {
-                // Seed-only schedule: nothing to refine.
-            } else if frontier_mode {
-                // One refinement stage per round: with the edge stage enabled that is
-                // `edge_refine`, whose admissibility (vertex, edge and cut caps) is a
-                // superset of the vertex stage's and whose score rule is identical —
-                // running `vertex_refine` first would consume the frontier to
-                // convergence and leave the edge-capped pass nothing to check.
-                let refine = if edge_stage {
-                    edge_refine
-                } else {
-                    vertex_refine
-                };
-                for _ in 0..warm_rounds_cap {
-                    let active =
-                        ctx.allreduce_scalar_sum_u64(ws.engine.frontier.active_len() as u64);
-                    if active == 0 {
-                        break;
-                    }
-                    refine(
-                        ctx,
-                        graph,
-                        &mut parts,
-                        params,
-                        &mut counter,
-                        ws,
-                        halo,
-                        RefineConvergence::FrontierOnly,
-                    )?;
-                }
-            } else {
-                for _ in 0..outer {
-                    vertex_refine(
-                        ctx,
-                        graph,
-                        &mut parts,
-                        params,
-                        &mut counter,
-                        ws,
-                        halo,
-                        RefineConvergence::FrontierOnly,
-                    )?;
-                }
-                if edge_stage {
-                    for _ in 0..outer {
-                        edge_refine(
-                            ctx,
-                            graph,
-                            &mut parts,
-                            params,
-                            &mut counter,
-                            ws,
-                            halo,
-                            RefineConvergence::FrontierOnly,
-                        )?;
-                    }
-                }
-            }
-            Ok(())
+        // refinement runs.
+        timings.time("vertex_stage", || {
+            warm_refine_rounds(&mut dist, outer, warm_rounds_cap, &mut parts, params, ws)
         })?;
-        lp_sweeps = counter.iter_tot as u64;
+        lp_sweeps = dist.iter_tot as u64;
     }
 
     let quality = timings.time("metrics", || {

@@ -25,10 +25,8 @@ use crate::params::{InitStrategy, PartitionParams};
 use crate::partitioner::{
     greedy_seed_unassigned, validate_warm_start, Partitioner, WarmStartPartitioner,
 };
-use crate::sweep::{
-    refine_budget, RefineConvergence, ScoreScratch, StageKind, SweepMode, SweepStage, SweepStats,
-    SweepWorkspace, BALANCE_CHUNK, NO_MOVE, SWEEP_CHUNK,
-};
+use crate::pass::{balance_refine_rounds, warm_refine_rounds, Backend, Load, Objective, Serial};
+use crate::sweep::{SweepMode, SweepStats, SweepWorkspace};
 
 /// Slack applied to the balance targets when deciding whether a warm start needs the
 /// balance stages at all: within this factor, the seed counts as balanced (see
@@ -67,7 +65,7 @@ impl WarmStartPartitioner for PulpPartitioner {
 /// Run the PuLP-MM algorithm on an in-memory graph, rejecting malformed parameters with
 /// a typed error.
 pub fn try_pulp_partition(csr: &Csr, params: &PartitionParams) -> Result<Vec<i32>, PartitionError> {
-    try_pulp_partition_with_stats(csr, params).map(|(parts, _)| parts)
+    try_pulp_run(csr, params, None).map(|run| run.parts)
 }
 
 /// Run the PuLP-MM algorithm on an in-memory graph.
@@ -98,76 +96,7 @@ pub fn try_pulp_partition_from(
     params: &PartitionParams,
     initial: &[i32],
 ) -> Result<Vec<i32>, PartitionError> {
-    try_pulp_partition_from_with_stats(csr, params, initial, None).map(|(parts, _)| parts)
-}
-
-/// [`try_pulp_partition_from`] variant that also reports the number of
-/// label-propagation sweeps executed, for warm-vs-cold accounting.
-pub fn try_pulp_partition_from_with_sweeps(
-    csr: &Csr,
-    params: &PartitionParams,
-    initial: &[i32],
-) -> Result<(Vec<i32>, u64), PartitionError> {
-    try_pulp_partition_from_with_stats(csr, params, initial, None)
-        .map(|(parts, stats)| (parts, stats.sweeps))
-}
-
-/// [`try_pulp_partition`] variant that also reports the number of label-propagation
-/// sweeps executed.
-pub fn try_pulp_partition_with_sweeps(
-    csr: &Csr,
-    params: &PartitionParams,
-) -> Result<(Vec<i32>, u64), PartitionError> {
-    try_pulp_partition_with_stats(csr, params).map(|(parts, stats)| (parts, stats.sweeps))
-}
-
-/// Full-accounting cold run: the part vector plus the engine's [`SweepStats`]
-/// (sweeps, vertices scored, moves).
-pub fn try_pulp_partition_with_stats(
-    csr: &Csr,
-    params: &PartitionParams,
-) -> Result<(Vec<i32>, SweepStats), PartitionError> {
-    try_pulp_partition_with_stats_timed(csr, params).map(|(parts, stats, _)| (parts, stats))
-}
-
-/// [`try_pulp_partition_with_stats`] variant that also reports the per-stage sweep
-/// wall-clock as a [`PhaseTimer`] with `sweep_refine`/`sweep_balance`/`sweep_churn`
-/// phases — the serial counterpart of the phases distributed runs put in
-/// `PartitionResult::timings`.
-pub fn try_pulp_partition_with_stats_timed(
-    csr: &Csr,
-    params: &PartitionParams,
-) -> Result<(Vec<i32>, SweepStats, PhaseTimer), PartitionError> {
-    params.validate()?;
-    Ok(pulp_run(csr, params, None))
-}
-
-/// Full-accounting warm run. `touched`, when given, lists the vertices the mutation
-/// delta touched (endpoints of inserted/deleted edges, added vertices); the refinement
-/// frontier is seeded from them plus their one-hop neighbourhoods, so an epoch with a
-/// small delta scores only the delta region instead of the whole graph. Without it the
-/// frontier is seeded conservatively from every vertex.
-pub fn try_pulp_partition_from_with_stats(
-    csr: &Csr,
-    params: &PartitionParams,
-    initial: &[i32],
-    touched: Option<&[GlobalId]>,
-) -> Result<(Vec<i32>, SweepStats), PartitionError> {
-    try_pulp_partition_from_with_stats_timed(csr, params, initial, touched)
-        .map(|(parts, stats, _)| (parts, stats))
-}
-
-/// [`try_pulp_partition_from_with_stats`] variant that also reports the per-stage
-/// sweep wall-clock (see [`try_pulp_partition_with_stats_timed`]).
-pub fn try_pulp_partition_from_with_stats_timed(
-    csr: &Csr,
-    params: &PartitionParams,
-    initial: &[i32],
-    touched: Option<&[GlobalId]>,
-) -> Result<(Vec<i32>, SweepStats, PhaseTimer), PartitionError> {
-    params.validate()?;
-    validate_warm_start(csr.num_vertices(), params.num_parts, initial)?;
-    Ok(pulp_run(csr, params, Some((initial, touched))))
+    try_pulp_run(csr, params, Some((initial, None))).map(|run| run.parts)
 }
 
 /// What one serial PuLP run produced.
@@ -201,32 +130,28 @@ pub fn try_pulp_run(
     if let Some((initial, _)) = warm {
         validate_warm_start(csr.num_vertices(), params.num_parts, initial)?;
     }
-    let (parts, stats, timings) = pulp_run(csr, params, warm);
-    Ok(PulpRun {
-        parts,
-        stats,
-        timings,
-    })
+    pulp_run(csr, params, warm)
 }
 
-/// Shared cold/warm driver; returns the part vector and the sweep statistics
-/// (refinement sweeps stop early on convergence, so these are measurements, not a
-/// schedule). `initial`, when given, must already be validated by
-/// [`validate_warm_start`].
+/// Shared cold/warm driver (refinement sweeps stop early on convergence, so the
+/// statistics are measurements, not a schedule). `params` and the warm seed, when
+/// given, must already be validated.
 fn pulp_run(
     csr: &Csr,
     params: &PartitionParams,
-    warm: Option<(&[i32], Option<&[GlobalId]>)>,
-) -> (Vec<i32>, SweepStats, PhaseTimer) {
+    warm: Option<PulpWarmStart<'_>>,
+) -> Result<PulpRun, PartitionError> {
     let n = csr.num_vertices();
-    if n == 0 {
-        return (Vec::new(), SweepStats::default(), PhaseTimer::new());
-    }
     let p = params.num_parts;
-    if p == 1 {
-        return (vec![0; n], SweepStats::default(), PhaseTimer::new());
+    if n == 0 || p == 1 {
+        return Ok(PulpRun {
+            parts: vec![0; n],
+            stats: SweepStats::default(),
+            timings: PhaseTimer::new(),
+        });
     }
     let frontier = params.sweep_mode == SweepMode::Frontier;
+    let mut backend = Serial(csr);
     let mut ws = SweepWorkspace::new(params.sweep_threads);
     ws.begin_run(n, p);
 
@@ -252,10 +177,10 @@ fn pulp_run(
             greedy_seed_unassigned(csr, &mut parts, p);
             let imb_v = params.target_max_vertices(n as u64) * WARM_BALANCE_SLACK;
             let imb_e = params.target_max_arcs(csr.num_arcs()) * WARM_BALANCE_SLACK;
-            fill_part_vertex_counts(&parts, &mut ws.counters.size_v);
-            let over_v = ws.counters.size_v.iter().any(|&s| s as f64 > imb_v);
-            fill_part_arc_counts(csr, &parts, &mut ws.counters.size_e);
-            let needs_balance = over_v || ws.counters.size_e.iter().any(|&s| s as f64 > imb_e);
+            backend.measure(&parts, &[Load::Vertices, Load::Arcs], &mut ws.counters);
+            let (size_v, size_e) = ws.counters.size[..2 * p].split_at(p);
+            let needs_balance = size_v.iter().any(|&s| s as f64 > imb_v)
+                || size_e.iter().any(|&s| s as f64 > imb_e);
             if frontier && !needs_balance {
                 // Refine-only warm run: seed the frontier from the touched region (the
                 // delta's endpoints and every vertex that arrived unassigned) plus its
@@ -296,83 +221,38 @@ fn pulp_run(
     }
 
     if balance {
-        // The cold schedule: alternating balance (full sweeps) and refinement
-        // (frontier sweeps with a verifying full polish) rounds per stage, exactly as
-        // in the papers.
-        for _ in 0..outer {
-            vertex_balance(csr, &mut parts, params, &mut ws);
-            vertex_refine(csr, &mut parts, params, &mut ws, RefineConvergence::Polish);
-        }
+        balance_refine_rounds(
+            &mut backend,
+            Objective::Vertex,
+            outer,
+            &mut parts,
+            params,
+            &mut ws,
+        )?;
         if params.edge_balance_stage {
-            for _ in 0..outer {
-                edge_balance(csr, &mut parts, params, &mut ws);
-                edge_refine(csr, &mut parts, params, &mut ws, RefineConvergence::Polish);
-            }
+            balance_refine_rounds(
+                &mut backend,
+                Objective::Edge,
+                outer,
+                &mut parts,
+                params,
+                &mut ws,
+            )?;
         }
-    } else if outer > 0 {
-        // Refine-only warm run. Frontier mode stops on convergence (empty frontier)
-        // instead of a fixed round count, and never widens beyond the delta
-        // neighbourhood (the seed is the previous epoch's already-polished partition);
-        // full mode keeps the legacy fixed schedule.
-        if frontier {
-            // Extra convergence rounds only for delta-scoped warm runs; a blind warm
-            // start (no touched set) keeps the legacy round count.
-            let max_rounds = match warm {
-                Some((_, Some(_))) => outer.max(params.outer_iters),
-                _ => outer,
-            };
-            // Each round runs one refinement stage: with the edge stage enabled that
-            // is `edge_refine`, whose admissibility (vertex, edge and cut caps) is a
-            // superset of the vertex stage's and whose score rule is identical —
-            // running `vertex_refine` first would consume the frontier to convergence
-            // and leave the edge-capped pass nothing to check.
-            for _ in 0..max_rounds {
-                if ws.engine.frontier.active_len() == 0 {
-                    break;
-                }
-                if params.edge_balance_stage {
-                    edge_refine(
-                        csr,
-                        &mut parts,
-                        params,
-                        &mut ws,
-                        RefineConvergence::FrontierOnly,
-                    );
-                } else {
-                    vertex_refine(
-                        csr,
-                        &mut parts,
-                        params,
-                        &mut ws,
-                        RefineConvergence::FrontierOnly,
-                    );
-                }
-            }
-        } else {
-            for _ in 0..outer {
-                vertex_refine(
-                    csr,
-                    &mut parts,
-                    params,
-                    &mut ws,
-                    RefineConvergence::FrontierOnly,
-                );
-            }
-            if params.edge_balance_stage {
-                for _ in 0..outer {
-                    edge_refine(
-                        csr,
-                        &mut parts,
-                        params,
-                        &mut ws,
-                        RefineConvergence::FrontierOnly,
-                    );
-                }
-            }
-        }
+    } else {
+        // Extra convergence rounds only for delta-scoped warm runs; a blind warm start
+        // (no touched set) keeps the legacy round count.
+        let rounds_cap = match warm {
+            Some((_, Some(_))) => outer.max(params.outer_iters),
+            _ => outer,
+        };
+        warm_refine_rounds(&mut backend, outer, rounds_cap, &mut parts, params, &mut ws)?;
     }
-    let sweep_timings = ws.engine.stage_timings();
-    (parts, ws.engine.stats, sweep_timings)
+    Ok(PulpRun {
+        parts,
+        stats: ws.engine.stats,
+        timings: ws.engine.stage_timings(),
+    })
 }
 
 fn init(csr: &Csr, params: &PartitionParams) -> Vec<i32> {
@@ -422,641 +302,6 @@ fn init(csr: &Csr, params: &PartitionParams) -> Vec<i32> {
                 }
             }
             parts
-        }
-    }
-}
-
-/// Fill `counts` (one slot per part) with part sizes in vertices.
-fn fill_part_vertex_counts(parts: &[i32], counts: &mut [i64]) {
-    counts.iter_mut().for_each(|c| *c = 0);
-    for &x in parts {
-        counts[x as usize] += 1;
-    }
-}
-
-/// Fill `counts` with part sizes in arcs (vertex degree sums).
-fn fill_part_arc_counts(csr: &Csr, parts: &[i32], counts: &mut [i64]) {
-    counts.iter_mut().for_each(|c| *c = 0);
-    for v in 0..csr.num_vertices() as u64 {
-        counts[parts[v as usize] as usize] += csr.degree(v) as i64;
-    }
-}
-
-/// Fill `counts` with per-part cut arc counts.
-fn fill_part_cut_counts(csr: &Csr, parts: &[i32], counts: &mut [i64]) {
-    counts.iter_mut().for_each(|c| *c = 0);
-    for v in 0..csr.num_vertices() as u64 {
-        let pv = parts[v as usize];
-        for &u in csr.neighbors(v) {
-            if parts[u as usize] != pv {
-                counts[pv as usize] += 1;
-            }
-        }
-    }
-}
-
-/// Enqueue-neighbours closure over a serial CSR for the sweep engine's frontier.
-fn csr_neighbors(csr: &Csr) -> impl Fn(u32, &mut dyn FnMut(u32)) + '_ {
-    move |v, mark| {
-        for &u in csr.neighbors(v as u64) {
-            mark(u as u32);
-        }
-    }
-}
-
-/// Count `v`'s neighbours in its own part `x` and in `target` under the current labels
-/// — the cheap recheck the apply phase runs instead of a full rescoring.
-#[inline]
-fn recount_two(csr: &Csr, v: u32, parts: &[i32], x: usize, target: usize) -> (f64, f64) {
-    let mut s_x = 0.0f64;
-    let mut s_t = 0.0f64;
-    for &u in csr.neighbors(v as u64) {
-        let pu = parts[u as usize] as usize;
-        if pu == x {
-            s_x += 1.0;
-        } else if pu == target {
-            s_t += 1.0;
-        }
-    }
-    (s_x, s_t)
-}
-
-/// The vertex balancing stage: weighted label propagation towards underweight parts.
-struct SerialVertexBalance<'a> {
-    csr: &'a Csr,
-    size_v: &'a mut [i64],
-    imb_v: f64,
-    max_v: f64,
-}
-
-impl SerialVertexBalance<'_> {
-    #[inline]
-    fn weight(&self, i: usize) -> f64 {
-        (self.imb_v / (self.size_v[i] as f64).max(1.0) - 1.0).max(0.0)
-    }
-}
-
-impl SweepStage for SerialVertexBalance<'_> {
-    fn propose(&self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32 {
-        let x = parts[v as usize] as usize;
-        scratch.clear();
-        for &u in self.csr.neighbors(v as u64) {
-            scratch.add(parts[u as usize] as usize, self.csr.degree(u) as f64);
-        }
-        let mut best = x;
-        let mut best_score = 0.0f64;
-        for &i in scratch.touched() {
-            if (self.size_v[i] as f64) + 1.0 > self.max_v {
-                continue;
-            }
-            let score = scratch.get(i) * self.weight(i);
-            if score > best_score {
-                best_score = score;
-                best = i;
-            }
-        }
-        if best != x && best_score > 0.0 {
-            best as i32
-        } else {
-            NO_MOVE
-        }
-    }
-
-    fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool {
-        let x = parts[v as usize] as usize;
-        // Recheck against the live counters: the target must still be admissible and
-        // still attractive (underweight), and v must still have a neighbour there.
-        if (self.size_v[target] as f64) + 1.0 > self.max_v || self.weight(target) <= 0.0 {
-            return false;
-        }
-        let (_, s_t) = recount_two(self.csr, v, parts, x, target);
-        if s_t <= 0.0 {
-            return false;
-        }
-        self.size_v[x] -= 1;
-        self.size_v[target] += 1;
-        true
-    }
-}
-
-fn vertex_balance(csr: &Csr, parts: &mut [i32], params: &PartitionParams, ws: &mut SweepWorkspace) {
-    let n = csr.num_vertices();
-    let imb_v = params.target_max_vertices(n as u64);
-    let frontier = params.sweep_mode == SweepMode::Frontier;
-    let SweepWorkspace {
-        engine, counters, ..
-    } = ws;
-    fill_part_vertex_counts(parts, &mut counters.size_v);
-    // The stage exists to meet the vertex-balance constraint; once it holds, its label
-    // churn towards momentarily-underweight parts is pure perturbation. Perturbation is
-    // only *useful* when refinement has converged (empty frontier) — it is what lets
-    // the next refinement round escape the local optimum — so: balanced + refinement
-    // still active → skip the pass entirely; balanced + refinement converged → one
-    // churn sweep; unbalanced → the full schedule. Gated on frontier mode so `Full`
-    // stays a faithful legacy baseline.
-    let balanced = counters.size_v.iter().all(|&s| (s as f64) <= imb_v);
-    let sweep_cap = if frontier && balanced {
-        if engine.frontier.active_len() > 0 {
-            0
-        } else {
-            1
-        }
-    } else {
-        params.balance_iters
-    };
-    // A balance pass run while the constraint already holds is pure perturbation;
-    // book its sweeps as churn so reports can attribute the work.
-    engine.set_stage(if balanced {
-        StageKind::Churn
-    } else {
-        StageKind::Balance
-    });
-    for _ in 0..sweep_cap {
-        let max_v = counters
-            .size_v
-            .iter()
-            .map(|&s| s as f64)
-            .fold(imb_v, f64::max);
-        let mut stage = SerialVertexBalance {
-            csr,
-            size_v: &mut counters.size_v,
-            imb_v,
-            max_v,
-        };
-        let moves = engine.sweep(
-            n,
-            parts,
-            false,
-            BALANCE_CHUNK,
-            &mut stage,
-            csr_neighbors(csr),
-            |_, _| {},
-        );
-        // A move-free balance sweep leaves sizes (hence weights and admissibility)
-        // untouched, so every remaining sweep of this pass would be identical: skip
-        // them. Gated on frontier mode so `Full` stays a faithful legacy baseline.
-        if frontier && moves == 0 {
-            break;
-        }
-    }
-}
-
-/// The vertex refinement stage: constrained label propagation minimising the cut.
-struct SerialVertexRefine<'a> {
-    csr: &'a Csr,
-    size_v: &'a mut [i64],
-    max_v: f64,
-}
-
-impl SweepStage for SerialVertexRefine<'_> {
-    fn propose(&self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32 {
-        let x = parts[v as usize] as usize;
-        scratch.clear();
-        for &u in self.csr.neighbors(v as u64) {
-            scratch.add(parts[u as usize] as usize, 1.0);
-        }
-        let mut best = x;
-        let mut best_score = scratch.get(x);
-        for &i in scratch.touched() {
-            if i == x || (self.size_v[i] as f64) + 1.0 > self.max_v {
-                continue;
-            }
-            if scratch.get(i) > best_score {
-                best_score = scratch.get(i);
-                best = i;
-            }
-        }
-        if best != x {
-            best as i32
-        } else {
-            NO_MOVE
-        }
-    }
-
-    fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool {
-        let x = parts[v as usize] as usize;
-        if (self.size_v[target] as f64) + 1.0 > self.max_v {
-            return false;
-        }
-        // The move must still strictly reduce the cut under the live labels (earlier
-        // applications in this chunk may have changed the neighbourhood).
-        let (s_x, s_t) = recount_two(self.csr, v, parts, x, target);
-        if s_t <= s_x {
-            return false;
-        }
-        self.size_v[x] -= 1;
-        self.size_v[target] += 1;
-        true
-    }
-}
-
-fn vertex_refine(
-    csr: &Csr,
-    parts: &mut [i32],
-    params: &PartitionParams,
-    ws: &mut SweepWorkspace,
-    convergence: RefineConvergence,
-) {
-    let n = csr.num_vertices();
-    let imb_v = params.target_max_vertices(n as u64);
-    let frontier_mode = params.sweep_mode == SweepMode::Frontier;
-    let SweepWorkspace {
-        engine, counters, ..
-    } = ws;
-    // A converged frontier-only pass does no work at all — skip the O(n) counter
-    // rebuild too.
-    if frontier_mode
-        && convergence == RefineConvergence::FrontierOnly
-        && engine.frontier.active_len() == 0
-    {
-        return;
-    }
-    fill_part_vertex_counts(parts, &mut counters.size_v);
-    engine.set_stage(StageKind::Refine);
-    // A pass inheriting a large frontier (the previous round did not converge — heavy
-    // churn classes) drops it and falls straight to the polish full sweep, which
-    // restores the legacy schedule's per-round global coverage.
-    if frontier_mode
-        && convergence == RefineConvergence::Polish
-        && engine.frontier.active_len() > n / 8
-    {
-        engine.frontier.clear();
-    }
-    let budget = refine_budget(params.refine_iters, params.sweep_mode);
-    let mut used = 0u64;
-    loop {
-        if used >= budget {
-            break;
-        }
-        // Polish on an empty frontier: a full sweep verifies the fixed point (part
-        // sizes change as vertices move, so a vertex whose neighbourhood never changed
-        // can still become movable; the frontier alone cannot see that). A move-free
-        // polish ends the pass.
-        let use_frontier = frontier_mode && engine.frontier.active_len() > 0;
-        if frontier_mode && !use_frontier && convergence == RefineConvergence::FrontierOnly {
-            break;
-        }
-        let max_v = counters
-            .size_v
-            .iter()
-            .map(|&s| s as f64)
-            .fold(imb_v, f64::max);
-        let mut stage = SerialVertexRefine {
-            csr,
-            size_v: &mut counters.size_v,
-            max_v,
-        };
-        let moves = engine.sweep(
-            n,
-            parts,
-            use_frontier,
-            SWEEP_CHUNK,
-            &mut stage,
-            csr_neighbors(csr),
-            |_, _| {},
-        );
-        used += 1;
-        if moves == 0 && (!use_frontier || convergence == RefineConvergence::FrontierOnly) {
-            break;
-        }
-    }
-}
-
-/// The edge balancing stage: weighted label propagation driven by per-part edge and cut
-/// loads.
-struct SerialEdgeBalance<'a> {
-    csr: &'a Csr,
-    size_v: &'a mut [i64],
-    size_e: &'a mut [i64],
-    size_c: &'a mut [i64],
-    imb_e: f64,
-    max_v: f64,
-    max_e: f64,
-    max_c: f64,
-    r_e: f64,
-    r_c: f64,
-}
-
-impl SerialEdgeBalance<'_> {
-    #[inline]
-    fn weight_e(&self, i: usize) -> f64 {
-        (self.imb_e / (self.size_e[i] as f64).max(1.0) - 1.0).max(0.0)
-    }
-
-    #[inline]
-    fn weight_c(&self, i: usize) -> f64 {
-        (self.max_c / (self.size_c[i] as f64).max(1.0) - 1.0).max(0.0)
-    }
-}
-
-impl SweepStage for SerialEdgeBalance<'_> {
-    fn propose(&self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32 {
-        let x = parts[v as usize] as usize;
-        let deg = self.csr.degree(v as u64) as f64;
-        scratch.clear();
-        for &u in self.csr.neighbors(v as u64) {
-            scratch.add(parts[u as usize] as usize, 1.0);
-        }
-        let mut best = x;
-        let mut best_score = 0.0f64;
-        for &i in scratch.touched() {
-            if i == x
-                || (self.size_v[i] as f64) + 1.0 > self.max_v
-                || (self.size_e[i] as f64) + deg > self.max_e
-            {
-                continue;
-            }
-            let score =
-                scratch.get(i) * (self.r_e * self.weight_e(i) + self.r_c * self.weight_c(i));
-            if score > best_score {
-                best_score = score;
-                best = i;
-            }
-        }
-        if best != x && best_score > 0.0 {
-            best as i32
-        } else {
-            NO_MOVE
-        }
-    }
-
-    fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool {
-        let x = parts[v as usize] as usize;
-        let deg = self.csr.degree(v as u64) as f64;
-        if (self.size_v[target] as f64) + 1.0 > self.max_v
-            || (self.size_e[target] as f64) + deg > self.max_e
-            || self.r_e * self.weight_e(target) + self.r_c * self.weight_c(target) <= 0.0
-        {
-            return false;
-        }
-        let (s_x, s_t) = recount_two(self.csr, v, parts, x, target);
-        if s_t <= 0.0 {
-            return false;
-        }
-        let cut_from_x = deg as i64 - s_x as i64;
-        let cut_from_t = deg as i64 - s_t as i64;
-        self.size_v[x] -= 1;
-        self.size_v[target] += 1;
-        self.size_e[x] -= deg as i64;
-        self.size_e[target] += deg as i64;
-        self.size_c[x] = (self.size_c[x] - cut_from_x).max(0);
-        self.size_c[target] += cut_from_t;
-        true
-    }
-}
-
-fn edge_balance(csr: &Csr, parts: &mut [i32], params: &PartitionParams, ws: &mut SweepWorkspace) {
-    let n = csr.num_vertices();
-    let imb_v = params.target_max_vertices(n as u64);
-    let imb_e = params.target_max_arcs(csr.num_arcs());
-    let frontier = params.sweep_mode == SweepMode::Frontier;
-    let SweepWorkspace {
-        engine,
-        counters,
-        edge_balance_last_max,
-        edge_balance_stalled,
-    } = ws;
-    fill_part_vertex_counts(parts, &mut counters.size_v);
-    fill_part_arc_counts(csr, parts, &mut counters.size_e);
-    fill_part_cut_counts(csr, parts, &mut counters.size_c);
-    let mut r_e = 1.0f64;
-    let mut r_c = 1.0f64;
-    // Same perturbation policy as the vertex stage, against the edge target — skip the
-    // pass while refinement is still active, one churn sweep at a refinement fixed
-    // point, the full schedule while the edge constraint is unmet — plus stall
-    // detection: when the target is unreachable (hub-dominated skew), stop paying for
-    // balance churn that is not improving the maximum arc load.
-    let cur_max_e = counters
-        .size_e
-        .iter()
-        .map(|&s| s as f64)
-        .fold(0.0, f64::max);
-    let edge_balanced = counters.size_e.iter().all(|&s| (s as f64) <= imb_e);
-    if frontier && !edge_balanced {
-        if let Some(prev) = *edge_balance_last_max {
-            if cur_max_e >= prev * 0.99 {
-                *edge_balance_stalled = true;
-            }
-        }
-        *edge_balance_last_max = Some(cur_max_e);
-    }
-    let sweep_cap = if frontier && *edge_balance_stalled {
-        // Target out of reach: one churn sweep per pass keeps feeding refinement.
-        1
-    } else if frontier && edge_balanced {
-        if engine.frontier.active_len() > 0 {
-            0
-        } else {
-            1
-        }
-    } else {
-        params.balance_iters
-    };
-    // Balanced (or stalled-at-unreachable) passes only perturb; book them as churn.
-    engine.set_stage(if edge_balanced || *edge_balance_stalled {
-        StageKind::Churn
-    } else {
-        StageKind::Balance
-    });
-    for _ in 0..sweep_cap {
-        let max_v = counters
-            .size_v
-            .iter()
-            .map(|&s| s as f64)
-            .fold(imb_v, f64::max);
-        let max_e = counters
-            .size_e
-            .iter()
-            .map(|&s| s as f64)
-            .fold(imb_e, f64::max);
-        let max_c = counters
-            .size_c
-            .iter()
-            .map(|&s| s as f64)
-            .fold(1.0, f64::max);
-        if counters.size_e.iter().all(|&s| (s as f64) <= imb_e) {
-            r_c += 1.0;
-        } else {
-            r_e += 1.0;
-        }
-        let mut stage = SerialEdgeBalance {
-            csr,
-            size_v: &mut counters.size_v,
-            size_e: &mut counters.size_e,
-            size_c: &mut counters.size_c,
-            imb_e,
-            max_v,
-            max_e,
-            max_c,
-            r_e,
-            r_c,
-        };
-        let moves = engine.sweep(
-            n,
-            parts,
-            false,
-            BALANCE_CHUNK,
-            &mut stage,
-            csr_neighbors(csr),
-            |_, _| {},
-        );
-        // Unlike the vertex stage, the cut-balance weight drifts with `max_c`, so only
-        // a move-free sweep is provably stable; skip the rest then.
-        if frontier && moves == 0 {
-            break;
-        }
-    }
-}
-
-/// The edge-stage refinement: constrained label propagation that reduces the cut while
-/// never increasing the maximum vertex, edge or cut load of any part.
-struct SerialEdgeRefine<'a> {
-    csr: &'a Csr,
-    size_v: &'a mut [i64],
-    size_e: &'a mut [i64],
-    size_c: &'a mut [i64],
-    max_v: f64,
-    max_e: f64,
-    max_c: f64,
-}
-
-impl SweepStage for SerialEdgeRefine<'_> {
-    fn propose(&self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32 {
-        let x = parts[v as usize] as usize;
-        let deg = self.csr.degree(v as u64) as f64;
-        scratch.clear();
-        for &u in self.csr.neighbors(v as u64) {
-            scratch.add(parts[u as usize] as usize, 1.0);
-        }
-        let mut best = x;
-        let mut best_score = scratch.get(x);
-        for &i in scratch.touched() {
-            if i == x
-                || (self.size_v[i] as f64) + 1.0 > self.max_v
-                || (self.size_e[i] as f64) + deg > self.max_e
-                || (self.size_c[i] as f64) + (deg - scratch.get(i)) > self.max_c
-            {
-                continue;
-            }
-            if scratch.get(i) > best_score {
-                best_score = scratch.get(i);
-                best = i;
-            }
-        }
-        if best != x {
-            best as i32
-        } else {
-            NO_MOVE
-        }
-    }
-
-    fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool {
-        let x = parts[v as usize] as usize;
-        let deg = self.csr.degree(v as u64) as f64;
-        let (s_x, s_t) = recount_two(self.csr, v, parts, x, target);
-        if s_t <= s_x
-            || (self.size_v[target] as f64) + 1.0 > self.max_v
-            || (self.size_e[target] as f64) + deg > self.max_e
-            || (self.size_c[target] as f64) + (deg - s_t) > self.max_c
-        {
-            return false;
-        }
-        let cut_from_x = deg as i64 - s_x as i64;
-        let cut_from_t = deg as i64 - s_t as i64;
-        self.size_v[x] -= 1;
-        self.size_v[target] += 1;
-        self.size_e[x] -= deg as i64;
-        self.size_e[target] += deg as i64;
-        self.size_c[x] = (self.size_c[x] - cut_from_x).max(0);
-        self.size_c[target] += cut_from_t;
-        true
-    }
-}
-
-fn edge_refine(
-    csr: &Csr,
-    parts: &mut [i32],
-    params: &PartitionParams,
-    ws: &mut SweepWorkspace,
-    convergence: RefineConvergence,
-) {
-    let n = csr.num_vertices();
-    let imb_v = params.target_max_vertices(n as u64);
-    let imb_e = params.target_max_arcs(csr.num_arcs());
-    let frontier_mode = params.sweep_mode == SweepMode::Frontier;
-    let SweepWorkspace {
-        engine, counters, ..
-    } = ws;
-    // A converged frontier-only pass does no work at all — skip the O(n + m) counter
-    // rebuilds too.
-    if frontier_mode
-        && convergence == RefineConvergence::FrontierOnly
-        && engine.frontier.active_len() == 0
-    {
-        return;
-    }
-    fill_part_vertex_counts(parts, &mut counters.size_v);
-    fill_part_arc_counts(csr, parts, &mut counters.size_e);
-    fill_part_cut_counts(csr, parts, &mut counters.size_c);
-    engine.set_stage(StageKind::Refine);
-    // Large inherited frontier: drop it and fall to the polish full sweep, as in
-    // `vertex_refine`.
-    if frontier_mode
-        && convergence == RefineConvergence::Polish
-        && engine.frontier.active_len() > n / 8
-    {
-        engine.frontier.clear();
-    }
-    let budget = refine_budget(params.refine_iters, params.sweep_mode);
-    let mut used = 0u64;
-    loop {
-        if used >= budget {
-            break;
-        }
-        // Polish on an empty frontier: a full sweep verifies the fixed point (part
-        // sizes change as vertices move, so a vertex whose neighbourhood never changed
-        // can still become movable; the frontier alone cannot see that). A move-free
-        // polish ends the pass.
-        let use_frontier = frontier_mode && engine.frontier.active_len() > 0;
-        if frontier_mode && !use_frontier && convergence == RefineConvergence::FrontierOnly {
-            break;
-        }
-        let max_v = counters
-            .size_v
-            .iter()
-            .map(|&s| s as f64)
-            .fold(imb_v, f64::max);
-        let max_e = counters
-            .size_e
-            .iter()
-            .map(|&s| s as f64)
-            .fold(imb_e, f64::max);
-        let max_c = counters
-            .size_c
-            .iter()
-            .map(|&s| s as f64)
-            .fold(1.0, f64::max);
-        let mut stage = SerialEdgeRefine {
-            csr,
-            size_v: &mut counters.size_v,
-            size_e: &mut counters.size_e,
-            size_c: &mut counters.size_c,
-            max_v,
-            max_e,
-            max_c,
-        };
-        let moves = engine.sweep(
-            n,
-            parts,
-            use_frontier,
-            SWEEP_CHUNK,
-            &mut stage,
-            csr_neighbors(csr),
-            |_, _| {},
-        );
-        used += 1;
-        if moves == 0 && (!use_frontier || convergence == RefineConvergence::FrontierOnly) {
-            break;
         }
     }
 }
@@ -1191,8 +436,16 @@ mod tests {
                 sweep_mode: SweepMode::Full,
                 ..frontier
             };
-            let (pf, sf) = try_pulp_partition_with_stats(&csr, &frontier).unwrap();
-            let (pb, sb) = try_pulp_partition_with_stats(&csr, &full).unwrap();
+            let PulpRun {
+                parts: pf,
+                stats: sf,
+                ..
+            } = try_pulp_run(&csr, &frontier, None).unwrap();
+            let PulpRun {
+                parts: pb,
+                stats: sb,
+                ..
+            } = try_pulp_run(&csr, &full, None).unwrap();
             let qf = PartitionQuality::evaluate(&csr, &pf, 4);
             let qb = PartitionQuality::evaluate(&csr, &pb, 4);
             assert!(is_valid_partition(&pf, 4));
@@ -1230,10 +483,11 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
-        let (cold, cold_sweeps) = try_pulp_partition_with_sweeps(&csr, &params).unwrap();
+        let cold_run = try_pulp_run(&csr, &params, None).unwrap();
+        let (cold, cold_sweeps) = (cold_run.parts, cold_run.stats.sweeps);
         let cold_q = PartitionQuality::evaluate(&csr, &cold, 4);
-        let (warm, warm_sweeps) =
-            try_pulp_partition_from_with_sweeps(&csr, &params, &cold).unwrap();
+        let warm_run = try_pulp_run(&csr, &params, Some((&cold, None))).unwrap();
+        let (warm, warm_sweeps) = (warm_run.parts, warm_run.stats.sweeps);
         let warm_q = PartitionQuality::evaluate(&csr, &warm, 4);
         assert!(is_valid_partition(&warm, 4));
         assert!(
@@ -1258,12 +512,17 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
-        let (cold, _) = try_pulp_partition_with_stats(&csr, &params).unwrap();
+        let cold = pulp_partition(&csr, &params);
         // Warm start with an explicit (tiny) touched set versus no information at all.
-        let (_, blind) = try_pulp_partition_from_with_stats(&csr, &params, &cold, None).unwrap();
+        let blind = try_pulp_run(&csr, &params, Some((&cold, None)))
+            .unwrap()
+            .stats;
         let touched: Vec<u64> = vec![0, 1, 30];
-        let (warm, scoped) =
-            try_pulp_partition_from_with_stats(&csr, &params, &cold, Some(&touched)).unwrap();
+        let PulpRun {
+            parts: warm,
+            stats: scoped,
+            ..
+        } = try_pulp_run(&csr, &params, Some((&cold, Some(&touched)))).unwrap();
         assert!(is_valid_partition(&warm, 4));
         assert!(
             scoped.vertices_scored * 5 <= blind.vertices_scored.max(1),
@@ -1283,9 +542,10 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
-        let (cold, _) = try_pulp_partition_with_stats(&csr, &params).unwrap();
-        let (warm, stats) =
-            try_pulp_partition_from_with_stats(&csr, &params, &cold, Some(&[])).unwrap();
+        let cold = pulp_partition(&csr, &params);
+        let PulpRun {
+            parts: warm, stats, ..
+        } = try_pulp_run(&csr, &params, Some((&cold, Some(&[])))).unwrap();
         assert_eq!(warm, cold, "an empty delta must not move anything");
         assert_eq!(stats.sweeps, 0, "no touched vertices, no sweeps");
         assert_eq!(stats.vertices_scored, 0);

@@ -631,54 +631,38 @@ impl SweepEngine {
 }
 
 /// Reusable per-part counter buffers shared by the sweep stages, so no stage allocates
-/// `p`-length vectors per invocation.
+/// `p`-length vectors per invocation. The label-propagation passes keep up to three
+/// loads per part (vertices, arcs, cut arcs, in that order); each buffer
+/// packs them as consecutive `num_parts`-long blocks.
 #[derive(Debug, Default)]
 pub struct PartCounters {
-    /// Part sizes in vertices.
-    pub size_v: Vec<i64>,
-    /// Part sizes in arcs (degree sums).
-    pub size_e: Vec<i64>,
-    /// Per-part cut arc counts.
-    pub size_c: Vec<i64>,
-    /// This-iteration vertex-count changes (distributed stages).
-    pub change_v: Vec<i64>,
-    /// This-iteration arc-count changes (distributed stages).
-    pub change_e: Vec<i64>,
-    /// This-iteration cut-count changes (distributed stages).
-    pub change_c: Vec<i64>,
-    /// Per-part weight buffer (balance stages).
-    pub weight_a: Vec<f64>,
-    /// Second per-part weight buffer (edge-balance stages).
-    pub weight_b: Vec<f64>,
+    num_parts: usize,
+    /// Part loads, one block per load.
+    pub size: Vec<i64>,
+    /// This-sweep load changes made by this rank (distributed passes), one block per
+    /// load plus one trailing slot, so a sweep's changes and its move count travel as
+    /// one contiguous allreduce buffer.
+    pub change: Vec<i64>,
+    /// Balance attraction weights: one block for the vertex stage, two (edge, cut) for
+    /// the edge stage.
+    pub weight: Vec<f64>,
 }
 
 impl PartCounters {
-    /// Resize every buffer to `num_parts` entries, zeroed.
+    /// Resize every buffer for `num_parts` parts, zeroed.
     pub fn ensure(&mut self, num_parts: usize) {
-        for buf in [
-            &mut self.size_v,
-            &mut self.size_e,
-            &mut self.size_c,
-            &mut self.change_v,
-            &mut self.change_e,
-            &mut self.change_c,
-        ] {
-            buf.clear();
-            buf.resize(num_parts, 0);
-        }
-        for buf in [&mut self.weight_a, &mut self.weight_b] {
-            buf.clear();
-            buf.resize(num_parts, 0.0);
-        }
+        self.num_parts = num_parts;
+        self.size.clear();
+        self.size.resize(3 * num_parts, 0);
+        self.change.clear();
+        self.change.resize(3 * num_parts + 1, 0);
+        self.weight.clear();
+        self.weight.resize(2 * num_parts, 0.0);
     }
 
-    /// Zero the three change buffers (start of a distributed iteration).
-    pub fn reset_changes(&mut self) {
-        for buf in [&mut self.change_v, &mut self.change_e, &mut self.change_c] {
-            for x in buf.iter_mut() {
-                *x = 0;
-            }
-        }
+    /// The index range of block `block` in the packed buffers.
+    pub fn block(&self, block: usize) -> std::ops::Range<usize> {
+        block * self.num_parts..(block + 1) * self.num_parts
     }
 }
 

@@ -107,8 +107,8 @@ pub fn greedy_refine(
     let SweepWorkspace {
         engine, counters, ..
     } = ws;
-    counters.size_v.clear();
-    counters.size_v.extend(
+    counters.size.clear();
+    counters.size.extend(
         graph
             .part_weights(parts, num_parts)
             .iter()
@@ -121,7 +121,7 @@ pub fn greedy_refine(
         }
         let mut stage = MlRefine {
             graph,
-            part_weights: &mut counters.size_v,
+            part_weights: &mut counters.size,
             max_part_weight,
         };
         let moves = engine.sweep(
@@ -164,14 +164,14 @@ pub fn rebalance(
     let SweepWorkspace {
         engine, counters, ..
     } = ws;
-    counters.size_v.clear();
-    counters.size_v.extend(
+    counters.size.clear();
+    counters.size.extend(
         graph
             .part_weights(parts, num_parts)
             .iter()
             .map(|&w| w as i64),
     );
-    let part_weights = &mut counters.size_v;
+    let part_weights = &mut counters.size;
     let gain = engine.scratch();
     loop {
         if part_weights.iter().all(|&w| w <= max_part_weight as i64) {
