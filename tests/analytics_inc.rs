@@ -345,3 +345,339 @@ fn subscriber_tracks_a_live_serving_session() {
     // ...and its analytics must match from-scratch references on that final graph.
     assert_epoch_parity(consumer, live, "after live serving session");
 }
+
+// ---------------------------------------------------------------------------------
+// Golden oracle: work counters and results of the warm kernels, pinned per epoch
+// ---------------------------------------------------------------------------------
+
+/// What one ingested epoch is pinned on: whether it ran warm, `pagerank_iterations`,
+/// `pagerank_vertices_scored`, `wcc_sweeps`, `wcc_components_checked`,
+/// `wcc_reset_vertices`, `kcore_rounds`, then an FNV-1a hash of the PageRank bit
+/// patterns, the component labels and the coreness of every vertex. Epoch 0 is the
+/// consumer's cold start (its counters come from `cold_reference`).
+type GoldenRow = [u64; 8];
+
+const GOLDEN_EPOCHS: usize = 12;
+const GOLDEN_RANKS: [usize; 3] = [1, 2, 4];
+
+fn fnv1a(h: &mut u64, word: u64) {
+    for b in word.to_le_bytes() {
+        *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+fn state_hash(consumer: &mut AnalyticsConsumer) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for x in consumer.pagerank_global() {
+        fnv1a(&mut h, x.to_bits());
+    }
+    for x in consumer.wcc_global() {
+        fnv1a(&mut h, x);
+    }
+    for x in consumer.coreness_global() {
+        fnv1a(&mut h, x);
+    }
+    h
+}
+
+/// The two seeded base graphs of the oracle.
+fn golden_graphs() -> Vec<(&'static str, xtrapulp_gen::EdgeList)> {
+    let ba = GraphKind::BarabasiAlbert {
+        num_vertices: 600,
+        edges_per_vertex: 4,
+    };
+    let rmat = GraphKind::Rmat {
+        scale: 9,
+        edge_factor: 8,
+    };
+    vec![
+        ("ba", GraphConfig::new(ba, 7).generate()),
+        ("rmat", GraphConfig::new(rmat, 5).generate()),
+    ]
+}
+
+/// Twelve epochs over a base graph of `n` vertices: seeded random churn (inserts and
+/// deletes) throughout; epoch 5 also grows the graph by three vertices, the last of
+/// them a pendant hanging off vertex 3; epoch 9 also deletes the pendant's only edge,
+/// which splits it off the giant component (a BFS check and a label reset).
+fn golden_deltas(el: &xtrapulp_gen::EdgeList) -> Vec<GraphDelta> {
+    let n = el.to_csr().num_vertices() as u64;
+    let stream = generate_stream(
+        el,
+        &UpdateStreamConfig {
+            kind: StreamKind::RandomChurn {
+                ops_per_batch: 6,
+                delete_fraction: 0.4,
+            },
+            num_batches: GOLDEN_EPOCHS,
+            seed: 3,
+        },
+    );
+    let mut base_n = n;
+    (0..GOLDEN_EPOCHS)
+        .map(|i| {
+            use xtrapulp_graph::UpdateOp::{AddVertices, DeleteEdge, InsertEdge};
+            let mut ops: Vec<_> = stream.batch_ops(i).collect();
+            match i + 1 {
+                5 => ops.extend([
+                    AddVertices(3),
+                    InsertEdge(n, 0),
+                    InsertEdge(n, 17),
+                    InsertEdge(n + 1, n),
+                    InsertEdge(n + 2, 3),
+                ]),
+                9 => ops.push(DeleteEdge(n + 2, 3)),
+                _ => {}
+            }
+            let delta = GraphDelta::from_ops(base_n, ops);
+            base_n = delta.new_n();
+            delta
+        })
+        .collect()
+}
+
+/// One (graph, rank count) run: the thirteen golden rows and the bytes each of the
+/// twelve ingested epochs exchanged.
+fn golden_run(el: &xtrapulp_gen::EdgeList, nranks: usize) -> (Vec<GoldenRow>, Vec<u64>) {
+    let csr = el.to_csr();
+    let parts = block_parts(csr.num_vertices() as u64, 4);
+    let mut consumer = AnalyticsConsumer::new(nranks, csr, &parts, WarmPolicy::default());
+    let cold = consumer.cold_reference();
+    let mut rows = vec![[
+        0,
+        cold.pagerank_iterations,
+        cold.pagerank_vertices_scored,
+        cold.wcc_sweeps,
+        0,
+        0,
+        cold.kcore_rounds,
+        state_hash(&mut consumer),
+    ]];
+    let mut comm_bytes = Vec::new();
+    for (i, delta) in golden_deltas(el).into_iter().enumerate() {
+        let r = consumer.ingest_epoch(i as u64 + 1, &[delta], &parts);
+        rows.push([
+            r.warm as u64,
+            r.pagerank_iterations,
+            r.pagerank_vertices_scored,
+            r.wcc_sweeps,
+            r.wcc_components_checked,
+            r.wcc_reset_vertices,
+            r.kcore_rounds,
+            state_hash(&mut consumer),
+        ]);
+        comm_bytes.push(r.comm_bytes);
+    }
+    (rows, comm_bytes)
+}
+
+/// Regenerate [`GOLDEN`] and [`GOLDEN_COMM_BYTES`] after an *intentional* change:
+/// `cargo test --release --test analytics_inc -- --ignored --nocapture print_analytics_golden_table`
+#[test]
+#[ignore]
+fn print_analytics_golden_table() {
+    let mut comm = String::new();
+    println!("const GOLDEN: &[(&str, GoldenRow)] = &[");
+    for (name, el) in golden_graphs() {
+        for nranks in GOLDEN_RANKS {
+            let (rows, comm_bytes) = golden_run(&el, nranks);
+            for (epoch, row) in rows.iter().enumerate() {
+                let [a, b, c, d, e, f, g, h] = row;
+                println!(
+                    "    (\"{name}/r{nranks}/e{epoch}\", [{a}, {b}, {c}, {d}, {e}, {f}, {g}, {h:#018x}]),"
+                );
+            }
+            comm += &format!("    (\"{name}/r{nranks}\", {comm_bytes:?}),\n");
+        }
+    }
+    println!("];");
+    println!("const GOLDEN_COMM_BYTES: &[(&str, [u64; GOLDEN_EPOCHS])] = &[\n{comm}];");
+}
+
+/// The warm kernels' work counters and results, epoch by epoch, equal the committed
+/// table: a change to the exchange, the active set, a sweep order or a wake rule that
+/// is meant to be behaviour-preserving must leave every [`GOLDEN`] row alone.
+/// [`GOLDEN_COMM_BYTES`] is pinned apart from it because it is the one column such a
+/// change may move — and only down.
+#[test]
+fn warm_kernels_match_the_golden_table() {
+    let mut golden = GOLDEN.iter();
+    let mut golden_comm = GOLDEN_COMM_BYTES.iter();
+    for (name, el) in golden_graphs() {
+        for nranks in GOLDEN_RANKS {
+            let (rows, comm_bytes) = golden_run(&el, nranks);
+            for (epoch, row) in rows.iter().enumerate() {
+                let (label, pinned) = golden.next().expect("one golden row per epoch");
+                assert_eq!(*label, format!("{name}/r{nranks}/e{epoch}"));
+                assert_eq!(row, pinned, "{label} moved");
+            }
+            let (label, pinned) = golden_comm.next().expect("one comm row per run");
+            assert_eq!(*label, format!("{name}/r{nranks}"));
+            assert_eq!(comm_bytes[..], pinned[..], "{label}: comm_bytes moved");
+        }
+    }
+    assert!(golden.next().is_none() && golden_comm.next().is_none());
+}
+
+const GOLDEN: &[(&str, GoldenRow)] = &[
+    ("ba/r1/e0", [0, 27, 14975, 2, 0, 0, 13, 0xc5d8425b1d5e66e8]),
+    ("ba/r1/e1", [1, 20, 10236, 1, 1, 0, 17, 0x5f338235554418b8]),
+    ("ba/r1/e2", [1, 20, 10342, 1, 1, 0, 16, 0x75cffe7f01d2a49d]),
+    ("ba/r1/e3", [1, 21, 10777, 1, 1, 0, 16, 0xcd57d81de721be05]),
+    ("ba/r1/e4", [1, 21, 10418, 1, 1, 0, 12, 0x612d6ef054ed0f52]),
+    ("ba/r1/e5", [1, 24, 11992, 2, 1, 0, 10, 0xf05ce5dc01141c3a]),
+    ("ba/r1/e6", [1, 21, 10601, 1, 1, 0, 12, 0x44e2f9aca670760d]),
+    ("ba/r1/e7", [1, 20, 9993, 1, 0, 0, 10, 0xba403e0b06bff340]),
+    ("ba/r1/e8", [1, 20, 10037, 1, 0, 0, 11, 0xbe18bfb1b51fea11]),
+    ("ba/r1/e9", [1, 48, 27839, 2, 1, 603, 9, 0x6e4ef2b61aec008f]),
+    ("ba/r1/e10", [1, 21, 10364, 1, 1, 0, 11, 0xf01878fab3d8eedf]),
+    ("ba/r1/e11", [1, 21, 10406, 1, 1, 0, 11, 0x680bc4e9854aabd1]),
+    ("ba/r1/e12", [1, 21, 10300, 1, 1, 0, 11, 0x8b767c1eb459f6df]),
+    ("ba/r2/e0", [0, 27, 14975, 3, 0, 0, 13, 0xc5d8425b1d5e66e8]),
+    ("ba/r2/e1", [1, 20, 10236, 1, 1, 0, 18, 0x5f338235554418b8]),
+    ("ba/r2/e2", [1, 20, 10342, 1, 1, 0, 18, 0x75cffe7f01d2a49d]),
+    ("ba/r2/e3", [1, 21, 10777, 1, 1, 0, 18, 0xcd57d81de721be05]),
+    ("ba/r2/e4", [1, 21, 10418, 1, 1, 0, 15, 0x612d6ef054ed0f52]),
+    ("ba/r2/e5", [1, 24, 11992, 2, 1, 0, 12, 0xf05ce5dc01141c3a]),
+    ("ba/r2/e6", [1, 21, 10601, 1, 1, 0, 14, 0x44e2f9aca670760d]),
+    ("ba/r2/e7", [1, 20, 9993, 1, 0, 0, 11, 0xba403e0b06bff340]),
+    ("ba/r2/e8", [1, 20, 10037, 1, 0, 0, 14, 0xbe18bfb1b51fea11]),
+    (
+        "ba/r2/e9",
+        [1, 48, 27839, 3, 1, 603, 12, 0x6e4ef2b61aec008f],
+    ),
+    ("ba/r2/e10", [1, 21, 10364, 1, 1, 0, 16, 0xf01878fab3d8eedf]),
+    ("ba/r2/e11", [1, 21, 10406, 1, 1, 0, 15, 0x680bc4e9854aabd1]),
+    ("ba/r2/e12", [1, 21, 10300, 1, 1, 0, 15, 0x8b767c1eb459f6df]),
+    ("ba/r4/e0", [0, 27, 14975, 4, 0, 0, 13, 0xc5d8425b1d5e66e8]),
+    ("ba/r4/e1", [1, 20, 10236, 1, 1, 0, 20, 0x5f338235554418b8]),
+    ("ba/r4/e2", [1, 20, 10342, 1, 1, 0, 19, 0x75cffe7f01d2a49d]),
+    ("ba/r4/e3", [1, 21, 10777, 1, 1, 0, 19, 0xcd57d81de721be05]),
+    ("ba/r4/e4", [1, 21, 10418, 1, 1, 0, 17, 0x612d6ef054ed0f52]),
+    ("ba/r4/e5", [1, 24, 11992, 3, 1, 0, 12, 0xf05ce5dc01141c3a]),
+    ("ba/r4/e6", [1, 21, 10601, 1, 1, 0, 15, 0x44e2f9aca670760d]),
+    ("ba/r4/e7", [1, 20, 9993, 1, 0, 0, 12, 0xba403e0b06bff340]),
+    ("ba/r4/e8", [1, 20, 10037, 1, 0, 0, 15, 0xbe18bfb1b51fea11]),
+    (
+        "ba/r4/e9",
+        [1, 48, 27839, 4, 1, 603, 12, 0x6e4ef2b61aec008f],
+    ),
+    ("ba/r4/e10", [1, 21, 10364, 1, 1, 0, 16, 0xf01878fab3d8eedf]),
+    ("ba/r4/e11", [1, 21, 10406, 1, 1, 0, 15, 0x680bc4e9854aabd1]),
+    ("ba/r4/e12", [1, 21, 10300, 1, 1, 0, 15, 0x8b767c1eb459f6df]),
+    ("rmat/r1/e0", [0, 21, 7740, 3, 0, 0, 6, 0xc81728c990460737]),
+    ("rmat/r1/e1", [1, 49, 20150, 2, 1, 0, 6, 0xbf0bc06aabaf6c51]),
+    ("rmat/r1/e2", [1, 16, 4950, 1, 1, 0, 5, 0x9dacbf3933a3c71b]),
+    (
+        "rmat/r1/e3",
+        [1, 33, 13331, 3, 1, 426, 5, 0xcf097454dd2095a7],
+    ),
+    ("rmat/r1/e4", [1, 49, 20207, 2, 1, 0, 6, 0x111b41c2f755cb5d]),
+    ("rmat/r1/e5", [1, 23, 7835, 2, 1, 0, 6, 0x16ba9f04b1508ff9]),
+    ("rmat/r1/e6", [1, 82, 20569, 2, 1, 0, 6, 0x3db8b83aab8b5f80]),
+    ("rmat/r1/e7", [1, 53, 22121, 2, 0, 0, 6, 0x9d6990d69d28d881]),
+    ("rmat/r1/e8", [1, 49, 20493, 2, 0, 0, 6, 0x5460f8f836bc5d69]),
+    (
+        "rmat/r1/e9",
+        [1, 50, 20963, 3, 1, 434, 6, 0xdcd4f61c75a599b8],
+    ),
+    ("rmat/r1/e10", [1, 17, 5419, 1, 1, 0, 6, 0x9b344fc47c1f0fa4]),
+    (
+        "rmat/r1/e11",
+        [1, 49, 20635, 2, 1, 0, 5, 0x60fec28f47a567fb],
+    ),
+    (
+        "rmat/r1/e12",
+        [1, 49, 20635, 2, 1, 0, 6, 0xe06ea69d300d4396],
+    ),
+    ("rmat/r2/e0", [0, 21, 7740, 4, 0, 0, 7, 0xc81728c990460737]),
+    ("rmat/r2/e1", [1, 49, 20150, 2, 1, 0, 7, 0xbf0bc06aabaf6c51]),
+    ("rmat/r2/e2", [1, 16, 4950, 1, 1, 0, 6, 0x9dacbf3933a3c71b]),
+    (
+        "rmat/r2/e3",
+        [1, 33, 13331, 4, 1, 426, 6, 0xcf097454dd2095a7],
+    ),
+    ("rmat/r2/e4", [1, 49, 20207, 2, 1, 0, 7, 0x111b41c2f755cb5d]),
+    ("rmat/r2/e5", [1, 23, 7835, 3, 1, 0, 7, 0x16ba9f04b1508ff9]),
+    ("rmat/r2/e6", [1, 82, 20569, 2, 1, 0, 6, 0x3db8b83aab8b5f80]),
+    ("rmat/r2/e7", [1, 53, 22121, 2, 0, 0, 7, 0x9d6990d69d28d881]),
+    ("rmat/r2/e8", [1, 49, 20493, 2, 0, 0, 7, 0x5460f8f836bc5d69]),
+    (
+        "rmat/r2/e9",
+        [1, 50, 20963, 4, 1, 434, 7, 0xdcd4f61c75a599b8],
+    ),
+    ("rmat/r2/e10", [1, 17, 5419, 1, 1, 0, 6, 0x9b344fc47c1f0fa4]),
+    (
+        "rmat/r2/e11",
+        [1, 49, 20635, 2, 1, 0, 6, 0x60fec28f47a567fb],
+    ),
+    (
+        "rmat/r2/e12",
+        [1, 49, 20635, 2, 1, 0, 6, 0xe06ea69d300d4396],
+    ),
+    ("rmat/r4/e0", [0, 21, 7740, 4, 0, 0, 7, 0xc81728c990460737]),
+    ("rmat/r4/e1", [1, 49, 20150, 2, 1, 0, 7, 0xbf0bc06aabaf6c51]),
+    ("rmat/r4/e2", [1, 16, 4950, 1, 1, 0, 6, 0x9dacbf3933a3c71b]),
+    (
+        "rmat/r4/e3",
+        [1, 33, 13331, 4, 1, 426, 6, 0xcf097454dd2095a7],
+    ),
+    ("rmat/r4/e4", [1, 49, 20207, 2, 1, 0, 7, 0x111b41c2f755cb5d]),
+    ("rmat/r4/e5", [1, 23, 7835, 3, 1, 0, 7, 0x16ba9f04b1508ff9]),
+    ("rmat/r4/e6", [1, 82, 20569, 2, 1, 0, 6, 0x3db8b83aab8b5f80]),
+    ("rmat/r4/e7", [1, 53, 22121, 2, 0, 0, 7, 0x9d6990d69d28d881]),
+    ("rmat/r4/e8", [1, 49, 20493, 2, 0, 0, 7, 0x5460f8f836bc5d69]),
+    (
+        "rmat/r4/e9",
+        [1, 50, 20963, 4, 1, 434, 7, 0xdcd4f61c75a599b8],
+    ),
+    ("rmat/r4/e10", [1, 17, 5419, 1, 1, 0, 6, 0x9b344fc47c1f0fa4]),
+    (
+        "rmat/r4/e11",
+        [1, 49, 20635, 2, 1, 0, 6, 0x60fec28f47a567fb],
+    ),
+    (
+        "rmat/r4/e12",
+        [1, 49, 20635, 2, 1, 0, 6, 0xe06ea69d300d4396],
+    ),
+];
+const GOLDEN_COMM_BYTES: &[(&str, [u64; GOLDEN_EPOCHS])] = &[
+    (
+        "ba/r1",
+        [560, 648, 664, 544, 616, 600, 416, 424, 984, 568, 632, 536],
+    ),
+    (
+        "ba/r2",
+        [
+            623704, 624800, 646032, 609560, 664792, 609008, 539680, 568184, 1376968, 620440,
+            612592, 611072,
+        ],
+    ),
+    (
+        "ba/r4",
+        [
+            1270520, 1251680, 1289720, 1235872, 1305712, 1207456, 1074536, 1142136, 2557880,
+            1222336, 1202256, 1199656,
+        ],
+    ),
+    (
+        "rmat/r1",
+        [
+            944, 496, 792, 944, 560, 1536, 920, 856, 1008, 488, 1040, 984,
+        ],
+    ),
+    (
+        "rmat/r2",
+        [
+            1250504, 344320, 859384, 1253240, 517016, 1449648, 1337744, 1242480, 1299528, 367976,
+            1263384, 1263608,
+        ],
+    ),
+    (
+        "rmat/r4",
+        [
+            2240520, 644032, 1551952, 2249720, 964704, 2688880, 2404000, 2238040, 2340296, 688600,
+            2262248, 2265384,
+        ],
+    ),
+];
