@@ -8,7 +8,7 @@
 
 use xtrapulp_comm::RankCtx;
 use xtrapulp_graph::bfs::dist_bfs;
-use xtrapulp_graph::{DistGraph, GlobalId, LocalId};
+use xtrapulp_graph::{DistGraph, GlobalId, HaloError, HaloPlan, LocalId};
 
 /// Distributed PageRank (`PR` in Fig. 8) with uniform teleport; returns the PageRank of
 /// every owned vertex.
@@ -111,6 +111,26 @@ pub fn largest_component(ctx: &RankCtx, graph: &DistGraph) -> (Vec<bool>, u64) {
     (membership, best_size)
 }
 
+/// `min(cap, H)`, where `H` is the h-index of `values` (the largest `h` such that at least
+/// `h` values are `≥ h`), by counting instead of sorting: `O(len)` with `counts` as
+/// scratch. `H` never exceeds the number of values, so neither does the scratch.
+pub(crate) fn capped_h_index(values: &[u64], cap: u64, counts: &mut Vec<u32>) -> u64 {
+    let cap = cap.min(values.len() as u64);
+    counts.clear();
+    counts.resize(cap as usize + 1, 0);
+    for value in values {
+        counts[(*value).min(cap) as usize] += 1;
+    }
+    let mut at_least = 0u64;
+    for h in (1..=cap).rev() {
+        at_least += counts[h as usize] as u64;
+        if at_least >= h {
+            return h;
+        }
+    }
+    0
+}
+
 /// Distributed approximate k-core decomposition (`KC`): iterative peeling where each
 /// round removes every vertex whose residual degree is below the current core value.
 /// Returns an approximate coreness per owned vertex.
@@ -119,33 +139,23 @@ pub fn kcore_approx(ctx: &RankCtx, graph: &DistGraph, max_rounds: usize) -> Vec<
     let mut coreness: Vec<u64> = (0..n_owned)
         .map(|v| graph.degree_owned(v as LocalId))
         .collect();
+    let (mut neigh, mut counts) = (Vec::new(), Vec::new());
     for _ in 0..max_rounds {
         let ghost_core = graph.ghost_values_u64(ctx, &coreness);
         let mut changed = 0u64;
         for v in 0..n_owned {
             // h-index style update: the largest h such that at least h neighbours have
             // coreness >= h. Converges to the true coreness.
-            let mut neigh: Vec<u64> = graph
-                .neighbors(v as LocalId)
-                .iter()
-                .map(|&u| {
-                    let u = u as usize;
-                    if u < n_owned {
-                        coreness[u]
-                    } else {
-                        ghost_core[u - n_owned]
-                    }
-                })
-                .collect();
-            neigh.sort_unstable_by(|a, b| b.cmp(a));
-            let mut h = 0u64;
-            for (i, &c) in neigh.iter().enumerate() {
-                if c >= (i as u64 + 1) {
-                    h = i as u64 + 1;
+            neigh.clear();
+            neigh.extend(graph.neighbors(v as LocalId).iter().map(|&u| {
+                let u = u as usize;
+                if u < n_owned {
+                    coreness[u]
                 } else {
-                    break;
+                    ghost_core[u - n_owned]
                 }
-            }
+            }));
+            let h = capped_h_index(&neigh, coreness[v], &mut counts);
             if h < coreness[v] {
                 coreness[v] = h;
                 changed += 1;
@@ -196,11 +206,17 @@ pub fn label_propagation(ctx: &RankCtx, graph: &DistGraph, sweeps: usize) -> Vec
 
 /// Distributed harmonic centrality (`HC`) of `sources.len()` sampled vertices: for each
 /// source, a BFS provides distances and the harmonic sum `Σ 1/d` is accumulated.
-/// Returns one centrality value per source, identical on every rank.
-pub fn harmonic_centrality(ctx: &RankCtx, graph: &DistGraph, sources: &[GlobalId]) -> Vec<f64> {
+/// Returns one centrality value per source, identical on every rank. The searches share
+/// one [`HaloPlan`], built here; a rejected exchange is a [`HaloError`].
+pub fn harmonic_centrality(
+    ctx: &RankCtx,
+    graph: &DistGraph,
+    sources: &[GlobalId],
+) -> Result<Vec<f64>, HaloError> {
+    let halo = HaloPlan::build(ctx, graph)?;
     let mut out = Vec::with_capacity(sources.len());
     for &s in sources {
-        let bfs = dist_bfs(ctx, graph, s);
+        let bfs = dist_bfs(ctx, graph, &halo, s)?;
         let local_sum: f64 = bfs
             .levels
             .iter()
@@ -210,7 +226,7 @@ pub fn harmonic_centrality(ctx: &RankCtx, graph: &DistGraph, sources: &[GlobalId
         let total = ctx.allreduce_sum_f64(&[local_sum])[0];
         out.push(total);
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -358,7 +374,7 @@ mod tests {
         assert_eq!(csr.num_edges(), 2);
         let out = Runtime::run(2, |ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 3, &edges);
-            harmonic_centrality(ctx, &g, &[0, 1])
+            harmonic_centrality(ctx, &g, &[0, 1]).unwrap()
         });
         for hc in out {
             assert!((hc[0] - 1.5).abs() < 1e-12);

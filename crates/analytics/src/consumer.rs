@@ -26,7 +26,9 @@ use std::time::{Duration, Instant};
 
 use serde::Serialize;
 use xtrapulp_comm::Runtime;
-use xtrapulp_graph::{Csr, DistGraph, Distribution, GlobalId, GraphDelta, LocalId};
+use xtrapulp_graph::{
+    Csr, DistGraph, Distribution, GlobalId, GraphDelta, HaloError, HaloPlan, LocalId,
+};
 use xtrapulp_serve::EpochStore;
 
 use crate::incremental::{
@@ -144,6 +146,8 @@ pub struct ColdWork {
 /// closure by reference each epoch.
 struct RankState {
     graph: DistGraph,
+    /// The graph's halo plan, built once per ingested epoch and shared by every kernel.
+    halo: HaloPlan,
     pagerank: Vec<f64>,
     labels: Vec<u64>,
     core: Vec<u64>,
@@ -342,41 +346,45 @@ impl AnalyticsConsumer {
                     }
                     None => old.graph.clone(),
                 };
-                let mut state = remap_state(old, graph, inserted_bound);
                 let outcome = if warm {
-                    let pr = pagerank_resume(
+                    let mut state = remap_state(ctx, old, graph, inserted_bound);
+                    let RankState {
+                        graph,
+                        halo,
+                        pagerank,
+                        labels,
+                        core,
+                    } = &mut state;
+                    let pr = in_process(pagerank_resume(
                         ctx,
-                        &state.graph,
-                        &mut state.pagerank,
+                        graph,
+                        halo,
+                        pagerank,
                         Some(touched),
                         policy.damping,
                         policy.tolerance,
                         policy.max_iterations,
-                    );
-                    let wcc = wcc_repair(ctx, &state.graph, &mut state.labels, &deleted);
-                    let rounds = kcore_tighten(ctx, &state.graph, &mut state.core, usize::MAX);
-                    (pr, wcc, rounds)
+                    ));
+                    let wcc = in_process(wcc_repair(ctx, graph, halo, labels, &deleted));
+                    let rounds = in_process(kcore_tighten(ctx, graph, halo, core, usize::MAX));
+                    (state, pr, wcc, rounds)
                 } else {
-                    let (cold, pr, sweeps, rounds) = cold_state(ctx, state.graph, &policy);
-                    state = cold;
-                    (
-                        pr,
-                        WccWork {
-                            sweeps,
-                            ..WccWork::default()
-                        },
-                        rounds,
-                    )
+                    let (state, pr, sweeps, rounds) = cold_state(ctx, graph, &policy);
+                    let wcc = WccWork {
+                        sweeps,
+                        ..WccWork::default()
+                    };
+                    (state, pr, wcc, rounds)
                 };
                 let bytes = ctx.stats().bytes_sent_since(bytes_before);
-                (state, outcome, bytes)
+                (outcome, bytes)
             });
             let mut states = Vec::with_capacity(per_rank.len());
             let mut pr = PagerankWork::default();
             let mut wcc = WccWork::default();
             let mut rounds = 0u64;
             let mut bytes = 0u64;
-            for (state, (pr_r, wcc_r, rounds_r), bytes_r) in per_rank {
+            for ((state, pr_r, wcc_r, rounds_r), bytes_r) in per_rank {
                 states.push(state);
                 // The work counters are globally reduced inside the kernels, so every
                 // rank reports identical values; keep rank 0's.
@@ -472,6 +480,14 @@ fn scatter<T: Copy>(per_rank: Vec<Vec<(GlobalId, T)>>, n: usize, default: T) -> 
     out
 }
 
+/// The consumer's ranks are threads of its own runtime, exchanging over a plan they built
+/// together from graphs they built together: a halo exchange one of them rejects is a bug
+/// in this crate, not a condition a caller can meet or handle.
+fn in_process<T>(result: Result<T, HaloError>) -> T {
+    // lint: panic-ok — see the function docs: unreachable unless this crate is wrong
+    result.expect("the consumer's in-process ranks agree on the halo")
+}
+
 /// Cold recomputation of every analytic on `graph`; also the epoch-0 initialiser.
 fn cold_state(
     ctx: &xtrapulp_comm::RankCtx,
@@ -479,28 +495,31 @@ fn cold_state(
     policy: &WarmPolicy,
 ) -> (RankState, PagerankWork, u64, u64) {
     let n_owned = graph.n_owned();
+    let halo = in_process(HaloPlan::build(ctx, &graph));
     let uniform = 1.0 / graph.global_n().max(1) as f64;
     let mut pagerank = vec![uniform; n_owned];
-    let pr = pagerank_resume(
+    let pr = in_process(pagerank_resume(
         ctx,
         &graph,
+        &halo,
         &mut pagerank,
         None,
         policy.damping,
         policy.tolerance,
         policy.max_iterations,
-    );
+    ));
     let mut labels: Vec<u64> = (0..n_owned)
         .map(|v| graph.global_id(v as LocalId))
         .collect();
-    let sweeps = wcc_propagate(ctx, &graph, &mut labels);
+    let sweeps = in_process(wcc_propagate(ctx, &graph, &halo, &mut labels));
     let mut core: Vec<u64> = (0..n_owned)
         .map(|v| graph.degree_owned(v as LocalId))
         .collect();
-    let rounds = kcore_tighten(ctx, &graph, &mut core, usize::MAX);
+    let rounds = in_process(kcore_tighten(ctx, &graph, &halo, &mut core, usize::MAX));
     (
         RankState {
             graph,
+            halo,
             pagerank,
             labels,
             core,
@@ -511,36 +530,58 @@ fn cold_state(
     )
 }
 
-/// Carry one rank's warm state over to the delta-evolved `graph`: PageRank values are
-/// rescaled by the vertex-count ratio (the teleport term's exact response to growth),
-/// labels and coreness bounds are copied, and new vertices get their cold seeds
-/// (uniform rank, own-id label, degree bound). `inserted_bound` widens the coreness
-/// bound: a batch of `k` edge insertions raises any coreness by at most `k`.
-fn remap_state(old: &RankState, graph: DistGraph, inserted_bound: u64) -> RankState {
+/// Carry one rank's warm state over to the delta-evolved `graph` and build its halo
+/// plan: PageRank values are rescaled by the vertex-count ratio (the teleport term's
+/// exact response to growth), labels and coreness bounds are copied, and new vertices
+/// get their cold seeds (uniform rank, own-id label, degree bound). `inserted_bound`
+/// widens the coreness bound: a batch of `k` edge insertions raises any coreness by at
+/// most `k`.
+///
+/// [`DistGraph::apply_delta`] keeps owned local ids whenever ownership is stable (always
+/// under the consumer's explicit placement), so the carry-over is a prefix copy; only a
+/// migrating rebuild (growing a `Block` distribution) needs the per-vertex lookup.
+fn remap_state(
+    ctx: &xtrapulp_comm::RankCtx,
+    old: &RankState,
+    graph: DistGraph,
+    inserted_bound: u64,
+) -> RankState {
     let n_owned = graph.n_owned();
+    let old_n_owned = old.graph.n_owned();
     let scale = old.graph.global_n().max(1) as f64 / graph.global_n().max(1) as f64;
     let uniform = 1.0 / graph.global_n().max(1) as f64;
+    let ids_kept = old_n_owned <= n_owned
+        && (0..old_n_owned as LocalId).all(|v| graph.global_id(v) == old.graph.global_id(v));
+    let old_id = |v: usize| {
+        if ids_kept {
+            (v < old_n_owned).then_some(v)
+        } else {
+            let g = graph.global_id(v as LocalId);
+            let l = old.graph.local_id(g).filter(|&l| old.graph.is_owned(l))?;
+            Some(l as usize)
+        }
+    };
     let mut pagerank = vec![uniform; n_owned];
     let mut labels = vec![0u64; n_owned];
     let mut core = vec![0u64; n_owned];
     for v in 0..n_owned {
-        let g = graph.global_id(v as LocalId);
         let degree = graph.degree_owned(v as LocalId);
-        match old.graph.local_id(g).filter(|&l| old.graph.is_owned(l)) {
+        match old_id(v) {
             Some(l) => {
-                let l = l as usize;
                 pagerank[v] = old.pagerank[l] * scale;
                 labels[v] = old.labels[l];
                 core[v] = (old.core[l] + inserted_bound).min(degree);
             }
             None => {
-                labels[v] = g;
+                labels[v] = graph.global_id(v as LocalId);
                 core[v] = degree;
             }
         }
     }
+    let halo = in_process(HaloPlan::build(ctx, &graph));
     RankState {
         graph,
+        halo,
         pagerank,
         labels,
         core,

@@ -25,15 +25,48 @@
 //!   `x ← min(x, H(x))` converges to the exact coreness from any such bound, so warm
 //!   and cold runs agree exactly — warm ones just start much closer.
 //!
+//! # Exchange and wake rule
+//!
+//! Every kernel works on the graph's [`HaloPlan`] — the partitioner's, built once per
+//! ingested epoch — and keeps one ghost array (contributions, labels, bounds) for the
+//! whole call: a full-boundary [`push`](HaloPlan::push) fills it, and after each
+//! iteration only the boundary values that *changed* travel, as `(local id on the holder,
+//! value)`, stored by index. No global id is shipped or hashed inside an iteration; what a
+//! remote change re-activates is found through the plan's ghost→owned transpose on the
+//! holder, one message per (vertex, holder rank) instead of one per cross-rank arc.
+//!
+//! Component sweeps and coreness rounds after the first visit only *woken* vertices, in
+//! the full sweep's ascending in-place order, so iterates, counters and round counts are
+//! the full sweep's. `v` is woken when a neighbour's value (owned or ghost) *crosses* its
+//! own — falls from `≥ x[v]` to `< x[v]`. No other drop can lower `min(x[v], F(v))`,
+//! whether `F` is the neighbours' minimum or their h-index (at least `x[v]` of them stay
+//! at or above `x[v]`). Waking on every neighbour change does not pay on skewed graphs: a
+//! hundred changes wake thousands of vertices through the hubs.
+//!
 //! All kernels are collectives: every rank of the runtime must call them with the same
 //! arguments (seed sets and deleted-edge lists are replicated, as they come from the
-//! replicated [`GraphDelta`](xtrapulp_graph::GraphDelta) stream).
+//! replicated [`GraphDelta`](xtrapulp_graph::GraphDelta) stream). They fail with a
+//! [`HaloError`] only when a peer names a ghost slot this rank does not have.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use xtrapulp_comm::RankCtx;
+use xtrapulp_comm::{RankCtx, WireElem};
 use xtrapulp_graph::bfs::{dist_bfs, UNREACHED};
-use xtrapulp_graph::{DistGraph, GlobalId, LocalId};
+use xtrapulp_graph::{DistGraph, GlobalId, HaloError, HaloPlan, LocalId};
+
+use crate::algorithms::capped_h_index;
+
+/// The ghost copy of a per-owned-vertex value: a push over every owned vertex.
+fn ghost_copy<T: WireElem + Default>(
+    ctx: &RankCtx,
+    halo: &HaloPlan,
+    value_of: impl Fn(usize) -> T,
+) -> Result<Vec<T>, HaloError> {
+    let mut ghosts = vec![T::default(); halo.n_ghost()];
+    let owned = (0..halo.n_owned()).map(|v| (v as LocalId, value_of(v)));
+    halo.push(ctx, owned, &mut ghosts, |_, _, _| {})?;
+    Ok(ghosts)
+}
 
 /// Work accounting of one [`pagerank_resume`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -54,22 +87,24 @@ pub struct PagerankWork {
 /// `seeds = None` runs cold: every vertex active every iteration, stopping when the
 /// global L1 residual drops below `tol`. `seeds = Some(touched)` (global ids,
 /// replicated) activates the touched vertices and their one-hop neighbourhoods; a
-/// scored vertex re-activates its neighbours (remote ones via an all-to-all) only
-/// while its *outgoing contribution* still changes materially, so the active region
-/// grows exactly as far as the delta's influence actually reaches and collapses as
-/// the perturbation damps out. Warm runs both score fewer vertices per iteration and
-/// converge in fewer iterations (they start near the fixed point); the savings grow
-/// with graph size, since the influence ball of a small delta stops covering the
-/// whole graph.
+/// scored vertex re-activates its neighbours (remote ones through a flag on its
+/// contribution update) only while its *outgoing contribution* still changes
+/// materially, so the active region grows exactly as far as the delta's influence
+/// actually reaches and collapses as the perturbation damps out. Warm runs both score
+/// fewer vertices per iteration and converge in fewer iterations (they start near the
+/// fixed point); the savings grow with graph size, since the influence ball of a small
+/// delta stops covering the whole graph.
+#[allow(clippy::too_many_arguments)]
 pub fn pagerank_resume(
     ctx: &RankCtx,
     graph: &DistGraph,
+    halo: &HaloPlan,
     ranks: &mut [f64],
     seeds: Option<&[GlobalId]>,
     damping: f64,
     tol: f64,
     max_iters: usize,
-) -> PagerankWork {
+) -> Result<PagerankWork, HaloError> {
     let n_owned = graph.n_owned();
     assert_eq!(ranks.len(), n_owned, "one rank value per owned vertex");
     let n = graph.global_n().max(1) as f64;
@@ -82,71 +117,60 @@ pub fn pagerank_resume(
     // `sqrt` softening reflects that real suppressed sums sit far below the
     // worst-case bound — the parity tests pin the actual accuracy.
     let activate_eps = tol / (graph.global_m().max(1) as f64).sqrt();
-    let nranks = ctx.nranks();
 
     let mut active = vec![false; n_owned];
     match seeds {
-        None => active.iter_mut().for_each(|a| *a = true),
+        None => active.fill(true),
         Some(seeds) => {
-            // Mark owned seeds and their local neighbours; seed neighbours owned by
-            // other ranks are pushed to their owners (their input changed too).
-            let mut remote: Vec<Vec<GlobalId>> = vec![Vec::new(); nranks];
+            // The seed list is replicated, so every rank marks its own share of each
+            // seed's closed neighbourhood without an exchange: a seed it owns with its
+            // owned neighbours, and the owned neighbours of a seed it holds as a ghost.
             for &g in seeds {
-                let Some(l) = graph.local_id(g).filter(|&l| graph.is_owned(l)) else {
+                let Some(l) = graph.local_id(g) else {
                     continue;
                 };
-                active[l as usize] = true;
-                for &u in graph.neighbors(l) {
-                    let u_idx = u as usize;
-                    if u_idx < n_owned {
-                        active[u_idx] = true;
-                    } else {
-                        remote[graph.owner_of_local(u)].push(graph.global_id(u));
+                if graph.is_owned(l) {
+                    active[l as usize] = true;
+                    for &u in graph.neighbors(l) {
+                        if (u as usize) < n_owned {
+                            active[u as usize] = true;
+                        }
                     }
-                }
-            }
-            for gids in ctx.alltoallv(remote) {
-                for g in gids {
-                    if let Some(l) = graph.local_id(g).filter(|&l| graph.is_owned(l)) {
-                        active[l as usize] = true;
+                } else {
+                    for &u in halo.owned_neighbors(l as usize - n_owned) {
+                        active[u as usize] = true;
                     }
                 }
             }
         }
     }
 
+    let contribution = |v: usize, rank: f64| match graph.degree_owned(v as LocalId) {
+        0 => 0.0,
+        d => rank / d as f64,
+    };
+    let mut contrib: Vec<f64> = (0..n_owned).map(|v| contribution(v, ranks[v])).collect();
+    // A ghost's contribution, and whether its last update asked to wake its neighbours.
+    let mut ghost: Vec<(f64, u8)> = ghost_copy(ctx, halo, |v| (contrib[v], 0))?;
+    let mut next_active = vec![false; n_owned];
+    // This iteration's scored vertices, and whether each wakes its neighbours.
+    let mut scored: Vec<(LocalId, bool)> = Vec::new();
+
     let mut work = PagerankWork::default();
     for _ in 0..max_iters {
-        // Contributions of every owned vertex (the ghost refresh ships boundary values
-        // whether or not their owners were scored this round, keeping reads coherent).
-        let contrib: Vec<f64> = (0..n_owned)
-            .map(|v| {
-                let d = graph.degree_owned(v as LocalId);
-                if d == 0 {
-                    0.0
-                } else {
-                    ranks[v] / d as f64
-                }
-            })
-            .collect();
-        let ghost_contrib = graph.ghost_values_f64(ctx, &contrib);
-
-        let mut next_active = vec![false; n_owned];
-        let mut remote: Vec<Vec<GlobalId>> = vec![Vec::new(); nranks];
+        scored.clear();
         let mut residual = 0.0f64;
-        let mut scored = 0u64;
         for v in 0..n_owned {
             if !active[v] {
                 continue;
             }
-            scored += 1;
             let mut sum = 0.0;
             for &u in graph.neighbors(v as LocalId) {
                 let u = u as usize;
                 sum += if u < n_owned {
                     contrib[u]
                 } else {
-                    ghost_contrib[u - n_owned]
+                    ghost[u - n_owned].0
                 };
             }
             let next_v = (1.0 - damping) / n + damping * sum;
@@ -157,26 +181,34 @@ pub fn pagerank_resume(
             // material input change: with unchanged inputs its next update would be a
             // no-op, so there is no self-reactivation.
             let degree = graph.degree_owned(v as LocalId).max(1) as f64;
-            if damping * delta / degree > activate_eps {
+            let wakes = damping * delta / degree > activate_eps;
+            if wakes {
                 for &u in graph.neighbors(v as LocalId) {
-                    let u_idx = u as usize;
-                    if u_idx < n_owned {
-                        next_active[u_idx] = true;
-                    } else {
-                        remote[graph.owner_of_local(u)].push(graph.global_id(u));
+                    if (u as usize) < n_owned {
+                        next_active[u as usize] = true;
                     }
                 }
             }
+            scored.push((v as LocalId, wakes));
         }
-        for gids in ctx.alltoallv(remote) {
-            for g in gids {
-                if let Some(l) = graph.local_id(g).filter(|&l| graph.is_owned(l)) {
-                    next_active[l as usize] = true;
+        // The sweep read last iteration's contributions throughout; only now do the
+        // scored vertices' move. What changed (or wakes) goes to the holders, which mark
+        // the owned neighbours of a waking ghost through the transpose.
+        let moved = scored.iter().filter_map(|&(v, wakes)| {
+            let fresh = contribution(v as usize, ranks[v as usize]);
+            let stale = std::mem::replace(&mut contrib[v as usize], fresh);
+            (wakes || fresh != stale).then_some((v, (fresh, wakes as u8)))
+        });
+        halo.push(ctx, moved, &mut ghost, |slot, _, (_, wakes)| {
+            if wakes != 0 {
+                for &u in halo.owned_neighbors(slot) {
+                    next_active[u as usize] = true;
                 }
             }
-        }
-        active = next_active;
-        let reduced = ctx.allreduce_sum_f64(&[residual, scored as f64]);
+        })?;
+        std::mem::swap(&mut active, &mut next_active);
+        next_active.fill(false);
+        let reduced = ctx.allreduce_sum_f64(&[residual, scored.len() as f64]);
         work.iterations += 1;
         work.vertices_scored += reduced[1] as u64;
         if reduced[0] < tol {
@@ -184,7 +216,7 @@ pub fn pagerank_resume(
             break;
         }
     }
-    work
+    Ok(work)
 }
 
 /// Work accounting of one [`wcc_repair`] (or cold [`wcc_propagate`]) run.
@@ -199,41 +231,84 @@ pub struct WccWork {
     pub reset_vertices: u64,
 }
 
+/// The monotone in-place iteration `x[v] ← min(x[v], lower(x of v's neighbours, x[v]))`
+/// both [`wcc_propagate`] and [`kcore_tighten`] are, run for at most `max_sweeps` sweeps or
+/// to the fixed point; returns the sweep count. Sweeps after the first visit only woken
+/// vertices (see the module docs for the crossing rule and why it is exact).
+fn tighten(
+    ctx: &RankCtx,
+    graph: &DistGraph,
+    halo: &HaloPlan,
+    x: &mut [u64],
+    max_sweeps: usize,
+    mut lower: impl FnMut(&[u64], u64) -> u64,
+) -> Result<u64, HaloError> {
+    let n_owned = graph.n_owned();
+    assert_eq!(x.len(), n_owned, "one value per owned vertex");
+    let mut ghost_x = ghost_copy(ctx, halo, |v| x[v])?;
+    let crossed = |previous: u64, new: u64, theirs: u64| previous >= theirs && new < theirs;
+    // A flag set on a vertex the sweep has yet to reach is consumed by this sweep, as a
+    // full sweep would see the lowered value; one set behind it waits for the next.
+    let mut woken = vec![true; n_owned];
+    let mut lowered: Vec<LocalId> = Vec::new();
+    let mut neigh: Vec<u64> = Vec::new();
+    let mut sweeps = 0u64;
+    for _ in 0..max_sweeps {
+        lowered.clear();
+        for v in 0..n_owned {
+            if !std::mem::take(&mut woken[v]) {
+                continue;
+            }
+            neigh.clear();
+            neigh.extend(graph.neighbors(v as LocalId).iter().map(|&u| {
+                let u = u as usize;
+                if u < n_owned {
+                    x[u]
+                } else {
+                    ghost_x[u - n_owned]
+                }
+            }));
+            let new = lower(&neigh, x[v]);
+            if new < x[v] {
+                let previous = std::mem::replace(&mut x[v], new);
+                lowered.push(v as LocalId);
+                for &u in graph.neighbors(v as LocalId) {
+                    let u = u as usize;
+                    if u < n_owned && crossed(previous, new, x[u]) {
+                        woken[u] = true;
+                    }
+                }
+            }
+        }
+        let updates = lowered.iter().map(|&v| (v, x[v as usize]));
+        halo.push(ctx, updates, &mut ghost_x, |slot, previous, new| {
+            for &u in halo.owned_neighbors(slot) {
+                if crossed(previous, new, x[u as usize]) {
+                    woken[u as usize] = true;
+                }
+            }
+        })?;
+        sweeps += 1;
+        if ctx.allreduce_scalar_sum_u64(lowered.len() as u64) == 0 {
+            break;
+        }
+    }
+    Ok(sweeps)
+}
+
 /// Min-label propagation seeded from `labels` (owned values), run to a fixed point.
 /// With `labels` initialised to each vertex's own global id this is exactly the cold
 /// [`wcc`](crate::algorithms::wcc); with the previous epoch's labels it converges in a
 /// couple of sweeps after a small delta. Returns the sweep count.
-pub fn wcc_propagate(ctx: &RankCtx, graph: &DistGraph, labels: &mut [u64]) -> u64 {
-    let n_owned = graph.n_owned();
-    assert_eq!(labels.len(), n_owned, "one label per owned vertex");
-    let mut sweeps = 0u64;
-    loop {
-        let ghost_labels = graph.ghost_values_u64(ctx, labels);
-        let mut changed = 0u64;
-        for v in 0..n_owned {
-            let mut best = labels[v];
-            for &u in graph.neighbors(v as LocalId) {
-                let u = u as usize;
-                let lu = if u < n_owned {
-                    labels[u]
-                } else {
-                    ghost_labels[u - n_owned]
-                };
-                if lu < best {
-                    best = lu;
-                }
-            }
-            if best < labels[v] {
-                labels[v] = best;
-                changed += 1;
-            }
-        }
-        sweeps += 1;
-        if ctx.allreduce_scalar_sum_u64(changed) == 0 {
-            break;
-        }
-    }
-    sweeps
+pub fn wcc_propagate(
+    ctx: &RankCtx,
+    graph: &DistGraph,
+    halo: &HaloPlan,
+    labels: &mut [u64],
+) -> Result<u64, HaloError> {
+    tighten(ctx, graph, halo, labels, usize::MAX, |neigh, mine| {
+        neigh.iter().copied().fold(mine, u64::min)
+    })
 }
 
 /// Repair the previous epoch's component labels after a delta, then propagate to a
@@ -253,9 +328,10 @@ pub fn wcc_propagate(ctx: &RankCtx, graph: &DistGraph, labels: &mut [u64]) -> u6
 pub fn wcc_repair(
     ctx: &RankCtx,
     graph: &DistGraph,
+    halo: &HaloPlan,
     labels: &mut [u64],
     deleted_edges: &[(GlobalId, GlobalId)],
-) -> WccWork {
+) -> Result<WccWork, HaloError> {
     let n_owned = graph.n_owned();
     assert_eq!(labels.len(), n_owned, "one label per owned vertex");
     let mut work = WccWork::default();
@@ -291,9 +367,11 @@ pub fn wcc_repair(
         }
 
         for (component, endpoints) in affected {
+            let Some(&root) = endpoints.first() else {
+                continue;
+            };
             work.components_checked += 1;
-            let root = *endpoints.first().expect("affected sets are non-empty");
-            let bfs = dist_bfs(ctx, graph, root);
+            let bfs = dist_bfs(ctx, graph, halo, root)?;
             let unreached_here: u64 = endpoints
                 .iter()
                 .filter_map(|&g| graph.local_id(g).filter(|&l| graph.is_owned(l)))
@@ -313,8 +391,8 @@ pub fn wcc_repair(
         }
     }
 
-    work.sweeps = wcc_propagate(ctx, graph, labels);
-    work
+    work.sweeps = wcc_propagate(ctx, graph, halo, labels)?;
+    Ok(work)
 }
 
 /// Tighten `core` — any pointwise *upper bound* of the true coreness of the owned
@@ -323,44 +401,17 @@ pub fn wcc_repair(
 /// seed with the degrees; warm runs seed with the previous epoch's coreness bumped by
 /// the epoch's inserted-edge count (an edge batch of `k` insertions raises any
 /// coreness by at most `k`) and capped by the new degree.
-pub fn kcore_tighten(ctx: &RankCtx, graph: &DistGraph, core: &mut [u64], max_rounds: usize) -> u64 {
-    let n_owned = graph.n_owned();
-    assert_eq!(core.len(), n_owned, "one coreness bound per owned vertex");
-    let mut rounds = 0u64;
-    for _ in 0..max_rounds {
-        let ghost_core = graph.ghost_values_u64(ctx, core);
-        let mut changed = 0u64;
-        let mut neigh: Vec<u64> = Vec::new();
-        for v in 0..n_owned {
-            neigh.clear();
-            neigh.extend(graph.neighbors(v as LocalId).iter().map(|&u| {
-                let u = u as usize;
-                if u < n_owned {
-                    core[u]
-                } else {
-                    ghost_core[u - n_owned]
-                }
-            }));
-            neigh.sort_unstable_by(|a, b| b.cmp(a));
-            let mut h = 0u64;
-            for (i, &c) in neigh.iter().enumerate() {
-                if c >= (i as u64 + 1) {
-                    h = i as u64 + 1;
-                } else {
-                    break;
-                }
-            }
-            if h < core[v] {
-                core[v] = h;
-                changed += 1;
-            }
-        }
-        rounds += 1;
-        if ctx.allreduce_scalar_sum_u64(changed) == 0 {
-            break;
-        }
-    }
-    rounds
+pub fn kcore_tighten(
+    ctx: &RankCtx,
+    graph: &DistGraph,
+    halo: &HaloPlan,
+    core: &mut [u64],
+    max_rounds: usize,
+) -> Result<u64, HaloError> {
+    let mut counts = Vec::new();
+    tighten(ctx, graph, halo, core, max_rounds, |neigh, mine| {
+        capped_h_index(neigh, mine, &mut counts)
+    })
 }
 
 #[cfg(test)]
@@ -368,6 +419,7 @@ mod tests {
     use super::*;
     use crate::algorithms::{pagerank, wcc};
     use xtrapulp_comm::Runtime;
+    use xtrapulp_graph::distribution::splitmix64;
     use xtrapulp_graph::{Distribution, GraphDelta};
 
     /// Two triangles joined by a bridge, plus an isolated pair.
@@ -403,8 +455,10 @@ mod tests {
         for nranks in [1usize, 3] {
             let out = Runtime::run(nranks, |ctx| {
                 let g = DistGraph::from_shared_edges(ctx, Distribution::Block, n, &edges);
+                let halo = HaloPlan::build(ctx, &g).unwrap();
                 let mut ranks = vec![1.0 / n as f64; g.n_owned()];
-                let work = pagerank_resume(ctx, &g, &mut ranks, None, 0.85, 1e-12, 500);
+                let work =
+                    pagerank_resume(ctx, &g, &halo, &mut ranks, None, 0.85, 1e-12, 500).unwrap();
                 assert!(work.converged);
                 let reference = pagerank(ctx, &g, 120, 0.85);
                 for (a, b) in ranks.iter().zip(reference.iter()) {
@@ -424,22 +478,20 @@ mod tests {
         let delta = GraphDelta::new(n, 0, &[(5, 6)], &[]);
         let out = Runtime::run(2, |ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, n, &edges);
+            let halo = HaloPlan::build(ctx, &g).unwrap();
             let mut ranks = vec![1.0 / n as f64; g.n_owned()];
-            pagerank_resume(ctx, &g, &mut ranks, None, 0.85, 1e-12, 500);
+            pagerank_resume(ctx, &g, &halo, &mut ranks, None, 0.85, 1e-12, 500).unwrap();
 
             let g2 = g.apply_delta(ctx, &delta);
-            let warm = pagerank_resume(
-                ctx,
-                &g2,
-                &mut ranks,
-                Some(&delta.touched_including_added()),
-                0.85,
-                1e-12,
-                500,
-            );
+            let halo2 = HaloPlan::build(ctx, &g2).unwrap();
+            let seeds = delta.touched_including_added();
+            let warm =
+                pagerank_resume(ctx, &g2, &halo2, &mut ranks, Some(&seeds), 0.85, 1e-12, 500)
+                    .unwrap();
             // Reference: cold solve on the mutated graph.
             let mut cold_ranks = vec![1.0 / n as f64; g2.n_owned()];
-            let cold = pagerank_resume(ctx, &g2, &mut cold_ranks, None, 0.85, 1e-12, 500);
+            let cold =
+                pagerank_resume(ctx, &g2, &halo2, &mut cold_ranks, None, 0.85, 1e-12, 500).unwrap();
             for (a, b) in ranks.iter().zip(cold_ranks.iter()) {
                 assert!((a - b).abs() < 1e-7, "warm {a} vs cold {b}");
             }
@@ -461,18 +513,16 @@ mod tests {
             let mut labels: Vec<u64> = (0..g.n_owned())
                 .map(|v| g.global_id(v as LocalId))
                 .collect();
-            wcc_propagate(ctx, &g, &mut labels);
+            let halo = HaloPlan::build(ctx, &g).unwrap();
+            wcc_propagate(ctx, &g, &halo, &mut labels).unwrap();
 
             // Delete the bridge 2-3 (splits {0..5}) and insert 5-6 (merges {3,4,5}
             // with {6,7}); both in one delta.
             let delta = GraphDelta::new(n, 0, &[(5, 6)], &[(2, 3)]);
             let g2 = g.apply_delta(ctx, &delta);
-            let work = wcc_repair(
-                ctx,
-                &g2,
-                &mut labels,
-                &delta.deleted_edges().collect::<Vec<_>>(),
-            );
+            let halo2 = HaloPlan::build(ctx, &g2).unwrap();
+            let deleted: Vec<_> = delta.deleted_edges().collect();
+            let work = wcc_repair(ctx, &g2, &halo2, &mut labels, &deleted).unwrap();
             assert!(work.components_checked >= 1);
             assert!(work.reset_vertices > 0, "the bridge deletion splits");
 
@@ -504,15 +554,13 @@ mod tests {
             let mut labels: Vec<u64> = (0..g.n_owned())
                 .map(|v| g.global_id(v as LocalId))
                 .collect();
-            wcc_propagate(ctx, &g, &mut labels);
+            let halo = HaloPlan::build(ctx, &g).unwrap();
+            wcc_propagate(ctx, &g, &halo, &mut labels).unwrap();
             let delta = GraphDelta::new(n, 0, &[], &[(0, 1)]);
             let g2 = g.apply_delta(ctx, &delta);
-            let work = wcc_repair(
-                ctx,
-                &g2,
-                &mut labels,
-                &delta.deleted_edges().collect::<Vec<_>>(),
-            );
+            let halo2 = HaloPlan::build(ctx, &g2).unwrap();
+            let deleted: Vec<_> = delta.deleted_edges().collect();
+            let work = wcc_repair(ctx, &g2, &halo2, &mut labels, &deleted).unwrap();
             (work.components_checked, work.reset_vertices)
         });
         for (checked, reset) in out {
@@ -529,18 +577,19 @@ mod tests {
             let mut cold: Vec<u64> = (0..g.n_owned())
                 .map(|v| g.degree_owned(v as LocalId))
                 .collect();
-            let cold_rounds = kcore_tighten(ctx, &g, &mut cold, 100);
+            let halo = HaloPlan::build(ctx, &g).unwrap();
+            let cold_rounds = kcore_tighten(ctx, &g, &halo, &mut cold, 100).unwrap();
 
             // A loose-but-valid upper bound (degree + 3) must land on the same values.
             let mut loose: Vec<u64> = (0..g.n_owned())
                 .map(|v| g.degree_owned(v as LocalId) + 3)
                 .collect();
-            kcore_tighten(ctx, &g, &mut loose, 100);
+            kcore_tighten(ctx, &g, &halo, &mut loose, 100).unwrap();
             assert_eq!(cold, loose);
 
             // A warm seed (the answer itself) converges in one verification round.
             let mut warm = cold.clone();
-            let warm_rounds = kcore_tighten(ctx, &g, &mut warm, 100);
+            let warm_rounds = kcore_tighten(ctx, &g, &halo, &mut warm, 100).unwrap();
             assert_eq!(warm, cold);
             assert!(warm_rounds <= cold_rounds);
             (0..g.n_owned())
@@ -549,5 +598,80 @@ mod tests {
         });
         let core = gather(out, n as usize);
         assert_eq!(core, vec![2, 2, 2, 2, 2, 2, 1, 1]);
+    }
+
+    /// One round of the h-index iteration the plain way: pull every ghost bound, visit
+    /// every vertex in order, update in place. Returns how many bounds fell.
+    fn naive_kcore_round(ctx: &RankCtx, g: &DistGraph, core: &mut [u64]) -> u64 {
+        let ghost_core = g.ghost_values_u64(ctx, core);
+        let mut changed = 0;
+        for v in 0..g.n_owned() {
+            let mut neigh: Vec<u64> = g
+                .neighbors(v as LocalId)
+                .iter()
+                .map(|&u| match (u as usize).checked_sub(g.n_owned()) {
+                    None => core[u as usize],
+                    Some(slot) => ghost_core[slot],
+                })
+                .collect();
+            neigh.sort_unstable_by(|a, b| b.cmp(a));
+            let h = neigh
+                .iter()
+                .zip(1u64..)
+                .take_while(|&(&c, i)| c >= i)
+                .count() as u64;
+            if h < core[v] {
+                core[v] = h;
+                changed += 1;
+            }
+        }
+        ctx.allreduce_scalar_sum_u64(changed)
+    }
+
+    /// On seeded hub graphs (one vertex adjacent to almost everything, so a plain "a
+    /// neighbour changed" rule would wake the whole graph every round), the
+    /// crossing-driven rounds produce the naive full re-sweep's iterate after every
+    /// round, from cold (degree) and from loose warm seeds, on 1–4 ranks.
+    #[test]
+    fn crossing_driven_coreness_rounds_match_a_full_resweep_iterate_by_iterate() {
+        for seed in 0..4u64 {
+            let mut draw = seed << 32;
+            let mut below = |n: u64| {
+                draw += 1;
+                splitmix64(draw) % n
+            };
+            let n = 40 + below(40);
+            let mut edges: Vec<(u64, u64)> = (1..n - 1).map(|v| (0, v)).collect();
+            for _ in 0..3 * n {
+                edges.push((1 + below(n - 2), 1 + below(n - 2)));
+            }
+            let slack = below(4);
+            for dist in [Distribution::Block, Distribution::Hashed] {
+                for nranks in 1..=4usize {
+                    Runtime::run(nranks, |ctx| {
+                        let g = DistGraph::from_shared_edges(ctx, dist.clone(), n, &edges);
+                        let halo = HaloPlan::build(ctx, &g).unwrap();
+                        let seed_bounds: Vec<u64> = (0..g.n_owned())
+                            .map(|v| g.degree_owned(v as LocalId) + slack)
+                            .collect();
+                        let mut reference = seed_bounds.clone();
+                        for rounds in 1.. {
+                            let changed = naive_kcore_round(ctx, &g, &mut reference);
+                            let mut core = seed_bounds.clone();
+                            let ran = kcore_tighten(ctx, &g, &halo, &mut core, rounds).unwrap();
+                            assert_eq!(ran, rounds as u64);
+                            assert_eq!(core, reference, "iterate {rounds} diverged");
+                            if changed == 0 {
+                                // The fixed point: an unbounded run stops right here.
+                                let mut core = seed_bounds.clone();
+                                let ran = kcore_tighten(ctx, &g, &halo, &mut core, usize::MAX);
+                                assert_eq!((ran, core), (Ok(rounds as u64), reference));
+                                break;
+                            }
+                        }
+                    });
+                }
+            }
+        }
     }
 }

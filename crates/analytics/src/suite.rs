@@ -3,7 +3,7 @@
 //! and communication volume.
 
 use xtrapulp_comm::{RankCtx, Runtime, Timer};
-use xtrapulp_graph::{DistGraph, Distribution, GlobalId};
+use xtrapulp_graph::{DistGraph, Distribution, GlobalId, HaloError};
 
 use crate::algorithms::{
     harmonic_centrality, kcore_approx, label_propagation, largest_component, pagerank, wcc,
@@ -40,8 +40,13 @@ impl SuiteResult {
 
 /// Run the six analytics of Fig. 8 on the given distributed graph. `hc_sources` bounds
 /// the number of harmonic-centrality BFS sources (the paper uses 100 on WDC12; scale to
-/// the graph at hand).
-pub fn run_suite(ctx: &RankCtx, graph: &DistGraph, hc_sources: usize) -> Vec<AnalyticResult> {
+/// the graph at hand). Fails only when the harmonic-centrality searches' halo exchange is
+/// rejected (the ranks' graphs disagree).
+pub fn run_suite(
+    ctx: &RankCtx,
+    graph: &DistGraph,
+    hc_sources: usize,
+) -> Result<Vec<AnalyticResult>, HaloError> {
     let mut results = Vec::new();
     let mut record = |ctx: &RankCtx, name: &'static str, seconds: f64, bytes_before: u64| {
         let local = [seconds];
@@ -58,7 +63,7 @@ pub fn run_suite(ctx: &RankCtx, graph: &DistGraph, hc_sources: usize) -> Vec<Ana
     let sources = hc_source_sample(graph.global_n(), hc_sources);
     let before = ctx.stats().bytes_sent();
     let t = Timer::start();
-    let _ = harmonic_centrality(ctx, graph, &sources);
+    harmonic_centrality(ctx, graph, &sources)?;
     record(ctx, "HC", t.elapsed_secs(), before);
 
     // KC: approximate k-core decomposition.
@@ -91,7 +96,7 @@ pub fn run_suite(ctx: &RankCtx, graph: &DistGraph, hc_sources: usize) -> Vec<Ana
     let _ = wcc(ctx, graph);
     record(ctx, "WCC", t.elapsed_secs(), before);
 
-    results
+    Ok(results)
 }
 
 /// The distinct harmonic-centrality BFS sources: up to `want` *unique* vertices,
@@ -134,7 +139,8 @@ fn hc_source_sample(global_n: u64, want: usize) -> Vec<GlobalId> {
 }
 
 /// Build the graph with ownership given by `parts` (one rank per part) and run the suite.
-/// `parts` must map every global vertex to a rank in `0..nranks`.
+/// `parts` must map every global vertex to a rank in `0..nranks`. Fails as [`run_suite`]
+/// does.
 pub fn run_suite_with_partition(
     nranks: usize,
     global_n: u64,
@@ -143,18 +149,18 @@ pub fn run_suite_with_partition(
     strategy: &str,
     partition_seconds: f64,
     hc_sources: usize,
-) -> SuiteResult {
+) -> Result<SuiteResult, HaloError> {
     let dist = Distribution::from_parts(parts);
     let per_rank = Runtime::run(nranks, |ctx| {
         let graph = DistGraph::from_shared_edges(ctx, dist.clone(), global_n, edges);
         run_suite(ctx, &graph, hc_sources)
     });
     // All ranks report identical (allreduced) numbers; take rank 0's.
-    SuiteResult {
+    Ok(SuiteResult {
         strategy: strategy.to_string(),
         partition_seconds,
-        analytics: per_rank.into_iter().next().unwrap(),
-    }
+        analytics: per_rank.into_iter().next().unwrap()?,
+    })
 }
 
 #[cfg(test)]
@@ -205,7 +211,8 @@ mod tests {
                 method.name(),
                 0.0,
                 4,
-            );
+            )
+            .expect("ranks built one graph");
             assert_eq!(result.analytics.len(), 6);
             assert!(result.analytics.iter().all(|a| a.seconds >= 0.0));
             totals.push((method, result));

@@ -32,7 +32,10 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| {
             Runtime::run(4, |ctx| {
                 let g = DistGraph::from_shared_edges(ctx, Distribution::Hashed, n, &el.edges);
-                dist_bfs(ctx, &g, 0).reached
+                let halo = HaloPlan::build(ctx, &g).expect("ranks built one graph");
+                dist_bfs(ctx, &g, &halo, 0)
+                    .expect("halo plan matches the graph")
+                    .reached
             })
         })
     });

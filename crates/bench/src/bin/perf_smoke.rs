@@ -1,8 +1,10 @@
-//! CI perf smoke gate for the sweep engine: runs the quick preset cold (frontier and
-//! legacy full modes) plus a touched-scoped warm start, and fails — exit code 1 — if
-//! any of the engine's deterministic work counters (sweeps, scored vertices, loopback
-//! frames) differs from the checked-in baseline (`crates/bench/perf_baseline.json`);
-//! wall time is printed for context but never gates, since CI machines vary.
+//! CI perf smoke gate for the sweep engine and the warm analytics kernels: runs the quick
+//! preset cold (frontier and legacy full modes) plus a touched-scoped warm start, and a
+//! 2-rank analytics consumer over a fixed 4-epoch churn stream, and fails — exit code 1 —
+//! if any of the deterministic work counters (sweeps, scored vertices, loopback frames;
+//! warm PageRank scored vertices, coreness rounds, analytics bytes exchanged) differs from
+//! the checked-in baseline (`crates/bench/perf_baseline.json`); wall time is printed for
+//! context but never gates, since CI machines vary.
 //!
 //! The counters repeat bit-for-bit on every machine, so the gate is equality: a
 //! refactor that adds one sweep or one frame trips it, in either direction. A change
@@ -12,7 +14,10 @@
 use std::time::Instant;
 
 use xtrapulp::{try_pulp_run, PartitionParams, SweepMode};
+use xtrapulp_analytics::{AnalyticsConsumer, WarmPolicy};
+use xtrapulp_gen::updates::{generate_stream, StreamKind, UpdateStreamConfig};
 use xtrapulp_gen::{GraphConfig, GraphKind};
+use xtrapulp_graph::GraphDelta;
 
 const BASELINE_PATH: &str = "crates/bench/perf_baseline.json";
 
@@ -24,6 +29,48 @@ struct Measurement {
     warm_touched_scored: u64,
     dist_loopback_seconds: f64,
     dist_loopback_frames: u64,
+    analytics_warm_scored: u64,
+    analytics_kcore_rounds: u64,
+    analytics_comm_bytes: u64,
+}
+
+/// A 2-rank analytics consumer over four epochs of seeded churn on a small
+/// preferential-attachment graph: `[PageRank vertices scored, coreness rounds, bytes
+/// exchanged]`, summed over the epochs (all of which run warm).
+fn measure_analytics() -> [u64; 3] {
+    let edges = GraphConfig::new(
+        GraphKind::BarabasiAlbert {
+            num_vertices: 2048,
+            edges_per_vertex: 4,
+        },
+        7,
+    )
+    .generate();
+    let stream = generate_stream(
+        &edges,
+        &UpdateStreamConfig {
+            kind: StreamKind::RandomChurn {
+                ops_per_batch: 8,
+                delete_fraction: 0.5,
+            },
+            num_batches: 4,
+            seed: 3,
+        },
+    );
+    let mut csr = edges.to_csr();
+    let parts = xtrapulp::baselines::vertex_block_partition(edges.num_vertices, 4);
+    let mut consumer = AnalyticsConsumer::new(2, csr.clone(), &parts, WarmPolicy::default());
+    let mut totals = [0u64; 3];
+    for epoch in 0..stream.batches.len() {
+        let delta = GraphDelta::from_ops(csr.num_vertices() as u64, stream.batch_ops(epoch));
+        csr = csr.apply_delta(&delta);
+        let report = consumer.ingest_epoch(epoch as u64 + 1, &[delta], &parts);
+        assert!(report.warm, "0.4% churn must run warm");
+        totals[0] += report.pagerank_vertices_scored;
+        totals[1] += report.kcore_rounds;
+        totals[2] += report.comm_bytes;
+    }
+    totals
 }
 
 fn measure() -> Measurement {
@@ -81,6 +128,7 @@ fn measure() -> Measurement {
         dist_frames = report.comm.frames_sent;
     }
     dist_times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let [analytics_warm_scored, analytics_kcore_rounds, analytics_comm_bytes] = measure_analytics();
 
     Measurement {
         cold_frontier_seconds: times[1],
@@ -90,6 +138,9 @@ fn measure() -> Measurement {
         warm_touched_scored: warm_stats.vertices_scored,
         dist_loopback_seconds: dist_times[1],
         dist_loopback_frames: dist_frames,
+        analytics_warm_scored,
+        analytics_kcore_rounds,
+        analytics_comm_bytes,
     }
 }
 
@@ -98,14 +149,18 @@ fn to_json(m: &Measurement) -> String {
         "{{\n  \"cold_frontier_seconds\": {},\n  \"cold_frontier_scored\": {},\n  \
          \"cold_frontier_sweeps\": {},\n  \"cold_full_scored\": {},\n  \
          \"warm_touched_scored\": {},\n  \"dist_loopback_seconds\": {},\n  \
-         \"dist_loopback_frames\": {}\n}}\n",
+         \"dist_loopback_frames\": {},\n  \"analytics_warm_scored\": {},\n  \
+         \"analytics_kcore_rounds\": {},\n  \"analytics_comm_bytes\": {}\n}}\n",
         m.cold_frontier_seconds,
         m.cold_frontier_scored,
         m.cold_frontier_sweeps,
         m.cold_full_scored,
         m.warm_touched_scored,
         m.dist_loopback_seconds,
-        m.dist_loopback_frames
+        m.dist_loopback_frames,
+        m.analytics_warm_scored,
+        m.analytics_kcore_rounds,
+        m.analytics_comm_bytes
     )
 }
 
@@ -126,14 +181,18 @@ fn main() {
     let m = measure();
     println!(
         "perf_smoke: cold frontier {:.3}s, {} sweeps, {} scored (full mode scores {}); \
-         warm touched scores {}; 4-rank loopback {:.3}s / {} frames",
+         warm touched scores {}; 4-rank loopback {:.3}s / {} frames; 2-rank analytics \
+         {} scored / {} coreness rounds / {} bytes",
         m.cold_frontier_seconds,
         m.cold_frontier_sweeps,
         m.cold_frontier_scored,
         m.cold_full_scored,
         m.warm_touched_scored,
         m.dist_loopback_seconds,
-        m.dist_loopback_frames
+        m.dist_loopback_frames,
+        m.analytics_warm_scored,
+        m.analytics_kcore_rounds,
+        m.analytics_comm_bytes
     );
 
     if write {
@@ -188,6 +247,9 @@ fn main() {
     check("cold_full_scored", m.cold_full_scored);
     check("warm_touched_scored", m.warm_touched_scored);
     check("dist_loopback_frames", m.dist_loopback_frames);
+    check("analytics_warm_scored", m.analytics_warm_scored);
+    check("analytics_kcore_rounds", m.analytics_kcore_rounds);
+    check("analytics_comm_bytes", m.analytics_comm_bytes);
 
     if !tracing_overhead_gate() {
         failed = true;

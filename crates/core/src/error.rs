@@ -85,6 +85,15 @@ impl From<xtrapulp_comm::CommError> for PartitionError {
     }
 }
 
+impl From<xtrapulp_graph::HaloError> for PartitionError {
+    fn from(e: xtrapulp_graph::HaloError) -> Self {
+        PartitionError::CorruptExchange {
+            peer: e.peer,
+            detail: e.detail,
+        }
+    }
+}
+
 impl fmt::Display for PartitionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -7,7 +7,7 @@
 
 use xtrapulp_comm::RankCtx;
 
-use crate::{Csr, DistGraph, GlobalId, LocalId};
+use crate::{Csr, DistGraph, GlobalId, HaloError, HaloPlan, LocalId};
 
 /// Level returned for vertices not reachable from the BFS root.
 pub const UNREACHED: i64 = -1;
@@ -52,56 +52,58 @@ pub struct DistBfs {
     pub reached: u64,
 }
 
-/// Distributed level-synchronous BFS from the global vertex `root`.
+/// Distributed level-synchronous BFS from the global vertex `root`, over the graph's
+/// [`HaloPlan`].
 ///
-/// Each superstep expands the local frontier and pushes newly-reached *ghost* vertices to
-/// their owners with an all-to-all exchange — the same communication pattern as
-/// XtraPuLP's `ExchangeUpdates`.
-pub fn dist_bfs(ctx: &RankCtx, graph: &DistGraph, root: GlobalId) -> DistBfs {
-    let n_owned = graph.n_owned();
-    let mut levels = vec![UNREACHED; n_owned];
+/// Each superstep expands the local frontier through the owned adjacency, and the owner
+/// of every frontier vertex pushes a reached flag to the ranks holding it as a ghost;
+/// those expand it through the plan's ghost→owned transpose. One message per (boundary
+/// vertex, holder rank) over the whole search, resolved by index on arrival — the same
+/// exchange as XtraPuLP's `ExchangeUpdates`. A reached flag for a slot outside the ghost
+/// range is a [`HaloError`].
+pub fn dist_bfs(
+    ctx: &RankCtx,
+    graph: &DistGraph,
+    halo: &HaloPlan,
+    root: GlobalId,
+) -> Result<DistBfs, HaloError> {
+    let mut levels = vec![UNREACHED; graph.n_owned()];
     let mut frontier: Vec<LocalId> = Vec::new();
-    if let Some(lid) = graph.local_id(root) {
-        if graph.is_owned(lid) {
-            levels[lid as usize] = 0;
-            frontier.push(lid);
-        }
+    if let Some(lid) = graph.local_id(root).filter(|&lid| graph.is_owned(lid)) {
+        levels[lid as usize] = 0;
+        frontier.push(lid);
     }
+    let mut ghost_reached = vec![0u8; halo.n_ghost()];
     let mut level = 0i64;
     let mut supersteps = 0u64;
     let mut reached = ctx.allreduce_scalar_sum_u64(frontier.len() as u64);
 
     loop {
-        // Expand the local frontier; collect discoveries of remote (ghost) vertices.
-        let mut remote: Vec<Vec<GlobalId>> = vec![Vec::new(); ctx.nranks()];
         let mut next: Vec<LocalId> = Vec::new();
+        let mut reach = |v: LocalId| {
+            if levels[v as usize] == UNREACHED {
+                levels[v as usize] = level + 1;
+                next.push(v);
+            }
+        };
         for &u in &frontier {
             for &v in graph.neighbors(u) {
                 if graph.is_owned(v) {
-                    if levels[v as usize] == UNREACHED {
-                        levels[v as usize] = level + 1;
-                        next.push(v);
-                    }
-                } else {
-                    let owner = graph.owner_of_local(v);
-                    remote[owner].push(graph.global_id(v));
+                    reach(v);
                 }
             }
         }
-        // Deliver remote discoveries to their owners.
-        let incoming = ctx.alltoallv(remote);
-        for buf in incoming {
-            for g in buf {
-                let lid = graph
-                    .local_id(g)
-                    .expect("received BFS discovery for unknown vertex");
-                debug_assert!(graph.is_owned(lid));
-                if levels[lid as usize] == UNREACHED {
-                    levels[lid as usize] = level + 1;
-                    next.push(lid);
-                }
-            }
-        }
+        halo.push(
+            ctx,
+            frontier.iter().map(|&u| (u, 1u8)),
+            &mut ghost_reached,
+            |slot, _, _| {
+                halo.owned_neighbors(slot)
+                    .iter()
+                    .copied()
+                    .for_each(&mut reach)
+            },
+        )?;
         supersteps += 1;
         let newly = ctx.allreduce_scalar_sum_u64(next.len() as u64);
         reached += newly;
@@ -112,11 +114,11 @@ pub fn dist_bfs(ctx: &RankCtx, graph: &DistGraph, root: GlobalId) -> DistBfs {
         level += 1;
     }
 
-    DistBfs {
+    Ok(DistBfs {
         levels,
         supersteps,
         reached,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -164,7 +166,8 @@ mod tests {
         for nranks in [1usize, 2, 3, 5] {
             let per_rank = Runtime::run(nranks, |ctx| {
                 let g = DistGraph::from_shared_edges(ctx, Distribution::Cyclic, n, &edges);
-                let result = dist_bfs(ctx, &g, 3);
+                let halo = HaloPlan::build(ctx, &g).unwrap();
+                let result = dist_bfs(ctx, &g, &halo, 3).unwrap();
                 // Return (global_id, level) pairs for owned vertices.
                 (0..g.n_owned() as LocalId)
                     .map(|v| (g.global_id(v), result.levels[v as usize]))
@@ -185,7 +188,8 @@ mod tests {
         let edges = vec![(0u64, 1u64), (1, 2), (3, 4)];
         let out = Runtime::run(2, |ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 5, &edges);
-            dist_bfs(ctx, &g, 0).reached
+            let halo = HaloPlan::build(ctx, &g).unwrap();
+            dist_bfs(ctx, &g, &halo, 0).unwrap().reached
         });
         assert!(out.iter().all(|&r| r == 3));
     }
@@ -196,7 +200,8 @@ mod tests {
         let edges = path_edges(10);
         let out = Runtime::run(4, |ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 10, &edges);
-            dist_bfs(ctx, &g, 9).reached
+            let halo = HaloPlan::build(ctx, &g).unwrap();
+            dist_bfs(ctx, &g, &halo, 9).unwrap().reached
         });
         assert!(out.iter().all(|&r| r == 10));
     }

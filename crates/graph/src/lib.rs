@@ -15,6 +15,9 @@
 //!   the paper discusses ("we utilize either random and block distributions").
 //! * [`DistGraph`] — the per-rank local graph: owned vertices, ghost table, local CSR,
 //!   ghost degrees and a pull-based ghost value exchange.
+//! * [`HaloPlan`] — where each owned boundary vertex's ghost copies live on the other
+//!   ranks, resolved once per graph, plus the ghost→owned transpose; its `push` is the one
+//!   index-resolved, change-only ghost update every consumer of per-vertex state shares.
 //! * [`bfs`] — serial and distributed breadth-first search (used by the initialisation
 //!   strategy, the diameter estimator and the analytics crate).
 //! * [`stats`] — degree statistics and the iterative-BFS diameter estimate used to build
@@ -29,6 +32,7 @@ pub mod csr;
 pub mod delta;
 pub mod dist_graph;
 pub mod distribution;
+pub mod halo;
 pub mod io;
 pub mod stats;
 
@@ -36,6 +40,7 @@ pub use csr::{csr_from_edges, Csr, CsrBuilder};
 pub use delta::{GraphDelta, TimedOp, UpdateOp};
 pub use dist_graph::DistGraph;
 pub use distribution::Distribution;
+pub use halo::{HaloError, HaloPlan};
 pub use stats::GraphStats;
 
 /// Global vertex identifier. The paper works with graphs of up to 2^34 vertices, so

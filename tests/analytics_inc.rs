@@ -201,11 +201,13 @@ fn incremental_matches_from_scratch_across_rank_counts_under_churn() {
             warm_wcc_sweeps / warm_epochs,
             cold.wcc_sweeps
         );
-        // Coreness maintenance is about exactness, not (yet) work: the sound
-        // insert-rise envelope relaxes every bound by the batch's insert count, so on
-        // small dense-core graphs warm tightening costs about as many rounds as cold
-        // (deletion-only epochs converge in 1-2; see ROADMAP for the subcore-scoped
-        // improvement). Guard against regressions beyond that.
+        // Warm coreness is exact but not yet cheaper in *rounds*: the sound insert-rise
+        // envelope relaxes every bound by the batch's insert count, so on small
+        // dense-core graphs warm tightening takes about as many rounds as cold
+        // (deletion-only epochs converge in 1-2). A round is an exchange step, not a
+        // sweep: after the first, only vertices a neighbour's bound crossed are
+        // revisited. Fewer rounds is ROADMAP direction 4 (subcore-scoped seeding);
+        // guard against regressions beyond today's count.
         assert!(
             warm_kcore_rounds / warm_epochs <= cold.kcore_rounds + 3,
             "nranks={nranks}: warm avg {} k-core rounds vs cold {}",
@@ -401,7 +403,7 @@ fn golden_graphs() -> Vec<(&'static str, xtrapulp_gen::EdgeList)> {
 /// them a pendant hanging off vertex 3; epoch 9 also deletes the pendant's only edge,
 /// which splits it off the giant component (a BFS check and a label reset).
 fn golden_deltas(el: &xtrapulp_gen::EdgeList) -> Vec<GraphDelta> {
-    let n = el.to_csr().num_vertices() as u64;
+    let n = el.num_vertices;
     let stream = generate_stream(
         el,
         &UpdateStreamConfig {
@@ -649,15 +651,15 @@ const GOLDEN_COMM_BYTES: &[(&str, [u64; GOLDEN_EPOCHS])] = &[
     (
         "ba/r2",
         [
-            623704, 624800, 646032, 609560, 664792, 609008, 539680, 568184, 1376968, 620440,
-            612592, 611072,
+            174736, 174032, 179446, 176117, 195345, 178343, 167932, 168458, 397069, 175034, 174851,
+            174162,
         ],
     ),
     (
         "ba/r4",
         [
-            1270520, 1251680, 1289720, 1235872, 1305712, 1207456, 1074536, 1142136, 2557880,
-            1222336, 1202256, 1199656,
+            411028, 407993, 421121, 414419, 459152, 419127, 395435, 397421, 938300, 413323, 412568,
+            411370,
         ],
     ),
     (
@@ -669,15 +671,15 @@ const GOLDEN_COMM_BYTES: &[(&str, [u64; GOLDEN_EPOCHS])] = &[
     (
         "rmat/r2",
         [
-            1250504, 344320, 859384, 1253240, 517016, 1449648, 1337744, 1242480, 1299528, 367976,
-            1263384, 1263608,
+            258304, 86331, 186141, 259686, 121014, 262522, 279884, 261633, 274450, 93195, 266085,
+            266638,
         ],
     ),
     (
         "rmat/r4",
         [
-            2240520, 644032, 1551952, 2249720, 964704, 2688880, 2404000, 2238040, 2340296, 688600,
-            2262248, 2265384,
+            577879, 196228, 416649, 583458, 275997, 588477, 627672, 587410, 614926, 212165, 592308,
+            595523,
         ],
     ),
 ];
