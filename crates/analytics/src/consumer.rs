@@ -26,11 +26,10 @@ use std::time::{Duration, Instant};
 
 use serde::Serialize;
 use xtrapulp_comm::Runtime;
-use xtrapulp_graph::{
-    Csr, DistGraph, Distribution, GlobalId, GraphDelta, HaloError, HaloPlan, LocalId,
-};
+use xtrapulp_graph::{Csr, DistGraph, Distribution, GlobalId, GraphDelta, HaloPlan, LocalId};
 use xtrapulp_serve::EpochStore;
 
+use crate::in_process;
 use crate::incremental::{
     kcore_tighten, pagerank_resume, wcc_propagate, wcc_repair, PagerankWork, WccWork,
 };
@@ -480,14 +479,6 @@ fn scatter<T: Copy>(per_rank: Vec<Vec<(GlobalId, T)>>, n: usize, default: T) -> 
     out
 }
 
-/// The consumer's ranks are threads of its own runtime, exchanging over a plan they built
-/// together from graphs they built together: a halo exchange one of them rejects is a bug
-/// in this crate, not a condition a caller can meet or handle.
-fn in_process<T>(result: Result<T, HaloError>) -> T {
-    // lint: panic-ok — see the function docs: unreachable unless this crate is wrong
-    result.expect("the consumer's in-process ranks agree on the halo")
-}
-
 /// Cold recomputation of every analytic on `graph`; also the epoch-0 initialiser.
 fn cold_state(
     ctx: &xtrapulp_comm::RankCtx,
@@ -537,9 +528,9 @@ fn cold_state(
 /// widens the coreness bound: a batch of `k` edge insertions raises any coreness by at
 /// most `k`.
 ///
-/// [`DistGraph::apply_delta`] keeps owned local ids whenever ownership is stable (always
-/// under the consumer's explicit placement), so the carry-over is a prefix copy; only a
-/// migrating rebuild (growing a `Block` distribution) needs the per-vertex lookup.
+/// The consumer places vertices with an explicit distribution, under which
+/// [`DistGraph::apply_delta`] keeps every owned local id and appends the new vertices, so
+/// the carry-over is a prefix copy.
 fn remap_state(
     ctx: &xtrapulp_comm::RankCtx,
     old: &RankState,
@@ -548,34 +539,25 @@ fn remap_state(
 ) -> RankState {
     let n_owned = graph.n_owned();
     let old_n_owned = old.graph.n_owned();
+    debug_assert!(
+        old_n_owned <= n_owned
+            && (0..old_n_owned as LocalId).all(|v| graph.global_id(v) == old.graph.global_id(v)),
+        "a stable apply_delta keeps owned local ids"
+    );
     let scale = old.graph.global_n().max(1) as f64 / graph.global_n().max(1) as f64;
     let uniform = 1.0 / graph.global_n().max(1) as f64;
-    let ids_kept = old_n_owned <= n_owned
-        && (0..old_n_owned as LocalId).all(|v| graph.global_id(v) == old.graph.global_id(v));
-    let old_id = |v: usize| {
-        if ids_kept {
-            (v < old_n_owned).then_some(v)
-        } else {
-            let g = graph.global_id(v as LocalId);
-            let l = old.graph.local_id(g).filter(|&l| old.graph.is_owned(l))?;
-            Some(l as usize)
-        }
-    };
     let mut pagerank = vec![uniform; n_owned];
     let mut labels = vec![0u64; n_owned];
     let mut core = vec![0u64; n_owned];
     for v in 0..n_owned {
         let degree = graph.degree_owned(v as LocalId);
-        match old_id(v) {
-            Some(l) => {
-                pagerank[v] = old.pagerank[l] * scale;
-                labels[v] = old.labels[l];
-                core[v] = (old.core[l] + inserted_bound).min(degree);
-            }
-            None => {
-                labels[v] = graph.global_id(v as LocalId);
-                core[v] = degree;
-            }
+        if v < old_n_owned {
+            pagerank[v] = old.pagerank[v] * scale;
+            labels[v] = old.labels[v];
+            core[v] = (old.core[v] + inserted_bound).min(degree);
+        } else {
+            labels[v] = graph.global_id(v as LocalId);
+            core[v] = degree;
         }
     }
     let halo = in_process(HaloPlan::build(ctx, &graph));

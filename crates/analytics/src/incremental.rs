@@ -155,6 +155,8 @@ pub fn pagerank_resume(
     let mut next_active = vec![false; n_owned];
     // This iteration's scored vertices, and whether each wakes its neighbours.
     let mut scored: Vec<(LocalId, bool)> = Vec::new();
+    // The scored vertices whose contribution changed or that wake: what the push ships.
+    let mut moved: Vec<(LocalId, (f64, u8))> = Vec::new();
 
     let mut work = PagerankWork::default();
     for _ in 0..max_iters {
@@ -194,12 +196,16 @@ pub fn pagerank_resume(
         // The sweep read last iteration's contributions throughout; only now do the
         // scored vertices' move. What changed (or wakes) goes to the holders, which mark
         // the owned neighbours of a waking ghost through the transpose.
-        let moved = scored.iter().filter_map(|&(v, wakes)| {
+        moved.clear();
+        for &(v, wakes) in &scored {
             let fresh = contribution(v as usize, ranks[v as usize]);
             let stale = std::mem::replace(&mut contrib[v as usize], fresh);
-            (wakes || fresh != stale).then_some((v, (fresh, wakes as u8)))
-        });
-        halo.push(ctx, moved, &mut ghost, |slot, _, (_, wakes)| {
+            if wakes || fresh != stale {
+                moved.push((v, (fresh, wakes as u8)));
+            }
+        }
+        let updates = moved.iter().copied();
+        halo.push(ctx, updates, &mut ghost, |slot, _, (_, wakes)| {
             if wakes != 0 {
                 for &u in halo.owned_neighbors(slot) {
                     next_active[u as usize] = true;

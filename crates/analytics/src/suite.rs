@@ -8,6 +8,7 @@ use xtrapulp_graph::{DistGraph, Distribution, GlobalId, HaloError};
 use crate::algorithms::{
     harmonic_centrality, kcore_approx, label_propagation, largest_component, pagerank, wcc,
 };
+use crate::in_process;
 
 /// Timing (and traffic) of one analytic under one partitioning strategy.
 #[derive(Debug, Clone)]
@@ -139,8 +140,7 @@ fn hc_source_sample(global_n: u64, want: usize) -> Vec<GlobalId> {
 }
 
 /// Build the graph with ownership given by `parts` (one rank per part) and run the suite.
-/// `parts` must map every global vertex to a rank in `0..nranks`. Fails as [`run_suite`]
-/// does.
+/// `parts` must map every global vertex to a rank in `0..nranks`.
 pub fn run_suite_with_partition(
     nranks: usize,
     global_n: u64,
@@ -149,18 +149,18 @@ pub fn run_suite_with_partition(
     strategy: &str,
     partition_seconds: f64,
     hc_sources: usize,
-) -> Result<SuiteResult, HaloError> {
+) -> SuiteResult {
     let dist = Distribution::from_parts(parts);
     let per_rank = Runtime::run(nranks, |ctx| {
         let graph = DistGraph::from_shared_edges(ctx, dist.clone(), global_n, edges);
-        run_suite(ctx, &graph, hc_sources)
+        in_process(run_suite(ctx, &graph, hc_sources))
     });
     // All ranks report identical (allreduced) numbers; take rank 0's.
-    Ok(SuiteResult {
+    SuiteResult {
         strategy: strategy.to_string(),
         partition_seconds,
-        analytics: per_rank.into_iter().next().unwrap()?,
-    })
+        analytics: per_rank.into_iter().next().unwrap(),
+    }
 }
 
 #[cfg(test)]
@@ -211,8 +211,7 @@ mod tests {
                 method.name(),
                 0.0,
                 4,
-            )
-            .expect("ranks built one graph");
+            );
             assert_eq!(result.analytics.len(), 6);
             assert!(result.analytics.iter().all(|a| a.seconds >= 0.0));
             totals.push((method, result));

@@ -55,8 +55,7 @@ fn main() {
             method.name(),
             partition_seconds,
             16,
-        )
-        .expect("ranks built one graph");
+        );
         let mut row = vec![method.to_string()];
         for a in &result.analytics {
             row.push(format!("{} {:.2}s", a.name, a.seconds));

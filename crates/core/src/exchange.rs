@@ -3,13 +3,14 @@
 //! After a rank reassigns some of its owned vertices, every rank that keeps a ghost copy
 //! of those vertices must learn the new part labels before the next iteration. Which
 //! ranks those are, and where each ghost copy sits in their label arrays, is the graph
-//! layer's [`HaloPlan`] — resolved once per job and shared with every other consumer of
-//! per-vertex state (the analytics kernels keep PageRank contributions, component labels
-//! and coreness bounds coherent through the same [`HaloPlan::push`]). This module is the
-//! partitioner's view of it: [`push_part_updates`] ships `(local id on the receiving
-//! rank, new part)` — 8 wire bytes per ghost copy — marks the frontier around every ghost
-//! whose label actually changed, and reports a rejected slot as
-//! [`PartitionError::CorruptExchange`].
+//! layer's [`HaloPlan`] — resolved once per job and shared with the warm analytics
+//! kernels, which keep PageRank contributions, component labels and coreness bounds
+//! coherent through the same [`HaloPlan::push`]. This module is the partitioner's view of
+//! it: [`push_part_updates`] ships `(local id on the receiving rank, new part)` — 8 wire
+//! bytes per ghost copy — marks the frontier around every ghost whose label actually
+//! changed, and reports a rejected slot as [`PartitionError::CorruptExchange`]. The
+//! one-off [`refresh_ghost_parts`] does not go through the plan: it pulls every ghost
+//! label with the graph's request/reply exchange.
 
 use xtrapulp_comm::RankCtx;
 use xtrapulp_graph::{DistGraph, LocalId};

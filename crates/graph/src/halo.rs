@@ -9,15 +9,21 @@
 //! ids?" with one `Alltoallv`, and the holders answer with a second. The same pass builds
 //! the ghost→owned transpose.
 //!
-//! Every consumer of per-vertex state — the partitioner's part labels, PageRank
-//! contributions, component labels, coreness bounds, BFS reached flags — then keeps a
-//! ghost array coherent with one routine, [`HaloPlan::push`]: what travels per update is
-//! `(local id on the receiving rank, value)`, built by copying the changed vertex's plan
-//! row and applied on the receiver by a bounds-checked indexed store. The sender never
+//! The kernels that update per-vertex state incrementally — the partitioner's part labels,
+//! the warm PageRank contributions, component labels and coreness bounds, BFS reached
+//! flags — then keep a ghost array coherent with one routine, [`HaloPlan::push`]: what
+//! travels per update is `(local id on the receiving rank, value)`, built by copying the
+//! changed vertex's plan row and applied on the receiver by a bounds-checked indexed
+//! store. The sender never
 //! re-walks an adjacency list and the receiver never hashes a global id: following the
 //! rule that the side that fans in is the bottleneck, the lookup is done once by the many
 //! owners instead of on every update by the one holder. A full refresh is the same call
 //! over every owned vertex (interior vertices have empty plan rows).
+//!
+//! It is not the only ghost exchange in the workspace: callers that hold no plan — the
+//! partitioner's one-off `refresh_ghost_parts` and the cold Fig. 8 suite's `pagerank`,
+//! `wcc` and `kcore_approx` — still pull through the hash-resolved request/reply of
+//! [`DistGraph::ghost_values_with`], which the tests below also use as the reference.
 
 use xtrapulp_comm::{RankCtx, WireElem};
 

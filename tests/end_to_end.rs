@@ -166,8 +166,7 @@ fn analytics_suite_runs_on_a_partitioned_graph() {
         "XtraPuLP",
         0.0,
         4,
-    )
-    .expect("ranks built one graph");
+    );
     assert_eq!(result.analytics.len(), 6);
     let names: Vec<&str> = result.analytics.iter().map(|a| a.name).collect();
     assert_eq!(names, vec!["HC", "KC", "LP", "PR", "SCC", "WCC"]);
