@@ -4,15 +4,22 @@
 //! rank updates its owned vertices, then refreshes ghost values from their owners before
 //! the next superstep. Their communication volume is therefore proportional to the number
 //! of cut edges of the distribution the graph was built with — which is exactly why the
-//! partitioning strategy matters for their end-to-end time.
+//! partitioning strategy matters for their end-to-end time. The refresh is a full push
+//! over the graph's halo plan, so each of them fails with a [`HaloError`] only when a peer
+//! names a ghost slot this rank does not have.
 
 use xtrapulp_comm::RankCtx;
 use xtrapulp_graph::bfs::dist_bfs;
-use xtrapulp_graph::{DistGraph, GlobalId, HaloError, HaloPlan, LocalId};
+use xtrapulp_graph::{DistGraph, GlobalId, HaloError, LocalId};
 
 /// Distributed PageRank (`PR` in Fig. 8) with uniform teleport; returns the PageRank of
 /// every owned vertex.
-pub fn pagerank(ctx: &RankCtx, graph: &DistGraph, iterations: usize, damping: f64) -> Vec<f64> {
+pub fn pagerank(
+    ctx: &RankCtx,
+    graph: &DistGraph,
+    iterations: usize,
+    damping: f64,
+) -> Result<Vec<f64>, HaloError> {
     let n_owned = graph.n_owned();
     let n = graph.global_n() as f64;
     let mut rank_owned = vec![1.0 / n; n_owned];
@@ -28,7 +35,7 @@ pub fn pagerank(ctx: &RankCtx, graph: &DistGraph, iterations: usize, damping: f6
                 }
             })
             .collect();
-        let ghost_contrib = graph.ghost_values_f64(ctx, &contrib);
+        let ghost_contrib = graph.ghost_values_with(ctx, |v| contrib[v as usize])?;
         let mut next = vec![(1.0 - damping) / n; n_owned];
         for (v, next_v) in next.iter_mut().enumerate() {
             let mut sum = 0.0;
@@ -44,19 +51,19 @@ pub fn pagerank(ctx: &RankCtx, graph: &DistGraph, iterations: usize, damping: f6
         }
         rank_owned = next;
     }
-    rank_owned
+    Ok(rank_owned)
 }
 
 /// Distributed weakly connected components (`WCC`): iterative min-label propagation.
 /// Returns the component id (smallest global vertex id in the component) of every owned
 /// vertex.
-pub fn wcc(ctx: &RankCtx, graph: &DistGraph) -> Vec<u64> {
+pub fn wcc(ctx: &RankCtx, graph: &DistGraph) -> Result<Vec<u64>, HaloError> {
     let n_owned = graph.n_owned();
     let mut label: Vec<u64> = (0..n_owned)
         .map(|v| graph.global_id(v as LocalId))
         .collect();
     loop {
-        let ghost_labels = graph.ghost_values_u64(ctx, &label);
+        let ghost_labels = graph.ghost_values_with(ctx, |v| label[v as usize])?;
         let mut changed = 0u64;
         for v in 0..n_owned {
             let mut best = label[v];
@@ -80,15 +87,15 @@ pub fn wcc(ctx: &RankCtx, graph: &DistGraph) -> Vec<u64> {
             break;
         }
     }
-    label
+    Ok(label)
 }
 
 /// "Strongly" connected component extraction (`SCC`): the paper treats all edges as
 /// undirected, so the largest strongly connected component coincides with the largest
 /// weakly connected one; this routine extracts it (returns whether each owned vertex
 /// belongs to the largest component, plus its global size).
-pub fn largest_component(ctx: &RankCtx, graph: &DistGraph) -> (Vec<bool>, u64) {
-    let labels = wcc(ctx, graph);
+pub fn largest_component(ctx: &RankCtx, graph: &DistGraph) -> Result<(Vec<bool>, u64), HaloError> {
+    let labels = wcc(ctx, graph)?;
     // Count label frequencies globally. Labels are global vertex ids; count locally into a
     // map, then reduce the top candidate by (count, label).
     let mut counts: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
@@ -108,7 +115,7 @@ pub fn largest_component(ctx: &RankCtx, graph: &DistGraph) -> (Vec<bool>, u64) {
         .max_by_key(|(&l, &c)| (c, std::cmp::Reverse(l)))
         .unwrap_or((&0, &0));
     let membership = labels.iter().map(|&l| l == best_label).collect();
-    (membership, best_size)
+    Ok((membership, best_size))
 }
 
 /// `min(cap, H)`, where `H` is the h-index of `values` (the largest `h` such that at least
@@ -134,14 +141,18 @@ pub(crate) fn capped_h_index(values: &[u64], cap: u64, counts: &mut Vec<u32>) ->
 /// Distributed approximate k-core decomposition (`KC`): iterative peeling where each
 /// round removes every vertex whose residual degree is below the current core value.
 /// Returns an approximate coreness per owned vertex.
-pub fn kcore_approx(ctx: &RankCtx, graph: &DistGraph, max_rounds: usize) -> Vec<u64> {
+pub fn kcore_approx(
+    ctx: &RankCtx,
+    graph: &DistGraph,
+    max_rounds: usize,
+) -> Result<Vec<u64>, HaloError> {
     let n_owned = graph.n_owned();
     let mut coreness: Vec<u64> = (0..n_owned)
         .map(|v| graph.degree_owned(v as LocalId))
         .collect();
     let (mut neigh, mut counts) = (Vec::new(), Vec::new());
     for _ in 0..max_rounds {
-        let ghost_core = graph.ghost_values_u64(ctx, &coreness);
+        let ghost_core = graph.ghost_values_with(ctx, |v| coreness[v as usize])?;
         let mut changed = 0u64;
         for v in 0..n_owned {
             // h-index style update: the largest h such that at least h neighbours have
@@ -165,19 +176,23 @@ pub fn kcore_approx(ctx: &RankCtx, graph: &DistGraph, max_rounds: usize) -> Vec<
             break;
         }
     }
-    coreness
+    Ok(coreness)
 }
 
 /// Distributed label-propagation community detection (`LP`): each vertex adopts the most
 /// frequent label among its neighbours for a fixed number of sweeps.
-pub fn label_propagation(ctx: &RankCtx, graph: &DistGraph, sweeps: usize) -> Vec<u64> {
+pub fn label_propagation(
+    ctx: &RankCtx,
+    graph: &DistGraph,
+    sweeps: usize,
+) -> Result<Vec<u64>, HaloError> {
     let n_owned = graph.n_owned();
     let mut label: Vec<u64> = (0..n_owned)
         .map(|v| graph.global_id(v as LocalId))
         .collect();
     let mut counts: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
     for _ in 0..sweeps {
-        let ghost_labels = graph.ghost_values_u64(ctx, &label);
+        let ghost_labels = graph.ghost_values_with(ctx, |v| label[v as usize])?;
         let mut changed = 0u64;
         for v in 0..n_owned {
             counts.clear();
@@ -201,22 +216,20 @@ pub fn label_propagation(ctx: &RankCtx, graph: &DistGraph, sweeps: usize) -> Vec
             break;
         }
     }
-    label
+    Ok(label)
 }
 
 /// Distributed harmonic centrality (`HC`) of `sources.len()` sampled vertices: for each
 /// source, a BFS provides distances and the harmonic sum `Σ 1/d` is accumulated.
-/// Returns one centrality value per source, identical on every rank. The searches share
-/// one [`HaloPlan`], built here; a rejected exchange is a [`HaloError`].
+/// Returns one centrality value per source, identical on every rank.
 pub fn harmonic_centrality(
     ctx: &RankCtx,
     graph: &DistGraph,
     sources: &[GlobalId],
 ) -> Result<Vec<f64>, HaloError> {
-    let halo = HaloPlan::build(ctx, graph)?;
     let mut out = Vec::with_capacity(sources.len());
     for &s in sources {
-        let bfs = dist_bfs(ctx, graph, &halo, s)?;
+        let bfs = dist_bfs(ctx, graph, s)?;
         let local_sum: f64 = bfs
             .levels
             .iter()
@@ -267,7 +280,7 @@ mod tests {
         let (n, edges) = test_edges();
         let out = Runtime::run(3, |ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Cyclic, n, &edges);
-            let pr = pagerank(ctx, &g, 30, 0.85);
+            let pr = pagerank(ctx, &g, 30, 0.85).unwrap();
             let local_sum: f64 = pr.iter().sum();
             ctx.allreduce_sum_f64(&[local_sum])[0]
         });
@@ -283,13 +296,13 @@ mod tests {
         let (n, edges) = test_edges();
         let reference = Runtime::run(1, |ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, n, &edges);
-            pagerank(ctx, &g, 20, 0.85)
+            pagerank(ctx, &g, 20, 0.85).unwrap()
         })
         .pop()
         .unwrap();
         let out = Runtime::run(4, |ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, n, &edges);
-            let pr = pagerank(ctx, &g, 20, 0.85);
+            let pr = pagerank(ctx, &g, 20, 0.85).unwrap();
             (0..g.n_owned())
                 .map(|v| (g.global_id(v as LocalId), pr[v]))
                 .collect::<Vec<_>>()
@@ -310,7 +323,7 @@ mod tests {
         let (n, edges) = test_edges();
         let out = Runtime::run(2, |ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, n, &edges);
-            let labels = wcc(ctx, &g);
+            let labels = wcc(ctx, &g).unwrap();
             (0..g.n_owned())
                 .map(|v| (g.global_id(v as LocalId), labels[v]))
                 .collect::<Vec<_>>()
@@ -326,7 +339,7 @@ mod tests {
         let (n, edges) = test_edges();
         let out = Runtime::run(3, |ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Hashed, n, &edges);
-            largest_component(ctx, &g).1
+            largest_component(ctx, &g).unwrap().1
         });
         assert!(out.iter().all(|&s| s == 6));
     }
@@ -336,7 +349,7 @@ mod tests {
         let (n, edges) = test_edges();
         let out = Runtime::run(2, |ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, n, &edges);
-            let core = kcore_approx(ctx, &g, 20);
+            let core = kcore_approx(ctx, &g, 20).unwrap();
             (0..g.n_owned())
                 .map(|v| (g.global_id(v as LocalId), core[v]))
                 .collect::<Vec<_>>()
@@ -354,7 +367,7 @@ mod tests {
         let (n, edges) = test_edges();
         let out = Runtime::run(2, |ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, n, &edges);
-            let labels = label_propagation(ctx, &g, 10);
+            let labels = label_propagation(ctx, &g, 10).unwrap();
             (0..g.n_owned())
                 .map(|v| (g.global_id(v as LocalId), labels[v]))
                 .collect::<Vec<_>>()

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use serde::Serialize;
 use xtrapulp_comm::Runtime;
-use xtrapulp_graph::{Csr, DistGraph, Distribution, GlobalId, GraphDelta, HaloPlan, LocalId};
+use xtrapulp_graph::{Csr, DistGraph, Distribution, GlobalId, GraphDelta, LocalId};
 use xtrapulp_serve::EpochStore;
 
 use crate::in_process;
@@ -145,8 +145,6 @@ pub struct ColdWork {
 /// closure by reference each epoch.
 struct RankState {
     graph: DistGraph,
-    /// The graph's halo plan, built once per ingested epoch and shared by every kernel.
-    halo: HaloPlan,
     pagerank: Vec<f64>,
     labels: Vec<u64>,
     core: Vec<u64>,
@@ -346,10 +344,9 @@ impl AnalyticsConsumer {
                     None => old.graph.clone(),
                 };
                 let outcome = if warm {
-                    let mut state = remap_state(ctx, old, graph, inserted_bound);
+                    let mut state = remap_state(old, graph, inserted_bound);
                     let RankState {
                         graph,
-                        halo,
                         pagerank,
                         labels,
                         core,
@@ -357,15 +354,14 @@ impl AnalyticsConsumer {
                     let pr = in_process(pagerank_resume(
                         ctx,
                         graph,
-                        halo,
                         pagerank,
                         Some(touched),
                         policy.damping,
                         policy.tolerance,
                         policy.max_iterations,
                     ));
-                    let wcc = in_process(wcc_repair(ctx, graph, halo, labels, &deleted));
-                    let rounds = in_process(kcore_tighten(ctx, graph, halo, core, usize::MAX));
+                    let wcc = in_process(wcc_repair(ctx, graph, labels, &deleted));
+                    let rounds = in_process(kcore_tighten(ctx, graph, core, usize::MAX));
                     (state, pr, wcc, rounds)
                 } else {
                     let (state, pr, sweeps, rounds) = cold_state(ctx, graph, &policy);
@@ -486,13 +482,11 @@ fn cold_state(
     policy: &WarmPolicy,
 ) -> (RankState, PagerankWork, u64, u64) {
     let n_owned = graph.n_owned();
-    let halo = in_process(HaloPlan::build(ctx, &graph));
     let uniform = 1.0 / graph.global_n().max(1) as f64;
     let mut pagerank = vec![uniform; n_owned];
     let pr = in_process(pagerank_resume(
         ctx,
         &graph,
-        &halo,
         &mut pagerank,
         None,
         policy.damping,
@@ -502,15 +496,14 @@ fn cold_state(
     let mut labels: Vec<u64> = (0..n_owned)
         .map(|v| graph.global_id(v as LocalId))
         .collect();
-    let sweeps = in_process(wcc_propagate(ctx, &graph, &halo, &mut labels));
+    let sweeps = in_process(wcc_propagate(ctx, &graph, &mut labels));
     let mut core: Vec<u64> = (0..n_owned)
         .map(|v| graph.degree_owned(v as LocalId))
         .collect();
-    let rounds = in_process(kcore_tighten(ctx, &graph, &halo, &mut core, usize::MAX));
+    let rounds = in_process(kcore_tighten(ctx, &graph, &mut core, usize::MAX));
     (
         RankState {
             graph,
-            halo,
             pagerank,
             labels,
             core,
@@ -521,22 +514,16 @@ fn cold_state(
     )
 }
 
-/// Carry one rank's warm state over to the delta-evolved `graph` and build its halo
-/// plan: PageRank values are rescaled by the vertex-count ratio (the teleport term's
-/// exact response to growth), labels and coreness bounds are copied, and new vertices
-/// get their cold seeds (uniform rank, own-id label, degree bound). `inserted_bound`
-/// widens the coreness bound: a batch of `k` edge insertions raises any coreness by at
-/// most `k`.
+/// Carry one rank's warm state over to the delta-evolved `graph`: PageRank values are
+/// rescaled by the vertex-count ratio (the teleport term's exact response to growth),
+/// labels and coreness bounds are copied, and new vertices get their cold seeds (uniform
+/// rank, own-id label, degree bound). `inserted_bound` widens the coreness bound: a batch
+/// of `k` edge insertions raises any coreness by at most `k`.
 ///
 /// The consumer places vertices with an explicit distribution, under which
 /// [`DistGraph::apply_delta`] keeps every owned local id and appends the new vertices, so
 /// the carry-over is a prefix copy.
-fn remap_state(
-    ctx: &xtrapulp_comm::RankCtx,
-    old: &RankState,
-    graph: DistGraph,
-    inserted_bound: u64,
-) -> RankState {
+fn remap_state(old: &RankState, graph: DistGraph, inserted_bound: u64) -> RankState {
     let n_owned = graph.n_owned();
     let old_n_owned = old.graph.n_owned();
     debug_assert!(
@@ -560,10 +547,8 @@ fn remap_state(
             core[v] = degree;
         }
     }
-    let halo = in_process(HaloPlan::build(ctx, &graph));
     RankState {
         graph,
-        halo,
         pagerank,
         labels,
         core,

@@ -27,9 +27,10 @@
 //!
 //! # Exchange and wake rule
 //!
-//! Every kernel works on the graph's [`HaloPlan`] — the partitioner's, built once per
-//! ingested epoch — and keeps one ghost array (contributions, labels, bounds) for the
-//! whole call: a full-boundary [`push`](HaloPlan::push) fills it, and after each
+//! Every kernel works on the graph's own [`HaloPlan`](xtrapulp_graph::HaloPlan) — the one
+//! the partitioner uses, resolved when the graph was built — and keeps one ghost array
+//! (contributions, labels, bounds) for the whole call: a full-boundary push
+//! ([`DistGraph::ghost_values_with`]) fills it, and after each
 //! iteration only the boundary values that *changed* travel, as `(local id on the holder,
 //! value)`, stored by index. No global id is shipped or hashed inside an iteration; what a
 //! remote change re-activates is found through the plan's ghost→owned transpose on the
@@ -50,23 +51,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use xtrapulp_comm::{RankCtx, WireElem};
+use xtrapulp_comm::RankCtx;
 use xtrapulp_graph::bfs::{dist_bfs, UNREACHED};
-use xtrapulp_graph::{DistGraph, GlobalId, HaloError, HaloPlan, LocalId};
+use xtrapulp_graph::{DistGraph, GlobalId, HaloError, LocalId};
 
 use crate::algorithms::capped_h_index;
-
-/// The ghost copy of a per-owned-vertex value: a push over every owned vertex.
-fn ghost_copy<T: WireElem + Default>(
-    ctx: &RankCtx,
-    halo: &HaloPlan,
-    value_of: impl Fn(usize) -> T,
-) -> Result<Vec<T>, HaloError> {
-    let mut ghosts = vec![T::default(); halo.n_ghost()];
-    let owned = (0..halo.n_owned()).map(|v| (v as LocalId, value_of(v)));
-    halo.push(ctx, owned, &mut ghosts, |_, _, _| {})?;
-    Ok(ghosts)
-}
 
 /// Work accounting of one [`pagerank_resume`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -98,13 +87,13 @@ pub struct PagerankWork {
 pub fn pagerank_resume(
     ctx: &RankCtx,
     graph: &DistGraph,
-    halo: &HaloPlan,
     ranks: &mut [f64],
     seeds: Option<&[GlobalId]>,
     damping: f64,
     tol: f64,
     max_iters: usize,
 ) -> Result<PagerankWork, HaloError> {
+    let halo = graph.halo();
     let n_owned = graph.n_owned();
     assert_eq!(ranks.len(), n_owned, "one rank value per owned vertex");
     let n = graph.global_n().max(1) as f64;
@@ -151,7 +140,7 @@ pub fn pagerank_resume(
     };
     let mut contrib: Vec<f64> = (0..n_owned).map(|v| contribution(v, ranks[v])).collect();
     // A ghost's contribution, and whether its last update asked to wake its neighbours.
-    let mut ghost: Vec<(f64, u8)> = ghost_copy(ctx, halo, |v| (contrib[v], 0))?;
+    let mut ghost: Vec<(f64, u8)> = graph.ghost_values_with(ctx, |v| (contrib[v as usize], 0))?;
     let mut next_active = vec![false; n_owned];
     // This iteration's scored vertices, and whether each wakes its neighbours.
     let mut scored: Vec<(LocalId, bool)> = Vec::new();
@@ -244,14 +233,14 @@ pub struct WccWork {
 fn tighten(
     ctx: &RankCtx,
     graph: &DistGraph,
-    halo: &HaloPlan,
     x: &mut [u64],
     max_sweeps: usize,
     mut lower: impl FnMut(&[u64], u64) -> u64,
 ) -> Result<u64, HaloError> {
+    let halo = graph.halo();
     let n_owned = graph.n_owned();
     assert_eq!(x.len(), n_owned, "one value per owned vertex");
-    let mut ghost_x = ghost_copy(ctx, halo, |v| x[v])?;
+    let mut ghost_x = graph.ghost_values_with(ctx, |v| x[v as usize])?;
     let crossed = |previous: u64, new: u64, theirs: u64| previous >= theirs && new < theirs;
     // A flag set on a vertex the sweep has yet to reach is consumed by this sweep, as a
     // full sweep would see the lowered value; one set behind it waits for the next.
@@ -309,10 +298,9 @@ fn tighten(
 pub fn wcc_propagate(
     ctx: &RankCtx,
     graph: &DistGraph,
-    halo: &HaloPlan,
     labels: &mut [u64],
 ) -> Result<u64, HaloError> {
-    tighten(ctx, graph, halo, labels, usize::MAX, |neigh, mine| {
+    tighten(ctx, graph, labels, usize::MAX, |neigh, mine| {
         neigh.iter().copied().fold(mine, u64::min)
     })
 }
@@ -334,7 +322,6 @@ pub fn wcc_propagate(
 pub fn wcc_repair(
     ctx: &RankCtx,
     graph: &DistGraph,
-    halo: &HaloPlan,
     labels: &mut [u64],
     deleted_edges: &[(GlobalId, GlobalId)],
 ) -> Result<WccWork, HaloError> {
@@ -377,7 +364,7 @@ pub fn wcc_repair(
                 continue;
             };
             work.components_checked += 1;
-            let bfs = dist_bfs(ctx, graph, halo, root)?;
+            let bfs = dist_bfs(ctx, graph, root)?;
             let unreached_here: u64 = endpoints
                 .iter()
                 .filter_map(|&g| graph.local_id(g).filter(|&l| graph.is_owned(l)))
@@ -397,7 +384,7 @@ pub fn wcc_repair(
         }
     }
 
-    work.sweeps = wcc_propagate(ctx, graph, halo, labels)?;
+    work.sweeps = wcc_propagate(ctx, graph, labels)?;
     Ok(work)
 }
 
@@ -410,12 +397,11 @@ pub fn wcc_repair(
 pub fn kcore_tighten(
     ctx: &RankCtx,
     graph: &DistGraph,
-    halo: &HaloPlan,
     core: &mut [u64],
     max_rounds: usize,
 ) -> Result<u64, HaloError> {
     let mut counts = Vec::new();
-    tighten(ctx, graph, halo, core, max_rounds, |neigh, mine| {
+    tighten(ctx, graph, core, max_rounds, |neigh, mine| {
         capped_h_index(neigh, mine, &mut counts)
     })
 }
@@ -461,12 +447,10 @@ mod tests {
         for nranks in [1usize, 3] {
             let out = Runtime::run(nranks, |ctx| {
                 let g = DistGraph::from_shared_edges(ctx, Distribution::Block, n, &edges);
-                let halo = HaloPlan::build(ctx, &g).unwrap();
                 let mut ranks = vec![1.0 / n as f64; g.n_owned()];
-                let work =
-                    pagerank_resume(ctx, &g, &halo, &mut ranks, None, 0.85, 1e-12, 500).unwrap();
+                let work = pagerank_resume(ctx, &g, &mut ranks, None, 0.85, 1e-12, 500).unwrap();
                 assert!(work.converged);
-                let reference = pagerank(ctx, &g, 120, 0.85);
+                let reference = pagerank(ctx, &g, 120, 0.85).unwrap();
                 for (a, b) in ranks.iter().zip(reference.iter()) {
                     assert!((a - b).abs() < 1e-9, "{a} vs {b}");
                 }
@@ -484,20 +468,16 @@ mod tests {
         let delta = GraphDelta::new(n, 0, &[(5, 6)], &[]);
         let out = Runtime::run(2, |ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, n, &edges);
-            let halo = HaloPlan::build(ctx, &g).unwrap();
             let mut ranks = vec![1.0 / n as f64; g.n_owned()];
-            pagerank_resume(ctx, &g, &halo, &mut ranks, None, 0.85, 1e-12, 500).unwrap();
+            pagerank_resume(ctx, &g, &mut ranks, None, 0.85, 1e-12, 500).unwrap();
 
             let g2 = g.apply_delta(ctx, &delta);
-            let halo2 = HaloPlan::build(ctx, &g2).unwrap();
             let seeds = delta.touched_including_added();
             let warm =
-                pagerank_resume(ctx, &g2, &halo2, &mut ranks, Some(&seeds), 0.85, 1e-12, 500)
-                    .unwrap();
+                pagerank_resume(ctx, &g2, &mut ranks, Some(&seeds), 0.85, 1e-12, 500).unwrap();
             // Reference: cold solve on the mutated graph.
             let mut cold_ranks = vec![1.0 / n as f64; g2.n_owned()];
-            let cold =
-                pagerank_resume(ctx, &g2, &halo2, &mut cold_ranks, None, 0.85, 1e-12, 500).unwrap();
+            let cold = pagerank_resume(ctx, &g2, &mut cold_ranks, None, 0.85, 1e-12, 500).unwrap();
             for (a, b) in ranks.iter().zip(cold_ranks.iter()) {
                 assert!((a - b).abs() < 1e-7, "warm {a} vs cold {b}");
             }
@@ -519,20 +499,18 @@ mod tests {
             let mut labels: Vec<u64> = (0..g.n_owned())
                 .map(|v| g.global_id(v as LocalId))
                 .collect();
-            let halo = HaloPlan::build(ctx, &g).unwrap();
-            wcc_propagate(ctx, &g, &halo, &mut labels).unwrap();
+            wcc_propagate(ctx, &g, &mut labels).unwrap();
 
             // Delete the bridge 2-3 (splits {0..5}) and insert 5-6 (merges {3,4,5}
             // with {6,7}); both in one delta.
             let delta = GraphDelta::new(n, 0, &[(5, 6)], &[(2, 3)]);
             let g2 = g.apply_delta(ctx, &delta);
-            let halo2 = HaloPlan::build(ctx, &g2).unwrap();
             let deleted: Vec<_> = delta.deleted_edges().collect();
-            let work = wcc_repair(ctx, &g2, &halo2, &mut labels, &deleted).unwrap();
+            let work = wcc_repair(ctx, &g2, &mut labels, &deleted).unwrap();
             assert!(work.components_checked >= 1);
             assert!(work.reset_vertices > 0, "the bridge deletion splits");
 
-            let mut fresh = wcc(ctx, &g2);
+            let mut fresh = wcc(ctx, &g2).unwrap();
             let repaired: Vec<(u64, u64)> = (0..g2.n_owned())
                 .map(|v| (g2.global_id(v as LocalId), labels[v]))
                 .collect();
@@ -560,13 +538,11 @@ mod tests {
             let mut labels: Vec<u64> = (0..g.n_owned())
                 .map(|v| g.global_id(v as LocalId))
                 .collect();
-            let halo = HaloPlan::build(ctx, &g).unwrap();
-            wcc_propagate(ctx, &g, &halo, &mut labels).unwrap();
+            wcc_propagate(ctx, &g, &mut labels).unwrap();
             let delta = GraphDelta::new(n, 0, &[], &[(0, 1)]);
             let g2 = g.apply_delta(ctx, &delta);
-            let halo2 = HaloPlan::build(ctx, &g2).unwrap();
             let deleted: Vec<_> = delta.deleted_edges().collect();
-            let work = wcc_repair(ctx, &g2, &halo2, &mut labels, &deleted).unwrap();
+            let work = wcc_repair(ctx, &g2, &mut labels, &deleted).unwrap();
             (work.components_checked, work.reset_vertices)
         });
         for (checked, reset) in out {
@@ -583,19 +559,18 @@ mod tests {
             let mut cold: Vec<u64> = (0..g.n_owned())
                 .map(|v| g.degree_owned(v as LocalId))
                 .collect();
-            let halo = HaloPlan::build(ctx, &g).unwrap();
-            let cold_rounds = kcore_tighten(ctx, &g, &halo, &mut cold, 100).unwrap();
+            let cold_rounds = kcore_tighten(ctx, &g, &mut cold, 100).unwrap();
 
             // A loose-but-valid upper bound (degree + 3) must land on the same values.
             let mut loose: Vec<u64> = (0..g.n_owned())
                 .map(|v| g.degree_owned(v as LocalId) + 3)
                 .collect();
-            kcore_tighten(ctx, &g, &halo, &mut loose, 100).unwrap();
+            kcore_tighten(ctx, &g, &mut loose, 100).unwrap();
             assert_eq!(cold, loose);
 
             // A warm seed (the answer itself) converges in one verification round.
             let mut warm = cold.clone();
-            let warm_rounds = kcore_tighten(ctx, &g, &halo, &mut warm, 100).unwrap();
+            let warm_rounds = kcore_tighten(ctx, &g, &mut warm, 100).unwrap();
             assert_eq!(warm, cold);
             assert!(warm_rounds <= cold_rounds);
             (0..g.n_owned())
@@ -609,7 +584,7 @@ mod tests {
     /// One round of the h-index iteration the plain way: pull every ghost bound, visit
     /// every vertex in order, update in place. Returns how many bounds fell.
     fn naive_kcore_round(ctx: &RankCtx, g: &DistGraph, core: &mut [u64]) -> u64 {
-        let ghost_core = g.ghost_values_u64(ctx, core);
+        let ghost_core = g.ghost_values_with(ctx, |v| core[v as usize]).unwrap();
         let mut changed = 0;
         for v in 0..g.n_owned() {
             let mut neigh: Vec<u64> = g
@@ -656,7 +631,6 @@ mod tests {
                 for nranks in 1..=4usize {
                     Runtime::run(nranks, |ctx| {
                         let g = DistGraph::from_shared_edges(ctx, dist.clone(), n, &edges);
-                        let halo = HaloPlan::build(ctx, &g).unwrap();
                         let seed_bounds: Vec<u64> = (0..g.n_owned())
                             .map(|v| g.degree_owned(v as LocalId) + slack)
                             .collect();
@@ -664,13 +638,13 @@ mod tests {
                         for rounds in 1.. {
                             let changed = naive_kcore_round(ctx, &g, &mut reference);
                             let mut core = seed_bounds.clone();
-                            let ran = kcore_tighten(ctx, &g, &halo, &mut core, rounds).unwrap();
+                            let ran = kcore_tighten(ctx, &g, &mut core, rounds).unwrap();
                             assert_eq!(ran, rounds as u64);
                             assert_eq!(core, reference, "iterate {rounds} diverged");
                             if changed == 0 {
                                 // The fixed point: an unbounded run stops right here.
                                 let mut core = seed_bounds.clone();
-                                let ran = kcore_tighten(ctx, &g, &halo, &mut core, usize::MAX);
+                                let ran = kcore_tighten(ctx, &g, &mut core, usize::MAX);
                                 assert_eq!((ran, core), (Ok(rounds as u64), reference));
                                 break;
                             }

@@ -35,9 +35,9 @@ pub use incremental::{
 };
 pub use suite::{run_suite, run_suite_with_partition, AnalyticResult, SuiteResult};
 
-/// For ranks that are threads of a runtime this crate owns, exchanging over a plan they
-/// built together from graphs they built together: a halo exchange one of them rejects is
-/// a bug in this crate, not a condition a caller can meet or handle.
+/// For ranks that are threads of a runtime this crate owns, exchanging over the halo plans
+/// of graphs they built together: a halo exchange one of them rejects is a bug in this
+/// crate, not a condition a caller can meet or handle.
 fn in_process<T>(result: Result<T, xtrapulp_graph::HaloError>) -> T {
     // lint: panic-ok — see the function docs: unreachable unless this crate is wrong
     result.expect("in-process ranks agree on the halo")

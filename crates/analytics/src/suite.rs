@@ -41,8 +41,8 @@ impl SuiteResult {
 
 /// Run the six analytics of Fig. 8 on the given distributed graph. `hc_sources` bounds
 /// the number of harmonic-centrality BFS sources (the paper uses 100 on WDC12; scale to
-/// the graph at hand). Fails only when the harmonic-centrality searches' halo exchange is
-/// rejected (the ranks' graphs disagree).
+/// the graph at hand). Fails only when a halo exchange is rejected (a peer names a ghost
+/// slot this rank does not have).
 pub fn run_suite(
     ctx: &RankCtx,
     graph: &DistGraph,
@@ -70,31 +70,31 @@ pub fn run_suite(
     // KC: approximate k-core decomposition.
     let before = ctx.stats().bytes_sent();
     let t = Timer::start();
-    let _ = kcore_approx(ctx, graph, 30);
+    kcore_approx(ctx, graph, 30)?;
     record(ctx, "KC", t.elapsed_secs(), before);
 
     // LP: label-propagation community detection.
     let before = ctx.stats().bytes_sent();
     let t = Timer::start();
-    let _ = label_propagation(ctx, graph, 10);
+    label_propagation(ctx, graph, 10)?;
     record(ctx, "LP", t.elapsed_secs(), before);
 
     // PR: PageRank.
     let before = ctx.stats().bytes_sent();
     let t = Timer::start();
-    let _ = pagerank(ctx, graph, 20, 0.85);
+    pagerank(ctx, graph, 20, 0.85)?;
     record(ctx, "PR", t.elapsed_secs(), before);
 
     // SCC: largest (strongly = weakly, undirected) connected component extraction.
     let before = ctx.stats().bytes_sent();
     let t = Timer::start();
-    let _ = largest_component(ctx, graph);
+    largest_component(ctx, graph)?;
     record(ctx, "SCC", t.elapsed_secs(), before);
 
     // WCC: weakly connected components.
     let before = ctx.stats().bytes_sent();
     let t = Timer::start();
-    let _ = wcc(ctx, graph);
+    wcc(ctx, graph)?;
     record(ctx, "WCC", t.elapsed_secs(), before);
 
     Ok(results)

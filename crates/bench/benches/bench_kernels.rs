@@ -2,7 +2,7 @@
 //! graph construction, BFS and the XtraPuLP initialisation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use xtrapulp::{exchange::HaloPlan, init::init_partition, PartitionParams};
+use xtrapulp::{init::init_partition, PartitionParams};
 use xtrapulp_comm::Runtime;
 use xtrapulp_gen::{GraphConfig, GraphKind};
 use xtrapulp_graph::{bfs::dist_bfs, csr_from_edges, DistGraph, Distribution};
@@ -32,10 +32,7 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| {
             Runtime::run(4, |ctx| {
                 let g = DistGraph::from_shared_edges(ctx, Distribution::Hashed, n, &el.edges);
-                let halo = HaloPlan::build(ctx, &g).expect("ranks built one graph");
-                dist_bfs(ctx, &g, &halo, 0)
-                    .expect("halo plan matches the graph")
-                    .reached
+                dist_bfs(ctx, &g, 0).expect("ranks built one graph").reached
             })
         })
     });
@@ -43,9 +40,8 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| {
             Runtime::run(4, |ctx| {
                 let g = DistGraph::from_shared_edges(ctx, Distribution::Hashed, n, &el.edges);
-                let halo = HaloPlan::build(ctx, &g).expect("ranks built one graph");
-                init_partition(ctx, &g, &halo, &PartitionParams::with_parts(16))
-                    .expect("halo plan matches the graph")
+                init_partition(ctx, &g, &PartitionParams::with_parts(16))
+                    .expect("ranks built one graph")
                     .len()
             })
         })

@@ -35,6 +35,7 @@ fn bench_spmv(c: &mut Criterion) {
             b.iter(|| {
                 Runtime::run(nranks, |ctx| {
                     spmv_1d_with_partition(ctx, n, &edges, parts, 10)
+                        .expect("in-process ranks agree on the halo")
                 })
             })
         });

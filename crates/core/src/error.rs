@@ -64,9 +64,8 @@ pub enum PartitionError {
         detail: String,
     },
     /// The boundary exchange delivered something the receiving rank cannot apply: a part
-    /// update addressed to a local id that is not one of its ghosts, or a halo-plan
-    /// handshake the two ranks' graphs do not agree on. Reported instead of indexing
-    /// out of bounds; the partition it interrupted must be discarded.
+    /// update addressed to a local id that is not one of its ghosts. Reported instead of
+    /// indexing out of bounds; the partition it interrupted must be discarded.
     CorruptExchange {
         /// The rank the offending message came from.
         peer: usize,

@@ -2,23 +2,21 @@
 //!
 //! After a rank reassigns some of its owned vertices, every rank that keeps a ghost copy
 //! of those vertices must learn the new part labels before the next iteration. Which
-//! ranks those are, and where each ghost copy sits in their label arrays, is the graph
-//! layer's [`HaloPlan`] — resolved once per job and shared with the warm analytics
-//! kernels, which keep PageRank contributions, component labels and coreness bounds
-//! coherent through the same [`HaloPlan::push`]. This module is the partitioner's view of
-//! it: [`push_part_updates`] ships `(local id on the receiving rank, new part)` — 8 wire
-//! bytes per ghost copy — marks the frontier around every ghost whose label actually
-//! changed, and reports a rejected slot as [`PartitionError::CorruptExchange`]. The
-//! one-off [`refresh_ghost_parts`] does not go through the plan: it pulls every ghost
-//! label with the graph's request/reply exchange.
+//! ranks those are, and where each ghost copy sits in their label arrays, is the graph's
+//! own [`HaloPlan`](xtrapulp_graph::HaloPlan) — resolved once, by the handshake that built
+//! the graph, and shared with the analytics kernels, which keep PageRank contributions,
+//! component labels and coreness bounds coherent through the same `push`. This module is
+//! the partitioner's view of it: [`push_part_updates`] ships `(local id on the receiving
+//! rank, new part)` — 8 wire bytes per ghost copy — marks the frontier around every ghost
+//! whose label actually changed, and reports a rejected slot as
+//! [`PartitionError::CorruptExchange`]. [`refresh_ghost_parts`] is the same exchange over
+//! every owned vertex.
 
 use xtrapulp_comm::RankCtx;
 use xtrapulp_graph::{DistGraph, LocalId};
 
 use crate::error::PartitionError;
 use crate::sweep::Frontier;
-
-pub use xtrapulp_graph::HaloPlan;
 
 /// One part reassignment of an owned vertex.
 pub type PartUpdate = (LocalId, i32);
@@ -32,16 +30,18 @@ pub type PartUpdate = (LocalId, i32);
 /// Returns the number of ghost updates received. Must be called collectively.
 ///
 /// An incoming slot that is not a ghost local id is reported as
-/// [`PartitionError::CorruptExchange`] and never stored; see [`HaloPlan::push`] for what
-/// that means for the job's collective sequence.
+/// [`PartitionError::CorruptExchange`] and never stored; see
+/// [`HaloPlan::push`](xtrapulp_graph::HaloPlan::push) for what that means for the job's
+/// collective sequence.
 pub fn push_part_updates(
     ctx: &RankCtx,
-    halo: &HaloPlan,
+    graph: &DistGraph,
     updates: &[PartUpdate],
     parts: &mut [i32],
     mut frontier: Option<&mut Frontier>,
 ) -> Result<u64, PartitionError> {
-    let ghost_parts = &mut parts[halo.n_owned()..halo.n_owned() + halo.n_ghost()];
+    let halo = graph.halo();
+    let ghost_parts = &mut parts[graph.n_owned()..graph.n_total()];
     let applied = halo.push(
         ctx,
         updates.iter().copied(),
@@ -59,12 +59,16 @@ pub fn push_part_updates(
     Ok(applied)
 }
 
-/// Synchronise all ghost part labels by pulling them from their owners (used after
-/// non-incremental initialisation, where every label may have changed).
-pub fn refresh_ghost_parts(ctx: &RankCtx, graph: &DistGraph, parts: &mut [i32]) {
-    let owned = parts[..graph.n_owned()].to_vec();
-    let ghosts = graph.ghost_values_i32(ctx, &owned);
+/// Synchronise all ghost part labels with their owners' (used after non-incremental
+/// initialisation, where every label may have changed).
+pub fn refresh_ghost_parts(
+    ctx: &RankCtx,
+    graph: &DistGraph,
+    parts: &mut [i32],
+) -> Result<(), PartitionError> {
+    let ghosts = graph.ghost_values_with(ctx, |v| parts[v as usize])?;
     parts[graph.n_owned()..graph.n_total()].copy_from_slice(&ghosts);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -85,7 +89,6 @@ mod tests {
         let edges = ring(12);
         Runtime::run(3, |ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 12, &edges);
-            let halo = HaloPlan::build(ctx, &g).unwrap();
             // Start with everything in part 0 everywhere.
             let mut parts = vec![0i32; g.n_total()];
             let mut frontier = Frontier::default();
@@ -95,7 +98,7 @@ mod tests {
             parts[0] = ctx.rank() as i32 + 1;
             let updates: Vec<PartUpdate> = vec![(0, parts[0]), (g.n_owned() as LocalId - 1, 0)];
             let applied =
-                push_part_updates(ctx, &halo, &updates, &mut parts, Some(&mut frontier)).unwrap();
+                push_part_updates(ctx, &g, &updates, &mut parts, Some(&mut frontier)).unwrap();
             assert_eq!(applied, 2, "one update from each ring neighbour");
             // Every ghost label must now equal what its owner assigned: the owner's first
             // owned vertex got `owner_rank + 1`, all others stayed 0.
@@ -109,7 +112,7 @@ mod tests {
                     .next()
                     .unwrap();
                 let expected = if g.global_id(lid) == owner_first_global {
-                    marked.extend(halo.owned_neighbors(slot));
+                    marked.extend(g.halo().owned_neighbors(slot));
                     owner as i32 + 1
                 } else {
                     0
@@ -130,7 +133,7 @@ mod tests {
             for (v, part) in parts.iter_mut().enumerate().take(g.n_owned()) {
                 *part = g.global_id(v as LocalId) as i32;
             }
-            refresh_ghost_parts(ctx, &g, &mut parts);
+            refresh_ghost_parts(ctx, &g, &mut parts).unwrap();
             for slot in 0..g.n_ghost() {
                 let lid = (g.n_owned() + slot) as LocalId;
                 assert_eq!(parts[lid as usize], g.global_id(lid) as i32);

@@ -16,37 +16,40 @@ use xtrapulp_comm::RankCtx;
 use xtrapulp_graph::{DistGraph, GlobalId, LocalId, UNASSIGNED};
 
 use crate::error::PartitionError;
-use crate::exchange::{push_part_updates, refresh_ghost_parts, HaloPlan, PartUpdate};
+use crate::exchange::{push_part_updates, refresh_ghost_parts, PartUpdate};
 use crate::params::{InitStrategy, PartitionParams};
 
 /// Produce the initial part assignment for this rank's owned + ghost vertices.
 ///
 /// The returned vector has length `graph.n_total()` and every entry is a valid part id
-/// (no `UNASSIGNED` values remain). `halo` is the job's exchange plan for `graph`; the
-/// only failure is a corrupt boundary exchange. Must be called collectively.
+/// (no `UNASSIGNED` values remain). The only failure is a corrupt boundary exchange. Must
+/// be called collectively.
 pub fn init_partition(
     ctx: &RankCtx,
     graph: &DistGraph,
-    halo: &HaloPlan,
     params: &PartitionParams,
 ) -> Result<Vec<i32>, PartitionError> {
     match params.init {
-        InitStrategy::BfsGrow => bfs_grow_init(ctx, graph, halo, params),
-        InitStrategy::Random => Ok(random_init(ctx, graph, params)),
+        InitStrategy::BfsGrow => bfs_grow_init(ctx, graph, params),
+        InitStrategy::Random => random_init(ctx, graph, params),
         InitStrategy::VertexBlock => Ok(block_init(ctx, graph, params)),
     }
 }
 
 /// Uniform random initial assignment (each owned vertex gets an independent random part).
-fn random_init(ctx: &RankCtx, graph: &DistGraph, params: &PartitionParams) -> Vec<i32> {
+fn random_init(
+    ctx: &RankCtx,
+    graph: &DistGraph,
+    params: &PartitionParams,
+) -> Result<Vec<i32>, PartitionError> {
     let p = params.num_parts;
     let mut rng = SmallRng::seed_from_u64(params.seed ^ (ctx.rank() as u64).wrapping_mul(0x9E37));
     let mut parts = vec![UNASSIGNED; graph.n_total()];
     for part in parts.iter_mut().take(graph.n_owned()) {
         *part = rng.gen_range(0..p) as i32;
     }
-    refresh_ghost_parts(ctx, graph, &mut parts);
-    parts
+    refresh_ghost_parts(ctx, graph, &mut parts)?;
+    Ok(parts)
 }
 
 /// Contiguous block initial assignment by global vertex id.
@@ -66,7 +69,6 @@ fn block_init(_ctx: &RankCtx, graph: &DistGraph, params: &PartitionParams) -> Ve
 fn bfs_grow_init(
     ctx: &RankCtx,
     graph: &DistGraph,
-    halo: &HaloPlan,
     params: &PartitionParams,
 ) -> Result<Vec<i32>, PartitionError> {
     let p = params.num_parts;
@@ -123,7 +125,7 @@ fn bfs_grow_init(
             }
         }
     }
-    push_part_updates(ctx, halo, &seed_updates, &mut parts, None)?;
+    push_part_updates(ctx, graph, &seed_updates, &mut parts, None)?;
 
     let mut rng = SmallRng::seed_from_u64(
         params.seed ^ 0xDEAD_BEEF ^ (rank as u64).wrapping_mul(0x85EB_CA6B),
@@ -157,7 +159,7 @@ fn bfs_grow_init(
             parts[v as usize] = w;
         }
         let local_updates = updates.len() as u64;
-        push_part_updates(ctx, halo, &updates, &mut parts, None)?;
+        push_part_updates(ctx, graph, &updates, &mut parts, None)?;
         let global_updates = ctx.allreduce_scalar_sum_u64(local_updates);
         if global_updates == 0 {
             break;
@@ -174,10 +176,10 @@ fn bfs_grow_init(
             leftover_updates.push((v as LocalId, w));
         }
     }
-    push_part_updates(ctx, halo, &leftover_updates, &mut parts, None)?;
+    push_part_updates(ctx, graph, &leftover_updates, &mut parts, None)?;
     // Ghosts of vertices that were never pushed (e.g. assigned before their neighbourhood
     // was built) are refreshed wholesale to be safe.
-    refresh_ghost_parts(ctx, graph, &mut parts);
+    refresh_ghost_parts(ctx, graph, &mut parts)?;
     Ok(parts)
 }
 
@@ -189,8 +191,7 @@ mod tests {
     use xtrapulp_graph::Distribution;
 
     fn init(ctx: &RankCtx, g: &DistGraph, params: &PartitionParams) -> Vec<i32> {
-        let halo = HaloPlan::build(ctx, g).unwrap();
-        init_partition(ctx, g, &halo, params).unwrap()
+        init_partition(ctx, g, params).unwrap()
     }
 
     fn grid_edges(w: u64, h: u64) -> Vec<(GlobalId, GlobalId)> {
@@ -226,8 +227,7 @@ mod tests {
                 "{strategy:?} left invalid labels"
             );
             // Ghost labels must agree with the owners' labels.
-            let owned = parts[..g.n_owned()].to_vec();
-            let ghosts = g.ghost_values_i32(ctx, &owned);
+            let ghosts = g.ghost_values_with(ctx, |v| parts[v as usize]).unwrap();
             for (slot, &expect) in ghosts.iter().enumerate() {
                 assert_eq!(parts[g.n_owned() + slot], expect, "ghost out of sync");
             }

@@ -7,7 +7,7 @@ use xtrapulp_graph::{Csr, DistGraph, Distribution, GlobalId, LocalId, UNASSIGNED
 
 use crate::baselines;
 use crate::error::PartitionError;
-use crate::exchange::{push_part_updates, refresh_ghost_parts, HaloPlan, PartUpdate};
+use crate::exchange::{push_part_updates, refresh_ghost_parts, PartUpdate};
 use crate::init::init_partition;
 use crate::metrics::PartitionQuality;
 use crate::params::PartitionParams;
@@ -92,8 +92,7 @@ fn xtrapulp_partition_validated(
     let mut timings = PhaseTimer::new();
     let mut ws = SweepWorkspace::colocated(params.sweep_threads, ctx.colocated_ranks());
     ws.begin_run(graph.n_owned(), params.num_parts);
-    let halo = HaloPlan::build(ctx, graph)?;
-    let parts = timings.time("init", || init_partition(ctx, graph, &halo, params))?;
+    let parts = timings.time("init", || init_partition(ctx, graph, params))?;
     // Initialisation changed every label: every owned vertex starts active.
     ws.engine.frontier.seed_all(graph.n_owned());
     run_stages(
@@ -106,7 +105,6 @@ fn xtrapulp_partition_validated(
         true,
         timings,
         &mut ws,
-        &halo,
     )
 }
 
@@ -162,9 +160,8 @@ pub fn try_xtrapulp_partition_from_touched(
     let mut timings = PhaseTimer::new();
     let mut ws = SweepWorkspace::colocated(params.sweep_threads, ctx.colocated_ranks());
     ws.begin_run(graph.n_owned(), params.num_parts);
-    let halo = HaloPlan::build(ctx, graph)?;
     let parts = timings.time("warm_seed", || {
-        warm_seed(ctx, graph, params, initial_owned, &mut ws, &halo)
+        warm_seed(ctx, graph, params, initial_owned, &mut ws)
     })?;
     // Warm runs skip the (aggressively label-churning) balance passes when the seeded
     // partition already satisfies both balance constraints — with the same slack as the
@@ -205,7 +202,7 @@ pub fn try_xtrapulp_partition_from_touched(
                             }
                         }
                     } else {
-                        for &v in halo.owned_neighbors(lid as usize - n_owned) {
+                        for &v in graph.halo().owned_neighbors(lid as usize - n_owned) {
                             ws.engine.frontier.mark(v);
                         }
                     }
@@ -236,7 +233,6 @@ pub fn try_xtrapulp_partition_from_touched(
         balance,
         timings,
         &mut ws,
-        &halo,
     )
 }
 
@@ -256,7 +252,6 @@ fn run_stages(
     balance: bool,
     mut timings: PhaseTimer,
     ws: &mut SweepWorkspace,
-    halo: &HaloPlan,
 ) -> Result<PartitionResult, PartitionError> {
     // The dynamic multiplier ramps from `Y` to `X` over the stage schedule; normalise it
     // by the rounds actually run (warm starts run `warm_outer_iters`, not `outer_iters`)
@@ -267,7 +262,7 @@ fn run_stages(
         outer_iters: outer,
         ..*params
     };
-    let mut dist = Dist::new(ctx, graph, halo);
+    let mut dist = Dist::new(ctx, graph);
     let mut lp_sweeps;
     if balance {
         // Stage 1: vertex balance + refinement.
@@ -356,13 +351,12 @@ fn warm_seed(
     params: &PartitionParams,
     initial_owned: &[i32],
     ws: &mut SweepWorkspace,
-    halo: &HaloPlan,
 ) -> Result<Vec<i32>, PartitionError> {
     let p = params.num_parts;
     let n_owned = graph.n_owned();
     let mut parts = vec![UNASSIGNED; graph.n_total()];
     parts[..n_owned].copy_from_slice(initial_owned);
-    refresh_ghost_parts(ctx, graph, &mut parts);
+    refresh_ghost_parts(ctx, graph, &mut parts)?;
 
     // Every vertex assigned here counts as delta-touched: it and its neighbourhood
     // seed the warm refinement frontier (cross-rank neighbours are reached through the
@@ -408,7 +402,7 @@ fn warm_seed(
         }
         push_part_updates(
             ctx,
-            halo,
+            graph,
             &updates,
             &mut parts,
             Some(&mut ws.engine.frontier),
@@ -431,7 +425,7 @@ fn warm_seed(
     }
     push_part_updates(
         ctx,
-        halo,
+        graph,
         &leftovers,
         &mut parts,
         Some(&mut ws.engine.frontier),

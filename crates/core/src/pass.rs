@@ -48,7 +48,7 @@ use xtrapulp_comm::RankCtx;
 use xtrapulp_graph::{Csr, DistGraph, LocalId};
 
 use crate::error::PartitionError;
-use crate::exchange::{push_part_updates, HaloPlan, PartUpdate};
+use crate::exchange::{push_part_updates, PartUpdate};
 use crate::params::PartitionParams;
 use crate::sweep::{
     refine_budget, PartCounters, RefineConvergence, ScoreScratch, StageKind, SweepEngine,
@@ -861,7 +861,6 @@ impl SweepStage for SerialEdgeBalance<'_> {
 pub(crate) struct Dist<'a> {
     ctx: &'a RankCtx,
     graph: &'a DistGraph,
-    halo: &'a HaloPlan,
     /// Balance and refinement sweeps run so far in the current stage: the `iter_tot` of
     /// Algorithm 1 that ramps the multiplier. The stage driver resets it per stage.
     pub(crate) iter_tot: usize,
@@ -870,11 +869,10 @@ pub(crate) struct Dist<'a> {
 }
 
 impl<'a> Dist<'a> {
-    pub(crate) fn new(ctx: &'a RankCtx, graph: &'a DistGraph, halo: &'a HaloPlan) -> Self {
+    pub(crate) fn new(ctx: &'a RankCtx, graph: &'a DistGraph) -> Self {
         Dist {
             ctx,
             graph,
-            halo,
             iter_tot: 0,
             updates: Vec::new(),
         }
@@ -925,7 +923,7 @@ impl<'a> Dist<'a> {
             engine, counters, ..
         } = ws;
         let frontier = Some(&mut engine.frontier);
-        push_part_updates(self.ctx, self.halo, &self.updates, parts, frontier)?;
+        push_part_updates(self.ctx, self.graph, &self.updates, parts, frontier)?;
         let tracked = counters.block(loads).start;
         counters.change[tracked] = self.updates.len() as i64;
         let global = self.ctx.allreduce_sum_i64(&counters.change[..=tracked]);
@@ -1494,16 +1492,12 @@ mod tests {
         (141, edges)
     }
 
-    /// A workspace with every owned vertex active plus the job's halo plan.
-    fn stage_env(
-        ctx: &RankCtx,
-        graph: &DistGraph,
-        params: &PartitionParams,
-    ) -> (SweepWorkspace, HaloPlan) {
+    /// A workspace with every owned vertex active.
+    fn stage_env(graph: &DistGraph, params: &PartitionParams) -> SweepWorkspace {
         let mut ws = SweepWorkspace::new(params.sweep_threads);
         ws.begin_run(graph.n_owned(), params.num_parts);
         ws.engine.frontier.seed_all(graph.n_owned());
-        (ws, HaloPlan::build(ctx, graph).unwrap())
+        ws
     }
 
     #[test]
@@ -1516,10 +1510,10 @@ mod tests {
                 seed: 3,
                 ..Default::default()
             };
-            let (mut ws, halo) = stage_env(ctx, &g, &params);
-            let mut parts = init_partition(ctx, &g, &halo, &params).unwrap();
+            let mut ws = stage_env(&g, &params);
+            let mut parts = init_partition(ctx, &g, &params).unwrap();
             let before = PartitionQuality::evaluate_dist(ctx, &g, &parts, 4);
-            let mut dist = Dist::new(ctx, &g, &halo);
+            let mut dist = Dist::new(ctx, &g);
             let rounds = params.outer_iters;
             balance_refine_rounds(
                 &mut dist,
@@ -1563,10 +1557,10 @@ mod tests {
                 seed: 7,
                 ..Default::default()
             };
-            let (mut ws, halo) = stage_env(ctx, &g, &params);
-            let mut parts = init_partition(ctx, &g, &halo, &params).unwrap();
+            let mut ws = stage_env(&g, &params);
+            let mut parts = init_partition(ctx, &g, &params).unwrap();
             let before = PartitionQuality::evaluate_dist(ctx, &g, &parts, 4);
-            let mut dist = Dist::new(ctx, &g, &halo);
+            let mut dist = Dist::new(ctx, &g);
             refine_pass(
                 &mut dist,
                 Objective::Vertex,
@@ -1598,9 +1592,9 @@ mod tests {
                 seed: 11,
                 ..Default::default()
             };
-            let (mut ws, halo) = stage_env(ctx, &g, &params);
-            let mut parts = init_partition(ctx, &g, &halo, &params).unwrap();
-            let mut dist = Dist::new(ctx, &g, &halo);
+            let mut ws = stage_env(&g, &params);
+            let mut parts = init_partition(ctx, &g, &params).unwrap();
+            let mut dist = Dist::new(ctx, &g);
             let rounds = params.outer_iters;
             balance_refine_rounds(
                 &mut dist,
@@ -1652,9 +1646,9 @@ mod tests {
                 seed: 5,
                 ..Default::default()
             };
-            let (mut ws, halo) = stage_env(ctx, &g, &params);
-            let mut parts = init_partition(ctx, &g, &halo, &params).unwrap();
-            let mut dist = Dist::new(ctx, &g, &halo);
+            let mut ws = stage_env(&g, &params);
+            let mut parts = init_partition(ctx, &g, &params).unwrap();
+            let mut dist = Dist::new(ctx, &g);
             balance_refine_rounds(
                 &mut dist,
                 Objective::Vertex,
@@ -1698,9 +1692,9 @@ mod tests {
                     sweep_mode: SweepMode::Full,
                     ..PartitionParams::with_parts(2)
                 };
-                let (mut ws, halo) = stage_env(ctx, &g, &params);
-                let mut parts = init_partition(ctx, &g, &halo, &params).unwrap();
-                let mut dist = Dist::new(ctx, &g, &halo);
+                let mut ws = stage_env(&g, &params);
+                let mut parts = init_partition(ctx, &g, &params).unwrap();
+                let mut dist = Dist::new(ctx, &g);
                 balance_pass(&mut dist, objective, &mut parts, &params, &mut ws).unwrap();
                 assert_eq!(dist.iter_tot, params.balance_iters, "{objective:?}");
                 refine_pass(&mut dist, objective, &mut parts, &params, &mut ws, POLISH).unwrap();
@@ -1723,8 +1717,7 @@ mod tests {
                 init: InitStrategy::VertexBlock,
                 ..Default::default()
             };
-            let halo = HaloPlan::build(ctx, &g).unwrap();
-            let parts = init_partition(ctx, &g, &halo, &params).unwrap();
+            let parts = init_partition(ctx, &g, &params).unwrap();
             let total = |load| -> i64 { global_part_loads(ctx, &g, &parts, 5, load).iter().sum() };
             assert_eq!(total(Load::Vertices), 100);
             assert_eq!(total(Load::Arcs) as u64, 2 * g.global_m());

@@ -7,7 +7,7 @@
 
 use xtrapulp_comm::RankCtx;
 
-use crate::{Csr, DistGraph, GlobalId, HaloError, HaloPlan, LocalId};
+use crate::{Csr, DistGraph, GlobalId, HaloError, LocalId};
 
 /// Level returned for vertices not reachable from the BFS root.
 pub const UNREACHED: i64 = -1;
@@ -53,7 +53,7 @@ pub struct DistBfs {
 }
 
 /// Distributed level-synchronous BFS from the global vertex `root`, over the graph's
-/// [`HaloPlan`].
+/// [`HaloPlan`](crate::HaloPlan).
 ///
 /// Each superstep expands the local frontier through the owned adjacency, and the owner
 /// of every frontier vertex pushes a reached flag to the ranks holding it as a ghost;
@@ -61,19 +61,15 @@ pub struct DistBfs {
 /// vertex, holder rank) over the whole search, resolved by index on arrival — the same
 /// exchange as XtraPuLP's `ExchangeUpdates`. A reached flag for a slot outside the ghost
 /// range is a [`HaloError`].
-pub fn dist_bfs(
-    ctx: &RankCtx,
-    graph: &DistGraph,
-    halo: &HaloPlan,
-    root: GlobalId,
-) -> Result<DistBfs, HaloError> {
+pub fn dist_bfs(ctx: &RankCtx, graph: &DistGraph, root: GlobalId) -> Result<DistBfs, HaloError> {
+    let halo = graph.halo();
     let mut levels = vec![UNREACHED; graph.n_owned()];
     let mut frontier: Vec<LocalId> = Vec::new();
     if let Some(lid) = graph.local_id(root).filter(|&lid| graph.is_owned(lid)) {
         levels[lid as usize] = 0;
         frontier.push(lid);
     }
-    let mut ghost_reached = vec![0u8; halo.n_ghost()];
+    let mut ghost_reached = vec![0u8; graph.n_ghost()];
     let mut level = 0i64;
     let mut supersteps = 0u64;
     let mut reached = ctx.allreduce_scalar_sum_u64(frontier.len() as u64);
@@ -166,8 +162,7 @@ mod tests {
         for nranks in [1usize, 2, 3, 5] {
             let per_rank = Runtime::run(nranks, |ctx| {
                 let g = DistGraph::from_shared_edges(ctx, Distribution::Cyclic, n, &edges);
-                let halo = HaloPlan::build(ctx, &g).unwrap();
-                let result = dist_bfs(ctx, &g, &halo, 3).unwrap();
+                let result = dist_bfs(ctx, &g, 3).unwrap();
                 // Return (global_id, level) pairs for owned vertices.
                 (0..g.n_owned() as LocalId)
                     .map(|v| (g.global_id(v), result.levels[v as usize]))
@@ -188,8 +183,7 @@ mod tests {
         let edges = vec![(0u64, 1u64), (1, 2), (3, 4)];
         let out = Runtime::run(2, |ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 5, &edges);
-            let halo = HaloPlan::build(ctx, &g).unwrap();
-            dist_bfs(ctx, &g, &halo, 0).unwrap().reached
+            dist_bfs(ctx, &g, 0).unwrap().reached
         });
         assert!(out.iter().all(|&r| r == 3));
     }
@@ -200,8 +194,7 @@ mod tests {
         let edges = path_edges(10);
         let out = Runtime::run(4, |ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 10, &edges);
-            let halo = HaloPlan::build(ctx, &g).unwrap();
-            dist_bfs(ctx, &g, &halo, 9).unwrap().reached
+            dist_bfs(ctx, &g, 9).unwrap().reached
         });
         assert!(out.iter().all(|&r| r == 10));
     }

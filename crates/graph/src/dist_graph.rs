@@ -8,17 +8,26 @@
 //! * a *ghost* table for the one-hop neighbourhood owned by other ranks (global id,
 //!   owning rank, and global degree of each ghost);
 //! * a hash map translating global ids to local ids, and a flat array for the reverse
-//!   direction — exactly the scheme the paper describes.
+//!   direction — exactly the scheme the paper describes;
+//! * the [`HaloPlan`]: where each owned boundary vertex's ghost copies live on the other
+//!   ranks, and which owned vertices border each ghost.
 //!
 //! Local ids are laid out as `[0, n_owned)` for owned vertices followed by
 //! `[n_owned, n_owned + n_ghost)` for ghosts, so per-vertex state (part labels, BFS
 //! levels, PageRank values, ...) can be kept in a single flat vector.
+//!
+//! Building a graph — from scratch or by [`DistGraph::apply_delta`] — ends in one
+//! collective handshake (`finish`): every rank registers its ghosts with their owners,
+//! and the owners answer with the ghosts' degrees and keep the registrations as their
+//! send plan. From then on the graph keeps any ghost array coherent with
+//! [`HaloPlan::push`]; [`DistGraph::ghost_values_with`] is a push over every owned
+//! vertex. No other ghost exchange exists.
 
 use std::collections::HashMap;
 
 use xtrapulp_comm::{RankCtx, WireElem};
 
-use crate::{Csr, Distribution, GlobalId, LocalId};
+use crate::{Csr, Distribution, GlobalId, HaloError, HaloPlan, LocalId};
 
 /// A rank-local view of a globally distributed undirected graph.
 #[derive(Debug, Clone)]
@@ -41,6 +50,8 @@ pub struct DistGraph {
     offsets: Vec<u64>,
     /// CSR adjacency in local ids (owned or ghost).
     adjacency: Vec<LocalId>,
+    /// Where this rank's boundary vertices are ghosts, and what borders its own ghosts.
+    halo: HaloPlan,
 }
 
 impl DistGraph {
@@ -131,7 +142,7 @@ impl DistGraph {
     }
 
     /// Core constructor: `arcs` are directed arcs whose source is owned by this rank.
-    /// Duplicates are removed; ghost metadata (owner, degree) is fetched collectively.
+    /// Duplicates are removed; ghost degrees and the halo plan are resolved collectively.
     fn from_owned_arcs(
         ctx: &RankCtx,
         dist: Distribution,
@@ -179,39 +190,77 @@ impl DistGraph {
             cursor[lu] += 1;
         }
 
-        let ghost_owner: Vec<u32> = ghost_global
-            .iter()
-            .map(|&g| dist.owner(g, global_n, nranks) as u32)
-            .collect();
-
-        // Global undirected edge count: every arc's source is owned by exactly one rank,
-        // and each undirected edge produces two arcs overall.
-        let local_arcs = adjacency.len() as u64;
-        let global_m = ctx.allreduce_scalar_sum_u64(local_arcs) / 2;
-
-        let mut graph = DistGraph {
+        DistGraph {
             global_n,
-            global_m,
+            global_m: 0,
             rank,
             nranks,
             dist,
             owned_global,
             ghost_global,
-            ghost_owner,
+            ghost_owner: Vec::new(),
             ghost_degree: Vec::new(),
             global_to_local,
             offsets,
             adjacency,
-        };
+            halo: HaloPlan::default(),
+        }
+        .finish(ctx)
+    }
 
-        // Fetch the global degree of every ghost from its owner (needed by the weighted
-        // balance phase, which weights neighbour counts by degree).
-        let owned_degrees: Vec<u64> = (0..graph.n_owned())
-            .map(|v| graph.degree_owned(v as LocalId))
+    /// The shared tail of both construction paths, filling in everything that depends on
+    /// the other ranks: the global edge count, the ghosts' owners and — the graph's only
+    /// handshake — their degrees and the halo plan. Each rank registers its ghosts with
+    /// their owners as `(global id, ghost local id)`; an owner resolves the id, keeps
+    /// `(holder, ghost local id)` as the vertex's send row and answers with the vertex's
+    /// degree (the weighted balance phase weights neighbour counts by degree).
+    fn finish(mut self, ctx: &RankCtx) -> Self {
+        // Every arc's source is owned by exactly one rank, and each undirected edge
+        // produces two arcs overall.
+        self.global_m = ctx.allreduce_scalar_sum_u64(self.local_arcs()) / 2;
+        self.ghost_owner = self
+            .ghost_global
+            .iter()
+            .map(|&g| self.owner_of_global(g) as u32)
             .collect();
-        graph.ghost_degree = graph.ghost_values_u64(ctx, &owned_degrees);
-        graph.account_ghosts();
-        graph
+        let n_owned = self.n_owned();
+        let mut registrations: Vec<Vec<(GlobalId, LocalId)>> = vec![Vec::new(); self.nranks];
+        for (slot, (&g, &owner)) in self.ghost_global.iter().zip(&self.ghost_owner).enumerate() {
+            registrations[owner as usize].push((g, (n_owned + slot) as LocalId));
+        }
+        let (registered, degrees): (Vec<Vec<_>>, Vec<Vec<_>>) = ctx
+            .alltoallv(registrations)
+            .iter()
+            .map(|holder| {
+                holder
+                    .iter()
+                    .map(|&(g, slot)| {
+                        let lid = self.global_to_local[&g];
+                        debug_assert!(self.is_owned(lid));
+                        ((lid, slot), self.degree_owned(lid))
+                    })
+                    .unzip()
+            })
+            .unzip();
+        // Degrees come back in registration order: per owner, ascending ghost slot. An
+        // owner that answers short leaves the remaining degrees at zero.
+        let answered = ctx.alltoallv(degrees);
+        let mut answered: Vec<_> = answered.iter().map(|buf| buf.iter()).collect();
+        self.ghost_degree = self
+            .ghost_owner
+            .iter()
+            .map(|&owner| answered[owner as usize].next().copied().unwrap_or(0))
+            .collect();
+        self.halo = HaloPlan::new(&self, &registered);
+        xtrapulp_obs::mem::set(
+            &format!("ghost_tables_rank{}", self.rank),
+            self.ghost_bytes(),
+        );
+        xtrapulp_obs::mem::set(
+            &format!("halo_tables_rank{}", self.rank),
+            self.halo.approx_bytes(),
+        );
+        self
     }
 
     // --------------------------------------------------------------------------------
@@ -226,12 +275,13 @@ impl DistGraph {
     /// is incremental: owned local ids are preserved, each owned vertex's sorted
     /// adjacency row is merged with the delta in one linear pass, the global→local map is
     /// patched (stale ghosts evicted, new owned/ghost entries added) and only the ghost
-    /// metadata (owner, degree) is re-fetched. Growing a `Block` distribution shifts the
-    /// ownership of existing vertices, so that case falls back to migrating the surviving
-    /// arcs to their new owners with one all-to-all exchange — still without touching the
-    /// original edge list. Growing an `Explicit` distribution extends its ownership
-    /// table by hashing the new tail vertices to ranks ([`Distribution::grown`]):
-    /// existing owners are untouched, so the incremental path applies.
+    /// metadata (owner, degree, halo plan) is resolved again. Growing a `Block`
+    /// distribution shifts the ownership of existing vertices, so that case falls back to
+    /// migrating the surviving arcs to their new owners with one all-to-all exchange —
+    /// still without touching the original edge list. Growing an `Explicit` distribution
+    /// extends its ownership table by hashing the new tail vertices to ranks
+    /// ([`Distribution::grown`]): existing owners are untouched, so the incremental path
+    /// applies.
     ///
     /// Every rank must pass an identical delta. Must be called collectively.
     ///
@@ -320,35 +370,24 @@ impl DistGraph {
             });
             adjacency.push(lid);
         }
-        let ghost_owner: Vec<u32> = ghost_global
-            .iter()
-            .map(|&g| dist.owner(g, new_n, nranks) as u32)
-            .collect();
-
-        let local_arcs = adjacency.len() as u64;
-        let global_m = ctx.allreduce_scalar_sum_u64(local_arcs) / 2;
-
-        let mut graph = DistGraph {
+        // Insertions and deletions change degrees and move ghost slots, so the handshake
+        // is repeated in full.
+        DistGraph {
             global_n: new_n,
-            global_m,
+            global_m: 0,
             rank,
             nranks,
             dist,
             owned_global,
             ghost_global,
-            ghost_owner,
+            ghost_owner: Vec::new(),
             ghost_degree: Vec::new(),
             global_to_local,
             offsets,
             adjacency,
-        };
-        // Insertions and deletions change degrees, so ghost degrees are re-fetched.
-        let owned_degrees: Vec<u64> = (0..graph.n_owned())
-            .map(|v| graph.degree_owned(v as LocalId))
-            .collect();
-        graph.ghost_degree = graph.ghost_values_u64(ctx, &owned_degrees);
-        graph.account_ghosts();
-        graph
+            halo: HaloPlan::default(),
+        }
+        .finish(ctx)
     }
 
     /// Migration rebuild for deltas that shift existing-vertex ownership (growing a
@@ -446,22 +485,14 @@ impl DistGraph {
     }
 
     /// Approximate heap footprint of the whole rank-local graph in bytes:
-    /// owned-id and CSR arrays, the full global→local map, and
-    /// [`ghost_bytes`](DistGraph::ghost_bytes).
+    /// owned-id and CSR arrays, the full global→local map,
+    /// [`ghost_bytes`](DistGraph::ghost_bytes) and the halo plan (published apart, as
+    /// `mem_bytes{subsystem="halo_tables_rank<r>"}` beside `ghost_tables_rank<r>`, on
+    /// every (re)build so the gauges track the latest epoch's tables).
     pub fn approx_bytes(&self) -> u64 {
         let owned = self.owned_global.len() as u64 * (8 + 24); // ids + map share
         let csr = self.offsets.len() as u64 * 8 + self.adjacency.len() as u64 * 4;
-        owned + csr + self.ghost_bytes()
-    }
-
-    /// Publish this rank's ghost-table bytes to the memory-accounting plane
-    /// (`mem_bytes{subsystem="ghost_tables_rank<r>"}`). Called on every
-    /// (re)build so the gauge tracks the latest epoch's tables.
-    fn account_ghosts(&self) {
-        xtrapulp_obs::mem::set(
-            &format!("ghost_tables_rank{}", self.rank),
-            self.ghost_bytes(),
-        );
+        owned + csr + self.ghost_bytes() + self.halo.approx_bytes()
     }
 
     // --------------------------------------------------------------------------------
@@ -544,78 +575,25 @@ impl DistGraph {
     // Ghost exchange
     // --------------------------------------------------------------------------------
 
-    /// Pull one `u64` value per ghost vertex from the ghosts' owners.
-    ///
-    /// `owned_values[v]` must hold the value of owned vertex `v` on every rank. The
-    /// result is indexed by ghost slot (`local_id - n_owned()`).
-    pub fn ghost_values_u64(&self, ctx: &RankCtx, owned_values: &[u64]) -> Vec<u64> {
-        self.ghost_values_with(ctx, |v| owned_values[v as usize])
+    /// The graph's halo plan: the send rows and ghost→owned transpose every ghost array of
+    /// this graph is kept coherent through.
+    #[inline]
+    pub fn halo(&self) -> &HaloPlan {
+        &self.halo
     }
 
-    /// Pull one `f64` value per ghost vertex from the ghosts' owners.
-    pub fn ghost_values_f64(&self, ctx: &RankCtx, owned_values: &[f64]) -> Vec<f64> {
-        self.ghost_values_with(ctx, |v| owned_values[v as usize])
-    }
-
-    /// Pull one `i32` value per ghost vertex from the ghosts' owners (used for part
-    /// labels and component/level ids).
-    pub fn ghost_values_i32(&self, ctx: &RankCtx, owned_values: &[i32]) -> Vec<i32> {
-        self.ghost_values_with(ctx, |v| owned_values[v as usize])
-    }
-
-    /// Generic pull-based ghost exchange: every rank answers requests for its owned
-    /// vertices with `value_of(local_owned_id)`, and receives the values of its ghosts.
-    pub fn ghost_values_with<T, F>(&self, ctx: &RankCtx, value_of: F) -> Vec<T>
-    where
-        T: WireElem,
-        F: Fn(LocalId) -> T,
-    {
-        let nranks = self.nranks;
-        // Group ghost requests by owning rank, remembering each ghost's slot so replies
-        // can be scattered back into place.
-        let mut requests: Vec<Vec<GlobalId>> = vec![Vec::new(); nranks];
-        let mut request_slots: Vec<Vec<usize>> = vec![Vec::new(); nranks];
-        for (slot, (&g, &owner)) in self
-            .ghost_global
-            .iter()
-            .zip(self.ghost_owner.iter())
-            .enumerate()
-        {
-            requests[owner as usize].push(g);
-            request_slots[owner as usize].push(slot);
-        }
-        let incoming = ctx.alltoallv(requests);
-        // Answer every request with the value of the owned vertex.
-        let replies: Vec<Vec<T>> = incoming
-            .iter()
-            .map(|reqs| {
-                reqs.iter()
-                    .map(|&g| {
-                        let lid = self.global_to_local[&g];
-                        debug_assert!(self.is_owned(lid));
-                        value_of(lid)
-                    })
-                    .collect()
-            })
-            .collect();
-        let answered = ctx.alltoallv(replies);
-        let mut out = vec![None; self.n_ghost()];
-        for (owner, values) in answered.into_iter().enumerate() {
-            for (slot, value) in request_slots[owner].iter().zip(values) {
-                out[*slot] = Some(value);
-            }
-        }
-        out.into_iter()
-            .map(|v| v.expect("ghost exchange missed a ghost"))
-            .collect()
-    }
-
-    /// Convenience: extend a per-owned-vertex state vector to cover ghosts too, by
-    /// pulling ghost values from their owners. The result has length `n_total()`.
-    pub fn extend_with_ghosts_u64(&self, ctx: &RankCtx, owned_values: &[u64]) -> Vec<u64> {
-        let mut full = owned_values.to_vec();
-        full.extend(self.ghost_values_u64(ctx, owned_values));
-        full
+    /// The ghost copy of a per-owned-vertex value, indexed by ghost slot
+    /// (`local_id - n_owned()`): a [`push`](HaloPlan::push) of `value_of(v)` over every
+    /// owned vertex `v`. Must be called collectively (one `Alltoallv`).
+    pub fn ghost_values_with<T: WireElem + Default>(
+        &self,
+        ctx: &RankCtx,
+        value_of: impl Fn(LocalId) -> T,
+    ) -> Result<Vec<T>, HaloError> {
+        let mut ghosts = vec![T::default(); self.n_ghost()];
+        let owned = self.owned_vertices().map(|v| (v, value_of(v)));
+        self.halo.push(ctx, owned, &mut ghosts, |_, _, _| {})?;
+        Ok(ghosts)
     }
 
     /// Cut statistics for a local part assignment covering owned + ghost vertices:
@@ -787,12 +765,11 @@ mod tests {
             let owned: Vec<u64> = (0..g.n_owned())
                 .map(|v| 1000 + g.global_id(v as LocalId))
                 .collect();
-            let ghosts = g.ghost_values_u64(ctx, &owned);
+            let ghosts = g.ghost_values_with(ctx, |v| owned[v as usize]).unwrap();
+            assert_eq!(ghosts.len(), g.n_ghost());
             for (slot, &gv) in ghosts.iter().enumerate() {
                 assert_eq!(gv, 1000 + g.ghost_globals()[slot]);
             }
-            let full = g.extend_with_ghosts_u64(ctx, &owned);
-            assert_eq!(full.len(), g.n_total());
         });
     }
 
@@ -817,7 +794,8 @@ mod tests {
     }
 
     /// Assert that `updated` is structurally identical to a from-scratch build of the
-    /// post-delta edge list: same ownership, ghosts, degrees and per-vertex adjacency.
+    /// post-delta edge list: same ownership, ghosts, degrees, per-vertex adjacency and
+    /// halo plan.
     fn assert_same_graph(a: &DistGraph, b: &DistGraph) {
         assert_eq!(a.global_n(), b.global_n());
         assert_eq!(a.global_m(), b.global_m());
@@ -835,6 +813,15 @@ mod tests {
         }
         for v in 0..a.n_total() as LocalId {
             assert_eq!(a.local_id(a.global_id(v)), Some(v));
+        }
+        for v in 0..a.n_owned() as LocalId {
+            assert_eq!(a.halo().targets(v), b.halo().targets(v));
+        }
+        for slot in 0..a.n_ghost() {
+            assert_eq!(
+                a.halo().owned_neighbors(slot),
+                b.halo().owned_neighbors(slot)
+            );
         }
     }
 

@@ -1,39 +1,37 @@
-//! The halo plan: where every owned boundary vertex's ghost copies live, resolved once.
+//! The halo plan: where every owned boundary vertex's ghost copies live, resolved once
+//! per graph.
 //!
 //! A rank `t` holds a ghost of vertex `v` exactly when `t` owns at least one neighbour of
 //! `v`. Which ranks those are, and where `v`'s ghost copy sits in each of their
-//! per-vertex arrays, depends only on the graph — so it is resolved **once per graph**, in
-//! [`HaloPlan::build`]: one pass over the local adjacency finds every owned boundary
-//! vertex's destination ranks (deduplicated, as Algorithm 3's `to_send` array does per
-//! update), the owner asks each destination "what is your local id for these global
-//! ids?" with one `Alltoallv`, and the holders answer with a second. The same pass builds
-//! the ghost→owned transpose.
+//! per-vertex arrays, depends only on the graph — so the tables are a field of
+//! [`DistGraph`], filled by the one handshake its construction (and every
+//! [`apply_delta`](DistGraph::apply_delta)) performs anyway: each holder *registers* its
+//! ghosts with their owners as `(global id, ghost local id)`, the owner resolves the
+//! global id once — the lookup it needs to answer with the vertex's degree — and records
+//! `(holder rank, ghost local id)` in that vertex's send row. One request/reply
+//! `Alltoallv` pair yields the ghost degrees and the send plan, and since every row entry
+//! *is* a holder's registration, owner and holder cannot disagree about the halo. The
+//! ghost→owned transpose is laid out from the local adjacency in the same step
+//! (`HaloPlan::new`); [`DistGraph::halo`] is the only way to get a plan.
 //!
-//! The kernels that update per-vertex state incrementally — the partitioner's part labels,
-//! the warm PageRank contributions, component labels and coreness bounds, BFS reached
-//! flags — then keep a ghost array coherent with one routine, [`HaloPlan::push`]: what
-//! travels per update is `(local id on the receiving rank, value)`, built by copying the
-//! changed vertex's plan row and applied on the receiver by a bounds-checked indexed
-//! store. The sender never
-//! re-walks an adjacency list and the receiver never hashes a global id: following the
-//! rule that the side that fans in is the bottleneck, the lookup is done once by the many
-//! owners instead of on every update by the one holder. A full refresh is the same call
-//! over every owned vertex (interior vertices have empty plan rows).
-//!
-//! It is not the only ghost exchange in the workspace: callers that hold no plan — the
-//! partitioner's one-off `refresh_ghost_parts` and the cold Fig. 8 suite's `pagerank`,
-//! `wcc` and `kcore_approx` — still pull through the hash-resolved request/reply of
-//! [`DistGraph::ghost_values_with`], which the tests below also use as the reference.
+//! Every kernel that keeps per-vertex state coherent across ranks — the partitioner's
+//! part labels, the warm PageRank contributions, component labels and coreness bounds,
+//! BFS reached flags — does it with one routine, [`HaloPlan::push`]: what travels per
+//! update is `(local id on the receiving rank, value)`, built by copying the changed
+//! vertex's plan row and applied on the receiver by a bounds-checked indexed store. The
+//! sender never re-walks an adjacency list and the receiver never hashes a global id:
+//! following the rule that the side that fans in is the bottleneck, the lookup is done
+//! once by the many owners instead of on every update by the one holder. A full refresh
+//! is the same call over every owned vertex (interior vertices have empty plan rows), and
+//! that is all [`DistGraph::ghost_values_with`] — the pull the cold Fig. 8 kernels, SpMV
+//! and the partitioner's `refresh_ghost_parts` use — is. There is no second exchange.
 
 use xtrapulp_comm::{RankCtx, WireElem};
 
-use crate::{DistGraph, GlobalId, LocalId};
+use crate::{DistGraph, LocalId};
 
-/// Reply to a plan request for a global id the asked rank holds no ghost copy of.
-const NO_SLOT: LocalId = LocalId::MAX;
-
-/// A halo exchange delivered something this rank's graph cannot hold: the ranks disagree
-/// about the halo, or a peer named a slot outside the ghost range.
+/// A halo exchange delivered something this rank's graph cannot hold: a peer named a slot
+/// outside the ghost range.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HaloError {
     /// The rank whose message was rejected.
@@ -58,15 +56,15 @@ impl std::error::Error for HaloError {}
 ///
 /// * the **send plan**: for every owned vertex, the `(destination rank, local id of its
 ///   ghost copy on that rank)` pairs a value change must be shipped to (empty for
-///   interior vertices);
+///   interior vertices), destinations ascending;
 /// * the **ghost→owned transpose**: for every ghost, the owned vertices adjacent to it.
 ///   Frontier- and wake-driven kernels need it because an incoming ghost change must
 ///   re-activate the owned neighbourhood of that ghost, and the local CSR only stores
 ///   adjacency for owned vertices.
 ///
-/// Built in `O(local arcs)` plus two `Alltoallv`s; costs 8 bytes per ghost copy and 4 per
-/// owned vertex on top of the transpose.
-#[derive(Debug)]
+/// Costs 8 bytes per ghost copy and 4 per owned vertex on top of the transpose (4 bytes
+/// per cross-rank arc and per ghost).
+#[derive(Debug, Clone, Default)]
 pub struct HaloPlan {
     n_owned: usize,
     n_total: usize,
@@ -76,124 +74,63 @@ pub struct HaloPlan {
     ghost_owned: Vec<LocalId>,
 }
 
+/// Group `(row, value)` pairs into CSR rows by a stable counting sort (`pairs` is walked
+/// twice: once to size the rows, once to fill them).
+fn rows<T: Copy + Default>(
+    n_rows: usize,
+    pairs: impl Iterator<Item = (usize, T)> + Clone,
+) -> (Vec<u32>, Vec<T>) {
+    let mut offsets = vec![0u32; n_rows + 1];
+    for (row, _) in pairs.clone() {
+        offsets[row + 1] += 1;
+    }
+    for row in 0..n_rows {
+        offsets[row + 1] += offsets[row];
+    }
+    let mut values = vec![T::default(); offsets[n_rows] as usize];
+    let mut cursor = offsets.clone();
+    for (row, value) in pairs {
+        values[cursor[row] as usize] = value;
+        cursor[row] += 1;
+    }
+    (offsets, values)
+}
+
 impl HaloPlan {
-    /// Build the tables for this rank's graph. Must be called collectively.
-    ///
-    /// Fails when the ranks disagree about the halo (a destination holds no ghost of a
-    /// vertex its owner would push); the handshake itself always runs to completion
-    /// first, so no rank is left behind in it.
-    pub fn build(ctx: &RankCtx, graph: &DistGraph) -> Result<HaloPlan, HaloError> {
-        let _span = xtrapulp_obs::span("halo_plan");
+    /// Lay out the tables of `graph`, whose construction handshake delivered
+    /// `registered[t]`: one `(owned vertex, local id of its ghost copy on rank t)` pair
+    /// per ghost rank `t` holds of this rank's vertices. No communication happens here.
+    pub(crate) fn new(graph: &DistGraph, registered: &[Vec<(LocalId, LocalId)>]) -> HaloPlan {
         let n_owned = graph.n_owned();
-        let n_ghost = graph.n_ghost();
-        let nranks = ctx.nranks();
-
-        // One adjacency pass: count the transpose rows and lay out the send plan's
-        // destination ranks. `asked_for[t] == v` records that `v` already has `t` as a
-        // destination, so each (vertex, rank) pair is requested once.
-        let mut ghost_offsets = vec![0u32; n_ghost + 1];
-        let mut send_offsets = Vec::with_capacity(n_owned + 1);
-        send_offsets.push(0u32);
-        let mut dests: Vec<u32> = Vec::new();
-        let mut requests: Vec<Vec<GlobalId>> = vec![Vec::new(); nranks];
-        let mut asked_for = vec![usize::MAX; nranks];
-        for v in 0..n_owned {
-            for &u in graph.neighbors(v as LocalId) {
-                if u as usize >= n_owned {
-                    ghost_offsets[u as usize - n_owned + 1] += 1;
-                    let owner = graph.owner_of_local(u);
-                    if asked_for[owner] != v {
-                        asked_for[owner] = v;
-                        dests.push(owner as u32);
-                        requests[owner].push(graph.global_id(v as LocalId));
-                    }
-                }
-            }
-            send_offsets.push(dests.len() as u32);
-        }
-
-        // The handshake. A holder that does not know a requested vertex as a ghost still
-        // answers (with `NO_SLOT`), so both collectives complete on every rank before
-        // anyone reports the mismatch.
-        let asked = ctx.alltoallv(requests);
-        let mut stranger: Option<(usize, GlobalId)> = None;
-        let replies: Vec<Vec<LocalId>> = asked
-            .iter()
-            .enumerate()
-            .map(|(peer, ids)| {
-                ids.iter()
-                    .map(|&g| match graph.local_id(g) {
-                        Some(lid) if !graph.is_owned(lid) => lid,
-                        _ => {
-                            stranger.get_or_insert((peer, g));
-                            NO_SLOT
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let answered = ctx.alltoallv(replies);
-        if let Some((peer, g)) = stranger {
-            return Err(HaloError {
-                peer,
-                detail: format!(
-                    "asked for the ghost slot of vertex {g}, which is not a ghost here"
-                ),
-            });
-        }
-
-        // Replies come back in request order, which is the order `dests` was laid out in.
-        let mut slots: Vec<_> = answered.iter().map(|buf| buf.iter()).collect();
-        let mut send_targets = Vec::with_capacity(dests.len());
-        for &dest in &dests {
-            match slots[dest as usize].next() {
-                Some(&slot) if slot != NO_SLOT => send_targets.push((dest, slot)),
-                _ => {
-                    return Err(HaloError {
-                        peer: dest as usize,
-                        detail: "holds no ghost copy of a vertex adjacent to it".into(),
-                    })
-                }
-            }
-        }
-
-        // Fill the transpose (second adjacency pass, as a counting sort needs).
-        for i in 0..n_ghost {
-            ghost_offsets[i + 1] += ghost_offsets[i];
-        }
-        let mut ghost_owned = vec![0 as LocalId; ghost_offsets[n_ghost] as usize];
-        let mut cursor = ghost_offsets.clone();
-        for v in 0..n_owned {
-            for &u in graph.neighbors(v as LocalId) {
-                if u as usize >= n_owned {
-                    let slot = u as usize - n_owned;
-                    ghost_owned[cursor[slot] as usize] = v as LocalId;
-                    cursor[slot] += 1;
-                }
-            }
-        }
-
-        Ok(HaloPlan {
+        let (send_offsets, send_targets) = rows(
+            n_owned,
+            registered.iter().enumerate().flat_map(|(holder, pairs)| {
+                pairs
+                    .iter()
+                    .map(move |&(v, slot)| (v as usize, (holder as u32, slot)))
+            }),
+        );
+        let (ghost_offsets, ghost_owned) = rows(
+            graph.n_ghost(),
+            (0..n_owned as LocalId).flat_map(|v| {
+                let ghosts = graph.neighbors(v).iter().filter(|&&u| !graph.is_owned(u));
+                ghosts.map(move |&u| (u as usize - n_owned, v))
+            }),
+        );
+        HaloPlan {
             n_owned,
             n_total: graph.n_total(),
             send_offsets,
             send_targets,
             ghost_offsets,
             ghost_owned,
-        })
+        }
     }
 
-    /// Number of owned vertices of the graph the plan was built for.
-    #[inline]
-    pub fn n_owned(&self) -> usize {
-        self.n_owned
-    }
-
-    /// Number of ghosts of the graph the plan was built for: the length of the ghost
-    /// arrays [`push`](HaloPlan::push) keeps coherent.
-    #[inline]
-    pub fn n_ghost(&self) -> usize {
-        self.n_total - self.n_owned
+    /// Approximate heap footprint of the tables in bytes.
+    pub(crate) fn approx_bytes(&self) -> u64 {
+        let offsets = self.send_offsets.len() + self.ghost_offsets.len();
+        (offsets * 4 + self.send_targets.len() * 8 + self.ghost_owned.len() * 4) as u64
     }
 
     /// The owned vertices adjacent to ghost slot `slot` (i.e. local id
@@ -244,7 +181,8 @@ impl HaloPlan {
         }
 
         let received = ctx.alltoallv(sends);
-        assert_eq!(ghost_values.len(), self.n_ghost(), "one value per ghost");
+        let n_ghost = self.n_total - self.n_owned;
+        assert_eq!(ghost_values.len(), n_ghost, "one value per ghost");
         let mut applied = 0u64;
         for (peer, buf) in received.into_iter().enumerate() {
             for (slot, value) in buf {
@@ -274,7 +212,7 @@ mod tests {
 
     use super::*;
     use crate::distribution::splitmix64;
-    use crate::Distribution;
+    use crate::{Distribution, GlobalId};
     use xtrapulp_comm::Runtime;
 
     /// A seeded draw stream (the graph crate has no `rand`).
@@ -303,13 +241,46 @@ mod tests {
         (n, edges)
     }
 
+    /// The oracle's reference, independent of the plan: every holder asks its ghosts'
+    /// owners for their values by global id, the owners hash the ids and answer in request
+    /// order.
+    fn pull_by_global_id<T: WireElem>(
+        ctx: &RankCtx,
+        g: &DistGraph,
+        value_of: impl Fn(LocalId) -> T,
+    ) -> Vec<T> {
+        let mut requests: Vec<Vec<GlobalId>> = vec![Vec::new(); ctx.nranks()];
+        let mut request_slots: Vec<Vec<usize>> = vec![Vec::new(); ctx.nranks()];
+        for slot in 0..g.n_ghost() {
+            let lid = (g.n_owned() + slot) as LocalId;
+            requests[g.owner_of_local(lid)].push(g.global_id(lid));
+            request_slots[g.owner_of_local(lid)].push(slot);
+        }
+        let replies: Vec<Vec<T>> = ctx
+            .alltoallv(requests)
+            .iter()
+            .map(|ids| {
+                ids.iter()
+                    .map(|&id| value_of(g.local_id(id).filter(|&l| g.is_owned(l)).unwrap()))
+                    .collect()
+            })
+            .collect();
+        let mut out = vec![None; g.n_ghost()];
+        for (owner, values) in ctx.alltoallv(replies).into_iter().enumerate() {
+            for (&slot, value) in request_slots[owner].iter().zip(values) {
+                out[slot] = Some(value);
+            }
+        }
+        out.into_iter().map(Option::unwrap).collect()
+    }
+
     /// The oracle for one payload type: for seeded random graphs × distributions × rank
     /// counts × random update batches, the plan names exactly the ranks owning a
-    /// neighbour, a push over every owned vertex equals the pull-based
-    /// `ghost_values_with`, every ghost value equals its owner's value after a push, and
+    /// neighbour, a push over every owned vertex — and `ghost_values_with`, which is one —
+    /// equals the pull by global id, every ghost value equals its owner's value after a push, and
     /// `on_update` reports exactly the ghosts whose value actually changed (checked
     /// through the transpose: the owned neighbours of those ghosts).
-    fn oracle<T: WireElem + PartialEq + Debug>(value: fn(u64) -> T) {
+    fn oracle<T: WireElem + PartialEq + Debug + Default>(value: fn(u64) -> T) {
         const VALUES: u64 = 5;
         for seed in 0..6u64 {
             let (n, edges) = hub_graph(seed);
@@ -321,10 +292,9 @@ mod tests {
                 for nranks in 1..=4usize {
                     Runtime::run(nranks, |ctx| {
                         let g = DistGraph::from_shared_edges(ctx, dist.clone(), n, &edges);
-                        let halo = HaloPlan::build(ctx, &g).unwrap();
+                        let halo = g.halo();
                         let n_owned = g.n_owned();
                         let me = ctx.rank();
-                        assert_eq!((halo.n_owned(), halo.n_ghost()), (n_owned, g.n_ghost()));
 
                         // The plan's destinations are the other ranks owning a neighbour.
                         for v in 0..n_owned as LocalId {
@@ -366,7 +336,11 @@ mod tests {
                             .unwrap();
                         assert_eq!(refreshed, g.n_ghost() as u64);
                         let mine = owned(&global);
-                        assert_eq!(ghosts, g.ghost_values_with(ctx, |v| mine[v as usize]));
+                        assert_eq!(ghosts, pull_by_global_id(ctx, &g, |v| mine[v as usize]));
+                        assert_eq!(
+                            Ok(ghosts.clone()),
+                            g.ghost_values_with(ctx, |v| mine[v as usize])
+                        );
 
                         let mut draws = Draws(seed ^ 0xA5A5);
                         for round in 0..5 {
@@ -438,7 +412,7 @@ mod tests {
         for bad_slot in [0, LocalId::MAX - 1] {
             let out = Runtime::run(2, |ctx| {
                 let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 8, &edges);
-                let mut halo = HaloPlan::build(ctx, &g).unwrap();
+                let mut halo = g.halo().clone();
                 // Rank 0's first boundary vertex claims an owned (or out-of-range) local
                 // id on rank 1.
                 let boundary = (0..g.n_owned() as LocalId)

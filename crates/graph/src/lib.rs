@@ -14,10 +14,11 @@
 //! * [`Distribution`] — the vertex-to-rank ownership functions (block, cyclic, hashed)
 //!   the paper discusses ("we utilize either random and block distributions").
 //! * [`DistGraph`] — the per-rank local graph: owned vertices, ghost table, local CSR,
-//!   ghost degrees and a pull-based ghost value exchange.
+//!   ghost degrees and its halo plan.
 //! * [`HaloPlan`] — where each owned boundary vertex's ghost copies live on the other
-//!   ranks, resolved once per graph, plus the ghost→owned transpose; its `push` is the one
-//!   index-resolved, change-only ghost update every consumer of per-vertex state shares.
+//!   ranks, resolved by the graph's construction handshake, plus the ghost→owned
+//!   transpose; its `push` is the one index-resolved ghost update every consumer of
+//!   per-vertex state shares, full refreshes included.
 //! * [`bfs`] — serial and distributed breadth-first search (used by the initialisation
 //!   strategy, the diameter estimator and the analytics crate).
 //! * [`stats`] — degree statistics and the iterative-BFS diameter estimate used to build

@@ -8,8 +8,8 @@
 //!
 //! * **1-D row distributions** ([`spmv_1d`]): each rank owns the rows (vertices) assigned
 //!   to it by a partition — block, random, or a partitioner's output. Before every
-//!   multiply, each rank pulls the x-vector entries of its ghost columns from their
-//!   owners; communication volume is proportional to the partition's cut.
+//!   multiply, the x-vector entries of each rank's ghost columns are refreshed over the
+//!   graph's halo plan; communication volume is proportional to the partition's cut.
 //! * **2-D distributions** ([`spmv_2d`]): ranks are arranged in an `r × c` grid and each
 //!   nonzero `(u, v)` is assigned to the rank at (row-group of `owner(u)`, column-group of
 //!   `owner(v)`), following Boman, Devine and Rajamanickam's scheme for mapping 1-D
@@ -20,7 +20,7 @@
 
 use xtrapulp_comm::{RankCtx, Timer};
 use xtrapulp_graph::{DistGraph, Distribution, GraphDelta};
-use xtrapulp_graph::{GlobalId, LocalId};
+use xtrapulp_graph::{GlobalId, HaloError, LocalId};
 
 /// Result of a timed SpMV run on one rank (identical on all ranks after reduction).
 #[derive(Debug, Clone, Copy)]
@@ -35,14 +35,19 @@ pub struct SpmvResult {
 
 /// Run `iterations` distributed SpMV operations `y = A x` with a 1-D row distribution
 /// given by the graph's own vertex ownership. `x` starts as all-ones and is replaced by
-/// `y` (normalised) after every iteration, as an iterative solver would.
-pub fn spmv_1d(ctx: &RankCtx, graph: &DistGraph, iterations: usize) -> SpmvResult {
+/// `y` (normalised) after every iteration, as an iterative solver would. Fails only when a
+/// peer's x-vector update names a ghost column this rank does not have.
+pub fn spmv_1d(
+    ctx: &RankCtx,
+    graph: &DistGraph,
+    iterations: usize,
+) -> Result<SpmvResult, HaloError> {
     let n_owned = graph.n_owned();
     let mut x = vec![1.0f64; n_owned];
     let bytes_before = ctx.stats().bytes_sent();
     let timer = Timer::start();
     for _ in 0..iterations {
-        let ghost_x = graph.ghost_values_f64(ctx, &x);
+        let ghost_x = graph.ghost_values_with(ctx, |v| x[v as usize])?;
         let mut y = vec![0.0f64; n_owned];
         for (v, y_v) in y.iter_mut().enumerate() {
             let mut acc = 0.0;
@@ -67,11 +72,11 @@ pub fn spmv_1d(ctx: &RankCtx, graph: &DistGraph, iterations: usize) -> SpmvResul
     let seconds = ctx.allreduce_max_f64(&[timer.elapsed_secs()])[0];
     let comm_bytes = ctx.allreduce_scalar_sum_u64(ctx.stats().bytes_sent_since(bytes_before));
     let checksum = ctx.allreduce_sum_f64(&[x.iter().sum::<f64>()])[0];
-    SpmvResult {
+    Ok(SpmvResult {
         seconds,
         comm_bytes,
         checksum,
-    }
+    })
 }
 
 /// A 2-D distributed sparse matrix built from a 1-D vertex partition.
@@ -337,7 +342,7 @@ pub fn spmv_1d_with_partition(
     edges: &[(GlobalId, GlobalId)],
     parts: &[i32],
     iterations: usize,
-) -> SpmvResult {
+) -> Result<SpmvResult, HaloError> {
     let dist = Distribution::from_parts(parts);
     let graph = DistGraph::from_shared_edges(ctx, dist, global_n, edges);
     spmv_1d(ctx, &graph, iterations)
@@ -369,7 +374,7 @@ mod tests {
         let nranks = 4;
         let parts = baselines::random_partition(n, nranks, 3);
         let out = Runtime::run(nranks, |ctx| {
-            let r1 = spmv_1d_with_partition(ctx, n, &edges, &parts, 5);
+            let r1 = spmv_1d_with_partition(ctx, n, &edges, &parts, 5).unwrap();
             let m = Matrix2d::build(ctx, n, &edges, &parts);
             let r2 = spmv_2d(ctx, &m, 5);
             (r1.checksum, r2.checksum)
@@ -387,12 +392,16 @@ mod tests {
         let (n, edges) = test_graph();
         let reference = Runtime::run(1, |ctx| {
             let parts = vec![0i32; n as usize];
-            spmv_1d_with_partition(ctx, n, &edges, &parts, 4).checksum
+            spmv_1d_with_partition(ctx, n, &edges, &parts, 4)
+                .unwrap()
+                .checksum
         })[0];
         for nranks in [2usize, 4] {
             let parts = baselines::vertex_block_partition(n, nranks);
             let out = Runtime::run(nranks, |ctx| {
-                spmv_1d_with_partition(ctx, n, &edges, &parts, 4).checksum
+                spmv_1d_with_partition(ctx, n, &edges, &parts, 4)
+                    .unwrap()
+                    .checksum
             });
             for c in out {
                 assert!(
@@ -411,7 +420,9 @@ mod tests {
         let block = baselines::vertex_block_partition(n, nranks);
         let run = |parts: &Vec<i32>| {
             Runtime::run(nranks, |ctx| {
-                spmv_1d_with_partition(ctx, n, &edges, parts, 3).comm_bytes
+                spmv_1d_with_partition(ctx, n, &edges, parts, 3)
+                    .unwrap()
+                    .comm_bytes
             })[0]
         };
         // The small-world ring has strong locality, so contiguous blocks cut far fewer

@@ -33,8 +33,8 @@ fn main() {
         let results = Runtime::run(nranks, |ctx| {
             let graph = DistGraph::from_shared_edges(ctx, dist.clone(), el.num_vertices, &el.edges);
             let t = std::time::Instant::now();
-            let pr = pagerank(ctx, &graph, 20, 0.85);
-            let labels = wcc(ctx, &graph);
+            let pr = pagerank(ctx, &graph, 20, 0.85).expect("in-process ranks agree on the halo");
+            let labels = wcc(ctx, &graph).expect("in-process ranks agree on the halo");
             let seconds = t.elapsed().as_secs_f64();
             let bytes = ctx.stats().bytes_sent();
             let local_max_pr = pr.iter().cloned().fold(0.0f64, f64::max);

@@ -39,7 +39,8 @@ fn main() {
     );
     for (name, parts) in &strategies {
         let out = Runtime::run(nranks, |ctx| {
-            let r1 = spmv_1d_with_partition(ctx, n, &edges, parts, iterations);
+            let r1 = spmv_1d_with_partition(ctx, n, &edges, parts, iterations)
+                .expect("in-process ranks agree on the halo");
             let m = Matrix2d::build(ctx, n, &edges, parts);
             let r2 = spmv_2d(ctx, &m, iterations);
             (r1, r2)

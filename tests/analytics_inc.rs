@@ -651,15 +651,15 @@ const GOLDEN_COMM_BYTES: &[(&str, [u64; GOLDEN_EPOCHS])] = &[
     (
         "ba/r2",
         [
-            174736, 174032, 179446, 176117, 195345, 178343, 167932, 168458, 397069, 175034, 174851,
-            174162,
+            170248, 169544, 174958, 171629, 190833, 173831, 163420, 163946, 392565, 170530, 170339,
+            169650,
         ],
     ),
     (
         "ba/r4",
         [
-            411028, 407993, 421121, 414419, 459152, 419127, 395435, 397421, 938300, 413323, 412568,
-            411370,
+            400556, 397521, 410649, 403923, 448616, 408583, 384883, 386853, 927716, 402747, 401984,
+            400786,
         ],
     ),
     (
@@ -671,15 +671,15 @@ const GOLDEN_COMM_BYTES: &[(&str, [u64; GOLDEN_EPOCHS])] = &[
     (
         "rmat/r2",
         [
-            258304, 86331, 186141, 259686, 121014, 262522, 279884, 261633, 274450, 93195, 266085,
-            266638,
+            255360, 83387, 183189, 256726, 118030, 259538, 276884, 258625, 271434, 90171, 263045,
+            263590,
         ],
     ),
     (
         "rmat/r4",
         [
-            577879, 196228, 416649, 583458, 275997, 588477, 627672, 587410, 614926, 212165, 592308,
-            595523,
+            571327, 189668, 410081, 576842, 269333, 581813, 620976, 580690, 608206, 205437, 585564,
+            588747,
         ],
     ),
 ];

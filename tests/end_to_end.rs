@@ -125,7 +125,9 @@ fn partition_improves_spmv_communication_over_random() {
     let random = baselines::random_partition(n, nranks, 3);
     let comm = |parts: &Vec<i32>| {
         Runtime::run(nranks, |ctx| {
-            spmv_1d_with_partition(ctx, n, &edges, parts, 5).comm_bytes
+            spmv_1d_with_partition(ctx, n, &edges, parts, 5)
+                .expect("in-process ranks agree on the halo")
+                .comm_bytes
         })[0]
     };
     assert!(comm(&xtrapulp) < comm(&random));
@@ -141,7 +143,8 @@ fn spmv_2d_agrees_with_1d_under_a_partitioned_layout() {
     let params = PartitionParams::with_parts(nranks);
     let parts = XtraPulpPartitioner::new(nranks).partition(&csr, &params);
     let out = Runtime::run(nranks, |ctx| {
-        let r1 = spmv_1d_with_partition(ctx, n, &edges, &parts, 3);
+        let r1 = spmv_1d_with_partition(ctx, n, &edges, &parts, 3)
+            .expect("in-process ranks agree on the halo");
         let m = Matrix2d::build(ctx, n, &edges, &parts);
         let r2 = spmv_2d(ctx, &m, 3);
         (r1.checksum, r2.checksum)
