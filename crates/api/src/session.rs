@@ -52,8 +52,8 @@ impl PartitionJob {
 /// Constructing a session spawns its rank threads once; every subsequent
 /// [`submit`](Session::submit) reuses them, so a service partitioning many graphs — or a
 /// pipeline partitioning a graph and then running analytics over it — pays thread
-/// spawn/teardown once instead of per call (the `bench_api_overhead` bench measures the
-/// difference against one-shot [`Runtime::run`] calls).
+/// spawn/teardown once instead of per call (the repo benchmark's `api.session_spawn_s`
+/// and `api.job_overhead_s` measure both sides of that trade).
 ///
 /// All request validation happens *before* a job enters the runtime, so a malformed
 /// request returns a typed [`PartitionError`] and leaves the session healthy for the

@@ -1,288 +1,89 @@
-//! Perf-trajectory harness: append benchmark entries to `BENCH_history.json`
-//! and gate CI on regressions against the recorded history.
-//!
-//! Two modes:
-//!
-//! * `bench_history append [--label L] [--scale S] [--nranks N] [--repeat K]
-//!   [--file PATH]` — runs the canonical partition benchmark (R-MAT, in-process
-//!   multi-rank session) and appends one entry with the measured metrics.
-//! * `bench_history check [--file PATH] [--tolerance T]` — compares the newest
-//!   entry's metrics against the median of all prior entries, per key. A key
-//!   regresses when it exceeds `median * tolerance` (default 2.0 — generous,
-//!   because CI machines are noisy; the gate catches trajectory-scale
-//!   regressions, not percent-level drift). With fewer than two entries the
-//!   check passes trivially: the history is being seeded.
-//!
-//! The history file is a JSON array with exactly one entry object per line,
-//! so `append` can extend it textually, diffs stay line-per-run, and `check`
-//! can parse it without a JSON parser dependency:
-//!
-//! ```json
-//! [
-//! {"t":1754650000,"label":"ci","scale":12,"nranks":4,"metrics":{"partition_seconds":0.12,...}},
-//! {"t":1754736400,"label":"ci","scale":12,"nranks":4,"metrics":{"partition_seconds":0.11,...}}
-//! ]
-//! ```
-//!
-//! All recorded metrics are lower-is-better (wall seconds, cut edges, wire
-//! bytes), so the comparison is one-sided.
+//! `bench-history append --label L [--file P]` runs the repo benchmark as `BENCHMARK.json`
+//! declares it (read from the working directory) and appends one full-width entry to
+//! `BENCH_history.json`; `bench-history check [--file P]` validates that file and compares
+//! its newest entry with the one before it. See `xtrapulp_bench::history`.
 
 use std::path::PathBuf;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::process::Command;
+use std::time::{SystemTime, UNIX_EPOCH};
 
-use xtrapulp::PartitionParams;
-use xtrapulp_api::Session;
-use xtrapulp_gen::{GraphConfig, GraphKind};
+use xtrapulp_bench::history::{append, check, Spec, SEED};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bench_history append [--label L] [--scale S] [--nranks N] [--repeat K] [--file PATH]\n\
-         \x20      bench_history check  [--file PATH] [--tolerance T]"
+        "usage: bench-history append --label L [--file PATH]\n\
+         \x20      bench-history check [--file PATH]\n\
+         run from the repository root: BENCHMARK.json is read from the working directory"
     );
     std::process::exit(2);
 }
 
-struct Options {
-    mode: String,
-    label: String,
-    scale: u32,
-    nranks: usize,
-    repeat: usize,
-    file: PathBuf,
-    tolerance: f64,
-}
-
-fn parse_args() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(mode) = args.first().cloned() else {
-        usage();
-    };
-    if mode != "append" && mode != "check" {
-        usage();
+/// Run the benchmark's command once and return the last line it printed.
+fn run_benchmark(spec: &Spec, workload: &str, traced: bool) -> Result<String, String> {
+    let trace = if traced { "1" } else { "0" };
+    eprintln!(
+        "bench-history: {workload} --trace {trace} ({} s)",
+        spec.run_seconds
+    );
+    let output = Command::new(&spec.command[0])
+        .args(&spec.command[1..])
+        .args(["--workload", workload, "--trace", trace])
+        .args(["--seed", &SEED.to_string()])
+        .args(["--seconds", &spec.run_seconds.to_string()])
+        .output()
+        .map_err(|e| format!("cannot run {}: {e}", spec.command[0]))?;
+    if !output.status.success() {
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        return Err(format!(
+            "{workload} --trace {trace} exited with {}: {stderr}",
+            output.status
+        ));
     }
-    let mut opts = Options {
-        mode,
-        label: "local".to_string(),
-        scale: 12,
-        nranks: 4,
-        repeat: 3,
-        file: PathBuf::from("BENCH_history.json"),
-        tolerance: 2.0,
-    };
-    let mut i = 1;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--label" => opts.label = value(&mut i),
-            "--scale" => opts.scale = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--nranks" => opts.nranks = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--repeat" => opts.repeat = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--file" => opts.file = PathBuf::from(value(&mut i)),
-            "--tolerance" => opts.tolerance = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
-        }
-        i += 1;
-    }
-    if opts.repeat == 0 || opts.nranks == 0 {
-        usage();
-    }
-    opts
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let last = stdout.lines().rev().find(|line| !line.trim().is_empty());
+    last.map(str::to_string)
+        .ok_or(format!("{workload} --trace {trace} printed nothing"))
 }
 
 fn main() {
-    let opts = parse_args();
-    let code = match opts.mode.as_str() {
-        "append" => run_append(&opts),
-        "check" => run_check(&opts),
-        _ => unreachable!(),
-    };
-    std::process::exit(code);
-}
-
-// ----------------------------------------------------------------------------------
-// append: measure and record.
-// ----------------------------------------------------------------------------------
-
-/// The canonical benchmark: partition a fixed-seed R-MAT graph on an
-/// in-process multi-rank session. Best-of-`repeat` wall time, so the recorded
-/// trajectory tracks the machine's capability rather than scheduler noise.
-fn run_append(opts: &Options) -> i32 {
-    let config = GraphConfig::new(
-        GraphKind::Rmat {
-            scale: opts.scale,
-            edge_factor: 16,
-        },
-        42,
-    );
-    let csr = config.generate().to_csr();
-    let params = PartitionParams {
-        num_parts: opts.nranks,
-        ..Default::default()
-    };
-    let mut best_seconds = f64::INFINITY;
-    let mut edge_cut = 0u64;
-    let mut edge_cut_ratio = 0.0f64;
-    let mut wire_bytes = 0u64;
-    for _ in 0..opts.repeat {
-        let mut session = match Session::new(opts.nranks) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("session setup failed: {e}");
-                return 1;
-            }
-        };
-        let started = Instant::now();
-        let report = match session.partition(&csr, &params) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("benchmark partition failed: {e}");
-                return 1;
-            }
-        };
-        let seconds = started.elapsed().as_secs_f64();
-        if seconds < best_seconds {
-            best_seconds = seconds;
-        }
-        edge_cut = report.quality.edge_cut;
-        edge_cut_ratio = report.quality.edge_cut_ratio;
-        wire_bytes = report.comm.wire_bytes_sent;
-    }
-    let t = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let entry = format!(
-        "{{\"t\":{t},\"label\":\"{}\",\"scale\":{},\"nranks\":{},\"metrics\":{{\
-         \"partition_seconds\":{best_seconds:.6},\"edge_cut\":{edge_cut},\
-         \"edge_cut_ratio\":{edge_cut_ratio:.6},\"wire_bytes_sent\":{wire_bytes}}}}}",
-        opts.label, opts.scale, opts.nranks,
-    );
-    let body = match std::fs::read_to_string(&opts.file) {
-        Ok(existing) => {
-            let mut entries = parse_entry_lines(&existing);
-            entries.push(entry.clone());
-            render(&entries)
-        }
-        Err(_) => render(std::slice::from_ref(&entry)),
-    };
-    if let Err(e) = std::fs::write(&opts.file, body) {
-        eprintln!("failed to write {}: {e}", opts.file.display());
-        return 1;
-    }
-    println!("{entry}");
-    0
-}
-
-fn render(entries: &[String]) -> String {
-    let mut out = String::from("[\n");
-    for (i, e) in entries.iter().enumerate() {
-        out.push_str(e);
-        out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// One entry object per line by construction; tolerate trailing commas and
-/// the array brackets on their own lines.
-fn parse_entry_lines(body: &str) -> Vec<String> {
-    body.lines()
-        .map(|l| l.trim().trim_end_matches(','))
-        .filter(|l| l.starts_with('{'))
-        .map(str::to_string)
-        .collect()
-}
-
-// ----------------------------------------------------------------------------------
-// check: newest entry vs the median of its predecessors.
-// ----------------------------------------------------------------------------------
-
-/// Pull the flat `"key":value` pairs out of an entry's `"metrics":{...}` object.
-fn parse_metrics(entry: &str) -> Vec<(String, f64)> {
-    let Some(obj) = entry
-        .split("\"metrics\":{")
-        .nth(1)
-        .and_then(|rest| rest.split('}').next())
-    else {
-        return Vec::new();
-    };
-    obj.split(',')
-        .filter_map(|pair| {
-            let (key, value) = pair.split_once(':')?;
-            let key = key.trim().trim_matches('"').to_string();
-            let value: f64 = value.trim().parse().ok()?;
-            Some((key, value))
-        })
-        .collect()
-}
-
-fn median(mut values: Vec<f64>) -> f64 {
-    values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let n = values.len();
-    if n % 2 == 1 {
-        values[n / 2]
-    } else {
-        (values[n / 2 - 1] + values[n / 2]) / 2.0
-    }
-}
-
-fn run_check(opts: &Options) -> i32 {
-    let body = match std::fs::read_to_string(&opts.file) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("no history at {}: {e}", opts.file.display());
-            return 1;
-        }
-    };
-    let entries = parse_entry_lines(&body);
-    if entries.len() < 2 {
-        println!(
-            "{{\"check\":\"pass\",\"entries\":{},\"note\":\"history seeding, nothing to compare\"}}",
-            entries.len()
-        );
-        return 0;
-    }
-    let newest = parse_metrics(entries.last().expect("non-empty"));
-    let priors: Vec<Vec<(String, f64)>> = entries[..entries.len() - 1]
-        .iter()
-        .map(|e| parse_metrics(e))
-        .collect();
-    let mut regressions = Vec::new();
-    for (key, value) in &newest {
-        let history: Vec<f64> = priors
-            .iter()
-            .filter_map(|m| m.iter().find(|(k, _)| k == key).map(|(_, v)| *v))
-            .collect();
-        if history.is_empty() {
-            continue; // new metric: starts its own trajectory
-        }
-        let baseline = median(history);
-        // One-sided, lower-is-better. The epsilon floor keeps near-zero
-        // baselines (sub-millisecond timings, zero cut counts) from turning
-        // measurement noise into a gate failure.
-        let limit = (baseline * opts.tolerance).max(baseline + 1e-3);
-        if *value > limit {
-            regressions.push(format!(
-                "{{\"key\":\"{key}\",\"value\":{value},\"baseline_median\":{baseline},\"limit\":{limit}}}"
-            ));
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut label = None;
+    let mut file = PathBuf::from("BENCH_history.json");
+    let mut rest = args.iter().skip(1);
+    while let Some(flag) = rest.next() {
+        match (flag.as_str(), rest.next()) {
+            ("--label", Some(value)) => label = Some(value.clone()),
+            ("--file", Some(value)) => file = PathBuf::from(value),
+            _ => usage(),
         }
     }
-    if regressions.is_empty() {
-        println!(
-            "{{\"check\":\"pass\",\"entries\":{},\"metrics\":{}}}",
-            entries.len(),
-            newest.len()
-        );
-        0
-    } else {
-        println!(
-            "{{\"check\":\"fail\",\"entries\":{},\"regressions\":[{}]}}",
-            entries.len(),
-            regressions.join(",")
-        );
-        1
+    // `append` takes a label and `check` takes none, so the label says which this is.
+    let label = match (args.first().map(String::as_str), label) {
+        (Some("append"), Some(label)) => Some(label),
+        (Some("check"), None) => None,
+        _ => usage(),
+    };
+    let spec = std::fs::read_to_string("BENCHMARK.json")
+        .map_err(|e| format!("cannot read BENCHMARK.json: {e}"))
+        .and_then(|text| Spec::parse(&text));
+    let outcome = spec.and_then(|spec| match &label {
+        Some(label) => {
+            let t = SystemTime::now()
+                .duration_since(UNIX_EPOCH)
+                .map_or(0, |d| d.as_secs());
+            append(&spec, label, &file, t, &mut |w, traced| {
+                run_benchmark(&spec, w, traced)
+            })
+        }
+        None => std::fs::read_to_string(&file)
+            .map_err(|e| format!("no history at {}: {e}", file.display()))
+            .and_then(|body| check(&spec, &body)),
+    });
+    match outcome {
+        Ok(report) => println!("{}", report.trim_end()),
+        Err(problem) => {
+            eprintln!("bench-history: {}", problem.trim_end());
+            std::process::exit(1);
+        }
     }
 }

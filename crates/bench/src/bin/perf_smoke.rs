@@ -15,24 +15,12 @@ use std::time::Instant;
 
 use xtrapulp::{try_pulp_run, PartitionParams, SweepMode};
 use xtrapulp_analytics::{AnalyticsConsumer, WarmPolicy};
+use xtrapulp_bench::json::Flat;
 use xtrapulp_gen::updates::{generate_stream, StreamKind, UpdateStreamConfig};
 use xtrapulp_gen::{GraphConfig, GraphKind};
-use xtrapulp_graph::GraphDelta;
+use xtrapulp_graph::{Csr, GraphDelta};
 
 const BASELINE_PATH: &str = "crates/bench/perf_baseline.json";
-
-struct Measurement {
-    cold_frontier_seconds: f64,
-    cold_frontier_scored: u64,
-    cold_frontier_sweeps: u64,
-    cold_full_scored: u64,
-    warm_touched_scored: u64,
-    dist_loopback_seconds: f64,
-    dist_loopback_frames: u64,
-    analytics_warm_scored: u64,
-    analytics_kcore_rounds: u64,
-    analytics_comm_bytes: u64,
-}
 
 /// A 2-rank analytics consumer over four epochs of seeded churn on a small
 /// preferential-attachment graph: `[PageRank vertices scored, coreness rounds, bytes
@@ -73,7 +61,8 @@ fn measure_analytics() -> [u64; 3] {
     totals
 }
 
-fn measure() -> Measurement {
+/// The quick preset every section partitions: a 4096-vertex web-crawl proxy into 8 parts.
+fn quick_preset() -> (Csr, PartitionParams) {
     let csr = GraphConfig::new(
         GraphKind::WebCrawl {
             num_vertices: 4096,
@@ -84,11 +73,18 @@ fn measure() -> Measurement {
     )
     .generate()
     .to_csr();
-    let frontier = PartitionParams {
+    let params = PartitionParams {
         num_parts: 8,
         seed: 29,
         ..Default::default()
     };
+    (csr, params)
+}
+
+/// Every measured quantity under its `perf_baseline.json` name, in file order. The two
+/// `*_seconds` are wall times, printed for context; the rest are deterministic counters.
+fn measure() -> Vec<(&'static str, f64)> {
+    let (csr, frontier) = quick_preset();
     let full = PartitionParams {
         sweep_mode: SweepMode::Full,
         ..frontier
@@ -130,126 +126,69 @@ fn measure() -> Measurement {
     dist_times.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let [analytics_warm_scored, analytics_kcore_rounds, analytics_comm_bytes] = measure_analytics();
 
-    Measurement {
-        cold_frontier_seconds: times[1],
-        cold_frontier_scored: stats.vertices_scored,
-        cold_frontier_sweeps: stats.sweeps,
-        cold_full_scored: full_stats.vertices_scored,
-        warm_touched_scored: warm_stats.vertices_scored,
-        dist_loopback_seconds: dist_times[1],
-        dist_loopback_frames: dist_frames,
-        analytics_warm_scored,
-        analytics_kcore_rounds,
-        analytics_comm_bytes,
-    }
-}
-
-fn to_json(m: &Measurement) -> String {
-    format!(
-        "{{\n  \"cold_frontier_seconds\": {},\n  \"cold_frontier_scored\": {},\n  \
-         \"cold_frontier_sweeps\": {},\n  \"cold_full_scored\": {},\n  \
-         \"warm_touched_scored\": {},\n  \"dist_loopback_seconds\": {},\n  \
-         \"dist_loopback_frames\": {},\n  \"analytics_warm_scored\": {},\n  \
-         \"analytics_kcore_rounds\": {},\n  \"analytics_comm_bytes\": {}\n}}\n",
-        m.cold_frontier_seconds,
-        m.cold_frontier_scored,
-        m.cold_frontier_sweeps,
-        m.cold_full_scored,
-        m.warm_touched_scored,
-        m.dist_loopback_seconds,
-        m.dist_loopback_frames,
-        m.analytics_warm_scored,
-        m.analytics_kcore_rounds,
-        m.analytics_comm_bytes
-    )
-}
-
-/// Extract a numeric field from the flat baseline JSON (the workspace's vendored
-/// serde_json only serialises, so parsing is a two-line scan).
-fn field(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = json.find(&pat)? + pat.len();
-    let rest = json[start..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    vec![
+        ("cold_frontier_seconds", times[1]),
+        ("cold_frontier_scored", stats.vertices_scored as f64),
+        ("cold_frontier_sweeps", stats.sweeps as f64),
+        ("cold_full_scored", full_stats.vertices_scored as f64),
+        ("warm_touched_scored", warm_stats.vertices_scored as f64),
+        ("dist_loopback_seconds", dist_times[1]),
+        ("dist_loopback_frames", dist_frames as f64),
+        ("analytics_warm_scored", analytics_warm_scored as f64),
+        ("analytics_kcore_rounds", analytics_kcore_rounds as f64),
+        ("analytics_comm_bytes", analytics_comm_bytes as f64),
+    ]
 }
 
 fn main() {
     let write = std::env::args().any(|a| a == "--write-baseline");
-    let m = measure();
-    println!(
-        "perf_smoke: cold frontier {:.3}s, {} sweeps, {} scored (full mode scores {}); \
-         warm touched scores {}; 4-rank loopback {:.3}s / {} frames; 2-rank analytics \
-         {} scored / {} coreness rounds / {} bytes",
-        m.cold_frontier_seconds,
-        m.cold_frontier_sweeps,
-        m.cold_frontier_scored,
-        m.cold_full_scored,
-        m.warm_touched_scored,
-        m.dist_loopback_seconds,
-        m.dist_loopback_frames,
-        m.analytics_warm_scored,
-        m.analytics_kcore_rounds,
-        m.analytics_comm_bytes
-    );
+    let measured = measure();
 
     if write {
-        std::fs::write(BASELINE_PATH, to_json(&m)).expect("write baseline");
+        let fields: Vec<String> = measured
+            .iter()
+            .map(|(name, value)| format!("  \"{name}\": {value}"))
+            .collect();
+        let json = format!("{{\n{}\n}}\n", fields.join(",\n"));
+        std::fs::write(BASELINE_PATH, json).expect("write baseline");
         println!("perf_smoke: baseline written to {BASELINE_PATH}");
         return;
     }
 
     let baseline = match std::fs::read_to_string(BASELINE_PATH)
-        .ok()
-        .or_else(|| std::fs::read_to_string(format!("../../{BASELINE_PATH}")).ok())
+        .or_else(|_| std::fs::read_to_string(format!("../../{BASELINE_PATH}")))
+        .map_err(|e| e.to_string())
+        .and_then(|text| Flat::parse(&text))
     {
-        Some(b) => b,
-        None => {
-            eprintln!("perf_smoke: no baseline at {BASELINE_PATH}; run with --write-baseline");
+        Ok(baseline) => baseline,
+        Err(e) => {
+            eprintln!("perf_smoke: no usable baseline at {BASELINE_PATH} ({e}); run with --write-baseline");
             std::process::exit(1);
         }
     };
 
     let mut failed = false;
-    let mut check = |name: &str, current: u64| match field(&baseline, name) {
-        Some(base) if base == current as f64 => {
-            println!("perf_smoke: {name}: {current} == baseline ok");
+    for (name, current) in measured {
+        match baseline.num(name) {
+            // Wall time is logged for context but does not gate: CI machines vary, the
+            // engine's deterministic work counters do not.
+            Some(base) if name.ends_with("_seconds") => println!(
+                "perf_smoke: {name}: {current} vs baseline {base} ({:.2}x) [informational]",
+                current / base.max(1e-9)
+            ),
+            Some(base) if base == current => {
+                println!("perf_smoke: {name}: {current} == baseline ok");
+            }
+            Some(base) => {
+                println!("perf_smoke: {name}: {current} vs baseline {base} CHANGED");
+                failed = true;
+            }
+            None => {
+                eprintln!("perf_smoke: baseline missing field {name}");
+                failed = true;
+            }
         }
-        Some(base) => {
-            println!("perf_smoke: {name}: {current} vs baseline {base} CHANGED");
-            failed = true;
-        }
-        None => {
-            eprintln!("perf_smoke: baseline missing field {name}");
-            failed = true;
-        }
-    };
-    // Wall time is logged for context but does not gate: CI machines vary, the
-    // engine's deterministic work counters do not.
-    if let Some(base) = field(&baseline, "cold_frontier_seconds") {
-        println!(
-            "perf_smoke: cold_frontier_seconds: {} vs baseline {base} ({:.2}x) [informational]",
-            m.cold_frontier_seconds,
-            m.cold_frontier_seconds / base.max(1e-9)
-        );
     }
-    if let Some(base) = field(&baseline, "dist_loopback_seconds") {
-        println!(
-            "perf_smoke: dist_loopback_seconds: {} vs baseline {base} ({:.2}x) [informational]",
-            m.dist_loopback_seconds,
-            m.dist_loopback_seconds / base.max(1e-9)
-        );
-    }
-    check("cold_frontier_scored", m.cold_frontier_scored);
-    check("cold_frontier_sweeps", m.cold_frontier_sweeps);
-    check("cold_full_scored", m.cold_full_scored);
-    check("warm_touched_scored", m.warm_touched_scored);
-    check("dist_loopback_frames", m.dist_loopback_frames);
-    check("analytics_warm_scored", m.analytics_warm_scored);
-    check("analytics_kcore_rounds", m.analytics_kcore_rounds);
-    check("analytics_comm_bytes", m.analytics_comm_bytes);
 
     if !tracing_overhead_gate() {
         failed = true;
@@ -302,21 +241,7 @@ fn tracing_overhead_gate() -> bool {
         "perf_smoke: tracing_disabled_span_ns: {ns_per_op:.2} (bound {DISABLED_SPAN_NS_BOUND}) {verdict}"
     );
 
-    let csr = GraphConfig::new(
-        GraphKind::WebCrawl {
-            num_vertices: 4096,
-            avg_degree: 16,
-            community_size: 256,
-        },
-        77,
-    )
-    .generate()
-    .to_csr();
-    let params = PartitionParams {
-        num_parts: 8,
-        seed: 29,
-        ..Default::default()
-    };
+    let (csr, params) = quick_preset();
     let _ = try_pulp_run(&csr, &params, None).unwrap(); // warm-up
     let mut disabled = Vec::with_capacity(AB_PAIRS);
     let mut enabled = Vec::with_capacity(AB_PAIRS);

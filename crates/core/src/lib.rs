@@ -39,8 +39,8 @@
 //!   validates [`PartitionParams`] and reports failures as typed [`PartitionError`]s
 //!   instead of panicking. The panicking `partition`/`partition_with_quality` shims
 //!   remain for trusted harness code.
-//! * [`try_xtrapulp_partition`] / [`xtrapulp_partition`] — collective calls over an
-//!   already-distributed graph ([`DistGraph`]); this is what the scaling experiments use.
+//! * [`try_xtrapulp_partition`] — the collective call over an already-distributed graph
+//!   ([`DistGraph`]); this is what the scaling experiments use.
 //! * [`XtraPulpPartitioner`] — [`Partitioner`] implementation that distributes an
 //!   in-memory [`Csr`](xtrapulp_graph::Csr) over an internal rank runtime, partitions it,
 //!   and gathers the result (failing with
@@ -85,13 +85,13 @@ pub use error::PartitionError;
 pub use params::{InitStrategy, PartitionParams};
 pub use partitioner::{
     greedy_seed_unassigned, try_xtrapulp_partition, try_xtrapulp_partition_from,
-    try_xtrapulp_partition_from_touched, validate_warm_start, xtrapulp_partition,
-    EdgeBlockPartitioner, PartitionResult, Partitioner, RandomPartitioner, VertexBlockPartitioner,
-    WarmStartPartitioner, XtraPulpPartitioner,
+    try_xtrapulp_partition_from_touched, validate_warm_start, EdgeBlockPartitioner,
+    PartitionResult, Partitioner, RandomPartitioner, VertexBlockPartitioner, WarmStartPartitioner,
+    XtraPulpPartitioner,
 };
 pub use pulp::{
-    pulp_partition, try_pulp_partition, try_pulp_partition_from, try_pulp_run, PulpPartitioner,
-    PulpRun, PulpWarmStart,
+    try_pulp_partition, try_pulp_partition_from, try_pulp_run, PulpPartitioner, PulpRun,
+    PulpWarmStart,
 };
 pub use sweep::{StageBreakdown, StageKind, SweepMode, SweepStats, SweepWorkspace};
 

@@ -56,7 +56,7 @@ pub struct PartitionParams {
     /// assigned greedily, nothing is refined).
     pub warm_outer_iters: usize,
     /// Sweep strategy: frontier-driven active-vertex sweeps (the default) or the
-    /// legacy full `0..n` sweeps, kept as the measured baseline for `bench_sweep` and
+    /// legacy full `0..n` sweeps, kept as the measured baseline for `perf_smoke` and
     /// the frontier-vs-full parity tests. See [`crate::sweep`].
     pub sweep_mode: SweepMode,
     /// Worker threads for the intra-rank parallel proposal phase of each sweep

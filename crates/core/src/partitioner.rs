@@ -64,25 +64,6 @@ pub fn try_xtrapulp_partition(
     xtrapulp_partition_validated(ctx, graph, params)
 }
 
-/// Run the full multi-constraint multi-objective XtraPuLP algorithm (Algorithm 1)
-/// collectively on an already-distributed graph.
-///
-/// # Panics
-///
-/// Panics on invalid [`PartitionParams`]; request-path callers should prefer
-/// [`try_xtrapulp_partition`] (or the `xtrapulp-api` session facade), which reports the
-/// violation as a [`PartitionError`] instead.
-pub fn xtrapulp_partition(
-    ctx: &RankCtx,
-    graph: &DistGraph,
-    params: &PartitionParams,
-) -> PartitionResult {
-    match try_xtrapulp_partition(ctx, graph, params) {
-        Ok(result) => result,
-        Err(e) => panic!("xtrapulp_partition: {e}"),
-    }
-}
-
 /// The algorithm body; `params` must already be validated.
 fn xtrapulp_partition_validated(
     ctx: &RankCtx,
@@ -821,7 +802,7 @@ mod tests {
                 seed: 17,
                 ..Default::default()
             };
-            let res = xtrapulp_partition(ctx, &g, &params);
+            let res = try_xtrapulp_partition(ctx, &g, &params).unwrap();
             assert!(is_valid_partition(&res.parts, 8));
             res.quality
         });
@@ -916,7 +897,7 @@ mod tests {
         let edges: Vec<_> = csr.edges().collect();
         Runtime::run(2, |ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 64, &edges);
-            let res = xtrapulp_partition(ctx, &g, &PartitionParams::with_parts(2));
+            let res = try_xtrapulp_partition(ctx, &g, &PartitionParams::with_parts(2)).unwrap();
             let phases: Vec<&str> = res.timings.iter().map(|(name, _)| name).collect();
             assert!(phases.contains(&"init"));
             assert!(phases.contains(&"vertex_stage"));
@@ -966,7 +947,7 @@ mod tests {
         };
         let out = Runtime::run(3, |ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 400, &edges);
-            let cold = xtrapulp_partition(ctx, &g, &params);
+            let cold = try_xtrapulp_partition(ctx, &g, &params).unwrap();
             let warm = try_xtrapulp_partition_from(ctx, &g, &params, &cold.parts[..g.n_owned()])
                 .expect("valid warm start");
             assert!(is_valid_partition(&warm.parts, 4));

@@ -68,19 +68,6 @@ pub fn try_pulp_partition(csr: &Csr, params: &PartitionParams) -> Result<Vec<i32
     try_pulp_run(csr, params, None).map(|run| run.parts)
 }
 
-/// Run the PuLP-MM algorithm on an in-memory graph.
-///
-/// # Panics
-///
-/// Panics on invalid [`PartitionParams`]; request-path callers should prefer
-/// [`try_pulp_partition`].
-pub fn pulp_partition(csr: &Csr, params: &PartitionParams) -> Vec<i32> {
-    match try_pulp_partition(csr, params) {
-        Ok(parts) => parts,
-        Err(e) => panic!("pulp_partition: {e}"),
-    }
-}
-
 /// Run the PuLP-MM algorithm warm-started from a previous part vector, e.g. the result
 /// of the last epoch on a graph that has since mutated.
 ///
@@ -367,10 +354,12 @@ mod tests {
     #[test]
     fn single_part_and_empty_graph_edge_cases() {
         let csr = grid_csr(4, 4);
-        let parts = pulp_partition(&csr, &PartitionParams::with_parts(1));
+        let parts = try_pulp_partition(&csr, &PartitionParams::with_parts(1)).unwrap();
         assert!(parts.iter().all(|&p| p == 0));
         let empty = csr_from_edges(0, &[]);
-        assert!(pulp_partition(&empty, &PartitionParams::with_parts(4)).is_empty());
+        assert!(try_pulp_partition(&empty, &PartitionParams::with_parts(4))
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -387,7 +376,7 @@ mod tests {
                 seed: 9,
                 ..Default::default()
             };
-            let parts = pulp_partition(&csr, &params);
+            let parts = try_pulp_partition(&csr, &params).unwrap();
             assert!(is_valid_partition(&parts, 5), "{init:?}");
             let q = PartitionQuality::evaluate(&csr, &parts, 5);
             assert!(q.vertex_imbalance < 1.4, "{init:?}: {}", q.vertex_imbalance);
@@ -402,7 +391,10 @@ mod tests {
             seed: 123,
             ..Default::default()
         };
-        assert_eq!(pulp_partition(&csr, &params), pulp_partition(&csr, &params));
+        assert_eq!(
+            try_pulp_partition(&csr, &params).unwrap(),
+            try_pulp_partition(&csr, &params).unwrap()
+        );
     }
 
     #[test]
@@ -416,7 +408,7 @@ mod tests {
                 sweep_threads: threads,
                 ..Default::default()
             };
-            results.push(pulp_partition(&csr, &params));
+            results.push(try_pulp_partition(&csr, &params).unwrap());
         }
         assert_eq!(results[0], results[1], "1 vs 2 threads");
         assert_eq!(results[0], results[2], "1 vs 8 threads");
@@ -512,7 +504,7 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
-        let cold = pulp_partition(&csr, &params);
+        let cold = try_pulp_partition(&csr, &params).unwrap();
         // Warm start with an explicit (tiny) touched set versus no information at all.
         let blind = try_pulp_run(&csr, &params, Some((&cold, None)))
             .unwrap()
@@ -542,7 +534,7 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
-        let cold = pulp_partition(&csr, &params);
+        let cold = try_pulp_partition(&csr, &params).unwrap();
         let PulpRun {
             parts: warm, stats, ..
         } = try_pulp_run(&csr, &params, Some((&cold, Some(&[])))).unwrap();
@@ -599,7 +591,7 @@ mod tests {
             seed: 11,
             ..Default::default()
         };
-        let mut initial = pulp_partition(&csr, &params);
+        let mut initial = try_pulp_partition(&csr, &params).unwrap();
         initial[5] = UNASSIGNED;
         initial[77] = UNASSIGNED;
         let a = try_pulp_partition_from(&csr, &params, &initial).unwrap();

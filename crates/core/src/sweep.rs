@@ -62,7 +62,7 @@ pub enum SweepMode {
     /// empty frontier, and provably no-op balance sweeps are skipped. The default.
     Frontier,
     /// Full sweeps over `0..n` every iteration — the seed implementation's behaviour,
-    /// kept as the measured baseline for `bench_sweep` and the parity tests.
+    /// kept as the measured baseline for `perf_smoke` and the parity tests.
     Full,
 }
 

@@ -105,7 +105,7 @@ fn distributed_partition_runs_collectively_and_matches_metrics() {
             seed: 3,
             ..Default::default()
         };
-        let result = xtrapulp_suite::core::xtrapulp_partition(ctx, &g, &params);
+        let result = xtrapulp_suite::core::try_xtrapulp_partition(ctx, &g, &params).unwrap();
         // Every rank must agree on the global quality numbers.
         (result.quality.edge_cut, result.quality.vertex_imbalance)
     });

@@ -89,8 +89,7 @@ fn frontier_matches_full_sweep_quality_on_gen_presets() {
         }
         let geomean_ratio = (log_ratio_sum / seeds.len() as f64).exp();
         // 2% aggregate tolerance: at these reduced test sizes a handful of seeds
-        // leaves 1-2% of residual variance even for an equivalent engine (the
-        // bench-scale presets recorded in BENCH_sweep.json land at -49%..+0.5%).
+        // leaves 1-2% of residual variance even for an equivalent engine.
         assert!(
             geomean_ratio <= 1.02,
             "{name}: geomean frontier/full cut ratio {geomean_ratio:.3} exceeds 1.02"
@@ -210,7 +209,7 @@ fn serial_pulp_identical_across_thread_counts_in_both_modes() {
                 sweep_threads: threads,
                 ..Default::default()
             };
-            xtrapulp::pulp_partition(&csr, &params)
+            xtrapulp::try_pulp_partition(&csr, &params).unwrap()
         };
         let one = run(1);
         assert_eq!(one, run(2), "{mode:?}: 1 vs 2 threads");
