@@ -29,9 +29,8 @@ impl Csr {
             "offsets must contain at least one entry"
         );
         assert_eq!(offsets[0], 0, "offsets must start at zero");
-        assert_eq!(
-            *offsets.last().unwrap() as usize,
-            adjacency.len(),
+        assert!(
+            offsets.last().copied() == Some(adjacency.len() as u64),
             "offsets must end at the adjacency length"
         );
         assert!(
@@ -113,16 +112,20 @@ impl Csr {
 
     /// Apply a [`GraphDelta`](crate::delta::GraphDelta), producing the updated graph.
     ///
-    /// Each vertex's sorted adjacency row is merged with the delta's sorted insert and
-    /// delete rows in one linear pass — `O(arcs + delta)` — instead of rebuilding from
-    /// the full edge list (which would re-sort all `2m` arcs). Inserting an edge that
-    /// already exists and deleting one that does not are both no-ops, matching the
-    /// forgiving [`CsrBuilder`] semantics.
+    /// One pass beside the delta's row cursor
+    /// ([`GraphDelta::rows`](crate::delta::GraphDelta::rows)): every run of rows the delta
+    /// does not name is *copied* — its adjacency with one `extend_from_slice`, its offsets
+    /// rebased by a constant — and only the rows it names are *merged* with their sorted
+    /// insert and delete arcs. Nothing is searched for, hashed or re-sorted, so the cost is
+    /// a copy of the `2m` arcs and `n` offsets plus a merge over the touched rows' lengths.
+    /// Inserting an edge that already exists and deleting one that does not are both
+    /// no-ops, matching the forgiving [`CsrBuilder`] semantics.
     ///
     /// # Panics
     ///
     /// Panics if the delta was normalised against a different vertex count.
     pub fn apply_delta(&self, delta: &crate::delta::GraphDelta) -> Csr {
+        use crate::delta::{merge_row, rebase_run};
         assert_eq!(
             delta.base_n(),
             self.num_vertices() as u64,
@@ -130,24 +133,29 @@ impl Csr {
             delta.base_n(),
             self.num_vertices()
         );
-        let new_n = delta.new_n();
-        let mut offsets = Vec::with_capacity(new_n as usize + 1);
+        let new_n = delta.new_n() as usize;
+        let mut offsets = Vec::with_capacity(new_n + 1);
         offsets.push(0u64);
         let mut adjacency = Vec::with_capacity(self.adjacency.len() + delta.insert_arcs().len());
-        for u in 0..new_n {
-            let old: &[GlobalId] = if u < self.num_vertices() as u64 {
-                self.neighbors(u)
+        let copy_run = |rows, offsets: &mut Vec<u64>, adjacency: &mut Vec<GlobalId>| {
+            let arcs = rebase_run(&self.offsets, rows, offsets);
+            adjacency.extend_from_slice(&self.adjacency[arcs]);
+        };
+        let mut next = 0usize;
+        for (u, inserts, deletes) in delta.rows() {
+            let u = u as usize;
+            copy_run(next..u, &mut offsets, &mut adjacency);
+            let old = if u < self.num_vertices() {
+                self.neighbors(u as GlobalId)
             } else {
                 &[]
             };
-            crate::delta::merge_row(
-                old.iter().copied(),
-                delta.inserts_from(u),
-                delta.deletes_from(u),
-                &mut adjacency,
-            );
+            let old = old.iter().map(|&v| (v, ()));
+            merge_row(old, inserts, deletes, |v, _| adjacency.push(v));
             offsets.push(adjacency.len() as u64);
+            next = u + 1;
         }
+        copy_run(next..new_n, &mut offsets, &mut adjacency);
         Csr { offsets, adjacency }
     }
 }

@@ -3,8 +3,10 @@
 //! A [`GraphDelta`] is the normalised form of one batch of graph mutations: edge
 //! insertions, edge deletions and vertex additions, symmetrised into directed arcs and
 //! sorted so the rebuild paths ([`Csr::apply_delta`](crate::Csr::apply_delta),
-//! [`DistGraph::apply_delta`](crate::DistGraph::apply_delta)) can merge them against the
-//! existing adjacency in one linear pass instead of re-sorting the whole edge list.
+//! [`DistGraph::apply_delta`](crate::DistGraph::apply_delta)) can walk its rows in source
+//! order ([`GraphDelta::rows`]) beside the existing adjacency: runs of rows the delta does
+//! not name are copied, only the rows it names are merged, and nothing is searched for or
+//! re-sorted.
 //!
 //! The delta layer is deliberately forgiving, mirroring [`CsrBuilder`](crate::CsrBuilder):
 //! self loops and out-of-range endpoints are dropped during normalisation, duplicate
@@ -156,14 +158,23 @@ impl GraphDelta {
         self.delete_arcs.binary_search(&(u, v)).is_ok()
     }
 
-    /// The insertion arcs whose source is `u`, as a sorted sub-slice.
-    pub fn inserts_from(&self, u: GlobalId) -> &[(GlobalId, GlobalId)] {
-        arcs_from(&self.insert_arcs, u)
-    }
-
-    /// The deletion arcs whose source is `u`, as a sorted sub-slice.
-    pub fn deletes_from(&self, u: GlobalId) -> &[(GlobalId, GlobalId)] {
-        arcs_from(&self.delete_arcs, u)
+    /// The delta row by row: every source vertex with at least one insertion or deletion
+    /// arc, in ascending order, with its sorted insertion and deletion arcs. This is the
+    /// cursor both `apply_delta` kernels advance beside the old adjacency, so a row the
+    /// delta does not name is never looked at.
+    pub fn rows(&self) -> impl Iterator<Item = DeltaRow<'_>> + '_ {
+        let (mut inserts, mut deletes) = (&self.insert_arcs[..], &self.delete_arcs[..]);
+        std::iter::from_fn(move || {
+            let source = match (inserts.first(), deletes.first()) {
+                (Some(a), Some(b)) => a.0.min(b.0),
+                (Some(a), None) | (None, Some(a)) => a.0,
+                (None, None) => return None,
+            };
+            let (row_ins, rest_ins) = inserts.split_at(inserts.partition_point(|a| a.0 == source));
+            let (row_del, rest_del) = deletes.split_at(deletes.partition_point(|a| a.0 == source));
+            (inserts, deletes) = (rest_ins, rest_del);
+            Some((source, row_ins, row_del))
+        })
     }
 
     /// Global ids of every vertex incident to an inserted or deleted arc — the "affected"
@@ -199,56 +210,69 @@ impl GraphDelta {
     }
 }
 
-/// The contiguous sub-slice of sorted `(source, target)` arcs whose source is `u`.
-fn arcs_from(arcs: &[(GlobalId, GlobalId)], u: GlobalId) -> &[(GlobalId, GlobalId)] {
-    let start = arcs.partition_point(|&(a, _)| a < u);
-    let end = arcs.partition_point(|&(a, _)| a <= u);
-    &arcs[start..end]
+/// One source vertex's share of a delta: `(source, insertion arcs, deletion arcs)`, the
+/// arcs as sorted sub-slices of the delta's own (all with that source).
+pub type DeltaRow<'a> = (
+    GlobalId,
+    &'a [(GlobalId, GlobalId)],
+    &'a [(GlobalId, GlobalId)],
+);
+
+/// Append the offsets of the untouched old rows `rows` to `offsets` (the new graph's, which
+/// begin with row 0's zero), rebased so that the run starts where the new adjacency
+/// currently ends; rows past the old graph's last are empty. Returns the old adjacency
+/// range the run occupies, for the caller to copy.
+pub(crate) fn rebase_run(
+    old_offsets: &[u64],
+    rows: std::ops::Range<usize>,
+    offsets: &mut Vec<u64>,
+) -> std::ops::Range<usize> {
+    let base = offsets[offsets.len() - 1];
+    let old_rows = old_offsets.len() - 1;
+    let (lo, hi) = (rows.start.min(old_rows), rows.end.min(old_rows));
+    let rebased = old_offsets[lo + 1..=hi].iter();
+    offsets.extend(rebased.map(|&end| end - old_offsets[lo] + base));
+    let end = base + old_offsets[hi] - old_offsets[lo];
+    offsets.resize(offsets.len() + rows.len() - (hi - lo), end);
+    old_offsets[lo] as usize..old_offsets[hi] as usize
 }
 
-/// Merge one vertex's sorted old adjacency row with the delta's sorted insert/delete
-/// rows, appending the surviving neighbours to `out`. Shared by the [`Csr`](crate::Csr)
-/// and [`DistGraph`](crate::DistGraph) rebuild paths.
-pub(crate) fn merge_row(
-    old: impl Iterator<Item = GlobalId>,
+/// Merge one vertex's old adjacency row — `(neighbour global id, payload)` pairs sorted by
+/// global id — with the delta's sorted insert/delete arcs for it, calling `emit` on every
+/// surviving neighbour in ascending order: with `Some(payload)` for an arc the old row
+/// already held (inserting an edge that exists is that case too), with `None` for an
+/// inserted one. The [`Csr`](crate::Csr) carries no payload; the
+/// [`DistGraph`](crate::DistGraph) carries the neighbour's old local id, so a kept arc
+/// needs no lookup.
+pub(crate) fn merge_row<T>(
+    old: impl Iterator<Item = (GlobalId, T)>,
     inserts: &[(GlobalId, GlobalId)],
     deletes: &[(GlobalId, GlobalId)],
-    out: &mut Vec<GlobalId>,
+    mut emit: impl FnMut(GlobalId, Option<T>),
 ) {
     let mut old = old.peekable();
     let mut ins = inserts.iter().map(|&(_, v)| v).peekable();
     let mut del = deletes.iter().map(|&(_, v)| v).peekable();
     loop {
-        let v = match (old.peek().copied(), ins.peek().copied()) {
-            (Some(a), Some(b)) if a == b => {
-                old.next();
-                ins.next();
-                a
-            }
-            (Some(a), Some(b)) if a < b => {
-                old.next();
-                a
-            }
-            (Some(_) | None, Some(b)) => {
-                ins.next();
-                b
-            }
-            (Some(a), None) => {
-                old.next();
-                a
-            }
-            (None, None) => break,
+        // The next neighbour the delta names; every old arc below it is kept as it is.
+        let named = match (ins.peek(), del.peek()) {
+            (Some(&i), Some(&d)) => Some(i.min(d)),
+            (Some(&v), None) | (None, Some(&v)) => Some(v),
+            (None, None) => None,
         };
-        while del.peek().is_some_and(|&d| d < v) {
-            del.next();
+        while let Some((v, payload)) = old.next_if(|&(v, _)| named.is_none_or(|t| v < t)) {
+            emit(v, Some(payload));
         }
-        // Normalisation removed insert/delete conflicts, so a match here can only kill an
-        // old arc; deleting a non-existent edge never reaches this point at all.
-        if del.peek() == Some(&v) {
-            del.next();
-            continue;
+        let Some(target) = named else { break };
+        let held = old
+            .next_if(|&(v, _)| v == target)
+            .map(|(_, payload)| payload);
+        let inserted = ins.next_if_eq(&target).is_some();
+        // Deleting an arc the row does not hold is a no-op; normalisation removed
+        // insert/delete conflicts, but a deletion would win one.
+        if del.next_if_eq(&target).is_none() && inserted {
+            emit(target, held);
         }
-        out.push(v);
     }
 }
 
@@ -303,12 +327,22 @@ mod tests {
     }
 
     #[test]
-    fn per_source_slices_and_touched_set() {
+    fn row_cursor_and_touched_set() {
         let d = GraphDelta::new(6, 0, &[(0, 1), (0, 2), (4, 5)], &[(2, 3)]);
-        assert_eq!(d.inserts_from(0), &[(0, 1), (0, 2)]);
-        assert_eq!(d.inserts_from(3), &[]);
-        assert_eq!(d.deletes_from(3), &[(3, 2)]);
+        let rows: Vec<DeltaRow<'_>> = d.rows().collect();
+        // Insert-only, mixed, delete-only rows; vertex 3 has no inserts, none has both
+        // slices empty, and sources ascend.
+        let expected: Vec<DeltaRow<'_>> = vec![
+            (0, &[(0, 1), (0, 2)], &[]),
+            (1, &[(1, 0)], &[]),
+            (2, &[(2, 0)], &[(2, 3)]),
+            (3, &[], &[(3, 2)]),
+            (4, &[(4, 5)], &[]),
+            (5, &[(5, 4)], &[]),
+        ];
+        assert_eq!(rows, expected);
         assert_eq!(d.touched_vertices(), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(GraphDelta::new(6, 2, &[], &[]).rows().count(), 0);
     }
 
     #[test]
@@ -337,7 +371,32 @@ mod tests {
         let inserts = [(0u64, 2u64), (0, 3), (0, 7)];
         let deletes = [(0u64, 5u64), (0, 9)];
         let mut out = Vec::new();
-        merge_row([1u64, 3, 5].into_iter(), &inserts, &deletes, &mut out);
-        assert_eq!(out, vec![1, 2, 3, 7]);
+        let old = [(1u64, 'a'), (3, 'b'), (5, 'c')];
+        merge_row(old.into_iter(), &inserts, &deletes, |v, kept| {
+            out.push((v, kept))
+        });
+        // Kept arcs come back with their payload, inserted ones without; the duplicate
+        // insert of 3 counts as kept.
+        assert_eq!(
+            out,
+            vec![(1, Some('a')), (2, None), (3, Some('b')), (7, None)]
+        );
+    }
+
+    #[test]
+    fn rebase_run_shifts_offsets_and_pads_new_rows() {
+        let old = [0u64, 2, 5, 5, 9];
+        let mut offsets = vec![0u64, 7];
+        // Rows 1..3 of the old graph land at adjacency position 7.
+        assert_eq!(rebase_run(&old, 1..3, &mut offsets), 2..5);
+        assert_eq!(offsets, vec![0, 7, 10, 10]);
+        // A run reaching past the old graph's 4 rows: row 3, then two empty new rows.
+        assert_eq!(rebase_run(&old, 3..6, &mut offsets), 5..9);
+        assert_eq!(offsets, vec![0, 7, 10, 10, 14, 14, 14]);
+        // A run entirely past the end copies nothing.
+        assert_eq!(rebase_run(&old, 6..7, &mut offsets), 9..9);
+        assert_eq!(offsets.last(), Some(&14));
+        assert_eq!(rebase_run(&old, 2..2, &mut offsets).len(), 0);
+        assert_eq!(offsets.len(), 8);
     }
 }

@@ -272,10 +272,16 @@ impl DistGraph {
     ///
     /// When vertex ownership is stable under the delta (always for `Cyclic`, `Hashed`
     /// and `Explicit` distributions; for `Block` when no vertices are added), the rebuild
-    /// is incremental: owned local ids are preserved, each owned vertex's sorted
-    /// adjacency row is merged with the delta in one linear pass, the global→local map is
-    /// patched (stale ghosts evicted, new owned/ghost entries added) and only the ghost
-    /// metadata (owner, degree, halo plan) is resolved again. Growing a `Block`
+    /// works in local-id space, one pass beside the delta's row cursor
+    /// ([`GraphDelta::rows`](crate::delta::GraphDelta::rows)). Owned local ids are kept;
+    /// ghost slots are handed out again in first-seen row order, which is what a
+    /// from-scratch build does, so the result is identical to one. Rows the delta does
+    /// not name are *copied*, each arc's old local id renumbered through a table; rows it
+    /// names are *merged* with their insert and delete arcs, kept arcs still by local id;
+    /// only *inserted* arcs are *hashed* (one global→local lookup each). The map itself is
+    /// cloned and rewritten in place — moved ghosts renumbered, orphaned ones dropped, new
+    /// vertices added — and the ghost metadata (owner, degree, halo plan) is resolved
+    /// again by the full construction handshake. Growing a `Block`
     /// distribution shifts the ownership of existing vertices, so that case falls back to
     /// migrating the surviving arcs to their new owners with one all-to-all exchange —
     /// still without touching the original edge list. Growing an `Explicit` distribution
@@ -309,6 +315,7 @@ impl DistGraph {
 
     /// Incremental rebuild for deltas that do not move any existing vertex between ranks.
     fn apply_delta_stable(&self, ctx: &RankCtx, delta: &crate::delta::GraphDelta) -> Self {
+        use crate::delta::{merge_row, rebase_run};
         let rank = self.rank;
         let nranks = self.nranks;
         let new_n = delta.new_n();
@@ -321,54 +328,81 @@ impl DistGraph {
         // owned by this rank are appended, keeping owned local ids valid and sorted.
         let mut owned_global = self.owned_global.clone();
         let old_n_owned = owned_global.len();
-        for g in self.global_n..new_n {
-            if dist.owner(g, new_n, nranks) == rank {
-                owned_global.push(g);
-            }
-        }
+        owned_global
+            .extend((self.global_n..new_n).filter(|&g| dist.owner(g, new_n, nranks) == rank));
         let n_owned = owned_global.len();
 
-        // Merge each owned row with the delta in global-id space. Rows are sorted by
-        // neighbour global id (construction sorts arcs by `(u, v)`), so this is linear.
         let mut offsets = Vec::with_capacity(n_owned + 1);
         offsets.push(0u64);
-        let mut adj_global: Vec<GlobalId> =
+        let mut adjacency: Vec<LocalId> =
             Vec::with_capacity(self.adjacency.len() + delta.insert_arcs().len());
-        for (lu, &gu) in owned_global.iter().enumerate() {
-            if lu < old_n_owned {
-                crate::delta::merge_row(
-                    self.neighbors(lu as LocalId)
-                        .iter()
-                        .map(|&lv| self.global_id(lv)),
-                    delta.inserts_from(gu),
-                    delta.deletes_from(gu),
-                    &mut adj_global,
-                );
-            } else {
-                adj_global.extend(delta.inserts_from(gu).iter().map(|&(_, v)| v));
-            }
-            offsets.push(adj_global.len() as u64);
-        }
-
-        // Patch the global→local map: evict stale ghost entries (deletions may orphan
-        // ghosts, and growth shifts every ghost local id), register new owned vertices,
-        // then re-assign ghost slots in first-seen row order.
+        let mut ghosts = GhostSlots {
+            old: self,
+            n_owned,
+            new_id: (0..old_n_owned as LocalId)
+                .chain(std::iter::repeat_n(UNSEEN, self.n_ghost()))
+                .collect(),
+            ghost_global: Vec::with_capacity(self.n_ghost()),
+        };
+        // Old ids until the pass is over: old owned and ghost entries as they are, a
+        // brand-new ghost under the virtual old id `GhostSlots::fresh` gives it.
         let mut global_to_local = self.global_to_local.clone();
-        for &g in &self.ghost_global {
-            global_to_local.remove(&g);
+
+        let copy_run = |rows,
+                        ghosts: &mut GhostSlots,
+                        offsets: &mut Vec<u64>,
+                        adjacency: &mut Vec<LocalId>| {
+            let arcs = rebase_run(&self.offsets, rows, offsets);
+            adjacency.extend(self.adjacency[arcs].iter().map(|&lv| ghosts.renumber(lv)));
+        };
+        let mut next = 0usize;
+        for (gu, inserts, deletes) in delta.rows() {
+            // Owned ids ascend with the local id, so the cursor's order is row order.
+            let Ok(at) = owned_global[next..].binary_search(&gu) else {
+                continue; // another rank's row
+            };
+            let lu = next + at;
+            copy_run(next..lu, &mut ghosts, &mut offsets, &mut adjacency);
+            let old = if lu < old_n_owned {
+                self.neighbors(lu as LocalId)
+            } else {
+                &[]
+            };
+            let old = old.iter().map(|&lv| (self.global_id(lv), lv));
+            merge_row(old, inserts, deletes, |gv, kept| {
+                let lv = if let Some(lv) = kept {
+                    ghosts.renumber(lv)
+                } else if let Ok(at) = owned_global[old_n_owned..].binary_search(&gv) {
+                    (old_n_owned + at) as LocalId // a new vertex of this rank's
+                } else {
+                    // The pass's only hashing. A ghost the old graph did not know enters
+                    // the map under a virtual old id.
+                    let known = *global_to_local
+                        .entry(gv)
+                        .or_insert_with(|| ghosts.fresh(gv));
+                    ghosts.renumber(known)
+                };
+                adjacency.push(lv);
+            });
+            offsets.push(adjacency.len() as u64);
+            next = lu + 1;
         }
+        copy_run(next..n_owned, &mut ghosts, &mut offsets, &mut adjacency);
+
+        // The map catches up without a key being hashed: ghosts take their new ids,
+        // orphaned ones (never renumbered) go. Only the new owned vertices are inserted.
+        let GhostSlots {
+            new_id,
+            ghost_global,
+            ..
+        } = ghosts;
+        global_to_local.retain(|_, lv| {
+            *lv = new_id[*lv as usize];
+            *lv != UNSEEN
+        });
+        drop(new_id);
         for (lid, &g) in owned_global.iter().enumerate().skip(old_n_owned) {
             global_to_local.insert(g, lid as LocalId);
-        }
-        let mut ghost_global: Vec<GlobalId> = Vec::with_capacity(self.ghost_global.len());
-        let mut adjacency = Vec::with_capacity(adj_global.len());
-        for &gv in &adj_global {
-            let lid = *global_to_local.entry(gv).or_insert_with(|| {
-                let lid = (n_owned + ghost_global.len()) as LocalId;
-                ghost_global.push(gv);
-                lid
-            });
-            adjacency.push(lid);
         }
         // Insertions and deletions change degrees and move ghost slots, so the handshake
         // is repeated in full.
@@ -619,6 +653,49 @@ impl DistGraph {
             }
         }
         (cut, per_part)
+    }
+}
+
+/// [`GhostSlots::new_id`] entry of an old ghost no surviving arc has reached (yet).
+const UNSEEN: LocalId = LocalId::MAX;
+
+/// The ghost numbering of a graph being rebuilt from `old` by a delta: slots are handed out
+/// in first-seen row order, exactly as `from_owned_arcs` does, so the rebuilt graph's
+/// ghost table — and with it the halo plan and every result computed on either — is the
+/// one a from-scratch build produces.
+struct GhostSlots<'a> {
+    old: &'a DistGraph,
+    /// Owned count of the new graph: the local id of ghost slot 0.
+    n_owned: usize,
+    /// New local id by old local id: the identity on owned vertices, `UNSEEN` on a ghost
+    /// until an arc reaches it. Brand-new ghosts extend it with virtual old ids, so the
+    /// global→local map can hold every vertex under an old id until the pass ends.
+    new_id: Vec<LocalId>,
+    /// The new ghost table.
+    ghost_global: Vec<GlobalId>,
+}
+
+impl GhostSlots<'_> {
+    /// New local id of the vertex `old` knows as `lv` (or of a virtual old id): a ghost
+    /// takes the next slot the first time an arc reaches it.
+    #[inline]
+    fn renumber(&mut self, lv: LocalId) -> LocalId {
+        if self.new_id[lv as usize] == UNSEEN {
+            self.new_id[lv as usize] = self.push(self.old.global_id(lv));
+        }
+        self.new_id[lv as usize]
+    }
+
+    /// Give a ghost `old` did not know the next slot; returns its virtual old id.
+    fn fresh(&mut self, g: GlobalId) -> LocalId {
+        let lv = self.push(g);
+        self.new_id.push(lv);
+        (self.new_id.len() - 1) as LocalId
+    }
+
+    fn push(&mut self, g: GlobalId) -> LocalId {
+        self.ghost_global.push(g);
+        (self.n_owned + self.ghost_global.len() - 1) as LocalId
     }
 }
 

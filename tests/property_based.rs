@@ -7,11 +7,13 @@
 //! a shrinking framework. Failures print the generating seed, which is enough
 //! to reproduce a case deterministically.
 
+use std::collections::BTreeSet;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use xtrapulp_suite::core::metrics::{is_valid_partition, PartitionQuality};
 use xtrapulp_suite::core::{baselines, Partitioner, PulpPartitioner};
-use xtrapulp_suite::graph::{csr_from_edges, DistGraph, Distribution};
+use xtrapulp_suite::graph::{csr_from_edges, DistGraph, Distribution, LocalId};
 use xtrapulp_suite::prelude::*;
 
 const CASES: u64 = 24;
@@ -159,4 +161,193 @@ fn quality_metrics_are_internally_consistent() {
             "case {case}"
         );
     }
+}
+
+/// One step of a delta chain over the undirected edge set `edges` on `n` vertices. Step 2
+/// concentrates many ops on vertex 0 (a hub row), step 4 is the empty delta; all but that
+/// one mix random insertions (some to the appended vertices, some already present),
+/// deletions of existing edges and of edges that were never there.
+fn delta_step(
+    rng: &mut SmallRng,
+    step: usize,
+    n: u64,
+    grow: bool,
+    edges: &BTreeSet<(u64, u64)>,
+) -> GraphDelta {
+    if step == 4 {
+        return GraphDelta::new(n, 0, &[], &[]);
+    }
+    let added = if grow { rng.gen_range(0..4u64) } else { 0 };
+    let new_n = n + added;
+    let existing: Vec<_> = edges.iter().copied().collect();
+    let mut inserts = Vec::new();
+    let mut deletes = Vec::new();
+    if step == 2 {
+        inserts.extend((0..12).map(|_| (0, rng.gen_range(0..new_n))));
+        deletes.extend(existing.iter().filter(|e| e.0 == 0).take(6));
+    }
+    for _ in 0..rng.gen_range(1..12usize) {
+        inserts.push((rng.gen_range(0..new_n), rng.gen_range(0..new_n)));
+    }
+    for _ in 0..rng.gen_range(0..10usize) {
+        if !existing.is_empty() && rng.gen_range(0..4) != 0 {
+            deletes.push(existing[rng.gen_range(0..existing.len())]);
+        } else {
+            deletes.push((rng.gen_range(0..new_n), rng.gen_range(0..new_n)));
+        }
+    }
+    GraphDelta::new(n, added, &inserts, &deletes)
+}
+
+/// Everything the public accessors say about a rank's graph must be equal: ids in both
+/// directions (stale entries included), degrees (ghost degrees too), owners, adjacency
+/// by local id, the ghost table and both halves of the halo plan.
+fn assert_same_dist_graph(a: &DistGraph, b: &DistGraph, what: &str) {
+    assert_eq!(a.global_n(), b.global_n(), "{what}: global_n");
+    assert_eq!(a.global_m(), b.global_m(), "{what}: global_m");
+    assert_eq!(a.n_owned(), b.n_owned(), "{what}: n_owned");
+    assert_eq!(a.ghost_globals(), b.ghost_globals(), "{what}: ghost table");
+    for g in 0..a.global_n() {
+        assert_eq!(a.local_id(g), b.local_id(g), "{what}: local_id({g})");
+    }
+    for v in 0..a.n_total() as LocalId {
+        assert_eq!(a.global_id(v), b.global_id(v), "{what}: global_id({v})");
+        assert_eq!(
+            a.local_id(a.global_id(v)),
+            Some(v),
+            "{what}: round trip {v}"
+        );
+        assert_eq!(a.degree(v), b.degree(v), "{what}: degree({v})");
+        assert_eq!(
+            a.owner_of_local(v),
+            b.owner_of_local(v),
+            "{what}: owner({v})"
+        );
+    }
+    for v in a.owned_vertices() {
+        assert_eq!(a.neighbors(v), b.neighbors(v), "{what}: neighbors({v})");
+        assert_eq!(
+            a.halo().targets(v),
+            b.halo().targets(v),
+            "{what}: targets({v})"
+        );
+    }
+    for slot in 0..a.n_ghost() {
+        assert_eq!(
+            a.halo().owned_neighbors(slot),
+            b.halo().owned_neighbors(slot),
+            "{what}: owned_neighbors({slot})"
+        );
+    }
+}
+
+/// The situations one delta puts a rank's `apply_delta` in, counted so the test can
+/// insist its generator reached each: `[inserted arc to an old owned vertex, to an old
+/// ghost ahead of the ghost's first old row (its slot moves), to a vertex this rank newly
+/// owns, to a brand-new ghost, a ghost orphaned, a rank owning nothing]`.
+fn situations(old: &DistGraph, new: &DistGraph, delta: &GraphDelta, rank: usize) -> [u64; 6] {
+    let mut hit = [0u64; 6];
+    for &(u, v) in delta.insert_arcs() {
+        if new.owner_of_global(u) != rank {
+            continue;
+        }
+        match old.local_id(v) {
+            Some(lv) if old.is_owned(lv) => hit[0] += 1,
+            Some(lv) => {
+                let first_row = old.halo().owned_neighbors(lv as usize - old.n_owned())[0];
+                hit[1] += u64::from(old.local_id(u).is_some_and(|lu| lu < first_row));
+            }
+            None if new.owner_of_global(v) == rank => hit[2] += 1,
+            None => hit[3] += 1,
+        }
+    }
+    let orphaned = |g: &&u64| new.local_id(**g).is_none();
+    hit[4] = old.ghost_globals().iter().filter(orphaned).count() as u64;
+    hit[5] = u64::from(new.n_owned() == 0);
+    hit
+}
+
+#[test]
+fn delta_chains_match_from_scratch_builds() {
+    let mut hit = [0u64; 6];
+    for case in 0..CASES {
+        for (d, grow) in [(0, false), (1, true), (2, true), (3, true)] {
+            for nranks in 1..=4usize {
+                let mut rng = SmallRng::seed_from_u64(0xDE17A + case);
+                let (n0, raw) = edge_list(&mut rng, 48);
+                let dist = match d {
+                    0 => Distribution::Block,
+                    1 => Distribution::Cyclic,
+                    2 => Distribution::Hashed,
+                    // The last rank owns nothing until growth hashes it a tail vertex.
+                    _ => Distribution::from_parts(
+                        &(0..n0)
+                            .map(|v| (v % (nranks as u64 - 1).max(1)) as i32)
+                            .collect::<Vec<_>>(),
+                    ),
+                };
+                // The chain, generated once and shared by every rank: per step the
+                // delta and the edge list after it.
+                let mut edges: BTreeSet<(u64, u64)> = raw
+                    .iter()
+                    .filter(|(u, v)| u != v)
+                    .map(|&(u, v)| (u.min(v), u.max(v)))
+                    .collect();
+                let start: Vec<_> = edges.iter().copied().collect();
+                let mut n = n0;
+                let chain: Vec<_> = (0..6)
+                    .map(|step| {
+                        let delta = delta_step(&mut rng, step, n, grow, &edges);
+                        assert_eq!(delta.is_empty(), step == 4);
+                        n = delta.new_n();
+                        for &(u, v) in delta.delete_arcs() {
+                            edges.remove(&(u.min(v), u.max(v)));
+                        }
+                        edges.extend(delta.insert_arcs().iter().filter(|(u, v)| u < v));
+                        (delta, n, edges.iter().copied().collect::<Vec<_>>())
+                    })
+                    .collect();
+
+                let mut csr = csr_from_edges(n0, &start);
+                for (step, (delta, n, after)) in chain.iter().enumerate() {
+                    csr = csr.apply_delta(delta);
+                    let what = format!("case {case} step {step}");
+                    assert_eq!(csr, csr_from_edges(*n, after), "{what}: csr");
+                }
+
+                let per_rank = Runtime::run(nranks, |ctx| {
+                    let mut hit = [0u64; 6];
+                    let mut dist = dist.clone();
+                    let mut g = DistGraph::from_shared_edges(ctx, dist.clone(), n0, &start);
+                    for (step, (delta, n, after)) in chain.iter().enumerate() {
+                        let updated = g.apply_delta(ctx, delta);
+                        dist = dist.grown(*n, nranks);
+                        let scratch = DistGraph::from_shared_edges(ctx, dist.clone(), *n, after);
+                        let what = format!(
+                            "case {case} dist {d} ranks {nranks} rank {} step {step}",
+                            ctx.rank()
+                        );
+                        assert_same_dist_graph(&updated, &scratch, &what);
+                        for (total, now) in
+                            hit.iter_mut()
+                                .zip(situations(&g, &updated, delta, ctx.rank()))
+                        {
+                            *total += now;
+                        }
+                        g = updated;
+                    }
+                    hit
+                });
+                for rank_hit in per_rank {
+                    for (total, now) in hit.iter_mut().zip(rank_hit) {
+                        *total += now;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        hit.iter().all(|&h| h > 0),
+        "the generator missed a situation: {hit:?}"
+    );
 }

@@ -82,7 +82,9 @@ fn concurrent_readers_observe_only_fully_published_epochs() {
             std::thread::spawn(move || {
                 let mut last_epoch = 0u64;
                 let mut observed = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                // Check, then test `stop`: a reader first scheduled after the writer has
+                // finished still validates one snapshot.
+                loop {
                     let snapshot = store.current();
                     assert!(
                         snapshot.epoch >= last_epoch,
@@ -105,6 +107,9 @@ fn concurrent_readers_observe_only_fully_published_epochs() {
                         "observed an unassigned/out-of-range entry: a torn partition"
                     );
                     observed += 1;
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 (last_epoch, observed)
             })
