@@ -2,15 +2,13 @@
 
 use serde::Serialize;
 use xtrapulp::metrics::PartitionQuality;
-use xtrapulp::sweep::{StageBreakdown, SweepStats};
-use xtrapulp::{try_pulp_run, validate_warm_start, PartitionError};
-use xtrapulp_comm::{CommStatsSnapshot, PhaseTimer};
+use xtrapulp::sweep::StageBreakdown;
+use xtrapulp::{validate_warm_start, PartitionError};
 use xtrapulp_dynamic::{
     seed_from_previous, DynamicGraph, GraphDelta, UpdateBatch, UpdateError, UpdateSummary,
 };
 use xtrapulp_graph::{Csr, DistGraph, GlobalId, UNASSIGNED};
 
-use crate::method::Method;
 use crate::report::PartitionReport;
 use crate::session::{PartitionJob, Session};
 
@@ -109,6 +107,10 @@ impl DynamicReport {
 ///   a small mutation much cheaper than a cold run.
 ///
 /// A rejected batch or malformed job leaves the session (and its graph) untouched.
+///
+/// Works the same over a multi-process [`Session::with_runtime`]: every process wraps
+/// its session, feeds it the same batches in the same order, and gets identical reports
+/// (an epoch's job is the one [`Session::submit`] runs, over the kept graphs).
 pub struct DynamicSession {
     session: Session,
     job: PartitionJob,
@@ -121,8 +123,8 @@ pub struct DynamicSession {
     touched: Option<Vec<GlobalId>>,
     cold_lp_sweeps: u64,
     cold_vertices_scored: u64,
-    /// Per-rank distributed graphs, built lazily for distributed methods and evolved
-    /// incrementally on every update batch.
+    /// One distributed graph per rank the session hosts, built lazily for distributed
+    /// methods and evolved incrementally on every update batch.
     rank_graphs: Option<Vec<DistGraph>>,
 }
 
@@ -214,10 +216,13 @@ impl DynamicSession {
         // hashing the new tail vertices to ranks, so no method/distribution combination
         // rejects a valid batch.
         if let Some(graphs) = self.rank_graphs.take() {
-            let updated = self
-                .session
-                .execute(|ctx| graphs[ctx.rank()].apply_delta(ctx, &delta));
-            self.rank_graphs = Some(updated);
+            // As in the job, a rank finds the graph it built (`graphs` holds only the
+            // ranks this process hosts); were one missing, the next repartition rebuilds.
+            let updated = self.session.execute(|ctx| {
+                let graph = graphs.iter().find(|graph| graph.rank() == ctx.rank())?;
+                Some(graph.apply_delta(ctx, &delta))
+            });
+            self.rank_graphs = updated.into_iter().collect();
         }
         let summary = self.graph.apply_validated(&delta);
         if let Some(parts) = self.parts.take() {
@@ -234,39 +239,27 @@ impl DynamicSession {
     /// Partition the current epoch's graph and report.
     ///
     /// Runs warm-started from the previous partition whenever one exists and the
-    /// session's method supports it ([`Method::supports_warm_start`]); otherwise from
-    /// scratch. The report's `vertices_migrated` and `lp_sweeps`/`cold_lp_sweeps` fields
+    /// session's method supports it ([`crate::Method::supports_warm_start`]); otherwise
+    /// from scratch. The report's `vertices_migrated` and `lp_sweeps`/`cold_lp_sweeps` fields
     /// quantify the incremental behaviour.
     pub fn repartition(&mut self) -> Result<DynamicReport, PartitionError> {
-        let warm_seed = if self.job.method.supports_warm_start() {
-            self.parts.clone()
-        } else {
-            None
-        };
-        let warm_start = warm_seed.is_some();
-
+        let warm_start = self.job.method.supports_warm_start() && self.parts.is_some();
         // The touched set accumulated since the last repartition scopes the warm run's
         // refinement frontier; it is consumed (and reset) by this run.
-        let touched = if warm_start {
-            self.touched.take()
-        } else {
-            None
-        };
-        let (report, lp_sweeps, vertices_scored, stages) = if self.job.method.is_distributed() {
-            if self.rank_graphs.is_none() {
-                self.rank_graphs = Some(self.session.build_rank_graphs(self.graph.csr()));
-            }
-            let graphs = self.rank_graphs.as_ref().expect("just built");
-            self.session.run_on_rank_graphs(
-                &self.job,
-                graphs,
-                warm_seed.as_deref(),
-                touched.as_deref(),
-                self.graph.num_edges(),
-            )?
-        } else {
-            self.run_serial(warm_seed.as_deref(), touched.as_deref())?
-        };
+        let touched = self.touched.take().filter(|_| warm_start);
+        let warm_seed = self.parts.as_deref().filter(|_| warm_start);
+        if self.job.method.is_distributed() && self.rank_graphs.is_none() {
+            self.rank_graphs = Some(self.session.build_rank_graphs(self.graph.csr()));
+        }
+        let outcome = self.session.run_job(
+            &self.job,
+            self.graph.csr(),
+            self.rank_graphs.as_deref(),
+            warm_seed.map(|seed| (seed, touched.as_deref())),
+        )?;
+        let (lp_sweeps, vertices_scored, stages) =
+            (outcome.lp_sweeps, outcome.vertices_scored, outcome.stages);
+        let report = self.session.report(&self.job, self.graph.csr(), outcome);
 
         if !warm_start {
             self.cold_lp_sweeps = lp_sweeps;
@@ -296,71 +289,12 @@ impl DynamicSession {
             stages,
         })
     }
-
-    /// Serial methods: cold via the regular submission path (except PuLP, which runs
-    /// directly so its real sweep counts can be reported), warm via the method's
-    /// [`WarmStartPartitioner`](xtrapulp::WarmStartPartitioner). The multilevel and
-    /// naive methods report 0 sweeps.
-    fn run_serial(
-        &mut self,
-        warm_seed: Option<&[i32]>,
-        touched: Option<&[GlobalId]>,
-    ) -> Result<(PartitionReport, u64, u64, StageBreakdown), PartitionError> {
-        if warm_seed.is_none() && self.job.method != Method::Pulp {
-            let report = self.session.submit(&self.job, self.graph.csr())?;
-            return Ok((report, 0, 0, StageBreakdown::default()));
-        }
-        let csr = self.graph.csr();
-        let params = self.job.params;
-        let mut timings = PhaseTimer::new();
-        let (parts, stats) = match (self.job.method, warm_seed) {
-            (Method::Pulp, seed) => {
-                let run = timings.time("partition", || {
-                    try_pulp_run(csr, &params, seed.map(|seed| (seed, touched)))
-                })?;
-                // The per-stage sweep wall-clock breakdown ends up in the report's
-                // timings, same phase names as the distributed path.
-                timings.merge_max(&run.timings);
-                (run.parts, run.stats)
-            }
-            (method, Some(seed)) => {
-                let partitioner = method
-                    .build_warm(self.session.nranks())
-                    .expect("warm_seed is only built for warm-capable methods");
-                let parts = timings.time("partition", || {
-                    partitioner.try_partition_from(csr, &params, seed)
-                })?;
-                (parts, SweepStats::default())
-            }
-            (_, None) => unreachable!("non-PuLP cold serial jobs go through Session::submit"),
-        };
-        let quality = timings.time("metrics", || {
-            PartitionQuality::evaluate(csr, &parts, params.num_parts)
-        });
-        self.session.note_job_completed();
-        Ok((
-            PartitionReport {
-                method: self.job.method.name().to_string(),
-                num_parts: params.num_parts,
-                nranks: 1,
-                num_vertices: csr.num_vertices() as u64,
-                num_edges: csr.num_edges(),
-                parts,
-                quality,
-                timings,
-                comm: CommStatsSnapshot::default(),
-                trace_path: None,
-            },
-            stats.sweeps,
-            stats.vertices_scored,
-            stats.stages,
-        ))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::Method;
     use xtrapulp::PartitionParams;
     use xtrapulp_gen::{GraphConfig, GraphKind};
     use xtrapulp_graph::Distribution;

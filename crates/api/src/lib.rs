@@ -10,7 +10,13 @@
 //!   [`Runtime`](xtrapulp_comm::Runtime). Back-to-back jobs reuse the same rank threads
 //!   (and rendezvous state), so a service partitioning many graphs amortises thread
 //!   spawn instead of paying it per call, and can pipeline partition → analytics jobs on
-//!   the same ranks via [`Session::execute`].
+//!   the same ranks via [`Session::execute`]. A distributed job runs where the kernel
+//!   lives: [`Session::submit`] and every [`DynamicSession`] epoch are one call of
+//!   [`xtrapulp::run_xtrapulp_job`] on the session's runtime (graph distribution, cold
+//!   or warm kernel, gather and assembly in a single dispatch); serial methods run
+//!   inline on the calling thread. Both layers work unchanged over a multi-process
+//!   [`Session::with_runtime`]: every process submits the same jobs and applies the same
+//!   update batches in the same order, and every process receives the identical report.
 //! * Typed errors — every request is validated before it touches the runtime, and every
 //!   failure (malformed [`PartitionParams`](xtrapulp::PartitionParams), zero ranks,
 //!   unknown method name, incomplete result gather) surfaces as a

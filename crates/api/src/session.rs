@@ -3,13 +3,12 @@
 use std::path::Path;
 
 use xtrapulp::metrics::PartitionQuality;
-use xtrapulp::partitioner::assemble_gathered_parts;
 use xtrapulp::{
-    try_xtrapulp_partition, try_xtrapulp_partition_from_touched, validate_warm_start,
-    PartitionError, PartitionParams, StageBreakdown,
+    run_xtrapulp_job, try_pulp_run, GraphSource, JobOutcome, PartitionError, PartitionParams,
+    PulpWarmStart, SweepStats,
 };
 use xtrapulp_comm::{CommStatsSnapshot, PhaseTimer, RankCtx, Runtime};
-use xtrapulp_graph::{Csr, DistGraph, Distribution, GlobalId, LocalId};
+use xtrapulp_graph::{Csr, DistGraph, Distribution};
 
 use crate::method::Method;
 use crate::report::PartitionReport;
@@ -57,8 +56,9 @@ impl PartitionJob {
 ///
 /// All request validation happens *before* a job enters the runtime, so a malformed
 /// request returns a typed [`PartitionError`] and leaves the session healthy for the
-/// next job. Results are deterministic: a session job produces byte-identical part
-/// vectors to the legacy one-shot path for the same graph, parameters and rank count.
+/// next job. Results are deterministic: a distributed job is [`run_xtrapulp_job`] on the
+/// session's runtime, byte-identical to a one-shot `XtraPulpPartitioner` run or any other
+/// session, in one process or many, for the same graph, parameters and rank count.
 pub struct Session {
     runtime: Runtime,
     distribution: Distribution,
@@ -81,11 +81,7 @@ impl Session {
             return Err(PartitionError::InvalidRanks { got: 0 });
         }
         let runtime = Runtime::try_new(nranks).map_err(PartitionError::Comm)?;
-        Ok(Session {
-            runtime,
-            distribution,
-            jobs_completed: 0,
-        })
+        Ok(Session::with_runtime(runtime, distribution))
     }
 
     /// Build a session over an already-constructed runtime — notably one made
@@ -121,13 +117,6 @@ impl Session {
         self.jobs_completed
     }
 
-    /// Record a job that completed outside [`submit`](Session::submit) (the dynamic
-    /// session runs warm jobs directly on the runtime), keeping
-    /// [`jobs_completed`](Session::jobs_completed) accurate.
-    pub(crate) fn note_job_completed(&mut self) {
-        self.jobs_completed += 1;
-    }
-
     /// Partition `csr` with XtraPuLP on the session's ranks — the common case of
     /// [`submit`](Session::submit).
     pub fn partition(
@@ -151,14 +140,8 @@ impl Session {
         job: &PartitionJob,
         csr: &Csr,
     ) -> Result<PartitionReport, PartitionError> {
-        job.params.validate()?;
-        let report = if job.method.is_distributed() {
-            self.run_distributed(job, csr)?
-        } else {
-            self.run_serial(job, csr)?
-        };
-        self.jobs_completed += 1;
-        Ok(report)
+        let outcome = self.run_job(job, csr, None, None)?;
+        Ok(self.report(job, csr, outcome))
     }
 
     /// Gather every rank's trace buffers (across all participating processes) and
@@ -217,226 +200,106 @@ impl Session {
         self.runtime.execute(f)
     }
 
-    fn run_distributed(
+    /// Run `job` on `csr`, cold or — when `warm` carries the previous part vector —
+    /// warm-started, and count it. The distributed method runs [`run_xtrapulp_job`] on
+    /// the session's ranks: over `graphs` when the caller keeps per-rank graphs alive
+    /// across jobs (see [`build_rank_graphs`](Session::build_rank_graphs)), otherwise
+    /// distributing `csr` inside the job. Serial methods run inline on this thread.
+    pub(crate) fn run_job(
         &mut self,
         job: &PartitionJob,
         csr: &Csr,
-    ) -> Result<PartitionReport, PartitionError> {
-        let n = csr.num_vertices();
-        if n == 0 {
-            return Ok(self.empty_report(job, csr));
-        }
-        // An Explicit ownership table may be shorter than a graph that has since grown;
-        // hash the tail vertices to ranks (a no-op for the functional distributions).
-        let dist = self.distribution.grown(n as u64, self.nranks());
-        let params = job.params;
-        // When ranks span processes, each process holds only its own slice of
-        // the part vector; an in-job allgather gives every process the whole
-        // vector, keeping reports identical across the job.
-        let distributed = self.runtime.is_distributed();
-        type RankOut = (
-            Vec<(u64, i32)>,
-            PartitionQuality,
-            PhaseTimer,
-            CommStatsSnapshot,
-        );
-        let per_rank: Vec<RankOut> = self.runtime.try_execute(|ctx| {
-            let graph = DistGraph::from_csr(ctx, dist.clone(), csr);
-            let result = try_xtrapulp_partition(ctx, &graph, &params)
-                .expect("params are validated before the job enters the runtime");
-            let pairs: Vec<(u64, i32)> = (0..graph.n_owned())
-                .map(|v| (graph.global_id(v as LocalId), result.parts[v]))
-                .collect();
-            let pairs = if distributed {
-                ctx.allgatherv(pairs)
-            } else {
-                pairs
+        graphs: Option<&[DistGraph]>,
+        warm: Option<PulpWarmStart<'_>>,
+    ) -> Result<JobOutcome, PartitionError> {
+        let outcome = if job.method.is_distributed() {
+            let source = match graphs {
+                Some(graphs) => GraphSource::Ranks(graphs),
+                None => GraphSource::Csr(csr, &self.distribution),
             };
-            (
-                pairs,
-                result.quality,
-                result.timings,
-                ctx.stats().snapshot(),
-            )
-        })?;
-
-        let mut quality = None;
-        let mut timings = PhaseTimer::new();
-        let mut comm = CommStatsSnapshot::default();
-        let mut pairs = Vec::with_capacity(per_rank.len());
-        for (rank_pairs, rank_quality, rank_timings, rank_comm) in per_rank {
-            // Quality is allreduced inside the job, so every rank reports the same
-            // global value; keep rank 0's.
-            quality.get_or_insert(rank_quality);
-            timings.merge_max(&rank_timings);
-            comm = comm.merged(rank_comm);
-            // In distributed mode every local rank already gathered the full
-            // pair set; keep one copy to avoid duplicate assignments.
-            if !distributed || pairs.is_empty() {
-                pairs.push(rank_pairs);
-            }
-        }
-        let parts = assemble_gathered_parts(n, job.params.num_parts, pairs)?;
-        Ok(PartitionReport {
-            method: job.method.name().to_string(),
-            num_parts: job.params.num_parts,
-            nranks: self.nranks(),
-            num_vertices: csr.num_vertices() as u64,
-            num_edges: csr.num_edges(),
-            parts,
-            quality: quality.expect("at least one rank ran the job"),
-            timings,
-            comm,
-            trace_path: None,
-        })
+            run_xtrapulp_job(&mut self.runtime, source, &job.params, warm)?
+        } else {
+            run_serial(job.method, csr, &job.params, warm)?
+        };
+        self.jobs_completed += 1;
+        Ok(outcome)
     }
 
-    /// Build one [`DistGraph`] per rank from `csr` on the session's persistent ranks.
-    /// The result is indexed by rank and can be carried across jobs (and evolved with
+    /// The report of a job this session ran on `csr`.
+    pub(crate) fn report(
+        &self,
+        job: &PartitionJob,
+        csr: &Csr,
+        outcome: JobOutcome,
+    ) -> PartitionReport {
+        let nranks = if job.method.is_distributed() {
+            self.nranks()
+        } else {
+            1
+        };
+        PartitionReport {
+            method: job.method.name().to_string(),
+            num_parts: job.params.num_parts,
+            nranks,
+            num_vertices: csr.num_vertices() as u64,
+            num_edges: csr.num_edges(),
+            parts: outcome.parts,
+            quality: outcome.quality,
+            timings: outcome.timings,
+            comm: outcome.comm,
+            trace_path: None,
+        }
+    }
+
+    /// Build one [`DistGraph`] per hosted rank from `csr` on the session's persistent
+    /// ranks. The result can be carried across jobs (and evolved with
     /// [`DistGraph::apply_delta`]) by the dynamic-session layer.
     pub(crate) fn build_rank_graphs(&mut self, csr: &Csr) -> Vec<DistGraph> {
-        // As in `run_distributed`: a graph grown past an Explicit table's length gets
-        // its tail vertices hashed to ranks.
+        // A graph grown past an Explicit table's length gets its tail vertices hashed
+        // to ranks (a no-op for the functional distributions).
         let dist = self
             .distribution
             .grown(csr.num_vertices() as u64, self.nranks());
         self.runtime
             .execute(|ctx| DistGraph::from_csr(ctx, dist.clone(), csr))
     }
+}
 
-    /// Run one distributed partitioning job over pre-built per-rank graphs, cold or —
-    /// when `initial` (a full global part vector, `-1` marking unassigned vertices) is
-    /// given — warm-started. `touched` (the delta-touched global ids, identical on
-    /// every rank) scopes a warm run's refinement frontier to the mutated
-    /// neighbourhood. Returns the report plus the label-propagation sweep and
-    /// scored-vertex counts the run executed. Used by the dynamic-session layer, which
-    /// keeps the rank graphs alive across epochs instead of redistributing the CSR per
-    /// job.
-    pub(crate) fn run_on_rank_graphs(
-        &mut self,
-        job: &PartitionJob,
-        graphs: &[DistGraph],
-        initial: Option<&[i32]>,
-        touched: Option<&[GlobalId]>,
-        num_edges: u64,
-    ) -> Result<(PartitionReport, u64, u64, StageBreakdown), PartitionError> {
-        job.params.validate()?;
-        assert_eq!(graphs.len(), self.nranks(), "one graph per rank required");
-        let n = graphs[0].global_n() as usize;
-        if let Some(initial) = initial {
-            // Validated once, globally, before entering the runtime: every rank's slice
-            // is a sub-view of this vector, so no rank can disagree inside a collective.
-            validate_warm_start(n, job.params.num_parts, initial)?;
-        }
-        let params = job.params;
-        type RankOut = (
-            Vec<(u64, i32)>,
-            PartitionQuality,
-            PhaseTimer,
-            CommStatsSnapshot,
-            (u64, u64, StageBreakdown),
-        );
-        let per_rank: Vec<RankOut> = self.runtime.execute(|ctx| {
-            let graph = &graphs[ctx.rank()];
-            let result = match initial {
-                Some(initial) => {
-                    let owned: Vec<i32> = (0..graph.n_owned())
-                        .map(|v| initial[graph.global_id(v as LocalId) as usize])
-                        .collect();
-                    try_xtrapulp_partition_from_touched(ctx, graph, &params, &owned, touched)
-                        .expect("warm start is validated before the job enters the runtime")
-                }
-                None => try_xtrapulp_partition(ctx, graph, &params)
-                    .expect("params are validated before the job enters the runtime"),
-            };
-            let pairs = (0..graph.n_owned())
-                .map(|v| (graph.global_id(v as LocalId), result.parts[v]))
-                .collect();
-            (
-                pairs,
-                result.quality,
-                result.timings,
-                ctx.stats().snapshot(),
-                (result.lp_sweeps, result.vertices_scored, result.stages),
-            )
-        });
-
-        let mut quality = None;
-        let mut timings = PhaseTimer::new();
-        let mut comm = CommStatsSnapshot::default();
-        let mut pairs = Vec::with_capacity(per_rank.len());
-        let mut lp_sweeps = 0u64;
-        let mut vertices_scored = 0u64;
-        let mut stages = StageBreakdown::default();
-        for (rank_pairs, rank_quality, rank_timings, rank_comm, rank_stats) in per_rank {
-            quality.get_or_insert(rank_quality);
-            timings.merge_max(&rank_timings);
-            comm = comm.merged(rank_comm);
-            // These counters are allreduced inside the job, so every rank reports the
-            // same global value; keep the first rank's.
-            lp_sweeps = lp_sweeps.max(rank_stats.0);
-            vertices_scored = vertices_scored.max(rank_stats.1);
-            stages = rank_stats.2;
-            pairs.push(rank_pairs);
-        }
-        let parts = assemble_gathered_parts(n, job.params.num_parts, pairs)?;
-        self.jobs_completed += 1;
-        Ok((
-            PartitionReport {
-                method: job.method.name().to_string(),
-                num_parts: job.params.num_parts,
-                nranks: self.nranks(),
-                num_vertices: n as u64,
-                num_edges,
-                parts,
-                quality: quality.expect("at least one rank ran the job"),
-                timings,
-                comm,
-                trace_path: None,
-            },
-            lp_sweeps,
-            vertices_scored,
-            stages,
-        ))
-    }
-
-    fn run_serial(
-        &mut self,
-        job: &PartitionJob,
-        csr: &Csr,
-    ) -> Result<PartitionReport, PartitionError> {
-        let partitioner = job.method.build(self.nranks());
-        let mut timings = PhaseTimer::new();
-        let parts = timings.time("partition", || partitioner.try_partition(csr, &job.params))?;
-        let quality = timings.time("metrics", || {
-            PartitionQuality::evaluate(csr, &parts, job.params.num_parts)
-        });
-        Ok(PartitionReport {
-            method: job.method.name().to_string(),
-            num_parts: job.params.num_parts,
-            nranks: 1,
-            num_vertices: csr.num_vertices() as u64,
-            num_edges: csr.num_edges(),
-            parts,
-            quality,
-            timings,
-            comm: CommStatsSnapshot::default(),
-            trace_path: None,
-        })
-    }
-
-    fn empty_report(&self, job: &PartitionJob, csr: &Csr) -> PartitionReport {
-        PartitionReport {
-            method: job.method.name().to_string(),
-            num_parts: job.params.num_parts,
-            nranks: self.nranks(),
-            num_vertices: 0,
-            num_edges: csr.num_edges(),
-            parts: Vec::new(),
-            quality: PartitionQuality::evaluate(csr, &[], job.params.num_parts),
-            timings: PhaseTimer::new(),
-            comm: CommStatsSnapshot::default(),
-            trace_path: None,
-        }
-    }
+/// Run a serial method inline, cold or warm-started. PuLP goes through
+/// [`try_pulp_run`] either way, so its real sweep counts and per-stage sweep
+/// wall-clock (the phase names distributed runs use) reach the outcome; the multilevel
+/// and naive methods report 0 sweeps, and a method without warm-start support ignores
+/// the seed.
+fn run_serial(
+    method: Method,
+    csr: &Csr,
+    params: &PartitionParams,
+    warm: Option<PulpWarmStart<'_>>,
+) -> Result<JobOutcome, PartitionError> {
+    let mut timings = PhaseTimer::new();
+    let (parts, stats) = if method == Method::Pulp {
+        let run = timings.time("partition", || try_pulp_run(csr, params, warm))?;
+        timings.merge_max(&run.timings);
+        (run.parts, run.stats)
+    } else {
+        let parts = timings.time("partition", || match (method.build_warm(1), warm) {
+            (Some(partitioner), Some((seed, _))) => {
+                partitioner.try_partition_from(csr, params, seed)
+            }
+            _ => method.build(1).try_partition(csr, params),
+        })?;
+        (parts, SweepStats::default())
+    };
+    let quality = timings.time("metrics", || {
+        PartitionQuality::evaluate(csr, &parts, params.num_parts)
+    });
+    Ok(JobOutcome {
+        parts,
+        quality,
+        timings,
+        comm: CommStatsSnapshot::default(),
+        lp_sweeps: stats.sweeps,
+        vertices_scored: stats.vertices_scored,
+        stages: stats.stages,
+    })
 }

@@ -11,10 +11,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use xtrapulp::PartitionParams;
-use xtrapulp_api::Session;
+use xtrapulp_api::{DynamicReport, DynamicSession, Method, PartitionJob, Session, UpdateBatch};
 use xtrapulp_comm::{RankCtx, Runtime, TcpConfig, TcpTransport, Transport};
 use xtrapulp_gen::{GraphConfig, GraphKind};
-use xtrapulp_graph::Distribution;
+use xtrapulp_graph::{Csr, Distribution};
 
 /// One TCP mesh at a time per test process, so rendezvous ports never collide.
 fn mesh_lock() -> &'static Mutex<()> {
@@ -121,6 +121,49 @@ fn every_collective_matches_inproc_at_1_2_and_8_ranks() {
     }
 }
 
+/// What an epoch of a [`DynamicSession`] must agree on across backends.
+fn epoch_fingerprint(report: DynamicReport) -> (Vec<i32>, u64, u64, u64) {
+    (
+        report.report.parts,
+        report.lp_sweeps,
+        report.vertices_scored,
+        report.vertices_migrated,
+    )
+}
+
+/// Wrap `session` in a [`DynamicSession`] and run cold → one batch of inserts, deletes
+/// and an added vertex → warm, returning both epochs' fingerprints.
+fn dynamic_epochs(
+    session: Session,
+    csr: &Csr,
+    params: &PartitionParams,
+) -> [(Vec<i32>, u64, u64, u64); 2] {
+    let job = PartitionJob::new(Method::XtraPulp).with_params(*params);
+    let mut dynamic = DynamicSession::new(session, csr.clone(), job).expect("valid job");
+    let cold = dynamic.repartition().expect("cold epoch");
+    assert!(!cold.warm_start);
+
+    let n = csr.num_vertices() as u64;
+    let mut batch = UpdateBatch::new();
+    batch.add_vertices(1);
+    for u in (0..n).step_by(37) {
+        if let Some(&v) = csr.neighbors(u).first() {
+            batch.delete_edge(u, v);
+        }
+        let fresh = (u + n / 2 + 1) % n;
+        if fresh != u && !csr.neighbors(u).contains(&fresh) {
+            batch.insert_edge(u, fresh);
+        }
+    }
+    batch.insert_edge(n, 0).insert_edge(n, n / 3);
+    dynamic.apply_updates(&batch).expect("valid batch");
+
+    let warm = dynamic.repartition().expect("warm epoch");
+    assert!(warm.warm_start);
+    assert_eq!(warm.report.parts.len(), csr.num_vertices() + 1);
+    [epoch_fingerprint(cold), epoch_fingerprint(warm)]
+}
+
 #[test]
 fn partition_job_is_bit_identical_across_backends() {
     let nranks = 4;
@@ -140,6 +183,7 @@ fn partition_job_is_bit_identical_across_backends() {
 
     let mut inproc = Session::new(nranks).expect("in-process session");
     let reference = inproc.partition(&csr, &params).expect("in-process job");
+    let reference_epochs = dynamic_epochs(inproc, &csr, &params);
 
     let csr = Arc::new(csr);
     let per_rank_parts = {
@@ -157,7 +201,9 @@ fn partition_job_is_bit_identical_across_backends() {
                 assert!(session.is_distributed());
                 let report = session.partition(&csr, &params).expect("distributed job");
                 assert_eq!(report.nranks, nranks);
-                report.parts
+                // The same endpoint then serves a mutating graph: its one local rank's
+                // graph is kept across the epochs and found by local position.
+                (report.parts, dynamic_epochs(session, &csr, &params))
             }));
         }
         handles
@@ -166,10 +212,15 @@ fn partition_job_is_bit_identical_across_backends() {
             .collect::<Vec<_>>()
     };
 
-    for (rank, parts) in per_rank_parts.iter().enumerate() {
+    for (rank, (parts, epochs)) in per_rank_parts.iter().enumerate() {
         assert_eq!(
             parts, &reference.parts,
             "rank {rank}'s gathered part vector differs from the in-process backend"
+        );
+        assert_eq!(
+            epochs, &reference_epochs,
+            "rank {rank}'s dynamic epochs (parts, sweeps, scored, migrated) differ from \
+             the in-process backend"
         );
     }
 }

@@ -910,15 +910,8 @@ impl RankCtx {
     // Point-to-point plumbing under the collectives.
     // ----------------------------------------------------------------------------------
 
-    /// Send one message to `dst`, serialising iff the transport is a byte
-    /// stream.
-    fn send_message<M: WireMessage>(&self, kind: CollectiveKind, dst: usize, msg: M) {
-        let frame = if self.wire {
-            Frame::Bytes(msg.encode())
-        } else {
-            let est = est_wire(msg.wire_size());
-            Frame::typed(msg, est)
-        };
+    /// Hand one frame to the transport and account for it.
+    fn send_frame(&self, kind: CollectiveKind, dst: usize, frame: Frame) {
         match self.transport.send(dst, frame) {
             Ok(wire) => {
                 self.stats.record_frames_sent(kind, 1, wire);
@@ -928,32 +921,47 @@ impl RankCtx {
         }
     }
 
+    /// Every rank but this one, ascending: the order collectives send in.
+    fn peers(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.nranks).filter(|&d| d != self.rank)
+    }
+
+    /// Send one message to `dst`, serialising iff the transport is a byte
+    /// stream.
+    fn send_message<M: WireMessage>(&self, kind: CollectiveKind, dst: usize, msg: M) {
+        let frame = if self.wire {
+            Frame::Bytes(msg.encode())
+        } else {
+            let est = est_wire(msg.wire_size());
+            Frame::typed(msg, est)
+        };
+        self.send_frame(kind, dst, frame);
+    }
+
     /// Send the same message to every other rank, encoding it once on the
     /// wire path.
     fn send_to_all<M: WireMessage + Clone>(&self, kind: CollectiveKind, msg: &M) {
         if self.wire {
             let bytes = msg.encode();
-            for dst in (0..self.nranks).filter(|&d| d != self.rank) {
-                match self.transport.send(dst, Frame::Bytes(bytes.clone())) {
-                    Ok(wire) => {
-                        self.stats.record_frames_sent(kind, 1, wire);
-                        self.mark_progress();
-                    }
-                    Err(err) => self.fail_op(err),
-                }
+            for dst in self.peers() {
+                self.send_frame(kind, dst, Frame::Bytes(bytes.clone()));
             }
         } else {
             let est = est_wire(msg.wire_size());
-            for dst in (0..self.nranks).filter(|&d| d != self.rank) {
-                match self.transport.send(dst, Frame::typed(msg.clone(), est)) {
-                    Ok(wire) => {
-                        self.stats.record_frames_sent(kind, 1, wire);
-                        self.mark_progress();
-                    }
-                    Err(err) => self.fail_op(err),
-                }
+            for dst in self.peers() {
+                self.send_frame(kind, dst, Frame::typed(msg.clone(), est));
             }
         }
+    }
+
+    /// Send `msgs[d]` to every other rank `d` and return this rank's own
+    /// entry. Callers have checked that `msgs` holds one entry per rank.
+    fn send_each<M: WireMessage>(&self, kind: CollectiveKind, mut msgs: Vec<M>) -> M {
+        let own = msgs.remove(self.rank);
+        for (dst, msg) in self.peers().zip(msgs) {
+            self.send_message(kind, dst, msg);
+        }
+        own
     }
 
     /// Receive the next message from `src`, decoding or downcasting as the
@@ -978,6 +986,17 @@ impl RankCtx {
                 ),
             },
         }
+    }
+
+    /// Receive one message from every other rank, in rank order, with this
+    /// rank's `own` contribution in its slot: the receive half of every
+    /// collective whose result is indexed by source rank.
+    fn recv_in_rank_order<M: WireMessage>(&self, kind: CollectiveKind, own: M) -> Vec<M> {
+        let mut all = Vec::with_capacity(self.nranks);
+        all.extend((0..self.rank).map(|src| self.recv_message::<M>(kind, src)));
+        all.push(own);
+        all.extend((self.rank + 1..self.nranks).map(|src| self.recv_message::<M>(kind, src)));
+        all
     }
 
     // ----------------------------------------------------------------------------------
@@ -1037,19 +1056,9 @@ impl RankCtx {
         let _obs = self.observe(CollectiveKind::Allgather);
         self.stats.record_send(value.wire_size() as u64);
         self.send_to_all(CollectiveKind::Allgather, &value);
-        let mut own = Some(value);
-        let mut out = Vec::with_capacity(self.nranks);
-        let mut recv_bytes = 0u64;
-        for src in 0..self.nranks {
-            let msg = if src == self.rank {
-                own.take().expect("own contribution consumed once")
-            } else {
-                self.recv_message(CollectiveKind::Allgather, src)
-            };
-            recv_bytes += msg.wire_size() as u64;
-            out.push(msg);
-        }
-        self.stats.record_recv(recv_bytes);
+        let out = self.recv_in_rank_order(CollectiveKind::Allgather, value);
+        let recv_bytes: usize = out.iter().map(WireMessage::wire_size).sum();
+        self.stats.record_recv(recv_bytes as u64);
         out
     }
 
@@ -1063,15 +1072,9 @@ impl RankCtx {
         let _obs = self.observe(CollectiveKind::Allgather);
         self.stats.record_send((values.len() * T::SIZE) as u64);
         self.send_to_all(CollectiveKind::Allgather, &values);
-        let mut out = Vec::new();
-        for src in 0..self.nranks {
-            if src == self.rank {
-                out.extend_from_slice(&values);
-            } else {
-                let contrib: Vec<T> = self.recv_message(CollectiveKind::Allgather, src);
-                out.extend_from_slice(&contrib);
-            }
-        }
+        let out = self
+            .recv_in_rank_order(CollectiveKind::Allgather, values)
+            .concat();
         self.stats.record_recv((out.len() * T::SIZE) as u64);
         out
     }
@@ -1090,19 +1093,9 @@ impl RankCtx {
             self.send_message(CollectiveKind::Gather, root, value);
             return None;
         }
-        let mut own = Some(value);
-        let mut all = Vec::with_capacity(self.nranks);
-        let mut recv_bytes = 0u64;
-        for src in 0..self.nranks {
-            let msg = if src == self.rank {
-                own.take().expect("own contribution consumed once")
-            } else {
-                self.recv_message(CollectiveKind::Gather, src)
-            };
-            recv_bytes += msg.wire_size() as u64;
-            all.push(msg);
-        }
-        self.stats.record_recv(recv_bytes);
+        let all = self.recv_in_rank_order(CollectiveKind::Gather, value);
+        let recv_bytes: usize = all.iter().map(WireMessage::wire_size).sum();
+        self.stats.record_recv(recv_bytes as u64);
         Some(all)
     }
 
@@ -1124,15 +1117,7 @@ impl RankCtx {
             );
             let total: usize = values.iter().map(WireMessage::wire_size).sum();
             self.stats.record_send(total as u64);
-            let mut own = None;
-            for (dst, value) in values.into_iter().enumerate() {
-                if dst == self.rank {
-                    own = Some(value);
-                } else {
-                    self.send_message(CollectiveKind::Scatter, dst, value);
-                }
-            }
-            own.expect("scatter root owns its slot")
+            self.send_each(CollectiveKind::Scatter, values)
         } else {
             self.recv_message(CollectiveKind::Scatter, root)
         };
@@ -1155,26 +1140,10 @@ impl RankCtx {
         let _obs = self.observe(CollectiveKind::Alltoall);
         let total: usize = sends.iter().map(WireMessage::wire_size).sum();
         self.stats.record_send(total as u64);
-        let mut own = None;
-        for (dst, value) in sends.into_iter().enumerate() {
-            if dst == self.rank {
-                own = Some(value);
-            } else {
-                self.send_message(CollectiveKind::Alltoall, dst, value);
-            }
-        }
-        let mut out = Vec::with_capacity(self.nranks);
-        let mut recv_bytes = 0u64;
-        for src in 0..self.nranks {
-            let msg = if src == self.rank {
-                own.take().expect("own contribution consumed once")
-            } else {
-                self.recv_message(CollectiveKind::Alltoall, src)
-            };
-            recv_bytes += msg.wire_size() as u64;
-            out.push(msg);
-        }
-        self.stats.record_recv(recv_bytes);
+        let own = self.send_each(CollectiveKind::Alltoall, sends);
+        let out = self.recv_in_rank_order(CollectiveKind::Alltoall, own);
+        let recv_bytes: usize = out.iter().map(WireMessage::wire_size).sum();
+        self.stats.record_recv(recv_bytes as u64);
         out
     }
 
@@ -1194,22 +1163,8 @@ impl RankCtx {
         let _obs = self.observe(CollectiveKind::Alltoallv);
         let sent_elems: usize = sends.iter().map(Vec::len).sum();
         self.stats.record_send((sent_elems * T::SIZE) as u64);
-        let mut own = None;
-        for (dst, buf) in sends.into_iter().enumerate() {
-            if dst == self.rank {
-                own = Some(buf);
-            } else {
-                self.send_message(CollectiveKind::Alltoallv, dst, buf);
-            }
-        }
-        let mut out = Vec::with_capacity(self.nranks);
-        for src in 0..self.nranks {
-            if src == self.rank {
-                out.push(own.take().expect("own contribution consumed once"));
-            } else {
-                out.push(self.recv_message(CollectiveKind::Alltoallv, src));
-            }
-        }
+        let own = self.send_each(CollectiveKind::Alltoallv, sends);
+        let out = self.recv_in_rank_order(CollectiveKind::Alltoallv, own);
         let recv_elems: usize = out.iter().map(Vec::len).sum();
         self.stats.record_recv((recv_elems * T::SIZE) as u64);
         out
@@ -1227,33 +1182,24 @@ impl RankCtx {
         self.stats.record_collective(CollectiveKind::Allreduce);
         let _obs = self.observe(CollectiveKind::Allreduce);
         self.stats.record_send((local.len() * T::SIZE) as u64);
-        let mut own = Some(local.to_vec());
-        self.send_to_all(
-            CollectiveKind::Allreduce,
-            own.as_ref().expect("own contribution present"),
-        );
-        let mut acc: Option<Vec<T>> = None;
-        for src in 0..self.nranks {
-            let contrib = if src == self.rank {
-                own.take().expect("own contribution consumed once")
-            } else {
-                self.recv_message::<Vec<T>>(CollectiveKind::Allreduce, src)
-            };
-            match &mut acc {
-                None => acc = Some(contrib),
-                Some(acc) => {
-                    assert_eq!(
-                        acc.len(),
-                        contrib.len(),
-                        "allreduce requires equal-length contributions on every rank"
-                    );
-                    for (a, c) in acc.iter_mut().zip(contrib.iter()) {
-                        combine(a, c);
-                    }
+        let own = local.to_vec();
+        self.send_to_all(CollectiveKind::Allreduce, &own);
+        // A runtime has at least one rank, so the fold never sees an empty list.
+        let acc = self
+            .recv_in_rank_order(CollectiveKind::Allreduce, own)
+            .into_iter()
+            .reduce(|mut acc, contrib| {
+                assert_eq!(
+                    acc.len(),
+                    contrib.len(),
+                    "allreduce requires equal-length contributions on every rank"
+                );
+                for (a, c) in acc.iter_mut().zip(contrib.iter()) {
+                    combine(a, c);
                 }
-            }
-        }
-        let acc = acc.expect("a runtime has at least one rank");
+                acc
+            })
+            .unwrap_or_default();
         self.stats.record_recv((acc.len() * T::SIZE) as u64);
         acc
     }

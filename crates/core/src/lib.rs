@@ -37,15 +37,20 @@
 //! * [`Partitioner`] — the trait every method implements.
 //!   [`try_partition`](Partitioner::try_partition) is the request-path entry point: it
 //!   validates [`PartitionParams`] and reports failures as typed [`PartitionError`]s
-//!   instead of panicking. The panicking `partition`/`partition_with_quality` shims
-//!   remain for trusted harness code.
-//! * [`try_xtrapulp_partition`] — the collective call over an already-distributed graph
-//!   ([`DistGraph`]); this is what the scaling experiments use.
-//! * [`XtraPulpPartitioner`] — [`Partitioner`] implementation that distributes an
-//!   in-memory [`Csr`](xtrapulp_graph::Csr) over an internal rank runtime, partitions it,
-//!   and gathers the result (failing with
+//!   instead of panicking.
+//! * [`try_xtrapulp_partition`] — the collective kernel over an already-distributed
+//!   graph ([`DistGraph`]), called on every rank; this is what the scaling experiments
+//!   use. [`try_xtrapulp_partition_from_touched`] is its warm-started form.
+//! * [`run_xtrapulp_job`] — the one place a whole distributed job runs: it distributes
+//!   a [`Csr`](xtrapulp_graph::Csr) over a [`Runtime`](xtrapulp_comm::Runtime)'s ranks
+//!   (or takes the caller's per-rank graphs, see [`GraphSource`]), runs the kernel cold
+//!   or warm, gathers the labels — across processes when the runtime spans several —
+//!   and assembles the global part vector (failing with
 //!   [`PartitionError::IncompleteGather`](error::PartitionError::IncompleteGather) if any
-//!   vertex goes unclaimed); convenient for quality comparisons.
+//!   vertex goes unclaimed) into a [`JobOutcome`]. `xtrapulp-api`'s `Session` and
+//!   `DynamicSession` and the partitioner below are thin callers of it.
+//! * [`XtraPulpPartitioner`] — [`Partitioner`] implementation running that job on a
+//!   throw-away in-process runtime; convenient for quality comparisons.
 //! * [`PulpPartitioner`] — the shared-memory PuLP baseline.
 //! * [`RandomPartitioner`], [`VertexBlockPartitioner`], [`EdgeBlockPartitioner`] — the
 //!   naive baselines.
@@ -84,10 +89,10 @@ pub mod sweep;
 pub use error::PartitionError;
 pub use params::{InitStrategy, PartitionParams};
 pub use partitioner::{
-    greedy_seed_unassigned, try_xtrapulp_partition, try_xtrapulp_partition_from,
-    try_xtrapulp_partition_from_touched, validate_warm_start, EdgeBlockPartitioner,
-    PartitionResult, Partitioner, RandomPartitioner, VertexBlockPartitioner, WarmStartPartitioner,
-    XtraPulpPartitioner,
+    greedy_seed_unassigned, run_xtrapulp_job, try_xtrapulp_partition,
+    try_xtrapulp_partition_from_touched, validate_warm_start, EdgeBlockPartitioner, GraphSource,
+    JobOutcome, PartitionResult, Partitioner, RandomPartitioner, VertexBlockPartitioner,
+    WarmStartPartitioner, XtraPulpPartitioner,
 };
 pub use pulp::{
     try_pulp_partition, try_pulp_partition_from, try_pulp_run, PulpPartitioner, PulpRun,

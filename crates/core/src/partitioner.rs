@@ -1,7 +1,7 @@
 //! The XtraPuLP driver (Algorithm 1) and the serial [`Partitioner`] interface shared by
 //! every partitioning method in the workspace.
 
-use xtrapulp_comm::{PhaseTimer, RankCtx, Runtime};
+use xtrapulp_comm::{CommStatsSnapshot, PhaseTimer, RankCtx, Runtime};
 use xtrapulp_graph::distribution::splitmix64;
 use xtrapulp_graph::{Csr, DistGraph, Distribution, GlobalId, LocalId, UNASSIGNED};
 
@@ -15,6 +15,7 @@ use crate::pass::{
     balance_refine_rounds, final_rebalance, global_part_loads, warm_refine_rounds, Dist, Load,
     Objective,
 };
+use crate::pulp::PulpWarmStart;
 use crate::sweep::{StageBreakdown, SweepMode, SweepWorkspace};
 
 /// The outcome of one distributed XtraPuLP run on one rank.
@@ -40,13 +41,6 @@ pub struct PartitionResult {
     pub stages: StageBreakdown,
 }
 
-impl PartitionResult {
-    /// Part labels of the owned vertices only.
-    pub fn owned_parts(&self, graph: &DistGraph) -> &[i32] {
-        &self.parts[..graph.n_owned()]
-    }
-}
-
 /// Run the full multi-constraint multi-objective XtraPuLP algorithm (Algorithm 1)
 /// collectively on an already-distributed graph, rejecting malformed parameters with a
 /// typed error.
@@ -61,15 +55,6 @@ pub fn try_xtrapulp_partition(
     params: &PartitionParams,
 ) -> Result<PartitionResult, PartitionError> {
     params.validate()?;
-    xtrapulp_partition_validated(ctx, graph, params)
-}
-
-/// The algorithm body; `params` must already be validated.
-fn xtrapulp_partition_validated(
-    ctx: &RankCtx,
-    graph: &DistGraph,
-    params: &PartitionParams,
-) -> Result<PartitionResult, PartitionError> {
     let mut timings = PhaseTimer::new();
     let mut ws = SweepWorkspace::colocated(params.sweep_threads, ctx.colocated_ranks());
     ws.begin_run(graph.n_owned(), params.num_parts);
@@ -99,27 +84,17 @@ fn xtrapulp_partition_validated(
 /// short schedule of [`PartitionParams::warm_outer_iters`] outer rounds refines the
 /// result instead of the from-scratch `outer_iters`.
 ///
+/// `touched` is the *touched set* of the mutation delta separating this epoch from the
+/// seed: the global ids of the endpoints of inserted/deleted edges and of added
+/// vertices. The refinement frontier is seeded from these vertices plus their one-hop
+/// neighbourhoods (ghost-mediated hops included), so a warm run after a small delta
+/// scores only the delta region and stops on empty-frontier convergence instead of
+/// running a fixed `warm_outer_iters` schedule. Every rank must pass the same `touched`
+/// slice. Without it (`None`) the frontier is seeded conservatively from every vertex.
+///
 /// Warm-start validation is collective-safe: every rank validates its own slice and the
 /// violation counts are summed, so all ranks agree on the outcome and no rank enters a
 /// collective the others skipped.
-pub fn try_xtrapulp_partition_from(
-    ctx: &RankCtx,
-    graph: &DistGraph,
-    params: &PartitionParams,
-    initial_owned: &[i32],
-) -> Result<PartitionResult, PartitionError> {
-    try_xtrapulp_partition_from_touched(ctx, graph, params, initial_owned, None)
-}
-
-/// [`try_xtrapulp_partition_from`] variant that also receives the *touched set* of the
-/// mutation delta separating this epoch from the seed: the global ids of the endpoints
-/// of inserted/deleted edges and of added vertices. The refinement frontier is seeded
-/// from these vertices plus their one-hop neighbourhoods (ghost-mediated hops
-/// included), so a warm run after a small delta scores only the delta region and stops
-/// on empty-frontier convergence instead of running a fixed
-/// [`PartitionParams::warm_outer_iters`] schedule. Every rank must pass the same
-/// `touched` slice. Without it (`None`) the frontier is seeded conservatively from
-/// every vertex.
 pub fn try_xtrapulp_partition_from_touched(
     ctx: &RankCtx,
     graph: &DistGraph,
@@ -421,10 +396,7 @@ fn warm_seed(
 ///
 /// [`try_partition`](Partitioner::try_partition) is the required entry point and must
 /// reject malformed input with a [`PartitionError`] rather than panicking — it is what a
-/// serving layer calls with untrusted request parameters. The panicking
-/// [`partition`](Partitioner::partition) / [`partition_with_quality`](Partitioner::partition_with_quality)
-/// methods are default-implemented shims over it, kept so experiment harnesses and older
-/// call sites that construct their own (trusted) parameters migrate incrementally.
+/// serving layer calls with untrusted request parameters.
 pub trait Partitioner {
     /// Human-readable method name used in experiment tables.
     fn name(&self) -> &'static str;
@@ -449,28 +421,6 @@ pub trait Partitioner {
         let parts = self.try_partition(csr, params)?;
         let quality = PartitionQuality::evaluate(csr, &parts, params.num_parts);
         Ok((parts, quality))
-    }
-
-    /// Compute a partition, panicking on failure (legacy shim over
-    /// [`try_partition`](Partitioner::try_partition)).
-    fn partition(&self, csr: &Csr, params: &PartitionParams) -> Vec<i32> {
-        match self.try_partition(csr, params) {
-            Ok(parts) => parts,
-            Err(e) => panic!("{}: {e}", self.name()),
-        }
-    }
-
-    /// Compute a partition and evaluate its quality, panicking on failure (legacy shim
-    /// over [`try_partition_with_quality`](Partitioner::try_partition_with_quality)).
-    fn partition_with_quality(
-        &self,
-        csr: &Csr,
-        params: &PartitionParams,
-    ) -> (Vec<i32>, PartitionQuality) {
-        match self.try_partition_with_quality(csr, params) {
-            Ok(out) => out,
-            Err(e) => panic!("{}: {e}", self.name()),
-        }
     }
 }
 
@@ -564,53 +514,12 @@ pub fn greedy_seed_unassigned(csr: &Csr, parts: &mut [i32], num_parts: usize) {
     }
 }
 
-/// The distributed XtraPuLP partitioner, exposed through the serial [`Partitioner`]
-/// interface: the input graph is distributed over `nranks` ranks with the configured
-/// [`Distribution`], partitioned collectively, and the part vector gathered back.
-#[derive(Debug, Clone)]
-pub struct XtraPulpPartitioner {
-    /// Number of ranks (threads standing in for MPI tasks) to run with.
-    pub nranks: usize,
-    /// Vertex ownership function used to distribute the input graph.
-    pub distribution: Distribution,
-}
-
-impl Default for XtraPulpPartitioner {
-    fn default() -> Self {
-        XtraPulpPartitioner {
-            nranks: 4,
-            distribution: Distribution::Block,
-        }
-    }
-}
-
-impl XtraPulpPartitioner {
-    /// Create a partitioner running on `nranks` ranks with a block distribution.
-    pub fn new(nranks: usize) -> Self {
-        XtraPulpPartitioner {
-            nranks,
-            distribution: Distribution::Block,
-        }
-    }
-
-    /// Use a different vertex distribution.
-    pub fn with_distribution(mut self, distribution: Distribution) -> Self {
-        self.distribution = distribution;
-        self
-    }
-}
-
 /// Stitch per-rank `(global id, part)` pairs into one dense part vector, verifying that
 /// every vertex was claimed by some rank and every claim is a valid `(vertex, part)`
-/// pair for this graph and part count.
-///
-/// The old gather silently defaulted unclaimed vertices to part 0, which turned any
-/// ownership bug in the distribution layer into a quietly imbalanced partition; now a
-/// coverage gap surfaces as [`PartitionError::IncompleteGather`] and a nonsensical pair
-/// (vertex id out of range, part negative or `>= num_parts`) as
-/// [`PartitionError::CorruptGather`] — in release builds too, since this guards against
-/// rank bugs, not caller mistakes. Shared with the `xtrapulp-api` session facade, which
-/// runs the same gather on a reused runtime.
+/// pair for this graph and part count. A coverage gap surfaces as
+/// [`PartitionError::IncompleteGather`] and a nonsensical pair (vertex id out of range,
+/// part negative or `>= num_parts`) as [`PartitionError::CorruptGather`] — in release
+/// builds too, since this guards against rank bugs, not caller mistakes.
 pub fn assemble_gathered_parts(
     n: usize,
     num_parts: usize,
@@ -638,6 +547,186 @@ pub fn assemble_gathered_parts(
     Ok(parts)
 }
 
+/// Where [`run_xtrapulp_job`] finds its distributed graph.
+#[derive(Debug, Clone, Copy)]
+pub enum GraphSource<'a> {
+    /// An in-memory graph, distributed over the runtime's ranks *inside* the job, so
+    /// the outcome's `comm` counts the distribution handshake with everything else.
+    Csr(&'a Csr, &'a Distribution),
+    /// Graphs the caller built earlier and keeps alive across jobs (evolving them with
+    /// [`DistGraph::apply_delta`]): one per rank the runtime hosts, each found by the
+    /// rank that built it ([`DistGraph::rank`]), not by its index.
+    Ranks(&'a [DistGraph]),
+}
+
+/// What one partitioning job produced, whichever method ran it and wherever it ran.
+#[derive(Debug, Clone)]
+pub struct JobOutcome {
+    /// One part id per vertex, indexed by global vertex id.
+    pub parts: Vec<i32>,
+    /// The paper's quality metrics for `parts`.
+    pub quality: PartitionQuality,
+    /// Per-phase wall-clock, the maximum over the ranks this process hosts.
+    pub timings: PhaseTimer,
+    /// Communication counters summed over those ranks (zero for serial methods).
+    pub comm: CommStatsSnapshot,
+    /// Label-propagation sweeps executed (0 for methods that run none).
+    pub lp_sweeps: u64,
+    /// Vertices scored across all sweeps and ranks.
+    pub vertices_scored: u64,
+    /// The sweep/scored split per schedule stage.
+    pub stages: StageBreakdown,
+}
+
+/// One distributed XtraPuLP job, start to finish (Algorithm 1 as a caller sees it):
+/// distribute the graph or take the caller's, initialise or take `warm` — a global seed
+/// vector and optionally the delta-touched ids, see
+/// [`try_xtrapulp_partition_from_touched`] — run the balance/refine stages, gather the
+/// labels, assemble the global part vector. Malformed `params` or `warm` are rejected
+/// before anything runs; a rank-local failure is returned, not unwound.
+///
+/// The contract callers (session reuse, crash recovery by replay) rely on:
+///
+/// * **Deterministic.** `parts`, `quality` and the work counters are a pure function of
+///   the graph, `params`, `warm` and the runtime's rank count — not of the transport,
+///   the thread schedule or earlier jobs. `timings` are wall-clock; `comm` also depends
+///   on how many of the ranks this process hosts.
+/// * **One dispatch.** Everything runs inside a single [`Runtime::try_execute`], so a
+///   transport fault surfaces as [`PartitionError::Comm`] and the job can be retried
+///   whole.
+/// * **Collectives, in order, on every rank:** the [`DistGraph::from_csr`] handshake
+///   (`Csr` source only); for a warm start one violation-count allreduce and the seed's
+///   ghost pull; the stage schedule's exchanges and allreduces; the quality and
+///   work-counter allreduces; then, iff [`Runtime::is_distributed`], one `allgatherv`
+///   of the `(global id, part)` pairs so every process assembles the whole vector.
+pub fn run_xtrapulp_job(
+    runtime: &mut Runtime,
+    source: GraphSource<'_>,
+    params: &PartitionParams,
+    warm: Option<PulpWarmStart<'_>>,
+) -> Result<JobOutcome, PartitionError> {
+    params.validate()?;
+    let n = match source {
+        GraphSource::Csr(csr, _) => csr.num_vertices(),
+        // A rank without a graph would leave the others waiting in a collective.
+        GraphSource::Ranks(graphs) if graphs.len() != runtime.local_ranks().len() => {
+            return Err(PartitionError::InvalidRanks { got: graphs.len() });
+        }
+        GraphSource::Ranks(graphs) => graphs[0].global_n() as usize,
+    };
+    if let Some((initial, _)) = warm {
+        // Validated once, globally: every rank's slice is a sub-view of this vector, so
+        // no rank can disagree inside a collective.
+        validate_warm_start(n, params.num_parts, initial)?;
+    }
+    let distributed = runtime.is_distributed();
+    let per_rank = runtime.try_execute(|ctx| -> Result<_, PartitionError> {
+        let built;
+        let graph = match source {
+            GraphSource::Csr(csr, dist) => {
+                // An Explicit ownership table may be shorter than a graph that has
+                // since grown; the tail vertices are hashed to ranks.
+                built = DistGraph::from_csr(ctx, dist.grown(n as u64, ctx.nranks()), csr);
+                &built
+            }
+            GraphSource::Ranks(graphs) => graphs
+                .iter()
+                .find(|graph| graph.rank() == ctx.rank())
+                .ok_or(PartitionError::InvalidRanks { got: graphs.len() })?,
+        };
+        let result = match warm {
+            None => try_xtrapulp_partition(ctx, graph, params)?,
+            Some((initial, touched)) => {
+                let owned: Vec<i32> = (0..graph.n_owned())
+                    .map(|v| initial[graph.global_id(v as LocalId) as usize])
+                    .collect();
+                try_xtrapulp_partition_from_touched(ctx, graph, params, &owned, touched)?
+            }
+        };
+        let mut pairs: Vec<(u64, i32)> = (0..graph.n_owned())
+            .map(|v| (graph.global_id(v as LocalId), result.parts[v]))
+            .collect();
+        if distributed {
+            pairs = ctx.allgatherv(pairs);
+        }
+        let outcome = JobOutcome {
+            parts: Vec::new(),
+            quality: result.quality,
+            timings: result.timings,
+            comm: ctx.stats().snapshot(),
+            lp_sweeps: result.lp_sweeps,
+            vertices_scored: result.vertices_scored,
+            stages: result.stages,
+        };
+        Ok((pairs, outcome))
+    })?;
+
+    let per_rank = per_rank.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let (mut pairs, outcomes): (Vec<_>, Vec<_>) = per_rank.into_iter().unzip();
+    if distributed {
+        // Every hosted rank already gathered the full pair set; one copy is enough.
+        pairs.truncate(1);
+    }
+    // Quality and the work counters are allreduced inside the job, so every rank
+    // reports the same values; the first rank's are kept.
+    let merge = |mut all: JobOutcome, rank: JobOutcome| {
+        all.timings.merge_max(&rank.timings);
+        all.comm = all.comm.merged(rank.comm);
+        all
+    };
+    let mut outcome =
+        (outcomes.into_iter().reduce(merge)).ok_or(PartitionError::InvalidRanks { got: 0 })?;
+    outcome.parts = assemble_gathered_parts(n, params.num_parts, pairs)?;
+    Ok(outcome)
+}
+
+/// The distributed XtraPuLP partitioner, exposed through the serial [`Partitioner`]
+/// interface: [`run_xtrapulp_job`] on a throw-away runtime of `nranks` in-process ranks.
+#[derive(Debug, Clone)]
+pub struct XtraPulpPartitioner {
+    /// Number of ranks (threads standing in for MPI tasks) to run with.
+    pub nranks: usize,
+    /// Vertex ownership function used to distribute the input graph.
+    pub distribution: Distribution,
+}
+
+impl Default for XtraPulpPartitioner {
+    fn default() -> Self {
+        XtraPulpPartitioner::new(4)
+    }
+}
+
+impl XtraPulpPartitioner {
+    /// Create a partitioner running on `nranks` ranks with a block distribution.
+    pub fn new(nranks: usize) -> Self {
+        XtraPulpPartitioner {
+            nranks,
+            distribution: Distribution::Block,
+        }
+    }
+
+    /// Use a different vertex distribution.
+    pub fn with_distribution(mut self, distribution: Distribution) -> Self {
+        self.distribution = distribution;
+        self
+    }
+
+    fn run(
+        &self,
+        csr: &Csr,
+        params: &PartitionParams,
+        warm: Option<PulpWarmStart<'_>>,
+    ) -> Result<Vec<i32>, PartitionError> {
+        params.validate()?;
+        if self.nranks == 0 {
+            return Err(PartitionError::InvalidRanks { got: 0 });
+        }
+        let mut runtime = Runtime::try_new(self.nranks)?;
+        let source = GraphSource::Csr(csr, &self.distribution);
+        run_xtrapulp_job(&mut runtime, source, params, warm).map(|outcome| outcome.parts)
+    }
+}
+
 impl Partitioner for XtraPulpPartitioner {
     fn name(&self) -> &'static str {
         "XtraPuLP"
@@ -648,25 +737,7 @@ impl Partitioner for XtraPulpPartitioner {
         csr: &Csr,
         params: &PartitionParams,
     ) -> Result<Vec<i32>, PartitionError> {
-        params.validate()?;
-        if self.nranks == 0 {
-            return Err(PartitionError::InvalidRanks { got: 0 });
-        }
-        let n = csr.num_vertices();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let dist = self.distribution.clone();
-        let per_rank: Vec<Result<Vec<(u64, i32)>, PartitionError>> =
-            Runtime::run(self.nranks, |ctx| {
-                let graph = DistGraph::from_csr(ctx, dist.clone(), csr);
-                let result = xtrapulp_partition_validated(ctx, &graph, params)?;
-                Ok((0..graph.n_owned())
-                    .map(|v| (graph.global_id(v as LocalId), result.parts[v]))
-                    .collect())
-            });
-        let per_rank: Vec<Vec<(u64, i32)>> = per_rank.into_iter().collect::<Result<_, _>>()?;
-        assemble_gathered_parts(n, params.num_parts, per_rank)
+        self.run(csr, params, None)
     }
 }
 
@@ -677,29 +748,7 @@ impl WarmStartPartitioner for XtraPulpPartitioner {
         params: &PartitionParams,
         initial: &[i32],
     ) -> Result<Vec<i32>, PartitionError> {
-        params.validate()?;
-        if self.nranks == 0 {
-            return Err(PartitionError::InvalidRanks { got: 0 });
-        }
-        validate_warm_start(csr.num_vertices(), params.num_parts, initial)?;
-        let n = csr.num_vertices();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let dist = self.distribution.clone();
-        let per_rank: Vec<Result<Vec<(u64, i32)>, PartitionError>> =
-            Runtime::run(self.nranks, |ctx| {
-                let graph = DistGraph::from_csr(ctx, dist.clone(), csr);
-                let initial_owned: Vec<i32> = (0..graph.n_owned())
-                    .map(|v| initial[graph.global_id(v as LocalId) as usize])
-                    .collect();
-                let result = try_xtrapulp_partition_from(ctx, &graph, params, &initial_owned)?;
-                Ok((0..graph.n_owned())
-                    .map(|v| (graph.global_id(v as LocalId), result.parts[v]))
-                    .collect())
-            });
-        let per_rank: Vec<Vec<(u64, i32)>> = per_rank.into_iter().collect::<Result<_, _>>()?;
-        assemble_gathered_parts(n, params.num_parts, per_rank)
+        self.run(csr, params, Some((initial, None)))
     }
 }
 
@@ -833,7 +882,9 @@ mod tests {
             ..Default::default()
         };
         let partitioner = XtraPulpPartitioner::new(3);
-        let (parts, quality) = partitioner.partition_with_quality(&csr, &params);
+        let (parts, quality) = partitioner
+            .try_partition_with_quality(&csr, &params)
+            .unwrap();
         assert_eq!(parts.len(), 256);
         assert!(is_valid_partition(&parts, 4));
         assert!(quality.vertex_imbalance <= 1.35);
@@ -847,15 +898,41 @@ mod tests {
             num_parts: 1,
             ..Default::default()
         };
-        let parts = XtraPulpPartitioner::new(1).partition(&csr, &params);
+        let parts = XtraPulpPartitioner::new(1)
+            .try_partition(&csr, &params)
+            .unwrap();
         assert!(parts.iter().all(|&p| p == 0));
     }
 
     #[test]
     fn empty_graph_returns_empty_partition() {
+        // No shortcut: the job runs its schedule over nothing, whatever the layout.
         let csr = csr_from_edges(0, &[]);
-        let parts = XtraPulpPartitioner::new(2).partition(&csr, &PartitionParams::with_parts(4));
-        assert!(parts.is_empty());
+        for nranks in [1, 3] {
+            for distribution in [
+                Distribution::Block,
+                Distribution::Cyclic,
+                Distribution::Hashed,
+                Distribution::from_parts(&[]),
+            ] {
+                for init in [
+                    crate::InitStrategy::BfsGrow,
+                    crate::InitStrategy::Random,
+                    crate::InitStrategy::VertexBlock,
+                ] {
+                    let params = PartitionParams {
+                        num_parts: 4,
+                        init,
+                        ..Default::default()
+                    };
+                    let partitioner =
+                        XtraPulpPartitioner::new(nranks).with_distribution(distribution.clone());
+                    assert!(partitioner.try_partition(&csr, &params).unwrap().is_empty());
+                    let warm = partitioner.try_partition_from(&csr, &params, &[]);
+                    assert!(warm.unwrap().is_empty());
+                }
+            }
+        }
     }
 
     #[test]
@@ -867,7 +944,7 @@ mod tests {
             &VertexBlockPartitioner,
             &EdgeBlockPartitioner,
         ] {
-            let parts = p.partition(&csr, &params);
+            let parts = p.try_partition(&csr, &params).unwrap();
             assert_eq!(parts.len(), 100, "{}", p.name());
             assert!(is_valid_partition(&parts, 5), "{}", p.name());
         }
@@ -881,8 +958,12 @@ mod tests {
             seed: 23,
             ..Default::default()
         };
-        let (_, q_x) = XtraPulpPartitioner::new(2).partition_with_quality(&csr, &params);
-        let (_, q_r) = RandomPartitioner.partition_with_quality(&csr, &params);
+        let (_, q_x) = XtraPulpPartitioner::new(2)
+            .try_partition_with_quality(&csr, &params)
+            .unwrap();
+        let (_, q_r) = RandomPartitioner
+            .try_partition_with_quality(&csr, &params)
+            .unwrap();
         assert!(
             q_x.edge_cut < q_r.edge_cut / 2,
             "XtraPuLP cut {} should be far below random cut {}",
@@ -948,8 +1029,14 @@ mod tests {
         let out = Runtime::run(3, |ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 400, &edges);
             let cold = try_xtrapulp_partition(ctx, &g, &params).unwrap();
-            let warm = try_xtrapulp_partition_from(ctx, &g, &params, &cold.parts[..g.n_owned()])
-                .expect("valid warm start");
+            let warm = try_xtrapulp_partition_from_touched(
+                ctx,
+                &g,
+                &params,
+                &cold.parts[..g.n_owned()],
+                None,
+            )
+            .expect("valid warm start");
             assert!(is_valid_partition(&warm.parts, 4));
             (cold.quality, cold.lp_sweeps, warm.quality, warm.lp_sweeps)
         });
@@ -1000,7 +1087,9 @@ mod tests {
                 let initial_owned: Vec<i32> = (0..g.n_owned())
                     .map(|v| initial[g.global_id(v as LocalId) as usize])
                     .collect();
-                let res = try_xtrapulp_partition_from(ctx, &g, &params, &initial_owned).unwrap();
+                let res =
+                    try_xtrapulp_partition_from_touched(ctx, &g, &params, &initial_owned, None)
+                        .unwrap();
                 (0..g.n_owned())
                     .map(|v| (g.global_id(v as LocalId), res.parts[v]))
                     .collect::<Vec<_>>()
@@ -1035,7 +1124,7 @@ mod tests {
             } else {
                 vec![0i32; g.n_owned()]
             };
-            try_xtrapulp_partition_from(ctx, &g, &params, &initial).is_err()
+            try_xtrapulp_partition_from_touched(ctx, &g, &params, &initial, None).is_err()
         });
         assert!(out.iter().all(|&e| e), "every rank must report the error");
     }
@@ -1049,7 +1138,7 @@ mod tests {
             ..Default::default()
         };
         let partitioner = XtraPulpPartitioner::new(2);
-        let cold = partitioner.partition(&csr, &params);
+        let cold = partitioner.try_partition(&csr, &params).unwrap();
         let warm = partitioner
             .try_partition_from(&csr, &params, &cold)
             .expect("valid warm start");
@@ -1083,8 +1172,12 @@ mod tests {
             seed: 77,
             ..Default::default()
         };
-        let a = XtraPulpPartitioner::new(2).partition(&csr, &params);
-        let b = XtraPulpPartitioner::new(2).partition(&csr, &params);
+        let a = XtraPulpPartitioner::new(2)
+            .try_partition(&csr, &params)
+            .unwrap();
+        let b = XtraPulpPartitioner::new(2)
+            .try_partition(&csr, &params)
+            .unwrap();
         assert_eq!(a, b);
     }
 }

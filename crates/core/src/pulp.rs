@@ -98,7 +98,8 @@ pub struct PulpRun {
     pub timings: PhaseTimer,
 }
 
-/// A warm start for [`try_pulp_run`]: the seed part vector (see
+/// A warm start for [`try_pulp_run`] and for the distributed
+/// [`run_xtrapulp_job`](crate::run_xtrapulp_job): the global seed part vector (see
 /// [`try_pulp_partition_from`]) and, when known, the vertices the mutation delta
 /// touched (endpoints of inserted/deleted edges, added vertices). With a touched set
 /// the refinement frontier is seeded from it plus its one-hop neighbourhood, so an
@@ -324,7 +325,9 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
-        let (parts, q) = PulpPartitioner.partition_with_quality(&csr, &params);
+        let (parts, q) = PulpPartitioner
+            .try_partition_with_quality(&csr, &params)
+            .unwrap();
         assert!(is_valid_partition(&parts, 4));
         assert!(
             q.vertex_imbalance <= 1.25,
@@ -346,8 +349,12 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
-        let (_, q_pulp) = PulpPartitioner.partition_with_quality(&csr, &params);
-        let (_, q_rand) = RandomPartitioner.partition_with_quality(&csr, &params);
+        let (_, q_pulp) = PulpPartitioner
+            .try_partition_with_quality(&csr, &params)
+            .unwrap();
+        let (_, q_rand) = RandomPartitioner
+            .try_partition_with_quality(&csr, &params)
+            .unwrap();
         assert!(q_pulp.edge_cut < q_rand.edge_cut / 2);
     }
 
@@ -608,7 +615,9 @@ mod tests {
             seed: 3,
             ..Default::default()
         };
-        let (parts, q) = PulpPartitioner.partition_with_quality(&csr, &params);
+        let (parts, q) = PulpPartitioner
+            .try_partition_with_quality(&csr, &params)
+            .unwrap();
         assert!(is_valid_partition(&parts, 4));
         assert!(q.vertex_imbalance <= 1.25);
     }

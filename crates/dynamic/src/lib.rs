@@ -20,7 +20,7 @@
 //! * [`seed_from_previous`] — extend the previous epoch's part vector over a delta's new
 //!   vertices with [`UNASSIGNED`](xtrapulp_graph::UNASSIGNED) markers, ready for any
 //!   [`WarmStartPartitioner`](xtrapulp::WarmStartPartitioner)
-//!   (`try_pulp_partition_from`, `try_xtrapulp_partition_from`, or the multilevel
+//!   (`try_pulp_partition_from`, `try_xtrapulp_partition_from_touched`, or the multilevel
 //!   refine-only drivers).
 //!
 //! The serving layer over this crate is `xtrapulp_api::DynamicSession`

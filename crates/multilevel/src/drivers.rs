@@ -300,7 +300,9 @@ mod tests {
             seed: 3,
             ..Default::default()
         };
-        let (parts, q) = MetisLikePartitioner::default().partition_with_quality(&csr, &params);
+        let (parts, q) = MetisLikePartitioner::default()
+            .try_partition_with_quality(&csr, &params)
+            .unwrap();
         assert!(is_valid_partition(&parts, 8));
         assert!(
             q.vertex_imbalance <= 1.15,
@@ -320,7 +322,9 @@ mod tests {
             seed: 9,
             ..Default::default()
         };
-        let (parts, q) = LpCoarsenKwayPartitioner::default().partition_with_quality(&csr, &params);
+        let (parts, q) = LpCoarsenKwayPartitioner::default()
+            .try_partition_with_quality(&csr, &params)
+            .unwrap();
         assert!(is_valid_partition(&parts, 4));
         assert!(
             q.vertex_imbalance <= 1.25,
@@ -349,8 +353,12 @@ mod tests {
             seed: 1,
             ..Default::default()
         };
-        let (_, q_ml) = MetisLikePartitioner::default().partition_with_quality(&csr, &params);
-        let (_, q_rand) = RandomPartitioner.partition_with_quality(&csr, &params);
+        let (_, q_ml) = MetisLikePartitioner::default()
+            .try_partition_with_quality(&csr, &params)
+            .unwrap();
+        let (_, q_rand) = RandomPartitioner
+            .try_partition_with_quality(&csr, &params)
+            .unwrap();
         assert!(q_ml.edge_cut < q_rand.edge_cut);
         assert!(q_ml.vertex_imbalance < 1.2);
     }
@@ -359,14 +367,18 @@ mod tests {
     fn handles_tiny_graphs_and_single_part() {
         let csr = grid_csr(3, 3);
         let params = PartitionParams::with_parts(2);
-        let parts = MetisLikePartitioner::default().partition(&csr, &params);
+        let parts = MetisLikePartitioner::default()
+            .try_partition(&csr, &params)
+            .unwrap();
         assert!(is_valid_partition(&parts, 2));
-        let parts =
-            MetisLikePartitioner::default().partition(&csr, &PartitionParams::with_parts(1));
+        let parts = MetisLikePartitioner::default()
+            .try_partition(&csr, &PartitionParams::with_parts(1))
+            .unwrap();
         assert!(parts.iter().all(|&p| p == 0));
         let empty = csr_from_edges(0, &[]);
         assert!(MetisLikePartitioner::default()
-            .partition(&empty, &params)
+            .try_partition(&empty, &params)
+            .unwrap()
             .is_empty());
     }
 
@@ -412,11 +424,19 @@ mod tests {
             seed: 42,
             ..Default::default()
         };
-        let a = MetisLikePartitioner::default().partition(&csr, &params);
-        let b = MetisLikePartitioner::default().partition(&csr, &params);
+        let a = MetisLikePartitioner::default()
+            .try_partition(&csr, &params)
+            .unwrap();
+        let b = MetisLikePartitioner::default()
+            .try_partition(&csr, &params)
+            .unwrap();
         assert_eq!(a, b);
-        let c = LpCoarsenKwayPartitioner::default().partition(&csr, &params);
-        let d = LpCoarsenKwayPartitioner::default().partition(&csr, &params);
+        let c = LpCoarsenKwayPartitioner::default()
+            .try_partition(&csr, &params)
+            .unwrap();
+        let d = LpCoarsenKwayPartitioner::default()
+            .try_partition(&csr, &params)
+            .unwrap();
         assert_eq!(c, d);
     }
 
@@ -430,7 +450,9 @@ mod tests {
             seed: 2,
             ..Default::default()
         };
-        let parts = MetisLikePartitioner::default().partition(&csr, &params);
+        let parts = MetisLikePartitioner::default()
+            .try_partition(&csr, &params)
+            .unwrap();
         assert!(is_valid_partition(&parts, 4));
     }
 }

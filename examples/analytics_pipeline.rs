@@ -25,7 +25,9 @@ fn main() {
 
     // Compute an XtraPuLP partition and a random placement.
     let params = PartitionParams::with_parts(nranks);
-    let xtrapulp_parts = XtraPulpPartitioner::new(nranks).partition(&csr, &params);
+    let xtrapulp_parts = XtraPulpPartitioner::new(nranks)
+        .try_partition(&csr, &params)
+        .expect("valid parameters");
     let random_parts = baselines::random_partition(el.num_vertices, nranks, 3);
 
     for (name, parts) in [("XtraPuLP", &xtrapulp_parts), ("Random", &random_parts)] {

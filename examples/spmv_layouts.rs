@@ -29,7 +29,9 @@ fn main() {
         ("Random", baselines::random_partition(n, nranks, 3)),
         (
             "XtraPuLP",
-            XtraPulpPartitioner::new(nranks).partition(&csr, &params),
+            XtraPulpPartitioner::new(nranks)
+                .try_partition(&csr, &params)
+                .expect("valid parameters"),
         ),
     ];
 

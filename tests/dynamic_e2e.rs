@@ -4,6 +4,7 @@
 use xtrapulp_api::{DynamicSession, Method, PartitionJob, Session, UpdateBatch};
 use xtrapulp_gen::updates::{generate_stream, StreamKind, UpdateStreamConfig};
 use xtrapulp_gen::{GraphConfig, GraphKind};
+use xtrapulp_suite::core::{try_pulp_run, try_xtrapulp_partition};
 use xtrapulp_suite::prelude::*;
 
 fn social_base(n: u64) -> xtrapulp_gen::EdgeList {
@@ -197,24 +198,52 @@ fn growth_stream_keeps_graph_and_partition_consistent() {
     }
 }
 
-/// Serial warm-capable methods run the same dynamic loop through the facade.
+/// Every method runs the same dynamic loop through the facade, and its cold epoch is
+/// the job `Session::submit` runs: two callers, one path, down to the work counters the
+/// kernels report when called directly.
 #[test]
 fn serial_methods_serve_the_dynamic_loop() {
-    for method in [Method::Pulp, Method::LpCoarsenKway] {
+    let nranks = 2;
+    for method in Method::all() {
         let base = social_base(1 << 10);
+        let csr = base.to_csr();
         let dyn_job = PartitionJob::new(method).with_params(PartitionParams {
             num_parts: 4,
             seed: 9,
             ..Default::default()
         });
-        let mut dynamic = DynamicSession::spawn(1, base.to_csr(), dyn_job).unwrap();
-        dynamic.repartition().unwrap();
+        let mut dynamic = DynamicSession::spawn(nranks, csr.clone(), dyn_job.clone()).unwrap();
+        let cold = dynamic.repartition().unwrap();
+        let submitted = Session::new(nranks)
+            .unwrap()
+            .submit(&dyn_job, &csr)
+            .unwrap();
+        assert_eq!(cold.report.parts, submitted.parts, "{method}");
+        assert_eq!(cold.report.quality, submitted.quality, "{method}");
+        let kernel_work = match method {
+            Method::XtraPulp => Runtime::new(nranks).execute(|ctx| {
+                let graph = DistGraph::from_csr(ctx, Distribution::Block, &csr);
+                let run = try_xtrapulp_partition(ctx, &graph, &dyn_job.params).unwrap();
+                (run.lp_sweeps, run.vertices_scored)
+            })[0],
+            Method::Pulp => {
+                let stats = try_pulp_run(&csr, &dyn_job.params, None).unwrap().stats;
+                (stats.sweeps, stats.vertices_scored)
+            }
+            _ => (0, 0),
+        };
+        assert_eq!(
+            (cold.lp_sweeps, cold.vertices_scored),
+            kernel_work,
+            "{method}"
+        );
+
         let n = base.num_vertices;
         let mut batch = UpdateBatch::new();
         batch.add_vertices(1).insert_edge(n, 0).insert_edge(n, 1);
         dynamic.apply_updates(&batch).unwrap();
         let warm = dynamic.repartition().unwrap();
-        assert!(warm.warm_start, "{method}");
+        assert_eq!(warm.warm_start, method.supports_warm_start(), "{method}");
         assert_eq!(warm.report.parts.len() as u64, n + 1, "{method}");
     }
 }

@@ -83,8 +83,12 @@ fn xtrapulp_quality_tracks_the_paper_pattern_across_classes() {
     )
     .generate()
     .to_csr();
-    let (_, q_crawl) = XtraPulpPartitioner::new(4).partition_with_quality(&crawl, &params);
-    let (_, q_rmat) = XtraPulpPartitioner::new(4).partition_with_quality(&rmat, &params);
+    let (_, q_crawl) = XtraPulpPartitioner::new(4)
+        .try_partition_with_quality(&crawl, &params)
+        .unwrap();
+    let (_, q_rmat) = XtraPulpPartitioner::new(4)
+        .try_partition_with_quality(&rmat, &params)
+        .unwrap();
     assert!(
         q_crawl.edge_cut_ratio < 0.4,
         "crawl cut {}",
@@ -121,7 +125,9 @@ fn partition_improves_spmv_communication_over_random() {
     let edges: Vec<(u64, u64)> = csr.edges().collect();
     let nranks = 4;
     let params = PartitionParams::with_parts(nranks);
-    let xtrapulp = XtraPulpPartitioner::new(nranks).partition(&csr, &params);
+    let xtrapulp = XtraPulpPartitioner::new(nranks)
+        .try_partition(&csr, &params)
+        .unwrap();
     let random = baselines::random_partition(n, nranks, 3);
     let comm = |parts: &Vec<i32>| {
         Runtime::run(nranks, |ctx| {
@@ -141,7 +147,9 @@ fn spmv_2d_agrees_with_1d_under_a_partitioned_layout() {
     let edges: Vec<(u64, u64)> = csr.edges().collect();
     let nranks = 4;
     let params = PartitionParams::with_parts(nranks);
-    let parts = XtraPulpPartitioner::new(nranks).partition(&csr, &params);
+    let parts = XtraPulpPartitioner::new(nranks)
+        .try_partition(&csr, &params)
+        .unwrap();
     let out = Runtime::run(nranks, |ctx| {
         let r1 = spmv_1d_with_partition(ctx, n, &edges, &parts, 3)
             .expect("in-process ranks agree on the halo");
@@ -160,7 +168,9 @@ fn analytics_suite_runs_on_a_partitioned_graph() {
     let csr = el.to_csr();
     let nranks = 3;
     let params = PartitionParams::with_parts(nranks);
-    let parts = XtraPulpPartitioner::new(nranks).partition(&csr, &params);
+    let parts = XtraPulpPartitioner::new(nranks)
+        .try_partition(&csr, &params)
+        .unwrap();
     let result = xtrapulp_suite::analytics::run_suite_with_partition(
         nranks,
         el.num_vertices,
@@ -180,7 +190,7 @@ fn quality_metrics_agree_between_serial_and_distributed_evaluation() {
     let el = crawl_graph(1 << 11);
     let csr = el.to_csr();
     let params = PartitionParams::with_parts(8);
-    let parts = PulpPartitioner.partition(&csr, &params);
+    let parts = PulpPartitioner.try_partition(&csr, &params).unwrap();
     let serial = PartitionQuality::evaluate(&csr, &parts, 8);
     let out = Runtime::run(3, |ctx| {
         let g = DistGraph::from_shared_edges(ctx, Distribution::Block, el.num_vertices, &el.edges);

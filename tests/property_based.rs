@@ -66,7 +66,9 @@ fn xtrapulp_partitions_are_always_valid() {
             seed: 11,
             ..Default::default()
         };
-        let parts = XtraPulpPartitioner::new(nranks).partition(&csr, &params);
+        let parts = XtraPulpPartitioner::new(nranks)
+            .try_partition(&csr, &params)
+            .unwrap();
         assert_eq!(parts.len(), csr.num_vertices(), "case {case}");
         assert!(is_valid_partition(&parts, nparts), "case {case}");
         // Every part's vertex count is accounted for exactly once.
@@ -89,7 +91,9 @@ fn pulp_partitions_are_valid_and_cut_is_bounded() {
             seed: 7,
             ..Default::default()
         };
-        let (parts, q) = PulpPartitioner.partition_with_quality(&csr, &params);
+        let (parts, q) = PulpPartitioner
+            .try_partition_with_quality(&csr, &params)
+            .unwrap();
         assert!(is_valid_partition(&parts, nparts), "case {case}");
         assert!(q.edge_cut <= csr.num_edges(), "case {case}");
         assert!(q.edge_cut_ratio <= 1.0 + 1e-12, "case {case}");

@@ -71,8 +71,8 @@ fn frontier_matches_full_sweep_quality_on_gen_presets() {
                 ..frontier_params
             };
             let partitioner = XtraPulpPartitioner::new(2);
-            let frontier = partitioner.partition(csr, &frontier_params);
-            let full = partitioner.partition(csr, &full_params);
+            let frontier = partitioner.try_partition(csr, &frontier_params).unwrap();
+            let full = partitioner.try_partition(csr, &full_params).unwrap();
             let qf = PartitionQuality::evaluate(csr, &frontier, 8);
             let qb = PartitionQuality::evaluate(csr, &full, 8);
             assert!(is_valid_partition(&frontier, 8), "{name}");
@@ -116,7 +116,9 @@ fn distributed_results_identical_across_thread_counts() {
             sweep_threads: threads,
             ..Default::default()
         };
-        XtraPulpPartitioner::new(2).partition(&csr, &params)
+        XtraPulpPartitioner::new(2)
+            .try_partition(&csr, &params)
+            .unwrap()
     };
     let one = run(1);
     assert_eq!(one, run(2), "1 vs 2 threads");
