@@ -35,7 +35,8 @@ use xtrapulp_obs::{FlightKind, Histogram};
 use crate::error::CommError;
 use crate::stats::{CollectiveKind, CommStats};
 use crate::transport::{
-    Frame, InProcFabric, Transport, TransportError, WireElem, WireMessage, FRAME_HEADER_BYTES,
+    CodecError, Frame, InProcFabric, Transport, TransportError, WireElem, WireMessage,
+    FRAME_HEADER_BYTES,
 };
 use crate::watchdog::Stall;
 
@@ -472,21 +473,15 @@ impl Runtime {
         for tx in &self.job_txs {
             tx.send(job).expect("rank thread exited unexpectedly");
         }
-        let locals = self.job_txs.len();
-        let mut slots: Vec<Option<std::thread::Result<ErasedResult>>> = Vec::new();
-        slots.resize_with(locals, || None);
-        for _ in 0..locals {
-            let (local, outcome) = self
-                .results_rx
-                .recv()
-                .expect("rank thread exited unexpectedly");
-            slots[local] = Some(outcome);
+        let mut outcomes = Vec::with_capacity(self.job_txs.len());
+        for _ in 0..self.job_txs.len() {
+            let reported = self.results_rx.recv();
+            outcomes.push(reported.expect("rank thread exited unexpectedly"));
         }
-        // Every local rank is done with the job; the borrow of `erased` has ended.
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every rank reports exactly once"))
-            .collect()
+        // Every local rank is done with the job (each reports exactly once); the
+        // borrow of `erased` has ended.
+        outcomes.sort_by_key(|&(local, _)| local);
+        outcomes.into_iter().map(|(_, outcome)| outcome).collect()
     }
 
     /// Run `f` on a fresh one-shot in-process runtime of `nranks` ranks and
@@ -1184,16 +1179,18 @@ impl RankCtx {
         self.stats.record_send((local.len() * T::SIZE) as u64);
         let own = local.to_vec();
         self.send_to_all(CollectiveKind::Allreduce, &own);
+        let all = self.recv_in_rank_order(CollectiveKind::Allreduce, own);
+        // Every rank must contribute the same length; from a peer that did not, this
+        // collective got a frame it cannot decode, which is what a codec failure is.
+        if let Some(peer) = all.iter().position(|c| c.len() != local.len()) {
+            let (expected, got) = (local.len() * T::SIZE, all[peer].len() * T::SIZE);
+            let source = CodecError::BadLength { expected, got };
+            fail(TransportError::Codec { peer, source });
+        }
         // A runtime has at least one rank, so the fold never sees an empty list.
-        let acc = self
-            .recv_in_rank_order(CollectiveKind::Allreduce, own)
+        let acc = all
             .into_iter()
             .reduce(|mut acc, contrib| {
-                assert_eq!(
-                    acc.len(),
-                    contrib.len(),
-                    "allreduce requires equal-length contributions on every rank"
-                );
                 for (a, c) in acc.iter_mut().zip(contrib.iter()) {
                     combine(a, c);
                 }

@@ -199,6 +199,31 @@ fn allreduce_with_is_rank_ordered() {
     }
 }
 
+/// A peer whose contribution has the wrong length is a frame this collective
+/// cannot decode: every rank fails typed, naming the first rank that disagrees
+/// with it, instead of panicking on an assertion.
+#[test]
+fn allreduce_reports_a_short_contribution_as_a_codec_error_naming_the_rank() {
+    use crate::transport::{CodecError, TransportError};
+    let named = Runtime::run(3, |ctx| {
+        // Rank 1 contributes one element where the others contribute two.
+        let local = [7u64; 2];
+        let local = &local[..if ctx.rank() == 1 { 1 } else { 2 }];
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ctx.allreduce_sum_u64(local)
+        }))
+        .expect_err("mismatched lengths must fail the collective");
+        match failed.downcast::<TransportError>().map(|e| *e) {
+            Ok(TransportError::Codec {
+                peer,
+                source: CodecError::BadLength { expected, got },
+            }) => (peer, expected, got),
+            other => panic!("expected a codec error, got {other:?}"),
+        }
+    });
+    assert_eq!(named, vec![(1, 16, 8), (0, 8, 16), (1, 16, 8)]);
+}
+
 #[test]
 fn exscan_sum_matches_prefix() {
     let out = Runtime::run(5, |ctx| ctx.exscan_sum_u64(ctx.rank() as u64 + 1));

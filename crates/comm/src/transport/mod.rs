@@ -18,9 +18,10 @@
 //! * [`TcpTransport`] — shared-nothing multi-process ranks over sockets. A
 //!   coordinator rendezvous assigns ranks and distributes peer addresses, a
 //!   full mesh of length-prefixed byte streams carries the frames (encoded with
-//!   [`WireCodec`](codec::WireMessage)), and per-peer reader/writer threads
-//!   decouple the rank thread from socket backpressure. Peer death surfaces as
-//!   a typed [`TransportError`] within a bounded timeout instead of a hang.
+//!   [`WireCodec`](codec::WireMessage)); the rank thread writes its own frames
+//!   and per-peer reader threads keep every socket drained, so no send waits
+//!   on what the receiving rank is doing. Peer death surfaces as a typed
+//!   [`TransportError`] within a bounded timeout instead of a hang.
 //!
 //! Failures at this layer are typed ([`TransportError`]), not panics-by-way-of
 //! poisoned channels: connect/bind/handshake errors surface from

@@ -24,24 +24,36 @@
 //!
 //! ## Data plane
 //!
-//! Each connection gets a reader thread (length-prefixed frames into an inbox
-//! channel) and a writer thread (outbox channel onto the socket, `TCP_NODELAY`),
-//! so the rank thread never blocks on socket backpressure and any collective
-//! pattern is deadlock-free. A closed or reset connection surfaces as
-//! [`TransportError::PeerDeath`] on the next receive — within the receive
-//! timeout bound — and a peer that is alive but silent past the timeout
-//! surfaces as [`TransportError::Timeout`].
+//! `send` writes the frame from the rank thread itself, under the link's
+//! mutex: the 4-byte length header and the payload leave in one gathered
+//! `write` (`TCP_NODELAY`: one syscall, one segment and one wake-up of the peer
+//! per small frame). Each connection has a reader thread that drains the
+//! socket — through an 8 KiB buffer, so a small frame is one `read` — into an
+//! unbounded inbox channel, whatever its rank thread is doing. That draining
+//! is what makes any collective pattern deadlock-free: a write blocks only
+//! while the peer's socket buffers are full, and the peer's reader empties
+//! them without waiting for anybody. A write that still makes no progress for
+//! [`TcpConfig::recv_timeout`] (the socket's write timeout) means the peer's
+//! process is wedged: `send` marks the link broken — the stream may end
+//! mid-frame, so nothing more is written to it — and reports the sticky
+//! [`TransportError::PeerDeath`] a closed connection gives it. A closed or
+//! reset connection surfaces as `PeerDeath` on the next receive — within the
+//! receive timeout bound — and a peer that is alive but silent past the
+//! timeout surfaces as [`TransportError::Timeout`].
 //!
 //! ## Heartbeats
 //!
-//! An idle writer emits a 4-byte liveness sentinel (`0xFFFF_FFFF`, never a
-//! valid frame length) every [`TcpConfig::heartbeat_interval`]; readers count
-//! and swallow them. A link that stays silent — no frames *and* no heartbeats
-//! — for [`TcpConfig::heartbeat_misses`] consecutive intervals is declared
-//! dead, catching frozen processes and network partitions that TCP alone would
-//! surface only after the OS-level keepalive horizon. Because heartbeats come
-//! from the dedicated writer thread, a rank that is merely busy computing never
-//! trips the detector.
+//! One emitter thread per endpoint writes a 4-byte liveness sentinel
+//! (`0xFFFF_FFFF`, never a valid frame length) to every link on which nothing
+//! was written for a full [`TcpConfig::heartbeat_interval`], taking the link's
+//! mutex only when it is free (a held mutex is a frame being written: the link
+//! is not idle); readers count and swallow the sentinels. A link that stays
+//! silent — no frames *and* no heartbeats — for
+//! [`TcpConfig::heartbeat_misses`] consecutive intervals is declared dead,
+//! catching frozen processes and network partitions that TCP alone would
+//! surface only after the OS-level keepalive horizon. A rank thread holds a
+//! link mutex only while it writes, never while it computes, so a rank that is
+//! merely busy never trips the detector.
 //!
 //! ## Recovery (REJOIN)
 //!
@@ -56,10 +68,10 @@
 //! death is not survivable: it owns the rendezvous address.
 
 use std::cell::{Cell, RefCell};
-use std::io::{Read, Write};
+use std::io::{BufReader, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -116,11 +128,13 @@ pub struct TcpConfig {
     /// for individual handshake messages) before failing typed.
     pub handshake_timeout: Duration,
     /// How long `recv` waits for a frame before reporting
-    /// [`TransportError::Timeout`]. Bounds how long a rank can hang on a
+    /// [`TransportError::Timeout`], and how long a `send` may make no progress
+    /// before the link is declared dead. Bounds how long a rank can hang on a
     /// wedged (rather than dead) peer.
     pub recv_timeout: Duration,
-    /// How often an idle writer emits a liveness sentinel. `Duration::ZERO`
-    /// disables heartbeats (and the silent-link detector) entirely.
+    /// How long a link stays idle before it carries a liveness sentinel.
+    /// `Duration::ZERO` disables heartbeats (and the silent-link detector)
+    /// entirely.
     pub heartbeat_interval: Duration,
     /// Consecutive silent intervals — no data, no heartbeat — after which a
     /// link is declared dead.
@@ -150,9 +164,65 @@ enum Inbound {
     Down(TransportError),
 }
 
+/// The sending half of one link, shared (behind the link's mutex) by the rank
+/// thread, which writes frames, and the heartbeat emitter.
+struct LinkWriter<W> {
+    sink: W,
+    /// When the link last carried anything, frame or sentinel.
+    last_write: Instant,
+    /// Set by a failed write: the stream may end mid-frame (and its buffers
+    /// may be full for good), so nothing more is written.
+    broken: bool,
+}
+
+impl<W: Write> LinkWriter<W> {
+    /// Write a 4-byte `header` (a frame's length, or the heartbeat sentinel)
+    /// and the `payload` behind it as one gathered `write`, looping only when
+    /// the sink took part of it.
+    fn write(&mut self, header: u32, payload: &[u8]) -> std::io::Result<()> {
+        if self.broken {
+            return Err(std::io::ErrorKind::BrokenPipe.into());
+        }
+        let header = header.to_le_bytes();
+        let mut done = 0usize;
+        while done < header.len() + payload.len() {
+            let rest = [
+                IoSlice::new(&header[done.min(header.len())..]),
+                IoSlice::new(&payload[done.saturating_sub(header.len())..]),
+            ];
+            match self.sink.write_vectored(&rest) {
+                Ok(n) if n > 0 => done += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                failed => {
+                    self.broken = true;
+                    return failed.and(Err(std::io::ErrorKind::WriteZero.into()));
+                }
+            }
+        }
+        self.last_write = Instant::now();
+        Ok(())
+    }
+
+    /// Emit the liveness sentinel if the link has been idle for a full
+    /// `interval` at `now`; returns how long until it next falls due.
+    fn heartbeat_if_idle(&mut self, now: Instant, interval: Duration) -> Duration {
+        let idle = now.saturating_duration_since(self.last_write);
+        if idle < interval {
+            return interval - idle;
+        }
+        if self.write(HEARTBEAT_HEADER, &[]).is_ok() {
+            heartbeats_sent_counter().inc();
+        }
+        interval
+    }
+}
+
+/// One link's writer, as its rank thread and the heartbeat emitter share it.
+type SharedWriter = Arc<Mutex<LinkWriter<TcpStream>>>;
+
 /// One established peer link.
 struct Peer {
-    outbox: Sender<Vec<u8>>,
+    writer: SharedWriter,
     inbox: Receiver<Inbound>,
     /// Sticky death record: once a peer fails, every later receive reports the
     /// same typed error instead of a confusing timeout. Cleared only by a full
@@ -173,10 +243,9 @@ struct Mesh {
     clock_offset_ns: i64,
     /// Indexed by peer rank; `None` at our own index.
     peers: Vec<Option<Peer>>,
-    /// Original streams, kept to force-shutdown reader threads on teardown.
-    streams: Vec<Option<TcpStream>>,
     readers: Vec<JoinHandle<()>>,
-    writers: Vec<JoinHandle<()>>,
+    /// The heartbeat emitter, if enabled, and the channel whose closing stops it.
+    heartbeat: Option<(Sender<()>, JoinHandle<()>)>,
 }
 
 impl Mesh {
@@ -190,28 +259,24 @@ impl Mesh {
             })
     }
 
-    /// Flush and close every link, joining the IO threads. Closing our sockets
-    /// cascades an EOF to any peer still blocked on us, so one rank entering
-    /// teardown accelerates failure detection across the whole job.
+    /// Close every link, joining the IO threads. Closing our sockets cascades
+    /// an EOF to any peer still blocked on us, so one rank entering teardown
+    /// accelerates failure detection across the whole job.
     fn teardown(&mut self) {
-        // Dropping the outboxes lets each writer drain its queue and exit,
-        // so frames already sent (e.g. a final result gather) still flush.
-        for peer in self.peers.iter_mut().flatten() {
-            let (dummy_tx, _dummy_rx) = channel();
-            peer.outbox = dummy_tx;
+        if let Some((stop, emitter)) = self.heartbeat.take() {
+            drop(stop);
+            let _ = emitter.join();
         }
-        for writer in self.writers.drain(..) {
-            let _ = writer.join();
-        }
-        // Now tear the sockets down so blocked readers wake and exit.
-        for stream in self.streams.iter().flatten() {
-            let _ = stream.shutdown(Shutdown::Both);
+        // Frames `send` accepted (e.g. a final result gather) are the kernel's and
+        // go out ahead of the FIN. Shut the sockets so blocked readers wake and exit.
+        for peer in self.peers.iter().flatten() {
+            let writer = peer.writer.lock().unwrap_or_else(PoisonError::into_inner);
+            let _ = writer.sink.shutdown(Shutdown::Both);
         }
         for reader in self.readers.drain(..) {
             let _ = reader.join();
         }
         self.peers.iter_mut().for_each(|p| *p = None);
-        self.streams.iter_mut().for_each(|s| *s = None);
     }
 }
 
@@ -462,7 +527,8 @@ impl TcpTransport {
         Ok((my_rank, clock_offset_ns, links))
     }
 
-    /// Spawn the per-peer reader/writer threads over established links.
+    /// Spawn the per-peer reader threads and the heartbeat emitter over
+    /// established links.
     fn spawn_io(
         rank: usize,
         clock_offset_ns: i64,
@@ -472,22 +538,27 @@ impl TcpTransport {
         let nranks = config.nranks;
         let heartbeat = config.heartbeat_interval;
         let mut peers: Vec<Option<Peer>> = (0..nranks).map(|_| None).collect();
-        let mut streams: Vec<Option<TcpStream>> = (0..nranks).map(|_| None).collect();
         let mut readers = Vec::new();
         let mut writers = Vec::new();
+        // A zero timeout is no timeout (and an error to set).
+        let timeout = |t: Duration| (t > Duration::ZERO).then_some(t);
         for (peer_rank, link) in links.into_iter().enumerate() {
             let Some(stream) = link else { continue };
             // Handshake used read timeouts; the data plane's socket timeout is
             // the heartbeat interval (each expiry is one "missed" tick for the
-            // silent-link detector), or unbounded with heartbeats disabled.
-            let read_timeout = (heartbeat > Duration::ZERO).then_some(heartbeat);
+            // silent-link detector), or unbounded with heartbeats disabled. A
+            // write stuck for the receive timeout is a wedged peer.
             stream
-                .set_read_timeout(read_timeout)
+                .set_read_timeout(timeout(heartbeat))
+                .and_then(|()| stream.set_write_timeout(timeout(config.recv_timeout)))
                 .and_then(|()| stream.set_nodelay(true))
                 .map_err(|e| handshake_io("stream setup", &e))?;
             let reader_stream = stream.try_clone().map_err(|e| handshake_io("clone", &e))?;
-            let writer_stream = stream.try_clone().map_err(|e| handshake_io("clone", &e))?;
-            let (out_tx, out_rx) = channel::<Vec<u8>>();
+            let writer = Arc::new(Mutex::new(LinkWriter {
+                sink: stream,
+                last_write: Instant::now(),
+                broken: false,
+            }));
             let (in_tx, in_rx) = channel::<Inbound>();
             let max_misses = config.heartbeat_misses.max(1);
             readers.push(
@@ -496,25 +567,28 @@ impl TcpTransport {
                     .spawn(move || reader_main(reader_stream, peer_rank, in_tx, max_misses))
                     .map_err(|e| handshake_io("spawn reader", &e))?,
             );
-            writers.push(
-                std::thread::Builder::new()
-                    .name(format!("xtrapulp-tcp-r{rank}-to{peer_rank}"))
-                    .spawn(move || writer_main(writer_stream, out_rx, heartbeat))
-                    .map_err(|e| handshake_io("spawn writer", &e))?,
-            );
+            writers.push(Arc::clone(&writer));
             peers[peer_rank] = Some(Peer {
-                outbox: out_tx,
+                writer,
                 inbox: in_rx,
                 dead: RefCell::new(None),
             });
-            streams[peer_rank] = Some(stream);
         }
+        let heartbeat = if heartbeat > Duration::ZERO {
+            let (stop_tx, stop_rx) = channel::<()>();
+            let emitter = std::thread::Builder::new()
+                .name(format!("xtrapulp-tcp-r{rank}-heartbeat"))
+                .spawn(move || heartbeat_main(&writers, heartbeat, &stop_rx))
+                .map_err(|e| handshake_io("spawn heartbeat emitter", &e))?;
+            Some((stop_tx, emitter))
+        } else {
+            None
+        };
         Ok(Mesh {
             clock_offset_ns,
             peers,
-            streams,
             readers,
-            writers,
+            heartbeat,
         })
     }
 }
@@ -550,10 +624,11 @@ impl Transport for TcpTransport {
             return Err(err.clone());
         }
         let wire = (bytes.len() + super::FRAME_HEADER_BYTES) as u64;
-        peer.outbox.send(bytes).map_err(|_| {
+        let mut writer = peer.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        writer.write(bytes.len() as u32, &bytes).map_err(|e| {
             let err = TransportError::PeerDeath {
                 peer: dst,
-                detail: "connection closed (send queue gone)".to_string(),
+                detail: format!("write failed: {e}"),
             };
             *peer.dead.borrow_mut() = Some(err.clone());
             err
@@ -633,11 +708,12 @@ fn bind_coordinator(config: &TcpConfig) -> Result<TcpListener, TransportError> {
 /// Reader thread: length-prefixed frames from one peer into the inbox,
 /// tolerating up to `max_misses` consecutive heartbeat-interval silences.
 fn reader_main(stream: TcpStream, peer: usize, inbox: Sender<Inbound>, max_misses: u32) {
-    let mut stream = HeartbeatRead {
+    // Buffered, so a small frame's header and payload come out of one `read`.
+    let mut stream = BufReader::new(HeartbeatRead {
         inner: stream,
         misses: 0,
         max_misses,
-    };
+    });
     loop {
         match read_frame(&mut stream, peer, MAX_FRAME_BYTES) {
             Ok(Some(bytes)) => {
@@ -771,41 +847,18 @@ pub(crate) fn read_frame(
     }
 }
 
-/// Writer thread: drain the outbox onto the socket until it closes or errors,
-/// emitting a heartbeat sentinel whenever the outbox stays idle a full
-/// interval (zero interval disables heartbeats).
-fn writer_main(mut stream: TcpStream, outbox: Receiver<Vec<u8>>, heartbeat: Duration) {
-    let write_frame = |stream: &mut TcpStream, bytes: Vec<u8>| -> bool {
-        let header = (bytes.len() as u32).to_le_bytes();
-        if stream.write_all(&header).is_err() || stream.write_all(&bytes).is_err() {
-            return false; // dropping the receiver poisons future sends with PeerDeath
-        }
-        let _ = stream.flush();
-        true
-    };
-    if heartbeat == Duration::ZERO {
-        while let Ok(bytes) = outbox.recv() {
-            if !write_frame(&mut stream, bytes) {
-                return;
+/// Heartbeat emitter: wake when the earliest link falls due and give every
+/// link idle for a full `interval` its sentinel, until `stop` closes.
+fn heartbeat_main(links: &[SharedWriter], interval: Duration, stop: &Receiver<()>) {
+    let mut wait = interval;
+    while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(wait) {
+        wait = interval;
+        let now = Instant::now();
+        for link in links {
+            // A held mutex is the rank thread writing a frame: not idle.
+            if let Ok(mut link) = link.try_lock() {
+                wait = wait.min(link.heartbeat_if_idle(now, interval));
             }
-        }
-        return;
-    }
-    loop {
-        match outbox.recv_timeout(heartbeat) {
-            Ok(bytes) => {
-                if !write_frame(&mut stream, bytes) {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if stream.write_all(&HEARTBEAT_HEADER.to_le_bytes()).is_err() {
-                    return;
-                }
-                let _ = stream.flush();
-                heartbeats_sent_counter().inc();
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
         }
     }
 }
@@ -1142,6 +1195,191 @@ mod tests {
         assert_eq!(read_frame(&mut cur, 0, 64).unwrap(), Some(b"d".to_vec()));
         // The trailing heartbeat is consumed, then a clean EOF follows.
         assert_eq!(read_frame(&mut cur, 0, 64).unwrap(), None);
+    }
+
+    /// A sink that counts the `write` calls it takes, `limit` bytes at most each.
+    struct CountingSink {
+        limit: usize,
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.writes += 1;
+            let before = self.bytes.len();
+            for buf in bufs {
+                let room = self.limit - (self.bytes.len() - before);
+                self.bytes.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn link_into(limit: usize) -> LinkWriter<CountingSink> {
+        LinkWriter {
+            sink: CountingSink {
+                limit,
+                writes: 0,
+                bytes: Vec::new(),
+            },
+            last_write: Instant::now(),
+            broken: false,
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_and_a_partial_write_is_resumed() {
+        let mut link = link_into(usize::MAX);
+        link.write(5, b"hello").unwrap();
+        link.write(0, b"").unwrap();
+        assert_eq!(link.sink.writes, 2, "header and payload leave together");
+        let mut expected = frame_bytes(b"hello");
+        expected.extend_from_slice(&frame_bytes(b""));
+        assert_eq!(link.sink.bytes, expected);
+
+        // A sink that takes three bytes a call splits the header and the payload
+        // at every possible place; the stream must come out the same.
+        let mut link = link_into(3);
+        link.write(5, b"hello").unwrap();
+        assert_eq!(link.sink.writes, 3);
+        assert_eq!(link.sink.bytes, frame_bytes(b"hello"));
+        assert!(!link.broken);
+    }
+
+    #[test]
+    fn heartbeat_waits_for_a_full_idle_interval_and_skips_a_broken_link() {
+        let interval = Duration::from_secs(2);
+        let mut link = link_into(usize::MAX);
+        link.write(1, b"x").unwrap();
+        let wrote = link.last_write;
+        // Half an interval after the frame: silent, due in the other half.
+        let due = link.heartbeat_if_idle(wrote + interval / 2, interval);
+        assert_eq!(due, interval / 2);
+        assert_eq!(link.sink.writes, 1);
+        // A full interval after it: one sentinel, as one write, due again an interval on.
+        assert_eq!(link.heartbeat_if_idle(wrote + interval, interval), interval);
+        assert_eq!(link.sink.writes, 2);
+        assert_eq!(link.sink.bytes[5..], HEARTBEAT_HEADER.to_le_bytes());
+        // A link whose stream may end mid-frame carries nothing more.
+        link.broken = true;
+        let later = link.last_write + 3 * interval;
+        assert_eq!(link.heartbeat_if_idle(later, interval), interval);
+        assert_eq!(link.sink.writes, 2);
+    }
+
+    /// Delivers its bytes one per `read`, the worst a socket can do.
+    struct Trickle(Cursor<Vec<u8>>);
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(1);
+            self.0.read(&mut buf[..n])
+        }
+    }
+
+    #[test]
+    fn buffered_reader_frames_one_chunk_and_a_trickle_alike() {
+        let mut data = frame_bytes(b"first");
+        data.extend_from_slice(&HEARTBEAT_HEADER.to_le_bytes());
+        data.extend_from_slice(&frame_bytes(&[9u8; 300]));
+        // Everything at once: the buffer holds both frames and the sentinel.
+        let mut chunk = BufReader::new(Cursor::new(data.clone()));
+        // A byte at a time: every header and payload straddles reads.
+        let mut trickle = BufReader::new(Trickle(Cursor::new(data)));
+        for stream in [&mut chunk as &mut dyn Read, &mut trickle] {
+            let mut stream = stream;
+            assert_eq!(
+                read_frame(&mut stream, 0, 512).unwrap(),
+                Some(b"first".to_vec())
+            );
+            assert_eq!(
+                read_frame(&mut stream, 0, 512).unwrap(),
+                Some(vec![9u8; 300])
+            );
+            assert_eq!(read_frame(&mut stream, 0, 512).unwrap(), None);
+        }
+    }
+
+    /// A loopback connection's two ends.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let dialed = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        (dialed, listener.accept().unwrap().0)
+    }
+
+    /// Rank `rank` of a two-rank job whose one link is `stream`: the data plane
+    /// without the rendezvous.
+    fn endpoint(rank: usize, stream: TcpStream, config: &TcpConfig) -> TcpTransport {
+        let mut links = vec![None, None];
+        links[1 - rank] = Some(stream);
+        TcpTransport {
+            rank,
+            nranks: 2,
+            recv_timeout: config.recv_timeout,
+            config: config.clone(),
+            coordinator_listener: None,
+            mesh: RefCell::new(TcpTransport::spawn_io(rank, 0, config, links).unwrap()),
+            recoveries: Cell::new(0),
+        }
+    }
+
+    /// A peer that accepts and then never reads: once the socket buffers are
+    /// full a `send` fails typed within the write timeout instead of hanging,
+    /// and the failure sticks.
+    #[test]
+    fn send_to_a_wedged_peer_fails_typed_within_the_write_timeout() {
+        let (stream, _wedged) = socket_pair();
+        let mut config = TcpConfig::new("unused", Some(0), 2);
+        config.recv_timeout = Duration::from_millis(300);
+        config.heartbeat_interval = Duration::ZERO;
+        let transport = endpoint(0, stream, &config);
+        let started = Instant::now();
+        // 64 MiB is more than any loopback socket pair buffers.
+        let err = (0..64)
+            .find_map(|_| transport.send(1, Frame::Bytes(vec![0u8; 1 << 20])).err())
+            .expect("a peer that never reads cannot absorb 64 MiB");
+        assert!(
+            matches!(err, TransportError::PeerDeath { peer: 1, .. }),
+            "{err:?}"
+        );
+        assert!(started.elapsed() < Duration::from_secs(20), "send hung");
+        let again = transport.send(1, Frame::Bytes(vec![1])).unwrap_err();
+        assert_eq!(
+            format!("{again:?}"),
+            format!("{err:?}"),
+            "the death is sticky"
+        );
+    }
+
+    /// A rank that computes for longer than the silent-link horizon without
+    /// sending is not declared dead: its emitter heartbeats the idle link.
+    #[test]
+    fn a_busy_rank_is_kept_alive_by_its_heartbeat_emitter() {
+        let mut config = TcpConfig::new("unused", None, 2);
+        config.recv_timeout = Duration::from_secs(10);
+        config.heartbeat_interval = Duration::from_millis(100);
+        config.heartbeat_misses = 5;
+        let (a, b) = socket_pair();
+        let (waiting, busy) = (endpoint(0, a, &config), endpoint(1, b, &config));
+        let computing = std::thread::spawn(move || {
+            std::thread::sleep(3 * config.heartbeat_interval * config.heartbeat_misses);
+            busy.send(0, Frame::Bytes(b"done".to_vec())).unwrap();
+            busy
+        });
+        match waiting.recv(1) {
+            Ok(Frame::Bytes(bytes)) => assert_eq!(bytes, b"done"),
+            other => panic!("expected the frame, got {:?}", other.err()),
+        }
+        drop(computing.join().unwrap());
     }
 
     #[test]

@@ -12,8 +12,7 @@ use crate::init::init_partition;
 use crate::metrics::PartitionQuality;
 use crate::params::PartitionParams;
 use crate::pass::{
-    balance_refine_rounds, final_rebalance, global_part_loads, warm_refine_rounds, Dist, Load,
-    Objective,
+    balance_refine_rounds, final_rebalance, global_part_loads, warm_refine_rounds, Dist, Objective,
 };
 use crate::pulp::PulpWarmStart;
 use crate::sweep::{StageBreakdown, SweepMode, SweepWorkspace};
@@ -131,12 +130,10 @@ pub fn try_xtrapulp_partition_from_touched(
         let p = params.num_parts;
         let imb_v = params.target_max_vertices(graph.global_n()) * crate::pulp::WARM_BALANCE_SLACK;
         let imb_e = params.target_max_arcs(2 * graph.global_m()) * crate::pulp::WARM_BALANCE_SLACK;
-        global_part_loads(ctx, graph, &parts, p, Load::Vertices)
-            .iter()
-            .any(|&s| s as f64 > imb_v)
-            || global_part_loads(ctx, graph, &parts, p, Load::Arcs)
-                .iter()
-                .any(|&s| s as f64 > imb_e)
+        // Vertex and arc loads, one block each, from one allreduce.
+        let loads = global_part_loads(ctx, graph, &parts, p, 2);
+        let (size_v, size_e) = loads.split_at(p);
+        size_v.iter().any(|&s| s as f64 > imb_v) || size_e.iter().any(|&s| s as f64 > imb_e)
     };
     if params.sweep_mode == SweepMode::Frontier {
         if balance || touched.is_none() {
@@ -256,32 +253,31 @@ fn run_stages(
     let quality = timings.time("metrics", || {
         PartitionQuality::evaluate_dist(ctx, graph, &parts, params.num_parts)
     });
-    let vertices_scored = ctx.allreduce_scalar_sum_u64(ws.engine.stats.vertices_scored);
 
     // Per-stage telemetry: scored counts sum over ranks (each rank scored its own
-    // vertices), sweep counts take the per-rank maximum (a rank whose local frontier
-    // emptied skips — and does not count — the sweep), and the per-stage wall-clock
-    // lands in the phase timer so `PartitionReport.timings` carries the breakdown.
-    let stages = {
-        let local = ws.engine.stats.stages;
-        let sums = ctx.allreduce_sum_u64(&[
-            local.refine_scored,
-            local.balance_scored,
-            local.churn_scored,
-        ]);
-        let maxs = ctx.allreduce_max_u64(&[
-            local.refine_sweeps,
-            local.balance_sweeps,
-            local.churn_sweeps,
-        ]);
-        StageBreakdown {
-            refine_sweeps: maxs[0],
-            refine_scored: sums[0],
-            balance_sweeps: maxs[1],
-            balance_scored: sums[1],
-            churn_sweeps: maxs[2],
-            churn_scored: sums[2],
-        }
+    // vertices; the job's total rides in the same reduction), sweep counts take the
+    // per-rank maximum (a rank whose local frontier emptied skips — and does not count —
+    // the sweep), and the per-stage wall-clock lands in the phase timer so
+    // `PartitionReport.timings` carries the breakdown.
+    let local = ws.engine.stats.stages;
+    let sums = ctx.allreduce_sum_u64(&[
+        local.refine_scored,
+        local.balance_scored,
+        local.churn_scored,
+        ws.engine.stats.vertices_scored,
+    ]);
+    let maxs = ctx.allreduce_max_u64(&[
+        local.refine_sweeps,
+        local.balance_sweeps,
+        local.churn_sweeps,
+    ]);
+    let stages = StageBreakdown {
+        refine_sweeps: maxs[0],
+        refine_scored: sums[0],
+        balance_sweeps: maxs[1],
+        balance_scored: sums[1],
+        churn_sweeps: maxs[2],
+        churn_scored: sums[2],
     };
     timings.merge_max(&ws.engine.stage_timings());
 
@@ -290,7 +286,7 @@ fn run_stages(
         quality,
         timings,
         lp_sweeps,
-        vertices_scored,
+        vertices_scored: sums[3],
         stages,
     })
 }

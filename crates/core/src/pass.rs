@@ -26,7 +26,7 @@
 //! | balance weight | `Wv`, neighbours counted by degree | `count · (Re·We + Rc·Wc)` |
 //! | refinement caps | `max Sv` | `max Sv`, `max Se`, `max Sc` |
 //! | **serial backend** ([`Serial`]) | sizes are live: every move updates them at once, a move-free sweep is seen locally | same |
-//! | **distributed backend** ([`Dist`]) | sizes are stale within a sweep: a rank charges `mult ×` its own change against them, ships boundary labels with [`push_part_updates`] and folds all ranks' changes in with one packed `allreduce` per sweep; balance also *spills* unreachable vertices of an overweight part | same, without the spill |
+//! | **distributed backend** ([`Dist`]) | sizes are stale within a sweep: a rank charges `mult ×` its own change against them, and a sweep is two rounds — boundary labels ship with [`push_part_updates`], then one packed `allreduce` folds in all ranks' changes, the move count and the size of the frontier left behind, so nobody asks again whether anything is active; balance also *spills* unreachable vertices of an overweight part | same, without the spill |
 //!
 //! The staleness is the distributed subtlety: every rank reassigns vertices using sizes
 //! refreshed only at the end of the sweep, so an underweight part would receive a flood
@@ -51,25 +51,18 @@ use crate::error::PartitionError;
 use crate::exchange::{push_part_updates, PartUpdate};
 use crate::params::PartitionParams;
 use crate::sweep::{
-    refine_budget, PartCounters, RefineConvergence, ScoreScratch, StageKind, SweepEngine,
+    refine_budget, Frontier, PartCounters, RefineConvergence, ScoreScratch, StageKind, SweepEngine,
     SweepMode, SweepStage, SweepWorkspace, BALANCE_CHUNK, NO_MOVE, SWEEP_CHUNK,
 };
 
-/// A per-part load the passes track. The discriminant is the load's block in the
-/// packed [`PartCounters`] buffers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Load {
-    /// Vertices in the part.
-    Vertices = 0,
-    /// Arcs (vertex degree sums) in the part.
-    Arcs = 1,
-    /// Arcs whose source lies in the part and whose endpoint does not.
-    CutArcs = 2,
-}
-
-const V: usize = Load::Vertices as usize;
-const E: usize = Load::Arcs as usize;
-const C: usize = Load::CutArcs as usize;
+// The per-part loads the passes track, each named by its block in the packed
+// [`PartCounters`] buffers; a pass tracks the first one, two or three of them.
+/// Vertices in the part.
+const V: usize = 0;
+/// Arcs (vertex degree sums) in the part.
+const E: usize = 1;
+/// Arcs whose source lies in the part and whose endpoint does not.
+const C: usize = 2;
 
 /// Which stage of Algorithm 1 a pass belongs to: the constraint it balances and the
 /// loads it tracks and caps.
@@ -82,10 +75,11 @@ pub(crate) enum Objective {
 }
 
 impl Objective {
-    fn loads(self) -> &'static [Load] {
+    /// How many loads (the first so many) the objective tracks.
+    fn loads(self) -> usize {
         match self {
-            Objective::Vertex => &[Load::Vertices],
-            Objective::Edge => &[Load::Vertices, Load::Arcs, Load::CutArcs],
+            Objective::Vertex => 1,
+            Objective::Edge => 3,
         }
     }
 }
@@ -200,23 +194,32 @@ fn owned_neighbors<G: Adjacency>(
     }
 }
 
-/// Fill `out` (one slot per part) with this graph's share of `load` over its first
-/// `n_owned` vertices.
-fn count_load<G: Adjacency>(graph: &G, n_owned: usize, parts: &[i32], load: Load, out: &mut [i64]) {
-    out.fill(0);
-    for v in 0..n_owned {
-        let pv = parts[v];
-        match load {
-            Load::Vertices => out[pv as usize] += 1,
-            Load::Arcs => out[pv as usize] += graph.degree_of(v) as i64,
-            // Counted arc by arc into the slot, as the helper this replaces did. Summing
-            // a vertex's cut arcs in a register first is measurably faster (a tenth of a
-            // warm repartition), which is a performance change with its own claim to
-            // make, not part of folding the drivers.
-            Load::CutArcs => {
-                for u in graph.adjacent(v as u32) {
-                    if parts[u] != pv {
-                        out[pv as usize] += 1;
+/// Fill the first `loads` blocks of `out` (`p` slots each) with this graph's share of
+/// each load over its first `n_owned` vertices.
+fn count_loads<G: Adjacency>(
+    graph: &G,
+    n_owned: usize,
+    parts: &[i32],
+    p: usize,
+    loads: usize,
+    out: &mut [i64],
+) {
+    for (load, out) in out.chunks_mut(p).take(loads).enumerate() {
+        out.fill(0);
+        for v in 0..n_owned {
+            let pv = parts[v];
+            match load {
+                V => out[pv as usize] += 1,
+                E => out[pv as usize] += graph.degree_of(v) as i64,
+                // Cut arcs, counted arc by arc into the slot, as the helper this replaces
+                // did. Summing a vertex's cut arcs in a register first is measurably
+                // faster (a tenth of a warm repartition), which is a performance change
+                // with its own claim to make, not part of folding the drivers.
+                _ => {
+                    for u in graph.adjacent(v as u32) {
+                        if parts[u] != pv {
+                            out[pv as usize] += 1;
+                        }
                     }
                 }
             }
@@ -224,17 +227,17 @@ fn count_load<G: Adjacency>(graph: &G, n_owned: usize, parts: &[i32], load: Load
     }
 }
 
-/// One part load of a distributed partition, summed over all ranks. Must be called
-/// collectively.
+/// The first `loads` part loads of a distributed partition, one `num_parts`-long block
+/// each, summed over all ranks in one allreduce. Must be called collectively.
 pub(crate) fn global_part_loads(
     ctx: &RankCtx,
     graph: &DistGraph,
     parts: &[i32],
     num_parts: usize,
-    load: Load,
+    loads: usize,
 ) -> Vec<i64> {
-    let mut local = vec![0i64; num_parts];
-    count_load(graph, graph.n_owned(), parts, load, &mut local);
+    let mut local = vec![0i64; loads * num_parts];
+    count_loads(graph, graph.n_owned(), parts, num_parts, loads, &mut local);
     ctx.allreduce_sum_i64(&local)
 }
 
@@ -250,13 +253,15 @@ pub(crate) trait Backend {
     /// Vertices and arcs of the whole graph.
     fn global_size(&self) -> (u64, u64);
 
-    /// `local_active` summed over everyone sweeping: a global fact, so every rank
-    /// branches on it together.
-    fn global_active(&self, local_active: usize) -> u64;
+    /// The frontier's queue length summed over everyone sweeping: a global fact, so
+    /// every rank branches on it together. A sweep's closing exchange leaves it with the
+    /// frontier, so a distributed backend communicates only for a job's first query
+    /// (after seeding, before any exchange).
+    fn global_active(&self, frontier: &mut Frontier) -> u64;
 
-    /// Fill the `loads` blocks of `counters.size` with the partition's current global
-    /// loads.
-    fn measure(&self, parts: &[i32], loads: &[Load], counters: &mut PartCounters);
+    /// Fill the first `loads` blocks of `counters.size` with the partition's current
+    /// global loads.
+    fn measure(&self, parts: &[i32], loads: usize, counters: &mut PartCounters);
 
     /// One refinement sweep under `bounds`, tracking all three loads with `EDGE` and
     /// only vertices without; returns the moves applied globally, after which
@@ -347,7 +352,7 @@ pub(crate) fn balance_pass<B: Backend>(
     let sweep_cap = if frontier_mode && stalled {
         1
     } else if frontier_mode && balanced {
-        let active = backend.global_active(ws.engine.frontier.active_len());
+        let active = backend.global_active(&mut ws.engine.frontier);
         usize::from(active == 0)
     } else {
         params.balance_iters
@@ -408,8 +413,7 @@ pub(crate) fn refine_pass<B: Backend>(
     let frontier_only = convergence == RefineConvergence::FrontierOnly;
     // A globally-converged frontier-only pass does no work at all — skip measuring the
     // loads (an O(n + m) scan and, distributed, a collective each) too.
-    if frontier_mode && frontier_only && backend.global_active(ws.engine.frontier.active_len()) == 0
-    {
+    if frontier_mode && frontier_only && backend.global_active(&mut ws.engine.frontier) == 0 {
         return Ok(());
     }
     let targets = targets(backend, params);
@@ -421,7 +425,7 @@ pub(crate) fn refine_pass<B: Backend>(
     // per-round global coverage.
     if frontier_mode
         && !frontier_only
-        && backend.global_active(ws.engine.frontier.active_len()) > backend.global_size().0 / 8
+        && backend.global_active(&mut ws.engine.frontier) > backend.global_size().0 / 8
     {
         ws.engine.frontier.clear();
     }
@@ -431,7 +435,7 @@ pub(crate) fn refine_pass<B: Backend>(
         // sizes change as vertices move, so a vertex whose neighbourhood never changed
         // can still become movable; the frontier alone cannot see that).
         let use_frontier = frontier_mode && {
-            let active = backend.global_active(ws.engine.frontier.active_len());
+            let active = backend.global_active(&mut ws.engine.frontier);
             if active == 0 && frontier_only {
                 break;
             }
@@ -512,7 +516,7 @@ pub(crate) fn warm_refine_rounds<B: Backend>(
             Objective::Vertex
         };
         for _ in 0..rounds_cap {
-            if backend.global_active(ws.engine.frontier.active_len()) == 0 {
+            if backend.global_active(&mut ws.engine.frontier) == 0 {
                 break;
             }
             refine_pass(backend, objective, parts, params, ws, frontier_only)?;
@@ -569,16 +573,13 @@ impl Backend for Serial<'_> {
         (self.0.num_vertices() as u64, self.0.num_arcs())
     }
 
-    fn global_active(&self, local_active: usize) -> u64 {
-        local_active as u64
+    fn global_active(&self, frontier: &mut Frontier) -> u64 {
+        frontier.active_len() as u64
     }
 
-    fn measure(&self, parts: &[i32], loads: &[Load], counters: &mut PartCounters) {
-        for &load in loads {
-            let block = counters.block(load as usize);
-            let block = &mut counters.size[block];
-            count_load(self.0, self.0.num_vertices(), parts, load, block);
-        }
+    fn measure(&self, parts: &[i32], loads: usize, counters: &mut PartCounters) {
+        let (n, p) = (self.0.num_vertices(), counters.block(0).len());
+        count_loads(self.0, n, parts, p, loads, &mut counters.size);
     }
 
     fn refine_sweep<const EDGE: bool>(
@@ -857,7 +858,8 @@ impl SweepStage for SerialEdgeBalance<'_> {
 
 /// Distributed XtraPuLP on one rank: `counters.size` holds the global loads as of the
 /// last exchange, `counters.change` this rank's changes since, and every sweep ends
-/// with a boundary-label push and one allreduce that makes the sizes current again.
+/// with a boundary-label push and one allreduce that makes the sizes — and the global
+/// size of the frontier — current again.
 pub(crate) struct Dist<'a> {
     ctx: &'a RankCtx,
     graph: &'a DistGraph,
@@ -910,9 +912,11 @@ impl<'a> Dist<'a> {
     }
 
     /// Close a sweep that tracked the first `loads` loads: push the moved boundary
-    /// labels, sum every rank's changes (and move count, riding in the slot after the
-    /// last tracked block) into the sizes with one allreduce, and advance the stage's
-    /// sweep counter. Returns the moves applied globally.
+    /// labels, then sum every rank's changes into the sizes with one allreduce whose two
+    /// slots after the last tracked block carry the move count and the length of the
+    /// frontier once the push has marked it — the next sweep's global active count,
+    /// left with the frontier — and advance the stage's sweep counter. Returns the moves
+    /// applied globally.
     fn exchange(
         &mut self,
         loads: usize,
@@ -926,7 +930,11 @@ impl<'a> Dist<'a> {
         push_part_updates(self.ctx, self.graph, &self.updates, parts, frontier)?;
         let tracked = counters.block(loads).start;
         counters.change[tracked] = self.updates.len() as i64;
-        let global = self.ctx.allreduce_sum_i64(&counters.change[..=tracked]);
+        counters.change[tracked + 1] = engine.frontier.active_len() as i64;
+        let global = self.ctx.allreduce_sum_i64(&counters.change[..tracked + 2]);
+        engine
+            .frontier
+            .set_global_active(global[tracked + 1] as u64);
         for (size, delta) in counters.size[..tracked].iter_mut().zip(&global) {
             *size += delta;
         }
@@ -948,18 +956,14 @@ impl Backend for Dist<'_> {
         (self.graph.global_n(), 2 * self.graph.global_m())
     }
 
-    fn global_active(&self, local_active: usize) -> u64 {
-        self.ctx.allreduce_scalar_sum_u64(local_active as u64)
+    fn global_active(&self, frontier: &mut Frontier) -> u64 {
+        frontier.global_active(|local| self.ctx.allreduce_scalar_sum_u64(local))
     }
 
-    fn measure(&self, parts: &[i32], loads: &[Load], counters: &mut PartCounters) {
-        for &load in loads {
-            let block = counters.block(load as usize);
-            let block = &mut counters.size[block];
-            count_load(self.graph, self.graph.n_owned(), parts, load, block);
-            let global = self.ctx.allreduce_sum_i64(block);
-            block.copy_from_slice(&global);
-        }
+    fn measure(&self, parts: &[i32], loads: usize, counters: &mut PartCounters) {
+        let p = counters.block(0).len();
+        let global = global_part_loads(self.ctx, self.graph, parts, p, loads);
+        counters.size[..global.len()].copy_from_slice(&global);
     }
 
     fn refine_sweep<const EDGE: bool>(
@@ -1039,7 +1043,7 @@ impl Backend for Dist<'_> {
                 self.sweep(engine, parts, false, BALANCE_CHUNK, kernel);
             }
         }
-        self.exchange(objective.loads().len(), parts, ws)
+        self.exchange(objective.loads(), parts, ws)
     }
 }
 
@@ -1360,7 +1364,7 @@ pub(crate) fn final_rebalance(
     let p = params.num_parts;
     let nranks = dist.ctx.nranks() as f64;
     let (imb_v, imb_e) = targets(dist, params);
-    dist.measure(parts, &[Load::Vertices, Load::Arcs], &mut ws.counters);
+    dist.measure(parts, 2, &mut ws.counters);
 
     // Rounding-level overshoot (a converged run routinely lands within a couple of
     // percent of the fractional target) is noise, not imbalance — and draining it
@@ -1707,6 +1711,77 @@ mod tests {
         }
     }
 
+    /// The collective budget of the cold schedule, by formula rather than by golden
+    /// number: a sweep is two rounds (the boundary push, the packed allreduce), a pass
+    /// adds one measure, and the only active-count query that communicates is a job's
+    /// first — asked when the first balance pass finds the seed balanced, before any
+    /// exchange has left the count with the frontier.
+    #[test]
+    fn a_sweep_is_two_collectives_and_a_pass_adds_one_measure() {
+        let edges = grid_edges(0, 16, 16);
+        let inits = [InitStrategy::BfsGrow, InitStrategy::VertexBlock];
+        for (nranks, init) in [2, 4].into_iter().flat_map(|r| inits.map(|i| (r, i))) {
+            let first_queries = Runtime::run(nranks, |ctx| {
+                let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 256, &edges);
+                let params = PartitionParams {
+                    num_parts: 4,
+                    seed: 3,
+                    init,
+                    ..Default::default()
+                };
+                assert_eq!(params.sweep_mode, SweepMode::Frontier);
+                let mut ws = stage_env(&g, &params);
+                let mut parts = init_partition(ctx, &g, &params).unwrap();
+                let target = params.target_max_vertices(g.global_n());
+                let loads = global_part_loads(ctx, &g, &parts, 4, 1);
+                let mut first_query = u64::from(loads.iter().all(|&s| s as f64 <= target));
+                let asked = first_query;
+
+                let mut dist = Dist::new(ctx, &g);
+                let stats = ctx.stats();
+                let (mut sweeps, mut measures) = (0u64, 0u64);
+                let job_start = stats.allreduce_calls();
+                for objective in [Objective::Vertex, Objective::Edge] {
+                    dist.iter_tot = 0;
+                    for pass in 0..2 * params.outer_iters {
+                        let before = (dist.iter_tot, stats.collectives(), stats.allreduce_calls());
+                        if pass % 2 == 0 {
+                            balance_pass(&mut dist, objective, &mut parts, &params, &mut ws)
+                        } else {
+                            refine_pass(&mut dist, objective, &mut parts, &params, &mut ws, POLISH)
+                        }
+                        .unwrap();
+                        let k = (dist.iter_tot - before.0) as u64;
+                        let what = format!("{nranks} ranks, {init:?}, {objective:?} pass {pass}");
+                        assert!(stats.collectives() - before.1 <= 2 * k + 2, "{what}");
+                        assert_eq!(
+                            stats.allreduce_calls() - before.2,
+                            k + 1 + first_query,
+                            "{what}"
+                        );
+                        first_query = 0;
+                        sweeps += k;
+                        measures += 1;
+                    }
+                }
+                dist.iter_tot = 0;
+                final_rebalance(&mut dist, &mut parts, &params, &mut ws).unwrap();
+                sweeps += dist.iter_tot as u64;
+                measures += 1;
+                // Between init and the epilogue: one allreduce per sweep, one per pass
+                // that measured, and the first active-count query if it was asked.
+                assert_eq!(
+                    stats.allreduce_calls() - job_start,
+                    sweeps + measures + asked
+                );
+                asked
+            });
+            // Both regimes are exercised: block seeds are balanced, grown ones are not.
+            let expected = u64::from(init == InitStrategy::VertexBlock);
+            assert_eq!(first_queries, vec![expected; nranks], "{init:?}");
+        }
+    }
+
     #[test]
     fn global_part_loads_sum_to_totals() {
         let edges = grid_edges(0, 10, 10);
@@ -1718,11 +1793,14 @@ mod tests {
                 ..Default::default()
             };
             let parts = init_partition(ctx, &g, &params).unwrap();
-            let total = |load| -> i64 { global_part_loads(ctx, &g, &parts, 5, load).iter().sum() };
-            assert_eq!(total(Load::Vertices), 100);
-            assert_eq!(total(Load::Arcs) as u64, 2 * g.global_m());
+            let before = ctx.stats().allreduce_calls();
+            let loads = global_part_loads(ctx, &g, &parts, 5, 3);
+            assert_eq!(ctx.stats().allreduce_calls() - before, 1);
+            let total = |load: usize| -> i64 { loads[load * 5..(load + 1) * 5].iter().sum() };
+            assert_eq!(total(V), 100);
+            assert_eq!(total(E) as u64, 2 * g.global_m());
             // A 5-way block split of a 10×10 grid cuts something, and no more than all.
-            assert!((1..=total(Load::Arcs)).contains(&total(Load::CutArcs)));
+            assert!((1..=total(E)).contains(&total(C)));
         });
     }
 }

@@ -25,7 +25,7 @@ use crate::params::{InitStrategy, PartitionParams};
 use crate::partitioner::{
     greedy_seed_unassigned, validate_warm_start, Partitioner, WarmStartPartitioner,
 };
-use crate::pass::{balance_refine_rounds, warm_refine_rounds, Backend, Load, Objective, Serial};
+use crate::pass::{balance_refine_rounds, warm_refine_rounds, Backend, Objective, Serial};
 use crate::sweep::{SweepMode, SweepStats, SweepWorkspace};
 
 /// Slack applied to the balance targets when deciding whether a warm start needs the
@@ -165,7 +165,7 @@ fn pulp_run(
             greedy_seed_unassigned(csr, &mut parts, p);
             let imb_v = params.target_max_vertices(n as u64) * WARM_BALANCE_SLACK;
             let imb_e = params.target_max_arcs(csr.num_arcs()) * WARM_BALANCE_SLACK;
-            backend.measure(&parts, &[Load::Vertices, Load::Arcs], &mut ws.counters);
+            backend.measure(&parts, 2, &mut ws.counters);
             let (size_v, size_e) = ws.counters.size[..2 * p].split_at(p);
             let needs_balance = size_v.iter().any(|&s| s as f64 > imb_v)
                 || size_e.iter().any(|&s| s as f64 > imb_e);

@@ -212,6 +212,12 @@ pub struct Frontier {
     next: Vec<u32>,
     /// Spare buffer reused as the per-sweep active list.
     spare: Vec<u32>,
+    /// [`active_len`](Frontier::active_len) summed over every rank of a distributed
+    /// job, while that is known: a sweep's closing exchange reduces it, and whatever
+    /// changes the queue afterwards forgets it here, where the queue changes. Ranks
+    /// agree on whether it is known because they sweep, exchange and clear together;
+    /// marks made outside a sweep (seeding) come before a job's first exchange.
+    global_active: Option<u64>,
 }
 
 impl Frontier {
@@ -221,6 +227,7 @@ impl Frontier {
         self.in_next.resize(n, false);
         self.next.clear();
         self.spare.clear();
+        self.global_active = None;
     }
 
     /// Enqueue `v` for the next sweep. Ids at or beyond the owned range (ghost copies)
@@ -231,6 +238,7 @@ impl Frontier {
             if !*flag {
                 *flag = true;
                 self.next.push(v);
+                self.global_active = None;
             }
         }
     }
@@ -253,12 +261,27 @@ impl Frontier {
         &self.next
     }
 
-    /// Drop everything queued for the next sweep.
+    /// The global active count: the recorded one while nothing has changed the queue
+    /// since, otherwise `reduce(active_len())` (a collective), recorded in turn.
+    pub(crate) fn global_active(&mut self, reduce: impl FnOnce(u64) -> u64) -> u64 {
+        *self
+            .global_active
+            .get_or_insert_with(|| reduce(self.next.len() as u64))
+    }
+
+    /// Record the global active count of the queue as it stands.
+    pub(crate) fn set_global_active(&mut self, active: u64) {
+        self.global_active = Some(active);
+    }
+
+    /// Drop everything queued for the next sweep. Collective on a distributed job: the
+    /// ranks clear together, so the global active count is known to be zero.
     pub fn clear(&mut self) {
         for &v in &self.next {
             self.in_next[v as usize] = false;
         }
         self.next.clear();
+        self.global_active = Some(0);
     }
 
     /// Take the queued vertices as this sweep's sorted active list, leaving the queue
@@ -266,6 +289,7 @@ impl Frontier {
     fn begin_sweep(&mut self) -> Vec<u32> {
         let mut current = std::mem::take(&mut self.next);
         self.next = std::mem::take(&mut self.spare);
+        self.global_active = None;
         current.sort_unstable();
         for &v in &current {
             self.in_next[v as usize] = false;
@@ -640,8 +664,8 @@ pub struct PartCounters {
     /// Part loads, one block per load.
     pub size: Vec<i64>,
     /// This-sweep load changes made by this rank (distributed passes), one block per
-    /// load plus one trailing slot, so a sweep's changes and its move count travel as
-    /// one contiguous allreduce buffer.
+    /// load plus two trailing slots, so a sweep's changes, its move count and the size
+    /// of the frontier it leaves travel as one contiguous allreduce buffer.
     pub change: Vec<i64>,
     /// Balance attraction weights: one block for the vertex stage, two (edge, cut) for
     /// the edge stage.
@@ -655,7 +679,7 @@ impl PartCounters {
         self.size.clear();
         self.size.resize(3 * num_parts, 0);
         self.change.clear();
-        self.change.resize(3 * num_parts + 1, 0);
+        self.change.resize(3 * num_parts + 2, 0);
         self.weight.clear();
         self.weight.resize(2 * num_parts, 0.0);
     }
