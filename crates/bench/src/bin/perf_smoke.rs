@@ -1,10 +1,11 @@
 //! CI perf smoke gate for the sweep engine and the warm analytics kernels: runs the quick
-//! preset cold (frontier and legacy full modes) plus a touched-scoped warm start, and a
-//! 2-rank analytics consumer over a fixed 4-epoch churn stream, and fails — exit code 1 —
-//! if any of the deterministic work counters (sweeps, scored vertices, loopback frames;
-//! warm PageRank scored vertices, coreness rounds, analytics bytes exchanged) differs from
-//! the checked-in baseline (`crates/bench/perf_baseline.json`); wall time is printed for
-//! context but never gates, since CI machines vary.
+//! preset cold (frontier and legacy full modes) plus a touched-scoped warm start, a 2-rank
+//! dynamic session over four epochs of 0.5% churn, and a 2-rank analytics consumer over a
+//! fixed 4-epoch churn stream, and fails — exit code 1 — if any of the deterministic work
+//! counters (sweeps, scored vertices, loopback frames; the warm epochs' scored vertices
+//! and sweeps; warm PageRank scored vertices, coreness rounds, analytics bytes exchanged)
+//! differs from the checked-in baseline (`crates/bench/perf_baseline.json`); wall time is
+//! printed for context but never gates, since CI machines vary.
 //!
 //! The counters repeat bit-for-bit on every machine, so the gate is equality: a
 //! refactor that adds one sweep or one frame trips it, in either direction. A change
@@ -15,6 +16,7 @@ use std::time::Instant;
 
 use xtrapulp::{try_pulp_run, PartitionParams, SweepMode};
 use xtrapulp_analytics::{AnalyticsConsumer, WarmPolicy};
+use xtrapulp_api::{DynamicSession, Method, PartitionJob, UpdateBatch};
 use xtrapulp_bench::json::Flat;
 use xtrapulp_gen::updates::{generate_stream, StreamKind, UpdateStreamConfig};
 use xtrapulp_gen::{GraphConfig, GraphKind};
@@ -57,6 +59,46 @@ fn measure_analytics() -> [u64; 3] {
         totals[0] += report.pagerank_vertices_scored;
         totals[1] += report.kcore_rounds;
         totals[2] += report.comm_bytes;
+    }
+    totals
+}
+
+/// Four warm epochs of a 2-rank [`DynamicSession`] at 0.5% churn on a 4096-vertex
+/// preferential-attachment graph: `[vertices scored, sweeps]` summed over the epochs. What
+/// a warm epoch scores is a small multiple of what its batch touched (~160 vertices
+/// here), so this pins the O(churn) cost of distributed repartitioning.
+fn measure_warm_churn() -> [u64; 2] {
+    let edges = GraphConfig::new(
+        GraphKind::BarabasiAlbert {
+            num_vertices: 4096,
+            edges_per_vertex: 8,
+        },
+        77,
+    )
+    .generate();
+    let csr = edges.to_csr();
+    let stream = generate_stream(
+        &edges,
+        &UpdateStreamConfig {
+            kind: StreamKind::RandomChurn {
+                ops_per_batch: (csr.num_edges() as f64 * 0.005) as usize,
+                delete_fraction: 0.5,
+            },
+            num_batches: 4,
+            seed: 11,
+        },
+    );
+    let job = PartitionJob::new(Method::XtraPulp).with_params(quick_preset().1);
+    let mut session = DynamicSession::spawn(2, csr, job).expect("valid job");
+    session.repartition().expect("cold epoch");
+    let mut totals = [0u64; 2];
+    for epoch in 0..stream.batches.len() {
+        let batch = UpdateBatch::from_ops(stream.batch_ops(epoch));
+        session.apply_updates(&batch).expect("valid batch");
+        let report = session.repartition().expect("warm epoch");
+        assert!(report.warm_start, "epochs after the first run warm");
+        totals[0] += report.vertices_scored;
+        totals[1] += report.lp_sweeps;
     }
     totals
 }
@@ -124,6 +166,7 @@ fn measure() -> Vec<(&'static str, f64)> {
         dist_frames = report.comm.frames_sent;
     }
     dist_times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let [warm_churn_scored, warm_churn_sweeps] = measure_warm_churn();
     let [analytics_warm_scored, analytics_kcore_rounds, analytics_comm_bytes] = measure_analytics();
 
     vec![
@@ -134,6 +177,8 @@ fn measure() -> Vec<(&'static str, f64)> {
         ("warm_touched_scored", warm_stats.vertices_scored as f64),
         ("dist_loopback_seconds", dist_times[1]),
         ("dist_loopback_frames", dist_frames as f64),
+        ("warm_churn_scored", warm_churn_scored as f64),
+        ("warm_churn_sweeps", warm_churn_sweeps as f64),
         ("analytics_warm_scored", analytics_warm_scored as f64),
         ("analytics_kcore_rounds", analytics_kcore_rounds as f64),
         ("analytics_comm_bytes", analytics_comm_bytes as f64),
@@ -184,7 +229,7 @@ fn main() {
                 failed = true;
             }
             None => {
-                eprintln!("perf_smoke: baseline missing field {name}");
+                eprintln!("perf_smoke: baseline missing field {name} (measured {current})");
                 failed = true;
             }
         }

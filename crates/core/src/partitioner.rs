@@ -12,7 +12,8 @@ use crate::init::init_partition;
 use crate::metrics::PartitionQuality;
 use crate::params::PartitionParams;
 use crate::pass::{
-    balance_refine_rounds, final_rebalance, global_part_loads, warm_refine_rounds, Dist, Objective,
+    balance_refine_rounds, final_rebalance, warm_refine_rounds, warm_seed_needs_balance, Dist,
+    Objective,
 };
 use crate::pulp::PulpWarmStart;
 use crate::sweep::{StageBreakdown, SweepMode, SweepWorkspace};
@@ -84,10 +85,14 @@ pub fn try_xtrapulp_partition(
 /// result instead of the from-scratch `outer_iters`.
 ///
 /// `touched` is the *touched set* of the mutation delta separating this epoch from the
-/// seed: the global ids of the endpoints of inserted/deleted edges and of added
-/// vertices. The refinement frontier is seeded from these vertices plus their one-hop
-/// neighbourhoods (ghost-mediated hops included), so a warm run after a small delta
-/// scores only the delta region and stops on empty-frontier convergence instead of
+/// seed: the global ids whose adjacency changed (endpoints of inserted/deleted edges)
+/// and of added vertices. A touched vertex kept its label, so its own score is the only
+/// one the delta can have moved: each is seeded alone, by its owner. A vertex that
+/// arrives unassigned gets a new label, which marks its whole neighbourhood (across
+/// ranks too), and from there every applied move activates the mover's neighbours — so
+/// a warm run after a small delta scores a small multiple of the touched set, and it
+/// ends when the frontier empties (cross-rank swaps are settled by the engine, see
+/// [`SweepEngine::settle_swaps`](crate::sweep::SweepEngine::settle_swaps)) instead of
 /// running a fixed `warm_outer_iters` schedule. Every rank must pass the same `touched`
 /// slice. Without it (`None`) the frontier is seeded conservatively from every vertex.
 ///
@@ -125,41 +130,27 @@ pub fn try_xtrapulp_partition_from_touched(
     // not imbalance. When the delta meaningfully overshot a target, the warm run falls
     // back to the full cold stage schedule (balance needs several rounds to converge;
     // one round overshoots), still skipping initialisation. Computed collectively, so
-    // every rank takes the same branch.
-    let balance = {
-        let p = params.num_parts;
-        let imb_v = params.target_max_vertices(graph.global_n()) * crate::pulp::WARM_BALANCE_SLACK;
-        let imb_e = params.target_max_arcs(2 * graph.global_m()) * crate::pulp::WARM_BALANCE_SLACK;
-        // Vertex and arc loads, one block each, from one allreduce.
-        let loads = global_part_loads(ctx, graph, &parts, p, 2);
-        let (size_v, size_e) = loads.split_at(p);
-        size_v.iter().any(|&s| s as f64 > imb_v) || size_e.iter().any(|&s| s as f64 > imb_e)
-    };
+    // every rank takes the same branch; the loads it reduces are the first pass's too.
+    let balance = timings.time("load_scan", || {
+        warm_seed_needs_balance(&Dist::new(ctx, graph), &parts, params, &mut ws)
+    });
     if params.sweep_mode == SweepMode::Frontier {
         if balance || touched.is_none() {
             // The fallback cold schedule (or a warm start with no delta information)
             // rescopes to the whole graph; the marks `warm_seed` left stay valid.
             ws.engine.frontier.seed_all(graph.n_owned());
         } else {
-            // Scope the frontier to the delta: every touched vertex this rank knows
-            // (owned or ghost) activates its owned neighbourhood; `warm_seed` already
-            // marked the newly assigned vertices and their cross-rank neighbours.
-            let n_owned = graph.n_owned();
-            for &g in touched.unwrap_or(&[]) {
-                if let Some(lid) = graph.local_id(g) {
-                    if (lid as usize) < n_owned {
-                        ws.engine.frontier.mark(lid);
-                        for &u in graph.neighbors(lid) {
-                            if (u as usize) < n_owned {
-                                ws.engine.frontier.mark(u);
-                            }
-                        }
-                    } else {
-                        for &v in graph.halo().owned_neighbors(lid as usize - n_owned) {
-                            ws.engine.frontier.mark(v);
-                        }
-                    }
-                }
+            // Scope the frontier to the delta: a touched vertex's adjacency changed but
+            // no label did, so its own score is the only one that can have moved — its
+            // owner seeds it alone (`mark` ignores ghost ids). `warm_seed` already
+            // marked the newly labelled vertices with their neighbourhoods, and every
+            // move a sweep applies activates the mover's.
+            for lid in touched
+                .unwrap_or(&[])
+                .iter()
+                .filter_map(|&g| graph.local_id(g))
+            {
+                ws.engine.frontier.mark(lid);
             }
         }
     }
@@ -343,7 +334,7 @@ fn warm_seed(
             if any {
                 let best = (0..p)
                     .max_by_key(|&i| (scores[i], std::cmp::Reverse(i)))
-                    .unwrap();
+                    .unwrap_or(0);
                 updates.push((v as LocalId, best as i32));
             }
         }
@@ -501,9 +492,9 @@ pub fn greedy_seed_unassigned(csr: &Csr, parts: &mut [i32], num_parts: usize) {
                         std::cmp::Reverse(i),
                     )
                 })
-                .unwrap()
+                .unwrap_or(0)
         } else {
-            (0..num_parts).min_by_key(|&i| (size_v[i], i)).unwrap()
+            (0..num_parts).min_by_key(|&i| (size_v[i], i)).unwrap_or(0)
         };
         parts[v as usize] = best as i32;
         size_v[best] += 1;

@@ -204,25 +204,16 @@ fn count_loads<G: Adjacency>(
     loads: usize,
     out: &mut [i64],
 ) {
-    for (load, out) in out.chunks_mut(p).take(loads).enumerate() {
-        out.fill(0);
-        for v in 0..n_owned {
-            let pv = parts[v];
-            match load {
-                V => out[pv as usize] += 1,
-                E => out[pv as usize] += graph.degree_of(v) as i64,
-                // Cut arcs, counted arc by arc into the slot, as the helper this replaces
-                // did. Summing a vertex's cut arcs in a register first is measurably
-                // faster (a tenth of a warm repartition), which is a performance change
-                // with its own claim to make, not part of folding the drivers.
-                _ => {
-                    for u in graph.adjacent(v as u32) {
-                        if parts[u] != pv {
-                            out[pv as usize] += 1;
-                        }
-                    }
-                }
-            }
+    let out = &mut out[..loads * p];
+    out.fill(0);
+    for (v, &pv) in parts.iter().enumerate().take(n_owned) {
+        out[V * p + pv as usize] += 1;
+        if loads > E {
+            out[E * p + pv as usize] += graph.degree_of(v) as i64;
+        }
+        if loads > C {
+            let cut = graph.adjacent(v as u32).filter(|&u| parts[u] != pv);
+            out[C * p + pv as usize] += cut.count() as i64;
         }
     }
 }
@@ -297,6 +288,50 @@ fn targets<B: Backend>(backend: &B, params: &PartitionParams) -> (f64, f64) {
     (params.target_max_vertices(n), params.target_max_arcs(arcs))
 }
 
+/// Slack applied to the balance targets when deciding whether a warm start needs the
+/// balance stages at all, and whether the final rebalance engages: within this factor
+/// a partition counts as balanced.
+const WARM_BALANCE_SLACK: f64 = 1.02;
+
+/// Whether a warm seed overshoots a balance target by more than [`WARM_BALANCE_SLACK`],
+/// so that the run must fall back to the cold schedule. Scans for every load a refine-only run's first pass tracks
+/// and leaves them with `ws.counters` as measured, so the graph is scanned (and,
+/// distributed, the loads reduced) once for the check and that pass together.
+/// Collective on a distributed backend.
+pub(crate) fn warm_seed_needs_balance<B: Backend>(
+    backend: &B,
+    parts: &[i32],
+    params: &PartitionParams,
+    ws: &mut SweepWorkspace,
+) -> bool {
+    let p = params.num_parts;
+    let (imb_v, imb_e) = targets(backend, params);
+    let edge_stage = params.edge_balance_stage && p > 1;
+    let loads = if edge_stage { 3 } else { 2 };
+    backend.measure(parts, loads, &mut ws.counters);
+    ws.counters.measured = loads;
+    let (size_v, size_e) = ws.counters.size[..2 * p].split_at(p);
+    size_v
+        .iter()
+        .any(|&s| s as f64 > imb_v * WARM_BALANCE_SLACK)
+        || size_e
+            .iter()
+            .any(|&s| s as f64 > imb_e * WARM_BALANCE_SLACK)
+}
+
+/// Make the loads `objective` tracks current at the top of a pass, unless
+/// [`warm_seed_needs_balance`] just measured them for it.
+fn measure_for_pass<B: Backend>(
+    backend: &B,
+    objective: Objective,
+    parts: &[i32],
+    counters: &mut PartCounters,
+) {
+    if std::mem::take(&mut counters.measured) < objective.loads() {
+        backend.measure(parts, objective.loads(), counters);
+    }
+}
+
 /// One balance pass (Algorithm 4, and its §III-E edge variant): up to
 /// `params.balance_iters` weighted label-propagation sweeps towards the parts under
 /// `objective`'s target. Collective on a distributed backend; every branch below is
@@ -310,7 +345,7 @@ pub(crate) fn balance_pass<B: Backend>(
 ) -> Result<(), PartitionError> {
     let frontier_mode = params.sweep_mode == SweepMode::Frontier;
     let targets = targets(backend, params);
-    backend.measure(parts, objective.loads(), &mut ws.counters);
+    measure_for_pass(backend, objective, parts, &mut ws.counters);
     let (balanced_load, target) = match objective {
         Objective::Vertex => (V, targets.0),
         Objective::Edge => (E, targets.1),
@@ -417,8 +452,9 @@ pub(crate) fn refine_pass<B: Backend>(
         return Ok(());
     }
     let targets = targets(backend, params);
-    backend.measure(parts, objective.loads(), &mut ws.counters);
+    measure_for_pass(backend, objective, parts, &mut ws.counters);
     ws.engine.set_stage(StageKind::Refine);
+    ws.engine.settle_swaps = frontier_mode && frontier_only;
     // A pass inheriting a large frontier (the previous round did not converge — heavy
     // churn classes) drops it and opens with the polish full sweep: that costs barely
     // more than the frontier sweep it replaces and restores the legacy schedule's
@@ -488,10 +524,12 @@ pub(crate) fn balance_refine_rounds<B: Backend>(
 }
 
 /// The refine-only schedule of a warm run whose seed meets both balance targets.
-/// Frontier mode iterates to empty-frontier convergence (at most `rounds_cap` passes)
-/// and never widens beyond the delta neighbourhood — the seed is the previous epoch's
-/// already-polished partition; full mode keeps the legacy fixed `outer` rounds per
-/// stage.
+/// Frontier mode iterates to empty-frontier convergence and never widens beyond what
+/// the caller seeded — the ids whose adjacency changed, alone, since their labels did
+/// not; newly labelled vertices with their neighbourhoods — and what the moves it
+/// applies activate: the seed is the previous epoch's already-polished partition. The
+/// engine settles cross-rank swaps, so the `rounds_cap` passes are a backstop a run is
+/// not expected to reach. Full mode keeps the legacy fixed `outer` rounds per stage.
 pub(crate) fn warm_refine_rounds<B: Backend>(
     backend: &mut B,
     outer: usize,
@@ -1372,7 +1410,7 @@ pub(crate) fn final_rebalance(
     // slack the warm-start eligibility check uses, then drains to the exact target.
     if ws.counters.size[..p]
         .iter()
-        .all(|&s| (s as f64) <= imb_v * crate::pulp::WARM_BALANCE_SLACK)
+        .all(|&s| (s as f64) <= imb_v * WARM_BALANCE_SLACK)
     {
         return Ok(());
     }
@@ -1780,6 +1818,62 @@ mod tests {
             let expected = u64::from(init == InitStrategy::VertexBlock);
             assert_eq!(first_queries, vec![expected; nranks], "{init:?}");
         }
+    }
+
+    /// Vertex 0 (rank 0, part 0) and vertex 5 (rank 1, part 1) are adjacent and each has
+    /// one more neighbour in the other's part than in its own, counting the other. Told
+    /// of each other's label one sweep late, both move, see the mirror image and move
+    /// back: without the engine settling such a pair the run swaps them until its budget
+    /// is spent, and which of the two states it reports depends on the budget's parity.
+    #[test]
+    fn a_cross_rank_swap_settles_in_a_bounded_number_of_sweeps() {
+        let edges = [
+            (0, 5),
+            (0, 1),
+            (0, 2),
+            (5, 6),
+            (5, 7),
+            (1, 3),
+            (2, 4),
+            (6, 8),
+            (7, 9),
+        ];
+        let labels = [0, 0, 1, 0, 1, 1, 0, 1, 0, 1];
+        let run = |refine_iters: usize| {
+            Runtime::run(2, |ctx| {
+                let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 10, &edges);
+                let params = PartitionParams {
+                    num_parts: 2,
+                    vertex_imbalance: 1.0,
+                    edge_balance_stage: false,
+                    refine_iters,
+                    ..Default::default()
+                };
+                let mut ws = SweepWorkspace::new(1);
+                ws.begin_run(g.n_owned(), 2);
+                for touched in [0, 5] {
+                    ws.engine.frontier.mark(g.local_id(touched).unwrap());
+                }
+                let mut parts: Vec<i32> = (0..g.n_total())
+                    .map(|v| labels[g.global_id(v as LocalId) as usize])
+                    .collect();
+                let mut dist = Dist::new(ctx, &g);
+                warm_refine_rounds(&mut dist, 1, 3, &mut parts, &params, &mut ws).unwrap();
+                assert_eq!(dist.global_active(&mut ws.engine.frontier), 0);
+                (dist.iter_tot, parts)
+            })
+        };
+        let (even, odd) = (run(4), run(5));
+        for (sweeps, _) in even.iter().chain(&odd) {
+            // There, back, and one sweep in which both sit still.
+            assert_eq!(
+                *sweeps,
+                3,
+                "of a budget of {}",
+                3 * refine_budget(4, SweepMode::Frontier)
+            );
+        }
+        assert_eq!(even, odd, "the outcome must not depend on the budget");
     }
 
     #[test]

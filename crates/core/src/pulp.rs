@@ -25,13 +25,10 @@ use crate::params::{InitStrategy, PartitionParams};
 use crate::partitioner::{
     greedy_seed_unassigned, validate_warm_start, Partitioner, WarmStartPartitioner,
 };
-use crate::pass::{balance_refine_rounds, warm_refine_rounds, Backend, Objective, Serial};
+use crate::pass::{
+    balance_refine_rounds, warm_refine_rounds, warm_seed_needs_balance, Objective, Serial,
+};
 use crate::sweep::{SweepMode, SweepStats, SweepWorkspace};
-
-/// Slack applied to the balance targets when deciding whether a warm start needs the
-/// balance stages at all: within this factor, the seed counts as balanced (see
-/// `pulp_run` and the distributed equivalent in `partitioner.rs`).
-pub(crate) const WARM_BALANCE_SLACK: f64 = 1.02;
 
 /// The shared-memory PuLP partitioner.
 #[derive(Debug, Clone, Copy, Default)]
@@ -75,9 +72,9 @@ pub fn try_pulp_partition(csr: &Csr, params: &PartitionParams) -> Result<Vec<i32
 /// that have no prior assignment (newly added ones); those are assigned greedily to the
 /// majority part among their already-assigned neighbours (least-loaded part as the tie
 /// break and fallback). When the seed still satisfies both balance constraints, only
-/// refinement runs — frontier-seeded from the unassigned vertices plus their one-hop
-/// neighbourhoods and stopping as soon as the frontier empties; otherwise the full cold
-/// stage schedule runs (still skipping initialisation).
+/// refinement runs — frontier-seeded as [`try_pulp_run`] describes and stopping as soon
+/// as the frontier empties; otherwise the full cold stage schedule runs (still skipping
+/// initialisation).
 pub fn try_pulp_partition_from(
     csr: &Csr,
     params: &PartitionParams,
@@ -101,14 +98,20 @@ pub struct PulpRun {
 /// A warm start for [`try_pulp_run`] and for the distributed
 /// [`run_xtrapulp_job`](crate::run_xtrapulp_job): the global seed part vector (see
 /// [`try_pulp_partition_from`]) and, when known, the vertices the mutation delta
-/// touched (endpoints of inserted/deleted edges, added vertices). With a touched set
-/// the refinement frontier is seeded from it plus its one-hop neighbourhood, so an
-/// epoch with a small delta scores only the delta region instead of the whole graph;
-/// without one the frontier is seeded conservatively from every vertex.
+/// touched (endpoints of inserted/deleted edges, added vertices); see [`try_pulp_run`]
+/// for what the refinement frontier is seeded with.
 pub type PulpWarmStart<'a> = (&'a [i32], Option<&'a [GlobalId]>);
 
 /// The full-accounting entry point: run PuLP-MM cold (`warm == None`) or warm-started,
 /// and report the part vector together with the work counters and sweep timings.
+///
+/// A refine-only warm run seeds its frontier from the delta. The touched ids are those
+/// whose adjacency changed: their labels did not, so each is seeded alone — no
+/// neighbour's score can have moved. A vertex that arrived unassigned takes a new
+/// label, which marks its neighbourhood, and from there every applied move activates
+/// the mover's neighbours. An epoch with a small delta so scores a small multiple of
+/// the touched set; without a touched set (and nothing unassigned) the frontier is
+/// seeded conservatively from every vertex.
 pub fn try_pulp_run(
     csr: &Csr,
     params: &PartitionParams,
@@ -163,33 +166,26 @@ fn pulp_run(
                 .filter(|&v| parts[v as usize] == UNASSIGNED)
                 .collect();
             greedy_seed_unassigned(csr, &mut parts, p);
-            let imb_v = params.target_max_vertices(n as u64) * WARM_BALANCE_SLACK;
-            let imb_e = params.target_max_arcs(csr.num_arcs()) * WARM_BALANCE_SLACK;
-            backend.measure(&parts, 2, &mut ws.counters);
-            let (size_v, size_e) = ws.counters.size[..2 * p].split_at(p);
-            let needs_balance = size_v.iter().any(|&s| s as f64 > imb_v)
-                || size_e.iter().any(|&s| s as f64 > imb_e);
+            let needs_balance = warm_seed_needs_balance(&backend, &parts, params, &mut ws);
             if frontier && !needs_balance {
-                // Refine-only warm run: seed the frontier from the touched region (the
-                // delta's endpoints and every vertex that arrived unassigned) plus its
-                // one-hop neighbourhood. Without any touched information the seed is
-                // conservative: everything.
+                // Refine-only warm run: seed the frontier from the delta. A touched
+                // vertex kept its label, so only its own score can have moved and it is
+                // seeded alone; a vertex that arrived unassigned has a new label, which
+                // its neighbours must see too. Without any touched information the seed
+                // is conservative: everything.
                 if touched.is_none() && unassigned.is_empty() {
                     ws.engine.frontier.seed_all(n);
                 } else {
-                    let mut seed_one = |g: GlobalId| {
+                    for &g in touched.unwrap_or(&[]) {
+                        if g < n as u64 {
+                            ws.engine.frontier.mark(g as u32);
+                        }
+                    }
+                    for &g in &unassigned {
                         ws.engine.frontier.mark(g as u32);
                         for &u in csr.neighbors(g) {
                             ws.engine.frontier.mark(u as u32);
                         }
-                    };
-                    for &g in touched.unwrap_or(&[]) {
-                        if g < n as u64 {
-                            seed_one(g);
-                        }
-                    }
-                    for &g in &unassigned {
-                        seed_one(g);
                     }
                 }
             }

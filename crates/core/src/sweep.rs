@@ -432,6 +432,19 @@ pub struct SweepEngine {
     /// The schedule stage subsequent sweeps are booked under (see
     /// [`SweepEngine::set_stage`]).
     stage: StageKind,
+    /// One more than the sweeps started since [`begin_run`](SweepEngine::begin_run),
+    /// empty ones included, so that no sweep is number zero.
+    sweep_no: u32,
+    /// Per vertex, the sweep it last moved in (zero if none) and whether it had moved in
+    /// the sweep before that one too.
+    last_move: Vec<(u32, bool)>,
+    /// Whether a vertex that moved in both of the two sweeps before sits the next one
+    /// out. Ranks score against ghost labels one sweep old, so two adjacent vertices on
+    /// different ranks can each join the other's part, see the mirror image of what they
+    /// left and swap back, sweep after sweep; a pass that only ends on an empty frontier
+    /// turns this on so that such a pair comes to rest after one round trip and the
+    /// frontier drains. Purely local, so no rank needs to hear of it.
+    pub settle_swaps: bool,
     /// Wall-clock nanoseconds spent inside [`SweepEngine::sweep`] per stage
     /// (indexed Refine/Balance/Churn). Timing only — never feeds back into any
     /// decision, so determinism is untouched.
@@ -458,6 +471,9 @@ impl SweepEngine {
             full_range: Vec::new(),
             threads,
             stage: StageKind::Refine,
+            sweep_no: 1,
+            last_move: Vec::new(),
+            settle_swaps: false,
             stage_nanos: [0; 3],
             stats: SweepStats::default(),
         }
@@ -513,6 +529,10 @@ impl SweepEngine {
             scratch.ensure(num_parts);
         }
         self.stage = StageKind::Refine;
+        self.sweep_no = 1;
+        self.last_move.clear();
+        self.last_move.resize(n, (0, false));
+        self.settle_swaps = false;
         self.stage_nanos = [0; 3];
         self.stats = SweepStats::default();
     }
@@ -538,6 +558,7 @@ impl SweepEngine {
         enqueue_neighbors: impl Fn(u32, &mut dyn FnMut(u32)),
         mut on_move: impl FnMut(u32, i32),
     ) -> u64 {
+        self.sweep_no += 1;
         let current: Vec<u32>;
         let full_range: Vec<u32>;
         let active: &[u32];
@@ -594,6 +615,11 @@ impl SweepEngine {
                 if target < 0 {
                     continue;
                 }
+                let (last, twice) = self.last_move[v as usize];
+                let moved_last_sweep = last + 1 == self.sweep_no;
+                if self.settle_swaps && twice && moved_last_sweep {
+                    continue;
+                }
                 if parts[v as usize] == target || !stage.apply(v, target as usize, parts) {
                     target = stage.propose(v, parts, &mut self.scratches[0]);
                     if target < 0
@@ -605,6 +631,7 @@ impl SweepEngine {
                 }
                 parts[v as usize] = target;
                 moves += 1;
+                self.last_move[v as usize] = (self.sweep_no, moved_last_sweep);
                 let frontier = &mut self.frontier;
                 frontier.mark(v);
                 enqueue_neighbors(v, &mut |u| frontier.mark(u));
@@ -663,6 +690,9 @@ pub struct PartCounters {
     num_parts: usize,
     /// Part loads, one block per load.
     pub size: Vec<i64>,
+    /// How many leading blocks of `size` were measured ahead for the pass about to
+    /// start (see `pass::warm_seed_needs_balance`); that pass takes it back to zero.
+    pub measured: usize,
     /// This-sweep load changes made by this rank (distributed passes), one block per
     /// load plus two trailing slots, so a sweep's changes, its move count and the size
     /// of the frontier it leaves travel as one contiguous allreduce buffer.
@@ -678,6 +708,7 @@ impl PartCounters {
         self.num_parts = num_parts;
         self.size.clear();
         self.size.resize(3 * num_parts, 0);
+        self.measured = 0;
         self.change.clear();
         self.change.resize(3 * num_parts + 2, 0);
         self.weight.clear();

@@ -4,6 +4,7 @@
 use xtrapulp_api::{DynamicSession, Method, PartitionJob, Session, UpdateBatch};
 use xtrapulp_gen::updates::{generate_stream, StreamKind, UpdateStreamConfig};
 use xtrapulp_gen::{GraphConfig, GraphKind};
+use xtrapulp_suite::core::sweep::refine_budget;
 use xtrapulp_suite::core::{try_pulp_run, try_xtrapulp_partition};
 use xtrapulp_suite::prelude::*;
 
@@ -131,6 +132,82 @@ fn small_churn_batches_keep_quality_under_warm_start() {
             "epoch {}: {} migrated",
             warm.epoch,
             warm.vertices_migrated
+        );
+    }
+}
+
+/// A warm epoch costs what its delta costs: over a 16-epoch chain of 0.5% churn on a
+/// skewed graph, every epoch is a refine-only run that converges well inside its sweep
+/// budget and scores a small multiple of the vertices the batch touched, both balance
+/// targets hold throughout, and the cut has not drifted from what a cold run finds.
+#[test]
+fn warm_epochs_cost_what_their_deltas_touch() {
+    let base = social_base(1 << 12);
+    let m = base.to_csr().num_edges();
+    let stream = generate_stream(
+        &base,
+        &UpdateStreamConfig {
+            kind: StreamKind::RandomChurn {
+                ops_per_batch: (m as f64 * 0.005) as usize,
+                delete_fraction: 0.5,
+            },
+            num_batches: 16,
+            seed: 11,
+        },
+    );
+    for nranks in [1, 2, 4] {
+        // Sixteen parts: the cold run meets both targets on all three rank counts, so
+        // no epoch is locked out of the refine-only path from the start.
+        let mut dynamic = DynamicSession::spawn(nranks, base.to_csr(), job(16)).unwrap();
+        dynamic.repartition().unwrap();
+        let params = dynamic.job().params;
+        // What a refine-only run may spend before it is cut off unconverged.
+        let sweep_cap =
+            params.outer_iters as u64 * refine_budget(params.refine_iters, params.sweep_mode);
+        let mut warm = None;
+        for i in 0..stream.batches.len() {
+            let batch = UpdateBatch::from_ops(stream.batch_ops(i));
+            let touched = dynamic.apply_updates(&batch).unwrap().vertices_touched;
+            let report = dynamic.repartition().unwrap();
+            let what = format!("{nranks} ranks, epoch {}", report.epoch);
+            assert!(report.warm_start, "{what}");
+            assert_eq!(
+                report.stages.balance_sweeps + report.stages.churn_sweeps,
+                0,
+                "{what}"
+            );
+            assert!(
+                report.lp_sweeps < sweep_cap,
+                "{what}: {} sweeps",
+                report.lp_sweeps
+            );
+            assert!(
+                report.vertices_scored <= 4 * touched,
+                "{what}: scored {} for {touched} touched",
+                report.vertices_scored
+            );
+            let quality = report.report.quality;
+            // The slack within which a warm seed counts as balanced.
+            assert!(
+                quality.vertex_imbalance <= (1.0 + params.vertex_imbalance) * 1.02,
+                "{what}"
+            );
+            assert!(
+                quality.edge_imbalance <= (1.0 + params.edge_imbalance) * 1.02,
+                "{what}"
+            );
+            warm = Some(quality);
+        }
+        let cold = Session::new(nranks)
+            .unwrap()
+            .submit(dynamic.job(), dynamic.graph().csr())
+            .unwrap();
+        let warm = warm.expect("sixteen epochs ran");
+        assert!(
+            warm.edge_cut as f64 <= cold.quality.edge_cut as f64 * 1.05,
+            "{nranks} ranks: warm cut {} vs cold cut {}",
+            warm.edge_cut,
+            cold.quality.edge_cut
         );
     }
 }

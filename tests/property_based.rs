@@ -12,7 +12,11 @@ use std::collections::BTreeSet;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use xtrapulp_suite::core::metrics::{is_valid_partition, PartitionQuality};
-use xtrapulp_suite::core::{baselines, Partitioner, PulpPartitioner};
+use xtrapulp_suite::core::sweep::refine_budget;
+use xtrapulp_suite::core::{
+    baselines, run_xtrapulp_job, GraphSource, Partitioner, PulpPartitioner,
+};
+use xtrapulp_suite::dynamic::seed_from_previous;
 use xtrapulp_suite::graph::{csr_from_edges, DistGraph, Distribution, LocalId};
 use xtrapulp_suite::prelude::*;
 
@@ -354,4 +358,123 @@ fn delta_chains_match_from_scratch_builds() {
         hit.iter().all(|&h| h > 0),
         "the generator missed a situation: {hit:?}"
     );
+}
+
+/// The warm-vs-cold leg of the oracle harness: chains of six deltas (growth, a hub burst
+/// and an empty delta among them) over four planted communities, the partition carried
+/// forward warm from epoch to epoch and a cold run on the same graph beside it. Cold
+/// label propagation on graphs this small lands anywhere between the planted cut and
+/// several times it, so the envelope has three sides: an epoch never leaves the cut worse
+/// than the delta did (the previous cut plus the edges inserted), it is as well balanced
+/// as the targets' slack or as its cold twin, and over all epochs the typical warm cut is
+/// the typical cold one. A refine-only epoch also ends short of its sweep budget.
+#[test]
+fn warm_chains_stay_inside_the_cold_quality_envelope() {
+    let num_parts = 4;
+    let mut cut_ratios = Vec::new();
+    let mut refine_only = 0;
+    for case in 0..8u64 {
+        for (d, dist) in [
+            Distribution::Block,
+            Distribution::Cyclic,
+            Distribution::Hashed,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut rng = SmallRng::seed_from_u64(0x3A12 + case);
+            let nranks = 1 + (case as usize + d) % 4;
+            let block = rng.gen_range(40..70u64);
+            let mut n = num_parts as u64 * block;
+            let mut edges = BTreeSet::new();
+            for v in 0..n {
+                for _ in 0..5 {
+                    let u = v / block * block + rng.gen_range(0..block);
+                    edges.insert((u.min(v), u.max(v)));
+                }
+            }
+            for _ in 0..n / 3 {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                edges.insert((u.min(v), u.max(v)));
+            }
+            edges.retain(|(u, v)| u != v);
+
+            let params = PartitionParams {
+                num_parts,
+                seed: case,
+                ..Default::default()
+            };
+            let sweep_cap =
+                params.outer_iters as u64 * refine_budget(params.refine_iters, params.sweep_mode);
+            let balanced = |imbalance: f64, target: f64, cold: f64| {
+                imbalance <= ((1.0 + target) * 1.02).max(cold)
+            };
+            let mut runtime = Runtime::new(nranks);
+            let mut csr = csr_from_edges(n, &edges.iter().copied().collect::<Vec<_>>());
+            let mut previous =
+                run_xtrapulp_job(&mut runtime, GraphSource::Csr(&csr, &dist), &params, None)
+                    .expect("cold epoch 0");
+            for step in 0..6 {
+                let delta = delta_step(&mut rng, step, n, true, &edges);
+                n = delta.new_n();
+                for &(u, v) in delta.delete_arcs() {
+                    edges.remove(&(u.min(v), u.max(v)));
+                }
+                let edges_before = edges.len();
+                edges.extend(delta.insert_arcs().iter().filter(|(u, v)| u < v));
+                let inserted = (edges.len() - edges_before) as u64;
+                csr = csr.apply_delta(&delta);
+                let seed = seed_from_previous(&previous.parts, &delta);
+                let touched = delta.touched_including_added();
+                let source = GraphSource::Csr(&csr, &dist);
+                let warm = Some((&seed[..], Some(&touched[..])));
+                let warm = run_xtrapulp_job(&mut runtime, source, &params, warm).expect("warm");
+                let cold = run_xtrapulp_job(&mut runtime, source, &params, None).expect("cold");
+
+                let what = format!("case {case} dist {d} ranks {nranks} step {step}");
+                assert!(is_valid_partition(&warm.parts, num_parts), "{what}");
+                assert_eq!(warm.parts.len() as u64, n, "{what}");
+                let (w, c) = (warm.quality, cold.quality);
+                assert!(
+                    balanced(
+                        w.vertex_imbalance,
+                        params.vertex_imbalance,
+                        c.vertex_imbalance
+                    ),
+                    "{what}: vertex imbalance {} (cold {})",
+                    w.vertex_imbalance,
+                    c.vertex_imbalance
+                );
+                assert!(
+                    balanced(w.edge_imbalance, params.edge_imbalance, c.edge_imbalance),
+                    "{what}: edge imbalance {} (cold {})",
+                    w.edge_imbalance,
+                    c.edge_imbalance
+                );
+                if warm.stages.balance_sweeps + warm.stages.churn_sweeps == 0 {
+                    refine_only += 1;
+                    assert!(
+                        warm.lp_sweeps < sweep_cap,
+                        "{what}: {} sweeps",
+                        warm.lp_sweeps
+                    );
+                    assert!(
+                        w.edge_cut <= previous.quality.edge_cut + inserted,
+                        "{what}: cut {} from {} with {inserted} edges inserted",
+                        w.edge_cut,
+                        previous.quality.edge_cut
+                    );
+                }
+                cut_ratios.push(w.edge_cut as f64 / c.edge_cut.max(1) as f64);
+                previous = warm;
+            }
+        }
+    }
+    assert!(
+        refine_only * 10 >= cut_ratios.len() * 9,
+        "{refine_only} refine-only epochs"
+    );
+    cut_ratios.sort_by(f64::total_cmp);
+    let median = cut_ratios[cut_ratios.len() / 2];
+    assert!(median <= 1.02, "median warm/cold cut ratio {median}");
 }
