@@ -4,9 +4,11 @@
 //! rank updates its owned vertices, then refreshes ghost values from their owners before
 //! the next superstep. Their communication volume is therefore proportional to the number
 //! of cut edges of the distribution the graph was built with — which is exactly why the
-//! partitioning strategy matters for their end-to-end time. The refresh is a full push
-//! over the graph's halo plan, so each of them fails with a [`HaloError`] only when a peer
-//! names a ghost slot this rank does not have.
+//! partitioning strategy matters for their end-to-end time. Each keeps its values in one
+//! vector over the graph's local ids — owned first, ghosts after — so a neighbour loop
+//! indexes it directly; the refresh ([`DistGraph::refresh_ghosts`]) is a full push over the
+//! graph's halo plan into the vector's tail, so each of them fails with a [`HaloError`]
+//! only when a peer names a ghost slot this rank does not have.
 
 use xtrapulp_comm::RankCtx;
 use xtrapulp_graph::bfs::dist_bfs;
@@ -23,33 +25,23 @@ pub fn pagerank(
     let n_owned = graph.n_owned();
     let n = graph.global_n() as f64;
     let mut rank_owned = vec![1.0 / n; n_owned];
+    // Contribution (rank / degree) of every local vertex: owned first, ghosts after.
+    let mut contrib = vec![0.0; graph.n_total()];
     for _ in 0..iterations {
-        // Contribution of each owned vertex: rank / degree.
-        let contrib: Vec<f64> = (0..n_owned)
-            .map(|v| {
-                let d = graph.degree_owned(v as LocalId);
-                if d == 0 {
-                    0.0
-                } else {
-                    rank_owned[v] / d as f64
-                }
-            })
-            .collect();
-        let ghost_contrib = graph.ghost_values_with(ctx, |v| contrib[v as usize])?;
-        let mut next = vec![(1.0 - damping) / n; n_owned];
-        for (v, next_v) in next.iter_mut().enumerate() {
+        for (v, contrib_v) in contrib[..n_owned].iter_mut().enumerate() {
+            *contrib_v = match graph.degree_owned(v as LocalId) {
+                0 => 0.0,
+                d => rank_owned[v] / d as f64,
+            };
+        }
+        graph.refresh_ghosts(ctx, &mut contrib)?;
+        for (v, rank_v) in rank_owned.iter_mut().enumerate() {
             let mut sum = 0.0;
             for &u in graph.neighbors(v as LocalId) {
-                let u = u as usize;
-                sum += if u < n_owned {
-                    contrib[u]
-                } else {
-                    ghost_contrib[u - n_owned]
-                };
+                sum += contrib[u as usize];
             }
-            *next_v += damping * sum;
+            *rank_v = (1.0 - damping) / n + damping * sum;
         }
-        rank_owned = next;
     }
     Ok(rank_owned)
 }
@@ -59,24 +51,17 @@ pub fn pagerank(
 /// vertex.
 pub fn wcc(ctx: &RankCtx, graph: &DistGraph) -> Result<Vec<u64>, HaloError> {
     let n_owned = graph.n_owned();
-    let mut label: Vec<u64> = (0..n_owned)
+    // One label per local vertex: owned first, ghosts after.
+    let mut label: Vec<u64> = (0..graph.n_total())
         .map(|v| graph.global_id(v as LocalId))
         .collect();
     loop {
-        let ghost_labels = graph.ghost_values_with(ctx, |v| label[v as usize])?;
+        graph.refresh_ghosts(ctx, &mut label)?;
         let mut changed = 0u64;
         for v in 0..n_owned {
             let mut best = label[v];
             for &u in graph.neighbors(v as LocalId) {
-                let u = u as usize;
-                let lu = if u < n_owned {
-                    label[u]
-                } else {
-                    ghost_labels[u - n_owned]
-                };
-                if lu < best {
-                    best = lu;
-                }
+                best = best.min(label[u as usize]);
             }
             if best < label[v] {
                 label[v] = best;
@@ -87,6 +72,7 @@ pub fn wcc(ctx: &RankCtx, graph: &DistGraph) -> Result<Vec<u64>, HaloError> {
             break;
         }
     }
+    label.truncate(n_owned);
     Ok(label)
 }
 
@@ -147,25 +133,24 @@ pub fn kcore_approx(
     max_rounds: usize,
 ) -> Result<Vec<u64>, HaloError> {
     let n_owned = graph.n_owned();
-    let mut coreness: Vec<u64> = (0..n_owned)
-        .map(|v| graph.degree_owned(v as LocalId))
+    // One bound per local vertex, seeded with the degree: owned first, ghosts after.
+    let mut coreness: Vec<u64> = (0..graph.n_total())
+        .map(|v| graph.degree(v as LocalId))
         .collect();
     let (mut neigh, mut counts) = (Vec::new(), Vec::new());
     for _ in 0..max_rounds {
-        let ghost_core = graph.ghost_values_with(ctx, |v| coreness[v as usize])?;
+        graph.refresh_ghosts(ctx, &mut coreness)?;
         let mut changed = 0u64;
         for v in 0..n_owned {
             // h-index style update: the largest h such that at least h neighbours have
             // coreness >= h. Converges to the true coreness.
             neigh.clear();
-            neigh.extend(graph.neighbors(v as LocalId).iter().map(|&u| {
-                let u = u as usize;
-                if u < n_owned {
-                    coreness[u]
-                } else {
-                    ghost_core[u - n_owned]
-                }
-            }));
+            neigh.extend(
+                graph
+                    .neighbors(v as LocalId)
+                    .iter()
+                    .map(|&u| coreness[u as usize]),
+            );
             let h = capped_h_index(&neigh, coreness[v], &mut counts);
             if h < coreness[v] {
                 coreness[v] = h;
@@ -176,6 +161,7 @@ pub fn kcore_approx(
             break;
         }
     }
+    coreness.truncate(n_owned);
     Ok(coreness)
 }
 
@@ -187,23 +173,18 @@ pub fn label_propagation(
     sweeps: usize,
 ) -> Result<Vec<u64>, HaloError> {
     let n_owned = graph.n_owned();
-    let mut label: Vec<u64> = (0..n_owned)
+    // One label per local vertex: owned first, ghosts after.
+    let mut label: Vec<u64> = (0..graph.n_total())
         .map(|v| graph.global_id(v as LocalId))
         .collect();
     let mut counts: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
     for _ in 0..sweeps {
-        let ghost_labels = graph.ghost_values_with(ctx, |v| label[v as usize])?;
+        graph.refresh_ghosts(ctx, &mut label)?;
         let mut changed = 0u64;
         for v in 0..n_owned {
             counts.clear();
             for &u in graph.neighbors(v as LocalId) {
-                let u = u as usize;
-                let lu = if u < n_owned {
-                    label[u]
-                } else {
-                    ghost_labels[u - n_owned]
-                };
-                *counts.entry(lu).or_insert(0) += 1;
+                *counts.entry(label[u as usize]).or_insert(0) += 1;
             }
             if let Some((&best, _)) = counts.iter().max_by_key(|(_, &c)| c) {
                 if best != label[v] {
@@ -216,6 +197,7 @@ pub fn label_propagation(
             break;
         }
     }
+    label.truncate(n_owned);
     Ok(label)
 }
 

@@ -21,6 +21,7 @@
 //! [`wait_for_epoch`]: xtrapulp_serve::EpochStore::wait_for_epoch
 //! [`deltas_since`]: xtrapulp_serve::EpochStore::deltas_since
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -326,7 +327,13 @@ impl AnalyticsConsumer {
                 d.dedup();
                 d
             };
-            let inserted_bound: u64 = deltas.iter().map(|d| d.num_insert_edges()).sum();
+            // How far a coreness can rise (see `remap_state`): the most inserted arcs any
+            // one vertex receives over the epoch's deltas.
+            let mut received: BTreeMap<GlobalId, u64> = BTreeMap::new();
+            for &(u, _) in deltas.iter().flat_map(|d| d.insert_arcs()) {
+                *received.entry(u).or_default() += 1;
+            }
+            let inserted_bound = received.into_values().max().unwrap_or(0);
             let per_rank = self.runtime.execute(|ctx| {
                 let bytes_before = ctx.stats().bytes_sent();
                 let old = &states[ctx.rank()];
@@ -517,8 +524,18 @@ fn cold_state(
 /// Carry one rank's warm state over to the delta-evolved `graph`: PageRank values are
 /// rescaled by the vertex-count ratio (the teleport term's exact response to growth),
 /// labels and coreness bounds are copied, and new vertices get their cold seeds (uniform
-/// rank, own-id label, degree bound). `inserted_bound` widens the coreness bound: a batch
-/// of `k` edge insertions raises any coreness by at most `k`.
+/// rank, own-id label, degree bound).
+///
+/// `inserted_bound` widens the old coreness into an upper bound of the new one: it is
+/// `d_max`, the largest number of inserted arcs any one vertex receives over the epoch's
+/// deltas. No coreness rises by more. Deletions only lower a coreness, so take the old
+/// graph plus every inserted edge, let `c'(v) = t` there and `T = {u : c'(u) ≥ t}`, whose
+/// induced subgraph has minimum degree `≥ t`. Taking the inserted edges out again costs a
+/// vertex at most `d_max` neighbours, so in the old graph the subgraph on `T` has minimum
+/// degree `≥ t − d_max` (a vertex added this epoch has inserted edges only, so it is in
+/// `T` only when `t ≤ d_max`, and then there is nothing to show): `c_old(v) ≥ c'(v) −
+/// d_max`. The epoch's inserted-*edge* count is a bound too, but hundreds wide on a
+/// low-churn epoch: every seed is then the degree and the first round a cold one.
 ///
 /// The consumer places vertices with an explicit distribution, under which
 /// [`DistGraph::apply_delta`] keeps every owned local id and appends the new vertices, so

@@ -20,21 +20,28 @@
 //!   actually split.
 //! * [`kcore_tighten`] — run the h-index peeling of
 //!   [`kcore_approx`](crate::algorithms::kcore_approx) seeded from any pointwise
-//!   *upper bound* of the true coreness (the previous epoch's values, bumped by the
-//!   number of inserted edges and capped by the new degree). The iteration
+//!   *upper bound* of the true coreness (the previous epoch's values, bumped by the most
+//!   inserted arcs any one vertex received and capped by the new degree). The iteration
 //!   `x ← min(x, H(x))` converges to the exact coreness from any such bound, so warm
 //!   and cold runs agree exactly — warm ones just start much closer.
 //!
 //! # Exchange and wake rule
 //!
 //! Every kernel works on the graph's own [`HaloPlan`](xtrapulp_graph::HaloPlan) — the one
-//! the partitioner uses, resolved when the graph was built — and keeps one ghost array
-//! (contributions, labels, bounds) for the whole call: a full-boundary push
-//! ([`DistGraph::ghost_values_with`]) fills it, and after each
-//! iteration only the boundary values that *changed* travel, as `(local id on the holder,
-//! value)`, stored by index. No global id is shipped or hashed inside an iteration; what a
-//! remote change re-activates is found through the plan's ghost→owned transpose on the
-//! holder, one message per (vertex, holder rank) instead of one per cross-rank arc.
+//! the partitioner uses, resolved when the graph was built — and keeps its values
+//! (contributions, labels, bounds) in one array over the graph's local ids for the whole
+//! call, owned vertices first and ghosts after, as the partitioner keeps its part labels.
+//! A neighbour loop reads `values[u]` and a mark loop sets `flag[u]` (the flag arrays are
+//! as long; a ghost's flag is never read) for any neighbour `u`: nothing per arc asks
+//! whether `u` is owned. A full-boundary push ([`DistGraph::refresh_ghosts`]) fills the
+//! ghost tail, and after each iteration only the boundary values that *changed* travel,
+//! as `(local id on the holder, value)`, stored by index into that tail
+//! (`split_at_mut(n_owned)` hands `push` the tail and the kernel the owned prefix).
+//! PageRank's updates carry a wake flag beside the contribution, so its pushes land in a
+//! ghost-sized array of pairs and the callback moves the contribution into the tail. No
+//! global id is shipped or hashed inside an iteration; what a remote change re-activates is
+//! found through the plan's ghost→owned transpose on the holder, one message per (vertex,
+//! holder rank) instead of one per cross-rank arc.
 //!
 //! Component sweeps and coreness rounds after the first visit only *woken* vertices, in
 //! the full sweep's ascending in-place order, so iterates, counters and round counts are
@@ -107,45 +114,61 @@ pub fn pagerank_resume(
     // worst-case bound — the parity tests pin the actual accuracy.
     let activate_eps = tol / (graph.global_m().max(1) as f64).sqrt();
 
-    let mut active = vec![false; n_owned];
+    // Flags cover every local id, so marking a neighbourhood needs no owned/ghost test; a
+    // ghost's flag is never read.
+    let mut active = vec![false; graph.n_total()];
     match seeds {
         None => active.fill(true),
         Some(seeds) => {
             // The seed list is replicated, so every rank marks its own share of each
             // seed's closed neighbourhood without an exchange: a seed it owns with its
-            // owned neighbours, and the owned neighbours of a seed it holds as a ghost.
+            // neighbours, and the owned neighbours of a seed it holds as a ghost.
             for &g in seeds {
                 let Some(l) = graph.local_id(g) else {
                     continue;
                 };
-                if graph.is_owned(l) {
+                let around = if graph.is_owned(l) {
                     active[l as usize] = true;
-                    for &u in graph.neighbors(l) {
-                        if (u as usize) < n_owned {
-                            active[u as usize] = true;
-                        }
-                    }
+                    graph.neighbors(l)
                 } else {
-                    for &u in halo.owned_neighbors(l as usize - n_owned) {
-                        active[u as usize] = true;
-                    }
+                    halo.owned_neighbors(l as usize - n_owned)
+                };
+                for &u in around {
+                    active[u as usize] = true;
                 }
             }
         }
     }
+    let mut next_active = vec![false; graph.n_total()];
 
     let contribution = |v: usize, rank: f64| match graph.degree_owned(v as LocalId) {
         0 => 0.0,
         d => rank / d as f64,
     };
+    // The contribution of every local vertex: owned first, ghosts after.
     let mut contrib: Vec<f64> = (0..n_owned).map(|v| contribution(v, ranks[v])).collect();
-    // A ghost's contribution, and whether its last update asked to wake its neighbours.
-    let mut ghost: Vec<(f64, u8)> = graph.ghost_values_with(ctx, |v| (contrib[v as usize], 0))?;
-    let mut next_active = vec![false; n_owned];
+    contrib.resize(graph.n_total(), 0.0);
+    // What travels is (contribution, whether the update wakes the ghost's neighbours);
+    // `push` lands it here, and the contribution goes on into `contrib`'s ghost tail.
+    let mut landed = vec![(0.0, 0u8); graph.n_ghost()];
+    let mut exchange = |moved: &[_], contrib: &mut [f64], next_active: &mut [bool]| {
+        let updates = moved.iter().copied();
+        halo.push(ctx, updates, &mut landed, |slot, _, (fresh, wakes)| {
+            contrib[n_owned + slot] = fresh;
+            if wakes != 0 {
+                for &u in halo.owned_neighbors(slot) {
+                    next_active[u as usize] = true;
+                }
+            }
+        })
+    };
+    // What a push ships: first the whole boundary, then the scored vertices whose
+    // contribution changed or that wake.
+    let owned = contrib[..n_owned].iter();
+    let mut moved: Vec<_> = (0..).zip(owned.map(|&c| (c, 0))).collect();
+    exchange(&moved, &mut contrib, &mut next_active)?;
     // This iteration's scored vertices, and whether each wakes its neighbours.
     let mut scored: Vec<(LocalId, bool)> = Vec::new();
-    // The scored vertices whose contribution changed or that wake: what the push ships.
-    let mut moved: Vec<(LocalId, (f64, u8))> = Vec::new();
 
     let mut work = PagerankWork::default();
     for _ in 0..max_iters {
@@ -157,12 +180,7 @@ pub fn pagerank_resume(
             }
             let mut sum = 0.0;
             for &u in graph.neighbors(v as LocalId) {
-                let u = u as usize;
-                sum += if u < n_owned {
-                    contrib[u]
-                } else {
-                    ghost[u - n_owned].0
-                };
+                sum += contrib[u as usize];
             }
             let next_v = (1.0 - damping) / n + damping * sum;
             let delta = (next_v - ranks[v]).abs();
@@ -175,9 +193,7 @@ pub fn pagerank_resume(
             let wakes = damping * delta / degree > activate_eps;
             if wakes {
                 for &u in graph.neighbors(v as LocalId) {
-                    if (u as usize) < n_owned {
-                        next_active[u as usize] = true;
-                    }
+                    next_active[u as usize] = true;
                 }
             }
             scored.push((v as LocalId, wakes));
@@ -193,14 +209,7 @@ pub fn pagerank_resume(
                 moved.push((v, (fresh, wakes as u8)));
             }
         }
-        let updates = moved.iter().copied();
-        halo.push(ctx, updates, &mut ghost, |slot, _, (_, wakes)| {
-            if wakes != 0 {
-                for &u in halo.owned_neighbors(slot) {
-                    next_active[u as usize] = true;
-                }
-            }
-        })?;
+        exchange(&moved, &mut contrib, &mut next_active)?;
         std::mem::swap(&mut active, &mut next_active);
         next_active.fill(false);
         let reduced = ctx.allreduce_sum_f64(&[residual, scored.len() as f64]);
@@ -240,11 +249,15 @@ fn tighten(
     let halo = graph.halo();
     let n_owned = graph.n_owned();
     assert_eq!(x.len(), n_owned, "one value per owned vertex");
-    let mut ghost_x = graph.ghost_values_with(ctx, |v| x[v as usize])?;
+    // The value of every local vertex: owned first, ghosts after.
+    let mut values = x.to_vec();
+    values.resize(graph.n_total(), 0);
+    graph.refresh_ghosts(ctx, &mut values)?;
     let crossed = |previous: u64, new: u64, theirs: u64| previous >= theirs && new < theirs;
     // A flag set on a vertex the sweep has yet to reach is consumed by this sweep, as a
-    // full sweep would see the lowered value; one set behind it waits for the next.
-    let mut woken = vec![true; n_owned];
+    // full sweep would see the lowered value; one set behind it waits for the next. A
+    // ghost's flag is set like any neighbour's and never read.
+    let mut woken = vec![true; graph.n_total()];
     let mut lowered: Vec<LocalId> = Vec::new();
     let mut neigh: Vec<u64> = Vec::new();
     let mut sweeps = 0u64;
@@ -254,33 +267,23 @@ fn tighten(
             if !std::mem::take(&mut woken[v]) {
                 continue;
             }
+            let around = graph.neighbors(v as LocalId);
             neigh.clear();
-            neigh.extend(graph.neighbors(v as LocalId).iter().map(|&u| {
-                let u = u as usize;
-                if u < n_owned {
-                    x[u]
-                } else {
-                    ghost_x[u - n_owned]
-                }
-            }));
-            let new = lower(&neigh, x[v]);
-            if new < x[v] {
-                let previous = std::mem::replace(&mut x[v], new);
+            neigh.extend(around.iter().map(|&u| values[u as usize]));
+            let new = lower(&neigh, values[v]);
+            if new < values[v] {
+                let previous = std::mem::replace(&mut values[v], new);
                 lowered.push(v as LocalId);
-                for &u in graph.neighbors(v as LocalId) {
-                    let u = u as usize;
-                    if u < n_owned && crossed(previous, new, x[u]) {
-                        woken[u] = true;
-                    }
+                for &u in around {
+                    woken[u as usize] |= crossed(previous, new, values[u as usize]);
                 }
             }
         }
-        let updates = lowered.iter().map(|&v| (v, x[v as usize]));
-        halo.push(ctx, updates, &mut ghost_x, |slot, previous, new| {
+        let (owned, ghosts) = values.split_at_mut(n_owned);
+        let updates = lowered.iter().map(|&v| (v, owned[v as usize]));
+        halo.push(ctx, updates, ghosts, |slot, previous, new| {
             for &u in halo.owned_neighbors(slot) {
-                if crossed(previous, new, x[u as usize]) {
-                    woken[u as usize] = true;
-                }
+                woken[u as usize] |= crossed(previous, new, owned[u as usize]);
             }
         })?;
         sweeps += 1;
@@ -288,6 +291,7 @@ fn tighten(
             break;
         }
     }
+    x.copy_from_slice(&values[..n_owned]);
     Ok(sweeps)
 }
 
@@ -392,8 +396,8 @@ pub fn wcc_repair(
 /// vertices — down to the exact coreness with the monotone h-index iteration
 /// `x ← min(x, H(x))`, returning the number of rounds to the fixed point. Cold runs
 /// seed with the degrees; warm runs seed with the previous epoch's coreness bumped by
-/// the epoch's inserted-edge count (an edge batch of `k` insertions raises any
-/// coreness by at most `k`) and capped by the new degree.
+/// the most inserted arcs any one vertex received over the epoch (no coreness rises by
+/// more) and capped by the new degree.
 pub fn kcore_tighten(
     ctx: &RankCtx,
     graph: &DistGraph,
@@ -584,7 +588,10 @@ mod tests {
     /// One round of the h-index iteration the plain way: pull every ghost bound, visit
     /// every vertex in order, update in place. Returns how many bounds fell.
     fn naive_kcore_round(ctx: &RankCtx, g: &DistGraph, core: &mut [u64]) -> u64 {
-        let ghost_core = g.ghost_values_with(ctx, |v| core[v as usize]).unwrap();
+        let mut all = core.to_vec();
+        all.resize(g.n_total(), 0);
+        g.refresh_ghosts(ctx, &mut all).unwrap();
+        let ghost_core = &all[g.n_owned()..];
         let mut changed = 0;
         for v in 0..g.n_owned() {
             let mut neigh: Vec<u64> = g

@@ -151,7 +151,7 @@ pub fn run_suite_with_partition(
     hc_sources: usize,
 ) -> SuiteResult {
     let dist = Distribution::from_parts(parts);
-    let per_rank = Runtime::run(nranks, |ctx| {
+    let per_rank = Runtime::new(nranks).execute(|ctx| {
         let graph = DistGraph::from_shared_edges(ctx, dist.clone(), global_n, edges);
         in_process(run_suite(ctx, &graph, hc_sources))
     });
@@ -159,7 +159,7 @@ pub fn run_suite_with_partition(
     SuiteResult {
         strategy: strategy.to_string(),
         partition_seconds,
-        analytics: per_rank.into_iter().next().unwrap(),
+        analytics: per_rank.into_iter().next().unwrap_or_default(),
     }
 }
 

@@ -66,9 +66,7 @@ pub fn refresh_ghost_parts(
     graph: &DistGraph,
     parts: &mut [i32],
 ) -> Result<(), PartitionError> {
-    let ghosts = graph.ghost_values_with(ctx, |v| parts[v as usize])?;
-    parts[graph.n_owned()..graph.n_total()].copy_from_slice(&ghosts);
-    Ok(())
+    Ok(graph.refresh_ghosts(ctx, &mut parts[..graph.n_total()])?)
 }
 
 #[cfg(test)]

@@ -227,10 +227,9 @@ mod tests {
                 "{strategy:?} left invalid labels"
             );
             // Ghost labels must agree with the owners' labels.
-            let ghosts = g.ghost_values_with(ctx, |v| parts[v as usize]).unwrap();
-            for (slot, &expect) in ghosts.iter().enumerate() {
-                assert_eq!(parts[g.n_owned() + slot], expect, "ghost out of sync");
-            }
+            let mut refreshed = parts.clone();
+            g.refresh_ghosts(ctx, &mut refreshed).unwrap();
+            assert_eq!(parts, refreshed, "ghost out of sync");
             // Return global (id, part) pairs to check global coverage.
             (0..g.n_owned())
                 .map(|v| (g.global_id(v as LocalId), parts[v]))

@@ -13,15 +13,17 @@
 //!   ranks, and which owned vertices border each ghost.
 //!
 //! Local ids are laid out as `[0, n_owned)` for owned vertices followed by
-//! `[n_owned, n_owned + n_ghost)` for ghosts, so per-vertex state (part labels, BFS
-//! levels, PageRank values, ...) can be kept in a single flat vector.
+//! `[n_owned, n_owned + n_ghost)` for ghosts, so per-vertex state (part labels, PageRank
+//! contributions, component labels, coreness bounds, SpMV's x) is one flat vector of
+//! `n_total` entries and a kernel's neighbour loop reads `values[u]` whether `u` is owned
+//! or a ghost — no branch per arc.
 //!
 //! Building a graph — from scratch or by [`DistGraph::apply_delta`] — ends in one
 //! collective handshake (`finish`): every rank registers its ghosts with their owners,
 //! and the owners answer with the ghosts' degrees and keep the registrations as their
-//! send plan. From then on the graph keeps any ghost array coherent with
-//! [`HaloPlan::push`]; [`DistGraph::ghost_values_with`] is a push over every owned
-//! vertex. No other ghost exchange exists.
+//! send plan. From then on the ghost tail of any such vector is kept coherent with
+//! [`HaloPlan::push`], which is handed the tail; [`DistGraph::refresh_ghosts`] is a push
+//! of the whole owned prefix. No other ghost exchange exists.
 
 use std::collections::HashMap;
 
@@ -616,18 +618,21 @@ impl DistGraph {
         &self.halo
     }
 
-    /// The ghost copy of a per-owned-vertex value, indexed by ghost slot
-    /// (`local_id - n_owned()`): a [`push`](HaloPlan::push) of `value_of(v)` over every
-    /// owned vertex `v`. Must be called collectively (one `Alltoallv`).
-    pub fn ghost_values_with<T: WireElem + Default>(
+    /// Make `values` — one entry per local vertex, owned first, ghosts after — coherent:
+    /// the owned prefix is left as it is and every ghost entry becomes its owner's value,
+    /// by a [`push`](HaloPlan::push) over every owned vertex into the tail. A kernel then
+    /// reads `values[u]` for any neighbour `u` without asking which side of `n_owned()`
+    /// it lies on. Must be called collectively (one `Alltoallv`).
+    pub fn refresh_ghosts<T: WireElem>(
         &self,
         ctx: &RankCtx,
-        value_of: impl Fn(LocalId) -> T,
-    ) -> Result<Vec<T>, HaloError> {
-        let mut ghosts = vec![T::default(); self.n_ghost()];
-        let owned = self.owned_vertices().map(|v| (v, value_of(v)));
-        self.halo.push(ctx, owned, &mut ghosts, |_, _, _| {})?;
-        Ok(ghosts)
+        values: &mut [T],
+    ) -> Result<(), HaloError> {
+        assert_eq!(values.len(), self.n_total(), "one value per local vertex");
+        let (owned, ghosts) = values.split_at_mut(self.n_owned());
+        let updates = owned.iter().enumerate().map(|(v, &x)| (v as LocalId, x));
+        self.halo.push(ctx, updates, ghosts, |_, _, _| {})?;
+        Ok(())
     }
 
     /// Cut statistics for a local part assignment covering owned + ghost vertices:
@@ -834,20 +839,65 @@ mod tests {
     }
 
     #[test]
-    fn ghost_values_pull_owner_values() {
+    fn refresh_ghosts_fills_the_tail_with_owner_values() {
         let edges = two_triangles();
-        Runtime::run(2, |ctx| {
-            let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 6, &edges);
-            // Every owned vertex's value is 1000 + its global id.
-            let owned: Vec<u64> = (0..g.n_owned())
-                .map(|v| 1000 + g.global_id(v as LocalId))
-                .collect();
-            let ghosts = g.ghost_values_with(ctx, |v| owned[v as usize]).unwrap();
-            assert_eq!(ghosts.len(), g.n_ghost());
-            for (slot, &gv) in ghosts.iter().enumerate() {
-                assert_eq!(gv, 1000 + g.ghost_globals()[slot]);
+        for nranks in 1..=4usize {
+            // An explicit placement unlike the three functional ones: (0, 0, 1, 1, ...).
+            let halves: Vec<i32> = (0..6).map(|v| (v / 2 % nranks) as i32).collect();
+            for dist in [
+                Distribution::Block,
+                Distribution::Cyclic,
+                Distribution::Hashed,
+                Distribution::from_parts(&halves),
+            ] {
+                Runtime::run(nranks, |ctx| {
+                    let g = DistGraph::from_shared_edges(ctx, dist.clone(), 6, &edges);
+                    // Every vertex's value is 1000 + its global id; ghosts start stale.
+                    let mut values: Vec<u64> = (0..g.n_total() as LocalId)
+                        .map(|v| {
+                            if g.is_owned(v) {
+                                1000 + g.global_id(v)
+                            } else {
+                                7
+                            }
+                        })
+                        .collect();
+                    let owned = values[..g.n_owned()].to_vec();
+                    g.refresh_ghosts(ctx, &mut values).unwrap();
+                    assert_eq!(values[..g.n_owned()], owned, "owned prefix untouched");
+                    for (v, &value) in values.iter().enumerate().skip(g.n_owned()) {
+                        assert_eq!(value, 1000 + g.global_id(v as LocalId));
+                    }
+                });
             }
-        });
+        }
+    }
+
+    #[test]
+    fn refresh_ghosts_rejects_a_slot_outside_the_ghost_range() {
+        let edges = two_triangles();
+        for bad_slot in [0, LocalId::MAX - 1] {
+            let out = Runtime::run(2, |ctx| {
+                let mut g = DistGraph::from_shared_edges(ctx, Distribution::Block, 6, &edges);
+                if ctx.rank() == 0 {
+                    // The bridge endpoint (local id 2) claims an owned (or out-of-range)
+                    // local id on rank 1.
+                    g.halo = HaloPlan::new(&g, &[vec![], vec![(2, bad_slot)]]);
+                }
+                let mut values = vec![ctx.rank() as i32; g.n_total()];
+                let refreshed = g.refresh_ghosts(ctx, &mut values);
+                if ctx.rank() == 1 {
+                    assert!(values.iter().all(|&x| x == 1), "nothing may be stored");
+                }
+                refreshed
+            });
+            assert_eq!(out[0], Ok(()));
+            assert!(
+                matches!(out[1], Err(HaloError { peer: 0, .. })),
+                "rank 1 got {:?}",
+                out[1]
+            );
+        }
     }
 
     #[test]

@@ -21,10 +21,13 @@
 //! vertex's plan row and applied on the receiver by a bounds-checked indexed store. The
 //! sender never re-walks an adjacency list and the receiver never hashes a global id:
 //! following the rule that the side that fans in is the bottleneck, the lookup is done
-//! once by the many owners instead of on every update by the one holder. A full refresh
-//! is the same call over every owned vertex (interior vertices have empty plan rows), and
-//! that is all [`DistGraph::ghost_values_with`] — the pull the cold Fig. 8 kernels, SpMV
-//! and the partitioner's `refresh_ghost_parts` use — is. There is no second exchange.
+//! once by the many owners instead of on every update by the one holder. The array a
+//! kernel keeps is one vector over `0..n_total`, owned values first, and `push` is handed
+//! its ghost tail (`split_at_mut(n_owned)`), so the kernel's neighbour loop indexes the
+//! vector by local id without telling owned from ghost. A full refresh is the same call
+//! over every owned vertex (interior vertices have empty plan rows), and that is all
+//! [`DistGraph::refresh_ghosts`] — what the cold Fig. 8 kernels, SpMV and the partitioner's
+//! `refresh_ghost_parts` use — is. There is no second exchange.
 
 use xtrapulp_comm::{RankCtx, WireElem};
 
@@ -276,20 +279,23 @@ mod tests {
 
     /// The oracle for one payload type: for seeded random graphs × distributions × rank
     /// counts × random update batches, the plan names exactly the ranks owning a
-    /// neighbour, a push over every owned vertex — and `ghost_values_with`, which is one —
-    /// equals the pull by global id, every ghost value equals its owner's value after a push, and
+    /// neighbour, a push over every owned vertex — and `refresh_ghosts`, which is one into
+    /// the tail of an owned++ghost vector, leaving its prefix alone — equals the pull by
+    /// global id, every ghost value equals its owner's value after a push, and
     /// `on_update` reports exactly the ghosts whose value actually changed (checked
     /// through the transpose: the owned neighbours of those ghosts).
     fn oracle<T: WireElem + PartialEq + Debug + Default>(value: fn(u64) -> T) {
         const VALUES: u64 = 5;
         for seed in 0..6u64 {
             let (n, edges) = hub_graph(seed);
-            for dist in [
-                Distribution::Block,
-                Distribution::Cyclic,
-                Distribution::Hashed,
-            ] {
-                for nranks in 1..=4usize {
+            for nranks in 1..=4usize {
+                let thirds: Vec<i32> = (0..n).map(|v| (v / 3 % nranks as u64) as i32).collect();
+                for dist in [
+                    Distribution::Block,
+                    Distribution::Cyclic,
+                    Distribution::Hashed,
+                    Distribution::from_parts(&thirds),
+                ] {
                     Runtime::run(nranks, |ctx| {
                         let g = DistGraph::from_shared_edges(ctx, dist.clone(), n, &edges);
                         let halo = g.halo();
@@ -337,10 +343,10 @@ mod tests {
                         assert_eq!(refreshed, g.n_ghost() as u64);
                         let mine = owned(&global);
                         assert_eq!(ghosts, pull_by_global_id(ctx, &g, |v| mine[v as usize]));
-                        assert_eq!(
-                            Ok(ghosts.clone()),
-                            g.ghost_values_with(ctx, |v| mine[v as usize])
-                        );
+                        let mut all = mine.clone();
+                        all.resize(g.n_total(), value(VALUES));
+                        g.refresh_ghosts(ctx, &mut all).unwrap();
+                        assert_eq!((&all[..n_owned], &all[n_owned..]), (&mine[..], &ghosts[..]));
 
                         let mut draws = Draws(seed ^ 0xA5A5);
                         for round in 0..5 {

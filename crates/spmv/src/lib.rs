@@ -43,35 +43,30 @@ pub fn spmv_1d(
     iterations: usize,
 ) -> Result<SpmvResult, HaloError> {
     let n_owned = graph.n_owned();
-    let mut x = vec![1.0f64; n_owned];
+    // x over every local column: owned first, ghosts after.
+    let mut x = vec![1.0f64; graph.n_total()];
+    let mut y = vec![0.0f64; n_owned];
     let bytes_before = ctx.stats().bytes_sent();
     let timer = Timer::start();
     for _ in 0..iterations {
-        let ghost_x = graph.ghost_values_with(ctx, |v| x[v as usize])?;
-        let mut y = vec![0.0f64; n_owned];
+        graph.refresh_ghosts(ctx, &mut x)?;
         for (v, y_v) in y.iter_mut().enumerate() {
             let mut acc = 0.0;
             for &u in graph.neighbors(v as LocalId) {
-                let u = u as usize;
-                acc += if u < n_owned {
-                    x[u]
-                } else {
-                    ghost_x[u - n_owned]
-                };
+                acc += x[u as usize];
             }
             *y_v = acc;
         }
         // Normalise to keep values bounded across iterations.
         let local_norm: f64 = y.iter().map(|a| a * a).sum();
         let norm = ctx.allreduce_sum_f64(&[local_norm])[0].sqrt().max(1e-30);
-        for value in y.iter_mut() {
-            *value /= norm;
+        for (x_v, y_v) in x.iter_mut().zip(&y) {
+            *x_v = y_v / norm;
         }
-        x = y;
     }
     let seconds = ctx.allreduce_max_f64(&[timer.elapsed_secs()])[0];
     let comm_bytes = ctx.allreduce_scalar_sum_u64(ctx.stats().bytes_sent_since(bytes_before));
-    let checksum = ctx.allreduce_sum_f64(&[x.iter().sum::<f64>()])[0];
+    let checksum = ctx.allreduce_sum_f64(&[x[..n_owned].iter().sum::<f64>()])[0];
     Ok(SpmvResult {
         seconds,
         comm_bytes,

@@ -202,7 +202,7 @@ fn incremental_matches_from_scratch_across_rank_counts_under_churn() {
             cold.wcc_sweeps
         );
         // Warm coreness is exact but not yet cheaper in *rounds*: the sound insert-rise
-        // envelope relaxes every bound by the batch's insert count, so on small
+        // envelope relaxes every bound by the most arcs one vertex received, so on small
         // dense-core graphs warm tightening takes about as many rounds as cold
         // (deletion-only epochs converge in 1-2). A round is an exchange step, not a
         // sweep: after the first, only vertices a neighbour's bound crossed are
@@ -285,6 +285,81 @@ fn heavy_churn_falls_back_to_cold_recomputation() {
     );
     assert!(!report.redistributed);
     assert_epoch_parity(&mut consumer, &csr, "after cold fallback");
+}
+
+// ---------------------------------------------------------------------------------
+// The warm coreness seed: old coreness + the most arcs one vertex received
+// ---------------------------------------------------------------------------------
+
+/// Four hundred vertices of coreness ≤ 2 but for one clique: a ring (0..360), a path
+/// (360..380), a 6-clique (380..386) and fourteen isolated vertices (386..400).
+fn low_core_base() -> Csr {
+    let mut edges: Vec<(u64, u64)> = (0..360).map(|v| (v, (v + 1) % 360)).collect();
+    edges.extend((360..379).map(|v| (v, v + 1)));
+    edges.extend((380..386).flat_map(|u| (u + 1..386).map(move |v| (u, v))));
+    xtrapulp_graph::csr_from_edges(400, &edges)
+}
+
+/// Ingest `deltas` as *one* warm epoch over [`low_core_base`] on 1, 2 and 4 ranks
+/// (vertex `v` on rank `v % nranks`, so the lifted vertices straddle ranks). The seed is a
+/// bound the tightening can only lower, so one that is too small for some vertex leaves
+/// it below the serial peeling's coreness, which lifts every vertex of `lifted` to `to`.
+fn assert_warm_coreness_is_exact(deltas: &[GraphDelta], lifted: std::ops::Range<u64>, to: u64) {
+    let base = low_core_base();
+    let parts: Vec<i32> = (0..400).map(|v| v % 4).collect();
+    let csr = deltas.iter().fold(base.clone(), |g, d| g.apply_delta(d));
+    let expected = serial_coreness(&csr);
+    assert!(lifted.clone().all(|v| expected[v as usize] == to));
+    for nranks in [1usize, 2, 4] {
+        let mut consumer =
+            AnalyticsConsumer::new(nranks, base.clone(), &parts, WarmPolicy::default());
+        let report = consumer.ingest_epoch(1, deltas, &parts);
+        assert!(report.warm, "nranks={nranks}: {report:?}");
+        assert_eq!(consumer.coreness_global(), expected, "nranks={nranks}");
+    }
+}
+
+#[test]
+fn warm_coreness_follows_a_clique_inserted_among_low_degree_vertices() {
+    // Two isolated vertices, the path's two ends and two ring vertices become a 6-clique:
+    // each receives five arcs and the isolated ones rise by all five, 0 to 5.
+    let members = [386u64, 387, 360, 379, 0, 100];
+    let clique: Vec<(u64, u64)> = (0..6)
+        .flat_map(|i| (i + 1..6).map(move |j| (members[i], members[j])))
+        .collect();
+    let delta = GraphDelta::new(400, 0, &clique, &[]);
+    assert_warm_coreness_is_exact(&[delta], 386..388, 5);
+}
+
+#[test]
+fn warm_coreness_follows_a_star_onto_one_hub() {
+    // An isolated hub joins the 6-clique: it receives six arcs and rises 0 to 6, every
+    // leaf one arc and rises 5 to 6. A bound taken from the leaves would pin the hub at 1.
+    let star: Vec<(u64, u64)> = (380..386).map(|leaf| (388, leaf)).collect();
+    let delta = GraphDelta::new(400, 0, &star, &[]);
+    assert_warm_coreness_is_exact(&[delta], 380..386, 6);
+}
+
+#[test]
+fn warm_coreness_sums_a_vertex_arcs_over_the_deltas_of_one_epoch() {
+    // A 6-clique over isolated vertices, arriving as its five perfect matchings: three in
+    // the epoch's first delta, two in its second. No delta gives a vertex more than three
+    // arcs; the epoch gives each five, and each rises 0 to 5.
+    let matching = |r: u64| {
+        [
+            (5, r),
+            ((r + 1) % 5, (r + 4) % 5),
+            ((r + 2) % 5, (r + 3) % 5),
+        ]
+        .map(|(a, b)| (390 + a, 390 + b))
+    };
+    let first: Vec<(u64, u64)> = (0..3).flat_map(matching).collect();
+    let second: Vec<(u64, u64)> = (3..5).flat_map(matching).collect();
+    let deltas = [
+        GraphDelta::new(400, 0, &first, &[]),
+        GraphDelta::new(400, 0, &second, &[]),
+    ];
+    assert_warm_coreness_is_exact(&deltas, 390..396, 5);
 }
 
 // ---------------------------------------------------------------------------------
@@ -568,79 +643,79 @@ const GOLDEN: &[(&str, GoldenRow)] = &[
     ("ba/r4/e11", [1, 21, 10406, 1, 1, 0, 15, 0x680bc4e9854aabd1]),
     ("ba/r4/e12", [1, 21, 10300, 1, 1, 0, 15, 0x8b767c1eb459f6df]),
     ("rmat/r1/e0", [0, 21, 7740, 3, 0, 0, 6, 0xc81728c990460737]),
-    ("rmat/r1/e1", [1, 49, 20150, 2, 1, 0, 6, 0xbf0bc06aabaf6c51]),
+    ("rmat/r1/e1", [1, 49, 20150, 2, 1, 0, 5, 0xbf0bc06aabaf6c51]),
     ("rmat/r1/e2", [1, 16, 4950, 1, 1, 0, 5, 0x9dacbf3933a3c71b]),
     (
         "rmat/r1/e3",
         [1, 33, 13331, 3, 1, 426, 5, 0xcf097454dd2095a7],
     ),
-    ("rmat/r1/e4", [1, 49, 20207, 2, 1, 0, 6, 0x111b41c2f755cb5d]),
+    ("rmat/r1/e4", [1, 49, 20207, 2, 1, 0, 5, 0x111b41c2f755cb5d]),
     ("rmat/r1/e5", [1, 23, 7835, 2, 1, 0, 6, 0x16ba9f04b1508ff9]),
-    ("rmat/r1/e6", [1, 82, 20569, 2, 1, 0, 6, 0x3db8b83aab8b5f80]),
-    ("rmat/r1/e7", [1, 53, 22121, 2, 0, 0, 6, 0x9d6990d69d28d881]),
-    ("rmat/r1/e8", [1, 49, 20493, 2, 0, 0, 6, 0x5460f8f836bc5d69]),
+    ("rmat/r1/e6", [1, 82, 20569, 2, 1, 0, 5, 0x3db8b83aab8b5f80]),
+    ("rmat/r1/e7", [1, 53, 22121, 2, 0, 0, 5, 0x9d6990d69d28d881]),
+    ("rmat/r1/e8", [1, 49, 20493, 2, 0, 0, 5, 0x5460f8f836bc5d69]),
     (
         "rmat/r1/e9",
-        [1, 50, 20963, 3, 1, 434, 6, 0xdcd4f61c75a599b8],
+        [1, 50, 20963, 3, 1, 434, 5, 0xdcd4f61c75a599b8],
     ),
-    ("rmat/r1/e10", [1, 17, 5419, 1, 1, 0, 6, 0x9b344fc47c1f0fa4]),
+    ("rmat/r1/e10", [1, 17, 5419, 1, 1, 0, 5, 0x9b344fc47c1f0fa4]),
     (
         "rmat/r1/e11",
         [1, 49, 20635, 2, 1, 0, 5, 0x60fec28f47a567fb],
     ),
     (
         "rmat/r1/e12",
-        [1, 49, 20635, 2, 1, 0, 6, 0xe06ea69d300d4396],
+        [1, 49, 20635, 2, 1, 0, 5, 0xe06ea69d300d4396],
     ),
     ("rmat/r2/e0", [0, 21, 7740, 4, 0, 0, 7, 0xc81728c990460737]),
-    ("rmat/r2/e1", [1, 49, 20150, 2, 1, 0, 7, 0xbf0bc06aabaf6c51]),
-    ("rmat/r2/e2", [1, 16, 4950, 1, 1, 0, 6, 0x9dacbf3933a3c71b]),
+    ("rmat/r2/e1", [1, 49, 20150, 2, 1, 0, 5, 0xbf0bc06aabaf6c51]),
+    ("rmat/r2/e2", [1, 16, 4950, 1, 1, 0, 5, 0x9dacbf3933a3c71b]),
     (
         "rmat/r2/e3",
-        [1, 33, 13331, 4, 1, 426, 6, 0xcf097454dd2095a7],
+        [1, 33, 13331, 4, 1, 426, 5, 0xcf097454dd2095a7],
     ),
-    ("rmat/r2/e4", [1, 49, 20207, 2, 1, 0, 7, 0x111b41c2f755cb5d]),
-    ("rmat/r2/e5", [1, 23, 7835, 3, 1, 0, 7, 0x16ba9f04b1508ff9]),
-    ("rmat/r2/e6", [1, 82, 20569, 2, 1, 0, 6, 0x3db8b83aab8b5f80]),
-    ("rmat/r2/e7", [1, 53, 22121, 2, 0, 0, 7, 0x9d6990d69d28d881]),
-    ("rmat/r2/e8", [1, 49, 20493, 2, 0, 0, 7, 0x5460f8f836bc5d69]),
+    ("rmat/r2/e4", [1, 49, 20207, 2, 1, 0, 5, 0x111b41c2f755cb5d]),
+    ("rmat/r2/e5", [1, 23, 7835, 3, 1, 0, 6, 0x16ba9f04b1508ff9]),
+    ("rmat/r2/e6", [1, 82, 20569, 2, 1, 0, 5, 0x3db8b83aab8b5f80]),
+    ("rmat/r2/e7", [1, 53, 22121, 2, 0, 0, 5, 0x9d6990d69d28d881]),
+    ("rmat/r2/e8", [1, 49, 20493, 2, 0, 0, 5, 0x5460f8f836bc5d69]),
     (
         "rmat/r2/e9",
-        [1, 50, 20963, 4, 1, 434, 7, 0xdcd4f61c75a599b8],
+        [1, 50, 20963, 4, 1, 434, 5, 0xdcd4f61c75a599b8],
     ),
-    ("rmat/r2/e10", [1, 17, 5419, 1, 1, 0, 6, 0x9b344fc47c1f0fa4]),
+    ("rmat/r2/e10", [1, 17, 5419, 1, 1, 0, 5, 0x9b344fc47c1f0fa4]),
     (
         "rmat/r2/e11",
-        [1, 49, 20635, 2, 1, 0, 6, 0x60fec28f47a567fb],
+        [1, 49, 20635, 2, 1, 0, 5, 0x60fec28f47a567fb],
     ),
     (
         "rmat/r2/e12",
-        [1, 49, 20635, 2, 1, 0, 6, 0xe06ea69d300d4396],
+        [1, 49, 20635, 2, 1, 0, 5, 0xe06ea69d300d4396],
     ),
     ("rmat/r4/e0", [0, 21, 7740, 4, 0, 0, 7, 0xc81728c990460737]),
-    ("rmat/r4/e1", [1, 49, 20150, 2, 1, 0, 7, 0xbf0bc06aabaf6c51]),
-    ("rmat/r4/e2", [1, 16, 4950, 1, 1, 0, 6, 0x9dacbf3933a3c71b]),
+    ("rmat/r4/e1", [1, 49, 20150, 2, 1, 0, 5, 0xbf0bc06aabaf6c51]),
+    ("rmat/r4/e2", [1, 16, 4950, 1, 1, 0, 5, 0x9dacbf3933a3c71b]),
     (
         "rmat/r4/e3",
-        [1, 33, 13331, 4, 1, 426, 6, 0xcf097454dd2095a7],
+        [1, 33, 13331, 4, 1, 426, 5, 0xcf097454dd2095a7],
     ),
-    ("rmat/r4/e4", [1, 49, 20207, 2, 1, 0, 7, 0x111b41c2f755cb5d]),
-    ("rmat/r4/e5", [1, 23, 7835, 3, 1, 0, 7, 0x16ba9f04b1508ff9]),
-    ("rmat/r4/e6", [1, 82, 20569, 2, 1, 0, 6, 0x3db8b83aab8b5f80]),
-    ("rmat/r4/e7", [1, 53, 22121, 2, 0, 0, 7, 0x9d6990d69d28d881]),
-    ("rmat/r4/e8", [1, 49, 20493, 2, 0, 0, 7, 0x5460f8f836bc5d69]),
+    ("rmat/r4/e4", [1, 49, 20207, 2, 1, 0, 5, 0x111b41c2f755cb5d]),
+    ("rmat/r4/e5", [1, 23, 7835, 3, 1, 0, 6, 0x16ba9f04b1508ff9]),
+    ("rmat/r4/e6", [1, 82, 20569, 2, 1, 0, 5, 0x3db8b83aab8b5f80]),
+    ("rmat/r4/e7", [1, 53, 22121, 2, 0, 0, 5, 0x9d6990d69d28d881]),
+    ("rmat/r4/e8", [1, 49, 20493, 2, 0, 0, 5, 0x5460f8f836bc5d69]),
     (
         "rmat/r4/e9",
-        [1, 50, 20963, 4, 1, 434, 7, 0xdcd4f61c75a599b8],
+        [1, 50, 20963, 4, 1, 434, 5, 0xdcd4f61c75a599b8],
     ),
-    ("rmat/r4/e10", [1, 17, 5419, 1, 1, 0, 6, 0x9b344fc47c1f0fa4]),
+    ("rmat/r4/e10", [1, 17, 5419, 1, 1, 0, 5, 0x9b344fc47c1f0fa4]),
     (
         "rmat/r4/e11",
-        [1, 49, 20635, 2, 1, 0, 6, 0x60fec28f47a567fb],
+        [1, 49, 20635, 2, 1, 0, 5, 0x60fec28f47a567fb],
     ),
     (
         "rmat/r4/e12",
-        [1, 49, 20635, 2, 1, 0, 6, 0xe06ea69d300d4396],
+        [1, 49, 20635, 2, 1, 0, 5, 0xe06ea69d300d4396],
     ),
 ];
 const GOLDEN_COMM_BYTES: &[(&str, [u64; GOLDEN_EPOCHS])] = &[
@@ -651,35 +726,35 @@ const GOLDEN_COMM_BYTES: &[(&str, [u64; GOLDEN_EPOCHS])] = &[
     (
         "ba/r2",
         [
-            170248, 169544, 174958, 171629, 190833, 173831, 163420, 163946, 392565, 170530, 170339,
-            169650,
+            165184, 166604, 172030, 166505, 190413, 170063, 159292, 159998, 388629, 166894, 167759,
+            166110,
         ],
     ),
     (
         "ba/r4",
         [
-            400556, 397521, 410649, 403923, 448616, 408583, 384883, 386853, 927716, 402747, 401984,
-            400786,
+            387200, 389937, 403077, 390387, 447380, 398695, 373891, 376293, 917192, 393027, 395228,
+            391318,
         ],
     ),
     (
         "rmat/r1",
         [
-            944, 496, 792, 944, 560, 1536, 920, 856, 1008, 488, 1040, 984,
+            936, 496, 792, 936, 560, 1528, 912, 848, 1000, 480, 1040, 976,
         ],
     ),
     (
         "rmat/r2",
         [
-            255360, 83387, 183189, 256726, 118030, 259538, 276884, 258625, 271434, 90171, 263045,
-            263590,
+            253408, 82315, 182165, 254870, 117258, 258214, 274848, 256565, 269530, 88787, 261961,
+            263130,
         ],
     ),
     (
         "rmat/r4",
         [
-            571327, 189668, 410081, 576842, 269333, 581813, 620976, 580690, 608206, 205437, 585564,
-            588747,
+            565227, 186528, 407025, 570970, 266685, 577605, 614696, 574338, 602202, 201121, 582352,
+            586987,
         ],
     ),
 ];
