@@ -1,12 +1,12 @@
 //! The incremental analytics consumer: a read-side subscriber of the serving
 //! pipeline's epoch stream.
 //!
-//! [`AnalyticsConsumer`] owns its own rank runtime, a topology replica (a [`Csr`] plus
-//! per-rank [`DistGraph`]s) and the warm state of three analytics — PageRank,
-//! connected components and coreness. Instead of redistributing the graph and
-//! recomputing from scratch every epoch, it ingests each epoch's
-//! [`GraphDelta`](xtrapulp_graph::GraphDelta) stream (and the published partition it
-//! rode in on) and repairs its state with the kernels in [`crate::incremental`],
+//! [`AnalyticsConsumer`] owns its own rank runtime, one [`DistGraph`] per rank (the
+//! consumer's only copy of the topology: no rank holds the whole graph) and the warm
+//! state of three analytics — PageRank, connected components and coreness. Instead of
+//! redistributing the graph and recomputing from scratch every epoch, it ingests each
+//! epoch's [`GraphDelta`](xtrapulp_graph::GraphDelta) stream (and the published partition
+//! it rode in on) and repairs its state with the kernels in [`crate::incremental`],
 //! falling back to a cold recomputation only when the [`WarmPolicy`] says the epoch's
 //! churn is too large for the repair to pay off — the same warm/cold self-stabilising
 //! shape `xtrapulp_api::DynamicSession` uses for the partition itself.
@@ -21,6 +21,7 @@
 //! [`wait_for_epoch`]: xtrapulp_serve::EpochStore::wait_for_epoch
 //! [`deltas_since`]: xtrapulp_serve::EpochStore::deltas_since
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -41,10 +42,10 @@ pub struct WarmPolicy {
     /// Fall back to a cold recomputation when an epoch touches more than this
     /// fraction of the graph's vertices (insert/delete endpoints plus additions).
     pub max_churn_fraction: f64,
-    /// Rebuild the per-rank graphs around the *published* partition (and recompute
-    /// cold) once more than this fraction of vertices has migrated away from the
-    /// placement the replica was built with — the consumer's answer to an
-    /// accumulating [`MigrationDiff`](xtrapulp_serve::MigrationDiff).
+    /// Move the rank graphs onto the *published* partition (each rank sends its rows to
+    /// their new owners) and recompute cold once more than this fraction of vertices has
+    /// migrated away from the placement the rank graphs were built with — the consumer's
+    /// answer to an accumulating [`MigrationDiff`](xtrapulp_serve::MigrationDiff).
     pub redistribute_moved_fraction: f64,
     /// PageRank damping factor.
     pub damping: f64,
@@ -74,11 +75,11 @@ pub struct EpochReport {
     pub epoch: u64,
     /// Whether the warm (repair) path ran, as opposed to a cold recomputation.
     pub warm: bool,
-    /// Whether the per-rank graphs were rebuilt around the published partition.
+    /// Whether the rank graphs were moved onto the published partition.
     pub redistributed: bool,
     /// Fraction of vertices the epoch's deltas touched.
     pub churn_fraction: f64,
-    /// Fraction of vertices whose published part differs from the replica's placement.
+    /// Fraction of vertices whose published part differs from the rank graphs' placement.
     pub moved_fraction: f64,
     /// PageRank supersteps this epoch.
     pub pagerank_iterations: u64,
@@ -96,7 +97,8 @@ pub struct EpochReport {
     pub kcore_rounds: u64,
     /// Wall-clock seconds to ingest the epoch (apply deltas + update every analytic).
     pub seconds: f64,
-    /// Bytes exchanged between ranks while ingesting the epoch.
+    /// Bytes exchanged between ranks while ingesting the epoch: the deltas' apply, the
+    /// analytics, and on a redistributing epoch the rows moved to their new owners.
     pub comm_bytes: u64,
 }
 
@@ -142,7 +144,7 @@ pub struct ColdWork {
     pub kcore_rounds: u64,
 }
 
-/// One rank's replica and warm state; lives on the consumer, handed into the rank
+/// One rank's graph and warm state; lives on the consumer, handed into the rank
 /// closure by reference each epoch.
 struct RankState {
     graph: DistGraph,
@@ -151,14 +153,41 @@ struct RankState {
     core: Vec<u64>,
 }
 
+/// What one rank did for an epoch (or the cold start). The kernels reduce their counters
+/// globally, so every rank holds the same ones; `bytes` is the rank's own until summed.
+#[derive(Clone, Copy, Default)]
+struct Work {
+    pagerank: PagerankWork,
+    wcc: WccWork,
+    kcore_rounds: u64,
+    bytes: u64,
+}
+
+impl Work {
+    fn cold(&self) -> ColdWork {
+        ColdWork {
+            pagerank_iterations: self.pagerank.iterations,
+            pagerank_vertices_scored: self.pagerank.vertices_scored,
+            wcc_sweeps: self.wcc.sweeps,
+            kcore_rounds: self.kcore_rounds,
+        }
+    }
+}
+
+/// Split the ranks' results into their states and the job's work: rank 0's counters and
+/// every rank's bytes.
+fn fold_ranks(per_rank: Vec<(RankState, Work)>) -> (Vec<RankState>, Work) {
+    let mut work = per_rank.first().map(|(_, w)| *w).unwrap_or_default();
+    work.bytes = per_rank.iter().map(|(_, w)| w.bytes).sum();
+    (per_rank.into_iter().map(|(state, _)| state).collect(), work)
+}
+
 /// The delta-aware analytics consumer. See the module docs for the design.
 pub struct AnalyticsConsumer {
     runtime: Runtime,
     nranks: usize,
+    /// One per rank, in rank order.
     states: Vec<RankState>,
-    /// Full-topology replica, evolved by the same deltas as the per-rank graphs; the
-    /// redistribution path rebuilds the rank graphs from it.
-    csr: Csr,
     /// The distribution the rank graphs were built with (grown alongside the graph).
     dist: Distribution,
     policy: WarmPolicy,
@@ -168,51 +197,37 @@ pub struct AnalyticsConsumer {
     cold: ColdWork,
 }
 
-/// Map a published part id to the rank that will own its vertices in the replica
-/// (parts may outnumber the consumer's ranks).
+/// Map a published part id to the rank that owns its vertices in the consumer (parts may
+/// outnumber the consumer's ranks).
 fn part_to_rank(part: i32, nranks: usize) -> i32 {
     part.max(0) % nranks as i32
 }
 
+/// The consumer's placement of a published partition over `nranks` ranks.
+fn placement(parts: &[i32], nranks: usize) -> Distribution {
+    let ranks: Vec<i32> = parts.iter().map(|&p| part_to_rank(p, nranks)).collect();
+    Distribution::from_parts(&ranks)
+}
+
 impl AnalyticsConsumer {
-    /// Build a consumer with its own `nranks`-rank runtime, replicating `csr`
-    /// distributed by `parts` (the published partition), and compute the initial
-    /// (cold) analytics state.
+    /// Build a consumer with its own `nranks`-rank runtime, distribute `csr` over it by
+    /// `parts` (the published partition) and compute the initial (cold) analytics state.
+    /// `csr` is dropped once the rank graphs are built.
     pub fn new(nranks: usize, csr: Csr, parts: &[i32], policy: WarmPolicy) -> AnalyticsConsumer {
         assert!(nranks > 0, "an analytics consumer needs at least one rank");
-        let placement: Vec<i32> = parts.iter().map(|&p| part_to_rank(p, nranks)).collect();
-        let dist = Distribution::from_parts(&placement);
+        let dist = placement(parts, nranks);
         let mut runtime = Runtime::new(nranks);
-        let per_rank = {
-            let csr = &csr;
-            let dist = &dist;
-            runtime.execute(|ctx| {
-                let graph = DistGraph::from_csr(ctx, dist.clone(), csr);
-                cold_state(ctx, graph, &policy)
-            })
-        };
-        let mut states = Vec::with_capacity(nranks);
-        let mut cold = ColdWork::default();
-        for (state, pr, sweeps, rounds) in per_rank {
-            if states.is_empty() {
-                cold = ColdWork {
-                    pagerank_iterations: pr.iterations,
-                    pagerank_vertices_scored: pr.vertices_scored,
-                    wcc_sweeps: sweeps,
-                    kcore_rounds: rounds,
-                };
-            }
-            states.push(state);
-        }
+        let per_rank = runtime
+            .execute(|ctx| cold_state(ctx, DistGraph::from_csr(ctx, dist.clone(), &csr), &policy));
+        let (states, work) = fold_ranks(per_rank);
         AnalyticsConsumer {
             runtime,
             nranks,
             states,
-            csr,
             dist,
             policy,
             epoch: 0,
-            cold,
+            cold: work.cold(),
         }
     }
 
@@ -233,9 +248,18 @@ impl AnalyticsConsumer {
         self.epoch = epoch;
     }
 
-    /// The consumer's live topology replica.
-    pub fn csr(&self) -> &Csr {
-        &self.csr
+    /// The consumer's current topology, assembled from the rank graphs' owned rows.
+    pub fn csr(&self) -> Csr {
+        let owner = self.gather(|st, v| (st.graph.rank(), v as LocalId));
+        let mut offsets = Vec::with_capacity(owner.len() + 1);
+        offsets.push(0);
+        let mut adjacency = Vec::new();
+        for (rank, v) in owner {
+            let graph = &self.states[rank].graph;
+            adjacency.extend(graph.neighbors(v).iter().map(|&u| graph.global_id(u)));
+            offsets.push(adjacency.len() as u64);
+        }
+        Csr::from_parts(offsets, adjacency)
     }
 
     /// The warm/cold policy in force.
@@ -257,16 +281,13 @@ impl AnalyticsConsumer {
         // lint: nondeterministic-ok — wall-clock feeds EpochReport timing
         // telemetry only; kernel results never depend on it.
         let start = Instant::now();
-        let new_n = deltas
-            .last()
-            .map(|d| d.new_n())
-            .unwrap_or(self.csr.num_vertices() as u64);
+        let new_n = deltas.last().map_or(self.global_n(), |d| d.new_n());
 
-        // Grow the replica's distribution over the new tail first (the same hashing
+        // Grow the distribution over the new tail first (the same hashing
         // `DistGraph::apply_delta` uses), so ownership queries below cover new ids.
         self.dist = self.dist.grown(new_n, self.nranks);
 
-        // Accumulated migration between the replica's placement and the published
+        // Accumulated migration between the rank graphs' placement and the published
         // partition (the consumer-side view of the epoch stream's MigrationDiff).
         let moved = (0..new_n.min(parts.len() as u64))
             .filter(|&v| {
@@ -275,8 +296,9 @@ impl AnalyticsConsumer {
             })
             .count();
         let moved_fraction = moved as f64 / new_n.max(1) as f64;
+        let redistribute = moved_fraction > self.policy.redistribute_moved_fraction;
 
-        if deltas.is_empty() && moved_fraction <= self.policy.redistribute_moved_fraction {
+        if deltas.is_empty() && !redistribute {
             // Empty-delta fast path: the topology is unchanged, so every analytic is
             // still exact — a below-threshold placement drift costs nothing either.
             self.epoch = epoch;
@@ -290,196 +312,121 @@ impl AnalyticsConsumer {
         touched.sort_unstable();
         touched.dedup();
         let churn_fraction = touched.len() as f64 / new_n.max(1) as f64;
-
-        for delta in deltas {
-            self.csr = self.csr.apply_delta(delta);
-        }
-
-        let redistribute = moved_fraction > self.policy.redistribute_moved_fraction;
         let warm = !redistribute && churn_fraction <= self.policy.max_churn_fraction;
+        // Past the threshold the rank graphs move onto the published partition, which
+        // restores analytics locality; warm state does not survive the reshuffle.
+        let target = redistribute.then(|| placement(parts, self.nranks).grown(new_n, self.nranks));
 
-        let policy = self.policy;
-        let (new_states, mut report) = if redistribute {
-            // The published partition drifted too far from the replica's placement:
-            // rebuild the rank graphs around it (restoring analytics locality) and
-            // recompute cold — warm state does not survive an ownership reshuffle.
-            let placement: Vec<i32> = parts
-                .iter()
-                .map(|&p| part_to_rank(p, self.nranks))
-                .collect();
-            self.dist = Distribution::from_parts(&placement);
-            let csr = &self.csr;
-            let dist = &self.dist;
-            let per_rank = self.runtime.execute(|ctx| {
-                let bytes_before = ctx.stats().bytes_sent();
-                let graph = DistGraph::from_csr(ctx, dist.clone(), csr);
-                let (state, pr, sweeps, rounds) = cold_state(ctx, graph, &policy);
-                let bytes = ctx.stats().bytes_sent_since(bytes_before);
-                (state, pr, sweeps, rounds, bytes)
-            });
-            collect_cold(epoch, per_rank, churn_fraction, moved_fraction)
-        } else {
-            let states = &self.states;
-            let touched = &touched;
-            let deleted: Vec<(GlobalId, GlobalId)> = {
-                let mut d: Vec<_> = deltas.iter().flat_map(|d| d.deleted_edges()).collect();
-                d.sort_unstable();
-                d.dedup();
-                d
-            };
-            // How far a coreness can rise (see `remap_state`): the most inserted arcs any
-            // one vertex receives over the epoch's deltas.
-            let mut received: BTreeMap<GlobalId, u64> = BTreeMap::new();
-            for &(u, _) in deltas.iter().flat_map(|d| d.insert_arcs()) {
-                *received.entry(u).or_default() += 1;
+        let mut deleted: Vec<_> = deltas.iter().flat_map(|d| d.deleted_edges()).collect();
+        deleted.sort_unstable();
+        deleted.dedup();
+        // How far a coreness can rise (see `remap_state`): the most inserted arcs any
+        // one vertex receives over the epoch's deltas.
+        let mut received: BTreeMap<GlobalId, u64> = BTreeMap::new();
+        for &(u, _) in deltas.iter().flat_map(|d| d.insert_arcs()) {
+            *received.entry(u).or_default() += 1;
+        }
+        let inserted_bound = received.into_values().max().unwrap_or(0);
+
+        let per_rank = self.runtime.execute(|ctx| {
+            let bytes_before = ctx.stats().bytes_sent();
+            let old = &self.states[ctx.rank()];
+            // A delta or a redistribution always runs here (the fast path took the
+            // rest), so the old graph is never cloned.
+            let mut graph = Cow::Borrowed(&old.graph);
+            for delta in deltas {
+                graph = Cow::Owned(graph.apply_delta(ctx, delta));
             }
-            let inserted_bound = received.into_values().max().unwrap_or(0);
-            let per_rank = self.runtime.execute(|ctx| {
-                let bytes_before = ctx.stats().bytes_sent();
-                let old = &states[ctx.rank()];
-                // This branch is only reached with a non-empty delta chain (the empty
-                // case is the fast path or a redistribution), so the first apply
-                // replaces what would otherwise be a full-replica clone.
-                let graph = match deltas.split_first() {
-                    Some((first, rest)) => {
-                        let mut graph = old.graph.apply_delta(ctx, first);
-                        for delta in rest {
-                            graph = graph.apply_delta(ctx, delta);
-                        }
-                        graph
-                    }
-                    None => old.graph.clone(),
-                };
-                let outcome = if warm {
-                    let mut state = remap_state(old, graph, inserted_bound);
-                    let RankState {
-                        graph,
-                        pagerank,
-                        labels,
-                        core,
-                    } = &mut state;
-                    let pr = in_process(pagerank_resume(
+            if let Some(dist) = &target {
+                graph = Cow::Owned(graph.redistribute(ctx, dist.clone()));
+            }
+            let graph = graph.into_owned();
+            let (state, mut work) = if warm {
+                let mut state = remap_state(old, graph, inserted_bound);
+                let RankState {
+                    graph,
+                    pagerank,
+                    labels,
+                    core,
+                } = &mut state;
+                let work = Work {
+                    pagerank: in_process(pagerank_resume(
                         ctx,
                         graph,
                         pagerank,
-                        Some(touched),
-                        policy.damping,
-                        policy.tolerance,
-                        policy.max_iterations,
-                    ));
-                    let wcc = in_process(wcc_repair(ctx, graph, labels, &deleted));
-                    let rounds = in_process(kcore_tighten(ctx, graph, core, usize::MAX));
-                    (state, pr, wcc, rounds)
-                } else {
-                    let (state, pr, sweeps, rounds) = cold_state(ctx, graph, &policy);
-                    let wcc = WccWork {
-                        sweeps,
-                        ..WccWork::default()
-                    };
-                    (state, pr, wcc, rounds)
+                        Some(&touched),
+                        self.policy.damping,
+                        self.policy.tolerance,
+                        self.policy.max_iterations,
+                    )),
+                    wcc: in_process(wcc_repair(ctx, graph, labels, &deleted)),
+                    kcore_rounds: in_process(kcore_tighten(ctx, graph, core, usize::MAX)),
+                    bytes: 0,
                 };
-                let bytes = ctx.stats().bytes_sent_since(bytes_before);
-                (outcome, bytes)
-            });
-            let mut states = Vec::with_capacity(per_rank.len());
-            let mut pr = PagerankWork::default();
-            let mut wcc = WccWork::default();
-            let mut rounds = 0u64;
-            let mut bytes = 0u64;
-            for ((state, pr_r, wcc_r, rounds_r), bytes_r) in per_rank {
-                states.push(state);
-                // The work counters are globally reduced inside the kernels, so every
-                // rank reports identical values; keep rank 0's.
-                if states.len() == 1 {
-                    pr = pr_r;
-                    wcc = wcc_r;
-                    rounds = rounds_r;
-                }
-                bytes += bytes_r;
-            }
-            let report = EpochReport {
-                epoch,
-                warm,
-                redistributed: false,
-                churn_fraction,
-                moved_fraction,
-                pagerank_iterations: pr.iterations,
-                pagerank_vertices_scored: pr.vertices_scored,
-                pagerank_converged: pr.converged,
-                wcc_sweeps: wcc.sweeps,
-                wcc_components_checked: wcc.components_checked,
-                wcc_reset_vertices: wcc.reset_vertices,
-                kcore_rounds: rounds,
-                seconds: 0.0,
-                comm_bytes: bytes,
+                (state, work)
+            } else {
+                cold_state(ctx, graph, &self.policy)
             };
-            (states, report)
-        };
+            work.bytes = ctx.stats().bytes_sent_since(bytes_before);
+            (state, work)
+        });
 
-        self.states = new_states;
-        self.epoch = epoch;
-        if !report.warm {
-            self.cold = ColdWork {
-                pagerank_iterations: report.pagerank_iterations,
-                pagerank_vertices_scored: report.pagerank_vertices_scored,
-                wcc_sweeps: report.wcc_sweeps,
-                kcore_rounds: report.kcore_rounds,
-            };
+        let (states, work) = fold_ranks(per_rank);
+        self.states = states;
+        if let Some(dist) = target {
+            self.dist = dist;
         }
-        report.seconds = start.elapsed().as_secs_f64();
+        self.epoch = epoch;
+        if !warm {
+            self.cold = work.cold();
+        }
         xtrapulp_obs::registry::histogram("analytics_epoch_nanos").record_duration(start.elapsed());
-        report
+        EpochReport {
+            warm,
+            redistributed: redistribute,
+            churn_fraction,
+            pagerank_iterations: work.pagerank.iterations,
+            pagerank_vertices_scored: work.pagerank.vertices_scored,
+            pagerank_converged: work.pagerank.converged,
+            wcc_sweeps: work.wcc.sweeps,
+            wcc_components_checked: work.wcc.components_checked,
+            wcc_reset_vertices: work.wcc.reset_vertices,
+            kcore_rounds: work.kcore_rounds,
+            comm_bytes: work.bytes,
+            ..EpochReport::no_op(epoch, moved_fraction, start.elapsed().as_secs_f64())
+        }
     }
 
     /// The PageRank of every vertex, gathered to a global vector (identical on every
     /// call until the next ingested epoch).
     pub fn pagerank_global(&mut self) -> Vec<f64> {
-        let n = self.csr.num_vertices();
-        let states = &self.states;
-        let per_rank = self.runtime.execute(|ctx| {
-            let st = &states[ctx.rank()];
-            (0..st.graph.n_owned())
-                .map(|v| (st.graph.global_id(v as LocalId), st.pagerank[v]))
-                .collect::<Vec<_>>()
-        });
-        scatter(per_rank, n, 0.0)
+        self.gather(|st, v| st.pagerank[v])
     }
 
     /// The component label (smallest global id in the component) of every vertex.
     pub fn wcc_global(&mut self) -> Vec<u64> {
-        let n = self.csr.num_vertices();
-        let states = &self.states;
-        let per_rank = self.runtime.execute(|ctx| {
-            let st = &states[ctx.rank()];
-            (0..st.graph.n_owned())
-                .map(|v| (st.graph.global_id(v as LocalId), st.labels[v]))
-                .collect::<Vec<_>>()
-        });
-        scatter(per_rank, n, 0)
+        self.gather(|st, v| st.labels[v])
     }
 
     /// The exact coreness of every vertex.
     pub fn coreness_global(&mut self) -> Vec<u64> {
-        let n = self.csr.num_vertices();
-        let states = &self.states;
-        let per_rank = self.runtime.execute(|ctx| {
-            let st = &states[ctx.rank()];
-            (0..st.graph.n_owned())
-                .map(|v| (st.graph.global_id(v as LocalId), st.core[v]))
-                .collect::<Vec<_>>()
-        });
-        scatter(per_rank, n, 0)
+        self.gather(|st, v| st.core[v])
     }
-}
 
-fn scatter<T: Copy>(per_rank: Vec<Vec<(GlobalId, T)>>, n: usize, default: T) -> Vec<T> {
-    let mut out = vec![default; n];
-    for pairs in per_rank {
-        for (g, v) in pairs {
-            out[g as usize] = v;
-        }
+    fn global_n(&self) -> u64 {
+        self.states[0].graph.global_n()
     }
-    out
+
+    /// `value(state, v)` of every owned vertex `v` of every rank, by global id.
+    fn gather<T: Copy + Default>(&self, value: impl Fn(&RankState, usize) -> T) -> Vec<T> {
+        let mut out = vec![T::default(); self.global_n() as usize];
+        for st in &self.states {
+            for v in 0..st.graph.n_owned() {
+                out[st.graph.global_id(v as LocalId) as usize] = value(st, v);
+            }
+        }
+        out
+    }
 }
 
 /// Cold recomputation of every analytic on `graph`; also the epoch-0 initialiser.
@@ -487,7 +434,7 @@ fn cold_state(
     ctx: &xtrapulp_comm::RankCtx,
     graph: DistGraph,
     policy: &WarmPolicy,
-) -> (RankState, PagerankWork, u64, u64) {
+) -> (RankState, Work) {
     let n_owned = graph.n_owned();
     let uniform = 1.0 / graph.global_n().max(1) as f64;
     let mut pagerank = vec![uniform; n_owned];
@@ -508,17 +455,22 @@ fn cold_state(
         .map(|v| graph.degree_owned(v as LocalId))
         .collect();
     let rounds = in_process(kcore_tighten(ctx, &graph, &mut core, usize::MAX));
-    (
-        RankState {
-            graph,
-            pagerank,
-            labels,
-            core,
+    let work = Work {
+        pagerank: pr,
+        wcc: WccWork {
+            sweeps,
+            ..WccWork::default()
         },
-        pr,
-        sweeps,
-        rounds,
-    )
+        kcore_rounds: rounds,
+        bytes: 0,
+    };
+    let state = RankState {
+        graph,
+        pagerank,
+        labels,
+        core,
+    };
+    (state, work)
 }
 
 /// Carry one rank's warm state over to the delta-evolved `graph`: PageRank values are
@@ -570,47 +522,6 @@ fn remap_state(old: &RankState, graph: DistGraph, inserted_bound: u64) -> RankSt
         labels,
         core,
     }
-}
-
-/// Assemble the cold/redistributed epoch report from per-rank results.
-#[allow(clippy::type_complexity)]
-fn collect_cold(
-    epoch: u64,
-    per_rank: Vec<(RankState, PagerankWork, u64, u64, u64)>,
-    churn_fraction: f64,
-    moved_fraction: f64,
-) -> (Vec<RankState>, EpochReport) {
-    let mut states = Vec::with_capacity(per_rank.len());
-    let mut pr = PagerankWork::default();
-    let mut sweeps = 0u64;
-    let mut rounds = 0u64;
-    let mut bytes = 0u64;
-    for (state, pr_r, sweeps_r, rounds_r, bytes_r) in per_rank {
-        states.push(state);
-        if states.len() == 1 {
-            pr = pr_r;
-            sweeps = sweeps_r;
-            rounds = rounds_r;
-        }
-        bytes += bytes_r;
-    }
-    let report = EpochReport {
-        epoch,
-        warm: false,
-        redistributed: true,
-        churn_fraction,
-        moved_fraction,
-        pagerank_iterations: pr.iterations,
-        pagerank_vertices_scored: pr.vertices_scored,
-        pagerank_converged: pr.converged,
-        wcc_sweeps: sweeps,
-        wcc_components_checked: 0,
-        wcc_reset_vertices: 0,
-        kcore_rounds: rounds,
-        seconds: 0.0,
-        comm_bytes: bytes,
-    };
-    (states, report)
 }
 
 /// Why a subscriber could not ingest the next epoch.

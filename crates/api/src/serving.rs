@@ -210,11 +210,11 @@ fn snapshot_from(report: DynamicReport, deltas: Vec<GraphDelta>) -> PartitionSna
 pub struct ServingSession {
     handle: ServeHandle<DynamicEngine>,
     nranks: usize,
-    /// The epoch the store was seeded with and the topology it covered, retained so
-    /// analytics consumers can bootstrap a replica and catch up via the store's delta
-    /// history. This duplicates the graph for the session's lifetime even when no
-    /// consumer subscribes — an opt-out (or a delta-compacted base) is a known
-    /// follow-up (see ROADMAP).
+    /// The epoch the store was seeded with and the topology it covered, retained so an
+    /// analytics consumer can build its rank graphs from it and catch up via the store's
+    /// delta history. This pins a copy of the graph for the session's lifetime even when
+    /// no consumer subscribes; bootstrapping from the persisted base or the live rank
+    /// graphs instead is a known follow-up (see ROADMAP).
     base_epoch: u64,
     base_csr: Csr,
     base_parts: Vec<i32>,
@@ -412,7 +412,9 @@ impl ServingSession {
         // the replayed tail stays bounded.
         let parts = session
             .parts()
-            .expect("recovery always leaves a partition")
+            .ok_or_else(|| DurabilityError::Corrupt {
+                detail: "replaying the durable state left no partition".into(),
+            })?
             .to_vec();
         durable::write_checkpoint(
             &dir,
@@ -465,14 +467,15 @@ impl ServingSession {
 
     /// Subscribe an incremental analytics consumer to this session's epoch stream.
     ///
-    /// The consumer gets its own `nranks`-rank runtime and a topology replica seeded
-    /// from the graph the session was spawned with, distributed by the cold epoch's
+    /// The consumer gets its own `nranks`-rank runtime and one graph per rank, built
+    /// from the graph the session was spawned with and distributed by the cold epoch's
     /// partition; its initial (cold) analytics state is computed before this returns.
     /// Each [`poll`](AnalyticsSubscriber::poll) then blocks for the next published
-    /// epoch and repairs the consumer's PageRank / components / coreness state from
-    /// the epoch's [`GraphDelta`](xtrapulp_graph::GraphDelta) stream — warm while the
-    /// churn stays under the [`WarmPolicy`] thresholds, cold (and re-distributed
-    /// around the published partition) beyond them.
+    /// epoch, applies the epoch's [`GraphDelta`](xtrapulp_graph::GraphDelta) stream to
+    /// the rank graphs and repairs the consumer's PageRank / components / coreness
+    /// state — warm while the churn stays under the [`WarmPolicy`] thresholds, cold
+    /// beyond them, and cold after the rank graphs move their rows onto the published
+    /// partition once it has drifted too far from their placement.
     ///
     /// Subscribe before heavy ingest: a consumer that lags more than the store's
     /// delta history (see [`xtrapulp_serve::DEFAULT_DELTA_HISTORY`]) behind the

@@ -18,12 +18,23 @@
 //! `n_total` entries and a kernel's neighbour loop reads `values[u]` whether `u` is owned
 //! or a ghost — no branch per arc.
 //!
-//! Building a graph — from scratch or by [`DistGraph::apply_delta`] — ends in one
-//! collective handshake (`finish`): every rank registers its ghosts with their owners,
-//! and the owners answer with the ghosts' degrees and keep the registrations as their
-//! send plan. From then on the ghost tail of any such vector is kept coherent with
-//! [`HaloPlan::push`], which is handed the tail; [`DistGraph::refresh_ghosts`] is a push
-//! of the whole owned prefix. No other ghost exchange exists.
+//! A graph is built in one of three ways:
+//!
+//! 1. *From shared input* ([`DistGraph::from_shared_edges`], [`DistGraph::from_csr`]):
+//!    every rank reads the same edge list or [`Csr`] and keeps the arcs whose source it
+//!    owns.
+//! 2. *By routing arcs* ([`DistGraph::from_local_edges`], [`DistGraph::redistribute`], and
+//!    [`DistGraph::apply_delta`] when growth moves `Block` owners): every rank sends the
+//!    arcs it holds to the owners of their sources in one `alltoallv`.
+//! 3. *By a stable delta* ([`DistGraph::apply_delta`] otherwise): owned local ids are
+//!    kept, and rows are copied or merged in local-id space.
+//!
+//! All three end in one collective handshake (`finish`): every rank registers its ghosts
+//! with their owners, and the owners answer with the ghosts' degrees and keep the
+//! registrations as their send plan. From then on the ghost tail of any such vector is
+//! kept coherent with [`HaloPlan::push`], which is handed the tail;
+//! [`DistGraph::refresh_ghosts`] is a push of the whole owned prefix. No other ghost
+//! exchange exists.
 
 use std::collections::HashMap;
 
@@ -115,36 +126,49 @@ impl DistGraph {
         global_n: u64,
         edges: Vec<(GlobalId, GlobalId)>,
     ) -> Self {
-        let rank = ctx.rank();
-        let nranks = ctx.nranks();
-        let mut sends: Vec<Vec<(GlobalId, GlobalId)>> = vec![Vec::new(); nranks];
-        let mut my_arcs = Vec::new();
-        for (u, v) in edges {
-            if u == v || u >= global_n || v >= global_n {
-                continue;
-            }
-            let ou = dist.owner(u, global_n, nranks);
-            let ov = dist.owner(v, global_n, nranks);
-            if ou == rank {
-                my_arcs.push((u, v));
-            } else {
-                sends[ou].push((u, v));
-            }
-            if ov == rank {
-                my_arcs.push((v, u));
-            } else {
-                sends[ov].push((v, u));
-            }
-        }
-        let received = ctx.alltoallv(sends);
-        for buf in received {
-            my_arcs.extend(buf);
-        }
-        Self::from_owned_arcs(ctx, dist, global_n, my_arcs)
+        let arcs = edges
+            .into_iter()
+            .filter(|&(u, v)| u != v && u < global_n && v < global_n)
+            .flat_map(|(u, v)| [(u, v), (v, u)]);
+        Self::route_arcs(ctx, dist, global_n, arcs)
     }
 
-    /// Core constructor: `arcs` are directed arcs whose source is owned by this rank.
-    /// Duplicates are removed; ghost degrees and the halo plan are resolved collectively.
+    /// Move this graph onto `dist`: every rank routes its owned rows, by global id, to
+    /// their owners under `dist`, and the owners build from what they receive. The result
+    /// equals [`from_csr`](DistGraph::from_csr)`(ctx, dist, csr)` over the same graph,
+    /// accessor for accessor (ghost slots and halo plan included), but no rank ever holds
+    /// more than its old and its new rows.
+    ///
+    /// `dist` must cover [`global_n`](DistGraph::global_n) vertices and be identical on
+    /// every rank. Must be called collectively.
+    pub fn redistribute(&self, ctx: &RankCtx, dist: Distribution) -> Self {
+        Self::route_arcs(ctx, dist, self.global_n, self.owned_arcs())
+    }
+
+    /// The arc router behind every build from arcs a rank holds but need not own: each
+    /// arc `(u, v)` goes to the owner of `u` under `dist`. The local bucket stays, the rest
+    /// travel in one `alltoallv`, and every rank builds from the arcs it then owns.
+    fn route_arcs(
+        ctx: &RankCtx,
+        dist: Distribution,
+        global_n: u64,
+        arcs: impl IntoIterator<Item = (GlobalId, GlobalId)>,
+    ) -> Self {
+        let nranks = ctx.nranks();
+        let mut sends: Vec<Vec<(GlobalId, GlobalId)>> = vec![Vec::new(); nranks];
+        for (u, v) in arcs {
+            sends[dist.owner(u, global_n, nranks)].push((u, v));
+        }
+        let mut mine = std::mem::take(&mut sends[ctx.rank()]);
+        for buf in ctx.alltoallv(sends) {
+            mine.extend(buf);
+        }
+        Self::from_owned_arcs(ctx, dist, global_n, mine)
+    }
+
+    /// The constructor the first two paths share: `arcs` are directed arcs whose source is
+    /// owned by this rank, in any order. Duplicates are removed; ghost degrees and the halo
+    /// plan are resolved collectively.
     fn from_owned_arcs(
         ctx: &RankCtx,
         dist: Distribution,
@@ -210,9 +234,9 @@ impl DistGraph {
         .finish(ctx)
     }
 
-    /// The shared tail of both construction paths, filling in everything that depends on
-    /// the other ranks: the global edge count, the ghosts' owners and — the graph's only
-    /// handshake — their degrees and the halo plan. Each rank registers its ghosts with
+    /// The shared tail of all three construction paths, filling in everything that
+    /// depends on the other ranks: the global edge count, the ghosts' owners and — the
+    /// graph's only handshake — their degrees and the halo plan. Each rank registers its ghosts with
     /// their owners as `(global id, ghost local id)`; an owner resolves the id, keeps
     /// `(holder, ghost local id)` as the vertex's send row and answers with the vertex's
     /// degree (the weighted balance phase weights neighbour counts by degree).
@@ -283,9 +307,9 @@ impl DistGraph {
     /// only *inserted* arcs are *hashed* (one global→local lookup each). The map itself is
     /// cloned and rewritten in place — moved ghosts renumbered, orphaned ones dropped, new
     /// vertices added — and the ghost metadata (owner, degree, halo plan) is resolved
-    /// again by the full construction handshake. Growing a `Block`
-    /// distribution shifts the ownership of existing vertices, so that case falls back to
-    /// migrating the surviving arcs to their new owners with one all-to-all exchange —
+    /// again by the full construction handshake. Growing a `Block` distribution shifts
+    /// the ownership of existing vertices, so that case routes the surviving arcs to
+    /// their new owners instead, as [`redistribute`](DistGraph::redistribute) does —
     /// still without touching the original edge list. Growing an `Explicit` distribution
     /// extends its ownership table by hashing the new tail vertices to ranks
     /// ([`Distribution::grown`]): existing owners are untouched, so the incremental path
@@ -427,38 +451,18 @@ impl DistGraph {
     }
 
     /// Migration rebuild for deltas that shift existing-vertex ownership (growing a
-    /// `Block` distribution): surviving arcs are shuffled to their new owners, insertion
-    /// arcs are claimed directly by their new owners (the delta is globally shared).
+    /// `Block` distribution): surviving arcs are routed to their owners in the grown graph.
+    /// Every rank holds the whole delta, so each keeps only the insertion arcs it owns,
+    /// and those stay in the local bucket.
     fn apply_delta_migrating(&self, ctx: &RankCtx, delta: &crate::delta::GraphDelta) -> Self {
-        let rank = self.rank;
-        let nranks = self.nranks;
         let new_n = delta.new_n();
-        let mut sends: Vec<Vec<(GlobalId, GlobalId)>> = vec![Vec::new(); nranks];
-        let mut mine: Vec<(GlobalId, GlobalId)> = Vec::new();
-        for lu in 0..self.n_owned() {
-            let gu = self.owned_global[lu];
-            let new_owner = self.dist.owner(gu, new_n, nranks);
-            for &lv in self.neighbors(lu as LocalId) {
-                let gv = self.global_id(lv);
-                if delta.is_deleted(gu, gv) {
-                    continue;
-                }
-                if new_owner == rank {
-                    mine.push((gu, gv));
-                } else {
-                    sends[new_owner].push((gu, gv));
-                }
-            }
-        }
-        for &(u, v) in delta.insert_arcs() {
-            if self.dist.owner(u, new_n, nranks) == rank {
-                mine.push((u, v));
-            }
-        }
-        for buf in ctx.alltoallv(sends) {
-            mine.extend(buf);
-        }
-        Self::from_owned_arcs(ctx, self.dist.clone(), new_n, mine)
+        let kept = self.owned_arcs().filter(|&(u, v)| !delta.is_deleted(u, v));
+        let inserted = delta
+            .insert_arcs()
+            .iter()
+            .copied()
+            .filter(|&(u, _)| self.dist.owner(u, new_n, self.nranks) == self.rank);
+        Self::route_arcs(ctx, self.dist.clone(), new_n, kept.chain(inserted))
     }
 
     // --------------------------------------------------------------------------------
@@ -605,6 +609,16 @@ impl DistGraph {
     /// Global ids of this rank's ghosts, indexed by `local_id - n_owned()`.
     pub fn ghost_globals(&self) -> &[GlobalId] {
         &self.ghost_global
+    }
+
+    /// This rank's arcs `(u, v)` by global id, row after row.
+    fn owned_arcs(&self) -> impl Iterator<Item = (GlobalId, GlobalId)> + '_ {
+        self.owned_vertices().flat_map(move |u| {
+            let gu = self.global_id(u);
+            self.neighbors(u)
+                .iter()
+                .map(move |&v| (gu, self.global_id(v)))
+        })
     }
 
     // --------------------------------------------------------------------------------

@@ -90,11 +90,18 @@ pub fn read_binary_edge_list(path: &Path) -> io::Result<Vec<(GlobalId, GlobalId)
     }
     let mut edges = Vec::with_capacity(bytes.len() / 16);
     for chunk in bytes.chunks_exact(16) {
-        let u = u64::from_le_bytes(chunk[0..8].try_into().unwrap());
-        let v = u64::from_le_bytes(chunk[8..16].try_into().unwrap());
-        edges.push((u, v));
+        edges.push((le_u64(&chunk[..8]), le_u64(&chunk[8..])));
     }
     Ok(edges)
+}
+
+/// The integer `bytes` encode, least significant byte first (eight bytes for a `u64`).
+/// Never panics, unlike `from_le_bytes` over a slice converted to an array.
+fn le_u64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .rev()
+        .fold(0, |word, &b| word << 8 | u64::from(b))
 }
 
 /// Write a binary edge list: a little-endian stream of `u64` pairs.
@@ -315,9 +322,7 @@ pub fn read_binary_update_log(path: &Path) -> io::Result<Vec<TimedOp>> {
     }
     let mut ops = Vec::with_capacity(bytes.len() / ULOG_RECORD);
     for (idx, rec) in bytes.chunks_exact(ULOG_RECORD).enumerate() {
-        let word = |i: usize| -> u64 {
-            u64::from_le_bytes(rec[1 + 8 * i..1 + 8 * (i + 1)].try_into().unwrap())
-        };
+        let word = |i: usize| le_u64(&rec[1 + 8 * i..1 + 8 * (i + 1)]);
         let (time, a, b) = (word(0), word(1), word(2));
         let op = match rec[0] {
             0 => UpdateOp::AddVertices(a),
@@ -569,6 +574,40 @@ mod tests {
         let err = read_binary_update_log(&path).unwrap_err().to_string();
         assert!(err.contains("unknown op tag"), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn hostile_binary_files_are_invalid_data_never_a_panic() {
+        fn kind<T>(read: io::Result<T>) -> Result<(), io::ErrorKind> {
+            read.map(drop).map_err(|e| e.kind())
+        }
+        // Whole records decode; anything else is `InvalidData`.
+        let expected = |len: usize, record: usize| match len % record {
+            0 => Ok(()),
+            _ => Err(io::ErrorKind::InvalidData),
+        };
+        let bel = temp_path("hostile.bel");
+        let ulog = temp_path("hostile.ulog");
+        for len in 0..=3 * ULOG_RECORD {
+            // Every truncated and odd length, of bytes no writer produced.
+            let bytes: Vec<u8> = (0..len as u8).map(|b| b.wrapping_mul(37)).collect();
+            std::fs::write(&bel, &bytes).unwrap();
+            let read = kind(read_edge_list(&bel));
+            assert_eq!(read, expected(len, 16), ".bel of {len} bytes");
+            // Every byte is 0 or 1 here, so every tag is valid and only the length is not.
+            std::fs::write(&ulog, bytes.iter().map(|&b| b & 1).collect::<Vec<_>>()).unwrap();
+            let read = kind(read_update_log(&ulog));
+            assert_eq!(read, expected(len, ULOG_RECORD), ".ulog of {len} bytes");
+        }
+        for tag in 3..=u8::MAX {
+            let mut records = [0u8; 2 * ULOG_RECORD];
+            records[ULOG_RECORD] = tag;
+            std::fs::write(&ulog, records).unwrap();
+            let read = kind(read_update_log(&ulog));
+            assert_eq!(read, Err(io::ErrorKind::InvalidData), "tag {tag}");
+        }
+        std::fs::remove_file(&bel).ok();
+        std::fs::remove_file(&ulog).ok();
     }
 
     #[test]

@@ -267,6 +267,45 @@ fn heavy_migration_triggers_redistribution_and_stays_correct() {
 }
 
 #[test]
+fn heavy_migration_with_growth_redistributes_across_rank_counts() {
+    let n = 400u64;
+    let (csr0, _) = ba_graph(n, 5);
+    let parts = block_parts(n, 4);
+    // The epoch grows the graph by three vertices, deletes an edge and publishes a
+    // partition that moves every vertex one part over: the rank graphs apply the delta,
+    // then move their rows to the new owners. One rank has nowhere to move them to.
+    let gone = (5, csr0.neighbors(5)[0]);
+    let delta = GraphDelta::new(n, 3, &[(n, 0), (n + 1, n), (n + 2, 7), (1, n - 2)], &[gone]);
+    let rotated: Vec<i32> = block_parts(n + 3, 4).iter().map(|&p| (p + 1) % 4).collect();
+    let csr = csr0.apply_delta(&delta);
+    let delta2 = GraphDelta::new(n + 3, 0, &[(2, n + 1)], &[]);
+    let csr2 = csr.apply_delta(&delta2);
+    for nranks in [1usize, 2, 4] {
+        let mut consumer =
+            AnalyticsConsumer::new(nranks, csr0.clone(), &parts, WarmPolicy::default());
+        let report = consumer.ingest_epoch(1, std::slice::from_ref(&delta), &rotated);
+        assert_eq!(
+            report.redistributed,
+            nranks > 1,
+            "nranks={nranks}: {report:?}"
+        );
+        assert_eq!(report.warm, nranks == 1, "nranks={nranks}: {report:?}");
+        assert_eq!(consumer.csr(), csr, "nranks={nranks}");
+        let context = format!("nranks={nranks} after redistribution with growth");
+        assert_epoch_parity(&mut consumer, &csr, &context);
+
+        let report = consumer.ingest_epoch(2, std::slice::from_ref(&delta2), &rotated);
+        assert!(
+            report.warm && !report.redistributed,
+            "nranks={nranks}: {report:?}"
+        );
+        assert_eq!(consumer.csr(), csr2, "nranks={nranks}");
+        let context = format!("nranks={nranks} after the warm epoch that follows");
+        assert_epoch_parity(&mut consumer, &csr2, &context);
+    }
+}
+
+#[test]
 fn heavy_churn_falls_back_to_cold_recomputation() {
     let n = 300u64;
     let (csr0, _) = ba_graph(n, 9);

@@ -207,6 +207,21 @@ fn delta_step(
     GraphDelta::new(n, added, &inserts, &deletes)
 }
 
+/// The four ways to own `n` vertices on `nranks` ranks: `Block`, `Cyclic`, `Hashed`, and
+/// an `Explicit` table under which the last rank owns nothing until growth hashes it a
+/// tail vertex.
+fn distributions(n: u64, nranks: usize) -> [Distribution; 4] {
+    let explicit: Vec<i32> = (0..n)
+        .map(|v| (v % (nranks as u64 - 1).max(1)) as i32)
+        .collect();
+    [
+        Distribution::Block,
+        Distribution::Cyclic,
+        Distribution::Hashed,
+        Distribution::from_parts(&explicit),
+    ]
+}
+
 /// Everything the public accessors say about a rank's graph must be equal: ids in both
 /// directions (stale entries included), degrees (ghost degrees too), owners, adjacency
 /// by local id, the ghost table and both halves of the halo plan.
@@ -283,17 +298,7 @@ fn delta_chains_match_from_scratch_builds() {
             for nranks in 1..=4usize {
                 let mut rng = SmallRng::seed_from_u64(0xDE17A + case);
                 let (n0, raw) = edge_list(&mut rng, 48);
-                let dist = match d {
-                    0 => Distribution::Block,
-                    1 => Distribution::Cyclic,
-                    2 => Distribution::Hashed,
-                    // The last rank owns nothing until growth hashes it a tail vertex.
-                    _ => Distribution::from_parts(
-                        &(0..n0)
-                            .map(|v| (v % (nranks as u64 - 1).max(1)) as i32)
-                            .collect::<Vec<_>>(),
-                    ),
-                };
+                let dist = distributions(n0, nranks)[d].clone();
                 // The chain, generated once and shared by every rank: per step the
                 // delta and the edge list after it.
                 let mut edges: BTreeSet<(u64, u64)> = raw
@@ -358,6 +363,49 @@ fn delta_chains_match_from_scratch_builds() {
         hit.iter().all(|&h| h > 0),
         "the generator missed a situation: {hit:?}"
     );
+}
+
+/// `redistribute` against a from-scratch build on the target distribution, for every
+/// (source, target) pair of the four distributions on 1–4 ranks. Then mid-chain: a
+/// delta, a move onto `Block`, and a delta that grows the `Block` graph, which moves
+/// owners again.
+#[test]
+fn redistribution_matches_from_scratch_builds() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(0x7ED15 + case);
+        let (n, raw) = edge_list(&mut rng, 48);
+        let csr = csr_from_edges(n, &raw);
+        let first = delta_step(&mut rng, 1, n, false, &csr.edges().collect());
+        let after_first = csr.apply_delta(&first);
+        let inserts = [(n, 0), (n + 1, n), (n + 1, rng.gen_range(0..n))];
+        let deletes: Vec<_> = after_first.edges().take(2).collect();
+        let grow = GraphDelta::new(n, 2, &inserts, &deletes);
+        let after_grow = after_first.apply_delta(&grow);
+        for nranks in 1..=4usize {
+            let dists = distributions(n, nranks);
+            Runtime::new(nranks).execute(|ctx| {
+                let rank = ctx.rank();
+                for (s, source) in dists.iter().enumerate() {
+                    let g = DistGraph::from_csr(ctx, source.clone(), &csr);
+                    for (t, target) in dists.iter().enumerate() {
+                        assert_same_dist_graph(
+                            &g.redistribute(ctx, target.clone()),
+                            &DistGraph::from_csr(ctx, target.clone(), &csr),
+                            &format!("case {case} ranks {nranks} rank {rank}: {s} -> {t}"),
+                        );
+                    }
+                    let what = format!("case {case} ranks {nranks} rank {rank}: {s} mid-chain");
+                    let moved = g
+                        .apply_delta(ctx, &first)
+                        .redistribute(ctx, Distribution::Block);
+                    let block = |csr| DistGraph::from_csr(ctx, Distribution::Block, csr);
+                    assert_same_dist_graph(&moved, &block(&after_first), &what);
+                    let grown = moved.apply_delta(ctx, &grow);
+                    assert_same_dist_graph(&grown, &block(&after_grow), &format!("{what}, grown"));
+                }
+            });
+        }
+    }
 }
 
 /// The warm-vs-cold leg of the oracle harness: chains of six deltas (growth, a hub burst
