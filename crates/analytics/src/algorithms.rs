@@ -6,16 +6,25 @@
 //! of cut edges of the distribution the graph was built with — which is exactly why the
 //! partitioning strategy matters for their end-to-end time. Each keeps its values in one
 //! vector over the graph's local ids — owned first, ghosts after — so a neighbour loop
-//! indexes it directly; the refresh ([`DistGraph::refresh_ghosts`]) is a full push over the
-//! graph's halo plan into the vector's tail, so each of them fails with a [`HaloError`]
-//! only when a peer names a ghost slot this rank does not have.
+//! indexes it directly. PageRank and label propagation refresh the ghost tail with a full
+//! push over the graph's halo plan ([`DistGraph::refresh_ghosts`]) every superstep; WCC
+//! and k-core are the cold forms of the woken-sweep kernels in [`crate::incremental`],
+//! which push only the boundary values that changed. Each fails with a [`HaloError`] only
+//! when a peer names a ghost slot this rank does not have.
 
 use xtrapulp_comm::RankCtx;
 use xtrapulp_graph::bfs::dist_bfs;
 use xtrapulp_graph::{DistGraph, GlobalId, HaloError, LocalId};
 
+use crate::incremental::{kcore_tighten, wcc_propagate};
+
 /// Distributed PageRank (`PR` in Fig. 8) with uniform teleport; returns the PageRank of
 /// every owned vertex.
+///
+/// A fixed number of power iterations, every vertex scored each time. A cold
+/// [`pagerank_resume`](crate::incremental::pagerank_resume) with `tol = 0` returns the
+/// same values, but every vertex stays active in every iteration there, so its wake
+/// flags and changed-only pushes cost time and bytes without skipping any work.
 pub fn pagerank(
     ctx: &RankCtx,
     graph: &DistGraph,
@@ -46,34 +55,15 @@ pub fn pagerank(
     Ok(rank_owned)
 }
 
-/// Distributed weakly connected components (`WCC`): iterative min-label propagation.
-/// Returns the component id (smallest global vertex id in the component) of every owned
-/// vertex.
+/// Distributed weakly connected components (`WCC`): min-label propagation
+/// ([`wcc_propagate`]) from every vertex's own global id. Returns the component id
+/// (smallest global vertex id in the component) of every owned vertex.
 pub fn wcc(ctx: &RankCtx, graph: &DistGraph) -> Result<Vec<u64>, HaloError> {
-    let n_owned = graph.n_owned();
-    // One label per local vertex: owned first, ghosts after.
-    let mut label: Vec<u64> = (0..graph.n_total())
+    let mut labels: Vec<u64> = (0..graph.n_owned())
         .map(|v| graph.global_id(v as LocalId))
         .collect();
-    loop {
-        graph.refresh_ghosts(ctx, &mut label)?;
-        let mut changed = 0u64;
-        for v in 0..n_owned {
-            let mut best = label[v];
-            for &u in graph.neighbors(v as LocalId) {
-                best = best.min(label[u as usize]);
-            }
-            if best < label[v] {
-                label[v] = best;
-                changed += 1;
-            }
-        }
-        if ctx.allreduce_scalar_sum_u64(changed) == 0 {
-            break;
-        }
-    }
-    label.truncate(n_owned);
-    Ok(label)
+    wcc_propagate(ctx, graph, &mut labels)?;
+    Ok(labels)
 }
 
 /// "Strongly" connected component extraction (`SCC`): the paper treats all edges as
@@ -104,65 +94,20 @@ pub fn largest_component(ctx: &RankCtx, graph: &DistGraph) -> Result<(Vec<bool>,
     Ok((membership, best_size))
 }
 
-/// `min(cap, H)`, where `H` is the h-index of `values` (the largest `h` such that at least
-/// `h` values are `≥ h`), by counting instead of sorting: `O(len)` with `counts` as
-/// scratch. `H` never exceeds the number of values, so neither does the scratch.
-pub(crate) fn capped_h_index(values: &[u64], cap: u64, counts: &mut Vec<u32>) -> u64 {
-    let cap = cap.min(values.len() as u64);
-    counts.clear();
-    counts.resize(cap as usize + 1, 0);
-    for value in values {
-        counts[(*value).min(cap) as usize] += 1;
-    }
-    let mut at_least = 0u64;
-    for h in (1..=cap).rev() {
-        at_least += counts[h as usize] as u64;
-        if at_least >= h {
-            return h;
-        }
-    }
-    0
-}
-
-/// Distributed approximate k-core decomposition (`KC`): iterative peeling where each
-/// round removes every vertex whose residual degree is below the current core value.
-/// Returns an approximate coreness per owned vertex.
+/// Distributed approximate k-core decomposition (`KC`): at most `max_rounds` rounds of
+/// the h-index peeling ([`kcore_tighten`]) from the degrees, each round lowering every
+/// vertex's bound to the largest `h` such that at least `h` neighbours have bound `≥ h`.
+/// Returns an approximate coreness per owned vertex (the exact one once converged).
 pub fn kcore_approx(
     ctx: &RankCtx,
     graph: &DistGraph,
     max_rounds: usize,
 ) -> Result<Vec<u64>, HaloError> {
-    let n_owned = graph.n_owned();
-    // One bound per local vertex, seeded with the degree: owned first, ghosts after.
-    let mut coreness: Vec<u64> = (0..graph.n_total())
-        .map(|v| graph.degree(v as LocalId))
+    let mut core: Vec<u64> = (0..graph.n_owned())
+        .map(|v| graph.degree_owned(v as LocalId))
         .collect();
-    let (mut neigh, mut counts) = (Vec::new(), Vec::new());
-    for _ in 0..max_rounds {
-        graph.refresh_ghosts(ctx, &mut coreness)?;
-        let mut changed = 0u64;
-        for v in 0..n_owned {
-            // h-index style update: the largest h such that at least h neighbours have
-            // coreness >= h. Converges to the true coreness.
-            neigh.clear();
-            neigh.extend(
-                graph
-                    .neighbors(v as LocalId)
-                    .iter()
-                    .map(|&u| coreness[u as usize]),
-            );
-            let h = capped_h_index(&neigh, coreness[v], &mut counts);
-            if h < coreness[v] {
-                coreness[v] = h;
-                changed += 1;
-            }
-        }
-        if ctx.allreduce_scalar_sum_u64(changed) == 0 {
-            break;
-        }
-    }
-    coreness.truncate(n_owned);
-    Ok(coreness)
+    kcore_tighten(ctx, graph, &mut core, max_rounds)?;
+    Ok(core)
 }
 
 /// Distributed label-propagation community detection (`LP`): each vertex adopts the most

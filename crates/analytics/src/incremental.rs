@@ -1,12 +1,12 @@
 //! Warm (delta-aware) variants of the analytics kernels.
 //!
-//! The suite in [`crate::suite`] recomputes every analytic from scratch, which is the
-//! right baseline for the paper's Fig. 8 comparison but wasteful in a serving setting
-//! where the graph mutates by small deltas: after a ≤1% churn epoch, the previous
-//! PageRank vector is already within a hair of the new fixed point, the previous
-//! component labels are correct everywhere no deletion split a component, and the
-//! previous coreness values are still valid upper bounds. The kernels here exploit
-//! exactly that:
+//! The suite in [`crate::suite`] computes every analytic from scratch on each call — its
+//! WCC and k-core are the cold forms of the kernels below — which is the right baseline
+//! for the paper's Fig. 8 comparison but wasteful in a serving setting where the graph
+//! mutates by small deltas: after a ≤1% churn epoch, the previous PageRank vector is
+//! already within a hair of the new fixed point, the previous component labels are
+//! correct everywhere no deletion split a component, and the previous coreness values
+//! are still valid upper bounds. The kernels here exploit exactly that:
 //!
 //! * [`pagerank_resume`] — resume power iteration from the previous rank vector and
 //!   score only an *active region* seeded from the delta-touched vertices, expanding
@@ -18,12 +18,12 @@
 //!   connectivity re-check (one distributed BFS per affected component, from an
 //!   endpoint of a deleted edge) that resets exactly the components a deletion
 //!   actually split.
-//! * [`kcore_tighten`] — run the h-index peeling of
-//!   [`kcore_approx`](crate::algorithms::kcore_approx) seeded from any pointwise
-//!   *upper bound* of the true coreness (the previous epoch's values, bumped by the most
-//!   inserted arcs any one vertex received and capped by the new degree). The iteration
-//!   `x ← min(x, H(x))` converges to the exact coreness from any such bound, so warm
-//!   and cold runs agree exactly — warm ones just start much closer.
+//! * [`kcore_tighten`] — run the h-index peeling `x ← min(x, H(x))` from any pointwise
+//!   *upper bound* of the true coreness: the degrees for a cold run
+//!   ([`kcore_approx`](crate::algorithms::kcore_approx)), and for a warm one the
+//!   previous epoch's values, bumped by the most inserted arcs any one vertex received
+//!   and capped by the new degree. It converges to the exact coreness from any such
+//!   bound, so warm and cold runs agree exactly — warm ones just start much closer.
 //!
 //! # Exchange and wake rule
 //!
@@ -61,8 +61,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use xtrapulp_comm::RankCtx;
 use xtrapulp_graph::bfs::{dist_bfs, UNREACHED};
 use xtrapulp_graph::{DistGraph, GlobalId, HaloError, LocalId};
-
-use crate::algorithms::capped_h_index;
 
 /// Work accounting of one [`pagerank_resume`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -296,7 +294,7 @@ fn tighten(
 }
 
 /// Min-label propagation seeded from `labels` (owned values), run to a fixed point.
-/// With `labels` initialised to each vertex's own global id this is exactly the cold
+/// Seeded with each vertex's own global id it is the cold
 /// [`wcc`](crate::algorithms::wcc); with the previous epoch's labels it converges in a
 /// couple of sweeps after a small delta. Returns the sweep count.
 pub fn wcc_propagate(
@@ -390,6 +388,26 @@ pub fn wcc_repair(
 
     work.sweeps = wcc_propagate(ctx, graph, labels)?;
     Ok(work)
+}
+
+/// `min(cap, H)`, where `H` is the h-index of `values` (the largest `h` such that at least
+/// `h` values are `≥ h`), by counting instead of sorting: `O(len)` with `counts` as
+/// scratch. `H` never exceeds the number of values, so neither does the scratch.
+fn capped_h_index(values: &[u64], cap: u64, counts: &mut Vec<u32>) -> u64 {
+    let cap = cap.min(values.len() as u64);
+    counts.clear();
+    counts.resize(cap as usize + 1, 0);
+    for value in values {
+        counts[(*value).min(cap) as usize] += 1;
+    }
+    let mut at_least = 0u64;
+    for h in (1..=cap).rev() {
+        at_least += counts[h as usize] as u64;
+        if at_least >= h {
+            return h;
+        }
+    }
+    0
 }
 
 /// Tighten `core` — any pointwise *upper bound* of the true coreness of the owned

@@ -1,11 +1,11 @@
 //! CI perf smoke gate for the sweep engine and the warm analytics kernels: runs the quick
-//! preset cold (frontier and legacy full modes) plus a touched-scoped warm start, a 2-rank
-//! dynamic session over four epochs of 0.5% churn, and a 2-rank analytics consumer over a
-//! fixed 4-epoch churn stream, and fails — exit code 1 — if any of the deterministic work
-//! counters (sweeps, scored vertices, loopback frames; the warm epochs' scored vertices
-//! and sweeps; warm PageRank scored vertices, coreness rounds, analytics bytes exchanged)
-//! differs from the checked-in baseline (`crates/bench/perf_baseline.json`); wall time is
-//! printed for context but never gates, since CI machines vary.
+//! preset cold plus a touched-scoped warm start, a 2-rank dynamic session over four
+//! epochs of 0.5% churn, and a 2-rank analytics consumer over a fixed 4-epoch churn
+//! stream, and fails — exit code 1 — if any of the deterministic work counters (sweeps,
+//! scored vertices, loopback frames; the warm epochs' scored vertices and sweeps; warm
+//! PageRank scored vertices, coreness rounds, analytics bytes exchanged) differs from the
+//! checked-in baseline (`crates/bench/perf_baseline.json`); wall time is printed for
+//! context but never gates, since CI machines vary.
 //!
 //! The counters repeat bit-for-bit on every machine, so the gate is equality: a
 //! refactor that adds one sweep or one frame trips it, in either direction. A change
@@ -14,7 +14,7 @@
 
 use std::time::Instant;
 
-use xtrapulp::{try_pulp_run, PartitionParams, SweepMode};
+use xtrapulp::{try_pulp_run, PartitionParams};
 use xtrapulp_analytics::{AnalyticsConsumer, WarmPolicy};
 use xtrapulp_api::{DynamicSession, Method, PartitionJob, UpdateBatch};
 use xtrapulp_bench::json::Flat;
@@ -127,10 +127,6 @@ fn quick_preset() -> (Csr, PartitionParams) {
 /// `*_seconds` are wall times, printed for context; the rest are deterministic counters.
 fn measure() -> Vec<(&'static str, f64)> {
     let (csr, frontier) = quick_preset();
-    let full = PartitionParams {
-        sweep_mode: SweepMode::Full,
-        ..frontier
-    };
 
     // Warm-up run so the first timed sample is not paying page faults.
     let mut cold = try_pulp_run(&csr, &frontier, None).unwrap();
@@ -144,7 +140,6 @@ fn measure() -> Vec<(&'static str, f64)> {
     times.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let stats = cold.stats;
 
-    let full_stats = try_pulp_run(&csr, &full, None).unwrap().stats;
     let touched: Vec<u64> = (0..16u64).collect();
     let warm_stats = try_pulp_run(&csr, &frontier, Some((&cold.parts, Some(&touched))))
         .unwrap()
@@ -173,7 +168,6 @@ fn measure() -> Vec<(&'static str, f64)> {
         ("cold_frontier_seconds", times[1]),
         ("cold_frontier_scored", stats.vertices_scored as f64),
         ("cold_frontier_sweeps", stats.sweeps as f64),
-        ("cold_full_scored", full_stats.vertices_scored as f64),
         ("warm_touched_scored", warm_stats.vertices_scored as f64),
         ("dist_loopback_seconds", dist_times[1]),
         ("dist_loopback_frames", dist_frames as f64),

@@ -516,49 +516,24 @@ impl Runtime {
     pub fn export_trace(&mut self, path: &std::path::Path) -> Result<bool, CommError> {
         let was_enabled = obs::trace::enabled();
         obs::set_enabled(false);
-        let leader = self.local_ranks.iter().copied().min().unwrap_or(0);
-        let path_buf = path.to_path_buf();
-        let outcome = self.try_execute(move |ctx| -> Result<bool, String> {
-            let blob = if ctx.rank() == leader {
-                let traces = obs::trace::drain();
-                obs::encode_traces(&traces, ctx.clock_offset_ns())
-            } else {
-                Vec::new()
-            };
-            match ctx.gather(0, blob) {
-                Some(blobs) => {
-                    let mut all = Vec::new();
-                    for b in &blobs {
-                        all.extend(
-                            obs::decode_traces(b)
-                                .map_err(|e| format!("undecodable rank trace blob: {e}"))?,
-                        );
-                    }
-                    let json = obs::export::chrome_trace_json(&all);
-                    // Write-then-rename so a crash mid-export never leaves a
-                    // torn half-trace at the published path.
-                    let mut tmp = path_buf.clone().into_os_string();
-                    tmp.push(".tmp");
-                    let tmp = std::path::PathBuf::from(tmp);
-                    std::fs::write(&tmp, json)
-                        .and_then(|()| std::fs::rename(&tmp, &path_buf))
-                        .map_err(|e| format!("writing {}: {e}", path_buf.display()))?;
-                    Ok(true)
-                }
-                None => Ok(false),
-            }
-        });
+        let wrote = self.gather_to_file(
+            "trace",
+            path,
+            |ctx| obs::encode_traces(&obs::trace::drain(), ctx.clock_offset_ns()),
+            obs::decode_traces,
+            |path, traces| {
+                let all: Vec<_> = traces.into_iter().flatten().collect();
+                // Write-then-rename: a crash mid-export never publishes a torn trace.
+                let mut tmp = path.as_os_str().to_owned();
+                tmp.push(".tmp");
+                std::fs::write(&tmp, obs::export::chrome_trace_json(&all))?;
+                std::fs::rename(&tmp, path)
+            },
+        );
         if was_enabled {
             obs::set_enabled(true);
         }
-        let mut wrote = false;
-        for r in outcome? {
-            match r {
-                Ok(w) => wrote = wrote || w,
-                Err(detail) => return Err(CommError::TraceExport { detail }),
-            }
-        }
-        Ok(wrote)
+        wrote
     }
 
     /// Gather every process's flight-recorder ring at rank 0 and write one
@@ -579,43 +554,48 @@ impl Runtime {
         path: &std::path::Path,
         reason: &str,
     ) -> Result<bool, CommError> {
-        let prev_deadline = self.wd_deadline;
-        self.wd_deadline = None;
-        let leader = self.local_ranks.iter().copied().min().unwrap_or(0);
-        let path_buf = path.to_path_buf();
-        let reason = reason.to_string();
-        let outcome = self.try_execute(move |ctx| -> Result<bool, String> {
-            let blob = if ctx.rank() == leader {
+        let prev_deadline = self.wd_deadline.take();
+        let wrote = self.gather_to_file(
+            "flight",
+            path,
+            |ctx| {
                 let (events, dropped) = obs::flight::snapshot();
                 obs::flight::encode_flight(&events, dropped, ctx.clock_offset_ns())
-            } else {
-                Vec::new()
-            };
-            match ctx.gather(0, blob) {
-                Some(blobs) => {
-                    let mut logs = Vec::new();
-                    for b in &blobs {
-                        logs.push(
-                            obs::flight::decode_flight(b)
-                                .map_err(|e| format!("undecodable rank flight blob: {e}"))?,
-                        );
-                    }
-                    obs::flight::write_postmortem(&path_buf, &reason, &logs)
-                        .map_err(|e| format!("writing {}: {e}", path_buf.display()))?;
-                    Ok(true)
-                }
-                None => Ok(false),
-            }
-        });
+            },
+            obs::flight::decode_flight,
+            |path, logs| obs::flight::write_postmortem(path, reason, &logs),
+        );
         self.wd_deadline = prev_deadline;
-        let mut wrote = false;
-        for r in outcome? {
-            match r {
-                Ok(w) => wrote = wrote || w,
-                Err(detail) => return Err(CommError::TraceExport { detail }),
-            }
-        }
-        Ok(wrote)
+        wrote
+    }
+
+    /// The gather both exports run: each process's lowest local rank ships `encode(ctx)`;
+    /// rank 0 decodes every blob and hands them, in rank order, to `write` with `path`.
+    /// A blob that does not decode or a failed write is a [`CommError::TraceExport`].
+    /// Returns `true` iff this process hosted rank 0 and wrote `path`.
+    fn gather_to_file<T>(
+        &mut self,
+        what: &str,
+        path: &std::path::Path,
+        encode: impl Fn(&RankCtx) -> Vec<u8> + Sync,
+        decode: fn(&[u8]) -> Result<T, obs::wire::DecodeError>,
+        write: impl Fn(&std::path::Path, Vec<T>) -> std::io::Result<()> + Sync,
+    ) -> Result<bool, CommError> {
+        let leader = self.local_ranks.iter().copied().min().unwrap_or(0);
+        let outcome = self.try_execute(|ctx| -> Result<bool, String> {
+            let ships = ctx.rank() == leader;
+            let blob = if ships { encode(ctx) } else { Vec::new() };
+            let Some(blobs) = ctx.gather(0, blob) else {
+                return Ok(false);
+            };
+            let decoded = blobs.iter().map(|b| decode(b)).collect::<Result<_, _>>();
+            let decoded = decoded.map_err(|e| format!("undecodable rank {what} blob: {e}"))?;
+            write(path, decoded).map_err(|e| format!("writing {}: {e}", path.display()))?;
+            Ok(true)
+        });
+        let wrote: Result<Vec<bool>, _> = outcome?.into_iter().collect();
+        let wrote = wrote.map_err(|detail| CommError::TraceExport { detail })?;
+        Ok(wrote.contains(&true))
     }
 
     fn worker_main(

@@ -98,7 +98,7 @@ pub use pulp::{
     try_pulp_partition, try_pulp_partition_from, try_pulp_run, PulpPartitioner, PulpRun,
     PulpWarmStart,
 };
-pub use sweep::{StageBreakdown, StageKind, SweepMode, SweepStats, SweepWorkspace};
+pub use sweep::{StageBreakdown, StageKind, SweepStats, SweepWorkspace};
 
 // Re-exported so downstream crates (analytics, spmv, bench) can name graph types without
 // an extra dependency edge.

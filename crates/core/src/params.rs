@@ -2,12 +2,13 @@
 //!
 //! The defaults mirror the paper exactly: three outer iterations, five balancing and ten
 //! refinement iterations per stage, 10% vertex and edge imbalance, and the dynamic
-//! multiplier constants `X = 1.0`, `Y = 0.25` selected in §V-D.
+//! multiplier constants `X = 1.0`, `Y = 0.25` selected in §V-D. Refinement sweeps are
+//! frontier-driven, so a refinement pass may run up to
+//! [`refine_budget`](crate::sweep::refine_budget) sweeps instead of `refine_iters`.
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::PartitionError;
-use crate::sweep::SweepMode;
 
 /// How the initial part assignment is produced before the balancing stages run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -55,10 +56,6 @@ pub struct PartitionParams {
     /// makes incremental repartitioning cheap; `0` means seed-only (new vertices are
     /// assigned greedily, nothing is refined).
     pub warm_outer_iters: usize,
-    /// Sweep strategy: frontier-driven active-vertex sweeps (the default) or the
-    /// legacy full `0..n` sweeps, kept as the measured baseline for `perf_smoke` and
-    /// the frontier-vs-full parity tests. See [`crate::sweep`].
-    pub sweep_mode: SweepMode,
     /// Worker threads for the intra-rank parallel proposal phase of each sweep
     /// (`0` = auto: `XTRAPULP_THREADS`, then the machine's available parallelism
     /// divided by the ranks sharing the process).
@@ -82,7 +79,6 @@ impl Default for PartitionParams {
             init: InitStrategy::BfsGrow,
             edge_balance_stage: true,
             warm_outer_iters: 1,
-            sweep_mode: SweepMode::Frontier,
             sweep_threads: 0,
             seed: 0xB1_7E5,
         }

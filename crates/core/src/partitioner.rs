@@ -16,7 +16,7 @@ use crate::pass::{
     Objective,
 };
 use crate::pulp::PulpWarmStart;
-use crate::sweep::{StageBreakdown, SweepMode, SweepWorkspace};
+use crate::sweep::{StageBreakdown, SweepWorkspace};
 
 /// The outcome of one distributed XtraPuLP run on one rank.
 #[derive(Debug, Clone)]
@@ -134,24 +134,22 @@ pub fn try_xtrapulp_partition_from_touched(
     let balance = timings.time("load_scan", || {
         warm_seed_needs_balance(&Dist::new(ctx, graph), &parts, params, &mut ws)
     });
-    if params.sweep_mode == SweepMode::Frontier {
-        if balance || touched.is_none() {
-            // The fallback cold schedule (or a warm start with no delta information)
-            // rescopes to the whole graph; the marks `warm_seed` left stay valid.
-            ws.engine.frontier.seed_all(graph.n_owned());
-        } else {
-            // Scope the frontier to the delta: a touched vertex's adjacency changed but
-            // no label did, so its own score is the only one that can have moved — its
-            // owner seeds it alone (`mark` ignores ghost ids). `warm_seed` already
-            // marked the newly labelled vertices with their neighbourhoods, and every
-            // move a sweep applies activates the mover's.
-            for lid in touched
-                .unwrap_or(&[])
-                .iter()
-                .filter_map(|&g| graph.local_id(g))
-            {
-                ws.engine.frontier.mark(lid);
-            }
+    if balance || touched.is_none() {
+        // The fallback cold schedule (or a warm start with no delta information)
+        // rescopes to the whole graph; the marks `warm_seed` left stay valid.
+        ws.engine.frontier.seed_all(graph.n_owned());
+    } else {
+        // Scope the frontier to the delta: a touched vertex's adjacency changed but no
+        // label did, so its own score is the only one that can have moved — its owner
+        // seeds it alone (`mark` ignores ghost ids). `warm_seed` already marked the
+        // newly labelled vertices with their neighbourhoods, and every move a sweep
+        // applies activates the mover's.
+        for lid in touched
+            .unwrap_or(&[])
+            .iter()
+            .filter_map(|&g| graph.local_id(g))
+        {
+            ws.engine.frontier.mark(lid);
         }
     }
     let outer = if balance {

@@ -32,10 +32,7 @@
 //! refreshed only at the end of the sweep, so an underweight part would receive a flood
 //! from *every* rank at once and overshoot. Each rank therefore bounds its contribution
 //! by charging `mult × (its local change)`, with `mult` ramping from `nranks·Y` to
-//! `nranks·X` over the stage (see [`PartitionParams::multiplier`]). The one schedule
-//! difference the backends expose is a constant, not a knob: a serial `Full`-mode
-//! refinement pass stops on a move-free sweep, a distributed one runs its whole budget
-//! because the sweep count feeds that ramp.
+//! `nranks·X` over the stage (see [`PartitionParams::multiplier`]).
 //!
 //! The paper does not give the functional form of `We`, `Wc`, `Re` and `Rc`. All three
 //! weights here use the reciprocal-headroom form `max(target / load − 1, 0)` of `Wv`
@@ -52,7 +49,7 @@ use crate::exchange::{push_part_updates, PartUpdate};
 use crate::params::PartitionParams;
 use crate::sweep::{
     refine_budget, Frontier, PartCounters, RefineConvergence, ScoreScratch, StageKind, SweepEngine,
-    SweepMode, SweepStage, SweepWorkspace, BALANCE_CHUNK, NO_MOVE, SWEEP_CHUNK,
+    SweepStage, SweepWorkspace, BALANCE_CHUNK, NO_MOVE, SWEEP_CHUNK,
 };
 
 // The per-part loads the passes track, each named by its block in the packed
@@ -236,11 +233,6 @@ pub(crate) fn global_part_loads(
 /// kept current while vertices move, and who needs to agree that something moved or is
 /// still active.
 pub(crate) trait Backend {
-    /// Whether a `Full`-mode refinement pass ends on a move-free sweep. Serial PuLP
-    /// does; a distributed pass runs its whole budget, because the number of sweeps run
-    /// so far is what ramps the multiplier.
-    const FULL_REFINE_STOPS_WHEN_MOVE_FREE: bool;
-
     /// Vertices and arcs of the whole graph.
     fn global_size(&self) -> (u64, u64);
 
@@ -343,7 +335,6 @@ pub(crate) fn balance_pass<B: Backend>(
     params: &PartitionParams,
     ws: &mut SweepWorkspace,
 ) -> Result<(), PartitionError> {
-    let frontier_mode = params.sweep_mode == SweepMode::Frontier;
     let targets = targets(backend, params);
     measure_for_pass(backend, objective, parts, &mut ws.counters);
     let (balanced_load, target) = match objective {
@@ -359,10 +350,8 @@ pub(crate) fn balance_pass<B: Backend>(
 
     // Stall detection, edge objective only: when the target is unreachable
     // (hub-dominated skew), pass after pass of balance churn costs full sweeps without
-    // improving the maximum arc load — detect the lack of progress and stop paying for
-    // it. Gated on frontier mode (like every shortcut below) so `Full` stays the
-    // faithful legacy baseline.
-    if objective == Objective::Edge && frontier_mode && !balanced {
+    // improving the maximum arc load: detect the lack of progress and stop paying for it.
+    if objective == Objective::Edge && !balanced {
         let cur_max = ws.counters.size[ws.counters.block(E)]
             .iter()
             .map(|&s| s as f64)
@@ -384,9 +373,9 @@ pub(crate) fn balance_pass<B: Backend>(
     // active → skip the pass; balanced + refinement converged → one churn sweep;
     // unbalanced → the full schedule. A stalled pass keeps its single churn sweep too:
     // the perturbation still feeds refinement, the remaining schedule buys nothing.
-    let sweep_cap = if frontier_mode && stalled {
+    let sweep_cap = if stalled {
         1
-    } else if frontier_mode && balanced {
+    } else if balanced {
         let active = backend.global_active(&mut ws.engine.frontier);
         usize::from(active == 0)
     } else {
@@ -424,7 +413,7 @@ pub(crate) fn balance_pass<B: Backend>(
         // A globally move-free balance sweep leaves sizes (hence weights and
         // admissibility) untouched, so every remaining sweep of this pass would be
         // identical: skip them.
-        if frontier_mode && moves == 0 {
+        if moves == 0 {
             break;
         }
     }
@@ -444,39 +433,34 @@ pub(crate) fn refine_pass<B: Backend>(
     ws: &mut SweepWorkspace,
     convergence: RefineConvergence,
 ) -> Result<(), PartitionError> {
-    let frontier_mode = params.sweep_mode == SweepMode::Frontier;
     let frontier_only = convergence == RefineConvergence::FrontierOnly;
     // A globally-converged frontier-only pass does no work at all — skip measuring the
     // loads (an O(n + m) scan and, distributed, a collective each) too.
-    if frontier_mode && frontier_only && backend.global_active(&mut ws.engine.frontier) == 0 {
+    if frontier_only && backend.global_active(&mut ws.engine.frontier) == 0 {
         return Ok(());
     }
     let targets = targets(backend, params);
     measure_for_pass(backend, objective, parts, &mut ws.counters);
     ws.engine.set_stage(StageKind::Refine);
-    ws.engine.settle_swaps = frontier_mode && frontier_only;
+    ws.engine.settle_swaps = frontier_only;
     // A pass inheriting a large frontier (the previous round did not converge — heavy
     // churn classes) drops it and opens with the polish full sweep: that costs barely
-    // more than the frontier sweep it replaces and restores the legacy schedule's
-    // per-round global coverage.
-    if frontier_mode
-        && !frontier_only
+    // more than the frontier sweep it replaces and restores per-round global coverage.
+    if !frontier_only
         && backend.global_active(&mut ws.engine.frontier) > backend.global_size().0 / 8
     {
         ws.engine.frontier.clear();
     }
 
-    for _ in 0..refine_budget(params.refine_iters, params.sweep_mode) {
+    for _ in 0..refine_budget(params.refine_iters) {
         // Polish on an empty frontier: a full sweep verifies the fixed point (part
         // sizes change as vertices move, so a vertex whose neighbourhood never changed
         // can still become movable; the frontier alone cannot see that).
-        let use_frontier = frontier_mode && {
-            let active = backend.global_active(&mut ws.engine.frontier);
-            if active == 0 && frontier_only {
-                break;
-            }
-            active > 0
-        };
+        let active = backend.global_active(&mut ws.engine.frontier);
+        if active == 0 && frontier_only {
+            break;
+        }
+        let use_frontier = active > 0;
         let bounds = Bounds::of(&ws.counters, objective, targets);
         let moves = match objective {
             Objective::Vertex => {
@@ -488,10 +472,7 @@ pub(crate) fn refine_pass<B: Backend>(
         }?;
         // Global fixed point: a move-free full sweep ends the pass; a move-free
         // frontier sweep ends it only without polish.
-        if moves == 0
-            && (frontier_mode || B::FULL_REFINE_STOPS_WHEN_MOVE_FREE)
-            && (!use_frontier || frontier_only)
-        {
+        if moves == 0 && (!use_frontier || frontier_only) {
             break;
         }
     }
@@ -523,13 +504,13 @@ pub(crate) fn balance_refine_rounds<B: Backend>(
     Ok(())
 }
 
-/// The refine-only schedule of a warm run whose seed meets both balance targets.
-/// Frontier mode iterates to empty-frontier convergence and never widens beyond what
-/// the caller seeded — the ids whose adjacency changed, alone, since their labels did
-/// not; newly labelled vertices with their neighbourhoods — and what the moves it
-/// applies activate: the seed is the previous epoch's already-polished partition. The
-/// engine settles cross-rank swaps, so the `rounds_cap` passes are a backstop a run is
-/// not expected to reach. Full mode keeps the legacy fixed `outer` rounds per stage.
+/// The refine-only schedule of a warm run whose seed meets both balance targets: it
+/// iterates to empty-frontier convergence and never widens beyond what the caller
+/// seeded — the ids whose adjacency changed, alone, since their labels did not; newly
+/// labelled vertices with their neighbourhoods — and what the moves it applies
+/// activate: the seed is the previous epoch's already-polished partition. The engine
+/// settles cross-rank swaps, so the `rounds_cap` passes are a backstop a run is not
+/// expected to reach. `outer == 0` is the seed-only schedule: nothing is refined.
 pub(crate) fn warm_refine_rounds<B: Backend>(
     backend: &mut B,
     outer: usize,
@@ -538,36 +519,31 @@ pub(crate) fn warm_refine_rounds<B: Backend>(
     params: &PartitionParams,
     ws: &mut SweepWorkspace,
 ) -> Result<(), PartitionError> {
-    let frontier_only = RefineConvergence::FrontierOnly;
-    let edge_stage = params.edge_balance_stage && params.num_parts > 1;
     if outer == 0 {
-        // Seed-only schedule: nothing to refine.
-    } else if params.sweep_mode == SweepMode::Frontier {
-        // One refinement stage per round: with the edge stage enabled that is the edge
-        // objective, whose admissibility (vertex, edge and cut caps) is a superset of
-        // the vertex objective's and whose score rule is identical — running the
-        // vertex-capped pass first would consume the frontier to convergence and leave
-        // the edge-capped pass nothing to check.
-        let objective = if edge_stage {
-            Objective::Edge
-        } else {
-            Objective::Vertex
-        };
-        for _ in 0..rounds_cap {
-            if backend.global_active(&mut ws.engine.frontier) == 0 {
-                break;
-            }
-            refine_pass(backend, objective, parts, params, ws, frontier_only)?;
-        }
+        return Ok(());
+    }
+    // One refinement stage per round: with the edge stage enabled that is the edge
+    // objective, whose admissibility (vertex, edge and cut caps) is a superset of the
+    // vertex objective's and whose score rule is identical — running the vertex-capped
+    // pass first would consume the frontier to convergence and leave the edge-capped
+    // pass nothing to check.
+    let objective = if params.edge_balance_stage && params.num_parts > 1 {
+        Objective::Edge
     } else {
-        for _ in 0..outer {
-            refine_pass(backend, Objective::Vertex, parts, params, ws, frontier_only)?;
+        Objective::Vertex
+    };
+    for _ in 0..rounds_cap {
+        if backend.global_active(&mut ws.engine.frontier) == 0 {
+            break;
         }
-        if edge_stage {
-            for _ in 0..outer {
-                refine_pass(backend, Objective::Edge, parts, params, ws, frontier_only)?;
-            }
-        }
+        refine_pass(
+            backend,
+            objective,
+            parts,
+            params,
+            ws,
+            RefineConvergence::FrontierOnly,
+        )?;
     }
     Ok(())
 }
@@ -605,8 +581,6 @@ impl Serial<'_> {
 }
 
 impl Backend for Serial<'_> {
-    const FULL_REFINE_STOPS_WHEN_MOVE_FREE: bool = true;
-
     fn global_size(&self) -> (u64, u64) {
         (self.0.num_vertices() as u64, self.0.num_arcs())
     }
@@ -988,8 +962,6 @@ impl<'a> Dist<'a> {
 }
 
 impl Backend for Dist<'_> {
-    const FULL_REFINE_STOPS_WHEN_MOVE_FREE: bool = false;
-
     fn global_size(&self) -> (u64, u64) {
         (self.graph.global_n(), 2 * self.graph.global_m())
     }
@@ -1721,34 +1693,6 @@ mod tests {
         });
     }
 
-    /// `Full` mode is the fixed legacy schedule on the distributed backend: a balance
-    /// pass runs `balance_iters` sweeps and a refinement pass its whole `refine_iters`
-    /// budget, move-free or not, and each sweep advances the multiplier's counter.
-    #[test]
-    fn full_mode_runs_the_fixed_schedule_under_either_objective() {
-        let (n, edges) = skewed_edges();
-        for (objective, nranks) in [(Objective::Vertex, 2), (Objective::Edge, 1)] {
-            Runtime::run(nranks, |ctx| {
-                let g = DistGraph::from_shared_edges(ctx, Distribution::Block, n, &edges);
-                let params = PartitionParams {
-                    sweep_mode: SweepMode::Full,
-                    ..PartitionParams::with_parts(2)
-                };
-                let mut ws = stage_env(&g, &params);
-                let mut parts = init_partition(ctx, &g, &params).unwrap();
-                let mut dist = Dist::new(ctx, &g);
-                balance_pass(&mut dist, objective, &mut parts, &params, &mut ws).unwrap();
-                assert_eq!(dist.iter_tot, params.balance_iters, "{objective:?}");
-                refine_pass(&mut dist, objective, &mut parts, &params, &mut ws, POLISH).unwrap();
-                assert_eq!(
-                    dist.iter_tot,
-                    params.balance_iters + params.refine_iters,
-                    "{objective:?}"
-                );
-            });
-        }
-    }
-
     /// The collective budget of the cold schedule, by formula rather than by golden
     /// number: a sweep is two rounds (the boundary push, the packed allreduce), a pass
     /// adds one measure, and the only active-count query that communicates is a job's
@@ -1767,7 +1711,6 @@ mod tests {
                     init,
                     ..Default::default()
                 };
-                assert_eq!(params.sweep_mode, SweepMode::Frontier);
                 let mut ws = stage_env(&g, &params);
                 let mut parts = init_partition(ctx, &g, &params).unwrap();
                 let target = params.target_max_vertices(g.global_n());
@@ -1866,12 +1809,7 @@ mod tests {
         let (even, odd) = (run(4), run(5));
         for (sweeps, _) in even.iter().chain(&odd) {
             // There, back, and one sweep in which both sit still.
-            assert_eq!(
-                *sweeps,
-                3,
-                "of a budget of {}",
-                3 * refine_budget(4, SweepMode::Frontier)
-            );
+            assert_eq!(*sweeps, 3, "of a budget of {}", 3 * refine_budget(4));
         }
         assert_eq!(even, odd, "the outcome must not depend on the budget");
     }

@@ -11,8 +11,7 @@
 //! sweeps are frontier-driven (only vertices whose neighbourhood changed since the last
 //! sweep are rescored) and the per-sweep proposal phase is thread-parallel with
 //! deterministic two-phase chunk application, so results are bit-identical for every
-//! thread count. [`PartitionParams::sweep_mode`] selects the legacy full-sweep
-//! behaviour for baseline measurements.
+//! thread count.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -28,7 +27,7 @@ use crate::partitioner::{
 use crate::pass::{
     balance_refine_rounds, warm_refine_rounds, warm_seed_needs_balance, Objective, Serial,
 };
-use crate::sweep::{SweepMode, SweepStats, SweepWorkspace};
+use crate::sweep::{SweepStats, SweepWorkspace};
 
 /// The shared-memory PuLP partitioner.
 #[derive(Debug, Clone, Copy, Default)]
@@ -141,7 +140,6 @@ fn pulp_run(
             timings: PhaseTimer::new(),
         });
     }
-    let frontier = params.sweep_mode == SweepMode::Frontier;
     let mut backend = Serial(csr);
     let mut ws = SweepWorkspace::new(params.sweep_threads);
     ws.begin_run(n, p);
@@ -167,7 +165,7 @@ fn pulp_run(
                 .collect();
             greedy_seed_unassigned(csr, &mut parts, p);
             let needs_balance = warm_seed_needs_balance(&backend, &parts, params, &mut ws);
-            if frontier && !needs_balance {
+            if !needs_balance {
                 // Refine-only warm run: seed the frontier from the delta. A touched
                 // vertex kept its label, so only its own score can have moved and it is
                 // seeded alone; a vertex that arrived unassigned has a new label, which
@@ -197,14 +195,11 @@ fn pulp_run(
             (parts, outer, needs_balance)
         }
     };
-    if frontier && (balance || warm.is_none()) {
+    if balance {
         // Cold runs (and warm runs that fell back to the cold schedule) start with
         // every vertex active: initialisation / the overshooting delta changed
         // everything worth rescoring.
         ws.engine.frontier.seed_all(n);
-    }
-
-    if balance {
         balance_refine_rounds(
             &mut backend,
             Objective::Vertex,
@@ -415,59 +410,6 @@ mod tests {
         }
         assert_eq!(results[0], results[1], "1 vs 2 threads");
         assert_eq!(results[0], results[2], "1 vs 8 threads");
-    }
-
-    #[test]
-    fn frontier_and_full_sweeps_agree_on_quality() {
-        let csr = grid_csr(24, 24);
-        for seed in [5u64, 17] {
-            let frontier = PartitionParams {
-                num_parts: 4,
-                seed,
-                sweep_mode: SweepMode::Frontier,
-                ..Default::default()
-            };
-            let full = PartitionParams {
-                sweep_mode: SweepMode::Full,
-                ..frontier
-            };
-            let PulpRun {
-                parts: pf,
-                stats: sf,
-                ..
-            } = try_pulp_run(&csr, &frontier, None).unwrap();
-            let PulpRun {
-                parts: pb,
-                stats: sb,
-                ..
-            } = try_pulp_run(&csr, &full, None).unwrap();
-            let qf = PartitionQuality::evaluate(&csr, &pf, 4);
-            let qb = PartitionQuality::evaluate(&csr, &pb, 4);
-            assert!(is_valid_partition(&pf, 4));
-            // One-sided: the frontier engine may converge further within the sweep
-            // budget (better cut), but must never be more than 1% worse.
-            assert!(
-                qf.edge_cut as f64 <= qb.edge_cut as f64 * 1.01 + 1.0,
-                "seed {seed}: frontier cut {} vs full cut {}",
-                qf.edge_cut,
-                qb.edge_cut
-            );
-            // "No worse" in the constraint sense: the frontier result must stay within
-            // the configured imbalance target (plus rounding) or beat the baseline.
-            let target = (1.0 + frontier.vertex_imbalance) + 0.01;
-            assert!(
-                qf.vertex_imbalance <= qb.vertex_imbalance.max(target),
-                "seed {seed}: frontier imbalance {} vs full {} (target {target})",
-                qf.vertex_imbalance,
-                qb.vertex_imbalance
-            );
-            assert!(
-                sf.vertices_scored < sb.vertices_scored,
-                "seed {seed}: frontier scored {} should be below full {}",
-                sf.vertices_scored,
-                sb.vertices_scored
-            );
-        }
     }
 
     #[test]

@@ -30,10 +30,14 @@
 //! propose phase sees a consistent snapshot, and the apply phase rechecks each proposal
 //! against the counters as earlier moves in the same chunk land (dropping proposals the
 //! chunk invalidated), so no chunk can overshoot a balance constraint.
+//!
+//! There is one sweep strategy. A sweep over all of `0..n` is what a balance sweep is
+//! (any vertex may be drawn to an underweight part) and what verifies a refinement
+//! fixed point ([`RefineConvergence::Polish`]); every other sweep walks the frontier.
 
 use std::num::NonZeroUsize;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Returned by [`SweepStage::propose`] when the vertex should stay where it is.
 pub const NO_MOVE: i32 = -1;
@@ -53,26 +57,12 @@ pub const SWEEP_CHUNK: usize = 2048;
 /// and stale-tolerant.
 pub const BALANCE_CHUNK: usize = 1;
 
-/// Which sweep strategy a run uses. Carried in
-/// [`PartitionParams`](crate::params::PartitionParams) so benches and parity tests can
-/// pit the two against each other on identical inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SweepMode {
-    /// Frontier-driven sweeps: only active vertices are rescored, refinement stops on an
-    /// empty frontier, and provably no-op balance sweeps are skipped. The default.
-    Frontier,
-    /// Full sweeps over `0..n` every iteration — the seed implementation's behaviour,
-    /// kept as the measured baseline for `perf_smoke` and the parity tests.
-    Full,
-}
-
-/// How a frontier-mode refinement pass terminates.
+/// How a refinement pass terminates.
 ///
 /// `Polish`: when the frontier empties, one *full* sweep verifies the fixed point —
 /// part sizes change as vertices move, so a vertex whose neighbourhood never changed
 /// can still become movable when its preferred part gains headroom, which the frontier
-/// alone cannot see. The pass ends only when a full sweep applies no moves: exactly the
-/// legacy full-sweep stopping criterion, so cold quality matches the baseline while
+/// alone cannot see. The pass ends only when a full sweep applies no moves, while
 /// intermediate progress runs on cheap frontier sweeps.
 ///
 /// `FrontierOnly`: the pass ends as soon as the frontier empties. Used by warm
@@ -87,16 +77,11 @@ pub enum RefineConvergence {
     FrontierOnly,
 }
 
-/// The refinement pass budget in sweeps: frontier mode stretches the legacy
-/// `refine_iters` by half — the extra sweeps are near-free where the frontier has
-/// collapsed, and on heavy-churn graphs they buy back the coverage the active-set
-/// restriction costs (measured cut parity with the legacy schedule at a fraction of its
-/// scored vertices).
-pub fn refine_budget(refine_iters: usize, mode: SweepMode) -> u64 {
-    match mode {
-        SweepMode::Frontier => refine_iters as u64 + refine_iters as u64 / 2,
-        SweepMode::Full => refine_iters as u64,
-    }
+/// The refinement pass budget in sweeps: the paper's `refine_iters` stretched by half —
+/// the extra sweeps are near-free where the frontier has collapsed, and on heavy-churn
+/// graphs they buy back the coverage the active-set restriction costs.
+pub fn refine_budget(refine_iters: usize) -> u64 {
+    refine_iters as u64 + refine_iters as u64 / 2
 }
 
 /// Resolve the worker-thread count for the sweep engine of one of `colocated` ranks
@@ -735,8 +720,8 @@ pub struct SweepWorkspace {
     pub edge_balance_last_max: Option<f64>,
     /// Set when an edge-balance pass failed to improve the maximum arc load while the
     /// constraint was unmet: the target is unreachable on this graph (hub-dominated
-    /// skew), and further balance churn would cost full sweeps for nothing. Frontier
-    /// mode skips the stage's remaining passes then.
+    /// skew), and further balance churn would cost full sweeps for nothing: the stage's
+    /// remaining passes shrink to one churn sweep each.
     pub edge_balance_stalled: bool,
 }
 

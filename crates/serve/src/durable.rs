@@ -74,6 +74,11 @@ fn checkpoint_write_histogram() -> &'static std::sync::Arc<xtrapulp_obs::Histogr
     H.get_or_init(|| xtrapulp_obs::registry::histogram("serve_checkpoint_write_nanos"))
 }
 
+/// The `N` bytes of `bytes` at `at`, or `None` past its end.
+fn le<const N: usize>(bytes: &[u8], at: usize) -> Option<[u8; N]> {
+    bytes.get(at..at.checked_add(N)?)?.try_into().ok()
+}
+
 /// FNV-1a 64-bit, the integrity checksum of WAL records and checkpoints.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
@@ -165,15 +170,15 @@ impl WalRecord {
         let (&kind, payload) = body.split_first()?;
         match kind {
             WAL_KIND_BATCH => {
-                let n = u32::from_le_bytes(payload.get(..4)?.try_into().ok()?) as usize;
+                let n = u32::from_le_bytes(le(payload, 0)?) as usize;
                 let rest = payload.get(4..)?;
                 if rest.len() != n * 17 {
                     return None;
                 }
                 let mut batch = UpdateBatch::new();
                 for rec in rest.chunks_exact(17) {
-                    let a = u64::from_le_bytes(rec[1..9].try_into().ok()?);
-                    let b = u64::from_le_bytes(rec[9..17].try_into().ok()?);
+                    let a = u64::from_le_bytes(le(rec, 1)?);
+                    let b = u64::from_le_bytes(le(rec, 9)?);
                     batch.push(match rec[0] {
                         0 => UpdateOp::AddVertices(a),
                         1 => UpdateOp::InsertEdge(a, b),
@@ -196,24 +201,24 @@ impl WalRecord {
 fn parse_wal(bytes: &[u8]) -> (Vec<WalRecord>, u64) {
     let mut records = Vec::new();
     let mut pos = 0usize;
-    while bytes.len() - pos >= WAL_OVERHEAD {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let end = pos + 4 + len + 8;
-        if len == 0 || end > bytes.len() {
-            break;
-        }
-        let body = &bytes[pos + 4..pos + 4 + len];
-        let sum = u64::from_le_bytes(bytes[pos + 4 + len..end].try_into().unwrap());
-        if fnv1a64(body) != sum {
-            break;
-        }
-        let Some(record) = WalRecord::decode_body(body) else {
-            break;
-        };
+    while let Some((record, end)) = parse_frame(bytes, pos) {
         records.push(record);
         pos = end;
     }
     (records, pos as u64)
+}
+
+/// The WAL frame starting at `pos` and the offset just past it, or `None` where the
+/// valid prefix ends: a frame cut short, an empty body, a failed checksum or a body
+/// that does not decode.
+fn parse_frame(bytes: &[u8], pos: usize) -> Option<(WalRecord, usize)> {
+    let len = u32::from_le_bytes(le(bytes, pos)?) as usize;
+    let (start, sum_at) = (pos + 4, pos + 4 + len);
+    let body = bytes.get(start..sum_at).filter(|body| !body.is_empty())?;
+    if fnv1a64(body) != u64::from_le_bytes(le(bytes, sum_at)?) {
+        return None;
+    }
+    Some((WalRecord::decode_body(body)?, sum_at + 8))
 }
 
 /// The append handle of a serving WAL.
@@ -328,25 +333,25 @@ impl Checkpoint {
             return None;
         }
         let (body, tail) = bytes.split_at(bytes.len() - 8);
-        if fnv1a64(body) != u64::from_le_bytes(tail.try_into().ok()?) {
+        if fnv1a64(body) != u64::from_le_bytes(le(tail, 0)?) {
             return None;
         }
-        if u32::from_le_bytes(body[0..4].try_into().ok()?) != CKPT_MAGIC
-            || u16::from_le_bytes(body[4..6].try_into().ok()?) != CKPT_VERSION
+        if u32::from_le_bytes(le(body, 0)?) != CKPT_MAGIC
+            || u16::from_le_bytes(le(body, 4)?) != CKPT_VERSION
         {
             return None;
         }
-        let epoch = u64::from_le_bytes(body[6..14].try_into().ok()?);
-        let wal_records = u64::from_le_bytes(body[14..22].try_into().ok()?);
-        let n = u64::from_le_bytes(body[22..30].try_into().ok()?) as usize;
+        let epoch = u64::from_le_bytes(le(body, 6)?);
+        let wal_records = u64::from_le_bytes(le(body, 14)?);
+        let n = u64::from_le_bytes(le(body, 22)?);
         let parts_bytes = body.get(30..)?;
-        if parts_bytes.len() != n * 4 {
+        if parts_bytes.len() as u64 != n.checked_mul(4)? {
             return None;
         }
         let parts = parts_bytes
             .chunks_exact(4)
-            .map(|c| i32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
+            .map(|c| le(c, 0).map(i32::from_le_bytes))
+            .collect::<Option<_>>()?;
         Some(Checkpoint {
             epoch,
             wal_records,
@@ -508,6 +513,52 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         let records = read_wal(&path).unwrap();
         assert_eq!(records, vec![WalRecord::EpochMark { epoch: 1 }]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Hostile bytes never panic the decoders: every truncation and every single-byte
+    /// corruption of a three-record WAL parses to a prefix of the written records, and
+    /// every truncation of a checkpoint is rejected.
+    #[test]
+    fn hostile_bytes_decode_to_a_prefix_or_nothing() {
+        let dir = tmp_dir("wal-hostile");
+        let path = dir.join(WAL_FILE);
+        let written = [
+            WalRecord::Batch(batch(2)),
+            WalRecord::EpochMark { epoch: 1 },
+            WalRecord::Batch(batch(1)),
+        ];
+        let mut w = WalWriter::create(&path).unwrap();
+        for record in &written {
+            w.append(record).unwrap();
+        }
+        drop(w);
+        let wal = fs::read(&path).unwrap();
+        assert_eq!(parse_wal(&wal), (written.to_vec(), wal.len() as u64));
+        let parses_to_a_prefix = |bytes: &[u8]| {
+            let (records, valid_len) = parse_wal(bytes);
+            written.starts_with(&records) && valid_len <= bytes.len() as u64
+        };
+        for cut in 0..wal.len() {
+            assert!(parses_to_a_prefix(&wal[..cut]), "cut to {cut} bytes");
+        }
+        for at in 0..wal.len() {
+            for mask in 1..=u8::MAX {
+                let mut corrupt = wal.clone();
+                corrupt[at] ^= mask;
+                assert!(parses_to_a_prefix(&corrupt), "byte {at} xor {mask:#04x}");
+            }
+        }
+        let ckpt = Checkpoint {
+            epoch: 9,
+            wal_records: 3,
+            parts: vec![3, 0, 2, 1],
+        }
+        .encode();
+        assert!(Checkpoint::decode(&ckpt).is_some());
+        for cut in 0..ckpt.len() {
+            assert_eq!(Checkpoint::decode(&ckpt[..cut]), None, "cut to {cut} bytes");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -19,7 +19,7 @@
 //!   graphs.
 
 use xtrapulp_comm::{RankCtx, Timer};
-use xtrapulp_graph::{DistGraph, Distribution, GraphDelta};
+use xtrapulp_graph::{DistGraph, Distribution};
 use xtrapulp_graph::{GlobalId, HaloError, LocalId};
 
 /// Result of a timed SpMV run on one rank (identical on all ranks after reduction).
@@ -149,96 +149,6 @@ impl Matrix2d {
     pub fn num_vertices(&self) -> u64 {
         self.global_n
     }
-
-    /// Patch the 2-D layout in place after a graph mutation and/or repartition,
-    /// instead of rebuilding it from the full edge list.
-    ///
-    /// `delta` is the epoch's normalised graph mutation (replicated on every rank) and
-    /// `new_parts` the 1-D partition of the *new* epoch (length `delta.new_n()`).
-    /// Three things happen, all collectives:
-    ///
-    /// 1. local nonzeros hit by a deletion arc are dropped, and insertion arcs whose
-    ///    grid cell (under the new owners) is this rank are adopted — both purely
-    ///    local scans of the replicated delta;
-    /// 2. retained nonzeros whose grid cell changed because an endpoint migrated to a
-    ///    different owner are shipped to their new cell with one all-to-all (each
-    ///    nonzero has exactly one holder, so nothing is duplicated or lost);
-    /// 3. the replicated owner table is patched to `new_parts` and extended over the
-    ///    delta's added vertices.
-    ///
-    /// The result is exactly the matrix [`Matrix2d::build`] would produce from the
-    /// mutated edge list and `new_parts` — see the parity test — at the cost of the
-    /// delta plus the migrated nonzeros rather than the whole matrix.
-    pub fn apply_delta(
-        &mut self,
-        ctx: &RankCtx,
-        delta: &GraphDelta,
-        new_parts: &[i32],
-    ) -> Matrix2dDeltaStats {
-        let nranks = ctx.nranks();
-        let rank = ctx.rank();
-        let grid = self.grid;
-        assert_eq!(
-            new_parts.len() as u64,
-            delta.new_n(),
-            "one part per vertex of the mutated graph"
-        );
-        let new_owners: Vec<u32> = new_parts
-            .iter()
-            .map(|&p| (p.max(0) as u32).min(nranks as u32 - 1))
-            .collect();
-        let cell_of = |r: GlobalId, c: GlobalId, owners: &[u32]| -> usize {
-            let owner_r = owners[r as usize] as usize;
-            let owner_c = owners[c as usize] as usize;
-            (owner_r / grid.1) * grid.1 + (owner_c % grid.1)
-        };
-
-        let mut stats = Matrix2dDeltaStats::default();
-        let mut keep = Vec::with_capacity(self.nonzeros.len() + delta.insert_arcs().len());
-        let mut sends: Vec<Vec<(GlobalId, GlobalId)>> = vec![Vec::new(); nranks];
-        for &(r, c) in &self.nonzeros {
-            if delta.is_deleted(r, c) {
-                stats.deleted += 1;
-                continue;
-            }
-            let target = cell_of(r, c, &new_owners);
-            if target == rank {
-                keep.push((r, c));
-            } else {
-                sends[target].push((r, c));
-                stats.migrated_out += 1;
-            }
-        }
-        for &(r, c) in delta.insert_arcs() {
-            if cell_of(r, c, &new_owners) == rank {
-                keep.push((r, c));
-                stats.inserted += 1;
-            }
-        }
-        for received in ctx.alltoallv(sends) {
-            stats.migrated_in += received.len() as u64;
-            keep.extend(received);
-        }
-        keep.sort_unstable();
-        keep.dedup();
-        self.nonzeros = keep;
-        self.owners = new_owners;
-        self.global_n = delta.new_n();
-        stats
-    }
-}
-
-/// What one [`Matrix2d::apply_delta`] cost, per rank.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Matrix2dDeltaStats {
-    /// Local nonzeros dropped by deletion arcs.
-    pub deleted: u64,
-    /// Local nonzeros adopted from insertion arcs.
-    pub inserted: u64,
-    /// Retained nonzeros shipped to another rank because an endpoint changed owner.
-    pub migrated_out: u64,
-    /// Nonzeros received from other ranks for the same reason.
-    pub migrated_in: u64,
 }
 
 /// Run `iterations` SpMV operations with the 2-D distribution. The x and y vectors stay
@@ -443,65 +353,6 @@ mod tests {
         let stats = xtrapulp_comm::CommStats::new();
         assert_eq!(stats.bytes_sent_since(1000), 0);
         assert_eq!(stats.bytes_sent_since(0), stats.bytes_sent());
-    }
-
-    #[test]
-    fn apply_delta_matches_a_full_rebuild() {
-        let (n, edges) = test_graph();
-        let nranks = 6;
-        let parts = baselines::vertex_block_partition(n, nranks);
-
-        // Churn the graph: delete a spread of existing edges, insert fresh ones
-        // (including onto two newly added vertices)...
-        let deletes: Vec<(GlobalId, GlobalId)> = edges.iter().step_by(9).copied().collect();
-        let inserts: Vec<(GlobalId, GlobalId)> =
-            vec![(0, n / 2), (3, n - 1), (n, 1), (n + 1, 0), (n, n + 1)];
-        let delta = GraphDelta::new(n, 2, &inserts, &deletes);
-
-        // ...and repartition: every 5th vertex moves to the next part, new vertices
-        // land on parts 0 and 1.
-        let mut new_parts = parts.clone();
-        for (v, p) in new_parts.iter_mut().enumerate() {
-            if v % 5 == 0 {
-                *p = (*p + 1) % nranks as i32;
-            }
-        }
-        new_parts.push(0);
-        new_parts.push(1);
-
-        // Reference: the mutated edge list, rebuilt from scratch.
-        let delete_set: std::collections::BTreeSet<(GlobalId, GlobalId)> = deletes
-            .iter()
-            .flat_map(|&(u, v)| [(u, v), (v, u)])
-            .collect();
-        let mut new_edges: Vec<(GlobalId, GlobalId)> = edges
-            .iter()
-            .copied()
-            .filter(|&(u, v)| !delete_set.contains(&(u, v)))
-            .collect();
-        new_edges.extend(inserts.iter().copied());
-
-        let out = Runtime::run(nranks, |ctx| {
-            let mut patched = Matrix2d::build(ctx, n, &edges, &parts);
-            let stats = patched.apply_delta(ctx, &delta, &new_parts);
-            let rebuilt = Matrix2d::build(ctx, n + 2, &new_edges, &new_parts);
-            assert_eq!(patched.nonzeros, rebuilt.nonzeros, "rank {}", ctx.rank());
-            assert_eq!(patched.owners, rebuilt.owners);
-            assert_eq!(patched.num_vertices(), n + 2);
-            // The patched and rebuilt layouts must also multiply identically.
-            let a = spmv_2d(ctx, &patched, 3);
-            let b = spmv_2d(ctx, &rebuilt, 3);
-            assert!((a.checksum - b.checksum).abs() < 1e-12);
-            stats
-        });
-        // The repartition moved vertices, so some nonzeros must actually have
-        // migrated between ranks — and every shipped nonzero arrived somewhere.
-        let migrated_out: u64 = out.iter().map(|s| s.migrated_out).sum();
-        let migrated_in: u64 = out.iter().map(|s| s.migrated_in).sum();
-        assert!(migrated_out > 0);
-        assert_eq!(migrated_out, migrated_in);
-        assert!(out.iter().map(|s| s.deleted).sum::<u64>() > 0);
-        assert!(out.iter().map(|s| s.inserted).sum::<u64>() > 0);
     }
 
     #[test]

@@ -162,8 +162,7 @@ fn warm_epochs_cost_what_their_deltas_touch() {
         dynamic.repartition().unwrap();
         let params = dynamic.job().params;
         // What a refine-only run may spend before it is cut off unconverged.
-        let sweep_cap =
-            params.outer_iters as u64 * refine_budget(params.refine_iters, params.sweep_mode);
+        let sweep_cap = params.outer_iters as u64 * refine_budget(params.refine_iters);
         let mut warm = None;
         for i in 0..stream.batches.len() {
             let batch = UpdateBatch::from_ops(stream.batch_ops(i));

@@ -4,10 +4,12 @@
 //! PuLP and distributed XtraPuLP drivers produce on three small hand-built graphs — and,
 //! for the distributed runs, how many collectives they issued and how many payload bytes
 //! they sent — is pinned to a committed constant, across the whole schedule surface: {serial PuLP,
-//! XtraPuLP on 1/2/4 ranks} × {`Frontier`, `Full`} × {edge stage on/off} × {cold,
-//! warm-touched, warm-blind, warm from an over-target seed that falls back to the cold
-//! schedule}. A refactor of the drivers that moves one collective, one tie-break or one
-//! sweep changes a row here, so tier-1 itself proves such a refactor is bit-identical.
+//! XtraPuLP on 1/2/4 ranks} × {edge stage on/off} × {cold, warm-touched, warm-blind, warm
+//! from an over-target seed that falls back to the cold schedule}. A refactor of the
+//! drivers that moves one collective, one tie-break or one sweep changes a row here, so
+//! tier-1 itself proves such a refactor is bit-identical. Every key still names the
+//! `frontier` sweeps it pins: the rows were recorded beside a legacy full-sweep mode the
+//! library no longer has.
 //!
 //! The graphs are built by hand (no generator crate in the loop) so the table only moves
 //! when the partitioner does:
@@ -26,7 +28,7 @@
 use xtrapulp::partitioner::assemble_gathered_parts;
 use xtrapulp::{
     try_pulp_run, try_xtrapulp_partition, try_xtrapulp_partition_from_touched, PartitionParams,
-    StageBreakdown, SweepMode,
+    StageBreakdown,
 };
 use xtrapulp_comm::Runtime;
 use xtrapulp_graph::{csr_from_edges, Csr, DistGraph, Distribution, LocalId, UNASSIGNED};
@@ -224,8 +226,6 @@ fn seeds(cold: &[i32]) -> Seeds {
 }
 
 const BACKENDS: [(usize, &str); 4] = [(0, "pulp"), (1, "x1"), (2, "x2"), (4, "x4")];
-const MODES: [(SweepMode, &str); 2] =
-    [(SweepMode::Frontier, "frontier"), (SweepMode::Full, "full")];
 const STARTS: [&str; 4] = ["cold", "warm_touched", "warm_blind", "warm_over"];
 
 /// Every case of the matrix, in table order, as `(key, row)`.
@@ -241,25 +241,22 @@ fn measure() -> Vec<(String, Row)> {
         let cold = try_pulp_run(&fx.csr, &base, None).expect("seed run").parts;
         let seeds = seeds(&cold);
         for (backend, backend_name) in BACKENDS {
-            for (mode, mode_name) in MODES {
-                for (edge_stage, edge_name) in [(true, "mm"), (false, "single")] {
-                    let params = PartitionParams {
-                        sweep_mode: mode,
-                        edge_balance_stage: edge_stage,
-                        ..base
+            for (edge_stage, edge_name) in [(true, "mm"), (false, "single")] {
+                let params = PartitionParams {
+                    edge_balance_stage: edge_stage,
+                    ..base
+                };
+                for start in STARTS {
+                    let warm: Warm<'_> = match start {
+                        "cold" => None,
+                        "warm_touched" => Some((&seeds.with_unassigned, Some(&seeds.touched))),
+                        "warm_blind" => Some((&seeds.rotated, None)),
+                        _ => Some((&seeds.over_target, Some(&seeds.touched))),
                     };
-                    for start in STARTS {
-                        let warm: Warm<'_> = match start {
-                            "cold" => None,
-                            "warm_touched" => Some((&seeds.with_unassigned, Some(&seeds.touched))),
-                            "warm_blind" => Some((&seeds.rotated, None)),
-                            _ => Some((&seeds.over_target, Some(&seeds.touched))),
-                        };
-                        out.push((
-                            format!("{}/{backend_name}/{mode_name}/{edge_name}/{start}", fx.name),
-                            run(&fx.csr, backend, &params, warm),
-                        ));
-                    }
+                    out.push((
+                        format!("{}/{backend_name}/frontier/{edge_name}/{start}", fx.name),
+                        run(&fx.csr, backend, &params, warm),
+                    ));
                 }
             }
         }
@@ -303,23 +300,17 @@ fn golden_table_covers_both_warm_regimes_and_every_backend() {
             .unwrap_or_else(|| panic!("no golden row {key}"))
     };
     for backend in ["pulp", "x1", "x2", "x4"] {
-        for mode in ["frontier", "full"] {
-            let touched = find(&format!("grid/{backend}/{mode}/mm/warm_touched"));
-            assert_eq!(
-                balance_work(touched),
-                0,
-                "{backend}/{mode}: refine-only warm run"
-            );
-            assert!(
-                touched[3] > 0,
-                "{backend}/{mode}: the perturbed seed needs refining"
-            );
-            let over = find(&format!("grid/{backend}/{mode}/mm/warm_over"));
-            assert!(
-                balance_work(over) > 0,
-                "{backend}/{mode}: over-target seed falls back"
-            );
-        }
+        let touched = find(&format!("grid/{backend}/frontier/mm/warm_touched"));
+        assert_eq!(balance_work(touched), 0, "{backend}: refine-only warm run");
+        assert!(
+            touched[3] > 0,
+            "{backend}: the perturbed seed needs refining"
+        );
+        let over = find(&format!("grid/{backend}/frontier/mm/warm_over"));
+        assert!(
+            balance_work(over) > 0,
+            "{backend}: over-target seed falls back"
+        );
         let scoped = find(&format!("grid/{backend}/frontier/mm/warm_touched"));
         let blind = find(&format!("grid/{backend}/frontier/mm/warm_blind"));
         assert!(
@@ -353,14 +344,6 @@ const GOLDEN: &[(&str, Row)] = &[
     ("grid/pulp/frontier/single/warm_touched", [11473717341554758919, 2, 52, 2, 52, 0, 0, 0, 0, 0, 0]),
     ("grid/pulp/frontier/single/warm_blind", [5791010637251899526, 10, 484, 10, 484, 0, 0, 0, 0, 0, 0]),
     ("grid/pulp/frontier/single/warm_over", [14499762222189909956, 14, 4477, 7, 1677, 5, 2000, 2, 800, 0, 0]),
-    ("grid/pulp/full/mm/cold", [8845344375094781799, 60, 24000, 30, 12000, 10, 4000, 20, 8000, 0, 0]),
-    ("grid/pulp/full/mm/warm_touched", [5791010637251899526, 11, 4400, 11, 4400, 0, 0, 0, 0, 0, 0]),
-    ("grid/pulp/full/mm/warm_blind", [5791010637251899526, 11, 4400, 11, 4400, 0, 0, 0, 0, 0, 0]),
-    ("grid/pulp/full/mm/warm_over", [6435399794490000455, 55, 22000, 25, 10000, 5, 2000, 25, 10000, 0, 0]),
-    ("grid/pulp/full/single/cold", [803640480259044951, 21, 8400, 6, 2400, 10, 4000, 5, 2000, 0, 0]),
-    ("grid/pulp/full/single/warm_touched", [5791010637251899526, 10, 4000, 10, 4000, 0, 0, 0, 0, 0, 0]),
-    ("grid/pulp/full/single/warm_blind", [5791010637251899526, 10, 4000, 10, 4000, 0, 0, 0, 0, 0, 0]),
-    ("grid/pulp/full/single/warm_over", [1332625813331778820, 19, 7600, 4, 1600, 5, 2000, 10, 4000, 0, 0]),
     ("grid/x1/frontier/mm/cold", [1864928048885372439, 38, 8967, 28, 4967, 5, 2000, 5, 2000, 136, 7544]),
     ("grid/x1/frontier/mm/warm_touched", [15035215763687230181, 2, 27, 2, 27, 0, 0, 0, 0, 19, 520]),
     ("grid/x1/frontier/mm/warm_blind", [15035215763687230181, 2, 409, 2, 409, 0, 0, 0, 0, 17, 512]),
@@ -369,14 +352,6 @@ const GOLDEN: &[(&str, Row)] = &[
     ("grid/x1/frontier/single/warm_touched", [11473717341554758919, 2, 52, 2, 52, 0, 0, 0, 0, 19, 360]),
     ("grid/x1/frontier/single/warm_blind", [5791010637251899526, 10, 484, 10, 484, 0, 0, 0, 0, 33, 736]),
     ("grid/x1/frontier/single/warm_over", [8020323062623794869, 10, 4000, 3, 1200, 5, 2000, 2, 800, 38, 952]),
-    ("grid/x1/full/mm/cold", [702682132510508822, 90, 36000, 60, 24000, 5, 2000, 25, 10000, 240, 11576]),
-    ("grid/x1/full/mm/warm_touched", [5791010637251899526, 20, 8000, 20, 8000, 0, 0, 0, 0, 55, 1984]),
-    ("grid/x1/full/mm/warm_blind", [5791010637251899526, 20, 8000, 20, 8000, 0, 0, 0, 0, 53, 1976]),
-    ("grid/x1/full/mm/warm_over", [9238918113890995142, 90, 36000, 60, 24000, 5, 2000, 25, 10000, 204, 8280]),
-    ("grid/x1/full/single/cold", [5301532805871151908, 45, 18000, 30, 12000, 5, 2000, 10, 4000, 144, 5960]),
-    ("grid/x1/full/single/warm_touched", [5791010637251899526, 10, 4000, 10, 4000, 0, 0, 0, 0, 34, 736]),
-    ("grid/x1/full/single/warm_blind", [5791010637251899526, 10, 4000, 10, 4000, 0, 0, 0, 0, 32, 728]),
-    ("grid/x1/full/single/warm_over", [8020323062623794869, 45, 18000, 30, 12000, 5, 2000, 10, 4000, 108, 2632]),
     ("grid/x2/frontier/mm/cold", [5712355409435909316, 63, 13199, 36, 4799, 20, 8000, 1, 400, 186, 21912]),
     ("grid/x2/frontier/mm/warm_touched", [496311163282246918, 2, 32, 2, 32, 0, 0, 0, 0, 19, 2168]),
     ("grid/x2/frontier/mm/warm_blind", [11646049208776184135, 2, 414, 2, 414, 0, 0, 0, 0, 17, 2152]),
@@ -385,14 +360,6 @@ const GOLDEN: &[(&str, Row)] = &[
     ("grid/x2/frontier/single/warm_touched", [11473717341554758919, 2, 52, 2, 52, 0, 0, 0, 0, 19, 1848]),
     ("grid/x2/frontier/single/warm_blind", [5791010637251899526, 10, 484, 10, 484, 0, 0, 0, 0, 33, 2600]),
     ("grid/x2/frontier/single/warm_over", [2275824727187733092, 18, 7200, 3, 1200, 15, 6000, 0, 0, 56, 6704]),
-    ("grid/x2/full/mm/cold", [279676005476012548, 90, 36000, 60, 24000, 20, 8000, 10, 4000, 240, 27328]),
-    ("grid/x2/full/mm/warm_touched", [5791010637251899526, 20, 8000, 20, 8000, 0, 0, 0, 0, 55, 5104]),
-    ("grid/x2/full/mm/warm_blind", [5791010637251899526, 20, 8000, 20, 8000, 0, 0, 0, 0, 53, 5080]),
-    ("grid/x2/full/mm/warm_over", [7951366251047313911, 90, 36000, 60, 24000, 25, 10000, 5, 2000, 204, 23632]),
-    ("grid/x2/full/single/cold", [8461118779634282631, 45, 18000, 30, 12000, 15, 6000, 0, 0, 144, 11704]),
-    ("grid/x2/full/single/warm_touched", [5791010637251899526, 10, 4000, 10, 4000, 0, 0, 0, 0, 34, 2608]),
-    ("grid/x2/full/single/warm_blind", [5791010637251899526, 10, 4000, 10, 4000, 0, 0, 0, 0, 32, 2584]),
-    ("grid/x2/full/single/warm_over", [13995399799150505541, 45, 18000, 30, 12000, 15, 6000, 0, 0, 108, 8392]),
     ("grid/x4/frontier/mm/cold", [13570007233049075476, 79, 16416, 49, 7616, 20, 8000, 2, 800, 218, 52008]),
     ("grid/x4/frontier/mm/warm_touched", [496311163282246918, 2, 32, 2, 32, 0, 0, 0, 0, 19, 5448]),
     ("grid/x4/frontier/mm/warm_blind", [1779753635320526839, 2, 414, 2, 414, 0, 0, 0, 0, 17, 5416]),
@@ -401,14 +368,6 @@ const GOLDEN: &[(&str, Row)] = &[
     ("grid/x4/frontier/single/warm_touched", [11473717341554758919, 2, 52, 2, 52, 0, 0, 0, 0, 19, 4816]),
     ("grid/x4/frontier/single/warm_blind", [5791010637251899526, 10, 484, 10, 484, 0, 0, 0, 0, 33, 6328]),
     ("grid/x4/frontier/single/warm_over", [11571230074546515349, 26, 8437, 10, 2437, 15, 6000, 0, 0, 70, 15296]),
-    ("grid/x4/full/mm/cold", [9087607272382614422, 90, 36000, 60, 24000, 20, 8000, 10, 4000, 244, 51240]),
-    ("grid/x4/full/mm/warm_touched", [5791010637251899526, 20, 8000, 20, 8000, 0, 0, 0, 0, 55, 11328]),
-    ("grid/x4/full/mm/warm_blind", [5791010637251899526, 20, 8000, 20, 8000, 0, 0, 0, 0, 53, 11288]),
-    ("grid/x4/full/mm/warm_over", [11933687331091609046, 90, 36000, 60, 24000, 15, 6000, 15, 6000, 204, 52256]),
-    ("grid/x4/full/single/cold", [8954409183191278101, 45, 18000, 30, 12000, 10, 4000, 5, 2000, 144, 22040]),
-    ("grid/x4/full/single/warm_touched", [5791010637251899526, 10, 4000, 10, 4000, 0, 0, 0, 0, 34, 6336]),
-    ("grid/x4/full/single/warm_blind", [5791010637251899526, 10, 4000, 10, 4000, 0, 0, 0, 0, 32, 6296]),
-    ("grid/x4/full/single/warm_over", [1095475053305020454, 45, 18000, 30, 12000, 10, 4000, 5, 2000, 108, 18552]),
     ("isolated/pulp/frontier/mm/cold", [5251830912804164290, 15, 3870, 8, 1938, 5, 1380, 2, 552, 0, 0]),
     ("isolated/pulp/frontier/mm/warm_touched", [15676612022221400833, 15, 3615, 9, 1959, 4, 1104, 2, 552, 0, 0]),
     ("isolated/pulp/frontier/mm/warm_blind", [15676612022221400833, 25, 4999, 19, 3343, 4, 1104, 2, 552, 0, 0]),
@@ -417,14 +376,6 @@ const GOLDEN: &[(&str, Row)] = &[
     ("isolated/pulp/frontier/single/warm_touched", [15676612022221400833, 9, 1959, 6, 1131, 3, 828, 0, 0, 0, 0]),
     ("isolated/pulp/frontier/single/warm_blind", [15676612022221400833, 19, 3343, 16, 2515, 3, 828, 0, 0, 0, 0]),
     ("isolated/pulp/frontier/single/warm_over", [9108385079780718145, 14, 2309, 10, 1205, 4, 1104, 0, 0, 0, 0]),
-    ("isolated/pulp/full/mm/cold", [5251830912804164290, 37, 10212, 7, 1932, 30, 8280, 0, 0, 0, 0]),
-    ("isolated/pulp/full/mm/warm_touched", [15676612022221400833, 38, 10488, 8, 2208, 30, 8280, 0, 0, 0, 0]),
-    ("isolated/pulp/full/mm/warm_blind", [15676612022221400833, 43, 11868, 13, 3588, 30, 8280, 0, 0, 0, 0]),
-    ("isolated/pulp/full/mm/warm_over", [9108385079780718145, 42, 11592, 12, 3312, 30, 8280, 0, 0, 0, 0]),
-    ("isolated/pulp/full/single/cold", [5251830912804164290, 19, 5244, 4, 1104, 15, 4140, 0, 0, 0, 0]),
-    ("isolated/pulp/full/single/warm_touched", [15676612022221400833, 20, 5520, 5, 1380, 15, 4140, 0, 0, 0, 0]),
-    ("isolated/pulp/full/single/warm_blind", [15676612022221400833, 25, 6900, 10, 2760, 15, 4140, 0, 0, 0, 0]),
-    ("isolated/pulp/full/single/warm_over", [9108385079780718145, 24, 6624, 9, 2484, 15, 4140, 0, 0, 0, 0]),
     ("isolated/x1/frontier/mm/cold", [6537745938969948194, 56, 8384, 43, 4796, 10, 2760, 3, 828, 162, 10960]),
     ("isolated/x1/frontier/mm/warm_touched", [9407210671345225394, 42, 6801, 32, 4041, 5, 1380, 5, 1380, 110, 7056]),
     ("isolated/x1/frontier/mm/warm_blind", [9407210671345225394, 42, 6801, 32, 4041, 5, 1380, 5, 1380, 108, 7048]),
@@ -433,14 +384,6 @@ const GOLDEN: &[(&str, Row)] = &[
     ("isolated/x1/frontier/single/warm_touched", [5429223973466503397, 13, 2774, 6, 842, 5, 1380, 2, 552, 46, 1504]),
     ("isolated/x1/frontier/single/warm_blind", [5429223973466503397, 13, 2774, 6, 842, 5, 1380, 2, 552, 44, 1496]),
     ("isolated/x1/frontier/single/warm_over", [14025303390589487493, 15, 3065, 8, 1133, 5, 1380, 2, 552, 48, 1624]),
-    ("isolated/x1/full/mm/cold", [2411810048797768983, 90, 24840, 60, 16560, 10, 2760, 20, 5520, 230, 13424]),
-    ("isolated/x1/full/mm/warm_touched", [3735226020278800689, 90, 24840, 60, 16560, 5, 1380, 25, 6900, 206, 11664]),
-    ("isolated/x1/full/mm/warm_blind", [3735226020278800689, 90, 24840, 60, 16560, 5, 1380, 25, 6900, 204, 11656]),
-    ("isolated/x1/full/mm/warm_over", [5574185616774763463, 90, 24840, 60, 16560, 10, 2760, 20, 5520, 204, 11656]),
-    ("isolated/x1/full/single/cold", [4050113720581595667, 45, 12420, 30, 8280, 5, 1380, 10, 2760, 134, 5360]),
-    ("isolated/x1/full/single/warm_touched", [5429223973466503397, 45, 12420, 30, 8280, 5, 1380, 10, 2760, 110, 3552]),
-    ("isolated/x1/full/single/warm_blind", [5429223973466503397, 45, 12420, 30, 8280, 5, 1380, 10, 2760, 108, 3544]),
-    ("isolated/x1/full/single/warm_over", [7198554673785882965, 45, 12420, 30, 8280, 5, 1380, 10, 2760, 108, 3544]),
     ("isolated/x2/frontier/mm/cold", [15128585626503472787, 58, 10032, 33, 3960, 20, 5520, 2, 552, 166, 20392]),
     ("isolated/x2/frontier/mm/warm_touched", [17757572807620701140, 88, 13778, 62, 6878, 25, 6900, 0, 0, 204, 28392]),
     ("isolated/x2/frontier/mm/warm_blind", [9410825482060064725, 75, 12426, 48, 5250, 25, 6900, 1, 276, 178, 26960]),
@@ -449,14 +392,6 @@ const GOLDEN: &[(&str, Row)] = &[
     ("isolated/x2/frontier/single/warm_touched", [9604242851729335203, 35, 5927, 20, 1787, 15, 4140, 0, 0, 90, 8064]),
     ("isolated/x2/frontier/single/warm_blind", [8525366824388242695, 29, 5852, 14, 1712, 15, 4140, 0, 0, 76, 7608]),
     ("isolated/x2/frontier/single/warm_over", [2573782054835234644, 38, 6187, 23, 2047, 15, 4140, 0, 0, 94, 8616]),
-    ("isolated/x2/full/mm/cold", [9850229401126487047, 90, 24840, 60, 16560, 30, 8280, 0, 0, 232, 30440]),
-    ("isolated/x2/full/mm/warm_touched", [13264553812183933493, 90, 24840, 60, 16560, 25, 6900, 5, 1380, 210, 28624]),
-    ("isolated/x2/full/mm/warm_blind", [1773543589708817907, 90, 24840, 60, 16560, 25, 6900, 5, 1380, 208, 28936]),
-    ("isolated/x2/full/mm/warm_over", [2137717178452031808, 90, 24840, 60, 16560, 30, 8280, 0, 0, 204, 27936]),
-    ("isolated/x2/full/single/cold", [14691033094181651443, 45, 12420, 30, 8280, 15, 4140, 0, 0, 134, 11224]),
-    ("isolated/x2/full/single/warm_touched", [7419649710649104247, 45, 12420, 30, 8280, 15, 4140, 0, 0, 110, 9392]),
-    ("isolated/x2/full/single/warm_blind", [10555795331293920677, 45, 12420, 30, 8280, 15, 4140, 0, 0, 108, 9440]),
-    ("isolated/x2/full/single/warm_over", [15870265257252383396, 45, 12420, 30, 8280, 15, 4140, 0, 0, 108, 9464]),
     ("isolated/x4/frontier/mm/cold", [10719660571273392469, 86, 10768, 63, 4696, 20, 5520, 2, 552, 222, 59128]),
     ("isolated/x4/frontier/mm/warm_touched", [16681250938713298998, 85, 13373, 54, 6197, 25, 6900, 1, 276, 196, 57384]),
     ("isolated/x4/frontier/mm/warm_blind", [10894796766601473203, 93, 14983, 56, 6703, 30, 8280, 0, 0, 210, 63144]),
@@ -465,14 +400,6 @@ const GOLDEN: &[(&str, Row)] = &[
     ("isolated/x4/frontier/single/warm_touched", [2285278950157086198, 29, 5909, 13, 1769, 15, 4140, 0, 0, 78, 14768]),
     ("isolated/x4/frontier/single/warm_blind", [14616593949950134068, 35, 6344, 19, 2204, 15, 4140, 0, 0, 88, 16912]),
     ("isolated/x4/frontier/single/warm_over", [17018921821142642851, 34, 6266, 18, 2126, 15, 4140, 0, 0, 86, 16488]),
-    ("isolated/x4/full/mm/cold", [4398119492102495190, 90, 24840, 60, 16560, 30, 8280, 0, 0, 230, 58896]),
-    ("isolated/x4/full/mm/warm_touched", [8328764728507800497, 90, 24840, 60, 16560, 25, 6900, 5, 1380, 246, 65512]),
-    ("isolated/x4/full/mm/warm_blind", [1215141706830149075, 90, 24840, 60, 16560, 25, 6900, 5, 1380, 204, 57104]),
-    ("isolated/x4/full/mm/warm_over", [13091003400064956372, 90, 24840, 60, 16560, 20, 5520, 10, 2760, 204, 56784]),
-    ("isolated/x4/full/single/cold", [10996865965596201042, 45, 12420, 30, 8280, 15, 4140, 0, 0, 134, 21136]),
-    ("isolated/x4/full/single/warm_touched", [1279157279279194771, 45, 12420, 30, 8280, 10, 2760, 5, 1380, 110, 18880]),
-    ("isolated/x4/full/single/warm_blind", [3505438228616354256, 45, 12420, 30, 8280, 10, 2760, 5, 1380, 108, 19264]),
-    ("isolated/x4/full/single/warm_over", [17734755187779108005, 45, 12420, 30, 8280, 10, 2760, 5, 1380, 108, 19112]),
     ("hub/pulp/frontier/mm/cold", [14282834400408843365, 48, 10998, 22, 3406, 25, 7300, 1, 292, 0, 0]),
     ("hub/pulp/frontier/mm/warm_touched", [17966769319974481348, 51, 11406, 25, 3814, 25, 7300, 1, 292, 0, 0]),
     ("hub/pulp/frontier/mm/warm_blind", [17966769319974481348, 51, 11406, 25, 3814, 25, 7300, 1, 292, 0, 0]),
@@ -481,14 +408,6 @@ const GOLDEN: &[(&str, Row)] = &[
     ("hub/pulp/frontier/single/warm_touched", [8867957223613744563, 26, 6243, 11, 1863, 15, 4380, 0, 0, 0, 0]),
     ("hub/pulp/frontier/single/warm_blind", [8867957223613744563, 26, 6243, 11, 1863, 15, 4380, 0, 0, 0, 0]),
     ("hub/pulp/frontier/single/warm_over", [6877988856046683719, 26, 6243, 11, 1863, 15, 4380, 0, 0, 0, 0]),
-    ("hub/pulp/full/mm/cold", [7950652667290594021, 52, 15184, 22, 6424, 30, 8760, 0, 0, 0, 0]),
-    ("hub/pulp/full/mm/warm_touched", [8701326019247087779, 50, 14600, 20, 5840, 30, 8760, 0, 0, 0, 0]),
-    ("hub/pulp/full/mm/warm_blind", [8701326019247087779, 50, 14600, 20, 5840, 30, 8760, 0, 0, 0, 0]),
-    ("hub/pulp/full/mm/warm_over", [7083038154347979440, 55, 16060, 25, 7300, 30, 8760, 0, 0, 0, 0]),
-    ("hub/pulp/full/single/cold", [11351176602493732497, 20, 5840, 5, 1460, 15, 4380, 0, 0, 0, 0]),
-    ("hub/pulp/full/single/warm_touched", [8867957223613744563, 23, 6716, 8, 2336, 15, 4380, 0, 0, 0, 0]),
-    ("hub/pulp/full/single/warm_blind", [8867957223613744563, 23, 6716, 8, 2336, 15, 4380, 0, 0, 0, 0]),
-    ("hub/pulp/full/single/warm_over", [6877988856046683719, 23, 6716, 8, 2336, 15, 4380, 0, 0, 0, 0]),
     ("hub/x1/frontier/mm/cold", [6802950292517515509, 40, 8509, 26, 4421, 11, 3212, 3, 876, 122, 10416]),
     ("hub/x1/frontier/mm/warm_touched", [6154823749634903702, 71, 12700, 53, 7444, 15, 4380, 3, 876, 168, 14928]),
     ("hub/x1/frontier/mm/warm_blind", [6154823749634903702, 71, 12700, 53, 7444, 15, 4380, 3, 876, 166, 14920]),
@@ -497,14 +416,6 @@ const GOLDEN: &[(&str, Row)] = &[
     ("hub/x1/frontier/single/warm_touched", [12106286836607087127, 15, 3719, 8, 1675, 5, 1460, 2, 584, 50, 2064]),
     ("hub/x1/frontier/single/warm_blind", [12106286836607087127, 15, 3719, 8, 1675, 5, 1460, 2, 584, 48, 2056]),
     ("hub/x1/frontier/single/warm_over", [13660001892596912823, 18, 3935, 11, 1891, 5, 1460, 2, 584, 54, 2296]),
-    ("hub/x1/full/mm/cold", [9348869985182932324, 90, 26280, 60, 17520, 20, 5840, 10, 2920, 222, 17360]),
-    ("hub/x1/full/mm/warm_touched", [1408998413556566437, 90, 26280, 60, 17520, 20, 5840, 10, 2920, 206, 15040]),
-    ("hub/x1/full/mm/warm_blind", [1408998413556566437, 90, 26280, 60, 17520, 20, 5840, 10, 2920, 204, 15032]),
-    ("hub/x1/full/mm/warm_over", [5650160885650785494, 90, 26280, 60, 17520, 20, 5840, 10, 2920, 204, 15032]),
-    ("hub/x1/full/single/cold", [3989078595913273174, 45, 13140, 30, 8760, 5, 1460, 10, 2920, 126, 6848]),
-    ("hub/x1/full/single/warm_touched", [16868379936317392307, 45, 13140, 30, 8760, 5, 1460, 10, 2920, 110, 4464]),
-    ("hub/x1/full/single/warm_blind", [16868379936317392307, 45, 13140, 30, 8760, 5, 1460, 10, 2920, 108, 4456]),
-    ("hub/x1/full/single/warm_over", [9644235781107514321, 45, 13140, 30, 8760, 5, 1460, 10, 2920, 108, 4456]),
     ("hub/x2/frontier/mm/cold", [17901351699918536916, 75, 13426, 49, 5834, 25, 7300, 1, 292, 196, 31012]),
     ("hub/x2/frontier/mm/warm_touched", [2622875087517459255, 79, 14604, 52, 7012, 25, 7300, 1, 292, 188, 29724]),
     ("hub/x2/frontier/mm/warm_blind", [582264993915615527, 70, 12577, 48, 6153, 20, 5840, 2, 584, 168, 27692]),
@@ -513,14 +424,6 @@ const GOLDEN: &[(&str, Row)] = &[
     ("hub/x2/frontier/single/warm_touched", [3002779468887172468, 36, 7441, 20, 3061, 15, 4380, 0, 0, 92, 8588]),
     ("hub/x2/frontier/single/warm_blind", [16061051550238827889, 29, 6707, 14, 2327, 15, 4380, 0, 0, 80, 8012]),
     ("hub/x2/frontier/single/warm_over", [18072527849576746467, 25, 6325, 9, 1945, 15, 4380, 0, 0, 68, 6732]),
-    ("hub/x2/full/mm/cold", [14981231111005598928, 90, 26280, 60, 17520, 30, 8760, 0, 0, 222, 33716]),
-    ("hub/x2/full/mm/warm_touched", [7504309379921092423, 90, 26280, 60, 17520, 30, 8760, 0, 0, 206, 31556]),
-    ("hub/x2/full/mm/warm_blind", [11382973309585695284, 90, 26280, 60, 17520, 30, 8760, 0, 0, 206, 31804]),
-    ("hub/x2/full/mm/warm_over", [2465110668092386551, 90, 26280, 60, 17520, 30, 8760, 0, 0, 208, 32156]),
-    ("hub/x2/full/single/cold", [9450217224081768868, 45, 13140, 30, 8760, 15, 4380, 0, 0, 126, 12380]),
-    ("hub/x2/full/single/warm_touched", [11208546256852353424, 45, 13140, 30, 8760, 15, 4380, 0, 0, 110, 10052]),
-    ("hub/x2/full/single/warm_blind", [1893332479563687105, 45, 13140, 30, 8760, 15, 4380, 0, 0, 108, 9924]),
-    ("hub/x2/full/single/warm_over", [8171944961636452641, 45, 13140, 30, 8760, 15, 4380, 0, 0, 110, 10204]),
     ("hub/x4/frontier/mm/cold", [11899914104108218631, 62, 11813, 41, 6557, 15, 4380, 3, 876, 166, 54816]),
     ("hub/x4/frontier/mm/warm_touched", [17856262163531581463, 73, 11701, 51, 6445, 15, 4380, 3, 876, 174, 57712]),
     ("hub/x4/frontier/mm/warm_blind", [6146724425187117059, 78, 13484, 57, 8228, 15, 4380, 3, 876, 180, 61104]),
@@ -529,12 +432,4 @@ const GOLDEN: &[(&str, Row)] = &[
     ("hub/x4/frontier/single/warm_touched", [13300241237928645894, 37, 5885, 26, 2673, 10, 2920, 1, 292, 94, 21088]),
     ("hub/x4/frontier/single/warm_blind", [7964012515169574802, 37, 7629, 25, 4417, 10, 2920, 1, 292, 92, 20768]),
     ("hub/x4/frontier/single/warm_over", [12252508687913101668, 40, 6044, 28, 2832, 10, 2920, 1, 292, 98, 22096]),
-    ("hub/x4/full/mm/cold", [7729661512244766535, 90, 26280, 60, 17520, 30, 8760, 0, 0, 228, 73264]),
-    ("hub/x4/full/mm/warm_touched", [13897026803839042694, 90, 26280, 60, 17520, 30, 8760, 0, 0, 206, 69528]),
-    ("hub/x4/full/mm/warm_blind", [1308862514573935573, 90, 26280, 60, 17520, 25, 7300, 5, 1460, 206, 69480]),
-    ("hub/x4/full/mm/warm_over", [13644993682537749712, 90, 26280, 60, 17520, 25, 7300, 5, 1460, 204, 69904]),
-    ("hub/x4/full/single/cold", [14681864094002452183, 45, 13140, 30, 8760, 15, 4380, 0, 0, 126, 26768]),
-    ("hub/x4/full/single/warm_touched", [8846138090229153890, 45, 13140, 30, 8760, 15, 4380, 0, 0, 110, 24480]),
-    ("hub/x4/full/single/warm_blind", [10818051896211511618, 45, 13140, 30, 8760, 10, 2920, 5, 1460, 108, 23840]),
-    ("hub/x4/full/single/warm_over", [3311662718341604640, 45, 13140, 30, 8760, 10, 2920, 5, 1460, 110, 25368]),
 ];

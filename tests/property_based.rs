@@ -452,8 +452,7 @@ fn warm_chains_stay_inside_the_cold_quality_envelope() {
                 seed: case,
                 ..Default::default()
             };
-            let sweep_cap =
-                params.outer_iters as u64 * refine_budget(params.refine_iters, params.sweep_mode);
+            let sweep_cap = params.outer_iters as u64 * refine_budget(params.refine_iters);
             let balanced = |imbalance: f64, target: f64, cold: f64| {
                 imbalance <= ((1.0 + target) * 1.02).max(cold)
             };

@@ -1,101 +1,139 @@
-//! End-to-end tests of the frontier-driven sweep engine across the workspace: parity
-//! between frontier and legacy full sweeps on the generator presets, bit-identical
+//! End-to-end tests of the frontier-driven sweep engine across the workspace: quality
+//! against a recorded full-sweep baseline on the generator presets, bit-identical
 //! results across thread counts, delta-scoped warm starts, and the empty-frontier
 //! early exit on already-converged seeds.
 
 use xtrapulp::metrics::{is_valid_partition, PartitionQuality};
-use xtrapulp::{PartitionParams, Partitioner, SweepMode, XtraPulpPartitioner};
+use xtrapulp::{
+    run_xtrapulp_job, try_pulp_run, GraphSource, PartitionParams, Partitioner, XtraPulpPartitioner,
+};
 use xtrapulp_api::{DynamicSession, Method, PartitionJob, UpdateBatch};
+use xtrapulp_comm::Runtime;
 use xtrapulp_gen::{GraphConfig, GraphKind};
-use xtrapulp_graph::Csr;
+use xtrapulp_graph::{Csr, Distribution};
 
 fn preset(kind: GraphKind, seed: u64) -> Csr {
     GraphConfig::new(kind, seed).generate().to_csr()
 }
 
-/// Frontier-vs-full parity on the generator presets: the frontier engine must stay
-/// within 1% of the full-sweep baseline's cut (it is usually far better) and meet the
-/// same imbalance constraint.
+/// One cold run's edge cut, vertex imbalance and vertices scored.
+type Quality = (u64, f64, u64);
+
+/// One cold run of XtraPuLP on `nranks` ranks, or of serial PuLP for `0`.
+fn cold_quality(csr: &Csr, nranks: usize, params: &PartitionParams) -> Quality {
+    if nranks == 0 {
+        let run = try_pulp_run(csr, params, None).unwrap();
+        let q = PartitionQuality::evaluate(csr, &run.parts, params.num_parts);
+        return (q.edge_cut, q.vertex_imbalance, run.stats.vertices_scored);
+    }
+    let source = GraphSource::Csr(csr, &Distribution::Block);
+    let job = run_xtrapulp_job(&mut Runtime::new(nranks), source, params, None).unwrap();
+    (
+        job.quality.edge_cut,
+        job.quality.vertex_imbalance,
+        job.vertices_scored,
+    )
+}
+
+/// Frontier sweeps against the full-sweep baseline in [`FULL_SWEEPS`]. Label
+/// propagation is a randomised heuristic whose per-seed cuts are multi-modal on
+/// community-structured graphs (full sweeps themselves swing by 2-3x across seeds on the
+/// webcrawl preset), so the cut is compared in geometric mean over each graph's seeds:
+/// no more than 2% worse in aggregate. Every run must also meet the imbalance full
+/// sweeps reached or the target, and score fewer vertices than they did.
 #[test]
 fn frontier_matches_full_sweep_quality_on_gen_presets() {
-    let presets: Vec<(&str, Csr)> = vec![
+    let graphs = [
         (
             "webcrawl",
-            preset(
-                GraphKind::WebCrawl {
-                    num_vertices: 4096,
-                    avg_degree: 12,
-                    community_size: 256,
-                },
-                7,
-            ),
+            GraphKind::WebCrawl {
+                num_vertices: 4096,
+                avg_degree: 12,
+                community_size: 256,
+            },
         ),
         (
             "grid2d",
-            preset(
-                GraphKind::Grid2d {
-                    width: 64,
-                    height: 64,
-                    diagonal: false,
-                },
-                7,
-            ),
+            GraphKind::Grid2d {
+                width: 64,
+                height: 64,
+                diagonal: false,
+            },
         ),
         (
             "ba",
-            preset(
-                GraphKind::BarabasiAlbert {
-                    num_vertices: 4096,
-                    edges_per_vertex: 8,
-                },
-                7,
-            ),
+            GraphKind::BarabasiAlbert {
+                num_vertices: 4096,
+                edges_per_vertex: 8,
+            },
+        ),
+        (
+            "grid24",
+            GraphKind::Grid2d {
+                width: 24,
+                height: 24,
+                diagonal: false,
+            },
         ),
     ];
-    // Label propagation is a randomised heuristic whose per-seed cuts are multi-modal
-    // on community-structured graphs (the full-sweep baseline itself swings by 2-3x
-    // across seeds on the webcrawl preset), so parity is asserted on the geometric
-    // mean of the cut ratio over seeds: the frontier engine must be no more than 1%
-    // worse in aggregate, and every individual run must meet the imbalance constraint.
-    for (name, csr) in &presets {
+    for (name, kind) in graphs {
+        let csr = preset(kind, 7);
+        let rows: Vec<_> = FULL_SWEEPS.iter().filter(|row| row.0 == name).collect();
         let mut log_ratio_sum = 0.0f64;
-        let seeds = [5u64, 13, 29, 43, 77, 91];
-        for &seed in &seeds {
-            let frontier_params = PartitionParams {
-                num_parts: 8,
+        for &&(_, nranks, seed, (full_cut, full_imbalance, full_scored)) in &rows {
+            let params = PartitionParams {
+                num_parts: if nranks == 0 { 4 } else { 8 },
                 seed,
                 ..Default::default()
             };
-            let full_params = PartitionParams {
-                sweep_mode: SweepMode::Full,
-                ..frontier_params
-            };
-            let partitioner = XtraPulpPartitioner::new(2);
-            let frontier = partitioner.try_partition(csr, &frontier_params).unwrap();
-            let full = partitioner.try_partition(csr, &full_params).unwrap();
-            let qf = PartitionQuality::evaluate(csr, &frontier, 8);
-            let qb = PartitionQuality::evaluate(csr, &full, 8);
-            assert!(is_valid_partition(&frontier, 8), "{name}");
-            log_ratio_sum += ((qf.edge_cut.max(1)) as f64 / (qb.edge_cut.max(1)) as f64).ln();
+            let (cut, imbalance, scored) = cold_quality(&csr, nranks, &params);
+            log_ratio_sum += (cut.max(1) as f64 / full_cut.max(1) as f64).ln();
             // Same slack the final-rebalance gate uses: within 2% of the fractional
             // target is rounding, not imbalance.
-            let target = (1.0 + frontier_params.vertex_imbalance) * 1.02;
+            let target = (1.0 + params.vertex_imbalance) * 1.02;
             assert!(
-                qf.vertex_imbalance <= qb.vertex_imbalance.max(target),
-                "{name}/{seed}: frontier imbalance {} vs full {} (target {target})",
-                qf.vertex_imbalance,
-                qb.vertex_imbalance
+                imbalance <= full_imbalance.max(target),
+                "{name}/{seed}: frontier imbalance {imbalance} vs full {full_imbalance}"
+            );
+            assert!(
+                scored < full_scored,
+                "{name}/{seed}: frontier scored {scored}, full sweeps {full_scored}"
             );
         }
-        let geomean_ratio = (log_ratio_sum / seeds.len() as f64).exp();
-        // 2% aggregate tolerance: at these reduced test sizes a handful of seeds
-        // leaves 1-2% of residual variance even for an equivalent engine.
+        let geomean_ratio = (log_ratio_sum / rows.len() as f64).exp();
         assert!(
             geomean_ratio <= 1.02,
             "{name}: geomean frontier/full cut ratio {geomean_ratio:.3} exceeds 1.02"
         );
     }
 }
+
+/// What the legacy full-sweep mode produced on the graphs of
+/// [`frontier_matches_full_sweep_quality_on_gen_presets`] before it left the library,
+/// per `(graph, ranks, seed)`: `(edge cut, vertex imbalance, vertices scored)`. `0`
+/// ranks is serial PuLP into 4 parts, otherwise XtraPuLP into 8.
+const FULL_SWEEPS: &[(&str, usize, u64, Quality)] = &[
+    ("webcrawl", 2, 5, (6320, 1.0859375, 368640)),
+    ("webcrawl", 2, 13, (7797, 1.1015625, 368640)),
+    ("webcrawl", 2, 29, (9339, 1.103515625, 368640)),
+    ("webcrawl", 2, 43, (6373, 1.099609375, 368640)),
+    ("webcrawl", 2, 77, (8315, 1.09765625, 368640)),
+    ("webcrawl", 2, 91, (7442, 1.1015625, 368640)),
+    ("grid2d", 2, 5, (1485, 1.095703125, 368640)),
+    ("grid2d", 2, 13, (1509, 1.080078125, 368640)),
+    ("grid2d", 2, 29, (1599, 1.099609375, 368640)),
+    ("grid2d", 2, 43, (1697, 1.09375, 368640)),
+    ("grid2d", 2, 77, (1571, 1.078125, 368640)),
+    ("grid2d", 2, 91, (1667, 1.08984375, 368640)),
+    ("ba", 2, 5, (21803, 1.109375, 368640)),
+    ("ba", 2, 13, (22185, 1.11328125, 368640)),
+    ("ba", 2, 29, (21592, 1.10546875, 368640)),
+    ("ba", 2, 43, (22310, 1.11328125, 368640)),
+    ("ba", 2, 77, (22461, 1.115234375, 368640)),
+    ("ba", 2, 91, (21888, 1.107421875, 368640)),
+    ("grid24", 0, 5, (186, 1.0486111111111112, 35712)),
+    ("grid24", 0, 17, (240, 1.0972222222222223, 32832)),
+];
 
 /// The distributed engine's two-phase chunk protocol: results are bit-identical for
 /// 1, 2 and max worker threads.
@@ -191,9 +229,9 @@ fn touched_warm_start_scores_a_fraction_of_cold() {
     assert!(is_valid_partition(&warm.report.parts, 8));
 }
 
-/// Serial PuLP: identical partitions for every thread count, in both sweep modes.
+/// Serial PuLP: identical partitions for every thread count.
 #[test]
-fn serial_pulp_identical_across_thread_counts_in_both_modes() {
+fn serial_pulp_identical_across_thread_counts() {
     let csr = preset(
         GraphKind::WebCrawl {
             num_vertices: 3000,
@@ -202,19 +240,16 @@ fn serial_pulp_identical_across_thread_counts_in_both_modes() {
         },
         21,
     );
-    for mode in [SweepMode::Frontier, SweepMode::Full] {
-        let run = |threads: usize| {
-            let params = PartitionParams {
-                num_parts: 6,
-                seed: 13,
-                sweep_mode: mode,
-                sweep_threads: threads,
-                ..Default::default()
-            };
-            xtrapulp::try_pulp_partition(&csr, &params).unwrap()
+    let run = |threads: usize| {
+        let params = PartitionParams {
+            num_parts: 6,
+            seed: 13,
+            sweep_threads: threads,
+            ..Default::default()
         };
-        let one = run(1);
-        assert_eq!(one, run(2), "{mode:?}: 1 vs 2 threads");
-        assert_eq!(one, run(8), "{mode:?}: 1 vs 8 threads");
-    }
+        xtrapulp::try_pulp_partition(&csr, &params).unwrap()
+    };
+    let one = run(1);
+    assert_eq!(one, run(2), "1 vs 2 threads");
+    assert_eq!(one, run(8), "1 vs 8 threads");
 }
