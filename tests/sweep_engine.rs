@@ -19,28 +19,33 @@ fn preset(kind: GraphKind, seed: u64) -> Csr {
 /// One cold run's edge cut, vertex imbalance and vertices scored.
 type Quality = (u64, f64, u64);
 
-/// One cold run of XtraPuLP on `nranks` ranks, or of serial PuLP for `0`.
-fn cold_quality(csr: &Csr, nranks: usize, params: &PartitionParams) -> Quality {
+/// One cold run of XtraPuLP on `nranks` ranks, or of serial PuLP for `0`: its part
+/// vector and quality.
+fn cold_quality(csr: &Csr, nranks: usize, params: &PartitionParams) -> (Vec<i32>, Quality) {
     if nranks == 0 {
         let run = try_pulp_run(csr, params, None).unwrap();
         let q = PartitionQuality::evaluate(csr, &run.parts, params.num_parts);
-        return (q.edge_cut, q.vertex_imbalance, run.stats.vertices_scored);
+        let quality = (q.edge_cut, q.vertex_imbalance, run.stats.vertices_scored);
+        return (run.parts, quality);
     }
     let source = GraphSource::Csr(csr, &Distribution::Block);
     let job = run_xtrapulp_job(&mut Runtime::new(nranks), source, params, None).unwrap();
-    (
+    let quality = (
         job.quality.edge_cut,
         job.quality.vertex_imbalance,
         job.vertices_scored,
-    )
+    );
+    (job.parts, quality)
 }
 
 /// Frontier sweeps against the full-sweep baseline in [`FULL_SWEEPS`]. Label
 /// propagation is a randomised heuristic whose per-seed cuts are multi-modal on
 /// community-structured graphs (full sweeps themselves swing by 2-3x across seeds on the
-/// webcrawl preset), so the cut is compared in geometric mean over each graph's seeds:
-/// no more than 2% worse in aggregate. Every run must also meet the imbalance full
-/// sweeps reached or the target, and score fewer vertices than they did.
+/// webcrawl preset), so the distributed cut is compared in geometric mean over each
+/// graph's seeds: no more than 2% worse in aggregate. Serial runs on the small grid are
+/// stable enough to hold per run: at most 1% (plus one edge) worse. Every run must
+/// return a valid partition, meet the imbalance full sweeps reached or the target, and
+/// score fewer vertices than they did.
 #[test]
 fn frontier_matches_full_sweep_quality_on_gen_presets() {
     let graphs = [
@@ -86,11 +91,24 @@ fn frontier_matches_full_sweep_quality_on_gen_presets() {
                 seed,
                 ..Default::default()
             };
-            let (cut, imbalance, scored) = cold_quality(&csr, nranks, &params);
+            let (parts, (cut, imbalance, scored)) = cold_quality(&csr, nranks, &params);
+            assert!(
+                is_valid_partition(&parts, params.num_parts),
+                "{name}/{seed}"
+            );
             log_ratio_sum += (cut.max(1) as f64 / full_cut.max(1) as f64).ln();
-            // Same slack the final-rebalance gate uses: within 2% of the fractional
-            // target is rounding, not imbalance.
-            let target = (1.0 + params.vertex_imbalance) * 1.02;
+            let target = if nranks == 0 {
+                assert!(
+                    cut as f64 <= full_cut as f64 * 1.01 + 1.0,
+                    "{name}/{seed}: frontier cut {cut} vs full cut {full_cut}"
+                );
+                // Serial rounding slack: one point over the target.
+                1.0 + params.vertex_imbalance + 0.01
+            } else {
+                // Same slack the final-rebalance gate uses: within 2% of the fractional
+                // target is rounding, not imbalance.
+                (1.0 + params.vertex_imbalance) * 1.02
+            };
             assert!(
                 imbalance <= full_imbalance.max(target),
                 "{name}/{seed}: frontier imbalance {imbalance} vs full {full_imbalance}"
