@@ -72,7 +72,7 @@ mod session;
 pub use dynamic::{DynamicReport, DynamicSession};
 pub use method::Method;
 pub use report::PartitionReport;
-pub use serving::{DurabilityError, EngineError, MetricsEndpoint, ServingSession};
+pub use serving::{EngineError, MetricsEndpoint, ServingSession};
 pub use session::{PartitionJob, Session};
 
 // The facade's error type lives in the core crate (validation happens there); re-export
@@ -86,6 +86,7 @@ pub use xtrapulp_analytics::{
 pub use xtrapulp_dynamic::{UpdateBatch, UpdateError, UpdateSummary};
 pub use xtrapulp_obs::{Histogram, HistogramSnapshot, MetricsServer};
 pub use xtrapulp_serve::{
-    BatchPolicy, EpochStore, IngestError, IngestQueue, MigrationDiff, PartitionSnapshot,
-    ReplayError, ReplayOutcome, ServeConfig, ServeError, ServeLatencies, ServeStats,
+    BatchPolicy, DurabilityError, EpochStore, IngestError, IngestQueue, MigrationDiff,
+    PartitionSnapshot, ReplayError, ReplayOutcome, ServeConfig, ServeError, ServeLatencies,
+    ServeStats,
 };

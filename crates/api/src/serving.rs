@@ -17,10 +17,12 @@
 //! [`shutdown`](ServingSession::shutdown) is drain-then-stop and hands the
 //! [`DynamicSession`] back, so a service can fall back to the single-writer loop (or
 //! run analytics on the final graph) after the concurrent phase.
+//!
+//! Durable sessions write through a [`xtrapulp_serve::durable::Journal`]; this module
+//! only replays one into a [`DynamicSession`] on recovery.
 
-use std::fs;
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -28,10 +30,9 @@ use xtrapulp::metrics::PartitionQuality;
 use xtrapulp::{PartitionError, StageBreakdown};
 use xtrapulp_analytics::{AnalyticsConsumer, AnalyticsSubscriber, WarmPolicy};
 use xtrapulp_dynamic::{UpdateBatch, UpdateError};
-use xtrapulp_graph::io::{read_binary_edge_list, write_binary_edge_list};
-use xtrapulp_graph::{csr_from_edges, Csr, GraphDelta};
+use xtrapulp_graph::{Csr, GraphDelta};
 use xtrapulp_obs as obs;
-use xtrapulp_serve::durable::{self, Checkpoint, DurableConfig, WalRecord, WalWriter, WAL_FILE};
+use xtrapulp_serve::durable::{DurabilityError, DurableConfig, Journal, WalRecord};
 use xtrapulp_serve::{
     replay_update_log, EpochStore, IngestError, IngestQueue, PartitionSnapshot, RepartitionEngine,
     ReplayError, ReplayOutcome, ServeConfig, ServeError, ServeHandle, ServeLatencies, ServeStats,
@@ -70,65 +71,6 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Why spawning or recovering a durable serving session failed.
-#[derive(Debug)]
-pub enum DurabilityError {
-    /// Reading or writing the durable directory failed.
-    Io(std::io::Error),
-    /// A (re)partition run during spawn or recovery replay failed.
-    Partition(PartitionError),
-    /// The durable state is internally inconsistent (e.g. a checkpoint that
-    /// does not match the topology the WAL reproduces).
-    Corrupt {
-        /// What was inconsistent.
-        detail: String,
-    },
-}
-
-impl std::fmt::Display for DurabilityError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DurabilityError::Io(e) => write!(f, "durable state I/O failed: {e}"),
-            DurabilityError::Partition(e) => write!(f, "partition during recovery failed: {e}"),
-            DurabilityError::Corrupt { detail } => {
-                write!(f, "durable state is inconsistent: {detail}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DurabilityError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            DurabilityError::Io(e) => Some(e),
-            DurabilityError::Partition(e) => Some(e),
-            DurabilityError::Corrupt { .. } => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for DurabilityError {
-    fn from(e: std::io::Error) -> Self {
-        DurabilityError::Io(e)
-    }
-}
-
-impl From<PartitionError> for DurabilityError {
-    fn from(e: PartitionError) -> Self {
-        DurabilityError::Partition(e)
-    }
-}
-
-/// The engine's durable side: the open WAL plus the checkpoint policy. Lives on
-/// the worker thread with the engine; all writes happen off the serving path.
-struct DurableState {
-    wal: WalWriter,
-    dir: PathBuf,
-    checkpoint_every: u64,
-    crash_after: Option<u64>,
-    last_checkpoint_epoch: u64,
-}
-
 /// The production [`RepartitionEngine`]: a [`DynamicSession`] driven on the worker
 /// thread. Public only through [`ServingSession`].
 struct DynamicEngine {
@@ -138,21 +80,16 @@ struct DynamicEngine {
     pending_deltas: Vec<GraphDelta>,
     /// `Some` for sessions spawned with [`ServingSession::spawn_durable`] or
     /// [`ServingSession::recover`].
-    durable: Option<DurableState>,
+    journal: Option<Journal>,
 }
 
 impl RepartitionEngine for DynamicEngine {
     type Error = EngineError;
 
     fn apply(&mut self, batch: &UpdateBatch) -> Result<(), EngineError> {
-        // Write-ahead: the batch is durable before it can touch the graph, so a
-        // crash between the append and the apply replays it on recovery, and a
-        // batch the dynamic subsystem rejects re-rejects identically on replay.
-        if let Some(d) = self.durable.as_mut() {
-            d.wal
-                .append(&WalRecord::Batch(batch.clone()))
-                .map_err(EngineError::Durability)?;
-            durable::maybe_inject_crash(d.crash_after, d.wal.records());
+        // Write-ahead: recovery is exact only if nothing is applied before it is logged.
+        if let Some(journal) = self.journal.as_mut() {
+            journal.log_batch(batch).map_err(EngineError::Durability)?;
         }
         let (_, delta) = self
             .session
@@ -164,22 +101,10 @@ impl RepartitionEngine for DynamicEngine {
 
     fn repartition(&mut self) -> Result<PartitionSnapshot, EngineError> {
         let report = self.session.repartition().map_err(EngineError::Partition)?;
-        if let Some(d) = self.durable.as_mut() {
-            d.wal
-                .append(&WalRecord::EpochMark {
-                    epoch: report.epoch,
-                })
+        if let Some(journal) = self.journal.as_mut() {
+            journal
+                .mark_epoch(report.epoch, &report.report.parts)
                 .map_err(EngineError::Durability)?;
-            durable::maybe_inject_crash(d.crash_after, d.wal.records());
-            if report.epoch.saturating_sub(d.last_checkpoint_epoch) >= d.checkpoint_every {
-                let ckpt = Checkpoint {
-                    epoch: report.epoch,
-                    wal_records: d.wal.records(),
-                    parts: report.report.parts.clone(),
-                };
-                durable::write_checkpoint(&d.dir, &ckpt).map_err(EngineError::Durability)?;
-                d.last_checkpoint_epoch = report.epoch;
-            }
         }
         Ok(snapshot_from(
             report,
@@ -210,11 +135,11 @@ fn snapshot_from(report: DynamicReport, deltas: Vec<GraphDelta>) -> PartitionSna
 pub struct ServingSession {
     handle: ServeHandle<DynamicEngine>,
     nranks: usize,
-    /// The epoch the store was seeded with and the topology it covered, retained so an
-    /// analytics consumer can build its rank graphs from it and catch up via the store's
-    /// delta history. This pins a copy of the graph for the session's lifetime even when
-    /// no consumer subscribes; bootstrapping from the persisted base or the live rank
-    /// graphs instead is a known follow-up (see ROADMAP).
+    /// The epoch the store opened with, its topology and its partition: the spawned
+    /// graph and its cold epoch, or for a recovered session the graph and partition
+    /// the replay ended at. An analytics consumer builds its rank graphs from them and
+    /// catches up through the store's delta history. This pins a copy of the graph for
+    /// the session's lifetime even when no consumer subscribes (ROADMAP direction 2(b)).
     base_epoch: u64,
     base_csr: Csr,
     base_parts: Vec<i32>,
@@ -241,35 +166,17 @@ impl ServingSession {
         job: PartitionJob,
         config: ServeConfig,
     ) -> Result<ServingSession, PartitionError> {
-        let base_csr = csr.clone();
         let mut session = DynamicSession::spawn(nranks, csr, job)?;
         let initial = snapshot_from(session.repartition()?, Vec::new());
-        let base_epoch = initial.epoch;
-        let base_parts = initial.parts.clone();
-        let handle = xtrapulp_serve::spawn(
-            DynamicEngine {
-                session,
-                pending_deltas: Vec::new(),
-                durable: None,
-            },
-            initial,
-            config,
-        );
-        Ok(ServingSession {
-            handle,
-            nranks,
-            base_epoch,
-            base_csr,
-            base_parts,
-        })
+        Ok(Self::start(nranks, session, initial, None, config))
     }
 
     /// [`spawn_with_config`](ServingSession::spawn_with_config) with crash-recoverable
     /// state under `durable.dir`: the base graph is persisted, every accepted batch is
     /// written ahead to a checksummed WAL, each published epoch is marked, and the part
-    /// vector is checkpointed atomically every `durable.checkpoint_every_epochs`
-    /// epochs. A session killed mid-serve comes back bit-identical through
-    /// [`recover`](ServingSession::recover).
+    /// vector is checkpointed atomically once the graph epoch has advanced
+    /// `durable.checkpoint_every_epochs` past the previous checkpoint. A session killed
+    /// mid-serve comes back bit-identical through [`recover`](ServingSession::recover).
     ///
     /// Starts a *fresh* job: any WAL, checkpoints or persisted base graph already in
     /// the directory are removed first.
@@ -280,55 +187,11 @@ impl ServingSession {
         config: ServeConfig,
         durable: DurableConfig,
     ) -> Result<ServingSession, DurabilityError> {
-        fs::create_dir_all(&durable.dir)?;
-        for entry in fs::read_dir(&durable.dir)? {
-            let entry = entry?;
-            if let Some(name) = entry.file_name().to_str() {
-                if name == WAL_FILE || name.starts_with("ckpt-") || name.starts_with("base.") {
-                    fs::remove_file(entry.path())?;
-                }
-            }
-        }
-        persist_base(&durable.dir, &csr)?;
-        let base_csr = csr.clone();
         let mut session = DynamicSession::spawn(nranks, csr, job)?;
         let initial = snapshot_from(session.repartition()?, Vec::new());
-        // Checkpoint 0 covers the empty WAL: recovery of an untouched session
-        // loads it and replays nothing.
-        durable::write_checkpoint(
-            &durable.dir,
-            &Checkpoint {
-                epoch: initial.epoch,
-                wal_records: 0,
-                parts: initial.parts.clone(),
-            },
-        )?;
-        let wal = WalWriter::create(&durable.dir.join(WAL_FILE))?;
-        let base_epoch = initial.epoch;
-        let base_parts = initial.parts.clone();
-        let state = DurableState {
-            wal,
-            dir: durable.dir.clone(),
-            checkpoint_every: durable.checkpoint_every_epochs.max(1),
-            crash_after: durable.crash_after_wal_records,
-            last_checkpoint_epoch: initial.epoch,
-        };
-        let handle = xtrapulp_serve::spawn(
-            DynamicEngine {
-                session,
-                pending_deltas: Vec::new(),
-                durable: Some(state),
-            },
-            initial,
-            config,
-        );
-        Ok(ServingSession {
-            handle,
-            nranks,
-            base_epoch,
-            base_csr,
-            base_parts,
-        })
+        let base = session.graph().csr();
+        let journal = Journal::create(&durable, base, initial.epoch, &initial.parts)?;
+        Ok(Self::start(nranks, session, initial, Some(journal), config))
     }
 
     /// Recover a durable serving session after a crash: load the newest checkpoint
@@ -347,12 +210,9 @@ impl ServingSession {
         config: ServeConfig,
         durable: DurableConfig,
     ) -> Result<ServingSession, DurabilityError> {
-        let dir = durable.dir.clone();
-        let base_csr = load_base(&dir)?;
-        let (mut wal, records) = WalWriter::open(&dir.join(WAL_FILE))?;
-        let ckpt = durable::load_newest_checkpoint(&dir, records.len() as u64)?;
+        let (mut journal, base, ckpt, records) = Journal::open(&durable)?;
         let num_parts = job.params.num_parts;
-        let mut session = DynamicSession::spawn(nranks, base_csr, job)?;
+        let mut session = DynamicSession::spawn(nranks, base, job)?;
 
         let mut idx = 0usize;
         match &ckpt {
@@ -369,8 +229,8 @@ impl ServingSession {
                     .seed_partition(c.parts.clone())
                     .map_err(|e| DurabilityError::Corrupt {
                         detail: format!(
-                            "checkpoint ckpt-{} does not match the topology its WAL \
-                             prefix reproduces: {e}",
+                            "the checkpoint of epoch {} does not match the topology its \
+                             WAL prefix reproduces: {e}",
                             c.epoch
                         ),
                     })?;
@@ -388,10 +248,9 @@ impl ServingSession {
         let mut unmarked = false;
         for record in &records[idx..] {
             match record {
-                WalRecord::Batch(batch) => {
-                    let _ = session.apply_updates(batch);
-                    unmarked = true;
-                }
+                // Only an accepted batch leaves the graph ahead of its last mark: the
+                // live worker skips the repartition of a group it rejected whole.
+                WalRecord::Batch(batch) => unmarked |= session.apply_updates(batch).is_ok(),
                 WalRecord::EpochMark { .. } => {
                     session.repartition()?;
                     unmarked = false;
@@ -399,38 +258,24 @@ impl ServingSession {
             }
         }
         if unmarked {
-            // The WAL ends in batches whose epoch mark never landed (the torn
-            // write-ahead window). Logged means applied: repartition them now and
-            // mark it, so a second crash replays this decision identically.
+            // The WAL ends in accepted batches whose epoch mark never landed (the
+            // torn write-ahead window). Logged means applied: repartition them now;
+            // `resume` marks it.
             session.repartition()?;
-            wal.append(&WalRecord::EpochMark {
-                epoch: session.epoch(),
-            })?;
         }
-
-        // Checkpoint the recovered state so repeated recoveries stay cheap and
-        // the replayed tail stays bounded.
         let parts = session
             .parts()
             .ok_or_else(|| DurabilityError::Corrupt {
                 detail: "replaying the durable state left no partition".into(),
             })?
             .to_vec();
-        durable::write_checkpoint(
-            &dir,
-            &Checkpoint {
-                epoch: session.epoch(),
-                wal_records: wal.records(),
-                parts: parts.clone(),
-            },
-        )?;
+        journal.resume(session.epoch(), &parts, unmarked)?;
 
-        let quality = PartitionQuality::evaluate(session.graph().csr(), &parts, num_parts);
         let initial = PartitionSnapshot {
             epoch: session.epoch(),
             num_parts,
-            parts: parts.clone(),
-            quality,
+            quality: PartitionQuality::evaluate(session.graph().csr(), &parts, num_parts),
+            parts,
             warm_start: ckpt.is_some(),
             lp_sweeps: 0,
             vertices_scored: 0,
@@ -438,37 +283,41 @@ impl ServingSession {
             vertices_migrated: 0,
             deltas: Vec::new().into(),
         };
+        Ok(Self::start(nranks, session, initial, Some(journal), config))
+    }
+
+    /// The one start path: wrap `session` (and `journal`, when durable) in the serving
+    /// engine and spawn the worker with `initial`, the partition of the session's
+    /// current graph, as the store's first epoch.
+    fn start(
+        nranks: usize,
+        session: DynamicSession,
+        initial: PartitionSnapshot,
+        journal: Option<Journal>,
+        config: ServeConfig,
+    ) -> ServingSession {
         let base_epoch = initial.epoch;
-        let recovered_csr = session.graph().csr().clone();
-        let state = DurableState {
-            wal,
-            dir,
-            checkpoint_every: durable.checkpoint_every_epochs.max(1),
-            crash_after: durable.crash_after_wal_records,
-            last_checkpoint_epoch: initial.epoch,
+        let base_csr = session.graph().csr().clone();
+        let base_parts = initial.parts.clone();
+        let engine = DynamicEngine {
+            session,
+            pending_deltas: Vec::new(),
+            journal,
         };
-        let handle = xtrapulp_serve::spawn(
-            DynamicEngine {
-                session,
-                pending_deltas: Vec::new(),
-                durable: Some(state),
-            },
-            initial,
-            config,
-        );
-        Ok(ServingSession {
-            handle,
+        ServingSession {
+            handle: xtrapulp_serve::spawn(engine, initial, config),
             nranks,
             base_epoch,
-            base_csr: recovered_csr,
-            base_parts: parts,
-        })
+            base_csr,
+            base_parts,
+        }
     }
 
     /// Subscribe an incremental analytics consumer to this session's epoch stream.
     ///
     /// The consumer gets its own `nranks`-rank runtime and one graph per rank, built
-    /// from the graph the session was spawned with and distributed by the cold epoch's
+    /// from the epoch the store opened with (the spawned graph's cold epoch, or the
+    /// epoch [`recover`](ServingSession::recover) replayed to) and distributed by its
     /// partition; its initial (cold) analytics state is computed before this returns.
     /// Each [`poll`](AnalyticsSubscriber::poll) then blocks for the next published
     /// epoch, applies the epoch's [`GraphDelta`](xtrapulp_graph::GraphDelta) stream to
@@ -608,31 +457,6 @@ impl MetricsEndpoint {
     }
 }
 
-/// Persist the base graph under `dir`, atomically: `base.bel` (binary edge list)
-/// plus `base.meta` (the vertex count — edge lists lose isolated tail vertices).
-/// Both go through a temp file and a rename so a crash mid-write never leaves a
-/// half-written base behind.
-fn persist_base(dir: &Path, csr: &Csr) -> std::io::Result<()> {
-    let edges: Vec<_> = csr.edges().collect();
-    let tmp = dir.join("base.bel.partial");
-    write_binary_edge_list(&tmp, &edges)?;
-    fs::rename(&tmp, dir.join("base.bel"))?;
-    let tmp = dir.join("base.meta.partial");
-    fs::write(&tmp, format!("{}\n", csr.num_vertices()))?;
-    fs::rename(&tmp, dir.join("base.meta"))?;
-    Ok(())
-}
-
-/// Load the base graph persisted by [`persist_base`].
-fn load_base(dir: &Path) -> Result<Csr, DurabilityError> {
-    let meta = fs::read_to_string(dir.join("base.meta"))?;
-    let num_vertices: u64 = meta.trim().parse().map_err(|e| DurabilityError::Corrupt {
-        detail: format!("base.meta does not hold a vertex count: {e}"),
-    })?;
-    let edges = read_binary_edge_list(&dir.join("base.bel"))?;
-    Ok(csr_from_edges(num_vertices, &edges))
-}
-
 /// Append the session's serving counters as Prometheus exposition lines.
 fn render_serve_stats(s: &ServeStats, out: &mut String) {
     use std::fmt::Write as _;
@@ -682,6 +506,8 @@ fn render_serve_stats(s: &ServeStats, out: &mut String) {
 mod tests {
     use super::*;
     use crate::Method;
+    use std::fs;
+    use std::path::PathBuf;
     use std::time::Duration;
     use xtrapulp::PartitionParams;
     use xtrapulp_gen::{GraphConfig, GraphKind};
@@ -943,6 +769,147 @@ mod tests {
             reference.parts().unwrap()
         );
         recovered.shutdown().unwrap();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A WAL that ends in a rejected batch ends where the live worker stopped: the
+    /// worker skipped the repartition of a group it rejected whole, so recovery must
+    /// neither run it nor append a second mark for the epoch.
+    #[test]
+    fn recovery_does_not_mark_a_wal_tail_of_rejected_batches() {
+        let dir = temp_dir("rejected-tail");
+        let csr = ba_csr(500, 7);
+        let mut bad = UpdateBatch::new();
+        bad.insert_edge(1, csr.neighbors(1)[0]); // re-inserting an edge is invalid
+        let serving = ServingSession::spawn_durable(
+            2,
+            csr,
+            job(4),
+            epoch_per_batch_config(),
+            DurableConfig::new(&dir),
+        )
+        .unwrap();
+        serving.ingest(step_batch(0)).unwrap();
+        serving
+            .store()
+            .wait_for_epoch(1, Duration::from_secs(60))
+            .unwrap();
+        serving.ingest(bad).unwrap();
+        let (reference, stats) = serving.shutdown().unwrap();
+        assert_eq!(stats.batches_rejected, 1);
+
+        let recovered = ServingSession::recover(
+            2,
+            job(4),
+            epoch_per_batch_config(),
+            DurableConfig::new(&dir),
+        )
+        .unwrap();
+        assert_eq!(recovered.epoch(), 1);
+        assert_eq!(
+            recovered.store().current().parts,
+            reference.parts().unwrap()
+        );
+        recovered.shutdown().unwrap();
+        let (_, _, _, records) = Journal::open(&DurableConfig::new(&dir)).unwrap();
+        let marks: Vec<u64> = records
+            .iter()
+            .filter_map(|record| match record {
+                WalRecord::EpochMark { epoch } => Some(*epoch),
+                WalRecord::Batch(_) => None,
+            })
+            .collect();
+        assert_eq!(records.len(), 3, "batch, mark, rejected batch");
+        assert_eq!(marks, [1]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `base.meta` counting fewer vertices than `base.bel` names would rebuild a
+    /// truncated graph (the CSR builder drops out-of-range endpoints): corruption.
+    #[test]
+    fn recovery_rejects_a_base_meta_that_disagrees_with_base_bel() {
+        let dir = temp_dir("short-meta");
+        let serving = ServingSession::spawn_durable(
+            2,
+            ba_csr(500, 7),
+            job(4),
+            ServeConfig::default(),
+            DurableConfig::new(&dir),
+        )
+        .unwrap();
+        serving.shutdown().unwrap();
+        fs::write(dir.join("base.meta"), "400\n").unwrap();
+        match ServingSession::recover(2, job(4), ServeConfig::default(), DurableConfig::new(&dir)) {
+            Err(DurabilityError::Corrupt { detail }) => {
+                assert!(detail.contains("base.meta counts 400"), "{detail}")
+            }
+            Err(e) => panic!("expected a corrupt base, got {e}"),
+            Ok(_) => panic!("recovered a truncated base graph"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A durable spawn over a previous job's directory, torn temp files included,
+    /// starts fresh: recovery reproduces the new job, not a mix with the old one.
+    #[test]
+    fn durable_spawn_over_a_used_directory_starts_fresh() {
+        let dir = temp_dir("reused");
+        let old = ServingSession::spawn_durable(
+            2,
+            ba_csr(500, 3),
+            job(4),
+            epoch_per_batch_config(),
+            DurableConfig::new(&dir).checkpoint_every(1),
+        )
+        .unwrap();
+        for i in 0..3 {
+            old.ingest(step_batch(i)).unwrap();
+            old.store()
+                .wait_for_epoch(i + 1, Duration::from_secs(60))
+                .unwrap();
+        }
+        old.shutdown().unwrap();
+        fs::write(dir.join("ckpt-9.tmp"), b"torn").unwrap();
+        fs::write(dir.join("base.bel.partial"), b"torn").unwrap();
+
+        let serving = ServingSession::spawn_durable(
+            2,
+            ba_csr(500, 7),
+            job(4),
+            epoch_per_batch_config(),
+            DurableConfig::new(&dir).checkpoint_every(2),
+        )
+        .unwrap();
+        serving.ingest(step_batch(0)).unwrap();
+        serving
+            .store()
+            .wait_for_epoch(1, Duration::from_secs(60))
+            .unwrap();
+        let (reference, _) = serving.shutdown().unwrap();
+        let mut files: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort_unstable();
+        assert_eq!(files, ["base.bel", "base.meta", "ckpt-0", "serve.wal"]);
+
+        let recovered = ServingSession::recover(
+            2,
+            job(4),
+            epoch_per_batch_config(),
+            DurableConfig::new(&dir),
+        )
+        .unwrap();
+        assert_eq!(recovered.epoch(), reference.epoch());
+        assert_eq!(
+            recovered.store().current().parts,
+            reference.parts().unwrap()
+        );
+        let (session, _) = recovered.shutdown().unwrap();
+        assert_eq!(
+            session.graph().csr().arcs().collect::<Vec<_>>(),
+            reference.graph().csr().arcs().collect::<Vec<_>>()
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,14 +1,28 @@
-//! Crash-recoverable serving state: a write-ahead log of accepted update batches
-//! with epoch markers, plus atomic checkpoints of the published part vector.
+//! Crash-recoverable serving state, owned by one [`Journal`]: the persisted base
+//! graph, a write-ahead log of accepted update batches with epoch marks, and atomic
+//! checkpoints of the published part vector.
 //!
-//! The durability contract is *process*-crash recovery for the serving pipeline:
-//! the engine appends every batch to the WAL **before** applying it (so a batch
-//! the dynamic subsystem would reject is re-rejected identically on replay), and
-//! appends an [`WalRecord::EpochMark`] after each successful repartition. Every
-//! `checkpoint_every_epochs` epochs the full part vector is checkpointed with a
-//! temp-file + atomic-rename write, checksummed, and named by its epoch
-//! (`ckpt-<epoch>`), so recovery loads the newest checkpoint that validates —
-//! falling back past corrupted ones — and replays only the WAL tail.
+//! The journal alone knows the write-ahead order. [`Journal::log_batch`] appends a
+//! batch **before** the engine applies it, so a batch the dynamic subsystem rejects
+//! re-rejects identically on replay; after each repartition [`Journal::mark_epoch`]
+//! appends a [`WalRecord::EpochMark`] and checkpoints the part vector at the
+//! configured cadence. [`Journal::open`] hands recovery the base, the newest
+//! checkpoint that validates (falling back past corrupted ones) and the WAL. Replay
+//! is exact because a partition is deterministic in (graph, job, rank count).
+//!
+//! ## The durable directory
+//!
+//! ```text
+//! base.bel    base graph edges (binary edge list)
+//! base.meta   base vertex count, decimal (an edge list loses isolated tail vertices)
+//! serve.wal   the write-ahead log
+//! ckpt-<e>    checkpoint of graph epoch <e>
+//! ```
+//!
+//! Every file but the WAL is written under a temp name (`base.bel.partial`,
+//! `base.meta.partial`, `ckpt-<e>.tmp`) and renamed into place, so a crash never
+//! leaves a half-written file under a final name. [`Journal::create`] removes them
+//! all, temp names included.
 //!
 //! ## On-disk formats
 //!
@@ -43,13 +57,14 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use xtrapulp_graph::UpdateOp;
+use xtrapulp::PartitionError;
+use xtrapulp_graph::io::{read_binary_edge_list, write_binary_edge_list};
+use xtrapulp_graph::{csr_from_edges, Csr, UpdateOp};
 use xtrapulp_obs::registry::Counter;
 
 use crate::UpdateBatch;
 
-/// File name of the write-ahead log inside a durable directory.
-pub const WAL_FILE: &str = "serve.wal";
+const WAL_FILE: &str = "serve.wal";
 
 const WAL_KIND_BATCH: u8 = 1;
 const WAL_KIND_EPOCH_MARK: u8 = 2;
@@ -80,7 +95,7 @@ fn le<const N: usize>(bytes: &[u8], at: usize) -> Option<[u8; N]> {
 }
 
 /// FNV-1a 64-bit, the integrity checksum of WAL records and checkpoints.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for &b in bytes {
         h ^= b as u64;
@@ -94,7 +109,10 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 pub struct DurableConfig {
     /// Directory holding the WAL, the checkpoints and the persisted base graph.
     pub dir: PathBuf,
-    /// Checkpoint the part vector every this many published epochs (minimum 1).
+    /// Checkpoint the part vector once the graph epoch has advanced this many past
+    /// the previous checkpoint (minimum 1). Graph epochs count applied batches, not
+    /// publishes: a publish that groups several batches advances several epochs, so
+    /// with batch grouping a checkpoint can land on every publish.
     pub checkpoint_every_epochs: u64,
     /// Fault injection: panic the serve worker once this many WAL records have
     /// been appended, leaving the log ahead of the applied state — the seeded
@@ -122,6 +140,178 @@ impl DurableConfig {
     pub fn crash_after_wal_records(mut self, records: u64) -> DurableConfig {
         self.crash_after_wal_records = Some(records);
         self
+    }
+}
+
+/// Why creating, opening or recovering a durable serving job failed.
+#[derive(Debug)]
+pub enum DurabilityError {
+    /// Reading or writing the durable directory failed.
+    Io(io::Error),
+    /// A (re)partition run during spawn or recovery replay failed.
+    Partition(PartitionError),
+    /// The durable state is internally inconsistent (e.g. a checkpoint that
+    /// does not match the topology the WAL reproduces).
+    Corrupt {
+        /// What was inconsistent.
+        detail: String,
+    },
+}
+
+impl std::fmt::Display for DurabilityError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DurabilityError::Io(e) => write!(f, "durable state I/O failed: {e}"),
+            DurabilityError::Partition(e) => write!(f, "partition during recovery failed: {e}"),
+            DurabilityError::Corrupt { detail } => {
+                write!(f, "durable state is inconsistent: {detail}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for DurabilityError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            DurabilityError::Io(e) => Some(e),
+            DurabilityError::Partition(e) => Some(e),
+            DurabilityError::Corrupt { .. } => None,
+        }
+    }
+}
+
+impl From<io::Error> for DurabilityError {
+    fn from(e: io::Error) -> Self {
+        DurabilityError::Io(e)
+    }
+}
+
+impl From<PartitionError> for DurabilityError {
+    fn from(e: PartitionError) -> Self {
+        DurabilityError::Partition(e)
+    }
+}
+
+/// The durable directory of one serving job and its write-ahead policy: the open
+/// WAL, the checkpoint cadence and the injected crash. Once serving starts it lives
+/// on the serve worker with the engine, so its per-epoch writes stay off the
+/// serving path.
+#[derive(Debug)]
+pub struct Journal {
+    wal: WalWriter,
+    config: DurableConfig,
+    last_checkpoint_epoch: u64,
+}
+
+impl Journal {
+    /// Start a fresh job under `config.dir`: remove every file a previous job left
+    /// there, persist `base`, create the WAL and checkpoint `parts` as `epoch`
+    /// (covering the empty WAL, so recovering an untouched job replays nothing).
+    pub fn create(
+        config: &DurableConfig,
+        base: &Csr,
+        epoch: u64,
+        parts: &[i32],
+    ) -> io::Result<Journal> {
+        let dir = &config.dir;
+        fs::create_dir_all(dir)?;
+        for entry in fs::read_dir(dir)? {
+            let name = entry?.file_name();
+            let name = name.to_str().unwrap_or_default();
+            if name == WAL_FILE || name.starts_with("ckpt-") || name.starts_with("base.") {
+                fs::remove_file(dir.join(name))?;
+            }
+        }
+        let edges: Vec<_> = base.edges().collect();
+        write_binary_edge_list(&dir.join("base.bel.partial"), &edges)?;
+        fs::rename(dir.join("base.bel.partial"), dir.join("base.bel"))?;
+        let meta = format!("{}\n", base.num_vertices());
+        fs::write(dir.join("base.meta.partial"), meta)?;
+        fs::rename(dir.join("base.meta.partial"), dir.join("base.meta"))?;
+        let mut journal = Journal {
+            wal: WalWriter::create(&dir.join(WAL_FILE))?,
+            config: config.clone(),
+            last_checkpoint_epoch: epoch,
+        };
+        journal.checkpoint(epoch, parts)?;
+        Ok(journal)
+    }
+
+    /// Open the job under `config.dir` for recovery: load the base graph, truncate
+    /// a torn WAL tail, and return the base, the newest checkpoint that validates
+    /// and lies within the WAL, and every durable WAL record in append order. The
+    /// caller replays the records and then calls [`resume`](Journal::resume).
+    pub fn open(
+        config: &DurableConfig,
+    ) -> Result<(Journal, Csr, Option<Checkpoint>, Vec<WalRecord>), DurabilityError> {
+        let dir = &config.dir;
+        let corrupt = |detail: String| DurabilityError::Corrupt { detail };
+        let meta = fs::read_to_string(dir.join("base.meta"))?;
+        let n: u64 = meta
+            .trim()
+            .parse()
+            .map_err(|e| corrupt(format!("base.meta does not hold a vertex count: {e}")))?;
+        let edges = read_binary_edge_list(&dir.join("base.bel"))?;
+        // Building the graph would silently drop an edge with an endpoint past `n`.
+        if let Some(w) = edges.iter().map(|&(u, v)| u.max(v)).find(|&w| w >= n) {
+            let detail = format!("base.bel names vertex {w}; base.meta counts {n}");
+            return Err(corrupt(detail));
+        }
+        let base = csr_from_edges(n, &edges);
+        let (wal, records) = WalWriter::open(&dir.join(WAL_FILE))?;
+        let checkpoint = load_newest_checkpoint(dir, records.len() as u64)?;
+        let journal = Journal {
+            wal,
+            config: config.clone(),
+            last_checkpoint_epoch: checkpoint.as_ref().map_or(0, |c| c.epoch),
+        };
+        Ok((journal, base, checkpoint, records))
+    }
+
+    /// Write-ahead: append `batch` before the engine applies it. Fires the injected
+    /// crash once the WAL reaches [`DurableConfig::crash_after_wal_records`].
+    pub fn log_batch(&mut self, batch: &UpdateBatch) -> io::Result<()> {
+        self.append(&WalRecord::Batch(batch.clone()))
+    }
+
+    /// Mark `epoch` as published with `parts`, and checkpoint them when the graph
+    /// epoch has advanced `checkpoint_every_epochs` past the previous checkpoint.
+    /// Fires the injected crash like [`log_batch`](Journal::log_batch).
+    pub fn mark_epoch(&mut self, epoch: u64, parts: &[i32]) -> io::Result<()> {
+        self.append(&WalRecord::EpochMark { epoch })?;
+        let every = self.config.checkpoint_every_epochs.max(1);
+        if epoch.saturating_sub(self.last_checkpoint_epoch) >= every {
+            self.checkpoint(epoch, parts)?;
+        }
+        Ok(())
+    }
+
+    /// End a recovery replay at `epoch` with `parts`. `mark_tail` says the WAL
+    /// ended in accepted batches no mark covered, which the replay repartitioned:
+    /// mark that, so a second crash replays the decision identically. Then
+    /// checkpoint, so the next recovery replays nothing before this point.
+    pub fn resume(&mut self, epoch: u64, parts: &[i32], mark_tail: bool) -> io::Result<()> {
+        if mark_tail {
+            self.wal.append(&WalRecord::EpochMark { epoch })?;
+        }
+        self.checkpoint(epoch, parts)
+    }
+
+    fn append(&mut self, record: &WalRecord) -> io::Result<()> {
+        self.wal.append(record)?;
+        maybe_inject_crash(self.config.crash_after_wal_records, self.wal.records());
+        Ok(())
+    }
+
+    fn checkpoint(&mut self, epoch: u64, parts: &[i32]) -> io::Result<()> {
+        let ckpt = Checkpoint {
+            epoch,
+            wal_records: self.wal.records(),
+            parts: parts.to_vec(),
+        };
+        write_checkpoint(&self.config.dir, &ckpt)?;
+        self.last_checkpoint_epoch = epoch;
+        Ok(())
     }
 }
 
@@ -223,15 +413,17 @@ fn parse_frame(bytes: &[u8], pos: usize) -> Option<(WalRecord, usize)> {
 
 /// The append handle of a serving WAL.
 #[derive(Debug)]
-pub struct WalWriter {
+struct WalWriter {
     file: File,
     records: u64,
+    /// Durable bytes of the log: the valid prefix at open plus every frame
+    /// appended since. Feeds the `mem_bytes{subsystem="durable_wal"}` gauge.
     bytes: u64,
 }
 
 impl WalWriter {
     /// Create a fresh (empty) WAL at `path`, truncating any existing one.
-    pub fn create(path: &Path) -> io::Result<WalWriter> {
+    fn create(path: &Path) -> io::Result<WalWriter> {
         let file = File::create(path)?;
         Ok(WalWriter {
             file,
@@ -243,7 +435,7 @@ impl WalWriter {
     /// Open an existing WAL (creating it when absent), validate it, truncate
     /// any torn tail, and return the writer positioned after the last durable
     /// record together with the records that survived.
-    pub fn open(path: &Path) -> io::Result<(WalWriter, Vec<WalRecord>)> {
+    fn open(path: &Path) -> io::Result<(WalWriter, Vec<WalRecord>)> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -266,18 +458,12 @@ impl WalWriter {
     }
 
     /// Records durably appended so far.
-    pub fn records(&self) -> u64 {
+    fn records(&self) -> u64 {
         self.records
     }
 
-    /// Durable bytes of the log (the valid prefix at open plus every frame
-    /// appended since). Feeds the `mem_bytes{subsystem="durable_wal"}` gauge.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
     /// Append one record (framed and checksummed) and flush it.
-    pub fn append(&mut self, record: &WalRecord) -> io::Result<u64> {
+    fn append(&mut self, record: &WalRecord) -> io::Result<u64> {
         let body = record.encode_body();
         let mut frame = Vec::with_capacity(body.len() + WAL_OVERHEAD);
         frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
@@ -291,13 +477,6 @@ impl WalWriter {
         xtrapulp_obs::mem::set("durable_wal", self.bytes);
         Ok(self.records)
     }
-}
-
-/// Read and validate a WAL without opening it for appends (the torn tail is
-/// ignored, not truncated).
-pub fn read_wal(path: &Path) -> io::Result<Vec<WalRecord>> {
-    let bytes = fs::read(path)?;
-    Ok(parse_wal(&bytes).0)
 }
 
 /// One durable checkpoint: the part vector published at `epoch`, covering the
@@ -364,7 +543,7 @@ impl Checkpoint {
 /// temp file first and the final name appears only via `rename`, so a crash
 /// mid-write can never leave a half-written file under a checkpoint name.
 /// Returns the final path and records the checkpoint size/latency metrics.
-pub fn write_checkpoint(dir: &Path, ckpt: &Checkpoint) -> io::Result<PathBuf> {
+fn write_checkpoint(dir: &Path, ckpt: &Checkpoint) -> io::Result<PathBuf> {
     let started = Instant::now();
     let bytes = ckpt.encode();
     let path = dir.join(format!("ckpt-{}", ckpt.epoch));
@@ -375,16 +554,10 @@ pub fn write_checkpoint(dir: &Path, ckpt: &Checkpoint) -> io::Result<PathBuf> {
     checkpoint_write_histogram().record_duration(started.elapsed());
     // The accounted gauge is the *total* on-disk checkpoint footprint, so the
     // soak harness can bound it even when old checkpoints are retained.
-    let mut total = 0u64;
-    for entry in fs::read_dir(dir)?.flatten() {
-        let is_ckpt = entry
-            .file_name()
-            .to_str()
-            .is_some_and(|name| name.starts_with("ckpt-") && !name.ends_with(".tmp"));
-        if is_ckpt {
-            total += entry.metadata().map(|m| m.len()).unwrap_or(0);
-        }
-    }
+    let total = checkpoint_epochs(dir)?
+        .into_iter()
+        .map(|epoch| fs::metadata(dir.join(format!("ckpt-{epoch}"))).map_or(0, |m| m.len()))
+        .sum();
     xtrapulp_obs::mem::set("durable_checkpoints", total);
     Ok(path)
 }
@@ -393,21 +566,8 @@ pub fn write_checkpoint(dir: &Path, ckpt: &Checkpoint) -> io::Result<PathBuf> {
 /// checksum) *and* whose WAL position is within `max_wal_records` — corrupted
 /// or impossible checkpoints are skipped, falling back to older ones. Returns
 /// `None` when no checkpoint survives.
-pub fn load_newest_checkpoint(dir: &Path, max_wal_records: u64) -> io::Result<Option<Checkpoint>> {
-    let mut epochs: Vec<u64> = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        if let Some(epoch) = entry
-            .file_name()
-            .to_str()
-            .and_then(|name| name.strip_prefix("ckpt-"))
-            .and_then(|rest| rest.parse::<u64>().ok())
-        {
-            epochs.push(epoch);
-        }
-    }
-    epochs.sort_unstable_by(|a, b| b.cmp(a));
-    for epoch in epochs {
+fn load_newest_checkpoint(dir: &Path, max_wal_records: u64) -> io::Result<Option<Checkpoint>> {
+    for epoch in checkpoint_epochs(dir)? {
         let Ok(bytes) = fs::read(dir.join(format!("ckpt-{epoch}"))) else {
             continue;
         };
@@ -421,12 +581,26 @@ pub fn load_newest_checkpoint(dir: &Path, max_wal_records: u64) -> io::Result<Op
     Ok(None)
 }
 
+/// The epochs of the checkpoints under `dir`, newest first. Temp files
+/// (`ckpt-<epoch>.tmp`) do not parse as an epoch and are left out.
+fn checkpoint_epochs(dir: &Path) -> io::Result<Vec<u64>> {
+    let mut epochs = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let name = entry?.file_name();
+        if let Some(epoch) = name.to_str().and_then(|n| n.strip_prefix("ckpt-")) {
+            epochs.extend(epoch.parse::<u64>().ok());
+        }
+    }
+    epochs.sort_unstable_by(|a, b| b.cmp(a));
+    Ok(epochs)
+}
+
 /// The injected crash of [`DurableConfig::crash_after_wal_records`]: panic the
 /// calling (worker) thread once the WAL has reached `records` appends. The
 /// panic is contained by the serve pipeline (surfacing as
 /// [`ServeError::WorkerPanicked`](crate::ServeError::WorkerPanicked)) and
 /// leaves the WAL strictly ahead of the applied state.
-pub fn maybe_inject_crash(config_crash_after: Option<u64>, wal_records: u64) {
+fn maybe_inject_crash(config_crash_after: Option<u64>, wal_records: u64) {
     if let Some(after) = config_crash_after {
         if wal_records >= after {
             panic!("injected durability crash after {wal_records} WAL records");
@@ -437,6 +611,13 @@ pub fn maybe_inject_crash(config_crash_after: Option<u64>, wal_records: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Read and validate a WAL without opening it for appends (the torn tail is
+    /// ignored, not truncated).
+    fn read_wal(path: &Path) -> io::Result<Vec<WalRecord>> {
+        let bytes = fs::read(path)?;
+        Ok(parse_wal(&bytes).0)
+    }
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =

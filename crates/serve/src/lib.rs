@@ -31,6 +31,10 @@
 //! * [`replay_update_log`] — feed a recorded `.ulog` mutation trace
 //!   ([`xtrapulp_graph::io::read_update_log`]) through the same queue, so replayed
 //!   traffic exercises the identical pipeline as live producers.
+//! * [`durable`] — crash recovery. One [`durable::Journal`] owns a job's durable
+//!   directory (persisted base graph, write-ahead log, checkpoints) and the order an
+//!   engine writes it in: log a batch before applying it, mark each published epoch,
+//!   checkpoint at a cadence. `xtrapulp_api::ServingSession::recover` replays it.
 
 pub mod durable;
 mod epoch;
@@ -40,7 +44,7 @@ mod snapshot;
 mod stats;
 mod worker;
 
-pub use durable::{Checkpoint, DurableConfig, WalRecord, WalWriter};
+pub use durable::{Checkpoint, DurabilityError, DurableConfig, WalRecord};
 pub use epoch::{EpochStore, DEFAULT_DELTA_HISTORY};
 pub use queue::{BatchPolicy, Drained, IngestError, IngestQueue, QueuedBatch};
 pub use replay::{replay_ops, replay_update_log, ReplayError, ReplayOutcome};

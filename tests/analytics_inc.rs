@@ -9,10 +9,11 @@ use std::time::Duration;
 
 use xtrapulp::PartitionParams;
 use xtrapulp_analytics::{AnalyticsConsumer, WarmPolicy};
-use xtrapulp_api::{Method, PartitionJob, ServingSession, UpdateBatch};
+use xtrapulp_api::{Method, PartitionJob, ServeConfig, ServingSession, UpdateBatch};
 use xtrapulp_gen::updates::{generate_stream, StreamKind, UpdateStreamConfig};
 use xtrapulp_gen::{GraphConfig, GraphKind};
 use xtrapulp_graph::{Csr, GraphDelta};
+use xtrapulp_serve::DurableConfig;
 
 fn ba_graph(n: u64, seed: u64) -> (Csr, xtrapulp_gen::EdgeList) {
     let el = GraphConfig::new(
@@ -460,6 +461,72 @@ fn subscriber_tracks_a_live_serving_session() {
     );
     // ...and its analytics must match from-scratch references on that final graph.
     assert_epoch_parity(consumer, live, "after live serving session");
+}
+
+/// The same through a session [`ServingSession::recover`] returned: its consumers
+/// bootstrap from the replayed graph and partition, not from the spawned graph.
+#[test]
+fn subscriber_tracks_a_recovered_serving_session() {
+    let (csr, el) = ba_graph(500, 13);
+    let job = || {
+        PartitionJob::new(Method::XtraPulp).with_params(PartitionParams {
+            num_parts: 4,
+            seed: 17,
+            ..Default::default()
+        })
+    };
+    let dir = std::env::temp_dir().join(format!(
+        "xtrapulp-analytics-recovered-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let stream = generate_stream(
+        &el,
+        &UpdateStreamConfig {
+            kind: StreamKind::PreferentialGrowth {
+                vertices_per_batch: 2,
+                edges_per_vertex: 3,
+            },
+            num_batches: 6,
+            seed: 23,
+        },
+    );
+    let batch = |i: usize| UpdateBatch::from_ops(stream.batch_ops(i));
+
+    // A durable session ingests the first half, then stops; recovery replays it.
+    let config = ServeConfig::default();
+    let serving = ServingSession::spawn_durable(2, csr, job(), config, DurableConfig::new(&dir))
+        .expect("valid job");
+    for i in 0..3 {
+        serving.ingest(batch(i)).expect("queue open");
+    }
+    serving.shutdown().expect("worker exits cleanly");
+    let recovered = ServingSession::recover(2, job(), config, DurableConfig::new(&dir))
+        .expect("recovery succeeds");
+    assert_eq!(recovered.epoch(), 3);
+    let mut subscriber = recovered.subscribe_analytics(WarmPolicy::default());
+    for i in 3..stream.batches.len() {
+        recovered.ingest(batch(i)).expect("queue open");
+    }
+    let (session, _) = recovered.shutdown().expect("worker exits cleanly");
+    let store_epoch = session.epoch();
+    while subscriber.held_epoch() < store_epoch {
+        match subscriber.poll(Duration::from_secs(60)) {
+            Ok(Some(_)) => {}
+            Ok(None) => panic!("store has epoch {store_epoch}, poll timed out"),
+            Err(e) => panic!("subscriber lagged: {e}"),
+        }
+    }
+
+    let consumer = subscriber.consumer_mut();
+    let live = session.graph().csr();
+    assert_eq!(
+        consumer.csr().arcs().collect::<Vec<_>>(),
+        live.arcs().collect::<Vec<_>>(),
+        "replica topology diverged from the live graph"
+    );
+    assert_epoch_parity(consumer, live, "after a recovered serving session");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------------
