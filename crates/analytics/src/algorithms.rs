@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn pagerank_sums_to_one_and_matches_serial_structure() {
         let (n, edges) = test_edges();
-        let out = Runtime::run(3, |ctx| {
+        let out = Runtime::new(3).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Cyclic, n, &edges);
             let pr = pagerank(ctx, &g, 30, 0.85).unwrap();
             let local_sum: f64 = pr.iter().sum();
@@ -221,13 +221,14 @@ mod tests {
     #[test]
     fn pagerank_is_consistent_across_rank_counts() {
         let (n, edges) = test_edges();
-        let reference = Runtime::run(1, |ctx| {
-            let g = DistGraph::from_shared_edges(ctx, Distribution::Block, n, &edges);
-            pagerank(ctx, &g, 20, 0.85).unwrap()
-        })
-        .pop()
-        .unwrap();
-        let out = Runtime::run(4, |ctx| {
+        let reference = Runtime::new(1)
+            .execute(|ctx| {
+                let g = DistGraph::from_shared_edges(ctx, Distribution::Block, n, &edges);
+                pagerank(ctx, &g, 20, 0.85).unwrap()
+            })
+            .pop()
+            .unwrap();
+        let out = Runtime::new(4).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, n, &edges);
             let pr = pagerank(ctx, &g, 20, 0.85).unwrap();
             (0..g.n_owned())
@@ -248,7 +249,7 @@ mod tests {
     #[test]
     fn wcc_finds_three_components() {
         let (n, edges) = test_edges();
-        let out = Runtime::run(2, |ctx| {
+        let out = Runtime::new(2).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, n, &edges);
             let labels = wcc(ctx, &g).unwrap();
             (0..g.n_owned())
@@ -264,7 +265,7 @@ mod tests {
     #[test]
     fn largest_component_is_the_joined_triangles() {
         let (n, edges) = test_edges();
-        let out = Runtime::run(3, |ctx| {
+        let out = Runtime::new(3).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Hashed, n, &edges);
             largest_component(ctx, &g).unwrap().1
         });
@@ -274,7 +275,7 @@ mod tests {
     #[test]
     fn kcore_of_triangles_is_two() {
         let (n, edges) = test_edges();
-        let out = Runtime::run(2, |ctx| {
+        let out = Runtime::new(2).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, n, &edges);
             let core = kcore_approx(ctx, &g, 20).unwrap();
             (0..g.n_owned())
@@ -292,7 +293,7 @@ mod tests {
     #[test]
     fn label_propagation_groups_triangles() {
         let (n, edges) = test_edges();
-        let out = Runtime::run(2, |ctx| {
+        let out = Runtime::new(2).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, n, &edges);
             let labels = label_propagation(ctx, &g, 10).unwrap();
             (0..g.n_owned())
@@ -312,7 +313,7 @@ mod tests {
         let edges = vec![(0u64, 1u64), (1, 2)];
         let csr = csr_from_edges(3, &edges);
         assert_eq!(csr.num_edges(), 2);
-        let out = Runtime::run(2, |ctx| {
+        let out = Runtime::new(2).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 3, &edges);
             harmonic_centrality(ctx, &g, &[0, 1]).unwrap()
         });

@@ -467,7 +467,7 @@ mod tests {
     fn cold_pagerank_resume_matches_fixed_iteration_pagerank() {
         let (n, edges) = test_edges();
         for nranks in [1usize, 3] {
-            let out = Runtime::run(nranks, |ctx| {
+            let out = Runtime::new(nranks).execute(|ctx| {
                 let g = DistGraph::from_shared_edges(ctx, Distribution::Block, n, &edges);
                 let mut ranks = vec![1.0 / n as f64; g.n_owned()];
                 let work = pagerank_resume(ctx, &g, &mut ranks, None, 0.85, 1e-12, 500).unwrap();
@@ -488,7 +488,7 @@ mod tests {
         let mut new_edges = edges.clone();
         new_edges.push((5, 6)); // connect the isolated pair to a triangle
         let delta = GraphDelta::new(n, 0, &[(5, 6)], &[]);
-        let out = Runtime::run(2, |ctx| {
+        let out = Runtime::new(2).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, n, &edges);
             let mut ranks = vec![1.0 / n as f64; g.n_owned()];
             pagerank_resume(ctx, &g, &mut ranks, None, 0.85, 1e-12, 500).unwrap();
@@ -516,7 +516,7 @@ mod tests {
     #[test]
     fn wcc_repair_handles_merges_and_splits_exactly() {
         let (n, edges) = test_edges();
-        let out = Runtime::run(2, |ctx| {
+        let out = Runtime::new(2).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, n, &edges);
             let mut labels: Vec<u64> = (0..g.n_owned())
                 .map(|v| g.global_id(v as LocalId))
@@ -555,7 +555,7 @@ mod tests {
         // Delete one edge of a triangle: the component stays connected, so the BFS
         // check must leave every label alone.
         let (n, edges) = test_edges();
-        let out = Runtime::run(3, |ctx| {
+        let out = Runtime::new(3).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Cyclic, n, &edges);
             let mut labels: Vec<u64> = (0..g.n_owned())
                 .map(|v| g.global_id(v as LocalId))
@@ -576,7 +576,7 @@ mod tests {
     #[test]
     fn kcore_tighten_from_bounds_matches_cold_peeling() {
         let (n, edges) = test_edges();
-        let out = Runtime::run(2, |ctx| {
+        let out = Runtime::new(2).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, n, &edges);
             let mut cold: Vec<u64> = (0..g.n_owned())
                 .map(|v| g.degree_owned(v as LocalId))
@@ -654,7 +654,7 @@ mod tests {
             let slack = below(4);
             for dist in [Distribution::Block, Distribution::Hashed] {
                 for nranks in 1..=4usize {
-                    Runtime::run(nranks, |ctx| {
+                    Runtime::new(nranks).execute(|ctx| {
                         let g = DistGraph::from_shared_edges(ctx, dist.clone(), n, &edges);
                         let seed_bounds: Vec<u64> = (0..g.n_owned())
                             .map(|v| g.degree_owned(v as LocalId) + slack)

@@ -266,8 +266,8 @@ impl Session {
 }
 
 /// Run a serial method inline, cold or warm-started. PuLP goes through
-/// [`try_pulp_run`] either way, so its real sweep counts and per-stage sweep
-/// wall-clock (the phase names distributed runs use) reach the outcome; the multilevel
+/// [`try_pulp_run`] either way, so its real sweep counts and its schedule and sweep
+/// phase timings (the phase names distributed runs use) reach the outcome; the multilevel
 /// and naive methods report 0 sweeps, and a method without warm-start support ignores
 /// the seed.
 fn run_serial(

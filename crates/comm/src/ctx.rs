@@ -4,8 +4,8 @@
 //! [`Runtime::new`] spawns `nranks` long-lived worker threads once;
 //! [`Runtime::execute`] then runs any number of bulk-synchronous jobs on them,
 //! amortising thread spawn/teardown across jobs the way an MPI job reuses its
-//! task set across collective phases. [`Runtime::run`] remains as the one-shot
-//! convenience wrapper (spawn, execute once, tear down).
+//! task set across collective phases. A one-shot job is the same two calls,
+//! `Runtime::new(nranks).execute(f)`; the runtime tears down when dropped.
 //!
 //! Every collective is written against the [`Transport`] abstraction: a
 //! rank-addressed exchange of framed messages with FIFO ordering per ordered
@@ -482,22 +482,6 @@ impl Runtime {
         // borrow of `erased` has ended.
         outcomes.sort_by_key(|&(local, _)| local);
         outcomes.into_iter().map(|(_, outcome)| outcome).collect()
-    }
-
-    /// Run `f` on a fresh one-shot in-process runtime of `nranks` ranks and
-    /// return each rank's result, indexed by rank. Convenience wrapper over
-    /// [`Runtime::new`] + [`Runtime::execute`]; for repeated jobs, keep a
-    /// runtime (or an `xtrapulp-api` `Session`) alive instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nranks == 0`, or if any rank panics (the panic is propagated).
-    pub fn run<F, R>(nranks: usize, f: F) -> Vec<R>
-    where
-        F: Fn(&RankCtx) -> R + Sync,
-        R: Send + 'static,
-    {
-        Runtime::new(nranks).execute(f)
     }
 
     /// Gather every rank's trace buffers at rank 0 and write one merged

@@ -32,8 +32,9 @@
 //! ```
 //! use xtrapulp_comm::Runtime;
 //!
-//! // Sum rank ids across 4 ranks with an allreduce.
-//! let results = Runtime::run(4, |ctx| {
+//! // Sum rank ids across 4 ranks with an allreduce: a one-shot job on a runtime that
+//! // is dropped at once (keep a runtime alive to run many).
+//! let results = Runtime::new(4).execute(|ctx| {
 //!     let mine = vec![ctx.rank() as u64];
 //!     let total = ctx.allreduce_sum_u64(&mine);
 //!     total[0]

@@ -5,7 +5,7 @@ use crate::{Runtime, Timer};
 
 #[test]
 fn single_rank_runtime_runs() {
-    let out = Runtime::run(1, |ctx| {
+    let out = Runtime::new(1).execute(|ctx| {
         assert_eq!(ctx.rank(), 0);
         assert_eq!(ctx.nranks(), 1);
         assert!(ctx.is_root());
@@ -16,19 +16,19 @@ fn single_rank_runtime_runs() {
 
 #[test]
 fn results_are_indexed_by_rank() {
-    let out = Runtime::run(6, |ctx| ctx.rank() * 10);
+    let out = Runtime::new(6).execute(|ctx| ctx.rank() * 10);
     assert_eq!(out, vec![0, 10, 20, 30, 40, 50]);
 }
 
 #[test]
 #[should_panic(expected = "at least one rank")]
 fn zero_ranks_panics() {
-    Runtime::run(0, |_ctx| ());
+    Runtime::new(0).execute(|_ctx| ());
 }
 
 #[test]
 fn barrier_completes() {
-    let out = Runtime::run(4, |ctx| {
+    let out = Runtime::new(4).execute(|ctx| {
         for _ in 0..10 {
             ctx.barrier();
         }
@@ -39,7 +39,7 @@ fn barrier_completes() {
 
 #[test]
 fn broadcast_from_root_zero() {
-    let out = Runtime::run(4, |ctx| {
+    let out = Runtime::new(4).execute(|ctx| {
         let value = if ctx.is_root() {
             Some(vec![1u64, 2, 3])
         } else {
@@ -54,7 +54,7 @@ fn broadcast_from_root_zero() {
 
 #[test]
 fn broadcast_from_nonzero_root() {
-    let out = Runtime::run(5, |ctx| {
+    let out = Runtime::new(5).execute(|ctx| {
         let value = if ctx.rank() == 3 { Some(99u32) } else { None };
         ctx.broadcast(3, value)
     });
@@ -63,7 +63,7 @@ fn broadcast_from_nonzero_root() {
 
 #[test]
 fn repeated_broadcasts_do_not_leak_stale_values() {
-    let out = Runtime::run(3, |ctx| {
+    let out = Runtime::new(3).execute(|ctx| {
         let mut got = Vec::new();
         for round in 0u64..20 {
             let value = if ctx.is_root() { Some(round * 7) } else { None };
@@ -78,7 +78,7 @@ fn repeated_broadcasts_do_not_leak_stale_values() {
 
 #[test]
 fn allgather_collects_in_rank_order() {
-    let out = Runtime::run(4, |ctx| ctx.allgather(ctx.rank() as u64 + 100));
+    let out = Runtime::new(4).execute(|ctx| ctx.allgather(ctx.rank() as u64 + 100));
     for v in out {
         assert_eq!(v, vec![100, 101, 102, 103]);
     }
@@ -86,7 +86,7 @@ fn allgather_collects_in_rank_order() {
 
 #[test]
 fn allgatherv_concatenates_in_rank_order() {
-    let out = Runtime::run(3, |ctx| {
+    let out = Runtime::new(3).execute(|ctx| {
         // Rank r contributes r copies of its id.
         let mine = vec![ctx.rank() as u32; ctx.rank()];
         ctx.allgatherv(mine)
@@ -98,7 +98,7 @@ fn allgatherv_concatenates_in_rank_order() {
 
 #[test]
 fn gather_returns_only_on_root() {
-    let out = Runtime::run(4, |ctx| ctx.gather(2, ctx.rank() as u8));
+    let out = Runtime::new(4).execute(|ctx| ctx.gather(2, ctx.rank() as u8));
     assert_eq!(out[0], None);
     assert_eq!(out[1], None);
     assert_eq!(out[2], Some(vec![0, 1, 2, 3]));
@@ -107,7 +107,7 @@ fn gather_returns_only_on_root() {
 
 #[test]
 fn scatter_delivers_per_rank_values() {
-    let out = Runtime::run(4, |ctx| {
+    let out = Runtime::new(4).execute(|ctx| {
         let values = if ctx.is_root() {
             Some(vec![10u32, 11, 12, 13])
         } else {
@@ -120,7 +120,7 @@ fn scatter_delivers_per_rank_values() {
 
 #[test]
 fn alltoall_transposes() {
-    let out = Runtime::run(4, |ctx| {
+    let out = Runtime::new(4).execute(|ctx| {
         // Rank s sends value s*10 + d to rank d.
         let sends: Vec<u32> = (0..4).map(|d| (ctx.rank() * 10 + d) as u32).collect();
         ctx.alltoall(sends)
@@ -133,7 +133,7 @@ fn alltoall_transposes() {
 
 #[test]
 fn alltoallv_delivers_variable_buffers() {
-    let out = Runtime::run(3, |ctx| {
+    let out = Runtime::new(3).execute(|ctx| {
         // Rank s sends a buffer of length s+d to rank d, filled with s*100+d.
         let sends: Vec<Vec<u64>> = (0..3)
             .map(|d| vec![(ctx.rank() * 100 + d) as u64; ctx.rank() + d])
@@ -150,7 +150,7 @@ fn alltoallv_delivers_variable_buffers() {
 
 #[test]
 fn alltoallv_conserves_elements() {
-    let out = Runtime::run(4, |ctx| {
+    let out = Runtime::new(4).execute(|ctx| {
         let sends: Vec<Vec<u32>> = (0..4)
             .map(|d| vec![0u32; (ctx.rank() * 7 + d * 3) % 11])
             .collect();
@@ -165,7 +165,7 @@ fn alltoallv_conserves_elements() {
 
 #[test]
 fn allreduce_sum_and_max_and_min() {
-    let out = Runtime::run(4, |ctx| {
+    let out = Runtime::new(4).execute(|ctx| {
         let r = ctx.rank() as u64;
         let sum = ctx.allreduce_sum_u64(&[r, 1, 2 * r]);
         let max = ctx.allreduce_max_u64(&[r, 7]);
@@ -181,7 +181,7 @@ fn allreduce_sum_and_max_and_min() {
 
 #[test]
 fn allreduce_f64_sum() {
-    let out = Runtime::run(3, |ctx| ctx.allreduce_sum_f64(&[ctx.rank() as f64 * 0.5]));
+    let out = Runtime::new(3).execute(|ctx| ctx.allreduce_sum_f64(&[ctx.rank() as f64 * 0.5]));
     for v in out {
         assert!((v[0] - 1.5).abs() < 1e-12);
     }
@@ -191,9 +191,8 @@ fn allreduce_f64_sum() {
 fn allreduce_with_is_rank_ordered() {
     // Use a non-commutative combine (string-ish concatenation encoded as digit append)
     // to verify the reduction applies contributions in rank order.
-    let out = Runtime::run(4, |ctx| {
-        ctx.allreduce_with(&[ctx.rank() as u64 + 1], |a, c| *a = *a * 10 + *c)
-    });
+    let out = Runtime::new(4)
+        .execute(|ctx| ctx.allreduce_with(&[ctx.rank() as u64 + 1], |a, c| *a = *a * 10 + *c));
     for v in out {
         assert_eq!(v, vec![1234]);
     }
@@ -205,7 +204,7 @@ fn allreduce_with_is_rank_ordered() {
 #[test]
 fn allreduce_reports_a_short_contribution_as_a_codec_error_naming_the_rank() {
     use crate::transport::{CodecError, TransportError};
-    let named = Runtime::run(3, |ctx| {
+    let named = Runtime::new(3).execute(|ctx| {
         // Rank 1 contributes one element where the others contribute two.
         let local = [7u64; 2];
         let local = &local[..if ctx.rank() == 1 { 1 } else { 2 }];
@@ -226,14 +225,14 @@ fn allreduce_reports_a_short_contribution_as_a_codec_error_naming_the_rank() {
 
 #[test]
 fn exscan_sum_matches_prefix() {
-    let out = Runtime::run(5, |ctx| ctx.exscan_sum_u64(ctx.rank() as u64 + 1));
+    let out = Runtime::new(5).execute(|ctx| ctx.exscan_sum_u64(ctx.rank() as u64 + 1));
     // contributions are 1,2,3,4,5; exclusive prefix sums are 0,1,3,6,10
     assert_eq!(out, vec![0, 1, 3, 6, 10]);
 }
 
 #[test]
 fn scalar_allreduce_helpers() {
-    let out = Runtime::run(4, |ctx| {
+    let out = Runtime::new(4).execute(|ctx| {
         let s = ctx.allreduce_scalar_sum_u64(ctx.rank() as u64);
         let m = ctx.allreduce_scalar_max_u64(ctx.rank() as u64);
         let f = ctx.allreduce_scalar_max_f64(ctx.rank() as f64 / 2.0);
@@ -248,7 +247,7 @@ fn scalar_allreduce_helpers() {
 
 #[test]
 fn stats_count_traffic() {
-    let out = Runtime::run(2, |ctx| {
+    let out = Runtime::new(2).execute(|ctx| {
         let sends = vec![vec![1u64; 10], vec![2u64; 20]];
         let _ = ctx.alltoallv(sends);
         let _ = ctx.allreduce_sum_u64(&[1, 2, 3]);
@@ -272,7 +271,7 @@ fn stats_count_traffic() {
 #[test]
 fn mixed_collective_sequences_are_consistent() {
     // Stress the slot-reuse protocol by interleaving many collective types.
-    let out = Runtime::run(4, |ctx| {
+    let out = Runtime::new(4).execute(|ctx| {
         let mut checksum = 0u64;
         for round in 0..25u64 {
             let b = ctx.broadcast(

@@ -85,7 +85,7 @@ mod tests {
     #[test]
     fn updates_reach_all_ghost_copies_and_mark_their_neighbours() {
         let edges = ring(12);
-        Runtime::run(3, |ctx| {
+        Runtime::new(3).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 12, &edges);
             // Start with everything in part 0 everywhere.
             let mut parts = vec![0i32; g.n_total()];
@@ -124,7 +124,7 @@ mod tests {
     #[test]
     fn refresh_ghost_parts_pulls_owner_labels() {
         let edges = ring(10);
-        Runtime::run(2, |ctx| {
+        Runtime::new(2).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 10, &edges);
             let mut parts = vec![-1i32; g.n_total()];
             // Owners label their vertices with their global id.

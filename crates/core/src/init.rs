@@ -213,7 +213,7 @@ mod tests {
     fn check_strategy(strategy: InitStrategy, nranks: usize) {
         let n = 64u64;
         let edges = grid_edges(8, 8);
-        let out = Runtime::run(nranks, |ctx| {
+        let out = Runtime::new(nranks).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, n, &edges);
             let params = PartitionParams {
                 num_parts: 4,
@@ -267,7 +267,7 @@ mod tests {
         check_strategy(InitStrategy::VertexBlock, 2);
         // Block init on a path graph should produce contiguous ranges.
         let edges: Vec<_> = (0..15u64).map(|i| (i, i + 1)).collect();
-        let out = Runtime::run(2, |ctx| {
+        let out = Runtime::new(2).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 16, &edges);
             let params = PartitionParams {
                 num_parts: 4,
@@ -293,7 +293,7 @@ mod tests {
         // Two disconnected cliques and an isolated vertex: growth from roots cannot reach
         // everything, so the random fallback must kick in.
         let edges = vec![(0u64, 1u64), (1, 2), (2, 0), (4, 5), (5, 6), (6, 4)];
-        Runtime::run(2, |ctx| {
+        Runtime::new(2).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 8, &edges);
             let params = PartitionParams {
                 num_parts: 3,
@@ -308,7 +308,7 @@ mod tests {
     #[test]
     fn more_parts_than_vertices_is_handled() {
         let edges = vec![(0u64, 1u64), (1, 2)];
-        Runtime::run(1, |ctx| {
+        Runtime::new(1).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 3, &edges);
             let params = PartitionParams {
                 num_parts: 8,
@@ -323,7 +323,7 @@ mod tests {
     fn initialisation_is_deterministic_for_fixed_seed() {
         let edges = grid_edges(6, 6);
         let run = || {
-            Runtime::run(2, |ctx| {
+            Runtime::new(2).execute(|ctx| {
                 let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 36, &edges);
                 let params = PartitionParams {
                     num_parts: 4,

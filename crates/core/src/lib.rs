@@ -21,6 +21,11 @@
 //!    driven by per-part *edge* and *cut* counts, yielding the multi-constraint,
 //!    multi-objective result.
 //!
+//! One driver in `pass.rs` runs this schedule for serial PuLP and distributed XtraPuLP
+//! alike, over a backend that keeps part sizes live or stale; a warm start enters it
+//! with a seed instead of initialisation, and the driver's documentation is the one
+//! statement of when a warm run falls back to the cold schedule and what it rescores.
+//!
 //! The distributed-memory realisation keeps a one-dimensional vertex distribution
 //! (see [`xtrapulp_graph::DistGraph`]), exchanges boundary labels with an
 //! `Alltoallv`-based update queue ([`exchange`]), and throttles per-rank moves with the

@@ -280,7 +280,7 @@ mod tests {
         let csr = csr_from_edges(6, &edges);
         let global_parts = vec![0, 0, 1, 1, 0, 1];
         let serial = PartitionQuality::evaluate(&csr, &global_parts, 2);
-        let out = Runtime::run(3, |ctx| {
+        let out = Runtime::new(3).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Cyclic, 6, &edges);
             let parts: Vec<i32> = (0..g.n_total() as LocalId)
                 .map(|v| global_parts[g.global_id(v) as usize])

@@ -1,5 +1,6 @@
-//! The XtraPuLP driver (Algorithm 1) and the serial [`Partitioner`] interface shared by
-//! every partitioning method in the workspace.
+//! The distributed XtraPuLP entry points and job (the stage schedule of Algorithm 1 is
+//! `pass::run_schedule`, shared with PuLP) and the serial [`Partitioner`] interface
+//! shared by every partitioning method in the workspace.
 
 use xtrapulp_comm::{CommStatsSnapshot, PhaseTimer, RankCtx, Runtime};
 use xtrapulp_graph::distribution::splitmix64;
@@ -8,15 +9,11 @@ use xtrapulp_graph::{Csr, DistGraph, Distribution, GlobalId, LocalId, UNASSIGNED
 use crate::baselines;
 use crate::error::PartitionError;
 use crate::exchange::{push_part_updates, refresh_ghost_parts, PartUpdate};
-use crate::init::init_partition;
 use crate::metrics::PartitionQuality;
 use crate::params::PartitionParams;
-use crate::pass::{
-    balance_refine_rounds, final_rebalance, warm_refine_rounds, warm_seed_needs_balance, Dist,
-    Objective,
-};
+use crate::pass::{run_schedule, Dist};
 use crate::pulp::PulpWarmStart;
-use crate::sweep::{StageBreakdown, SweepWorkspace};
+use crate::sweep::{Frontier, StageBreakdown, SweepWorkspace};
 
 /// The outcome of one distributed XtraPuLP run on one rank.
 #[derive(Debug, Clone)]
@@ -55,23 +52,7 @@ pub fn try_xtrapulp_partition(
     params: &PartitionParams,
 ) -> Result<PartitionResult, PartitionError> {
     params.validate()?;
-    let mut timings = PhaseTimer::new();
-    let mut ws = SweepWorkspace::colocated(params.sweep_threads, ctx.colocated_ranks());
-    ws.begin_run(graph.n_owned(), params.num_parts);
-    let parts = timings.time("init", || init_partition(ctx, graph, params))?;
-    // Initialisation changed every label: every owned vertex starts active.
-    ws.engine.frontier.seed_all(graph.n_owned());
-    run_stages(
-        ctx,
-        graph,
-        params,
-        parts,
-        params.outer_iters,
-        params.outer_iters,
-        true,
-        timings,
-        &mut ws,
-    )
+    partition_on_rank(ctx, graph, params, None)
 }
 
 /// Run the full multi-constraint multi-objective XtraPuLP algorithm *warm-started* from
@@ -80,21 +61,17 @@ pub fn try_xtrapulp_partition(
 /// `initial_owned[v]` is the seed part of this rank's owned vertex `v` (local id), or
 /// [`UNASSIGNED`] (`-1`) for vertices with no prior assignment — newly added vertices
 /// after a graph mutation. Unassigned vertices adopt the majority part of their assigned
-/// neighbours in level-synchronous rounds (deterministic across rank counts), then a
-/// short schedule of [`PartitionParams::warm_outer_iters`] outer rounds refines the
-/// result instead of the from-scratch `outer_iters`.
+/// neighbours in level-synchronous rounds (deterministic across rank counts).
 ///
 /// `touched` is the *touched set* of the mutation delta separating this epoch from the
 /// seed: the global ids whose adjacency changed (endpoints of inserted/deleted edges)
-/// and of added vertices. A touched vertex kept its label, so its own score is the only
-/// one the delta can have moved: each is seeded alone, by its owner. A vertex that
-/// arrives unassigned gets a new label, which marks its whole neighbourhood (across
-/// ranks too), and from there every applied move activates the mover's neighbours — so
-/// a warm run after a small delta scores a small multiple of the touched set, and it
-/// ends when the frontier empties (cross-rank swaps are settled by the engine, see
-/// [`SweepEngine::settle_swaps`](crate::sweep::SweepEngine::settle_swaps)) instead of
-/// running a fixed `warm_outer_iters` schedule. Every rank must pass the same `touched`
-/// slice. Without it (`None`) the frontier is seeded conservatively from every vertex.
+/// and of added vertices; every rank must pass the same slice. What the run then does —
+/// the cold-schedule fallback, how the touched set and the newly labelled vertices scope
+/// the frontier, the round counts — is the crate's one stage schedule,
+/// `pass::run_schedule`, whose documentation is the single statement of the warm
+/// policy. Cross-rank swaps are settled by the engine (see
+/// [`SweepEngine::settle_swaps`](crate::sweep::SweepEngine::settle_swaps)), so a
+/// delta-scoped run ends when its frontier empties.
 ///
 /// Warm-start validation is collective-safe: every rank validates its own slice and the
 /// violation counts are summed, so all ranks agree on the outcome and no rank enters a
@@ -116,128 +93,21 @@ pub fn try_xtrapulp_partition_from_touched(
             }),
         );
     }
-
-    let mut timings = PhaseTimer::new();
-    let mut ws = SweepWorkspace::colocated(params.sweep_threads, ctx.colocated_ranks());
-    ws.begin_run(graph.n_owned(), params.num_parts);
-    let parts = timings.time("warm_seed", || {
-        warm_seed(ctx, graph, params, initial_owned, &mut ws)
-    })?;
-    // Warm runs skip the (aggressively label-churning) balance passes when the seeded
-    // partition already satisfies both balance constraints — with the same slack as the
-    // serial path, since a converged run routinely lands within rounding of the
-    // fractional target (e.g. 221 vertices against a target of 220.0), which is noise,
-    // not imbalance. When the delta meaningfully overshot a target, the warm run falls
-    // back to the full cold stage schedule (balance needs several rounds to converge;
-    // one round overshoots), still skipping initialisation. Computed collectively, so
-    // every rank takes the same branch; the loads it reduces are the first pass's too.
-    let balance = timings.time("load_scan", || {
-        warm_seed_needs_balance(&Dist::new(ctx, graph), &parts, params, &mut ws)
-    });
-    if balance || touched.is_none() {
-        // The fallback cold schedule (or a warm start with no delta information)
-        // rescopes to the whole graph; the marks `warm_seed` left stay valid.
-        ws.engine.frontier.seed_all(graph.n_owned());
-    } else {
-        // Scope the frontier to the delta: a touched vertex's adjacency changed but no
-        // label did, so its own score is the only one that can have moved — its owner
-        // seeds it alone (`mark` ignores ghost ids). `warm_seed` already marked the
-        // newly labelled vertices with their neighbourhoods, and every move a sweep
-        // applies activates the mover's.
-        for lid in touched
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(|&g| graph.local_id(g))
-        {
-            ws.engine.frontier.mark(lid);
-        }
-    }
-    let outer = if balance {
-        params.outer_iters
-    } else {
-        params.warm_outer_iters
-    };
-    // The empty-frontier convergence loop may run extra rounds only when the frontier
-    // is actually delta-scoped; a blind warm start (no touched set) keeps the legacy
-    // `warm_outer_iters` round count.
-    let warm_rounds_cap = if !balance && touched.is_some() {
-        outer.max(params.outer_iters)
-    } else {
-        outer
-    };
-    run_stages(
-        ctx,
-        graph,
-        params,
-        parts,
-        outer,
-        warm_rounds_cap,
-        balance,
-        timings,
-        &mut ws,
-    )
+    partition_on_rank(ctx, graph, params, Some((initial_owned, touched)))
 }
 
-/// The shared balance/refine pipeline. Cold (and fallback-warm) runs execute `outer`
-/// rounds of the vertex stage, then (when enabled) `outer` rounds of the edge stage,
-/// then the explicit final rebalance pass and quality evaluation. Warm refine-only runs
-/// (`balance == false`) iterate refinement until the frontier empties (capped), which is
-/// what turns repartitioning cost into `O(active work)`.
-#[allow(clippy::too_many_arguments)]
-fn run_stages(
+/// Run the stage schedule on this rank, then evaluate the partition and reduce the work
+/// counters so every rank reports the same. Must be called collectively.
+fn partition_on_rank(
     ctx: &RankCtx,
     graph: &DistGraph,
     params: &PartitionParams,
-    mut parts: Vec<i32>,
-    outer: usize,
-    warm_rounds_cap: usize,
-    balance: bool,
-    mut timings: PhaseTimer,
-    ws: &mut SweepWorkspace,
+    warm: Option<PulpWarmStart<'_>>,
 ) -> Result<PartitionResult, PartitionError> {
-    // The dynamic multiplier ramps from `Y` to `X` over the stage schedule; normalise it
-    // by the rounds actually run (warm starts run `warm_outer_iters`, not `outer_iters`)
-    // so a short schedule still reaches the conservative end-of-run multiplier instead of
-    // spending all its iterations in the low-multiplier regime and overshooting part
-    // sizes collectively.
-    let params = &PartitionParams {
-        outer_iters: outer,
-        ..*params
-    };
+    let mut timings = PhaseTimer::new();
+    let mut ws = SweepWorkspace::colocated(params.sweep_threads, ctx.colocated_ranks());
     let mut dist = Dist::new(ctx, graph);
-    let mut lp_sweeps;
-    if balance {
-        // Stage 1: vertex balance + refinement.
-        timings.time("vertex_stage", || {
-            balance_refine_rounds(&mut dist, Objective::Vertex, outer, &mut parts, params, ws)
-        })?;
-        lp_sweeps = dist.iter_tot as u64;
-
-        // Stage 2: edge balance + refinement (the "MM" in PuLP-MM). The iteration
-        // counter is reset, as in Algorithm 1.
-        if params.edge_balance_stage && params.num_parts > 1 {
-            dist.iter_tot = 0;
-            timings.time("edge_stage", || {
-                balance_refine_rounds(&mut dist, Objective::Edge, outer, &mut parts, params, ws)
-            })?;
-            lp_sweeps += dist.iter_tot as u64;
-        }
-
-        // Label propagation can leave skewed graphs above the vertex target (the same
-        // gap the multilevel drivers closed in PR 1 with an explicit rebalance); the
-        // final rebalance pass drains any remaining overweight parts cut-awarely. A
-        // no-op when the constraint already holds.
-        timings.time("rebalance", || {
-            final_rebalance(&mut dist, &mut parts, params, ws)
-        })?;
-    } else {
-        // Warm refine-only run: the seed meets both balance targets, so only
-        // refinement runs.
-        timings.time("vertex_stage", || {
-            warm_refine_rounds(&mut dist, outer, warm_rounds_cap, &mut parts, params, ws)
-        })?;
-        lp_sweeps = dist.iter_tot as u64;
-    }
+    let parts = run_schedule(&mut dist, params, warm, &mut timings, &mut ws)?;
 
     let quality = timings.time("metrics", || {
         PartitionQuality::evaluate_dist(ctx, graph, &parts, params.num_parts)
@@ -246,8 +116,7 @@ fn run_stages(
     // Per-stage telemetry: scored counts sum over ranks (each rank scored its own
     // vertices; the job's total rides in the same reduction), sweep counts take the
     // per-rank maximum (a rank whose local frontier emptied skips — and does not count —
-    // the sweep), and the per-stage wall-clock lands in the phase timer so
-    // `PartitionReport.timings` carries the breakdown.
+    // the sweep).
     let local = ws.engine.stats.stages;
     let sums = ctx.allreduce_sum_u64(&[
         local.refine_scored,
@@ -268,13 +137,12 @@ fn run_stages(
         churn_sweeps: maxs[2],
         churn_scored: sums[2],
     };
-    timings.merge_max(&ws.engine.stage_timings());
 
     Ok(PartitionResult {
         parts,
         quality,
         timings,
-        lp_sweeps,
+        lp_sweeps: dist.lp_sweeps,
         vertices_scored: sums[3],
         stages,
     })
@@ -286,12 +154,12 @@ fn run_stages(
 /// id), and vertices with no assigned neighbour at all (new isolated vertices or whole
 /// new components) fall back to a deterministic hash of their global id. Must be called
 /// collectively.
-fn warm_seed(
+pub(crate) fn warm_seed(
     ctx: &RankCtx,
     graph: &DistGraph,
     params: &PartitionParams,
     initial_owned: &[i32],
-    ws: &mut SweepWorkspace,
+    frontier: &mut Frontier,
 ) -> Result<Vec<i32>, PartitionError> {
     let p = params.num_parts;
     let n_owned = graph.n_owned();
@@ -302,7 +170,7 @@ fn warm_seed(
     // Every vertex assigned here counts as delta-touched: it and its neighbourhood
     // seed the warm refinement frontier (cross-rank neighbours are reached through the
     // marking exchange).
-    let mark_assigned = |frontier: &mut crate::sweep::Frontier, v: LocalId| {
+    let mark_assigned = |frontier: &mut Frontier, v: LocalId| {
         frontier.mark(v);
         for &u in graph.neighbors(v) {
             if (u as usize) < n_owned {
@@ -339,15 +207,9 @@ fn warm_seed(
         // Level-synchronous: this round's adoptions become visible together.
         for &(v, w) in &updates {
             parts[v as usize] = w;
-            mark_assigned(&mut ws.engine.frontier, v);
+            mark_assigned(frontier, v);
         }
-        push_part_updates(
-            ctx,
-            graph,
-            &updates,
-            &mut parts,
-            Some(&mut ws.engine.frontier),
-        )?;
+        push_part_updates(ctx, graph, &updates, &mut parts, Some(&mut *frontier))?;
         if ctx.allreduce_scalar_sum_u64(updates.len() as u64) == 0 {
             break;
         }
@@ -362,15 +224,9 @@ fn warm_seed(
         }
     }
     for &(v, _) in &leftovers {
-        mark_assigned(&mut ws.engine.frontier, v);
+        mark_assigned(frontier, v);
     }
-    push_part_updates(
-        ctx,
-        graph,
-        &leftovers,
-        &mut parts,
-        Some(&mut ws.engine.frontier),
-    )?;
+    push_part_updates(ctx, graph, &leftovers, &mut parts, Some(&mut *frontier))?;
     Ok(parts)
 }
 
@@ -566,9 +422,10 @@ pub struct JobOutcome {
 /// One distributed XtraPuLP job, start to finish (Algorithm 1 as a caller sees it):
 /// distribute the graph or take the caller's, initialise or take `warm` — a global seed
 /// vector and optionally the delta-touched ids, see
-/// [`try_xtrapulp_partition_from_touched`] — run the balance/refine stages, gather the
-/// labels, assemble the global part vector. Malformed `params` or `warm` are rejected
-/// before anything runs; a rank-local failure is returned, not unwound.
+/// [`try_xtrapulp_partition_from_touched`] — run the stage schedule (`pass::run_schedule`
+/// states the warm policy), gather the labels, assemble the global part vector.
+/// Malformed `params` or `warm` are rejected before anything runs; a rank-local failure
+/// is returned, not unwound.
 ///
 /// The contract callers (session reuse, crash recovery by replay) rely on:
 ///
@@ -829,7 +686,7 @@ mod tests {
     fn distributed_partition_meets_constraints_on_a_grid() {
         let csr = grid_csr(20, 20);
         let edges: Vec<_> = csr.edges().collect();
-        let out = Runtime::run(4, |ctx| {
+        let out = Runtime::new(4).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 400, &edges);
             let params = PartitionParams {
                 num_parts: 8,
@@ -961,7 +818,7 @@ mod tests {
     fn timings_cover_all_phases() {
         let csr = grid_csr(8, 8);
         let edges: Vec<_> = csr.edges().collect();
-        Runtime::run(2, |ctx| {
+        Runtime::new(2).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 64, &edges);
             let res = try_xtrapulp_partition(ctx, &g, &PartitionParams::with_parts(2)).unwrap();
             let phases: Vec<&str> = res.timings.iter().map(|(name, _)| name).collect();
@@ -1011,7 +868,7 @@ mod tests {
             seed: 17,
             ..Default::default()
         };
-        let out = Runtime::run(3, |ctx| {
+        let out = Runtime::new(3).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 400, &edges);
             let cold = try_xtrapulp_partition(ctx, &g, &params).unwrap();
             let warm = try_xtrapulp_partition_from_touched(
@@ -1067,7 +924,7 @@ mod tests {
             })
             .collect();
         let run = |nranks: usize| {
-            let per_rank = Runtime::run(nranks, |ctx| {
+            let per_rank = Runtime::new(nranks).execute(|ctx| {
                 let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 144, &edges);
                 let initial_owned: Vec<i32> = (0..g.n_owned())
                     .map(|v| initial[g.global_id(v as LocalId) as usize])
@@ -1100,7 +957,7 @@ mod tests {
     fn distributed_warm_start_rejects_bad_slices_collectively() {
         let csr = grid_csr(8, 8);
         let edges: Vec<_> = csr.edges().collect();
-        let out = Runtime::run(2, |ctx| {
+        let out = Runtime::new(2).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 64, &edges);
             let params = PartitionParams::with_parts(4);
             // Only rank 1's slice is malformed; every rank must still agree on Err.

@@ -5,7 +5,9 @@
 //! skeleton with synchronous part sizes. This module is that skeleton: one
 //! [`balance_pass`] and one [`refine_pass`], parameterised by an [`Objective`] (which
 //! per-part loads a pass tracks and caps) and a crate-private [`Backend`] (how those
-//! loads are kept current). The schedule policy — when a pass is skipped, capped or
+//! loads are kept current), both driven by one stage schedule, [`run_schedule`]. The
+//! schedule policy — whether a warm seed falls back to the cold schedule, how far the
+//! frontier reaches, how many rounds a stage runs, when a pass is skipped, capped or
 //! booked as churn, how a refinement pass converges — lives here and nowhere else.
 //!
 //! **Balancing** is weighted label propagation: the attractiveness of part `i` to a
@@ -41,12 +43,15 @@
 //! holds. That reproduces the qualitative behaviour: edge balance is met first, then
 //! the maximum per-part cut is reduced and evened out.
 
-use xtrapulp_comm::RankCtx;
-use xtrapulp_graph::{Csr, DistGraph, LocalId};
+use xtrapulp_comm::{PhaseTimer, RankCtx};
+use xtrapulp_graph::{Csr, DistGraph, GlobalId, LocalId, UNASSIGNED};
 
 use crate::error::PartitionError;
 use crate::exchange::{push_part_updates, PartUpdate};
+use crate::init::init_partition;
 use crate::params::PartitionParams;
+use crate::partitioner::{greedy_seed_unassigned, warm_seed};
+use crate::pulp::{init, PulpWarmStart};
 use crate::sweep::{
     refine_budget, Frontier, PartCounters, RefineConvergence, ScoreScratch, StageKind, SweepEngine,
     SweepStage, SweepWorkspace, BALANCE_CHUNK, NO_MOVE, SWEEP_CHUNK,
@@ -217,7 +222,7 @@ fn count_loads<G: Adjacency>(
 
 /// The first `loads` part loads of a distributed partition, one `num_parts`-long block
 /// each, summed over all ranks in one allreduce. Must be called collectively.
-pub(crate) fn global_part_loads(
+fn global_part_loads(
     ctx: &RankCtx,
     graph: &DistGraph,
     parts: &[i32],
@@ -235,6 +240,37 @@ pub(crate) fn global_part_loads(
 pub(crate) trait Backend {
     /// Vertices and arcs of the whole graph.
     fn global_size(&self) -> (u64, u64);
+
+    /// The vertices this backend sweeps (every vertex, or one rank's owned ones).
+    fn owned(&self) -> usize;
+
+    /// The local index of global vertex `g`, if this backend holds it (a ghost's lies
+    /// past the owned range, where [`Frontier::mark`] ignores it).
+    fn local_id(&self, g: GlobalId) -> Option<u32>;
+
+    /// The starting labels of a run: a cold initialisation, or `initial` (one entry per
+    /// owned vertex) with every [`UNASSIGNED`] entry labelled and marked in `frontier`
+    /// together with its neighbourhood.
+    fn seed(
+        &self,
+        params: &PartitionParams,
+        initial: Option<&[i32]>,
+        frontier: &mut Frontier,
+    ) -> Result<Vec<i32>, PartitionError>;
+
+    /// A stage of the schedule has ended.
+    fn end_stage(&mut self) {}
+
+    /// The pass that closes a cold schedule, under its own phase name; none by default.
+    fn closing_pass(
+        &mut self,
+        _parts: &mut [i32],
+        _params: &PartitionParams,
+        _ws: &mut SweepWorkspace,
+        _timings: &mut PhaseTimer,
+    ) -> Result<(), PartitionError> {
+        Ok(())
+    }
 
     /// The frontier's queue length summed over everyone sweeping: a global fact, so
     /// every rank branches on it together. A sweep's closing exchange leaves it with the
@@ -285,12 +321,113 @@ fn targets<B: Backend>(backend: &B, params: &PartitionParams) -> (f64, f64) {
 /// a partition counts as balanced.
 const WARM_BALANCE_SLACK: f64 = 1.02;
 
+/// The stage schedule of one run (Algorithm 1), for serial PuLP and distributed
+/// XtraPuLP alike: the one place that decides what a cold or warm run does. `warm` is a
+/// seed with one entry per owned vertex and, when known, the global ids the mutation
+/// delta touched.
+///
+/// * **Seeding** (`init` / `warm_seed`). A cold run initialises; a warm run keeps its
+///   seed and labels each vertex that arrived [`UNASSIGNED`] (see [`Backend::seed`]).
+/// * **Fallback** (`load_scan`). Warm runs skip the balance passes, which move vertices
+///   aggressively by design, while the seed meets both balance targets within
+///   [`WARM_BALANCE_SLACK`]: a converged run routinely lands within rounding of the
+///   fractional target (221 vertices against 220.0), which is noise, not imbalance. A
+///   seed past that falls back to the cold schedule, still skipping initialisation:
+///   balance needs several rounds to converge, and one round overshoots.
+/// * **Frontier.** A cold run, a fallback and a warm run without a touched set start
+///   with every vertex active. A refine-only run with one seeds each touched vertex
+///   alone — its adjacency changed, its label did not, so only its own score can have
+///   moved — beside the newly labelled neighbourhoods, and from there every applied move
+///   activates the mover's neighbours: after a small delta it scores a small multiple of
+///   the touched set.
+/// * **Rounds.** The cold schedule runs `outer_iters` balance/refine rounds per stage.
+///   A refine-only run runs refinement passes until the frontier empties, at most
+///   `warm_outer_iters` of them (`0`: seed only), or `max(warm_outer_iters,
+///   outer_iters)` when its frontier is delta-scoped. The dynamic multiplier ramps from
+///   `Y` to `X` over the rounds actually run, so a short schedule still reaches the
+///   conservative end-of-run multiplier instead of overshooting part sizes collectively.
+/// * **Stages.** Cold: `vertex_stage`, then `edge_stage` iff `edge_balance_stage` and
+///   `p > 1`, then the backend's [`closing_pass`](Backend::closing_pass). Refine-only:
+///   [`warm_refine_rounds`], timed as `vertex_stage`.
+///
+/// Returns the labels; `timings` gains the phases above and the engine's per-stage
+/// sweep times. Collective on a distributed backend: every branch is taken on global
+/// numbers, so all ranks take it together.
+pub(crate) fn run_schedule<B: Backend>(
+    backend: &mut B,
+    params: &PartitionParams,
+    warm: Option<PulpWarmStart<'_>>,
+    timings: &mut PhaseTimer,
+    ws: &mut SweepWorkspace,
+) -> Result<Vec<i32>, PartitionError> {
+    let n = backend.owned();
+    ws.begin_run(n, params.num_parts);
+    let frontier = &mut ws.engine.frontier;
+    let (mut parts, balance) = match warm {
+        None => (
+            timings.time("init", || backend.seed(params, None, frontier))?,
+            true,
+        ),
+        Some((initial, _)) => {
+            let parts = timings.time("warm_seed", || {
+                backend.seed(params, Some(initial), frontier)
+            })?;
+            let balance = timings.time("load_scan", || {
+                warm_seed_needs_balance(backend, &parts, params, ws)
+            });
+            (parts, balance)
+        }
+    };
+    let touched = warm.and_then(|(_, touched)| touched);
+    match touched {
+        Some(touched) if !balance => {
+            for lid in touched.iter().filter_map(|&g| backend.local_id(g)) {
+                ws.engine.frontier.mark(lid);
+            }
+        }
+        _ => ws.engine.frontier.seed_all(n),
+    }
+    let outer = if balance {
+        params.outer_iters
+    } else {
+        params.warm_outer_iters
+    };
+    let scheduled = &PartitionParams {
+        outer_iters: outer,
+        ..*params
+    };
+    if balance {
+        timings.time("vertex_stage", || {
+            balance_refine_rounds(backend, Objective::Vertex, outer, &mut parts, scheduled, ws)
+        })?;
+        backend.end_stage();
+        if params.edge_balance_stage && params.num_parts > 1 {
+            timings.time("edge_stage", || {
+                balance_refine_rounds(backend, Objective::Edge, outer, &mut parts, scheduled, ws)
+            })?;
+            backend.end_stage();
+        }
+        backend.closing_pass(&mut parts, scheduled, ws, timings)?;
+    } else {
+        let rounds_cap = match touched {
+            Some(_) => outer.max(params.outer_iters),
+            None => outer,
+        };
+        timings.time("vertex_stage", || {
+            warm_refine_rounds(backend, outer, rounds_cap, &mut parts, scheduled, ws)
+        })?;
+        backend.end_stage();
+    }
+    timings.merge_max(&ws.engine.stage_timings());
+    Ok(parts)
+}
+
 /// Whether a warm seed overshoots a balance target by more than [`WARM_BALANCE_SLACK`],
 /// so that the run must fall back to the cold schedule. Scans for every load a refine-only run's first pass tracks
 /// and leaves them with `ws.counters` as measured, so the graph is scanned (and,
 /// distributed, the loads reduced) once for the check and that pass together.
 /// Collective on a distributed backend.
-pub(crate) fn warm_seed_needs_balance<B: Backend>(
+fn warm_seed_needs_balance<B: Backend>(
     backend: &B,
     parts: &[i32],
     params: &PartitionParams,
@@ -328,7 +465,7 @@ fn measure_for_pass<B: Backend>(
 /// `params.balance_iters` weighted label-propagation sweeps towards the parts under
 /// `objective`'s target. Collective on a distributed backend; every branch below is
 /// taken on global numbers, so all ranks take it together.
-pub(crate) fn balance_pass<B: Backend>(
+fn balance_pass<B: Backend>(
     backend: &mut B,
     objective: Objective,
     parts: &mut [i32],
@@ -425,7 +562,7 @@ pub(crate) fn balance_pass<B: Backend>(
 /// exceed the current maximum (or the target, whichever is larger) of any load
 /// `objective` tracks. Frontier-driven with the [`RefineConvergence`] protocol.
 /// Collective on a distributed backend; every branch is taken on global numbers.
-pub(crate) fn refine_pass<B: Backend>(
+fn refine_pass<B: Backend>(
     backend: &mut B,
     objective: Objective,
     parts: &mut [i32],
@@ -482,7 +619,7 @@ pub(crate) fn refine_pass<B: Backend>(
 /// The cold schedule of one stage: `rounds` alternations of a balance pass (full
 /// sweeps) and a refinement pass (frontier sweeps with a verifying full polish),
 /// exactly as in the papers.
-pub(crate) fn balance_refine_rounds<B: Backend>(
+fn balance_refine_rounds<B: Backend>(
     backend: &mut B,
     objective: Objective,
     rounds: usize,
@@ -504,14 +641,14 @@ pub(crate) fn balance_refine_rounds<B: Backend>(
     Ok(())
 }
 
-/// The refine-only schedule of a warm run whose seed meets both balance targets: it
-/// iterates to empty-frontier convergence and never widens beyond what the caller
-/// seeded — the ids whose adjacency changed, alone, since their labels did not; newly
-/// labelled vertices with their neighbourhoods — and what the moves it applies
-/// activate: the seed is the previous epoch's already-polished partition. The engine
-/// settles cross-rank swaps, so the `rounds_cap` passes are a backstop a run is not
-/// expected to reach. `outer == 0` is the seed-only schedule: nothing is refined.
-pub(crate) fn warm_refine_rounds<B: Backend>(
+/// The refine-only schedule of a warm run whose seed meets both balance targets (see
+/// [`run_schedule`] for when that is and what the frontier starts with): frontier-only
+/// passes until the frontier empties, never widening beyond the seeded frontier and
+/// what the applied moves activate, since the seed is the previous epoch's
+/// already-polished partition. The engine settles cross-rank swaps, so the `rounds_cap`
+/// passes are a backstop a run is not expected to reach. `outer == 0` is the seed-only
+/// schedule: nothing is refined.
+fn warm_refine_rounds<B: Backend>(
     backend: &mut B,
     outer: usize,
     rounds_cap: usize,
@@ -583,6 +720,37 @@ impl Serial<'_> {
 impl Backend for Serial<'_> {
     fn global_size(&self) -> (u64, u64) {
         (self.0.num_vertices() as u64, self.0.num_arcs())
+    }
+
+    fn owned(&self) -> usize {
+        self.0.num_vertices()
+    }
+
+    fn local_id(&self, g: GlobalId) -> Option<u32> {
+        (g < self.0.num_vertices() as u64).then_some(g as u32)
+    }
+
+    fn seed(
+        &self,
+        params: &PartitionParams,
+        initial: Option<&[i32]>,
+        frontier: &mut Frontier,
+    ) -> Result<Vec<i32>, PartitionError> {
+        let Some(initial) = initial else {
+            return Ok(init(self.0, params));
+        };
+        let mut parts = initial.to_vec();
+        let unassigned: Vec<u64> = (0..parts.len() as u64)
+            .filter(|&v| parts[v as usize] == UNASSIGNED)
+            .collect();
+        greedy_seed_unassigned(self.0, &mut parts, params.num_parts);
+        for v in unassigned {
+            frontier.mark(v as u32);
+            for &u in self.0.neighbors(v) {
+                frontier.mark(u as u32);
+            }
+        }
+        Ok(parts)
     }
 
     fn global_active(&self, frontier: &mut Frontier) -> u64 {
@@ -876,8 +1044,11 @@ pub(crate) struct Dist<'a> {
     ctx: &'a RankCtx,
     graph: &'a DistGraph,
     /// Balance and refinement sweeps run so far in the current stage: the `iter_tot` of
-    /// Algorithm 1 that ramps the multiplier. The stage driver resets it per stage.
+    /// Algorithm 1 that ramps the multiplier, reset per stage.
     pub(crate) iter_tot: usize,
+    /// The sweeps of the stages ended so far: the `lp_sweeps` a job reports (the
+    /// closing rebalance's rounds are not label-propagation sweeps).
+    pub(crate) lp_sweeps: u64,
     /// The moves of the sweep in flight, for the boundary exchange.
     updates: Vec<PartUpdate>,
 }
@@ -888,6 +1059,7 @@ impl<'a> Dist<'a> {
             ctx,
             graph,
             iter_tot: 0,
+            lp_sweeps: 0,
             updates: Vec::new(),
         }
     }
@@ -964,6 +1136,42 @@ impl<'a> Dist<'a> {
 impl Backend for Dist<'_> {
     fn global_size(&self) -> (u64, u64) {
         (self.graph.global_n(), 2 * self.graph.global_m())
+    }
+
+    fn owned(&self) -> usize {
+        self.graph.n_owned()
+    }
+
+    fn local_id(&self, g: GlobalId) -> Option<u32> {
+        self.graph.local_id(g)
+    }
+
+    fn seed(
+        &self,
+        params: &PartitionParams,
+        initial: Option<&[i32]>,
+        frontier: &mut Frontier,
+    ) -> Result<Vec<i32>, PartitionError> {
+        match initial {
+            None => init_partition(self.ctx, self.graph, params),
+            Some(initial) => warm_seed(self.ctx, self.graph, params, initial, frontier),
+        }
+    }
+
+    /// Counts the stage's sweeps into `lp_sweeps` and restarts `iter_tot`, as
+    /// Algorithm 1 does, so the next stage's multiplier ramps afresh.
+    fn end_stage(&mut self) {
+        self.lp_sweeps += std::mem::take(&mut self.iter_tot) as u64;
+    }
+
+    fn closing_pass(
+        &mut self,
+        parts: &mut [i32],
+        params: &PartitionParams,
+        ws: &mut SweepWorkspace,
+        timings: &mut PhaseTimer,
+    ) -> Result<(), PartitionError> {
+        timings.time("rebalance", || final_rebalance(self, parts, params, ws))
     }
 
     fn global_active(&self, frontier: &mut Frontier) -> u64 {
@@ -1364,7 +1572,7 @@ impl SweepStage for DistEdgeBalance<'_> {
 /// Per-rank moves are throttled to their `1/nranks` share of each part's excess and
 /// destinations are charged at the full rank count, so no collective overshoot is
 /// possible. A no-op when the constraint already holds; must be called collectively.
-pub(crate) fn final_rebalance(
+fn final_rebalance(
     dist: &mut Dist<'_>,
     parts: &mut [i32],
     params: &PartitionParams,
@@ -1517,7 +1725,7 @@ mod tests {
     #[test]
     fn balance_improves_vertex_imbalance() {
         let edges = grid_edges(0, 16, 16);
-        let out = Runtime::run(2, |ctx| {
+        let out = Runtime::new(2).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 256, &edges);
             let params = PartitionParams {
                 num_parts: 4,
@@ -1563,7 +1771,7 @@ mod tests {
     #[test]
     fn refine_does_not_break_validity_and_keeps_cut_reasonable() {
         let edges = grid_edges(0, 12, 12);
-        Runtime::run(3, |ctx| {
+        Runtime::new(3).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Cyclic, 144, &edges);
             let params = PartitionParams {
                 num_parts: 4,
@@ -1599,7 +1807,7 @@ mod tests {
     #[test]
     fn edge_stage_improves_edge_balance_without_breaking_vertex_constraint() {
         let (n, edges) = skewed_edges();
-        let out = Runtime::run(2, |ctx| {
+        let out = Runtime::new(2).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, n, &edges);
             let params = PartitionParams {
                 num_parts: 4,
@@ -1653,7 +1861,7 @@ mod tests {
     #[test]
     fn refining_under_the_edge_objective_does_not_increase_cut_substantially() {
         let (n, edges) = skewed_edges();
-        Runtime::run(3, |ctx| {
+        Runtime::new(3).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Cyclic, n, &edges);
             let params = PartitionParams {
                 num_parts: 3,
@@ -1703,7 +1911,7 @@ mod tests {
         let edges = grid_edges(0, 16, 16);
         let inits = [InitStrategy::BfsGrow, InitStrategy::VertexBlock];
         for (nranks, init) in [2, 4].into_iter().flat_map(|r| inits.map(|i| (r, i))) {
-            let first_queries = Runtime::run(nranks, |ctx| {
+            let first_queries = Runtime::new(nranks).execute(|ctx| {
                 let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 256, &edges);
                 let params = PartitionParams {
                     num_parts: 4,
@@ -1783,7 +1991,7 @@ mod tests {
         ];
         let labels = [0, 0, 1, 0, 1, 1, 0, 1, 0, 1];
         let run = |refine_iters: usize| {
-            Runtime::run(2, |ctx| {
+            Runtime::new(2).execute(|ctx| {
                 let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 10, &edges);
                 let params = PartitionParams {
                     num_parts: 2,
@@ -1817,7 +2025,7 @@ mod tests {
     #[test]
     fn global_part_loads_sum_to_totals() {
         let edges = grid_edges(0, 10, 10);
-        Runtime::run(4, |ctx| {
+        Runtime::new(4).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Hashed, 100, &edges);
             let params = PartitionParams {
                 num_parts: 5,

@@ -7,6 +7,9 @@
 //! XtraPuLP, but with part sizes updated synchronously after every move (there is no
 //! distributed staleness, hence no dynamic multiplier).
 //!
+//! The stage schedule itself, warm starts included, is XtraPuLP's: one driver
+//! (`pass::run_schedule`) runs both, over a serial and a distributed backend.
+//!
 //! All four stages run on the shared sweep engine in [`crate::sweep`]: refinement
 //! sweeps are frontier-driven (only vertices whose neighbourhood changed since the last
 //! sweep are rescored) and the per-sweep proposal phase is thread-parallel with
@@ -21,12 +24,8 @@ use xtrapulp_graph::{Csr, GlobalId, UNASSIGNED};
 
 use crate::error::PartitionError;
 use crate::params::{InitStrategy, PartitionParams};
-use crate::partitioner::{
-    greedy_seed_unassigned, validate_warm_start, Partitioner, WarmStartPartitioner,
-};
-use crate::pass::{
-    balance_refine_rounds, warm_refine_rounds, warm_seed_needs_balance, Objective, Serial,
-};
+use crate::partitioner::{validate_warm_start, Partitioner, WarmStartPartitioner};
+use crate::pass::{run_schedule, Serial};
 use crate::sweep::{SweepStats, SweepWorkspace};
 
 /// The shared-memory PuLP partitioner.
@@ -70,10 +69,8 @@ pub fn try_pulp_partition(csr: &Csr, params: &PartitionParams) -> Result<Vec<i32
 /// `initial[v]` is the seed part of vertex `v`, or [`UNASSIGNED`] (`-1`) for vertices
 /// that have no prior assignment (newly added ones); those are assigned greedily to the
 /// majority part among their already-assigned neighbours (least-loaded part as the tie
-/// break and fallback). When the seed still satisfies both balance constraints, only
-/// refinement runs — frontier-seeded as [`try_pulp_run`] describes and stopping as soon
-/// as the frontier empties; otherwise the full cold stage schedule runs (still skipping
-/// initialisation).
+/// break and fallback). No touched set is passed, so every vertex starts active; the
+/// rest of the warm policy is [`try_pulp_run`]'s.
 pub fn try_pulp_partition_from(
     csr: &Csr,
     params: &PartitionParams,
@@ -89,28 +86,27 @@ pub struct PulpRun {
     pub parts: Vec<i32>,
     /// The engine's work counters (sweeps, vertices scored, moves, per-stage split).
     pub stats: SweepStats,
-    /// Per-stage sweep wall-clock under the `sweep_refine`/`sweep_balance`/`sweep_churn`
-    /// phase names distributed runs put in `PartitionResult::timings`.
+    /// Per-phase wall-clock under the names distributed runs put in
+    /// `PartitionResult::timings`: the schedule's phases (`init` or `warm_seed` and
+    /// `load_scan`, `vertex_stage`, `edge_stage`) and the per-stage sweep time
+    /// (`sweep_refine`/`sweep_balance`/`sweep_churn`).
     pub timings: PhaseTimer,
 }
 
 /// A warm start for [`try_pulp_run`] and for the distributed
 /// [`run_xtrapulp_job`](crate::run_xtrapulp_job): the global seed part vector (see
 /// [`try_pulp_partition_from`]) and, when known, the vertices the mutation delta
-/// touched (endpoints of inserted/deleted edges, added vertices); see [`try_pulp_run`]
-/// for what the refinement frontier is seeded with.
+/// touched (endpoints of inserted/deleted edges, added vertices).
 pub type PulpWarmStart<'a> = (&'a [i32], Option<&'a [GlobalId]>);
 
 /// The full-accounting entry point: run PuLP-MM cold (`warm == None`) or warm-started,
-/// and report the part vector together with the work counters and sweep timings.
+/// and report the part vector together with the work counters and phase timings.
 ///
-/// A refine-only warm run seeds its frontier from the delta. The touched ids are those
-/// whose adjacency changed: their labels did not, so each is seeded alone — no
-/// neighbour's score can have moved. A vertex that arrived unassigned takes a new
-/// label, which marks its neighbourhood, and from there every applied move activates
-/// the mover's neighbours. An epoch with a small delta so scores a small multiple of
-/// the touched set; without a touched set (and nothing unassigned) the frontier is
-/// seeded conservatively from every vertex.
+/// The stage schedule is XtraPuLP's, written once in `pass::run_schedule`, whose
+/// documentation is the single statement of the warm policy: when a warm seed falls
+/// back to the cold schedule, how the touched set and the newly labelled vertices scope
+/// the frontier, and how many rounds run. Refinement sweeps stop early on convergence,
+/// so the statistics are measurements, not a schedule.
 pub fn try_pulp_run(
     csr: &Csr,
     params: &PartitionParams,
@@ -120,121 +116,26 @@ pub fn try_pulp_run(
     if let Some((initial, _)) = warm {
         validate_warm_start(csr.num_vertices(), params.num_parts, initial)?;
     }
-    pulp_run(csr, params, warm)
-}
-
-/// Shared cold/warm driver (refinement sweeps stop early on convergence, so the
-/// statistics are measurements, not a schedule). `params` and the warm seed, when
-/// given, must already be validated.
-fn pulp_run(
-    csr: &Csr,
-    params: &PartitionParams,
-    warm: Option<PulpWarmStart<'_>>,
-) -> Result<PulpRun, PartitionError> {
     let n = csr.num_vertices();
-    let p = params.num_parts;
-    if n == 0 || p == 1 {
+    let mut timings = PhaseTimer::new();
+    if n == 0 || params.num_parts == 1 {
         return Ok(PulpRun {
             parts: vec![0; n],
             stats: SweepStats::default(),
-            timings: PhaseTimer::new(),
+            timings,
         });
     }
-    let mut backend = Serial(csr);
     let mut ws = SweepWorkspace::new(params.sweep_threads);
-    ws.begin_run(n, p);
-
-    // Warm runs come in two regimes. When the seeded partition already satisfies both
-    // balance constraints (the common case after a small delta), the balance passes are
-    // skipped entirely: they move vertices aggressively by design (refinement is what
-    // cleans up after them), so running them on an already-balanced seed would churn
-    // labels — and migrate vertices — for nothing; only refinement runs, seeded from
-    // the delta-touched neighbourhood and stopping on an empty frontier. When a delta
-    // *did* push a part meaningfully past its target, the warm run falls back to the
-    // full cold stage schedule (balance needs several balance/refine rounds to
-    // converge; a single round overshoots), still skipping initialisation. The check
-    // carries a small slack because a converged run routinely lands within rounding of
-    // the fractional target (e.g. 221 vertices against a target of 220.0), which is
-    // noise, not imbalance.
-    let (mut parts, outer, balance) = match warm {
-        None => (init(csr, params), params.outer_iters, true),
-        Some((initial, touched)) => {
-            let mut parts = initial.to_vec();
-            let unassigned: Vec<GlobalId> = (0..n as u64)
-                .filter(|&v| parts[v as usize] == UNASSIGNED)
-                .collect();
-            greedy_seed_unassigned(csr, &mut parts, p);
-            let needs_balance = warm_seed_needs_balance(&backend, &parts, params, &mut ws);
-            if !needs_balance {
-                // Refine-only warm run: seed the frontier from the delta. A touched
-                // vertex kept its label, so only its own score can have moved and it is
-                // seeded alone; a vertex that arrived unassigned has a new label, which
-                // its neighbours must see too. Without any touched information the seed
-                // is conservative: everything.
-                if touched.is_none() && unassigned.is_empty() {
-                    ws.engine.frontier.seed_all(n);
-                } else {
-                    for &g in touched.unwrap_or(&[]) {
-                        if g < n as u64 {
-                            ws.engine.frontier.mark(g as u32);
-                        }
-                    }
-                    for &g in &unassigned {
-                        ws.engine.frontier.mark(g as u32);
-                        for &u in csr.neighbors(g) {
-                            ws.engine.frontier.mark(u as u32);
-                        }
-                    }
-                }
-            }
-            let outer = if needs_balance {
-                params.outer_iters
-            } else {
-                params.warm_outer_iters
-            };
-            (parts, outer, needs_balance)
-        }
-    };
-    if balance {
-        // Cold runs (and warm runs that fell back to the cold schedule) start with
-        // every vertex active: initialisation / the overshooting delta changed
-        // everything worth rescoring.
-        ws.engine.frontier.seed_all(n);
-        balance_refine_rounds(
-            &mut backend,
-            Objective::Vertex,
-            outer,
-            &mut parts,
-            params,
-            &mut ws,
-        )?;
-        if params.edge_balance_stage {
-            balance_refine_rounds(
-                &mut backend,
-                Objective::Edge,
-                outer,
-                &mut parts,
-                params,
-                &mut ws,
-            )?;
-        }
-    } else {
-        // Extra convergence rounds only for delta-scoped warm runs; a blind warm start
-        // (no touched set) keeps the legacy round count.
-        let rounds_cap = match warm {
-            Some((_, Some(_))) => outer.max(params.outer_iters),
-            _ => outer,
-        };
-        warm_refine_rounds(&mut backend, outer, rounds_cap, &mut parts, params, &mut ws)?;
-    }
+    let parts = run_schedule(&mut Serial(csr), params, warm, &mut timings, &mut ws)?;
     Ok(PulpRun {
         parts,
         stats: ws.engine.stats,
-        timings: ws.engine.stage_timings(),
+        timings,
     })
 }
 
-fn init(csr: &Csr, params: &PartitionParams) -> Vec<i32> {
+/// PuLP's initialisation, the serial [`init_partition`](crate::init::init_partition).
+pub(crate) fn init(csr: &Csr, params: &PartitionParams) -> Vec<i32> {
     let n = csr.num_vertices() as u64;
     let p = params.num_parts;
     let mut rng = SmallRng::seed_from_u64(params.seed ^ 0x50_4C_50);
@@ -289,8 +190,9 @@ fn init(csr: &Csr, params: &PartitionParams) -> Vec<i32> {
 mod tests {
     use super::*;
     use crate::metrics::{is_valid_partition, PartitionQuality};
-    use crate::partitioner::RandomPartitioner;
-    use xtrapulp_graph::csr_from_edges;
+    use crate::partitioner::{run_xtrapulp_job, GraphSource, RandomPartitioner};
+    use xtrapulp_comm::Runtime;
+    use xtrapulp_graph::{csr_from_edges, Distribution};
 
     fn grid_csr(w: u64, h: u64) -> Csr {
         let mut e = Vec::new();
@@ -486,6 +388,48 @@ mod tests {
         assert_eq!(warm, cold, "an empty delta must not move anything");
         assert_eq!(stats.sweeps, 0, "no touched vertices, no sweeps");
         assert_eq!(stats.vertices_scored, 0);
+    }
+
+    /// A blind warm start (no touched set) rescores every vertex, whether or not the seed
+    /// also carries a vertex that arrived unassigned, exactly as a 1-rank XtraPuLP run of
+    /// the same schedule does.
+    #[test]
+    fn blind_warm_start_with_a_new_vertex_rescores_every_vertex() {
+        let grid = grid_csr(30, 30);
+        let params = PartitionParams {
+            num_parts: 4,
+            seed: 5,
+            ..Default::default()
+        };
+        let mut seed = try_pulp_partition(&grid, &params).unwrap();
+        // Drop every 7th edge, add 40 chords and one new vertex hanging off vertex 450.
+        let mut edges: Vec<(u64, u64)> = grid
+            .edges()
+            .enumerate()
+            .filter(|(i, _)| i % 7 != 0)
+            .map(|(_, e)| e)
+            .collect();
+        edges.extend((0..40u64).map(|i| ((i * 97) % 900, (i * 211 + 450) % 900)));
+        edges.push((900, 450));
+        seed.push(UNASSIGNED);
+        let csr = csr_from_edges(901, &edges);
+
+        let serial = try_pulp_run(&csr, &params, Some((&seed, None))).unwrap();
+        let cut = PartitionQuality::evaluate(&csr, &serial.parts, 4).edge_cut;
+        let mut runtime = Runtime::new(1);
+        let source = GraphSource::Csr(&csr, &Distribution::Block);
+        let one_rank = run_xtrapulp_job(&mut runtime, source, &params, Some((&seed, None)));
+        let one_rank = one_rank.unwrap();
+        assert!(
+            serial.stats.vertices_scored >= 900,
+            "a blind warm start scored {} of 901 vertices",
+            serial.stats.vertices_scored
+        );
+        assert!(
+            cut <= one_rank.quality.edge_cut,
+            "serial cut {cut} vs 1-rank cut {}",
+            one_rank.quality.edge_cut
+        );
     }
 
     #[test]

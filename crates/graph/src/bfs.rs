@@ -160,7 +160,7 @@ mod tests {
         let serial = bfs_levels(&csr, 3);
 
         for nranks in [1usize, 2, 3, 5] {
-            let per_rank = Runtime::run(nranks, |ctx| {
+            let per_rank = Runtime::new(nranks).execute(|ctx| {
                 let g = DistGraph::from_shared_edges(ctx, Distribution::Cyclic, n, &edges);
                 let result = dist_bfs(ctx, &g, 3).unwrap();
                 // Return (global_id, level) pairs for owned vertices.
@@ -181,7 +181,7 @@ mod tests {
     #[test]
     fn distributed_bfs_counts_reached() {
         let edges = vec![(0u64, 1u64), (1, 2), (3, 4)];
-        let out = Runtime::run(2, |ctx| {
+        let out = Runtime::new(2).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 5, &edges);
             dist_bfs(ctx, &g, 0).unwrap().reached
         });
@@ -192,7 +192,7 @@ mod tests {
     fn distributed_bfs_root_not_present_everywhere() {
         // The root is owned by exactly one rank; others must still participate correctly.
         let edges = path_edges(10);
-        let out = Runtime::run(4, |ctx| {
+        let out = Runtime::new(4).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 10, &edges);
             dist_bfs(ctx, &g, 9).unwrap().reached
         });

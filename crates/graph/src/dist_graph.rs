@@ -733,7 +733,7 @@ mod tests {
     #[test]
     fn single_rank_holds_whole_graph() {
         let edges = two_triangles();
-        let out = Runtime::run(1, |ctx| {
+        let out = Runtime::new(1).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 6, &edges);
             (g.n_owned(), g.n_ghost(), g.global_m(), g.local_arcs())
         });
@@ -743,7 +743,7 @@ mod tests {
     #[test]
     fn multi_rank_block_distribution_builds_ghosts() {
         let edges = two_triangles();
-        let out = Runtime::run(2, |ctx| {
+        let out = Runtime::new(2).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 6, &edges);
             assert_eq!(g.global_n(), 6);
             assert_eq!(g.global_m(), 7);
@@ -764,7 +764,7 @@ mod tests {
     fn from_csr_and_from_shared_edges_agree() {
         let edges = two_triangles();
         let csr = csr_from_edges(6, &edges);
-        let out = Runtime::run(3, |ctx| {
+        let out = Runtime::new(3).execute(|ctx| {
             let a = DistGraph::from_shared_edges(ctx, Distribution::Cyclic, 6, &edges);
             let b = DistGraph::from_csr(ctx, Distribution::Cyclic, &csr);
             assert_eq!(a.n_owned(), b.n_owned());
@@ -787,7 +787,7 @@ mod tests {
     #[test]
     fn from_local_edges_shuffles_to_owners() {
         let edges = two_triangles();
-        let out = Runtime::run(3, |ctx| {
+        let out = Runtime::new(3).execute(|ctx| {
             // Each rank starts with a disjoint slice of the edge list.
             let chunk: Vec<_> = edges
                 .iter()
@@ -810,7 +810,7 @@ mod tests {
         edges.push((0, 1));
         edges.push((1, 0));
         edges.push((4, 4));
-        let out = Runtime::run(2, |ctx| {
+        let out = Runtime::new(2).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 6, &edges);
             g.global_m()
         });
@@ -820,7 +820,7 @@ mod tests {
     #[test]
     fn global_local_id_round_trip() {
         let edges = two_triangles();
-        Runtime::run(3, |ctx| {
+        Runtime::new(3).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Hashed, 6, &edges);
             for v in 0..g.n_total() as LocalId {
                 let gid = g.global_id(v);
@@ -843,7 +843,7 @@ mod tests {
     fn ghost_degrees_match_global_degrees() {
         let edges = two_triangles();
         let csr = csr_from_edges(6, &edges);
-        Runtime::run(3, |ctx| {
+        Runtime::new(3).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Cyclic, 6, &edges);
             for slot in 0..g.n_ghost() {
                 let lid = (g.n_owned() + slot) as LocalId;
@@ -864,7 +864,7 @@ mod tests {
                 Distribution::Hashed,
                 Distribution::from_parts(&halves),
             ] {
-                Runtime::run(nranks, |ctx| {
+                Runtime::new(nranks).execute(|ctx| {
                     let g = DistGraph::from_shared_edges(ctx, dist.clone(), 6, &edges);
                     // Every vertex's value is 1000 + its global id; ghosts start stale.
                     let mut values: Vec<u64> = (0..g.n_total() as LocalId)
@@ -891,7 +891,7 @@ mod tests {
     fn refresh_ghosts_rejects_a_slot_outside_the_ghost_range() {
         let edges = two_triangles();
         for bad_slot in [0, LocalId::MAX - 1] {
-            let out = Runtime::run(2, |ctx| {
+            let out = Runtime::new(2).execute(|ctx| {
                 let mut g = DistGraph::from_shared_edges(ctx, Distribution::Block, 6, &edges);
                 if ctx.rank() == 0 {
                     // The bridge endpoint (local id 2) claims an owned (or out-of-range)
@@ -917,7 +917,7 @@ mod tests {
     #[test]
     fn local_cut_counts_cut_arcs() {
         let edges = two_triangles();
-        let out = Runtime::run(2, |ctx| {
+        let out = Runtime::new(2).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 6, &edges);
             // Parts: global vertices 0..2 in part 0, 3..5 in part 1 -> only the bridge is cut.
             let parts: Vec<i32> = (0..g.n_total() as LocalId)
@@ -977,7 +977,7 @@ mod tests {
         new_edges.extend([(1, 4), (6, 0), (6, 5)]);
         for dist in [Distribution::Cyclic, Distribution::Hashed] {
             for nranks in [1usize, 3] {
-                Runtime::run(nranks, |ctx| {
+                Runtime::new(nranks).execute(|ctx| {
                     let g = DistGraph::from_shared_edges(ctx, dist.clone(), 6, &edges);
                     let updated = g.apply_delta(ctx, &delta);
                     let scratch = DistGraph::from_shared_edges(ctx, dist.clone(), 7, &new_edges);
@@ -999,7 +999,7 @@ mod tests {
         let delta = GraphDelta::new(6, 2, &[(6, 0), (7, 6), (7, 3)], &[(2, 3)]);
         let mut new_edges: Vec<_> = edges.iter().copied().filter(|&e| e != (2, 3)).collect();
         new_edges.extend([(6, 0), (7, 6), (7, 3)]);
-        Runtime::run(nranks, |ctx| {
+        Runtime::new(nranks).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, dist.clone(), 6, &edges);
             let updated = g.apply_delta(ctx, &delta);
             // Existing vertices keep their owners; the tail is hashed.
@@ -1029,7 +1029,7 @@ mod tests {
         let delta = GraphDelta::new(6, 4, &[(6, 0), (7, 8), (9, 3)], &[(0, 1)]);
         let mut new_edges: Vec<_> = edges.iter().copied().filter(|&e| e != (0, 1)).collect();
         new_edges.extend([(6, 0), (7, 8), (9, 3)]);
-        Runtime::run(3, |ctx| {
+        Runtime::new(3).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 6, &edges);
             let updated = g.apply_delta(ctx, &delta);
             let scratch = DistGraph::from_shared_edges(ctx, Distribution::Block, 10, &new_edges);
@@ -1041,7 +1041,7 @@ mod tests {
     fn apply_delta_deletions_drop_orphaned_ghosts() {
         use crate::delta::GraphDelta;
         let edges = two_triangles();
-        Runtime::run(2, |ctx| {
+        Runtime::new(2).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 6, &edges);
             assert_eq!(g.n_ghost(), 1); // the bridge endpoint
             let updated = g.apply_delta(ctx, &GraphDelta::new(6, 0, &[], &[(2, 3)]));
@@ -1061,7 +1061,7 @@ mod tests {
     fn apply_delta_empty_delta_is_identity() {
         use crate::delta::GraphDelta;
         let edges = two_triangles();
-        Runtime::run(2, |ctx| {
+        Runtime::new(2).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 6, &edges);
             let updated = g.apply_delta(ctx, &GraphDelta::new(6, 0, &[], &[]));
             assert_same_graph(&updated, &g);
@@ -1073,7 +1073,7 @@ mod tests {
         use crate::delta::GraphDelta;
         // Apply two successive deltas and compare against one from-scratch build.
         let edges = two_triangles();
-        Runtime::run(3, |ctx| {
+        Runtime::new(3).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Cyclic, 6, &edges);
             let g1 = g.apply_delta(ctx, &GraphDelta::new(6, 1, &[(6, 2), (6, 3)], &[]));
             let g2 = g1.apply_delta(ctx, &GraphDelta::new(7, 0, &[(0, 4)], &[(6, 2)]));
@@ -1088,7 +1088,7 @@ mod tests {
     fn empty_rank_is_tolerated() {
         // More ranks than vertices: some ranks own nothing.
         let edges = vec![(0u64, 1u64)];
-        let out = Runtime::run(4, |ctx| {
+        let out = Runtime::new(4).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 2, &edges);
             (g.n_owned(), g.global_m())
         });

@@ -296,7 +296,7 @@ mod tests {
                     Distribution::Hashed,
                     Distribution::from_parts(&thirds),
                 ] {
-                    Runtime::run(nranks, |ctx| {
+                    Runtime::new(nranks).execute(|ctx| {
                         let g = DistGraph::from_shared_edges(ctx, dist.clone(), n, &edges);
                         let halo = g.halo();
                         let n_owned = g.n_owned();
@@ -416,7 +416,7 @@ mod tests {
     fn a_slot_outside_the_ghost_range_is_a_typed_error() {
         let edges = ring(8);
         for bad_slot in [0, LocalId::MAX - 1] {
-            let out = Runtime::run(2, |ctx| {
+            let out = Runtime::new(2).execute(|ctx| {
                 let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 8, &edges);
                 let mut halo = g.halo().clone();
                 // Rank 0's first boundary vertex claims an owned (or out-of-range) local

@@ -43,7 +43,8 @@ fn multilevel_partition(
     }
 
     let coarsest_target = (params.num_parts * 30).max(200);
-    let mut levels: Vec<(WeightedGraph, Option<Coarsening>)> = Vec::new();
+    // Every level finer than the coarsest, with the coarsening that contracted it.
+    let mut levels: Vec<(WeightedGraph, Coarsening)> = Vec::new();
     let mut current = WeightedGraph::from_csr(csr);
     let total_weight = current.total_vertex_weight();
     let max_part_weight = ((1.0 + params.vertex_imbalance) * total_weight as f64
@@ -68,27 +69,25 @@ fn multilevel_partition(
             break;
         }
         let coarse = contract(&current, &coarsening);
-        levels.push((current, Some(coarsening)));
+        levels.push((current, coarsening));
         current = coarse;
         level_seed = level_seed.wrapping_add(1);
     }
-    levels.push((current, None));
 
     // Initial partition of the coarsest level. One sweep workspace serves the whole
     // V-cycle (and both passes per level), so no level allocates its own frontier,
     // weight or gain buffers.
     let mut ws = SweepWorkspace::new(params.sweep_threads);
-    let (coarsest, _) = levels.last().unwrap();
-    let mut parts = greedy_growing(coarsest, params.num_parts, params.seed ^ 0xC0A53);
+    let mut parts = greedy_growing(&current, params.num_parts, params.seed ^ 0xC0A53);
     rebalance(
-        coarsest,
+        &current,
         &mut parts,
         params.num_parts,
         max_part_weight,
         &mut ws,
     );
     greedy_refine(
-        coarsest,
+        &current,
         &mut parts,
         params.num_parts,
         max_part_weight,
@@ -98,11 +97,7 @@ fn multilevel_partition(
 
     // Uncoarsen: project the partition up one level at a time, restore balance (the
     // coarse level's vertex granularity can overshoot the bound), and refine.
-    for idx in (0..levels.len() - 1).rev() {
-        let (fine_graph, coarsening) = &levels[idx];
-        let coarsening = coarsening
-            .as_ref()
-            .expect("every non-coarsest level stores its coarsening");
+    for (fine_graph, coarsening) in levels.iter().rev() {
         parts = project(&coarsening.fine_to_coarse, &parts);
         rebalance(
             fine_graph,

@@ -58,14 +58,16 @@ pub fn greedy_growing(graph: &WeightedGraph, num_parts: usize, seed: u64) -> Vec
         let mut frontier: Vec<u64> = vec![seed_vertex];
         in_frontier[seed_vertex as usize] = true;
 
-        while (part_weight as f64) < target && !frontier.is_empty() {
+        while (part_weight as f64) < target {
             // Pick the frontier vertex with maximum connection to the part (the seed has
             // connection 0 and is picked first).
-            let (idx, &v) = frontier
+            let Some((idx, &v)) = frontier
                 .iter()
                 .enumerate()
                 .max_by_key(|(_, &v)| connection[v as usize])
-                .unwrap();
+            else {
+                break;
+            };
             frontier.swap_remove(idx);
             if parts[v as usize] != -1 {
                 continue;
@@ -91,7 +93,7 @@ pub fn greedy_growing(graph: &WeightedGraph, num_parts: usize, seed: u64) -> Vec
     );
     for (v, slot) in parts.iter_mut().enumerate() {
         if *slot == -1 {
-            let lightest = (0..num_parts).min_by_key(|&i| weights[i]).unwrap();
+            let lightest = (0..num_parts).min_by_key(|&i| weights[i]).unwrap_or(0);
             *slot = lightest as i32;
             weights[lightest] += graph.vertex_weights[v];
         }

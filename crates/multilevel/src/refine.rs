@@ -103,7 +103,6 @@ pub fn greedy_refine(
         return;
     }
     ws.begin_run(n, num_parts);
-    ws.engine.frontier.seed_all(n);
     let SweepWorkspace {
         engine, counters, ..
     } = ws;
@@ -114,9 +113,9 @@ pub fn greedy_refine(
             .iter()
             .map(|&w| w as i64),
     );
-    for _ in 0..sweeps.max(1) {
-        let use_frontier = engine.frontier.active_len() > 0;
-        if !use_frontier {
+    for sweep in 0..sweeps.max(1) {
+        let use_frontier = sweep > 0;
+        if use_frontier && engine.frontier.active_len() == 0 {
             break;
         }
         let mut stage = MlRefine {
@@ -127,7 +126,7 @@ pub fn greedy_refine(
         let moves = engine.sweep(
             n,
             parts,
-            true,
+            use_frontier,
             SWEEP_CHUNK,
             &mut stage,
             wg_neighbors(graph),

@@ -278,7 +278,7 @@ mod tests {
         let (n, edges) = test_graph();
         let nranks = 4;
         let parts = baselines::random_partition(n, nranks, 3);
-        let out = Runtime::run(nranks, |ctx| {
+        let out = Runtime::new(nranks).execute(|ctx| {
             let r1 = spmv_1d_with_partition(ctx, n, &edges, &parts, 5).unwrap();
             let m = Matrix2d::build(ctx, n, &edges, &parts);
             let r2 = spmv_2d(ctx, &m, 5);
@@ -295,7 +295,7 @@ mod tests {
     #[test]
     fn spmv_matches_across_rank_counts() {
         let (n, edges) = test_graph();
-        let reference = Runtime::run(1, |ctx| {
+        let reference = Runtime::new(1).execute(|ctx| {
             let parts = vec![0i32; n as usize];
             spmv_1d_with_partition(ctx, n, &edges, &parts, 4)
                 .unwrap()
@@ -303,7 +303,7 @@ mod tests {
         })[0];
         for nranks in [2usize, 4] {
             let parts = baselines::vertex_block_partition(n, nranks);
-            let out = Runtime::run(nranks, |ctx| {
+            let out = Runtime::new(nranks).execute(|ctx| {
                 spmv_1d_with_partition(ctx, n, &edges, &parts, 4)
                     .unwrap()
                     .checksum
@@ -324,7 +324,7 @@ mod tests {
         let random = baselines::random_partition(n, nranks, 3);
         let block = baselines::vertex_block_partition(n, nranks);
         let run = |parts: &Vec<i32>| {
-            Runtime::run(nranks, |ctx| {
+            Runtime::new(nranks).execute(|ctx| {
                 spmv_1d_with_partition(ctx, n, &edges, parts, 3)
                     .unwrap()
                     .comm_bytes
@@ -360,9 +360,8 @@ mod tests {
         let (n, edges) = test_graph();
         let nranks = 6;
         let parts = baselines::vertex_block_partition(n, nranks);
-        let out = Runtime::run(nranks, |ctx| {
-            Matrix2d::build(ctx, n, &edges, &parts).local_nonzeros() as u64
-        });
+        let out = Runtime::new(nranks)
+            .execute(|ctx| Matrix2d::build(ctx, n, &edges, &parts).local_nonzeros() as u64);
         let total: u64 = out.iter().sum();
         // Each unique undirected edge contributes exactly two nonzeros.
         let unique: std::collections::BTreeSet<(u64, u64)> = edges

@@ -32,7 +32,7 @@ fn main() {
 
     for (name, parts) in [("XtraPuLP", &xtrapulp_parts), ("Random", &random_parts)] {
         let dist = Distribution::from_parts(parts);
-        let results = Runtime::run(nranks, |ctx| {
+        let results = Runtime::new(nranks).execute(|ctx| {
             let graph = DistGraph::from_shared_edges(ctx, dist.clone(), el.num_vertices, &el.edges);
             let t = std::time::Instant::now();
             let pr = pagerank(ctx, &graph, 20, 0.85).expect("in-process ranks agree on the halo");

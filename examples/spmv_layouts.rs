@@ -40,7 +40,7 @@ fn main() {
         "strategy", "1D time (s)", "2D time (s)", "1D comm (MB)", "2D comm (MB)"
     );
     for (name, parts) in &strategies {
-        let out = Runtime::run(nranks, |ctx| {
+        let out = Runtime::new(nranks).execute(|ctx| {
             let r1 = spmv_1d_with_partition(ctx, n, &edges, parts, iterations)
                 .expect("in-process ranks agree on the halo");
             let m = Matrix2d::build(ctx, n, &edges, parts);

@@ -71,6 +71,51 @@ fn session_reports_carry_quality_timings_and_comm() {
     assert!(json.contains("\"edge_cut\""), "{json}");
 }
 
+/// Serial PuLP and distributed XtraPuLP run one stage schedule, so a cold job and a
+/// warm epoch of either report the same schedule phases.
+#[test]
+fn pulp_and_xtrapulp_report_the_same_schedule_phases() {
+    const SCHEDULE: [&str; 5] = [
+        "init",
+        "warm_seed",
+        "load_scan",
+        "vertex_stage",
+        "edge_stage",
+    ];
+    let phases = |report: &PartitionReport| -> Vec<&'static str> {
+        let recorded: Vec<&str> = report.timings.iter().map(|(name, _)| name).collect();
+        SCHEDULE
+            .into_iter()
+            .filter(|phase| recorded.contains(phase))
+            .collect()
+    };
+    let csr = test_graph(23);
+    let mut session = Session::new(2).expect("valid rank count");
+    for method in [Method::Pulp, Method::XtraPulp] {
+        let job = PartitionJob::new(method).with_parts(4);
+        let cold = session.submit(&job, &csr).expect("valid job");
+        assert_eq!(
+            phases(&cold),
+            ["init", "vertex_stage", "edge_stage"],
+            "{method} cold"
+        );
+
+        let mut dynamic = DynamicSession::spawn(2, csr.clone(), job).expect("valid job");
+        dynamic.repartition().expect("cold epoch");
+        let new_vertex = csr.num_vertices() as u64;
+        let mut batch = UpdateBatch::new();
+        batch.add_vertices(1).insert_edge(new_vertex, 0);
+        dynamic.apply_updates(&batch).expect("valid batch");
+        let warm = dynamic.repartition().expect("warm epoch");
+        assert!(warm.warm_start, "{method}");
+        assert_eq!(
+            phases(&warm.report),
+            ["warm_seed", "load_scan", "vertex_stage"],
+            "{method} warm"
+        );
+    }
+}
+
 #[test]
 fn every_registry_method_runs_through_the_session() {
     let csr = test_graph(11);

@@ -102,7 +102,7 @@ fn xtrapulp_quality_tracks_the_paper_pattern_across_classes() {
 #[test]
 fn distributed_partition_runs_collectively_and_matches_metrics() {
     let el = crawl_graph(1 << 12);
-    let out = Runtime::run(4, |ctx| {
+    let out = Runtime::new(4).execute(|ctx| {
         let g = DistGraph::from_shared_edges(ctx, Distribution::Hashed, el.num_vertices, &el.edges);
         let params = PartitionParams {
             num_parts: 16,
@@ -130,7 +130,7 @@ fn partition_improves_spmv_communication_over_random() {
         .unwrap();
     let random = baselines::random_partition(n, nranks, 3);
     let comm = |parts: &Vec<i32>| {
-        Runtime::run(nranks, |ctx| {
+        Runtime::new(nranks).execute(|ctx| {
             spmv_1d_with_partition(ctx, n, &edges, parts, 5)
                 .expect("in-process ranks agree on the halo")
                 .comm_bytes
@@ -150,7 +150,7 @@ fn spmv_2d_agrees_with_1d_under_a_partitioned_layout() {
     let parts = XtraPulpPartitioner::new(nranks)
         .try_partition(&csr, &params)
         .unwrap();
-    let out = Runtime::run(nranks, |ctx| {
+    let out = Runtime::new(nranks).execute(|ctx| {
         let r1 = spmv_1d_with_partition(ctx, n, &edges, &parts, 3)
             .expect("in-process ranks agree on the halo");
         let m = Matrix2d::build(ctx, n, &edges, &parts);
@@ -192,7 +192,7 @@ fn quality_metrics_agree_between_serial_and_distributed_evaluation() {
     let params = PartitionParams::with_parts(8);
     let parts = PulpPartitioner.try_partition(&csr, &params).unwrap();
     let serial = PartitionQuality::evaluate(&csr, &parts, 8);
-    let out = Runtime::run(3, |ctx| {
+    let out = Runtime::new(3).execute(|ctx| {
         let g = DistGraph::from_shared_edges(ctx, Distribution::Block, el.num_vertices, &el.edges);
         let local: Vec<i32> = (0..g.n_total() as u32)
             .map(|v| parts[g.global_id(v) as usize])

@@ -151,7 +151,7 @@ fn run(csr: &Csr, backend: usize, params: &PartitionParams, warm: Warm<'_>) -> R
             [0, 0],
         );
     }
-    let per_rank = Runtime::run(backend, |ctx| {
+    let per_rank = Runtime::new(backend).execute(|ctx| {
         let graph = DistGraph::from_csr(ctx, Distribution::Block, csr);
         let result = match warm {
             None => try_xtrapulp_partition(ctx, &graph, params),

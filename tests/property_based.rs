@@ -112,7 +112,7 @@ fn distributed_graph_conserves_edges() {
         let nranks = rng.gen_range(1..5usize);
         let csr = csr_from_edges(n, &edges);
         let expected_m = csr.num_edges();
-        let out = Runtime::run(nranks, |ctx| {
+        let out = Runtime::new(nranks).execute(|ctx| {
             let g = DistGraph::from_shared_edges(ctx, Distribution::Hashed, n, &edges);
             (g.global_m(), g.local_arcs())
         });
@@ -328,7 +328,7 @@ fn delta_chains_match_from_scratch_builds() {
                     assert_eq!(csr, csr_from_edges(*n, after), "{what}: csr");
                 }
 
-                let per_rank = Runtime::run(nranks, |ctx| {
+                let per_rank = Runtime::new(nranks).execute(|ctx| {
                     let mut hit = [0u64; 6];
                     let mut dist = dist.clone();
                     let mut g = DistGraph::from_shared_edges(ctx, dist.clone(), n0, &start);
