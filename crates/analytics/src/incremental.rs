@@ -341,7 +341,7 @@ pub fn wcc_repair(
         let local_pairs: Vec<(GlobalId, u64)> = endpoints
             .iter()
             .filter_map(|&g| {
-                let l = graph.local_id(g).filter(|&l| graph.is_owned(l))?;
+                let l = graph.owned_local_id(g)?;
                 Some((g, labels[l as usize]))
             })
             .collect();
@@ -369,7 +369,7 @@ pub fn wcc_repair(
             let bfs = dist_bfs(ctx, graph, root)?;
             let unreached_here: u64 = endpoints
                 .iter()
-                .filter_map(|&g| graph.local_id(g).filter(|&l| graph.is_owned(l)))
+                .filter_map(|&g| graph.owned_local_id(g))
                 .filter(|&l| bfs.levels[l as usize] == UNREACHED)
                 .count() as u64;
             let split = ctx.allreduce_scalar_sum_u64(unreached_here) > 0;

@@ -117,12 +117,10 @@ fn bfs_grow_init(
     let mut parts = vec![UNASSIGNED; graph.n_total()];
     let mut seed_updates: Vec<PartUpdate> = Vec::new();
     for (i, &root) in roots.iter().enumerate() {
-        if let Some(lid) = graph.local_id(root) {
+        if let Some(lid) = graph.owned_local_id(root) {
             let part = (i % p) as i32;
-            if graph.is_owned(lid) {
-                parts[lid as usize] = part;
-                seed_updates.push((lid, part));
-            }
+            parts[lid as usize] = part;
+            seed_updates.push((lid, part));
         }
     }
     push_part_updates(ctx, graph, &seed_updates, &mut parts, None)?;

@@ -244,8 +244,7 @@ pub(crate) trait Backend {
     /// The vertices this backend sweeps (every vertex, or one rank's owned ones).
     fn owned(&self) -> usize;
 
-    /// The local index of global vertex `g`, if this backend holds it (a ghost's lies
-    /// past the owned range, where [`Frontier::mark`] ignores it).
+    /// The local index of global vertex `g`, if this backend sweeps it.
     fn local_id(&self, g: GlobalId) -> Option<u32>;
 
     /// The starting labels of a run: a cold initialisation, or `initial` (one entry per
@@ -1143,7 +1142,7 @@ impl Backend for Dist<'_> {
     }
 
     fn local_id(&self, g: GlobalId) -> Option<u32> {
-        self.graph.local_id(g)
+        self.graph.owned_local_id(g)
     }
 
     fn seed(

@@ -65,7 +65,7 @@ pub fn dist_bfs(ctx: &RankCtx, graph: &DistGraph, root: GlobalId) -> Result<Dist
     let halo = graph.halo();
     let mut levels = vec![UNREACHED; graph.n_owned()];
     let mut frontier: Vec<LocalId> = Vec::new();
-    if let Some(lid) = graph.local_id(root).filter(|&lid| graph.is_owned(lid)) {
+    if let Some(lid) = graph.owned_local_id(root) {
         levels[lid as usize] = 0;
         frontier.push(lid);
     }

@@ -7,8 +7,10 @@
 //! * the adjacency of its owned vertices, with neighbours referenced by *local id*;
 //! * a *ghost* table for the one-hop neighbourhood owned by other ranks (global id,
 //!   owning rank, and global degree of each ghost);
-//! * a hash map translating global ids to local ids, and a flat array for the reverse
-//!   direction — exactly the scheme the paper describes;
+//! * a hash map from each ghost's global id to its local id. An owned vertex needs no
+//!   entry: owned global ids ascend with the local id under every [`Distribution`], so
+//!   [`DistGraph::owned_local_id`] finds one by position (arithmetic for `Block` and
+//!   `Cyclic`, a binary search otherwise). Flat arrays give the reverse direction;
 //! * the [`HaloPlan`]: where each owned boundary vertex's ghost copies live on the other
 //!   ranks, and which owned vertices border each ghost.
 //!
@@ -30,11 +32,12 @@
 //!    kept, and rows are copied or merged in local-id space.
 //!
 //! All three end in one collective handshake (`finish`): every rank registers its ghosts
-//! with their owners, and the owners answer with the ghosts' degrees and keep the
-//! registrations as their send plan. From then on the ghost tail of any such vector is
-//! kept coherent with [`HaloPlan::push`], which is handed the tail;
-//! [`DistGraph::refresh_ghosts`] is a push of the whole owned prefix. No other ghost
-//! exchange exists.
+//! with their owners, and the owners resolve each by position, answer with the ghosts'
+//! degrees and keep the registrations as their send plan (a registration for a vertex the
+//! owner does not own is answered with degree 0 and left out of the plan). From then on
+//! the ghost tail of any such vector is kept coherent with [`HaloPlan::push`], which is
+//! handed the tail; [`DistGraph::refresh_ghosts`] is a push of the whole owned prefix. No
+//! other ghost exchange exists.
 
 use std::collections::HashMap;
 
@@ -58,7 +61,8 @@ pub struct DistGraph {
     ghost_owner: Vec<u32>,
     /// Global degree of each ghost vertex.
     ghost_degree: Vec<u64>,
-    global_to_local: HashMap<GlobalId, LocalId>,
+    /// Local id of each ghost vertex by global id (owned ids resolve by position).
+    ghost_local: HashMap<GlobalId, LocalId>,
     /// CSR offsets over owned vertices (length `n_owned + 1`).
     offsets: Vec<u64>,
     /// CSR adjacency in local ids (owned or ghost).
@@ -175,63 +179,59 @@ impl DistGraph {
         global_n: u64,
         mut arcs: Vec<(GlobalId, GlobalId)>,
     ) -> Self {
-        let rank = ctx.rank();
-        let nranks = ctx.nranks();
-
-        let owned_global: Vec<GlobalId> = dist.owned_vertices(rank, global_n, nranks).collect();
-        let n_owned = owned_global.len();
-        let mut global_to_local: HashMap<GlobalId, LocalId> = HashMap::with_capacity(n_owned * 2);
-        for (i, &g) in owned_global.iter().enumerate() {
-            global_to_local.insert(g, i as LocalId);
-        }
-
+        let owned_global = dist
+            .owned_vertices(ctx.rank(), global_n, ctx.nranks())
+            .collect();
+        let shell = Self::shell(ctx, dist, global_n, owned_global);
         arcs.sort_unstable();
         arcs.dedup();
 
-        // Assign ghost local ids in first-seen (sorted) order.
-        let mut ghost_global = Vec::new();
-        for &(_, v) in &arcs {
-            if let std::collections::hash_map::Entry::Vacant(e) = global_to_local.entry(v) {
-                let lid = (n_owned + ghost_global.len()) as LocalId;
-                e.insert(lid);
-                ghost_global.push(v);
+        // One pass in sorted order: the source row advances by cursor, each target
+        // resolves once, and a ghost takes the next slot the first time it is seen.
+        let mut ghosts = GhostTable::new(shell.n_owned(), 0);
+        let mut offsets = Vec::with_capacity(shell.n_owned() + 1);
+        offsets.push(0u64);
+        let mut adjacency = Vec::with_capacity(arcs.len());
+        let mut arcs = arcs.into_iter().peekable();
+        for &gu in &shell.owned_global {
+            while let Some((_, v)) = arcs.next_if(|&(u, _)| u == gu) {
+                adjacency.push(shell.owned_local_id(v).unwrap_or_else(|| ghosts.slot(v)));
             }
+            offsets.push(adjacency.len() as u64);
         }
+        debug_assert!(
+            arcs.next().is_none(),
+            "arc source must be owned by this rank"
+        );
+        DistGraph {
+            ghost_global: ghosts.global,
+            ghost_local: ghosts.local,
+            offsets,
+            adjacency,
+            ..shell
+        }
+        .finish(ctx)
+    }
 
-        // Build CSR over owned vertices.
-        let mut offsets = vec![0u64; n_owned + 1];
-        for &(u, _) in &arcs {
-            let lu = global_to_local[&u] as usize;
-            debug_assert!(lu < n_owned, "arc source must be owned by this rank");
-            offsets[lu + 1] += 1;
-        }
-        for i in 0..n_owned {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut adjacency = vec![0 as LocalId; arcs.len()];
-        let mut cursor = offsets.clone();
-        for &(u, v) in &arcs {
-            let lu = global_to_local[&u] as usize;
-            adjacency[cursor[lu] as usize] = global_to_local[&v];
-            cursor[lu] += 1;
-        }
-
+    /// A graph of `owned_global` and nothing else yet: what a builder resolves owned
+    /// targets against (through [`owned_local_id`](DistGraph::owned_local_id)) before the
+    /// adjacency and ghost table are moved in and `finish` resolves the rest.
+    fn shell(ctx: &RankCtx, dist: Distribution, global_n: u64, owned: Vec<GlobalId>) -> Self {
         DistGraph {
             global_n,
             global_m: 0,
-            rank,
-            nranks,
+            rank: ctx.rank(),
+            nranks: ctx.nranks(),
             dist,
-            owned_global,
-            ghost_global,
+            owned_global: owned,
+            ghost_global: Vec::new(),
             ghost_owner: Vec::new(),
             ghost_degree: Vec::new(),
-            global_to_local,
-            offsets,
-            adjacency,
+            ghost_local: HashMap::new(),
+            offsets: Vec::new(),
+            adjacency: Vec::new(),
             halo: HaloPlan::default(),
         }
-        .finish(ctx)
     }
 
     /// The shared tail of all three construction paths, filling in everything that
@@ -239,7 +239,9 @@ impl DistGraph {
     /// graph's only handshake — their degrees and the halo plan. Each rank registers its ghosts with
     /// their owners as `(global id, ghost local id)`; an owner resolves the id, keeps
     /// `(holder, ghost local id)` as the vertex's send row and answers with the vertex's
-    /// degree (the weighted balance phase weights neighbour counts by degree).
+    /// degree (the weighted balance phase weights neighbour counts by degree). An id the
+    /// owner does not own — a peer that disagrees about the distribution — is answered
+    /// with degree 0 and gets no send row, so the answers keep the registration order.
     fn finish(mut self, ctx: &RankCtx) -> Self {
         // Every arc's source is owned by exactly one rank, and each undirected edge
         // produces two arcs overall.
@@ -258,14 +260,18 @@ impl DistGraph {
             .alltoallv(registrations)
             .iter()
             .map(|holder| {
-                holder
+                let mut rows = Vec::with_capacity(holder.len());
+                let degrees: Vec<u64> = holder
                     .iter()
                     .map(|&(g, slot)| {
-                        let lid = self.global_to_local[&g];
-                        debug_assert!(self.is_owned(lid));
-                        ((lid, slot), self.degree_owned(lid))
+                        let Some(lid) = self.owned_local_id(g) else {
+                            return 0;
+                        };
+                        rows.push((lid, slot));
+                        self.degree_owned(lid)
                     })
-                    .unzip()
+                    .collect();
+                (rows, degrees)
             })
             .unzip();
         // Degrees come back in registration order: per owner, ascending ghost slot. An
@@ -304,16 +310,16 @@ impl DistGraph {
     /// from-scratch build does, so the result is identical to one. Rows the delta does
     /// not name are *copied*, each arc's old local id renumbered through a table; rows it
     /// names are *merged* with their insert and delete arcs, kept arcs still by local id;
-    /// only *inserted* arcs are *hashed* (one global→local lookup each). The map itself is
-    /// cloned and rewritten in place — moved ghosts renumbered, orphaned ones dropped, new
-    /// vertices added — and the ghost metadata (owner, degree, halo plan) is resolved
-    /// again by the full construction handshake. Growing a `Block` distribution shifts
-    /// the ownership of existing vertices, so that case routes the surviving arcs to
-    /// their new owners instead, as [`redistribute`](DistGraph::redistribute) does —
-    /// still without touching the original edge list. Growing an `Explicit` distribution
-    /// extends its ownership table by hashing the new tail vertices to ranks
-    /// ([`Distribution::grown`]): existing owners are untouched, so the incremental path
-    /// applies.
+    /// only an *inserted* arc's target is looked up by global id: by position if it is
+    /// owned, else in the old ghost map, else in the new one. The new ghost map is filled
+    /// as slots are handed out, so orphaned ghosts never enter it, and the ghost metadata
+    /// (owner, degree, halo plan) is resolved again by the full construction handshake.
+    /// Growing a `Block` distribution shifts the ownership of existing vertices, so that
+    /// case routes the surviving arcs to their new owners instead, as
+    /// [`redistribute`](DistGraph::redistribute) does — still without touching the
+    /// original edge list. Growing an `Explicit` distribution extends its ownership table
+    /// by hashing the new tail vertices to ranks ([`Distribution::grown`]): existing
+    /// owners are untouched, so the incremental path applies.
     ///
     /// Every rank must pass an identical delta. Must be called collectively.
     ///
@@ -342,9 +348,7 @@ impl DistGraph {
     /// Incremental rebuild for deltas that do not move any existing vertex between ranks.
     fn apply_delta_stable(&self, ctx: &RankCtx, delta: &crate::delta::GraphDelta) -> Self {
         use crate::delta::{merge_row, rebase_run};
-        let rank = self.rank;
-        let nranks = self.nranks;
-        let new_n = delta.new_n();
+        let (rank, nranks, new_n) = (self.rank, self.nranks, delta.new_n());
         // Deterministic and prefix-stable, so existing owners are unchanged and every
         // rank agrees on the owners of the new tail (a no-op clone for the functional
         // distributions and for non-growing deltas).
@@ -353,10 +357,10 @@ impl DistGraph {
         // Owned vertices: the old set is preserved (ownership is stable), new vertices
         // owned by this rank are appended, keeping owned local ids valid and sorted.
         let mut owned_global = self.owned_global.clone();
-        let old_n_owned = owned_global.len();
         owned_global
             .extend((self.global_n..new_n).filter(|&g| dist.owner(g, new_n, nranks) == rank));
-        let n_owned = owned_global.len();
+        let shell = Self::shell(ctx, dist, new_n, owned_global);
+        let (old_n_owned, n_owned) = (self.n_owned(), shell.n_owned());
 
         let mut offsets = Vec::with_capacity(n_owned + 1);
         offsets.push(0u64);
@@ -364,15 +368,11 @@ impl DistGraph {
             Vec::with_capacity(self.adjacency.len() + delta.insert_arcs().len());
         let mut ghosts = GhostSlots {
             old: self,
-            n_owned,
             new_id: (0..old_n_owned as LocalId)
                 .chain(std::iter::repeat_n(UNSEEN, self.n_ghost()))
                 .collect(),
-            ghost_global: Vec::with_capacity(self.n_ghost()),
+            table: GhostTable::new(n_owned, self.n_ghost()),
         };
-        // Old ids until the pass is over: old owned and ghost entries as they are, a
-        // brand-new ghost under the virtual old id `GhostSlots::fresh` gives it.
-        let mut global_to_local = self.global_to_local.clone();
 
         let copy_run = |rows,
                         ghosts: &mut GhostSlots,
@@ -383,11 +383,10 @@ impl DistGraph {
         };
         let mut next = 0usize;
         for (gu, inserts, deletes) in delta.rows() {
-            // Owned ids ascend with the local id, so the cursor's order is row order.
-            let Ok(at) = owned_global[next..].binary_search(&gu) else {
+            // Rows come in ascending global id, and so do owned local ids.
+            let Some(lu) = shell.owned_local_id(gu).map(|lu| lu as usize) else {
                 continue; // another rank's row
             };
-            let lu = next + at;
             copy_run(next..lu, &mut ghosts, &mut offsets, &mut adjacency);
             let old = if lu < old_n_owned {
                 self.neighbors(lu as LocalId)
@@ -398,15 +397,12 @@ impl DistGraph {
             merge_row(old, inserts, deletes, |gv, kept| {
                 let lv = if let Some(lv) = kept {
                     ghosts.renumber(lv)
-                } else if let Ok(at) = owned_global[old_n_owned..].binary_search(&gv) {
-                    (old_n_owned + at) as LocalId // a new vertex of this rank's
+                } else if let Some(lv) = shell.owned_local_id(gv) {
+                    lv
+                } else if let Some(&old) = self.ghost_local.get(&gv) {
+                    ghosts.renumber(old)
                 } else {
-                    // The pass's only hashing. A ghost the old graph did not know enters
-                    // the map under a virtual old id.
-                    let known = *global_to_local
-                        .entry(gv)
-                        .or_insert_with(|| ghosts.fresh(gv));
-                    ghosts.renumber(known)
+                    ghosts.table.slot(gv) // a ghost the old graph did not know
                 };
                 adjacency.push(lv);
             });
@@ -415,37 +411,15 @@ impl DistGraph {
         }
         copy_run(next..n_owned, &mut ghosts, &mut offsets, &mut adjacency);
 
-        // The map catches up without a key being hashed: ghosts take their new ids,
-        // orphaned ones (never renumbered) go. Only the new owned vertices are inserted.
-        let GhostSlots {
-            new_id,
-            ghost_global,
-            ..
-        } = ghosts;
-        global_to_local.retain(|_, lv| {
-            *lv = new_id[*lv as usize];
-            *lv != UNSEEN
-        });
-        drop(new_id);
-        for (lid, &g) in owned_global.iter().enumerate().skip(old_n_owned) {
-            global_to_local.insert(g, lid as LocalId);
-        }
         // Insertions and deletions change degrees and move ghost slots, so the handshake
-        // is repeated in full.
+        // is repeated in full. Orphaned ghosts were never reached, so they are in neither
+        // the new ghost table nor its map.
         DistGraph {
-            global_n: new_n,
-            global_m: 0,
-            rank,
-            nranks,
-            dist,
-            owned_global,
-            ghost_global,
-            ghost_owner: Vec::new(),
-            ghost_degree: Vec::new(),
-            global_to_local,
+            ghost_global: ghosts.table.global,
+            ghost_local: ghosts.table.local,
             offsets,
             adjacency,
-            halo: HaloPlan::default(),
+            ..shell
         }
         .finish(ctx)
     }
@@ -515,24 +489,12 @@ impl DistGraph {
         self.dist.clone()
     }
 
-    /// Approximate heap footprint of this rank's ghost tables in bytes: the
-    /// ghost global-id, owner, and degree arrays plus the ghosts' share of the
-    /// global→local map (keyed entries at ~24 bytes each with hash-table
-    /// overhead).
+    /// Approximate heap footprint of this rank's ghost tables in bytes: the ghost
+    /// global-id, owner and degree arrays plus the ghost map, which holds nothing else
+    /// (keyed entries at ~24 bytes each with hash-table overhead).
     pub fn ghost_bytes(&self) -> u64 {
         let n_ghost = self.ghost_global.len() as u64;
         n_ghost * (8 + 4 + 8) + n_ghost * 24
-    }
-
-    /// Approximate heap footprint of the whole rank-local graph in bytes:
-    /// owned-id and CSR arrays, the full global→local map,
-    /// [`ghost_bytes`](DistGraph::ghost_bytes) and the halo plan (published apart, as
-    /// `mem_bytes{subsystem="halo_tables_rank<r>"}` beside `ghost_tables_rank<r>`, on
-    /// every (re)build so the gauges track the latest epoch's tables).
-    pub fn approx_bytes(&self) -> u64 {
-        let owned = self.owned_global.len() as u64 * (8 + 24); // ids + map share
-        let csr = self.offsets.len() as u64 * 8 + self.adjacency.len() as u64 * 4;
-        owned + csr + self.ghost_bytes() + self.halo.approx_bytes()
     }
 
     // --------------------------------------------------------------------------------
@@ -583,7 +545,29 @@ impl DistGraph {
 
     /// Local id of a global vertex if it is known to this rank (owned or ghost).
     pub fn local_id(&self, g: GlobalId) -> Option<LocalId> {
-        self.global_to_local.get(&g).copied()
+        self.owned_local_id(g)
+            .or_else(|| self.ghost_local.get(&g).copied())
+    }
+
+    /// Local id of a global vertex this rank owns; `None` for a ghost, for any other
+    /// vertex owned elsewhere and for `g >= global_n`. Owned global ids ascend with the
+    /// local id under every [`Distribution`], so the answer is the position of `g` among
+    /// them: arithmetic for `Block` and `Cyclic`, a binary search otherwise.
+    pub fn owned_local_id(&self, g: GlobalId) -> Option<LocalId> {
+        if g >= self.global_n {
+            return None;
+        }
+        let at = match self.dist {
+            Distribution::Block => g.checked_sub(*self.owned_global.first()?)?,
+            Distribution::Cyclic => {
+                let nranks = self.nranks as u64;
+                (g % nranks == self.rank as u64).then_some(g / nranks)?
+            }
+            Distribution::Hashed | Distribution::Explicit(_) => {
+                self.owned_global.binary_search(&g).ok()? as u64
+            }
+        };
+        (at < self.n_owned() as u64).then_some(at as LocalId)
     }
 
     /// The rank that owns a local vertex.
@@ -678,43 +662,56 @@ impl DistGraph {
 /// [`GhostSlots::new_id`] entry of an old ghost no surviving arc has reached (yet).
 const UNSEEN: LocalId = LocalId::MAX;
 
+/// A ghost table being filled: each ghost takes the next slot the first time a builder
+/// meets it, and its entry in the graph's ghost map at the same time.
+struct GhostTable {
+    /// Owned count of the graph being built: the local id of slot 0.
+    n_owned: usize,
+    global: Vec<GlobalId>,
+    local: HashMap<GlobalId, LocalId>,
+}
+
+impl GhostTable {
+    fn new(n_owned: usize, capacity: usize) -> Self {
+        GhostTable {
+            n_owned,
+            global: Vec::with_capacity(capacity),
+            local: HashMap::with_capacity(capacity),
+        }
+    }
+
+    /// Local id of ghost `g`, handing it the next slot if it has none yet.
+    #[inline]
+    fn slot(&mut self, g: GlobalId) -> LocalId {
+        *self.local.entry(g).or_insert_with(|| {
+            self.global.push(g);
+            (self.n_owned + self.global.len() - 1) as LocalId
+        })
+    }
+}
+
 /// The ghost numbering of a graph being rebuilt from `old` by a delta: slots are handed out
 /// in first-seen row order, exactly as `from_owned_arcs` does, so the rebuilt graph's
 /// ghost table — and with it the halo plan and every result computed on either — is the
 /// one a from-scratch build produces.
 struct GhostSlots<'a> {
     old: &'a DistGraph,
-    /// Owned count of the new graph: the local id of ghost slot 0.
-    n_owned: usize,
     /// New local id by old local id: the identity on owned vertices, `UNSEEN` on a ghost
-    /// until an arc reaches it. Brand-new ghosts extend it with virtual old ids, so the
-    /// global→local map can hold every vertex under an old id until the pass ends.
+    /// until an arc reaches it.
     new_id: Vec<LocalId>,
-    /// The new ghost table.
-    ghost_global: Vec<GlobalId>,
+    /// The new ghost table; a ghost `old` did not know enters it directly.
+    table: GhostTable,
 }
 
 impl GhostSlots<'_> {
-    /// New local id of the vertex `old` knows as `lv` (or of a virtual old id): a ghost
-    /// takes the next slot the first time an arc reaches it.
+    /// New local id of the vertex `old` knows as `lv`: a ghost takes the next slot the
+    /// first time an arc reaches it.
     #[inline]
     fn renumber(&mut self, lv: LocalId) -> LocalId {
         if self.new_id[lv as usize] == UNSEEN {
-            self.new_id[lv as usize] = self.push(self.old.global_id(lv));
+            self.new_id[lv as usize] = self.table.slot(self.old.global_id(lv));
         }
         self.new_id[lv as usize]
-    }
-
-    /// Give a ghost `old` did not know the next slot; returns its virtual old id.
-    fn fresh(&mut self, g: GlobalId) -> LocalId {
-        let lv = self.push(g);
-        self.new_id.push(lv);
-        (self.new_id.len() - 1) as LocalId
-    }
-
-    fn push(&mut self, g: GlobalId) -> LocalId {
-        self.ghost_global.push(g);
-        (self.n_owned + self.ghost_global.len() - 1) as LocalId
     }
 }
 
@@ -912,6 +909,32 @@ mod tests {
                 out[1]
             );
         }
+    }
+
+    #[test]
+    fn a_registration_for_a_vertex_the_owner_does_not_own_is_answered_with_degree_zero() {
+        // The ranks disagree about the owner of vertex 3: rank 0 says rank 1, rank 1 says
+        // rank 0, so each holds it as a ghost and registers it with a peer that does not
+        // own it.
+        let csr = csr_from_edges(6, &two_triangles());
+        Runtime::new(2).execute(|ctx| {
+            let owners: &[i32] = if ctx.rank() == 0 {
+                &[0, 0, 0, 1, 1, 1]
+            } else {
+                &[0, 0, 0, 0, 1, 1]
+            };
+            let g = DistGraph::from_csr(ctx, Distribution::from_parts(owners), &csr);
+            assert_eq!(g.owned_local_id(3), None);
+            let ghost = g.local_id(3).expect("vertex 3 is a ghost on both ranks");
+            assert!(!g.is_owned(ghost));
+            assert_eq!(g.degree(ghost), 0);
+            for v in g.owned_vertices() {
+                assert!(
+                    g.halo().targets(v).is_empty(),
+                    "no send row may name vertex 3's ghost"
+                );
+            }
+        });
     }
 
     #[test]

@@ -264,7 +264,7 @@ mod tests {
             .iter()
             .map(|ids| {
                 ids.iter()
-                    .map(|&id| value_of(g.local_id(id).filter(|&l| g.is_owned(l)).unwrap()))
+                    .map(|&id| value_of(g.owned_local_id(id).unwrap()))
                     .collect()
             })
             .collect();

@@ -40,16 +40,11 @@ fn main() {
             let seconds = t.elapsed().as_secs_f64();
             let bytes = ctx.stats().bytes_sent();
             let local_max_pr = pr.iter().cloned().fold(0.0f64, f64::max);
-            let components = labels
-                .iter()
-                .filter(|&&l| {
-                    // a component is counted at its representative (smallest id) vertex
-                    graph
-                        .local_id(l)
-                        .map(|lid| graph.is_owned(lid))
-                        .unwrap_or(false)
-                        && l == graph.global_id(graph.local_id(l).unwrap())
-                })
+            // A component is counted at its representative (smallest id) vertex, on the
+            // rank that owns it.
+            let components = graph
+                .owned_vertices()
+                .filter(|&v| labels[v as usize] == graph.global_id(v))
                 .count() as u64;
             (seconds, bytes, local_max_pr, components)
         });

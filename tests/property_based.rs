@@ -7,7 +7,7 @@
 //! a shrinking framework. Failures print the generating seed, which is enough
 //! to reproduce a case deterministically.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -224,14 +224,29 @@ fn distributions(n: u64, nranks: usize) -> [Distribution; 4] {
 
 /// Everything the public accessors say about a rank's graph must be equal: ids in both
 /// directions (stale entries included), degrees (ghost degrees too), owners, adjacency
-/// by local id, the ghost table and both halves of the halo plan.
+/// by local id, the ghost table and both halves of the halo plan. The id lookups of `a`
+/// are also held against oracles that share nothing with the implementation: a table
+/// made by scanning `global_id` over every local id, and the distribution's owner.
 fn assert_same_dist_graph(a: &DistGraph, b: &DistGraph, what: &str) {
     assert_eq!(a.global_n(), b.global_n(), "{what}: global_n");
     assert_eq!(a.global_m(), b.global_m(), "{what}: global_m");
     assert_eq!(a.n_owned(), b.n_owned(), "{what}: n_owned");
     assert_eq!(a.ghost_globals(), b.ghost_globals(), "{what}: ghost table");
-    for g in 0..a.global_n() {
+    let scanned: HashMap<u64, LocalId> = (0..a.n_total() as LocalId)
+        .map(|v| (a.global_id(v), v))
+        .collect();
+    for g in 0..=a.global_n() {
         assert_eq!(a.local_id(g), b.local_id(g), "{what}: local_id({g})");
+        assert_eq!(
+            a.local_id(g),
+            scanned.get(&g).copied(),
+            "{what}: local_id({g}) against the scan"
+        );
+        assert_eq!(
+            a.owned_local_id(g).is_some(),
+            g < a.global_n() && a.owner_of_global(g) == a.rank(),
+            "{what}: owned_local_id({g})"
+        );
     }
     for v in 0..a.n_total() as LocalId {
         assert_eq!(a.global_id(v), b.global_id(v), "{what}: global_id({v})");
@@ -267,9 +282,11 @@ fn assert_same_dist_graph(a: &DistGraph, b: &DistGraph, what: &str) {
 /// The situations one delta puts a rank's `apply_delta` in, counted so the test can
 /// insist its generator reached each: `[inserted arc to an old owned vertex, to an old
 /// ghost ahead of the ghost's first old row (its slot moves), to a vertex this rank newly
-/// owns, to a brand-new ghost, a ghost orphaned, a rank owning nothing]`.
-fn situations(old: &DistGraph, new: &DistGraph, delta: &GraphDelta, rank: usize) -> [u64; 6] {
-    let mut hit = [0u64; 6];
+/// owns, to a brand-new ghost, a ghost orphaned, a rank owning nothing, a brand-new ghost
+/// reached from two different rows]`.
+fn situations(old: &DistGraph, new: &DistGraph, delta: &GraphDelta, rank: usize) -> [u64; 7] {
+    let mut hit = [0u64; 7];
+    let mut new_ghost_rows: HashMap<u64, BTreeSet<u64>> = HashMap::new();
     for &(u, v) in delta.insert_arcs() {
         if new.owner_of_global(u) != rank {
             continue;
@@ -281,9 +298,16 @@ fn situations(old: &DistGraph, new: &DistGraph, delta: &GraphDelta, rank: usize)
                 hit[1] += u64::from(old.local_id(u).is_some_and(|lu| lu < first_row));
             }
             None if new.owner_of_global(v) == rank => hit[2] += 1,
-            None => hit[3] += 1,
+            None => {
+                hit[3] += 1;
+                new_ghost_rows.entry(v).or_default().insert(u);
+            }
         }
     }
+    hit[6] = new_ghost_rows
+        .values()
+        .filter(|rows| rows.len() > 1)
+        .count() as u64;
     let orphaned = |g: &&u64| new.local_id(**g).is_none();
     hit[4] = old.ghost_globals().iter().filter(orphaned).count() as u64;
     hit[5] = u64::from(new.n_owned() == 0);
@@ -292,7 +316,7 @@ fn situations(old: &DistGraph, new: &DistGraph, delta: &GraphDelta, rank: usize)
 
 #[test]
 fn delta_chains_match_from_scratch_builds() {
-    let mut hit = [0u64; 6];
+    let mut hit = [0u64; 7];
     for case in 0..CASES {
         for (d, grow) in [(0, false), (1, true), (2, true), (3, true)] {
             for nranks in 1..=4usize {
@@ -329,7 +353,7 @@ fn delta_chains_match_from_scratch_builds() {
                 }
 
                 let per_rank = Runtime::new(nranks).execute(|ctx| {
-                    let mut hit = [0u64; 6];
+                    let mut hit = [0u64; 7];
                     let mut dist = dist.clone();
                     let mut g = DistGraph::from_shared_edges(ctx, dist.clone(), n0, &start);
                     for (step, (delta, n, after)) in chain.iter().enumerate() {
