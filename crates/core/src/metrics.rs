@@ -5,11 +5,16 @@
 //! largest per-part cut divided by the average number of edges per part), plus the vertex
 //! and edge balance constraints. §V-B additionally aggregates results across a test suite
 //! with geometric-mean "performance ratios". This module computes all of them, both from
-//! a global [`Csr`] + part vector and collectively from a [`DistGraph`].
+//! a global [`Csr`] + part vector and collectively from a [`DistGraph`]. One counter
+//! serves both evaluations, and the partitioner's passes too: `pass::count_loads`
+//! counts each part's vertices, arcs and cut arcs over the vertices a graph owns, and
+//! the distributed evaluation sums those counts over the ranks.
 
 use serde::{Deserialize, Serialize};
 use xtrapulp_comm::RankCtx;
-use xtrapulp_graph::{Csr, DistGraph, LocalId};
+use xtrapulp_graph::{Csr, DistGraph};
+
+use crate::pass::{count_loads, Adjacency};
 
 /// Quality summary of one partition.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -41,42 +46,15 @@ impl PartitionQuality {
             "one part id per vertex required"
         );
         assert!(num_parts >= 1);
-        let mut part_vertices = vec![0u64; num_parts];
-        let mut part_arcs = vec![0u64; num_parts];
-        let mut part_cut = vec![0u64; num_parts];
-        let mut cut = 0u64;
-        for v in 0..csr.num_vertices() as u64 {
-            let pv = parts[v as usize];
+        for (v, &pv) in parts.iter().enumerate() {
             assert!(
                 pv >= 0 && (pv as usize) < num_parts,
                 "vertex {v} has invalid part {pv}"
             );
-            part_vertices[pv as usize] += 1;
-            part_arcs[pv as usize] += csr.degree(v);
-            for &u in csr.neighbors(v) {
-                let pu = parts[u as usize];
-                if pu != pv {
-                    // Each cut edge is visited from both endpoints; count it once globally
-                    // (u < v guard) but charge it to both parts' cut counters.
-                    if v < u {
-                        cut += 1;
-                    }
-                    part_cut[pv as usize] += 1;
-                }
-            }
         }
-        // part_cut currently counts cut *arcs* from each part's side, which equals the
-        // number of cut edges incident to the part (each such edge contributes exactly one
-        // arc whose source lies in the part).
-        Self::from_counts(
-            csr.num_vertices() as u64,
-            csr.num_edges(),
-            num_parts,
-            cut,
-            &part_vertices,
-            &part_arcs,
-            &part_cut,
-        )
+        let counts = local_counts(csr, parts, num_parts);
+        let (n, m) = (csr.num_vertices() as u64, csr.num_edges());
+        Self::from_counts(n, m, num_parts, &counts)
     }
 
     /// Evaluate a partition of a distributed graph collectively. `parts` covers owned +
@@ -88,57 +66,22 @@ impl PartitionQuality {
         num_parts: usize,
     ) -> PartitionQuality {
         assert!(parts.len() >= graph.n_total());
-        let mut part_vertices = vec![0u64; num_parts];
-        let mut part_arcs = vec![0u64; num_parts];
-        let mut part_cut = vec![0u64; num_parts];
-        let mut cut2 = 0u64; // counts each cut edge twice (once from each endpoint)
-        for v in 0..graph.n_owned() {
-            let pv = parts[v];
-            assert!(pv >= 0 && (pv as usize) < num_parts);
-            part_vertices[pv as usize] += 1;
-            part_arcs[pv as usize] += graph.degree_owned(v as LocalId);
-            for &u in graph.neighbors(v as LocalId) {
-                let pu = parts[u as usize];
-                if pu != pv {
-                    cut2 += 1;
-                    part_cut[pv as usize] += 1;
-                }
-            }
-        }
-        let totals = {
-            let mut local = Vec::with_capacity(1 + 3 * num_parts);
-            local.push(cut2);
-            local.extend_from_slice(&part_vertices);
-            local.extend_from_slice(&part_arcs);
-            local.extend_from_slice(&part_cut);
-            ctx.allreduce_sum_u64(&local)
-        };
-        let cut = totals[0] / 2;
-        let part_vertices = &totals[1..1 + num_parts];
-        let part_arcs = &totals[1 + num_parts..1 + 2 * num_parts];
-        let part_cut = &totals[1 + 2 * num_parts..1 + 3 * num_parts];
-        Self::from_counts(
-            graph.global_n(),
-            graph.global_m(),
-            num_parts,
-            cut,
-            part_vertices,
-            part_arcs,
-            part_cut,
-        )
+        assert!(is_valid_partition(&parts[..graph.n_owned()], num_parts));
+        let counts = ctx.allreduce_sum_u64(&local_counts(graph, parts, num_parts));
+        Self::from_counts(graph.global_n(), graph.global_m(), num_parts, &counts)
     }
 
-    fn from_counts(
-        n: u64,
-        m: u64,
-        num_parts: usize,
-        cut: u64,
-        part_vertices: &[u64],
-        part_arcs: &[u64],
-        part_cut: &[u64],
-    ) -> PartitionQuality {
+    /// The quality of `num_parts` parts of a graph of `n` vertices and `m` edges, from
+    /// its [`local_counts`] summed over everyone who counted.
+    fn from_counts(n: u64, m: u64, num_parts: usize, counts: &[u64]) -> PartitionQuality {
+        let cut = counts[0] / 2;
+        // The largest count of block `load`: 0 vertices, 1 arcs, 2 cut arcs.
+        let max = |load: usize| {
+            let block = &counts[1 + load * num_parts..][..num_parts];
+            block.iter().copied().max().unwrap_or(0)
+        };
         let p = num_parts as f64;
-        let max_part_cut = part_cut.iter().copied().max().unwrap_or(0);
+        let max_part_cut = max(2);
         let avg_edges_per_part = (m as f64 / p).max(1.0);
         let avg_vertices_per_part = (n as f64 / p).max(1.0);
         let avg_arcs_per_part = (2.0 * m as f64 / p).max(1.0);
@@ -148,11 +91,24 @@ impl PartitionQuality {
             edge_cut_ratio: if m == 0 { 0.0 } else { cut as f64 / m as f64 },
             max_part_cut,
             scaled_max_cut_ratio: max_part_cut as f64 / avg_edges_per_part,
-            vertex_imbalance: part_vertices.iter().copied().max().unwrap_or(0) as f64
-                / avg_vertices_per_part,
-            edge_imbalance: part_arcs.iter().copied().max().unwrap_or(0) as f64 / avg_arcs_per_part,
+            vertex_imbalance: max(0) as f64 / avg_vertices_per_part,
+            edge_imbalance: max(1) as f64 / avg_arcs_per_part,
         }
     }
+}
+
+/// This graph's share of a partition's counts: the cut arcs first — each cut edge is
+/// two, one from each endpoint's part — then the vertices, arcs and cut arcs of each
+/// part, one `num_parts`-long block each (a part's cut arcs are the cut edges incident
+/// to it).
+fn local_counts<G: Adjacency>(graph: &G, parts: &[i32], num_parts: usize) -> Vec<u64> {
+    let mut loads = vec![0i64; 3 * num_parts];
+    count_loads(graph, parts, num_parts, 3, &mut loads);
+    let cut_arcs = loads[2 * num_parts..].iter().sum::<i64>();
+    std::iter::once(cut_arcs)
+        .chain(loads)
+        .map(|c| c as u64)
+        .collect()
 }
 
 /// Check that a part vector is a valid assignment into `0..num_parts`.
@@ -216,7 +172,7 @@ pub fn performance_ratios(results: &[Vec<Option<f64>>], num_methods: usize) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xtrapulp_graph::csr_from_edges;
+    use xtrapulp_graph::{csr_from_edges, LocalId};
 
     /// Two triangles joined by a bridge; the natural 2-partition cuts one edge.
     fn two_triangles() -> Csr {

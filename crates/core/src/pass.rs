@@ -10,6 +10,14 @@
 //! frontier reaches, how many rounds a stage runs, when a pass is skipped, capped or
 //! booked as churn, how a refinement pass converges — lives here and nowhere else.
 //!
+//! The sweep kernels are written once as well. [`Refine`] and [`EdgeBalance`] read and
+//! book part loads through a [`Loads`] view, and the two backends differ only in the
+//! view a sweep opens — [`Live`] or [`Stale`] — and in how a sweep closes (the
+//! distributed exchange; nothing serially). Vertex balance is the one kernel each
+//! backend writes for itself: the distributed one spills vertices label propagation
+//! cannot reach and breaks a score tie toward the vertex's own part, and giving PuLP
+//! either would change its partitions.
+//!
 //! **Balancing** is weighted label propagation: the attractiveness of part `i` to a
 //! vertex is the number of its neighbours in `i` scaled by a weight that is large for
 //! underweight parts and zero for parts at or above the target. **Refinement** is a
@@ -27,8 +35,9 @@
 //! | loads tracked | vertices `Sv` | vertices `Sv`, arcs `Se`, cut arcs `Sc` |
 //! | balance weight | `Wv`, neighbours counted by degree | `count · (Re·We + Rc·Wc)` |
 //! | refinement caps | `max Sv` | `max Sv`, `max Se`, `max Sc` |
-//! | **serial backend** ([`Serial`]) | sizes are live: every move updates them at once, a move-free sweep is seen locally | same |
-//! | **distributed backend** ([`Dist`]) | sizes are stale within a sweep: a rank charges `mult ×` its own change against them, and a sweep is two rounds — boundary labels ship with [`push_part_updates`], then one packed `allreduce` folds in all ranks' changes, the move count and the size of the frontier left behind, so nobody asks again whether anything is active; balance also *spills* unreachable vertices of an overweight part | same, without the spill |
+//! | kernels | [`Refine`]; balance per backend | [`Refine`], [`EdgeBalance`] |
+//! | **serial backend** ([`Serial`]) | [`Live`] loads: every move is booked at once, a move-free sweep is seen locally | same |
+//! | **distributed backend** ([`Dist`]) | [`Stale`] loads: the sizes of the last exchange plus `mult ×` this rank's changes since, and a sweep is two rounds — boundary labels ship with [`push_part_updates`], then one packed `allreduce` folds in all ranks' changes, the move count and the size of the frontier left behind, so nobody asks again whether anything is active; balance also *spills* unreachable vertices of an overweight part | same, without the spill |
 //!
 //! The staleness is the distributed subtlety: every rank reassigns vertices using sizes
 //! refreshed only at the end of the sweep, so an underweight part would receive a flood
@@ -127,16 +136,30 @@ fn headroom(target: f64, load: f64) -> f64 {
 /// A graph as the kernels see it: vertices and neighbours are indices into the part
 /// vector, whether that is a whole [`Csr`] or one rank's owned + ghost view.
 pub(crate) trait Adjacency: Sync {
+    /// The vertices swept and counted: every vertex, or one rank's owned ones.
+    fn n_owned(&self) -> usize;
     /// The neighbours of owned vertex `v`.
     fn adjacent(&self, v: u32) -> impl Iterator<Item = usize> + '_;
+    /// The degree of owned vertex `v`.
+    fn degree_owned(&self, v: u32) -> u64;
     /// The degree of any vertex the part vector covers (a ghost's is its global degree).
     fn degree_of(&self, v: usize) -> u64;
 }
 
 impl Adjacency for Csr {
     #[inline]
+    fn n_owned(&self) -> usize {
+        self.num_vertices()
+    }
+
+    #[inline]
     fn adjacent(&self, v: u32) -> impl Iterator<Item = usize> + '_ {
         self.neighbors(v as u64).iter().map(|&u| u as usize)
+    }
+
+    #[inline]
+    fn degree_owned(&self, v: u32) -> u64 {
+        self.degree(v as u64)
     }
 
     #[inline]
@@ -147,8 +170,18 @@ impl Adjacency for Csr {
 
 impl Adjacency for DistGraph {
     #[inline]
+    fn n_owned(&self) -> usize {
+        DistGraph::n_owned(self)
+    }
+
+    #[inline]
     fn adjacent(&self, v: u32) -> impl Iterator<Item = usize> + '_ {
         self.neighbors(v).iter().map(|&u| u as usize)
+    }
+
+    #[inline]
+    fn degree_owned(&self, v: u32) -> u64 {
+        DistGraph::degree_owned(self, v)
     }
 
     #[inline]
@@ -180,27 +213,43 @@ fn recount_two<G: Adjacency>(
     (s_x, s_t)
 }
 
-/// Enqueue-neighbours closure for the sweep engine's frontier: only owned neighbours
-/// are marked (ghost re-activation travels through [`push_part_updates`] on the owning
-/// side).
-fn owned_neighbors<G: Adjacency>(
+/// One engine sweep of `kernel` over `graph`'s owned vertices; returns the moves
+/// applied. Applied moves activate the mover's owned neighbours (ghost re-activation
+/// travels through [`push_part_updates`] on the owning side), and `on_move` observes
+/// each of them.
+#[allow(clippy::too_many_arguments)]
+fn sweep<G: Adjacency, K: SweepStage>(
     graph: &G,
-    n_owned: usize,
-) -> impl Fn(u32, &mut dyn FnMut(u32)) + '_ {
-    move |v, mark| {
-        for u in graph.adjacent(v) {
-            if u < n_owned {
-                mark(u as u32);
-            }
+    engine: &mut SweepEngine,
+    parts: &mut [i32],
+    use_frontier: bool,
+    chunk: usize,
+    mut kernel: K,
+    on_move: impl FnMut(u32, i32),
+) -> u64 {
+    let n_owned = graph.n_owned();
+    let neighbors = |v, mark: &mut dyn FnMut(u32)| {
+        for u in graph.adjacent(v).filter(|&u| u < n_owned) {
+            mark(u as u32);
         }
-    }
+    };
+    engine.sweep(
+        n_owned,
+        parts,
+        use_frontier,
+        chunk,
+        &mut kernel,
+        neighbors,
+        on_move,
+    )
 }
 
-/// Fill the first `loads` blocks of `out` (`p` slots each) with this graph's share of
-/// each load over its first `n_owned` vertices.
-fn count_loads<G: Adjacency>(
+/// Fill the first `loads` blocks of `out` (`p` slots each) with `graph`'s share of each
+/// load — vertices, arcs, cut arcs — per part, over its owned vertices. The one
+/// per-part counter: the passes measure with it and
+/// [`PartitionQuality`](crate::metrics::PartitionQuality) evaluates with it.
+pub(crate) fn count_loads<G: Adjacency>(
     graph: &G,
-    n_owned: usize,
     parts: &[i32],
     p: usize,
     loads: usize,
@@ -208,10 +257,10 @@ fn count_loads<G: Adjacency>(
 ) {
     let out = &mut out[..loads * p];
     out.fill(0);
-    for (v, &pv) in parts.iter().enumerate().take(n_owned) {
+    for (v, &pv) in parts.iter().enumerate().take(graph.n_owned()) {
         out[V * p + pv as usize] += 1;
         if loads > E {
-            out[E * p + pv as usize] += graph.degree_of(v) as i64;
+            out[E * p + pv as usize] += graph.degree_owned(v as u32) as i64;
         }
         if loads > C {
             let cut = graph.adjacent(v as u32).filter(|&u| parts[u] != pv);
@@ -230,7 +279,7 @@ fn global_part_loads(
     loads: usize,
 ) -> Vec<i64> {
     let mut local = vec![0i64; loads * num_parts];
-    count_loads(graph, graph.n_owned(), parts, num_parts, loads, &mut local);
+    count_loads(graph, parts, num_parts, loads, &mut local);
     ctx.allreduce_sum_i64(&local)
 }
 
@@ -685,36 +734,302 @@ fn warm_refine_rounds<B: Backend>(
 }
 
 // ------------------------------------------------------------------------------------
+// The kernels, written once over a view of the part loads
+// ------------------------------------------------------------------------------------
+
+/// How a sweep sees the part loads it tracks and books its moves into them: the one
+/// thing the serial and the distributed kernels disagree on.
+trait Loads: Sync {
+    /// The estimate of part `i`'s `load` (`V`, `E` or `C`).
+    fn est(&self, load: usize, i: usize) -> f64;
+
+    /// Book `leaves` of `load` leaving part `x` and `arrives` arriving in `target`.
+    fn shift(&mut self, load: usize, x: usize, target: usize, leaves: i64, arrives: i64);
+
+    /// Book the move of a degree-`deg` vertex with `s_x`/`s_t` neighbours in its own
+    /// part and in `target` across all three loads.
+    #[inline]
+    fn shift_all(&mut self, x: usize, target: usize, deg: f64, s_x: f64, s_t: f64) {
+        self.shift(V, x, target, 1, 1);
+        self.shift(E, x, target, deg as i64, deg as i64);
+        self.shift(
+            C,
+            x,
+            target,
+            deg as i64 - s_x as i64,
+            deg as i64 - s_t as i64,
+        );
+    }
+}
+
+/// Serial PuLP's view: synchronous part sizes. Every move is booked into
+/// `counters.size` at once. The vertex and arc loads stay exact; the cut load books only
+/// the mover's own arcs, an approximation that can undershoot, so a part's load is
+/// clamped at zero where the move leaves it (a no-op for the exact loads).
+struct Live<'a> {
+    size: &'a mut [i64],
+    p: usize,
+}
+
+impl<'a> Live<'a> {
+    /// Start a sweep on `counters`. Also hands out the weight buffer, as
+    /// [`Stale::open`] does.
+    fn open(counters: &'a mut PartCounters) -> (Self, &'a mut [f64]) {
+        let p = counters.block(0).len();
+        let PartCounters { size, weight, .. } = counters;
+        (Live { size, p }, weight)
+    }
+}
+
+impl Loads for Live<'_> {
+    #[inline]
+    fn est(&self, load: usize, i: usize) -> f64 {
+        self.size[load * self.p + i] as f64
+    }
+
+    #[inline]
+    fn shift(&mut self, load: usize, x: usize, target: usize, leaves: i64, arrives: i64) {
+        let size = &mut self.size[load * self.p..];
+        size[x] = (size[x] - leaves).max(0);
+        size[target] += arrives;
+    }
+}
+
+/// A rank's view of the part loads inside a sweep: the global sizes as of the last
+/// exchange plus `mult ×` its own changes since.
+struct Stale<'a> {
+    size: &'a [i64],
+    change: &'a mut [i64],
+    p: usize,
+    mult: f64,
+}
+
+impl<'a> Stale<'a> {
+    /// Start a sweep on `counters`: zero this rank's changes and charge them at `mult`
+    /// from here on. Also hands out the weight buffer, which the view does not need.
+    fn open(counters: &'a mut PartCounters, mult: f64) -> (Self, &'a mut [f64]) {
+        let p = counters.block(0).len();
+        let PartCounters {
+            size,
+            change,
+            weight,
+            ..
+        } = counters;
+        change.fill(0);
+        (
+            Stale {
+                size,
+                change,
+                p,
+                mult,
+            },
+            weight,
+        )
+    }
+
+    #[inline]
+    fn est_at(&self, load: usize, i: usize, mult: f64) -> f64 {
+        let at = load * self.p + i;
+        self.size[at] as f64 + mult * self.change[at] as f64
+    }
+}
+
+impl Loads for Stale<'_> {
+    #[inline]
+    fn est(&self, load: usize, i: usize) -> f64 {
+        self.est_at(load, i, self.mult)
+    }
+
+    #[inline]
+    fn shift(&mut self, load: usize, x: usize, target: usize, leaves: i64, arrives: i64) {
+        self.change[load * self.p + x] -= leaves;
+        self.change[load * self.p + target] += arrives;
+    }
+}
+
+/// Constrained refinement. With `EDGE` the arc and cut caps and loads are tracked;
+/// without it they are compiled out and this is plain vertex refinement — the score
+/// rule is the same either way.
+struct Refine<'a, G, L, const EDGE: bool> {
+    graph: &'a G,
+    loads: L,
+    bounds: Bounds,
+}
+
+impl<G, L: Loads, const EDGE: bool> Refine<'_, G, L, EDGE> {
+    /// Whether a degree-`deg` vertex would push part `i` past its vertex or arc cap.
+    #[inline]
+    fn full(&self, i: usize, deg: f64) -> bool {
+        self.loads.est(V, i) + 1.0 > self.bounds.max_v
+            || (EDGE && self.loads.est(E, i) + deg > self.bounds.max_e)
+    }
+
+    /// Whether `cut` more cut arcs would push part `i` past the cut cap.
+    #[inline]
+    fn cut_full(&self, i: usize, cut: f64) -> bool {
+        EDGE && self.loads.est(C, i) + cut > self.bounds.max_c
+    }
+}
+
+impl<G: Adjacency, L: Loads, const EDGE: bool> SweepStage for Refine<'_, G, L, EDGE> {
+    fn propose(&self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32 {
+        let x = parts[v as usize] as usize;
+        let deg = self.graph.degree_owned(v) as f64;
+        scratch.clear();
+        for u in self.graph.adjacent(v) {
+            scratch.add(parts[u] as usize, 1.0);
+        }
+        let mut best = x;
+        let mut best_score = scratch.get(x);
+        for &i in scratch.touched() {
+            let score = scratch.get(i);
+            if i == x || self.full(i, deg) || self.cut_full(i, deg - score) {
+                continue;
+            }
+            if score > best_score {
+                best_score = score;
+                best = i;
+            }
+        }
+        if best != x {
+            best as i32
+        } else {
+            NO_MOVE
+        }
+    }
+
+    fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool {
+        let x = parts[v as usize] as usize;
+        let deg = self.graph.degree_owned(v) as f64;
+        if self.full(target, deg) {
+            return false;
+        }
+        // The move must still strictly reduce the cut under the live labels (earlier
+        // applications in this chunk may have changed the neighbourhood).
+        let (s_x, s_t) = recount_two(self.graph, v, parts, x, target);
+        if s_t <= s_x || self.cut_full(target, deg - s_t) {
+            return false;
+        }
+        if EDGE {
+            self.loads.shift_all(x, target, deg, s_x, s_t);
+        } else {
+            self.loads.shift(V, x, target, 1, 1);
+        }
+        true
+    }
+}
+
+/// Edge balancing: weighted label propagation driven by edge- and cut-balance weights.
+struct EdgeBalance<'a, G, L> {
+    graph: &'a G,
+    loads: L,
+    /// `We(i)` and `Wc(i)` under the current estimates, refreshed for the two parts a
+    /// move changes.
+    w_e: &'a mut [f64],
+    w_c: &'a mut [f64],
+    bounds: Bounds,
+    r_e: f64,
+    r_c: f64,
+}
+
+impl<'a, G, L: Loads> EdgeBalance<'a, G, L> {
+    /// The kernel under `loads` with the bias `(Re, Rc)`, computing `We` and `Wc` into
+    /// the two blocks of `weight`.
+    fn new(
+        graph: &'a G,
+        loads: L,
+        weight: &'a mut [f64],
+        bounds: Bounds,
+        (r_e, r_c): (f64, f64),
+    ) -> Self {
+        let (w_e, w_c) = weight.split_at_mut(weight.len() / 2);
+        let mut kernel = EdgeBalance {
+            graph,
+            loads,
+            w_e,
+            w_c,
+            bounds,
+            r_e,
+            r_c,
+        };
+        for i in 0..kernel.w_e.len() {
+            kernel.refresh(i);
+        }
+        kernel
+    }
+
+    #[inline]
+    fn refresh(&mut self, i: usize) {
+        self.w_e[i] = headroom(self.bounds.imb_e, self.loads.est(E, i));
+        self.w_c[i] = headroom(self.bounds.max_c, self.loads.est(C, i));
+    }
+
+    /// `Re·We(i) + Rc·Wc(i)`.
+    #[inline]
+    fn weight(&self, i: usize) -> f64 {
+        self.r_e * self.w_e[i] + self.r_c * self.w_c[i]
+    }
+
+    /// Constraints: respect the vertex target and never exceed the current maximum
+    /// edge load.
+    #[inline]
+    fn full(&self, i: usize, deg: f64) -> bool {
+        self.loads.est(V, i) + 1.0 > self.bounds.max_v
+            || self.loads.est(E, i) + deg > self.bounds.max_e
+    }
+}
+
+impl<G: Adjacency, L: Loads> SweepStage for EdgeBalance<'_, G, L> {
+    fn propose(&self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32 {
+        let x = parts[v as usize] as usize;
+        let deg = self.graph.degree_owned(v) as f64;
+        scratch.clear();
+        for u in self.graph.adjacent(v) {
+            scratch.add(parts[u] as usize, 1.0);
+        }
+        let mut best = x;
+        let mut best_score = 0.0f64;
+        for &i in scratch.touched() {
+            if i == x || self.full(i, deg) {
+                continue;
+            }
+            let score = scratch.get(i) * self.weight(i);
+            if score > best_score {
+                best_score = score;
+                best = i;
+            }
+        }
+        if best != x && best_score > 0.0 {
+            best as i32
+        } else {
+            NO_MOVE
+        }
+    }
+
+    fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool {
+        let x = parts[v as usize] as usize;
+        let deg = self.graph.degree_owned(v) as f64;
+        if self.full(target, deg) || self.weight(target) <= 0.0 {
+            return false;
+        }
+        let (s_x, s_t) = recount_two(self.graph, v, parts, x, target);
+        if s_t <= 0.0 {
+            return false;
+        }
+        self.loads.shift_all(x, target, deg, s_x, s_t);
+        self.refresh(x);
+        self.refresh(target);
+        true
+    }
+}
+
+// ------------------------------------------------------------------------------------
 // Serial backend: live sizes
 // ------------------------------------------------------------------------------------
 
-/// Shared-memory PuLP: one address space, so the kernels update `counters.size` as
-/// each move lands and there is nobody else to ask whether anything moved.
+/// Shared-memory PuLP: one address space, so the kernels see [`Live`] loads and there
+/// is nobody else to ask whether anything moved.
 pub(crate) struct Serial<'a>(pub(crate) &'a Csr);
-
-impl Serial<'_> {
-    /// One engine sweep of `kernel` over the whole graph; returns the moves applied.
-    fn sweep<K: SweepStage>(
-        &self,
-        engine: &mut SweepEngine,
-        parts: &mut [i32],
-        use_frontier: bool,
-        chunk: usize,
-        mut kernel: K,
-    ) -> u64 {
-        let n = self.0.num_vertices();
-        let neighbors = owned_neighbors(self.0, n);
-        engine.sweep(
-            n,
-            parts,
-            use_frontier,
-            chunk,
-            &mut kernel,
-            neighbors,
-            |_, _| {},
-        )
-    }
-}
 
 impl Backend for Serial<'_> {
     fn global_size(&self) -> (u64, u64) {
@@ -757,155 +1072,78 @@ impl Backend for Serial<'_> {
     }
 
     fn measure(&self, parts: &[i32], loads: usize, counters: &mut PartCounters) {
-        let (n, p) = (self.0.num_vertices(), counters.block(0).len());
-        count_loads(self.0, n, parts, p, loads, &mut counters.size);
+        let p = counters.block(0).len();
+        count_loads(self.0, parts, p, loads, &mut counters.size);
     }
 
     fn refine_sweep<const EDGE: bool>(
         &mut self,
         parts: &mut [i32],
-        params: &PartitionParams,
+        _params: &PartitionParams,
         ws: &mut SweepWorkspace,
         bounds: Bounds,
         use_frontier: bool,
     ) -> Result<u64, PartitionError> {
-        let kernel = SerialRefine::<EDGE> {
-            csr: self.0,
-            size: &mut ws.counters.size,
-            p: params.num_parts,
+        let (graph, engine) = (self.0, &mut ws.engine);
+        let (loads, _) = Live::open(&mut ws.counters);
+        let kernel = Refine::<_, _, EDGE> {
+            graph,
+            loads,
             bounds,
         };
-        Ok(self.sweep(&mut ws.engine, parts, use_frontier, SWEEP_CHUNK, kernel))
+        let no_op = |_, _| {};
+        Ok(sweep(
+            graph,
+            engine,
+            parts,
+            use_frontier,
+            SWEEP_CHUNK,
+            kernel,
+            no_op,
+        ))
     }
 
     fn balance_sweep(
         &mut self,
         objective: Objective,
         parts: &mut [i32],
-        params: &PartitionParams,
+        _params: &PartitionParams,
         ws: &mut SweepWorkspace,
         bounds: Bounds,
-        (r_e, r_c): (f64, f64),
+        bias: (f64, f64),
         _capped: bool,
     ) -> Result<u64, PartitionError> {
-        let (csr, p) = (self.0, params.num_parts);
-        let size = &mut ws.counters.size[..];
-        let engine = &mut ws.engine;
+        let (csr, engine) = (self.0, &mut ws.engine);
+        let (loads, weight) = Live::open(&mut ws.counters);
+        let no_op = |_, _| {};
         Ok(match objective {
             Objective::Vertex => {
-                let size_v = &mut size[..p];
-                let kernel = SerialVertexBalance {
-                    csr,
-                    size_v,
-                    bounds,
-                };
-                self.sweep(engine, parts, false, BALANCE_CHUNK, kernel)
+                let kernel = SerialVertexBalance { csr, loads, bounds };
+                sweep(csr, engine, parts, false, BALANCE_CHUNK, kernel, no_op)
             }
             Objective::Edge => {
-                let kernel = SerialEdgeBalance {
-                    csr,
-                    size,
-                    p,
-                    bounds,
-                    r_e,
-                    r_c,
-                };
-                self.sweep(engine, parts, false, BALANCE_CHUNK, kernel)
+                let kernel = EdgeBalance::new(csr, loads, weight, bounds, bias);
+                sweep(csr, engine, parts, false, BALANCE_CHUNK, kernel, no_op)
             }
         })
     }
 }
 
-/// Serial constrained refinement. With `EDGE` the arc and cut caps and counters are
-/// live; without it they are compiled out and this is plain vertex refinement — the
-/// score rule is the same either way.
-struct SerialRefine<'a, const EDGE: bool> {
-    csr: &'a Csr,
-    size: &'a mut [i64],
-    p: usize,
-    bounds: Bounds,
-}
-
-impl<const EDGE: bool> SerialRefine<'_, EDGE> {
-    /// Whether a degree-`deg` vertex would push part `i` past its vertex or arc cap.
-    #[inline]
-    fn full(&self, i: usize, deg: f64) -> bool {
-        let p = self.p;
-        self.size[V * p + i] as f64 + 1.0 > self.bounds.max_v
-            || (EDGE && self.size[E * p + i] as f64 + deg > self.bounds.max_e)
-    }
-
-    /// Whether `cut` more cut arcs would push part `i` past the cut cap.
-    #[inline]
-    fn cut_full(&self, i: usize, cut: f64) -> bool {
-        EDGE && self.size[C * self.p + i] as f64 + cut > self.bounds.max_c
-    }
-}
-
-impl<const EDGE: bool> SweepStage for SerialRefine<'_, EDGE> {
-    fn propose(&self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32 {
-        let x = parts[v as usize] as usize;
-        let deg = self.csr.degree_of(v as usize) as f64;
-        scratch.clear();
-        for u in self.csr.adjacent(v) {
-            scratch.add(parts[u] as usize, 1.0);
-        }
-        let mut best = x;
-        let mut best_score = scratch.get(x);
-        for &i in scratch.touched() {
-            let score = scratch.get(i);
-            if i == x || self.full(i, deg) || self.cut_full(i, deg - score) {
-                continue;
-            }
-            if score > best_score {
-                best_score = score;
-                best = i;
-            }
-        }
-        if best != x {
-            best as i32
-        } else {
-            NO_MOVE
-        }
-    }
-
-    fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool {
-        let x = parts[v as usize] as usize;
-        let deg = self.csr.degree_of(v as usize) as f64;
-        if self.full(target, deg) {
-            return false;
-        }
-        // The move must still strictly reduce the cut under the live labels (earlier
-        // applications in this chunk may have changed the neighbourhood).
-        let (s_x, s_t) = recount_two(self.csr, v, parts, x, target);
-        if s_t <= s_x || self.cut_full(target, deg - s_t) {
-            return false;
-        }
-        let p = self.p;
-        self.size[V * p + x] -= 1;
-        self.size[V * p + target] += 1;
-        if EDGE {
-            self.size[E * p + x] -= deg as i64;
-            self.size[E * p + target] += deg as i64;
-            let cut = &mut self.size[C * p..];
-            cut[x] = (cut[x] - (deg as i64 - s_x as i64)).max(0);
-            cut[target] += deg as i64 - s_t as i64;
-        }
-        true
-    }
-}
-
 /// Serial vertex balancing: weighted label propagation towards underweight parts.
+///
+/// The one kernel each backend writes for itself: [`DistVertexBalance`] also spills
+/// vertices label propagation cannot reach and breaks a score tie toward the vertex's
+/// own part, and PuLP does neither — adopting either would change its partitions.
 struct SerialVertexBalance<'a> {
     csr: &'a Csr,
-    size_v: &'a mut [i64],
+    loads: Live<'a>,
     bounds: Bounds,
 }
 
 impl SerialVertexBalance<'_> {
     #[inline]
     fn weight(&self, i: usize) -> f64 {
-        headroom(self.bounds.imb_v, self.size_v[i] as f64)
+        headroom(self.bounds.imb_v, self.loads.est(V, i))
     }
 }
 
@@ -919,7 +1157,7 @@ impl SweepStage for SerialVertexBalance<'_> {
         let mut best = x;
         let mut best_score = 0.0f64;
         for &i in scratch.touched() {
-            if (self.size_v[i] as f64) + 1.0 > self.bounds.max_v {
+            if self.loads.est(V, i) + 1.0 > self.bounds.max_v {
                 continue;
             }
             let score = scratch.get(i) * self.weight(i);
@@ -939,94 +1177,14 @@ impl SweepStage for SerialVertexBalance<'_> {
         let x = parts[v as usize] as usize;
         // Recheck against the live counters: the target must still be admissible and
         // still attractive (underweight), and v must still have a neighbour there.
-        if (self.size_v[target] as f64) + 1.0 > self.bounds.max_v || self.weight(target) <= 0.0 {
+        if self.loads.est(V, target) + 1.0 > self.bounds.max_v || self.weight(target) <= 0.0 {
             return false;
         }
         let (_, s_t) = recount_two(self.csr, v, parts, x, target);
         if s_t <= 0.0 {
             return false;
         }
-        self.size_v[x] -= 1;
-        self.size_v[target] += 1;
-        true
-    }
-}
-
-/// Serial edge balancing: weighted label propagation driven by per-part edge and cut
-/// loads.
-struct SerialEdgeBalance<'a> {
-    csr: &'a Csr,
-    size: &'a mut [i64],
-    p: usize,
-    bounds: Bounds,
-    r_e: f64,
-    r_c: f64,
-}
-
-impl SerialEdgeBalance<'_> {
-    /// `Re·We(i) + Rc·Wc(i)` under the live loads.
-    #[inline]
-    fn weight(&self, i: usize) -> f64 {
-        let p = self.p;
-        self.r_e * headroom(self.bounds.imb_e, self.size[E * p + i] as f64)
-            + self.r_c * headroom(self.bounds.max_c, self.size[C * p + i] as f64)
-    }
-
-    /// Constraints: respect the vertex target and never exceed the current maximum
-    /// edge load.
-    #[inline]
-    fn full(&self, i: usize, deg: f64) -> bool {
-        let p = self.p;
-        (self.size[V * p + i] as f64) + 1.0 > self.bounds.max_v
-            || (self.size[E * p + i] as f64) + deg > self.bounds.max_e
-    }
-}
-
-impl SweepStage for SerialEdgeBalance<'_> {
-    fn propose(&self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32 {
-        let x = parts[v as usize] as usize;
-        let deg = self.csr.degree_of(v as usize) as f64;
-        scratch.clear();
-        for u in self.csr.adjacent(v) {
-            scratch.add(parts[u] as usize, 1.0);
-        }
-        let mut best = x;
-        let mut best_score = 0.0f64;
-        for &i in scratch.touched() {
-            if i == x || self.full(i, deg) {
-                continue;
-            }
-            let score = scratch.get(i) * self.weight(i);
-            if score > best_score {
-                best_score = score;
-                best = i;
-            }
-        }
-        if best != x && best_score > 0.0 {
-            best as i32
-        } else {
-            NO_MOVE
-        }
-    }
-
-    fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool {
-        let x = parts[v as usize] as usize;
-        let deg = self.csr.degree_of(v as usize) as f64;
-        if self.full(target, deg) || self.weight(target) <= 0.0 {
-            return false;
-        }
-        let (s_x, s_t) = recount_two(self.csr, v, parts, x, target);
-        if s_t <= 0.0 {
-            return false;
-        }
-        let p = self.p;
-        self.size[V * p + x] -= 1;
-        self.size[V * p + target] += 1;
-        self.size[E * p + x] -= deg as i64;
-        self.size[E * p + target] += deg as i64;
-        let cut = &mut self.size[C * p..];
-        cut[x] = (cut[x] - (deg as i64 - s_x as i64)).max(0);
-        cut[target] += deg as i64 - s_t as i64;
+        self.loads.shift(V, x, target, 1, 1);
         true
     }
 }
@@ -1035,10 +1193,10 @@ impl SweepStage for SerialEdgeBalance<'_> {
 // Distributed backend: stale sizes, charged changes, one exchange per sweep
 // ------------------------------------------------------------------------------------
 
-/// Distributed XtraPuLP on one rank: `counters.size` holds the global loads as of the
-/// last exchange, `counters.change` this rank's changes since, and every sweep ends
-/// with a boundary-label push and one allreduce that makes the sizes — and the global
-/// size of the frontier — current again.
+/// Distributed XtraPuLP on one rank: the kernels see [`Stale`] loads —
+/// `counters.size` holds the global loads as of the last exchange, `counters.change`
+/// this rank's changes since — and every sweep ends with a boundary-label push and one
+/// allreduce that makes the sizes, and the global size of the frontier, current again.
 pub(crate) struct Dist<'a> {
     ctx: &'a RankCtx,
     graph: &'a DistGraph,
@@ -1068,38 +1226,12 @@ impl<'a> Dist<'a> {
         params.multiplier(self.ctx.nranks(), self.iter_tot)
     }
 
-    /// One engine sweep of `kernel` over the owned vertices, collecting the moves for
-    /// [`exchange`](Dist::exchange).
-    fn sweep<K: SweepStage>(
-        &mut self,
-        engine: &mut SweepEngine,
-        parts: &mut [i32],
-        use_frontier: bool,
-        chunk: usize,
-        mut kernel: K,
-    ) {
-        let n_owned = self.graph.n_owned();
-        let neighbors = owned_neighbors(self.graph, n_owned);
-        let updates = &mut self.updates;
-        updates.clear();
-        let collect = |v, part| updates.push((v, part));
-        engine.sweep(
-            n_owned,
-            parts,
-            use_frontier,
-            chunk,
-            &mut kernel,
-            neighbors,
-            collect,
-        );
-    }
-
     /// Close a sweep that tracked the first `loads` loads: push the moved boundary
     /// labels, then sum every rank's changes into the sizes with one allreduce whose two
     /// slots after the last tracked block carry the move count and the length of the
     /// frontier once the push has marked it — the next sweep's global active count,
     /// left with the frontier — and advance the stage's sweep counter. Returns the moves
-    /// applied globally.
+    /// applied globally; the sweep's moves are forgotten.
     fn exchange(
         &mut self,
         loads: usize,
@@ -1113,6 +1245,7 @@ impl<'a> Dist<'a> {
         push_part_updates(self.ctx, self.graph, &self.updates, parts, frontier)?;
         let tracked = counters.block(loads).start;
         counters.change[tracked] = self.updates.len() as i64;
+        self.updates.clear();
         counters.change[tracked + 1] = engine.frontier.active_len() as i64;
         let global = self.ctx.allreduce_sum_i64(&counters.change[..tracked + 2]);
         engine
@@ -1197,13 +1330,23 @@ impl Backend for Dist<'_> {
         // admissibility is charged at the full rank count at least (each rank claims at
         // most its 1/nranks share of the remaining headroom).
         let mult = self.multiplier(params).max(nranks);
-        let (stale, _) = Stale::open(&mut ws.counters, mult);
-        let kernel = DistRefine::<EDGE> {
-            graph: self.graph,
-            stale,
+        let (graph, engine, updates) = (self.graph, &mut ws.engine, &mut self.updates);
+        let (loads, _) = Stale::open(&mut ws.counters, mult);
+        let kernel = Refine::<_, _, EDGE> {
+            graph,
+            loads,
             bounds,
         };
-        self.sweep(&mut ws.engine, parts, use_frontier, SWEEP_CHUNK, kernel);
+        let collect = |v, part| updates.push((v, part));
+        sweep(
+            graph,
+            engine,
+            parts,
+            use_frontier,
+            SWEEP_CHUNK,
+            kernel,
+            collect,
+        );
         self.exchange(if EDGE { 3 } else { 1 }, parts, ws)
     }
 
@@ -1214,21 +1357,20 @@ impl Backend for Dist<'_> {
         params: &PartitionParams,
         ws: &mut SweepWorkspace,
         bounds: Bounds,
-        (r_e, r_c): (f64, f64),
+        bias: (f64, f64),
         capped: bool,
     ) -> Result<u64, PartitionError> {
-        let graph = self.graph;
         let nranks = self.ctx.nranks() as f64;
         // A capped churn sweep has no follow-up sweeps to correct collective overshoot,
         // so it charges changes at the conservative end-of-schedule rate.
         let mult = self.multiplier(params);
         let mult = if capped { mult.max(nranks) } else { mult };
+        let (graph, engine, updates) = (self.graph, &mut ws.engine, &mut self.updates);
         let (stale, weight) = Stale::open(&mut ws.counters, mult);
-        let p = stale.p;
-        let engine = &mut ws.engine;
+        let collect = |v, part| updates.push((v, part));
         match objective {
             Objective::Vertex => {
-                let weights = &mut weight[..p];
+                let weights = &mut weight[..stale.p];
                 for (w, &s) in weights.iter_mut().zip(stale.size) {
                     *w = headroom(bounds.imb_v, s as f64);
                 }
@@ -1240,160 +1382,14 @@ impl Backend for Dist<'_> {
                     bounds,
                     spill_mult,
                 };
-                self.sweep(engine, parts, false, BALANCE_CHUNK, kernel);
+                sweep(graph, engine, parts, false, BALANCE_CHUNK, kernel, collect);
             }
             Objective::Edge => {
-                let (w_e, w_c) = weight.split_at_mut(p);
-                for i in 0..p {
-                    w_e[i] = headroom(bounds.imb_e, stale.size[E * p + i] as f64);
-                    w_c[i] = headroom(bounds.max_c, stale.size[C * p + i] as f64);
-                }
-                let kernel = DistEdgeBalance {
-                    graph,
-                    stale,
-                    w_e,
-                    w_c,
-                    bounds,
-                    r_e,
-                    r_c,
-                };
-                self.sweep(engine, parts, false, BALANCE_CHUNK, kernel);
+                let kernel = EdgeBalance::new(graph, stale, weight, bounds, bias);
+                sweep(graph, engine, parts, false, BALANCE_CHUNK, kernel, collect);
             }
         }
         self.exchange(objective.loads(), parts, ws)
-    }
-}
-
-/// A rank's view of the part loads inside a sweep: the global sizes as of the last
-/// exchange plus `mult ×` its own changes since.
-struct Stale<'a> {
-    size: &'a [i64],
-    change: &'a mut [i64],
-    p: usize,
-    mult: f64,
-}
-
-impl<'a> Stale<'a> {
-    /// Start a sweep on `counters`: zero this rank's changes and charge them at `mult`
-    /// from here on. Also hands out the weight buffer, which the view does not need.
-    fn open(counters: &'a mut PartCounters, mult: f64) -> (Self, &'a mut [f64]) {
-        let p = counters.block(0).len();
-        let PartCounters {
-            size,
-            change,
-            weight,
-            ..
-        } = counters;
-        change.fill(0);
-        (
-            Stale {
-                size,
-                change,
-                p,
-                mult,
-            },
-            weight,
-        )
-    }
-
-    /// The estimate of part `i`'s `load` (`V`, `E` or `C`).
-    #[inline]
-    fn est(&self, load: usize, i: usize) -> f64 {
-        self.est_at(load, i, self.mult)
-    }
-
-    #[inline]
-    fn est_at(&self, load: usize, i: usize, mult: f64) -> f64 {
-        let at = load * self.p + i;
-        self.size[at] as f64 + mult * self.change[at] as f64
-    }
-
-    /// Book `leaves` of `load` leaving part `x` and `arrives` arriving in `target`.
-    #[inline]
-    fn shift(&mut self, load: usize, x: usize, target: usize, leaves: i64, arrives: i64) {
-        self.change[load * self.p + x] -= leaves;
-        self.change[load * self.p + target] += arrives;
-    }
-
-    /// Book the move of a degree-`deg` vertex with `s_x`/`s_t` neighbours in its own
-    /// part and in `target` across all three loads.
-    #[inline]
-    fn shift_all(&mut self, x: usize, target: usize, deg: f64, s_x: f64, s_t: f64) {
-        self.shift(V, x, target, 1, 1);
-        self.shift(E, x, target, deg as i64, deg as i64);
-        self.shift(
-            C,
-            x,
-            target,
-            deg as i64 - s_x as i64,
-            deg as i64 - s_t as i64,
-        );
-    }
-}
-
-/// Distributed constrained refinement; `EDGE` as in [`SerialRefine`].
-struct DistRefine<'a, const EDGE: bool> {
-    graph: &'a DistGraph,
-    stale: Stale<'a>,
-    bounds: Bounds,
-}
-
-impl<const EDGE: bool> DistRefine<'_, EDGE> {
-    #[inline]
-    fn full(&self, i: usize, deg: f64) -> bool {
-        self.stale.est(V, i) + 1.0 > self.bounds.max_v
-            || (EDGE && self.stale.est(E, i) + deg > self.bounds.max_e)
-    }
-
-    #[inline]
-    fn cut_full(&self, i: usize, cut: f64) -> bool {
-        EDGE && self.stale.est(C, i) + cut > self.bounds.max_c
-    }
-}
-
-impl<const EDGE: bool> SweepStage for DistRefine<'_, EDGE> {
-    fn propose(&self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32 {
-        let x = parts[v as usize] as usize;
-        let deg = self.graph.degree_owned(v) as f64;
-        scratch.clear();
-        for u in self.graph.adjacent(v) {
-            scratch.add(parts[u] as usize, 1.0);
-        }
-        let mut best = x;
-        let mut best_score = scratch.get(x);
-        for &i in scratch.touched() {
-            let score = scratch.get(i);
-            if i == x || self.full(i, deg) || self.cut_full(i, deg - score) {
-                continue;
-            }
-            if score > best_score {
-                best_score = score;
-                best = i;
-            }
-        }
-        if best != x {
-            best as i32
-        } else {
-            NO_MOVE
-        }
-    }
-
-    fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool {
-        let x = parts[v as usize] as usize;
-        let deg = self.graph.degree_owned(v) as f64;
-        if self.full(target, deg) {
-            return false;
-        }
-        let (s_x, s_t) = recount_two(self.graph, v, parts, x, target);
-        if s_t <= s_x || self.cut_full(target, deg - s_t) {
-            return false;
-        }
-        if EDGE {
-            self.stale.shift_all(x, target, deg, s_x, s_t);
-        } else {
-            self.stale.shift(V, x, target, 1, 1);
-        }
-        true
     }
 }
 
@@ -1485,80 +1481,6 @@ impl SweepStage for DistVertexBalance<'_> {
     }
 }
 
-/// Distributed edge balancing: weighted label propagation driven by edge- and
-/// cut-balance weights.
-struct DistEdgeBalance<'a> {
-    graph: &'a DistGraph,
-    stale: Stale<'a>,
-    /// `We(i)` and `Wc(i)` under the current estimates, refreshed as moves land.
-    w_e: &'a mut [f64],
-    w_c: &'a mut [f64],
-    bounds: Bounds,
-    r_e: f64,
-    r_c: f64,
-}
-
-impl DistEdgeBalance<'_> {
-    #[inline]
-    fn weight(&self, i: usize) -> f64 {
-        self.r_e * self.w_e[i] + self.r_c * self.w_c[i]
-    }
-
-    /// Constraints: respect the vertex target and never exceed the current maximum
-    /// edge load.
-    #[inline]
-    fn full(&self, i: usize, deg: f64) -> bool {
-        self.stale.est(V, i) + 1.0 > self.bounds.max_v
-            || self.stale.est(E, i) + deg > self.bounds.max_e
-    }
-}
-
-impl SweepStage for DistEdgeBalance<'_> {
-    fn propose(&self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32 {
-        let x = parts[v as usize] as usize;
-        let deg = self.graph.degree_owned(v) as f64;
-        scratch.clear();
-        for u in self.graph.adjacent(v) {
-            scratch.add(parts[u] as usize, 1.0);
-        }
-        let mut best_part = x;
-        let mut best_score = 0.0f64;
-        for &i in scratch.touched() {
-            if i == x || self.full(i, deg) {
-                continue;
-            }
-            let score = scratch.get(i) * self.weight(i);
-            if score > best_score {
-                best_score = score;
-                best_part = i;
-            }
-        }
-        if best_part != x && best_score > 0.0 {
-            best_part as i32
-        } else {
-            NO_MOVE
-        }
-    }
-
-    fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool {
-        let x = parts[v as usize] as usize;
-        let deg = self.graph.degree_owned(v) as f64;
-        if self.full(target, deg) || self.weight(target) <= 0.0 {
-            return false;
-        }
-        let (s_x, s_t) = recount_two(self.graph, v, parts, x, target);
-        if s_t <= 0.0 {
-            return false;
-        }
-        self.stale.shift_all(x, target, deg, s_x, s_t);
-        for i in [x, target] {
-            self.w_e[i] = headroom(self.bounds.imb_e, self.stale.est(E, i));
-            self.w_c[i] = headroom(self.bounds.max_c, self.stale.est(C, i));
-        }
-        true
-    }
-}
-
 /// Explicit final rebalance pass, the distributed analogue of the multilevel drivers'
 /// `rebalance` (PR 1): after the stage schedule, drain any part still above the vertex
 /// target by moving its boundary vertices to the admissible part keeping the most
@@ -1619,7 +1541,6 @@ fn final_rebalance(
             size_e[i] as f64 + nranks * change_e[i] as f64 + deg <= imb_e
         };
         let scratch = ws.engine.scratch();
-        dist.updates.clear();
         for v in 0..graph.n_owned() {
             let x = parts[v] as usize;
             if quota[x] <= 0 {

@@ -8,7 +8,11 @@
 //! distributed staleness, hence no dynamic multiplier).
 //!
 //! The stage schedule itself, warm starts included, is XtraPuLP's: one driver
-//! (`pass::run_schedule`) runs both, over a serial and a distributed backend.
+//! (`pass::run_schedule`) runs both, over a serial and a distributed backend, and the
+//! refinement and edge-balance kernels are XtraPuLP's too. The synchronous part sizes
+//! are the one thing they see differently: the serial backend's `Live` load view,
+//! against the distributed backend's stale one. Only vertex balance keeps a kernel of
+//! its own, without XtraPuLP's spill move.
 //!
 //! All four stages run on the shared sweep engine in [`crate::sweep`]: refinement
 //! sweeps are frontier-driven (only vertices whose neighbourhood changed since the last

@@ -632,31 +632,6 @@ impl DistGraph {
         self.halo.push(ctx, updates, ghosts, |_, _, _| {})?;
         Ok(())
     }
-
-    /// Cut statistics for a local part assignment covering owned + ghost vertices:
-    /// returns `(local_cut_arcs, per_part_cut_arcs)` where a cut arc is an owned arc
-    /// whose endpoints are in different parts.
-    pub fn local_cut(&self, parts: &[i32], num_parts: usize) -> (u64, Vec<u64>) {
-        assert!(parts.len() >= self.n_total());
-        let mut cut = 0u64;
-        let mut per_part = vec![0u64; num_parts];
-        for v in 0..self.n_owned() {
-            let pv = parts[v];
-            for &u in self.neighbors(v as LocalId) {
-                let pu = parts[u as usize];
-                if pv != pu {
-                    cut += 1;
-                    if pv >= 0 {
-                        per_part[pv as usize] += 1;
-                    }
-                    if pu >= 0 {
-                        per_part[pu as usize] += 1;
-                    }
-                }
-            }
-        }
-        (cut, per_part)
-    }
 }
 
 /// [`GhostSlots::new_id`] entry of an old ghost no surviving arc has reached (yet).
@@ -935,26 +910,6 @@ mod tests {
                 );
             }
         });
-    }
-
-    #[test]
-    fn local_cut_counts_cut_arcs() {
-        let edges = two_triangles();
-        let out = Runtime::new(2).execute(|ctx| {
-            let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 6, &edges);
-            // Parts: global vertices 0..2 in part 0, 3..5 in part 1 -> only the bridge is cut.
-            let parts: Vec<i32> = (0..g.n_total() as LocalId)
-                .map(|v| if g.global_id(v) < 3 { 0 } else { 1 })
-                .collect();
-            let (cut, per_part) = g.local_cut(&parts, 2);
-            (cut, per_part)
-        });
-        // Each rank sees the bridge arc once (from its owned endpoint).
-        let total_cut: u64 = out.iter().map(|(c, _)| c).sum();
-        assert_eq!(total_cut, 2); // one undirected edge seen as one arc per rank
-        for (_, per_part) in &out {
-            assert_eq!(per_part.len(), 2);
-        }
     }
 
     /// Assert that `updated` is structurally identical to a from-scratch build of the

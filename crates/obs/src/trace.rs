@@ -13,8 +13,10 @@
 //! trace gather collects a process's events at job end.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+
+use parking_lot::Mutex;
 
 /// Events each thread can hold before wrapping (32 B/event → 512 KiB).
 pub const RING_CAPACITY: usize = 16 * 1024;
@@ -142,13 +144,10 @@ fn ring_dropped_counter() -> &'static crate::registry::Counter {
 struct ThreadBuffer {
     thread: String,
     rank: AtomicI64, // -1 = unranked
-    ring: parking_lot::Mutex<Ring>,
+    ring: Mutex<Ring>,
 }
 
-fn registry() -> &'static Mutex<Vec<Arc<ThreadBuffer>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<ThreadBuffer>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
+static REGISTRY: Mutex<Vec<Arc<ThreadBuffer>>> = Mutex::new(Vec::new());
 
 thread_local! {
     static LOCAL: std::cell::OnceCell<Arc<ThreadBuffer>> = const { std::cell::OnceCell::new() };
@@ -164,12 +163,9 @@ fn local_buffer<R>(f: impl FnOnce(&ThreadBuffer) -> R) -> R {
             let buf = Arc::new(ThreadBuffer {
                 thread: name,
                 rank: AtomicI64::new(-1),
-                ring: parking_lot::Mutex::new(Ring::new(RING_CAPACITY)),
+                ring: Mutex::new(Ring::new(RING_CAPACITY)),
             });
-            registry()
-                .lock()
-                .expect("trace registry")
-                .push(Arc::clone(&buf));
+            REGISTRY.lock().push(Arc::clone(&buf));
             buf
         });
         f(buf)
@@ -188,7 +184,7 @@ pub fn set_thread_rank(rank: usize) {
 /// Total resident cost of every registered per-thread trace ring, for
 /// memory accounting.
 pub fn rings_bytes() -> u64 {
-    let buffers = registry().lock().expect("trace registry").len() as u64;
+    let buffers = REGISTRY.lock().len() as u64;
     buffers * (RING_CAPACITY * std::mem::size_of::<TraceEvent>()) as u64
 }
 
@@ -295,7 +291,7 @@ pub struct ThreadTrace {
 /// keep recording; only their current contents move out. Threads with no
 /// events since the last drain are omitted.
 pub fn drain() -> Vec<ThreadTrace> {
-    let bufs: Vec<Arc<ThreadBuffer>> = registry().lock().expect("trace registry").clone();
+    let bufs: Vec<Arc<ThreadBuffer>> = REGISTRY.lock().clone();
     let mut out = Vec::new();
     for buf in bufs {
         let (events, dropped) = buf.ring.lock().take();
@@ -332,7 +328,7 @@ mod tests {
     // Tests below toggle the process-global ENABLED flag; serialise them so
     // cargo's concurrent test threads don't interleave enable/disable.
     fn flag_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 

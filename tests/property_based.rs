@@ -153,8 +153,12 @@ fn random_partition_covers_only_valid_parts() {
     }
 }
 
+/// The serial evaluation is internally consistent, and the collective one equals it
+/// exactly — every field, no tolerance — on every rank, for all four distributions on
+/// 1–4 ranks, isolated vertices and ranks that own nothing included.
 #[test]
 fn quality_metrics_are_internally_consistent() {
+    let (mut isolated, mut empty_ranks) = (0, 0);
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0x9A11 + case);
         let (n, edges) = edge_list(&mut rng, 120);
@@ -168,7 +172,29 @@ fn quality_metrics_are_internally_consistent() {
             q.vertex_imbalance >= 1.0 - 1e-9 || csr.num_vertices() == 0,
             "case {case}"
         );
+        isolated += (0..n).filter(|&v| csr.degree(v) == 0).count();
+        for nranks in 1..=4usize {
+            for (d, dist) in distributions(n, nranks).into_iter().enumerate() {
+                let per_rank = Runtime::new(nranks).execute(|ctx| {
+                    let g = DistGraph::from_csr(ctx, dist.clone(), &csr);
+                    let local: Vec<i32> = (0..g.n_total() as LocalId)
+                        .map(|v| parts[g.global_id(v) as usize])
+                        .collect();
+                    let dq = PartitionQuality::evaluate_dist(ctx, &g, &local, nparts);
+                    (g.n_owned() == 0, dq)
+                });
+                for (rank, (owns_nothing, dq)) in per_rank.into_iter().enumerate() {
+                    empty_ranks += usize::from(owns_nothing);
+                    let what = format!("case {case} dist {d} ranks {nranks} rank {rank}");
+                    assert_eq!(dq, q, "{what}");
+                }
+            }
+        }
     }
+    assert!(
+        isolated > 0 && empty_ranks > 0,
+        "the generator missed a situation: {isolated} isolated vertices, {empty_ranks} empty ranks"
+    );
 }
 
 /// One step of a delta chain over the undirected edge set `edges` on `n` vertices. Step 2
