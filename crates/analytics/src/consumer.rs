@@ -250,16 +250,8 @@ impl AnalyticsConsumer {
 
     /// The consumer's current topology, assembled from the rank graphs' owned rows.
     pub fn csr(&self) -> Csr {
-        let owner = self.gather(|st, v| (st.graph.rank(), v as LocalId));
-        let mut offsets = Vec::with_capacity(owner.len() + 1);
-        offsets.push(0);
-        let mut adjacency = Vec::new();
-        for (rank, v) in owner {
-            let graph = &self.states[rank].graph;
-            adjacency.extend(graph.neighbors(v).iter().map(|&u| graph.global_id(u)));
-            offsets.push(adjacency.len() as u64);
-        }
-        Csr::from_parts(offsets, adjacency)
+        let rows = self.states.iter().flat_map(|st| st.graph.owned_arcs());
+        Csr::from_rows(self.global_n(), rows)
     }
 
     /// The warm/cold policy in force.

@@ -4,13 +4,28 @@ use serde::Serialize;
 use xtrapulp::metrics::PartitionQuality;
 use xtrapulp::sweep::StageBreakdown;
 use xtrapulp::{validate_warm_start, PartitionError};
-use xtrapulp_dynamic::{
-    seed_from_previous, DynamicGraph, GraphDelta, UpdateBatch, UpdateError, UpdateSummary,
-};
+use xtrapulp_comm::RankCtx;
+use xtrapulp_dynamic::{GraphDelta, UpdateBatch, UpdateError};
 use xtrapulp_graph::{Csr, DistGraph, GlobalId, UNASSIGNED};
 
 use crate::report::PartitionReport;
 use crate::session::{PartitionJob, Session};
+
+/// What one applied batch did to the graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UpdateSummary {
+    /// The epoch the graph is at after the batch (epoch 0 is the initial graph).
+    pub epoch: u64,
+    /// Vertices appended by the batch.
+    pub vertices_added: u64,
+    /// Undirected edges inserted.
+    pub edges_inserted: u64,
+    /// Undirected edges deleted.
+    pub edges_deleted: u64,
+    /// Pre-existing vertices incident to an inserted or deleted edge — the set a
+    /// warm-started repartition revisits.
+    pub vertices_touched: u64,
+}
 
 /// The outcome of one repartitioning epoch: a full [`PartitionReport`] extended with the
 /// dynamic-subsystem accounting — which epoch it belongs to, whether it was
@@ -92,14 +107,18 @@ impl DynamicReport {
 
 /// A partitioning session over a *mutating* graph.
 ///
-/// `DynamicSession` owns a [`Session`] (and through it the persistent rank runtime), the
-/// authoritative [`DynamicGraph`], and the partition of the latest epoch. The serving
-/// loop is `apply_updates` → `repartition` → [`DynamicReport`]:
+/// `DynamicSession` owns a [`Session`] (and through it the persistent rank runtime), one
+/// [`DistGraph`] per rank the session hosts, an epoch counter and the partition of the
+/// latest epoch. The rank graphs are the only topology, for every method: each rank
+/// holds its owned rows and a ghost table, and no rank holds the whole graph. A [`Csr`]
+/// is assembled from them only on demand ([`csr`](DynamicSession::csr)): by a serial
+/// method at each repartition, or by a caller. The serving loop is `apply_updates` →
+/// `repartition` → [`DynamicReport`]:
 ///
-/// * [`apply_updates`](DynamicSession::apply_updates) validates a batch against the live
-///   topology and applies it incrementally — including to the per-rank
-///   [`DistGraph`]s, which are kept alive across epochs and evolved with
-///   [`DistGraph::apply_delta`] instead of being redistributed from the CSR each time.
+/// * [`apply_updates`](DynamicSession::apply_updates) validates a batch and applies it
+///   in one dispatch: every rank checks the edges whose source it owns, one allreduce
+///   agrees on the verdict, and every rank evolves its graph with
+///   [`DistGraph::apply_delta`].
 /// * [`repartition`](DynamicSession::repartition) runs the session's job: from scratch
 ///   on the first call (and for methods without warm-start support), warm-started from
 ///   the previous epoch's part vector afterwards — new vertices are assigned greedily
@@ -110,11 +129,15 @@ impl DynamicReport {
 ///
 /// Works the same over a multi-process [`Session::with_runtime`]: every process wraps
 /// its session, feeds it the same batches in the same order, and gets identical reports
-/// (an epoch's job is the one [`Session::submit`] runs, over the kept graphs).
+/// (an epoch's job is the one [`Session::submit`] runs, over the kept graphs). No
+/// process needs the whole graph, to validate a batch or otherwise.
 pub struct DynamicSession {
     session: Session,
     job: PartitionJob,
-    graph: DynamicGraph,
+    /// One graph per rank the session hosts, evolved by every update batch.
+    graphs: Vec<DistGraph>,
+    /// Number of update batches applied so far.
+    epoch: u64,
     /// Latest partition, kept at graph length (`UNASSIGNED` for vertices added since).
     parts: Option<Vec<i32>>,
     /// Global ids touched by the update batches applied since the last repartition
@@ -123,27 +146,31 @@ pub struct DynamicSession {
     touched: Option<Vec<GlobalId>>,
     cold_lp_sweeps: u64,
     cold_vertices_scored: u64,
-    /// One distributed graph per rank the session hosts, built lazily for distributed
-    /// methods and evolved incrementally on every update batch.
-    rank_graphs: Option<Vec<DistGraph>>,
+}
+
+/// The size of a [`DynamicSession`]'s live graph, read off its rank graphs.
+#[derive(Debug, Clone, Copy)]
+pub struct LiveGraph<'a>(&'a DistGraph);
+
+impl LiveGraph<'_> {
+    /// Current vertex count.
+    pub fn num_vertices(&self) -> usize {
+        self.0.global_n() as usize
+    }
+
+    /// Current undirected edge count.
+    pub fn num_edges(&self) -> u64 {
+        self.0.global_m()
+    }
 }
 
 impl DynamicSession {
-    /// Wrap a session and an initial graph. The first [`repartition`] is a cold run.
+    /// Wrap a session and an initial graph, which is distributed over the session's
+    /// ranks and then dropped. The first [`repartition`] is a cold run.
     ///
     /// [`repartition`]: DynamicSession::repartition
     pub fn new(session: Session, csr: Csr, job: PartitionJob) -> Result<Self, PartitionError> {
-        job.params.validate()?;
-        Ok(DynamicSession {
-            session,
-            job,
-            graph: DynamicGraph::new(csr),
-            parts: None,
-            touched: None,
-            cold_lp_sweeps: 0,
-            cold_vertices_scored: 0,
-            rank_graphs: None,
-        })
+        DynamicSession::over(session, &csr, job)
     }
 
     /// Convenience: spawn a fresh `nranks`-rank session around the graph.
@@ -151,14 +178,52 @@ impl DynamicSession {
         DynamicSession::new(Session::new(nranks)?, csr, job)
     }
 
-    /// The live graph.
-    pub fn graph(&self) -> &DynamicGraph {
-        &self.graph
+    /// [`new`](DynamicSession::new) for a caller that keeps its graph.
+    pub(crate) fn over(
+        mut session: Session,
+        csr: &Csr,
+        job: PartitionJob,
+    ) -> Result<Self, PartitionError> {
+        job.params.validate()?;
+        Ok(DynamicSession {
+            graphs: session.build_rank_graphs(csr),
+            session,
+            job,
+            epoch: 0,
+            parts: None,
+            touched: None,
+            cold_lp_sweeps: 0,
+            cold_vertices_scored: 0,
+        })
+    }
+
+    /// The live graph's size.
+    pub fn graph(&self) -> LiveGraph<'_> {
+        LiveGraph(&self.graphs[0])
+    }
+
+    /// Assemble the live graph as one [`Csr`], in one dispatch: every rank exports its
+    /// owned rows, gathered with one `allgatherv` when some ranks live in other
+    /// processes. A collective in a multi-process session.
+    pub fn csr(&mut self) -> Csr {
+        let distributed = self.session.is_distributed();
+        let rows = self.session.execute(|ctx| {
+            let own: Vec<_> = rank_graph(&self.graphs, ctx).owned_arcs().collect();
+            if distributed {
+                ctx.allgatherv(own)
+            } else {
+                own
+            }
+        });
+        // A distributed session's hosted ranks each gathered every row; one is enough.
+        let copies = if distributed { 1 } else { rows.len() };
+        let rows = rows.iter().take(copies).flatten().copied();
+        Csr::from_rows(self.graphs[0].global_n(), rows)
     }
 
     /// Number of update batches applied so far.
     pub fn epoch(&self) -> u64 {
-        self.graph.epoch()
+        self.epoch
     }
 
     /// The job every [`repartition`](DynamicSession::repartition) runs.
@@ -188,16 +253,17 @@ impl DynamicSession {
     /// [`repartition`](DynamicSession::repartition) warm-starts from it with an
     /// empty touched set, as if the partition had been computed in-session.
     pub(crate) fn seed_partition(&mut self, parts: Vec<i32>) -> Result<(), PartitionError> {
-        validate_warm_start(self.graph.num_vertices(), self.job.params.num_parts, &parts)?;
+        let n = self.graph().num_vertices();
+        validate_warm_start(n, self.job.params.num_parts, &parts)?;
         self.parts = Some(parts);
         self.touched = Some(Vec::new());
         Ok(())
     }
 
-    /// Validate one update batch against the live topology and apply it: the CSR is
-    /// rebuilt incrementally, the per-rank distributed graphs (when built) evolve via
-    /// [`DistGraph::apply_delta`], and the carried part vector is extended with
-    /// [`UNASSIGNED`] entries for new vertices. A rejected batch changes nothing.
+    /// Validate one update batch against the live topology and apply it: the per-rank
+    /// graphs evolve via [`DistGraph::apply_delta`], and the carried part vector is
+    /// extended with [`UNASSIGNED`] entries for new vertices. A rejected batch changes
+    /// nothing.
     pub fn apply_updates(&mut self, batch: &UpdateBatch) -> Result<UpdateSummary, UpdateError> {
         self.apply_updates_with_delta(batch).map(|(s, _)| s)
     }
@@ -210,29 +276,33 @@ impl DynamicSession {
         &mut self,
         batch: &UpdateBatch,
     ) -> Result<(UpdateSummary, GraphDelta), UpdateError> {
-        let delta = self.graph.validate(batch)?;
+        let base_n = self.graphs[0].global_n();
+        let delta = batch.compile(base_n)?;
         // Growth under an Explicit ownership table is handled in the graph layer:
-        // `DistGraph::apply_delta` (and the from-CSR build paths) extend the table by
-        // hashing the new tail vertices to ranks, so no method/distribution combination
-        // rejects a valid batch.
-        if let Some(graphs) = self.rank_graphs.take() {
-            // As in the job, a rank finds the graph it built (`graphs` holds only the
-            // ranks this process hosts); were one missing, the next repartition rebuilds.
-            let updated = self.session.execute(|ctx| {
-                let graph = graphs.iter().find(|graph| graph.rank() == ctx.rank())?;
-                Some(graph.apply_delta(ctx, &delta))
-            });
-            self.rank_graphs = updated.into_iter().collect();
-        }
-        let summary = self.graph.apply_validated(&delta);
-        if let Some(parts) = self.parts.take() {
-            self.parts = Some(seed_from_previous(&parts, &delta));
+        // `DistGraph::apply_delta` extends the table by hashing the new tail vertices to
+        // ranks, so no method/distribution combination rejects a valid batch.
+        let applied = self.session.execute(|ctx| {
+            let graph = rank_graph(&self.graphs, ctx);
+            check_edges(ctx, graph, &delta).map(|()| graph.apply_delta(ctx, &delta))
+        });
+        // Every rank reached the same verdict, so either all applied or none did.
+        self.graphs = applied.into_iter().collect::<Result<_, _>>()?;
+        self.epoch += 1;
+        if let Some(parts) = self.parts.as_mut() {
+            parts.resize(delta.new_n() as usize, UNASSIGNED);
         }
         if let Some(touched) = self.touched.as_mut() {
             touched.extend(delta.touched_including_added());
             touched.sort_unstable();
             touched.dedup();
         }
+        let summary = UpdateSummary {
+            epoch: self.epoch,
+            vertices_added: delta.added_vertices(),
+            edges_inserted: delta.num_insert_edges(),
+            edges_deleted: delta.num_delete_edges(),
+            vertices_touched: delta.touched_vertices().partition_point(|&v| v < base_n) as u64,
+        };
         Ok((summary, delta))
     }
 
@@ -243,23 +313,24 @@ impl DynamicSession {
     /// from scratch. The report's `vertices_migrated` and `lp_sweeps`/`cold_lp_sweeps` fields
     /// quantify the incremental behaviour.
     pub fn repartition(&mut self) -> Result<DynamicReport, PartitionError> {
+        // A serial method runs on the whole graph, assembled for this run only.
+        let csr = (!self.job.method.is_distributed()).then(|| self.csr());
         let warm_start = self.job.method.supports_warm_start() && self.parts.is_some();
         // The touched set accumulated since the last repartition scopes the warm run's
         // refinement frontier; it is consumed (and reset) by this run.
         let touched = self.touched.take().filter(|_| warm_start);
         let warm_seed = self.parts.as_deref().filter(|_| warm_start);
-        if self.job.method.is_distributed() && self.rank_graphs.is_none() {
-            self.rank_graphs = Some(self.session.build_rank_graphs(self.graph.csr()));
-        }
-        let outcome = self.session.run_job(
-            &self.job,
-            self.graph.csr(),
-            self.rank_graphs.as_deref(),
-            warm_seed.map(|seed| (seed, touched.as_deref())),
-        )?;
+        let warm = warm_seed.map(|seed| (seed, touched.as_deref()));
+        let outcome = match &csr {
+            Some(csr) => self.session.run_job(&self.job, csr, warm),
+            None => self
+                .session
+                .run_on_ranks(&self.graphs, &self.job.params, warm),
+        }?;
         let (lp_sweeps, vertices_scored, stages) =
             (outcome.lp_sweeps, outcome.vertices_scored, outcome.stages);
-        let report = self.session.report(&self.job, self.graph.csr(), outcome);
+        let (n, m) = (self.graph().num_vertices(), self.graph().num_edges());
+        let report = self.session.report(&self.job, n, m, outcome);
 
         if !warm_start {
             self.cold_lp_sweeps = lp_sweeps;
@@ -279,7 +350,7 @@ impl DynamicSession {
         self.touched = Some(Vec::new());
         Ok(DynamicReport {
             report,
-            epoch: self.graph.epoch(),
+            epoch: self.epoch,
             warm_start,
             vertices_migrated,
             lp_sweeps,
@@ -291,13 +362,52 @@ impl DynamicSession {
     }
 }
 
+/// The graph `ctx`'s rank holds: `graphs` has one for every rank this process hosts,
+/// built by the session's own runtime.
+fn rank_graph<'g>(graphs: &'g [DistGraph], ctx: &RankCtx) -> &'g DistGraph {
+    let mine = graphs.iter().find(|graph| graph.rank() == ctx.rank());
+    // lint: panic-ok — `DynamicSession::over` built a graph on every hosted rank
+    mine.expect("the session built a graph for every rank it hosts")
+}
+
+/// Check `delta`'s named edges against the live topology with one allreduce, so every
+/// rank returns the same verdict: the first insert of an existing edge in
+/// [`insert_arcs`](GraphDelta::insert_arcs) order, else the first delete of a missing
+/// one in [`delete_arcs`](GraphDelta::delete_arcs) order. Each rank answers for the
+/// `u < v` arcs whose source it owns (rows ascend in global id, so by a binary search);
+/// every rank alike answers for an arc reaching past the old graph, which no edge
+/// reaches yet.
+fn check_edges(ctx: &RankCtx, graph: &DistGraph, delta: &GraphDelta) -> Result<(), UpdateError> {
+    let exists = |u, v| {
+        if v >= graph.global_n() {
+            return Some(false);
+        }
+        let row = graph.neighbors(graph.owned_local_id(u)?);
+        let at = row.binary_search_by_key(&v, |&w| graph.global_id(w));
+        Some(at.is_ok())
+    };
+    let first = |arcs: &[(GlobalId, GlobalId)], existing| {
+        let offends = |&(u, v): &(GlobalId, GlobalId)| u < v && exists(u, v) == Some(existing);
+        arcs.iter().position(offends).map_or(u64::MAX, |i| i as u64)
+    };
+    let (inserts, deletes) = (delta.insert_arcs(), delta.delete_arcs());
+    let found = ctx.allreduce_min_u64(&[first(inserts, true), first(deletes, false)]);
+    // An index of `u64::MAX` (nothing found) misses every arc.
+    let arc = |arcs: &[(GlobalId, GlobalId)], i: u64| arcs.get(i as usize).copied();
+    match (arc(inserts, found[0]), arc(deletes, found[1])) {
+        (Some((u, v)), _) => Err(UpdateError::EdgeAlreadyExists { u, v }),
+        (None, Some((u, v))) => Err(UpdateError::MissingEdge { u, v }),
+        (None, None) => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::method::Method;
     use xtrapulp::PartitionParams;
     use xtrapulp_gen::{GraphConfig, GraphKind};
-    use xtrapulp_graph::Distribution;
+    use xtrapulp_graph::{csr_from_edges, Distribution};
 
     fn ba_csr(n: u64, seed: u64) -> Csr {
         GraphConfig::new(
@@ -429,18 +539,52 @@ mod tests {
     #[test]
     fn rejected_batches_leave_the_session_intact() {
         let csr = ba_csr(300, 4);
-        let mut dyn_session = DynamicSession::spawn(2, csr, job(Method::XtraPulp, 4)).unwrap();
+        let neighbour = csr.neighbors(0)[0];
+        let stranger = (1..300).find(|v| !csr.neighbors(0).contains(v)).unwrap();
+        let mut dyn_session =
+            DynamicSession::spawn(2, csr.clone(), job(Method::XtraPulp, 4)).unwrap();
         dyn_session.repartition().unwrap();
-        let mut bad = UpdateBatch::new();
-        bad.delete_edge(0, 299); // almost surely not an edge
-        if dyn_session.graph().csr().neighbors(0).contains(&299) {
-            return; // pathological seed; nothing to test
+        let mut missing = UpdateBatch::new();
+        missing.delete_edge(stranger, 0);
+        let mut existing = UpdateBatch::new();
+        existing.insert_edge(neighbour, 0);
+        let rejections = [
+            (missing, UpdateError::MissingEdge { u: 0, v: stranger }),
+            (
+                existing,
+                UpdateError::EdgeAlreadyExists { u: 0, v: neighbour },
+            ),
+        ];
+        for (bad, error) in rejections {
+            assert_eq!(dyn_session.apply_updates(&bad), Err(error));
+            assert_eq!(dyn_session.epoch(), 0);
+            assert_eq!(dyn_session.csr(), csr);
         }
-        assert!(dyn_session.apply_updates(&bad).is_err());
-        assert_eq!(dyn_session.epoch(), 0);
         // The session still serves jobs afterwards.
         let report = dyn_session.repartition().unwrap();
         assert_eq!(report.report.parts.len(), 300);
+    }
+
+    #[test]
+    fn a_summary_counts_the_batch_and_its_touched_vertices() {
+        let csr = csr_from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)]);
+        let mut dyn_session = DynamicSession::spawn(2, csr, job(Method::Pulp, 2)).unwrap();
+        let mut batch = UpdateBatch::new();
+        batch.delete_edge(2, 3).add_vertices(1).insert_edge(6, 0);
+        let summary = dyn_session.apply_updates(&batch).unwrap();
+        // Touched pre-existing vertices: 2 and 3 (deleted edge) and 0 (new edge); vertex
+        // 6 is new, not "touched".
+        let expected = UpdateSummary {
+            epoch: 1,
+            vertices_added: 1,
+            edges_inserted: 1,
+            edges_deleted: 1,
+            vertices_touched: 3,
+        };
+        assert_eq!(summary, expected);
+        assert_eq!(dyn_session.graph().num_vertices(), 7);
+        assert_eq!(dyn_session.graph().num_edges(), 7);
+        assert_eq!(dyn_session.csr().neighbors(6), &[0]);
     }
 
     #[test]

@@ -69,7 +69,7 @@ mod report;
 mod serving;
 mod session;
 
-pub use dynamic::{DynamicReport, DynamicSession};
+pub use dynamic::{DynamicReport, DynamicSession, LiveGraph, UpdateSummary};
 pub use method::Method;
 pub use report::PartitionReport;
 pub use serving::{EngineError, MetricsEndpoint, ServingSession};
@@ -83,7 +83,7 @@ pub use xtrapulp::PartitionError;
 pub use xtrapulp_analytics::{
     AnalyticsConsumer, AnalyticsSubscriber, EpochReport, SubscriberError, WarmPolicy,
 };
-pub use xtrapulp_dynamic::{UpdateBatch, UpdateError, UpdateSummary};
+pub use xtrapulp_dynamic::{UpdateBatch, UpdateError};
 pub use xtrapulp_obs::{Histogram, HistogramSnapshot, MetricsServer};
 pub use xtrapulp_serve::{
     BatchPolicy, DurabilityError, EpochStore, IngestError, IngestQueue, MigrationDiff,

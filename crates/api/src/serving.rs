@@ -39,7 +39,7 @@ use xtrapulp_serve::{
 };
 
 use crate::dynamic::{DynamicReport, DynamicSession};
-use crate::session::PartitionJob;
+use crate::session::{PartitionJob, Session};
 
 /// Why the serving engine failed to process a cycle: a batch the dynamic subsystem
 /// rejected, or a repartition error. Rejected batches leave the graph untouched and
@@ -135,11 +135,12 @@ fn snapshot_from(report: DynamicReport, deltas: Vec<GraphDelta>) -> PartitionSna
 pub struct ServingSession {
     handle: ServeHandle<DynamicEngine>,
     nranks: usize,
-    /// The epoch the store opened with, its topology and its partition: the spawned
-    /// graph and its cold epoch, or for a recovered session the graph and partition
-    /// the replay ended at. An analytics consumer builds its rank graphs from them and
-    /// catches up through the store's delta history. This pins a copy of the graph for
-    /// the session's lifetime even when no consumer subscribes (ROADMAP direction 2(b)).
+    /// The epoch the store opened with, its topology and its partition: the spawn
+    /// input itself and its cold epoch, or for a recovered session the graph the replay
+    /// assembled once and the partition it ended at. An analytics consumer builds its
+    /// rank graphs from them and catches up through the store's delta history. This pins
+    /// the base graph for the session's lifetime even when no consumer subscribes
+    /// (ROADMAP direction 2(b)).
     base_epoch: u64,
     base_csr: Csr,
     base_parts: Vec<i32>,
@@ -166,9 +167,9 @@ impl ServingSession {
         job: PartitionJob,
         config: ServeConfig,
     ) -> Result<ServingSession, PartitionError> {
-        let mut session = DynamicSession::spawn(nranks, csr, job)?;
+        let mut session = DynamicSession::over(Session::new(nranks)?, &csr, job)?;
         let initial = snapshot_from(session.repartition()?, Vec::new());
-        Ok(Self::start(nranks, session, initial, None, config))
+        Ok(Self::start(session, initial, None, config, csr))
     }
 
     /// [`spawn_with_config`](ServingSession::spawn_with_config) with crash-recoverable
@@ -187,11 +188,10 @@ impl ServingSession {
         config: ServeConfig,
         durable: DurableConfig,
     ) -> Result<ServingSession, DurabilityError> {
-        let mut session = DynamicSession::spawn(nranks, csr, job)?;
+        let mut session = DynamicSession::over(Session::new(nranks)?, &csr, job)?;
         let initial = snapshot_from(session.repartition()?, Vec::new());
-        let base = session.graph().csr();
-        let journal = Journal::create(&durable, base, initial.epoch, &initial.parts)?;
-        Ok(Self::start(nranks, session, initial, Some(journal), config))
+        let journal = Journal::create(&durable, &csr, initial.epoch, &initial.parts)?;
+        Ok(Self::start(session, initial, Some(journal), config, csr))
     }
 
     /// Recover a durable serving session after a crash: load the newest checkpoint
@@ -271,10 +271,11 @@ impl ServingSession {
             .to_vec();
         journal.resume(session.epoch(), &parts, unmarked)?;
 
+        let base = session.csr();
         let initial = PartitionSnapshot {
             epoch: session.epoch(),
             num_parts,
-            quality: PartitionQuality::evaluate(session.graph().csr(), &parts, num_parts),
+            quality: PartitionQuality::evaluate(&base, &parts, num_parts),
             parts,
             warm_start: ckpt.is_some(),
             lp_sweeps: 0,
@@ -283,21 +284,21 @@ impl ServingSession {
             vertices_migrated: 0,
             deltas: Vec::new().into(),
         };
-        Ok(Self::start(nranks, session, initial, Some(journal), config))
+        Ok(Self::start(session, initial, Some(journal), config, base))
     }
 
     /// The one start path: wrap `session` (and `journal`, when durable) in the serving
     /// engine and spawn the worker with `initial`, the partition of the session's
-    /// current graph, as the store's first epoch.
+    /// current graph `base_csr`, as the store's first epoch.
     fn start(
-        nranks: usize,
-        session: DynamicSession,
+        mut session: DynamicSession,
         initial: PartitionSnapshot,
         journal: Option<Journal>,
         config: ServeConfig,
+        base_csr: Csr,
     ) -> ServingSession {
+        let nranks = session.session_mut().nranks();
         let base_epoch = initial.epoch;
-        let base_csr = session.graph().csr().clone();
         let base_parts = initial.parts.clone();
         let engine = DynamicEngine {
             session,
@@ -885,7 +886,7 @@ mod tests {
             .store()
             .wait_for_epoch(1, Duration::from_secs(60))
             .unwrap();
-        let (reference, _) = serving.shutdown().unwrap();
+        let (mut reference, _) = serving.shutdown().unwrap();
         let mut files: Vec<String> = fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
@@ -905,10 +906,10 @@ mod tests {
             recovered.store().current().parts,
             reference.parts().unwrap()
         );
-        let (session, _) = recovered.shutdown().unwrap();
+        let (mut session, _) = recovered.shutdown().unwrap();
         assert_eq!(
-            session.graph().csr().arcs().collect::<Vec<_>>(),
-            reference.graph().csr().arcs().collect::<Vec<_>>()
+            session.csr().arcs().collect::<Vec<_>>(),
+            reference.csr().arcs().collect::<Vec<_>>()
         );
         let _ = fs::remove_dir_all(&dir);
     }

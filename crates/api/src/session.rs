@@ -140,8 +140,8 @@ impl Session {
         job: &PartitionJob,
         csr: &Csr,
     ) -> Result<PartitionReport, PartitionError> {
-        let outcome = self.run_job(job, csr, None, None)?;
-        Ok(self.report(job, csr, outcome))
+        let outcome = self.run_job(job, csr, None)?;
+        Ok(self.report(job, csr.num_vertices(), csr.num_edges(), outcome))
     }
 
     /// Gather every rank's trace buffers (across all participating processes) and
@@ -202,21 +202,16 @@ impl Session {
 
     /// Run `job` on `csr`, cold or — when `warm` carries the previous part vector —
     /// warm-started, and count it. The distributed method runs [`run_xtrapulp_job`] on
-    /// the session's ranks: over `graphs` when the caller keeps per-rank graphs alive
-    /// across jobs (see [`build_rank_graphs`](Session::build_rank_graphs)), otherwise
-    /// distributing `csr` inside the job. Serial methods run inline on this thread.
+    /// the session's ranks, distributing `csr` inside the job; serial methods run inline
+    /// on this thread.
     pub(crate) fn run_job(
         &mut self,
         job: &PartitionJob,
         csr: &Csr,
-        graphs: Option<&[DistGraph]>,
         warm: Option<PulpWarmStart<'_>>,
     ) -> Result<JobOutcome, PartitionError> {
         let outcome = if job.method.is_distributed() {
-            let source = match graphs {
-                Some(graphs) => GraphSource::Ranks(graphs),
-                None => GraphSource::Csr(csr, &self.distribution),
-            };
+            let source = GraphSource::Csr(csr, &self.distribution);
             run_xtrapulp_job(&mut self.runtime, source, &job.params, warm)?
         } else {
             run_serial(job.method, csr, &job.params, warm)?
@@ -225,11 +220,28 @@ impl Session {
         Ok(outcome)
     }
 
-    /// The report of a job this session ran on `csr`.
+    /// Run XtraPuLP with `params` over `graphs`, per-rank graphs the caller keeps alive
+    /// across jobs (see [`build_rank_graphs`](Session::build_rank_graphs)), cold or
+    /// warm-started like [`run_job`](Session::run_job), and count it.
+    pub(crate) fn run_on_ranks(
+        &mut self,
+        graphs: &[DistGraph],
+        params: &PartitionParams,
+        warm: Option<PulpWarmStart<'_>>,
+    ) -> Result<JobOutcome, PartitionError> {
+        let source = GraphSource::Ranks(graphs);
+        let outcome = run_xtrapulp_job(&mut self.runtime, source, params, warm)?;
+        self.jobs_completed += 1;
+        Ok(outcome)
+    }
+
+    /// The report of a job this session ran on a graph of `num_vertices` vertices and
+    /// `num_edges` edges.
     pub(crate) fn report(
         &self,
         job: &PartitionJob,
-        csr: &Csr,
+        num_vertices: usize,
+        num_edges: u64,
         outcome: JobOutcome,
     ) -> PartitionReport {
         let nranks = if job.method.is_distributed() {
@@ -241,8 +253,8 @@ impl Session {
             method: job.method.name().to_string(),
             num_parts: job.params.num_parts,
             nranks,
-            num_vertices: csr.num_vertices() as u64,
-            num_edges: csr.num_edges(),
+            num_vertices: num_vertices as u64,
+            num_edges,
             parts: outcome.parts,
             quality: outcome.quality,
             timings: outcome.timings,

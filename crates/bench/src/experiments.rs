@@ -563,8 +563,8 @@ fn fig_dynamic(h: &mut Harness) -> Outcome {
             h.emit_line("series", series, &fields);
 
             // From-scratch on the identical mutated graph.
-            let mutated = dynamic.graph().csr();
-            let (cold_secs, cold) = h.job(NRANKS, Method::XtraPulp, mutated, &params)?;
+            let mutated = dynamic.csr();
+            let (cold_secs, cold) = h.job(NRANKS, Method::XtraPulp, &mutated, &params)?;
 
             let (warm_cut, cold_cut) = (warm.report.quality.edge_cut, cold.quality.edge_cut);
             let cut_delta_pct = if cold_cut == 0 {

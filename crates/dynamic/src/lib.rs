@@ -1,63 +1,58 @@
 //! # xtrapulp-dynamic
 //!
-//! The dynamic-graph subsystem: graphs that mutate between partitioning requests, and
-//! repartitioning that is *incremental* instead of from-scratch.
+//! Update batches for graphs that mutate between partitioning requests.
 //!
 //! Label propagation — the core of XtraPuLP and PuLP — can be warm-started from any part
 //! vector, so a graph that changed slightly should not pay a full repartition: seed the
 //! labels from the previous epoch, assign only the new vertices greedily, and run a
 //! short refinement schedule (`PartitionParams::warm_outer_iters` outer rounds instead
-//! of `outer_iters`). This crate provides the pieces around that property:
+//! of `outer_iters`). This crate provides the boundary of that loop:
 //!
-//! * [`UpdateBatch`] — a validated, deduplicated batch of mutations (edge insertions and
-//!   deletions, vertex additions) with typed [`UpdateError`]s for self loops,
-//!   out-of-range endpoints, insert/delete conflicts, duplicate inserts against the live
-//!   graph and deletions of missing edges.
-//! * [`DynamicGraph`] — the mutable graph: an epoch counter over a
-//!   [`Csr`](xtrapulp_graph::Csr) rebuilt incrementally through
-//!   [`Csr::apply_delta`](xtrapulp_graph::Csr::apply_delta) (the distributed equivalent
-//!   is [`DistGraph::apply_delta`](xtrapulp_graph::DistGraph::apply_delta)).
-//! * [`seed_from_previous`] — extend the previous epoch's part vector over a delta's new
-//!   vertices with [`UNASSIGNED`](xtrapulp_graph::UNASSIGNED) markers, ready for any
-//!   [`WarmStartPartitioner`](xtrapulp::WarmStartPartitioner)
-//!   (`try_pulp_partition_from`, `try_xtrapulp_partition_from_touched`, or the multilevel
-//!   refine-only drivers).
+//! * [`UpdateBatch`] — a batch of mutations (edge insertions and deletions, vertex
+//!   additions) that [`UpdateBatch::compile`]s to a normalised [`GraphDelta`], rejecting
+//!   self loops, out-of-range endpoints and insert/delete conflicts with typed
+//!   [`UpdateError`]s.
+//! * [`UpdateError`] — also the type of the live-topology checks (inserting an existing
+//!   edge, deleting a missing one), which only the layer holding the graph can make.
 //!
-//! The serving layer over this crate is `xtrapulp_api::DynamicSession`
-//! (apply → repartition → report); `xtrapulp_gen::updates` generates realistic
+//! A compiled delta advances a [`Csr`](xtrapulp_graph::Csr) through
+//! [`Csr::apply_delta`](xtrapulp_graph::Csr::apply_delta) or a rank's slice through
+//! [`DistGraph::apply_delta`](xtrapulp_graph::DistGraph::apply_delta); the previous
+//! epoch's part vector grows over the new vertices with
+//! [`UNASSIGNED`](xtrapulp_graph::UNASSIGNED) entries, ready for any
+//! `WarmStartPartitioner`. The serving layer over this crate is
+//! `xtrapulp_api::DynamicSession` (apply → repartition → report), which validates each
+//! batch against its rank graphs; `xtrapulp_gen::updates` generates realistic
 //! timestamped mutation traces for benches and tests.
 //!
 //! ```
 //! use xtrapulp::{try_pulp_partition, try_pulp_partition_from, PartitionParams};
-//! use xtrapulp_dynamic::{seed_from_previous, DynamicGraph, UpdateBatch};
+//! use xtrapulp_dynamic::UpdateBatch;
 //! use xtrapulp_gen::{GraphConfig, GraphKind};
+//! use xtrapulp_graph::UNASSIGNED;
 //!
 //! let csr = GraphConfig::new(GraphKind::Rmat { scale: 10, edge_factor: 8 }, 42)
 //!     .generate()
 //!     .to_csr();
 //! let params = PartitionParams::with_parts(8);
-//! let mut graph = DynamicGraph::new(csr);
-//! let mut parts = try_pulp_partition(graph.csr(), &params).unwrap();
+//! let mut parts = try_pulp_partition(&csr, &params).unwrap();
 //!
 //! // The graph mutates: one new vertex, two new edges.
+//! let v = csr.num_vertices() as u64;
 //! let mut batch = UpdateBatch::new();
-//! batch.add_vertices(1);
-//! let v = graph.num_vertices() as u64;
-//! batch.insert_edge(v, 0).insert_edge(v, 1);
-//! let delta = graph.validate(&batch).unwrap();
-//! graph.apply_validated(&delta);
+//! batch.add_vertices(1).insert_edge(v, 0).insert_edge(v, 1);
+//! let delta = batch.compile(v).unwrap();
+//! let csr = csr.apply_delta(&delta);
 //!
 //! // Warm-start repartition: previous labels seed the run, the new vertex is assigned
 //! // greedily, and only a short refinement schedule runs.
-//! let seed = seed_from_previous(&parts, &delta);
-//! parts = try_pulp_partition_from(graph.csr(), &params, &seed).unwrap();
-//! assert_eq!(parts.len(), graph.num_vertices());
+//! parts.resize(delta.new_n() as usize, UNASSIGNED);
+//! parts = try_pulp_partition_from(&csr, &params, &parts).unwrap();
+//! assert_eq!(parts.len(), csr.num_vertices());
 //! ```
 
-mod dynamic_graph;
 mod update;
 
-pub use dynamic_graph::{seed_from_previous, DynamicGraph, UpdateSummary};
 pub use update::{UpdateBatch, UpdateError};
 
 // Re-exported so callers of this crate can name the graph-layer delta types without an
@@ -70,6 +65,7 @@ mod tests {
     use xtrapulp::metrics::PartitionQuality;
     use xtrapulp::{try_pulp_partition, try_pulp_partition_from, PartitionParams};
     use xtrapulp_gen::{GraphConfig, GraphKind};
+    use xtrapulp_graph::UNASSIGNED;
 
     fn social_graph() -> xtrapulp_graph::Csr {
         GraphConfig::new(
@@ -96,14 +92,13 @@ mod tests {
         let cold = try_pulp_partition(&csr, &params).unwrap();
         let cold_q = PartitionQuality::evaluate(&csr, &cold, 8);
 
-        let mut graph = DynamicGraph::new(csr.clone());
-        let delta = graph.validate(&UpdateBatch::new()).unwrap();
+        let delta = UpdateBatch::new()
+            .compile(csr.num_vertices() as u64)
+            .unwrap();
         assert!(delta.is_empty());
-        graph.apply_validated(&delta);
-        let warm =
-            try_pulp_partition_from(graph.csr(), &params, &seed_from_previous(&cold, &delta))
-                .unwrap();
-        let warm_q = PartitionQuality::evaluate(graph.csr(), &warm, 8);
+        let csr = csr.apply_delta(&delta);
+        let warm = try_pulp_partition_from(&csr, &params, &cold).unwrap();
+        let warm_q = PartitionQuality::evaluate(&csr, &warm, 8);
 
         assert!(
             warm_q.edge_cut as f64 <= cold_q.edge_cut as f64 * 1.05,
@@ -129,7 +124,6 @@ mod tests {
         let cold = try_pulp_partition(&csr, &params).unwrap();
 
         let run = || {
-            let mut graph = DynamicGraph::new(csr.clone());
             let mut batch = UpdateBatch::new();
             batch.add_vertices(2);
             let n = csr.num_vertices() as u64;
@@ -138,10 +132,10 @@ mod tests {
                 .insert_edge(n, 17)
                 .insert_edge(n + 1, n)
                 .delete_edge(0, 1);
-            let delta = graph.validate(&batch).unwrap();
-            graph.apply_validated(&delta);
-            try_pulp_partition_from(graph.csr(), &params, &seed_from_previous(&cold, &delta))
-                .unwrap()
+            let delta = batch.compile(n).unwrap();
+            let mut seed = cold.clone();
+            seed.resize(delta.new_n() as usize, UNASSIGNED);
+            try_pulp_partition_from(&csr.apply_delta(&delta), &params, &seed).unwrap()
         };
         let a = run();
         let b = run();

@@ -49,14 +49,6 @@ pub enum UpdateError {
         /// Higher endpoint.
         v: GlobalId,
     },
-    /// A serving layer cannot apply the batch's vertex additions. No built-in layer
-    /// raises this any more — `Explicit` distributions now grow by hashing the new
-    /// tail vertices to owners (`Distribution::grown`) — but the variant remains for
-    /// custom serving layers with growth restrictions of their own.
-    UnsupportedGrowth {
-        /// Why growth is unsupported here.
-        detail: String,
-    },
 }
 
 impl fmt::Display for UpdateError {
@@ -79,9 +71,6 @@ impl fmt::Display for UpdateError {
             }
             UpdateError::MissingEdge { u, v } => {
                 write!(f, "cannot delete edge {{{u}, {v}}}: it does not exist")
-            }
-            UpdateError::UnsupportedGrowth { detail } => {
-                write!(f, "cannot grow the graph: {detail}")
             }
         }
     }
@@ -155,7 +144,7 @@ impl UpdateBatch {
     /// batch-wide, so an edge may reference a vertex added later in the same batch) and
     /// insert/delete conflicts. Duplicate inserts and duplicate deletes collapse
     /// silently. Whether the named edges actually exist is checked against the live
-    /// graph by [`DynamicGraph::apply`](crate::DynamicGraph::apply), not here.
+    /// graph by the layer that holds it (`xtrapulp_api::DynamicSession`), not here.
     pub fn compile(&self, base_n: u64) -> Result<GraphDelta, UpdateError> {
         let added: u64 = self
             .ops

@@ -45,6 +45,33 @@ impl Csr {
         Csr { offsets, adjacency }
     }
 
+    /// Assemble the `n`-vertex graph whose arcs are `rows`, in which each vertex's arcs
+    /// `(u, v)` come ascending in `v`; rows may come in any order. The owned rows of
+    /// every rank's [`DistGraph`](crate::DistGraph)
+    /// ([`DistGraph::owned_arcs`](crate::DistGraph::owned_arcs)), chained in any rank
+    /// order, are such a stream, and so are sorted arcs. Two passes: one counts degrees,
+    /// one places arcs. Every arc must lie in `0..n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an arc's source is outside `0..n`.
+    pub fn from_rows(n: u64, rows: impl Iterator<Item = (GlobalId, GlobalId)> + Clone) -> Csr {
+        let mut offsets = vec![0u64; n as usize + 1];
+        for (u, _) in rows.clone() {
+            offsets[u as usize + 1] += 1;
+        }
+        for v in 0..n as usize {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut next = offsets.clone();
+        let mut adjacency = vec![0; offsets[n as usize] as usize];
+        for (u, v) in rows {
+            adjacency[next[u as usize] as usize] = v;
+            next[u as usize] += 1;
+        }
+        Csr { offsets, adjacency }
+    }
+
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
         self.offsets.len() - 1
@@ -212,7 +239,6 @@ impl CsrBuilder {
     /// Build the CSR: symmetrise, drop out-of-range endpoints, deduplicate, and (by
     /// default) remove self loops.
     pub fn build(&self) -> Csr {
-        let n = self.num_vertices as usize;
         // Symmetrise into directed arcs.
         let mut arcs: Vec<(GlobalId, GlobalId)> = Vec::with_capacity(self.edges.len() * 2);
         for &(u, v) in &self.edges {
@@ -231,16 +257,7 @@ impl CsrBuilder {
         // Sort and deduplicate.
         arcs.sort_unstable();
         arcs.dedup();
-        // Counting sort into CSR.
-        let mut offsets = vec![0u64; n + 1];
-        for &(u, _) in &arcs {
-            offsets[u as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let adjacency: Vec<GlobalId> = arcs.iter().map(|&(_, v)| v).collect();
-        Csr { offsets, adjacency }
+        Csr::from_rows(self.num_vertices, arcs.iter().copied())
     }
 }
 

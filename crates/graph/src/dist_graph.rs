@@ -595,9 +595,10 @@ impl DistGraph {
         &self.ghost_global
     }
 
-    /// This rank's arcs `(u, v)` by global id, row after row.
-    fn owned_arcs(&self) -> impl Iterator<Item = (GlobalId, GlobalId)> + '_ {
-        self.owned_vertices().flat_map(move |u| {
+    /// This rank's arcs `(u, v)` by global id, row after row, each row ascending in `v`:
+    /// the row export [`Csr::from_rows`] assembles a whole graph from.
+    pub fn owned_arcs(&self) -> impl Iterator<Item = (GlobalId, GlobalId)> + Clone + '_ {
+        (0..self.n_owned() as LocalId).flat_map(move |u| {
             let gu = self.global_id(u);
             self.neighbors(u)
                 .iter()

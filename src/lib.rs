@@ -38,7 +38,7 @@ pub mod prelude {
         UpdateBatch, UpdateError,
     };
     pub use xtrapulp_comm::{CommStats, RankCtx, Runtime};
-    pub use xtrapulp_dynamic::{DynamicGraph, GraphDelta, UpdateOp};
+    pub use xtrapulp_dynamic::{GraphDelta, UpdateOp};
     pub use xtrapulp_gen::{GraphConfig, GraphKind};
     pub use xtrapulp_graph::{Csr, DistGraph, Distribution};
 }

@@ -437,7 +437,7 @@ fn subscriber_tracks_a_live_serving_session() {
 
     // Drain-then-stop publishes everything queued; then the subscriber catches up on
     // whatever epochs it has not ingested yet.
-    let (session, stats) = serving.shutdown().expect("worker exits cleanly");
+    let (mut session, stats) = serving.shutdown().expect("worker exits cleanly");
     assert_eq!(stats.batches_applied, 6);
     let store_epoch = session.epoch();
     let mut reports = Vec::new();
@@ -452,7 +452,7 @@ fn subscriber_tracks_a_live_serving_session() {
 
     // The consumer's replica must match the authoritative live graph arc-for-arc...
     let consumer = subscriber.consumer_mut();
-    let live = session.graph().csr();
+    let live = &session.csr();
     assert_eq!(consumer.csr().num_vertices(), live.num_vertices());
     assert_eq!(
         consumer.csr().arcs().collect::<Vec<_>>(),
@@ -508,7 +508,7 @@ fn subscriber_tracks_a_recovered_serving_session() {
     for i in 3..stream.batches.len() {
         recovered.ingest(batch(i)).expect("queue open");
     }
-    let (session, _) = recovered.shutdown().expect("worker exits cleanly");
+    let (mut session, _) = recovered.shutdown().expect("worker exits cleanly");
     let store_epoch = session.epoch();
     while subscriber.held_epoch() < store_epoch {
         match subscriber.poll(Duration::from_secs(60)) {
@@ -519,7 +519,7 @@ fn subscriber_tracks_a_recovered_serving_session() {
     }
 
     let consumer = subscriber.consumer_mut();
-    let live = session.graph().csr();
+    let live = &session.csr();
     assert_eq!(
         consumer.csr().arcs().collect::<Vec<_>>(),
         live.arcs().collect::<Vec<_>>(),

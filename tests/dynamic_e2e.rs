@@ -108,9 +108,8 @@ fn small_churn_batches_keep_quality_under_warm_start() {
         );
 
         // Compare against a from-scratch run on the identical mutated graph.
-        let scratch = cold_session
-            .submit(dynamic.job(), dynamic.graph().csr())
-            .unwrap();
+        let mutated = dynamic.csr();
+        let scratch = cold_session.submit(dynamic.job(), &mutated).unwrap();
         assert!(
             warm.report.quality.edge_cut as f64 <= scratch.quality.edge_cut as f64 * 1.05,
             "epoch {}: warm cut {} vs scratch cut {}",
@@ -197,9 +196,10 @@ fn warm_epochs_cost_what_their_deltas_touch() {
             );
             warm = Some(quality);
         }
+        let mutated = dynamic.csr();
         let cold = Session::new(nranks)
             .unwrap()
-            .submit(dynamic.job(), dynamic.graph().csr())
+            .submit(dynamic.job(), &mutated)
             .unwrap();
         let warm = warm.expect("sixteen epochs ran");
         assert!(

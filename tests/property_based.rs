@@ -11,13 +11,14 @@ use std::collections::{BTreeSet, HashMap};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use xtrapulp_suite::api::UpdateSummary;
 use xtrapulp_suite::core::metrics::{is_valid_partition, PartitionQuality};
 use xtrapulp_suite::core::sweep::refine_budget;
 use xtrapulp_suite::core::{
-    baselines, run_xtrapulp_job, GraphSource, Partitioner, PulpPartitioner,
+    baselines, run_xtrapulp_job, try_pulp_run, GraphSource, Partitioner, PulpPartitioner,
 };
-use xtrapulp_suite::dynamic::seed_from_previous;
-use xtrapulp_suite::graph::{csr_from_edges, DistGraph, Distribution, LocalId};
+use xtrapulp_suite::dynamic::UpdateBatch;
+use xtrapulp_suite::graph::{csr_from_edges, DistGraph, Distribution, LocalId, UNASSIGNED};
 use xtrapulp_suite::prelude::*;
 
 const CASES: u64 = 24;
@@ -458,6 +459,163 @@ fn redistribution_matches_from_scratch_builds() {
     }
 }
 
+/// The reference apply of a batch to `csr` at `epoch`: compile, check every named edge
+/// by a binary search of its lower endpoint's row (inserts first, then deletes, each in
+/// arc order), then [`Csr::apply_delta`].
+fn reference_apply(
+    csr: &Csr,
+    epoch: u64,
+    batch: &UpdateBatch,
+) -> Result<(UpdateSummary, Csr), UpdateError> {
+    let n = csr.num_vertices() as u64;
+    let delta = batch.compile(n)?;
+    let has_edge = |u: u64, v: u64| u < n && csr.neighbors(u).binary_search(&v).is_ok();
+    for &(u, v) in delta.insert_arcs() {
+        if u < v && has_edge(u, v) {
+            return Err(UpdateError::EdgeAlreadyExists { u, v });
+        }
+    }
+    for &(u, v) in delta.delete_arcs() {
+        if u < v && !has_edge(u, v) {
+            return Err(UpdateError::MissingEdge { u, v });
+        }
+    }
+    let summary = UpdateSummary {
+        epoch: epoch + 1,
+        vertices_added: delta.added_vertices(),
+        edges_inserted: delta.num_insert_edges(),
+        edges_deleted: delta.num_delete_edges(),
+        vertices_touched: delta.touched_vertices().iter().filter(|&&v| v < n).count() as u64,
+    };
+    Ok((summary, csr.apply_delta(&delta)))
+}
+
+/// One batch against `csr`: random inserts (some of existing edges), deletes of existing
+/// edges, sometimes vertex additions with an edge between two new vertices, and
+/// sometimes one op the live topology must reject. `hit` counts the situations the
+/// oracle must see: an insert of an existing edge, a delete of a missing edge, a delete
+/// naming a vertex the batch adds and an insert between two new vertices.
+fn oracle_batch(rng: &mut SmallRng, csr: &Csr, hit: &mut [u64; 5]) -> UpdateBatch {
+    let n = csr.num_vertices() as u64;
+    let edges: Vec<_> = csr.edges().collect();
+    let added = [0, 0, 1, 3][rng.gen_range(0..4usize)];
+    let mut batch = UpdateBatch::new();
+    if added > 0 {
+        batch.add_vertices(added);
+    }
+    for _ in 0..rng.gen_range(1..4) {
+        let (u, v) = (rng.gen_range(0..n + added), rng.gen_range(0..n + added));
+        if u != v {
+            batch.insert_edge(u, v);
+        }
+    }
+    for _ in 0..rng.gen_range(0..3) {
+        let (u, v) = edges[rng.gen_range(0..edges.len())];
+        batch.delete_edge(v, u);
+    }
+    if added > 1 {
+        batch.insert_edge(n + 1, n);
+        hit[3] += 1;
+    }
+    match rng.gen_range(0..8) {
+        0 => {
+            let (u, v) = edges[rng.gen_range(0..edges.len())];
+            batch.insert_edge(u, v);
+            hit[0] += 1;
+        }
+        1 => {
+            let u = rng.gen_range(0..n);
+            if let Some(v) = (0..n).find(|&v| v != u && !csr.neighbors(u).contains(&v)) {
+                batch.delete_edge(u, v);
+                hit[1] += 1;
+            }
+        }
+        2 if added > 0 => {
+            batch.delete_edge(n + added - 1, rng.gen_range(0..n));
+            hit[2] += 1;
+        }
+        _ => {}
+    }
+    batch
+}
+
+/// A [`DynamicSession`] against a test-local reference [`Csr`] through the same seeded
+/// batches, for every distribution on 1–4 ranks: every batch's result (summary or
+/// error) and the assembled topology after it equal the reference's, and a rejected
+/// batch leaves the epoch where it was. Serial methods' partitions equal the method run
+/// on the reference graph: cold at epoch 0, warm from the previous epoch afterwards.
+#[test]
+fn dynamic_sessions_validate_and_assemble_like_a_reference_csr() {
+    let mut hit = [0u64; 5];
+    for case in 0..6u64 {
+        let method = [Method::XtraPulp, Method::Pulp, Method::MetisLike][case as usize % 3];
+        for nranks in 1..=4usize {
+            for (d, dist) in distributions(24, nranks).into_iter().enumerate() {
+                let mut rng = SmallRng::seed_from_u64(0x0AC1E + case);
+                let raw: Vec<_> = (0..60)
+                    .map(|_| (rng.gen_range(0..24), rng.gen_range(0..24)))
+                    .collect();
+                let mut reference = csr_from_edges(24, &raw);
+                let params = PartitionParams {
+                    num_parts: 3,
+                    seed: case,
+                    ..Default::default()
+                };
+                let job = PartitionJob::new(method).with_params(params);
+                let block = matches!(dist, Distribution::Block);
+                let session = Session::with_distribution(nranks, dist).unwrap();
+                let mut dynamic = DynamicSession::new(session, reference.clone(), job).unwrap();
+                let serial = !method.is_distributed();
+                let mut parts = Vec::new();
+                if serial {
+                    parts = dynamic.repartition().unwrap().report.parts;
+                    let cold = method.build(1).try_partition(&reference, &params).unwrap();
+                    assert_eq!(parts, cold, "case {case} dist {d} ranks {nranks}: cold");
+                }
+                for step in 0..10 {
+                    let what = format!("case {case} dist {d} ranks {nranks} step {step}");
+                    let batch = oracle_batch(&mut rng, &reference, &mut hit);
+                    let epoch = dynamic.epoch();
+                    match reference_apply(&reference, epoch, &batch) {
+                        Ok((summary, next)) => {
+                            assert_eq!(dynamic.apply_updates(&batch), Ok(summary), "{what}");
+                            hit[4] += (block && summary.vertices_added > 0) as u64;
+                            let touched = batch
+                                .compile(reference.num_vertices() as u64)
+                                .unwrap()
+                                .touched_including_added();
+                            reference = next;
+                            if serial {
+                                parts.resize(reference.num_vertices(), UNASSIGNED);
+                                let warm = if method == Method::Pulp {
+                                    let warm = Some((&parts[..], Some(&touched[..])));
+                                    try_pulp_run(&reference, &params, warm).unwrap().parts
+                                } else {
+                                    let partitioner = method.build_warm(1).unwrap();
+                                    partitioner
+                                        .try_partition_from(&reference, &params, &parts)
+                                        .unwrap()
+                                };
+                                parts = dynamic.repartition().unwrap().report.parts;
+                                assert_eq!(parts, warm, "{what}: warm");
+                            }
+                        }
+                        Err(error) => {
+                            assert_eq!(dynamic.apply_updates(&batch), Err(error), "{what}");
+                            assert_eq!(dynamic.epoch(), epoch, "{what}");
+                        }
+                    }
+                    assert_eq!(dynamic.csr(), reference, "{what}");
+                }
+            }
+        }
+    }
+    assert!(
+        hit.iter().all(|&h| h > 0),
+        "the generator missed a situation: {hit:?}"
+    );
+}
+
 /// The warm-vs-cold leg of the oracle harness: chains of six deltas (growth, a hub burst
 /// and an empty delta among them) over four planted communities, the partition carried
 /// forward warm from epoch to epoch and a cold run on the same graph beside it. Cold
@@ -521,7 +679,8 @@ fn warm_chains_stay_inside_the_cold_quality_envelope() {
                 edges.extend(delta.insert_arcs().iter().filter(|(u, v)| u < v));
                 let inserted = (edges.len() - edges_before) as u64;
                 csr = csr.apply_delta(&delta);
-                let seed = seed_from_previous(&previous.parts, &delta);
+                let mut seed = previous.parts.clone();
+                seed.resize(n as usize, UNASSIGNED);
                 let touched = delta.touched_including_added();
                 let source = GraphSource::Csr(&csr, &dist);
                 let warm = Some((&seed[..], Some(&touched[..])));

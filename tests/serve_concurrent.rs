@@ -10,7 +10,6 @@ use xtrapulp::PartitionParams;
 use xtrapulp_api::{
     BatchPolicy, IngestError, Method, PartitionJob, ServeConfig, ServingSession, UpdateBatch,
 };
-use xtrapulp_dynamic::DynamicGraph;
 use xtrapulp_gen::{generate_stream, GraphConfig, GraphKind, StreamKind, UpdateStreamConfig};
 use xtrapulp_graph::io::write_update_log;
 use xtrapulp_graph::Csr;
@@ -299,10 +298,11 @@ fn ulog_replay_drives_the_serve_pipeline_end_to_end() {
     assert!(stats.warm_epochs >= 1, "replay epochs run warm-started");
 
     // Reference: the same stream applied directly through the dynamic subsystem.
-    let mut reference = DynamicGraph::new(base.to_csr());
+    let mut reference = base.to_csr();
     for i in 0..stream.batches.len() {
         let batch = UpdateBatch::from_ops(stream.batch_ops(i));
-        reference.apply(&batch).unwrap();
+        let delta = batch.compile(reference.num_vertices() as u64).unwrap();
+        reference = reference.apply_delta(&delta);
     }
     assert_eq!(session.graph().num_vertices(), reference.num_vertices());
     assert_eq!(session.graph().num_edges(), reference.num_edges());
