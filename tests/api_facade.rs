@@ -221,3 +221,126 @@ fn sessions_pipeline_partition_and_analytics_on_the_same_ranks() {
     });
     assert!(degree_sums.iter().all(|&s| s == 2 * csr.num_edges()));
 }
+
+/// FNV-1a over a part vector's little-endian bytes, as in `tests/partition_golden.rs`.
+fn fnv1a(parts: &[i32]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &p in parts {
+        for b in p.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// What one method is pinned on for one graph: the cold `Session::submit` partition on
+/// 2 ranks (FNV-1a, edge cut), then the second `DynamicSession::repartition` after one
+/// seeded churn batch (warm for the methods that support it, cold for the others).
+type MethodRow = [u64; 4];
+
+fn method_table() -> Vec<(String, MethodRow)> {
+    let graphs = [
+        (
+            "rmat10",
+            GraphConfig::new(
+                GraphKind::Rmat {
+                    scale: 10,
+                    edge_factor: 8,
+                },
+                42,
+            )
+            .generate(),
+        ),
+        (
+            "mesh32",
+            GraphConfig::new(
+                GraphKind::Grid2d {
+                    width: 32,
+                    height: 32,
+                    diagonal: false,
+                },
+                42,
+            )
+            .generate(),
+        ),
+    ];
+    let mut rows = Vec::new();
+    for (name, base) in &graphs {
+        let csr = base.to_csr();
+        let stream = xtrapulp_gen::updates::generate_stream(
+            base,
+            &xtrapulp_gen::updates::UpdateStreamConfig {
+                kind: xtrapulp_gen::updates::StreamKind::RandomChurn {
+                    ops_per_batch: (csr.num_edges() / 100) as usize,
+                    delete_fraction: 0.5,
+                },
+                num_batches: 1,
+                seed: 31,
+            },
+        );
+        let batch = UpdateBatch::from_ops(stream.batch_ops(0));
+        let mut session = Session::new(2).expect("valid rank count");
+        for method in Method::all() {
+            let job = PartitionJob::new(method).with_params(PartitionParams {
+                num_parts: 8,
+                seed: 5,
+                ..Default::default()
+            });
+            let cold = session.submit(&job, &csr).expect("valid job");
+            let mut dynamic = DynamicSession::spawn(2, csr.clone(), job).expect("valid job");
+            dynamic.repartition().expect("first epoch");
+            dynamic.apply_updates(&batch).expect("valid batch");
+            let second = dynamic.repartition().expect("second epoch").report;
+            rows.push((
+                format!("{name}/{method}"),
+                [
+                    fnv1a(&cold.parts),
+                    cold.quality.edge_cut,
+                    fnv1a(&second.parts),
+                    second.quality.edge_cut,
+                ],
+            ));
+        }
+    }
+    rows
+}
+
+/// Every method's partitions through the facade, cold and after one churn batch, are
+/// pinned: the serial and multilevel methods have no other bit-for-bit oracle.
+#[test]
+fn every_method_matches_its_recorded_partitions() {
+    let measured = method_table();
+    assert_eq!(measured.len(), METHOD_TABLE.len());
+    for ((key, row), (want_key, want)) in measured.iter().zip(METHOD_TABLE) {
+        assert_eq!(key, want_key);
+        assert_eq!(row, want, "{key}");
+    }
+}
+
+#[test]
+#[ignore = "prints the table to paste over METHOD_TABLE after an intentional behaviour change"]
+fn print_method_table() {
+    println!("const METHOD_TABLE: &[(&str, MethodRow)] = &[");
+    for (key, row) in method_table() {
+        println!("    ({key:?}, {row:?}),");
+    }
+    println!("];");
+}
+
+#[rustfmt::skip]
+const METHOD_TABLE: &[(&str, MethodRow)] = &[
+    ("rmat10/XtraPuLP", [10910131161758467792, 4318, 4293693092888539477, 4307]),
+    ("rmat10/PuLP", [9584214184835759381, 4999, 14664872440027515666, 4536]),
+    ("rmat10/Random", [11452233154896633074, 5221, 11452233154896633074, 5223]),
+    ("rmat10/VertexBlock", [8679368175584654117, 4824, 8679368175584654117, 4827]),
+    ("rmat10/EdgeBlock", [8055852713916195729, 5341, 14242899921204661844, 5340]),
+    ("rmat10/MetisLike", [6307023095250074773, 4163, 16928041263075821959, 4166]),
+    ("rmat10/LpCoarsenKway", [15648321103527398279, 4026, 9536026419302133349, 4019]),
+    ("mesh32/XtraPuLP", [4198028620007977092, 379, 12603192707040590675, 376]),
+    ("mesh32/PuLP", [1591771841691918631, 447, 1591771841691918631, 450]),
+    ("mesh32/Random", [11452233154896633074, 1740, 11452233154896633074, 1729]),
+    ("mesh32/VertexBlock", [8679368175584654117, 224, 8679368175584654117, 224]),
+    ("mesh32/EdgeBlock", [14740342752135385830, 230, 14740342752135385830, 231]),
+    ("mesh32/MetisLike", [11611999363590617921, 155, 4353188374786663943, 157]),
+    ("mesh32/LpCoarsenKway", [7702553927722702053, 211, 16619138848386976976, 212]),
+];
