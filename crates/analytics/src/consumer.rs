@@ -14,12 +14,12 @@
 //! [`AnalyticsSubscriber`] binds a consumer to an
 //! [`EpochStore`](xtrapulp_serve::EpochStore): each [`poll`](AnalyticsSubscriber::poll)
 //! blocks for the next published epoch ([`wait_for_epoch`]), fetches the delta chain
-//! from the store's bounded history ([`deltas_since`]) and feeds the consumer — the
+//! from the store's bounded history ([`deltas_between`]) and feeds the consumer — the
 //! read-side analogue of RFP-style remote fetching, where consumers pull exactly the
 //! state that changed instead of the producer redistributing everything.
 //!
 //! [`wait_for_epoch`]: xtrapulp_serve::EpochStore::wait_for_epoch
-//! [`deltas_since`]: xtrapulp_serve::EpochStore::deltas_since
+//! [`deltas_between`]: xtrapulp_serve::EpochStore::deltas_between
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;

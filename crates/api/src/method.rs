@@ -4,14 +4,11 @@
 //! shared-memory PuLP baseline, the three naive baselines from `xtrapulp`, and the two
 //! multilevel baselines from `xtrapulp-multilevel` — is enumerable here and resolvable
 //! by name. Experiment harnesses and serving code iterate [`Method::all`] or call
-//! [`Method::from_name`] instead of hand-maintaining partitioner lists.
+//! [`Method::from_name`] instead of hand-maintaining partitioner lists, and a
+//! `Session` runs a job by matching on its `Method` and calling that method's function.
 
 use serde::{Deserialize, Serialize};
-use xtrapulp::{
-    EdgeBlockPartitioner, PartitionError, Partitioner, PulpPartitioner, RandomPartitioner,
-    VertexBlockPartitioner, WarmStartPartitioner, XtraPulpPartitioner,
-};
-use xtrapulp_multilevel::{LpCoarsenKwayPartitioner, MetisLikePartitioner};
+use xtrapulp::PartitionError;
 
 /// One of the seven partitioning methods the workspace implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -58,8 +55,7 @@ impl Method {
         ]
     }
 
-    /// Canonical display name, identical to the wrapped partitioner's
-    /// [`Partitioner::name`].
+    /// Canonical display name, as experiment tables and reports print it.
     pub fn name(self) -> &'static str {
         match self {
             Method::XtraPulp => "XtraPuLP",
@@ -101,38 +97,15 @@ impl Method {
         matches!(self, Method::XtraPulp)
     }
 
-    /// True for methods that can be warm-started from a previous part vector (see
-    /// [`WarmStartPartitioner`]); the naive assignments cannot, and repartition from
-    /// scratch every time. Derived from [`Method::build_warm`] so the two can never
-    /// drift apart.
+    /// True for methods that can be warm-started from a previous part vector: the label
+    /// propagation methods take it as their initial labelling, the multilevel methods
+    /// refine it at the finest level. The naive assignments cannot, and repartition from
+    /// scratch every time.
     pub fn supports_warm_start(self) -> bool {
-        self.build_warm(1).is_some()
-    }
-
-    /// Construct the warm-start-capable partitioner implementing this method, or `None`
-    /// for methods without warm-start support.
-    pub fn build_warm(self, nranks: usize) -> Option<Box<dyn WarmStartPartitioner>> {
-        match self {
-            Method::XtraPulp => Some(Box::new(XtraPulpPartitioner::new(nranks))),
-            Method::Pulp => Some(Box::new(PulpPartitioner)),
-            Method::MetisLike => Some(Box::new(MetisLikePartitioner::default())),
-            Method::LpCoarsenKway => Some(Box::new(LpCoarsenKwayPartitioner::default())),
-            Method::Random | Method::VertexBlock | Method::EdgeBlock => None,
-        }
-    }
-
-    /// Construct the partitioner implementing this method. `nranks` is used by
-    /// distributed methods and ignored by the serial ones.
-    pub fn build(self, nranks: usize) -> Box<dyn Partitioner> {
-        match self {
-            Method::XtraPulp => Box::new(XtraPulpPartitioner::new(nranks)),
-            Method::Pulp => Box::new(PulpPartitioner),
-            Method::Random => Box::new(RandomPartitioner),
-            Method::VertexBlock => Box::new(VertexBlockPartitioner),
-            Method::EdgeBlock => Box::new(EdgeBlockPartitioner),
-            Method::MetisLike => Box::new(MetisLikePartitioner::default()),
-            Method::LpCoarsenKway => Box::new(LpCoarsenKwayPartitioner::default()),
-        }
+        matches!(
+            self,
+            Method::XtraPulp | Method::Pulp | Method::MetisLike | Method::LpCoarsenKway
+        )
     }
 }
 
@@ -180,13 +153,6 @@ mod tests {
                 "error message must list '{}': {msg}",
                 method.name()
             );
-        }
-    }
-
-    #[test]
-    fn built_partitioners_report_the_registry_name() {
-        for method in Method::all() {
-            assert_eq!(method.build(2).name(), method.name());
         }
     }
 

@@ -2,6 +2,7 @@
 
 use std::path::Path;
 
+use xtrapulp::baselines::{edge_block_partition, random_partition, vertex_block_partition};
 use xtrapulp::metrics::PartitionQuality;
 use xtrapulp::{
     run_xtrapulp_job, try_pulp_run, GraphSource, JobOutcome, PartitionError, PartitionParams,
@@ -9,6 +10,7 @@ use xtrapulp::{
 };
 use xtrapulp_comm::{CommStatsSnapshot, PhaseTimer, RankCtx, Runtime};
 use xtrapulp_graph::{Csr, DistGraph, Distribution};
+use xtrapulp_multilevel::{lp_coarsen_kway, metis_like};
 
 use crate::method::Method;
 use crate::report::PartitionReport;
@@ -57,8 +59,8 @@ impl PartitionJob {
 /// All request validation happens *before* a job enters the runtime, so a malformed
 /// request returns a typed [`PartitionError`] and leaves the session healthy for the
 /// next job. Results are deterministic: a distributed job is [`run_xtrapulp_job`] on the
-/// session's runtime, byte-identical to a one-shot `XtraPulpPartitioner` run or any other
-/// session, in one process or many, for the same graph, parameters and rank count.
+/// session's runtime, byte-identical to the same call on a fresh [`Runtime`] or to any
+/// other session, in one process or many, for the same graph, parameters and rank count.
 pub struct Session {
     runtime: Runtime,
     distribution: Distribution,
@@ -201,20 +203,38 @@ impl Session {
     }
 
     /// Run `job` on `csr`, cold or — when `warm` carries the previous part vector —
-    /// warm-started, and count it. The distributed method runs [`run_xtrapulp_job`] on
-    /// the session's ranks, distributing `csr` inside the job; serial methods run inline
-    /// on this thread.
+    /// warm-started, and count it. This is the one dispatch on [`Method`]: XtraPuLP runs
+    /// [`run_xtrapulp_job`] on the session's ranks, distributing `csr` inside the job;
+    /// every other method calls its function inline on this thread, and a method
+    /// without warm-start support ignores the seed.
     pub(crate) fn run_job(
         &mut self,
         job: &PartitionJob,
         csr: &Csr,
         warm: Option<PulpWarmStart<'_>>,
     ) -> Result<JobOutcome, PartitionError> {
-        let outcome = if job.method.is_distributed() {
-            let source = GraphSource::Csr(csr, &self.distribution);
-            run_xtrapulp_job(&mut self.runtime, source, &job.params, warm)?
-        } else {
-            run_serial(job.method, csr, &job.params, warm)?
+        let params = &job.params;
+        params.validate()?;
+        let initial = warm.map(|(initial, _)| initial);
+        let (n, k) = (csr.num_vertices() as u64, params.num_parts);
+        let outcome = match job.method {
+            Method::XtraPulp => {
+                let source = GraphSource::Csr(csr, &self.distribution);
+                run_xtrapulp_job(&mut self.runtime, source, params, warm)?
+            }
+            Method::Pulp => run_serial(csr, k, |timings, stats| {
+                let run = try_pulp_run(csr, params, warm)?;
+                *timings = run.timings;
+                *stats = run.stats;
+                Ok(run.parts)
+            })?,
+            Method::MetisLike => run_serial(csr, k, |_, _| metis_like(csr, params, initial))?,
+            Method::LpCoarsenKway => {
+                run_serial(csr, k, |_, _| lp_coarsen_kway(csr, params, initial))?
+            }
+            Method::Random => run_serial(csr, k, |_, _| Ok(random_partition(n, k, params.seed)))?,
+            Method::VertexBlock => run_serial(csr, k, |_, _| Ok(vertex_block_partition(n, k)))?,
+            Method::EdgeBlock => run_serial(csr, k, |_, _| Ok(edge_block_partition(csr, k)))?,
         };
         self.jobs_completed += 1;
         Ok(outcome)
@@ -277,33 +297,21 @@ impl Session {
     }
 }
 
-/// Run a serial method inline, cold or warm-started. PuLP goes through
-/// [`try_pulp_run`] either way, so its real sweep counts and its schedule and sweep
-/// phase timings (the phase names distributed runs use) reach the outcome; the multilevel
-/// and naive methods report 0 sweeps, and a method without warm-start support ignores
-/// the seed.
+/// Run a serial method's `partition` inline and evaluate its parts. `partition` may
+/// hand back the phase timings and sweep counters of its run (PuLP's schedule phases,
+/// under the names distributed runs use); the multilevel and naive methods report none,
+/// and 0 sweeps.
 fn run_serial(
-    method: Method,
     csr: &Csr,
-    params: &PartitionParams,
-    warm: Option<PulpWarmStart<'_>>,
+    num_parts: usize,
+    partition: impl FnOnce(&mut PhaseTimer, &mut SweepStats) -> Result<Vec<i32>, PartitionError>,
 ) -> Result<JobOutcome, PartitionError> {
+    let (mut run_timings, mut stats) = (PhaseTimer::new(), SweepStats::default());
     let mut timings = PhaseTimer::new();
-    let (parts, stats) = if method == Method::Pulp {
-        let run = timings.time("partition", || try_pulp_run(csr, params, warm))?;
-        timings.merge_max(&run.timings);
-        (run.parts, run.stats)
-    } else {
-        let parts = timings.time("partition", || match (method.build_warm(1), warm) {
-            (Some(partitioner), Some((seed, _))) => {
-                partitioner.try_partition_from(csr, params, seed)
-            }
-            _ => method.build(1).try_partition(csr, params),
-        })?;
-        (parts, SweepStats::default())
-    };
+    let parts = timings.time("partition", || partition(&mut run_timings, &mut stats))?;
+    timings.merge_max(&run_timings);
     let quality = timings.time("metrics", || {
-        PartitionQuality::evaluate(csr, &parts, params.num_parts)
+        PartitionQuality::evaluate(csr, &parts, num_parts)
     });
     Ok(JobOutcome {
         parts,

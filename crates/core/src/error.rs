@@ -1,7 +1,7 @@
 //! Typed errors for the partitioning request path.
 //!
-//! Everything reachable from [`Partitioner::try_partition`](crate::Partitioner::try_partition)
-//! reports failures through [`PartitionError`] instead of panicking, so a serving layer
+//! Every partitioning entry point ([`run_xtrapulp_job`](crate::run_xtrapulp_job),
+//! [`try_pulp_run`](crate::try_pulp_run) and the functions they call) reports failures through [`PartitionError`] instead of panicking, so a serving layer
 //! (see `xtrapulp-api`) can reject a malformed request without tearing down the rank
 //! runtime — a panic inside a collective would leave the other ranks deadlocked, exactly
 //! like a crashed MPI task hangs the job.

@@ -39,10 +39,6 @@
 //! methods by name, and every job returns a JSON-able `PartitionReport`. This crate
 //! provides the kernel underneath:
 //!
-//! * [`Partitioner`] — the trait every method implements.
-//!   [`try_partition`](Partitioner::try_partition) is the request-path entry point: it
-//!   validates [`PartitionParams`] and reports failures as typed [`PartitionError`]s
-//!   instead of panicking.
 //! * [`try_xtrapulp_partition`] — the collective kernel over an already-distributed
 //!   graph ([`DistGraph`]), called on every rank; this is what the scaling experiments
 //!   use. [`try_xtrapulp_partition_from_touched`] is its warm-started form.
@@ -53,31 +49,34 @@
 //!   and assembles the global part vector (failing with
 //!   [`PartitionError::IncompleteGather`](error::PartitionError::IncompleteGather) if any
 //!   vertex goes unclaimed) into a [`JobOutcome`]. `xtrapulp-api`'s `Session` and
-//!   `DynamicSession` and the partitioner below are thin callers of it.
-//! * [`XtraPulpPartitioner`] — [`Partitioner`] implementation running that job on a
-//!   throw-away in-process runtime; convenient for quality comparisons.
-//! * [`PulpPartitioner`] — the shared-memory PuLP baseline.
-//! * [`RandomPartitioner`], [`VertexBlockPartitioner`], [`EdgeBlockPartitioner`] — the
-//!   naive baselines.
+//!   `DynamicSession` are thin callers of it; on a fresh runtime it is a one-shot run.
+//! * [`try_pulp_run`] — the shared-memory PuLP baseline, cold or warm-started, with its
+//!   work counters; [`try_pulp_partition`] returns the part vector alone.
+//! * [`baselines`] — the naive random, vertex-block and edge-block assignments.
 //! * [`metrics::PartitionQuality`] — the paper's quality metrics.
 //!
+//! Every partitioning entry point validates its [`PartitionParams`] and reports failures
+//! as typed [`PartitionError`]s instead of panicking.
+//!
 //! ```
-//! use xtrapulp::{PartitionParams, Partitioner, XtraPulpPartitioner};
+//! use xtrapulp::{run_xtrapulp_job, Distribution, GraphSource, PartitionParams};
+//! use xtrapulp_comm::Runtime;
 //! use xtrapulp_gen::{GraphConfig, GraphKind};
 //!
 //! let graph = GraphConfig::new(GraphKind::Rmat { scale: 10, edge_factor: 8 }, 42)
 //!     .generate()
 //!     .to_csr();
 //! let params = PartitionParams::with_parts(8);
-//! let (parts, quality) = XtraPulpPartitioner::new(2)
-//!     .try_partition_with_quality(&graph, &params)
+//! let mut runtime = Runtime::new(2);
+//! let source = GraphSource::Csr(&graph, &Distribution::Block);
+//! let outcome = run_xtrapulp_job(&mut runtime, source, &params, None)
 //!     .expect("valid parameters");
-//! assert_eq!(parts.len(), graph.num_vertices());
-//! assert!(quality.vertex_imbalance < 1.2);
+//! assert_eq!(outcome.parts.len(), graph.num_vertices());
+//! assert!(outcome.quality.vertex_imbalance < 1.2);
 //!
 //! // Malformed requests are typed errors, not panics.
 //! let bad = PartitionParams { num_parts: 0, ..Default::default() };
-//! assert!(XtraPulpPartitioner::new(2).try_partition(&graph, &bad).is_err());
+//! assert!(run_xtrapulp_job(&mut runtime, source, &bad, None).is_err());
 //! ```
 
 pub mod baselines;
@@ -95,14 +94,10 @@ pub use error::PartitionError;
 pub use params::{InitStrategy, PartitionParams};
 pub use partitioner::{
     greedy_seed_unassigned, run_xtrapulp_job, try_xtrapulp_partition,
-    try_xtrapulp_partition_from_touched, validate_warm_start, EdgeBlockPartitioner, GraphSource,
-    JobOutcome, PartitionResult, Partitioner, RandomPartitioner, VertexBlockPartitioner,
-    WarmStartPartitioner, XtraPulpPartitioner,
+    try_xtrapulp_partition_from_touched, validate_warm_start, GraphSource, JobOutcome,
+    PartitionResult,
 };
-pub use pulp::{
-    try_pulp_partition, try_pulp_partition_from, try_pulp_run, PulpPartitioner, PulpRun,
-    PulpWarmStart,
-};
+pub use pulp::{try_pulp_partition, try_pulp_partition_from, try_pulp_run, PulpRun, PulpWarmStart};
 pub use sweep::{StageBreakdown, StageKind, SweepStats, SweepWorkspace};
 
 // Re-exported so downstream crates (analytics, spmv, bench) can name graph types without

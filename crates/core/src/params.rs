@@ -126,10 +126,9 @@ impl PartitionParams {
 
     /// Validate parameter sanity, reporting the first violation as a typed error.
     ///
-    /// This is the request-path guard: every
-    /// [`Partitioner::try_partition`](crate::Partitioner::try_partition)
-    /// implementation calls it before touching the graph or the rank runtime, so
-    /// malformed parameters are rejected with an `Err` instead of a panic.
+    /// This is the request-path guard: every partitioning entry point calls it before
+    /// touching the graph or the rank runtime, so malformed parameters are rejected
+    /// with an `Err` instead of a panic.
     pub fn validate(&self) -> Result<(), PartitionError> {
         if self.num_parts < 1 {
             return Err(PartitionError::InvalidNumParts {

@@ -1,12 +1,11 @@
 //! The distributed XtraPuLP entry points and job (the stage schedule of Algorithm 1 is
-//! `pass::run_schedule`, shared with PuLP) and the serial [`Partitioner`] interface
-//! shared by every partitioning method in the workspace.
+//! `pass::run_schedule`, shared with PuLP), and the warm-start checks and seeding the
+//! serial methods share.
 
 use xtrapulp_comm::{CommStatsSnapshot, PhaseTimer, RankCtx, Runtime};
 use xtrapulp_graph::distribution::splitmix64;
 use xtrapulp_graph::{Csr, DistGraph, Distribution, GlobalId, LocalId, UNASSIGNED};
 
-use crate::baselines;
 use crate::error::PartitionError;
 use crate::exchange::{push_part_updates, refresh_ghost_parts, PartUpdate};
 use crate::metrics::PartitionQuality;
@@ -230,63 +229,8 @@ pub(crate) fn warm_seed(
     Ok(parts)
 }
 
-/// A (serial-facing) graph partitioner: given a whole graph and parameters, produce one
-/// part id per vertex. Implemented by XtraPuLP (which internally runs its rank
-/// runtime), the PuLP baseline, the naive baselines, and the multilevel baselines in
-/// `xtrapulp-multilevel`.
-///
-/// [`try_partition`](Partitioner::try_partition) is the required entry point and must
-/// reject malformed input with a [`PartitionError`] rather than panicking — it is what a
-/// serving layer calls with untrusted request parameters.
-pub trait Partitioner {
-    /// Human-readable method name used in experiment tables.
-    fn name(&self) -> &'static str;
-
-    /// Compute a partition: one part id (in `0..params.num_parts`) per vertex.
-    ///
-    /// Returns `Err` on malformed [`PartitionParams`] (see
-    /// [`PartitionParams::validate`]) or when the method itself fails; never panics on
-    /// bad input.
-    fn try_partition(
-        &self,
-        csr: &Csr,
-        params: &PartitionParams,
-    ) -> Result<Vec<i32>, PartitionError>;
-
-    /// Compute a partition and evaluate its quality.
-    fn try_partition_with_quality(
-        &self,
-        csr: &Csr,
-        params: &PartitionParams,
-    ) -> Result<(Vec<i32>, PartitionQuality), PartitionError> {
-        let parts = self.try_partition(csr, params)?;
-        let quality = PartitionQuality::evaluate(csr, &parts, params.num_parts);
-        Ok((parts, quality))
-    }
-}
-
-/// A partitioner that can be *warm-started* from a previous part vector — the property
-/// that makes incremental repartitioning of mutating graphs cheap. Label-propagation
-/// methods have it natively (the seed is just the initial labelling); multilevel methods
-/// realise it as a refine-only pass over the finest level.
-pub trait WarmStartPartitioner: Partitioner {
-    /// Compute a partition seeded from `initial`, where `initial[v]` is the previous
-    /// part of vertex `v` or [`UNASSIGNED`] (`-1`) for vertices without one (newly added
-    /// vertices after a graph mutation). Unassigned vertices are assigned greedily;
-    /// assigned vertices keep their part unless a short refinement schedule moves them.
-    ///
-    /// Returns `Err` on malformed parameters or a warm-start vector of the wrong length
-    /// or with out-of-range labels; never panics on bad input.
-    fn try_partition_from(
-        &self,
-        csr: &Csr,
-        params: &PartitionParams,
-        initial: &[i32],
-    ) -> Result<Vec<i32>, PartitionError>;
-}
-
 /// Check a warm-start part vector: one entry per vertex, each either [`UNASSIGNED`]
-/// (`-1`) or a valid part id. Shared by every [`WarmStartPartitioner`] implementation.
+/// (`-1`) or a valid part id. Shared by every warm-start-capable method.
 pub fn validate_warm_start(
     n: usize,
     num_parts: usize,
@@ -522,149 +466,26 @@ pub fn run_xtrapulp_job(
     Ok(outcome)
 }
 
-/// The distributed XtraPuLP partitioner, exposed through the serial [`Partitioner`]
-/// interface: [`run_xtrapulp_job`] on a throw-away runtime of `nranks` in-process ranks.
-#[derive(Debug, Clone)]
-pub struct XtraPulpPartitioner {
-    /// Number of ranks (threads standing in for MPI tasks) to run with.
-    pub nranks: usize,
-    /// Vertex ownership function used to distribute the input graph.
-    pub distribution: Distribution,
-}
-
-impl Default for XtraPulpPartitioner {
-    fn default() -> Self {
-        XtraPulpPartitioner::new(4)
-    }
-}
-
-impl XtraPulpPartitioner {
-    /// Create a partitioner running on `nranks` ranks with a block distribution.
-    pub fn new(nranks: usize) -> Self {
-        XtraPulpPartitioner {
-            nranks,
-            distribution: Distribution::Block,
-        }
-    }
-
-    /// Use a different vertex distribution.
-    pub fn with_distribution(mut self, distribution: Distribution) -> Self {
-        self.distribution = distribution;
-        self
-    }
-
-    fn run(
-        &self,
-        csr: &Csr,
-        params: &PartitionParams,
-        warm: Option<PulpWarmStart<'_>>,
-    ) -> Result<Vec<i32>, PartitionError> {
-        params.validate()?;
-        if self.nranks == 0 {
-            return Err(PartitionError::InvalidRanks { got: 0 });
-        }
-        let mut runtime = Runtime::try_new(self.nranks)?;
-        let source = GraphSource::Csr(csr, &self.distribution);
-        run_xtrapulp_job(&mut runtime, source, params, warm).map(|outcome| outcome.parts)
-    }
-}
-
-impl Partitioner for XtraPulpPartitioner {
-    fn name(&self) -> &'static str {
-        "XtraPuLP"
-    }
-
-    fn try_partition(
-        &self,
-        csr: &Csr,
-        params: &PartitionParams,
-    ) -> Result<Vec<i32>, PartitionError> {
-        self.run(csr, params, None)
-    }
-}
-
-impl WarmStartPartitioner for XtraPulpPartitioner {
-    fn try_partition_from(
-        &self,
-        csr: &Csr,
-        params: &PartitionParams,
-        initial: &[i32],
-    ) -> Result<Vec<i32>, PartitionError> {
-        self.run(csr, params, Some((initial, None)))
-    }
-}
-
-/// Uniform random assignment, exposed through the [`Partitioner`] interface.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RandomPartitioner;
-
-impl Partitioner for RandomPartitioner {
-    fn name(&self) -> &'static str {
-        "Random"
-    }
-
-    fn try_partition(
-        &self,
-        csr: &Csr,
-        params: &PartitionParams,
-    ) -> Result<Vec<i32>, PartitionError> {
-        params.validate()?;
-        Ok(baselines::random_partition(
-            csr.num_vertices() as u64,
-            params.num_parts,
-            params.seed,
-        ))
-    }
-}
-
-/// Contiguous vertex blocks, exposed through the [`Partitioner`] interface.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VertexBlockPartitioner;
-
-impl Partitioner for VertexBlockPartitioner {
-    fn name(&self) -> &'static str {
-        "VertexBlock"
-    }
-
-    fn try_partition(
-        &self,
-        csr: &Csr,
-        params: &PartitionParams,
-    ) -> Result<Vec<i32>, PartitionError> {
-        params.validate()?;
-        Ok(baselines::vertex_block_partition(
-            csr.num_vertices() as u64,
-            params.num_parts,
-        ))
-    }
-}
-
-/// Contiguous vertex blocks balanced by edge count, exposed through the [`Partitioner`]
-/// interface.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EdgeBlockPartitioner;
-
-impl Partitioner for EdgeBlockPartitioner {
-    fn name(&self) -> &'static str {
-        "EdgeBlock"
-    }
-
-    fn try_partition(
-        &self,
-        csr: &Csr,
-        params: &PartitionParams,
-    ) -> Result<Vec<i32>, PartitionError> {
-        params.validate()?;
-        Ok(baselines::edge_block_partition(csr, params.num_parts))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines;
     use crate::metrics::is_valid_partition;
-    use xtrapulp_comm::Runtime;
     use xtrapulp_graph::csr_from_edges;
+
+    /// One XtraPuLP job on a fresh runtime of `nranks` in-process ranks, cold or
+    /// warm-started from a global seed vector.
+    fn one_shot(
+        nranks: usize,
+        distribution: &Distribution,
+        csr: &Csr,
+        params: &PartitionParams,
+        warm: Option<&[i32]>,
+    ) -> Result<JobOutcome, PartitionError> {
+        let source = GraphSource::Csr(csr, distribution);
+        let warm = warm.map(|seed| (seed, None));
+        run_xtrapulp_job(&mut Runtime::new(nranks), source, params, warm)
+    }
 
     fn grid_csr(w: u64, h: u64) -> Csr {
         let mut e = Vec::new();
@@ -716,17 +537,15 @@ mod tests {
     }
 
     #[test]
-    fn serial_interface_produces_a_full_partition() {
+    fn one_shot_job_produces_a_full_partition() {
         let csr = grid_csr(16, 16);
         let params = PartitionParams {
             num_parts: 4,
             seed: 3,
             ..Default::default()
         };
-        let partitioner = XtraPulpPartitioner::new(3);
-        let (parts, quality) = partitioner
-            .try_partition_with_quality(&csr, &params)
-            .unwrap();
+        let JobOutcome { parts, quality, .. } =
+            one_shot(3, &Distribution::Block, &csr, &params, None).unwrap();
         assert_eq!(parts.len(), 256);
         assert!(is_valid_partition(&parts, 4));
         assert!(quality.vertex_imbalance <= 1.35);
@@ -740,9 +559,9 @@ mod tests {
             num_parts: 1,
             ..Default::default()
         };
-        let parts = XtraPulpPartitioner::new(1)
-            .try_partition(&csr, &params)
-            .unwrap();
+        let parts = one_shot(1, &Distribution::Block, &csr, &params, None)
+            .unwrap()
+            .parts;
         assert!(parts.iter().all(|&p| p == 0));
     }
 
@@ -767,11 +586,9 @@ mod tests {
                         init,
                         ..Default::default()
                     };
-                    let partitioner =
-                        XtraPulpPartitioner::new(nranks).with_distribution(distribution.clone());
-                    assert!(partitioner.try_partition(&csr, &params).unwrap().is_empty());
-                    let warm = partitioner.try_partition_from(&csr, &params, &[]);
-                    assert!(warm.unwrap().is_empty());
+                    let run = |warm| one_shot(nranks, &distribution, &csr, &params, warm);
+                    assert!(run(None).unwrap().parts.is_empty());
+                    assert!(run(Some(&[])).unwrap().parts.is_empty());
                 }
             }
         }
@@ -780,15 +597,13 @@ mod tests {
     #[test]
     fn baseline_partitioners_are_valid() {
         let csr = grid_csr(10, 10);
-        let params = PartitionParams::with_parts(5);
-        for p in [
-            &RandomPartitioner as &dyn Partitioner,
-            &VertexBlockPartitioner,
-            &EdgeBlockPartitioner,
+        for (name, parts) in [
+            ("Random", baselines::random_partition(100, 5, 0)),
+            ("VertexBlock", baselines::vertex_block_partition(100, 5)),
+            ("EdgeBlock", baselines::edge_block_partition(&csr, 5)),
         ] {
-            let parts = p.try_partition(&csr, &params).unwrap();
-            assert_eq!(parts.len(), 100, "{}", p.name());
-            assert!(is_valid_partition(&parts, 5), "{}", p.name());
+            assert_eq!(parts.len(), 100, "{name}");
+            assert!(is_valid_partition(&parts, 5), "{name}");
         }
     }
 
@@ -800,12 +615,11 @@ mod tests {
             seed: 23,
             ..Default::default()
         };
-        let (_, q_x) = XtraPulpPartitioner::new(2)
-            .try_partition_with_quality(&csr, &params)
-            .unwrap();
-        let (_, q_r) = RandomPartitioner
-            .try_partition_with_quality(&csr, &params)
-            .unwrap();
+        let q_x = one_shot(2, &Distribution::Block, &csr, &params, None)
+            .unwrap()
+            .quality;
+        let random = baselines::random_partition(256, 4, params.seed);
+        let q_r = PartitionQuality::evaluate(&csr, &random, 4);
         assert!(
             q_x.edge_cut < q_r.edge_cut / 2,
             "XtraPuLP cut {} should be far below random cut {}",
@@ -972,18 +786,16 @@ mod tests {
     }
 
     #[test]
-    fn serial_warm_start_interface_matches_collective_path() {
+    fn one_shot_warm_start_produces_a_full_partition() {
         let csr = grid_csr(16, 16);
         let params = PartitionParams {
             num_parts: 4,
             seed: 3,
             ..Default::default()
         };
-        let partitioner = XtraPulpPartitioner::new(2);
-        let cold = partitioner.try_partition(&csr, &params).unwrap();
-        let warm = partitioner
-            .try_partition_from(&csr, &params, &cold)
-            .expect("valid warm start");
+        let run = |warm| one_shot(2, &Distribution::Block, &csr, &params, warm);
+        let cold = run(None).unwrap().parts;
+        let warm = run(Some(&cold)).expect("valid warm start").parts;
         assert_eq!(warm.len(), 256);
         assert!(is_valid_partition(&warm, 4));
     }
@@ -1014,12 +826,7 @@ mod tests {
             seed: 77,
             ..Default::default()
         };
-        let a = XtraPulpPartitioner::new(2)
-            .try_partition(&csr, &params)
-            .unwrap();
-        let b = XtraPulpPartitioner::new(2)
-            .try_partition(&csr, &params)
-            .unwrap();
-        assert_eq!(a, b);
+        let run = || one_shot(2, &Distribution::Block, &csr, &params, None).unwrap();
+        assert_eq!(run().parts, run().parts);
     }
 }

@@ -28,38 +28,9 @@ use xtrapulp_graph::{Csr, GlobalId, UNASSIGNED};
 
 use crate::error::PartitionError;
 use crate::params::{InitStrategy, PartitionParams};
-use crate::partitioner::{validate_warm_start, Partitioner, WarmStartPartitioner};
+use crate::partitioner::validate_warm_start;
 use crate::pass::{run_schedule, Serial};
 use crate::sweep::{SweepStats, SweepWorkspace};
-
-/// The shared-memory PuLP partitioner.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PulpPartitioner;
-
-impl Partitioner for PulpPartitioner {
-    fn name(&self) -> &'static str {
-        "PuLP"
-    }
-
-    fn try_partition(
-        &self,
-        csr: &Csr,
-        params: &PartitionParams,
-    ) -> Result<Vec<i32>, PartitionError> {
-        try_pulp_partition(csr, params)
-    }
-}
-
-impl WarmStartPartitioner for PulpPartitioner {
-    fn try_partition_from(
-        &self,
-        csr: &Csr,
-        params: &PartitionParams,
-        initial: &[i32],
-    ) -> Result<Vec<i32>, PartitionError> {
-        try_pulp_partition_from(csr, params, initial)
-    }
-}
 
 /// Run the PuLP-MM algorithm on an in-memory graph, rejecting malformed parameters with
 /// a typed error.
@@ -193,8 +164,9 @@ pub(crate) fn init(csr: &Csr, params: &PartitionParams) -> Vec<i32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::random_partition;
     use crate::metrics::{is_valid_partition, PartitionQuality};
-    use crate::partitioner::{run_xtrapulp_job, GraphSource, RandomPartitioner};
+    use crate::partitioner::{run_xtrapulp_job, GraphSource};
     use xtrapulp_comm::Runtime;
     use xtrapulp_graph::{csr_from_edges, Distribution};
 
@@ -222,9 +194,8 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
-        let (parts, q) = PulpPartitioner
-            .try_partition_with_quality(&csr, &params)
-            .unwrap();
+        let parts = try_pulp_partition(&csr, &params).unwrap();
+        let q = PartitionQuality::evaluate(&csr, &parts, params.num_parts);
         assert!(is_valid_partition(&parts, 4));
         assert!(
             q.vertex_imbalance <= 1.25,
@@ -246,12 +217,10 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
-        let (_, q_pulp) = PulpPartitioner
-            .try_partition_with_quality(&csr, &params)
-            .unwrap();
-        let (_, q_rand) = RandomPartitioner
-            .try_partition_with_quality(&csr, &params)
-            .unwrap();
+        let pulp = try_pulp_partition(&csr, &params).unwrap();
+        let q_pulp = PartitionQuality::evaluate(&csr, &pulp, 8);
+        let random = random_partition(256, 8, params.seed);
+        let q_rand = PartitionQuality::evaluate(&csr, &random, 8);
         assert!(q_pulp.edge_cut < q_rand.edge_cut / 2);
     }
 
@@ -501,9 +470,8 @@ mod tests {
             seed: 3,
             ..Default::default()
         };
-        let (parts, q) = PulpPartitioner
-            .try_partition_with_quality(&csr, &params)
-            .unwrap();
+        let parts = try_pulp_partition(&csr, &params).unwrap();
+        let q = PartitionQuality::evaluate(&csr, &parts, params.num_parts);
         assert!(is_valid_partition(&parts, 4));
         assert!(q.vertex_imbalance <= 1.25);
     }

@@ -19,8 +19,8 @@
 //! [`Csr::apply_delta`](xtrapulp_graph::Csr::apply_delta) or a rank's slice through
 //! [`DistGraph::apply_delta`](xtrapulp_graph::DistGraph::apply_delta); the previous
 //! epoch's part vector grows over the new vertices with
-//! [`UNASSIGNED`](xtrapulp_graph::UNASSIGNED) entries, ready for any
-//! `WarmStartPartitioner`. The serving layer over this crate is
+//! [`UNASSIGNED`](xtrapulp_graph::UNASSIGNED) entries, ready for any warm-start-capable
+//! method (`xtrapulp_api::Method::supports_warm_start`). The serving layer over this crate is
 //! `xtrapulp_api::DynamicSession` (apply → repartition → report), which validates each
 //! batch against its rank graphs; `xtrapulp_gen::updates` generates realistic
 //! timestamped mutation traces for benches and tests.

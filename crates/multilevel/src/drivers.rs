@@ -1,17 +1,16 @@
 //! The multilevel partitioner drivers.
 //!
-//! * [`MetisLikePartitioner`] — heavy-edge-matching coarsening + greedy-growing initial
+//! * [`metis_like`] — heavy-edge-matching coarsening + greedy-growing initial
 //!   partition + boundary refinement at every level. This is the same algorithmic family
 //!   as ParMETIS, which the paper uses as its traditional-partitioner baseline
 //!   (Table II, Figs. 4 and 6); like ParMETIS it excels on meshes and struggles (or runs
 //!   out of memory) on highly skewed graphs.
-//! * [`LpCoarsenKwayPartitioner`] — size-constrained label-propagation clustering as the
+//! * [`lp_coarsen_kway`] — size-constrained label-propagation clustering as the
 //!   coarsening step, as in the Meyerhenke-Sanders-Schulz partitioner the paper compares
 //!   against in Fig. 6 (single constraint, single objective).
 
 use xtrapulp::{
-    greedy_seed_unassigned, validate_warm_start, PartitionError, PartitionParams, Partitioner,
-    SweepWorkspace, WarmStartPartitioner,
+    greedy_seed_unassigned, validate_warm_start, PartitionError, PartitionParams, SweepWorkspace,
 };
 use xtrapulp_graph::Csr;
 
@@ -34,14 +33,6 @@ fn multilevel_partition(
     scheme: CoarseningScheme,
     refine_sweeps: usize,
 ) -> Vec<i32> {
-    let n = csr.num_vertices();
-    if n == 0 {
-        return Vec::new();
-    }
-    if params.num_parts <= 1 {
-        return vec![0; n];
-    }
-
     let coarsest_target = (params.num_parts * 30).max(200);
     // Every level finer than the coarsest, with the coarsening that contracted it.
     let mut levels: Vec<(WeightedGraph, Coarsening)> = Vec::new();
@@ -128,13 +119,6 @@ fn multilevel_partition_from(
     initial: &[i32],
     refine_sweeps: usize,
 ) -> Vec<i32> {
-    let n = csr.num_vertices();
-    if n == 0 {
-        return Vec::new();
-    }
-    if params.num_parts <= 1 {
-        return vec![0; n];
-    }
     let mut parts = initial.to_vec();
     greedy_seed_unassigned(csr, &mut parts, params.num_parts);
     let graph = WeightedGraph::from_csr(csr);
@@ -160,115 +144,78 @@ fn multilevel_partition_from(
     parts
 }
 
-/// METIS-family multilevel k-way partitioner (the ParMETIS stand-in).
-#[derive(Debug, Clone, Copy)]
-pub struct MetisLikePartitioner {
-    /// Refinement sweeps per level (default 4).
-    pub refine_sweeps: usize,
+/// Refinement sweeps per level of [`metis_like`].
+const METIS_LIKE_REFINE_SWEEPS: usize = 4;
+
+/// Refinement sweeps per level of [`lp_coarsen_kway`]: the original invests more work in
+/// refinement than METIS does, trading time for quality.
+const LP_COARSEN_KWAY_REFINE_SWEEPS: usize = 6;
+
+/// METIS-family multilevel k-way partitioning (the ParMETIS stand-in): a full V-cycle
+/// cold, or with `warm` (one previous part or [`UNASSIGNED`](xtrapulp_graph::UNASSIGNED)
+/// per vertex) the refine-only pass over the finest level.
+///
+/// Returns `Err` on malformed parameters or a malformed warm-start vector; never panics
+/// on bad input.
+pub fn metis_like(
+    csr: &Csr,
+    params: &PartitionParams,
+    warm: Option<&[i32]>,
+) -> Result<Vec<i32>, PartitionError> {
+    run(
+        csr,
+        params,
+        warm,
+        CoarseningScheme::HeavyEdgeMatching,
+        METIS_LIKE_REFINE_SWEEPS,
+    )
 }
 
-impl Default for MetisLikePartitioner {
-    fn default() -> Self {
-        MetisLikePartitioner { refine_sweeps: 4 }
-    }
+/// KaHIP-style multilevel partitioning with size-constrained label-propagation
+/// coarsening (the Meyerhenke et al. stand-in for the Fig. 6 single-objective
+/// comparison), cold or warm-started like [`metis_like`].
+pub fn lp_coarsen_kway(
+    csr: &Csr,
+    params: &PartitionParams,
+    warm: Option<&[i32]>,
+) -> Result<Vec<i32>, PartitionError> {
+    run(
+        csr,
+        params,
+        warm,
+        CoarseningScheme::LabelPropClustering,
+        LP_COARSEN_KWAY_REFINE_SWEEPS,
+    )
 }
 
-impl Partitioner for MetisLikePartitioner {
-    fn name(&self) -> &'static str {
-        "MetisLike"
+/// Validate the request, then run the V-cycle or, warm-started, the finest-level pass;
+/// an empty graph or a single part needs neither.
+fn run(
+    csr: &Csr,
+    params: &PartitionParams,
+    warm: Option<&[i32]>,
+    scheme: CoarseningScheme,
+    refine_sweeps: usize,
+) -> Result<Vec<i32>, PartitionError> {
+    params.validate()?;
+    let n = csr.num_vertices();
+    if let Some(initial) = warm {
+        validate_warm_start(n, params.num_parts, initial)?;
     }
-
-    fn try_partition(
-        &self,
-        csr: &Csr,
-        params: &PartitionParams,
-    ) -> Result<Vec<i32>, PartitionError> {
-        params.validate()?;
-        Ok(multilevel_partition(
-            csr,
-            params,
-            CoarseningScheme::HeavyEdgeMatching,
-            self.refine_sweeps,
-        ))
+    if n == 0 || params.num_parts <= 1 {
+        return Ok(vec![0; n]);
     }
-}
-
-impl WarmStartPartitioner for MetisLikePartitioner {
-    fn try_partition_from(
-        &self,
-        csr: &Csr,
-        params: &PartitionParams,
-        initial: &[i32],
-    ) -> Result<Vec<i32>, PartitionError> {
-        params.validate()?;
-        validate_warm_start(csr.num_vertices(), params.num_parts, initial)?;
-        Ok(multilevel_partition_from(
-            csr,
-            params,
-            initial,
-            self.refine_sweeps,
-        ))
-    }
-}
-
-/// KaHIP-style multilevel partitioner with size-constrained label-propagation coarsening
-/// (the Meyerhenke et al. stand-in for the Fig. 6 single-objective comparison).
-#[derive(Debug, Clone, Copy)]
-pub struct LpCoarsenKwayPartitioner {
-    /// Refinement sweeps per level (default 6; the original invests more work in
-    /// refinement than METIS does, trading time for quality).
-    pub refine_sweeps: usize,
-}
-
-impl Default for LpCoarsenKwayPartitioner {
-    fn default() -> Self {
-        LpCoarsenKwayPartitioner { refine_sweeps: 6 }
-    }
-}
-
-impl Partitioner for LpCoarsenKwayPartitioner {
-    fn name(&self) -> &'static str {
-        "LpCoarsenKway"
-    }
-
-    fn try_partition(
-        &self,
-        csr: &Csr,
-        params: &PartitionParams,
-    ) -> Result<Vec<i32>, PartitionError> {
-        params.validate()?;
-        Ok(multilevel_partition(
-            csr,
-            params,
-            CoarseningScheme::LabelPropClustering,
-            self.refine_sweeps,
-        ))
-    }
-}
-
-impl WarmStartPartitioner for LpCoarsenKwayPartitioner {
-    fn try_partition_from(
-        &self,
-        csr: &Csr,
-        params: &PartitionParams,
-        initial: &[i32],
-    ) -> Result<Vec<i32>, PartitionError> {
-        params.validate()?;
-        validate_warm_start(csr.num_vertices(), params.num_parts, initial)?;
-        Ok(multilevel_partition_from(
-            csr,
-            params,
-            initial,
-            self.refine_sweeps,
-        ))
-    }
+    Ok(match warm {
+        None => multilevel_partition(csr, params, scheme, refine_sweeps),
+        Some(initial) => multilevel_partition_from(csr, params, initial, refine_sweeps),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xtrapulp::metrics::is_valid_partition;
-    use xtrapulp::RandomPartitioner;
+    use xtrapulp::baselines::random_partition;
+    use xtrapulp::metrics::{is_valid_partition, PartitionQuality};
     use xtrapulp_graph::csr_from_edges;
 
     fn grid_csr(w: u64, h: u64) -> Csr {
@@ -295,9 +242,8 @@ mod tests {
             seed: 3,
             ..Default::default()
         };
-        let (parts, q) = MetisLikePartitioner::default()
-            .try_partition_with_quality(&csr, &params)
-            .unwrap();
+        let parts = metis_like(&csr, &params, None).unwrap();
+        let q = PartitionQuality::evaluate(&csr, &parts, 8);
         assert!(is_valid_partition(&parts, 8));
         assert!(
             q.vertex_imbalance <= 1.15,
@@ -317,9 +263,8 @@ mod tests {
             seed: 9,
             ..Default::default()
         };
-        let (parts, q) = LpCoarsenKwayPartitioner::default()
-            .try_partition_with_quality(&csr, &params)
-            .unwrap();
+        let parts = lp_coarsen_kway(&csr, &params, None).unwrap();
+        let q = PartitionQuality::evaluate(&csr, &parts, 4);
         assert!(is_valid_partition(&parts, 4));
         assert!(
             q.vertex_imbalance <= 1.25,
@@ -348,12 +293,10 @@ mod tests {
             seed: 1,
             ..Default::default()
         };
-        let (_, q_ml) = MetisLikePartitioner::default()
-            .try_partition_with_quality(&csr, &params)
-            .unwrap();
-        let (_, q_rand) = RandomPartitioner
-            .try_partition_with_quality(&csr, &params)
-            .unwrap();
+        let multilevel = metis_like(&csr, &params, None).unwrap();
+        let q_ml = PartitionQuality::evaluate(&csr, &multilevel, 8);
+        let random = random_partition(csr.num_vertices() as u64, 8, params.seed);
+        let q_rand = PartitionQuality::evaluate(&csr, &random, 8);
         assert!(q_ml.edge_cut < q_rand.edge_cut);
         assert!(q_ml.vertex_imbalance < 1.2);
     }
@@ -362,19 +305,12 @@ mod tests {
     fn handles_tiny_graphs_and_single_part() {
         let csr = grid_csr(3, 3);
         let params = PartitionParams::with_parts(2);
-        let parts = MetisLikePartitioner::default()
-            .try_partition(&csr, &params)
-            .unwrap();
+        let parts = metis_like(&csr, &params, None).unwrap();
         assert!(is_valid_partition(&parts, 2));
-        let parts = MetisLikePartitioner::default()
-            .try_partition(&csr, &PartitionParams::with_parts(1))
-            .unwrap();
+        let parts = metis_like(&csr, &PartitionParams::with_parts(1), None).unwrap();
         assert!(parts.iter().all(|&p| p == 0));
         let empty = csr_from_edges(0, &[]);
-        assert!(MetisLikePartitioner::default()
-            .try_partition(&empty, &params)
-            .unwrap()
-            .is_empty());
+        assert!(metis_like(&empty, &params, None).unwrap().is_empty());
     }
 
     #[test]
@@ -385,29 +321,31 @@ mod tests {
             seed: 6,
             ..Default::default()
         };
-        for driver in [
-            &MetisLikePartitioner::default() as &dyn WarmStartPartitioner,
-            &LpCoarsenKwayPartitioner::default(),
+        type Driver =
+            fn(&Csr, &PartitionParams, Option<&[i32]>) -> Result<Vec<i32>, PartitionError>;
+        for (name, driver) in [
+            ("MetisLike", metis_like as Driver),
+            ("LpCoarsenKway", lp_coarsen_kway),
         ] {
-            let (cold, cold_q) = driver.try_partition_with_quality(&csr, &params).unwrap();
+            let cold = driver(&csr, &params, None).unwrap();
+            let cold_q = PartitionQuality::evaluate(&csr, &cold, 4);
             // Unassign a small patch (simulating new vertices) and warm-start.
             let mut initial = cold.clone();
             for part in initial.iter_mut().take(12) {
                 *part = xtrapulp_graph::UNASSIGNED;
             }
-            let warm = driver.try_partition_from(&csr, &params, &initial).unwrap();
-            assert!(is_valid_partition(&warm, 4), "{}", driver.name());
-            let warm_q = xtrapulp::metrics::PartitionQuality::evaluate(&csr, &warm, 4);
+            let warm = driver(&csr, &params, Some(&initial)).unwrap();
+            assert!(is_valid_partition(&warm, 4), "{name}");
+            let warm_q = PartitionQuality::evaluate(&csr, &warm, 4);
             assert!(
                 warm_q.edge_cut as f64 <= cold_q.edge_cut as f64 * 1.10,
-                "{}: warm cut {} vs cold {}",
-                driver.name(),
+                "{name}: warm cut {} vs cold {}",
                 warm_q.edge_cut,
                 cold_q.edge_cut
             );
-            assert!(warm_q.vertex_imbalance <= 1.15, "{}", driver.name());
+            assert!(warm_q.vertex_imbalance <= 1.15, "{name}");
             // Bad warm vectors are typed errors.
-            assert!(driver.try_partition_from(&csr, &params, &[0; 3]).is_err());
+            assert!(driver(&csr, &params, Some(&[0; 3])).is_err());
         }
     }
 
@@ -419,20 +357,10 @@ mod tests {
             seed: 42,
             ..Default::default()
         };
-        let a = MetisLikePartitioner::default()
-            .try_partition(&csr, &params)
-            .unwrap();
-        let b = MetisLikePartitioner::default()
-            .try_partition(&csr, &params)
-            .unwrap();
-        assert_eq!(a, b);
-        let c = LpCoarsenKwayPartitioner::default()
-            .try_partition(&csr, &params)
-            .unwrap();
-        let d = LpCoarsenKwayPartitioner::default()
-            .try_partition(&csr, &params)
-            .unwrap();
-        assert_eq!(c, d);
+        let metis = || metis_like(&csr, &params, None).unwrap();
+        assert_eq!(metis(), metis());
+        let lp = || lp_coarsen_kway(&csr, &params, None).unwrap();
+        assert_eq!(lp(), lp());
     }
 
     #[test]
@@ -445,9 +373,7 @@ mod tests {
             seed: 2,
             ..Default::default()
         };
-        let parts = MetisLikePartitioner::default()
-            .try_partition(&csr, &params)
-            .unwrap();
+        let parts = metis_like(&csr, &params, None).unwrap();
         assert!(is_valid_partition(&parts, 4));
     }
 }

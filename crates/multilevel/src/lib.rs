@@ -8,14 +8,15 @@
 //! linked from Rust without the original C/C++ code bases, so this crate implements the
 //! same algorithmic families from scratch:
 //!
-//! * [`MetisLikePartitioner`] — heavy-edge matching coarsening, greedy graph-growing
+//! * [`metis_like`] — heavy-edge matching coarsening, greedy graph-growing
 //!   initial partitioning, and weight-constrained greedy boundary (FM-style) refinement
 //!   at every level.
-//! * [`LpCoarsenKwayPartitioner`] — size-constrained label-propagation clustering as the
+//! * [`lp_coarsen_kway`] — size-constrained label-propagation clustering as the
 //!   coarsening step, matching the design point of the Meyerhenke et al. partitioner.
 //!
-//! Both implement the [`xtrapulp::Partitioner`] trait so experiment harnesses can swap
-//! partitioners freely. They reproduce the qualitative behaviour the paper relies on:
+//! Both are plain functions of a graph, the parameters and an optional warm-start part
+//! vector, dispatched by `xtrapulp-api`'s `Method` registry beside the other methods.
+//! They reproduce the qualitative behaviour the paper relies on:
 //! excellent quality on regular meshes, competitive-but-slower behaviour on small-world
 //! graphs, and much higher memory footprints than the single-level label-propagation
 //! approach (every coarsening level keeps a full copy of the graph).
@@ -26,5 +27,5 @@ pub mod initial;
 pub mod refine;
 pub mod weighted;
 
-pub use drivers::{LpCoarsenKwayPartitioner, MetisLikePartitioner};
+pub use drivers::{lp_coarsen_kway, metis_like};
 pub use weighted::WeightedGraph;

@@ -88,7 +88,7 @@ impl EpochStore {
 
     /// [`new`](EpochStore::new) with an explicit delta-history depth (minimum 1):
     /// how many published epochs a consumer may lag behind and still recover via
-    /// [`deltas_since`](EpochStore::deltas_since).
+    /// [`deltas_between`](EpochStore::deltas_between).
     pub fn with_delta_history(initial: PartitionSnapshot, history: usize) -> Arc<EpochStore> {
         let epoch = initial.epoch;
         Arc::new(EpochStore {
@@ -137,25 +137,13 @@ impl EpochStore {
         self.current().part_of(v)
     }
 
-    /// Every graph delta published after `epoch` (which must be an epoch the caller
-    /// actually held, i.e. one that was published), flattened into application order —
-    /// what an epoch consumer replays against its topology replica to catch up to the
-    /// current epoch. `None` when the consumer lagged beyond the store's bounded delta
-    /// history and the chain back to `epoch` has been evicted; recovery then requires
-    /// a full re-fetch of the graph.
-    pub fn deltas_since(&self, epoch: u64) -> Option<Vec<GraphDelta>> {
-        let log = self.delta_log.read();
-        // The epoch counter is only bumped while the log's write lock is held, so the
-        // pair read here is consistent.
-        let to = self.epoch.load(Ordering::Acquire); // ordering: pairs with the Release publish
-        chain_deltas(&log, epoch, to)
-    }
-
-    /// The delta chain from published epoch `from` up to published epoch `to` —
-    /// [`deltas_since`](EpochStore::deltas_since) with an explicit endpoint, for
-    /// consumers that pinned a snapshot and must not run ahead of it even if newer
-    /// epochs have landed since. `None` when either endpoint is outside the retained
-    /// history or was never published.
+    /// Every graph delta published after epoch `from` up to epoch `to`, flattened into
+    /// application order — what an epoch consumer replays against its topology to catch
+    /// up. Both must be epochs that were published: `to` is the store's
+    /// [`epoch`](EpochStore::epoch) to reach the current one, or the epoch of a snapshot
+    /// the consumer pinned so it does not run ahead of it. `None` when either endpoint
+    /// is outside the retained history or was never published; a consumer that lagged
+    /// beyond the bounded history must then re-fetch the whole graph.
     pub fn deltas_between(&self, from: u64, to: u64) -> Option<Vec<GraphDelta>> {
         let log = self.delta_log.read();
         chain_deltas(&log, from, to)
@@ -292,10 +280,12 @@ mod tests {
     }
 
     #[test]
-    fn deltas_since_replays_the_contiguous_chain() {
+    fn deltas_between_replays_the_contiguous_chain() {
         let delta = |base_n: u64| GraphDelta::new(base_n, 1, &[], &[]);
         let store = EpochStore::with_delta_history(snapshot(0, vec![0, 1], 2), 2);
-        assert_eq!(store.deltas_since(0), Some(vec![]));
+        // Up to the current epoch, as a consumer catching up asks.
+        let since = |from: u64| store.deltas_between(from, store.epoch());
+        assert_eq!(since(0), Some(vec![]));
 
         let mut s1 = snapshot(2, vec![0, 1, 1], 2);
         s1.deltas = vec![delta(2)].into();
@@ -305,20 +295,20 @@ mod tests {
         store.publish(s2);
 
         // From epoch 0: both publishes' deltas, in order.
-        assert_eq!(store.deltas_since(0), Some(vec![delta(2), delta(3)]));
+        assert_eq!(since(0), Some(vec![delta(2), delta(3)]));
         // From the intermediate published epoch: just the tail.
-        assert_eq!(store.deltas_since(2), Some(vec![delta(3)]));
-        assert_eq!(store.deltas_since(5), Some(vec![]));
+        assert_eq!(since(2), Some(vec![delta(3)]));
+        assert_eq!(since(5), Some(vec![]));
         // A never-published epoch cannot anchor the chain.
-        assert!(store.deltas_since(3).is_none());
+        assert!(since(3).is_none());
 
         // A third publish evicts the oldest entry (history = 2): epoch 0 is now
         // unrecoverable, epoch 2 onwards still replays.
         let mut s3 = snapshot(6, vec![0, 1, 1, 0, 1], 2);
         s3.deltas = vec![delta(4)].into();
         store.publish(s3);
-        assert!(store.deltas_since(0).is_none());
-        assert_eq!(store.deltas_since(2), Some(vec![delta(3), delta(4)]));
+        assert!(since(0).is_none());
+        assert_eq!(since(2), Some(vec![delta(3), delta(4)]));
     }
 
     #[test]

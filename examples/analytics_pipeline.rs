@@ -6,7 +6,6 @@
 
 use xtrapulp_suite::analytics::{pagerank, wcc};
 use xtrapulp_suite::core::baselines;
-use xtrapulp_suite::core::Partitioner;
 use xtrapulp_suite::graph::{DistGraph, Distribution};
 use xtrapulp_suite::prelude::*;
 
@@ -25,9 +24,10 @@ fn main() {
 
     // Compute an XtraPuLP partition and a random placement.
     let params = PartitionParams::with_parts(nranks);
-    let xtrapulp_parts = XtraPulpPartitioner::new(nranks)
-        .try_partition(&csr, &params)
-        .expect("valid parameters");
+    let xtrapulp_parts = Session::new(nranks)
+        .and_then(|mut session| session.partition(&csr, &params))
+        .expect("valid parameters")
+        .parts;
     let random_parts = baselines::random_partition(el.num_vertices, nranks, 3);
 
     for (name, parts) in [("XtraPuLP", &xtrapulp_parts), ("Random", &random_parts)] {

@@ -4,7 +4,6 @@
 //! Run with: `cargo run --release --example spmv_layouts`
 
 use xtrapulp_suite::core::baselines;
-use xtrapulp_suite::core::Partitioner;
 use xtrapulp_suite::prelude::*;
 use xtrapulp_suite::spmv::{spmv_1d_with_partition, spmv_2d, Matrix2d};
 
@@ -29,9 +28,10 @@ fn main() {
         ("Random", baselines::random_partition(n, nranks, 3)),
         (
             "XtraPuLP",
-            XtraPulpPartitioner::new(nranks)
-                .try_partition(&csr, &params)
-                .expect("valid parameters"),
+            Session::new(nranks)
+                .and_then(|mut session| session.partition(&csr, &params))
+                .expect("valid parameters")
+                .parts,
         ),
     ];
 

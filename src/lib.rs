@@ -28,10 +28,7 @@ pub use xtrapulp_spmv as spmv;
 
 /// Convenience re-exports used by the examples and integration tests.
 pub mod prelude {
-    pub use xtrapulp::{
-        metrics::PartitionQuality, PartitionError, PartitionParams, Partitioner, PulpPartitioner,
-        WarmStartPartitioner, XtraPulpPartitioner,
-    };
+    pub use xtrapulp::{metrics::PartitionQuality, PartitionError, PartitionParams};
     pub use xtrapulp_api::{
         DynamicReport, DynamicSession, EpochStore, IngestError, Method, PartitionJob,
         PartitionReport, PartitionSnapshot, ServeConfig, ServeStats, ServingSession, Session,

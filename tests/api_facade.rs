@@ -2,7 +2,7 @@
 //! invisible in the results, the method registry must cover every partitioner, and
 //! malformed requests must come back as typed errors without poisoning the session.
 
-use xtrapulp_suite::core::{PartitionError, Partitioner};
+use xtrapulp_suite::core::{run_xtrapulp_job, GraphSource, PartitionError};
 use xtrapulp_suite::prelude::*;
 
 fn test_graph(seed: u64) -> Csr {
@@ -41,11 +41,11 @@ fn session_reuse_matches_one_shot_runs_across_three_jobs() {
         .collect();
     assert_eq!(session.jobs_completed(), 3);
 
-    // ...must produce byte-identical part vectors to fresh one-shot runs.
-    let legacy = XtraPulpPartitioner::new(nranks);
+    // ...must produce byte-identical part vectors to one-shot jobs on fresh runtimes.
     for ((csr, p), from_session) in graphs.iter().zip(&params).zip(&session_results) {
-        let one_shot = legacy.try_partition(csr, p).unwrap();
-        assert_eq!(&one_shot, from_session);
+        let source = GraphSource::Csr(csr, &Distribution::Block);
+        let one_shot = run_xtrapulp_job(&mut Runtime::new(nranks), source, p, None).unwrap();
+        assert_eq!(&one_shot.parts, from_session);
     }
 }
 
@@ -167,38 +167,60 @@ fn malformed_requests_are_errors_and_leave_the_session_healthy() {
 fn try_partition_never_panics_on_malformed_params() {
     let csr = test_graph(17);
     let bad_params = [
-        PartitionParams {
-            num_parts: 0,
-            ..Default::default()
-        },
-        PartitionParams {
-            vertex_imbalance: f64::NAN,
-            ..Default::default()
-        },
-        PartitionParams {
-            edge_imbalance: -1.0,
-            ..Default::default()
-        },
-        PartitionParams {
-            mult_x: -0.1,
-            ..Default::default()
-        },
+        (
+            PartitionParams {
+                num_parts: 0,
+                ..Default::default()
+            },
+            PartitionError::InvalidNumParts { got: 0 },
+        ),
+        (
+            PartitionParams {
+                vertex_imbalance: f64::NAN,
+                ..Default::default()
+            },
+            PartitionError::InvalidImbalance {
+                which: "vertex_imbalance",
+                got: "NaN".to_string(),
+            },
+        ),
+        (
+            PartitionParams {
+                edge_imbalance: -1.0,
+                ..Default::default()
+            },
+            PartitionError::InvalidImbalance {
+                which: "edge_imbalance",
+                got: "-1".to_string(),
+            },
+        ),
+        (
+            PartitionParams {
+                mult_x: -0.1,
+                ..Default::default()
+            },
+            PartitionError::InvalidMultiplier {
+                which: "mult_x",
+                got: "-0.1".to_string(),
+            },
+        ),
     ];
+    let mut session = Session::new(2).expect("valid rank count");
     for method in Method::all() {
-        let partitioner = method.build(2);
-        for params in &bad_params {
-            assert!(
-                partitioner.try_partition(&csr, params).is_err(),
-                "{method} accepted malformed params {params:?}"
+        for (params, error) in &bad_params {
+            let job = PartitionJob::new(method).with_params(*params);
+            assert_eq!(
+                session.submit(&job, &csr).as_ref().err(),
+                Some(error),
+                "{method} on malformed params {params:?}"
             );
         }
     }
+    assert_eq!(session.jobs_completed(), 0);
     // Zero ranks is a typed error on the distributed path, not a silent clamp.
     assert_eq!(
-        XtraPulpPartitioner::new(0)
-            .try_partition(&csr, &PartitionParams::with_parts(4))
-            .unwrap_err(),
-        PartitionError::InvalidRanks { got: 0 }
+        Session::new(0).err(),
+        Some(PartitionError::InvalidRanks { got: 0 })
     );
 }
 

@@ -3,7 +3,7 @@
 //! harnesses and examples do.
 
 use xtrapulp_suite::core::metrics::{is_valid_partition, PartitionQuality};
-use xtrapulp_suite::core::{baselines, Partitioner, PulpPartitioner};
+use xtrapulp_suite::core::{baselines, try_pulp_partition};
 use xtrapulp_suite::graph::{DistGraph, Distribution};
 use xtrapulp_suite::prelude::*;
 use xtrapulp_suite::spmv::{spmv_1d_with_partition, spmv_2d, Matrix2d};
@@ -18,6 +18,12 @@ fn crawl_graph(n: u64) -> xtrapulp_suite::gen::EdgeList {
         77,
     )
     .generate()
+}
+
+/// XtraPuLP's part vector from a fresh `nranks`-rank session.
+fn one_shot(nranks: usize, csr: &Csr, params: &PartitionParams) -> Vec<i32> {
+    let mut session = Session::new(nranks).expect("valid rank count");
+    session.partition(csr, params).expect("valid params").parts
 }
 
 #[test]
@@ -50,16 +56,17 @@ fn every_partitioner_produces_valid_partitions_on_every_graph_class() {
     };
     // The whole registry, every graph class: all seven methods must produce valid
     // partitions through the typed request path.
+    let mut session = Session::new(3).expect("valid rank count");
     for kind in configs {
         let csr = GraphConfig::new(kind, 3).generate().to_csr();
         for method in Method::all() {
-            let partitioner = method.build(3);
-            let (parts, q) = partitioner
-                .try_partition_with_quality(&csr, &params)
+            let job = PartitionJob::new(method).with_params(params);
+            let report = session
+                .submit(&job, &csr)
                 .unwrap_or_else(|e| panic!("{method}: {e}"));
-            assert_eq!(parts.len(), csr.num_vertices(), "{method}");
-            assert!(is_valid_partition(&parts, 8), "{method}");
-            assert!(q.edge_cut_ratio <= 1.0, "{method}");
+            assert_eq!(report.parts.len(), csr.num_vertices(), "{method}");
+            assert!(is_valid_partition(&report.parts, 8), "{method}");
+            assert!(report.quality.edge_cut_ratio <= 1.0, "{method}");
         }
     }
 }
@@ -83,12 +90,9 @@ fn xtrapulp_quality_tracks_the_paper_pattern_across_classes() {
     )
     .generate()
     .to_csr();
-    let (_, q_crawl) = XtraPulpPartitioner::new(4)
-        .try_partition_with_quality(&crawl, &params)
-        .unwrap();
-    let (_, q_rmat) = XtraPulpPartitioner::new(4)
-        .try_partition_with_quality(&rmat, &params)
-        .unwrap();
+    let mut session = Session::new(4).expect("valid rank count");
+    let q_crawl = session.partition(&crawl, &params).unwrap().quality;
+    let q_rmat = session.partition(&rmat, &params).unwrap().quality;
     assert!(
         q_crawl.edge_cut_ratio < 0.4,
         "crawl cut {}",
@@ -125,9 +129,7 @@ fn partition_improves_spmv_communication_over_random() {
     let edges: Vec<(u64, u64)> = csr.edges().collect();
     let nranks = 4;
     let params = PartitionParams::with_parts(nranks);
-    let xtrapulp = XtraPulpPartitioner::new(nranks)
-        .try_partition(&csr, &params)
-        .unwrap();
+    let xtrapulp = one_shot(nranks, &csr, &params);
     let random = baselines::random_partition(n, nranks, 3);
     let comm = |parts: &Vec<i32>| {
         Runtime::new(nranks).execute(|ctx| {
@@ -147,9 +149,7 @@ fn spmv_2d_agrees_with_1d_under_a_partitioned_layout() {
     let edges: Vec<(u64, u64)> = csr.edges().collect();
     let nranks = 4;
     let params = PartitionParams::with_parts(nranks);
-    let parts = XtraPulpPartitioner::new(nranks)
-        .try_partition(&csr, &params)
-        .unwrap();
+    let parts = one_shot(nranks, &csr, &params);
     let out = Runtime::new(nranks).execute(|ctx| {
         let r1 = spmv_1d_with_partition(ctx, n, &edges, &parts, 3)
             .expect("in-process ranks agree on the halo");
@@ -168,9 +168,7 @@ fn analytics_suite_runs_on_a_partitioned_graph() {
     let csr = el.to_csr();
     let nranks = 3;
     let params = PartitionParams::with_parts(nranks);
-    let parts = XtraPulpPartitioner::new(nranks)
-        .try_partition(&csr, &params)
-        .unwrap();
+    let parts = one_shot(nranks, &csr, &params);
     let result = xtrapulp_suite::analytics::run_suite_with_partition(
         nranks,
         el.num_vertices,
@@ -190,7 +188,7 @@ fn quality_metrics_agree_between_serial_and_distributed_evaluation() {
     let el = crawl_graph(1 << 11);
     let csr = el.to_csr();
     let params = PartitionParams::with_parts(8);
-    let parts = PulpPartitioner.try_partition(&csr, &params).unwrap();
+    let parts = try_pulp_partition(&csr, &params).unwrap();
     let serial = PartitionQuality::evaluate(&csr, &parts, 8);
     let out = Runtime::new(3).execute(|ctx| {
         let g = DistGraph::from_shared_edges(ctx, Distribution::Block, el.num_vertices, &el.edges);

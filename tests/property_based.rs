@@ -15,10 +15,11 @@ use xtrapulp_suite::api::UpdateSummary;
 use xtrapulp_suite::core::metrics::{is_valid_partition, PartitionQuality};
 use xtrapulp_suite::core::sweep::refine_budget;
 use xtrapulp_suite::core::{
-    baselines, run_xtrapulp_job, try_pulp_run, GraphSource, Partitioner, PulpPartitioner,
+    baselines, run_xtrapulp_job, try_pulp_partition, try_pulp_run, GraphSource,
 };
 use xtrapulp_suite::dynamic::UpdateBatch;
 use xtrapulp_suite::graph::{csr_from_edges, DistGraph, Distribution, LocalId, UNASSIGNED};
+use xtrapulp_suite::multilevel::metis_like;
 use xtrapulp_suite::prelude::*;
 
 const CASES: u64 = 24;
@@ -71,9 +72,10 @@ fn xtrapulp_partitions_are_always_valid() {
             seed: 11,
             ..Default::default()
         };
-        let parts = XtraPulpPartitioner::new(nranks)
-            .try_partition(&csr, &params)
-            .unwrap();
+        let source = GraphSource::Csr(&csr, &Distribution::Block);
+        let parts = run_xtrapulp_job(&mut Runtime::new(nranks), source, &params, None)
+            .unwrap()
+            .parts;
         assert_eq!(parts.len(), csr.num_vertices(), "case {case}");
         assert!(is_valid_partition(&parts, nparts), "case {case}");
         // Every part's vertex count is accounted for exactly once.
@@ -96,9 +98,8 @@ fn pulp_partitions_are_valid_and_cut_is_bounded() {
             seed: 7,
             ..Default::default()
         };
-        let (parts, q) = PulpPartitioner
-            .try_partition_with_quality(&csr, &params)
-            .unwrap();
+        let parts = try_pulp_partition(&csr, &params).unwrap();
+        let q = PartitionQuality::evaluate(&csr, &parts, nparts);
         assert!(is_valid_partition(&parts, nparts), "case {case}");
         assert!(q.edge_cut <= csr.num_edges(), "case {case}");
         assert!(q.edge_cut_ratio <= 1.0 + 1e-12, "case {case}");
@@ -569,7 +570,11 @@ fn dynamic_sessions_validate_and_assemble_like_a_reference_csr() {
                 let mut parts = Vec::new();
                 if serial {
                     parts = dynamic.repartition().unwrap().report.parts;
-                    let cold = method.build(1).try_partition(&reference, &params).unwrap();
+                    let cold = match method {
+                        Method::Pulp => try_pulp_partition(&reference, &params),
+                        _ => metis_like(&reference, &params, None),
+                    };
+                    let cold = cold.unwrap();
                     assert_eq!(parts, cold, "case {case} dist {d} ranks {nranks}: cold");
                 }
                 for step in 0..10 {
@@ -591,10 +596,7 @@ fn dynamic_sessions_validate_and_assemble_like_a_reference_csr() {
                                     let warm = Some((&parts[..], Some(&touched[..])));
                                     try_pulp_run(&reference, &params, warm).unwrap().parts
                                 } else {
-                                    let partitioner = method.build_warm(1).unwrap();
-                                    partitioner
-                                        .try_partition_from(&reference, &params, &parts)
-                                        .unwrap()
+                                    metis_like(&reference, &params, Some(&parts)).unwrap()
                                 };
                                 parts = dynamic.repartition().unwrap().report.parts;
                                 assert_eq!(parts, warm, "{what}: warm");

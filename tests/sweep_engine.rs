@@ -4,9 +4,7 @@
 //! early exit on already-converged seeds.
 
 use xtrapulp::metrics::{is_valid_partition, PartitionQuality};
-use xtrapulp::{
-    run_xtrapulp_job, try_pulp_run, GraphSource, PartitionParams, Partitioner, XtraPulpPartitioner,
-};
+use xtrapulp::{run_xtrapulp_job, try_pulp_run, GraphSource, PartitionParams};
 use xtrapulp_api::{DynamicSession, Method, PartitionJob, UpdateBatch};
 use xtrapulp_comm::Runtime;
 use xtrapulp_gen::{GraphConfig, GraphKind};
@@ -172,9 +170,7 @@ fn distributed_results_identical_across_thread_counts() {
             sweep_threads: threads,
             ..Default::default()
         };
-        XtraPulpPartitioner::new(2)
-            .try_partition(&csr, &params)
-            .unwrap()
+        cold_quality(&csr, 2, &params).0
     };
     let one = run(1);
     assert_eq!(one, run(2), "1 vs 2 threads");
