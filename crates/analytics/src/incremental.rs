@@ -151,7 +151,7 @@ pub fn pagerank_resume(
     let mut landed = vec![(0.0, 0u8); graph.n_ghost()];
     let mut exchange = |moved: &[_], contrib: &mut [f64], next_active: &mut [bool]| {
         let updates = moved.iter().copied();
-        halo.push(ctx, updates, &mut landed, |slot, _, (fresh, wakes)| {
+        halo.push(ctx, updates, &[], &mut landed, |slot, _, (fresh, wakes)| {
             contrib[n_owned + slot] = fresh;
             if wakes != 0 {
                 for &u in halo.owned_neighbors(slot) {
@@ -279,7 +279,7 @@ fn tighten(
         }
         let (owned, ghosts) = values.split_at_mut(n_owned);
         let updates = lowered.iter().map(|&v| (v, owned[v as usize]));
-        halo.push(ctx, updates, ghosts, |slot, previous, new| {
+        halo.push(ctx, updates, &[], ghosts, |slot, previous, new| {
             for &u in halo.owned_neighbors(slot) {
                 woken[u as usize] |= crossed(previous, new, owned[u as usize]);
             }

@@ -64,17 +64,18 @@ where
 fn exercise_all_collectives(
     ctx: &RankCtx,
 ) -> (
-    u64,              // broadcast
-    Vec<u64>,         // allgather
-    Vec<(u64, i32)>,  // allgatherv
-    Option<Vec<u64>>, // gather at root 0 (None off-root)
-    u64,              // scatter from last rank
-    Vec<u64>,         // alltoall
-    Vec<Vec<u64>>,    // alltoallv
-    Vec<u64>,         // allreduce sum
-    Vec<f64>,         // allreduce max f64
-    u64,              // exscan
-    u64,              // scalar sum
+    u64,                              // broadcast
+    Vec<u64>,                         // allgather
+    Vec<(u64, i32)>,                  // allgatherv
+    Option<Vec<u64>>,                 // gather at root 0 (None off-root)
+    u64,                              // scatter from last rank
+    Vec<u64>,                         // alltoall
+    Vec<Vec<u64>>,                    // alltoallv
+    (Vec<Vec<(u32, i32)>>, Vec<i64>), // alltoallv_sum
+    Vec<u64>,                         // allreduce sum
+    Vec<f64>,                         // allreduce max f64
+    u64,                              // exscan
+    u64,                              // scalar sum
 ) {
     let rank = ctx.rank() as u64;
     let n = ctx.nranks();
@@ -98,14 +99,20 @@ fn exercise_all_collectives(
             .map(|d| (0..d + 1).map(|i| rank * 10_000 + d * 100 + i).collect())
             .collect(),
     );
+    let tallied = ctx.alltoallv_sum(
+        (0..n as u32)
+            .map(|d| (0..d % 3).map(|i| (d * 7 + i, -(rank as i32))).collect())
+            .collect(),
+        &[rank as i64 - 2, 1, i64::MIN / 16],
+    );
     let summed = ctx.allreduce_sum_u64(&[rank, 1, rank * 2]);
     let maxed = ctx.allreduce_max_f64(&[rank as f64 * 1.5, -(rank as f64)]);
     let exscan = ctx.exscan_sum_u64(rank + 1);
     ctx.barrier();
     let scalar = ctx.allreduce_scalar_sum_u64(rank + 5);
     (
-        bcast, allgather, allgatherv, gathered, scattered, alltoall, alltoallv, summed, maxed,
-        exscan, scalar,
+        bcast, allgather, allgatherv, gathered, scattered, alltoall, alltoallv, tallied, summed,
+        maxed, exscan, scalar,
     )
 }
 
@@ -118,6 +125,51 @@ fn every_collective_matches_inproc_at_1_2_and_8_ranks() {
             inproc, tcp,
             "collective results diverged between backends at {nranks} ranks"
         );
+    }
+}
+
+/// Frames and wire bytes one rank sent in one collective, and what it received.
+type Traffic = (u64, u64, Vec<Vec<u64>>);
+
+/// What an `alltoallv` and an `alltoallv_sum` with an empty tally of the same buffers
+/// send on one backend.
+fn empty_tally_traffic(ctx: &RankCtx) -> [Traffic; 2] {
+    let sends = || -> Vec<Vec<u64>> {
+        (0..ctx.nranks() as u64)
+            .map(|d| (0..(ctx.rank() as u64 + d) % 4).collect())
+            .collect()
+    };
+    let stats = ctx.stats();
+    let measure = |tallied: bool| {
+        let (frames, wire) = (stats.frames_sent(), stats.wire_bytes_sent());
+        let out = if tallied {
+            let (out, sums) = ctx.alltoallv_sum(sends(), &[]);
+            assert!(sums.is_empty());
+            out
+        } else {
+            ctx.alltoallv(sends())
+        };
+        (
+            stats.frames_sent() - frames,
+            stats.wire_bytes_sent() - wire,
+            out,
+        )
+    };
+    [measure(false), measure(true)]
+}
+
+#[test]
+fn an_empty_tally_sends_exactly_the_frames_of_alltoallv() {
+    for nranks in [1usize, 2, 8] {
+        let inproc = Runtime::new(nranks).execute(empty_tally_traffic);
+        let tcp = run_tcp(nranks, empty_tally_traffic);
+        for per_rank in inproc.iter().chain(&tcp) {
+            assert_eq!(per_rank[0], per_rank[1], "{nranks} ranks");
+        }
+        let results = |runs: &[[Traffic; 2]]| -> Vec<Vec<Vec<u64>>> {
+            runs.iter().map(|r| r[0].2.clone()).collect()
+        };
+        assert_eq!(results(&inproc), results(&tcp), "{nranks} ranks");
     }
 }
 

@@ -34,6 +34,7 @@ use xtrapulp_obs::{FlightKind, Histogram};
 
 use crate::error::CommError;
 use crate::stats::{CollectiveKind, CommStats};
+use crate::transport::codec::Tallied;
 use crate::transport::{
     CodecError, Frame, InProcFabric, Transport, TransportError, WireElem, WireMessage,
     FRAME_HEADER_BYTES,
@@ -658,6 +659,17 @@ fn est_wire(payload_bytes: usize) -> u64 {
     (payload_bytes + FRAME_HEADER_BYTES) as u64
 }
 
+/// Every rank contributes the same number of elements to a reduction; from a peer that
+/// did not (`lens` in rank order), the collective got a frame it cannot decode, which is
+/// what a codec failure is.
+fn check_contribution_lengths(lens: impl Iterator<Item = usize>, expected: usize, size: usize) {
+    if let Some((peer, len)) = lens.enumerate().find(|&(_, len)| len != expected) {
+        let (expected, got) = (expected * size, len * size);
+        let source = CodecError::BadLength { expected, got };
+        fail(TransportError::Codec { peer, source });
+    }
+}
+
 /// Successful membership recoveries, fleet-wide.
 fn runtime_recoveries_counter() -> &'static obs::registry::Counter {
     static C: OnceLock<obs::registry::Counter> = OnceLock::new();
@@ -1129,6 +1141,52 @@ impl RankCtx {
         out
     }
 
+    /// [`alltoallv`](RankCtx::alltoallv) that also sums `tally` over every rank, in the
+    /// same round: each peer frame carries this rank's tally after its buffer (one
+    /// two-section frame), and the sums are taken in rank order. Returns the received
+    /// buffers and the element-wise sums. Booked as one `Alltoallv` whose payload counts
+    /// the tally once each way, as [`allreduce_with`](RankCtx::allreduce_with) counts its
+    /// contribution. An empty tally sends exactly the frames `alltoallv` sends.
+    pub fn alltoallv_sum<T>(&self, sends: Vec<Vec<T>>, tally: &[i64]) -> (Vec<Vec<T>>, Vec<i64>)
+    where
+        T: WireElem,
+    {
+        if tally.is_empty() {
+            return (self.alltoallv(sends), Vec::new());
+        }
+        assert_eq!(
+            sends.len(),
+            self.nranks,
+            "alltoallv_sum requires one buffer per destination rank"
+        );
+        self.stats.record_collective(CollectiveKind::Alltoallv);
+        let _obs = self.observe(CollectiveKind::Alltoallv);
+        let tally_bytes = tally.len() * i64::SIZE;
+        let sent_elems: usize = sends.iter().map(Vec::len).sum();
+        self.stats
+            .record_send((sent_elems * T::SIZE + tally_bytes) as u64);
+        let frames = sends.into_iter().map(|items| Tallied {
+            items,
+            tally: tally.to_vec(),
+        });
+        let own = self.send_each(CollectiveKind::Alltoallv, frames.collect());
+        let all = self.recv_in_rank_order(CollectiveKind::Alltoallv, own);
+        let lens = all.iter().map(|frame| frame.tally.len());
+        check_contribution_lengths(lens, tally.len(), i64::SIZE);
+        let mut sums = vec![0i64; tally.len()];
+        let mut out = Vec::with_capacity(self.nranks);
+        for frame in all {
+            for (sum, x) in sums.iter_mut().zip(&frame.tally) {
+                *sum += x;
+            }
+            out.push(frame.items);
+        }
+        let recv_elems: usize = out.iter().map(Vec::len).sum();
+        self.stats
+            .record_recv((recv_elems * T::SIZE + tally_bytes) as u64);
+        (out, sums)
+    }
+
     /// Element-wise allreduce with a caller-supplied combine function.
     ///
     /// Every rank supplies a slice of the same length; `combine(acc, contribution)` is
@@ -1144,13 +1202,7 @@ impl RankCtx {
         let own = local.to_vec();
         self.send_to_all(CollectiveKind::Allreduce, &own);
         let all = self.recv_in_rank_order(CollectiveKind::Allreduce, own);
-        // Every rank must contribute the same length; from a peer that did not, this
-        // collective got a frame it cannot decode, which is what a codec failure is.
-        if let Some(peer) = all.iter().position(|c| c.len() != local.len()) {
-            let (expected, got) = (local.len() * T::SIZE, all[peer].len() * T::SIZE);
-            let source = CodecError::BadLength { expected, got };
-            fail(TransportError::Codec { peer, source });
-        }
+        check_contribution_lengths(all.iter().map(Vec::len), local.len(), T::SIZE);
         // A runtime has at least one rank, so the fold never sees an empty list.
         let acc = all
             .into_iter()

@@ -224,6 +224,89 @@ fn allreduce_reports_a_short_contribution_as_a_codec_error_naming_the_rank() {
 }
 
 #[test]
+fn alltoallv_sum_delivers_buffers_and_sums_the_tally_in_one_round() {
+    let out = Runtime::new(3).execute(|ctx| {
+        let r = ctx.rank();
+        let sends: Vec<Vec<(u32, i32)>> =
+            (0..3).map(|d| vec![(r as u32, d as i32); r + d]).collect();
+        let tally = [r as i64 - 1, i64::MAX / 4, -(r as i64) * 7];
+        let before = ctx.stats().snapshot();
+        let (received, sums) = ctx.alltoallv_sum(sends, &tally);
+        let after = ctx.stats().snapshot();
+        (received, sums, before, after)
+    });
+    for (d, (received, sums, before, after)) in out.iter().enumerate() {
+        for (s, buf) in received.iter().enumerate() {
+            assert_eq!(buf, &vec![(s as u32, d as i32); s + d]);
+        }
+        assert_eq!(sums, &vec![0, 3 * (i64::MAX / 4), -21]);
+        // One alltoallv, no allreduce; the tally's 24 bytes count once each way.
+        assert_eq!(after.collectives - before.collectives, 1);
+        assert_eq!(after.alltoallv_calls - before.alltoallv_calls, 1);
+        assert_eq!(after.allreduce_calls, before.allreduce_calls);
+        let sent: usize = (0..3).map(|to| d + to).sum();
+        let got: usize = (0..3).map(|from| from + d).sum();
+        assert_eq!(after.bytes_sent - before.bytes_sent, (sent * 8 + 24) as u64);
+        assert_eq!(
+            after.bytes_received - before.bytes_received,
+            (got * 8 + 24) as u64
+        );
+        // Two peer frames, each carrying the count prefix and the tally.
+        assert_eq!(after.frames_sent - before.frames_sent, 2);
+    }
+}
+
+#[test]
+fn alltoallv_sum_with_an_empty_tally_is_alltoallv() {
+    let out = Runtime::new(4).execute(|ctx| {
+        let sends = |round: u64| -> Vec<Vec<u64>> {
+            (0..4).map(|d| vec![round; (ctx.rank() + d) % 3]).collect()
+        };
+        let s0 = ctx.stats().snapshot();
+        let plain = ctx.alltoallv(sends(1));
+        let s1 = ctx.stats().snapshot();
+        let (tallied, sums) = ctx.alltoallv_sum(sends(1), &[]);
+        let s2 = ctx.stats().snapshot();
+        assert!(sums.is_empty());
+        assert_eq!(plain, tallied);
+        let delta = |a: &crate::CommStatsSnapshot, b: &crate::CommStatsSnapshot| {
+            (
+                b.collectives - a.collectives,
+                b.frames_sent - a.frames_sent,
+                b.wire_bytes_sent - a.wire_bytes_sent,
+                b.bytes_sent - a.bytes_sent,
+            )
+        };
+        assert_eq!(delta(&s0, &s1), delta(&s1, &s2));
+    });
+    assert_eq!(out.len(), 4);
+}
+
+/// A peer whose tally has another length fails `alltoallv_sum` exactly as a short
+/// allreduce contribution does.
+#[test]
+fn alltoallv_sum_reports_a_tally_length_mismatch_as_a_codec_error() {
+    use crate::transport::{CodecError, TransportError};
+    let named = Runtime::new(3).execute(|ctx| {
+        let tally = [5i64; 2];
+        let tally = &tally[..if ctx.rank() == 2 { 1 } else { 2 }];
+        let sends = vec![vec![1u64]; 3];
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ctx.alltoallv_sum(sends, tally)
+        }))
+        .expect_err("mismatched tallies must fail the collective");
+        match failed.downcast::<TransportError>().map(|e| *e) {
+            Ok(TransportError::Codec {
+                peer,
+                source: CodecError::BadLength { expected, got },
+            }) => (peer, expected, got),
+            other => panic!("expected a codec error, got {other:?}"),
+        }
+    });
+    assert_eq!(named, vec![(2, 16, 8), (2, 16, 8), (0, 8, 16)]);
+}
+
+#[test]
 fn exscan_sum_matches_prefix() {
     let out = Runtime::new(5).execute(|ctx| ctx.exscan_sum_u64(ctx.rank() as u64 + 1));
     // contributions are 1,2,3,4,5; exclusive prefix sums are 0,1,3,6,10

@@ -10,9 +10,11 @@
 //!   contributions) is a slice of `WireElem`s.
 //! * [`WireMessage`] — a complete frame payload: either one scalar/tuple
 //!   element (rooted collectives, `allgather`) or a `Vec` of elements
-//!   (`allgatherv`, `alltoallv`, reduce contributions). Decoding validates the
-//!   byte length against the element size, so a truncated or corrupt frame is a
-//!   typed [`CodecError`] instead of a garbage value.
+//!   (`allgatherv`, `alltoallv`, reduce contributions), or a `Tallied` pair
+//!   of sections (`alltoallv_sum`: a `Vec` of elements plus the `i64` tally the
+//!   round also sums). Decoding validates the byte length against the element
+//!   size, so a truncated or corrupt frame is a typed [`CodecError`] instead of
+//!   a garbage value.
 //!
 //! Everything is little-endian on the wire regardless of host order. The
 //! in-process backend never serialises (payloads move as typed boxes);
@@ -39,6 +41,22 @@ pub enum CodecError {
         /// Bytes the frame carried.
         got: usize,
     },
+    /// A sectioned frame ends before its count prefix, or before the section
+    /// that prefix announces.
+    Short {
+        /// Bytes the prefix (or the section it announces) requires.
+        needed: usize,
+        /// Bytes the frame carried.
+        got: usize,
+    },
+    /// A sectioned frame's count prefix announces more bytes than any frame
+    /// can hold.
+    CountOverflow {
+        /// The announced element count.
+        count: u64,
+        /// Fixed element size of the expected type.
+        elem_size: usize,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -54,6 +72,18 @@ impl fmt::Display for CodecError {
                 write!(
                     f,
                     "frame payload of {got} bytes is not a multiple of the {elem_size}-byte element"
+                )
+            }
+            CodecError::Short { needed, got } => {
+                write!(
+                    f,
+                    "frame payload of {got} bytes, its sections need {needed}"
+                )
+            }
+            CodecError::CountOverflow { count, elem_size } => {
+                write!(
+                    f,
+                    "frame announces {count} elements of {elem_size} bytes, past any frame size"
                 )
             }
         }
@@ -250,6 +280,62 @@ impl<E: WireElem> WireMessage for Vec<E> {
     }
 }
 
+/// A frame of two sections: `items`, then the `tally` a collective sums alongside
+/// them. On the wire: the item count as a little-endian `u64`, the items, then the
+/// tally filling the rest of the frame, eight bytes per entry.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Tallied<E> {
+    /// The personalised section.
+    pub(crate) items: Vec<E>,
+    /// The section every peer receives the same length of.
+    pub(crate) tally: Vec<i64>,
+}
+
+/// Bytes of the item count that opens a [`Tallied`] frame.
+const COUNT_BYTES: usize = 8;
+
+impl<E: WireElem> WireMessage for Tallied<E> {
+    fn wire_size(&self) -> usize {
+        COUNT_BYTES + self.items.wire_size() + self.tally.wire_size()
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(self.wire_size());
+        (self.items.len() as u64).put(out);
+        self.items.encode_into(out);
+        self.tally.encode_into(out);
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
+        let got = bytes.len();
+        if got < COUNT_BYTES {
+            return Err(CodecError::Short {
+                needed: COUNT_BYTES,
+                got,
+            });
+        }
+        let count = u64::get(bytes, 0);
+        let overflow = CodecError::CountOverflow {
+            count,
+            elem_size: E::SIZE,
+        };
+        let items_end = usize::try_from(count)
+            .ok()
+            .and_then(|c| c.checked_mul(E::SIZE))
+            .and_then(|b| b.checked_add(COUNT_BYTES))
+            .ok_or(overflow)?;
+        if items_end > got {
+            return Err(CodecError::Short {
+                needed: items_end,
+                got,
+            });
+        }
+        let items = Vec::<E>::decode(&bytes[COUNT_BYTES..items_end])?;
+        let tally = Vec::<i64>::decode(&bytes[items_end..])?;
+        Ok(Tallied { items, tally })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,6 +403,89 @@ mod tests {
         );
         assert!(u32::decode(&[0; 8]).is_err());
         assert!(<(u64, i32)>::decode(&[0; 11]).is_err());
+    }
+
+    #[test]
+    fn tallied_frames_round_trip_including_empty_sections() {
+        let tallied = |items: Vec<(u32, i32)>, tally: Vec<i64>| Tallied { items, tally };
+        round_trip(tallied(Vec::new(), Vec::new()));
+        round_trip(tallied(Vec::new(), vec![-3, i64::MAX]));
+        round_trip(tallied(vec![(7, -1), (u32::MAX, 2)], Vec::new()));
+        round_trip(tallied(vec![(1, 2)], vec![i64::MIN, 0, 5]));
+        round_trip(Tallied {
+            items: vec![1u8, 2, 3],
+            tally: vec![9],
+        });
+        // The count prefix is what separates the sections.
+        let bytes = tallied(vec![(1, 2)], vec![3]).encode();
+        assert_eq!(&bytes[..8], &1u64.to_le_bytes());
+        assert_eq!(bytes.len(), 8 + 8 + 8);
+    }
+
+    #[test]
+    fn hostile_tallied_frames_are_typed_errors() {
+        type Frame = Tallied<(u32, i32)>;
+        let with_count = |count: u64, rest: &[u8]| {
+            let mut bytes = count.to_le_bytes().to_vec();
+            bytes.extend_from_slice(rest);
+            bytes
+        };
+        // A count prefix cut short, down to an empty frame.
+        for len in 0..8 {
+            assert_eq!(
+                Frame::decode(&[0xFF; 8][..len]),
+                Err(CodecError::Short {
+                    needed: 8,
+                    got: len
+                })
+            );
+        }
+        // A count whose byte length does not fit in `usize`.
+        for count in [u64::MAX, u64::MAX / 8 + 1, u64::MAX / 4] {
+            assert_eq!(
+                Frame::decode(&with_count(count, &[0; 16])),
+                Err(CodecError::CountOverflow {
+                    count,
+                    elem_size: 8
+                })
+            );
+        }
+        // A count past the end of the payload.
+        assert_eq!(
+            Frame::decode(&with_count(3, &[0; 16])),
+            Err(CodecError::Short {
+                needed: 32,
+                got: 24
+            })
+        );
+        assert_eq!(
+            Frame::decode(&with_count(1, &[])),
+            Err(CodecError::Short { needed: 16, got: 8 })
+        );
+        // A tally tail that is not whole `i64`s.
+        for tail in 1..8 {
+            assert_eq!(
+                Frame::decode(&with_count(1, &vec![0; 8 + tail])),
+                Err(CodecError::Truncated {
+                    elem_size: 8,
+                    got: tail
+                })
+            );
+        }
+        // Arbitrary bytes never panic.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for len in 0..200 {
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state as u8
+                })
+                .collect();
+            let _ = Frame::decode(&bytes);
+            let _ = Frame::decode(&with_count(len as u64 % 5, &bytes));
+        }
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! whose label actually changed, and reports a rejected slot as
 //! [`PartitionError::CorruptExchange`]. [`refresh_ghost_parts`] is the same exchange over
 //! every owned vertex.
+//!
+//! The paper's iteration closes with `ExchangeUpdates` and then an `AllReduce` of the
+//! part sizes. Here they are one round: the caller's tally (a sweep's part-load changes,
+//! its move count and the frontier it leaves queued) rides in the same frames as the
+//! labels and comes back summed over every rank.
 
 use xtrapulp_comm::RankCtx;
 use xtrapulp_graph::{DistGraph, LocalId};
@@ -27,7 +32,10 @@ pub type PartUpdate = (LocalId, i32);
 /// label actually changed is marked active for the next sweep — the distributed half of
 /// "a vertex is enqueued when it or a neighbour changed part".
 ///
-/// Returns the number of ghost updates received. Must be called collectively.
+/// `tally` is summed over every rank in the same round; `&[]` sends a plain label push.
+///
+/// Returns the number of ghost updates received and the tally's sums. Must be called
+/// collectively (one `Alltoallv`).
 ///
 /// An incoming slot that is not a ghost local id is reported as
 /// [`PartitionError::CorruptExchange`] and never stored; see
@@ -37,14 +45,16 @@ pub fn push_part_updates(
     ctx: &RankCtx,
     graph: &DistGraph,
     updates: &[PartUpdate],
+    tally: &[i64],
     parts: &mut [i32],
     mut frontier: Option<&mut Frontier>,
-) -> Result<u64, PartitionError> {
+) -> Result<(u64, Vec<i64>), PartitionError> {
     let halo = graph.halo();
     let ghost_parts = &mut parts[graph.n_owned()..graph.n_total()];
-    let applied = halo.push(
+    let pushed = halo.push(
         ctx,
         updates.iter().copied(),
+        tally,
         ghost_parts,
         |ghost, previous, new| {
             if previous != new {
@@ -56,7 +66,7 @@ pub fn push_part_updates(
             }
         },
     )?;
-    Ok(applied)
+    Ok(pushed)
 }
 
 /// Synchronise all ghost part labels with their owners' (used after non-incremental
@@ -95,9 +105,12 @@ mod tests {
             // its last one's unchanged label.
             parts[0] = ctx.rank() as i32 + 1;
             let updates: Vec<PartUpdate> = vec![(0, parts[0]), (g.n_owned() as LocalId - 1, 0)];
-            let applied =
-                push_part_updates(ctx, &g, &updates, &mut parts, Some(&mut frontier)).unwrap();
+            let tally = [1, ctx.rank() as i64];
+            let (applied, sums) =
+                push_part_updates(ctx, &g, &updates, &tally, &mut parts, Some(&mut frontier))
+                    .unwrap();
             assert_eq!(applied, 2, "one update from each ring neighbour");
+            assert_eq!(sums, [3, 3], "the tally is summed over the three ranks");
             // Every ghost label must now equal what its owner assigned: the owner's first
             // owned vertex got `owner_rank + 1`, all others stayed 0.
             let mut marked = Vec::new();

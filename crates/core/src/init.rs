@@ -123,7 +123,7 @@ fn bfs_grow_init(
             seed_updates.push((lid, part));
         }
     }
-    push_part_updates(ctx, graph, &seed_updates, &mut parts, None)?;
+    push_part_updates(ctx, graph, &seed_updates, &[], &mut parts, None)?;
 
     let mut rng = SmallRng::seed_from_u64(
         params.seed ^ 0xDEAD_BEEF ^ (rank as u64).wrapping_mul(0x85EB_CA6B),
@@ -157,7 +157,7 @@ fn bfs_grow_init(
             parts[v as usize] = w;
         }
         let local_updates = updates.len() as u64;
-        push_part_updates(ctx, graph, &updates, &mut parts, None)?;
+        push_part_updates(ctx, graph, &updates, &[], &mut parts, None)?;
         let global_updates = ctx.allreduce_scalar_sum_u64(local_updates);
         if global_updates == 0 {
             break;
@@ -174,7 +174,7 @@ fn bfs_grow_init(
             leftover_updates.push((v as LocalId, w));
         }
     }
-    push_part_updates(ctx, graph, &leftover_updates, &mut parts, None)?;
+    push_part_updates(ctx, graph, &leftover_updates, &[], &mut parts, None)?;
     // Ghosts of vertices that were never pushed (e.g. assigned before their neighbourhood
     // was built) are refreshed wholesale to be safe.
     refresh_ghost_parts(ctx, graph, &mut parts)?;

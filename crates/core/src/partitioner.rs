@@ -208,7 +208,7 @@ pub(crate) fn warm_seed(
             parts[v as usize] = w;
             mark_assigned(frontier, v);
         }
-        push_part_updates(ctx, graph, &updates, &mut parts, Some(&mut *frontier))?;
+        push_part_updates(ctx, graph, &updates, &[], &mut parts, Some(&mut *frontier))?;
         if ctx.allreduce_scalar_sum_u64(updates.len() as u64) == 0 {
             break;
         }
@@ -225,7 +225,14 @@ pub(crate) fn warm_seed(
     for &(v, _) in &leftovers {
         mark_assigned(frontier, v);
     }
-    push_part_updates(ctx, graph, &leftovers, &mut parts, Some(&mut *frontier))?;
+    push_part_updates(
+        ctx,
+        graph,
+        &leftovers,
+        &[],
+        &mut parts,
+        Some(&mut *frontier),
+    )?;
     Ok(parts)
 }
 

@@ -28,7 +28,8 @@
 //! part), proposals are thread-parallel with deterministic two-phase chunk application,
 //! and balancing follows the fixed-point perturbation policy (skip while refinement is
 //! active, one churn sweep at a refinement fixed point, the full schedule while the
-//! constraint is unmet).
+//! constraint is unmet). Balance kernels are [`SweepStep`]s: they score, recheck and book
+//! one vertex at a time against the live loads, reading its neighbourhood once.
 //!
 //! | | vertex objective | edge objective |
 //! |---|---|---|
@@ -37,7 +38,7 @@
 //! | refinement caps | `max Sv` | `max Sv`, `max Se`, `max Sc` |
 //! | kernels | [`Refine`]; balance per backend | [`Refine`], [`EdgeBalance`] |
 //! | **serial backend** ([`Serial`]) | [`Live`] loads: every move is booked at once, a move-free sweep is seen locally | same |
-//! | **distributed backend** ([`Dist`]) | [`Stale`] loads: the sizes of the last exchange plus `mult ×` this rank's changes since, and a sweep is two rounds — boundary labels ship with [`push_part_updates`], then one packed `allreduce` folds in all ranks' changes, the move count and the size of the frontier left behind, so nobody asks again whether anything is active; balance also *spills* unreachable vertices of an overweight part | same, without the spill |
+//! | **distributed backend** ([`Dist`]) | [`Stale`] loads: the sizes of the last exchange plus `mult ×` this rank's changes since, and a sweep is one round — boundary labels ship with [`push_part_updates`], and its frames carry every rank's changes, move count and queue length, summed in the same round, so the sizes are current and nobody asks again whether anything is active; balance also *spills* unreachable vertices of an overweight part | same, without the spill |
 //!
 //! The staleness is the distributed subtlety: every rank reassigns vertices using sizes
 //! refreshed only at the end of the sweep, so an underweight part would receive a flood
@@ -63,7 +64,7 @@ use crate::partitioner::{greedy_seed_unassigned, warm_seed};
 use crate::pulp::{init, PulpWarmStart};
 use crate::sweep::{
     refine_budget, Frontier, PartCounters, RefineConvergence, ScoreScratch, StageKind, SweepEngine,
-    SweepStage, SweepWorkspace, BALANCE_CHUNK, NO_MOVE, SWEEP_CHUNK,
+    SweepStage, SweepStep, SweepWorkspace, NO_MOVE,
 };
 
 // The per-part loads the passes track, each named by its block in the packed
@@ -191,7 +192,7 @@ impl Adjacency for DistGraph {
 }
 
 /// Count `v`'s neighbours in its own part `x` and in `target` under the current labels
-/// — the cheap recheck the apply phase runs instead of a full rescoring.
+/// — the cheap recheck a refinement apply runs instead of a full rescoring.
 #[inline]
 fn recount_two<G: Adjacency>(
     graph: &G,
@@ -213,35 +214,52 @@ fn recount_two<G: Adjacency>(
     (s_x, s_t)
 }
 
-/// One engine sweep of `kernel` over `graph`'s owned vertices; returns the moves
-/// applied. Applied moves activate the mover's owned neighbours (ghost re-activation
-/// travels through [`push_part_updates`] on the owning side), and `on_move` observes
-/// each of them.
-#[allow(clippy::too_many_arguments)]
+/// Feed the owned neighbours of `v` to `mark`: what an applied move activates (ghost
+/// re-activation travels through [`push_part_updates`] on the owning side).
+fn owned_neighbors<G: Adjacency>(graph: &G) -> impl Fn(u32, &mut dyn FnMut(u32)) + '_ {
+    let n_owned = graph.n_owned();
+    move |v, mark| {
+        for u in graph.adjacent(v).filter(|&u| u < n_owned) {
+            mark(u as u32);
+        }
+    }
+}
+
+/// One chunked engine sweep of refinement `kernel` over `graph`'s owned vertices;
+/// returns the moves applied. Applied moves activate the mover's owned neighbours, and
+/// `on_move` observes each of them.
 fn sweep<G: Adjacency, K: SweepStage>(
     graph: &G,
     engine: &mut SweepEngine,
     parts: &mut [i32],
     use_frontier: bool,
-    chunk: usize,
     mut kernel: K,
     on_move: impl FnMut(u32, i32),
 ) -> u64 {
     let n_owned = graph.n_owned();
-    let neighbors = |v, mark: &mut dyn FnMut(u32)| {
-        for u in graph.adjacent(v).filter(|&u| u < n_owned) {
-            mark(u as u32);
-        }
-    };
+    let neighbors = owned_neighbors(graph);
     engine.sweep(
         n_owned,
         parts,
         use_frontier,
-        chunk,
         &mut kernel,
         neighbors,
         on_move,
     )
+}
+
+/// One full one-vertex-at-a-time engine sweep of balance `kernel` over `graph`'s owned
+/// vertices (see [`SweepEngine::step_sweep`]); otherwise as [`sweep`].
+fn step_sweep<G: Adjacency, K: SweepStep>(
+    graph: &G,
+    engine: &mut SweepEngine,
+    parts: &mut [i32],
+    mut kernel: K,
+    on_move: impl FnMut(u32, i32),
+) -> u64 {
+    let n_owned = graph.n_owned();
+    let neighbors = owned_neighbors(graph);
+    engine.step_sweep(n_owned, parts, &mut kernel, neighbors, on_move)
 }
 
 /// Fill the first `loads` blocks of `out` (`p` slots each) with `graph`'s share of each
@@ -320,10 +338,14 @@ pub(crate) trait Backend {
         Ok(())
     }
 
-    /// The frontier's queue length summed over everyone sweeping: a global fact, so
-    /// every rank branches on it together. A sweep's closing exchange leaves it with the
-    /// frontier, so a distributed backend communicates only for a job's first query
-    /// (after seeding, before any exchange).
+    /// Whether anyone sweeping has a vertex queued in the frontier: a global fact, so
+    /// every rank branches on it together. A sweep's closing exchange leaves the answer
+    /// with the frontier, so a distributed backend communicates only when nothing is
+    /// known (a warm run's first query, after seeding and before any exchange).
+    fn any_active(&self, frontier: &mut Frontier) -> bool;
+
+    /// The frontier's queue length summed over everyone sweeping. A distributed backend
+    /// communicates unless the frontier holds the exact count.
     fn global_active(&self, frontier: &mut Frontier) -> u64;
 
     /// Fill the first `loads` blocks of `counters.size` with the partition's current
@@ -433,7 +455,11 @@ pub(crate) fn run_schedule<B: Backend>(
                 ws.engine.frontier.mark(lid);
             }
         }
-        _ => ws.engine.frontier.seed_all(n),
+        _ => {
+            // Everyone queues all they sweep: the global count is the vertex count.
+            ws.engine.frontier.seed_all(n);
+            ws.engine.frontier.record_exact(backend.global_size().0);
+        }
     }
     let outer = if balance {
         params.outer_iters
@@ -561,8 +587,7 @@ fn balance_pass<B: Backend>(
     let sweep_cap = if stalled {
         1
     } else if balanced {
-        let active = backend.global_active(&mut ws.engine.frontier);
-        usize::from(active == 0)
+        usize::from(!backend.any_active(&mut ws.engine.frontier))
     } else {
         params.balance_iters
     };
@@ -621,7 +646,7 @@ fn refine_pass<B: Backend>(
     let frontier_only = convergence == RefineConvergence::FrontierOnly;
     // A globally-converged frontier-only pass does no work at all — skip measuring the
     // loads (an O(n + m) scan and, distributed, a collective each) too.
-    if frontier_only && backend.global_active(&mut ws.engine.frontier) == 0 {
+    if frontier_only && !backend.any_active(&mut ws.engine.frontier) {
         return Ok(());
     }
     let targets = targets(backend, params);
@@ -631,6 +656,7 @@ fn refine_pass<B: Backend>(
     // A pass inheriting a large frontier (the previous round did not converge — heavy
     // churn classes) drops it and opens with the polish full sweep: that costs barely
     // more than the frontier sweep it replaces and restores per-round global coverage.
+    // The one test that needs the exact count, not just whether it is zero.
     if !frontier_only
         && backend.global_active(&mut ws.engine.frontier) > backend.global_size().0 / 8
     {
@@ -641,11 +667,10 @@ fn refine_pass<B: Backend>(
         // Polish on an empty frontier: a full sweep verifies the fixed point (part
         // sizes change as vertices move, so a vertex whose neighbourhood never changed
         // can still become movable; the frontier alone cannot see that).
-        let active = backend.global_active(&mut ws.engine.frontier);
-        if active == 0 && frontier_only {
+        let use_frontier = backend.any_active(&mut ws.engine.frontier);
+        if !use_frontier && frontier_only {
             break;
         }
-        let use_frontier = active > 0;
         let bounds = Bounds::of(&ws.counters, objective, targets);
         let moves = match objective {
             Objective::Vertex => {
@@ -718,7 +743,7 @@ fn warm_refine_rounds<B: Backend>(
         Objective::Vertex
     };
     for _ in 0..rounds_cap {
-        if backend.global_active(&mut ws.engine.frontier) == 0 {
+        if !backend.any_active(&mut ws.engine.frontier) {
             break;
         }
         refine_pass(
@@ -979,8 +1004,8 @@ impl<'a, G, L: Loads> EdgeBalance<'a, G, L> {
     }
 }
 
-impl<G: Adjacency, L: Loads> SweepStage for EdgeBalance<'_, G, L> {
-    fn propose(&self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32 {
+impl<G: Adjacency, L: Loads> SweepStep for EdgeBalance<'_, G, L> {
+    fn step(&mut self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32 {
         let x = parts[v as usize] as usize;
         let deg = self.graph.degree_owned(v) as f64;
         scratch.clear();
@@ -999,27 +1024,16 @@ impl<G: Adjacency, L: Loads> SweepStage for EdgeBalance<'_, G, L> {
                 best = i;
             }
         }
-        if best != x && best_score > 0.0 {
-            best as i32
-        } else {
-            NO_MOVE
+        // Nothing changed since scoring, so the scan's admissibility tests are the
+        // recheck, and the scratch holds the unit neighbour counts the cut load needs.
+        if best == x || best_score <= 0.0 {
+            return NO_MOVE;
         }
-    }
-
-    fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool {
-        let x = parts[v as usize] as usize;
-        let deg = self.graph.degree_owned(v) as f64;
-        if self.full(target, deg) || self.weight(target) <= 0.0 {
-            return false;
-        }
-        let (s_x, s_t) = recount_two(self.graph, v, parts, x, target);
-        if s_t <= 0.0 {
-            return false;
-        }
-        self.loads.shift_all(x, target, deg, s_x, s_t);
+        self.loads
+            .shift_all(x, best, deg, scratch.get(x), scratch.get(best));
         self.refresh(x);
-        self.refresh(target);
-        true
+        self.refresh(best);
+        best as i32
     }
 }
 
@@ -1067,6 +1081,10 @@ impl Backend for Serial<'_> {
         Ok(parts)
     }
 
+    fn any_active(&self, frontier: &mut Frontier) -> bool {
+        frontier.active_len() > 0
+    }
+
     fn global_active(&self, frontier: &mut Frontier) -> u64 {
         frontier.active_len() as u64
     }
@@ -1092,15 +1110,7 @@ impl Backend for Serial<'_> {
             bounds,
         };
         let no_op = |_, _| {};
-        Ok(sweep(
-            graph,
-            engine,
-            parts,
-            use_frontier,
-            SWEEP_CHUNK,
-            kernel,
-            no_op,
-        ))
+        Ok(sweep(graph, engine, parts, use_frontier, kernel, no_op))
     }
 
     fn balance_sweep(
@@ -1119,11 +1129,11 @@ impl Backend for Serial<'_> {
         Ok(match objective {
             Objective::Vertex => {
                 let kernel = SerialVertexBalance { csr, loads, bounds };
-                sweep(csr, engine, parts, false, BALANCE_CHUNK, kernel, no_op)
+                step_sweep(csr, engine, parts, kernel, no_op)
             }
             Objective::Edge => {
                 let kernel = EdgeBalance::new(csr, loads, weight, bounds, bias);
-                sweep(csr, engine, parts, false, BALANCE_CHUNK, kernel, no_op)
+                step_sweep(csr, engine, parts, kernel, no_op)
             }
         })
     }
@@ -1147,8 +1157,8 @@ impl SerialVertexBalance<'_> {
     }
 }
 
-impl SweepStage for SerialVertexBalance<'_> {
-    fn propose(&self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32 {
+impl SweepStep for SerialVertexBalance<'_> {
+    fn step(&mut self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32 {
         let x = parts[v as usize] as usize;
         scratch.clear();
         for u in self.csr.adjacent(v) {
@@ -1166,26 +1176,13 @@ impl SweepStage for SerialVertexBalance<'_> {
                 best = i;
             }
         }
-        if best != x && best_score > 0.0 {
-            best as i32
-        } else {
-            NO_MOVE
+        // Nothing changed since scoring, so the scan's tests are the recheck: `best` is
+        // admissible, attractive (underweight) and holds a neighbour of `v`.
+        if best == x || best_score <= 0.0 {
+            return NO_MOVE;
         }
-    }
-
-    fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool {
-        let x = parts[v as usize] as usize;
-        // Recheck against the live counters: the target must still be admissible and
-        // still attractive (underweight), and v must still have a neighbour there.
-        if self.loads.est(V, target) + 1.0 > self.bounds.max_v || self.weight(target) <= 0.0 {
-            return false;
-        }
-        let (_, s_t) = recount_two(self.csr, v, parts, x, target);
-        if s_t <= 0.0 {
-            return false;
-        }
-        self.loads.shift(V, x, target, 1, 1);
-        true
+        self.loads.shift(V, x, best, 1, 1);
+        best as i32
     }
 }
 
@@ -1195,8 +1192,10 @@ impl SweepStage for SerialVertexBalance<'_> {
 
 /// Distributed XtraPuLP on one rank: the kernels see [`Stale`] loads —
 /// `counters.size` holds the global loads as of the last exchange, `counters.change`
-/// this rank's changes since — and every sweep ends with a boundary-label push and one
-/// allreduce that makes the sizes, and the global size of the frontier, current again.
+/// this rank's changes since — and every sweep ends with one collective round, the
+/// boundary-label push, whose frames also carry this rank's changes, its move count and
+/// its queue length, summed over every rank: the sizes are current again and the
+/// frontier knows whether anyone has a vertex queued.
 pub(crate) struct Dist<'a> {
     ctx: &'a RankCtx,
     graph: &'a DistGraph,
@@ -1226,12 +1225,12 @@ impl<'a> Dist<'a> {
         params.multiplier(self.ctx.nranks(), self.iter_tot)
     }
 
-    /// Close a sweep that tracked the first `loads` loads: push the moved boundary
-    /// labels, then sum every rank's changes into the sizes with one allreduce whose two
-    /// slots after the last tracked block carry the move count and the length of the
-    /// frontier once the push has marked it — the next sweep's global active count,
-    /// left with the frontier — and advance the stage's sweep counter. Returns the moves
-    /// applied globally; the sweep's moves are forgotten.
+    /// Close a sweep that tracked the first `loads` loads in one round: push the moved
+    /// boundary labels with the tally `change[..tracked] ++ [moves, queue length]`
+    /// riding along, fold the summed changes into the sizes, let the frontier record
+    /// what the summed move count and queue length (taken before the push marked it)
+    /// say about it (see [`Frontier::record_exchange`]), and advance the stage's sweep
+    /// counter. Returns the moves applied globally; the sweep's moves are forgotten.
     fn exchange(
         &mut self,
         loads: usize,
@@ -1241,16 +1240,16 @@ impl<'a> Dist<'a> {
         let SweepWorkspace {
             engine, counters, ..
         } = ws;
-        let frontier = Some(&mut engine.frontier);
-        push_part_updates(self.ctx, self.graph, &self.updates, parts, frontier)?;
         let tracked = counters.block(loads).start;
         counters.change[tracked] = self.updates.len() as i64;
-        self.updates.clear();
         counters.change[tracked + 1] = engine.frontier.active_len() as i64;
-        let global = self.ctx.allreduce_sum_i64(&counters.change[..tracked + 2]);
-        engine
-            .frontier
-            .set_global_active(global[tracked + 1] as u64);
+        let tally = &counters.change[..tracked + 2];
+        let frontier = Some(&mut engine.frontier);
+        let (_, global) =
+            push_part_updates(self.ctx, self.graph, &self.updates, tally, parts, frontier)?;
+        self.updates.clear();
+        let (moves, queued) = (global[tracked] as u64, global[tracked + 1] as u64);
+        engine.frontier.record_exchange(queued, moves);
         for (size, delta) in counters.size[..tracked].iter_mut().zip(&global) {
             *size += delta;
         }
@@ -1261,7 +1260,7 @@ impl<'a> Dist<'a> {
             }
         }
         self.iter_tot += 1;
-        Ok(global[tracked] as u64)
+        Ok(moves)
     }
 }
 
@@ -1306,6 +1305,10 @@ impl Backend for Dist<'_> {
         timings.time("rebalance", || final_rebalance(self, parts, params, ws))
     }
 
+    fn any_active(&self, frontier: &mut Frontier) -> bool {
+        frontier.any_active(|local| self.ctx.allreduce_scalar_sum_u64(local))
+    }
+
     fn global_active(&self, frontier: &mut Frontier) -> u64 {
         frontier.global_active(|local| self.ctx.allreduce_scalar_sum_u64(local))
     }
@@ -1338,15 +1341,7 @@ impl Backend for Dist<'_> {
             bounds,
         };
         let collect = |v, part| updates.push((v, part));
-        sweep(
-            graph,
-            engine,
-            parts,
-            use_frontier,
-            SWEEP_CHUNK,
-            kernel,
-            collect,
-        );
+        sweep(graph, engine, parts, use_frontier, kernel, collect);
         self.exchange(if EDGE { 3 } else { 1 }, parts, ws)
     }
 
@@ -1382,11 +1377,11 @@ impl Backend for Dist<'_> {
                     bounds,
                     spill_mult,
                 };
-                sweep(graph, engine, parts, false, BALANCE_CHUNK, kernel, collect);
+                step_sweep(graph, engine, parts, kernel, collect);
             }
             Objective::Edge => {
                 let kernel = EdgeBalance::new(graph, stale, weight, bounds, bias);
-                sweep(graph, engine, parts, false, BALANCE_CHUNK, kernel, collect);
+                step_sweep(graph, engine, parts, kernel, collect);
             }
         }
         self.exchange(objective.loads(), parts, ws)
@@ -1411,14 +1406,15 @@ impl DistVertexBalance<'_> {
     }
 }
 
-impl SweepStage for DistVertexBalance<'_> {
-    fn propose(&self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32 {
+impl SweepStep for DistVertexBalance<'_> {
+    fn step(&mut self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32 {
         let x = parts[v as usize] as usize;
         scratch.clear();
         for u in self.graph.adjacent(v) {
             scratch.add(parts[u] as usize, self.graph.degree_of(u) as f64);
         }
-        // Pick the best-scoring admissible part; ties keep the current part.
+        // Pick the best-scoring admissible part; ties keep the current part. Nothing
+        // changes between scoring and booking, so these tests are the recheck too.
         let mut best_part = x;
         let mut best_score = 0.0f64;
         for &i in scratch.touched() {
@@ -1431,7 +1427,9 @@ impl SweepStage for DistVertexBalance<'_> {
                 best_part = i;
             }
         }
-        if best_part == x || best_score <= 0.0 {
+        let target = if best_part != x && best_score > 0.0 {
+            best_part
+        } else {
             // Spill move: label propagation alone cannot drain a part whose remaining
             // vertices have no neighbours in an underweight part (isolated vertices
             // and deep-interior vertices). If the current part is over the target,
@@ -1441,43 +1439,26 @@ impl SweepStage for DistVertexBalance<'_> {
             // components. Spill moves are invisible to the other ranks until the end
             // of the iteration, and every rank picks the same most-underweight target,
             // so they are charged at the full rank count to avoid collective
-            // overshoot of that one part.
-            if self.stale.est(V, x) > self.bounds.imb_v {
-                let spill_target = (0..self.stale.p)
-                    .min_by(|&a, &b| self.spill_estimate(a).total_cmp(&self.spill_estimate(b)))
-                    .unwrap_or(x);
-                if spill_target != x && self.spill_estimate(spill_target) + 1.0 <= self.bounds.imb_v
-                {
-                    return spill_target as i32;
-                }
+            // overshoot of that one part; like any move, one must fit under the cap.
+            if self.stale.est(V, x) <= self.bounds.imb_v {
+                return NO_MOVE;
             }
-            return NO_MOVE;
-        }
-        best_part as i32
-    }
-
-    fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool {
-        let x = parts[v as usize] as usize;
-        if self.stale.est(V, target) + 1.0 > self.bounds.max_v {
-            return false;
-        }
-        // A proposal is either a weighted label-propagation move (needs an attractive,
-        // still-underweight target with a neighbour in it) or a spill (needs the
-        // current part still over target and the destination under it at the
-        // conservative charge).
-        let (_, s_t) = recount_two(self.graph, v, parts, x, target);
-        let normal = self.weights[target] > 0.0 && s_t > 0.0;
-        if !normal {
-            let over = self.stale.est(V, x) > self.bounds.imb_v;
-            if !(over && self.spill_estimate(target) + 1.0 <= self.bounds.imb_v) {
-                return false;
+            let spill_target = (0..self.stale.p)
+                .min_by(|&a, &b| self.spill_estimate(a).total_cmp(&self.spill_estimate(b)))
+                .unwrap_or(x);
+            if spill_target == x
+                || self.spill_estimate(spill_target) + 1.0 > self.bounds.imb_v
+                || self.stale.est(V, spill_target) + 1.0 > self.bounds.max_v
+            {
+                return NO_MOVE;
             }
-        }
+            spill_target
+        };
         self.stale.shift(V, x, target, 1, 1);
         for i in [x, target] {
             self.weights[i] = headroom(self.bounds.imb_v, self.stale.est(V, i));
         }
-        true
+        target as i32
     }
 }
 
@@ -1601,9 +1582,11 @@ fn final_rebalance(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exchange::refresh_ghost_parts;
     use crate::init::init_partition;
     use crate::metrics::{is_valid_partition, PartitionQuality};
     use crate::params::InitStrategy;
+    use crate::sweep::GlobalActive;
     use xtrapulp_comm::Runtime;
     use xtrapulp_graph::Distribution;
 
@@ -1634,11 +1617,12 @@ mod tests {
         (141, edges)
     }
 
-    /// A workspace with every owned vertex active.
+    /// A workspace with every owned vertex active, as [`run_schedule`] leaves a cold run.
     fn stage_env(graph: &DistGraph, params: &PartitionParams) -> SweepWorkspace {
         let mut ws = SweepWorkspace::new(params.sweep_threads);
         ws.begin_run(graph.n_owned(), params.num_parts);
         ws.engine.frontier.seed_all(graph.n_owned());
+        ws.engine.frontier.record_exact(graph.global_n());
         ws
     }
 
@@ -1822,16 +1806,17 @@ mod tests {
     }
 
     /// The collective budget of the cold schedule, by formula rather than by golden
-    /// number: a sweep is two rounds (the boundary push, the packed allreduce), a pass
-    /// adds one measure, and the only active-count query that communicates is a job's
-    /// first — asked when the first balance pass finds the seed balanced, before any
-    /// exchange has left the count with the frontier.
+    /// number: a sweep is one round (the boundary push, its frames carrying the load
+    /// changes, the move count and the queue length), a pass adds one measure, and the
+    /// only active-count query that communicates is the exact one a polish refinement
+    /// pass asks when it is entered knowing only that some vertex is queued.
     #[test]
-    fn a_sweep_is_two_collectives_and_a_pass_adds_one_measure() {
+    fn a_sweep_is_one_collective_and_a_pass_adds_one_measure() {
         let edges = grid_edges(0, 16, 16);
         let inits = [InitStrategy::BfsGrow, InitStrategy::VertexBlock];
+        let mut entries = (0u64, 0u64);
         for (nranks, init) in [2, 4].into_iter().flat_map(|r| inits.map(|i| (r, i))) {
-            let first_queries = Runtime::new(nranks).execute(|ctx| {
+            let queried = Runtime::new(nranks).execute(|ctx| {
                 let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 256, &edges);
                 let params = PartitionParams {
                     num_parts: 4,
@@ -1841,54 +1826,164 @@ mod tests {
                 };
                 let mut ws = stage_env(&g, &params);
                 let mut parts = init_partition(ctx, &g, &params).unwrap();
-                let target = params.target_max_vertices(g.global_n());
-                let loads = global_part_loads(ctx, &g, &parts, 4, 1);
-                let mut first_query = u64::from(loads.iter().all(|&s| s as f64 <= target));
-                let asked = first_query;
-
                 let mut dist = Dist::new(ctx, &g);
                 let stats = ctx.stats();
-                let (mut sweeps, mut measures) = (0u64, 0u64);
-                let job_start = stats.allreduce_calls();
+                let calls = || {
+                    let (a2a, ar) = (stats.alltoallv_calls(), stats.allreduce_calls());
+                    [stats.collectives(), a2a, ar]
+                };
+                let (mut sweeps, mut measures, mut queries) = (0u64, 0u64, 0u64);
+                let mut unqueried_polish = 0u64;
+                let job_start = calls();
                 for objective in [Objective::Vertex, Objective::Edge] {
                     dist.iter_tot = 0;
                     for pass in 0..2 * params.outer_iters {
-                        let before = (dist.iter_tot, stats.collectives(), stats.allreduce_calls());
-                        if pass % 2 == 0 {
-                            balance_pass(&mut dist, objective, &mut parts, &params, &mut ws)
-                        } else {
+                        let (iter_before, before) = (dist.iter_tot, calls());
+                        let polish = pass % 2 == 1;
+                        let entered = ws.engine.frontier.known();
+                        if polish {
                             refine_pass(&mut dist, objective, &mut parts, &params, &mut ws, POLISH)
+                        } else {
+                            balance_pass(&mut dist, objective, &mut parts, &params, &mut ws)
                         }
                         .unwrap();
-                        let k = (dist.iter_tot - before.0) as u64;
+                        let k = (dist.iter_tot - iter_before) as u64;
+                        let query = u64::from(polish && entered == GlobalActive::Positive);
+                        unqueried_polish += u64::from(polish && query == 0);
+                        let after = calls();
                         let what = format!("{nranks} ranks, {init:?}, {objective:?} pass {pass}");
-                        assert!(stats.collectives() - before.1 <= 2 * k + 2, "{what}");
-                        assert_eq!(
-                            stats.allreduce_calls() - before.2,
-                            k + 1 + first_query,
-                            "{what}"
-                        );
-                        first_query = 0;
+                        assert_eq!(after[1] - before[1], k, "one alltoallv a sweep: {what}");
+                        assert_eq!(after[2] - before[2], 1 + query, "allreduces: {what}");
+                        assert_eq!(after[0] - before[0], k + 1 + query, "collectives: {what}");
                         sweeps += k;
                         measures += 1;
+                        queries += query;
                     }
                 }
                 dist.iter_tot = 0;
                 final_rebalance(&mut dist, &mut parts, &params, &mut ws).unwrap();
                 sweeps += dist.iter_tot as u64;
                 measures += 1;
-                // Between init and the epilogue: one allreduce per sweep, one per pass
-                // that measured, and the first active-count query if it was asked.
-                assert_eq!(
-                    stats.allreduce_calls() - job_start,
-                    sweeps + measures + asked
-                );
-                asked
+                // Between init and the epilogue: one alltoallv per sweep, and one
+                // allreduce per pass that measured and per exact-count query.
+                let end = calls();
+                assert_eq!(end[1] - job_start[1], sweeps);
+                assert_eq!(end[2] - job_start[2], measures + queries);
+                assert_eq!(end[0] - job_start[0], sweeps + measures + queries);
+                (queries, unqueried_polish)
             });
-            // Both regimes are exercised: block seeds are balanced, grown ones are not.
-            let expected = u64::from(init == InitStrategy::VertexBlock);
-            assert_eq!(first_queries, vec![expected; nranks], "{init:?}");
+            assert!(queried.iter().all(|&q| q == queried[0]), "ranks disagree");
+            entries.0 += queried[0].0;
+            entries.1 += queried[0].1;
         }
+        // Both kinds of polish pass entry are exercised: knowing only that the frontier
+        // is non-empty (every grown seed's), and knowing its exact size (a block seed's
+        // first, after a balance pass that found the seeded frontier balanced).
+        assert!(entries.0 > 0 && entries.1 > 0, "{entries:?}");
+    }
+
+    /// An explicit global count of the queue, beside what the frontier records of it:
+    /// an exact record must equal it, a positive one needs it above zero, and the
+    /// state is unknown only where `unknown_ok` (a pass that moves vertices without
+    /// marking them) — so after a sweep a zero count is always recorded as exactly zero.
+    fn check_known(ctx: &RankCtx, ws: &SweepWorkspace, unknown_ok: bool, what: &str) -> bool {
+        let frontier = &ws.engine.frontier;
+        let sum = ctx.allreduce_scalar_sum_u64(frontier.active_len() as u64);
+        match frontier.known() {
+            GlobalActive::Exact(n) => assert_eq!(n, sum, "{what}"),
+            GlobalActive::Positive => assert!(sum > 0, "{what}: positive, counted zero"),
+            GlobalActive::Unknown => assert!(unknown_ok, "{what}: a sweep left it unknown"),
+        }
+        if sum == 0 && !unknown_ok {
+            assert_eq!(frontier.known(), GlobalActive::Exact(0), "{what}");
+        }
+        frontier.known() == GlobalActive::Unknown && sum > 0
+    }
+
+    /// Every sweep's closing exchange records what it learned of the global queue
+    /// length, and the record is checked against an explicit count after every refine
+    /// sweep (frontier and full), vertex and edge balance sweep and final rebalance on
+    /// a grid, a hub graph and a graph of isolated vertices, at 2 and 4 ranks. The
+    /// final rebalance is entered with an empty queue and moves boundary vertices, so
+    /// its exchange sees no queue but some moves while its push marks the neighbours of
+    /// changed ghosts: recording that as zero would be caught.
+    #[test]
+    fn the_frontier_records_the_global_queue_length_truthfully() {
+        let (hub_n, hub) = skewed_edges();
+        // Every other vertex on a ring, every odd one isolated.
+        let sparse: Vec<(u64, u64)> = (0..60).map(|i| (2 * i, (2 * i + 2) % 120)).collect();
+        let graphs = [
+            ("grid", 256, grid_edges(0, 16, 16)),
+            ("hub", hub_n, hub),
+            ("isolated", 120, sparse),
+        ];
+        let mut caught = false;
+        for (name, n, edges) in &graphs {
+            for nranks in [2, 4] {
+                let out = Runtime::new(nranks).execute(|ctx| {
+                    let g = DistGraph::from_shared_edges(ctx, Distribution::Block, *n, edges);
+                    let params = PartitionParams {
+                        num_parts: 4,
+                        seed: 3,
+                        ..Default::default()
+                    };
+                    let targets = targets(&Dist::new(ctx, &g), &params);
+                    let mut ws = stage_env(&g, &params);
+                    let mut parts = init_partition(ctx, &g, &params).unwrap();
+                    let mut dist = Dist::new(ctx, &g);
+                    let what = |call: &str| format!("{name}, {nranks} ranks: {call}");
+                    for round in 0..3 {
+                        for objective in [Objective::Vertex, Objective::Edge] {
+                            dist.measure(&parts, objective.loads(), &mut ws.counters);
+                            let bounds = Bounds::of(&ws.counters, objective, targets);
+                            let bias = (1.0 + round as f64, 1.0);
+                            let ws = &mut ws;
+                            dist.balance_sweep(
+                                objective, &mut parts, &params, ws, bounds, bias, false,
+                            )
+                            .unwrap();
+                            check_known(ctx, ws, false, &what("balance sweep"));
+                            for use_frontier in [true, true, false] {
+                                let bounds = Bounds::of(&ws.counters, objective, targets);
+                                match objective {
+                                    Objective::Vertex => dist.refine_sweep::<false>(
+                                        &mut parts,
+                                        &params,
+                                        ws,
+                                        bounds,
+                                        use_frontier,
+                                    ),
+                                    Objective::Edge => dist.refine_sweep::<true>(
+                                        &mut parts,
+                                        &params,
+                                        ws,
+                                        bounds,
+                                        use_frontier,
+                                    ),
+                                }
+                                .unwrap();
+                                check_known(ctx, ws, false, &what("refine sweep"));
+                            }
+                        }
+                    }
+                    // Overload one part by relabelling a band of the block partition,
+                    // drop the queue, and rebalance.
+                    for (v, part) in parts.iter_mut().enumerate().take(g.n_owned()) {
+                        let gid = g.global_id(v as LocalId);
+                        let band = (*n / 2..*n / 2 + *n / 8).contains(&gid);
+                        *part = if band { 1 } else { (gid * 4 / *n) as i32 };
+                    }
+                    refresh_ghost_parts(ctx, &g, &mut parts).unwrap();
+                    ws.engine.frontier.clear();
+                    dist.iter_tot = 0;
+                    final_rebalance(&mut dist, &mut parts, &params, &mut ws).unwrap();
+                    assert!(dist.iter_tot > 0, "{}", what("the rebalance engaged"));
+                    check_known(ctx, &ws, true, &what("final rebalance"))
+                });
+                caught |= out[0];
+            }
+        }
+        assert!(caught, "no rebalance left an unknown, non-empty queue");
     }
 
     /// Vertex 0 (rank 0, part 0) and vertex 5 (rank 1, part 1) are adjacent and each has

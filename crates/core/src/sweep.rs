@@ -13,13 +13,14 @@
 //!   regions cost nothing, which turns sweep cost from `O(n · sweeps)` into `O(active
 //!   work)` — the property the paper's minutes-for-trillion-edges claim rests on, and
 //!   what lets warm starts touch only the delta neighbourhood.
-//! * **Deterministic intra-rank thread parallelism**: each sweep processes the active
-//!   set in fixed-size chunks ([`SWEEP_CHUNK`]); within a chunk, move *proposals* are
-//!   computed in parallel against the chunk-start state, then *applied* sequentially in
-//!   vertex order with the stage's admissibility recheck. Chunk boundaries depend only
-//!   on the active set (never on the thread count), proposals are pure per-vertex
-//!   functions of the chunk-start state, and application order is fixed — so the result
-//!   is bit-identical for 1, 2 or any number of threads.
+//! * **Deterministic intra-rank thread parallelism**: a refinement sweep
+//!   ([`SweepEngine::sweep`]) processes the active set in fixed-size chunks
+//!   ([`SWEEP_CHUNK`]); within a chunk, move *proposals* are computed in parallel against
+//!   the chunk-start state, then *applied* sequentially in vertex order with the stage's
+//!   admissibility recheck. Chunk boundaries depend only on the active set (never on the
+//!   thread count), proposals are pure per-vertex functions of the chunk-start state, and
+//!   application order is fixed — so the result is bit-identical for 1, 2 or any number
+//!   of threads.
 //!
 //! Scoring itself stays `O(degree)`: the per-part [`ScoreScratch`] clears by bumping an
 //! epoch stamp instead of re-zeroing, and the same stamp tells a part's first touch from
@@ -30,6 +31,10 @@
 //! propose phase sees a consistent snapshot, and the apply phase rechecks each proposal
 //! against the counters as earlier moves in the same chunk land (dropping proposals the
 //! chunk invalidated), so no chunk can overshoot a balance constraint.
+//!
+//! Balance sweeps are the exception: [`SweepEngine::step_sweep`] scores, rechecks and
+//! books one vertex at a time against the live state ([`SweepStep`]), so each move reads
+//! its neighbourhood once.
 //!
 //! There is one sweep strategy. A sweep over all of `0..n` is what a balance sweep is
 //! (any vertex may be drawn to an underweight part) and what verifies a refinement
@@ -42,20 +47,11 @@ use serde::Serialize;
 /// Returned by [`SweepStage::propose`] when the vertex should stay where it is.
 pub const NO_MOVE: i32 = -1;
 
-/// Number of vertices per two-phase chunk for *refinement* sweeps. Fixed (never derived
-/// from the thread count) so that results are independent of parallelism; refinement
-/// decisions are neighbour-local and stale-tolerant, so chunks can be large enough to
-/// amortise the parallel fork.
+/// Number of vertices per two-phase chunk of a [`SweepEngine::sweep`]. Fixed (never
+/// derived from the thread count) so that results are independent of parallelism;
+/// refinement decisions are neighbour-local and stale-tolerant, so chunks can be large
+/// enough to amortise the parallel fork.
 pub const SWEEP_CHUNK: usize = 2048;
-
-/// Number of vertices per two-phase chunk for *balance* sweeps: one, i.e. fused
-/// propose/apply per vertex. Balance attraction weights are reciprocal in the live
-/// part sizes and drift with every move; any batching of proposals measurably degrades
-/// the edge-balance the stage can reach on skewed graphs at scale (hub placement is
-/// decided by the weight feedback loop), so balance sweeps stay sequential and the
-/// parallel fan-out lives in the refinement sweeps, where decisions are neighbour-local
-/// and stale-tolerant.
-pub const BALANCE_CHUNK: usize = 1;
 
 /// How a refinement pass terminates.
 ///
@@ -188,21 +184,37 @@ impl ScoreScratch {
     }
 }
 
+/// What a rank knows, without communicating, about the frontier's queue length summed
+/// over every rank of a distributed job. Ranks agree on it because they sweep, exchange
+/// and clear together.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum GlobalActive {
+    /// Nothing: asking costs a collective.
+    #[default]
+    Unknown,
+    /// Some rank has a vertex queued.
+    Positive,
+    /// Exactly this many vertices are queued.
+    Exact(u64),
+}
+
 /// The active-vertex set: a membership bitset plus a double-buffered queue. `mark`
-/// enqueues for the *next* sweep; [`SweepEngine::sweep`] drains the queue (sorted, so
-/// processing order is canonical) at the start of each sweep.
+/// enqueues for the *next* sweep; a frontier sweep drains the queue (sorted, so
+/// processing order is canonical) at its start.
 #[derive(Debug, Default)]
 pub struct Frontier {
     in_next: Vec<bool>,
     next: Vec<u32>,
     /// Spare buffer reused as the per-sweep active list.
     spare: Vec<u32>,
-    /// [`active_len`](Frontier::active_len) summed over every rank of a distributed
-    /// job, while that is known: a sweep's closing exchange reduces it, and whatever
-    /// changes the queue afterwards forgets it here, where the queue changes. Ranks
-    /// agree on whether it is known because they sweep, exchange and clear together;
-    /// marks made outside a sweep (seeding) come before a job's first exchange.
-    global_active: Option<u64>,
+    /// The queue length summed over every rank of a distributed job, as far as it is
+    /// known: a sweep's closing exchange records it ([`record_exchange`]), an exact query
+    /// or a clear pins it, and whatever changes the queue afterwards forgets it here,
+    /// where the queue changes. Marks made outside a sweep (seeding) come before a job's
+    /// first exchange.
+    ///
+    /// [`record_exchange`]: Frontier::record_exchange
+    global: GlobalActive,
 }
 
 impl Frontier {
@@ -212,7 +224,7 @@ impl Frontier {
         self.in_next.resize(n, false);
         self.next.clear();
         self.spare.clear();
-        self.global_active = None;
+        self.global = GlobalActive::Unknown;
     }
 
     /// Enqueue `v` for the next sweep. Ids at or beyond the owned range (ghost copies)
@@ -223,7 +235,10 @@ impl Frontier {
             if !*flag {
                 *flag = true;
                 self.next.push(v);
-                self.global_active = None;
+                // A mark only adds: a positive count stays positive.
+                if let GlobalActive::Exact(_) = self.global {
+                    self.global = GlobalActive::Unknown;
+                }
             }
         }
     }
@@ -246,17 +261,54 @@ impl Frontier {
         &self.next
     }
 
-    /// The global active count: the recorded one while nothing has changed the queue
-    /// since, otherwise `reduce(active_len())` (a collective), recorded in turn.
-    pub(crate) fn global_active(&mut self, reduce: impl FnOnce(u64) -> u64) -> u64 {
-        *self
-            .global_active
-            .get_or_insert_with(|| reduce(self.next.len() as u64))
+    /// What is known of the global queue length.
+    #[cfg(test)]
+    pub(crate) fn known(&self) -> GlobalActive {
+        self.global
     }
 
-    /// Record the global active count of the queue as it stands.
-    pub(crate) fn set_global_active(&mut self, active: u64) {
-        self.global_active = Some(active);
+    /// The global queue length: the recorded one while nothing has changed the queue
+    /// since, otherwise `reduce(active_len())` (a collective), recorded in turn.
+    pub(crate) fn global_active(&mut self, reduce: impl FnOnce(u64) -> u64) -> u64 {
+        match self.global {
+            GlobalActive::Exact(n) => n,
+            _ => {
+                let n = reduce(self.next.len() as u64);
+                self.global = GlobalActive::Exact(n);
+                n
+            }
+        }
+    }
+
+    /// Whether any rank has a vertex queued: free unless nothing is known, when it is
+    /// [`global_active`](Frontier::global_active)'s query.
+    pub(crate) fn any_active(&mut self, reduce: impl FnOnce(u64) -> u64) -> bool {
+        match self.global {
+            GlobalActive::Positive => true,
+            GlobalActive::Exact(n) => n > 0,
+            GlobalActive::Unknown => self.global_active(reduce) > 0,
+        }
+    }
+
+    /// Record what a closing exchange learned: `queued`, the queue lengths summed over
+    /// every rank *before* the exchange's push, and `moves`, the moves the sweep applied
+    /// globally. A push only adds marks, so a positive `queued` stays positive; and every
+    /// sweep move marks its mover, so with no queue and no moves there were no labels to
+    /// push and nothing is queued after it either. No queue but some moves (a pass that
+    /// moves vertices without marking them) leaves the count unknown: the push may have
+    /// marked the neighbours of changed ghosts.
+    pub(crate) fn record_exchange(&mut self, queued: u64, moves: u64) {
+        self.global = match (queued, moves) {
+            (0, 0) => GlobalActive::Exact(0),
+            (0, _) => GlobalActive::Unknown,
+            _ => GlobalActive::Positive,
+        };
+    }
+
+    /// Record that the queue length summed over every rank is exactly `n` — what every
+    /// rank queueing all its owned vertices together leaves.
+    pub(crate) fn record_exact(&mut self, n: u64) {
+        self.global = GlobalActive::Exact(n);
     }
 
     /// Drop everything queued for the next sweep. Collective on a distributed job: the
@@ -266,7 +318,7 @@ impl Frontier {
             self.in_next[v as usize] = false;
         }
         self.next.clear();
-        self.global_active = Some(0);
+        self.global = GlobalActive::Exact(0);
     }
 
     /// Take the queued vertices as this sweep's sorted active list, leaving the queue
@@ -274,7 +326,7 @@ impl Frontier {
     fn begin_sweep(&mut self) -> Vec<u32> {
         let mut current = std::mem::take(&mut self.next);
         self.next = std::mem::take(&mut self.spare);
-        self.global_active = None;
+        self.global = GlobalActive::Unknown;
         current.sort_unstable();
         for &v in &current {
             self.in_next[v as usize] = false;
@@ -385,7 +437,7 @@ pub struct SweepStats {
 }
 
 /// One label-propagation stage, split into the two phases of the deterministic chunk
-/// protocol.
+/// protocol of [`SweepEngine::sweep`].
 ///
 /// `propose` is called in parallel (the stage must be `Sync`) against an immutable
 /// snapshot of `parts` and the stage's counters; it returns the target part or
@@ -400,6 +452,16 @@ pub trait SweepStage: Sync {
 
     /// Recheck and commit the proposed move of `v` to `target`; `true` if it stands.
     fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool;
+}
+
+/// One stage of [`SweepEngine::step_sweep`]: each vertex is scored, rechecked against
+/// the live loads and booked in one step.
+pub trait SweepStep {
+    /// Score `v`'s neighbourhood into `scratch`, pick a destination part and, if the
+    /// move is admissible, book it in the stage's counters and return the part;
+    /// otherwise return [`NO_MOVE`] having booked nothing. The engine itself writes
+    /// `parts[v]` and maintains the frontier.
+    fn step(&mut self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32;
 }
 
 /// The sweep driver state: frontier, per-thread score scratches, the chunk proposal
@@ -430,7 +492,7 @@ pub struct SweepEngine {
     /// turns this on so that such a pair comes to rest after one round trip and the
     /// frontier drains. Purely local, so no rank needs to hear of it.
     pub settle_swaps: bool,
-    /// Wall-clock nanoseconds spent inside [`SweepEngine::sweep`] per stage
+    /// Wall-clock nanoseconds spent sweeping per stage
     /// (indexed Refine/Balance/Churn). Timing only — never feeds back into any
     /// decision, so determinism is untouched.
     stage_nanos: [u64; 3],
@@ -522,7 +584,8 @@ impl SweepEngine {
         self.stats = SweepStats::default();
     }
 
-    /// Run one sweep of `stage` over the active set.
+    /// Run one sweep of `stage` over the active set, in [`SWEEP_CHUNK`]-vertex chunks
+    /// of parallel proposals and ordered application.
     ///
     /// With `use_frontier`, the active set is the queued frontier (drained, sorted);
     /// otherwise it is all of `0..owned_limit`. Either way every applied move marks the
@@ -532,105 +595,161 @@ impl SweepEngine {
     /// applied move (the distributed stages collect their exchange updates there).
     ///
     /// Returns the number of moves applied.
-    #[allow(clippy::too_many_arguments)]
     pub fn sweep<S: SweepStage>(
         &mut self,
         owned_limit: usize,
         parts: &mut [i32],
         use_frontier: bool,
-        chunk_size: usize,
         stage: &mut S,
         enqueue_neighbors: impl Fn(u32, &mut dyn FnMut(u32)),
         mut on_move: impl FnMut(u32, i32),
     ) -> u64 {
+        self.run_sweep(owned_limit, use_frontier, |engine, active| {
+            let mut moves = 0u64;
+            for chunk in active.chunks(SWEEP_CHUNK) {
+                // Phase 1: propose in parallel against the chunk-start snapshot.
+                engine.propose_chunk(chunk, parts, stage);
+                // Phase 2: apply sequentially, in order, with the stage's recheck. A
+                // rejected proposal (its chunk-start target has since filled up or lost
+                // its appeal) is *repaired* by re-proposing against the live state — the
+                // sequential adaptivity the legacy per-vertex loop had, paid only for
+                // the vertices the chunk invalidated. Still deterministic: the apply
+                // phase is single-threaded and ordered.
+                for (slot, &v) in chunk.iter().enumerate() {
+                    let mut target = engine.proposals[slot];
+                    if target < 0 || engine.sits_out(v) {
+                        continue;
+                    }
+                    if parts[v as usize] == target || !stage.apply(v, target as usize, parts) {
+                        target = stage.propose(v, parts, &mut engine.scratches[0]);
+                        if target < 0
+                            || parts[v as usize] == target
+                            || !stage.apply(v, target as usize, parts)
+                        {
+                            continue;
+                        }
+                    }
+                    engine.commit(v, target, parts, &enqueue_neighbors, &mut on_move);
+                    moves += 1;
+                }
+            }
+            moves
+        })
+    }
+
+    /// Run one full sweep of `stage` over `0..owned_limit`, one vertex at a time: each
+    /// vertex is scored, rechecked and booked against the live state in one
+    /// [`SweepStep::step`], then committed as [`sweep`](SweepEngine::sweep) commits.
+    ///
+    /// This is what balance sweeps run. Balance attraction weights are reciprocal in the
+    /// live part sizes and drift with every move; any batching of proposals measurably
+    /// degrades the edge balance the stage can reach on skewed graphs at scale (hub
+    /// placement is decided by the weight feedback loop), so balance sweeps stay
+    /// sequential and the parallel fan-out lives in the refinement sweeps, where
+    /// decisions are neighbour-local and stale-tolerant. With nothing changing between
+    /// scoring a vertex and moving it, the score's neighbour counts are the recheck's
+    /// too, and a rejected move would be proposed again unchanged: one scan a vertex.
+    ///
+    /// Returns the number of moves applied.
+    pub fn step_sweep<S: SweepStep>(
+        &mut self,
+        owned_limit: usize,
+        parts: &mut [i32],
+        stage: &mut S,
+        enqueue_neighbors: impl Fn(u32, &mut dyn FnMut(u32)),
+        mut on_move: impl FnMut(u32, i32),
+    ) -> u64 {
+        self.run_sweep(owned_limit, false, |engine, active| {
+            let mut moves = 0u64;
+            for &v in active {
+                // Scoring has no side effects, so sitting out before it is the same as
+                // discarding its proposal.
+                if engine.sits_out(v) {
+                    continue;
+                }
+                let target = stage.step(v, parts, &mut engine.scratches[0]);
+                if target >= 0 {
+                    engine.commit(v, target, parts, &enqueue_neighbors, &mut on_move);
+                    moves += 1;
+                }
+            }
+            moves
+        })
+    }
+
+    /// The bookkeeping around one sweep's `body`: pick the active set (the drained
+    /// frontier, or `0..owned_limit`), skip an empty one, and book the sweep, its scored
+    /// vertices, its moves (what `body` returns) and its wall-clock under the current
+    /// stage.
+    fn run_sweep(
+        &mut self,
+        owned_limit: usize,
+        use_frontier: bool,
+        body: impl FnOnce(&mut Self, &[u32]) -> u64,
+    ) -> u64 {
         self.sweep_no += 1;
-        let current: Vec<u32>;
-        let full_range: Vec<u32>;
-        let active: &[u32];
-        if use_frontier {
-            current = self.frontier.begin_sweep();
-            active = &current;
-            full_range = Vec::new();
+        let active = if use_frontier {
+            self.frontier.begin_sweep()
         } else {
             // A full sweep ignores the queue but keeps its contents queued: the marks
             // collected so far still describe "changed since the last frontier sweep".
             // The identity vector is cached across sweeps (taken out here so the
-            // engine stays mutably borrowable below).
+            // engine stays mutably borrowable in `body`).
             let mut cached = std::mem::take(&mut self.full_range);
             while cached.len() < owned_limit {
                 cached.push(cached.len() as u32);
             }
             cached.truncate(owned_limit);
-            full_range = cached;
-            current = Vec::new();
-            active = &full_range;
+            cached
+        };
+        let mut moves = 0;
+        if !active.is_empty() {
+            // Span arg: vertices scored this sweep (the active-set size).
+            let _sweep_span = xtrapulp_obs::span_with(self.stage.span_name(), active.len() as u64);
+            // lint: nondeterministic-ok — wall-clock feeds SweepStats timing
+            // telemetry only; no partition decision reads it.
+            let sweep_started = std::time::Instant::now();
+            self.stats.sweeps += 1;
+            self.stats.vertices_scored += active.len() as u64;
+            self.stats.stages.record(self.stage, active.len() as u64);
+            moves = body(self, &active);
+            self.stats.moves += moves;
+            self.stage_nanos[self.stage as usize] += sweep_started.elapsed().as_nanos() as u64;
         }
-        if active.is_empty() {
-            if use_frontier {
-                self.frontier.end_sweep(current);
-            } else {
-                self.full_range = full_range;
-            }
-            return 0;
-        }
-
-        // Span arg: vertices scored this sweep (the active-set size).
-        let _sweep_span = xtrapulp_obs::span_with(self.stage.span_name(), active.len() as u64);
-        // lint: nondeterministic-ok — wall-clock feeds SweepStats timing
-        // telemetry only; no partition decision reads it.
-        let sweep_started = std::time::Instant::now();
-        self.stats.sweeps += 1;
-        self.stats.vertices_scored += active.len() as u64;
-        self.stats.stages.record(self.stage, active.len() as u64);
-        if self.proposals.len() < chunk_size {
-            self.proposals.resize(chunk_size, NO_MOVE);
-        }
-        let mut moves = 0u64;
-        for chunk in active.chunks(chunk_size.max(1)) {
-            // Phase 1: propose in parallel against the chunk-start snapshot.
-            self.propose_chunk(chunk, parts, stage);
-            // Phase 2: apply sequentially, in order, with the stage's recheck. A
-            // rejected proposal (its chunk-start target has since filled up or lost
-            // its appeal) is *repaired* by re-proposing against the live state — the
-            // sequential adaptivity the legacy per-vertex loop had, paid only for the
-            // vertices the chunk invalidated. Still deterministic: the apply phase is
-            // single-threaded and ordered.
-            for (slot, &v) in chunk.iter().enumerate() {
-                let mut target = self.proposals[slot];
-                if target < 0 {
-                    continue;
-                }
-                let (last, twice) = self.last_move[v as usize];
-                let moved_last_sweep = last + 1 == self.sweep_no;
-                if self.settle_swaps && twice && moved_last_sweep {
-                    continue;
-                }
-                if parts[v as usize] == target || !stage.apply(v, target as usize, parts) {
-                    target = stage.propose(v, parts, &mut self.scratches[0]);
-                    if target < 0
-                        || parts[v as usize] == target
-                        || !stage.apply(v, target as usize, parts)
-                    {
-                        continue;
-                    }
-                }
-                parts[v as usize] = target;
-                moves += 1;
-                self.last_move[v as usize] = (self.sweep_no, moved_last_sweep);
-                let frontier = &mut self.frontier;
-                frontier.mark(v);
-                enqueue_neighbors(v, &mut |u| frontier.mark(u));
-                on_move(v, target);
-            }
-        }
-        self.stats.moves += moves;
-        self.stage_nanos[self.stage as usize] += sweep_started.elapsed().as_nanos() as u64;
         if use_frontier {
-            self.frontier.end_sweep(current);
+            self.frontier.end_sweep(active);
         } else {
-            self.full_range = full_range;
+            self.full_range = active;
         }
         moves
+    }
+
+    /// Whether `v` sits this sweep out under [`settle_swaps`](SweepEngine::settle_swaps):
+    /// it moved in both of the two sweeps before.
+    #[inline]
+    fn sits_out(&self, v: u32) -> bool {
+        let (last, twice) = self.last_move[v as usize];
+        self.settle_swaps && twice && last + 1 == self.sweep_no
+    }
+
+    /// Land an accepted move of `v` to `target`: write the label, remember the sweep it
+    /// moved in, mark it and its owned neighbours into the next frontier, and report it.
+    #[inline]
+    fn commit(
+        &mut self,
+        v: u32,
+        target: i32,
+        parts: &mut [i32],
+        enqueue_neighbors: &impl Fn(u32, &mut dyn FnMut(u32)),
+        on_move: &mut impl FnMut(u32, i32),
+    ) {
+        parts[v as usize] = target;
+        let (last, _) = self.last_move[v as usize];
+        self.last_move[v as usize] = (self.sweep_no, last + 1 == self.sweep_no);
+        let frontier = &mut self.frontier;
+        frontier.mark(v);
+        enqueue_neighbors(v, &mut |u| frontier.mark(u));
+        on_move(v, target);
     }
 
     /// Fill `self.proposals[..chunk.len()]` with `stage.propose` outputs, fanning out
@@ -679,8 +798,8 @@ pub struct PartCounters {
     /// start (see `pass::warm_seed_needs_balance`); that pass takes it back to zero.
     pub measured: usize,
     /// This-sweep load changes made by this rank (distributed passes), one block per
-    /// load plus two trailing slots, so a sweep's changes, its move count and the size
-    /// of the frontier it leaves travel as one contiguous allreduce buffer.
+    /// load plus two trailing slots, so a sweep's changes, its move count and its queue
+    /// length travel as one contiguous tally in the sweep's label push.
     pub change: Vec<i64>,
     /// Balance attraction weights: one block for the vertex stage, two (edge, cut) for
     /// the edge stage.
@@ -784,6 +903,17 @@ mod tests {
         }
     }
 
+    impl SweepStep for ToyStage {
+        fn step(&mut self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32 {
+            let target = self.propose(v, parts, scratch);
+            if target >= 0 && self.apply(v, target as usize, parts) {
+                target
+            } else {
+                NO_MOVE
+            }
+        }
+    }
+
     fn line_neighbors(n: usize) -> impl Fn(u32, &mut dyn FnMut(u32)) {
         move |v, mark| {
             if v > 0 {
@@ -812,7 +942,6 @@ mod tests {
             n,
             &mut parts,
             true,
-            SWEEP_CHUNK,
             &mut stage,
             line_neighbors(n),
             |_, _| {},
@@ -820,6 +949,69 @@ mod tests {
         assert_eq!(moves, 3);
         assert_eq!(&parts[..4], &[0, 0, 0, 1]);
         assert_eq!(engine.stats.vertices_scored, n as u64);
+    }
+
+    #[test]
+    fn a_step_sweep_commits_what_a_full_chunked_sweep_commits() {
+        let n = 10;
+        let run = |stepped: bool| {
+            let mut engine = SweepEngine::new(1);
+            engine.begin_run(n, 2);
+            let mut parts = vec![1i32; n];
+            let mut stage = ToyStage {
+                capacity: 3,
+                size0: 0,
+            };
+            let mut moved = Vec::new();
+            let on_move = |v, part| moved.push((v, part));
+            let moves = if stepped {
+                engine.step_sweep(n, &mut parts, &mut stage, line_neighbors(n), on_move)
+            } else {
+                let neighbors = line_neighbors(n);
+                engine.sweep(n, &mut parts, false, &mut stage, neighbors, on_move)
+            };
+            let mut queued = engine.frontier.queued().to_vec();
+            queued.sort_unstable();
+            (moves, parts, moved, queued, engine.stats)
+        };
+        let stepped = run(true);
+        assert_eq!(stepped, run(false));
+        assert_eq!(stepped.0, 3);
+        assert_eq!(stepped.3, vec![0, 1, 2, 3]);
+        assert_eq!(stepped.4.vertices_scored, n as u64);
+    }
+
+    #[test]
+    fn settled_vertices_sit_out_a_step_sweep() {
+        // A vertex that moved in each of the two sweeps before sits the next one out.
+        let n = 4;
+        let mut engine = SweepEngine::new(1);
+        engine.begin_run(n, 2);
+        engine.settle_swaps = true;
+        let mut parts = vec![1i32; n];
+        for _ in 0..2 {
+            parts[0] = 1;
+            let mut stage = ToyStage {
+                capacity: 1,
+                size0: 0,
+            };
+            assert_eq!(
+                engine.step_sweep(n, &mut parts, &mut stage, line_neighbors(n), |_, _| {}),
+                1
+            );
+            assert_eq!(parts[0], 0);
+        }
+        parts[0] = 1;
+        let mut stage = ToyStage {
+            capacity: 1,
+            size0: 0,
+        };
+        engine.step_sweep(n, &mut parts, &mut stage, line_neighbors(n), |_, _| {});
+        assert_eq!(
+            parts[..2],
+            [1, 0],
+            "vertex 0 sat out, vertex 1 took its place"
+        );
     }
 
     #[test]
@@ -838,7 +1030,6 @@ mod tests {
                 n,
                 &mut parts,
                 true,
-                SWEEP_CHUNK,
                 &mut stage,
                 line_neighbors(n),
                 |_, _| {},
@@ -881,7 +1072,6 @@ mod tests {
             n,
             &mut parts,
             false,
-            SWEEP_CHUNK,
             &mut stage,
             line_neighbors(n),
             |_, _| {},
@@ -894,7 +1084,6 @@ mod tests {
             n,
             &mut parts,
             true,
-            SWEEP_CHUNK,
             &mut stage,
             line_neighbors(n),
             |_, _| {},
@@ -915,7 +1104,6 @@ mod tests {
             8,
             &mut parts,
             true,
-            SWEEP_CHUNK,
             &mut stage,
             line_neighbors(8),
             |_, _| {},
@@ -941,7 +1129,6 @@ mod tests {
             n,
             &mut parts,
             true,
-            SWEEP_CHUNK,
             &mut stage,
             line_neighbors(n),
             |_, _| {},
@@ -955,7 +1142,6 @@ mod tests {
             n,
             &mut parts,
             false,
-            SWEEP_CHUNK,
             &mut stage,
             line_neighbors(n),
             |_, _| {},

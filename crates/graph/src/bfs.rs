@@ -92,6 +92,7 @@ pub fn dist_bfs(ctx: &RankCtx, graph: &DistGraph, root: GlobalId) -> Result<Dist
         halo.push(
             ctx,
             frontier.iter().map(|&u| (u, 1u8)),
+            &[],
             &mut ghost_reached,
             |slot, _, _| {
                 halo.owned_neighbors(slot)

@@ -630,7 +630,7 @@ impl DistGraph {
         assert_eq!(values.len(), self.n_total(), "one value per local vertex");
         let (owned, ghosts) = values.split_at_mut(self.n_owned());
         let updates = owned.iter().enumerate().map(|(v, &x)| (v as LocalId, x));
-        self.halo.push(ctx, updates, ghosts, |_, _, _| {})?;
+        self.halo.push(ctx, updates, &[], ghosts, |_, _, _| {})?;
         Ok(())
     }
 }

@@ -161,8 +161,13 @@ impl HaloPlan {
     /// [`owned_neighbors(slot)`](HaloPlan::owned_neighbors). Updates of interior vertices
     /// cost nothing, so a full refresh is a push over every owned vertex.
     ///
-    /// Returns the number of ghost updates received. Must be called collectively (one
-    /// `Alltoallv`).
+    /// `tally` rides along: every rank's tally is summed in the same round (see
+    /// [`RankCtx::alltoallv_sum`]), so a kernel that needs a global count after its
+    /// push — moves made, vertices left active — pays no second round for it. Pass `&[]`
+    /// for none; the frames are then exactly a plain `Alltoallv`'s.
+    ///
+    /// Returns the number of ghost updates received and the tally's sums. Must be called
+    /// collectively (one `Alltoallv`).
     ///
     /// An incoming local id outside the ghost range is reported as a [`HaloError`] and
     /// never stored. The collective has completed on every rank by then, but the failing
@@ -173,9 +178,10 @@ impl HaloPlan {
         &self,
         ctx: &RankCtx,
         updates: impl IntoIterator<Item = (LocalId, T)>,
+        tally: &[i64],
         ghost_values: &mut [T],
         mut on_update: impl FnMut(usize, T, T),
-    ) -> Result<u64, HaloError> {
+    ) -> Result<(u64, Vec<i64>), HaloError> {
         let mut sends: Vec<Vec<(LocalId, T)>> = vec![Vec::new(); ctx.nranks()];
         for (v, value) in updates {
             for &(dest, slot) in self.targets(v) {
@@ -183,7 +189,7 @@ impl HaloPlan {
             }
         }
 
-        let received = ctx.alltoallv(sends);
+        let (received, sums) = ctx.alltoallv_sum(sends, tally);
         let n_ghost = self.n_total - self.n_owned;
         assert_eq!(ghost_values.len(), n_ghost, "one value per ghost");
         let mut applied = 0u64;
@@ -204,7 +210,7 @@ impl HaloPlan {
                 applied += 1;
             }
         }
-        Ok(applied)
+        Ok((applied, sums))
     }
 }
 
@@ -336,11 +342,12 @@ mod tests {
                                     .into_iter()
                                     .enumerate()
                                     .map(|(v, x)| (v as LocalId, x)),
+                                &[],
                                 &mut ghosts,
                                 |_, _, _| {},
                             )
                             .unwrap();
-                        assert_eq!(refreshed, g.n_ghost() as u64);
+                        assert_eq!(refreshed, (g.n_ghost() as u64, Vec::new()));
                         let mine = owned(&global);
                         assert_eq!(ghosts, pull_by_global_id(ctx, &g, |v| mine[v as usize]));
                         let mut all = mine.clone();
@@ -366,8 +373,10 @@ mod tests {
                             }
                             let before = ghosts.clone();
                             let mut woken = BTreeSet::new();
-                            let applied = halo
-                                .push(ctx, updates, &mut ghosts, |slot, previous, new| {
+                            // The tally is summed over every rank in the same round.
+                            let tally = [updates.len() as i64, me as i64];
+                            let (applied, sums) = halo
+                                .push(ctx, updates, &tally, &mut ghosts, |slot, previous, new| {
                                     assert_eq!(previous, before[slot]);
                                     if previous != new {
                                         woken.extend(halo.owned_neighbors(slot));
@@ -377,6 +386,9 @@ mod tests {
                             if round == 2 || nranks == 1 {
                                 assert_eq!(applied, 0);
                             }
+                            let updated = ctx.allreduce_scalar_sum_u64(tally[0] as u64);
+                            let ranks = (nranks * (nranks - 1) / 2) as i64;
+                            assert_eq!(sums, [updated as i64, ranks]);
                             for (slot, ghost) in ghosts.iter().enumerate() {
                                 let lid = (n_owned + slot) as LocalId;
                                 assert_eq!(
@@ -429,7 +441,9 @@ mod tests {
                     halo.send_targets[row].1 = bad_slot;
                 }
                 let mut ghosts = vec![0i32; g.n_ghost()];
-                let pushed = halo.push(ctx, [(boundary, 3)], &mut ghosts, |_, _, _| {});
+                let pushed = halo
+                    .push(ctx, [(boundary, 3)], &[], &mut ghosts, |_, _, _| {})
+                    .map(|(applied, _)| applied);
                 if ctx.rank() == 1 {
                     assert!(ghosts.iter().all(|&x| x == 0), "nothing may be stored");
                 }

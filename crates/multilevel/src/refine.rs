@@ -9,7 +9,7 @@
 //! [`SweepWorkspace`] the driver threads through the V-cycle instead of being allocated
 //! per invocation.
 
-use xtrapulp::sweep::{ScoreScratch, SweepStage, SweepWorkspace, NO_MOVE, SWEEP_CHUNK};
+use xtrapulp::sweep::{ScoreScratch, SweepStage, SweepWorkspace, NO_MOVE};
 
 use crate::weighted::WeightedGraph;
 
@@ -127,7 +127,6 @@ pub fn greedy_refine(
             n,
             parts,
             use_frontier,
-            SWEEP_CHUNK,
             &mut stage,
             wg_neighbors(graph),
             |_, _| {},
