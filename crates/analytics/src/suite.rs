@@ -2,7 +2,9 @@
 //! according to a chosen partitioning strategy and record per-analytic wall-clock time
 //! and communication volume.
 
-use xtrapulp_comm::{RankCtx, Runtime, Timer};
+use std::time::Instant;
+
+use xtrapulp_comm::{RankCtx, Runtime};
 use xtrapulp_graph::{DistGraph, Distribution, GlobalId, HaloError};
 
 use crate::algorithms::{
@@ -49,55 +51,45 @@ pub fn run_suite(
     hc_sources: usize,
 ) -> Result<Vec<AnalyticResult>, HaloError> {
     let mut results = Vec::new();
-    let mut record = |ctx: &RankCtx, name: &'static str, seconds: f64, bytes_before: u64| {
-        let local = [seconds];
-        let max_secs = ctx.allreduce_max_f64(&local)[0];
-        let total_bytes = ctx.allreduce_scalar_sum_u64(ctx.stats().bytes_sent_since(bytes_before));
-        results.push(AnalyticResult {
-            name,
-            seconds: max_secs,
-            comm_bytes: total_bytes,
-        });
-    };
-
     // HC: harmonic centrality of a sample of sources (paper: 100 vertices).
     let sources = hc_source_sample(graph.global_n(), hc_sources);
-    let before = ctx.stats().bytes_sent();
-    let t = Timer::start();
-    harmonic_centrality(ctx, graph, &sources)?;
-    record(ctx, "HC", t.elapsed_secs(), before);
-
+    timed(ctx, &mut results, "HC", || {
+        harmonic_centrality(ctx, graph, &sources)
+    })?;
     // KC: approximate k-core decomposition.
-    let before = ctx.stats().bytes_sent();
-    let t = Timer::start();
-    kcore_approx(ctx, graph, 30)?;
-    record(ctx, "KC", t.elapsed_secs(), before);
-
+    timed(ctx, &mut results, "KC", || kcore_approx(ctx, graph, 30))?;
     // LP: label-propagation community detection.
-    let before = ctx.stats().bytes_sent();
-    let t = Timer::start();
-    label_propagation(ctx, graph, 10)?;
-    record(ctx, "LP", t.elapsed_secs(), before);
-
+    timed(ctx, &mut results, "LP", || {
+        label_propagation(ctx, graph, 10)
+    })?;
     // PR: PageRank.
-    let before = ctx.stats().bytes_sent();
-    let t = Timer::start();
-    pagerank(ctx, graph, 20, 0.85)?;
-    record(ctx, "PR", t.elapsed_secs(), before);
-
+    timed(ctx, &mut results, "PR", || pagerank(ctx, graph, 20, 0.85))?;
     // SCC: largest (strongly = weakly, undirected) connected component extraction.
-    let before = ctx.stats().bytes_sent();
-    let t = Timer::start();
-    largest_component(ctx, graph)?;
-    record(ctx, "SCC", t.elapsed_secs(), before);
-
+    timed(ctx, &mut results, "SCC", || largest_component(ctx, graph))?;
     // WCC: weakly connected components.
-    let before = ctx.stats().bytes_sent();
-    let t = Timer::start();
-    wcc(ctx, graph)?;
-    record(ctx, "WCC", t.elapsed_secs(), before);
-
+    timed(ctx, &mut results, "WCC", || wcc(ctx, graph))?;
     Ok(results)
+}
+
+/// Run one analytic collectively and record its slowest rank's seconds and the payload
+/// bytes every rank sent during it.
+fn timed<T>(
+    ctx: &RankCtx,
+    results: &mut Vec<AnalyticResult>,
+    name: &'static str,
+    analytic: impl FnOnce() -> Result<T, HaloError>,
+) -> Result<(), HaloError> {
+    let before = ctx.stats().bytes_sent();
+    let t = Instant::now(); // lint: nondeterministic-ok — wall-clock feeds the suite report only
+    analytic()?;
+    let seconds = ctx.allreduce_max_f64(&[t.elapsed().as_secs_f64()])[0];
+    let comm_bytes = ctx.allreduce_scalar_sum_u64(ctx.stats().bytes_sent_since(before));
+    results.push(AnalyticResult {
+        name,
+        seconds,
+        comm_bytes,
+    });
+    Ok(())
 }
 
 /// The distinct harmonic-centrality BFS sources: up to `want` *unique* vertices,

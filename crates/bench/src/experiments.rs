@@ -1,10 +1,11 @@
 //! The table of experiments behind `experiments <name>|all [--json]`: one entry per table
 //! or figure of the paper's evaluation, named as the one-file binaries they replace were.
 
+use std::time::Instant;
+
 use xtrapulp::{InitStrategy, PartitionParams};
 use xtrapulp_analytics::run_suite_with_partition;
 use xtrapulp_api::{DynamicSession, Method, PartitionJob, UpdateBatch};
-use xtrapulp_comm::Timer;
 use xtrapulp_gen::presets::all_presets;
 use xtrapulp_gen::{
     generate_stream, GraphClass, GraphConfig, GraphKind, StreamKind, TableIPreset,
@@ -556,9 +557,9 @@ fn fig_dynamic(h: &mut Harness) -> Outcome {
             let batch = UpdateBatch::from_ops(stream.batch_ops(i));
             let added = dynamic.apply_updates(&batch)?.vertices_added;
 
-            let timer = Timer::start();
+            let timer = Instant::now();
             let warm = dynamic.repartition()?;
-            let warm_secs = timer.elapsed_secs();
+            let warm_secs = timer.elapsed().as_secs_f64();
             let fields = format!("\"report\":{}", warm.to_json_summary());
             h.emit_line("series", series, &fields);
 

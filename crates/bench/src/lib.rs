@@ -27,10 +27,10 @@ pub mod history;
 pub mod json;
 
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::time::Instant;
 
 use xtrapulp::{try_xtrapulp_partition, PartitionError, PartitionParams};
 use xtrapulp_api::{Method, PartitionJob, PartitionReport, Session};
-use xtrapulp_comm::Timer;
 use xtrapulp_gen::{GraphKind, TableIPreset};
 use xtrapulp_graph::{Csr, DistGraph, Distribution};
 
@@ -119,9 +119,9 @@ impl Harness {
         params: &PartitionParams,
     ) -> Result<(f64, PartitionReport), PartitionError> {
         let session = self.session(nranks)?;
-        let timer = Timer::start();
+        let timer = Instant::now();
         let report = session.submit(&PartitionJob::new(method).with_params(*params), csr)?;
-        Ok((timer.elapsed_secs(), report))
+        Ok((timer.elapsed().as_secs_f64(), report))
     }
 
     /// The scaling studies' measurement (Figs. 1–2, §V-A.2): XtraPuLP on a hashed
@@ -136,10 +136,10 @@ impl Harness {
     ) -> Result<(f64, u64, u64), PartitionError> {
         let per_rank = self.session(nranks)?.execute(|ctx| {
             let graph = DistGraph::from_csr(ctx, Distribution::Hashed, csr);
-            let timer = Timer::start();
+            let timer = Instant::now();
             // Validation is deterministic, so every rank takes the same branch.
             let result = try_xtrapulp_partition(ctx, &graph, params)?;
-            let seconds = ctx.allreduce_max_f64(&[timer.elapsed_secs()])[0];
+            let seconds = ctx.allreduce_max_f64(&[timer.elapsed().as_secs_f64()])[0];
             Ok((seconds, result.lp_sweeps, result.vertices_scored))
         });
         // The time is allreduced and the counters are global: rank 0 speaks for all.

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use xtrapulp::PartitionParams;
 use xtrapulp_api::{DynamicReport, DynamicSession, Method, PartitionJob, Session, UpdateBatch};
-use xtrapulp_comm::{RankCtx, Runtime, TcpConfig, TcpTransport, Transport};
+use xtrapulp_comm::{CommStatsSnapshot, RankCtx, Runtime, TcpConfig, TcpTransport, Transport};
 use xtrapulp_gen::{GraphConfig, GraphKind};
 use xtrapulp_graph::{Csr, Distribution};
 
@@ -59,41 +59,47 @@ where
         .collect()
 }
 
-/// Exercise every collective once and return everything observable.
+/// Every total of a snapshot is the sum of its per-kind entries: calls, frames and
+/// wire bytes (sent plus received).
+fn assert_totals_match_breakdown(snap: &CommStatsSnapshot) {
+    let p = &snap.per_collective;
+    let kinds = [p.barrier, p.allreduce, p.alltoallv, p.allgather, p.gather];
+    let calls: u64 = kinds.iter().map(|k| k.calls).sum();
+    let frames: u64 = kinds.iter().map(|k| k.frames).sum();
+    let wire: u64 = kinds.iter().map(|k| k.wire_bytes).sum();
+    assert_eq!(snap.collectives, calls);
+    assert_eq!(snap.frames_sent, frames);
+    assert_eq!(snap.wire_bytes_sent + snap.wire_bytes_received, wire);
+    assert_eq!(snap.barriers, p.barrier.calls);
+    assert_eq!(snap.alltoallv_calls, p.alltoallv.calls);
+    assert_eq!(snap.allreduce_calls, p.allreduce.calls);
+}
+
+/// Exercise every collective once and return everything observable, plus the job's
+/// collective count and the frames its gather sent. Checks the snapshot's totals
+/// against its per-kind entries on the way.
 #[allow(clippy::type_complexity)]
 fn exercise_all_collectives(
     ctx: &RankCtx,
 ) -> (
-    u64,                              // broadcast
-    Vec<u64>,                         // allgather
     Vec<(u64, i32)>,                  // allgatherv
-    Option<Vec<u64>>,                 // gather at root 0 (None off-root)
-    u64,                              // scatter from last rank
-    Vec<u64>,                         // alltoall
+    Option<Vec<u64>>,                 // gather at rank 0 (None elsewhere)
     Vec<Vec<u64>>,                    // alltoallv
     (Vec<Vec<(u32, i32)>>, Vec<i64>), // alltoallv_sum
     Vec<u64>,                         // allreduce sum
     Vec<f64>,                         // allreduce max f64
-    u64,                              // exscan
     u64,                              // scalar sum
+    (u64, u64),                       // collectives, gather frames
 ) {
     let rank = ctx.rank() as u64;
     let n = ctx.nranks();
     ctx.barrier();
-    let bcast = ctx.broadcast(0, ctx.is_root().then_some(7_000_007u64));
-    let allgather = ctx.allgather(rank * rank + 1);
     let allgatherv: Vec<(u64, i32)> = ctx.allgatherv(
         (0..rank + 1)
             .map(|i| (rank * 100 + i, -(i as i32)))
             .collect(),
     );
-    let gathered = ctx.gather(0, rank + 10);
-    let scatter_root = n - 1;
-    let scattered = ctx.scatter(
-        scatter_root,
-        (ctx.rank() == scatter_root).then(|| (0..n as u64).map(|d| d * 3 + 1).collect()),
-    );
-    let alltoall = ctx.alltoall((0..n as u64).map(|d| rank * 1000 + d).collect());
+    let gathered = ctx.gather(rank + 10);
     let alltoallv = ctx.alltoallv(
         (0..n as u64)
             .map(|d| (0..d + 1).map(|i| rank * 10_000 + d * 100 + i).collect())
@@ -107,12 +113,13 @@ fn exercise_all_collectives(
     );
     let summed = ctx.allreduce_sum_u64(&[rank, 1, rank * 2]);
     let maxed = ctx.allreduce_max_f64(&[rank as f64 * 1.5, -(rank as f64)]);
-    let exscan = ctx.exscan_sum_u64(rank + 1);
     ctx.barrier();
     let scalar = ctx.allreduce_scalar_sum_u64(rank + 5);
+    let snap = ctx.stats().snapshot();
+    assert_totals_match_breakdown(&snap);
+    let counts = (snap.collectives, snap.per_collective.gather.frames);
     (
-        bcast, allgather, allgatherv, gathered, scattered, alltoall, alltoallv, tallied, summed,
-        maxed, exscan, scalar,
+        allgatherv, gathered, alltoallv, tallied, summed, maxed, scalar, counts,
     )
 }
 
@@ -125,6 +132,9 @@ fn every_collective_matches_inproc_at_1_2_and_8_ranks() {
             inproc, tcp,
             "collective results diverged between backends at {nranks} ranks"
         );
+        let gather_frames: u64 = tcp.iter().map(|r| r.7 .1).sum();
+        assert_eq!(gather_frames, nranks as u64 - 1, "{nranks} ranks");
+        assert!(tcp.iter().all(|r| r.7 .0 == 9), "{nranks} ranks");
     }
 }
 
@@ -294,7 +304,7 @@ fn coordinator_assigns_free_ranks_to_auto_workers() {
             let assigned = transport.rank();
             let mut runtime = Runtime::with_transport(Box::new(transport)).expect("valid rank");
             let seen: Vec<u64> = runtime
-                .execute(|ctx| ctx.allgather(ctx.rank() as u64))
+                .execute(|ctx| ctx.allgatherv(vec![ctx.rank() as u64]))
                 .pop()
                 .unwrap();
             (assigned, seen)
@@ -308,7 +318,7 @@ fn coordinator_assigns_free_ranks_to_auto_workers() {
     assigned.sort_unstable();
     assert_eq!(assigned, vec![0, 1, 2, 3], "ranks must be a permutation");
     for (_, seen) in &results {
-        assert_eq!(seen, &vec![0u64, 1, 2, 3], "allgather sees every rank");
+        assert_eq!(seen, &vec![0u64, 1, 2, 3], "allgatherv sees every rank");
     }
 }
 

@@ -21,11 +21,10 @@
 //! where this process hosts one rank of a multi-process job and frames are
 //! length-prefixed byte streams.
 
-use std::any::Any;
 use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -41,30 +40,20 @@ use crate::transport::{
 };
 use crate::watchdog::Stall;
 
-/// Type-erased return value of one rank's job.
-type ErasedResult = Box<dyn Any + Send>;
-
-/// What the runtime ships to its worker threads.
+/// What the runtime ships to its worker threads: a borrowed job closure, called
+/// with the worker's local index and a fresh [`RankCtx`].
+///
+/// The pointee lives in [`Runtime::run`]'s stack frame; the `'static` lifetime is
+/// a lie told via `transmute`, made sound because `run` blocks until every worker
+/// has reported completion of the job, so the reference never outlives its
+/// referent (the same guarantee scoped threads provide, made manual because the
+/// workers are long-lived).
 #[derive(Clone, Copy)]
-enum Job {
-    /// A borrowed, type-erased job closure.
-    ///
-    /// The pointee lives in [`Runtime::execute`]'s stack frame; the `'static`
-    /// lifetime is a lie told via `transmute`, made sound because `execute`
-    /// blocks until every worker has reported completion of the job, so the
-    /// reference never outlives its referent (the same guarantee scoped
-    /// threads provide, made manual because the workers are long-lived).
-    Run {
-        f: &'static (dyn Fn(&RankCtx) -> ErasedResult + Sync),
-        /// The runtime's stall deadline, sampled at dispatch so a mid-job
-        /// change never affects a running job.
-        wd_deadline: Option<Duration>,
-    },
-    /// Recover this worker's transport in place (see [`Transport::recover`]).
-    /// Dispatched to every local rank in parallel, because recovery is itself
-    /// a collective rendezvous: with several local ranks, each must be mid-
-    /// recovery at once for any to complete.
-    Recover,
+struct Job {
+    f: &'static (dyn Fn(usize, &RankCtx) + Sync),
+    /// The runtime's stall deadline, sampled at dispatch so a mid-job change
+    /// never affects a running job.
+    wd_deadline: Option<Duration>,
 }
 
 /// How a [`Runtime::try_execute_recoverable`] job finished.
@@ -105,8 +94,10 @@ impl<R> ExecOutcome<R> {
 /// Each local rank is an OS thread with private state; ranks communicate only
 /// through the collectives on [`RankCtx`]. This mirrors how the original
 /// XtraPuLP runs one MPI task per node with OpenMP threads inside it: here the
-/// "node" is a thread and intra-rank parallelism is delegated to rayon by the
-/// caller.
+/// "node" is a thread, and intra-rank parallelism is the caller's (the sweep
+/// engine forks std scoped threads; `rayon` only splits generator chunks).
+/// There is no broadcast: where the paper's rank 0 `MPI_Bcast`s its init roots,
+/// every rank here draws the same roots itself.
 ///
 /// A runtime hosts the ranks whose transports it was given. [`Runtime::new`]
 /// hosts *all* ranks of an in-process job; [`Runtime::with_transport`] hosts
@@ -118,7 +109,8 @@ pub struct Runtime {
     nranks: usize,
     local_ranks: Vec<usize>,
     job_txs: Vec<Sender<Job>>,
-    results_rx: Receiver<(usize, std::thread::Result<ErasedResult>)>,
+    /// Each worker reports here once per job, after its result is in its slot.
+    done_rx: Receiver<()>,
     workers: Vec<JoinHandle<()>>,
     /// Stall-watchdog deadline applied to subsequently dispatched jobs
     /// (`None` = watchdog disabled, the default).
@@ -181,7 +173,7 @@ impl Runtime {
                 });
             }
         }
-        let (results_tx, results_rx) = channel();
+        let (done_tx, done_rx) = channel();
         let mut local_ranks = Vec::with_capacity(transports.len());
         let mut job_txs = Vec::with_capacity(transports.len());
         let mut workers = Vec::with_capacity(transports.len());
@@ -189,10 +181,10 @@ impl Runtime {
         for (local, transport) in transports.into_iter().enumerate() {
             let rank = transport.rank();
             let (job_tx, job_rx) = channel::<Job>();
-            let results_tx = results_tx.clone();
+            let done_tx = done_tx.clone();
             let spawned = std::thread::Builder::new()
                 .name(format!("xtrapulp-rank-{rank}"))
-                .spawn(move || Self::worker_main(transport, job_rx, results_tx, local, colocated));
+                .spawn(move || Self::worker_main(transport, job_rx, done_tx, local, colocated));
             match spawned {
                 Ok(handle) => {
                     local_ranks.push(rank);
@@ -216,7 +208,7 @@ impl Runtime {
             nranks,
             local_ranks,
             job_txs,
-            results_rx,
+            done_rx,
             workers,
             wd_deadline: None,
         })
@@ -277,25 +269,10 @@ impl Runtime {
     pub fn execute<F, R>(&mut self, f: F) -> Vec<R>
     where
         F: Fn(&RankCtx) -> R + Sync,
-        R: Send + 'static,
+        R: Send,
     {
-        let wrapper = |ctx: &RankCtx| -> ErasedResult { Box::new(f(ctx)) };
-        let mut results = Vec::with_capacity(self.job_txs.len());
-        let mut panic_payload = None;
-        for outcome in self.dispatch(&wrapper) {
-            match outcome {
-                Ok(boxed) => results.push(
-                    *boxed
-                        .downcast::<R>()
-                        .expect("job result type mismatch between ranks"),
-                ),
-                Err(payload) => panic_payload = Some(payload),
-            }
-        }
-        if let Some(payload) = panic_payload {
-            std::panic::resume_unwind(payload);
-        }
-        results
+        let results: std::thread::Result<Vec<R>> = self.run(f).into_iter().collect();
+        results.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
     }
 
     /// Like [`Runtime::execute`], but transport failures (peer death, receive
@@ -304,20 +281,15 @@ impl Runtime {
     pub fn try_execute<F, R>(&mut self, f: F) -> Result<Vec<R>, CommError>
     where
         F: Fn(&RankCtx) -> R + Sync,
-        R: Send + 'static,
+        R: Send,
     {
-        let wrapper = |ctx: &RankCtx| -> ErasedResult { Box::new(f(ctx)) };
         let mut results = Vec::with_capacity(self.job_txs.len());
         let mut transport_error: Option<TransportError> = None;
         let mut other_panic = None;
         let mut stall: Option<Stall> = None;
-        for outcome in self.dispatch(&wrapper) {
+        for outcome in self.run(f) {
             match outcome {
-                Ok(boxed) => results.push(
-                    *boxed
-                        .downcast::<R>()
-                        .expect("job result type mismatch between ranks"),
-                ),
+                Ok(result) => results.push(result),
                 Err(payload) => match payload.downcast::<Stall>() {
                     Ok(s) => stall = Some(*s),
                     Err(payload) => match payload.downcast::<TransportError>() {
@@ -364,7 +336,7 @@ impl Runtime {
     ) -> Result<ExecOutcome<R>, CommError>
     where
         F: Fn(&RankCtx) -> R + Sync,
-        R: Send + 'static,
+        R: Send,
     {
         let mut recoveries = 0u32;
         loop {
@@ -412,22 +384,16 @@ impl Runtime {
     /// otherwise.
     pub fn recover(&mut self) -> Result<(), CommError> {
         let mut first: Option<TransportError> = None;
-        for outcome in self.dispatch_job(Job::Recover) {
-            match outcome {
-                Ok(boxed) => {
-                    let res = *boxed
-                        .downcast::<Result<(), TransportError>>()
-                        .expect("recover jobs report a transport result");
-                    if let Err(e) = res {
-                        first.get_or_insert(e);
-                    }
-                }
+        for outcome in self.run(|ctx| ctx.transport.recover()) {
+            let failed = match outcome {
+                Ok(res) => res.err(),
                 Err(payload) => match payload.downcast::<TransportError>() {
-                    Ok(err) => {
-                        first.get_or_insert(*err);
-                    }
+                    Ok(err) => Some(*err),
                     Err(payload) => std::panic::resume_unwind(payload),
                 },
+            };
+            if let Some(err) = failed {
+                first.get_or_insert(err);
             }
         }
         match first {
@@ -445,44 +411,52 @@ impl Runtime {
         }
     }
 
-    /// Ship a job closure to every local rank and collect each rank's
-    /// outcome, in local-rank order.
-    fn dispatch(
-        &mut self,
-        erased: &(dyn Fn(&RankCtx) -> ErasedResult + Sync),
-    ) -> Vec<std::thread::Result<ErasedResult>> {
-        let job = Job::Run {
-            // SAFETY: `Job::Run` is only dereferenced by workers between the
-            // sends inside `dispatch_job` and the corresponding completion
-            // messages, all of which `dispatch_job` waits for before
-            // returning; the closure therefore outlives every use of the
+    /// The one dispatch under [`execute`](Runtime::execute),
+    /// [`try_execute`](Runtime::try_execute) and [`recover`](Runtime::recover):
+    /// run `f` on every local rank, each catching its own unwind into its slot,
+    /// and return every rank's outcome in local-rank order once all have
+    /// reported done.
+    fn run<R: Send>(&mut self, f: impl Fn(&RankCtx) -> R + Sync) -> Vec<std::thread::Result<R>> {
+        let slots: Vec<Mutex<Option<std::thread::Result<R>>>> =
+            self.job_txs.iter().map(|_| Mutex::new(None)).collect();
+        // A slot's one store cannot leave it half-written, so a poisoned lock
+        // still holds a sound value.
+        let body = |local: usize, ctx: &RankCtx| {
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| f(ctx)));
+            *slots[local].lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
+        };
+        let body: &(dyn Fn(usize, &RankCtx) + Sync) = &body;
+        let job = Job {
+            // SAFETY: workers call `job.f` only between the sends below and
+            // their done reports, all of which this function waits for before
+            // returning; `body` and `slots` therefore outlive every use of the
             // forged `'static` reference.
             f: unsafe {
                 std::mem::transmute::<
-                    &(dyn Fn(&RankCtx) -> ErasedResult + Sync),
-                    &'static (dyn Fn(&RankCtx) -> ErasedResult + Sync),
-                >(erased)
+                    &(dyn Fn(usize, &RankCtx) + Sync),
+                    &'static (dyn Fn(usize, &RankCtx) + Sync),
+                >(body)
             },
             wd_deadline: self.wd_deadline,
         };
-        self.dispatch_job(job)
-    }
-
-    /// Ship `job` to every local rank and collect each rank's outcome, in
-    /// local-rank order.
-    fn dispatch_job(&mut self, job: Job) -> Vec<std::thread::Result<ErasedResult>> {
         for tx in &self.job_txs {
             tx.send(job).expect("rank thread exited unexpectedly");
         }
-        let mut outcomes = Vec::with_capacity(self.job_txs.len());
         for _ in 0..self.job_txs.len() {
-            let reported = self.results_rx.recv();
-            outcomes.push(reported.expect("rank thread exited unexpectedly"));
+            self.done_rx
+                .recv()
+                .expect("rank thread exited unexpectedly");
         }
-        // Every local rank is done with the job (each reports exactly once); the
-        // borrow of `erased` has ended.
-        outcomes.sort_by_key(|&(local, _)| local);
-        outcomes.into_iter().map(|(_, outcome)| outcome).collect()
+        // Every local rank is done with the job (each reports exactly once, after
+        // filling its slot); the borrow of `body` has ended. An empty slot cannot
+        // occur, and would read as that rank's panic.
+        slots
+            .into_iter()
+            .map(|slot| {
+                let slot = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
+                slot.unwrap_or_else(|| Err(Box::new("rank reported no result")))
+            })
+            .collect()
     }
 
     /// Gather every rank's trace buffers at rank 0 and write one merged
@@ -570,7 +544,7 @@ impl Runtime {
         let outcome = self.try_execute(|ctx| -> Result<bool, String> {
             let ships = ctx.rank() == leader;
             let blob = if ships { encode(ctx) } else { Vec::new() };
-            let Some(blobs) = ctx.gather(0, blob) else {
+            let Some(blobs) = ctx.gather(blob) else {
                 return Ok(false);
             };
             let decoded = blobs.iter().map(|b| decode(b)).collect::<Result<_, _>>();
@@ -586,7 +560,7 @@ impl Runtime {
     fn worker_main(
         transport: Box<dyn Transport>,
         job_rx: Receiver<Job>,
-        results_tx: Sender<(usize, std::thread::Result<ErasedResult>)>,
+        done_tx: Sender<()>,
         local: usize,
         colocated: usize,
     ) {
@@ -598,16 +572,9 @@ impl Runtime {
         obs::set_thread_rank(transport.rank());
         // Exits when the runtime drops its sender.
         while let Ok(job) = job_rx.recv() {
-            let outcome = match job {
-                Job::Run { f, wd_deadline } => {
-                    let ctx = RankCtx::new(Arc::clone(&transport), wd_deadline, colocated);
-                    std::panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)))
-                }
-                Job::Recover => std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    Box::new(transport.recover()) as ErasedResult
-                })),
-            };
-            if results_tx.send((local, outcome)).is_err() {
+            let ctx = RankCtx::new(Arc::clone(&transport), job.wd_deadline, colocated);
+            (job.f)(local, &ctx);
+            if done_tx.send(()).is_err() {
                 return;
             }
         }
@@ -630,20 +597,6 @@ impl Drop for Runtime {
 /// [`Runtime::try_execute`] turns it back into [`CommError::Transport`].
 fn fail(err: TransportError) -> ! {
     std::panic::panic_any(err)
-}
-
-/// Stable label for a transport failure's kind, for flight-recorder events.
-fn transport_error_name(err: &TransportError) -> &'static str {
-    match err {
-        TransportError::Bind { .. } => "bind",
-        TransportError::Connect { .. } => "connect",
-        TransportError::Handshake { .. } => "handshake",
-        TransportError::ShortRead { .. } => "short_read",
-        TransportError::FrameTooLarge { .. } => "frame_too_large",
-        TransportError::Codec { .. } => "codec",
-        TransportError::PeerDeath { .. } => "peer_death",
-        TransportError::Timeout { .. } => "timeout",
-    }
 }
 
 /// Dump the flight recorder when a recoverable job gives up: the ring holds
@@ -781,7 +734,7 @@ impl RankCtx {
         self.colocated
     }
 
-    /// True on rank 0, the conventional root for rooted collectives.
+    /// True on rank 0, the rank [`gather`](RankCtx::gather) collects at.
     pub fn is_root(&self) -> bool {
         self.rank == 0
     }
@@ -848,12 +801,7 @@ impl RankCtx {
     /// moving, which is a stall, not a death.
     fn fail_op(&self, err: TransportError) -> ! {
         let beacon = self.beacon.get();
-        obs::flight::record(
-            FlightKind::Fault,
-            transport_error_name(&err),
-            beacon.frame,
-            0,
-        );
+        obs::flight::record(FlightKind::Fault, err.kind(), beacon.frame, 0);
         if let (Some(deadline), TransportError::Timeout { .. }) = (self.wd_deadline, &err) {
             let waited = beacon.last_progress.elapsed();
             if waited >= deadline {
@@ -997,42 +945,6 @@ impl RankCtx {
         }
     }
 
-    /// Broadcast `value` from `root` to every rank. Only the root's `value` is used;
-    /// other ranks may pass `None`.
-    pub fn broadcast<T>(&self, root: usize, value: Option<T>) -> T
-    where
-        T: WireMessage + Clone,
-    {
-        assert!(root < self.nranks, "broadcast root out of range");
-        self.stats.record_collective(CollectiveKind::Broadcast);
-        let _obs = self.observe(CollectiveKind::Broadcast);
-        let out = if self.rank == root {
-            let value = value.expect("broadcast root must supply a value");
-            self.stats.record_send(value.wire_size() as u64);
-            self.send_to_all(CollectiveKind::Broadcast, &value);
-            value
-        } else {
-            self.recv_message(CollectiveKind::Broadcast, root)
-        };
-        self.stats.record_recv(out.wire_size() as u64);
-        out
-    }
-
-    /// Gather one value from every rank on every rank, indexed by rank.
-    pub fn allgather<T>(&self, value: T) -> Vec<T>
-    where
-        T: WireMessage + Clone,
-    {
-        self.stats.record_collective(CollectiveKind::Allgather);
-        let _obs = self.observe(CollectiveKind::Allgather);
-        self.stats.record_send(value.wire_size() as u64);
-        self.send_to_all(CollectiveKind::Allgather, &value);
-        let out = self.recv_in_rank_order(CollectiveKind::Allgather, value);
-        let recv_bytes: usize = out.iter().map(WireMessage::wire_size).sum();
-        self.stats.record_recv(recv_bytes as u64);
-        out
-    }
-
     /// Gather a variable-length contribution from every rank and concatenate them in rank
     /// order on every rank.
     pub fn allgatherv<T>(&self, values: Vec<T>) -> Vec<T>
@@ -1050,72 +962,23 @@ impl RankCtx {
         out
     }
 
-    /// Gather one value from every rank at `root`. Returns `Some(values)` on the root,
-    /// `None` elsewhere.
-    pub fn gather<T>(&self, root: usize, value: T) -> Option<Vec<T>>
+    /// Gather one value from every rank at rank 0. Returns `Some(values)`, indexed by
+    /// rank, on rank 0 and `None` elsewhere.
+    pub fn gather<T>(&self, value: T) -> Option<Vec<T>>
     where
         T: WireMessage,
     {
-        assert!(root < self.nranks, "gather root out of range");
         self.stats.record_collective(CollectiveKind::Gather);
         let _obs = self.observe(CollectiveKind::Gather);
         self.stats.record_send(value.wire_size() as u64);
-        if self.rank != root {
-            self.send_message(CollectiveKind::Gather, root, value);
+        if !self.is_root() {
+            self.send_message(CollectiveKind::Gather, 0, value);
             return None;
         }
         let all = self.recv_in_rank_order(CollectiveKind::Gather, value);
         let recv_bytes: usize = all.iter().map(WireMessage::wire_size).sum();
         self.stats.record_recv(recv_bytes as u64);
         Some(all)
-    }
-
-    /// Scatter one value per rank from `root`. The root passes `Some(values)` with
-    /// exactly `nranks` entries; other ranks pass `None`.
-    pub fn scatter<T>(&self, root: usize, values: Option<Vec<T>>) -> T
-    where
-        T: WireMessage,
-    {
-        assert!(root < self.nranks, "scatter root out of range");
-        self.stats.record_collective(CollectiveKind::Scatter);
-        let _obs = self.observe(CollectiveKind::Scatter);
-        let out = if self.rank == root {
-            let values = values.expect("scatter root must supply values");
-            assert_eq!(
-                values.len(),
-                self.nranks,
-                "scatter requires exactly one value per rank"
-            );
-            let total: usize = values.iter().map(WireMessage::wire_size).sum();
-            self.stats.record_send(total as u64);
-            self.send_each(CollectiveKind::Scatter, values)
-        } else {
-            self.recv_message(CollectiveKind::Scatter, root)
-        };
-        self.stats.record_recv(out.wire_size() as u64);
-        out
-    }
-
-    /// Personalised all-to-all exchange with exactly one element per destination.
-    /// `sends[d]` is delivered to rank `d`; the result's element `s` came from rank `s`.
-    pub fn alltoall<T>(&self, sends: Vec<T>) -> Vec<T>
-    where
-        T: WireMessage,
-    {
-        assert_eq!(
-            sends.len(),
-            self.nranks,
-            "alltoall requires one element per destination rank"
-        );
-        self.stats.record_collective(CollectiveKind::Alltoall);
-        let _obs = self.observe(CollectiveKind::Alltoall);
-        let total: usize = sends.iter().map(WireMessage::wire_size).sum();
-        self.stats.record_send(total as u64);
-        let own = self.send_each(CollectiveKind::Alltoall, sends);
-        let out = self.recv_in_rank_order(CollectiveKind::Alltoall, own);
-        let recv_bytes: usize = out.iter().map(WireMessage::wire_size).sum();
-        self.stats.record_recv(recv_bytes as u64);
-        out
     }
 
     /// Personalised all-to-all exchange with variable-length buffers, the workhorse of
@@ -1247,25 +1110,8 @@ impl RankCtx {
         self.allreduce_with(local, |a, c| *a = (*a).min(*c))
     }
 
-    /// Exclusive prefix sum across ranks: rank `r` receives the sum of the values supplied
-    /// by ranks `0..r` (rank 0 receives 0).
-    pub fn exscan_sum_u64(&self, value: u64) -> u64 {
-        let all = self.allgather(value);
-        all[..self.rank].iter().sum()
-    }
-
     /// Sum of one value per rank, available on every rank.
     pub fn allreduce_scalar_sum_u64(&self, value: u64) -> u64 {
         self.allreduce_sum_u64(&[value])[0]
-    }
-
-    /// Max of one value per rank, available on every rank.
-    pub fn allreduce_scalar_max_u64(&self, value: u64) -> u64 {
-        self.allreduce_max_u64(&[value])[0]
-    }
-
-    /// Max of one `f64` per rank, available on every rank.
-    pub fn allreduce_scalar_max_f64(&self, value: f64) -> f64 {
-        self.allreduce_max_f64(&[value])[0]
     }
 }

@@ -5,11 +5,14 @@
 //!
 //! The paper's partitioner is an MPI+OpenMP code: every MPI *task* owns a slice of the
 //! graph, computes on it with OpenMP threads, and exchanges boundary updates with
-//! `MPI_Alltoallv`, `MPI_Allreduce` and `MPI_Bcast` at superstep boundaries. This crate
-//! reproduces exactly that programming model on a single machine: each **rank** is an OS
-//! thread with private state, and the [`RankCtx`] handle exposes the same family of
-//! collectives. Intra-rank parallelism is delegated to `rayon` by the algorithm crates,
-//! mirroring the OpenMP threading of the original.
+//! `MPI_Alltoallv` and part sizes with `MPI_Allreduce` at superstep boundaries. This crate
+//! reproduces that programming model on a single machine: each **rank** is an OS thread
+//! with private state, and the [`RankCtx`] handle exposes the collectives the stack
+//! calls — `barrier`, `gather` to rank 0, `allgatherv`, `alltoallv` (also with a tally
+//! summed in the same round) and `allreduce`. Initialisation needs no `MPI_Bcast`: every
+//! rank draws the same roots from the same gathered candidates and seed. Intra-rank
+//! parallelism, the OpenMP threading of the original, is the sweep engine's std scoped
+//! threads in `xtrapulp`; `rayon` only splits the generators' chunks.
 //!
 //! Because the partitioning algorithms only observe collective *semantics* (what data
 //! arrives where, and when), running ranks as threads preserves the algorithmic behaviour
@@ -59,7 +62,7 @@ pub use error::CommError;
 pub use stats::{
     CollectiveKind, CollectiveVolume, CommStats, CommStatsSnapshot, PerCollectiveSnapshot,
 };
-pub use timer::{PhaseTimer, Timer};
+pub use timer::PhaseTimer;
 pub use transport::{
     BarrierCost, CodecError, FaultInjectTransport, FaultPlan, Frame, InProcFabric, InProcTransport,
     TcpConfig, TcpTransport, Transport, TransportError, WireElem, WireMessage,

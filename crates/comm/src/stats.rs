@@ -15,6 +15,14 @@
 //!   per-collective volumes) — what actually crosses (or would cross) the transport:
 //!   self-destined data is excluded, frame headers are included. Real serialized bytes on
 //!   the socket backend, the codec's size estimate on the in-process backend.
+//!
+//! Calls, frames and wire bytes are kept once, per [`CollectiveKind`] (five kinds: the
+//! collectives [`crate::RankCtx`] offers). The call and frame totals —
+//! [`collectives`](CommStats::collectives), [`barriers`](CommStats::barriers),
+//! [`alltoallv_calls`](CommStats::alltoallv_calls),
+//! [`allreduce_calls`](CommStats::allreduce_calls), [`frames_sent`](CommStats::frames_sent)
+//! — are sums or entries of that table, so a snapshot's totals always equal the sums of
+//! its per-kind breakdown.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -25,49 +33,37 @@ use serde::Serialize;
 pub enum CollectiveKind {
     /// Barrier synchronisation (no payload).
     Barrier,
-    /// One-to-all broadcast.
-    Broadcast,
     /// All-to-all reduction (sum/max/min or custom).
     Allreduce,
-    /// Personalised all-to-all exchange (fixed count per destination).
-    Alltoall,
     /// Personalised all-to-all exchange (variable counts).
     Alltoallv,
     /// All-to-all gather of per-rank contributions.
     Allgather,
-    /// Rooted gather.
+    /// Gather at rank 0.
     Gather,
-    /// Rooted scatter.
-    Scatter,
 }
 
 impl CollectiveKind {
     /// Number of collective kinds (size of per-kind counter arrays).
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 5;
 
     /// Every kind, in [`CollectiveKind::index`] order.
     pub const ALL: [CollectiveKind; CollectiveKind::COUNT] = [
         CollectiveKind::Barrier,
-        CollectiveKind::Broadcast,
         CollectiveKind::Allreduce,
-        CollectiveKind::Alltoall,
         CollectiveKind::Alltoallv,
         CollectiveKind::Allgather,
         CollectiveKind::Gather,
-        CollectiveKind::Scatter,
     ];
 
     /// Stable lowercase name, used as the trace span name and metric label.
     pub const fn name(self) -> &'static str {
         match self {
             CollectiveKind::Barrier => "barrier",
-            CollectiveKind::Broadcast => "broadcast",
             CollectiveKind::Allreduce => "allreduce",
-            CollectiveKind::Alltoall => "alltoall",
             CollectiveKind::Alltoallv => "alltoallv",
             CollectiveKind::Allgather => "allgather",
             CollectiveKind::Gather => "gather",
-            CollectiveKind::Scatter => "scatter",
         }
     }
 
@@ -75,13 +71,10 @@ impl CollectiveKind {
     pub const fn index(self) -> usize {
         match self {
             CollectiveKind::Barrier => 0,
-            CollectiveKind::Broadcast => 1,
-            CollectiveKind::Allreduce => 2,
-            CollectiveKind::Alltoall => 3,
-            CollectiveKind::Alltoallv => 4,
-            CollectiveKind::Allgather => 5,
-            CollectiveKind::Gather => 6,
-            CollectiveKind::Scatter => 7,
+            CollectiveKind::Allreduce => 1,
+            CollectiveKind::Alltoallv => 2,
+            CollectiveKind::Allgather => 3,
+            CollectiveKind::Gather => 4,
         }
     }
 }
@@ -98,13 +91,8 @@ fn zeroed_counters() -> [AtomicU64; CollectiveKind::COUNT] {
 pub struct CommStats {
     bytes_sent: AtomicU64,
     bytes_received: AtomicU64,
-    collectives: AtomicU64,
-    barriers: AtomicU64,
-    alltoallv_calls: AtomicU64,
-    allreduce_calls: AtomicU64,
     wire_bytes_sent: AtomicU64,
     wire_bytes_received: AtomicU64,
-    frames_sent: AtomicU64,
     per_kind_calls: [AtomicU64; CollectiveKind::COUNT],
     per_kind_frames: [AtomicU64; CollectiveKind::COUNT],
     per_kind_wire: [AtomicU64; CollectiveKind::COUNT],
@@ -115,13 +103,8 @@ impl Default for CommStats {
         CommStats {
             bytes_sent: AtomicU64::new(0),
             bytes_received: AtomicU64::new(0),
-            collectives: AtomicU64::new(0),
-            barriers: AtomicU64::new(0),
-            alltoallv_calls: AtomicU64::new(0),
-            allreduce_calls: AtomicU64::new(0),
             wire_bytes_sent: AtomicU64::new(0),
             wire_bytes_received: AtomicU64::new(0),
-            frames_sent: AtomicU64::new(0),
             per_kind_calls: zeroed_counters(),
             per_kind_frames: zeroed_counters(),
             per_kind_wire: zeroed_counters(),
@@ -144,25 +127,11 @@ impl CommStats {
     }
 
     pub(crate) fn record_collective(&self, kind: CollectiveKind) {
-        self.collectives.fetch_add(1, Ordering::Relaxed); // ordering: independent wait-free counter bump; no cross-field sync
         self.per_kind_calls[kind.index()].fetch_add(1, Ordering::Relaxed); // ordering: independent wait-free counter bump; no cross-field sync
-        match kind {
-            CollectiveKind::Barrier => {
-                self.barriers.fetch_add(1, Ordering::Relaxed); // ordering: independent wait-free counter bump; no cross-field sync
-            }
-            CollectiveKind::Alltoallv => {
-                self.alltoallv_calls.fetch_add(1, Ordering::Relaxed); // ordering: independent wait-free counter bump; no cross-field sync
-            }
-            CollectiveKind::Allreduce => {
-                self.allreduce_calls.fetch_add(1, Ordering::Relaxed); // ordering: independent wait-free counter bump; no cross-field sync
-            }
-            _ => {}
-        }
     }
 
     /// Charge outbound frames and their wire bytes to a collective.
     pub(crate) fn record_frames_sent(&self, kind: CollectiveKind, frames: u64, wire: u64) {
-        self.frames_sent.fetch_add(frames, Ordering::Relaxed); // ordering: independent wait-free counter bump; no cross-field sync
         self.wire_bytes_sent.fetch_add(wire, Ordering::Relaxed); // ordering: independent wait-free counter bump; no cross-field sync
         self.per_kind_frames[kind.index()].fetch_add(frames, Ordering::Relaxed); // ordering: independent wait-free counter bump; no cross-field sync
         self.per_kind_wire[kind.index()].fetch_add(wire, Ordering::Relaxed); // ordering: independent wait-free counter bump; no cross-field sync
@@ -171,6 +140,14 @@ impl CommStats {
     /// Current wire bytes (sent + received) charged to one collective kind.
     pub(crate) fn per_kind_wire(&self, kind: CollectiveKind) -> u64 {
         self.per_kind_wire[kind.index()].load(Ordering::Relaxed) // ordering: stat read; snapshots tolerate cross-cell lag
+    }
+
+    fn calls(&self, kind: CollectiveKind) -> u64 {
+        self.per_kind_calls[kind.index()].load(Ordering::Relaxed) // ordering: stat read; snapshots tolerate cross-cell lag
+    }
+
+    fn frames(&self, kind: CollectiveKind) -> u64 {
+        self.per_kind_frames[kind.index()].load(Ordering::Relaxed) // ordering: stat read; snapshots tolerate cross-cell lag
     }
 
     /// Charge inbound wire bytes to a collective.
@@ -199,22 +176,22 @@ impl CommStats {
 
     /// Total number of collective operations issued (including barriers).
     pub fn collectives(&self) -> u64 {
-        self.collectives.load(Ordering::Relaxed) // ordering: stat read; snapshots tolerate cross-cell lag
+        CollectiveKind::ALL.map(|k| self.calls(k)).iter().sum()
     }
 
     /// Number of barrier operations issued.
     pub fn barriers(&self) -> u64 {
-        self.barriers.load(Ordering::Relaxed) // ordering: stat read; snapshots tolerate cross-cell lag
+        self.calls(CollectiveKind::Barrier)
     }
 
     /// Number of alltoallv exchanges issued.
     pub fn alltoallv_calls(&self) -> u64 {
-        self.alltoallv_calls.load(Ordering::Relaxed) // ordering: stat read; snapshots tolerate cross-cell lag
+        self.calls(CollectiveKind::Alltoallv)
     }
 
     /// Number of allreduce operations issued.
     pub fn allreduce_calls(&self) -> u64 {
-        self.allreduce_calls.load(Ordering::Relaxed) // ordering: stat read; snapshots tolerate cross-cell lag
+        self.calls(CollectiveKind::Allreduce)
     }
 
     /// Wire bytes this rank sent over the transport (excludes self-destined
@@ -230,35 +207,34 @@ impl CommStats {
 
     /// Point-to-point frames this rank sent over the transport.
     pub fn frames_sent(&self) -> u64 {
-        self.frames_sent.load(Ordering::Relaxed) // ordering: stat read; snapshots tolerate cross-cell lag
+        CollectiveKind::ALL.map(|k| self.frames(k)).iter().sum()
     }
 
-    /// Copy the counters into a plain snapshot struct.
+    /// Copy the counters into a plain snapshot struct. The call and frame totals are
+    /// summed from the same per-kind reads the breakdown reports, so they agree exactly.
     pub fn snapshot(&self) -> CommStatsSnapshot {
-        let volume = |kind: CollectiveKind| CollectiveVolume {
-            calls: self.per_kind_calls[kind.index()].load(Ordering::Relaxed), // ordering: stat read; snapshots tolerate cross-cell lag
-            frames: self.per_kind_frames[kind.index()].load(Ordering::Relaxed), // ordering: stat read; snapshots tolerate cross-cell lag
-            wire_bytes: self.per_kind_wire[kind.index()].load(Ordering::Relaxed), // ordering: stat read; snapshots tolerate cross-cell lag
-        };
+        let volume = CollectiveKind::ALL.map(|kind| CollectiveVolume {
+            calls: self.calls(kind),
+            frames: self.frames(kind),
+            wire_bytes: self.per_kind_wire(kind),
+        });
+        let [barrier, allreduce, alltoallv, allgather, gather] = volume;
         CommStatsSnapshot {
             bytes_sent: self.bytes_sent(),
             bytes_received: self.bytes_received(),
-            collectives: self.collectives(),
-            barriers: self.barriers(),
-            alltoallv_calls: self.alltoallv_calls(),
-            allreduce_calls: self.allreduce_calls(),
+            collectives: volume.iter().map(|v| v.calls).sum(),
+            barriers: barrier.calls,
+            alltoallv_calls: alltoallv.calls,
+            allreduce_calls: allreduce.calls,
             wire_bytes_sent: self.wire_bytes_sent(),
             wire_bytes_received: self.wire_bytes_received(),
-            frames_sent: self.frames_sent(),
+            frames_sent: volume.iter().map(|v| v.frames).sum(),
             per_collective: PerCollectiveSnapshot {
-                barrier: volume(CollectiveKind::Barrier),
-                broadcast: volume(CollectiveKind::Broadcast),
-                allreduce: volume(CollectiveKind::Allreduce),
-                alltoall: volume(CollectiveKind::Alltoall),
-                alltoallv: volume(CollectiveKind::Alltoallv),
-                allgather: volume(CollectiveKind::Allgather),
-                gather: volume(CollectiveKind::Gather),
-                scatter: volume(CollectiveKind::Scatter),
+                barrier,
+                allreduce,
+                alltoallv,
+                allgather,
+                gather,
             },
         }
     }
@@ -290,33 +266,24 @@ impl CollectiveVolume {
 pub struct PerCollectiveSnapshot {
     /// Barrier traffic (release frames only; payload-free).
     pub barrier: CollectiveVolume,
-    /// Broadcast traffic.
-    pub broadcast: CollectiveVolume,
     /// Allreduce traffic.
     pub allreduce: CollectiveVolume,
-    /// Alltoall traffic.
-    pub alltoall: CollectiveVolume,
     /// Alltoallv traffic.
     pub alltoallv: CollectiveVolume,
-    /// Allgather(v) traffic.
+    /// Allgatherv traffic.
     pub allgather: CollectiveVolume,
-    /// Rooted gather traffic.
+    /// Gather-at-rank-0 traffic.
     pub gather: CollectiveVolume,
-    /// Rooted scatter traffic.
-    pub scatter: CollectiveVolume,
 }
 
 impl PerCollectiveSnapshot {
     fn merged(self, other: PerCollectiveSnapshot) -> PerCollectiveSnapshot {
         PerCollectiveSnapshot {
             barrier: self.barrier.merged(other.barrier),
-            broadcast: self.broadcast.merged(other.broadcast),
             allreduce: self.allreduce.merged(other.allreduce),
-            alltoall: self.alltoall.merged(other.alltoall),
             alltoallv: self.alltoallv.merged(other.alltoallv),
             allgather: self.allgather.merged(other.allgather),
             gather: self.gather.merged(other.gather),
-            scatter: self.scatter.merged(other.scatter),
         }
     }
 }

@@ -1,48 +1,9 @@
-//! Lightweight wall-clock timers used by the experiment harnesses.
+//! Per-phase wall-clock accounting used by the experiment harnesses.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
-
-/// A simple stopwatch.
-#[derive(Debug, Clone, Copy)]
-pub struct Timer {
-    start: Instant,
-}
-
-impl Timer {
-    /// Start a new timer.
-    pub fn start() -> Self {
-        Timer {
-            start: Instant::now(),
-        }
-    }
-
-    /// Seconds elapsed since the timer was started.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
-    /// Elapsed time since the timer was started.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Restart the timer and return the time elapsed up to now.
-    pub fn lap(&mut self) -> Duration {
-        let now = Instant::now();
-        let lap = now - self.start;
-        self.start = now;
-        lap
-    }
-}
-
-impl Default for Timer {
-    fn default() -> Self {
-        Timer::start()
-    }
-}
 
 /// Accumulates named phase durations (initialisation, vertex balance, edge balance, ...).
 ///

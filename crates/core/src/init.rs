@@ -1,9 +1,10 @@
 //! Partition initialisation strategies (Algorithm 2 of the paper).
 //!
 //! XtraPuLP's initialisation is a hybrid of unconstrained label propagation and
-//! BFS-based graph growing: rank 0 selects `p` unique random root vertices and
-//! broadcasts them; each root seeds one part; in each bulk-synchronous round every
-//! unassigned vertex that sees at least one assigned neighbour adopts a *random*
+//! BFS-based graph growing: every rank draws the same `p` unique random root vertices
+//! from the same gathered candidate list and seed, so no broadcast is needed; each root
+//! seeds one part; in each bulk-synchronous round every unassigned vertex that sees at
+//! least one assigned neighbour adopts a *random*
 //! neighbouring part (randomising, rather than taking the majority label, gives more
 //! balanced initial parts). Vertices still unassigned when growth stalls (disconnected
 //! components) are assigned randomly. The paper credits this initialisation with a
@@ -75,12 +76,14 @@ fn bfs_grow_init(
     let n = graph.global_n();
     let rank = ctx.rank();
 
-    // Rank 0 draws p unique random roots from the global vertex set and broadcasts them.
-    // Roots are preferentially drawn from non-isolated vertices: a part seeded on a
-    // zero-degree vertex could never grow, which wastes a part and burdens the balance
-    // stage. (The paper selects uniformly; at its scales isolated vertices are a
-    // vanishing fraction, at ours they are not.)
-    let candidate_roots: Vec<GlobalId> = {
+    // Every rank draws the same p unique random roots from the global vertex set: the
+    // candidate list below is identical on every rank, and so are its sort and the
+    // seeded shuffle, so the roots need no broadcast (the paper's rank 0 draws and
+    // broadcasts them). Roots are preferentially drawn from non-isolated vertices: a
+    // part seeded on a zero-degree vertex could never grow, which wastes a part and
+    // burdens the balance stage. (The paper selects uniformly; at its scales isolated
+    // vertices are a vanishing fraction, at ours they are not.)
+    let mut roots: Vec<GlobalId> = {
         // Every rank contributes its owned non-isolated vertices; small graphs make this
         // cheap, and it keeps root selection independent of the rank count.
         let mine: Vec<GlobalId> = (0..graph.n_owned())
@@ -89,30 +92,15 @@ fn bfs_grow_init(
             .collect();
         ctx.allgatherv(mine)
     };
-    // Only rank 0 draws the roots, but the broadcast itself is reached by
-    // every rank unconditionally (collective-symmetry: the rank-dependent
-    // part is confined to computing the payload).
-    let drawn: Option<Vec<GlobalId>> = if rank == 0 {
-        let mut rng = SmallRng::seed_from_u64(params.seed);
-        let universe: Vec<GlobalId> = if candidate_roots.is_empty() {
-            (0..n).collect()
-        } else {
-            let mut sorted = candidate_roots.clone();
-            sorted.sort_unstable();
-            sorted
-        };
-        Some(if p >= universe.len() {
-            universe
-        } else {
-            let mut shuffled = universe;
-            shuffled.shuffle(&mut rng);
-            shuffled.truncate(p);
-            shuffled
-        })
+    if roots.is_empty() {
+        roots = (0..n).collect();
     } else {
-        None
-    };
-    let roots: Vec<GlobalId> = ctx.broadcast(0, drawn);
+        roots.sort_unstable();
+    }
+    if p < roots.len() {
+        roots.shuffle(&mut SmallRng::seed_from_u64(params.seed));
+        roots.truncate(p);
+    }
 
     let mut parts = vec![UNASSIGNED; graph.n_total()];
     let mut seed_updates: Vec<PartUpdate> = Vec::new();
