@@ -95,7 +95,7 @@ impl<R> ExecOutcome<R> {
 /// through the collectives on [`RankCtx`]. This mirrors how the original
 /// XtraPuLP runs one MPI task per node with OpenMP threads inside it: here the
 /// "node" is a thread, and intra-rank parallelism is the caller's (the sweep
-/// engine forks std scoped threads; `rayon` only splits generator chunks).
+/// engine forks std scoped threads; generators and builders run serially).
 /// There is no broadcast: where the paper's rank 0 `MPI_Bcast`s its init roots,
 /// every rank here draws the same roots itself.
 ///

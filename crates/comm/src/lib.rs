@@ -12,7 +12,7 @@
 //! summed in the same round) and `allreduce`. Initialisation needs no `MPI_Bcast`: every
 //! rank draws the same roots from the same gathered candidates and seed. Intra-rank
 //! parallelism, the OpenMP threading of the original, is the sweep engine's std scoped
-//! threads in `xtrapulp`; `rayon` only splits the generators' chunks.
+//! threads in `xtrapulp`; the generators and graph builders are plain loops.
 //!
 //! Because the partitioning algorithms only observe collective *semantics* (what data
 //! arrives where, and when), running ranks as threads preserves the algorithmic behaviour

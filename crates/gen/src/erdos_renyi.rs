@@ -6,7 +6,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 use crate::EdgeList;
 
@@ -26,19 +25,12 @@ pub fn generate(config: &ErdosRenyiConfig) -> EdgeList {
     let n = config.num_vertices;
     let m = n.saturating_mul(config.avg_degree) / 2;
     let chunk = 1u64 << 16;
-    let num_chunks = m.div_ceil(chunk).max(1);
-    let edges: Vec<(u64, u64)> = (0..num_chunks)
-        .into_par_iter()
-        .flat_map_iter(|ci| {
-            let mut rng = SmallRng::seed_from_u64(config.seed ^ ci.wrapping_mul(0xA24B_AED4));
-            let count = chunk.min(m.saturating_sub(ci * chunk));
-            (0..count).map(move |_| {
-                let u = rng.gen_range(0..n);
-                let v = rng.gen_range(0..n);
-                (u, v)
-            })
-        })
-        .collect();
+    let mut edges = Vec::with_capacity(m as usize);
+    for ci in 0..m.div_ceil(chunk) {
+        let mut rng = SmallRng::seed_from_u64(config.seed ^ ci.wrapping_mul(0xA24B_AED4));
+        let count = chunk.min(m - ci * chunk);
+        edges.extend((0..count).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n))));
+    }
     EdgeList {
         num_vertices: n,
         edges,

@@ -9,7 +9,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 use crate::EdgeList;
 
@@ -28,23 +27,16 @@ pub struct RandHdConfig {
 pub fn generate(config: &RandHdConfig) -> EdgeList {
     let n = config.num_vertices;
     let d = config.avg_degree.max(1) as i64;
-    let edges: Vec<(u64, u64)> = (0..n)
-        .into_par_iter()
-        .flat_map_iter(|k| {
-            let mut rng = SmallRng::seed_from_u64(config.seed ^ k.wrapping_mul(0x5851_F42D));
-            let n = n as i64;
-            (0..config.avg_degree).filter_map(move |_| {
-                let k = k as i64;
-                let offset = rng.gen_range(-d + 1..d);
-                let v = k + offset;
-                if v < 0 || v >= n || v == k {
-                    None
-                } else {
-                    Some((k as u64, v as u64))
-                }
-            })
-        })
-        .collect();
+    let mut edges = Vec::with_capacity(n.saturating_mul(config.avg_degree) as usize);
+    for k in 0..n {
+        let mut rng = SmallRng::seed_from_u64(config.seed ^ k.wrapping_mul(0x5851_F42D));
+        for _ in 0..config.avg_degree {
+            let v = k as i64 + rng.gen_range(-d + 1..d);
+            if (0..n as i64).contains(&v) && v != k as i64 {
+                edges.push((k, v as u64));
+            }
+        }
+    }
     EdgeList {
         num_vertices: n,
         edges,

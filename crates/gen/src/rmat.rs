@@ -9,7 +9,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 use crate::EdgeList;
 
@@ -54,18 +53,15 @@ pub fn generate(config: &RmatConfig) -> EdgeList {
         "R-MAT quadrant probabilities must be non-negative and sum to at most 1"
     );
 
-    // Generate in parallel chunks, each with an independent deterministic stream.
+    // Generate in chunks, each with an independent stream seeded by its index, so any
+    // subset of chunks can be generated on its own.
     let chunk = 1u64 << 16;
-    let num_chunks = m.div_ceil(chunk);
-    let edges: Vec<(u64, u64)> = (0..num_chunks)
-        .into_par_iter()
-        .flat_map_iter(|ci| {
-            let mut rng = SmallRng::seed_from_u64(config.seed ^ (ci.wrapping_mul(0x9E37_79B9)));
-            let count = chunk.min(m - ci * chunk);
-            let cfg = *config;
-            (0..count).map(move |_| sample_edge(&cfg, &mut rng))
-        })
-        .collect();
+    let mut edges = Vec::with_capacity(m as usize);
+    for ci in 0..m.div_ceil(chunk) {
+        let mut rng = SmallRng::seed_from_u64(config.seed ^ (ci.wrapping_mul(0x9E37_79B9)));
+        let count = chunk.min(m - ci * chunk);
+        edges.extend((0..count).map(|_| sample_edge(config, &mut rng)));
+    }
 
     EdgeList {
         num_vertices: n,
@@ -73,26 +69,19 @@ pub fn generate(config: &RmatConfig) -> EdgeList {
     }
 }
 
+/// One edge: at each level, from the top bit down, one uniform draw picks the quadrant
+/// (`a`: neither bit, `b`: `v`'s bit, `c`: `u`'s bit, `d`: both). No per-level noise is
+/// added, unlike the Graph500 reference generator. The bits are set from comparisons
+/// rather than branches, which the draw would mispredict on most levels.
 fn sample_edge(config: &RmatConfig, rng: &mut SmallRng) -> (u64, u64) {
     let mut u = 0u64;
     let mut v = 0u64;
-    let ab = config.a + config.b;
+    let (a, ab) = (config.a, config.a + config.b);
     let abc = ab + config.c;
     for level in (0..config.scale).rev() {
         let r: f64 = rng.gen();
-        // Add a little per-level noise, as in the Graph500 reference generator, to avoid
-        // exact self-similarity artifacts.
-        let bit = 1u64 << level;
-        if r < config.a {
-            // top-left: neither bit set
-        } else if r < ab {
-            v |= bit;
-        } else if r < abc {
-            u |= bit;
-        } else {
-            u |= bit;
-            v |= bit;
-        }
+        u |= ((r >= ab) as u64) << level;
+        v |= ((((r >= a) & (r < ab)) | (r >= abc)) as u64) << level;
     }
     (u, v)
 }

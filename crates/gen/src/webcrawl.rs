@@ -15,7 +15,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 use crate::EdgeList;
 
@@ -56,34 +55,29 @@ pub fn generate(config: &WebCrawlConfig) -> EdgeList {
     let num_hubs = ((n as f64 * config.hub_fraction).ceil() as u64).max(1);
     let edges_per_vertex = (config.avg_degree / 2).max(1);
 
-    let edges: Vec<(u64, u64)> = (0..n)
-        .into_par_iter()
-        .flat_map_iter(|u| {
-            let mut rng = SmallRng::seed_from_u64(config.seed ^ u.wrapping_mul(0x2545_F491));
-            let community = u / cs;
-            let community_start = community * cs;
-            let community_end = (community_start + cs).min(n);
-            let cfg = *config;
-            (0..edges_per_vertex).filter_map(move |_| {
-                let r: f64 = rng.gen();
-                let v = if r < (cfg.hub_fraction * 20.0).clamp(0.0, 0.1) {
-                    // Link to a hub page anywhere in the graph.
-                    rng.gen_range(0..num_hubs) * (n / num_hubs).max(1)
-                } else if r < cfg.inter_community_fraction {
-                    // Cross-community link.
-                    rng.gen_range(0..n)
-                } else {
-                    // Intra-community link.
-                    rng.gen_range(community_start..community_end)
-                };
-                if v == u {
-                    None
-                } else {
-                    Some((u, v))
-                }
-            })
-        })
-        .collect();
+    let hub_link = (config.hub_fraction * 20.0).clamp(0.0, 0.1);
+    let mut edges = Vec::with_capacity(n.saturating_mul(edges_per_vertex) as usize);
+    for u in 0..n {
+        let mut rng = SmallRng::seed_from_u64(config.seed ^ u.wrapping_mul(0x2545_F491));
+        let community_start = u / cs * cs;
+        let community_end = (community_start + cs).min(n);
+        for _ in 0..edges_per_vertex {
+            let r: f64 = rng.gen();
+            let v = if r < hub_link {
+                // Link to a hub page anywhere in the graph.
+                rng.gen_range(0..num_hubs) * (n / num_hubs).max(1)
+            } else if r < config.inter_community_fraction {
+                // Cross-community link.
+                rng.gen_range(0..n)
+            } else {
+                // Intra-community link.
+                rng.gen_range(community_start..community_end)
+            };
+            if v != u {
+                edges.push((u, v));
+            }
+        }
+    }
 
     EdgeList {
         num_vertices: n,

@@ -56,19 +56,13 @@ impl Csr {
     ///
     /// Panics if an arc's source is outside `0..n`.
     pub fn from_rows(n: u64, rows: impl Iterator<Item = (GlobalId, GlobalId)> + Clone) -> Csr {
-        let mut offsets = vec![0u64; n as usize + 1];
-        for (u, _) in rows.clone() {
-            offsets[u as usize + 1] += 1;
-        }
-        for v in 0..n as usize {
-            offsets[v + 1] += offsets[v];
-        }
-        let mut next = offsets.clone();
-        let mut adjacency = vec![0; offsets[n as usize] as usize];
-        for (u, v) in rows {
-            adjacency[next[u as usize] as usize] = v;
-            next[u as usize] += 1;
-        }
+        let (offsets, adjacency) = place_rows(
+            n as usize,
+            rows.map(|(u, v)| {
+                debug_assert!(v < n, "arc target {v} is outside 0..{n}");
+                (u as usize, v)
+            }),
+        );
         Csr { offsets, adjacency }
     }
 
@@ -239,33 +233,76 @@ impl CsrBuilder {
     /// Build the CSR: symmetrise, drop out-of-range endpoints, deduplicate, and (by
     /// default) remove self loops.
     pub fn build(&self) -> Csr {
-        // Symmetrise into directed arcs.
-        let mut arcs: Vec<(GlobalId, GlobalId)> = Vec::with_capacity(self.edges.len() * 2);
-        for &(u, v) in &self.edges {
-            if u >= self.num_vertices || v >= self.num_vertices {
-                continue;
-            }
-            if u == v {
-                if self.keep_self_loops {
-                    arcs.push((u, v));
-                }
-                continue;
-            }
-            arcs.push((u, v));
-            arcs.push((v, u));
-        }
-        // Sort and deduplicate.
-        arcs.sort_unstable();
-        arcs.dedup();
-        Csr::from_rows(self.num_vertices, arcs.iter().copied())
+        build_csr(self.num_vertices, &self.edges, self.keep_self_loops)
     }
 }
 
 /// Build a CSR from a plain undirected edge list over `num_vertices` vertices.
 pub fn csr_from_edges(num_vertices: u64, edges: &[(GlobalId, GlobalId)]) -> Csr {
-    let mut b = CsrBuilder::new(num_vertices);
-    b.add_edges(edges.iter().copied());
-    b.build()
+    build_csr(num_vertices, edges, false)
+}
+
+/// [`CsrBuilder::build`] over a borrowed edge list, with no global sort: the arcs are
+/// symmetrised on the fly and placed by source row, then each row is normalised on its own.
+fn build_csr(n: u64, edges: &[(GlobalId, GlobalId)], keep_self_loops: bool) -> Csr {
+    let arcs = edges
+        .iter()
+        .filter(move |&&(u, v)| u < n && v < n && (u != v || keep_self_loops))
+        // A kept self loop is one arc; any other edge is one arc per direction.
+        .flat_map(|&(u, v)| [(u, v), (v, u)].into_iter().take(1 + (u != v) as usize));
+    let mut csr = Csr::from_rows(n, arcs);
+    normalise_rows(&mut csr.offsets, &mut csr.adjacency);
+    csr
+}
+
+/// Counting placement of `arcs` keyed by row in `0..rows`: row `r`'s targets end up in
+/// `adjacency[offsets[r]..offsets[r + 1]]`, in stream order. Two passes over `arcs`: one
+/// counts, one places.
+///
+/// # Panics
+///
+/// Panics if an arc's row is outside `0..rows`.
+pub(crate) fn place_rows(
+    rows: usize,
+    arcs: impl Iterator<Item = (usize, GlobalId)> + Clone,
+) -> (Vec<u64>, Vec<GlobalId>) {
+    // `for_each` rather than `for`: a `flat_map`ped stream then runs as nested loops.
+    let mut offsets = vec![0u64; rows + 1];
+    arcs.clone().for_each(|(r, _)| offsets[r + 1] += 1);
+    for r in 0..rows {
+        offsets[r + 1] += offsets[r];
+    }
+    let mut next = offsets[..rows].to_vec();
+    let mut adjacency = vec![0; offsets[rows] as usize];
+    arcs.for_each(|(r, v)| {
+        adjacency[next[r] as usize] = v;
+        next[r] += 1;
+    });
+    (offsets, adjacency)
+}
+
+/// Sort every row of a placed adjacency ascending and drop repeated targets within it,
+/// compacting the rows to the front in place and rewriting `offsets` to match. The
+/// adjacency ends at its exact length and capacity.
+pub(crate) fn normalise_rows(offsets: &mut [u64], adjacency: &mut Vec<GlobalId>) {
+    let mut kept = 0usize;
+    let mut start = 0usize;
+    for row_end in offsets.iter_mut().skip(1) {
+        let end = *row_end as usize;
+        adjacency[start..end].sort_unstable();
+        let row_start = kept;
+        for i in start..end {
+            let v = adjacency[i];
+            if kept == row_start || adjacency[kept - 1] != v {
+                adjacency[kept] = v;
+                kept += 1;
+            }
+        }
+        *row_end = kept as u64;
+        start = end;
+    }
+    adjacency.truncate(kept);
+    adjacency.shrink_to_fit();
 }
 
 #[cfg(test)]
@@ -398,6 +435,75 @@ mod tests {
     fn apply_delta_rejects_mismatched_base() {
         use crate::delta::GraphDelta;
         path_graph(5).apply_delta(&GraphDelta::new(4, 0, &[], &[]));
+    }
+
+    /// The builder's contract spelled out the slow way: every in-range edge in both
+    /// directions (a kept self loop once), sorted globally, duplicates removed.
+    fn reference_build(n: u64, edges: &[(GlobalId, GlobalId)], keep_self_loops: bool) -> Csr {
+        let mut arcs = Vec::new();
+        for &(u, v) in edges {
+            if u >= n || v >= n || (u == v && !keep_self_loops) {
+                continue;
+            }
+            arcs.push((u, v));
+            if u != v {
+                arcs.push((v, u));
+            }
+        }
+        arcs.sort_unstable();
+        arcs.dedup();
+        let mut offsets = vec![0u64; n as usize + 1];
+        for &(u, _) in &arcs {
+            offsets[u as usize + 1] += 1;
+        }
+        for i in 0..n as usize {
+            offsets[i + 1] += offsets[i];
+        }
+        Csr::from_parts(offsets, arcs.iter().map(|&(_, v)| v).collect())
+    }
+
+    #[test]
+    fn build_matches_a_reference_sort_and_dedup() {
+        let mut state = 0u64;
+        let mut draw = |bound: u64| {
+            state += 1;
+            crate::distribution::splitmix64(state) % bound.max(1)
+        };
+        for case in 0..300 {
+            // Case 0 has no vertices; small n and few edges leave vertices isolated.
+            let n = if case == 0 { 0 } else { draw(40) };
+            let mut edges: Vec<(GlobalId, GlobalId)> = Vec::new();
+            for _ in 0..draw(120) {
+                // Endpoints reach up to n + 2, so some are out of range.
+                let u = draw(n + 3);
+                let edge = match (draw(5), edges.last().copied()) {
+                    (0, _) => (u, u),
+                    (1, Some(e)) => e,
+                    (2, Some((a, b))) => (b, a),
+                    _ => (u, draw(n + 3)),
+                };
+                edges.push(edge);
+            }
+            for keep in [false, true] {
+                let mut builder = CsrBuilder::new(n).keep_self_loops(keep);
+                builder.add_edges(edges.iter().copied());
+                let built = builder.build();
+                assert_eq!(
+                    built,
+                    reference_build(n, &edges, keep),
+                    "case {case}, {keep}"
+                );
+                assert_eq!(built.adjacency.capacity(), built.adjacency.len());
+            }
+            assert_eq!(csr_from_edges(n, &edges), reference_build(n, &edges, false));
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside 0..3")]
+    fn from_rows_rejects_an_out_of_range_target() {
+        Csr::from_rows(3, [(0, 1), (1, 3)].into_iter());
     }
 
     #[test]

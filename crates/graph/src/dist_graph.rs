@@ -43,6 +43,7 @@ use std::collections::HashMap;
 
 use xtrapulp_comm::{RankCtx, WireElem};
 
+use crate::csr::{normalise_rows, place_rows};
 use crate::{Csr, Distribution, GlobalId, HaloError, HaloPlan, LocalId};
 
 /// A rank-local view of a globally distributed undirected graph.
@@ -87,37 +88,25 @@ impl DistGraph {
         global_n: u64,
         edges: &[(GlobalId, GlobalId)],
     ) -> Self {
-        let rank = ctx.rank();
-        let nranks = ctx.nranks();
-        let mut arcs = Vec::new();
-        for &(u, v) in edges {
-            if u == v || u >= global_n || v >= global_n {
-                continue;
-            }
-            if dist.owner(u, global_n, nranks) == rank {
-                arcs.push((u, v));
-            }
-            if dist.owner(v, global_n, nranks) == rank {
-                arcs.push((v, u));
-            }
-        }
-        Self::from_owned_arcs(ctx, dist, global_n, arcs)
+        let shell = Self::empty(ctx, dist, global_n);
+        let arcs = edges
+            .iter()
+            .filter(|&&(u, v)| u != v && u < global_n && v < global_n)
+            .flat_map(|&(u, v)| [(u, v), (v, u)])
+            .filter_map(|(u, v)| Some((shell.owned_local_id(u)? as usize, v)));
+        let rows = place_rows(shell.n_owned(), arcs);
+        shell.with_rows(ctx, rows)
     }
 
     /// Build the local graph from a globally shared [`Csr`].
     pub fn from_csr(ctx: &RankCtx, dist: Distribution, csr: &Csr) -> Self {
-        let rank = ctx.rank();
-        let nranks = ctx.nranks();
-        let global_n = csr.num_vertices() as u64;
-        let mut arcs = Vec::new();
-        for u in dist.owned_vertices(rank, global_n, nranks) {
-            for &v in csr.neighbors(u) {
-                if u != v {
-                    arcs.push((u, v));
-                }
-            }
-        }
-        Self::from_owned_arcs(ctx, dist, global_n, arcs)
+        let shell = Self::empty(ctx, dist, csr.num_vertices() as u64);
+        let arcs = shell.owned_global.iter().enumerate().flat_map(|(row, &u)| {
+            let targets = csr.neighbors(u).iter().filter(move |&&v| v != u);
+            targets.map(move |&v| (row, v))
+        });
+        let rows = place_rows(shell.n_owned(), arcs);
+        shell.with_rows(ctx, rows)
     }
 
     /// Build the local graph when each rank holds an arbitrary chunk of the global edge
@@ -167,50 +156,48 @@ impl DistGraph {
         for buf in ctx.alltoallv(sends) {
             mine.extend(buf);
         }
-        Self::from_owned_arcs(ctx, dist, global_n, mine)
+        let shell = Self::empty(ctx, dist, global_n);
+        let arcs = mine.iter().filter_map(|&(u, v)| {
+            let row = shell.owned_local_id(u);
+            debug_assert!(row.is_some(), "arc source must be owned by this rank");
+            Some((row? as usize, v))
+        });
+        let rows = place_rows(shell.n_owned(), arcs);
+        drop(mine);
+        shell.with_rows(ctx, rows)
     }
 
-    /// The constructor the first two paths share: `arcs` are directed arcs whose source is
-    /// owned by this rank, in any order. Duplicates are removed; ghost degrees and the halo
-    /// plan are resolved collectively.
-    fn from_owned_arcs(
+    /// The tail every build from arcs shares: `rows` are the targets (global ids) of the
+    /// owned rows, placed by owned local row in any order within a row
+    /// ([`place_rows`]). Each row is sorted and deduplicated, then one pass in row order
+    /// resolves each target, a ghost taking the next slot the first time it is seen;
+    /// ghost degrees and the halo plan are resolved collectively.
+    fn with_rows(
+        self,
         ctx: &RankCtx,
-        dist: Distribution,
-        global_n: u64,
-        mut arcs: Vec<(GlobalId, GlobalId)>,
+        (mut offsets, mut targets): (Vec<u64>, Vec<GlobalId>),
     ) -> Self {
-        let owned_global = dist
-            .owned_vertices(ctx.rank(), global_n, ctx.nranks())
+        normalise_rows(&mut offsets, &mut targets);
+        let mut ghosts = GhostTable::new(self.n_owned(), 0);
+        let adjacency = targets
+            .iter()
+            .map(|&v| self.owned_local_id(v).unwrap_or_else(|| ghosts.slot(v)))
             .collect();
-        let shell = Self::shell(ctx, dist, global_n, owned_global);
-        arcs.sort_unstable();
-        arcs.dedup();
-
-        // One pass in sorted order: the source row advances by cursor, each target
-        // resolves once, and a ghost takes the next slot the first time it is seen.
-        let mut ghosts = GhostTable::new(shell.n_owned(), 0);
-        let mut offsets = Vec::with_capacity(shell.n_owned() + 1);
-        offsets.push(0u64);
-        let mut adjacency = Vec::with_capacity(arcs.len());
-        let mut arcs = arcs.into_iter().peekable();
-        for &gu in &shell.owned_global {
-            while let Some((_, v)) = arcs.next_if(|&(u, _)| u == gu) {
-                adjacency.push(shell.owned_local_id(v).unwrap_or_else(|| ghosts.slot(v)));
-            }
-            offsets.push(adjacency.len() as u64);
-        }
-        debug_assert!(
-            arcs.next().is_none(),
-            "arc source must be owned by this rank"
-        );
         DistGraph {
             ghost_global: ghosts.global,
             ghost_local: ghosts.local,
             offsets,
             adjacency,
-            ..shell
+            ..self
         }
         .finish(ctx)
+    }
+
+    /// The [`shell`](DistGraph::shell) of a build from scratch: this rank owns what `dist`
+    /// gives it.
+    fn empty(ctx: &RankCtx, dist: Distribution, global_n: u64) -> Self {
+        let owned = dist.owned_vertices(ctx.rank(), global_n, ctx.nranks());
+        Self::shell(ctx, dist, global_n, owned.collect())
     }
 
     /// A graph of `owned_global` and nothing else yet: what a builder resolves owned
@@ -667,7 +654,7 @@ impl GhostTable {
 }
 
 /// The ghost numbering of a graph being rebuilt from `old` by a delta: slots are handed out
-/// in first-seen row order, exactly as `from_owned_arcs` does, so the rebuilt graph's
+/// in first-seen row order, exactly as `with_rows` does, so the rebuilt graph's
 /// ghost table — and with it the halo plan and every result computed on either — is the
 /// one a from-scratch build produces.
 struct GhostSlots<'a> {
