@@ -8,7 +8,7 @@
 //! diameter — the properties that stress the partitioner's load balance.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 use crate::EdgeList;
 
@@ -56,11 +56,12 @@ pub fn generate(config: &RmatConfig) -> EdgeList {
     // Generate in chunks, each with an independent stream seeded by its index, so any
     // subset of chunks can be generated on its own.
     let chunk = 1u64 << 16;
+    let thresholds = thresholds(config);
     let mut edges = Vec::with_capacity(m as usize);
     for ci in 0..m.div_ceil(chunk) {
         let mut rng = SmallRng::seed_from_u64(config.seed ^ (ci.wrapping_mul(0x9E37_79B9)));
         let count = chunk.min(m - ci * chunk);
-        edges.extend((0..count).map(|_| sample_edge(config, &mut rng)));
+        edges.extend((0..count).map(|_| sample_edge(config.scale, thresholds, &mut rng)));
     }
 
     EdgeList {
@@ -69,19 +70,27 @@ pub fn generate(config: &RmatConfig) -> EdgeList {
     }
 }
 
-/// One edge: at each level, from the top bit down, one uniform draw picks the quadrant
-/// (`a`: neither bit, `b`: `v`'s bit, `c`: `u`'s bit, `d`: both). No per-level noise is
-/// added, unlike the Graph500 reference generator. The bits are set from comparisons
-/// rather than branches, which the draw would mispredict on most levels.
-fn sample_edge(config: &RmatConfig, rng: &mut SmallRng) -> (u64, u64) {
-    let mut u = 0u64;
-    let mut v = 0u64;
-    let (a, ab) = (config.a, config.a + config.b);
-    let abc = ab + config.c;
-    for level in (0..config.scale).rev() {
-        let r: f64 = rng.gen();
-        u |= ((r >= ab) as u64) << level;
-        v |= ((((r >= a) & (r < ab)) | (r >= abc)) as u64) << level;
+/// The cumulative quadrant probabilities `a`, `a + b`, `a + b + c` as thresholds on the
+/// 53-bit integer `k` behind a uniform draw `r = k / 2^53` (what `rng.gen::<f64>()`
+/// returns): `r >= t` exactly when `k >= ceil(t * 2^53)`, so a draw is compared without
+/// converting it.
+fn thresholds(config: &RmatConfig) -> [u64; 3] {
+    let ab = config.a + config.b;
+    [config.a, ab, ab + config.c].map(|t| (t * (1u64 << 53) as f64).ceil() as u64)
+}
+
+/// One edge: from the top bit down, each level's draw picks a quadrant (`a`: neither bit,
+/// `b`: `v`'s, `c`: `u`'s, `d`: both), so `u`'s bit is `r >= a + b` and `v`'s is the parity
+/// of the three threshold tests. No per-level noise is added, unlike the Graph500
+/// reference generator. The bits come from comparisons rather than branches, which the
+/// draw would mispredict on most levels.
+fn sample_edge(scale: u32, [ta, tab, tabc]: [u64; 3], rng: &mut SmallRng) -> (u64, u64) {
+    let (mut u, mut v) = (0u64, 0u64);
+    for _ in 0..scale {
+        let k = rng.next_u64() >> 11;
+        let (ge_a, ge_ab, ge_abc) = ((k >= ta) as u64, (k >= tab) as u64, (k >= tabc) as u64);
+        u = u << 1 | ge_ab;
+        v = v << 1 | (ge_a ^ ge_ab ^ ge_abc);
     }
     (u, v)
 }
@@ -124,6 +133,24 @@ mod tests {
             "expected a skewed degree distribution (max {} vs avg {avg})",
             csr.max_degree()
         );
+    }
+
+    #[test]
+    fn integer_thresholds_decide_as_the_float_draw_does() {
+        let scale = 0.5f64.powi(53);
+        for t in [0.0, 0.05, 0.19, 0.57, 0.57 + 0.19, 0.57 + 0.19 + 0.19, 1.0] {
+            let config = RmatConfig {
+                a: t,
+                b: 0.0,
+                c: 0.0,
+                ..RmatConfig::graph500(1, 1, 0)
+            };
+            let threshold = thresholds(&config)[0];
+            let below = threshold.saturating_sub(2);
+            for k in below..(threshold + 2).min(1 << 53) {
+                assert_eq!(k as f64 * scale >= t, k >= threshold, "t {t}, k {k}");
+            }
+        }
     }
 
     #[test]

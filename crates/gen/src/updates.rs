@@ -105,13 +105,12 @@ pub fn generate_stream(base: &EdgeList, config: &UpdateStreamConfig) -> UpdateSt
 }
 
 /// The evolving graph the generator mutates: vertex count, a live edge set for
-/// membership checks, a dense edge list for uniform deletion sampling and an endpoint
-/// pool for preferential attachment.
+/// membership checks and a dense edge list, for uniform deletion sampling and, read as
+/// an endpoint pool, for preferential attachment.
 struct LiveState {
     n: u64,
     edge_set: HashSet<(GlobalId, GlobalId)>,
     edge_vec: Vec<(GlobalId, GlobalId)>,
-    endpoint_pool: Vec<GlobalId>,
 }
 
 impl LiveState {
@@ -120,7 +119,6 @@ impl LiveState {
             n: base.num_vertices,
             edge_set: HashSet::with_capacity(base.edges.len()),
             edge_vec: Vec::with_capacity(base.edges.len()),
-            endpoint_pool: Vec::with_capacity(base.edges.len() * 2),
         };
         for &(u, v) in &base.edges {
             if u == v || u >= state.n || v >= state.n {
@@ -134,8 +132,6 @@ impl LiveState {
     fn add_edge(&mut self, u: GlobalId, v: GlobalId) -> bool {
         if self.edge_set.insert((u, v)) {
             self.edge_vec.push((u, v));
-            self.endpoint_pool.push(u);
-            self.endpoint_pool.push(v);
             true
         } else {
             false
@@ -164,10 +160,18 @@ impl LiveState {
                 // retries so pathological pools (tiny base graphs) cannot spin.
                 let mut target = None;
                 for _ in 0..16 {
-                    let candidate = if self.endpoint_pool.is_empty() {
+                    let candidate = if self.edge_vec.is_empty() {
                         rng.gen_range(0..new_vertex.max(1))
                     } else {
-                        self.endpoint_pool[rng.gen_range(0..self.endpoint_pool.len())]
+                        // Endpoint `i` of the edges in insertion order: a growth
+                        // stream never deletes, so `edge_vec` is that order.
+                        let i = rng.gen_range(0..2 * self.edge_vec.len());
+                        let (u, v) = self.edge_vec[i / 2];
+                        if i % 2 == 0 {
+                            u
+                        } else {
+                            v
+                        }
                     };
                     if candidate != new_vertex && !attached.contains(&candidate) {
                         target = Some(candidate);

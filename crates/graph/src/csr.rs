@@ -54,7 +54,7 @@ impl Csr {
     ///
     /// # Panics
     ///
-    /// Panics if an arc's source is outside `0..n`.
+    /// Panics if an arc's source is outside `0..n`; debug builds also check its target.
     pub fn from_rows(n: u64, rows: impl Iterator<Item = (GlobalId, GlobalId)> + Clone) -> Csr {
         let (offsets, adjacency) = place_rows(
             n as usize,
@@ -257,11 +257,7 @@ fn build_csr(n: u64, edges: &[(GlobalId, GlobalId)], keep_self_loops: bool) -> C
 
 /// Counting placement of `arcs` keyed by row in `0..rows`: row `r`'s targets end up in
 /// `adjacency[offsets[r]..offsets[r + 1]]`, in stream order. Two passes over `arcs`: one
-/// counts, one places.
-///
-/// # Panics
-///
-/// Panics if an arc's row is outside `0..rows`.
+/// counts, one places. A row outside `0..rows` panics.
 pub(crate) fn place_rows(
     rows: usize,
     arcs: impl Iterator<Item = (usize, GlobalId)> + Clone,
