@@ -167,11 +167,7 @@ impl LiveState {
                         // stream never deletes, so `edge_vec` is that order.
                         let i = rng.gen_range(0..2 * self.edge_vec.len());
                         let (u, v) = self.edge_vec[i / 2];
-                        if i % 2 == 0 {
-                            u
-                        } else {
-                            v
-                        }
+                        [u, v][i % 2]
                     };
                     if candidate != new_vertex && !attached.contains(&candidate) {
                         target = Some(candidate);

@@ -88,7 +88,7 @@ impl DistGraph {
         global_n: u64,
         edges: &[(GlobalId, GlobalId)],
     ) -> Self {
-        let shell = Self::empty(ctx, dist, global_n);
+        let shell = Self::fresh_shell(ctx, dist, global_n);
         let arcs = edges
             .iter()
             .filter(|&&(u, v)| u != v && u < global_n && v < global_n)
@@ -100,7 +100,7 @@ impl DistGraph {
 
     /// Build the local graph from a globally shared [`Csr`].
     pub fn from_csr(ctx: &RankCtx, dist: Distribution, csr: &Csr) -> Self {
-        let shell = Self::empty(ctx, dist, csr.num_vertices() as u64);
+        let shell = Self::fresh_shell(ctx, dist, csr.num_vertices() as u64);
         let arcs = shell.owned_global.iter().enumerate().flat_map(|(row, &u)| {
             let targets = csr.neighbors(u).iter().filter(move |&&v| v != u);
             targets.map(move |&v| (row, v))
@@ -156,7 +156,7 @@ impl DistGraph {
         for buf in ctx.alltoallv(sends) {
             mine.extend(buf);
         }
-        let shell = Self::empty(ctx, dist, global_n);
+        let shell = Self::fresh_shell(ctx, dist, global_n);
         let arcs = mine.iter().filter_map(|&(u, v)| {
             let row = shell.owned_local_id(u);
             debug_assert!(row.is_some(), "arc source must be owned by this rank");
@@ -195,7 +195,7 @@ impl DistGraph {
 
     /// The [`shell`](DistGraph::shell) of a build from scratch: this rank owns what `dist`
     /// gives it.
-    fn empty(ctx: &RankCtx, dist: Distribution, global_n: u64) -> Self {
+    fn fresh_shell(ctx: &RankCtx, dist: Distribution, global_n: u64) -> Self {
         let owned = dist.owned_vertices(ctx.rank(), global_n, ctx.nranks());
         Self::shell(ctx, dist, global_n, owned.collect())
     }
