@@ -323,3 +323,446 @@ fn serial_methods_serve_the_dynamic_loop() {
         assert_eq!(warm.report.parts.len() as u64, n + 1, "{method}");
     }
 }
+
+/// FNV-1a over a part vector's little-endian bytes.
+fn fnv1a(parts: &[i32]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &p in parts {
+        for b in p.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// What one epoch of a [`DYNAMIC_TABLE`] chain is pinned on: the partition's FNV-1a,
+/// `lp_sweeps`, `vertices_scored`, `vertices_migrated` and the edge cut.
+type DynamicRow = [u64; 5];
+
+/// What one epoch moves over the wire, summed over the ranks: the repartition's frames
+/// and wire bytes, then the frames and wire bytes of applying the epoch's delta to the
+/// ranks' `DistGraph`s (replayed beside the session, on a runtime of the same size).
+type DynamicCommRow = [u64; 4];
+
+const DYNAMIC_RANKS: [usize; 3] = [1, 2, 3];
+
+/// The two graphs every chain runs on: a preferential-attachment graph and a grid.
+fn dynamic_graphs() -> [(&'static str, xtrapulp_gen::EdgeList); 2] {
+    let grid = GraphConfig::new(
+        GraphKind::Grid2d {
+            width: 32,
+            height: 32,
+            diagonal: false,
+        },
+        77,
+    );
+    [("ba", social_base(1 << 10)), ("grid", grid.generate())]
+}
+
+/// The epochs after the cold one: four ~0.5% churn batches of a seeded stream, a growth
+/// batch of eight vertices (each tied to three old vertices and its predecessor) after
+/// the second and an empty batch after the third.
+fn dynamic_batches(base: &xtrapulp_gen::EdgeList) -> Vec<UpdateBatch> {
+    let m = base.to_csr().num_edges();
+    let stream = generate_stream(
+        base,
+        &UpdateStreamConfig {
+            kind: StreamKind::RandomChurn {
+                ops_per_batch: ((m as f64 * 0.005) as usize).max(2),
+                delete_fraction: 0.5,
+            },
+            num_batches: 4,
+            seed: 13,
+        },
+    );
+    let mut churn = (0..4).map(|i| UpdateBatch::from_ops(stream.batch_ops(i)));
+    let n = base.num_vertices;
+    let mut growth = UpdateBatch::new();
+    growth.add_vertices(8);
+    for i in 0..8 {
+        let v = n + i;
+        for old in [i * 37 % n, (i * 101 + 5) % n, (i * 211 + 17) % n] {
+            growth.insert_edge(v, old);
+        }
+        if i > 0 {
+            growth.insert_edge(v, v - 1);
+        }
+    }
+    let mut batches: Vec<UpdateBatch> = churn.by_ref().take(2).collect();
+    batches.push(growth);
+    batches.extend(churn.next());
+    batches.push(UpdateBatch::new());
+    batches.extend(churn);
+    batches
+}
+
+/// Run one chain: the cold epoch, then every batch of [`dynamic_batches`], each applied
+/// and repartitioned warm. Returns one row per epoch for each table.
+fn dynamic_chain(
+    base: &xtrapulp_gen::EdgeList,
+    nranks: usize,
+    dist: &Distribution,
+) -> (Vec<DynamicRow>, Vec<DynamicCommRow>) {
+    let csr = base.to_csr();
+    let session = Session::with_distribution(nranks, dist.clone()).unwrap();
+    let mut dynamic = DynamicSession::new(session, csr.clone(), job(8)).unwrap();
+    let mut replay = Runtime::new(nranks);
+    let mut graphs = replay.execute(|ctx| DistGraph::from_csr(ctx, dist.clone(), &csr));
+    let row = |report: &DynamicReport| {
+        [
+            fnv1a(&report.report.parts),
+            report.lp_sweeps,
+            report.vertices_scored,
+            report.vertices_migrated,
+            report.report.quality.edge_cut,
+        ]
+    };
+    let cold = dynamic.repartition().unwrap();
+    let mut rows = vec![row(&cold)];
+    let mut comm = vec![[
+        cold.report.comm.frames_sent,
+        cold.report.comm.wire_bytes_sent,
+        0,
+        0,
+    ]];
+    for batch in dynamic_batches(base) {
+        let (_, delta) = dynamic.apply_updates_with_delta(&batch).unwrap();
+        let applied = replay.execute(|ctx| {
+            let graph = graphs.iter().find(|g| g.rank() == ctx.rank()).unwrap();
+            let updated = graph.apply_delta(ctx, &delta);
+            let stats = ctx.stats().snapshot();
+            (updated, [stats.frames_sent, stats.wire_bytes_sent])
+        });
+        let (updated, apply_comm): (Vec<_>, Vec<_>) = applied.into_iter().unzip();
+        graphs = updated;
+        let report = dynamic.repartition().unwrap();
+        assert!(report.warm_start);
+        rows.push(row(&report));
+        comm.push([
+            report.report.comm.frames_sent,
+            report.report.comm.wire_bytes_sent,
+            apply_comm.iter().map(|c| c[0]).sum(),
+            apply_comm.iter().map(|c| c[1]).sum(),
+        ]);
+    }
+    (rows, comm)
+}
+
+/// Every chain of [`DYNAMIC_TABLE`], in table order: `(label, rows, comm rows)`.
+fn dynamic_table() -> Vec<(String, Vec<DynamicRow>, Vec<DynamicCommRow>)> {
+    let mut chains = Vec::new();
+    for (name, base) in dynamic_graphs() {
+        for nranks in DYNAMIC_RANKS {
+            for (dist_name, dist) in [
+                ("block", Distribution::Block),
+                ("cyclic", Distribution::Cyclic),
+                ("hashed", Distribution::Hashed),
+            ] {
+                let (rows, comm) = dynamic_chain(&base, nranks, &dist);
+                chains.push((format!("{name}/r{nranks}/{dist_name}"), rows, comm));
+            }
+        }
+    }
+    chains
+}
+
+/// Regenerate [`DYNAMIC_TABLE`] and [`DYNAMIC_COMM_TABLE`]:
+/// `cargo test --release --test dynamic_e2e -- --ignored --nocapture print_dynamic_table`
+#[test]
+#[ignore]
+fn print_dynamic_table() {
+    let mut comm_table = String::new();
+    println!("#[rustfmt::skip]\nconst DYNAMIC_TABLE: &[(&str, DynamicRow)] = &[");
+    for (label, rows, comm) in dynamic_table() {
+        for (epoch, (row, comm)) in rows.iter().zip(&comm).enumerate() {
+            println!("    (\"{label}/e{epoch}\", {row:?}),");
+            comm_table += &format!("    (\"{label}/e{epoch}\", {comm:?}),\n");
+        }
+    }
+    println!("];");
+    println!(
+        "#[rustfmt::skip]\nconst DYNAMIC_COMM_TABLE: &[(&str, DynamicCommRow)] = &[\n{comm_table}];"
+    );
+}
+
+/// `DynamicSession` chains on two graphs × 1/2/3 ranks × `Block` / `Cyclic` / `Hashed`,
+/// epoch by epoch, equal the committed tables: the partition and its work counters in
+/// [`DYNAMIC_TABLE`], which a behaviour-preserving change to the graph, the exchange or
+/// the session must leave alone, and the wire traffic in [`DYNAMIC_COMM_TABLE`], which
+/// such a change may only move down.
+#[test]
+fn dynamic_chains_match_the_pinned_tables() {
+    let mut pinned = DYNAMIC_TABLE.iter();
+    let mut pinned_comm = DYNAMIC_COMM_TABLE.iter();
+    for (label, rows, comm) in dynamic_table() {
+        for (epoch, (row, comm)) in rows.iter().zip(&comm).enumerate() {
+            let key = format!("{label}/e{epoch}");
+            let (pinned_key, pinned_row) = pinned.next().expect("one row per epoch");
+            assert_eq!(*pinned_key, key);
+            assert_eq!(row, pinned_row, "{key} moved");
+            let (comm_key, pinned_comm_row) = pinned_comm.next().expect("one comm row per epoch");
+            assert_eq!(*comm_key, key);
+            assert_eq!(comm, pinned_comm_row, "{key}: comm moved");
+        }
+    }
+    assert!(pinned.next().is_none() && pinned_comm.next().is_none());
+}
+
+#[rustfmt::skip]
+const DYNAMIC_TABLE: &[(&str, DynamicRow)] = &[
+    ("ba/r1/block/e0", [8507732961628520069, 81, 43005, 0, 5442]),
+    ("ba/r1/block/e1", [2683551213001874017, 2, 96, 2, 5439]),
+    ("ba/r1/block/e2", [11862113937899462023, 3, 116, 4, 5443]),
+    ("ba/r1/block/e3", [109924461626006500, 2, 37, 0, 5461]),
+    ("ba/r1/block/e4", [1130088540685311392, 2, 107, 3, 5458]),
+    ("ba/r1/block/e5", [1130088540685311392, 0, 0, 0, 5458]),
+    ("ba/r1/block/e6", [15531733770491937538, 5, 210, 10, 5449]),
+    ("ba/r1/cyclic/e0", [8507732961628520069, 81, 43005, 0, 5442]),
+    ("ba/r1/cyclic/e1", [2683551213001874017, 2, 96, 2, 5439]),
+    ("ba/r1/cyclic/e2", [11862113937899462023, 3, 116, 4, 5443]),
+    ("ba/r1/cyclic/e3", [109924461626006500, 2, 37, 0, 5461]),
+    ("ba/r1/cyclic/e4", [1130088540685311392, 2, 107, 3, 5458]),
+    ("ba/r1/cyclic/e5", [1130088540685311392, 0, 0, 0, 5458]),
+    ("ba/r1/cyclic/e6", [15531733770491937538, 5, 210, 10, 5449]),
+    ("ba/r1/hashed/e0", [8507732961628520069, 81, 43005, 0, 5442]),
+    ("ba/r1/hashed/e1", [2683551213001874017, 2, 96, 2, 5439]),
+    ("ba/r1/hashed/e2", [11862113937899462023, 3, 116, 4, 5443]),
+    ("ba/r1/hashed/e3", [109924461626006500, 2, 37, 0, 5461]),
+    ("ba/r1/hashed/e4", [1130088540685311392, 2, 107, 3, 5458]),
+    ("ba/r1/hashed/e5", [1130088540685311392, 0, 0, 0, 5458]),
+    ("ba/r1/hashed/e6", [15531733770491937538, 5, 210, 10, 5449]),
+    ("ba/r2/block/e0", [13802341709165014166, 116, 60270, 0, 5386]),
+    ("ba/r2/block/e1", [9099173119332923543, 5, 188, 7, 5380]),
+    ("ba/r2/block/e2", [9929568376784611287, 3, 98, 2, 5388]),
+    ("ba/r2/block/e3", [11600478134636585571, 1, 31, 0, 5407]),
+    ("ba/r2/block/e4", [15763521551316133686, 2, 80, 1, 5405]),
+    ("ba/r2/block/e5", [15763521551316133686, 0, 0, 0, 5405]),
+    ("ba/r2/block/e6", [7201989437896266691, 3, 133, 3, 5409]),
+    ("ba/r2/cyclic/e0", [6444907987069600002, 112, 59997, 0, 5766]),
+    ("ba/r2/cyclic/e1", [11416684251106932661, 9, 1789, 54, 5522]),
+    ("ba/r2/cyclic/e2", [8735289466471499187, 109, 58557, 892, 5574]),
+    ("ba/r2/cyclic/e3", [1898731923134025367, 116, 63599, 880, 6091]),
+    ("ba/r2/cyclic/e4", [17896301484305903863, 103, 51823, 907, 5401]),
+    ("ba/r2/cyclic/e5", [17896301484305903863, 0, 0, 0, 5401]),
+    ("ba/r2/cyclic/e6", [237940242967077427, 2, 92, 1, 5407]),
+    ("ba/r2/hashed/e0", [3704091510574182932, 112, 54386, 0, 5435]),
+    ("ba/r2/hashed/e1", [9924726040936079940, 2, 129, 5, 5429]),
+    ("ba/r2/hashed/e2", [14528413304092453655, 2, 86, 1, 5434]),
+    ("ba/r2/hashed/e3", [517096887424160416, 2, 37, 0, 5452]),
+    ("ba/r2/hashed/e4", [17316006981168516738, 2, 82, 1, 5450]),
+    ("ba/r2/hashed/e5", [17316006981168516738, 0, 0, 0, 5450]),
+    ("ba/r2/hashed/e6", [4024280995842122401, 4, 145, 6, 5445]),
+    ("ba/r3/block/e0", [17986913671022137441, 84, 46644, 0, 6402]),
+    ("ba/r3/block/e1", [5623910083180051792, 102, 50048, 871, 6275]),
+    ("ba/r3/block/e2", [7275499787101188195, 100, 54503, 809, 6043]),
+    ("ba/r3/block/e3", [14482689005632615730, 99, 54556, 870, 6335]),
+    ("ba/r3/block/e4", [6246411276433712113, 106, 56206, 887, 5393]),
+    ("ba/r3/block/e5", [6246411276433712113, 0, 0, 0, 5393]),
+    ("ba/r3/block/e6", [6246411276433712113, 1, 75, 0, 5399]),
+    ("ba/r3/cyclic/e0", [5414150743803517332, 99, 56069, 0, 6412]),
+    ("ba/r3/cyclic/e1", [6925615619381183125, 109, 60667, 879, 6152]),
+    ("ba/r3/cyclic/e2", [5872052243803069927, 103, 56047, 927, 6072]),
+    ("ba/r3/cyclic/e3", [2891811358011437104, 112, 61503, 941, 6256]),
+    ("ba/r3/cyclic/e4", [10564527552322091380, 98, 50782, 843, 6258]),
+    ("ba/r3/cyclic/e5", [7002119720131825287, 111, 55626, 878, 6289]),
+    ("ba/r3/cyclic/e6", [17975282083629164979, 107, 58137, 878, 6282]),
+    ("ba/r3/hashed/e0", [7007094709077313266, 77, 45914, 0, 6395]),
+    ("ba/r3/hashed/e1", [4041776803847616401, 99, 54411, 877, 6314]),
+    ("ba/r3/hashed/e2", [13752217416206507990, 103, 54301, 676, 6404]),
+    ("ba/r3/hashed/e3", [7483910988341700499, 109, 59195, 919, 6449]),
+    ("ba/r3/hashed/e4", [10813566872069865701, 99, 54229, 880, 6286]),
+    ("ba/r3/hashed/e5", [11897926518348772102, 112, 57152, 908, 6334]),
+    ("ba/r3/hashed/e6", [14637128984323208978, 101, 57187, 936, 6342]),
+    ("grid/r1/block/e0", [12391625405204636130, 60, 25131, 0, 380]),
+    ("grid/r1/block/e1", [12391625405204636130, 1, 18, 0, 383]),
+    ("grid/r1/block/e2", [12391625405204636130, 1, 18, 0, 388]),
+    ("grid/r1/block/e3", [6804046822898598114, 1, 31, 0, 402]),
+    ("grid/r1/block/e4", [9459775827510596369, 2, 22, 1, 402]),
+    ("grid/r1/block/e5", [9459775827510596369, 0, 0, 0, 402]),
+    ("grid/r1/block/e6", [9459775827510596369, 1, 18, 0, 405]),
+    ("grid/r1/cyclic/e0", [12391625405204636130, 60, 25131, 0, 380]),
+    ("grid/r1/cyclic/e1", [12391625405204636130, 1, 18, 0, 383]),
+    ("grid/r1/cyclic/e2", [12391625405204636130, 1, 18, 0, 388]),
+    ("grid/r1/cyclic/e3", [6804046822898598114, 1, 31, 0, 402]),
+    ("grid/r1/cyclic/e4", [9459775827510596369, 2, 22, 1, 402]),
+    ("grid/r1/cyclic/e5", [9459775827510596369, 0, 0, 0, 402]),
+    ("grid/r1/cyclic/e6", [9459775827510596369, 1, 18, 0, 405]),
+    ("grid/r1/hashed/e0", [12391625405204636130, 60, 25131, 0, 380]),
+    ("grid/r1/hashed/e1", [12391625405204636130, 1, 18, 0, 383]),
+    ("grid/r1/hashed/e2", [12391625405204636130, 1, 18, 0, 388]),
+    ("grid/r1/hashed/e3", [6804046822898598114, 1, 31, 0, 402]),
+    ("grid/r1/hashed/e4", [9459775827510596369, 2, 22, 1, 402]),
+    ("grid/r1/hashed/e5", [9459775827510596369, 0, 0, 0, 402]),
+    ("grid/r1/hashed/e6", [9459775827510596369, 1, 18, 0, 405]),
+    ("grid/r2/block/e0", [4615639538572522854, 85, 37970, 0, 392]),
+    ("grid/r2/block/e1", [11766493338925869505, 2, 22, 1, 394]),
+    ("grid/r2/block/e2", [11766493338925869505, 1, 18, 0, 398]),
+    ("grid/r2/block/e3", [16801680531174542755, 1, 31, 0, 415]),
+    ("grid/r2/block/e4", [18074958461908310627, 3, 27, 2, 414]),
+    ("grid/r2/block/e5", [18074958461908310627, 0, 0, 0, 414]),
+    ("grid/r2/block/e6", [683470568335698279, 2, 22, 1, 416]),
+    ("grid/r2/cyclic/e0", [860032130841735350, 75, 28747, 0, 406]),
+    ("grid/r2/cyclic/e1", [860032130841735350, 1, 18, 0, 409]),
+    ("grid/r2/cyclic/e2", [10236340450175666327, 5, 55, 8, 397]),
+    ("grid/r2/cyclic/e3", [5786585976119565972, 1, 31, 0, 416]),
+    ("grid/r2/cyclic/e4", [5786585976119565972, 1, 18, 0, 414]),
+    ("grid/r2/cyclic/e5", [5786585976119565972, 0, 0, 0, 414]),
+    ("grid/r2/cyclic/e6", [3497983237439284277, 3, 31, 3, 412]),
+    ("grid/r2/hashed/e0", [5366756875388194083, 79, 41510, 0, 483]),
+    ("grid/r2/hashed/e1", [5366756875388194083, 1, 18, 0, 484]),
+    ("grid/r2/hashed/e2", [10725705652740611348, 2, 22, 1, 488]),
+    ("grid/r2/hashed/e3", [1645478274087173796, 2, 43, 0, 504]),
+    ("grid/r2/hashed/e4", [9219298513847741190, 2, 30, 3, 501]),
+    ("grid/r2/hashed/e5", [9219298513847741190, 0, 0, 0, 501]),
+    ("grid/r2/hashed/e6", [9219298513847741190, 1, 18, 0, 502]),
+    ("grid/r3/block/e0", [13506139749747936355, 79, 33101, 0, 341]),
+    ("grid/r3/block/e1", [5219047969838265792, 2, 22, 1, 344]),
+    ("grid/r3/block/e2", [12284079215686360452, 2, 22, 1, 348]),
+    ("grid/r3/block/e3", [17761147170234864178, 2, 37, 0, 367]),
+    ("grid/r3/block/e4", [17761147170234864178, 1, 18, 0, 366]),
+    ("grid/r3/block/e5", [17761147170234864178, 0, 0, 0, 366]),
+    ("grid/r3/block/e6", [17761147170234864178, 1, 18, 0, 368]),
+    ("grid/r3/cyclic/e0", [14403852763139266512, 56, 23812, 0, 185]),
+    ("grid/r3/cyclic/e1", [14403852763139266512, 1, 18, 0, 188]),
+    ("grid/r3/cyclic/e2", [14403852763139266512, 1, 18, 0, 192]),
+    ("grid/r3/cyclic/e3", [6083270698992433558, 91, 13396, 99, 190]),
+    ("grid/r3/cyclic/e4", [6083270698992433558, 1, 18, 0, 189]),
+    ("grid/r3/cyclic/e5", [6083270698992433558, 0, 0, 0, 189]),
+    ("grid/r3/cyclic/e6", [6083270698992433558, 1, 18, 0, 191]),
+    ("grid/r3/hashed/e0", [14830625478802196033, 75, 34219, 0, 259]),
+    ("grid/r3/hashed/e1", [14830625478802196033, 1, 18, 0, 261]),
+    ("grid/r3/hashed/e2", [14830625478802196033, 1, 18, 0, 266]),
+    ("grid/r3/hashed/e3", [13585754548351335810, 1, 31, 0, 286]),
+    ("grid/r3/hashed/e4", [17731322867072956695, 2, 22, 1, 284]),
+    ("grid/r3/hashed/e5", [17731322867072956695, 0, 0, 0, 284]),
+    ("grid/r3/hashed/e6", [3454158114148210514, 3, 31, 3, 284]),
+];
+#[rustfmt::skip]
+const DYNAMIC_COMM_TABLE: &[(&str, DynamicCommRow)] = &[
+    ("ba/r1/block/e0", [0, 0, 0, 0]),
+    ("ba/r1/block/e1", [0, 0, 0, 0]),
+    ("ba/r1/block/e2", [0, 0, 0, 0]),
+    ("ba/r1/block/e3", [0, 0, 0, 0]),
+    ("ba/r1/block/e4", [0, 0, 0, 0]),
+    ("ba/r1/block/e5", [0, 0, 0, 0]),
+    ("ba/r1/block/e6", [0, 0, 0, 0]),
+    ("ba/r1/cyclic/e0", [0, 0, 0, 0]),
+    ("ba/r1/cyclic/e1", [0, 0, 0, 0]),
+    ("ba/r1/cyclic/e2", [0, 0, 0, 0]),
+    ("ba/r1/cyclic/e3", [0, 0, 0, 0]),
+    ("ba/r1/cyclic/e4", [0, 0, 0, 0]),
+    ("ba/r1/cyclic/e5", [0, 0, 0, 0]),
+    ("ba/r1/cyclic/e6", [0, 0, 0, 0]),
+    ("ba/r1/hashed/e0", [0, 0, 0, 0]),
+    ("ba/r1/hashed/e1", [0, 0, 0, 0]),
+    ("ba/r1/hashed/e2", [0, 0, 0, 0]),
+    ("ba/r1/hashed/e3", [0, 0, 0, 0]),
+    ("ba/r1/hashed/e4", [0, 0, 0, 0]),
+    ("ba/r1/hashed/e5", [0, 0, 0, 0]),
+    ("ba/r1/hashed/e6", [0, 0, 0, 0]),
+    ("ba/r2/block/e0", [300, 273872, 0, 0]),
+    ("ba/r2/block/e1", [30, 11360, 6, 20200]),
+    ("ba/r2/block/e2", [26, 10424, 6, 20200]),
+    ("ba/r2/block/e3", [26, 9688, 8, 21072]),
+    ("ba/r2/block/e4", [24, 10048, 6, 20380]),
+    ("ba/r2/block/e5", [20, 9160, 6, 20380]),
+    ("ba/r2/block/e6", [26, 10512, 6, 20380]),
+    ("ba/r2/cyclic/e0", [296, 242744, 0, 0]),
+    ("ba/r2/cyclic/e1", [38, 13696, 6, 20500]),
+    ("ba/r2/cyclic/e2", [276, 228752, 6, 20500]),
+    ("ba/r2/cyclic/e3", [292, 257424, 6, 20660]),
+    ("ba/r2/cyclic/e4", [258, 211760, 6, 20660]),
+    ("ba/r2/cyclic/e5", [20, 9272, 6, 20660]),
+    ("ba/r2/cyclic/e6", [24, 10160, 6, 20660]),
+    ("ba/r2/hashed/e0", [292, 247752, 0, 0]),
+    ("ba/r2/hashed/e1", [24, 10112, 6, 20460]),
+    ("ba/r2/hashed/e2", [24, 10080, 6, 20460]),
+    ("ba/r2/hashed/e3", [28, 10240, 6, 20620]),
+    ("ba/r2/hashed/e4", [24, 10144, 6, 20620]),
+    ("ba/r2/hashed/e5", [20, 9256, 6, 20620]),
+    ("ba/r2/hashed/e6", [28, 11064, 6, 20620]),
+    ("ba/r3/block/e0", [708, 427632, 0, 0]),
+    ("ba/r3/block/e1", [774, 374360, 18, 39100]),
+    ("ba/r3/block/e2", [768, 392960, 18, 39020]),
+    ("ba/r3/block/e3", [774, 461856, 24, 40484]),
+    ("ba/r3/block/e4", [792, 423864, 18, 39360]),
+    ("ba/r3/block/e5", [60, 18768, 18, 39360]),
+    ("ba/r3/block/e6", [66, 20096, 18, 39380]),
+    ("ba/r3/cyclic/e0", [918, 517280, 0, 0]),
+    ("ba/r3/cyclic/e1", [936, 540616, 18, 40380]),
+    ("ba/r3/cyclic/e2", [900, 495600, 18, 40380]),
+    ("ba/r3/cyclic/e3", [858, 494024, 18, 40700]),
+    ("ba/r3/cyclic/e4", [864, 441104, 18, 40700]),
+    ("ba/r3/cyclic/e5", [948, 521800, 18, 40700]),
+    ("ba/r3/cyclic/e6", [924, 508408, 18, 40720]),
+    ("ba/r3/hashed/e0", [666, 436504, 0, 0]),
+    ("ba/r3/hashed/e1", [870, 421672, 18, 40460]),
+    ("ba/r3/hashed/e2", [900, 513632, 18, 40460]),
+    ("ba/r3/hashed/e3", [840, 481416, 18, 40800]),
+    ("ba/r3/hashed/e4", [870, 466080, 18, 40820]),
+    ("ba/r3/hashed/e5", [954, 535760, 18, 40820]),
+    ("ba/r3/hashed/e6", [888, 512952, 18, 40840]),
+    ("grid/r1/block/e0", [0, 0, 0, 0]),
+    ("grid/r1/block/e1", [0, 0, 0, 0]),
+    ("grid/r1/block/e2", [0, 0, 0, 0]),
+    ("grid/r1/block/e3", [0, 0, 0, 0]),
+    ("grid/r1/block/e4", [0, 0, 0, 0]),
+    ("grid/r1/block/e5", [0, 0, 0, 0]),
+    ("grid/r1/block/e6", [0, 0, 0, 0]),
+    ("grid/r1/cyclic/e0", [0, 0, 0, 0]),
+    ("grid/r1/cyclic/e1", [0, 0, 0, 0]),
+    ("grid/r1/cyclic/e2", [0, 0, 0, 0]),
+    ("grid/r1/cyclic/e3", [0, 0, 0, 0]),
+    ("grid/r1/cyclic/e4", [0, 0, 0, 0]),
+    ("grid/r1/cyclic/e5", [0, 0, 0, 0]),
+    ("grid/r1/cyclic/e6", [0, 0, 0, 0]),
+    ("grid/r1/hashed/e0", [0, 0, 0, 0]),
+    ("grid/r1/hashed/e1", [0, 0, 0, 0]),
+    ("grid/r1/hashed/e2", [0, 0, 0, 0]),
+    ("grid/r1/hashed/e3", [0, 0, 0, 0]),
+    ("grid/r1/hashed/e4", [0, 0, 0, 0]),
+    ("grid/r1/hashed/e5", [0, 0, 0, 0]),
+    ("grid/r1/hashed/e6", [0, 0, 0, 0]),
+    ("grid/r2/block/e0", [286, 46024, 0, 0]),
+    ("grid/r2/block/e1", [24, 2432, 6, 1360]),
+    ("grid/r2/block/e2", [22, 2048, 6, 1500]),
+    ("grid/r2/block/e3", [26, 2352, 8, 2268]),
+    ("grid/r2/block/e4", [26, 3152, 6, 2060]),
+    ("grid/r2/block/e5", [20, 1832, 6, 2060]),
+    ("grid/r2/block/e6", [24, 2760, 6, 2180]),
+    ("grid/r2/cyclic/e0", [266, 81152, 0, 0]),
+    ("grid/r2/cyclic/e1", [22, 9648, 6, 20500]),
+    ("grid/r2/cyclic/e2", [30, 11472, 6, 20500]),
+    ("grid/r2/cyclic/e3", [26, 9808, 6, 20660]),
+    ("grid/r2/cyclic/e4", [22, 9712, 6, 20660]),
+    ("grid/r2/cyclic/e5", [20, 9272, 6, 20660]),
+    ("grid/r2/cyclic/e6", [26, 10616, 6, 20660]),
+    ("grid/r2/hashed/e0", [274, 111472, 0, 0]),
+    ("grid/r2/hashed/e1", [22, 9152, 6, 19260]),
+    ("grid/r2/hashed/e2", [24, 9592, 6, 19240]),
+    ("grid/r2/hashed/e3", [28, 9776, 6, 19440]),
+    ("grid/r2/hashed/e4", [24, 9672, 6, 19420]),
+    ("grid/r2/hashed/e5", [20, 8776, 6, 19420]),
+    ("grid/r2/hashed/e6", [22, 9216, 6, 19420]),
+    ("grid/r3/block/e0", [822, 109160, 0, 0]),
+    ("grid/r3/block/e1", [72, 6768, 18, 2760]),
+    ("grid/r3/block/e2", [72, 6856, 18, 2960]),
+    ("grid/r3/block/e3", [84, 7336, 24, 4044]),
+    ("grid/r3/block/e4", [66, 5824, 18, 3700]),
+    ("grid/r3/block/e5", [60, 4504, 18, 3700]),
+    ("grid/r3/block/e6", [66, 5888, 18, 3860]),
+    ("grid/r3/cyclic/e0", [684, 153632, 0, 0]),
+    ("grid/r3/cyclic/e1", [66, 20760, 18, 41040]),
+    ("grid/r3/cyclic/e2", [66, 20752, 18, 41020]),
+    ("grid/r3/cyclic/e3", [714, 125456, 18, 41320]),
+    ("grid/r3/cyclic/e4", [66, 20872, 18, 41320]),
+    ("grid/r3/cyclic/e5", [60, 19552, 18, 41320]),
+    ("grid/r3/cyclic/e6", [66, 20864, 18, 41300]),
+    ("grid/r3/hashed/e0", [798, 171648, 0, 0]),
+    ("grid/r3/hashed/e1", [66, 17288, 18, 32360]),
+    ("grid/r3/hashed/e2", [66, 17280, 18, 32340]),
+    ("grid/r3/hashed/e3", [78, 17688, 18, 32800]),
+    ("grid/r3/hashed/e4", [72, 18768, 18, 32740]),
+    ("grid/r3/hashed/e5", [60, 16120, 18, 32740]),
+    ("grid/r3/hashed/e6", [78, 20088, 18, 32680]),
+];
