@@ -140,7 +140,7 @@ pub struct ServingSession {
     /// assembled once and the partition it ended at. An analytics consumer builds its
     /// rank graphs from them and catches up through the store's delta history. This pins
     /// the base graph for the session's lifetime even when no consumer subscribes
-    /// (ROADMAP direction 2(b)).
+    /// (ROADMAP direction 6).
     base_epoch: u64,
     base_csr: Csr,
     base_parts: Vec<i32>,

@@ -2,10 +2,10 @@
 //! preset cold plus a touched-scoped warm start, a 2-rank dynamic session over four
 //! epochs of 0.5% churn, and a 2-rank analytics consumer over a fixed 4-epoch churn
 //! stream, and fails — exit code 1 — if any of the deterministic work counters (sweeps,
-//! scored vertices, loopback frames; the warm epochs' scored vertices and sweeps; warm
-//! PageRank scored vertices, coreness rounds, analytics bytes exchanged) differs from the
-//! checked-in baseline (`crates/bench/perf_baseline.json`); wall time is printed for
-//! context but never gates, since CI machines vary.
+//! scored vertices, loopback frames; the warm epochs' scored vertices, sweeps and delta
+//! apply bytes; warm PageRank scored vertices, coreness rounds, analytics bytes
+//! exchanged) differs from the checked-in baseline (`crates/bench/perf_baseline.json`);
+//! wall time is printed for context but never gates, since CI machines vary.
 //!
 //! The counters repeat bit-for-bit on every machine, so the gate is equality: a
 //! refactor that adds one sweep or one frame trips it, in either direction. A change
@@ -18,9 +18,10 @@ use xtrapulp::{try_pulp_run, PartitionParams};
 use xtrapulp_analytics::{AnalyticsConsumer, WarmPolicy};
 use xtrapulp_api::{DynamicSession, Method, PartitionJob, UpdateBatch};
 use xtrapulp_bench::json::Flat;
+use xtrapulp_comm::Runtime;
 use xtrapulp_gen::updates::{generate_stream, StreamKind, UpdateStreamConfig};
 use xtrapulp_gen::{GraphConfig, GraphKind};
-use xtrapulp_graph::{Csr, GraphDelta};
+use xtrapulp_graph::{Csr, DistGraph, Distribution, GraphDelta};
 
 const BASELINE_PATH: &str = "crates/bench/perf_baseline.json";
 
@@ -64,10 +65,14 @@ fn measure_analytics() -> [u64; 3] {
 }
 
 /// Four warm epochs of a 2-rank [`DynamicSession`] at 0.5% churn on a 4096-vertex
-/// preferential-attachment graph: `[vertices scored, sweeps]` summed over the epochs. What
-/// a warm epoch scores is a small multiple of what its batch touched (~160 vertices
-/// here), so this pins the O(churn) cost of distributed repartitioning.
-fn measure_warm_churn() -> [u64; 2] {
+/// preferential-attachment graph: `[vertices scored, sweeps, apply wire bytes]` summed
+/// over the epochs. What a warm epoch scores is a small multiple of what its batch
+/// touched (~160 vertices here), so this pins the O(churn) cost of distributed
+/// repartitioning. The wire bytes are what the epochs' `DistGraph::apply_delta` calls
+/// send, summed over the ranks: the session's deltas, replayed on two ranks of their
+/// own (`apply_updates` reports no traffic), so they pin a handshake that carries only
+/// the ghosts a delta creates or orphans.
+fn measure_warm_churn() -> [u64; 3] {
     let edges = GraphConfig::new(
         GraphKind::BarabasiAlbert {
             num_vertices: 4096,
@@ -89,12 +94,22 @@ fn measure_warm_churn() -> [u64; 2] {
         },
     );
     let job = PartitionJob::new(Method::XtraPulp).with_params(quick_preset().1);
+    let mut replay = Runtime::new(2);
+    let mut graphs = replay.execute(|ctx| DistGraph::from_csr(ctx, Distribution::Block, &csr));
     let mut session = DynamicSession::spawn(2, csr, job).expect("valid job");
     session.repartition().expect("cold epoch");
-    let mut totals = [0u64; 2];
+    let mut totals = [0u64; 3];
     for epoch in 0..stream.batches.len() {
         let batch = UpdateBatch::from_ops(stream.batch_ops(epoch));
-        session.apply_updates(&batch).expect("valid batch");
+        let (_, delta) = session
+            .apply_updates_with_delta(&batch)
+            .expect("valid batch");
+        let applied = replay.execute(|ctx| {
+            let updated = graphs[ctx.rank()].apply_delta(ctx, &delta);
+            (updated, ctx.stats().snapshot().wire_bytes_sent)
+        });
+        totals[2] += applied.iter().map(|(_, bytes)| bytes).sum::<u64>();
+        graphs = applied.into_iter().map(|(graph, _)| graph).collect();
         let report = session.repartition().expect("warm epoch");
         assert!(report.warm_start, "epochs after the first run warm");
         totals[0] += report.vertices_scored;
@@ -161,7 +176,7 @@ fn measure() -> Vec<(&'static str, f64)> {
         dist_frames = report.comm.frames_sent;
     }
     dist_times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let [warm_churn_scored, warm_churn_sweeps] = measure_warm_churn();
+    let [warm_churn_scored, warm_churn_sweeps, warm_churn_apply_bytes] = measure_warm_churn();
     let [analytics_warm_scored, analytics_kcore_rounds, analytics_comm_bytes] = measure_analytics();
 
     vec![
@@ -173,6 +188,7 @@ fn measure() -> Vec<(&'static str, f64)> {
         ("dist_loopback_frames", dist_frames as f64),
         ("warm_churn_scored", warm_churn_scored as f64),
         ("warm_churn_sweeps", warm_churn_sweeps as f64),
+        ("warm_churn_apply_bytes", warm_churn_apply_bytes as f64),
         ("analytics_warm_scored", analytics_warm_scored as f64),
         ("analytics_kcore_rounds", analytics_kcore_rounds as f64),
         ("analytics_comm_bytes", analytics_comm_bytes as f64),

@@ -137,8 +137,9 @@ impl Csr {
     /// ([`GraphDelta::rows`](crate::delta::GraphDelta::rows)): every run of rows the delta
     /// does not name is *copied* — its adjacency with one `extend_from_slice`, its offsets
     /// rebased by a constant — and only the rows it names are *merged* with their sorted
-    /// insert and delete arcs. Nothing is searched for, hashed or re-sorted, so the cost is
-    /// a copy of the `2m` arcs and `n` offsets plus a merge over the touched rows' lengths.
+    /// insert and delete arcs, bisecting for each neighbour the delta names. Nothing is
+    /// hashed or re-sorted, so the cost is a copy of the `2m` arcs and `n` offsets plus a
+    /// bisection per named arc.
     /// Inserting an edge that already exists and deleting one that does not are both
     /// no-ops, matching the forgiving [`CsrBuilder`] semantics.
     ///
@@ -146,7 +147,7 @@ impl Csr {
     ///
     /// Panics if the delta was normalised against a different vertex count.
     pub fn apply_delta(&self, delta: &crate::delta::GraphDelta) -> Csr {
-        use crate::delta::{merge_row, rebase_run};
+        use crate::delta::{merge_row, patch_rows, Merged};
         assert_eq!(
             delta.base_n(),
             self.num_vertices() as u64,
@@ -154,29 +155,34 @@ impl Csr {
             delta.base_n(),
             self.num_vertices()
         );
-        let new_n = delta.new_n() as usize;
-        let mut offsets = Vec::with_capacity(new_n + 1);
-        offsets.push(0u64);
-        let mut adjacency = Vec::with_capacity(self.adjacency.len() + delta.insert_arcs().len());
-        let copy_run = |rows, offsets: &mut Vec<u64>, adjacency: &mut Vec<GlobalId>| {
-            let arcs = rebase_run(&self.offsets, rows, offsets);
-            adjacency.extend_from_slice(&self.adjacency[arcs]);
-        };
-        let mut next = 0usize;
-        for (u, inserts, deletes) in delta.rows() {
-            let u = u as usize;
-            copy_run(next..u, &mut offsets, &mut adjacency);
-            let old = if u < self.num_vertices() {
-                self.neighbors(u as GlobalId)
-            } else {
-                &[]
-            };
-            let old = old.iter().map(|&v| (v, ()));
-            merge_row(old, inserts, deletes, |v, _| adjacency.push(v));
-            offsets.push(adjacency.len() as u64);
-            next = u + 1;
-        }
-        copy_run(next..new_n, &mut offsets, &mut adjacency);
+        let rows = delta.rows().map(|(u, ins, del)| (u as usize, (ins, del)));
+        let (offsets, adjacency) = patch_rows(
+            (&self.offsets, &self.adjacency),
+            (
+                delta.new_n() as usize,
+                self.adjacency.len() + delta.insert_arcs().len(),
+            ),
+            rows,
+            |run, adjacency| adjacency.extend_from_slice(run),
+            |u, (inserts, deletes), adjacency| {
+                let old = if u < self.num_vertices() {
+                    self.neighbors(u as GlobalId)
+                } else {
+                    &[]
+                };
+                merge_row(
+                    old,
+                    |v| v,
+                    inserts,
+                    deletes,
+                    |merged| match merged {
+                        Merged::Kept(run) => adjacency.extend_from_slice(run),
+                        Merged::Inserted(v) => adjacency.push(v),
+                        Merged::Dropped(_) => {}
+                    },
+                );
+            },
+        );
         Csr { offsets, adjacency }
     }
 }

@@ -5,8 +5,8 @@
 //! sorted so the rebuild paths ([`Csr::apply_delta`](crate::Csr::apply_delta),
 //! [`DistGraph::apply_delta`](crate::DistGraph::apply_delta)) can walk its rows in source
 //! order ([`GraphDelta::rows`]) beside the existing adjacency: runs of rows the delta does
-//! not name are copied, only the rows it names are merged, and nothing is searched for or
-//! re-sorted.
+//! not name are copied, only the rows it names are merged (bisecting for the neighbours
+//! the delta names), and nothing is hashed or re-sorted.
 //!
 //! The delta layer is deliberately forgiving, mirroring [`CsrBuilder`](crate::CsrBuilder):
 //! self loops and out-of-range endpoints are dropped during normalisation, duplicate
@@ -170,8 +170,11 @@ impl GraphDelta {
                 (Some(a), None) | (None, Some(a)) => a.0,
                 (None, None) => return None,
             };
-            let (row_ins, rest_ins) = inserts.split_at(inserts.partition_point(|a| a.0 == source));
-            let (row_del, rest_del) = deletes.split_at(deletes.partition_point(|a| a.0 == source));
+            // A row holds a few arcs, so a scan finds its end sooner than a bisection.
+            let len =
+                |arcs: &[(GlobalId, GlobalId)]| arcs.iter().take_while(|a| a.0 == source).count();
+            let (row_ins, rest_ins) = inserts.split_at(len(inserts));
+            let (row_del, rest_del) = deletes.split_at(len(deletes));
             (inserts, deletes) = (rest_ins, rest_del);
             Some((source, row_ins, row_del))
         })
@@ -218,61 +221,143 @@ pub type DeltaRow<'a> = (
     &'a [(GlobalId, GlobalId)],
 );
 
+/// An offset type of a CSR: `u64` for graph rows, `u32` for halo rows.
+pub(crate) trait Offset:
+    Copy + std::ops::Add<Output = Self> + std::ops::Sub<Output = Self>
+{
+    /// The offset of position `len`.
+    fn at(len: usize) -> Self;
+    /// The position this offset names.
+    fn index(self) -> usize;
+}
+
+impl Offset for u64 {
+    fn at(len: usize) -> u64 {
+        len as u64
+    }
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+impl Offset for u32 {
+    fn at(len: usize) -> u32 {
+        len as u32
+    }
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// Append the offsets of the untouched old rows `rows` to `offsets` (the new graph's, which
 /// begin with row 0's zero), rebased so that the run starts where the new adjacency
 /// currently ends; rows past the old graph's last are empty. Returns the old adjacency
 /// range the run occupies, for the caller to copy.
-pub(crate) fn rebase_run(
-    old_offsets: &[u64],
+fn rebase_run<O: Offset>(
+    old_offsets: &[O],
     rows: std::ops::Range<usize>,
-    offsets: &mut Vec<u64>,
+    offsets: &mut Vec<O>,
 ) -> std::ops::Range<usize> {
     let base = offsets[offsets.len() - 1];
     let old_rows = old_offsets.len() - 1;
     let (lo, hi) = (rows.start.min(old_rows), rows.end.min(old_rows));
     let rebased = old_offsets[lo + 1..=hi].iter();
     offsets.extend(rebased.map(|&end| end - old_offsets[lo] + base));
-    let end = base + old_offsets[hi] - old_offsets[lo];
+    let end = base + (old_offsets[hi] - old_offsets[lo]);
     offsets.resize(offsets.len() + rows.len() - (hi - lo), end);
-    old_offsets[lo] as usize..old_offsets[hi] as usize
+    old_offsets[lo].index()..old_offsets[hi].index()
 }
 
-/// Merge one vertex's old adjacency row — `(neighbour global id, payload)` pairs sorted by
-/// global id — with the delta's sorted insert/delete arcs for it, calling `emit` on every
-/// surviving neighbour in ascending order: with `Some(payload)` for an arc the old row
-/// already held (inserting an edge that exists is that case too), with `None` for an
-/// inserted one. The [`Csr`](crate::Csr) carries no payload; the
-/// [`DistGraph`](crate::DistGraph) carries the neighbour's old local id, so a kept arc
-/// needs no lookup.
-pub(crate) fn merge_row<T>(
-    old: impl Iterator<Item = (GlobalId, T)>,
+/// Patch a CSR into one of `n_rows` rows and at most `n_values` values: each row
+/// `changed` names (ascending, with its payload) is written by `row`; the rows between
+/// are the old rows of the same index, handed to `copy` one run at a time (rows past the
+/// old last are empty). This is the one pass every delta takes over a CSR:
+/// [`Csr::apply_delta`](crate::Csr::apply_delta), `DistGraph::apply_delta`'s rows and the
+/// halo plan's two tables.
+pub(crate) fn patch_rows<O: Offset, T, P>(
+    (old_offsets, old_values): (&[O], &[T]),
+    (n_rows, n_values): (usize, usize),
+    changed: impl IntoIterator<Item = (usize, P)>,
+    mut copy: impl FnMut(&[T], &mut Vec<T>),
+    mut row: impl FnMut(usize, P, &mut Vec<T>),
+) -> (Vec<O>, Vec<T>) {
+    let mut offsets = Vec::with_capacity(n_rows + 1);
+    offsets.push(O::at(0));
+    let mut values = Vec::with_capacity(n_values);
+    let mut next = 0;
+    for (at, payload) in changed {
+        copy(
+            &old_values[rebase_run(old_offsets, next..at, &mut offsets)],
+            &mut values,
+        );
+        row(at, payload, &mut values);
+        offsets.push(O::at(values.len()));
+        next = at + 1;
+    }
+    copy(
+        &old_values[rebase_run(old_offsets, next..n_rows, &mut offsets)],
+        &mut values,
+    );
+    (offsets, values)
+}
+
+/// What [`merge_row`] hands its caller, in row order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Merged<'a, T> {
+    /// A run of the old row the delta leaves in place (inserting an edge that exists
+    /// leaves it in place too).
+    Kept(&'a [T]),
+    /// A neighbour the delta inserts, by global id.
+    Inserted(GlobalId),
+    /// An old neighbour the delta deletes. It is not in the new row.
+    Dropped(T),
+}
+
+/// Merge one vertex's old adjacency row — sorted by `key`, the neighbour's global id —
+/// with the delta's sorted insert/delete arcs for it, calling `emit` in row order. Only
+/// the neighbours the delta names are searched for (by bisection); the old row between
+/// them goes out as [`Merged::Kept`] runs, so a long row with one change costs a copy
+/// and a few lookups. The [`Csr`](crate::Csr) stores global ids; the
+/// [`DistGraph`](crate::DistGraph) stores local ids, whose key is a lookup.
+pub(crate) fn merge_row<'a, T: Copy>(
+    old: &'a [T],
+    key: impl Fn(T) -> GlobalId,
     inserts: &[(GlobalId, GlobalId)],
     deletes: &[(GlobalId, GlobalId)],
-    mut emit: impl FnMut(GlobalId, Option<T>),
+    mut emit: impl FnMut(Merged<'a, T>),
 ) {
-    let mut old = old.peekable();
+    let mut rest = old;
     let mut ins = inserts.iter().map(|&(_, v)| v).peekable();
     let mut del = deletes.iter().map(|&(_, v)| v).peekable();
     loop {
-        // The next neighbour the delta names; every old arc below it is kept as it is.
-        let named = match (ins.peek(), del.peek()) {
-            (Some(&i), Some(&d)) => Some(i.min(d)),
-            (Some(&v), None) | (None, Some(&v)) => Some(v),
-            (None, None) => None,
+        // The next neighbour the delta names; the old row below it is kept as it is.
+        let target = match (ins.peek(), del.peek()) {
+            (Some(&i), Some(&d)) => i.min(d),
+            (Some(&v), None) | (None, Some(&v)) => v,
+            (None, None) => break,
         };
-        while let Some((v, payload)) = old.next_if(|&(v, _)| named.is_none_or(|t| v < t)) {
-            emit(v, Some(payload));
+        let at = rest.partition_point(|&v| key(v) < target);
+        if at > 0 {
+            emit(Merged::Kept(&rest[..at]));
+            rest = &rest[at..];
         }
-        let Some(target) = named else { break };
-        let held = old
-            .next_if(|&(v, _)| v == target)
-            .map(|(_, payload)| payload);
+        let held = rest.first().copied().filter(|&v| key(v) == target);
         let inserted = ins.next_if_eq(&target).is_some();
         // Deleting an arc the row does not hold is a no-op; normalisation removed
         // insert/delete conflicts, but a deletion would win one.
-        if del.next_if_eq(&target).is_none() && inserted {
-            emit(target, held);
+        let deleted = del.next_if_eq(&target).is_some();
+        match held {
+            Some(v) if deleted => {
+                emit(Merged::Dropped(v));
+                rest = &rest[1..];
+            }
+            None if inserted && !deleted => emit(Merged::Inserted(target)),
+            // Held and not deleted: it stays in `rest`, inside the next kept run.
+            _ => {}
         }
+    }
+    if !rest.is_empty() {
+        emit(Merged::Kept(rest));
     }
 }
 
@@ -367,20 +452,38 @@ mod tests {
 
     #[test]
     fn merge_row_handles_all_cases() {
-        // Old row {1, 3, 5}; insert {2, 3 (dup), 7}; delete {5, 9 (absent)}.
+        // Old row {1, 3, 5, 6, 8} (payload: the id times ten, keyed back to the id);
+        // insert {2, 3 (dup), 7}; delete {5, 9 (absent)}.
         let inserts = [(0u64, 2u64), (0, 3), (0, 7)];
         let deletes = [(0u64, 5u64), (0, 9)];
         let mut out = Vec::new();
-        let old = [(1u64, 'a'), (3, 'b'), (5, 'c')];
-        merge_row(old.into_iter(), &inserts, &deletes, |v, kept| {
-            out.push((v, kept))
-        });
-        // Kept arcs come back with their payload, inserted ones without; the duplicate
-        // insert of 3 counts as kept.
+        let old = [10u64, 30, 50, 60, 80];
+        merge_row(
+            &old,
+            |v| v / 10,
+            &inserts,
+            &deletes,
+            |merged| out.push(merged),
+        );
+        // Kept runs and dropped arcs come back with their payload, inserted ones by id;
+        // the duplicate insert of 3 stays inside a kept run, the absent 9 is not
+        // reported.
+        use Merged::*;
         assert_eq!(
             out,
-            vec![(1, Some('a')), (2, None), (3, Some('b')), (7, None)]
+            vec![
+                Kept(&old[..1]),
+                Inserted(2),
+                Kept(&old[1..2]),
+                Dropped(50),
+                Kept(&old[3..4]),
+                Inserted(7),
+                Kept(&old[4..]),
+            ]
         );
+        out.clear();
+        merge_row(&old, |v| v / 10, &[], &[], |merged| out.push(merged));
+        assert_eq!(out, vec![Kept(&old[..])]);
     }
 
     #[test]

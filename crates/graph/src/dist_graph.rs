@@ -28,16 +28,19 @@
 //! 2. *By routing arcs* ([`DistGraph::from_local_edges`], [`DistGraph::redistribute`], and
 //!    [`DistGraph::apply_delta`] when growth moves `Block` owners): every rank sends the
 //!    arcs it holds to the owners of their sources in one `alltoallv`.
-//! 3. *By a stable delta* ([`DistGraph::apply_delta`] otherwise): owned local ids are
-//!    kept, and rows are copied or merged in local-id space.
+//! 3. *By a stable delta* ([`DistGraph::apply_delta`] otherwise): the old graph is
+//!    patched. Owned local ids and surviving ghosts' slots are kept, and rows the delta
+//!    does not name are copied.
 //!
-//! All three end in one collective handshake (`finish`): every rank registers its ghosts
-//! with their owners, and the owners resolve each by position, answer with the ghosts'
-//! degrees and keep the registrations as their send plan (a registration for a vertex the
-//! owner does not own is answered with degree 0 and left out of the plan). From then on
-//! the ghost tail of any such vector is kept coherent with [`HaloPlan::push`], which is
-//! handed the tail; [`DistGraph::refresh_ghosts`] is a push of the whole owned prefix. No
-//! other ghost exchange exists.
+//! The first two end in one collective handshake (`finish`): every rank registers its
+//! ghosts with their owners, and the owners resolve each by position, answer with the
+//! ghosts' degrees and keep the registrations as their send plan (a registration for a
+//! vertex the owner does not own is answered with degree 0 and left out of the plan). A
+//! stable delta runs the same handshake for the ghosts it changes only: those it creates
+//! or moves register, those it orphans retire, and the owners patch their send plans.
+//! From then on the ghost tail of any such vector is kept coherent with
+//! [`HaloPlan::push`], which is handed the tail; [`DistGraph::refresh_ghosts`] is a push
+//! of the whole owned prefix. No other ghost exchange exists.
 
 use std::collections::HashMap;
 
@@ -62,8 +65,9 @@ pub struct DistGraph {
     ghost_owner: Vec<u32>,
     /// Global degree of each ghost vertex.
     ghost_degree: Vec<u64>,
-    /// Local id of each ghost vertex by global id (owned ids resolve by position).
-    ghost_local: HashMap<GlobalId, LocalId>,
+    /// Slot (`local_id - n_owned`) of each ghost vertex by global id (owned ids resolve
+    /// by position).
+    ghost_slot: HashMap<GlobalId, u32>,
     /// CSR offsets over owned vertices (length `n_owned + 1`).
     offsets: Vec<u64>,
     /// CSR adjacency in local ids (owned or ghost).
@@ -178,14 +182,18 @@ impl DistGraph {
         (mut offsets, mut targets): (Vec<u64>, Vec<GlobalId>),
     ) -> Self {
         normalise_rows(&mut offsets, &mut targets);
-        let mut ghosts = GhostTable::new(self.n_owned(), 0);
+        let mut ghosts = GhostTable::default();
+        let n_owned = self.n_owned() as LocalId;
         let adjacency = targets
             .iter()
-            .map(|&v| self.owned_local_id(v).unwrap_or_else(|| ghosts.slot(v)))
+            .map(|&v| {
+                self.owned_local_id(v)
+                    .unwrap_or_else(|| n_owned + ghosts.slot(v))
+            })
             .collect();
         DistGraph {
             ghost_global: ghosts.global,
-            ghost_local: ghosts.local,
+            ghost_slot: ghosts.slots,
             offsets,
             adjacency,
             ..self
@@ -214,16 +222,16 @@ impl DistGraph {
             ghost_global: Vec::new(),
             ghost_owner: Vec::new(),
             ghost_degree: Vec::new(),
-            ghost_local: HashMap::new(),
+            ghost_slot: HashMap::new(),
             offsets: Vec::new(),
             adjacency: Vec::new(),
             halo: HaloPlan::default(),
         }
     }
 
-    /// The shared tail of all three construction paths, filling in everything that
-    /// depends on the other ranks: the global edge count, the ghosts' owners and — the
-    /// graph's only handshake — their degrees and the halo plan. Each rank registers its ghosts with
+    /// The shared tail of the builds from arcs, filling in everything that depends on the
+    /// other ranks: the global edge count, the ghosts' owners and — the build's only
+    /// handshake — their degrees and the halo plan. Each rank registers its ghosts with
     /// their owners as `(global id, ghost local id)`; an owner resolves the id, keeps
     /// `(holder, ghost local id)` as the vertex's send row and answers with the vertex's
     /// degree (the weighted balance phase weights neighbour counts by degree). An id the
@@ -271,6 +279,12 @@ impl DistGraph {
             .map(|&owner| answered[owner as usize].next().copied().unwrap_or(0))
             .collect();
         self.halo = HaloPlan::new(&self, &registered);
+        self.set_table_gauges();
+        self
+    }
+
+    /// Report the ghost and halo tables' footprints to the memory gauges.
+    fn set_table_gauges(&self) {
         xtrapulp_obs::mem::set(
             &format!("ghost_tables_rank{}", self.rank),
             self.ghost_bytes(),
@@ -279,7 +293,6 @@ impl DistGraph {
             &format!("halo_tables_rank{}", self.rank),
             self.halo.approx_bytes(),
         );
-        self
     }
 
     // --------------------------------------------------------------------------------
@@ -290,17 +303,23 @@ impl DistGraph {
     /// updated per-rank graph.
     ///
     /// When vertex ownership is stable under the delta (always for `Cyclic`, `Hashed`
-    /// and `Explicit` distributions; for `Block` when no vertices are added), the rebuild
-    /// works in local-id space, one pass beside the delta's row cursor
-    /// ([`GraphDelta::rows`](crate::delta::GraphDelta::rows)). Owned local ids are kept;
-    /// ghost slots are handed out again in first-seen row order, which is what a
-    /// from-scratch build does, so the result is identical to one. Rows the delta does
-    /// not name are *copied*, each arc's old local id renumbered through a table; rows it
-    /// names are *merged* with their insert and delete arcs, kept arcs still by local id;
-    /// only an *inserted* arc's target is looked up by global id: by position if it is
-    /// owned, else in the old ghost map, else in the new one. The new ghost map is filled
-    /// as slots are handed out, so orphaned ghosts never enter it, and the ghost metadata
-    /// (owner, degree, halo plan) is resolved again by the full construction handshake.
+    /// and `Explicit` distributions; for `Block` when no vertices are added), the graph is
+    /// *patched* in one pass beside the delta's row cursor
+    /// ([`GraphDelta::rows`](crate::delta::GraphDelta::rows)). Owned local ids are kept,
+    /// and so is every surviving ghost's slot. Rows the delta does not name are copied as
+    /// slices; rows it names are merged with their insert and delete arcs, bisecting for
+    /// the neighbours the delta names. Only an *inserted* arc's target is looked up by
+    /// global id: by position if it is owned, else in the ghost map, else it is a new
+    /// ghost. A ghost that loses its last arc on this rank leaves the table; a new ghost
+    /// takes its slot, or, if there is none, the table's last ghost moves into it, so the
+    /// ghost set and count are a from-scratch build's, up to which slot each ghost holds
+    /// (no result depends on that: rows ascend in global id and transposes in owned id).
+    /// The ghost metadata and the [`HaloPlan`] are patched too. Every rank holds the
+    /// whole delta, so a surviving ghost's degree moves by its net arc count in it, and
+    /// only the ghosts the delta creates, moves or orphans travel to their owners: one
+    /// `Alltoallv` whose tally also sums the arc change (hence `global_m`), answered by
+    /// one more with the new ghosts' degrees and any degree the net count got wrong. An
+    /// empty delta issues no collective.
     /// Growing a `Block` distribution shifts the ownership of existing vertices, so that
     /// case routes the surviving arcs to their new owners instead, as
     /// [`redistribute`](DistGraph::redistribute) does — still without touching the
@@ -332,9 +351,14 @@ impl DistGraph {
         }
     }
 
-    /// Incremental rebuild for deltas that do not move any existing vertex between ranks.
+    /// The patch for deltas that do not move any existing vertex between ranks: only what
+    /// the delta names is looked at, and only the ghosts it creates or orphans travel.
     fn apply_delta_stable(&self, ctx: &RankCtx, delta: &crate::delta::GraphDelta) -> Self {
-        use crate::delta::{merge_row, rebase_run};
+        use crate::delta::{merge_row, patch_rows, Merged};
+        if delta.is_empty() {
+            // Every rank holds the same delta, so every rank skips the handshake.
+            return self.clone();
+        }
         let (rank, nranks, new_n) = (self.rank, self.nranks, delta.new_n());
         // Deterministic and prefix-stable, so existing owners are unchanged and every
         // rank agrees on the owners of the new tail (a no-op clone for the functional
@@ -348,67 +372,255 @@ impl DistGraph {
             .extend((self.global_n..new_n).filter(|&g| dist.owner(g, new_n, nranks) == rank));
         let shell = Self::shell(ctx, dist, new_n, owned_global);
         let (old_n_owned, n_owned) = (self.n_owned(), shell.n_owned());
-
-        let mut offsets = Vec::with_capacity(n_owned + 1);
-        offsets.push(0u64);
-        let mut adjacency: Vec<LocalId> =
-            Vec::with_capacity(self.adjacency.len() + delta.insert_arcs().len());
-        let mut ghosts = GhostSlots {
-            old: self,
-            new_id: (0..old_n_owned as LocalId)
-                .chain(std::iter::repeat_n(UNSEEN, self.n_ghost()))
-                .collect(),
-            table: GhostTable::new(n_owned, self.n_ghost()),
-        };
-
-        let copy_run = |rows,
-                        ghosts: &mut GhostSlots,
-                        offsets: &mut Vec<u64>,
-                        adjacency: &mut Vec<LocalId>| {
-            let arcs = rebase_run(&self.offsets, rows, offsets);
-            adjacency.extend(self.adjacency[arcs].iter().map(|&lv| ghosts.renumber(lv)));
-        };
-        let mut next = 0usize;
-        for (gu, inserts, deletes) in delta.rows() {
-            // Rows come in ascending global id, and so do owned local ids.
-            let Some(lu) = shell.owned_local_id(gu).map(|lu| lu as usize) else {
-                continue; // another rank's row
-            };
-            copy_run(next..lu, &mut ghosts, &mut offsets, &mut adjacency);
-            let old = if lu < old_n_owned {
-                self.neighbors(lu as LocalId)
-            } else {
-                &[]
-            };
-            let old = old.iter().map(|&lv| (self.global_id(lv), lv));
-            merge_row(old, inserts, deletes, |gv, kept| {
-                let lv = if let Some(lv) = kept {
-                    ghosts.renumber(lv)
-                } else if let Some(lv) = shell.owned_local_id(gv) {
-                    lv
-                } else if let Some(&old) = self.ghost_local.get(&gv) {
-                    ghosts.renumber(old)
-                } else {
-                    ghosts.table.slot(gv) // a ghost the old graph did not know
-                };
-                adjacency.push(lv);
-            });
-            offsets.push(adjacency.len() as u64);
-            next = lu + 1;
+        let old_n_ghost = self.n_ghost();
+        // Every rank's ghost local ids move up by the vertices it newly owns.
+        let mut holder_shift = vec![0 as LocalId; nranks];
+        for g in self.global_n..new_n {
+            holder_shift[shell.owner_of_global(g)] += 1;
         }
-        copy_run(next..n_owned, &mut ghosts, &mut offsets, &mut adjacency);
 
-        // Insertions and deletions change degrees and move ghost slots, so the handshake
-        // is repeated in full. Orphaned ghosts were never reached, so they are in neither
-        // the new ghost table nor its map.
-        DistGraph {
-            ghost_global: ghosts.table.global,
-            ghost_local: ghosts.table.local,
+        // The rows. Untouched runs are copied, a ghost's local id moving with this rank's
+        // shift; a named row is merged, its kept runs copied the same way. An inserted
+        // ghost target keeps its old slot, and a ghost the old graph did not know takes a
+        // provisional one past the old table. Every arc a ghost gains or loses is an edit
+        // of its transpose row.
+        let mut fresh = GhostTable::default();
+        let mut edits: Vec<(u32, LocalId, bool)> = Vec::new();
+        // Rows whose degree moved by other than their net arc count in the delta.
+        let mut miscounted = Vec::new();
+        let named = delta.rows().filter_map(|(gu, inserts, deletes)| {
+            Some((shell.owned_local_id(gu)? as usize, (inserts, deletes)))
+        });
+        let (shift, first_ghost) = (holder_shift[rank], old_n_owned as LocalId);
+        let copy = |run: &[LocalId], out: &mut Vec<LocalId>| {
+            if shift == 0 {
+                out.extend_from_slice(run);
+            } else {
+                out.extend(
+                    run.iter()
+                        .map(|&lv| lv + shift * LocalId::from(lv >= first_ghost)),
+                );
+            }
+        };
+        let (offsets, mut adjacency) = patch_rows(
+            (&self.offsets, &self.adjacency),
+            (n_owned, self.adjacency.len() + delta.insert_arcs().len()),
+            named,
+            copy,
+            |lu, (inserts, deletes), out| {
+                let old = if lu < old_n_owned {
+                    self.neighbors(lu as LocalId)
+                } else {
+                    &[]
+                };
+                let (lu, start) = (lu as LocalId, out.len());
+                let key = |lv| self.global_id(lv);
+                merge_row(old, key, inserts, deletes, |merged| match merged {
+                    Merged::Kept(run) => copy(run, out),
+                    Merged::Dropped(lv) if !self.is_owned(lv) => {
+                        edits.push((lv - old_n_owned as LocalId, lu, false));
+                    }
+                    Merged::Dropped(_) => {}
+                    Merged::Inserted(gv) => {
+                        let lv = shell.owned_local_id(gv).unwrap_or_else(|| {
+                            let slot = match self.ghost_slot.get(&gv) {
+                                Some(&slot) => slot,
+                                None => (old_n_ghost as u32) + fresh.slot(gv),
+                            };
+                            edits.push((slot, lu, true));
+                            n_owned as LocalId + slot
+                        });
+                        out.push(lv);
+                    }
+                });
+                let net = inserts.len() as i64 - deletes.len() as i64;
+                if (out.len() - start) as i64 - old.len() as i64 != net {
+                    miscounted.push(lu);
+                }
+            },
+        );
+
+        // An old ghost none of whose arcs survives retires. Fresh ghosts refill the
+        // lowest retired slots (the first ones seen are appended instead when there are
+        // more fresh ghosts than holes); a hole left over takes the table's last ghost.
+        edits.sort_unstable();
+        let retired: Vec<u32> = edits
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter(|run| (run[0].0 as usize) < old_n_ghost)
+            .filter(|run| {
+                let gained = run.iter().filter(|edit| edit.2).count();
+                let dropped = run.len() - gained;
+                self.halo.owned_neighbors(run[0].0 as usize).len() + gained == dropped
+            })
+            .map(|run| run[0].0)
+            .collect();
+        let n_fresh = fresh.global.len();
+        let n_ghost = old_n_ghost + n_fresh - retired.len();
+        let appended = n_fresh.saturating_sub(retired.len());
+        let mut holes = retired.iter().copied();
+        // `(from, to)`: a provisional or old slot, and the slot it takes.
+        let mut relocations: Vec<(u32, u32)> = (appended..n_fresh)
+            .zip(holes.by_ref())
+            .map(|(k, hole)| ((old_n_ghost + k) as u32, hole))
+            .collect();
+        let survivors = (n_ghost..old_n_ghost).rev().map(|slot| slot as u32);
+        let tail = survivors.filter(|slot| retired.binary_search(slot).is_err());
+        relocations.extend(
+            holes
+                .take_while(|&hole| (hole as usize) < n_ghost)
+                .zip(tail)
+                .map(|(hole, from)| (from, hole)),
+        );
+
+        // The ghost table, fresh ghosts at their provisional slots, then relocated. A
+        // surviving ghost's degree moves by its net arc count in the delta, which every
+        // rank holds; an owner whose vertex's row did not change by that much corrects
+        // it below, and relocated ones are answered anew.
+        let mut ghost_global = with_room(&self.ghost_global, n_fresh);
+        let mut ghost_owner = with_room(&self.ghost_owner, n_fresh);
+        let mut ghost_degree = with_room(&self.ghost_degree, n_fresh);
+        let mut ghost_slot = self.ghost_slot.clone();
+        let same_source = |a: &(GlobalId, _), b: &(GlobalId, _)| a.0 == b.0;
+        let inserts = delta.insert_arcs().chunk_by(same_source);
+        let deletes = delta.delete_arcs().chunk_by(same_source);
+        let inserted = inserts.map(|run| (run[0].0, run.len() as i64));
+        let deleted = deletes.map(|run| (run[0].0, -(run.len() as i64)));
+        for (g, net) in inserted.chain(deleted) {
+            if shell.owner_of_global(g) == rank {
+                continue;
+            }
+            if let Some(&slot) = self.ghost_slot.get(&g) {
+                let degree = &mut ghost_degree[slot as usize];
+                *degree = degree.wrapping_add_signed(net);
+            }
+        }
+        for &slot in &retired {
+            ghost_slot.remove(&self.ghost_global[slot as usize]);
+        }
+        for (k, &g) in fresh.global.iter().enumerate() {
+            ghost_global.push(g);
+            ghost_owner.push(shell.owner_of_global(g) as u32);
+            ghost_degree.push(0);
+            ghost_slot.insert(g, (old_n_ghost + k) as u32);
+        }
+        for &(from, to) in &relocations {
+            let (from, to) = (from as usize, to as usize);
+            ghost_global[to] = ghost_global[from];
+            ghost_owner[to] = ghost_owner[from];
+            ghost_degree[to] = ghost_degree[from];
+            ghost_slot.insert(ghost_global[to], to as u32);
+        }
+
+        // The handshake, one round to the owners: each new ghost (its slot now) and each
+        // relocated one is *set* as `(global id, local id)`, each retired one dropped
+        // (`RETIRED`). The tally sums the arc change, hence `global_m`.
+        let mut sends: Vec<Vec<(GlobalId, LocalId)>> = vec![Vec::new(); nranks];
+        for &slot in &retired {
+            let slot = slot as usize;
+            sends[self.ghost_owner[slot] as usize].push((self.ghost_global[slot], RETIRED));
+        }
+        let set =
+            (old_n_ghost..old_n_ghost + appended).chain(relocations.iter().map(|r| r.1 as usize));
+        for slot in set {
+            sends[ghost_owner[slot] as usize]
+                .push((ghost_global[slot], (n_owned + slot) as LocalId));
+        }
+        let arc_change = adjacency.len() as i64 - self.adjacency.len() as i64;
+        let (received, arcs) = ctx.alltoallv_sum(sends, &[arc_change]);
+        let global_m = self.global_m.wrapping_add_signed(arcs[0] / 2);
+
+        // Owners patch their send rows and answer each set with the vertex's degree (0,
+        // and no send entry, for a vertex they do not own).
+        let new_degree = |lv: usize| offsets[lv + 1] - offsets[lv];
+        let mut send_edits = Vec::new();
+        let mut answers: Vec<Vec<(LocalId, u64)>> = vec![Vec::new(); nranks];
+        for (holder, items) in received.iter().enumerate() {
+            for &(g, lid) in items {
+                let owned = shell.owned_local_id(g);
+                if lid != RETIRED {
+                    answers[holder].push((lid, owned.map_or(0, |v| new_degree(v as usize))));
+                }
+                if let Some(v) = owned {
+                    send_edits.push((v, holder as u32, (lid != RETIRED).then_some(lid)));
+                }
+            }
+        }
+        send_edits.sort_unstable();
+        // Transpose edits by final slot; a retired ghost's are dropped with it.
+        let mut by_from = relocations.clone();
+        by_from.sort_unstable();
+        let mut edits: Vec<(u32, LocalId, bool)> = edits
+            .into_iter()
+            .filter(|edit| retired.binary_search(&edit.0).is_err())
+            .map(|(slot, lu, gained)| {
+                let to = by_from.binary_search_by_key(&slot, |r| r.0);
+                (to.map_or(slot, |i| by_from[i].1), lu, gained)
+            })
+            .collect();
+        edits.sort_unstable();
+        let mut relocated: Vec<(u32, u32)> =
+            relocations.iter().map(|&(from, to)| (to, from)).collect();
+        relocated.sort_unstable();
+        let halo = self.halo.patched(
+            n_owned,
+            &holder_shift,
+            &send_edits,
+            n_ghost,
+            &relocated,
+            &edits,
+        );
+
+        // A relocated ghost's arcs still name its provisional or old slot: its transpose
+        // row says which rows hold one, and the row, ascending in global id, where.
+        let global_of = |lv: LocalId| match (lv as usize).checked_sub(n_owned) {
+            Some(slot) => ghost_global[slot],
+            None => shell.owned_global[lv as usize],
+        };
+        for &(to, from) in &relocated {
+            let g = ghost_global[to as usize];
+            for &lu in halo.owned_neighbors(to as usize) {
+                let (start, end) = (offsets[lu as usize], offsets[lu as usize + 1]);
+                let row = &mut adjacency[start as usize..end as usize];
+                let at = row.partition_point(|&lv| global_of(lv) < g);
+                debug_assert_eq!(
+                    row[at],
+                    n_owned as LocalId + from,
+                    "relocated arc out of place"
+                );
+                row[at] = n_owned as LocalId + to;
+            }
+        }
+        ghost_global.truncate(n_ghost);
+        ghost_owner.truncate(n_ghost);
+        ghost_degree.truncate(n_ghost);
+
+        // The answers, one round back: owners also correct what the delta's net arc
+        // count got wrong (an insert of an edge that existed, a delete of one that did
+        // not), for every holder left in the vertex's row.
+        for v in miscounted {
+            for &(holder, lid) in halo.targets(v) {
+                answers[holder as usize].push((lid, new_degree(v as usize)));
+            }
+        }
+        for (lid, degree) in ctx.alltoallv(answers).into_iter().flatten() {
+            let slot = (lid as usize).wrapping_sub(n_owned);
+            if let Some(stored) = ghost_degree.get_mut(slot) {
+                *stored = degree;
+            }
+        }
+        let graph = DistGraph {
+            global_m,
+            ghost_global,
+            ghost_owner,
+            ghost_degree,
+            ghost_slot,
             offsets,
             adjacency,
+            halo,
             ..shell
-        }
-        .finish(ctx)
+        };
+        graph.set_table_gauges();
+        graph
     }
 
     /// Migration rebuild for deltas that shift existing-vertex ownership (growing a
@@ -533,7 +745,7 @@ impl DistGraph {
     /// Local id of a global vertex if it is known to this rank (owned or ghost).
     pub fn local_id(&self, g: GlobalId) -> Option<LocalId> {
         self.owned_local_id(g)
-            .or_else(|| self.ghost_local.get(&g).copied())
+            .or_else(|| Some(self.n_owned() as LocalId + self.ghost_slot.get(&g)?))
     }
 
     /// Local id of a global vertex this rank owns; `None` for a ghost, for any other
@@ -622,59 +834,33 @@ impl DistGraph {
     }
 }
 
-/// [`GhostSlots::new_id`] entry of an old ghost no surviving arc has reached (yet).
-const UNSEEN: LocalId = LocalId::MAX;
+/// A copy of `old` with room for `extra` more entries, so that pushing them cannot
+/// double the capacity the graph then keeps.
+fn with_room<T: Copy>(old: &[T], extra: usize) -> Vec<T> {
+    let mut copy = Vec::with_capacity(old.len() + extra);
+    copy.extend_from_slice(old);
+    copy
+}
+
+/// The local id a holder registers for a ghost it no longer holds.
+const RETIRED: LocalId = LocalId::MAX;
 
 /// A ghost table being filled: each ghost takes the next slot the first time a builder
 /// meets it, and its entry in the graph's ghost map at the same time.
+#[derive(Default)]
 struct GhostTable {
-    /// Owned count of the graph being built: the local id of slot 0.
-    n_owned: usize,
     global: Vec<GlobalId>,
-    local: HashMap<GlobalId, LocalId>,
+    slots: HashMap<GlobalId, u32>,
 }
 
 impl GhostTable {
-    fn new(n_owned: usize, capacity: usize) -> Self {
-        GhostTable {
-            n_owned,
-            global: Vec::with_capacity(capacity),
-            local: HashMap::with_capacity(capacity),
-        }
-    }
-
-    /// Local id of ghost `g`, handing it the next slot if it has none yet.
+    /// Slot of ghost `g`, handing it the next one if it has none yet.
     #[inline]
-    fn slot(&mut self, g: GlobalId) -> LocalId {
-        *self.local.entry(g).or_insert_with(|| {
+    fn slot(&mut self, g: GlobalId) -> u32 {
+        *self.slots.entry(g).or_insert_with(|| {
             self.global.push(g);
-            (self.n_owned + self.global.len() - 1) as LocalId
+            self.global.len() as u32 - 1
         })
-    }
-}
-
-/// The ghost numbering of a graph being rebuilt from `old` by a delta: slots are handed out
-/// in first-seen row order, exactly as `with_rows` does, so the rebuilt graph's
-/// ghost table — and with it the halo plan and every result computed on either — is the
-/// one a from-scratch build produces.
-struct GhostSlots<'a> {
-    old: &'a DistGraph,
-    /// New local id by old local id: the identity on owned vertices, `UNSEEN` on a ghost
-    /// until an arc reaches it.
-    new_id: Vec<LocalId>,
-    /// The new ghost table; a ghost `old` did not know enters it directly.
-    table: GhostTable,
-}
-
-impl GhostSlots<'_> {
-    /// New local id of the vertex `old` knows as `lv`: a ghost takes the next slot the
-    /// first time an arc reaches it.
-    #[inline]
-    fn renumber(&mut self, lv: LocalId) -> LocalId {
-        if self.new_id[lv as usize] == UNSEEN {
-            self.new_id[lv as usize] = self.table.slot(self.old.global_id(lv));
-        }
-        self.new_id[lv as usize]
     }
 }
 
@@ -932,6 +1118,67 @@ mod tests {
         }
     }
 
+    /// Assert that `a` is `b` up to which slot each ghost holds, comparing by global id:
+    /// ghost set, ids both ways, degrees, owners, rows, send destinations and transposes
+    /// under the slot permutation; then, across ranks, that every send target names a
+    /// ghost of its vertex and every ghost is named once, and that a refresh of global
+    /// ids lands each ghost's own id. Must be called collectively.
+    fn assert_equivalent_graph(ctx: &RankCtx, a: &DistGraph, b: &DistGraph) {
+        assert_eq!(
+            (a.global_n(), a.global_m(), a.n_owned(), a.n_ghost()),
+            (b.global_n(), b.global_m(), b.n_owned(), b.n_ghost())
+        );
+        let set = |g: &DistGraph| -> Vec<GlobalId> {
+            let mut ghosts = g.ghost_globals().to_vec();
+            ghosts.sort_unstable();
+            ghosts
+        };
+        assert_eq!(set(a), set(b));
+        for g in 0..=a.global_n() {
+            assert_eq!(a.local_id(g).is_some(), b.local_id(g).is_some());
+        }
+        for v in 0..a.n_total() as LocalId {
+            let g = a.global_id(v);
+            assert_eq!(a.local_id(g), Some(v));
+            let w = b.local_id(g).unwrap();
+            assert_eq!(a.degree(v), b.degree(w));
+            assert_eq!(a.owner_of_local(v), b.owner_of_local(w));
+        }
+        let by_global = |g: &DistGraph, row: &[LocalId]| -> Vec<GlobalId> {
+            row.iter().map(|&u| g.global_id(u)).collect()
+        };
+        for v in a.owned_vertices() {
+            assert_eq!(by_global(a, a.neighbors(v)), by_global(b, b.neighbors(v)));
+            let holders =
+                |g: &DistGraph| -> Vec<u32> { g.halo().targets(v).iter().map(|t| t.0).collect() };
+            assert_eq!(holders(a), holders(b));
+        }
+        for (slot, &g) in a.ghost_globals().iter().enumerate() {
+            let other = b.ghost_slot[&g] as usize;
+            assert_eq!(
+                a.halo().owned_neighbors(slot),
+                b.halo().owned_neighbors(other)
+            );
+        }
+        let mut claims: Vec<Vec<(LocalId, GlobalId)>> = vec![Vec::new(); ctx.nranks()];
+        for v in a.owned_vertices() {
+            for &(holder, lid) in a.halo().targets(v) {
+                claims[holder as usize].push((lid, a.global_id(v)));
+            }
+        }
+        let mut named = vec![0u32; a.n_ghost()];
+        for (lid, g) in ctx.alltoallv(claims).into_iter().flatten() {
+            assert!(!a.is_owned(lid));
+            assert_eq!(a.global_id(lid), g);
+            named[lid as usize - a.n_owned()] += 1;
+        }
+        assert!(named.iter().all(|&n| n == 1), "ghosts named {named:?}");
+        let mut ids: Vec<GlobalId> = a.owned_global.clone();
+        ids.resize(a.n_total(), GlobalId::MAX);
+        a.refresh_ghosts(ctx, &mut ids).unwrap();
+        assert_eq!(ids[a.n_owned()..], a.ghost_global[..]);
+    }
+
     #[test]
     fn apply_delta_stable_matches_from_scratch() {
         use crate::delta::GraphDelta;
@@ -947,7 +1194,7 @@ mod tests {
                     let g = DistGraph::from_shared_edges(ctx, dist.clone(), 6, &edges);
                     let updated = g.apply_delta(ctx, &delta);
                     let scratch = DistGraph::from_shared_edges(ctx, dist.clone(), 7, &new_edges);
-                    assert_same_graph(&updated, &scratch);
+                    assert_equivalent_graph(ctx, &updated, &scratch);
                 });
             }
         }
@@ -982,7 +1229,7 @@ mod tests {
             // The incremental rebuild matches a from-scratch build over the grown table.
             let grown = dist.grown(8, ctx.nranks());
             let scratch = DistGraph::from_shared_edges(ctx, grown, 8, &new_edges);
-            assert_same_graph(&updated, &scratch);
+            assert_equivalent_graph(ctx, &updated, &scratch);
         });
     }
 
@@ -1035,6 +1282,71 @@ mod tests {
     }
 
     #[test]
+    fn the_handshake_carries_only_the_ghosts_a_delta_creates_or_orphans() {
+        use crate::delta::GraphDelta;
+        let edges = two_triangles();
+        Runtime::new(2).execute(|ctx| {
+            let sent = || {
+                let stats = ctx.stats().snapshot();
+                (stats.collectives, stats.bytes_sent)
+            };
+            let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 6, &edges);
+            // An empty delta: no rank communicates.
+            let before = sent();
+            let same = g.apply_delta(ctx, &GraphDelta::new(6, 0, &[], &[]));
+            assert_eq!(sent(), before, "an empty delta issues no collective");
+            assert_equivalent_graph(ctx, &same, &g);
+
+            // Three deletions, one of them at the bridge endpoint 2: no ghost is created
+            // or orphaned, so the round to the owners carries the arc tally and nothing
+            // else, nothing is answered, and rank 1 moves its ghost's degree by the
+            // delta's net arc count.
+            let before = sent();
+            let delta = GraphDelta::new(6, 0, &[], &[(0, 1), (4, 5), (1, 2)]);
+            let updated = g.apply_delta(ctx, &delta);
+            let after = sent();
+            assert_eq!(
+                after.0 - before.0,
+                2,
+                "a round to the owners and their answers"
+            );
+            assert_eq!(
+                after.1 - before.1,
+                8,
+                "no registration item, only the tally"
+            );
+            let left: Vec<_> = edges
+                .iter()
+                .copied()
+                .filter(|&(u, v)| !delta.is_deleted(u, v))
+                .collect();
+            let scratch = DistGraph::from_shared_edges(ctx, Distribution::Block, 6, &left);
+            assert_equivalent_graph(ctx, &updated, &scratch);
+            assert_eq!(updated.global_m(), 4);
+
+            // A second bridge creates a ghost on each rank: one registration each way,
+            // each answered with the vertex's degree.
+            let before = sent();
+            let bridged = updated.apply_delta(ctx, &GraphDelta::new(6, 0, &[(0, 4)], &[]));
+            let after = sent();
+            assert_eq!(
+                after.0 - before.0,
+                2,
+                "a round to the owners and their answers"
+            );
+            assert_eq!(
+                after.1 - before.1,
+                8 + 12 + 12,
+                "one registration, one answer"
+            );
+            let mut more = left.clone();
+            more.push((0, 4));
+            let scratch = DistGraph::from_shared_edges(ctx, Distribution::Block, 6, &more);
+            assert_equivalent_graph(ctx, &bridged, &scratch);
+        });
+    }
+
+    #[test]
     fn apply_delta_chains_across_epochs() {
         use crate::delta::GraphDelta;
         // Apply two successive deltas and compare against one from-scratch build.
@@ -1046,7 +1358,7 @@ mod tests {
             let mut final_edges = edges.clone();
             final_edges.extend([(6, 3), (0, 4)]);
             let scratch = DistGraph::from_shared_edges(ctx, Distribution::Cyclic, 7, &final_edges);
-            assert_same_graph(&g2, &scratch);
+            assert_equivalent_graph(ctx, &g2, &scratch);
         });
     }
 

@@ -4,15 +4,17 @@
 //! A rank `t` holds a ghost of vertex `v` exactly when `t` owns at least one neighbour of
 //! `v`. Which ranks those are, and where `v`'s ghost copy sits in each of their
 //! per-vertex arrays, depends only on the graph — so the tables are a field of
-//! [`DistGraph`], filled by the one handshake its construction (and every
-//! [`apply_delta`](DistGraph::apply_delta)) performs anyway: each holder *registers* its
-//! ghosts with their owners as `(global id, ghost local id)`, the owner resolves the
-//! global id once — the lookup it needs to answer with the vertex's degree — and records
-//! `(holder rank, ghost local id)` in that vertex's send row. One request/reply
-//! `Alltoallv` pair yields the ghost degrees and the send plan, and since every row entry
-//! *is* a holder's registration, owner and holder cannot disagree about the halo. The
-//! ghost→owned transpose is laid out from the local adjacency in the same step
-//! (`HaloPlan::new`); [`DistGraph::halo`] is the only way to get a plan.
+//! [`DistGraph`], filled by the one handshake its construction performs anyway: each
+//! holder *registers* its ghosts with their owners as `(global id, ghost local id)`, the
+//! owner resolves the global id once — the lookup it needs to answer with the vertex's
+//! degree — and records `(holder rank, ghost local id)` in that vertex's send row. One
+//! request/reply `Alltoallv` pair yields the ghost degrees and the send plan, and since
+//! every row entry *is* a holder's registration, owner and holder cannot disagree about
+//! the halo. The ghost→owned transpose is laid out from the local adjacency in the same
+//! step (`HaloPlan::new`). A stable [`apply_delta`](DistGraph::apply_delta) registers,
+//! moves and retires only the ghosts its delta changes, and patches both tables with
+//! them (`HaloPlan::patched`), copying the rows it leaves alone. [`DistGraph::halo`] is
+//! the only way to get a plan.
 //!
 //! Every kernel that keeps per-vertex state coherent across ranks — the partitioner's
 //! part labels, the warm PageRank contributions, component labels and coreness bounds,
@@ -31,6 +33,7 @@
 
 use xtrapulp_comm::{RankCtx, WireElem};
 
+use crate::delta::patch_rows;
 use crate::{DistGraph, LocalId};
 
 /// A halo exchange delivered something this rank's graph cannot hold: a peer named a slot
@@ -123,6 +126,118 @@ impl HaloPlan {
         HaloPlan {
             n_owned,
             n_total: graph.n_total(),
+            send_offsets,
+            send_targets,
+            ghost_offsets,
+            ghost_owned,
+        }
+    }
+
+    /// The plan of the graph a stable delta turns this plan's graph into, patched: rows
+    /// the delta leaves alone are copied in runs, the others are merged with their edits.
+    ///
+    /// * `n_owned`: the new owned count (a delta appends owned vertices, never moves one);
+    /// * `holder_shift[t]`: how far rank `t`'s ghost local ids moved (by the vertices it
+    ///   newly owns), applied to every send entry naming it;
+    /// * `sends`: `(owned vertex, holder, Some(local id of its copy there))` to set the
+    ///   holder's entry of the vertex's send row, `None` to drop it; sorted;
+    /// * `n_ghost`: the new ghost count;
+    /// * `relocated`: `(slot, old slot)` for every ghost slot whose transpose row starts
+    ///   from another slot's old row (an old slot past the old ghosts: from an empty
+    ///   row), sorted;
+    /// * `edits`: `(slot, owned vertex, inserted)`, the arcs the delta adds to or drops
+    ///   from each slot's row, sorted.
+    ///
+    /// No communication happens here.
+    pub(crate) fn patched(
+        &self,
+        n_owned: usize,
+        holder_shift: &[LocalId],
+        sends: &[(LocalId, u32, Option<LocalId>)],
+        n_ghost: usize,
+        relocated: &[(u32, u32)],
+        edits: &[(u32, LocalId, bool)],
+    ) -> HaloPlan {
+        let shift = |&(holder, lid): &(u32, LocalId)| (holder, lid + holder_shift[holder as usize]);
+        let unshifted = holder_shift.iter().all(|&by| by == 0);
+        let send_rows = sends
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| (run[0].0 as usize, run));
+        let (send_offsets, send_targets) = patch_rows(
+            (&self.send_offsets, &self.send_targets),
+            (n_owned, self.send_targets.len() + sends.len()),
+            send_rows,
+            |run, out| {
+                if unshifted {
+                    out.extend_from_slice(run);
+                } else {
+                    out.extend(run.iter().map(shift));
+                }
+            },
+            |v, run, out| {
+                let old = if v < self.n_owned {
+                    self.targets(v as LocalId)
+                } else {
+                    &[]
+                };
+                // One entry per holder, holders ascending on both sides.
+                let mut run = run.iter().peekable();
+                let set =
+                    |&(_, holder, lid): &(LocalId, u32, Option<LocalId>)| Some((holder, lid?));
+                for entry in old.iter().map(shift) {
+                    while let Some(edit) = run.next_if(|edit| edit.1 < entry.0) {
+                        out.extend(set(edit));
+                    }
+                    match run.next_if(|edit| edit.1 == entry.0) {
+                        Some(edit) => out.extend(set(edit)),
+                        None => out.push(entry),
+                    }
+                }
+                out.extend(run.filter_map(set));
+            },
+        );
+
+        let mut relocated = relocated.iter().peekable();
+        let mut edit_rows = edits.chunk_by(|a, b| a.0 == b.0).peekable();
+        let ghost_rows = std::iter::from_fn(|| {
+            let slot = match (relocated.peek(), edit_rows.peek()) {
+                (Some(r), Some(run)) => r.0.min(run[0].0),
+                (Some(r), None) => r.0,
+                (None, Some(run)) => run[0].0,
+                (None, None) => return None,
+            };
+            let source = relocated.next_if(|r| r.0 == slot).map_or(slot, |r| r.1);
+            let run = edit_rows.next_if(|run| run[0].0 == slot).unwrap_or(&[]);
+            Some((slot as usize, (source as usize, run)))
+        });
+        let (ghost_offsets, ghost_owned) = patch_rows(
+            (&self.ghost_offsets, &self.ghost_owned),
+            (n_ghost, self.ghost_owned.len() + edits.len()),
+            ghost_rows,
+            |run, out| out.extend_from_slice(run),
+            |_, (source, run), out| {
+                let old = if source < self.n_total - self.n_owned {
+                    self.owned_neighbors(source)
+                } else {
+                    &[]
+                };
+                // Owned neighbours ascend on both sides; an edit matching an old entry
+                // drops it, any other inserts.
+                let mut run = run.iter().peekable();
+                for &v in old {
+                    while let Some(edit) = run.next_if(|edit| edit.1 < v) {
+                        out.push(edit.1);
+                    }
+                    if run.next_if(|edit| edit.1 == v).is_none() {
+                        out.push(v);
+                    }
+                }
+                out.extend(run.map(|edit| edit.1));
+            },
+        );
+        HaloPlan {
+            n_owned,
+            n_total: n_owned + n_ghost,
             send_offsets,
             send_targets,
             ghost_offsets,

@@ -51,7 +51,8 @@ impl std::error::Error for ServeError {}
 
 /// What the worker drives: a stateful engine owning the live graph and the partitioner
 /// state. `xtrapulp_api::ServingSession` implements it over a `DynamicSession`
-/// (apply → incremental CSR/DistGraph evolution; repartition → warm-started run);
+/// (apply → the rank graphs patched by `DistGraph::apply_delta`; repartition →
+/// warm-started run);
 /// tests implement it with toy engines.
 ///
 /// The engine runs on the worker thread, strictly single-threaded — all concurrency

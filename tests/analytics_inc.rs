@@ -832,15 +832,15 @@ const GOLDEN_COMM_BYTES: &[(&str, [u64; GOLDEN_EPOCHS])] = &[
     (
         "ba/r2",
         [
-            165184, 166604, 172030, 166505, 190413, 170063, 159292, 159998, 388629, 166894, 167759,
-            166110,
+            153964, 155384, 160846, 155285, 179205, 158783, 148012, 148718, 377381, 155634, 156503,
+            154830,
         ],
     ),
     (
         "ba/r4",
         [
-            387200, 389937, 403077, 390387, 447380, 398695, 373891, 376293, 917192, 393027, 395228,
-            391318,
+            361044, 363757, 376957, 364219, 421160, 372395, 347535, 349921, 890852, 366683, 368792,
+            364918,
         ],
     ),
     (
@@ -852,15 +852,15 @@ const GOLDEN_COMM_BYTES: &[(&str, [u64; GOLDEN_EPOCHS])] = &[
     (
         "rmat/r2",
         [
-            253408, 82315, 182165, 254870, 117258, 258214, 274848, 256565, 269530, 88787, 261961,
-            263130,
+            246072, 74955, 174809, 247494, 109870, 250754, 267396, 249069, 262014, 81251, 254409,
+            255534,
         ],
     ),
     (
         "rmat/r4",
         [
-            565227, 186528, 407025, 570970, 266685, 577605, 614696, 574338, 602202, 201121, 582352,
-            586987,
+            548943, 170212, 390665, 554574, 250169, 561005, 598052, 557610, 585498, 184361, 565540,
+            570143,
         ],
     ),
 ];

@@ -661,47 +661,47 @@ const DYNAMIC_COMM_TABLE: &[(&str, DynamicCommRow)] = &[
     ("ba/r1/hashed/e5", [0, 0, 0, 0]),
     ("ba/r1/hashed/e6", [0, 0, 0, 0]),
     ("ba/r2/block/e0", [300, 273872, 0, 0]),
-    ("ba/r2/block/e1", [30, 11360, 6, 20200]),
-    ("ba/r2/block/e2", [26, 10424, 6, 20200]),
+    ("ba/r2/block/e1", [30, 11360, 4, 84]),
+    ("ba/r2/block/e2", [26, 10424, 4, 48]),
     ("ba/r2/block/e3", [26, 9688, 8, 21072]),
-    ("ba/r2/block/e4", [24, 10048, 6, 20380]),
-    ("ba/r2/block/e5", [20, 9160, 6, 20380]),
-    ("ba/r2/block/e6", [26, 10512, 6, 20380]),
+    ("ba/r2/block/e4", [24, 10048, 4, 72]),
+    ("ba/r2/block/e5", [20, 9160, 0, 0]),
+    ("ba/r2/block/e6", [26, 10512, 4, 48]),
     ("ba/r2/cyclic/e0", [296, 242744, 0, 0]),
-    ("ba/r2/cyclic/e1", [38, 13696, 6, 20500]),
-    ("ba/r2/cyclic/e2", [276, 228752, 6, 20500]),
-    ("ba/r2/cyclic/e3", [292, 257424, 6, 20660]),
-    ("ba/r2/cyclic/e4", [258, 211760, 6, 20660]),
-    ("ba/r2/cyclic/e5", [20, 9272, 6, 20660]),
-    ("ba/r2/cyclic/e6", [24, 10160, 6, 20660]),
+    ("ba/r2/cyclic/e1", [38, 13696, 4, 48]),
+    ("ba/r2/cyclic/e2", [276, 228752, 4, 48]),
+    ("ba/r2/cyclic/e3", [292, 257424, 4, 240]),
+    ("ba/r2/cyclic/e4", [258, 211760, 4, 48]),
+    ("ba/r2/cyclic/e5", [20, 9272, 0, 0]),
+    ("ba/r2/cyclic/e6", [24, 10160, 4, 48]),
     ("ba/r2/hashed/e0", [292, 247752, 0, 0]),
-    ("ba/r2/hashed/e1", [24, 10112, 6, 20460]),
-    ("ba/r2/hashed/e2", [24, 10080, 6, 20460]),
-    ("ba/r2/hashed/e3", [28, 10240, 6, 20620]),
-    ("ba/r2/hashed/e4", [24, 10144, 6, 20620]),
-    ("ba/r2/hashed/e5", [20, 9256, 6, 20620]),
-    ("ba/r2/hashed/e6", [28, 11064, 6, 20620]),
+    ("ba/r2/hashed/e1", [24, 10112, 4, 48]),
+    ("ba/r2/hashed/e2", [24, 10080, 4, 48]),
+    ("ba/r2/hashed/e3", [28, 10240, 4, 240]),
+    ("ba/r2/hashed/e4", [24, 10144, 4, 48]),
+    ("ba/r2/hashed/e5", [20, 9256, 0, 0]),
+    ("ba/r2/hashed/e6", [28, 11064, 4, 48]),
     ("ba/r3/block/e0", [708, 427632, 0, 0]),
-    ("ba/r3/block/e1", [774, 374360, 18, 39100]),
-    ("ba/r3/block/e2", [768, 392960, 18, 39020]),
+    ("ba/r3/block/e1", [774, 374360, 12, 144]),
+    ("ba/r3/block/e2", [768, 392960, 12, 288]),
     ("ba/r3/block/e3", [774, 461856, 24, 40484]),
-    ("ba/r3/block/e4", [792, 423864, 18, 39360]),
-    ("ba/r3/block/e5", [60, 18768, 18, 39360]),
-    ("ba/r3/block/e6", [66, 20096, 18, 39380]),
+    ("ba/r3/block/e4", [792, 423864, 12, 204]),
+    ("ba/r3/block/e5", [60, 18768, 0, 0]),
+    ("ba/r3/block/e6", [66, 20096, 12, 168]),
     ("ba/r3/cyclic/e0", [918, 517280, 0, 0]),
-    ("ba/r3/cyclic/e1", [936, 540616, 18, 40380]),
-    ("ba/r3/cyclic/e2", [900, 495600, 18, 40380]),
-    ("ba/r3/cyclic/e3", [858, 494024, 18, 40700]),
-    ("ba/r3/cyclic/e4", [864, 441104, 18, 40700]),
-    ("ba/r3/cyclic/e5", [948, 521800, 18, 40700]),
-    ("ba/r3/cyclic/e6", [924, 508408, 18, 40720]),
+    ("ba/r3/cyclic/e1", [936, 540616, 12, 144]),
+    ("ba/r3/cyclic/e2", [900, 495600, 12, 180]),
+    ("ba/r3/cyclic/e3", [858, 494024, 12, 528]),
+    ("ba/r3/cyclic/e4", [864, 441104, 12, 144]),
+    ("ba/r3/cyclic/e5", [948, 521800, 0, 0]),
+    ("ba/r3/cyclic/e6", [924, 508408, 12, 168]),
     ("ba/r3/hashed/e0", [666, 436504, 0, 0]),
-    ("ba/r3/hashed/e1", [870, 421672, 18, 40460]),
-    ("ba/r3/hashed/e2", [900, 513632, 18, 40460]),
-    ("ba/r3/hashed/e3", [840, 481416, 18, 40800]),
-    ("ba/r3/hashed/e4", [870, 466080, 18, 40820]),
-    ("ba/r3/hashed/e5", [954, 535760, 18, 40820]),
-    ("ba/r3/hashed/e6", [888, 512952, 18, 40840]),
+    ("ba/r3/hashed/e1", [870, 421672, 12, 144]),
+    ("ba/r3/hashed/e2", [900, 513632, 12, 144]),
+    ("ba/r3/hashed/e3", [840, 481416, 12, 552]),
+    ("ba/r3/hashed/e4", [870, 466080, 12, 168]),
+    ("ba/r3/hashed/e5", [954, 535760, 0, 0]),
+    ("ba/r3/hashed/e6", [888, 512952, 12, 168]),
     ("grid/r1/block/e0", [0, 0, 0, 0]),
     ("grid/r1/block/e1", [0, 0, 0, 0]),
     ("grid/r1/block/e2", [0, 0, 0, 0]),
@@ -724,45 +724,45 @@ const DYNAMIC_COMM_TABLE: &[(&str, DynamicCommRow)] = &[
     ("grid/r1/hashed/e5", [0, 0, 0, 0]),
     ("grid/r1/hashed/e6", [0, 0, 0, 0]),
     ("grid/r2/block/e0", [286, 46024, 0, 0]),
-    ("grid/r2/block/e1", [24, 2432, 6, 1360]),
-    ("grid/r2/block/e2", [22, 2048, 6, 1500]),
+    ("grid/r2/block/e1", [24, 2432, 4, 96]),
+    ("grid/r2/block/e2", [22, 2048, 4, 216]),
     ("grid/r2/block/e3", [26, 2352, 8, 2268]),
-    ("grid/r2/block/e4", [26, 3152, 6, 2060]),
-    ("grid/r2/block/e5", [20, 1832, 6, 2060]),
-    ("grid/r2/block/e6", [24, 2760, 6, 2180]),
+    ("grid/r2/block/e4", [26, 3152, 4, 96]),
+    ("grid/r2/block/e5", [20, 1832, 0, 0]),
+    ("grid/r2/block/e6", [24, 2760, 4, 192]),
     ("grid/r2/cyclic/e0", [266, 81152, 0, 0]),
-    ("grid/r2/cyclic/e1", [22, 9648, 6, 20500]),
-    ("grid/r2/cyclic/e2", [30, 11472, 6, 20500]),
-    ("grid/r2/cyclic/e3", [26, 9808, 6, 20660]),
-    ("grid/r2/cyclic/e4", [22, 9712, 6, 20660]),
-    ("grid/r2/cyclic/e5", [20, 9272, 6, 20660]),
-    ("grid/r2/cyclic/e6", [26, 10616, 6, 20660]),
+    ("grid/r2/cyclic/e1", [22, 9648, 4, 84]),
+    ("grid/r2/cyclic/e2", [30, 11472, 4, 48]),
+    ("grid/r2/cyclic/e3", [26, 9808, 4, 240]),
+    ("grid/r2/cyclic/e4", [22, 9712, 4, 48]),
+    ("grid/r2/cyclic/e5", [20, 9272, 0, 0]),
+    ("grid/r2/cyclic/e6", [26, 10616, 4, 48]),
     ("grid/r2/hashed/e0", [274, 111472, 0, 0]),
-    ("grid/r2/hashed/e1", [22, 9152, 6, 19260]),
-    ("grid/r2/hashed/e2", [24, 9592, 6, 19240]),
-    ("grid/r2/hashed/e3", [28, 9776, 6, 19440]),
-    ("grid/r2/hashed/e4", [24, 9672, 6, 19420]),
-    ("grid/r2/hashed/e5", [20, 8776, 6, 19420]),
-    ("grid/r2/hashed/e6", [22, 9216, 6, 19420]),
+    ("grid/r2/hashed/e1", [22, 9152, 4, 48]),
+    ("grid/r2/hashed/e2", [24, 9592, 4, 84]),
+    ("grid/r2/hashed/e3", [28, 9776, 4, 288]),
+    ("grid/r2/hashed/e4", [24, 9672, 4, 84]),
+    ("grid/r2/hashed/e5", [20, 8776, 0, 0]),
+    ("grid/r2/hashed/e6", [22, 9216, 4, 48]),
     ("grid/r3/block/e0", [822, 109160, 0, 0]),
-    ("grid/r3/block/e1", [72, 6768, 18, 2760]),
-    ("grid/r3/block/e2", [72, 6856, 18, 2960]),
+    ("grid/r3/block/e1", [72, 6768, 12, 240]),
+    ("grid/r3/block/e2", [72, 6856, 12, 384]),
     ("grid/r3/block/e3", [84, 7336, 24, 4044]),
-    ("grid/r3/block/e4", [66, 5824, 18, 3700]),
-    ("grid/r3/block/e5", [60, 4504, 18, 3700]),
-    ("grid/r3/block/e6", [66, 5888, 18, 3860]),
+    ("grid/r3/block/e4", [66, 5824, 12, 240]),
+    ("grid/r3/block/e5", [60, 4504, 0, 0]),
+    ("grid/r3/block/e6", [66, 5888, 12, 336]),
     ("grid/r3/cyclic/e0", [684, 153632, 0, 0]),
-    ("grid/r3/cyclic/e1", [66, 20760, 18, 41040]),
-    ("grid/r3/cyclic/e2", [66, 20752, 18, 41020]),
-    ("grid/r3/cyclic/e3", [714, 125456, 18, 41320]),
-    ("grid/r3/cyclic/e4", [66, 20872, 18, 41320]),
-    ("grid/r3/cyclic/e5", [60, 19552, 18, 41320]),
-    ("grid/r3/cyclic/e6", [66, 20864, 18, 41300]),
+    ("grid/r3/cyclic/e1", [66, 20760, 12, 144]),
+    ("grid/r3/cyclic/e2", [66, 20752, 12, 180]),
+    ("grid/r3/cyclic/e3", [714, 125456, 12, 504]),
+    ("grid/r3/cyclic/e4", [66, 20872, 12, 144]),
+    ("grid/r3/cyclic/e5", [60, 19552, 0, 0]),
+    ("grid/r3/cyclic/e6", [66, 20864, 12, 180]),
     ("grid/r3/hashed/e0", [798, 171648, 0, 0]),
-    ("grid/r3/hashed/e1", [66, 17288, 18, 32360]),
-    ("grid/r3/hashed/e2", [66, 17280, 18, 32340]),
-    ("grid/r3/hashed/e3", [78, 17688, 18, 32800]),
-    ("grid/r3/hashed/e4", [72, 18768, 18, 32740]),
-    ("grid/r3/hashed/e5", [60, 16120, 18, 32740]),
-    ("grid/r3/hashed/e6", [78, 20088, 18, 32680]),
+    ("grid/r3/hashed/e1", [66, 17288, 12, 228]),
+    ("grid/r3/hashed/e2", [66, 17280, 12, 180]),
+    ("grid/r3/hashed/e3", [78, 17688, 12, 696]),
+    ("grid/r3/hashed/e4", [72, 18768, 12, 252]),
+    ("grid/r3/hashed/e5", [60, 16120, 0, 0]),
+    ("grid/r3/hashed/e6", [78, 20088, 12, 252]),
 ];

@@ -307,13 +307,106 @@ fn assert_same_dist_graph(a: &DistGraph, b: &DistGraph, what: &str) {
     }
 }
 
+/// `a` is `b` up to which slot each ghost holds: a delta chain keeps surviving ghosts
+/// in their slots and refills orphaned ones, where a build from scratch hands slots out
+/// in first-seen row order, and no result depends on the slot a ghost holds. So every
+/// accessor is compared by global id: the ghost set, ids in both directions (stale ones
+/// included), degrees, owners, rows, the send plan's destinations and the ghost→owned
+/// transposes under the slot permutation. Then across ranks: every `(holder, local id)`
+/// target of `a`'s send plan names a ghost of that vertex, and every ghost is named
+/// once, and a refresh of global ids lands each ghost's own id. Must be called
+/// collectively.
+fn assert_equivalent_dist_graph(ctx: &RankCtx, a: &DistGraph, b: &DistGraph, what: &str) {
+    assert_eq!(a.global_n(), b.global_n(), "{what}: global_n");
+    assert_eq!(a.global_m(), b.global_m(), "{what}: global_m");
+    assert_eq!(a.n_owned(), b.n_owned(), "{what}: n_owned");
+    assert_eq!(a.n_ghost(), b.n_ghost(), "{what}: n_ghost");
+    let sorted = |g: &DistGraph| g.ghost_globals().iter().copied().collect::<BTreeSet<_>>();
+    assert_eq!(sorted(a), sorted(b), "{what}: ghost set");
+    assert_eq!(sorted(a).len(), a.n_ghost(), "{what}: a ghost held twice");
+    for g in 0..=a.global_n() {
+        let (la, lb) = (a.local_id(g), b.local_id(g));
+        assert_eq!(la.is_some(), lb.is_some(), "{what}: local_id({g})");
+        if let Some(la) = la {
+            assert_eq!(a.global_id(la), g, "{what}: round trip {g}");
+        }
+        assert_eq!(
+            a.owned_local_id(g),
+            b.owned_local_id(g),
+            "{what}: owned_local_id({g})"
+        );
+    }
+    for v in 0..a.n_total() as LocalId {
+        let g = a.global_id(v);
+        assert_eq!(a.local_id(g), Some(v), "{what}: round trip {v}");
+        let w = b.local_id(g).unwrap();
+        assert_eq!(a.degree(v), b.degree(w), "{what}: degree of {g}");
+        assert_eq!(
+            a.owner_of_local(v),
+            b.owner_of_local(w),
+            "{what}: owner of {g}"
+        );
+    }
+    let by_global = |g: &DistGraph, row: &[LocalId]| -> Vec<u64> {
+        row.iter().map(|&u| g.global_id(u)).collect()
+    };
+    let holders =
+        |g: &DistGraph, v| -> Vec<u32> { g.halo().targets(v).iter().map(|t| t.0).collect() };
+    for v in a.owned_vertices() {
+        assert_eq!(
+            by_global(a, a.neighbors(v)),
+            by_global(b, b.neighbors(v)),
+            "{what}: neighbors({v})"
+        );
+        assert_eq!(holders(a, v), holders(b, v), "{what}: targets({v})");
+    }
+    for (slot, &g) in a.ghost_globals().iter().enumerate() {
+        let other = b.local_id(g).unwrap() as usize - b.n_owned();
+        assert_eq!(
+            a.halo().owned_neighbors(slot),
+            b.halo().owned_neighbors(other),
+            "{what}: owned_neighbors of {g}"
+        );
+    }
+
+    // Across ranks: each target names a ghost of the vertex, each ghost once.
+    let mut claims: Vec<Vec<(LocalId, u64)>> = vec![Vec::new(); ctx.nranks()];
+    for v in a.owned_vertices() {
+        for &(holder, lid) in a.halo().targets(v) {
+            claims[holder as usize].push((lid, a.global_id(v)));
+        }
+    }
+    let mut named = vec![0u32; a.n_ghost()];
+    for (lid, g) in ctx.alltoallv(claims).into_iter().flatten() {
+        assert!(!a.is_owned(lid), "{what}: a target names owned {lid}");
+        assert_eq!(a.global_id(lid), g, "{what}: a target names {lid} for {g}");
+        named[lid as usize - a.n_owned()] += 1;
+    }
+    assert!(
+        named.iter().all(|&n| n == 1),
+        "{what}: ghosts named {named:?}"
+    );
+    let mut ids: Vec<u64> = (0..a.n_total() as LocalId)
+        .map(|v| a.global_id(v))
+        .collect();
+    let ghosts_before = ids[a.n_owned()..].to_vec();
+    ids[a.n_owned()..].fill(u64::MAX);
+    a.refresh_ghosts(ctx, &mut ids).unwrap();
+    assert_eq!(
+        ids[a.n_owned()..],
+        ghosts_before[..],
+        "{what}: refresh of global ids"
+    );
+}
+
 /// The situations one delta puts a rank's `apply_delta` in, counted so the test can
 /// insist its generator reached each: `[inserted arc to an old owned vertex, to an old
-/// ghost ahead of the ghost's first old row (its slot moves), to a vertex this rank newly
-/// owns, to a brand-new ghost, a ghost orphaned, a rank owning nothing, a brand-new ghost
-/// reached from two different rows]`.
-fn situations(old: &DistGraph, new: &DistGraph, delta: &GraphDelta, rank: usize) -> [u64; 7] {
-    let mut hit = [0u64; 7];
+/// ghost ahead of the ghost's first old row, to a vertex this rank newly owns, to a
+/// brand-new ghost, a ghost orphaned, a rank owning nothing, a brand-new ghost reached
+/// from two different rows, an orphaned slot refilled by a brand-new ghost, one refilled
+/// by the table's last ghost, a non-empty delta that changes no ghost]`.
+fn situations(old: &DistGraph, new: &DistGraph, delta: &GraphDelta, rank: usize) -> [u64; 10] {
+    let mut hit = [0u64; 10];
     let mut new_ghost_rows: HashMap<u64, BTreeSet<u64>> = HashMap::new();
     for &(u, v) in delta.insert_arcs() {
         if new.owner_of_global(u) != rank {
@@ -339,12 +432,23 @@ fn situations(old: &DistGraph, new: &DistGraph, delta: &GraphDelta, rank: usize)
     let orphaned = |g: &&u64| new.local_id(**g).is_none();
     hit[4] = old.ghost_globals().iter().filter(orphaned).count() as u64;
     hit[5] = u64::from(new.n_owned() == 0);
+    for (slot, g) in old.ghost_globals().iter().enumerate() {
+        let Some(&now) = new.ghost_globals().get(slot).filter(|_| orphaned(&g)) else {
+            continue;
+        };
+        match old.local_id(now) {
+            None => hit[7] += 1,
+            Some(was) => hit[8] += u64::from(was as usize > old.n_owned() + slot),
+        }
+    }
+    let unchanged = old.ghost_globals() == new.ghost_globals() && old.n_ghost() > 0;
+    hit[9] = u64::from(!delta.is_empty() && unchanged);
     hit
 }
 
 #[test]
 fn delta_chains_match_from_scratch_builds() {
-    let mut hit = [0u64; 7];
+    let mut hit = [0u64; 10];
     for case in 0..CASES {
         for (d, grow) in [(0, false), (1, true), (2, true), (3, true)] {
             for nranks in 1..=4usize {
@@ -381,7 +485,7 @@ fn delta_chains_match_from_scratch_builds() {
                 }
 
                 let per_rank = Runtime::new(nranks).execute(|ctx| {
-                    let mut hit = [0u64; 7];
+                    let mut hit = [0u64; 10];
                     let mut dist = dist.clone();
                     let mut g = DistGraph::from_shared_edges(ctx, dist.clone(), n0, &start);
                     for (step, (delta, n, after)) in chain.iter().enumerate() {
@@ -392,7 +496,7 @@ fn delta_chains_match_from_scratch_builds() {
                             "case {case} dist {d} ranks {nranks} rank {} step {step}",
                             ctx.rank()
                         );
-                        assert_same_dist_graph(&updated, &scratch, &what);
+                        assert_equivalent_dist_graph(ctx, &updated, &scratch, &what);
                         for (total, now) in
                             hit.iter_mut()
                                 .zip(situations(&g, &updated, delta, ctx.rank()))
