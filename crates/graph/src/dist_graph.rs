@@ -352,7 +352,8 @@ impl DistGraph {
     }
 
     /// The patch for deltas that do not move any existing vertex between ranks: only what
-    /// the delta names is looked at, and only the ghosts it creates or orphans travel.
+    /// the delta names is looked at, and only the ghosts it creates, moves or orphans
+    /// travel.
     fn apply_delta_stable(&self, ctx: &RankCtx, delta: &crate::delta::GraphDelta) -> Self {
         use crate::delta::{merge_row, patch_rows, Merged};
         if delta.is_empty() {
