@@ -5,14 +5,14 @@
 //! consumer's only copy of the topology: no rank holds the whole graph) and the warm
 //! state of three analytics — PageRank, connected components and coreness. Instead of
 //! redistributing the graph and recomputing from scratch every epoch, it ingests each
-//! epoch's [`GraphDelta`](xtrapulp_graph::GraphDelta) stream (and the published partition
+//! epoch's [`GraphDelta`] stream (and the published partition
 //! it rode in on) and repairs its state with the kernels in [`crate::incremental`],
 //! falling back to a cold recomputation only when the [`WarmPolicy`] says the epoch's
 //! churn is too large for the repair to pay off — the same warm/cold self-stabilising
 //! shape `xtrapulp_api::DynamicSession` uses for the partition itself.
 //!
 //! [`AnalyticsSubscriber`] binds a consumer to an
-//! [`EpochStore`](xtrapulp_serve::EpochStore): each [`poll`](AnalyticsSubscriber::poll)
+//! [`EpochStore`]: each [`poll`](AnalyticsSubscriber::poll)
 //! blocks for the next published epoch ([`wait_for_epoch`]), fetches the delta chain
 //! from the store's bounded history ([`deltas_between`]) and feeds the consumer — the
 //! read-side analogue of RFP-style remote fetching, where consumers pull exactly the

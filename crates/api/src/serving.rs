@@ -377,10 +377,9 @@ impl ServingSession {
         self.handle.queue().submit_deadline(batch, deadline)
     }
 
-    /// Replay a recorded update log (`.ulog` binary or text, auto-detected) through
-    /// the ingest queue in chunks of at most `max_batch_ops` ops, with blocking
-    /// backpressure — a recorded trace drives the identical pipeline live producers
-    /// use.
+    /// Replay a recorded `.ulog` update log through the ingest queue in chunks of at
+    /// most `max_batch_ops` ops, with blocking backpressure — a recorded trace drives
+    /// the identical pipeline live producers use.
     pub fn replay_log(
         &self,
         path: &Path,

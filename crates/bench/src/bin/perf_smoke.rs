@@ -264,7 +264,7 @@ fn main() {
 ///
 /// * **disabled hot path** — a span guard with tracing off must cost one relaxed
 ///   atomic load and nothing else. 1M create/drop cycles gate on a generous
-///   absolute bound ([`DISABLED_SPAN_NS_BOUND`] ns/op, ~10x the expected cost),
+///   absolute bound (`DISABLED_SPAN_NS_BOUND` ns/op, ~10x the expected cost),
 ///   a tripwire for anyone adding work before the enabled check.
 /// * **enabled A/B** — the cold frontier partition run in interleaved
 ///   disabled/enabled pairs (interleaving cancels machine drift). Fails when the

@@ -54,7 +54,7 @@ pub const MAX_FRAME_BYTES: u64 = 1 << 30;
 /// One point-to-point message.
 ///
 /// Byte-stream backends carry [`Frame::Bytes`] (a serialised
-/// [`WireMessage`](codec::WireMessage) payload); the in-process backend
+/// [`WireMessage`] payload); the in-process backend
 /// carries [`Frame::Typed`] (the value itself, no serialisation) plus the
 /// wire-size estimate its byte accounting reports.
 pub enum Frame {
@@ -64,7 +64,7 @@ pub enum Frame {
     Typed {
         /// The boxed message value (downcast by the receiving collective).
         payload: Box<dyn Any + Send>,
-        /// What [`WireMessage::wire_size`](codec::WireMessage::wire_size)
+        /// What [`WireMessage::wire_size`]
         /// reported for the value — the bytes a wire backend would have moved.
         est_wire: u64,
     },

@@ -162,10 +162,8 @@ fn bfs_grow_init(
             leftover_updates.push((v as LocalId, w));
         }
     }
+    // Every assignment above was pushed to its ghosts in the round that made it.
     push_part_updates(ctx, graph, &leftover_updates, &[], &mut parts, None)?;
-    // Ghosts of vertices that were never pushed (e.g. assigned before their neighbourhood
-    // was built) are refreshed wholesale to be safe.
-    refresh_ghost_parts(ctx, graph, &mut parts)?;
     Ok(parts)
 }
 

@@ -57,8 +57,8 @@ pub struct PartitionParams {
     /// assigned greedily, nothing is refined).
     pub warm_outer_iters: usize,
     /// Worker threads for the intra-rank parallel proposal phase of each sweep
-    /// (`0` = auto: `XTRAPULP_THREADS`, then the machine's available parallelism
-    /// divided by the ranks sharing the process).
+    /// (`0` = auto: the machine's available parallelism divided by the ranks sharing
+    /// the process).
     /// Results are bit-identical for every thread count.
     pub sweep_threads: usize,
     /// RNG seed; every stage derives its own deterministic stream from it.

@@ -388,10 +388,11 @@ pub struct JobOutcome {
 ///   transport fault surfaces as [`PartitionError::Comm`] and the job can be retried
 ///   whole.
 /// * **Collectives, in order, on every rank:** the [`DistGraph::from_csr`] handshake
-///   (`Csr` source only); for a warm start one violation-count allreduce and the seed's
-///   ghost pull; the stage schedule's exchanges and allreduces; the quality and
-///   work-counter allreduces; then, iff [`Runtime::is_distributed`], one `allgatherv`
-///   of the `(global id, part)` pairs so every process assembles the whole vector.
+///   (`Csr` source only); for a warm start the seed's ghost pull (the whole vector was
+///   validated before the dispatch, so no rank needs to ask the others); the stage
+///   schedule's exchanges and allreduces; the quality and work-counter allreduces; then,
+///   iff [`Runtime::is_distributed`], one `allgatherv` of the `(global id, part)` pairs
+///   so every process assembles the whole vector.
 pub fn run_xtrapulp_job(
     runtime: &mut Runtime,
     source: GraphSource<'_>,
@@ -427,15 +428,17 @@ pub fn run_xtrapulp_job(
                 .find(|graph| graph.rank() == ctx.rank())
                 .ok_or(PartitionError::InvalidRanks { got: graphs.len() })?,
         };
-        let result = match warm {
-            None => try_xtrapulp_partition(ctx, graph, params)?,
+        let owned: Vec<i32>;
+        let warm = match warm {
+            None => None,
             Some((initial, touched)) => {
-                let owned: Vec<i32> = (0..graph.n_owned())
+                owned = (0..graph.n_owned())
                     .map(|v| initial[graph.global_id(v as LocalId) as usize])
                     .collect();
-                try_xtrapulp_partition_from_touched(ctx, graph, params, &owned, touched)?
+                Some((&owned[..], touched))
             }
         };
+        let result = partition_on_rank(ctx, graph, params, warm)?;
         let mut pairs: Vec<(u64, i32)> = (0..graph.n_owned())
             .map(|v| (graph.global_id(v as LocalId), result.parts[v]))
             .collect();

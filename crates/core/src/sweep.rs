@@ -81,20 +81,12 @@ pub fn refine_budget(refine_iters: usize) -> u64 {
 }
 
 /// Resolve the worker-thread count for the sweep engine of one of `colocated` ranks
-/// sharing this process: an explicit non-zero request wins, then the `XTRAPULP_THREADS`
-/// environment variable, then this rank's share of the machine's available parallelism
-/// (at least one) — four in-process ranks on two cores would otherwise fork eight
-/// workers per chunk.
+/// sharing this process: an explicit non-zero request wins, else this rank's share of
+/// the machine's available parallelism (at least one) — four in-process ranks on two
+/// cores would otherwise fork eight workers per chunk.
 pub fn resolve_threads(requested: usize, colocated: usize) -> usize {
     if requested > 0 {
         return requested;
-    }
-    if let Some(n) = std::env::var("XTRAPULP_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
     }
     let machine = std::thread::available_parallelism()
         .map(NonZeroUsize::get)
@@ -543,7 +535,7 @@ impl SweepEngine {
         self.stage_nanos[kind as usize] as f64 * 1e-9
     }
 
-    /// The per-stage sweep wall-clock as a [`PhaseTimer`] with
+    /// The per-stage sweep wall-clock as a [`PhaseTimer`](xtrapulp_comm::PhaseTimer) with
     /// `sweep_refine`/`sweep_balance`/`sweep_churn` phases (zero-duration stages
     /// omitted). Both the serial and distributed drivers merge this into their
     /// reports' timings — the phase names are defined once, here.
@@ -1246,11 +1238,9 @@ mod tests {
     fn auto_thread_count_is_shared_between_colocated_ranks() {
         // An explicit request always wins.
         assert_eq!(resolve_threads(3, 4), 3);
-        if std::env::var_os("XTRAPULP_THREADS").is_none() {
-            let machine = resolve_threads(0, 1);
-            assert_eq!(resolve_threads(0, 2), (machine / 2).max(1));
-            assert_eq!(resolve_threads(0, 4 * machine), 1);
-            assert_eq!(resolve_threads(0, 0), machine);
-        }
+        let machine = resolve_threads(0, 1);
+        assert_eq!(resolve_threads(0, 2), (machine / 2).max(1));
+        assert_eq!(resolve_threads(0, 4 * machine), 1);
+        assert_eq!(resolve_threads(0, 0), machine);
     }
 }

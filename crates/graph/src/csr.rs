@@ -196,7 +196,6 @@ impl Csr {
 pub struct CsrBuilder {
     num_vertices: u64,
     edges: Vec<(GlobalId, GlobalId)>,
-    keep_self_loops: bool,
 }
 
 impl CsrBuilder {
@@ -205,14 +204,7 @@ impl CsrBuilder {
         CsrBuilder {
             num_vertices,
             edges: Vec::new(),
-            keep_self_loops: false,
         }
-    }
-
-    /// Keep self loops instead of dropping them (default: drop).
-    pub fn keep_self_loops(mut self, keep: bool) -> Self {
-        self.keep_self_loops = keep;
-        self
     }
 
     /// Add one undirected edge.
@@ -222,40 +214,21 @@ impl CsrBuilder {
         self
     }
 
-    /// Add many undirected edges.
-    pub fn add_edges(
-        &mut self,
-        edges: impl IntoIterator<Item = (GlobalId, GlobalId)>,
-    ) -> &mut Self {
-        self.edges.extend(edges);
-        self
-    }
-
-    /// Number of raw (pre-deduplication) edges added so far.
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Build the CSR: symmetrise, drop out-of-range endpoints, deduplicate, and (by
-    /// default) remove self loops.
+    /// Build the CSR: symmetrise, drop self loops and out-of-range endpoints,
+    /// deduplicate.
     pub fn build(&self) -> Csr {
-        build_csr(self.num_vertices, &self.edges, self.keep_self_loops)
+        csr_from_edges(self.num_vertices, &self.edges)
     }
 }
 
-/// Build a CSR from a plain undirected edge list over `num_vertices` vertices.
-pub fn csr_from_edges(num_vertices: u64, edges: &[(GlobalId, GlobalId)]) -> Csr {
-    build_csr(num_vertices, edges, false)
-}
-
-/// [`CsrBuilder::build`] over a borrowed edge list, with no global sort: the arcs are
-/// symmetrised on the fly and placed by source row, then each row is normalised on its own.
-fn build_csr(n: u64, edges: &[(GlobalId, GlobalId)], keep_self_loops: bool) -> Csr {
+/// Build a CSR from a plain undirected edge list over `n` vertices, as
+/// [`CsrBuilder::build`] does, with no global sort: the arcs are symmetrised on the fly
+/// and placed by source row, then each row is normalised on its own.
+pub fn csr_from_edges(n: u64, edges: &[(GlobalId, GlobalId)]) -> Csr {
     let arcs = edges
         .iter()
-        .filter(move |&&(u, v)| u < n && v < n && (u != v || keep_self_loops))
-        // A kept self loop is one arc; any other edge is one arc per direction.
-        .flat_map(|&(u, v)| [(u, v), (v, u)].into_iter().take(1 + (u != v) as usize));
+        .filter(move |&&(u, v)| u < n && v < n && u != v)
+        .flat_map(|&(u, v)| [(u, v), (v, u)]);
     let mut csr = Csr::from_rows(n, arcs);
     normalise_rows(&mut csr.offsets, &mut csr.adjacency);
     csr
@@ -358,15 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn self_loops_kept_on_request() {
-        let mut b = CsrBuilder::new(3).keep_self_loops(true);
-        b.add_edge(0, 0).add_edge(0, 1);
-        let g = b.build();
-        assert_eq!(g.degree(0), 2);
-        assert!(g.neighbors(0).contains(&0));
-    }
-
-    #[test]
     fn out_of_range_edges_are_dropped() {
         let g = csr_from_edges(3, &[(0, 1), (0, 7), (9, 1)]);
         assert_eq!(g.num_edges(), 1);
@@ -439,18 +403,16 @@ mod tests {
         path_graph(5).apply_delta(&GraphDelta::new(4, 0, &[], &[]));
     }
 
-    /// The builder's contract spelled out the slow way: every in-range edge in both
-    /// directions (a kept self loop once), sorted globally, duplicates removed.
-    fn reference_build(n: u64, edges: &[(GlobalId, GlobalId)], keep_self_loops: bool) -> Csr {
+    /// The builder's contract spelled out the slow way: every in-range edge that is not
+    /// a self loop in both directions, sorted globally, duplicates removed.
+    fn reference_build(n: u64, edges: &[(GlobalId, GlobalId)]) -> Csr {
         let mut arcs = Vec::new();
         for &(u, v) in edges {
-            if u >= n || v >= n || (u == v && !keep_self_loops) {
+            if u >= n || v >= n || u == v {
                 continue;
             }
             arcs.push((u, v));
-            if u != v {
-                arcs.push((v, u));
-            }
+            arcs.push((v, u));
         }
         arcs.sort_unstable();
         arcs.dedup();
@@ -486,18 +448,9 @@ mod tests {
                 };
                 edges.push(edge);
             }
-            for keep in [false, true] {
-                let mut builder = CsrBuilder::new(n).keep_self_loops(keep);
-                builder.add_edges(edges.iter().copied());
-                let built = builder.build();
-                assert_eq!(
-                    built,
-                    reference_build(n, &edges, keep),
-                    "case {case}, {keep}"
-                );
-                assert_eq!(built.adjacency.capacity(), built.adjacency.len());
-            }
-            assert_eq!(csr_from_edges(n, &edges), reference_build(n, &edges, false));
+            let built = csr_from_edges(n, &edges);
+            assert_eq!(built, reference_build(n, &edges), "case {case}");
+            assert_eq!(built.adjacency.capacity(), built.adjacency.len());
         }
     }
 

@@ -27,6 +27,29 @@ pub enum UpdateOp {
     AddVertices(u64),
 }
 
+impl UpdateOp {
+    /// The op as the tagged record the on-disk formats store (the `.ulog` update log
+    /// and the serving WAL): tag `0` is add-vertices with operands `(count, 0)`, `1`
+    /// an insertion and `2` a deletion with operands `(u, v)`.
+    pub fn record(&self) -> (u8, (u64, u64)) {
+        match *self {
+            UpdateOp::AddVertices(count) => (0, (count, 0)),
+            UpdateOp::InsertEdge(u, v) => (1, (u, v)),
+            UpdateOp::DeleteEdge(u, v) => (2, (u, v)),
+        }
+    }
+
+    /// The op a [`record`](UpdateOp::record) encodes, or `None` for an unknown tag.
+    pub fn from_record((tag, (a, b)): (u8, (u64, u64))) -> Option<UpdateOp> {
+        match tag {
+            0 => Some(UpdateOp::AddVertices(a)),
+            1 => Some(UpdateOp::InsertEdge(a, b)),
+            2 => Some(UpdateOp::DeleteEdge(a, b)),
+            _ => None,
+        }
+    }
+}
+
 /// One mutation with its logical timestamp (a global, monotonically increasing event
 /// counter across a whole mutation trace). This is the record type of the on-disk
 /// update-log format ([`crate::io::read_update_log`] / [`crate::io::write_update_log`])
@@ -428,6 +451,23 @@ mod tests {
         assert_eq!(rows, expected);
         assert_eq!(d.touched_vertices(), vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(GraphDelta::new(6, 2, &[], &[]).rows().count(), 0);
+    }
+
+    #[test]
+    fn op_records_round_trip_and_only_three_tags_decode() {
+        let ops = [
+            UpdateOp::AddVertices(u64::MAX),
+            UpdateOp::InsertEdge(u64::MAX, 0),
+            UpdateOp::DeleteEdge(3, u64::MAX),
+        ];
+        for (tag, op) in ops.into_iter().enumerate() {
+            assert_eq!(op.record().0, tag as u8);
+            assert_eq!(UpdateOp::from_record(op.record()), Some(op));
+        }
+        assert_eq!(UpdateOp::AddVertices(5).record(), (0, (5, 0)));
+        for tag in 3..=u8::MAX {
+            assert_eq!(UpdateOp::from_record((tag, (1, 2))), None, "tag {tag}");
+        }
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //!   strategy, the diameter estimator and the analytics crate).
 //! * [`stats`] — degree statistics and the iterative-BFS diameter estimate used to build
 //!   Table I.
-//! * [`io`] — plain-text and binary edge-list input/output with format auto-detection.
+//! * [`io`] — the binary edge-list (`.bel`) and update-log (`.ulog`) files, both
+//!   encoded by the comm layer's wire codec.
 //! * [`delta`] — normalised mutation batches ([`GraphDelta`]) and the incremental
 //!   rebuild-from-delta paths ([`Csr::apply_delta`], [`DistGraph::apply_delta`]) the
 //!   dynamic-graph subsystem is built on.

@@ -26,14 +26,19 @@
 //!
 //! ## On-disk formats
 //!
+//! `base.bel` is `xtrapulp_graph::io`'s edge list. The WAL and the checkpoints are,
+//! like it, little-endian records of the comm layer's wire codec (`WireElem`), and
+//! decode through it.
+//!
 //! WAL (`serve.wal`), a framed record stream:
 //!
 //! ```text
 //! [u32 len] [u8 kind] [payload; len-1 bytes] [u64 fnv1a-64 of kind+payload]
 //! ```
 //!
-//! * kind 1 (batch): `u32` op count, then per op a tag byte (0 = add-vertices,
-//!   1 = insert-edge, 2 = delete-edge) and two `u64` operands.
+//! * kind 1 (batch): `u32` op count, then per op its [`UpdateOp::record`]: a tag
+//!   byte (0 = add-vertices, 1 = insert-edge, 2 = delete-edge) and two `u64`
+//!   operands.
 //! * kind 2 (epoch mark): the `u64` epoch the preceding batches repartitioned to.
 //!
 //! A torn tail — a record cut short by a crash, or one whose checksum fails — is
@@ -58,7 +63,8 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use xtrapulp::PartitionError;
-use xtrapulp_graph::io::{read_binary_edge_list, write_binary_edge_list};
+use xtrapulp_comm::{WireElem, WireMessage};
+use xtrapulp_graph::io::{read_edge_list, write_edge_list};
 use xtrapulp_graph::{csr_from_edges, Csr, UpdateOp};
 use xtrapulp_obs::registry::Counter;
 
@@ -73,6 +79,11 @@ const WAL_OVERHEAD: usize = 4 + 8;
 /// "XPCK" little-endian.
 const CKPT_MAGIC: u32 = 0x4B43_5058;
 const CKPT_VERSION: u16 = 1;
+
+/// One op of a WAL batch: its [`UpdateOp::record`].
+type OpRecord = (u8, (u64, u64));
+/// A checkpoint's header: magic and version, then epoch, WAL position and part count.
+type CkptHeader = ((u32, u16), (u64, u64, u64));
 
 fn wal_records_counter() -> &'static Counter {
     static C: OnceLock<Counter> = OnceLock::new();
@@ -89,9 +100,11 @@ fn checkpoint_write_histogram() -> &'static std::sync::Arc<xtrapulp_obs::Histogr
     H.get_or_init(|| xtrapulp_obs::registry::histogram("serve_checkpoint_write_nanos"))
 }
 
-/// The `N` bytes of `bytes` at `at`, or `None` past its end.
-fn le<const N: usize>(bytes: &[u8], at: usize) -> Option<[u8; N]> {
-    bytes.get(at..at.checked_add(N)?)?.try_into().ok()
+/// The `H` the wire codec decodes from the front of `bytes`, and the bytes after it;
+/// `None` when `bytes` is shorter than an `H`.
+fn split_header<H: WireElem + WireMessage>(bytes: &[u8]) -> Option<(H, &[u8])> {
+    let (head, rest) = bytes.split_at_checked(H::SIZE)?;
+    Some((H::decode(head).ok()?, rest))
 }
 
 /// FNV-1a 64-bit, the integrity checksum of WAL records and checkpoints.
@@ -223,7 +236,7 @@ impl Journal {
             }
         }
         let edges: Vec<_> = base.edges().collect();
-        write_binary_edge_list(&dir.join("base.bel.partial"), &edges)?;
+        write_edge_list(&dir.join("base.bel.partial"), &edges)?;
         fs::rename(dir.join("base.bel.partial"), dir.join("base.bel"))?;
         let meta = format!("{}\n", base.num_vertices());
         fs::write(dir.join("base.meta.partial"), meta)?;
@@ -251,7 +264,7 @@ impl Journal {
             .trim()
             .parse()
             .map_err(|e| corrupt(format!("base.meta does not hold a vertex count: {e}")))?;
-        let edges = read_binary_edge_list(&dir.join("base.bel"))?;
+        let edges = read_edge_list(&dir.join("base.bel"))?;
         // Building the graph would silently drop an edge with an endpoint past `n`.
         if let Some(w) = edges.iter().map(|&(u, v)| u.max(v)).find(|&w| w >= n) {
             let detail = format!("base.bel names vertex {w}; base.meta counts {n}");
@@ -329,57 +342,30 @@ pub enum WalRecord {
 
 impl WalRecord {
     fn encode_body(&self) -> Vec<u8> {
+        let mut body = Vec::new();
         match self {
             WalRecord::Batch(batch) => {
                 let ops = batch.ops();
-                let mut body = Vec::with_capacity(1 + 4 + ops.len() * 17);
-                body.push(WAL_KIND_BATCH);
-                body.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-                for op in ops {
-                    let (tag, a, b): (u8, u64, u64) = match *op {
-                        UpdateOp::AddVertices(c) => (0, c, 0),
-                        UpdateOp::InsertEdge(u, v) => (1, u, v),
-                        UpdateOp::DeleteEdge(u, v) => (2, u, v),
-                    };
-                    body.push(tag);
-                    body.extend_from_slice(&a.to_le_bytes());
-                    body.extend_from_slice(&b.to_le_bytes());
-                }
-                body
+                body.reserve(<(u8, u32)>::SIZE + ops.len() * OpRecord::SIZE);
+                (WAL_KIND_BATCH, ops.len() as u32).put(&mut body);
+                ops.iter().for_each(|op| op.record().put(&mut body));
             }
-            WalRecord::EpochMark { epoch } => {
-                let mut body = Vec::with_capacity(9);
-                body.push(WAL_KIND_EPOCH_MARK);
-                body.extend_from_slice(&epoch.to_le_bytes());
-                body
-            }
+            WalRecord::EpochMark { epoch } => (WAL_KIND_EPOCH_MARK, *epoch).put(&mut body),
         }
+        body
     }
 
     fn decode_body(body: &[u8]) -> Option<WalRecord> {
-        let (&kind, payload) = body.split_first()?;
+        let (kind, payload) = split_header::<u8>(body)?;
         match kind {
             WAL_KIND_BATCH => {
-                let n = u32::from_le_bytes(le(payload, 0)?) as usize;
-                let rest = payload.get(4..)?;
-                if rest.len() != n * 17 {
-                    return None;
-                }
-                let mut batch = UpdateBatch::new();
-                for rec in rest.chunks_exact(17) {
-                    let a = u64::from_le_bytes(le(rec, 1)?);
-                    let b = u64::from_le_bytes(le(rec, 9)?);
-                    batch.push(match rec[0] {
-                        0 => UpdateOp::AddVertices(a),
-                        1 => UpdateOp::InsertEdge(a, b),
-                        2 => UpdateOp::DeleteEdge(a, b),
-                        _ => return None,
-                    });
-                }
-                Some(WalRecord::Batch(batch))
+                let (count, ops) = split_header::<u32>(payload)?;
+                let ops = Vec::<OpRecord>::decode(ops).ok()?.into_iter();
+                let ops: Vec<_> = ops.map(UpdateOp::from_record).collect::<Option<_>>()?;
+                (ops.len() == count as usize).then(|| WalRecord::Batch(UpdateBatch::from_ops(ops)))
             }
             WAL_KIND_EPOCH_MARK => Some(WalRecord::EpochMark {
-                epoch: u64::from_le_bytes(payload.try_into().ok()?),
+                epoch: u64::decode(payload).ok()?,
             }),
             _ => None,
         }
@@ -390,25 +376,25 @@ impl WalRecord {
 /// and the byte length of the valid prefix; everything past it is a torn tail.
 fn parse_wal(bytes: &[u8]) -> (Vec<WalRecord>, u64) {
     let mut records = Vec::new();
-    let mut pos = 0usize;
-    while let Some((record, end)) = parse_frame(bytes, pos) {
+    let mut rest = bytes;
+    while let Some((record, tail)) = parse_frame(rest) {
         records.push(record);
-        pos = end;
+        rest = tail;
     }
-    (records, pos as u64)
+    (records, (bytes.len() - rest.len()) as u64)
 }
 
-/// The WAL frame starting at `pos` and the offset just past it, or `None` where the
-/// valid prefix ends: a frame cut short, an empty body, a failed checksum or a body
-/// that does not decode.
-fn parse_frame(bytes: &[u8], pos: usize) -> Option<(WalRecord, usize)> {
-    let len = u32::from_le_bytes(le(bytes, pos)?) as usize;
-    let (start, sum_at) = (pos + 4, pos + 4 + len);
-    let body = bytes.get(start..sum_at).filter(|body| !body.is_empty())?;
-    if fnv1a64(body) != u64::from_le_bytes(le(bytes, sum_at)?) {
+/// The WAL frame at the front of `bytes` and the bytes after it, or `None` where the
+/// valid prefix ends: a frame cut short, a failed checksum or a body that does not
+/// decode (an empty one included).
+fn parse_frame(bytes: &[u8]) -> Option<(WalRecord, &[u8])> {
+    let (len, rest) = split_header::<u32>(bytes)?;
+    let (body, rest) = rest.split_at_checked(len as usize)?;
+    let (sum, rest) = split_header::<u64>(rest)?;
+    if fnv1a64(body) != sum {
         return None;
     }
-    Some((WalRecord::decode_body(body)?, sum_at + 8))
+    Some((WalRecord::decode_body(body)?, rest))
 }
 
 /// The append handle of a serving WAL.
@@ -466,9 +452,9 @@ impl WalWriter {
     fn append(&mut self, record: &WalRecord) -> io::Result<u64> {
         let body = record.encode_body();
         let mut frame = Vec::with_capacity(body.len() + WAL_OVERHEAD);
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        (body.len() as u32).put(&mut frame);
         frame.extend_from_slice(&body);
-        frame.extend_from_slice(&fnv1a64(&body).to_le_bytes());
+        fnv1a64(&body).put(&mut frame);
         self.file.write_all(&frame)?;
         self.file.flush()?;
         self.records += 1;
@@ -493,45 +479,29 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     fn encode(&self) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(30 + self.parts.len() * 4 + 8);
-        bytes.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
-        bytes.extend_from_slice(&CKPT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&self.epoch.to_le_bytes());
-        bytes.extend_from_slice(&self.wal_records.to_le_bytes());
-        bytes.extend_from_slice(&(self.parts.len() as u64).to_le_bytes());
-        for &p in &self.parts {
-            bytes.extend_from_slice(&p.to_le_bytes());
-        }
-        let sum = fnv1a64(&bytes);
-        bytes.extend_from_slice(&sum.to_le_bytes());
+        let header: CkptHeader = (
+            (CKPT_MAGIC, CKPT_VERSION),
+            (self.epoch, self.wal_records, self.parts.len() as u64),
+        );
+        let mut bytes = Vec::with_capacity(CkptHeader::SIZE + self.parts.wire_size() + 8);
+        header.put(&mut bytes);
+        self.parts.encode_into(&mut bytes);
+        fnv1a64(&bytes).put(&mut bytes);
         bytes
     }
 
     fn decode(bytes: &[u8]) -> Option<Checkpoint> {
-        if bytes.len() < 30 + 8 {
+        let (body, sum) = bytes.split_at_checked(bytes.len().checked_sub(8)?)?;
+        if fnv1a64(body) != u64::decode(sum).ok()? {
             return None;
         }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        if fnv1a64(body) != u64::from_le_bytes(le(tail, 0)?) {
+        let (((magic, version), (epoch, wal_records, n)), parts) =
+            split_header::<CkptHeader>(body)?;
+        if magic != CKPT_MAGIC || version != CKPT_VERSION {
             return None;
         }
-        if u32::from_le_bytes(le(body, 0)?) != CKPT_MAGIC
-            || u16::from_le_bytes(le(body, 4)?) != CKPT_VERSION
-        {
-            return None;
-        }
-        let epoch = u64::from_le_bytes(le(body, 6)?);
-        let wal_records = u64::from_le_bytes(le(body, 14)?);
-        let n = u64::from_le_bytes(le(body, 22)?);
-        let parts_bytes = body.get(30..)?;
-        if parts_bytes.len() as u64 != n.checked_mul(4)? {
-            return None;
-        }
-        let parts = parts_bytes
-            .chunks_exact(4)
-            .map(|c| le(c, 0).map(i32::from_le_bytes))
-            .collect::<Option<_>>()?;
-        Some(Checkpoint {
+        let parts = Vec::<i32>::decode(parts).ok()?;
+        (parts.len() as u64 == n).then_some(Checkpoint {
             epoch,
             wal_records,
             parts,

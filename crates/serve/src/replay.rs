@@ -109,8 +109,7 @@ pub fn replay_ops(
     Ok(outcome)
 }
 
-/// Read an update log from disk (format auto-detected from the extension) and replay
-/// it through `queue`.
+/// Read a `.ulog` update log from disk and replay it through `queue`.
 pub fn replay_update_log(
     queue: &IngestQueue,
     path: &Path,

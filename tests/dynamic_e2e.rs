@@ -660,48 +660,48 @@ const DYNAMIC_COMM_TABLE: &[(&str, DynamicCommRow)] = &[
     ("ba/r1/hashed/e4", [0, 0, 0, 0]),
     ("ba/r1/hashed/e5", [0, 0, 0, 0]),
     ("ba/r1/hashed/e6", [0, 0, 0, 0]),
-    ("ba/r2/block/e0", [300, 273872, 0, 0]),
-    ("ba/r2/block/e1", [30, 11360, 4, 84]),
-    ("ba/r2/block/e2", [26, 10424, 4, 48]),
-    ("ba/r2/block/e3", [26, 9688, 8, 21072]),
-    ("ba/r2/block/e4", [24, 10048, 4, 72]),
-    ("ba/r2/block/e5", [20, 9160, 0, 0]),
-    ("ba/r2/block/e6", [26, 10512, 4, 48]),
-    ("ba/r2/cyclic/e0", [296, 242744, 0, 0]),
-    ("ba/r2/cyclic/e1", [38, 13696, 4, 48]),
-    ("ba/r2/cyclic/e2", [276, 228752, 4, 48]),
-    ("ba/r2/cyclic/e3", [292, 257424, 4, 240]),
-    ("ba/r2/cyclic/e4", [258, 211760, 4, 48]),
-    ("ba/r2/cyclic/e5", [20, 9272, 0, 0]),
-    ("ba/r2/cyclic/e6", [24, 10160, 4, 48]),
-    ("ba/r2/hashed/e0", [292, 247752, 0, 0]),
-    ("ba/r2/hashed/e1", [24, 10112, 4, 48]),
-    ("ba/r2/hashed/e2", [24, 10080, 4, 48]),
-    ("ba/r2/hashed/e3", [28, 10240, 4, 240]),
-    ("ba/r2/hashed/e4", [24, 10144, 4, 48]),
-    ("ba/r2/hashed/e5", [20, 9256, 0, 0]),
-    ("ba/r2/hashed/e6", [28, 11064, 4, 48]),
-    ("ba/r3/block/e0", [708, 427632, 0, 0]),
-    ("ba/r3/block/e1", [774, 374360, 12, 144]),
-    ("ba/r3/block/e2", [768, 392960, 12, 288]),
-    ("ba/r3/block/e3", [774, 461856, 24, 40484]),
-    ("ba/r3/block/e4", [792, 423864, 12, 204]),
-    ("ba/r3/block/e5", [60, 18768, 0, 0]),
-    ("ba/r3/block/e6", [66, 20096, 12, 168]),
-    ("ba/r3/cyclic/e0", [918, 517280, 0, 0]),
-    ("ba/r3/cyclic/e1", [936, 540616, 12, 144]),
-    ("ba/r3/cyclic/e2", [900, 495600, 12, 180]),
-    ("ba/r3/cyclic/e3", [858, 494024, 12, 528]),
-    ("ba/r3/cyclic/e4", [864, 441104, 12, 144]),
-    ("ba/r3/cyclic/e5", [948, 521800, 0, 0]),
-    ("ba/r3/cyclic/e6", [924, 508408, 12, 168]),
-    ("ba/r3/hashed/e0", [666, 436504, 0, 0]),
-    ("ba/r3/hashed/e1", [870, 421672, 12, 144]),
-    ("ba/r3/hashed/e2", [900, 513632, 12, 144]),
-    ("ba/r3/hashed/e3", [840, 481416, 12, 552]),
-    ("ba/r3/hashed/e4", [870, 466080, 12, 168]),
-    ("ba/r3/hashed/e5", [954, 535760, 0, 0]),
-    ("ba/r3/hashed/e6", [888, 512952, 12, 168]),
+    ("ba/r2/block/e0", [298, 265800, 0, 0]),
+    ("ba/r2/block/e1", [28, 11336, 4, 84]),
+    ("ba/r2/block/e2", [24, 10400, 4, 48]),
+    ("ba/r2/block/e3", [24, 9664, 8, 21072]),
+    ("ba/r2/block/e4", [22, 10024, 4, 72]),
+    ("ba/r2/block/e5", [18, 9136, 0, 0]),
+    ("ba/r2/block/e6", [24, 10488, 4, 48]),
+    ("ba/r2/cyclic/e0", [294, 234552, 0, 0]),
+    ("ba/r2/cyclic/e1", [36, 13672, 4, 48]),
+    ("ba/r2/cyclic/e2", [274, 228728, 4, 48]),
+    ("ba/r2/cyclic/e3", [290, 257400, 4, 240]),
+    ("ba/r2/cyclic/e4", [256, 211736, 4, 48]),
+    ("ba/r2/cyclic/e5", [18, 9248, 0, 0]),
+    ("ba/r2/cyclic/e6", [22, 10136, 4, 48]),
+    ("ba/r2/hashed/e0", [290, 239576, 0, 0]),
+    ("ba/r2/hashed/e1", [22, 10088, 4, 48]),
+    ("ba/r2/hashed/e2", [22, 10056, 4, 48]),
+    ("ba/r2/hashed/e3", [26, 10216, 4, 240]),
+    ("ba/r2/hashed/e4", [22, 10120, 4, 48]),
+    ("ba/r2/hashed/e5", [18, 9232, 0, 0]),
+    ("ba/r2/hashed/e6", [26, 11040, 4, 48]),
+    ("ba/r3/block/e0", [702, 412016, 0, 0]),
+    ("ba/r3/block/e1", [768, 374288, 12, 144]),
+    ("ba/r3/block/e2", [762, 392888, 12, 288]),
+    ("ba/r3/block/e3", [768, 461784, 24, 40484]),
+    ("ba/r3/block/e4", [786, 423792, 12, 204]),
+    ("ba/r3/block/e5", [54, 18696, 0, 0]),
+    ("ba/r3/block/e6", [60, 20024, 12, 168]),
+    ("ba/r3/cyclic/e0", [912, 501152, 0, 0]),
+    ("ba/r3/cyclic/e1", [930, 540544, 12, 144]),
+    ("ba/r3/cyclic/e2", [894, 495528, 12, 180]),
+    ("ba/r3/cyclic/e3", [852, 493952, 12, 528]),
+    ("ba/r3/cyclic/e4", [858, 441032, 12, 144]),
+    ("ba/r3/cyclic/e5", [942, 521728, 0, 0]),
+    ("ba/r3/cyclic/e6", [918, 508336, 12, 168]),
+    ("ba/r3/hashed/e0", [660, 420344, 0, 0]),
+    ("ba/r3/hashed/e1", [864, 421600, 12, 144]),
+    ("ba/r3/hashed/e2", [894, 513560, 12, 144]),
+    ("ba/r3/hashed/e3", [834, 481344, 12, 552]),
+    ("ba/r3/hashed/e4", [864, 466008, 12, 168]),
+    ("ba/r3/hashed/e5", [948, 535688, 0, 0]),
+    ("ba/r3/hashed/e6", [882, 512880, 12, 168]),
     ("grid/r1/block/e0", [0, 0, 0, 0]),
     ("grid/r1/block/e1", [0, 0, 0, 0]),
     ("grid/r1/block/e2", [0, 0, 0, 0]),
@@ -723,46 +723,46 @@ const DYNAMIC_COMM_TABLE: &[(&str, DynamicCommRow)] = &[
     ("grid/r1/hashed/e4", [0, 0, 0, 0]),
     ("grid/r1/hashed/e5", [0, 0, 0, 0]),
     ("grid/r1/hashed/e6", [0, 0, 0, 0]),
-    ("grid/r2/block/e0", [286, 46024, 0, 0]),
-    ("grid/r2/block/e1", [24, 2432, 4, 96]),
-    ("grid/r2/block/e2", [22, 2048, 4, 216]),
-    ("grid/r2/block/e3", [26, 2352, 8, 2268]),
-    ("grid/r2/block/e4", [26, 3152, 4, 96]),
-    ("grid/r2/block/e5", [20, 1832, 0, 0]),
-    ("grid/r2/block/e6", [24, 2760, 4, 192]),
-    ("grid/r2/cyclic/e0", [266, 81152, 0, 0]),
-    ("grid/r2/cyclic/e1", [22, 9648, 4, 84]),
-    ("grid/r2/cyclic/e2", [30, 11472, 4, 48]),
-    ("grid/r2/cyclic/e3", [26, 9808, 4, 240]),
-    ("grid/r2/cyclic/e4", [22, 9712, 4, 48]),
-    ("grid/r2/cyclic/e5", [20, 9272, 0, 0]),
-    ("grid/r2/cyclic/e6", [26, 10616, 4, 48]),
-    ("grid/r2/hashed/e0", [274, 111472, 0, 0]),
-    ("grid/r2/hashed/e1", [22, 9152, 4, 48]),
-    ("grid/r2/hashed/e2", [24, 9592, 4, 84]),
-    ("grid/r2/hashed/e3", [28, 9776, 4, 288]),
-    ("grid/r2/hashed/e4", [24, 9672, 4, 84]),
-    ("grid/r2/hashed/e5", [20, 8776, 0, 0]),
-    ("grid/r2/hashed/e6", [22, 9216, 4, 48]),
-    ("grid/r3/block/e0", [822, 109160, 0, 0]),
-    ("grid/r3/block/e1", [72, 6768, 12, 240]),
-    ("grid/r3/block/e2", [72, 6856, 12, 384]),
-    ("grid/r3/block/e3", [84, 7336, 24, 4044]),
-    ("grid/r3/block/e4", [66, 5824, 12, 240]),
-    ("grid/r3/block/e5", [60, 4504, 0, 0]),
-    ("grid/r3/block/e6", [66, 5888, 12, 336]),
-    ("grid/r3/cyclic/e0", [684, 153632, 0, 0]),
-    ("grid/r3/cyclic/e1", [66, 20760, 12, 144]),
-    ("grid/r3/cyclic/e2", [66, 20752, 12, 180]),
-    ("grid/r3/cyclic/e3", [714, 125456, 12, 504]),
-    ("grid/r3/cyclic/e4", [66, 20872, 12, 144]),
-    ("grid/r3/cyclic/e5", [60, 19552, 0, 0]),
-    ("grid/r3/cyclic/e6", [66, 20864, 12, 180]),
-    ("grid/r3/hashed/e0", [798, 171648, 0, 0]),
-    ("grid/r3/hashed/e1", [66, 17288, 12, 228]),
-    ("grid/r3/hashed/e2", [66, 17280, 12, 180]),
-    ("grid/r3/hashed/e3", [78, 17688, 12, 696]),
-    ("grid/r3/hashed/e4", [72, 18768, 12, 252]),
-    ("grid/r3/hashed/e5", [60, 16120, 0, 0]),
-    ("grid/r3/hashed/e6", [78, 20088, 12, 252]),
+    ("grid/r2/block/e0", [284, 45504, 0, 0]),
+    ("grid/r2/block/e1", [22, 2408, 4, 96]),
+    ("grid/r2/block/e2", [20, 2024, 4, 216]),
+    ("grid/r2/block/e3", [24, 2328, 8, 2268]),
+    ("grid/r2/block/e4", [24, 3128, 4, 96]),
+    ("grid/r2/block/e5", [18, 1808, 0, 0]),
+    ("grid/r2/block/e6", [22, 2736, 4, 192]),
+    ("grid/r2/cyclic/e0", [264, 72952, 0, 0]),
+    ("grid/r2/cyclic/e1", [20, 9624, 4, 84]),
+    ("grid/r2/cyclic/e2", [28, 11448, 4, 48]),
+    ("grid/r2/cyclic/e3", [24, 9784, 4, 240]),
+    ("grid/r2/cyclic/e4", [20, 9688, 4, 48]),
+    ("grid/r2/cyclic/e5", [18, 9248, 0, 0]),
+    ("grid/r2/cyclic/e6", [24, 10592, 4, 48]),
+    ("grid/r2/hashed/e0", [272, 103776, 0, 0]),
+    ("grid/r2/hashed/e1", [20, 9128, 4, 48]),
+    ("grid/r2/hashed/e2", [22, 9568, 4, 84]),
+    ("grid/r2/hashed/e3", [26, 9752, 4, 288]),
+    ("grid/r2/hashed/e4", [22, 9648, 4, 84]),
+    ("grid/r2/hashed/e5", [18, 8752, 0, 0]),
+    ("grid/r2/hashed/e6", [20, 9192, 4, 48]),
+    ("grid/r3/block/e0", [816, 108112, 0, 0]),
+    ("grid/r3/block/e1", [66, 6696, 12, 240]),
+    ("grid/r3/block/e2", [66, 6784, 12, 384]),
+    ("grid/r3/block/e3", [78, 7264, 24, 4044]),
+    ("grid/r3/block/e4", [60, 5752, 12, 240]),
+    ("grid/r3/block/e5", [54, 4432, 0, 0]),
+    ("grid/r3/block/e6", [60, 5816, 12, 336]),
+    ("grid/r3/cyclic/e0", [678, 137240, 0, 0]),
+    ("grid/r3/cyclic/e1", [60, 20688, 12, 144]),
+    ("grid/r3/cyclic/e2", [60, 20680, 12, 180]),
+    ("grid/r3/cyclic/e3", [708, 125384, 12, 504]),
+    ("grid/r3/cyclic/e4", [60, 20800, 12, 144]),
+    ("grid/r3/cyclic/e5", [54, 19480, 0, 0]),
+    ("grid/r3/cyclic/e6", [60, 20792, 12, 180]),
+    ("grid/r3/hashed/e0", [792, 158736, 0, 0]),
+    ("grid/r3/hashed/e1", [60, 17216, 12, 228]),
+    ("grid/r3/hashed/e2", [60, 17208, 12, 180]),
+    ("grid/r3/hashed/e3", [72, 17616, 12, 696]),
+    ("grid/r3/hashed/e4", [66, 18696, 12, 252]),
+    ("grid/r3/hashed/e5", [54, 16048, 0, 0]),
+    ("grid/r3/hashed/e6", [72, 20016, 12, 252]),
 ];

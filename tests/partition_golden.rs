@@ -344,27 +344,27 @@ const GOLDEN: &[(&str, Row)] = &[
     ("grid/pulp/frontier/single/warm_touched", [11473717341554758919, 2, 52, 2, 52, 0, 0, 0, 0, 0, 0]),
     ("grid/pulp/frontier/single/warm_blind", [5791010637251899526, 10, 484, 10, 484, 0, 0, 0, 0, 0, 0]),
     ("grid/pulp/frontier/single/warm_over", [14499762222189909956, 14, 4477, 7, 1677, 5, 2000, 2, 800, 0, 0]),
-    ("grid/x1/frontier/mm/cold", [1864928048885372439, 38, 8967, 28, 4967, 5, 2000, 5, 2000, 103, 7560]),
+    ("grid/x1/frontier/mm/cold", [1864928048885372439, 38, 8967, 28, 4967, 5, 2000, 5, 2000, 102, 7560]),
     ("grid/x1/frontier/mm/warm_touched", [15035215763687230181, 2, 27, 2, 27, 0, 0, 0, 0, 17, 520]),
     ("grid/x1/frontier/mm/warm_blind", [15035215763687230181, 2, 409, 2, 409, 0, 0, 0, 0, 14, 504]),
     ("grid/x1/frontier/mm/warm_over", [4504300919241347367, 47, 10359, 37, 6359, 5, 2000, 5, 2000, 75, 5736]),
-    ("grid/x1/frontier/single/cold", [8055622318017196740, 17, 4448, 10, 1648, 5, 2000, 2, 800, 73, 4608]),
+    ("grid/x1/frontier/single/cold", [8055622318017196740, 17, 4448, 10, 1648, 5, 2000, 2, 800, 72, 4608]),
     ("grid/x1/frontier/single/warm_touched", [11473717341554758919, 2, 52, 2, 52, 0, 0, 0, 0, 17, 360]),
     ("grid/x1/frontier/single/warm_blind", [5791010637251899526, 10, 484, 10, 484, 0, 0, 0, 0, 22, 728]),
     ("grid/x1/frontier/single/warm_over", [8020323062623794869, 10, 4000, 3, 1200, 5, 2000, 2, 800, 29, 960]),
-    ("grid/x2/frontier/mm/cold", [5712355409435909316, 63, 13199, 36, 4799, 20, 8000, 1, 400, 128, 21976]),
+    ("grid/x2/frontier/mm/cold", [5712355409435909316, 63, 13199, 36, 4799, 20, 8000, 1, 400, 127, 21656]),
     ("grid/x2/frontier/mm/warm_touched", [496311163282246918, 2, 32, 2, 32, 0, 0, 0, 0, 17, 2168]),
     ("grid/x2/frontier/mm/warm_blind", [11646049208776184135, 2, 414, 2, 414, 0, 0, 0, 0, 14, 2136]),
     ("grid/x2/frontier/mm/warm_over", [16506951093904997559, 66, 14853, 37, 6053, 20, 8000, 2, 800, 97, 20704]),
-    ("grid/x2/frontier/single/cold", [9221362700485100804, 18, 7200, 3, 1200, 15, 6000, 0, 0, 75, 9800]),
+    ("grid/x2/frontier/single/cold", [9221362700485100804, 18, 7200, 3, 1200, 15, 6000, 0, 0, 74, 9480]),
     ("grid/x2/frontier/single/warm_touched", [11473717341554758919, 2, 52, 2, 52, 0, 0, 0, 0, 17, 1848]),
     ("grid/x2/frontier/single/warm_blind", [5791010637251899526, 10, 484, 10, 484, 0, 0, 0, 0, 22, 2584]),
     ("grid/x2/frontier/single/warm_over", [2275824727187733092, 18, 7200, 3, 1200, 15, 6000, 0, 0, 40, 6752]),
-    ("grid/x4/frontier/mm/cold", [13570007233049075476, 79, 16416, 49, 7616, 20, 8000, 2, 800, 144, 52168]),
+    ("grid/x4/frontier/mm/cold", [13570007233049075476, 79, 16416, 49, 7616, 20, 8000, 2, 800, 143, 51208]),
     ("grid/x4/frontier/mm/warm_touched", [496311163282246918, 2, 32, 2, 32, 0, 0, 0, 0, 17, 5448]),
     ("grid/x4/frontier/mm/warm_blind", [1779753635320526839, 2, 414, 2, 414, 0, 0, 0, 0, 14, 5384]),
     ("grid/x4/frontier/mm/warm_over", [2129270381860774103, 67, 14117, 47, 6917, 15, 6000, 3, 1200, 97, 37632]),
-    ("grid/x4/frontier/single/cold", [1424592600079537764, 31, 8512, 16, 2512, 15, 6000, 0, 0, 87, 22072]),
+    ("grid/x4/frontier/single/cold", [1424592600079537764, 31, 8512, 16, 2512, 15, 6000, 0, 0, 86, 21112]),
     ("grid/x4/frontier/single/warm_touched", [11473717341554758919, 2, 52, 2, 52, 0, 0, 0, 0, 17, 4816]),
     ("grid/x4/frontier/single/warm_blind", [5791010637251899526, 10, 484, 10, 484, 0, 0, 0, 0, 22, 6296]),
     ("grid/x4/frontier/single/warm_over", [11571230074546515349, 26, 8437, 10, 2437, 15, 6000, 0, 0, 47, 15392]),
@@ -376,27 +376,27 @@ const GOLDEN: &[(&str, Row)] = &[
     ("isolated/pulp/frontier/single/warm_touched", [15676612022221400833, 9, 1959, 6, 1131, 3, 828, 0, 0, 0, 0]),
     ("isolated/pulp/frontier/single/warm_blind", [15676612022221400833, 19, 3343, 16, 2515, 3, 828, 0, 0, 0, 0]),
     ("isolated/pulp/frontier/single/warm_over", [9108385079780718145, 14, 2309, 10, 1205, 4, 1104, 0, 0, 0, 0]),
-    ("isolated/x1/frontier/mm/cold", [6537745938969948194, 56, 8384, 43, 4796, 10, 2760, 3, 828, 111, 10960]),
+    ("isolated/x1/frontier/mm/cold", [6537745938969948194, 56, 8384, 43, 4796, 10, 2760, 3, 828, 110, 10960]),
     ("isolated/x1/frontier/mm/warm_touched", [9407210671345225394, 42, 6801, 32, 4041, 5, 1380, 5, 1380, 74, 7104]),
     ("isolated/x1/frontier/mm/warm_blind", [9407210671345225394, 42, 6801, 32, 4041, 5, 1380, 5, 1380, 72, 7096]),
     ("isolated/x1/frontier/mm/warm_over", [11603640501457466289, 63, 10387, 45, 5419, 15, 4140, 3, 828, 93, 10264]),
-    ("isolated/x1/frontier/single/cold", [11371105621186010869, 14, 2821, 7, 889, 5, 1380, 2, 552, 60, 3352]),
+    ("isolated/x1/frontier/single/cold", [11371105621186010869, 14, 2821, 7, 889, 5, 1380, 2, 552, 59, 3352]),
     ("isolated/x1/frontier/single/warm_touched", [5429223973466503397, 13, 2774, 6, 842, 5, 1380, 2, 552, 36, 1528]),
     ("isolated/x1/frontier/single/warm_blind", [5429223973466503397, 13, 2774, 6, 842, 5, 1380, 2, 552, 34, 1520]),
     ("isolated/x1/frontier/single/warm_over", [14025303390589487493, 15, 3065, 8, 1133, 5, 1380, 2, 552, 36, 1648]),
-    ("isolated/x2/frontier/mm/cold", [15128585626503472787, 58, 10032, 33, 3960, 20, 5520, 2, 552, 113, 20440]),
+    ("isolated/x2/frontier/mm/cold", [15128585626503472787, 58, 10032, 33, 3960, 20, 5520, 2, 552, 112, 20216]),
     ("isolated/x2/frontier/mm/warm_touched", [17757572807620701140, 88, 13778, 62, 6878, 25, 6900, 0, 0, 121, 28488]),
     ("isolated/x2/frontier/mm/warm_blind", [9410825482060064725, 75, 12426, 48, 5250, 25, 6900, 1, 276, 107, 27056]),
     ("isolated/x2/frontier/mm/warm_over", [15438410654329253476, 85, 14158, 55, 5878, 30, 8280, 0, 0, 116, 28624]),
-    ("isolated/x2/frontier/single/cold", [5617485327235914406, 34, 5892, 17, 1752, 15, 4140, 0, 0, 80, 9816]),
+    ("isolated/x2/frontier/single/cold", [5617485327235914406, 34, 5892, 17, 1752, 15, 4140, 0, 0, 79, 9592]),
     ("isolated/x2/frontier/single/warm_touched", [9604242851729335203, 35, 5927, 20, 1787, 15, 4140, 0, 0, 58, 8112]),
     ("isolated/x2/frontier/single/warm_blind", [8525366824388242695, 29, 5852, 14, 1712, 15, 4140, 0, 0, 50, 7656]),
     ("isolated/x2/frontier/single/warm_over", [2573782054835234644, 38, 6187, 23, 2047, 15, 4140, 0, 0, 59, 8664]),
-    ("isolated/x4/frontier/mm/cold", [10719660571273392469, 86, 10768, 63, 4696, 20, 5520, 2, 552, 141, 59272]),
+    ("isolated/x4/frontier/mm/cold", [10719660571273392469, 86, 10768, 63, 4696, 20, 5520, 2, 552, 140, 58824]),
     ("isolated/x4/frontier/mm/warm_touched", [16681250938713298998, 85, 13373, 54, 6197, 25, 6900, 1, 276, 117, 57576]),
     ("isolated/x4/frontier/mm/warm_blind", [10894796766601473203, 93, 14983, 56, 6703, 30, 8280, 0, 0, 123, 63336]),
     ("isolated/x4/frontier/mm/warm_over", [16459993904831552837, 68, 11523, 40, 5451, 20, 5520, 2, 552, 98, 44584]),
-    ("isolated/x4/frontier/single/cold", [11917903766191065042, 34, 6276, 18, 2136, 15, 4140, 0, 0, 80, 18944]),
+    ("isolated/x4/frontier/single/cold", [11917903766191065042, 34, 6276, 18, 2136, 15, 4140, 0, 0, 79, 18496]),
     ("isolated/x4/frontier/single/warm_touched", [2285278950157086198, 29, 5909, 13, 1769, 15, 4140, 0, 0, 52, 14864]),
     ("isolated/x4/frontier/single/warm_blind", [14616593949950134068, 35, 6344, 19, 2204, 15, 4140, 0, 0, 56, 17008]),
     ("isolated/x4/frontier/single/warm_over", [17018921821142642851, 34, 6266, 18, 2126, 15, 4140, 0, 0, 55, 16584]),
@@ -408,27 +408,27 @@ const GOLDEN: &[(&str, Row)] = &[
     ("hub/pulp/frontier/single/warm_touched", [8867957223613744563, 26, 6243, 11, 1863, 15, 4380, 0, 0, 0, 0]),
     ("hub/pulp/frontier/single/warm_blind", [8867957223613744563, 26, 6243, 11, 1863, 15, 4380, 0, 0, 0, 0]),
     ("hub/pulp/frontier/single/warm_over", [6877988856046683719, 26, 6243, 11, 1863, 15, 4380, 0, 0, 0, 0]),
-    ("hub/x1/frontier/mm/cold", [6802950292517515509, 40, 8509, 26, 4421, 11, 3212, 3, 876, 85, 10384]),
+    ("hub/x1/frontier/mm/cold", [6802950292517515509, 40, 8509, 26, 4421, 11, 3212, 3, 876, 84, 10384]),
     ("hub/x1/frontier/mm/warm_touched", [6154823749634903702, 71, 12700, 53, 7444, 15, 4380, 3, 876, 103, 14976]),
     ("hub/x1/frontier/mm/warm_blind", [6154823749634903702, 71, 12700, 53, 7444, 15, 4380, 3, 876, 101, 14968]),
     ("hub/x1/frontier/mm/warm_over", [16729901906579730480, 62, 11109, 44, 5853, 15, 4380, 3, 876, 92, 12712]),
-    ("hub/x1/frontier/single/cold", [2527281484141998546, 18, 4058, 11, 2014, 5, 1460, 2, 584, 56, 4648]),
+    ("hub/x1/frontier/single/cold", [2527281484141998546, 18, 4058, 11, 2014, 5, 1460, 2, 584, 55, 4648]),
     ("hub/x1/frontier/single/warm_touched", [12106286836607087127, 15, 3719, 8, 1675, 5, 1460, 2, 584, 38, 2088]),
     ("hub/x1/frontier/single/warm_blind", [12106286836607087127, 15, 3719, 8, 1675, 5, 1460, 2, 584, 36, 2080]),
     ("hub/x1/frontier/single/warm_over", [13660001892596912823, 18, 3935, 11, 1891, 5, 1460, 2, 584, 39, 2320]),
-    ("hub/x2/frontier/mm/cold", [17901351699918536916, 75, 13426, 49, 5834, 25, 7300, 1, 292, 124, 31044]),
+    ("hub/x2/frontier/mm/cold", [17901351699918536916, 75, 13426, 49, 5834, 25, 7300, 1, 292, 123, 30972]),
     ("hub/x2/frontier/mm/warm_touched", [2622875087517459255, 79, 14604, 52, 7012, 25, 7300, 1, 292, 113, 29820]),
     ("hub/x2/frontier/mm/warm_blind", [582264993915615527, 70, 12577, 48, 6153, 20, 5840, 2, 584, 102, 27788]),
     ("hub/x2/frontier/mm/warm_over", [9517502069897785440, 57, 12754, 25, 3994, 30, 8760, 0, 0, 90, 23756]),
-    ("hub/x2/frontier/single/cold", [3571653311046997926, 33, 7281, 18, 2901, 15, 4380, 0, 0, 72, 10748]),
+    ("hub/x2/frontier/single/cold", [3571653311046997926, 33, 7281, 18, 2901, 15, 4380, 0, 0, 71, 10676]),
     ("hub/x2/frontier/single/warm_touched", [3002779468887172468, 36, 7441, 20, 3061, 15, 4380, 0, 0, 59, 8636]),
     ("hub/x2/frontier/single/warm_blind", [16061051550238827889, 29, 6707, 14, 2327, 15, 4380, 0, 0, 52, 8060]),
     ("hub/x2/frontier/single/warm_over", [18072527849576746467, 25, 6325, 9, 1945, 15, 4380, 0, 0, 46, 6780]),
-    ("hub/x4/frontier/mm/cold", [11899914104108218631, 62, 11813, 41, 6557, 15, 4380, 3, 876, 109, 54944]),
+    ("hub/x4/frontier/mm/cold", [11899914104108218631, 62, 11813, 41, 6557, 15, 4380, 3, 876, 108, 54096]),
     ("hub/x4/frontier/mm/warm_touched", [17856262163531581463, 73, 11701, 51, 6445, 15, 4380, 3, 876, 106, 57904]),
     ("hub/x4/frontier/mm/warm_blind", [6146724425187117059, 78, 13484, 57, 8228, 15, 4380, 3, 876, 108, 61296]),
     ("hub/x4/frontier/mm/warm_over", [6545470244930721200, 74, 11771, 49, 6515, 15, 4380, 3, 876, 104, 56336]),
-    ("hub/x4/frontier/single/cold", [8420956468790948631, 28, 6368, 15, 3156, 10, 2920, 1, 292, 66, 20848]),
+    ("hub/x4/frontier/single/cold", [8420956468790948631, 28, 6368, 15, 3156, 10, 2920, 1, 292, 65, 20000]),
     ("hub/x4/frontier/single/warm_touched", [13300241237928645894, 37, 5885, 26, 2673, 10, 2920, 1, 292, 60, 21184]),
     ("hub/x4/frontier/single/warm_blind", [7964012515169574802, 37, 7629, 25, 4417, 10, 2920, 1, 292, 58, 20864]),
     ("hub/x4/frontier/single/warm_over", [12252508687913101668, 40, 6044, 28, 2832, 10, 2920, 1, 292, 61, 22192]),
