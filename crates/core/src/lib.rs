@@ -43,11 +43,10 @@
 //!   graph ([`DistGraph`]), called on every rank; this is what the scaling experiments
 //!   use. [`try_xtrapulp_partition_from_touched`] is its warm-started form.
 //! * [`run_xtrapulp_job`] — the one place a whole distributed job runs: it distributes
-//!   a [`Csr`] over a [`Runtime`](xtrapulp_comm::Runtime)'s ranks
-//!   (or takes the caller's per-rank graphs, see [`GraphSource`]), runs the kernel cold
-//!   or warm, gathers the labels — across processes when the runtime spans several —
-//!   and assembles the global part vector (failing with
-//!   [`PartitionError::IncompleteGather`] if any
+//!   a [`Csr`] over a [`Runtime`](xtrapulp_comm::Runtime)'s ranks (or takes the caller's
+//!   per-rank graphs, see [`GraphSource`]), runs the kernel cold or warm, gathers the
+//!   labels — across processes when the runtime spans several — and assembles the
+//!   global part vector (failing with [`PartitionError::IncompleteGather`] if any
 //!   vertex goes unclaimed) into a [`JobOutcome`]. `xtrapulp-api`'s `Session` and
 //!   `DynamicSession` are thin callers of it; on a fresh runtime it is a one-shot run.
 //! * [`try_pulp_run`] — the shared-memory PuLP baseline, cold or warm-started, with its
