@@ -35,14 +35,14 @@ pub fn write_edge_list(path: &Path, edges: &[(GlobalId, GlobalId)]) -> io::Resul
 /// Read an update log written by [`write_update_log`].
 pub fn read_update_log(path: &Path) -> io::Result<Vec<TimedOp>> {
     let records = read_records::<LogRecord>(path)?;
-    let op = |(idx, (tag, time, operands)): (usize, LogRecord)| {
+    let timed = |(idx, (tag, time, operands)): (usize, LogRecord)| {
         let op = UpdateOp::from_record((tag, operands)).ok_or_else(|| {
             let detail = format!("record {idx}: unknown op tag {tag}");
             io::Error::new(io::ErrorKind::InvalidData, detail)
         })?;
         Ok(TimedOp { time, op })
     };
-    records.into_iter().enumerate().map(op).collect()
+    records.into_iter().enumerate().map(timed).collect()
 }
 
 /// Write an update log. Atomic: the records land in a `.partial` sibling that is then
