@@ -1,7 +1,7 @@
 //! The dynamic partitioning session: apply updates, repartition warm, report.
 
 use serde::Serialize;
-use xtrapulp::metrics::PartitionQuality;
+use xtrapulp::metrics::{PartCounts, PartitionQuality};
 use xtrapulp::sweep::StageBreakdown;
 use xtrapulp::{validate_warm_start, PartitionError};
 use xtrapulp_comm::RankCtx;
@@ -56,6 +56,10 @@ pub struct DynamicReport {
     /// The run's sweep/scored work split per schedule stage (refine / balance /
     /// churn), so trajectories can attribute where label-propagation effort went.
     pub stages: StageBreakdown,
+    /// Arcs the run read counting part loads and its result's quality, over all ranks.
+    /// A warm XtraPuLP epoch handed the carried counts reads only the rows of the
+    /// vertices it labels or moves.
+    pub arcs_counted: u64,
 }
 
 /// [`DynamicReport`] minus the part vector, for result streams.
@@ -70,6 +74,7 @@ struct DynamicSummary {
     vertices_scored: u64,
     cold_vertices_scored: u64,
     stages: StageBreakdown,
+    arcs_counted: u64,
     num_vertices: u64,
     num_edges: u64,
     quality: PartitionQuality,
@@ -96,6 +101,7 @@ impl DynamicReport {
             vertices_scored: self.vertices_scored,
             cold_vertices_scored: self.cold_vertices_scored,
             stages: self.stages,
+            arcs_counted: self.arcs_counted,
             num_vertices: self.report.num_vertices,
             num_edges: self.report.num_edges,
             quality: self.report.quality,
@@ -125,6 +131,12 @@ impl DynamicReport {
 ///   and only a short refinement schedule runs, which is what makes repartitioning after
 ///   a small mutation much cheaper than a cold run.
 ///
+/// Beside the partition the session keeps its exact [`PartCounts`] (each part's
+/// vertices, arcs and cut arcs, which the reported quality is computed from), as the
+/// last XtraPuLP job returned them. Every applied batch patches them by its arcs, and
+/// the next warm job patches them by the vertices it labels or moves, so a warm epoch
+/// never counts the whole graph: its cost follows the batch, not the graph.
+///
 /// A rejected batch or malformed job leaves the session (and its graph) untouched.
 ///
 /// Works the same over a multi-process [`Session::with_runtime`]: every process wraps
@@ -144,6 +156,10 @@ pub struct DynamicSession {
     /// (edge endpoints and added vertices), deduplicated; seeds the warm run's
     /// refinement frontier. `None` until the first partition exists.
     touched: Option<Vec<GlobalId>>,
+    /// The exact counts of `parts` over the live graph, when the job that computed them
+    /// returned them (an XtraPuLP job does); patched by every applied batch and handed
+    /// to the next warm job.
+    counts: Option<PartCounts>,
     cold_lp_sweeps: u64,
     cold_vertices_scored: u64,
 }
@@ -192,6 +208,7 @@ impl DynamicSession {
             epoch: 0,
             parts: None,
             touched: None,
+            counts: None,
             cold_lp_sweeps: 0,
             cold_vertices_scored: 0,
         })
@@ -251,19 +268,23 @@ impl DynamicSession {
     /// the crash-recovery path, seeding a replayed topology from a durable
     /// checkpoint taken at exactly this graph state. The next
     /// [`repartition`](DynamicSession::repartition) warm-starts from it with an
-    /// empty touched set, as if the partition had been computed in-session.
+    /// empty touched set, as if the partition had been computed in-session, except that
+    /// no counts come with it: that job counts the graph once, and carries its result's
+    /// counts on from there.
     pub(crate) fn seed_partition(&mut self, parts: Vec<i32>) -> Result<(), PartitionError> {
         let n = self.graph().num_vertices();
         validate_warm_start(n, self.job.params.num_parts, &parts)?;
         self.parts = Some(parts);
         self.touched = Some(Vec::new());
+        self.counts = None;
         Ok(())
     }
 
     /// Validate one update batch against the live topology and apply it: the per-rank
-    /// graphs evolve via [`DistGraph::apply_delta`], and the carried part vector is
-    /// extended with [`UNASSIGNED`] entries for new vertices. A rejected batch changes
-    /// nothing.
+    /// graphs evolve via [`DistGraph::apply_delta`], the carried part vector is
+    /// extended with [`UNASSIGNED`] entries for new vertices, and the carried counts
+    /// book the batch's arcs under the carried labels ([`PartCounts::apply_delta`]). A
+    /// rejected batch changes nothing.
     pub fn apply_updates(&mut self, batch: &UpdateBatch) -> Result<UpdateSummary, UpdateError> {
         self.apply_updates_with_delta(batch).map(|(s, _)| s)
     }
@@ -290,6 +311,9 @@ impl DynamicSession {
         self.epoch += 1;
         if let Some(parts) = self.parts.as_mut() {
             parts.resize(delta.new_n() as usize, UNASSIGNED);
+            if let Some(counts) = self.counts.as_mut() {
+                counts.apply_delta(parts, &delta);
+            }
         }
         if let Some(touched) = self.touched.as_mut() {
             touched.extend(delta.touched_including_added());
@@ -310,8 +334,12 @@ impl DynamicSession {
     ///
     /// Runs warm-started from the previous partition whenever one exists and the
     /// session's method supports it ([`crate::Method::supports_warm_start`]); otherwise
-    /// from scratch. The report's `vertices_migrated` and `lp_sweeps`/`cold_lp_sweeps` fields
-    /// quantify the incremental behaviour.
+    /// from scratch. A warm XtraPuLP run also takes the carried counts, so the epoch
+    /// reads only the rows its batches and moves touch (see
+    /// [`run_xtrapulp_job`](xtrapulp::run_xtrapulp_job)); after a crash recovery installed
+    /// the partition, the first one counts the graph once. The
+    /// report's `vertices_migrated`, `lp_sweeps`/`cold_lp_sweeps` and `arcs_counted`
+    /// fields quantify the incremental behaviour.
     pub fn repartition(&mut self) -> Result<DynamicReport, PartitionError> {
         // A serial method runs on the whole graph, assembled for this run only.
         let csr = (!self.job.method.is_distributed()).then(|| self.csr());
@@ -321,14 +349,20 @@ impl DynamicSession {
         let touched = self.touched.take().filter(|_| warm_start);
         let warm_seed = self.parts.as_deref().filter(|_| warm_start);
         let warm = warm_seed.map(|seed| (seed, touched.as_deref()));
-        let outcome = match &csr {
+        let counts = self.counts.as_ref().filter(|_| warm_start);
+        let mut outcome = match &csr {
             Some(csr) => self.session.run_job(&self.job, csr, warm),
             None => self
                 .session
-                .run_on_ranks(&self.graphs, &self.job.params, warm),
+                .run_on_ranks(&self.graphs, &self.job.params, warm, counts),
         }?;
-        let (lp_sweeps, vertices_scored, stages) =
-            (outcome.lp_sweeps, outcome.vertices_scored, outcome.stages);
+        let (lp_sweeps, vertices_scored, stages, arcs_counted) = (
+            outcome.lp_sweeps,
+            outcome.vertices_scored,
+            outcome.stages,
+            outcome.arcs_counted,
+        );
+        let counts = outcome.counts.take();
         let (n, m) = (self.graph().num_vertices(), self.graph().num_edges());
         let report = self.session.report(&self.job, n, m, outcome);
 
@@ -345,6 +379,7 @@ impl DynamicSession {
             None => 0,
         };
         self.parts = Some(report.parts.clone());
+        self.counts = counts;
         // From here on the partition matches the live graph exactly: the next warm run
         // only needs to look at whatever future batches touch.
         self.touched = Some(Vec::new());
@@ -358,6 +393,7 @@ impl DynamicSession {
             vertices_scored,
             cold_vertices_scored: self.cold_vertices_scored,
             stages,
+            arcs_counted,
         })
     }
 }
@@ -621,6 +657,141 @@ mod tests {
         grow_first.add_vertices(1).insert_edge(120, 1);
         fresh.apply_updates(&grow_first).unwrap();
         assert_eq!(fresh.repartition().unwrap().report.parts.len(), 121);
+    }
+
+    /// A batch of `deletes` existing edges and `inserts` absent ones, picked
+    /// deterministically from the live graph `csr` by `salt`.
+    fn edit_batch(csr: &Csr, salt: u64, inserts: u64, deletes: u64) -> UpdateBatch {
+        let n = csr.num_vertices() as u64;
+        let mut batch = UpdateBatch::new();
+        let mut deleted = Vec::new();
+        for k in 0..deletes {
+            let u = (k * 97 + salt * 13) % n;
+            let row = csr.neighbors(u);
+            if let Some(&v) = row.get(k as usize % row.len().max(1)) {
+                if !deleted.contains(&(u.min(v), u.max(v))) {
+                    deleted.push((u.min(v), u.max(v)));
+                    batch.delete_edge(u, v);
+                }
+            }
+        }
+        for k in 0..inserts {
+            let (u, v) = ((k * 131 + salt * 7) % n, (k * 211 + salt * 17 + 1) % n);
+            if u != v && !csr.neighbors(u).contains(&v) {
+                batch.insert_edge(u, v);
+            }
+        }
+        batch
+    }
+
+    /// `session`'s carried counts, when it has any, equal a count of its part vector
+    /// (unassigned entries included) over the live graph from scratch.
+    fn assert_carried_counts_exact(session: &mut DynamicSession, what: &str) {
+        let csr = session.csr();
+        let p = session.job.params.num_parts;
+        if let (Some(counts), Some(parts)) = (&session.counts, &session.parts) {
+            assert_eq!(*counts, PartCounts::of(&csr, parts, p), "{what}");
+        }
+    }
+
+    /// The quality of `parts` over the session's rank graphs, by `evaluate_dist`.
+    fn evaluate_dist(session: &mut DynamicSession, parts: &[i32]) -> PartitionQuality {
+        let p = session.job.params.num_parts;
+        let graphs = &session.graphs;
+        let per_rank = session.session.execute(|ctx| {
+            let graph = rank_graph(graphs, ctx);
+            let local: Vec<i32> = (0..graph.n_total() as u32)
+                .map(|v| parts[graph.global_id(v) as usize])
+                .collect();
+            PartitionQuality::evaluate_dist(ctx, graph, &local, p)
+        });
+        per_rank[0]
+    }
+
+    /// The oracle of the carried counts: at every epoch of churn, deletion-heavy and
+    /// growth batches — with one growth batch big enough that its seed falls back to the
+    /// cold schedule, and a partition installed by `seed_partition` — the counts the
+    /// session carries equal a count from scratch, and the reported quality equals
+    /// `evaluate_dist` of the reported parts, over every distribution and 1–4 ranks. A
+    /// warm epoch that took carried counts reads fewer arcs than one count of the graph.
+    #[test]
+    fn carried_counts_equal_a_count_from_scratch_at_every_epoch() {
+        let base = ba_csr(400, 21);
+        for nranks in 1..=4 {
+            let owners: Vec<i32> = (0..400).map(|v| v * 7 % 5 % nranks).collect();
+            for dist in [
+                Distribution::Block,
+                Distribution::Cyclic,
+                Distribution::Hashed,
+                Distribution::from_parts(&owners),
+            ] {
+                let label = format!("{nranks} ranks, {dist:?}");
+                let session = Session::with_distribution(nranks as usize, dist).unwrap();
+                let job = job(Method::XtraPulp, 6);
+                let mut dyn_session = DynamicSession::new(session, base.clone(), job).unwrap();
+                let mut fallbacks = 0;
+                for epoch in 0..9u64 {
+                    let live = dyn_session.csr();
+                    let n = live.num_vertices() as u64;
+                    let mut batch = match epoch {
+                        // Growth: 40 vertices, every one hanging off vertex 0, which
+                        // puts them all in one part.
+                        3 => {
+                            let mut batch = UpdateBatch::new();
+                            batch.add_vertices(40);
+                            for v in n..n + 40 {
+                                batch.insert_edge(v, 0);
+                            }
+                            batch
+                        }
+                        // Deletion-heavy.
+                        2 | 6 => edit_batch(&live, epoch, 2, 30),
+                        // Growth spread over the graph, new vertices joined to each other.
+                        4 => {
+                            let mut batch = edit_batch(&live, epoch, 4, 4);
+                            batch.add_vertices(6);
+                            for v in n..n + 6 {
+                                batch.insert_edge(v, v * 31 % n).insert_edge(v, v * 17 % n);
+                            }
+                            batch.insert_edge(n, n + 1);
+                            batch
+                        }
+                        // Churn.
+                        _ => edit_batch(&live, epoch, 12, 12),
+                    };
+                    if epoch == 0 {
+                        batch = UpdateBatch::new();
+                    }
+                    if epoch == 7 {
+                        // A recovered session: the partition comes without counts.
+                        let parts = dyn_session.parts().unwrap().to_vec();
+                        dyn_session.seed_partition(parts).unwrap();
+                    }
+                    if epoch > 0 {
+                        dyn_session.apply_updates(&batch).unwrap();
+                    }
+                    let what = format!("{label}, epoch {epoch}");
+                    assert_carried_counts_exact(&mut dyn_session, &format!("{what}, applied"));
+                    let carried = dyn_session.counts.is_some();
+                    let report = dyn_session.repartition().unwrap();
+                    assert_carried_counts_exact(&mut dyn_session, &format!("{what}, job"));
+                    assert!(dyn_session.counts.is_some(), "{what}");
+                    let quality = evaluate_dist(&mut dyn_session, &report.report.parts);
+                    assert_eq!(report.report.quality, quality, "{what}");
+                    let fell_back = report.stages.balance_sweeps > 0;
+                    fallbacks += u64::from(report.warm_start && fell_back);
+                    let arcs = dyn_session.csr().num_arcs();
+                    if carried && !fell_back {
+                        assert!(
+                            report.arcs_counted < arcs,
+                            "{what}: {}",
+                            report.arcs_counted
+                        );
+                    }
+                }
+                assert!(fallbacks > 0, "{label}: no warm seed fell back");
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::path::Path;
 
 use xtrapulp::baselines::{edge_block_partition, random_partition, vertex_block_partition};
-use xtrapulp::metrics::PartitionQuality;
+use xtrapulp::metrics::{PartCounts, PartitionQuality};
 use xtrapulp::{
     run_xtrapulp_job, try_pulp_run, GraphSource, JobOutcome, PartitionError, PartitionParams,
     PulpWarmStart, SweepStats,
@@ -220,7 +220,7 @@ impl Session {
         let outcome = match job.method {
             Method::XtraPulp => {
                 let source = GraphSource::Csr(csr, &self.distribution);
-                run_xtrapulp_job(&mut self.runtime, source, params, warm)?
+                run_xtrapulp_job(&mut self.runtime, source, params, warm, None)?
             }
             Method::Pulp => run_serial(csr, k, |timings, stats| {
                 let run = try_pulp_run(csr, params, warm)?;
@@ -242,15 +242,17 @@ impl Session {
 
     /// Run XtraPuLP with `params` over `graphs`, per-rank graphs the caller keeps alive
     /// across jobs (see [`build_rank_graphs`](Session::build_rank_graphs)), cold or
-    /// warm-started like [`run_job`](Session::run_job), and count it.
+    /// warm-started like [`run_job`](Session::run_job) — a warm start with the seed's
+    /// `counts` when the caller carries them — and count it.
     pub(crate) fn run_on_ranks(
         &mut self,
         graphs: &[DistGraph],
         params: &PartitionParams,
         warm: Option<PulpWarmStart<'_>>,
+        counts: Option<&PartCounts>,
     ) -> Result<JobOutcome, PartitionError> {
         let source = GraphSource::Ranks(graphs);
-        let outcome = run_xtrapulp_job(&mut self.runtime, source, params, warm)?;
+        let outcome = run_xtrapulp_job(&mut self.runtime, source, params, warm, counts)?;
         self.jobs_completed += 1;
         Ok(outcome)
     }
@@ -300,7 +302,7 @@ impl Session {
 /// Run a serial method's `partition` inline and evaluate its parts. `partition` may
 /// hand back the phase timings and sweep counters of its run (PuLP's schedule phases,
 /// under the names distributed runs use); the multilevel and naive methods report none,
-/// and 0 sweeps.
+/// and 0 sweeps. The evaluation reads every arc once, on top of any the run counted.
 fn run_serial(
     csr: &Csr,
     num_parts: usize,
@@ -318,8 +320,10 @@ fn run_serial(
         quality,
         timings,
         comm: CommStatsSnapshot::default(),
+        counts: None,
         lp_sweeps: stats.sweeps,
         vertices_scored: stats.vertices_scored,
         stages: stats.stages,
+        arcs_counted: stats.arcs_counted + csr.num_arcs(),
     })
 }

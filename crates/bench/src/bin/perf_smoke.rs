@@ -2,8 +2,8 @@
 //! preset cold plus a touched-scoped warm start, a 2-rank dynamic session over four
 //! epochs of 0.5% churn, and a 2-rank analytics consumer over a fixed 4-epoch churn
 //! stream, and fails — exit code 1 — if any of the deterministic work counters (sweeps,
-//! scored vertices, loopback frames; the warm epochs' scored vertices, sweeps and delta
-//! apply bytes; warm PageRank scored vertices, coreness rounds, analytics bytes
+//! scored vertices, loopback frames; the warm epochs' scored vertices, sweeps, delta
+//! apply bytes and arcs counted; warm PageRank scored vertices, coreness rounds, analytics bytes
 //! exchanged) differs from the checked-in baseline (`crates/bench/perf_baseline.json`);
 //! wall time is printed for context but never gates, since CI machines vary.
 //!
@@ -65,14 +65,16 @@ fn measure_analytics() -> [u64; 3] {
 }
 
 /// Four warm epochs of a 2-rank [`DynamicSession`] at 0.5% churn on a 4096-vertex
-/// preferential-attachment graph: `[vertices scored, sweeps, apply wire bytes]` summed
-/// over the epochs. What a warm epoch scores is a small multiple of what its batch
-/// touched (~160 vertices here), so this pins the O(churn) cost of distributed
-/// repartitioning. The wire bytes are what the epochs' `DistGraph::apply_delta` calls
-/// send, summed over the ranks: the session's deltas, replayed on two ranks of their
-/// own (`apply_updates` reports no traffic), so they pin a handshake that carries only
-/// the ghosts a delta creates or orphans.
-fn measure_warm_churn() -> [u64; 3] {
+/// preferential-attachment graph: `[vertices scored, sweeps, apply wire bytes, arcs
+/// counted]` summed over the epochs. What a warm epoch scores is a small multiple of
+/// what its batch touched (~160 vertices here), so this pins the O(churn) cost of
+/// distributed repartitioning. The wire bytes are what the epochs' `DistGraph::apply_delta`
+/// calls send, summed over the ranks: the session's deltas, replayed on two ranks of
+/// their own (`apply_updates` reports no traffic), so they pin a handshake that carries
+/// only the ghosts a delta creates or orphans. The arcs counted are what the epochs'
+/// load and quality counts read: the rows of the vertices they label or move, with the
+/// session's carried counts, where counting the graph reads all 2m arcs.
+fn measure_warm_churn() -> [u64; 4] {
     let edges = GraphConfig::new(
         GraphKind::BarabasiAlbert {
             num_vertices: 4096,
@@ -98,7 +100,7 @@ fn measure_warm_churn() -> [u64; 3] {
     let mut graphs = replay.execute(|ctx| DistGraph::from_csr(ctx, Distribution::Block, &csr));
     let mut session = DynamicSession::spawn(2, csr, job).expect("valid job");
     session.repartition().expect("cold epoch");
-    let mut totals = [0u64; 3];
+    let mut totals = [0u64; 4];
     for epoch in 0..stream.batches.len() {
         let batch = UpdateBatch::from_ops(stream.batch_ops(epoch));
         let (_, delta) = session
@@ -114,6 +116,7 @@ fn measure_warm_churn() -> [u64; 3] {
         assert!(report.warm_start, "epochs after the first run warm");
         totals[0] += report.vertices_scored;
         totals[1] += report.lp_sweeps;
+        totals[3] += report.arcs_counted;
     }
     totals
 }
@@ -176,7 +179,8 @@ fn measure() -> Vec<(&'static str, f64)> {
         dist_frames = report.comm.frames_sent;
     }
     dist_times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let [warm_churn_scored, warm_churn_sweeps, warm_churn_apply_bytes] = measure_warm_churn();
+    let [warm_churn_scored, warm_churn_sweeps, warm_churn_apply_bytes, warm_churn_arcs_counted] =
+        measure_warm_churn();
     let [analytics_warm_scored, analytics_kcore_rounds, analytics_comm_bytes] = measure_analytics();
 
     vec![
@@ -189,6 +193,7 @@ fn measure() -> Vec<(&'static str, f64)> {
         ("warm_churn_scored", warm_churn_scored as f64),
         ("warm_churn_sweeps", warm_churn_sweeps as f64),
         ("warm_churn_apply_bytes", warm_churn_apply_bytes as f64),
+        ("warm_churn_arcs_counted", warm_churn_arcs_counted as f64),
         ("analytics_warm_scored", analytics_warm_scored as f64),
         ("analytics_kcore_rounds", analytics_kcore_rounds as f64),
         ("analytics_comm_bytes", analytics_comm_bytes as f64),

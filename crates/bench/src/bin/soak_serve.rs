@@ -2,7 +2,11 @@
 //! health plane's memory accounting holds up — the byte gauges stay bounded
 //! (no unaccounted, monotonically-growing structure) and, past a fixed
 //! allocator-noise tolerance, the accounted growth explains at least 80% of
-//! the process's RSS growth over the soak window.
+//! the process's RSS growth over the soak window — and that the published
+//! quality has not drifted: warm epochs patch the part counts they carry
+//! instead of counting the graph, so the last snapshot's quality must equal
+//! an evaluation of its parts over the live graph from scratch. A release
+//! build runs with `debug_assert`s off, so this is the check that holds there.
 //!
 //! The measurement window opens *after* a warmup (session spawn, allocator
 //! high-water marks, first epochs) so the comparison is steady-state churn
@@ -13,6 +17,7 @@
 
 use std::time::Duration;
 
+use xtrapulp::metrics::PartitionQuality;
 use xtrapulp::PartitionParams;
 use xtrapulp_api::{Method, PartitionJob, ServingSession, UpdateBatch};
 use xtrapulp_gen::{GraphConfig, GraphKind};
@@ -163,7 +168,21 @@ fn run(opts: &Options) -> i32 {
     let explained =
         unexplained <= opts.tolerance_bytes || accounted_growth as f64 >= 0.8 * rss_growth as f64;
 
-    let verdict = bounded && explained && scrape_ok;
+    // Drift: the last snapshot against its parts evaluated over the live graph.
+    let last = store.current();
+    let drift = match serving.shutdown() {
+        Ok((mut session, _)) => {
+            let fresh = PartitionQuality::evaluate(&session.csr(), &last.parts, last.num_parts);
+            (fresh != last.quality).then(|| format!("published {:?}, live {fresh:?}", last.quality))
+        }
+        Err(e) => Some(format!("shutdown failed: {e}")),
+    };
+    if let Some(drift) = &drift {
+        eprintln!("quality drifted at epoch {}: {drift}", last.epoch);
+    }
+    let drift_free = drift.is_none();
+
+    let verdict = bounded && explained && scrape_ok && drift_free;
     println!(
         "{{\"soak\":\"{}\",\"epochs\":{},\"final_epoch\":{},\
          \"accounted_start\":{accounted_start},\"accounted_end\":{accounted_end},\
@@ -171,13 +190,13 @@ fn run(opts: &Options) -> i32 {
          \"rss_start\":{rss_start},\"rss_end\":{rss_end},\
          \"rss_growth\":{rss_growth},\"accounted_growth\":{accounted_growth},\
          \"unexplained_bytes\":{unexplained},\"tolerance_bytes\":{},\
-         \"bounded\":{bounded},\"explained\":{explained},\"scrape_ok\":{scrape_ok}}}",
+         \"bounded\":{bounded},\"explained\":{explained},\"scrape_ok\":{scrape_ok},\
+         \"drift_free\":{drift_free}}}",
         if verdict { "pass" } else { "fail" },
         opts.epochs,
         store.epoch(),
         opts.tolerance_bytes,
     );
-    let _ = serving.shutdown();
     if verdict {
         0
     } else {

@@ -41,13 +41,15 @@
 //!
 //! * [`try_xtrapulp_partition`] — the collective kernel over an already-distributed
 //!   graph ([`DistGraph`]), called on every rank; this is what the scaling experiments
-//!   use. [`try_xtrapulp_partition_from_touched`] is its warm-started form.
-//! * [`run_xtrapulp_job`] — the one place a whole distributed job runs: it distributes
-//!   a [`Csr`] over a [`Runtime`](xtrapulp_comm::Runtime)'s ranks (or takes the caller's
-//!   per-rank graphs, see [`GraphSource`]), runs the kernel cold or warm, gathers the
-//!   labels — across processes when the runtime spans several — and assembles the
-//!   global part vector (failing with [`PartitionError::IncompleteGather`] if any
-//!   vertex goes unclaimed) into a [`JobOutcome`]. `xtrapulp-api`'s `Session` and
+//!   use.
+//! * [`run_xtrapulp_job`] — the one place a whole distributed job runs, and the one
+//!   warm-started entry point: it distributes a [`Csr`] over a
+//!   [`Runtime`](xtrapulp_comm::Runtime)'s ranks (or takes the caller's per-rank graphs,
+//!   see [`GraphSource`]), runs the kernel cold or warm, gathers the labels — across
+//!   processes when the runtime spans several — and assembles the global part vector
+//!   (failing with [`PartitionError::IncompleteGather`] if any vertex goes unclaimed)
+//!   into a [`JobOutcome`], with the exact [`PartCounts`](metrics::PartCounts) a caller
+//!   keeping the partition hands to its next warm job. `xtrapulp-api`'s `Session` and
 //!   `DynamicSession` are thin callers of it; on a fresh runtime it is a one-shot run.
 //! * [`try_pulp_run`] — the shared-memory PuLP baseline, cold or warm-started, with its
 //!   work counters; [`try_pulp_partition`] returns the part vector alone.
@@ -68,14 +70,14 @@
 //! let params = PartitionParams::with_parts(8);
 //! let mut runtime = Runtime::new(2);
 //! let source = GraphSource::Csr(&graph, &Distribution::Block);
-//! let outcome = run_xtrapulp_job(&mut runtime, source, &params, None)
+//! let outcome = run_xtrapulp_job(&mut runtime, source, &params, None, None)
 //!     .expect("valid parameters");
 //! assert_eq!(outcome.parts.len(), graph.num_vertices());
 //! assert!(outcome.quality.vertex_imbalance < 1.2);
 //!
 //! // Malformed requests are typed errors, not panics.
 //! let bad = PartitionParams { num_parts: 0, ..Default::default() };
-//! assert!(run_xtrapulp_job(&mut runtime, source, &bad, None).is_err());
+//! assert!(run_xtrapulp_job(&mut runtime, source, &bad, None, None).is_err());
 //! ```
 
 pub mod baselines;
@@ -92,9 +94,8 @@ pub mod sweep;
 pub use error::PartitionError;
 pub use params::{InitStrategy, PartitionParams};
 pub use partitioner::{
-    greedy_seed_unassigned, run_xtrapulp_job, try_xtrapulp_partition,
-    try_xtrapulp_partition_from_touched, validate_warm_start, GraphSource, JobOutcome,
-    PartitionResult,
+    greedy_seed_unassigned, run_xtrapulp_job, try_xtrapulp_partition, validate_warm_start,
+    GraphSource, JobOutcome, PartitionResult,
 };
 pub use pulp::{try_pulp_partition, try_pulp_partition_from, try_pulp_run, PulpRun, PulpWarmStart};
 pub use sweep::{StageBreakdown, StageKind, SweepStats, SweepWorkspace};

@@ -5,16 +5,21 @@
 //! largest per-part cut divided by the average number of edges per part), plus the vertex
 //! and edge balance constraints. §V-B additionally aggregates results across a test suite
 //! with geometric-mean "performance ratios". This module computes all of them, both from
-//! a global [`Csr`] + part vector and collectively from a [`DistGraph`]. One counter
-//! serves both evaluations, and the partitioner's passes too: `pass::count_loads`
-//! counts each part's vertices, arcs and cut arcs over the vertices a graph owns, and
-//! the distributed evaluation sums those counts over the ranks.
+//! a global [`Csr`] + part vector and collectively from a [`DistGraph`], and every one
+//! of them from a partition's [`PartCounts`]: each part's vertices, arcs and cut arcs.
+//! One counter serves both evaluations, and the partitioner's passes too:
+//! `pass::count_loads` counts those loads over the vertices a graph owns, and the
+//! distributed evaluation sums them over the ranks. A caller that keeps a partition
+//! across graph mutations keeps its counts beside it instead of counting again: a
+//! delta's arcs patch them ([`PartCounts::apply_delta`]), and a warm job handed them
+//! patches them by the labels it changes and returns the result's
+//! ([`JobOutcome::counts`](crate::JobOutcome::counts)).
 
 use serde::{Deserialize, Serialize};
 use xtrapulp_comm::RankCtx;
-use xtrapulp_graph::{Csr, DistGraph};
+use xtrapulp_graph::{Csr, DistGraph, GraphDelta, UNASSIGNED};
 
-use crate::pass::{count_loads, Adjacency};
+use crate::pass::count_loads;
 
 /// Quality summary of one partition.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -52,9 +57,8 @@ impl PartitionQuality {
                 "vertex {v} has invalid part {pv}"
             );
         }
-        let counts = local_counts(csr, parts, num_parts);
         let (n, m) = (csr.num_vertices() as u64, csr.num_edges());
-        Self::from_counts(n, m, num_parts, &counts)
+        PartCounts::of(csr, parts, num_parts).quality(n, m)
     }
 
     /// Evaluate a partition of a distributed graph collectively. `parts` covers owned +
@@ -67,18 +71,80 @@ impl PartitionQuality {
     ) -> PartitionQuality {
         assert!(parts.len() >= graph.n_total());
         assert!(is_valid_partition(&parts[..graph.n_owned()], num_parts));
-        let counts = ctx.allreduce_sum_u64(&local_counts(graph, parts, num_parts));
-        Self::from_counts(graph.global_n(), graph.global_m(), num_parts, &counts)
+        let counts = PartCounts::of_dist(ctx, graph, parts, num_parts).0;
+        counts.quality(graph.global_n(), graph.global_m())
+    }
+}
+
+/// A partition's exact counts, in one vector: the cut arcs first — each cut edge is two,
+/// one from each endpoint's part — then the vertices, arcs and cut arcs of each part, one
+/// `num_parts`-long block each (a part's cut arcs are the cut edges incident to it). An
+/// unassigned vertex ([`UNASSIGNED`]) counts in no part, and an arc to one is cut.
+///
+/// [`PartitionQuality`] is a function of them and the graph's size
+/// ([`quality`](PartCounts::quality)). A caller that keeps a partition across graph
+/// mutations keeps its counts beside it: [`apply_delta`](PartCounts::apply_delta) books
+/// a delta, and [`run_xtrapulp_job`](crate::run_xtrapulp_job) takes a warm seed's and
+/// returns the result's.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PartCounts(Vec<i64>);
+
+impl PartCounts {
+    /// The counts of `parts` over the whole graph `csr`.
+    pub fn of(csr: &Csr, parts: &[i32], num_parts: usize) -> PartCounts {
+        let mut loads = vec![0i64; 3 * num_parts];
+        count_loads(csr, parts, num_parts, 3, &mut loads);
+        PartCounts::from_loads(&loads)
     }
 
-    /// The quality of `num_parts` parts of a graph of `n` vertices and `m` edges, from
-    /// its [`local_counts`] summed over everyone who counted.
-    fn from_counts(n: u64, m: u64, num_parts: usize, counts: &[u64]) -> PartitionQuality {
-        let cut = counts[0] / 2;
+    /// The counts of a distributed partition — the three load blocks summed over the
+    /// ranks in one allreduce — and the arcs this rank read counting them. `parts`
+    /// covers owned + ghost vertices of this rank. Must be called collectively.
+    pub(crate) fn of_dist(
+        ctx: &RankCtx,
+        graph: &DistGraph,
+        parts: &[i32],
+        num_parts: usize,
+    ) -> (PartCounts, u64) {
+        let mut loads = vec![0i64; 3 * num_parts];
+        let arcs = count_loads(graph, parts, num_parts, 3, &mut loads);
+        (PartCounts::from_loads(&ctx.allreduce_sum_i64(&loads)), arcs)
+    }
+
+    /// The counts whose three load blocks are `loads`; the cut is the cut block's sum.
+    pub(crate) fn from_loads(loads: &[i64]) -> PartCounts {
+        let cut_arcs = loads[2 * loads.len() / 3..].iter().sum::<i64>();
+        PartCounts(
+            std::iter::once(cut_arcs)
+                .chain(loads.iter().copied())
+                .collect(),
+        )
+    }
+
+    /// The three load blocks: vertices, arcs and cut arcs, `num_parts` slots each.
+    pub(crate) fn loads(&self) -> &[i64] {
+        &self.0[1..]
+    }
+
+    /// The counts with `patch`, a change in the same layout, added slot by slot.
+    pub(crate) fn patched(&self, patch: &PartCounts) -> PartCounts {
+        PartCounts(self.0.iter().zip(&patch.0).map(|(c, d)| c + d).collect())
+    }
+
+    /// The part count the counts are blocked by.
+    pub fn num_parts(&self) -> usize {
+        self.0.len() / 3
+    }
+
+    /// The quality of these counts' partition of a graph of `n` vertices and `m` edges.
+    pub fn quality(&self, n: u64, m: u64) -> PartitionQuality {
+        let num_parts = self.num_parts();
+        let counts = &self.0;
+        let cut = counts[0] as u64 / 2;
         // The largest count of block `load`: 0 vertices, 1 arcs, 2 cut arcs.
         let max = |load: usize| {
             let block = &counts[1 + load * num_parts..][..num_parts];
-            block.iter().copied().max().unwrap_or(0)
+            block.iter().copied().max().unwrap_or(0) as u64
         };
         let p = num_parts as f64;
         let max_part_cut = max(2);
@@ -95,20 +161,29 @@ impl PartitionQuality {
             edge_imbalance: max(1) as f64 / avg_arcs_per_part,
         }
     }
-}
 
-/// This graph's share of a partition's counts: the cut arcs first — each cut edge is
-/// two, one from each endpoint's part — then the vertices, arcs and cut arcs of each
-/// part, one `num_parts`-long block each (a part's cut arcs are the cut edges incident
-/// to it).
-fn local_counts<G: Adjacency>(graph: &G, parts: &[i32], num_parts: usize) -> Vec<u64> {
-    let mut loads = vec![0i64; 3 * num_parts];
-    count_loads(graph, parts, num_parts, 3, &mut loads);
-    let cut_arcs = loads[2 * num_parts..].iter().sum::<i64>();
-    std::iter::once(cut_arcs)
-        .chain(loads)
-        .map(|c| c as u64)
-        .collect()
+    /// Book `delta` into the counts of `parts`, the labels the graph's vertices keep
+    /// across it (indexed by global id; a vertex past its end, like one the delta adds,
+    /// is unassigned). Each inserted arc adds to its source part's arcs, and to its cut
+    /// arcs when the target's label differs; each deleted arc takes the same away. A
+    /// delta's deletions must name edges the graph has and its insertions edges it
+    /// lacks, as `xtrapulp-api`'s `DynamicSession` checks before applying one.
+    pub fn apply_delta(&mut self, parts: &[i32], delta: &GraphDelta) {
+        let p = self.num_parts();
+        let part = |v: u64| parts.get(v as usize).copied().unwrap_or(UNASSIGNED);
+        let arcs = delta.insert_arcs().iter().map(|&arc| (arc, 1));
+        for ((u, v), sign) in arcs.chain(delta.delete_arcs().iter().map(|&arc| (arc, -1))) {
+            let pu = part(u);
+            if pu == UNASSIGNED {
+                continue;
+            }
+            self.0[1 + p + pu as usize] += sign;
+            if part(v) != pu {
+                self.0[1 + 2 * p + pu as usize] += sign;
+                self.0[0] += sign;
+            }
+        }
+    }
 }
 
 /// Check that a part vector is a valid assignment into `0..num_parts`.
@@ -250,6 +325,26 @@ mod tests {
             assert!((q.vertex_imbalance - serial.vertex_imbalance).abs() < 1e-12);
             assert!((q.edge_imbalance - serial.edge_imbalance).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn counts_book_a_delta_as_a_recount_would() {
+        use xtrapulp_graph::GraphDelta;
+        let csr = two_triangles();
+        let mut parts = vec![0, 0, 1, 1, 1, 0];
+        let mut counts = PartCounts::of(&csr, &parts, 2);
+        assert_eq!(
+            counts.quality(6, 7),
+            PartitionQuality::evaluate(&csr, &parts, 2)
+        );
+        // Drop the bridge and an in-part edge, add one across and a vertex joined to 0.
+        let delta = GraphDelta::new(6, 1, &[(0, 3), (6, 0)], &[(2, 3), (3, 4)]);
+        parts.push(UNASSIGNED);
+        counts.apply_delta(&parts, &delta);
+        let grown = csr.apply_delta(&delta);
+        assert_eq!(counts, PartCounts::of(&grown, &parts, 2));
+        // The new vertex counts nowhere, and its arc from vertex 0 is cut.
+        assert_eq!(counts.loads()[..2].iter().sum::<i64>(), 6);
     }
 
     #[test]

@@ -4,13 +4,13 @@
 
 use xtrapulp_comm::{CommStatsSnapshot, PhaseTimer, RankCtx, Runtime};
 use xtrapulp_graph::distribution::splitmix64;
-use xtrapulp_graph::{Csr, DistGraph, Distribution, GlobalId, LocalId, UNASSIGNED};
+use xtrapulp_graph::{Csr, DistGraph, Distribution, LocalId, UNASSIGNED};
 
 use crate::error::PartitionError;
-use crate::exchange::{push_part_updates, refresh_ghost_parts, PartUpdate};
-use crate::metrics::PartitionQuality;
+use crate::exchange::{push_part_updates, PartUpdate};
+use crate::metrics::{is_valid_partition, PartCounts, PartitionQuality};
 use crate::params::PartitionParams;
-use crate::pass::{run_schedule, Dist};
+use crate::pass::{run_schedule, Backend, Dist, Seeded, WarmStart};
 use crate::pulp::PulpWarmStart;
 use crate::sweep::{Frontier, StageBreakdown, SweepWorkspace};
 
@@ -21,6 +21,8 @@ pub struct PartitionResult {
     pub parts: Vec<i32>,
     /// Global quality metrics (identical on every rank).
     pub quality: PartitionQuality,
+    /// The exact global counts `quality` is computed from (identical on every rank).
+    pub counts: PartCounts,
     /// Wall-clock time per phase on this rank.
     pub timings: PhaseTimer,
     /// Number of label-propagation sweeps executed across all stages (identical on every
@@ -35,6 +37,10 @@ pub struct PartitionResult {
     /// summed over ranks, sweep counts are the per-rank maximum (a rank whose local
     /// frontier emptied skips — and does not count — the sweep).
     pub stages: StageBreakdown,
+    /// Arcs read counting part loads and the result's counts, summed over the ranks
+    /// (identical on every rank): a full count reads every arc, a patch only the rows
+    /// of the vertices whose label changed.
+    pub arcs_counted: u64,
 }
 
 /// Run the full multi-constraint multi-objective XtraPuLP algorithm (Algorithm 1)
@@ -54,74 +60,47 @@ pub fn try_xtrapulp_partition(
     partition_on_rank(ctx, graph, params, None)
 }
 
-/// Run the full multi-constraint multi-objective XtraPuLP algorithm *warm-started* from
-/// a previous part assignment, collectively on an already-distributed graph.
-///
-/// `initial_owned[v]` is the seed part of this rank's owned vertex `v` (local id), or
-/// [`UNASSIGNED`] (`-1`) for vertices with no prior assignment — newly added vertices
-/// after a graph mutation. Unassigned vertices adopt the majority part of their assigned
-/// neighbours in level-synchronous rounds (deterministic across rank counts).
-///
-/// `touched` is the *touched set* of the mutation delta separating this epoch from the
-/// seed: the global ids whose adjacency changed (endpoints of inserted/deleted edges)
-/// and of added vertices; every rank must pass the same slice. What the run then does —
-/// the cold-schedule fallback, how the touched set and the newly labelled vertices scope
-/// the frontier, the round counts — is the crate's one stage schedule,
-/// `pass::run_schedule`, whose documentation is the single statement of the warm
-/// policy. Cross-rank swaps are settled by the engine (see
-/// [`SweepEngine::settle_swaps`](crate::sweep::SweepEngine::settle_swaps)), so a
-/// delta-scoped run ends when its frontier empties.
-///
-/// Warm-start validation is collective-safe: every rank validates its own slice and the
-/// violation counts are summed, so all ranks agree on the outcome and no rank enters a
-/// collective the others skipped.
-pub fn try_xtrapulp_partition_from_touched(
-    ctx: &RankCtx,
-    graph: &DistGraph,
-    params: &PartitionParams,
-    initial_owned: &[i32],
-    touched: Option<&[GlobalId]>,
-) -> Result<PartitionResult, PartitionError> {
-    params.validate()?;
-    let local_error = validate_warm_start(graph.n_owned(), params.num_parts, initial_owned).err();
-    let global_violations = ctx.allreduce_scalar_sum_u64(local_error.is_some() as u64);
-    if global_violations > 0 {
-        return Err(
-            local_error.unwrap_or_else(|| PartitionError::InvalidWarmStart {
-                detail: format!("{global_violations} rank(s) received an invalid warm-start slice"),
-            }),
-        );
-    }
-    partition_on_rank(ctx, graph, params, Some((initial_owned, touched)))
-}
-
-/// Run the stage schedule on this rank, then evaluate the partition and reduce the work
-/// counters so every rank reports the same. Must be called collectively.
+/// Run the stage schedule on this rank — cold, or from `warm`, whose seed covers this
+/// rank's owned and ghost vertices — then count the partition and reduce the work
+/// counters so every rank reports the same. A refine-only warm run that knew its seed's
+/// counts patches them by the vertices whose label changed; any other run counts every
+/// arc once. Must be called collectively.
 fn partition_on_rank(
     ctx: &RankCtx,
     graph: &DistGraph,
     params: &PartitionParams,
-    warm: Option<PulpWarmStart<'_>>,
+    warm: Option<WarmStart<'_>>,
 ) -> Result<PartitionResult, PartitionError> {
     let mut timings = PhaseTimer::new();
     let mut ws = SweepWorkspace::colocated(params.sweep_threads, ctx.colocated_ranks());
     let mut dist = Dist::new(ctx, graph);
-    let parts = run_schedule(&mut dist, params, warm, &mut timings, &mut ws)?;
+    let (parts, seeded) = run_schedule(&mut dist, params, warm, &mut timings, &mut ws)?;
+    assert!(is_valid_partition(
+        &parts[..graph.n_owned()],
+        params.num_parts
+    ));
 
-    let quality = timings.time("metrics", || {
-        PartitionQuality::evaluate_dist(ctx, graph, &parts, params.num_parts)
+    let arcs = &mut ws.engine.stats.arcs_counted;
+    let counts = timings.time("metrics", || match seeded {
+        Some(Seeded { labels, counts }) => dist.patch_counts(&counts, &labels, &parts, arcs),
+        None => {
+            let (counts, read) = PartCounts::of_dist(ctx, graph, &parts, params.num_parts);
+            *arcs += read;
+            counts
+        }
     });
+    let quality = counts.quality(graph.global_n(), graph.global_m());
 
     // Per-stage telemetry: scored counts sum over ranks (each rank scored its own
-    // vertices; the job's total rides in the same reduction), sweep counts take the
-    // per-rank maximum (a rank whose local frontier emptied skips — and does not count —
-    // the sweep).
+    // vertices; the job's total is their sum, and the arcs counted ride in the same
+    // reduction), sweep counts take the per-rank maximum (a rank whose local frontier
+    // emptied skips — and does not count — the sweep).
     let local = ws.engine.stats.stages;
     let sums = ctx.allreduce_sum_u64(&[
         local.refine_scored,
         local.balance_scored,
         local.churn_scored,
-        ws.engine.stats.vertices_scored,
+        ws.engine.stats.arcs_counted,
     ]);
     let maxs = ctx.allreduce_max_u64(&[
         local.refine_sweeps,
@@ -140,31 +119,31 @@ fn partition_on_rank(
     Ok(PartitionResult {
         parts,
         quality,
+        counts,
         timings,
         lp_sweeps: dist.lp_sweeps,
-        vertices_scored: sums[3],
+        vertices_scored: sums[..3].iter().sum(),
         stages,
+        arcs_counted: sums[3],
     })
 }
 
-/// Extend the previous epoch's owned part labels to a full (owned + ghost) assignment:
-/// ghosts are pulled from their owners, unassigned vertices adopt the majority part of
-/// their assigned neighbours in level-synchronous rounds (ties towards the lowest part
-/// id), and vertices with no assigned neighbour at all (new isolated vertices or whole
-/// new components) fall back to a deterministic hash of their global id. Must be called
-/// collectively.
+/// Label every [`UNASSIGNED`] vertex of the previous epoch's labels `initial`, this
+/// rank's view of the global seed (owned vertices, then ghosts): unassigned vertices
+/// adopt the majority part of their assigned neighbours in level-synchronous rounds
+/// (ties towards the lowest part id), and vertices with no assigned neighbour at all
+/// (new isolated vertices or whole new components) fall back to a deterministic hash of
+/// their global id. Must be called collectively.
 pub(crate) fn warm_seed(
     ctx: &RankCtx,
     graph: &DistGraph,
     params: &PartitionParams,
-    initial_owned: &[i32],
+    initial: &[i32],
     frontier: &mut Frontier,
 ) -> Result<Vec<i32>, PartitionError> {
     let p = params.num_parts;
     let n_owned = graph.n_owned();
-    let mut parts = vec![UNASSIGNED; graph.n_total()];
-    parts[..n_owned].copy_from_slice(initial_owned);
-    refresh_ghost_parts(ctx, graph, &mut parts)?;
+    let mut parts = initial[..graph.n_total()].to_vec();
 
     // Every vertex assigned here counts as delta-touched: it and its neighbourhood
     // seed the warm refinement frontier (cross-rank neighbours are reached through the
@@ -358,6 +337,10 @@ pub struct JobOutcome {
     pub parts: Vec<i32>,
     /// The paper's quality metrics for `parts`.
     pub quality: PartitionQuality,
+    /// The exact counts `quality` is computed from, for a distributed job: what a caller
+    /// keeping `parts` across graph mutations keeps beside them and hands to the next
+    /// warm job. `None` from the serial methods, which take no counts.
+    pub counts: Option<PartCounts>,
     /// Per-phase wall-clock, the maximum over the ranks this process hosts.
     pub timings: PhaseTimer,
     /// Communication counters summed over those ranks (zero for serial methods).
@@ -368,36 +351,52 @@ pub struct JobOutcome {
     pub vertices_scored: u64,
     /// The sweep/scored split per schedule stage.
     pub stages: StageBreakdown,
+    /// Arcs read counting part loads and the result's counts, over all ranks.
+    pub arcs_counted: u64,
 }
 
 /// One distributed XtraPuLP job, start to finish (Algorithm 1 as a caller sees it):
 /// distribute the graph or take the caller's, initialise or take `warm` — a global seed
-/// vector and optionally the delta-touched ids, see
-/// [`try_xtrapulp_partition_from_touched`] — run the stage schedule (`pass::run_schedule`
-/// states the warm policy), gather the labels, assemble the global part vector.
-/// Malformed `params` or `warm` are rejected before anything runs; a rank-local failure
-/// is returned, not unwound.
+/// vector, one entry per vertex, each a part or [`UNASSIGNED`] for a vertex to be
+/// labelled (one added since the seed was computed), and optionally the global ids the
+/// mutation delta since then touched (endpoints of inserted and deleted edges, added
+/// vertices; every rank reads the same) — run the stage schedule (`pass::run_schedule`
+/// states the warm policy), count the result, gather the labels, assemble the global
+/// part vector. Malformed `params` or `warm` are rejected before anything runs; a
+/// rank-local failure is returned, not unwound.
+///
+/// `counts`, read only with `warm`, are the exact [`PartCounts`] of the seed's labels
+/// over the graph (a caller that keeps a partition keeps them beside it: see
+/// [`JobOutcome::counts`] and [`PartCounts::apply_delta`]). Handed them, a warm job
+/// counts no arc its labels leave alone: the load scan patches them by the vertices the
+/// seeding labels, and a refine-only run patches the result's counts from the seed's by
+/// the vertices that moved. Without them a warm job counts every arc once, in the load
+/// scan, and patches from there. They are trusted: counts that are not the seed's make
+/// the job report a quality its partition does not have.
 ///
 /// The contract callers (session reuse, crash recovery by replay) rely on:
 ///
-/// * **Deterministic.** `parts`, `quality` and the work counters are a pure function of
-///   the graph, `params`, `warm` and the runtime's rank count — not of the transport,
-///   the thread schedule or earlier jobs. `timings` are wall-clock; `comm` also depends
-///   on how many of the ranks this process hosts.
+/// * **Deterministic.** `parts`, `quality`, `counts` and the work counters are a pure
+///   function of the graph, `params`, `warm` and the runtime's rank count — not of the
+///   transport, the thread schedule, earlier jobs, or whether `counts` were handed in.
+///   `timings` are wall-clock; `comm` also depends on how many of the ranks this process
+///   hosts.
 /// * **One dispatch.** Everything runs inside a single [`Runtime::try_execute`], so a
 ///   transport fault surfaces as [`PartitionError::Comm`] and the job can be retried
 ///   whole.
 /// * **Collectives, in order, on every rank:** the [`DistGraph::from_csr`] handshake
-///   (`Csr` source only); for a warm start the seed's ghost pull (the whole vector was
-///   validated before the dispatch, so no rank needs to ask the others); the stage
-///   schedule's exchanges and allreduces; the quality and work-counter allreduces; then,
-///   iff [`Runtime::is_distributed`], one `allgatherv` of the `(global id, part)` pairs
-///   so every process assembles the whole vector.
+///   (`Csr` source only); the stage schedule's exchanges and allreduces (a warm start
+///   reads its ghosts' seed labels from the global vector, which was validated before
+///   the dispatch, so no rank needs to ask the others, and a seed that labels every
+///   vertex has no labelling rounds to run); the count and work-counter allreduces;
+///   then, iff [`Runtime::is_distributed`], one `allgatherv` of the `(global id, part)`
+///   pairs so every process assembles the whole vector.
 pub fn run_xtrapulp_job(
     runtime: &mut Runtime,
     source: GraphSource<'_>,
     params: &PartitionParams,
     warm: Option<PulpWarmStart<'_>>,
+    counts: Option<&PartCounts>,
 ) -> Result<JobOutcome, PartitionError> {
     params.validate()?;
     let n = match source {
@@ -408,11 +407,20 @@ pub fn run_xtrapulp_job(
         }
         GraphSource::Ranks(graphs) => graphs[0].global_n() as usize,
     };
-    if let Some((initial, _)) = warm {
-        // Validated once, globally: every rank's slice is a sub-view of this vector, so
-        // no rank can disagree inside a collective.
-        validate_warm_start(n, params.num_parts, initial)?;
-    }
+    // Validated once, globally: every rank's view is read from this vector, so no rank
+    // can disagree inside a collective — and every rank knows whether it is complete.
+    let complete = match warm {
+        Some((initial, _)) => {
+            validate_warm_start(n, params.num_parts, initial)?;
+            if counts.is_some_and(|counts| counts.num_parts() != params.num_parts) {
+                return Err(PartitionError::InvalidWarmStart {
+                    detail: format!("carried counts are not of {} parts", params.num_parts),
+                });
+            }
+            !initial.contains(&UNASSIGNED)
+        }
+        None => false,
+    };
     let distributed = runtime.is_distributed();
     let per_rank = runtime.try_execute(|ctx| -> Result<_, PartitionError> {
         let built;
@@ -428,14 +436,19 @@ pub fn run_xtrapulp_job(
                 .find(|graph| graph.rank() == ctx.rank())
                 .ok_or(PartitionError::InvalidRanks { got: graphs.len() })?,
         };
-        let owned: Vec<i32>;
+        let local: Vec<i32>;
         let warm = match warm {
             None => None,
             Some((initial, touched)) => {
-                owned = (0..graph.n_owned())
+                local = (0..graph.n_total())
                     .map(|v| initial[graph.global_id(v as LocalId) as usize])
                     .collect();
-                Some((&owned[..], touched))
+                Some(WarmStart {
+                    seed: &local,
+                    touched,
+                    counts,
+                    complete,
+                })
             }
         };
         let result = partition_on_rank(ctx, graph, params, warm)?;
@@ -448,11 +461,13 @@ pub fn run_xtrapulp_job(
         let outcome = JobOutcome {
             parts: Vec::new(),
             quality: result.quality,
+            counts: Some(result.counts),
             timings: result.timings,
             comm: ctx.stats().snapshot(),
             lp_sweeps: result.lp_sweeps,
             vertices_scored: result.vertices_scored,
             stages: result.stages,
+            arcs_counted: result.arcs_counted,
         };
         Ok((pairs, outcome))
     })?;
@@ -463,8 +478,8 @@ pub fn run_xtrapulp_job(
         // Every hosted rank already gathered the full pair set; one copy is enough.
         pairs.truncate(1);
     }
-    // Quality and the work counters are allreduced inside the job, so every rank
-    // reports the same values; the first rank's are kept.
+    // Quality, the counts and the work counters are allreduced inside the job, so
+    // every rank reports the same values; the first rank's are kept.
     let merge = |mut all: JobOutcome, rank: JobOutcome| {
         all.timings.merge_max(&rank.timings);
         all.comm = all.comm.merged(rank.comm);
@@ -494,7 +509,7 @@ mod tests {
     ) -> Result<JobOutcome, PartitionError> {
         let source = GraphSource::Csr(csr, distribution);
         let warm = warm.map(|seed| (seed, None));
-        run_xtrapulp_job(&mut Runtime::new(nranks), source, params, warm)
+        run_xtrapulp_job(&mut Runtime::new(nranks), source, params, warm, None)
     }
 
     fn grid_csr(w: u64, h: u64) -> Csr {
@@ -686,31 +701,22 @@ mod tests {
     #[test]
     fn distributed_warm_start_matches_quality_with_fewer_sweeps() {
         let csr = grid_csr(20, 20);
-        let edges: Vec<_> = csr.edges().collect();
         let params = PartitionParams {
             num_parts: 4,
             seed: 17,
             ..Default::default()
         };
-        let out = Runtime::new(3).execute(|ctx| {
-            let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 400, &edges);
-            let cold = try_xtrapulp_partition(ctx, &g, &params).unwrap();
-            let warm = try_xtrapulp_partition_from_touched(
-                ctx,
-                &g,
-                &params,
-                &cold.parts[..g.n_owned()],
-                None,
-            )
-            .expect("valid warm start");
-            assert!(is_valid_partition(&warm.parts, 4));
-            (cold.quality, cold.lp_sweeps, warm.quality, warm.lp_sweeps)
-        });
-        let (cold_q, cold_sweeps, warm_q, warm_sweeps) = out[0];
+        let run = |warm| one_shot(3, &Distribution::Block, &csr, &params, warm).unwrap();
+        let cold = run(None);
+        let warm = run(Some(&cold.parts));
+        assert!(is_valid_partition(&warm.parts, 4));
         assert!(
-            warm_sweeps < cold_sweeps,
-            "warm {warm_sweeps} should be fewer than cold {cold_sweeps}"
+            warm.lp_sweeps < cold.lp_sweeps,
+            "warm {} should be fewer than cold {}",
+            warm.lp_sweeps,
+            cold.lp_sweeps
         );
+        let (cold_q, warm_q) = (cold.quality, warm.quality);
         assert!(
             warm_q.edge_cut as f64 <= cold_q.edge_cut as f64 * 1.05,
             "warm cut {} vs cold {}",
@@ -728,7 +734,6 @@ mod tests {
     #[test]
     fn distributed_warm_start_fills_unassigned_and_is_rank_invariant() {
         let csr = grid_csr(12, 12);
-        let edges: Vec<_> = csr.edges().collect();
         let params = PartitionParams {
             num_parts: 4,
             warm_outer_iters: 0, // seed-only: the outcome is the greedy assignment
@@ -748,19 +753,10 @@ mod tests {
             })
             .collect();
         let run = |nranks: usize| {
-            let per_rank = Runtime::new(nranks).execute(|ctx| {
-                let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 144, &edges);
-                let initial_owned: Vec<i32> = (0..g.n_owned())
-                    .map(|v| initial[g.global_id(v as LocalId) as usize])
-                    .collect();
-                let res =
-                    try_xtrapulp_partition_from_touched(ctx, &g, &params, &initial_owned, None)
-                        .unwrap();
-                (0..g.n_owned())
-                    .map(|v| (g.global_id(v as LocalId), res.parts[v]))
-                    .collect::<Vec<_>>()
-            });
-            assemble_gathered_parts(144, 4, per_rank).unwrap()
+            let warm = Some(&initial[..]);
+            one_shot(nranks, &Distribution::Block, &csr, &params, warm)
+                .unwrap()
+                .parts
         };
         let one = run(1);
         let three = run(3);
@@ -778,21 +774,89 @@ mod tests {
     }
 
     #[test]
-    fn distributed_warm_start_rejects_bad_slices_collectively() {
+    fn distributed_warm_start_rejects_bad_seeds_and_counts_before_dispatch() {
         let csr = grid_csr(8, 8);
-        let edges: Vec<_> = csr.edges().collect();
-        let out = Runtime::new(2).execute(|ctx| {
-            let g = DistGraph::from_shared_edges(ctx, Distribution::Block, 64, &edges);
-            let params = PartitionParams::with_parts(4);
-            // Only rank 1's slice is malformed; every rank must still agree on Err.
-            let initial = if ctx.rank() == 1 {
-                vec![99i32; g.n_owned()]
-            } else {
-                vec![0i32; g.n_owned()]
+        let params = PartitionParams::with_parts(4);
+        let mut runtime = Runtime::new(2);
+        let graphs = runtime.execute(|ctx| DistGraph::from_csr(ctx, Distribution::Block, &csr));
+        let source = GraphSource::Ranks(&graphs);
+        let cold = run_xtrapulp_job(&mut runtime, source, &params, None, None).unwrap();
+        // Only rank 1's share of the seed is malformed; the whole vector is checked
+        // before any rank starts, so no rank is left waiting in a collective.
+        let mut bad = cold.parts.clone();
+        bad[60] = 99;
+        let bad_seed = run_xtrapulp_job(&mut runtime, source, &params, Some((&bad, None)), None);
+        assert!(matches!(
+            bad_seed,
+            Err(PartitionError::InvalidWarmStart { .. })
+        ));
+        // Counts blocked by another part count are no counts of this seed.
+        let other = PartitionParams::with_parts(2);
+        let two = run_xtrapulp_job(&mut runtime, source, &other, None, None).unwrap();
+        let warm = Some((&cold.parts[..], None));
+        let bad_counts = run_xtrapulp_job(&mut runtime, source, &params, warm, two.counts.as_ref());
+        assert!(matches!(
+            bad_counts,
+            Err(PartitionError::InvalidWarmStart { .. })
+        ));
+        // The runtime is still healthy.
+        assert!(
+            run_xtrapulp_job(&mut runtime, source, &params, warm, cold.counts.as_ref()).is_ok()
+        );
+    }
+
+    #[test]
+    fn carried_counts_change_nothing_but_the_arcs_counted() {
+        let csr = grid_csr(16, 16);
+        for (nranks, edge_balance_stage) in [(1, true), (2, true), (3, false)] {
+            let params = PartitionParams {
+                num_parts: 4,
+                seed: 3,
+                edge_balance_stage,
+                ..Default::default()
             };
-            try_xtrapulp_partition_from_touched(ctx, &g, &params, &initial, None).is_err()
-        });
-        assert!(out.iter().all(|&e| e), "every rank must report the error");
+            let mut runtime = Runtime::new(nranks);
+            let graphs =
+                runtime.execute(|ctx| DistGraph::from_csr(ctx, Distribution::Cyclic, &csr));
+            let source = GraphSource::Ranks(&graphs);
+            let cold = run_xtrapulp_job(&mut runtime, source, &params, None, None).unwrap();
+            let cold_counts = cold.counts.clone().unwrap();
+            assert_eq!(cold_counts, PartCounts::of(&csr, &cold.parts, 4));
+            assert_eq!(
+                cold.arcs_counted % csr.num_arcs(),
+                0,
+                "cold runs count whole"
+            );
+            // Relabel a few vertices and drop one, as a small delta would.
+            let mut seed = cold.parts.clone();
+            for v in (0..256).step_by(41) {
+                seed[v] = (seed[v] + 1) % 4;
+            }
+            seed[100] = UNASSIGNED;
+            let touched: Vec<u64> = (0..256).step_by(41).chain([100]).collect();
+            let counts = PartCounts::of(&csr, &seed, 4);
+            let warm = Some((&seed[..], Some(&touched[..])));
+            let blind = run_xtrapulp_job(&mut runtime, source, &params, warm, None).unwrap();
+            let carried =
+                run_xtrapulp_job(&mut runtime, source, &params, warm, Some(&counts)).unwrap();
+            assert_eq!(carried.parts, blind.parts, "{nranks} ranks");
+            assert_eq!(carried.quality, blind.quality);
+            assert_eq!(carried.counts, blind.counts);
+            assert_eq!(
+                carried.counts,
+                Some(PartCounts::of(&csr, &carried.parts, 4))
+            );
+            assert_eq!(
+                (carried.lp_sweeps, carried.vertices_scored),
+                (blind.lp_sweeps, blind.vertices_scored)
+            );
+            assert!(
+                carried.arcs_counted < blind.arcs_counted,
+                "{nranks} ranks: carried {} vs measured {}",
+                carried.arcs_counted,
+                blind.arcs_counted
+            );
+        }
     }
 
     #[test]

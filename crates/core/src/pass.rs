@@ -59,9 +59,10 @@ use xtrapulp_graph::{Csr, DistGraph, GlobalId, LocalId, UNASSIGNED};
 use crate::error::PartitionError;
 use crate::exchange::{push_part_updates, PartUpdate};
 use crate::init::init_partition;
+use crate::metrics::PartCounts;
 use crate::params::PartitionParams;
 use crate::partitioner::{greedy_seed_unassigned, warm_seed};
-use crate::pulp::{init, PulpWarmStart};
+use crate::pulp::init;
 use crate::sweep::{
     refine_budget, Frontier, PartCounters, RefineConvergence, ScoreScratch, StageKind, SweepEngine,
     SweepStage, SweepStep, SweepWorkspace, NO_MOVE,
@@ -145,6 +146,10 @@ pub(crate) trait Adjacency: Sync {
     fn degree_owned(&self, v: u32) -> u64;
     /// The degree of any vertex the part vector covers (a ghost's is its global degree).
     fn degree_of(&self, v: usize) -> u64;
+    /// The vertices the part vector covers: the owned ones, then one rank's ghosts.
+    fn n_total(&self) -> usize;
+    /// The owned vertices adjacent to ghost `slot` (vertex `n_owned + slot`).
+    fn ghost_neighbors(&self, slot: usize) -> &[LocalId];
 }
 
 impl Adjacency for Csr {
@@ -167,6 +172,15 @@ impl Adjacency for Csr {
     fn degree_of(&self, v: usize) -> u64 {
         self.degree(v as u64)
     }
+
+    fn n_total(&self) -> usize {
+        self.num_vertices()
+    }
+
+    /// A whole graph has no ghosts.
+    fn ghost_neighbors(&self, _slot: usize) -> &[LocalId] {
+        &[]
+    }
 }
 
 impl Adjacency for DistGraph {
@@ -188,6 +202,14 @@ impl Adjacency for DistGraph {
     #[inline]
     fn degree_of(&self, v: usize) -> u64 {
         self.degree(v as LocalId)
+    }
+
+    fn n_total(&self) -> usize {
+        DistGraph::n_total(self)
+    }
+
+    fn ghost_neighbors(&self, slot: usize) -> &[LocalId] {
+        self.halo().owned_neighbors(slot)
     }
 }
 
@@ -263,19 +285,25 @@ fn step_sweep<G: Adjacency, K: SweepStep>(
 }
 
 /// Fill the first `loads` blocks of `out` (`p` slots each) with `graph`'s share of each
-/// load — vertices, arcs, cut arcs — per part, over its owned vertices. The one
-/// per-part counter: the passes measure with it and
-/// [`PartitionQuality`](crate::metrics::PartitionQuality) evaluates with it.
+/// load — vertices, arcs, cut arcs — per part, over its owned vertices: an
+/// [`UNASSIGNED`] vertex counts in no part, and an arc to one is cut. Returns the arcs
+/// read (none unless the cut arcs are counted). The one per-part counter: the passes
+/// measure with it, [`PartCounts`] counts with it, and it is the oracle of
+/// [`patch_loads`].
 pub(crate) fn count_loads<G: Adjacency>(
     graph: &G,
     parts: &[i32],
     p: usize,
     loads: usize,
     out: &mut [i64],
-) {
+) -> u64 {
     let out = &mut out[..loads * p];
     out.fill(0);
+    let mut arcs = 0;
     for (v, &pv) in parts.iter().enumerate().take(graph.n_owned()) {
+        if pv == UNASSIGNED {
+            continue;
+        }
         out[V * p + pv as usize] += 1;
         if loads > E {
             out[E * p + pv as usize] += graph.degree_owned(v as u32) as i64;
@@ -283,22 +311,98 @@ pub(crate) fn count_loads<G: Adjacency>(
         if loads > C {
             let cut = graph.adjacent(v as u32).filter(|&u| parts[u] != pv);
             out[C * p + pv as usize] += cut.count() as i64;
+            arcs += graph.degree_owned(v as u32);
         }
     }
+    arcs
+}
+
+/// Add to `out` (the three load blocks, `p` slots each) how `graph`'s share of the loads
+/// [`count_loads`] counts moves when the labels go from `before` to `after`, both over
+/// every vertex the part vector covers. Only the vertices whose label differs are
+/// visited: an owned one through its row, a ghost through the owned vertices adjacent to
+/// it (its own row is its owner's to patch). Returns the arcs read.
+pub(crate) fn patch_loads<G: Adjacency>(
+    graph: &G,
+    before: &[i32],
+    after: &[i32],
+    p: usize,
+    out: &mut [i64],
+) -> u64 {
+    let n_owned = graph.n_owned();
+    let moved = |x: usize| before[x] != after[x];
+    // The arc from owned vertex `u`, whose label stayed, to a vertex leaving `was` for
+    // `now`: cut before iff `u`'s label differs from `was`, cut after iff from `now`.
+    let retarget = |out: &mut [i64], u: usize, was: i32, now: i32| {
+        let pu = after[u];
+        if pu != UNASSIGNED {
+            out[C * p + pu as usize] += i64::from(pu != now) - i64::from(pu != was);
+        }
+    };
+    // Few labels change, so whole chunks are compared first (a `memcmp` each).
+    const CHUNK: usize = 64;
+    let n_total = graph.n_total();
+    let chunks = before[..n_total]
+        .chunks(CHUNK)
+        .zip(after[..n_total].chunks(CHUNK));
+    let changed = chunks.enumerate().filter(|(_, (was, now))| was != now);
+    let movers = changed.flat_map(|(c, (was, _))| c * CHUNK..c * CHUNK + was.len());
+    let mut arcs = 0;
+    for x in movers.filter(|&x| moved(x)) {
+        let (was, now) = (before[x], after[x]);
+        if x >= n_owned {
+            let owned = graph.ghost_neighbors(x - n_owned);
+            for &u in owned.iter().filter(|&&u| !moved(u as usize)) {
+                retarget(out, u as usize, was, now);
+            }
+            arcs += owned.len() as u64;
+            continue;
+        }
+        // The row leaves `was` with its cut arcs under the old labels and joins `now`
+        // with those under the new ones; a neighbour that moved too patches its own row.
+        let (mut cut_was, mut cut_now) = (0i64, 0i64);
+        for u in graph.adjacent(x as u32) {
+            cut_was += i64::from(before[u] != was);
+            cut_now += i64::from(after[u] != now);
+            if u < n_owned && !moved(u) {
+                retarget(out, u, was, now);
+            }
+        }
+        let deg = graph.degree_owned(x as u32);
+        for (label, sign, cut) in [(was, -1, cut_was), (now, 1, cut_now)] {
+            if label != UNASSIGNED {
+                out[V * p + label as usize] += sign;
+                out[E * p + label as usize] += sign * deg as i64;
+                out[C * p + label as usize] += sign * cut;
+            }
+        }
+        arcs += deg;
+    }
+    arcs
+}
+
+/// What [`patch_loads`] must add: `graph`'s loads under `after` less those under
+/// `before`, counted from scratch. The debug oracle of every patch.
+fn counted_change<G: Adjacency>(graph: &G, before: &[i32], after: &[i32], p: usize) -> Vec<i64> {
+    let (mut was, mut now) = (vec![0i64; 3 * p], vec![0i64; 3 * p]);
+    count_loads(graph, before, p, 3, &mut was);
+    count_loads(graph, after, p, 3, &mut now);
+    now.iter().zip(&was).map(|(now, was)| now - was).collect()
 }
 
 /// The first `loads` part loads of a distributed partition, one `num_parts`-long block
-/// each, summed over all ranks in one allreduce. Must be called collectively.
+/// each, summed over all ranks in one allreduce, and the arcs this rank read counting
+/// them. Must be called collectively.
 fn global_part_loads(
     ctx: &RankCtx,
     graph: &DistGraph,
     parts: &[i32],
     num_parts: usize,
     loads: usize,
-) -> Vec<i64> {
+) -> (Vec<i64>, u64) {
     let mut local = vec![0i64; loads * num_parts];
-    count_loads(graph, parts, num_parts, loads, &mut local);
-    ctx.allreduce_sum_i64(&local)
+    let arcs = count_loads(graph, parts, num_parts, loads, &mut local);
+    (ctx.allreduce_sum_i64(&local), arcs)
 }
 
 /// What serial PuLP and distributed XtraPuLP really disagree on: how part sizes are
@@ -315,8 +419,8 @@ pub(crate) trait Backend {
     fn local_id(&self, g: GlobalId) -> Option<u32>;
 
     /// The starting labels of a run: a cold initialisation, or `initial` (one entry per
-    /// owned vertex) with every [`UNASSIGNED`] entry labelled and marked in `frontier`
-    /// together with its neighbourhood.
+    /// vertex the part vector covers, owned ones first) with every [`UNASSIGNED`] entry
+    /// labelled and marked in `frontier` together with its neighbourhood.
     fn seed(
         &self,
         params: &PartitionParams,
@@ -349,8 +453,20 @@ pub(crate) trait Backend {
     fn global_active(&self, frontier: &mut Frontier) -> u64;
 
     /// Fill the first `loads` blocks of `counters.size` with the partition's current
-    /// global loads.
-    fn measure(&self, parts: &[i32], loads: usize, counters: &mut PartCounters);
+    /// global loads; returns the arcs read.
+    fn measure(&self, parts: &[i32], loads: usize, counters: &mut PartCounters) -> u64;
+
+    /// `counts`, the global counts of the labels `before`, patched into those of `after`
+    /// (both over every vertex the part vector covers) by [`patch_loads`] over the
+    /// vertices whose label differs, each patch summed over everyone sweeping. Books
+    /// the arcs read into `arcs`.
+    fn patch_counts(
+        &self,
+        counts: &PartCounts,
+        before: &[i32],
+        after: &[i32],
+        arcs: &mut u64,
+    ) -> PartCounts;
 
     /// One refinement sweep under `bounds`, tracking all three loads with `EDGE` and
     /// only vertices without; returns the moves applied globally, after which
@@ -391,19 +507,40 @@ fn targets<B: Backend>(backend: &B, params: &PartitionParams) -> (f64, f64) {
 /// a partition counts as balanced.
 const WARM_BALANCE_SLACK: f64 = 1.02;
 
+/// A warm run's start, as the stage schedule takes it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WarmStart<'a> {
+    /// One label per vertex the part vector covers, owned ones first: the previous
+    /// partition, [`UNASSIGNED`] for the vertices seeding labels.
+    pub(crate) seed: &'a [i32],
+    /// The global ids the mutation delta since the seed touched, when known.
+    pub(crate) touched: Option<&'a [GlobalId]>,
+    /// The seed's exact global counts, when the caller carries them.
+    pub(crate) counts: Option<&'a PartCounts>,
+    /// Whether the whole seed, on every rank, labels every vertex: nothing to seed.
+    pub(crate) complete: bool,
+}
+
 /// The stage schedule of one run (Algorithm 1), for serial PuLP and distributed
-/// XtraPuLP alike: the one place that decides what a cold or warm run does. `warm` is a
-/// seed with one entry per owned vertex and, when known, the global ids the mutation
-/// delta touched.
+/// XtraPuLP alike: the one place that decides what a cold or warm run does, from scratch
+/// or from `warm`.
 ///
 /// * **Seeding** (`init` / `warm_seed`). A cold run initialises; a warm run keeps its
-///   seed and labels each vertex that arrived [`UNASSIGNED`] (see [`Backend::seed`]).
+///   seed and labels each vertex that arrived [`UNASSIGNED`] (see [`Backend::seed`]),
+///   unless the seed is complete, which leaves nothing to label and nobody to ask.
 /// * **Fallback** (`load_scan`). Warm runs skip the balance passes, which move vertices
 ///   aggressively by design, while the seed meets both balance targets within
 ///   [`WARM_BALANCE_SLACK`]: a converged run routinely lands within rounding of the
 ///   fractional target (221 vertices against 220.0), which is noise, not imbalance. A
 ///   seed past that falls back to the cold schedule, still skipping initialisation:
-///   balance needs several rounds to converge, and one round overshoots.
+///   balance needs several rounds to converge, and one round overshoots. The seed's
+///   loads are its carried counts patched by the vertices seeding labelled (a complete
+///   seed's are its counts), so the check reads no arc the seed kept; without counts,
+///   one scan measures them.
+/// * **Counts.** A refine-only run whose seed's exact counts are known — carried, or
+///   every load scanned — returns them with the seeded labels ([`Seeded`]), so its
+///   caller patches them by the vertices whose label changed instead of counting the
+///   graph again. A cold run or a fallback returns none.
 /// * **Frontier.** A cold run, a fallback and a warm run without a touched set start
 ///   with every vertex active. A refine-only run with one seeds each touched vertex
 ///   alone — its adjacency changed, its label did not, so only its own score can have
@@ -420,35 +557,45 @@ const WARM_BALANCE_SLACK: f64 = 1.02;
 ///   `p > 1`, then the backend's [`closing_pass`](Backend::closing_pass). Refine-only:
 ///   [`warm_refine_rounds`], timed as `vertex_stage`.
 ///
-/// Returns the labels; `timings` gains the phases above and the engine's per-stage
-/// sweep times. Collective on a distributed backend: every branch is taken on global
-/// numbers, so all ranks take it together.
+/// Returns the labels and, for a refine-only run that knew them, the seed's counts;
+/// `timings` gains the phases above and the engine's per-stage sweep times, and the
+/// engine's stats the arcs its load counts read. Collective on a distributed backend:
+/// every branch is taken on global numbers, so all ranks take it together.
 pub(crate) fn run_schedule<B: Backend>(
     backend: &mut B,
     params: &PartitionParams,
-    warm: Option<PulpWarmStart<'_>>,
+    warm: Option<WarmStart<'_>>,
     timings: &mut PhaseTimer,
     ws: &mut SweepWorkspace,
-) -> Result<Vec<i32>, PartitionError> {
+) -> Result<(Vec<i32>, Option<Seeded>), PartitionError> {
     let n = backend.owned();
     ws.begin_run(n, params.num_parts);
     let frontier = &mut ws.engine.frontier;
-    let (mut parts, balance) = match warm {
+    let (mut parts, balance, seeded) = match warm {
         None => (
             timings.time("init", || backend.seed(params, None, frontier))?,
             true,
+            None,
         ),
-        Some((initial, _)) => {
+        Some(warm) => {
             let parts = timings.time("warm_seed", || {
-                backend.seed(params, Some(initial), frontier)
+                if warm.complete {
+                    Ok(warm.seed.to_vec())
+                } else {
+                    backend.seed(params, Some(warm.seed), frontier)
+                }
             })?;
-            let balance = timings.time("load_scan", || {
-                warm_seed_needs_balance(backend, &parts, params, ws)
+            let (balance, counts) = timings.time("load_scan", || {
+                warm_seed_needs_balance(backend, warm, &parts, params, ws)
             });
-            (parts, balance)
+            let seeded = counts.filter(|_| !balance).map(|counts| Seeded {
+                labels: parts.clone(),
+                counts,
+            });
+            (parts, balance, seeded)
         }
     };
-    let touched = warm.and_then(|(_, touched)| touched);
+    let touched = warm.and_then(|warm| warm.touched);
     match touched {
         Some(touched) if !balance => {
             for lid in touched.iter().filter_map(|&g| backend.local_id(g)) {
@@ -493,33 +640,60 @@ pub(crate) fn run_schedule<B: Backend>(
         backend.end_stage();
     }
     timings.merge_max(&ws.engine.stage_timings());
-    Ok(parts)
+    Ok((parts, seeded))
+}
+
+/// What a refine-only warm run started from when it knew the exact counts of its seeded
+/// labels: those labels and their global counts, for the caller to patch.
+pub(crate) struct Seeded {
+    pub(crate) labels: Vec<i32>,
+    pub(crate) counts: PartCounts,
 }
 
 /// Whether a warm seed overshoots a balance target by more than [`WARM_BALANCE_SLACK`],
-/// so that the run must fall back to the cold schedule. Scans for every load a refine-only run's first pass tracks
-/// and leaves them with `ws.counters` as measured, so the graph is scanned (and,
-/// distributed, the loads reduced) once for the check and that pass together.
-/// Collective on a distributed backend.
+/// so that the run must fall back to the cold schedule, and the seeded labels' exact
+/// counts when they are known. The loads are the seed's carried counts patched into
+/// those of `parts`, the seeded labels (no patch for a complete seed), or else one scan
+/// for every load a refine-only run's first pass tracks (every load with the edge stage,
+/// which makes the counts known). Either way they are left with `ws.counters` as
+/// measured, so the graph is counted (and, distributed, the loads reduced) at most once
+/// for the check and that pass together. Collective on a distributed backend.
 fn warm_seed_needs_balance<B: Backend>(
     backend: &B,
+    warm: WarmStart<'_>,
     parts: &[i32],
     params: &PartitionParams,
     ws: &mut SweepWorkspace,
-) -> bool {
+) -> (bool, Option<PartCounts>) {
     let p = params.num_parts;
     let (imb_v, imb_e) = targets(backend, params);
     let edge_stage = params.edge_balance_stage && p > 1;
     let loads = if edge_stage { 3 } else { 2 };
-    backend.measure(parts, loads, &mut ws.counters);
+    let arcs = &mut ws.engine.stats.arcs_counted;
+    let counts = match warm.counts {
+        Some(carried) => {
+            let counts = if warm.complete {
+                carried.clone()
+            } else {
+                backend.patch_counts(carried, warm.seed, parts, arcs)
+            };
+            ws.counters.size[..loads * p].copy_from_slice(&counts.loads()[..loads * p]);
+            Some(counts)
+        }
+        None => {
+            *arcs += backend.measure(parts, loads, &mut ws.counters);
+            (loads == 3).then(|| PartCounts::from_loads(&ws.counters.size))
+        }
+    };
     ws.counters.measured = loads;
     let (size_v, size_e) = ws.counters.size[..2 * p].split_at(p);
-    size_v
+    let balance = size_v
         .iter()
         .any(|&s| s as f64 > imb_v * WARM_BALANCE_SLACK)
         || size_e
             .iter()
-            .any(|&s| s as f64 > imb_e * WARM_BALANCE_SLACK)
+            .any(|&s| s as f64 > imb_e * WARM_BALANCE_SLACK);
+    (balance, counts)
 }
 
 /// Make the loads `objective` tracks current at the top of a pass, unless
@@ -528,10 +702,10 @@ fn measure_for_pass<B: Backend>(
     backend: &B,
     objective: Objective,
     parts: &[i32],
-    counters: &mut PartCounters,
+    ws: &mut SweepWorkspace,
 ) {
-    if std::mem::take(&mut counters.measured) < objective.loads() {
-        backend.measure(parts, objective.loads(), counters);
+    if std::mem::take(&mut ws.counters.measured) < objective.loads() {
+        ws.engine.stats.arcs_counted += backend.measure(parts, objective.loads(), &mut ws.counters);
     }
 }
 
@@ -547,7 +721,7 @@ fn balance_pass<B: Backend>(
     ws: &mut SweepWorkspace,
 ) -> Result<(), PartitionError> {
     let targets = targets(backend, params);
-    measure_for_pass(backend, objective, parts, &mut ws.counters);
+    measure_for_pass(backend, objective, parts, ws);
     let (balanced_load, target) = match objective {
         Objective::Vertex => (V, targets.0),
         Objective::Edge => (E, targets.1),
@@ -650,7 +824,7 @@ fn refine_pass<B: Backend>(
         return Ok(());
     }
     let targets = targets(backend, params);
-    measure_for_pass(backend, objective, parts, &mut ws.counters);
+    measure_for_pass(backend, objective, parts, ws);
     ws.engine.set_stage(StageKind::Refine);
     ws.engine.settle_swaps = frontier_only;
     // A pass inheriting a large frontier (the previous round did not converge — heavy
@@ -1089,9 +1263,23 @@ impl Backend for Serial<'_> {
         frontier.active_len() as u64
     }
 
-    fn measure(&self, parts: &[i32], loads: usize, counters: &mut PartCounters) {
+    fn measure(&self, parts: &[i32], loads: usize, counters: &mut PartCounters) -> u64 {
         let p = counters.block(0).len();
-        count_loads(self.0, parts, p, loads, &mut counters.size);
+        count_loads(self.0, parts, p, loads, &mut counters.size)
+    }
+
+    fn patch_counts(
+        &self,
+        counts: &PartCounts,
+        before: &[i32],
+        after: &[i32],
+        arcs: &mut u64,
+    ) -> PartCounts {
+        let p = counts.num_parts();
+        let mut patch = vec![0i64; 3 * p];
+        *arcs += patch_loads(self.0, before, after, p, &mut patch);
+        debug_assert_eq!(patch, counted_change(self.0, before, after, p));
+        counts.patched(&PartCounts::from_loads(&patch))
     }
 
     fn refine_sweep<const EDGE: bool>(
@@ -1313,10 +1501,27 @@ impl Backend for Dist<'_> {
         frontier.global_active(|local| self.ctx.allreduce_scalar_sum_u64(local))
     }
 
-    fn measure(&self, parts: &[i32], loads: usize, counters: &mut PartCounters) {
+    fn measure(&self, parts: &[i32], loads: usize, counters: &mut PartCounters) -> u64 {
         let p = counters.block(0).len();
-        let global = global_part_loads(self.ctx, self.graph, parts, p, loads);
+        let (global, arcs) = global_part_loads(self.ctx, self.graph, parts, p, loads);
         counters.size[..global.len()].copy_from_slice(&global);
+        arcs
+    }
+
+    /// One allreduce of the three load blocks; the cut is their sum.
+    fn patch_counts(
+        &self,
+        counts: &PartCounts,
+        before: &[i32],
+        after: &[i32],
+        arcs: &mut u64,
+    ) -> PartCounts {
+        let p = counts.num_parts();
+        let mut patch = vec![0i64; 3 * p];
+        *arcs += patch_loads(self.graph, before, after, p, &mut patch);
+        debug_assert_eq!(patch, counted_change(self.graph, before, after, p));
+        let global = self.ctx.allreduce_sum_i64(&patch);
+        counts.patched(&PartCounts::from_loads(&global))
     }
 
     fn refine_sweep<const EDGE: bool>(
@@ -1484,7 +1689,7 @@ fn final_rebalance(
     let p = params.num_parts;
     let nranks = dist.ctx.nranks() as f64;
     let (imb_v, imb_e) = targets(dist, params);
-    dist.measure(parts, 2, &mut ws.counters);
+    ws.engine.stats.arcs_counted += dist.measure(parts, 2, &mut ws.counters);
 
     // Rounding-level overshoot (a converged run routinely lands within a couple of
     // percent of the fractional target) is noise, not imbalance — and draining it
@@ -2049,8 +2254,13 @@ mod tests {
             };
             let parts = init_partition(ctx, &g, &params).unwrap();
             let before = ctx.stats().allreduce_calls();
-            let loads = global_part_loads(ctx, &g, &parts, 5, 3);
+            let (loads, arcs) = global_part_loads(ctx, &g, &parts, 5, 3);
             assert_eq!(ctx.stats().allreduce_calls() - before, 1);
+            assert_eq!(
+                arcs,
+                g.local_arcs(),
+                "counting the cut reads every owned arc once"
+            );
             let total = |load: usize| -> i64 { loads[load * 5..(load + 1) * 5].iter().sum() };
             assert_eq!(total(V), 100);
             assert_eq!(total(E) as u64, 2 * g.global_m());

@@ -29,7 +29,7 @@ use xtrapulp_graph::{Csr, GlobalId, UNASSIGNED};
 use crate::error::PartitionError;
 use crate::params::{InitStrategy, PartitionParams};
 use crate::partitioner::validate_warm_start;
-use crate::pass::{run_schedule, Serial};
+use crate::pass::{run_schedule, Serial, WarmStart};
 use crate::sweep::{SweepStats, SweepWorkspace};
 
 /// Run the PuLP-MM algorithm on an in-memory graph, rejecting malformed parameters with
@@ -101,7 +101,14 @@ pub fn try_pulp_run(
         });
     }
     let mut ws = SweepWorkspace::new(params.sweep_threads);
-    let parts = run_schedule(&mut Serial(csr), params, warm, &mut timings, &mut ws)?;
+    let warm = warm.map(|(seed, touched)| WarmStart {
+        seed,
+        touched,
+        counts: None,
+        complete: !seed.contains(&UNASSIGNED),
+    });
+    // PuLP's callers evaluate the partition themselves, so the seed's counts go unused.
+    let (parts, _) = run_schedule(&mut Serial(csr), params, warm, &mut timings, &mut ws)?;
     Ok(PulpRun {
         parts,
         stats: ws.engine.stats,
@@ -391,7 +398,7 @@ mod tests {
         let cut = PartitionQuality::evaluate(&csr, &serial.parts, 4).edge_cut;
         let mut runtime = Runtime::new(1);
         let source = GraphSource::Csr(&csr, &Distribution::Block);
-        let one_rank = run_xtrapulp_job(&mut runtime, source, &params, Some((&seed, None)));
+        let one_rank = run_xtrapulp_job(&mut runtime, source, &params, Some((&seed, None)), None);
         let one_rank = one_rank.unwrap();
         assert!(
             serial.stats.vertices_scored >= 900,

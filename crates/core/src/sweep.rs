@@ -426,6 +426,9 @@ pub struct SweepStats {
     pub moves: u64,
     /// The sweep/scored totals attributed per stage (refine / balance / churn).
     pub stages: StageBreakdown,
+    /// Arcs read counting part loads: the passes' measures, a warm run's load scan or
+    /// its patch of carried counts (the run's quality count is its caller's to add).
+    pub arcs_counted: u64,
 }
 
 /// One label-propagation stage, split into the two phases of the deterministic chunk

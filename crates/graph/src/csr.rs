@@ -141,7 +141,7 @@ impl Csr {
     /// hashed or re-sorted, so the cost is a copy of the `2m` arcs and `n` offsets plus a
     /// bisection per named arc.
     /// Inserting an edge that already exists and deleting one that does not are both
-    /// no-ops, matching the forgiving [`CsrBuilder`] semantics.
+    /// no-ops, matching the forgiving [`csr_from_edges`] semantics.
     ///
     /// # Panics
     ///
@@ -187,43 +187,11 @@ impl Csr {
     }
 }
 
-/// Builder assembling a [`Csr`] from an arbitrary edge list.
-///
-/// The builder tolerates the messiness of real edge lists (duplicate edges, self loops,
-/// both directions present) and always produces a simple, symmetric graph, which is what
-/// the partitioning algorithms assume.
-#[derive(Debug, Clone, Default)]
-pub struct CsrBuilder {
-    num_vertices: u64,
-    edges: Vec<(GlobalId, GlobalId)>,
-}
-
-impl CsrBuilder {
-    /// Create a builder for a graph with `num_vertices` vertices.
-    pub fn new(num_vertices: u64) -> Self {
-        CsrBuilder {
-            num_vertices,
-            edges: Vec::new(),
-        }
-    }
-
-    /// Add one undirected edge.
-    pub fn add_edge(&mut self, u: GlobalId, v: GlobalId) -> &mut Self {
-        debug_assert!(u < self.num_vertices && v < self.num_vertices);
-        self.edges.push((u, v));
-        self
-    }
-
-    /// Build the CSR: symmetrise, drop self loops and out-of-range endpoints,
-    /// deduplicate.
-    pub fn build(&self) -> Csr {
-        csr_from_edges(self.num_vertices, &self.edges)
-    }
-}
-
-/// Build a CSR from a plain undirected edge list over `n` vertices, as
-/// [`CsrBuilder::build`] does, with no global sort: the arcs are symmetrised on the fly
-/// and placed by source row, then each row is normalised on its own.
+/// Build a CSR from a plain undirected edge list over `n` vertices, with no global sort:
+/// the arcs are symmetrised on the fly and placed by source row, then each row is
+/// normalised on its own. The list may be as messy as real edge lists are — duplicate
+/// edges, self loops, both directions present, endpoints out of range — and the graph
+/// is always simple and symmetric, which is what the partitioning algorithms assume.
 pub fn csr_from_edges(n: u64, edges: &[(GlobalId, GlobalId)]) -> Csr {
     let arcs = edges
         .iter()

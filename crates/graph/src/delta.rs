@@ -8,7 +8,7 @@
 //! not name are copied, only the rows it names are merged (bisecting for the neighbours
 //! the delta names), and nothing is hashed or re-sorted.
 //!
-//! The delta layer is deliberately forgiving, mirroring [`CsrBuilder`](crate::CsrBuilder):
+//! The delta layer is deliberately forgiving, mirroring [`csr_from_edges`](crate::csr_from_edges):
 //! self loops and out-of-range endpoints are dropped during normalisation, duplicate
 //! operations collapse, and an edge both inserted and deleted in the same batch resolves
 //! to the deletion. Strict, typed validation of user-submitted update batches lives one

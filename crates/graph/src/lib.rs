@@ -38,7 +38,7 @@ pub mod halo;
 pub mod io;
 pub mod stats;
 
-pub use csr::{csr_from_edges, Csr, CsrBuilder};
+pub use csr::{csr_from_edges, Csr};
 pub use delta::{GraphDelta, TimedOp, UpdateOp};
 pub use dist_graph::DistGraph;
 pub use distribution::Distribution;

@@ -44,7 +44,7 @@ fn session_reuse_matches_one_shot_runs_across_three_jobs() {
     // ...must produce byte-identical part vectors to one-shot jobs on fresh runtimes.
     for ((csr, p), from_session) in graphs.iter().zip(&params).zip(&session_results) {
         let source = GraphSource::Csr(csr, &Distribution::Block);
-        let one_shot = run_xtrapulp_job(&mut Runtime::new(nranks), source, p, None).unwrap();
+        let one_shot = run_xtrapulp_job(&mut Runtime::new(nranks), source, p, None, None).unwrap();
         assert_eq!(&one_shot.parts, from_session);
     }
 }

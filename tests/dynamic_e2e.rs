@@ -660,48 +660,48 @@ const DYNAMIC_COMM_TABLE: &[(&str, DynamicCommRow)] = &[
     ("ba/r1/hashed/e4", [0, 0, 0, 0]),
     ("ba/r1/hashed/e5", [0, 0, 0, 0]),
     ("ba/r1/hashed/e6", [0, 0, 0, 0]),
-    ("ba/r2/block/e0", [298, 265800, 0, 0]),
-    ("ba/r2/block/e1", [28, 11336, 4, 84]),
-    ("ba/r2/block/e2", [24, 10400, 4, 48]),
-    ("ba/r2/block/e3", [24, 9664, 8, 21072]),
-    ("ba/r2/block/e4", [22, 10024, 4, 72]),
-    ("ba/r2/block/e5", [18, 9136, 0, 0]),
-    ("ba/r2/block/e6", [24, 10488, 4, 48]),
-    ("ba/r2/cyclic/e0", [294, 234552, 0, 0]),
-    ("ba/r2/cyclic/e1", [36, 13672, 4, 48]),
-    ("ba/r2/cyclic/e2", [274, 228728, 4, 48]),
-    ("ba/r2/cyclic/e3", [290, 257400, 4, 240]),
-    ("ba/r2/cyclic/e4", [256, 211736, 4, 48]),
-    ("ba/r2/cyclic/e5", [18, 9248, 0, 0]),
-    ("ba/r2/cyclic/e6", [22, 10136, 4, 48]),
-    ("ba/r2/hashed/e0", [290, 239576, 0, 0]),
-    ("ba/r2/hashed/e1", [22, 10088, 4, 48]),
-    ("ba/r2/hashed/e2", [22, 10056, 4, 48]),
-    ("ba/r2/hashed/e3", [26, 10216, 4, 240]),
-    ("ba/r2/hashed/e4", [22, 10120, 4, 48]),
-    ("ba/r2/hashed/e5", [18, 9232, 0, 0]),
-    ("ba/r2/hashed/e6", [26, 11040, 4, 48]),
-    ("ba/r3/block/e0", [702, 412016, 0, 0]),
-    ("ba/r3/block/e1", [768, 374288, 12, 144]),
-    ("ba/r3/block/e2", [762, 392888, 12, 288]),
-    ("ba/r3/block/e3", [768, 461784, 24, 40484]),
-    ("ba/r3/block/e4", [786, 423792, 12, 204]),
-    ("ba/r3/block/e5", [54, 18696, 0, 0]),
-    ("ba/r3/block/e6", [60, 20024, 12, 168]),
-    ("ba/r3/cyclic/e0", [912, 501152, 0, 0]),
-    ("ba/r3/cyclic/e1", [930, 540544, 12, 144]),
-    ("ba/r3/cyclic/e2", [894, 495528, 12, 180]),
-    ("ba/r3/cyclic/e3", [852, 493952, 12, 528]),
-    ("ba/r3/cyclic/e4", [858, 441032, 12, 144]),
-    ("ba/r3/cyclic/e5", [942, 521728, 0, 0]),
-    ("ba/r3/cyclic/e6", [918, 508336, 12, 168]),
-    ("ba/r3/hashed/e0", [660, 420344, 0, 0]),
-    ("ba/r3/hashed/e1", [864, 421600, 12, 144]),
-    ("ba/r3/hashed/e2", [894, 513560, 12, 144]),
-    ("ba/r3/hashed/e3", [834, 481344, 12, 552]),
-    ("ba/r3/hashed/e4", [864, 466008, 12, 168]),
-    ("ba/r3/hashed/e5", [948, 535688, 0, 0]),
-    ("ba/r3/hashed/e6", [882, 512880, 12, 168]),
+    ("ba/r2/block/e0", [298, 265784, 0, 0]),
+    ("ba/r2/block/e1", [18, 2816, 4, 84]),
+    ("ba/r2/block/e2", [14, 1880, 4, 48]),
+    ("ba/r2/block/e3", [22, 1512, 8, 21072]),
+    ("ba/r2/block/e4", [12, 1432, 4, 72]),
+    ("ba/r2/block/e5", [8, 544, 0, 0]),
+    ("ba/r2/block/e6", [14, 1896, 4, 48]),
+    ("ba/r2/cyclic/e0", [294, 234536, 0, 0]),
+    ("ba/r2/cyclic/e1", [26, 5032, 4, 48]),
+    ("ba/r2/cyclic/e2", [264, 220088, 4, 48]),
+    ("ba/r2/cyclic/e3", [288, 249128, 4, 240]),
+    ("ba/r2/cyclic/e4", [246, 203032, 4, 48]),
+    ("ba/r2/cyclic/e5", [8, 544, 0, 0]),
+    ("ba/r2/cyclic/e6", [12, 1432, 4, 48]),
+    ("ba/r2/hashed/e0", [290, 239560, 0, 0]),
+    ("ba/r2/hashed/e1", [12, 1464, 4, 48]),
+    ("ba/r2/hashed/e2", [12, 1432, 4, 48]),
+    ("ba/r2/hashed/e3", [24, 1960, 4, 240]),
+    ("ba/r2/hashed/e4", [12, 1432, 4, 48]),
+    ("ba/r2/hashed/e5", [8, 544, 0, 0]),
+    ("ba/r2/hashed/e6", [16, 2352, 4, 48]),
+    ("ba/r3/block/e0", [702, 411968, 0, 0]),
+    ("ba/r3/block/e1", [738, 357328, 12, 144]),
+    ("ba/r3/block/e2", [732, 375960, 12, 288]),
+    ("ba/r3/block/e3", [762, 446024, 24, 40484]),
+    ("ba/r3/block/e4", [756, 406728, 12, 204]),
+    ("ba/r3/block/e5", [24, 1632, 0, 0]),
+    ("ba/r3/block/e6", [30, 2952, 12, 168]),
+    ("ba/r3/cyclic/e0", [912, 501104, 0, 0]),
+    ("ba/r3/cyclic/e1", [900, 523072, 12, 144]),
+    ("ba/r3/cyclic/e2", [864, 478056, 12, 180]),
+    ("ba/r3/cyclic/e3", [846, 477648, 12, 528]),
+    ("ba/r3/cyclic/e4", [828, 423432, 12, 144]),
+    ("ba/r3/cyclic/e5", [912, 504128, 0, 0]),
+    ("ba/r3/cyclic/e6", [888, 490728, 12, 168]),
+    ("ba/r3/hashed/e0", [660, 420296, 0, 0]),
+    ("ba/r3/hashed/e1", [834, 404096, 12, 144]),
+    ("ba/r3/hashed/e2", [864, 496056, 12, 144]),
+    ("ba/r3/hashed/e3", [828, 465000, 12, 552]),
+    ("ba/r3/hashed/e4", [834, 448360, 12, 168]),
+    ("ba/r3/hashed/e5", [918, 518040, 0, 0]),
+    ("ba/r3/hashed/e6", [852, 495224, 12, 168]),
     ("grid/r1/block/e0", [0, 0, 0, 0]),
     ("grid/r1/block/e1", [0, 0, 0, 0]),
     ("grid/r1/block/e2", [0, 0, 0, 0]),
@@ -723,46 +723,46 @@ const DYNAMIC_COMM_TABLE: &[(&str, DynamicCommRow)] = &[
     ("grid/r1/hashed/e4", [0, 0, 0, 0]),
     ("grid/r1/hashed/e5", [0, 0, 0, 0]),
     ("grid/r1/hashed/e6", [0, 0, 0, 0]),
-    ("grid/r2/block/e0", [284, 45504, 0, 0]),
-    ("grid/r2/block/e1", [22, 2408, 4, 96]),
-    ("grid/r2/block/e2", [20, 2024, 4, 216]),
-    ("grid/r2/block/e3", [24, 2328, 8, 2268]),
-    ("grid/r2/block/e4", [24, 3128, 4, 96]),
-    ("grid/r2/block/e5", [18, 1808, 0, 0]),
-    ("grid/r2/block/e6", [22, 2736, 4, 192]),
-    ("grid/r2/cyclic/e0", [264, 72952, 0, 0]),
-    ("grid/r2/cyclic/e1", [20, 9624, 4, 84]),
-    ("grid/r2/cyclic/e2", [28, 11448, 4, 48]),
-    ("grid/r2/cyclic/e3", [24, 9784, 4, 240]),
-    ("grid/r2/cyclic/e4", [20, 9688, 4, 48]),
-    ("grid/r2/cyclic/e5", [18, 9248, 0, 0]),
-    ("grid/r2/cyclic/e6", [24, 10592, 4, 48]),
-    ("grid/r2/hashed/e0", [272, 103776, 0, 0]),
-    ("grid/r2/hashed/e1", [20, 9128, 4, 48]),
-    ("grid/r2/hashed/e2", [22, 9568, 4, 84]),
-    ("grid/r2/hashed/e3", [26, 9752, 4, 288]),
-    ("grid/r2/hashed/e4", [22, 9648, 4, 84]),
-    ("grid/r2/hashed/e5", [18, 8752, 0, 0]),
-    ("grid/r2/hashed/e6", [20, 9192, 4, 48]),
-    ("grid/r3/block/e0", [816, 108112, 0, 0]),
-    ("grid/r3/block/e1", [66, 6696, 12, 240]),
-    ("grid/r3/block/e2", [66, 6784, 12, 384]),
-    ("grid/r3/block/e3", [78, 7264, 24, 4044]),
-    ("grid/r3/block/e4", [60, 5752, 12, 240]),
-    ("grid/r3/block/e5", [54, 4432, 0, 0]),
-    ("grid/r3/block/e6", [60, 5816, 12, 336]),
-    ("grid/r3/cyclic/e0", [678, 137240, 0, 0]),
-    ("grid/r3/cyclic/e1", [60, 20688, 12, 144]),
-    ("grid/r3/cyclic/e2", [60, 20680, 12, 180]),
-    ("grid/r3/cyclic/e3", [708, 125384, 12, 504]),
-    ("grid/r3/cyclic/e4", [60, 20800, 12, 144]),
-    ("grid/r3/cyclic/e5", [54, 19480, 0, 0]),
-    ("grid/r3/cyclic/e6", [60, 20792, 12, 180]),
-    ("grid/r3/hashed/e0", [792, 158736, 0, 0]),
-    ("grid/r3/hashed/e1", [60, 17216, 12, 228]),
-    ("grid/r3/hashed/e2", [60, 17208, 12, 180]),
-    ("grid/r3/hashed/e3", [72, 17616, 12, 696]),
-    ("grid/r3/hashed/e4", [66, 18696, 12, 252]),
-    ("grid/r3/hashed/e5", [54, 16048, 0, 0]),
-    ("grid/r3/hashed/e6", [72, 20016, 12, 252]),
+    ("grid/r2/block/e0", [284, 45488, 0, 0]),
+    ("grid/r2/block/e1", [12, 1424, 4, 96]),
+    ("grid/r2/block/e2", [10, 984, 4, 216]),
+    ("grid/r2/block/e3", [22, 1512, 8, 2268]),
+    ("grid/r2/block/e4", [14, 1864, 4, 96]),
+    ("grid/r2/block/e5", [8, 544, 0, 0]),
+    ("grid/r2/block/e6", [12, 1424, 4, 192]),
+    ("grid/r2/cyclic/e0", [264, 72936, 0, 0]),
+    ("grid/r2/cyclic/e1", [10, 984, 4, 84]),
+    ("grid/r2/cyclic/e2", [18, 2808, 4, 48]),
+    ("grid/r2/cyclic/e3", [22, 1512, 4, 240]),
+    ("grid/r2/cyclic/e4", [10, 984, 4, 48]),
+    ("grid/r2/cyclic/e5", [8, 544, 0, 0]),
+    ("grid/r2/cyclic/e6", [14, 1888, 4, 48]),
+    ("grid/r2/hashed/e0", [272, 103760, 0, 0]),
+    ("grid/r2/hashed/e1", [10, 984, 4, 48]),
+    ("grid/r2/hashed/e2", [12, 1432, 4, 84]),
+    ("grid/r2/hashed/e3", [24, 1968, 4, 288]),
+    ("grid/r2/hashed/e4", [12, 1440, 4, 84]),
+    ("grid/r2/hashed/e5", [8, 544, 0, 0]),
+    ("grid/r2/hashed/e6", [10, 984, 4, 48]),
+    ("grid/r3/block/e0", [816, 108064, 0, 0]),
+    ("grid/r3/block/e1", [36, 4272, 12, 240]),
+    ("grid/r3/block/e2", [36, 4280, 12, 384]),
+    ("grid/r3/block/e3", [72, 5792, 24, 4044]),
+    ("grid/r3/block/e4", [30, 2952, 12, 240]),
+    ("grid/r3/block/e5", [24, 1632, 0, 0]),
+    ("grid/r3/block/e6", [30, 2952, 12, 336]),
+    ("grid/r3/cyclic/e0", [678, 137192, 0, 0]),
+    ("grid/r3/cyclic/e1", [30, 2952, 12, 144]),
+    ("grid/r3/cyclic/e2", [30, 2952, 12, 180]),
+    ("grid/r3/cyclic/e3", [702, 108832, 12, 504]),
+    ("grid/r3/cyclic/e4", [30, 2952, 12, 144]),
+    ("grid/r3/cyclic/e5", [24, 1632, 0, 0]),
+    ("grid/r3/cyclic/e6", [30, 2952, 12, 180]),
+    ("grid/r3/hashed/e0", [792, 158688, 0, 0]),
+    ("grid/r3/hashed/e1", [30, 2952, 12, 228]),
+    ("grid/r3/hashed/e2", [30, 2952, 12, 180]),
+    ("grid/r3/hashed/e3", [66, 4472, 12, 696]),
+    ("grid/r3/hashed/e4", [36, 4280, 12, 252]),
+    ("grid/r3/hashed/e5", [24, 1632, 0, 0]),
+    ("grid/r3/hashed/e6", [42, 5624, 12, 252]),
 ];

@@ -73,7 +73,7 @@ fn xtrapulp_partitions_are_always_valid() {
             ..Default::default()
         };
         let source = GraphSource::Csr(&csr, &Distribution::Block);
-        let parts = run_xtrapulp_job(&mut Runtime::new(nranks), source, &params, None)
+        let parts = run_xtrapulp_job(&mut Runtime::new(nranks), source, &params, None, None)
             .unwrap()
             .parts;
         assert_eq!(parts.len(), csr.num_vertices(), "case {case}");
@@ -772,9 +772,14 @@ fn warm_chains_stay_inside_the_cold_quality_envelope() {
             };
             let mut runtime = Runtime::new(nranks);
             let mut csr = csr_from_edges(n, &edges.iter().copied().collect::<Vec<_>>());
-            let mut previous =
-                run_xtrapulp_job(&mut runtime, GraphSource::Csr(&csr, &dist), &params, None)
-                    .expect("cold epoch 0");
+            let mut previous = run_xtrapulp_job(
+                &mut runtime,
+                GraphSource::Csr(&csr, &dist),
+                &params,
+                None,
+                None,
+            )
+            .expect("cold epoch 0");
             for step in 0..6 {
                 let delta = delta_step(&mut rng, step, n, true, &edges);
                 n = delta.new_n();
@@ -790,8 +795,10 @@ fn warm_chains_stay_inside_the_cold_quality_envelope() {
                 let touched = delta.touched_including_added();
                 let source = GraphSource::Csr(&csr, &dist);
                 let warm = Some((&seed[..], Some(&touched[..])));
-                let warm = run_xtrapulp_job(&mut runtime, source, &params, warm).expect("warm");
-                let cold = run_xtrapulp_job(&mut runtime, source, &params, None).expect("cold");
+                let warm =
+                    run_xtrapulp_job(&mut runtime, source, &params, warm, None).expect("warm");
+                let cold =
+                    run_xtrapulp_job(&mut runtime, source, &params, None, None).expect("cold");
 
                 let what = format!("case {case} dist {d} ranks {nranks} step {step}");
                 assert!(is_valid_partition(&warm.parts, num_parts), "{what}");

@@ -27,7 +27,7 @@ fn cold_quality(csr: &Csr, nranks: usize, params: &PartitionParams) -> (Vec<i32>
         return (run.parts, quality);
     }
     let source = GraphSource::Csr(csr, &Distribution::Block);
-    let job = run_xtrapulp_job(&mut Runtime::new(nranks), source, params, None).unwrap();
+    let job = run_xtrapulp_job(&mut Runtime::new(nranks), source, params, None, None).unwrap();
     let quality = (
         job.quality.edge_cut,
         job.quality.vertex_imbalance,
