@@ -595,9 +595,4 @@ impl AnalyticsSubscriber {
     pub fn consumer_mut(&mut self) -> &mut AnalyticsConsumer {
         &mut self.consumer
     }
-
-    /// Unbind, returning the consumer.
-    pub fn into_consumer(self) -> AnalyticsConsumer {
-        self.consumer
-    }
 }

@@ -259,11 +259,6 @@ impl DynamicSession {
         &mut self.session
     }
 
-    /// Tear the dynamic layer down, returning the inner session.
-    pub fn into_session(self) -> Session {
-        self.session
-    }
-
     /// Install `parts` as the session's current partition without running a job —
     /// the crash-recovery path, seeding a replayed topology from a durable
     /// checkpoint taken at exactly this graph state. The next

@@ -24,7 +24,6 @@
 use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 use xtrapulp::metrics::PartitionQuality;
 use xtrapulp::{PartitionError, StageBreakdown};
@@ -366,17 +365,6 @@ impl ServingSession {
         self.handle.ingest(batch)
     }
 
-    /// Submit one update batch, blocking at most `deadline` while the queue is
-    /// full. A stalled worker surfaces as [`IngestError::Timeout`] instead of
-    /// hanging the producer forever.
-    pub fn ingest_deadline(
-        &self,
-        batch: UpdateBatch,
-        deadline: Duration,
-    ) -> Result<(), IngestError> {
-        self.handle.queue().submit_deadline(batch, deadline)
-    }
-
     /// Replay a recorded `.ulog` update log through the ingest queue in chunks of at
     /// most `max_batch_ops` ops, with blocking backpressure — a recorded trace drives
     /// the identical pipeline live producers use.
@@ -685,6 +673,7 @@ mod tests {
                 Err(ServeError::WorkerPanicked { detail }) => {
                     assert!(detail.contains("injected durability crash"), "{detail}");
                 }
+                Err(e) => panic!("crash_after={crash_after}: expected a worker panic, got {e}"),
                 Ok(_) => panic!("crash_after={crash_after}: worker survived the injected crash"),
             }
 
@@ -914,20 +903,21 @@ mod tests {
     }
 
     #[test]
-    fn ingest_deadline_times_out_typed_instead_of_hanging() {
+    fn submit_deadline_times_out_typed_instead_of_hanging() {
         let csr = ba_csr(300, 5);
         let config = ServeConfig {
             queue_capacity_ops: 4,
             ..Default::default()
         };
         let serving = ServingSession::spawn_with_config(1, csr, job(2), config).unwrap();
+        let queue = serving.queue();
         // Saturate the queue faster than the worker drains; eventually a
         // deadline submission must fail typed rather than block forever.
         let mut saw_timeout = false;
         for i in 0..200 {
             let mut batch = UpdateBatch::new();
             batch.add_vertices(1).insert_edge(300 + i, 0);
-            match serving.ingest_deadline(batch, Duration::from_millis(1)) {
+            match queue.submit_deadline(batch, Duration::from_millis(1)) {
                 Ok(()) => {}
                 Err(IngestError::Timeout { waited_ms, .. }) => {
                     assert!(waited_ms >= 1);

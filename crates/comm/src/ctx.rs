@@ -45,9 +45,9 @@ use crate::watchdog::Stall;
 ///
 /// The pointee lives in [`Runtime::run`]'s stack frame; the `'static` lifetime is
 /// a lie told via `transmute`, made sound because `run` blocks until every worker
-/// has reported completion of the job, so the reference never outlives its
-/// referent (the same guarantee scoped threads provide, made manual because the
-/// workers are long-lived).
+/// that received the job has reported its completion or exited, so the reference
+/// never outlives its referent (the same guarantee scoped threads provide, made
+/// manual because the workers are long-lived).
 #[derive(Clone, Copy)]
 struct Job {
     f: &'static (dyn Fn(usize, &RankCtx) + Sync),
@@ -72,14 +72,6 @@ pub enum ExecOutcome<R> {
 }
 
 impl<R> ExecOutcome<R> {
-    /// The per-rank results, however the job got there.
-    pub fn into_results(self) -> Vec<R> {
-        match self {
-            ExecOutcome::Completed(results) => results,
-            ExecOutcome::Recovered { results, .. } => results,
-        }
-    }
-
     /// Successful recoveries performed (0 for [`ExecOutcome::Completed`]).
     pub fn recoveries(&self) -> u32 {
         match self {
@@ -109,8 +101,9 @@ pub struct Runtime {
     nranks: usize,
     local_ranks: Vec<usize>,
     job_txs: Vec<Sender<Job>>,
-    /// Each worker reports here once per job, after its result is in its slot.
-    done_rx: Receiver<()>,
+    /// Each worker reports its local index here once per job, after its result is
+    /// in its slot, and once more when its thread exits, however it exits.
+    done_rx: Receiver<usize>,
     workers: Vec<JoinHandle<()>>,
     /// Stall-watchdog deadline applied to subsequently dispatched jobs
     /// (`None` = watchdog disabled, the default).
@@ -265,18 +258,21 @@ impl Runtime {
     /// [`Runtime::try_execute`] to receive those as typed errors instead. If a
     /// rank panics *mid-collective* the remaining in-process ranks deadlock in
     /// the abandoned collective, exactly as an MPI job would hang — don't let
-    /// request-path code panic inside a job.
+    /// request-path code panic inside a job. A rank whose worker thread is gone
+    /// panics the caller with the [`CommError::WorkerLost`] message naming it.
     pub fn execute<F, R>(&mut self, f: F) -> Vec<R>
     where
         F: Fn(&RankCtx) -> R + Sync,
         R: Send,
     {
-        let results: std::thread::Result<Vec<R>> = self.run(f).into_iter().collect();
+        let outcomes = self.run(f).unwrap_or_else(|e| panic!("{e}"));
+        let results: std::thread::Result<Vec<R>> = outcomes.into_iter().collect();
         results.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
     }
 
     /// Like [`Runtime::execute`], but transport failures (peer death, receive
-    /// timeout, undecodable frames) surface as [`CommError::Transport`]
+    /// timeout, undecodable frames) surface as [`CommError::Transport`], and a
+    /// local rank whose worker thread is gone as [`CommError::WorkerLost`],
     /// instead of unwinding the caller. Non-transport panics still propagate.
     pub fn try_execute<F, R>(&mut self, f: F) -> Result<Vec<R>, CommError>
     where
@@ -287,7 +283,7 @@ impl Runtime {
         let mut transport_error: Option<TransportError> = None;
         let mut other_panic = None;
         let mut stall: Option<Stall> = None;
-        for outcome in self.run(f) {
+        for outcome in self.run(f)? {
             match outcome {
                 Ok(result) => results.push(result),
                 Err(payload) => match payload.downcast::<Stall>() {
@@ -381,10 +377,11 @@ impl Runtime {
     ///
     /// On success the next job starts on a fresh mesh with sticky per-peer
     /// death cleared. Fails typed with the first rank's recovery error
-    /// otherwise.
+    /// otherwise, or with [`CommError::WorkerLost`] if a local rank's worker
+    /// thread is gone.
     pub fn recover(&mut self) -> Result<(), CommError> {
         let mut first: Option<TransportError> = None;
-        for outcome in self.run(|ctx| ctx.transport.recover()) {
+        for outcome in self.run(|ctx| ctx.transport.recover())? {
             let failed = match outcome {
                 Ok(res) => res.err(),
                 Err(payload) => match payload.downcast::<TransportError>() {
@@ -415,8 +412,13 @@ impl Runtime {
     /// [`try_execute`](Runtime::try_execute) and [`recover`](Runtime::recover):
     /// run `f` on every local rank, each catching its own unwind into its slot,
     /// and return every rank's outcome in local-rank order once all have
-    /// reported done.
-    fn run<R: Send>(&mut self, f: impl Fn(&RankCtx) -> R + Sync) -> Vec<std::thread::Result<R>> {
+    /// reported done. A rank whose worker thread is gone — the job could not be
+    /// delivered, or the worker exited without running it — leaves its slot
+    /// empty, which fails the whole job as [`CommError::WorkerLost`].
+    fn run<R: Send>(
+        &mut self,
+        f: impl Fn(&RankCtx) -> R + Sync,
+    ) -> Result<Vec<std::thread::Result<R>>, CommError> {
         let slots: Vec<Mutex<Option<std::thread::Result<R>>>> =
             self.job_txs.iter().map(|_| Mutex::new(None)).collect();
         // A slot's one store cannot leave it half-written, so a poisoned lock
@@ -427,10 +429,10 @@ impl Runtime {
         };
         let body: &(dyn Fn(usize, &RankCtx) + Sync) = &body;
         let job = Job {
-            // SAFETY: workers call `job.f` only between the sends below and
-            // their done reports, all of which this function waits for before
-            // returning; `body` and `slots` therefore outlive every use of the
-            // forged `'static` reference.
+            // SAFETY: workers call `job.f` only between receiving the job and
+            // reporting on the done channel, and this function returns only after
+            // every rank that received the job has reported or exited; `body` and
+            // `slots` therefore outlive every use of the forged `'static` reference.
             f: unsafe {
                 std::mem::transmute::<
                     &(dyn Fn(usize, &RankCtx) + Sync),
@@ -439,22 +441,28 @@ impl Runtime {
             },
             wd_deadline: self.wd_deadline,
         };
-        for tx in &self.job_txs {
-            tx.send(job).expect("rank thread exited unexpectedly");
+        // A send fails only when the worker has exited: it never sees the job.
+        let mut pending: Vec<bool> = self.job_txs.iter().map(|tx| tx.send(job).is_ok()).collect();
+        let mut waiting = pending.iter().filter(|&&p| p).count();
+        while waiting > 0 {
+            // A worker reports once per job it ran and once when it exits, so a
+            // rank that received the job but died before running it still
+            // reports; a report from a rank not waited on is a stale exit notice.
+            // The receive fails only once every worker is gone.
+            let Ok(local) = self.done_rx.recv() else {
+                break;
+            };
+            if std::mem::take(&mut pending[local]) {
+                waiting -= 1;
+            }
         }
-        for _ in 0..self.job_txs.len() {
-            self.done_rx
-                .recv()
-                .expect("rank thread exited unexpectedly");
-        }
-        // Every local rank is done with the job (each reports exactly once, after
-        // filling its slot); the borrow of `body` has ended. An empty slot cannot
-        // occur, and would read as that rank's panic.
+        // No worker still holds the job; the borrow of `body` has ended.
         slots
             .into_iter()
-            .map(|slot| {
+            .zip(&self.local_ranks)
+            .map(|(slot, &rank)| {
                 let slot = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
-                slot.unwrap_or_else(|| Err(Box::new("rank reported no result")))
+                slot.ok_or(CommError::WorkerLost { rank })
             })
             .collect()
     }
@@ -560,24 +568,31 @@ impl Runtime {
     fn worker_main(
         transport: Box<dyn Transport>,
         job_rx: Receiver<Job>,
-        done_tx: Sender<()>,
+        done_tx: Sender<usize>,
         local: usize,
         colocated: usize,
     ) {
-        // The Arc never leaves this thread; it only lets each job's RankCtx
-        // share the long-lived endpoint.
-        let transport: Arc<dyn Transport> = Arc::from(transport);
-        // Label this worker thread so its trace events export under the
-        // rank's process lane in chrome://tracing.
-        obs::set_thread_rank(transport.rank());
-        // Exits when the runtime drops its sender.
-        while let Ok(job) = job_rx.recv() {
-            let ctx = RankCtx::new(Arc::clone(&transport), job.wd_deadline, colocated);
-            (job.f)(local, &ctx);
-            if done_tx.send(()).is_err() {
-                return;
+        // The loop ends when the runtime drops its sender, or dies if the
+        // transport fails on start. Either way the worker then closes its job
+        // channel and reports its exit, in that order: once `run` has read the
+        // notice, no job can reach this worker any more.
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            // The Arc never leaves this thread; it only lets each job's RankCtx
+            // share the long-lived endpoint.
+            let transport: Arc<dyn Transport> = Arc::from(transport);
+            // Label this worker thread so its trace events export under the
+            // rank's process lane in chrome://tracing.
+            obs::set_thread_rank(transport.rank());
+            while let Ok(job) = job_rx.recv() {
+                let ctx = RankCtx::new(Arc::clone(&transport), job.wd_deadline, colocated);
+                (job.f)(local, &ctx);
+                if done_tx.send(local).is_err() {
+                    return;
+                }
             }
-        }
+        }));
+        drop(job_rx);
+        let _ = done_tx.send(local);
     }
 }
 
@@ -586,8 +601,7 @@ impl Drop for Runtime {
         // Closing the job channels tells every worker to exit its loop.
         self.job_txs.clear();
         for handle in self.workers.drain(..) {
-            // A worker that panicked outside a job (impossible today) would
-            // surface here; swallow it rather than double-panic in drop.
+            // Every worker catches its own unwind, so the join carries nothing.
             let _ = handle.join();
         }
     }

@@ -28,6 +28,12 @@ pub enum CommError {
         /// OS error detail.
         detail: String,
     },
+    /// A locally hosted rank's worker thread is gone, so a job could not run
+    /// there: the job was not delivered, or the worker exited before running it.
+    WorkerLost {
+        /// The rank whose worker is gone.
+        rank: usize,
+    },
     /// A collective failed at the transport layer (peer death, timeout,
     /// corrupt frame, ...).
     Transport(TransportError),
@@ -78,6 +84,12 @@ impl fmt::Display for CommError {
                 )
             }
             CommError::Spawn { detail } => write!(f, "failed to spawn rank worker: {detail}"),
+            CommError::WorkerLost { rank } => {
+                write!(
+                    f,
+                    "rank {rank}'s worker thread is gone; the job did not run there"
+                )
+            }
             CommError::Transport(e) => write!(f, "transport failure: {e}"),
             CommError::Aborted { recoveries, last } => write!(
                 f,

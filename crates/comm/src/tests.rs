@@ -26,6 +26,68 @@ fn zero_ranks_panics() {
     Runtime::new(0).execute(|_ctx| ());
 }
 
+/// An in-process endpoint whose rank worker dies on start: `rank()` panics when
+/// a rank worker thread asks, while the runtime's checks on the caller's thread
+/// get their answer.
+struct DiesOnStart(crate::InProcTransport);
+
+impl crate::Transport for DiesOnStart {
+    fn rank(&self) -> usize {
+        let thread = std::thread::current();
+        let on_worker = thread
+            .name()
+            .is_some_and(|n| n.starts_with("xtrapulp-rank-"));
+        assert!(!on_worker, "injected: rank worker dies on start");
+        self.0.rank()
+    }
+    fn nranks(&self) -> usize {
+        self.0.nranks()
+    }
+    fn is_wire(&self) -> bool {
+        self.0.is_wire()
+    }
+    fn backend(&self) -> &'static str {
+        self.0.backend()
+    }
+    fn send(&self, dst: usize, frame: crate::Frame) -> Result<u64, crate::TransportError> {
+        self.0.send(dst, frame)
+    }
+    fn recv(&self, src: usize) -> Result<crate::Frame, crate::TransportError> {
+        self.0.recv(src)
+    }
+}
+
+#[test]
+fn a_rank_whose_worker_died_fails_jobs_typed_instead_of_hanging() {
+    use crate::CommError;
+    // Rank 0's worker dies on start; rank 1's runs every job it is given.
+    let mut fabric = crate::InProcFabric::create(2).into_iter();
+    let (dying, healthy) = (fabric.next().unwrap(), fabric.next().unwrap());
+    let transports: Vec<Box<dyn crate::Transport>> =
+        vec![Box::new(DiesOnStart(dying)), Box::new(healthy)];
+    let mut rt = Runtime::from_transports(transports).unwrap();
+    // The first job may reach the worker before it dies; later ones cannot.
+    for _ in 0..3 {
+        assert_eq!(
+            rt.try_execute(|ctx| ctx.rank()).err(),
+            Some(CommError::WorkerLost { rank: 0 })
+        );
+    }
+    assert!(matches!(
+        rt.try_execute_recoverable(|ctx| ctx.rank(), 2),
+        Err(CommError::WorkerLost { rank: 0 })
+    ));
+    assert_eq!(rt.recover(), Err(CommError::WorkerLost { rank: 0 }));
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        rt.execute(|ctx| ctx.rank())
+    }))
+    .expect_err("execute re-raises a lost rank");
+    let message = payload.downcast_ref::<String>().expect("a formatted panic");
+    assert!(message.contains("rank 0"), "{message}");
+    // Both workers have exited or exit on the closed job channel: the drop joins.
+    drop(rt);
+}
+
 #[test]
 fn barrier_completes() {
     let out = Runtime::new(4).execute(|ctx| {

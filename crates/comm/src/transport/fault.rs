@@ -132,11 +132,6 @@ impl FaultInjectTransport {
         self.frames.get()
     }
 
-    /// Whether the injected kill has fired (and not yet been recovered).
-    pub fn is_killed(&self) -> bool {
-        self.killed.borrow().is_some()
-    }
-
     /// Apply the plan to the operation numbered by the current frame counter.
     /// Returns the injected error, if any fires.
     fn pre_op(&self, peer: usize, is_recv: bool) -> Result<(), TransportError> {

@@ -17,13 +17,12 @@
 //! - **R4 determinism** — wall-clock / ambient randomness inside the
 //!   bit-identical partitioner and analytics kernels is flagged.
 //! - **R5 panic hygiene** — `unwrap`/`expect`/peer-data indexing in library
-//!   code outside the committed allowlist.
+//!   code, unless annotated at the site.
 //!
 //! See `LINT.md` at the workspace root for the full rule catalogue and the
 //! annotation grammar. The lexer and block/scope parser are hand-rolled (no
 //! `syn`), consistent with the offline `vendor/` policy.
 
-pub mod allow;
 pub mod engine;
 pub mod lexer;
 
@@ -57,17 +56,6 @@ impl Rule {
             Rule::R3LockDiscipline => "lock-discipline",
             Rule::R4Determinism => "determinism",
             Rule::R5PanicHygiene => "panic-hygiene",
-        }
-    }
-
-    pub fn from_id(id: &str) -> Option<Rule> {
-        match id {
-            "R1" => Some(Rule::R1CollectiveSymmetry),
-            "R2" => Some(Rule::R2AtomicOrdering),
-            "R3" => Some(Rule::R3LockDiscipline),
-            "R4" => Some(Rule::R4Determinism),
-            "R5" => Some(Rule::R5PanicHygiene),
-            _ => None,
         }
     }
 }
@@ -217,84 +205,17 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::
     Ok(())
 }
 
-/// The outcome of applying the allowlist to a raw finding set.
-pub struct Applied {
-    /// Findings not covered by any allowlist entry (these fail the gate).
-    pub unsuppressed: Vec<Finding>,
-    /// Count of findings absorbed by baseline entries.
-    pub suppressed: usize,
-    /// Allowlist entries that matched nothing (stale — surfaced as warnings
-    /// so the baseline only ever shrinks).
-    pub unused_entries: Vec<allow::AllowEntry>,
-}
-
-pub fn apply_allowlist(findings: Vec<Finding>, entries: &[allow::AllowEntry]) -> Applied {
-    use std::collections::HashMap;
-    let mut groups: HashMap<(Rule, String), Vec<Finding>> = HashMap::new();
-    for f in findings {
-        groups.entry((f.rule, f.file.clone())).or_default().push(f);
-    }
-    let mut unsuppressed = Vec::new();
-    let mut suppressed = 0usize;
-    let mut used = vec![false; entries.len()];
-    for ((rule, file), group) in groups {
-        let entry = entries
-            .iter()
-            .enumerate()
-            .find(|(_, e)| e.rule == rule && e.path == file);
-        match entry {
-            Some((idx, e)) => {
-                used[idx] = true;
-                if group.len() <= e.max {
-                    suppressed += group.len();
-                } else {
-                    // Over baseline: every finding in the group is reported so
-                    // the offending new site is visible among its peers.
-                    for mut f in group {
-                        f.message = format!(
-                            "{} [file exceeds `lint-allow.toml` baseline: {} findings > max {}]",
-                            f.message,
-                            e.max + 1, // at least this many
-                            e.max
-                        );
-                        unsuppressed.push(f);
-                    }
-                }
-            }
-            None => unsuppressed.extend(group),
-        }
-    }
-    let unused_entries = entries
-        .iter()
-        .zip(used)
-        .filter(|(_, u)| !u)
-        .map(|(e, _)| e.clone())
-        .collect();
-    unsuppressed.sort_by(|a, b| {
-        a.file
-            .cmp(&b.file)
-            .then(a.line.cmp(&b.line))
-            .then(a.rule.id().cmp(b.rule.id()))
-    });
-    Applied {
-        unsuppressed,
-        suppressed,
-        unused_entries,
-    }
-}
-
 /// Render findings as the stable machine-readable JSON document consumed by
-/// CI tooling. Schema (version 1):
-/// `{"version":1,"clean":bool,"total":N,"suppressed":N,
+/// CI tooling. Schema (version 2):
+/// `{"version":2,"clean":bool,"total":N,
 ///   "findings":[{"rule","rule_name","file","line","message"}]}`
-pub fn render_json(applied: &Applied) -> String {
+pub fn render_json(findings: &[Finding]) -> String {
     let mut out = String::from("{");
-    out.push_str("\"version\":1,");
-    out.push_str(&format!("\"clean\":{},", applied.unsuppressed.is_empty()));
-    out.push_str(&format!("\"total\":{},", applied.unsuppressed.len()));
-    out.push_str(&format!("\"suppressed\":{},", applied.suppressed));
+    out.push_str("\"version\":2,");
+    out.push_str(&format!("\"clean\":{},", findings.is_empty()));
+    out.push_str(&format!("\"total\":{},", findings.len()));
     out.push_str("\"findings\":[");
-    for (i, f) in applied.unsuppressed.iter().enumerate() {
+    for (i, f) in findings.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }

@@ -2,22 +2,18 @@
 //! rule catalogue.
 //!
 //! ```text
-//! xtrapulp-lint [--root DIR] [--allow FILE | --no-allow] [--json]
-//!               [--write-baseline] [--verbose]
+//! xtrapulp-lint [--root DIR] [--json] [--verbose]
 //! ```
 //!
-//! Exit codes: 0 = clean, 1 = unsuppressed findings, 2 = usage/IO error.
+//! Exit codes: 0 = clean, 1 = findings, 2 = usage/IO error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use xtrapulp_lint::{allow, apply_allowlist, lint_workspace, render_json};
+use xtrapulp_lint::{lint_workspace, render_json};
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut allow_path: Option<PathBuf> = None;
-    let mut no_allow = false;
     let mut json = false;
-    let mut write_baseline = false;
     let mut verbose = false;
 
     let mut args = std::env::args().skip(1);
@@ -27,19 +23,12 @@ fn main() -> ExitCode {
                 Some(v) => root = PathBuf::from(v),
                 None => return usage("--root needs a value"),
             },
-            "--allow" => match args.next() {
-                Some(v) => allow_path = Some(PathBuf::from(v)),
-                None => return usage("--allow needs a value"),
-            },
-            "--no-allow" => no_allow = true,
             "--json" => json = true,
-            "--write-baseline" => write_baseline = true,
             "--verbose" => verbose = true,
             "--help" | "-h" => {
                 eprintln!(
                     "xtrapulp-lint: workspace static analysis (rules R1-R5, see LINT.md)\n\
-                     usage: xtrapulp-lint [--root DIR] [--allow FILE | --no-allow] [--json]\n\
-                     \x20                    [--write-baseline] [--verbose]"
+                     usage: xtrapulp-lint [--root DIR] [--json] [--verbose]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -62,66 +51,16 @@ fn main() -> ExitCode {
         );
     }
 
-    if write_baseline {
-        let path = root.join("lint-allow.toml");
-        let text = allow::write_baseline(&findings);
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("xtrapulp-lint: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "xtrapulp-lint: wrote baseline covering {} findings to {}",
-            findings.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let entries = if no_allow {
-        Vec::new()
-    } else {
-        let explicit = allow_path.is_some();
-        let path = allow_path.unwrap_or_else(|| root.join("lint-allow.toml"));
-        match std::fs::read_to_string(&path) {
-            Ok(text) => match allow::parse(&text) {
-                Ok(entries) => entries,
-                Err(e) => {
-                    eprintln!("xtrapulp-lint: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            Err(_) if !explicit => Vec::new(), // no default baseline yet
-            Err(e) => {
-                eprintln!("xtrapulp-lint: reading allowlist: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    };
-
-    let applied = apply_allowlist(findings, &entries);
-    for stale in &applied.unused_entries {
-        eprintln!(
-            "xtrapulp-lint: warning: stale lint-allow.toml entry ({} {}) matched nothing — \
-             remove it",
-            stale.rule.id(),
-            stale.path
-        );
-    }
-
     if json {
-        println!("{}", render_json(&applied));
+        println!("{}", render_json(&findings));
     } else {
-        for f in &applied.unsuppressed {
+        for f in &findings {
             println!("{f}");
         }
-        eprintln!(
-            "xtrapulp-lint: {} finding(s), {} baselined",
-            applied.unsuppressed.len(),
-            applied.suppressed
-        );
+        eprintln!("xtrapulp-lint: {} finding(s)", findings.len());
     }
 
-    if applied.unsuppressed.is_empty() {
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -1,7 +1,7 @@
-//! Fixture-based positive/negative tests for every rule, allowlist
-//! round-trip, and `--json` schema stability.
+//! Fixture-based positive/negative tests for every rule and `--json` schema
+//! stability.
 
-use xtrapulp_lint::{allow, apply_allowlist, lint_source, render_json, Finding, Rule};
+use xtrapulp_lint::{lint_source, render_json, Finding, Rule};
 
 #[test]
 fn r1_must_trigger() {
@@ -120,7 +120,7 @@ fn r4_must_not_trigger() {
         "{findings:?}"
     );
     // The same triggering code is fine outside the deterministic prefixes
-    // (obs/serve timing code is the allowlisted domain).
+    // (obs/serve timing code is the exempt domain).
     let outside = lint_source(
         "crates/obs/src/fixture.rs",
         include_str!("fixtures/r4_trigger.rs"),
@@ -170,40 +170,6 @@ fn r5_must_not_trigger() {
 }
 
 #[test]
-fn allowlist_round_trip() {
-    let findings = lint_source(
-        "crates/graph/src/fixture.rs",
-        include_str!("fixtures/r5_trigger.rs"),
-    );
-    assert!(!findings.is_empty());
-    // Baseline generated from the findings absorbs exactly those findings...
-    let baseline = allow::write_baseline(&findings);
-    let entries = allow::parse(&baseline).expect("generated baseline parses");
-    let applied = apply_allowlist(findings.clone(), &entries);
-    assert!(
-        applied.unsuppressed.is_empty(),
-        "{:?}",
-        applied.unsuppressed
-    );
-    assert_eq!(applied.suppressed, 3);
-    assert!(applied.unused_entries.is_empty());
-    // ...but one extra finding beyond `max` fails the whole file group.
-    let mut more = findings.clone();
-    more.push(Finding::new(
-        Rule::R5PanicHygiene,
-        "crates/graph/src/fixture.rs",
-        999,
-        "new unwrap".into(),
-    ));
-    let applied = apply_allowlist(more, &entries);
-    assert_eq!(applied.unsuppressed.len(), 4);
-    assert!(applied.unsuppressed[0].message.contains("exceeds"));
-    // ...and an entry matching nothing is reported stale.
-    let applied = apply_allowlist(Vec::new(), &entries);
-    assert_eq!(applied.unused_entries.len(), 1);
-}
-
-#[test]
 fn json_schema_is_stable() {
     let findings = vec![Finding::new(
         Rule::R1CollectiveSymmetry,
@@ -211,19 +177,17 @@ fn json_schema_is_stable() {
         7,
         "collective `barrier` under \"rank\" flow".into(),
     )];
-    let applied = apply_allowlist(findings, &[]);
-    let json = render_json(&applied);
-    // Schema version 1: exact top-level keys and finding keys, stable order.
+    let json = render_json(&findings);
+    // Schema version 2: exact top-level keys and finding keys, stable order.
     assert_eq!(
         json,
-        "{\"version\":1,\"clean\":false,\"total\":1,\"suppressed\":0,\
+        "{\"version\":2,\"clean\":false,\"total\":1,\
          \"findings\":[{\"rule\":\"R1\",\"rule_name\":\"collective-symmetry\",\
          \"file\":\"crates/x/src/a.rs\",\"line\":7,\
          \"message\":\"collective `barrier` under \\\"rank\\\" flow\"}]}"
     );
-    let clean = apply_allowlist(Vec::new(), &[]);
     assert_eq!(
-        render_json(&clean),
-        "{\"version\":1,\"clean\":true,\"total\":0,\"suppressed\":0,\"findings\":[]}"
+        render_json(&[]),
+        "{\"version\":2,\"clean\":true,\"total\":0,\"findings\":[]}"
     );
 }

@@ -1,9 +1,17 @@
-//! The self-run gate: the workspace must be clean against the committed
-//! `lint-allow.toml`, and the baseline must follow policy (R5-only —
-//! R1–R4 findings are fixed or annotated inline, never baselined).
+//! The self-run gate: the workspace holds zero findings of every rule (a
+//! finding is fixed or annotated at its site; there is no baseline), and the
+//! binary fails on a fresh violation and on a flag it does not know.
 
 use std::path::PathBuf;
-use xtrapulp_lint::{allow, apply_allowlist, lint_workspace, Rule};
+use std::process::{Command, Output};
+use xtrapulp_lint::lint_workspace;
+
+fn lint_bin(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_xtrapulp-lint"))
+        .args(args)
+        .output()
+        .expect("lint bin runs")
+}
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -13,7 +21,7 @@ fn workspace_root() -> PathBuf {
 }
 
 #[test]
-fn workspace_is_clean_against_baseline() {
+fn workspace_is_clean() {
     let root = workspace_root();
     let (findings, files) = lint_workspace(&root).expect("workspace scan succeeds");
     assert!(
@@ -21,47 +29,15 @@ fn workspace_is_clean_against_baseline() {
         "scan looks truncated: only {} files",
         files.len()
     );
-    let baseline = std::fs::read_to_string(root.join("lint-allow.toml"))
-        .expect("committed lint-allow.toml exists");
-    let entries = allow::parse(&baseline).expect("committed baseline parses");
-    let applied = apply_allowlist(findings, &entries);
     assert!(
-        applied.unsuppressed.is_empty(),
-        "workspace has unsuppressed lint findings:\n{}",
-        applied
-            .unsuppressed
+        findings.is_empty(),
+        "workspace has lint findings:\n{}",
+        findings
             .iter()
             .map(|f| format!("  {f}"))
             .collect::<Vec<_>>()
             .join("\n")
     );
-    assert!(
-        applied.unused_entries.is_empty(),
-        "stale lint-allow.toml entries (remove them): {:?}",
-        applied
-            .unused_entries
-            .iter()
-            .map(|e| format!("{} {}", e.rule.id(), e.path))
-            .collect::<Vec<_>>()
-    );
-}
-
-#[test]
-fn baseline_contains_only_r5_entries() {
-    let root = workspace_root();
-    let baseline = std::fs::read_to_string(root.join("lint-allow.toml"))
-        .expect("committed lint-allow.toml exists");
-    let entries = allow::parse(&baseline).expect("committed baseline parses");
-    for e in &entries {
-        assert_eq!(
-            e.rule,
-            Rule::R5PanicHygiene,
-            "policy: only R5 panic-hygiene may be baselined; {} findings in {} \
-             must be fixed or annotated inline",
-            e.rule.id(),
-            e.path
-        );
-    }
 }
 
 #[test]
@@ -83,10 +59,7 @@ fn scratch_violation_fails_the_bin() {
     )
     .expect("scratch file");
 
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_xtrapulp-lint"))
-        .args(["--root", dir.to_str().expect("utf8 tmp path"), "--no-allow"])
-        .output()
-        .expect("lint bin runs");
+    let out = lint_bin(&["--root", dir.to_str().expect("utf8 tmp path")]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         !out.status.success(),
@@ -103,4 +76,18 @@ fn scratch_violation_fails_the_bin() {
         "{stdout}"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn removed_baseline_flags_are_usage_errors() {
+    for args in [
+        &["--allow", "baseline.toml"][..],
+        &["--no-allow"],
+        &["--write-baseline"],
+    ] {
+        let out = lint_bin(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("unknown argument"), "{args:?}: {stderr}");
+    }
 }

@@ -52,13 +52,6 @@ impl WeightedGraph {
             .zip(self.edge_weights[start..end].iter().copied())
     }
 
-    /// Weighted degree of `v` (sum of incident edge weights).
-    pub fn weighted_degree(&self, v: u64) -> u64 {
-        let start = self.offsets[v as usize] as usize;
-        let end = self.offsets[v as usize + 1] as usize;
-        self.edge_weights[start..end].iter().sum()
-    }
-
     /// Number of adjacency entries (2x the undirected edge count).
     pub fn num_arcs(&self) -> usize {
         self.adjacency.len()
@@ -135,7 +128,7 @@ mod tests {
         let g = WeightedGraph::from_csr(&csr);
         assert_eq!(g.num_vertices(), 4);
         assert_eq!(g.total_vertex_weight(), 4);
-        assert_eq!(g.weighted_degree(1), 2);
+        assert_eq!(g.neighbors(1).map(|(_, w)| w).sum::<u64>(), 2);
         assert_eq!(g.num_arcs(), 6);
     }
 
@@ -143,7 +136,7 @@ mod tests {
     fn weighted_arc_merging() {
         let arcs = vec![(0, 1, 2), (1, 0, 2), (0, 1, 3), (1, 0, 3)];
         let g = WeightedGraph::from_weighted_arcs(2, arcs, vec![5, 7]);
-        assert_eq!(g.weighted_degree(0), 5);
+        assert_eq!(g.neighbors(0).map(|(_, w)| w).sum::<u64>(), 5);
         assert_eq!(g.neighbors(0).collect::<Vec<_>>(), vec![(1, 5)]);
         assert_eq!(g.total_vertex_weight(), 12);
     }

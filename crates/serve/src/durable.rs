@@ -10,6 +10,13 @@
 //! checkpoint that validates (falling back past corrupted ones) and the WAL. Replay
 //! is exact because a partition is deterministic in (graph, job, rank count).
 //!
+//! "Durable" here means *written*, not *synced*: every record and file reaches the
+//! OS through `write`, and nothing calls `sync_data`/`sync_all` (`File::flush` is a
+//! no-op on a `File`). The journal therefore survives a crash of the process, whose
+//! writes the kernel still holds, but not a power cut or an OS crash, which can lose
+//! or tear frames it has already counted as appended. Syncing on the acknowledgement
+//! path is ROADMAP direction 17.
+//!
 //! ## The durable directory
 //!
 //! ```text
@@ -43,7 +50,7 @@
 //!
 //! A torn tail — a record cut short by a crash, or one whose checksum fails — is
 //! detected on open and physically truncated, so the writer resumes at the last
-//! durable record.
+//! complete record.
 //!
 //! Checkpoint (`ckpt-<epoch>`):
 //!
@@ -208,7 +215,8 @@ impl From<PartitionError> for DurabilityError {
 /// The durable directory of one serving job and its write-ahead policy: the open
 /// WAL, the checkpoint cadence and the injected crash. Once serving starts it lives
 /// on the serve worker with the engine, so its per-epoch writes stay off the
-/// serving path.
+/// serving path. Its writes are not synced (see the module docs): they outlive the
+/// process, not the machine.
 #[derive(Debug)]
 pub struct Journal {
     wal: WalWriter,
@@ -252,7 +260,7 @@ impl Journal {
 
     /// Open the job under `config.dir` for recovery: load the base graph, truncate
     /// a torn WAL tail, and return the base, the newest checkpoint that validates
-    /// and lies within the WAL, and every durable WAL record in append order. The
+    /// and lies within the WAL, and every complete WAL record in append order. The
     /// caller replays the records and then calls [`resume`](Journal::resume).
     pub fn open(
         config: &DurableConfig,
@@ -402,8 +410,8 @@ fn parse_frame(bytes: &[u8]) -> Option<(WalRecord, &[u8])> {
 struct WalWriter {
     file: File,
     records: u64,
-    /// Durable bytes of the log: the valid prefix at open plus every frame
-    /// appended since. Feeds the `mem_bytes{subsystem="durable_wal"}` gauge.
+    /// Bytes of the log: the valid prefix at open plus every frame written
+    /// since. Feeds the `mem_bytes{subsystem="durable_wal"}` gauge.
     bytes: u64,
 }
 
@@ -419,7 +427,7 @@ impl WalWriter {
     }
 
     /// Open an existing WAL (creating it when absent), validate it, truncate
-    /// any torn tail, and return the writer positioned after the last durable
+    /// any torn tail, and return the writer positioned after the last complete
     /// record together with the records that survived.
     fn open(path: &Path) -> io::Result<(WalWriter, Vec<WalRecord>)> {
         let mut file = OpenOptions::new()
@@ -443,12 +451,14 @@ impl WalWriter {
         Ok((writer, records))
     }
 
-    /// Records durably appended so far.
+    /// Records written so far (handed to the OS, not synced).
     fn records(&self) -> u64 {
         self.records
     }
 
-    /// Append one record (framed and checksummed) and flush it.
+    /// Write one record (framed and checksummed) in one `write_all`. The frame
+    /// reaches the OS, not the disk: `flush` on a `File` is a no-op and nothing
+    /// here syncs it (ROADMAP direction 17).
     fn append(&mut self, record: &WalRecord) -> io::Result<u64> {
         let body = record.encode_body();
         let mut frame = Vec::with_capacity(body.len() + WAL_OVERHEAD);

@@ -26,13 +26,21 @@ use crate::stats::{ServeLatencies, ServeStats, StatsCells};
 /// queue on *any* exit — including a panic — so blocked producers wake to
 /// [`IngestError::Closed`](crate::IngestError::Closed) instead of sleeping forever,
 /// and [`ServeHandle::shutdown`] reports a dead worker as
-/// [`ServeError::WorkerPanicked`] instead of resuming the unwind in the caller.
+/// [`ServeError::WorkerPanicked`] instead of resuming the unwind in the caller — and
+/// one the OS refused to start as [`ServeError::WorkerSpawn`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
     /// The worker thread panicked mid-serve; the engine (and its live graph) is lost.
     /// The epoch store keeps serving the last published snapshot.
     WorkerPanicked {
         /// The panic payload, when it was a string (the common case).
+        detail: String,
+    },
+    /// The OS refused to spawn the worker thread, so the pipeline never ran: the queue
+    /// was closed at spawn and the engine is lost. The epoch store serves the initial
+    /// snapshot.
+    WorkerSpawn {
+        /// The OS error, as [`ServeHandle::last_error`] recorded it.
         detail: String,
     },
 }
@@ -42,6 +50,9 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::WorkerPanicked { detail } => {
                 write!(f, "serve worker thread panicked: {detail}")
+            }
+            ServeError::WorkerSpawn { detail } => {
+                write!(f, "serve worker thread could not be spawned: {detail}")
             }
         }
     }
@@ -104,7 +115,8 @@ pub struct ServeHandle<E: RepartitionEngine> {
     queue: Arc<IngestQueue>,
     stats: Arc<StatsCells>,
     last_error: Arc<Mutex<Option<String>>>,
-    /// `Some` until [`shutdown`](ServeHandle::shutdown) joins it.
+    /// `None` when the OS refused the thread at [`spawn`]; `Some` otherwise, until
+    /// [`shutdown`](ServeHandle::shutdown) joins it.
     worker: Option<JoinHandle<E>>,
 }
 
@@ -132,6 +144,11 @@ impl Drop for CloseQueueOnExit {
 /// partition, computed by the caller *before* spawning so readers never observe an
 /// empty store). The worker thread then loops: drain a batch group → apply each batch
 /// → repartition → publish, until the queue is closed and drained.
+///
+/// If the OS refuses the worker thread, the handle comes back with the queue already
+/// closed (producers get [`IngestError::Closed`]), the error in
+/// [`last_error`](ServeHandle::last_error), and [`ServeError::WorkerSpawn`] from
+/// [`shutdown`](ServeHandle::shutdown).
 pub fn spawn<E: RepartitionEngine>(
     mut engine: E,
     initial: PartitionSnapshot,
@@ -142,7 +159,7 @@ pub fn spawn<E: RepartitionEngine>(
     let stats = Arc::new(StatsCells::default());
     let last_error: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
 
-    let worker = {
+    let spawned = {
         let store = Arc::clone(&store);
         let queue = Arc::clone(&queue);
         let stats = Arc::clone(&stats);
@@ -212,15 +229,32 @@ pub fn spawn<E: RepartitionEngine>(
                 }
                 engine
             })
-            .expect("failed to spawn the serve worker thread")
     };
 
     ServeHandle {
+        worker: worker_or_closed(spawned, &queue, &last_error),
         store,
         queue,
         stats,
         last_error,
-        worker: Some(worker),
+    }
+}
+
+/// The worker's handle — or, when the OS refused the thread, `None` with `queue`
+/// closed and the error recorded, so producers get [`IngestError::Closed`] rather than
+/// filling a queue nobody drains.
+fn worker_or_closed<E>(
+    spawned: std::io::Result<JoinHandle<E>>,
+    queue: &IngestQueue,
+    last_error: &Mutex<Option<String>>,
+) -> Option<JoinHandle<E>> {
+    match spawned {
+        Ok(worker) => Some(worker),
+        Err(e) => {
+            queue.close();
+            *last_error.lock() = Some(format!("failed to spawn the serve worker thread: {e}"));
+            None
+        }
     }
 }
 
@@ -393,15 +427,15 @@ impl<E: RepartitionEngine> ServeHandle<E> {
     ///
     /// A worker that died mid-serve comes back as a typed
     /// [`ServeError::WorkerPanicked`] instead of re-raising the panic in the calling
-    /// thread, so a crashed pipeline cannot cascade into its producers.
+    /// thread, so a crashed pipeline cannot cascade into its producers; one that never
+    /// started, as [`ServeError::WorkerSpawn`].
     pub fn shutdown(mut self) -> Result<(E, ServeStats), ServeError> {
         self.queue.close();
-        // `self.worker` is `Some` until this method consumes it; `shutdown` takes
-        // `self` by value, so it can only run once.
+        // `shutdown` takes `self` by value, so the handle is still here unless the
+        // spawn was refused.
         let Some(worker) = self.worker.take() else {
-            return Err(ServeError::WorkerPanicked {
-                detail: "worker handle already consumed".to_string(),
-            });
+            let detail = self.last_error().unwrap_or_default();
+            return Err(ServeError::WorkerSpawn { detail });
         };
         let engine = worker.join().map_err(|panic| {
             let detail = panic
@@ -687,7 +721,9 @@ mod tests {
         assert_eq!(queue.submit(batch(1)), Err(IngestError::Closed));
         // Shutdown reports the panic as a value; the store still serves epoch 0.
         let err = handle.shutdown().expect_err("worker died");
-        let ServeError::WorkerPanicked { detail } = err;
+        let ServeError::WorkerPanicked { detail } = err else {
+            panic!("expected a worker panic, got {err}");
+        };
         assert!(detail.contains("engine bug"), "{detail}");
         assert_eq!(store.epoch(), 0);
     }
@@ -712,5 +748,33 @@ mod tests {
         assert_eq!(published.num_vertices(), 4);
         // ...and producers see a typed close instead of blocking forever.
         assert_eq!(queue.submit(batch(1)), Err(IngestError::Closed));
+    }
+
+    #[test]
+    fn a_refused_worker_spawn_closes_the_queue_and_shuts_down_typed() {
+        // The state `spawn` leaves when the OS refuses the worker thread.
+        let queue = Arc::new(IngestQueue::new(ServeConfig::default().queue_capacity_ops));
+        let last_error = Arc::new(Mutex::new(None));
+        let refused = std::io::Error::other("thread limit reached");
+        let worker: Option<JoinHandle<ToyEngine>> =
+            worker_or_closed(Err(refused), &queue, &last_error);
+        let handle = ServeHandle {
+            store: EpochStore::new(snapshot(0, vec![0; 2], 1)),
+            queue,
+            stats: Arc::new(StatsCells::default()),
+            last_error,
+            worker,
+        };
+        assert_eq!(handle.ingest(batch(1)), Err(IngestError::Closed));
+        assert_eq!(handle.try_ingest(batch(1)), Err(IngestError::Closed));
+        let store = handle.store();
+        match handle.shutdown() {
+            Err(ServeError::WorkerSpawn { detail }) => {
+                assert!(detail.contains("thread limit reached"), "{detail}")
+            }
+            Err(e) => panic!("expected a spawn error, got {e}"),
+            Ok(_) => panic!("a handle without a worker shut down cleanly"),
+        }
+        assert_eq!(store.epoch(), 0);
     }
 }

@@ -142,11 +142,6 @@ impl Matrix2d {
         }
     }
 
-    /// Number of local nonzeros.
-    pub fn local_nonzeros(&self) -> usize {
-        self.nonzeros.len()
-    }
-
     /// Number of matrix rows/columns (global vertices).
     pub fn num_vertices(&self) -> u64 {
         self.global_n
@@ -363,7 +358,7 @@ mod tests {
         let nranks = 6;
         let parts = baselines::vertex_block_partition(n, nranks);
         let out = Runtime::new(nranks)
-            .execute(|ctx| Matrix2d::build(ctx, n, &edges, &parts).local_nonzeros() as u64);
+            .execute(|ctx| Matrix2d::build(ctx, n, &edges, &parts).nonzeros.len() as u64);
         let total: u64 = out.iter().sum();
         // Each unique undirected edge contributes exactly two nonzeros.
         let unique: std::collections::BTreeSet<(u64, u64)> = edges

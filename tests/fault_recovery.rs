@@ -233,6 +233,7 @@ fn durable_serving_survives_randomized_kill_points() {
                     "round {round} (crash_after={crash_after}): {detail}"
                 );
             }
+            Err(e) => panic!("round {round}: expected a worker panic, got {e}"),
             Ok(_) => panic!("round {round}: worker survived crash_after={crash_after}"),
         }
 
