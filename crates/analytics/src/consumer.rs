@@ -89,7 +89,7 @@ pub struct EpochReport {
     pub pagerank_converged: bool,
     /// Min-label propagation sweeps this epoch.
     pub wcc_sweeps: u64,
-    /// Components a deletion forced a BFS connectivity check for.
+    /// Components a deletion forced a connectivity check for.
     pub wcc_components_checked: u64,
     /// Labels reset because a deletion split their component.
     pub wcc_reset_vertices: u64,
@@ -351,7 +351,7 @@ impl AnalyticsConsumer {
                         self.policy.tolerance,
                         self.policy.max_iterations,
                     )),
-                    wcc: in_process(wcc_repair(ctx, graph, labels, &deleted)),
+                    wcc: in_process(wcc_repair(ctx, graph, labels, &touched, &deleted)),
                     kcore_rounds: in_process(kcore_tighten(ctx, graph, core, usize::MAX)),
                     bytes: 0,
                 };

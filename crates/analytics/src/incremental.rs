@@ -15,9 +15,12 @@
 //!   the same loop with every vertex active.
 //! * [`wcc_repair`] — repair the previous component labels: insertions are handled by
 //!   the seeded min-label propagation itself (labels merge downhill), deletions by a
-//!   connectivity re-check (one distributed BFS per affected component, from an
-//!   endpoint of a deleted edge) that resets exactly the components a deletion
-//!   actually split.
+//!   connectivity re-check that resets exactly the components a deletion actually split:
+//!   one multi-source search from every deleted-edge endpoint, which stops as soon as
+//!   every affected component is decided — all its endpoints met (intact), or a region
+//!   holding only some of them ran out of frontier (split). The propagation's first sweep
+//!   visits only the touched and reset vertices, since the carried labels are a fixed
+//!   point everywhere else.
 //! * [`kcore_tighten`] — run the h-index peeling `x ← min(x, H(x))` from any pointwise
 //!   *upper bound* of the true coreness: the degrees for a cold run
 //!   ([`kcore_approx`](crate::algorithms::kcore_approx)), and for a warm one the
@@ -37,11 +40,27 @@
 //! ghost tail, and after each iteration only the boundary values that *changed* travel,
 //! as `(local id on the holder, value)`, stored by index into that tail
 //! (`split_at_mut(n_owned)` hands `push` the tail and the kernel the owned prefix).
-//! PageRank's updates carry a wake flag beside the contribution, so its pushes land in a
-//! ghost-sized array of pairs and the callback moves the contribution into the tail. No
-//! global id is shipped or hashed inside an iteration; what a remote change re-activates is
-//! found through the plan's ghost→owned transpose on the holder, one message per (vertex,
-//! holder rank) instead of one per cross-rank arc.
+//! No global id is shipped or hashed inside an iteration; what a remote change
+//! re-activates is found on the holder, one message per (vertex, holder rank) instead of
+//! one per cross-rank arc.
+//!
+//! PageRank's updates carry a wake flag beside the contribution, and
+//! [`HaloPlan::deliver`](xtrapulp_graph::HaloPlan::deliver) hands each one to the kernel,
+//! which lands the contribution in the ghost tail and records the wake in one of two ways,
+//! chosen per rank and per iteration from the arcs of the vertices that woke:
+//!
+//! * *push* (sparse iterations): a waking vertex marks its neighbours as active, and the
+//!   holder of a waking ghost marks that ghost's owned neighbours through the plan's
+//!   ghost→owned transpose. The next sweep scores the marked vertices only.
+//! * *pull* (dense iterations, where the wakers hold at least 1/8 of the rank's arcs):
+//!   a waking vertex, owned or ghost, only sets its own flag in a 1-byte-per-local-id
+//!   array. The next sweep reads every vertex's neighbours' flags while it sums their
+//!   contributions, and keeps the new value only if a neighbour woke.
+//!
+//! Both score exactly the vertices with a waking neighbour, in the same order with the
+//! same sums, so the ranks and work counters do not depend on the mode; pull mode only
+//! saves the marking passes — one write per arc of every waker, and a transpose walk per
+//! waking ghost — in the iterations that score (nearly) every vertex anyway.
 //!
 //! Component sweeps and coreness rounds after the first visit only *woken* vertices, in
 //! the full sweep's ascending in-place order, so iterates, counters and round counts are
@@ -49,7 +68,12 @@
 //! own — falls from `≥ x[v]` to `< x[v]`. No other drop can lower `min(x[v], F(v))`,
 //! whether `F` is the neighbours' minimum or their h-index (at least `x[v]` of them stay
 //! at or above `x[v]`). Waking on every neighbour change does not pay on skewed graphs: a
-//! hundred changes wake thousands of vertices through the hubs.
+//! hundred changes wake thousands of vertices through the hubs. The same argument lets a
+//! warm component repair start its first sweep from the vertices whose own value or
+//! neighbourhood the epoch changed, instead of from every vertex: anywhere else the
+//! carried labels already hold `x[v] ≤` every neighbour's, so the full first sweep would
+//! leave `v` alone unless a crossing wakes it. Each sweep's global count of lowered
+//! values rides on its push's tally, so a sweep is one collective.
 //!
 //! All kernels are collectives: every rank of the runtime must call them with the same
 //! arguments (seed sets and deleted-edge lists are replicated, as they come from the
@@ -59,8 +83,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use xtrapulp_comm::RankCtx;
-use xtrapulp_graph::bfs::{dist_bfs, UNREACHED};
 use xtrapulp_graph::{DistGraph, GlobalId, HaloError, LocalId};
+
+/// A PageRank sweep whose waking vertices hold at least `1 / DENSE_WAKES` of the rank's
+/// arcs is *dense*: marking their neighbourhoods would cost a fair share of a whole
+/// sweep, and the next sweep scores most vertices anyway, so its wakes are kept as flags
+/// for that sweep to pull instead.
+const DENSE_WAKES: u64 = 8;
 
 /// Work accounting of one [`pagerank_resume`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -112,8 +141,9 @@ pub fn pagerank_resume(
     // worst-case bound — the parity tests pin the actual accuracy.
     let activate_eps = tol / (graph.global_m().max(1) as f64).sqrt();
 
-    // Flags cover every local id, so marking a neighbourhood needs no owned/ghost test; a
-    // ghost's flag is never read.
+    // The vertices a push-mode sweep scores (see the module docs for the two modes). Flags
+    // cover every local id, so marking a neighbourhood needs no owned/ghost test; a ghost's
+    // flag is never read, and the sweep clears each owned flag it reads.
     let mut active = vec![false; graph.n_total()];
     match seeds {
         None => active.fill(true),
@@ -137,7 +167,6 @@ pub fn pagerank_resume(
             }
         }
     }
-    let mut next_active = vec![false; graph.n_total()];
 
     let contribution = |v: usize, rank: f64| match graph.degree_owned(v as LocalId) {
         0 => 0.0,
@@ -146,16 +175,25 @@ pub fn pagerank_resume(
     // The contribution of every local vertex: owned first, ghosts after.
     let mut contrib: Vec<f64> = (0..n_owned).map(|v| contribution(v, ranks[v])).collect();
     contrib.resize(graph.n_total(), 0.0);
-    // What travels is (contribution, whether the update wakes the ghost's neighbours);
-    // `push` lands it here, and the contribution goes on into `contrib`'s ghost tail.
-    let mut landed = vec![(0.0, 0u8); graph.n_ghost()];
-    let mut exchange = |moved: &[_], contrib: &mut [f64], next_active: &mut [bool]| {
+    // The wakers of the last iteration, when it was dense: owned flags set after the
+    // sweep, ghost flags by the exchange.
+    let mut woke = vec![false; graph.n_total()];
+    // Whether the next sweep reads `woke` (pull) instead of `active` (push).
+    let mut pull = false;
+    // What travels is (contribution, whether the update wakes the ghost's neighbours):
+    // the contribution lands in `contrib`'s ghost tail, and a wake either marks the
+    // ghost's owned neighbours through the transpose (push) or sets its flag (pull).
+    let exchange = |moved: &[_], contrib: &mut [f64], marks: &mut [bool], pull: bool| {
         let updates = moved.iter().copied();
-        halo.push(ctx, updates, &[], &mut landed, |slot, _, (fresh, wakes)| {
+        halo.deliver(ctx, updates, &[], |slot, (fresh, wakes)| {
             contrib[n_owned + slot] = fresh;
             if wakes != 0 {
-                for &u in halo.owned_neighbors(slot) {
-                    next_active[u as usize] = true;
+                if pull {
+                    marks[n_owned + slot] = true;
+                } else {
+                    for &u in halo.owned_neighbors(slot) {
+                        marks[u as usize] = true;
+                    }
                 }
             }
         })
@@ -164,7 +202,7 @@ pub fn pagerank_resume(
     // contribution changed or that wake.
     let owned = contrib[..n_owned].iter();
     let mut moved: Vec<_> = (0..).zip(owned.map(|&c| (c, 0))).collect();
-    exchange(&moved, &mut contrib, &mut next_active)?;
+    exchange(&moved, &mut contrib, &mut active, false)?;
     // This iteration's scored vertices, and whether each wakes its neighbours.
     let mut scored: Vec<(LocalId, bool)> = Vec::new();
 
@@ -172,13 +210,27 @@ pub fn pagerank_resume(
     for _ in 0..max_iters {
         scored.clear();
         let mut residual = 0.0f64;
+        let mut waking_arcs = 0u64;
         for v in 0..n_owned {
-            if !active[v] {
-                continue;
-            }
+            let around = graph.neighbors(v as LocalId);
             let mut sum = 0.0;
-            for &u in graph.neighbors(v as LocalId) {
-                sum += contrib[u as usize];
+            if pull {
+                // Scored only if a neighbour woke; the flags are read with the sum.
+                let mut woken = false;
+                for &u in around {
+                    sum += contrib[u as usize];
+                    woken |= woke[u as usize];
+                }
+                if !woken {
+                    continue;
+                }
+            } else {
+                if !std::mem::take(&mut active[v]) {
+                    continue;
+                }
+                for &u in around {
+                    sum += contrib[u as usize];
+                }
             }
             let next_v = (1.0 - damping) / n + damping * sum;
             let delta = (next_v - ranks[v]).abs();
@@ -187,29 +239,38 @@ pub fn pagerank_resume(
             // A vertex goes (and stays) active only when a neighbour announces a
             // material input change: with unchanged inputs its next update would be a
             // no-op, so there is no self-reactivation.
-            let degree = graph.degree_owned(v as LocalId).max(1) as f64;
-            let wakes = damping * delta / degree > activate_eps;
-            if wakes {
-                for &u in graph.neighbors(v as LocalId) {
-                    next_active[u as usize] = true;
-                }
-            }
+            let degree = graph.degree_owned(v as LocalId);
+            let wakes = damping * delta / degree.max(1) as f64 > activate_eps;
+            waking_arcs += if wakes { degree } else { 0 };
             scored.push((v as LocalId, wakes));
         }
-        // The sweep read last iteration's contributions throughout; only now do the
-        // scored vertices' move. What changed (or wakes) goes to the holders, which mark
-        // the owned neighbours of a waking ghost through the transpose.
+        // The sweep read last iteration's contributions and wakes throughout; only now
+        // do the scored vertices' contributions move and their wakes get recorded — as
+        // flags after a dense sweep, as neighbourhood marks after a sparse one. What
+        // changed (or wakes) goes to the holders.
+        if pull {
+            woke.fill(false);
+        }
+        pull = waking_arcs * DENSE_WAKES >= graph.local_arcs();
         moved.clear();
         for &(v, wakes) in &scored {
+            if wakes {
+                if pull {
+                    woke[v as usize] = true;
+                } else {
+                    for &u in graph.neighbors(v) {
+                        active[u as usize] = true;
+                    }
+                }
+            }
             let fresh = contribution(v as usize, ranks[v as usize]);
             let stale = std::mem::replace(&mut contrib[v as usize], fresh);
             if wakes || fresh != stale {
                 moved.push((v, (fresh, wakes as u8)));
             }
         }
-        exchange(&moved, &mut contrib, &mut next_active)?;
-        std::mem::swap(&mut active, &mut next_active);
-        next_active.fill(false);
+        let marks = if pull { &mut woke } else { &mut active };
+        exchange(&moved, &mut contrib, marks, pull)?;
         let reduced = ctx.allreduce_sum_f64(&[residual, scored.len() as f64]);
         work.iterations += 1;
         work.vertices_scored += reduced[1] as u64;
@@ -226,7 +287,7 @@ pub fn pagerank_resume(
 pub struct WccWork {
     /// Min-label propagation sweeps executed.
     pub sweeps: u64,
-    /// Components whose deleted edges forced a distributed BFS connectivity check.
+    /// Components whose deleted edges forced a connectivity check (the affected ones).
     pub components_checked: u64,
     /// Vertices whose label was reset because a deletion actually split their
     /// component (summed over ranks).
@@ -235,18 +296,22 @@ pub struct WccWork {
 
 /// The monotone in-place iteration `x[v] ← min(x[v], lower(x of v's neighbours, x[v]))`
 /// both [`wcc_propagate`] and [`kcore_tighten`] are, run for at most `max_sweeps` sweeps or
-/// to the fixed point; returns the sweep count. Sweeps after the first visit only woken
-/// vertices (see the module docs for the crossing rule and why it is exact).
+/// to the fixed point; returns the sweep count. The first sweep visits the owned vertices
+/// `woken` flags (one flag per local id), every one for a cold start; later sweeps visit
+/// only the vertices a crossing woke (see the module docs for the rule and why it is
+/// exact).
 fn tighten(
     ctx: &RankCtx,
     graph: &DistGraph,
     x: &mut [u64],
+    mut woken: Vec<bool>,
     max_sweeps: usize,
     mut lower: impl FnMut(&[u64], u64) -> u64,
 ) -> Result<u64, HaloError> {
     let halo = graph.halo();
     let n_owned = graph.n_owned();
     assert_eq!(x.len(), n_owned, "one value per owned vertex");
+    assert_eq!(woken.len(), graph.n_total(), "one flag per local vertex");
     // The value of every local vertex: owned first, ghosts after.
     let mut values = x.to_vec();
     values.resize(graph.n_total(), 0);
@@ -255,7 +320,6 @@ fn tighten(
     // A flag set on a vertex the sweep has yet to reach is consumed by this sweep, as a
     // full sweep would see the lowered value; one set behind it waits for the next. A
     // ghost's flag is set like any neighbour's and never read.
-    let mut woken = vec![true; graph.n_total()];
     let mut lowered: Vec<LocalId> = Vec::new();
     let mut neigh: Vec<u64> = Vec::new();
     let mut sweeps = 0u64;
@@ -277,15 +341,18 @@ fn tighten(
                 }
             }
         }
+        // The global count of lowered values rides on the push's tally.
         let (owned, ghosts) = values.split_at_mut(n_owned);
         let updates = lowered.iter().map(|&v| (v, owned[v as usize]));
-        halo.push(ctx, updates, &[], ghosts, |slot, previous, new| {
-            for &u in halo.owned_neighbors(slot) {
-                woken[u as usize] |= crossed(previous, new, owned[u as usize]);
-            }
-        })?;
+        let tally = [lowered.len() as i64];
+        let (_, lowered_globally) =
+            halo.push(ctx, updates, &tally, ghosts, |slot, previous, new| {
+                for &u in halo.owned_neighbors(slot) {
+                    woken[u as usize] |= crossed(previous, new, owned[u as usize]);
+                }
+            })?;
         sweeps += 1;
-        if ctx.allreduce_scalar_sum_u64(lowered.len() as u64) == 0 {
+        if lowered_globally[0] == 0 {
             break;
         }
     }
@@ -302,53 +369,72 @@ pub fn wcc_propagate(
     graph: &DistGraph,
     labels: &mut [u64],
 ) -> Result<u64, HaloError> {
-    tighten(ctx, graph, labels, usize::MAX, |neigh, mine| {
-        neigh.iter().copied().fold(mine, u64::min)
-    })
+    let woken = vec![true; graph.n_total()];
+    tighten(ctx, graph, labels, woken, usize::MAX, min_label)
+}
+
+/// The lower bound of min-label propagation: the least label around `v`, `v`'s own
+/// included.
+fn min_label(neigh: &[u64], mine: u64) -> u64 {
+    neigh.iter().copied().fold(mine, u64::min)
 }
 
 /// Repair the previous epoch's component labels after a delta, then propagate to a
 /// fixed point.
 ///
-/// `deleted_edges` are the undirected `(min, max)` edges the epoch deleted (replicated
-/// on every rank). Insertions need no preparation — seeded propagation merges labels
-/// on its own. For deletions, each previously-existing deleted edge has endpoints in
-/// the same old component (its old label); for every such *affected* component one
-/// distributed BFS from a deleted-edge endpoint checks whether every deleted-edge
-/// endpoint of that component is still reachable. If yes, the component is provably
-/// intact (any region a deletion disconnects must border a deleted edge) and its
-/// labels stand; if not, the component's labels are reset to the vertices' own ids and
-/// recomputed by the propagation phase. Deleted edges whose endpoints carried
-/// *different* old labels were inserted within the same epoch (never part of the
-/// previously-labelled graph) and cannot split an old component, so they are skipped.
+/// `labels` must be the previous epoch's fixed point carried over (new vertices labelled
+/// with their own ids), `touched` (replicated, global ids) must hold every endpoint of an
+/// inserted edge and every added vertex — the delta's touched vertices are such a set —
+/// and `deleted_edges` are the undirected `(min, max)` edges the epoch deleted
+/// (replicated).
+///
+/// Insertions need no preparation — seeded propagation merges labels on its own. For
+/// deletions, each previously-existing deleted edge has endpoints in the same old
+/// component (its old label). An *affected* component is intact exactly when all its
+/// deleted-edge endpoints are still connected (any region a deletion disconnects must
+/// border a deleted edge), and then its labels stand; otherwise its labels are reset to
+/// the vertices' own ids and recomputed by the propagation phase. One early-exit search
+/// from every such endpoint decides all affected components at once (`split_components`).
+/// Deleted edges whose endpoints carried *different* old labels were inserted within the
+/// same epoch (never part of the previously-labelled graph) and cannot split an old
+/// component, so they are skipped.
+///
+/// Only the touched and reset vertices can break the carried fixed point (a deletion
+/// never lowers a neighbour minimum), so the propagation's first sweep starts from them
+/// alone; the crossing rule wakes the rest, and the sweeps are the full sweeps'.
 pub fn wcc_repair(
     ctx: &RankCtx,
     graph: &DistGraph,
     labels: &mut [u64],
+    touched: &[GlobalId],
     deleted_edges: &[(GlobalId, GlobalId)],
 ) -> Result<WccWork, HaloError> {
     let n_owned = graph.n_owned();
     assert_eq!(labels.len(), n_owned, "one label per owned vertex");
     let mut work = WccWork::default();
+    let mut woken = vec![false; graph.n_total()];
+    for l in touched.iter().filter_map(|&g| graph.owned_local_id(g)) {
+        woken[l as usize] = true;
+    }
 
     if !deleted_edges.is_empty() {
         // Old labels of every deleted-edge endpoint, replicated via allgather (the
-        // endpoint set is tiny compared to the graph).
+        // endpoint set is tiny compared to the graph). Each rank sends its own endpoints'
+        // labels in ascending id order, and every rank knows whose they are.
         let mut endpoints: Vec<GlobalId> =
             deleted_edges.iter().flat_map(|&(u, v)| [u, v]).collect();
-        endpoints.sort_unstable();
+        endpoints.sort_unstable_by_key(|&g| (graph.owner_of_global(g), g));
         endpoints.dedup();
-        let local_pairs: Vec<(GlobalId, u64)> = endpoints
+        let local_labels: Vec<u64> = endpoints
             .iter()
-            .filter_map(|&g| {
-                let l = graph.owned_local_id(g)?;
-                Some((g, labels[l as usize]))
-            })
+            .filter_map(|&g| Some(labels[graph.owned_local_id(g)? as usize]))
             .collect();
-        let label_of: BTreeMap<GlobalId, u64> = ctx.allgatherv(local_pairs).into_iter().collect();
+        let gathered = ctx.allgatherv(local_labels);
+        debug_assert_eq!(gathered.len(), endpoints.len(), "one owner per endpoint");
+        let label_of: BTreeMap<GlobalId, u64> = endpoints.into_iter().zip(gathered).collect();
 
         // Group endpoints by affected old component; BTree order keeps every rank's
-        // iteration (and therefore the BFS collective schedule) identical.
+        // numbering of the search's groups identical.
         let mut affected: BTreeMap<u64, BTreeSet<GlobalId>> = BTreeMap::new();
         for &(u, v) in deleted_edges {
             match (label_of.get(&u), label_of.get(&v)) {
@@ -361,33 +447,159 @@ pub fn wcc_repair(
             }
         }
 
-        for (component, endpoints) in affected {
-            let Some(&root) = endpoints.first() else {
-                continue;
-            };
-            work.components_checked += 1;
-            let bfs = dist_bfs(ctx, graph, root)?;
-            let unreached_here: u64 = endpoints
-                .iter()
-                .filter_map(|&g| graph.owned_local_id(g))
-                .filter(|&l| bfs.levels[l as usize] == UNREACHED)
-                .count() as u64;
-            let split = ctx.allreduce_scalar_sum_u64(unreached_here) > 0;
+        work.components_checked = affected.len() as u64;
+        let split = split_components(ctx, graph, &affected)?;
+        if !split.is_empty() {
             let mut reset_here = 0u64;
-            if split {
-                for (v, label) in labels.iter_mut().enumerate() {
-                    if *label == component {
-                        *label = graph.global_id(v as LocalId);
-                        reset_here += 1;
-                    }
+            for (v, label) in labels.iter_mut().enumerate() {
+                if split.contains(label) {
+                    *label = graph.global_id(v as LocalId);
+                    woken[v] = true;
+                    reset_here += 1;
                 }
             }
-            work.reset_vertices += ctx.allreduce_scalar_sum_u64(reset_here);
+            work.reset_vertices = ctx.allreduce_scalar_sum_u64(reset_here);
         }
     }
 
-    work.sweeps = wcc_propagate(ctx, graph, labels)?;
+    work.sweeps = tighten(ctx, graph, labels, woken, usize::MAX, min_label)?;
     Ok(work)
+}
+
+/// A group of [`split_components`]' search no vertex belongs to yet.
+const UNSEEN: u32 = u32::MAX;
+
+/// A union-find over the search's groups whose root is always the class's least member, so
+/// the classes *and* their names depend only on the set of unions, not on their order.
+struct Groups(Vec<u32>);
+
+impl Groups {
+    fn find(&mut self, mut x: u32) -> u32 {
+        while self.0[x as usize] != x {
+            let up = self.0[self.0[x as usize] as usize];
+            self.0[x as usize] = up;
+            x = up;
+        }
+        x
+    }
+
+    /// Merge the classes of `a` and `b`; whether they were apart.
+    fn union(&mut self, a: u32, b: u32) -> bool {
+        let (a, b) = (self.find(a), self.find(b));
+        self.0[a.max(b) as usize] = a.min(b);
+        a != b
+    }
+}
+
+/// Which of the `affected` components (old label → the endpoints of its deleted edges,
+/// replicated) the deletions split, decided by one multi-source search over the new graph
+/// that stops as soon as every component is decided.
+///
+/// Every endpoint starts a group of its own, and each superstep expands every group's
+/// frontier by one level: through the owned adjacency, and through the ghost→owned
+/// transpose on the holders of the frontier's boundary vertices. A vertex reached by a
+/// second group joins the two in a union-find, which every rank replicates by allgathering
+/// the superstep's joins in rank order; the same allgather carries each rank's *live*
+/// classes, those with a vertex in the next frontier. A class that is not live has no
+/// unreached neighbour left, so it is a whole component of the new graph. A component is
+/// then intact once all its endpoints share a class, and split once a class holding some
+/// but not all of them is not live — the same answer one BFS per component from one of
+/// its endpoints gives, after as many levels as the endpoints take to meet instead of the
+/// component's eccentricity. Must be called collectively.
+fn split_components(
+    ctx: &RankCtx,
+    graph: &DistGraph,
+    affected: &BTreeMap<u64, BTreeSet<GlobalId>>,
+) -> Result<BTreeSet<u64>, HaloError> {
+    let halo = graph.halo();
+    // Which group reached each owned vertex; the frontier with its groups.
+    let mut group = vec![UNSEEN; graph.n_owned()];
+    let mut frontier: Vec<(LocalId, u32)> = Vec::new();
+    // The undecided components, each with its endpoints' groups.
+    let mut undecided: Vec<(u64, Vec<u32>)> = Vec::new();
+    let mut sources = 0u32;
+    for (&component, endpoints) in affected {
+        let mut ids = Vec::with_capacity(endpoints.len());
+        for &g in endpoints {
+            if let Some(l) = graph.owned_local_id(g) {
+                group[l as usize] = sources;
+                frontier.push((l, sources));
+            }
+            ids.push(sources);
+            sources += 1;
+        }
+        undecided.push((component, ids));
+    }
+    let mut classes = Groups((0..sources).collect());
+    // Indexed by class root: whether the class still has a frontier.
+    let mut live = vec![true; sources as usize];
+    let mut split = BTreeSet::new();
+
+    loop {
+        undecided.retain(|(component, ids)| {
+            let roots: BTreeSet<u32> = ids.iter().map(|&id| classes.find(id)).collect();
+            if roots.len() == 1 {
+                return false;
+            }
+            if roots.iter().any(|&root| !live[root as usize]) {
+                split.insert(*component);
+                return false;
+            }
+            true
+        });
+        if undecided.is_empty() {
+            return Ok(split);
+        }
+
+        // This rank's joins, deduplicated against the replicated classes and its own.
+        let mut mine = Groups(classes.0.clone());
+        let mut joins: Vec<(u32, u32)> = Vec::new();
+        let mut next: Vec<(LocalId, u32)> = Vec::new();
+        let mut reach = |u: LocalId, id: u32| {
+            let seen = group[u as usize];
+            if seen == UNSEEN {
+                group[u as usize] = id;
+                next.push((u, id));
+            } else if mine.union(seen, id) {
+                joins.push((seen, id));
+            }
+        };
+        for &(v, id) in &frontier {
+            for &u in graph.neighbors(v) {
+                if graph.is_owned(u) {
+                    reach(u, id);
+                }
+            }
+        }
+        halo.deliver(ctx, frontier.iter().copied(), &[], |slot, id| {
+            for &u in halo.owned_neighbors(slot) {
+                reach(u, id);
+            }
+        })?;
+
+        // What every rank learns: the joins, then one `(root, root)` per live class.
+        let mut marked = vec![false; sources as usize];
+        for &(_, id) in &next {
+            let root = mine.find(id);
+            if !std::mem::replace(&mut marked[root as usize], true) {
+                joins.push((root, root));
+            }
+        }
+        // Every rank numbers the groups alike from the replicated `affected`, so every id
+        // a peer sends is below `sources`.
+        let learned = ctx.allgatherv(joins);
+        for &(a, b) in &learned {
+            classes.union(a, b);
+        }
+        live.fill(false);
+        for &(a, b) in &learned {
+            if a == b {
+                let root = classes.find(a);
+                live[root as usize] = true;
+            }
+        }
+        frontier = next;
+    }
 }
 
 /// `min(cap, H)`, where `H` is the h-index of `values` (the largest `h` such that at least
@@ -423,7 +635,8 @@ pub fn kcore_tighten(
     max_rounds: usize,
 ) -> Result<u64, HaloError> {
     let mut counts = Vec::new();
-    tighten(ctx, graph, core, max_rounds, |neigh, mine| {
+    let woken = vec![true; graph.n_total()];
+    tighten(ctx, graph, core, woken, max_rounds, |neigh, mine| {
         capped_h_index(neigh, mine, &mut counts)
     })
 }
@@ -433,6 +646,7 @@ mod tests {
     use super::*;
     use crate::algorithms::{pagerank, wcc};
     use xtrapulp_comm::Runtime;
+    use xtrapulp_graph::bfs::{bfs_levels, UNREACHED};
     use xtrapulp_graph::distribution::splitmix64;
     use xtrapulp_graph::{Distribution, GraphDelta};
 
@@ -528,7 +742,8 @@ mod tests {
             let delta = GraphDelta::new(n, 0, &[(5, 6)], &[(2, 3)]);
             let g2 = g.apply_delta(ctx, &delta);
             let deleted: Vec<_> = delta.deleted_edges().collect();
-            let work = wcc_repair(ctx, &g2, &mut labels, &deleted).unwrap();
+            let touched = delta.touched_including_added();
+            let work = wcc_repair(ctx, &g2, &mut labels, &touched, &deleted).unwrap();
             assert!(work.components_checked >= 1);
             assert!(work.reset_vertices > 0, "the bridge deletion splits");
 
@@ -552,7 +767,7 @@ mod tests {
 
     #[test]
     fn intact_components_are_not_reset() {
-        // Delete one edge of a triangle: the component stays connected, so the BFS
+        // Delete one edge of a triangle: the component stays connected, so the connectivity
         // check must leave every label alone.
         let (n, edges) = test_edges();
         let out = Runtime::new(3).execute(|ctx| {
@@ -564,7 +779,8 @@ mod tests {
             let delta = GraphDelta::new(n, 0, &[], &[(0, 1)]);
             let g2 = g.apply_delta(ctx, &delta);
             let deleted: Vec<_> = delta.deleted_edges().collect();
-            let work = wcc_repair(ctx, &g2, &mut labels, &deleted).unwrap();
+            let touched = delta.touched_including_added();
+            let work = wcc_repair(ctx, &g2, &mut labels, &touched, &deleted).unwrap();
             (work.components_checked, work.reset_vertices)
         });
         for (checked, reset) in out {
@@ -678,5 +894,342 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A seeded graph of several components: random trees (every edge a bridge) with a
+    /// few chords, pendants hung off them, and isolated vertices.
+    fn forest_with_chords(seed: u64) -> (u64, Vec<(u64, u64)>) {
+        let mut draw = seed << 32;
+        let mut below = |n: u64| {
+            draw += 1;
+            splitmix64(draw) % n
+        };
+        let mut edges = Vec::new();
+        let mut n = 0u64;
+        for _ in 0..2 + below(4) {
+            let start = n;
+            let size = 2 + below(14);
+            for v in start + 1..start + size {
+                edges.push((start + below(v - start), v));
+            }
+            for _ in 0..below(size / 2 + 1) {
+                edges.push((start + below(size), start + below(size)));
+            }
+            n += size;
+            for _ in 0..below(3) {
+                edges.push((start + below(size), n));
+                n += 1;
+            }
+        }
+        (n + below(3), edges)
+    }
+
+    /// A delta against `forest_with_chords(seed)`: deletions of existing edges (bridges,
+    /// pendant edges and chords alike), insertions within and across components, grown
+    /// vertices with edges, and an edge both inserted and deleted.
+    fn forest_delta(seed: u64, n: u64, edges: &[(u64, u64)]) -> GraphDelta {
+        let mut draw = (seed << 32) ^ 0xdead;
+        let mut below = |n: u64| {
+            draw += 1;
+            splitmix64(draw) % n
+        };
+        let added = below(3);
+        let new_n = n + added;
+        let mut deletes: Vec<_> = (0..1 + below(5))
+            .map(|_| edges[below(edges.len() as u64) as usize])
+            .collect();
+        let mut inserts: Vec<_> = (0..below(5))
+            .map(|_| (below(new_n), below(new_n)))
+            .collect();
+        inserts.extend((n..new_n).map(|v| (v, below(n))));
+        let both = (below(new_n), below(new_n));
+        inserts.push(both);
+        deletes.push(both);
+        GraphDelta::new(n, added, &inserts, &deletes)
+    }
+
+    /// Component labels (least id in the component) of a serial graph.
+    fn serial_labels(csr: &xtrapulp_graph::Csr) -> Vec<u64> {
+        let n = csr.num_vertices();
+        let mut labels = vec![u64::MAX; n];
+        for root in 0..n {
+            if labels[root] == u64::MAX {
+                for (v, level) in bfs_levels(csr, root as u64).into_iter().enumerate() {
+                    if level != UNREACHED {
+                        labels[v] = root as u64;
+                    }
+                }
+            }
+        }
+        labels
+    }
+
+    /// The deletion check as one BFS per affected component, serially: for every old
+    /// component with a deleted edge between two of its vertices, a BFS over the new
+    /// graph from its least endpoint; a component with an unreached endpoint is split and
+    /// all its vertices are reset. Returns `(components_checked, reset_vertices)` and the
+    /// labels after the resets.
+    fn reference_deletion_check(
+        old: &[u64],
+        new: &xtrapulp_graph::Csr,
+        deleted: &[(u64, u64)],
+    ) -> (u64, u64, Vec<u64>) {
+        let mut affected: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
+        for &(u, v) in deleted {
+            if old[u as usize] == old[v as usize] {
+                affected.entry(old[u as usize]).or_default().extend([u, v]);
+            }
+        }
+        let mut labels = old.to_vec();
+        let mut reset = 0;
+        for (&component, endpoints) in &affected {
+            let root = *endpoints.first().unwrap();
+            let levels = bfs_levels(new, root);
+            if endpoints.iter().any(|&e| levels[e as usize] == UNREACHED) {
+                for (v, label) in labels.iter_mut().enumerate() {
+                    if old[v] == component {
+                        *label = v as u64;
+                        reset += 1;
+                    }
+                }
+            }
+        }
+        (affected.len() as u64, reset, labels)
+    }
+
+    /// The early-exit deletion check and the seeded first sweep against the one-BFS-per-
+    /// component rule and full sweeps: on seeded forests with chords, pendants and
+    /// isolated vertices under churn that deletes bridges, inserts across components and
+    /// grows the graph, at 1–4 ranks under every distribution, `wcc_repair` resets what
+    /// the serial reference resets, checks as many components, runs as many sweeps as a
+    /// full propagation from the reference's reset labels, and lands on the cold labels.
+    #[test]
+    fn deletion_check_matches_one_bfs_per_component() {
+        let mut splits = 0;
+        for seed in 0..24u64 {
+            let (n, edges) = forest_with_chords(seed);
+            let delta = forest_delta(seed, n, &edges);
+            let base = xtrapulp_graph::csr_from_edges(n, &edges);
+            let new = base.apply_delta(&delta);
+            let old: Vec<u64> = serial_labels(&base)
+                .into_iter()
+                .chain(n..delta.new_n())
+                .collect();
+            let deleted: Vec<_> = delta.deleted_edges().collect();
+            let (checked, reset, after_reset) = reference_deletion_check(&old, &new, &deleted);
+            splits += (reset > 0) as u32;
+            let cold = serial_labels(&new);
+            let touched = delta.touched_including_added();
+            for dist in [
+                Distribution::Block,
+                Distribution::Cyclic,
+                Distribution::Hashed,
+            ] {
+                for nranks in 1..=4usize {
+                    let out = Runtime::new(nranks).execute(|ctx| {
+                        let g = DistGraph::from_shared_edges(ctx, dist.clone(), n, &edges);
+                        let g2 = g.apply_delta(ctx, &delta);
+                        let global = |v: usize| g2.global_id(v as LocalId) as usize;
+                        let mut labels: Vec<u64> =
+                            (0..g2.n_owned()).map(|v| old[global(v)]).collect();
+                        let work = wcc_repair(ctx, &g2, &mut labels, &touched, &deleted);
+                        let mut full: Vec<u64> =
+                            (0..g2.n_owned()).map(|v| after_reset[global(v)]).collect();
+                        let full_sweeps = wcc_propagate(ctx, &g2, &mut full).unwrap();
+                        assert_eq!(labels, full, "seed {seed}: seeded and full sweeps differ");
+                        let labels = (0..g2.n_owned()).map(|v| (global(v) as u64, labels[v]));
+                        (work.unwrap(), full_sweeps, labels.collect::<Vec<_>>())
+                    });
+                    let context = format!("seed {seed}, {dist:?}, {nranks} ranks");
+                    for (work, full_sweeps, _) in &out {
+                        assert_eq!(work.components_checked, checked, "{context}");
+                        assert_eq!(work.reset_vertices, reset, "{context}");
+                        assert_eq!(work.sweeps, *full_sweeps, "{context}");
+                    }
+                    let labels = gather(out.into_iter().map(|r| r.2).collect(), cold.len());
+                    assert_eq!(labels, cold, "{context}");
+                }
+            }
+        }
+        assert!(splits >= 6, "the seeds split only {splits} times");
+    }
+
+    /// The parent form of [`pagerank_resume`]'s wakes: every waking vertex marks its
+    /// neighbours, and the holder of a waking ghost marks that ghost's owned neighbours
+    /// through the transpose, on every iteration.
+    fn pagerank_push_reference(
+        ctx: &RankCtx,
+        graph: &DistGraph,
+        ranks: &mut [f64],
+        seeds: Option<&[GlobalId]>,
+        damping: f64,
+        tol: f64,
+    ) -> PagerankWork {
+        let halo = graph.halo();
+        let n_owned = graph.n_owned();
+        let n = graph.global_n().max(1) as f64;
+        let activate_eps = tol / (graph.global_m().max(1) as f64).sqrt();
+        let mut active = vec![seeds.is_none(); graph.n_total()];
+        for &g in seeds.unwrap_or(&[]) {
+            let Some(l) = graph.local_id(g) else { continue };
+            let around = if graph.is_owned(l) {
+                active[l as usize] = true;
+                graph.neighbors(l)
+            } else {
+                halo.owned_neighbors(l as usize - n_owned)
+            };
+            for &u in around {
+                active[u as usize] = true;
+            }
+        }
+        let mut next_active = vec![false; graph.n_total()];
+        let contribution = |v: usize, rank: f64| match graph.degree_owned(v as LocalId) {
+            0 => 0.0,
+            d => rank / d as f64,
+        };
+        let mut contrib: Vec<f64> = (0..n_owned).map(|v| contribution(v, ranks[v])).collect();
+        contrib.resize(graph.n_total(), 0.0);
+        let mut landed = vec![(0.0, 0u8); graph.n_ghost()];
+        let mut exchange = |moved: &[_], contrib: &mut [f64], next_active: &mut [bool]| {
+            let updates = moved.iter().copied();
+            halo.push(ctx, updates, &[], &mut landed, |slot, _, (fresh, wakes)| {
+                contrib[n_owned + slot] = fresh;
+                if wakes != 0 {
+                    for &u in halo.owned_neighbors(slot) {
+                        next_active[u as usize] = true;
+                    }
+                }
+            })
+            .unwrap();
+        };
+        let mut moved: Vec<_> = (0..)
+            .zip(contrib[..n_owned].iter().map(|&c| (c, 0)))
+            .collect();
+        exchange(&moved, &mut contrib, &mut next_active);
+        let mut work = PagerankWork::default();
+        for _ in 0..400 {
+            let mut scored = Vec::new();
+            let mut residual = 0.0f64;
+            for v in 0..n_owned {
+                if !active[v] {
+                    continue;
+                }
+                let mut sum = 0.0;
+                for &u in graph.neighbors(v as LocalId) {
+                    sum += contrib[u as usize];
+                }
+                let next_v = (1.0 - damping) / n + damping * sum;
+                let delta = (next_v - ranks[v]).abs();
+                ranks[v] = next_v;
+                residual += delta;
+                let degree = graph.degree_owned(v as LocalId).max(1) as f64;
+                let wakes = damping * delta / degree > activate_eps;
+                if wakes {
+                    for &u in graph.neighbors(v as LocalId) {
+                        next_active[u as usize] = true;
+                    }
+                }
+                scored.push((v as LocalId, wakes));
+            }
+            moved.clear();
+            for &(v, wakes) in &scored {
+                let fresh = contribution(v as usize, ranks[v as usize]);
+                let stale = std::mem::replace(&mut contrib[v as usize], fresh);
+                if wakes || fresh != stale {
+                    moved.push((v, (fresh, wakes as u8)));
+                }
+            }
+            exchange(&moved, &mut contrib, &mut next_active);
+            std::mem::swap(&mut active, &mut next_active);
+            next_active.fill(false);
+            let reduced = ctx.allreduce_sum_f64(&[residual, scored.len() as f64]);
+            work.iterations += 1;
+            work.vertices_scored += reduced[1] as u64;
+            if reduced[0] < tol {
+                work.converged = true;
+                break;
+            }
+        }
+        work
+    }
+
+    /// Pull-mode wakes change nothing: on a grid, where a warm run's activity stays
+    /// sparse, and on hub graphs, where it turns dense at once, cold and warm runs at 1–4
+    /// ranks under every distribution give the push-marking reference's ranks and work
+    /// bit for bit.
+    #[test]
+    fn pull_mode_wakes_match_push_marking_bit_for_bit() {
+        let side = 40u64;
+        let mut grid = Vec::new();
+        for r in 0..side {
+            for c in 0..side {
+                let v = r * side + c;
+                if c + 1 < side {
+                    grid.push((v, v + 1));
+                }
+                if r + 1 < side {
+                    grid.push((v, v + side));
+                }
+            }
+        }
+        // At a loose tolerance a grid's warm activity stays within a few hops of the delta.
+        let grid_delta = (vec![(0, 1)], vec![(5, 6 + side)]);
+        let mut graphs = vec![("grid", side * side, grid, grid_delta, 1e-6)];
+        for seed in 0..3u64 {
+            let mut draw = seed << 32;
+            let mut below = |n: u64| {
+                draw += 1;
+                splitmix64(draw) % n
+            };
+            let n = 300 + below(200);
+            let mut edges: Vec<(u64, u64)> = (1..n).map(|v| (below(3), v)).collect();
+            for _ in 0..2 * n {
+                edges.push((3 + below(n - 3), 3 + below(n - 3)));
+            }
+            let deletes = vec![edges[5], edges[n as usize + 7]];
+            let inserts = vec![(0, 1), (below(n), below(n))];
+            graphs.push(("hubs", n, edges, (deletes, inserts), 1e-10));
+        }
+        let mut dense = 0;
+        let mut sparse = 0;
+        for (name, n, edges, (deletes, inserts), tol) in &graphs {
+            let delta = GraphDelta::new(*n, 0, inserts, deletes);
+            let seeds = delta.touched_including_added();
+            for dist in [
+                Distribution::Block,
+                Distribution::Cyclic,
+                Distribution::Hashed,
+            ] {
+                for nranks in 1..=4usize {
+                    let out = Runtime::new(nranks).execute(|ctx| {
+                        let g = DistGraph::from_shared_edges(ctx, dist.clone(), *n, edges);
+                        let mut ranks = vec![1.0 / *n as f64; g.n_owned()];
+                        let mut reference = ranks.clone();
+                        let cold = pagerank_resume(ctx, &g, &mut ranks, None, 0.85, *tol, 400);
+                        let cold_reference =
+                            pagerank_push_reference(ctx, &g, &mut reference, None, 0.85, *tol);
+                        let g2 = g.apply_delta(ctx, &delta);
+                        let seeds = Some(&seeds[..]);
+                        let warm = pagerank_resume(ctx, &g2, &mut ranks, seeds, 0.85, *tol, 400);
+                        let warm_reference =
+                            pagerank_push_reference(ctx, &g2, &mut reference, seeds, 0.85, *tol);
+                        let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&ranks), bits(&reference), "{name} {dist:?} {nranks}");
+                        (cold.unwrap(), cold_reference, warm.unwrap(), warm_reference)
+                    });
+                    for (cold, cold_reference, warm, warm_reference) in out {
+                        assert_eq!(cold, cold_reference, "{name} {dist:?} {nranks} cold");
+                        assert_eq!(warm, warm_reference, "{name} {dist:?} {nranks} warm");
+                        let per_iteration = warm.vertices_scored / warm.iterations.max(1);
+                        dense += (per_iteration * 2 > *n) as u32;
+                        sparse += (per_iteration * 8 < *n) as u32;
+                    }
+                }
+            }
+        }
+        assert!(
+            dense > 0 && sparse > 0,
+            "{dense} dense and {sparse} sparse warm runs"
+        );
     }
 }

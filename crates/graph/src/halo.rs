@@ -18,15 +18,17 @@
 //!
 //! Every kernel that keeps per-vertex state coherent across ranks — the partitioner's
 //! part labels, the warm PageRank contributions, component labels and coreness bounds,
-//! BFS reached flags — does it with one routine, [`HaloPlan::push`]: what travels per
-//! update is `(local id on the receiving rank, value)`, built by copying the changed
-//! vertex's plan row and applied on the receiver by a bounds-checked indexed store. The
-//! sender never re-walks an adjacency list and the receiver never hashes a global id:
-//! following the rule that the side that fans in is the bottleneck, the lookup is done
-//! once by the many owners instead of on every update by the one holder. The array a
-//! kernel keeps is one vector over `0..n_total`, owned values first, and `push` is handed
-//! its ghost tail (`split_at_mut(n_owned)`), so the kernel's neighbour loop indexes the
-//! vector by local id without telling owned from ghost. A full refresh is the same call
+//! BFS reached flags — does it with one routine, [`HaloPlan::push`] (or
+//! [`HaloPlan::deliver`], the same exchange handing each update to the kernel instead of
+//! storing it): what travels per update is `(local id on the receiving rank, value)`,
+//! built by copying the changed vertex's plan row and applied on the receiver by a
+//! bounds-checked indexed store. The sender never re-walks an adjacency list and the
+//! receiver never hashes a global id: following the rule that the side that fans in is
+//! the bottleneck, the lookup is done once by the many owners instead of on every update
+//! by the one holder. The array a kernel keeps is one vector over `0..n_total`, owned
+//! values first, and `push` is handed its ghost tail (`split_at_mut(n_owned)`), so the
+//! kernel's neighbour loop indexes the vector by local id without telling owned from
+//! ghost. A full refresh is the same call
 //! over every owned vertex (interior vertices have empty plan rows), and that is all
 //! [`DistGraph::refresh_ghosts`] — what the cold Fig. 8 kernels, SpMV and the partitioner's
 //! `refresh_ghost_parts` use — is. There is no second exchange.
@@ -297,6 +299,29 @@ impl HaloPlan {
         ghost_values: &mut [T],
         mut on_update: impl FnMut(usize, T, T),
     ) -> Result<(u64, Vec<i64>), HaloError> {
+        assert_eq!(
+            ghost_values.len(),
+            self.n_total - self.n_owned,
+            "one value per ghost"
+        );
+        self.deliver(ctx, updates, tally, |slot, value| {
+            let previous = std::mem::replace(&mut ghost_values[slot], value);
+            on_update(slot, previous, value);
+        })
+    }
+
+    /// [`push`](HaloPlan::push) without a landing array: `on_receive(slot, value)` is handed
+    /// each incoming update, its slot already checked against the ghost range, and keeps
+    /// what it needs — for a kernel whose updates carry more than the one value per ghost it
+    /// stores, or that reacts to an update without storing it. Same exchange, tally and
+    /// errors as `push`.
+    pub fn deliver<T: WireElem>(
+        &self,
+        ctx: &RankCtx,
+        updates: impl IntoIterator<Item = (LocalId, T)>,
+        tally: &[i64],
+        mut on_receive: impl FnMut(usize, T),
+    ) -> Result<(u64, Vec<i64>), HaloError> {
         let mut sends: Vec<Vec<(LocalId, T)>> = vec![Vec::new(); ctx.nranks()];
         for (v, value) in updates {
             for &(dest, slot) in self.targets(v) {
@@ -306,12 +331,11 @@ impl HaloPlan {
 
         let (received, sums) = ctx.alltoallv_sum(sends, tally);
         let n_ghost = self.n_total - self.n_owned;
-        assert_eq!(ghost_values.len(), n_ghost, "one value per ghost");
         let mut applied = 0u64;
         for (peer, buf) in received.into_iter().enumerate() {
             for (slot, value) in buf {
                 let ghost = (slot as usize).wrapping_sub(self.n_owned);
-                let Some(stored) = ghost_values.get_mut(ghost) else {
+                if ghost >= n_ghost {
                     return Err(HaloError {
                         peer,
                         detail: format!(
@@ -319,9 +343,8 @@ impl HaloPlan {
                             self.n_owned, self.n_total
                         ),
                     });
-                };
-                let previous = std::mem::replace(stored, value);
-                on_update(ghost, previous, value);
+                }
+                on_receive(ghost, value);
                 applied += 1;
             }
         }

@@ -827,40 +827,38 @@ const GOLDEN: &[(&str, GoldenRow)] = &[
 const GOLDEN_COMM_BYTES: &[(&str, [u64; GOLDEN_EPOCHS])] = &[
     (
         "ba/r1",
-        [560, 648, 664, 544, 616, 600, 416, 424, 984, 568, 632, 536],
+        [520, 608, 608, 480, 568, 560, 416, 424, 928, 528, 600, 488],
     ),
     (
         "ba/r2",
         [
-            153964, 155384, 160846, 155285, 179205, 158783, 148012, 148718, 377381, 155634, 156503,
-            154830,
+            151695, 153843, 158041, 152376, 176721, 157067, 148012, 148718, 374510, 153019, 154443,
+            152066,
         ],
     ),
     (
         "ba/r4",
         [
-            361044, 363757, 376957, 364219, 421160, 372395, 347535, 349921, 890852, 366683, 368792,
-            364918,
+            355771, 360220, 370508, 357459, 415423, 368613, 347535, 349921, 884149, 360609, 364057,
+            358479,
         ],
     ),
     (
         "rmat/r1",
-        [
-            936, 496, 792, 936, 560, 1528, 912, 848, 1000, 480, 1040, 976,
-        ],
+        [880, 440, 728, 880, 504, 1472, 912, 848, 936, 424, 976, 912],
     ),
     (
         "rmat/r2",
         [
-            246072, 74955, 174809, 247494, 109870, 250754, 267396, 249069, 262014, 81251, 254409,
-            255534,
+            244152, 73123, 172956, 245564, 107957, 248865, 267396, 249069, 260057, 79345, 252493,
+            253565,
         ],
     ),
     (
         "rmat/r4",
         [
-            548943, 170212, 390665, 554574, 250169, 561005, 598052, 557610, 585498, 184361, 565540,
-            570143,
+            544720, 166208, 386640, 550311, 245940, 556824, 598052, 557610, 581186, 180156, 561365,
+            565828,
         ],
     ),
 ];
