@@ -86,8 +86,8 @@ impl<R> ExecOutcome<R> {
 /// Each local rank is an OS thread with private state; ranks communicate only
 /// through the collectives on [`RankCtx`]. This mirrors how the original
 /// XtraPuLP runs one MPI task per node with OpenMP threads inside it: here the
-/// "node" is a thread, and intra-rank parallelism is the caller's (the sweep
-/// engine forks std scoped threads; generators and builders run serially).
+/// "node" is a thread, and ranks are the only parallelism — a rank's sweeps,
+/// generators and builders run serially on its own thread.
 /// There is no broadcast: where the paper's rank 0 `MPI_Bcast`s its init roots,
 /// every rank here draws the same roots itself.
 ///
@@ -170,14 +170,13 @@ impl Runtime {
         let mut local_ranks = Vec::with_capacity(transports.len());
         let mut job_txs = Vec::with_capacity(transports.len());
         let mut workers = Vec::with_capacity(transports.len());
-        let colocated = transports.len();
         for (local, transport) in transports.into_iter().enumerate() {
             let rank = transport.rank();
             let (job_tx, job_rx) = channel::<Job>();
             let done_tx = done_tx.clone();
             let spawned = std::thread::Builder::new()
                 .name(format!("xtrapulp-rank-{rank}"))
-                .spawn(move || Self::worker_main(transport, job_rx, done_tx, local, colocated));
+                .spawn(move || Self::worker_main(transport, job_rx, done_tx, local));
             match spawned {
                 Ok(handle) => {
                     local_ranks.push(rank);
@@ -570,7 +569,6 @@ impl Runtime {
         job_rx: Receiver<Job>,
         done_tx: Sender<usize>,
         local: usize,
-        colocated: usize,
     ) {
         // The loop ends when the runtime drops its sender, or dies if the
         // transport fails on start. Either way the worker then closes its job
@@ -584,7 +582,7 @@ impl Runtime {
             // rank's process lane in chrome://tracing.
             obs::set_thread_rank(transport.rank());
             while let Ok(job) = job_rx.recv() {
-                let ctx = RankCtx::new(Arc::clone(&transport), job.wd_deadline, colocated);
+                let ctx = RankCtx::new(Arc::clone(&transport), job.wd_deadline);
                 (job.f)(local, &ctx);
                 if done_tx.send(local).is_err() {
                     return;
@@ -701,8 +699,6 @@ struct Beacon {
 pub struct RankCtx {
     rank: usize,
     nranks: usize,
-    /// How many ranks of the job this process's runtime hosts.
-    colocated: usize,
     /// Whether the transport moves real bytes (serialise) or typed boxes.
     wire: bool,
     transport: Arc<dyn Transport>,
@@ -713,11 +709,10 @@ pub struct RankCtx {
 }
 
 impl RankCtx {
-    fn new(transport: Arc<dyn Transport>, wd_deadline: Option<Duration>, colocated: usize) -> Self {
+    fn new(transport: Arc<dyn Transport>, wd_deadline: Option<Duration>) -> Self {
         RankCtx {
             rank: transport.rank(),
             nranks: transport.nranks(),
-            colocated,
             wire: transport.is_wire(),
             transport,
             stats: CommStats::new(),
@@ -738,14 +733,6 @@ impl RankCtx {
     /// Number of ranks in the runtime.
     pub fn nranks(&self) -> usize {
         self.nranks
-    }
-
-    /// Number of ranks hosted by this rank's [`Runtime`], itself included: all `nranks`
-    /// for [`Runtime::new`], one for [`Runtime::with_transport`]. These are the ranks
-    /// that share this process's cores, which is what intra-rank thread pools should
-    /// divide the machine by.
-    pub fn colocated_ranks(&self) -> usize {
-        self.colocated
     }
 
     /// True on rank 0, the rank [`gather`](RankCtx::gather) collects at.

@@ -10,9 +10,10 @@
 //! with private state, and the [`RankCtx`] handle exposes the collectives the stack
 //! calls — `barrier`, `gather` to rank 0, `allgatherv`, `alltoallv` (also with a tally
 //! summed in the same round) and `allreduce`. Initialisation needs no `MPI_Bcast`: every
-//! rank draws the same roots from the same gathered candidates and seed. Intra-rank
-//! parallelism, the OpenMP threading of the original, is the sweep engine's std scoped
-//! threads in `xtrapulp`; the generators and graph builders are plain loops.
+//! rank draws the same roots from the same gathered candidates and seed. Ranks are the
+//! only parallelism: where the original runs OpenMP threads inside each task, a rank
+//! here is one thread and its sweeps, generators and graph builders are plain loops, so
+//! in-process ranks (at most one per core) are the shared-memory parallelism.
 //!
 //! Because the partitioning algorithms only observe collective *semantics* (what data
 //! arrives where, and when), running ranks as threads preserves the algorithmic behaviour

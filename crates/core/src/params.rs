@@ -56,11 +56,6 @@ pub struct PartitionParams {
     /// makes incremental repartitioning cheap; `0` means seed-only (new vertices are
     /// assigned greedily, nothing is refined).
     pub warm_outer_iters: usize,
-    /// Worker threads for the intra-rank parallel proposal phase of each sweep
-    /// (`0` = auto: the machine's available parallelism divided by the ranks sharing
-    /// the process).
-    /// Results are bit-identical for every thread count.
-    pub sweep_threads: usize,
     /// RNG seed; every stage derives its own deterministic stream from it.
     pub seed: u64,
 }
@@ -79,7 +74,6 @@ impl Default for PartitionParams {
             init: InitStrategy::BfsGrow,
             edge_balance_stage: true,
             warm_outer_iters: 1,
-            sweep_threads: 0,
             seed: 0xB1_7E5,
         }
     }

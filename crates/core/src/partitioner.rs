@@ -72,7 +72,7 @@ fn partition_on_rank(
     warm: Option<WarmStart<'_>>,
 ) -> Result<PartitionResult, PartitionError> {
     let mut timings = PhaseTimer::new();
-    let mut ws = SweepWorkspace::colocated(params.sweep_threads, ctx.colocated_ranks());
+    let mut ws = SweepWorkspace::default();
     let mut dist = Dist::new(ctx, graph);
     let (parts, seeded) = run_schedule(&mut dist, params, warm, &mut timings, &mut ws)?;
     assert!(is_valid_partition(

@@ -25,11 +25,12 @@
 //! a part grow past the current maximum of any tracked load. Both run on the sweep
 //! engine in [`crate::sweep`]: refinement is frontier-driven (a vertex is rescored only
 //! when it or a neighbour — including a ghost, via [`push_part_updates`] — changed
-//! part), proposals are thread-parallel with deterministic two-phase chunk application,
-//! and balancing follows the fixed-point perturbation policy (skip while refinement is
-//! active, one churn sweep at a refinement fixed point, the full schedule while the
-//! constraint is unmet). Balance kernels are [`SweepStep`]s: they score, recheck and book
-//! one vertex at a time against the live loads, reading its neighbourhood once.
+//! part) and runs in two-phase chunks (proposals against the chunk-start labels, then
+//! ordered application with a recheck), and balancing follows the fixed-point
+//! perturbation policy (skip while refinement is active, one churn sweep at a
+//! refinement fixed point, the full schedule while the constraint is unmet). Balance
+//! kernels are [`SweepStep`]s: they score, recheck and book one vertex at a time
+//! against the live loads, reading its neighbourhood once.
 //!
 //! | | vertex objective | edge objective |
 //! |---|---|---|
@@ -137,7 +138,7 @@ fn headroom(target: f64, load: f64) -> f64 {
 
 /// A graph as the kernels see it: vertices and neighbours are indices into the part
 /// vector, whether that is a whole [`Csr`] or one rank's owned + ghost view.
-pub(crate) trait Adjacency: Sync {
+pub(crate) trait Adjacency {
     /// The vertices swept and counted: every vertex, or one rank's owned ones.
     fn n_owned(&self) -> usize;
     /// The neighbours of owned vertex `v`.
@@ -938,7 +939,7 @@ fn warm_refine_rounds<B: Backend>(
 
 /// How a sweep sees the part loads it tracks and books its moves into them: the one
 /// thing the serial and the distributed kernels disagree on.
-trait Loads: Sync {
+trait Loads {
     /// The estimate of part `i`'s `load` (`V`, `E` or `C`).
     fn est(&self, load: usize, i: usize) -> f64;
 
@@ -1824,7 +1825,7 @@ mod tests {
 
     /// A workspace with every owned vertex active, as [`run_schedule`] leaves a cold run.
     fn stage_env(graph: &DistGraph, params: &PartitionParams) -> SweepWorkspace {
-        let mut ws = SweepWorkspace::new(params.sweep_threads);
+        let mut ws = SweepWorkspace::default();
         ws.begin_run(graph.n_owned(), params.num_parts);
         ws.engine.frontier.seed_all(graph.n_owned());
         ws.engine.frontier.record_exact(graph.global_n());
@@ -2220,7 +2221,7 @@ mod tests {
                     refine_iters,
                     ..Default::default()
                 };
-                let mut ws = SweepWorkspace::new(1);
+                let mut ws = SweepWorkspace::default();
                 ws.begin_run(g.n_owned(), 2);
                 for touched in [0, 5] {
                     ws.engine.frontier.mark(g.local_id(touched).unwrap());

@@ -1,4 +1,4 @@
-//! The shared frontier-driven, thread-parallel label-propagation sweep engine.
+//! The shared frontier-driven label-propagation sweep engine.
 //!
 //! Every stage of every label-propagation partitioner in this workspace — the four
 //! serial PuLP stages, the distributed XtraPuLP stages and the multilevel boundary
@@ -13,14 +13,14 @@
 //!   regions cost nothing, which turns sweep cost from `O(n · sweeps)` into `O(active
 //!   work)` — the property the paper's minutes-for-trillion-edges claim rests on, and
 //!   what lets warm starts touch only the delta neighbourhood.
-//! * **Deterministic intra-rank thread parallelism**: a refinement sweep
-//!   ([`SweepEngine::sweep`]) processes the active set in fixed-size chunks
-//!   ([`SWEEP_CHUNK`]); within a chunk, move *proposals* are computed in parallel against
-//!   the chunk-start state, then *applied* sequentially in vertex order with the stage's
-//!   admissibility recheck. Chunk boundaries depend only on the active set (never on the
-//!   thread count), proposals are pure per-vertex functions of the chunk-start state, and
-//!   application order is fixed — so the result is bit-identical for 1, 2 or any number
-//!   of threads.
+//! * **Chunked two-phase sweeps**: a refinement sweep ([`SweepEngine::sweep`])
+//!   processes the active set in fixed-size chunks ([`SWEEP_CHUNK`]); within a chunk,
+//!   every vertex first *proposes* a move against the chunk-start labels, then the
+//!   proposals are *applied* in vertex order with the stage's admissibility recheck, a
+//!   rejected one repaired against the live state. A proposal does not see the moves of
+//!   its own chunk, only those of earlier chunks; that staleness is part of the
+//!   semantics the pinned partitions record. Ranks are the only parallelism: a rank
+//!   runs its sweeps on its own thread.
 //!
 //! Scoring itself stays `O(degree)`: the per-part [`ScoreScratch`] clears by bumping an
 //! epoch stamp instead of re-zeroing, and the same stamp tells a part's first touch from
@@ -40,17 +40,14 @@
 //! (any vertex may be drawn to an underweight part) and what verifies a refinement
 //! fixed point ([`RefineConvergence::Polish`]); every other sweep walks the frontier.
 
-use std::num::NonZeroUsize;
-
 use serde::Serialize;
 
 /// Returned by [`SweepStage::propose`] when the vertex should stay where it is.
 pub const NO_MOVE: i32 = -1;
 
-/// Number of vertices per two-phase chunk of a [`SweepEngine::sweep`]. Fixed (never
-/// derived from the thread count) so that results are independent of parallelism;
-/// refinement decisions are neighbour-local and stale-tolerant, so chunks can be large
-/// enough to amortise the parallel fork.
+/// Number of vertices per two-phase chunk of a [`SweepEngine::sweep`]: how many
+/// proposals read the same chunk-start labels. Part of the pinned semantics, like the
+/// vertex order; refinement decisions are neighbour-local and stale-tolerant.
 pub const SWEEP_CHUNK: usize = 2048;
 
 /// How a refinement pass terminates.
@@ -78,20 +75,6 @@ pub enum RefineConvergence {
 /// graphs they buy back the coverage the active-set restriction costs.
 pub fn refine_budget(refine_iters: usize) -> u64 {
     refine_iters as u64 + refine_iters as u64 / 2
-}
-
-/// Resolve the worker-thread count for the sweep engine of one of `colocated` ranks
-/// sharing this process: an explicit non-zero request wins, else this rank's share of
-/// the machine's available parallelism (at least one) — four in-process ranks on two
-/// cores would otherwise fork eight workers per chunk.
-pub fn resolve_threads(requested: usize, colocated: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    let machine = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
-    (machine / colocated.max(1)).max(1)
 }
 
 /// Dense per-part score accumulator with `O(1)` clearing, so scoring a vertex costs
@@ -336,10 +319,11 @@ impl Frontier {
 /// What a sweep is *for*, so the run statistics can attribute work to the schedule
 /// stage that caused it. Stages tag the engine via [`SweepEngine::set_stage`] before
 /// sweeping; the engine books every sweep under the current tag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum StageKind {
     /// Cut-reducing refinement sweeps (vertex or edge stage) — the frontier-driven
     /// workhorse, and the default tag.
+    #[default]
     Refine,
     /// Constraint-driven balance sweeps: the vertex/edge balance schedule run while a
     /// balance constraint is actually violated.
@@ -434,14 +418,14 @@ pub struct SweepStats {
 /// One label-propagation stage, split into the two phases of the deterministic chunk
 /// protocol of [`SweepEngine::sweep`].
 ///
-/// `propose` is called in parallel (the stage must be `Sync`) against an immutable
-/// snapshot of `parts` and the stage's counters; it returns the target part or
-/// [`NO_MOVE`]. `apply` is called sequentially, in ascending vertex order within each
-/// chunk, *after* earlier proposals in the chunk have landed; it must re-validate the
-/// move against the current counters (and the live `parts`, which reflects earlier
+/// `propose` is called for every vertex of a chunk against the chunk-start `parts` and
+/// stage counters, before any of the chunk's moves lands; it returns the target part or
+/// [`NO_MOVE`]. `apply` is then called in ascending vertex order within the chunk,
+/// *after* earlier proposals in the chunk have landed; it must re-validate the move
+/// against the current counters (and the live `parts`, which reflects earlier
 /// applications) and commit its counter updates, returning whether the move stands.
 /// The engine itself writes `parts[v]` and maintains the frontier.
-pub trait SweepStage: Sync {
+pub trait SweepStage {
     /// Score `v`'s neighbourhood and pick a destination part, or [`NO_MOVE`].
     fn propose(&self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32;
 
@@ -459,18 +443,17 @@ pub trait SweepStep {
     fn step(&mut self, v: u32, parts: &[i32], scratch: &mut ScoreScratch) -> i32;
 }
 
-/// The sweep driver state: frontier, per-thread score scratches, the chunk proposal
-/// buffer and the run statistics.
-#[derive(Debug)]
+/// The sweep driver state: frontier, score scratch, the chunk proposal buffer and the
+/// run statistics. [`begin_run`](SweepEngine::begin_run) prepares it for a run.
+#[derive(Debug, Default)]
 pub struct SweepEngine {
     /// The active-vertex set carried across sweeps and stages.
     pub frontier: Frontier,
-    scratches: Vec<ScoreScratch>,
+    scratch: ScoreScratch,
     proposals: Vec<i32>,
     /// Cached identity vector for full sweeps, grown on demand, so a full sweep does
     /// not allocate and fill a fresh `4n`-byte index array every time.
     full_range: Vec<u32>,
-    threads: usize,
     /// The schedule stage subsequent sweeps are booked under (see
     /// [`SweepEngine::set_stage`]).
     stage: StageKind,
@@ -496,36 +479,6 @@ pub struct SweepEngine {
 }
 
 impl SweepEngine {
-    /// An engine running `threads` workers (`0` = auto, see [`resolve_threads`]) on a
-    /// rank that has the process to itself.
-    pub fn new(threads: usize) -> Self {
-        SweepEngine::colocated(threads, 1)
-    }
-
-    /// An engine for one of `colocated` ranks sharing this process: the automatic
-    /// worker count is the rank's share of the machine (see [`resolve_threads`]).
-    pub fn colocated(threads: usize, colocated: usize) -> Self {
-        let threads = resolve_threads(threads, colocated).max(1);
-        SweepEngine {
-            frontier: Frontier::default(),
-            scratches: (0..threads).map(|_| ScoreScratch::default()).collect(),
-            proposals: vec![NO_MOVE; SWEEP_CHUNK],
-            full_range: Vec::new(),
-            threads,
-            stage: StageKind::Refine,
-            sweep_no: 1,
-            last_move: Vec::new(),
-            settle_swaps: false,
-            stage_nanos: [0; 3],
-            stats: SweepStats::default(),
-        }
-    }
-
-    /// The worker-thread count this engine fans proposals out to.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Book subsequent sweeps under `kind` in the per-stage statistics. Stages call
     /// this once at pass entry; the tag persists until the next call.
     pub fn set_stage(&mut self, kind: StageKind) {
@@ -557,19 +510,17 @@ impl SweepEngine {
         timings
     }
 
-    /// Borrow a score scratch for sequential (non-sweep) scoring loops, so callers do
+    /// Borrow the score scratch for sequential (non-sweep) scoring loops, so callers do
     /// not allocate their own per-part gain vectors per invocation.
     pub fn scratch(&mut self) -> &mut ScoreScratch {
-        &mut self.scratches[0]
+        &mut self.scratch
     }
 
-    /// Prepare for a run over `n` vertices and `num_parts` parts: sizes the frontier,
-    /// the scratches and the chunk buffer, and zeroes the statistics.
+    /// Prepare for a run over `n` vertices and `num_parts` parts: sizes the frontier
+    /// and the scratch, and zeroes the statistics.
     pub fn begin_run(&mut self, n: usize, num_parts: usize) {
         self.frontier.ensure(n);
-        for scratch in &mut self.scratches {
-            scratch.ensure(num_parts);
-        }
+        self.scratch.ensure(num_parts);
         self.stage = StageKind::Refine;
         self.sweep_no = 1;
         self.last_move.clear();
@@ -580,7 +531,7 @@ impl SweepEngine {
     }
 
     /// Run one sweep of `stage` over the active set, in [`SWEEP_CHUNK`]-vertex chunks
-    /// of parallel proposals and ordered application.
+    /// of chunk-start proposals and ordered application.
     ///
     /// With `use_frontier`, the active set is the queued frontier (drained, sorted);
     /// otherwise it is all of `0..owned_limit`. Either way every applied move marks the
@@ -602,21 +553,25 @@ impl SweepEngine {
         self.run_sweep(owned_limit, use_frontier, |engine, active| {
             let mut moves = 0u64;
             for chunk in active.chunks(SWEEP_CHUNK) {
-                // Phase 1: propose in parallel against the chunk-start snapshot.
-                engine.propose_chunk(chunk, parts, stage);
-                // Phase 2: apply sequentially, in order, with the stage's recheck. A
-                // rejected proposal (its chunk-start target has since filled up or lost
-                // its appeal) is *repaired* by re-proposing against the live state — the
-                // sequential adaptivity the legacy per-vertex loop had, paid only for
-                // the vertices the chunk invalidated. Still deterministic: the apply
-                // phase is single-threaded and ordered.
+                // Phase 1: every vertex proposes against the chunk-start labels.
+                engine.proposals.clear();
+                engine.proposals.extend(
+                    chunk
+                        .iter()
+                        .map(|&v| stage.propose(v, parts, &mut engine.scratch)),
+                );
+                // Phase 2: apply in order, with the stage's recheck. A rejected proposal
+                // (its chunk-start target has since filled up or lost its appeal) is
+                // *repaired* by re-proposing against the live state — the sequential
+                // adaptivity the legacy per-vertex loop had, paid only for the vertices
+                // the chunk invalidated.
                 for (slot, &v) in chunk.iter().enumerate() {
                     let mut target = engine.proposals[slot];
                     if target < 0 || engine.sits_out(v) {
                         continue;
                     }
                     if parts[v as usize] == target || !stage.apply(v, target as usize, parts) {
-                        target = stage.propose(v, parts, &mut engine.scratches[0]);
+                        target = stage.propose(v, parts, &mut engine.scratch);
                         if target < 0
                             || parts[v as usize] == target
                             || !stage.apply(v, target as usize, parts)
@@ -639,8 +594,8 @@ impl SweepEngine {
     /// This is what balance sweeps run. Balance attraction weights are reciprocal in the
     /// live part sizes and drift with every move; any batching of proposals measurably
     /// degrades the edge balance the stage can reach on skewed graphs at scale (hub
-    /// placement is decided by the weight feedback loop), so balance sweeps stay
-    /// sequential and the parallel fan-out lives in the refinement sweeps, where
+    /// placement is decided by the weight feedback loop), so balance sweeps book one
+    /// vertex at a time and chunked proposals are kept to the refinement sweeps, where
     /// decisions are neighbour-local and stale-tolerant. With nothing changing between
     /// scoring a vertex and moving it, the score's neighbour counts are the recheck's
     /// too, and a rejected move would be proposed again unchanged: one scan a vertex.
@@ -662,7 +617,7 @@ impl SweepEngine {
                 if engine.sits_out(v) {
                     continue;
                 }
-                let target = stage.step(v, parts, &mut engine.scratches[0]);
+                let target = stage.step(v, parts, &mut engine.scratch);
                 if target >= 0 {
                     engine.commit(v, target, parts, &enqueue_neighbors, &mut on_move);
                     moves += 1;
@@ -746,38 +701,6 @@ impl SweepEngine {
         enqueue_neighbors(v, &mut |u| frontier.mark(u));
         on_move(v, target);
     }
-
-    /// Fill `self.proposals[..chunk.len()]` with `stage.propose` outputs, fanning out
-    /// across the engine's worker threads when the chunk is big enough to pay for it.
-    fn propose_chunk<S: SweepStage>(&mut self, chunk: &[u32], parts: &[i32], stage: &S) {
-        let proposals = &mut self.proposals[..chunk.len()];
-        // Below this size the scoped-thread fork costs more than it buys; the cutoff is
-        // a constant, so it cannot make results depend on the thread count (proposals
-        // are pure per-vertex functions either way).
-        const PAR_MIN: usize = 256;
-        let nthreads = self.threads.min(chunk.len().div_ceil(PAR_MIN)).max(1);
-        if nthreads == 1 {
-            let scratch = &mut self.scratches[0];
-            for (slot, &v) in chunk.iter().enumerate() {
-                proposals[slot] = stage.propose(v, parts, scratch);
-            }
-            return;
-        }
-        let sub = chunk.len().div_ceil(nthreads);
-        std::thread::scope(|scope| {
-            for ((prop_sub, chunk_sub), scratch) in proposals
-                .chunks_mut(sub)
-                .zip(chunk.chunks(sub))
-                .zip(self.scratches.iter_mut())
-            {
-                scope.spawn(move || {
-                    for (slot, &v) in chunk_sub.iter().enumerate() {
-                        prop_sub[slot] = stage.propose(v, parts, scratch);
-                    }
-                });
-            }
-        });
-    }
 }
 
 /// Reusable per-part counter buffers shared by the sweep stages, so no stage allocates
@@ -823,7 +746,7 @@ impl PartCounters {
 /// The reusable workspace for a whole partitioning run: the sweep engine plus the
 /// per-part counter buffers the stages borrow. One workspace serves every stage of a
 /// run back to back; a serving layer can keep it alive across jobs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SweepWorkspace {
     /// The frontier-driven sweep driver.
     pub engine: SweepEngine,
@@ -840,24 +763,6 @@ pub struct SweepWorkspace {
 }
 
 impl SweepWorkspace {
-    /// A workspace running `threads` proposal workers (`0` = auto) on a rank that has
-    /// the process to itself.
-    pub fn new(threads: usize) -> Self {
-        SweepWorkspace::colocated(threads, 1)
-    }
-
-    /// A workspace for one of `colocated` ranks sharing this process (a distributed
-    /// driver passes [`RankCtx::colocated_ranks`](xtrapulp_comm::RankCtx::colocated_ranks)),
-    /// so automatic worker counts divide the machine instead of multiplying it.
-    pub fn colocated(threads: usize, colocated: usize) -> Self {
-        SweepWorkspace {
-            engine: SweepEngine::colocated(threads, colocated),
-            counters: PartCounters::default(),
-            edge_balance_last_max: None,
-            edge_balance_stalled: false,
-        }
-    }
-
     /// Prepare for a run over `n` vertices and `num_parts` parts.
     pub fn begin_run(&mut self, n: usize, num_parts: usize) {
         self.engine.begin_run(n, num_parts);
@@ -925,7 +830,7 @@ mod tests {
         // 10 vertices all in part 1, capacity 3 in part 0: the propose phase nominates
         // everyone, the apply recheck admits exactly the first three in vertex order.
         let n = 10;
-        let mut engine = SweepEngine::new(1);
+        let mut engine = SweepEngine::default();
         engine.begin_run(n, 2);
         engine.frontier.seed_all(n);
         let mut parts = vec![1i32; n];
@@ -950,7 +855,7 @@ mod tests {
     fn a_step_sweep_commits_what_a_full_chunked_sweep_commits() {
         let n = 10;
         let run = |stepped: bool| {
-            let mut engine = SweepEngine::new(1);
+            let mut engine = SweepEngine::default();
             engine.begin_run(n, 2);
             let mut parts = vec![1i32; n];
             let mut stage = ToyStage {
@@ -980,7 +885,7 @@ mod tests {
     fn settled_vertices_sit_out_a_step_sweep() {
         // A vertex that moved in each of the two sweeps before sits the next one out.
         let n = 4;
-        let mut engine = SweepEngine::new(1);
+        let mut engine = SweepEngine::default();
         engine.begin_run(n, 2);
         engine.settle_swaps = true;
         let mut parts = vec![1i32; n];
@@ -1009,32 +914,62 @@ mod tests {
         );
     }
 
+    /// A stage that moves a vertex to its left neighbour's label when that label is
+    /// larger, and whose recheck rejects a proposal the left neighbour no longer holds.
+    #[derive(Default)]
+    struct LeftLabel {
+        rejected: u32,
+    }
+
+    impl SweepStage for LeftLabel {
+        fn propose(&self, v: u32, parts: &[i32], _scratch: &mut ScoreScratch) -> i32 {
+            let v = v as usize;
+            if v > 0 && parts[v - 1] > parts[v] {
+                parts[v - 1]
+            } else {
+                NO_MOVE
+            }
+        }
+
+        fn apply(&mut self, v: u32, target: usize, parts: &[i32]) -> bool {
+            let stands = parts[v as usize - 1] == target as i32;
+            self.rejected += u32::from(!stands);
+            stands
+        }
+    }
+
     #[test]
-    fn results_are_identical_across_thread_counts() {
-        let n = 10_000;
-        let run = |threads: usize| {
-            let mut engine = SweepEngine::new(threads);
-            engine.begin_run(n, 2);
-            engine.frontier.seed_all(n);
-            let mut parts = vec![1i32; n];
-            let mut stage = ToyStage {
-                capacity: 2_500,
-                size0: 0,
-            };
-            while engine.sweep(
-                n,
-                &mut parts,
-                true,
-                &mut stage,
-                line_neighbors(n),
-                |_, _| {},
-            ) > 0
-            {}
-            parts
+    fn a_chunk_proposes_against_its_start_labels_and_repairs_against_live_ones() {
+        let n = 2 * SWEEP_CHUNK + 16;
+        let edge = SWEEP_CHUNK - 1;
+        let mut parts = vec![0i32; n];
+        parts[0] = 1;
+        parts[10] = 3;
+        parts[11] = 1;
+        parts[edge - 1] = 2;
+        let mut engine = SweepEngine::default();
+        engine.begin_run(n, 4);
+        let mut stage = LeftLabel::default();
+        let mut sweep = |parts: &mut [i32], stage: &mut LeftLabel| {
+            engine.sweep(n, parts, false, stage, line_neighbors(n), |_, _| {})
         };
-        let one = run(1);
-        assert_eq!(one, run(2));
-        assert_eq!(one, run(7));
+
+        assert_eq!(sweep(&mut parts, &mut stage), 5);
+        // Vertex 2 proposed against vertex 1's chunk-start label, so label 1 moved one
+        // hop, not across the chunk.
+        assert_eq!(parts[..3], [1, 1, 0]);
+        // Vertex 12 proposed vertex 11's chunk-start label 1; vertex 11 then took 3, the
+        // recheck rejected the stale proposal and the repair read the live label.
+        assert_eq!(stage.rejected, 1);
+        assert_eq!(parts[10..14], [3, 3, 3, 0]);
+        // The last vertex of chunk 0 moved, and the first of chunk 1 proposed against
+        // labels that include that move; the second did not see its own chunk's move.
+        assert_eq!(parts[edge - 1..edge + 3], [2, 2, 2, 0]);
+
+        for hops in 2..5 {
+            sweep(&mut parts, &mut stage);
+            assert_eq!(parts[hops..hops + 2], [1, 0], "after {hops} sweeps");
+        }
     }
 
     #[test]
@@ -1055,7 +990,7 @@ mod tests {
     #[test]
     fn full_sweeps_keep_the_queue_for_later_frontier_sweeps() {
         let n = 6;
-        let mut engine = SweepEngine::new(1);
+        let mut engine = SweepEngine::default();
         engine.begin_run(n, 2);
         let mut parts = vec![1i32; n];
         let mut stage = ToyStage {
@@ -1088,7 +1023,7 @@ mod tests {
 
     #[test]
     fn empty_frontier_sweep_is_free() {
-        let mut engine = SweepEngine::new(1);
+        let mut engine = SweepEngine::default();
         engine.begin_run(8, 2);
         let mut parts = vec![0i32; 8];
         let mut stage = ToyStage {
@@ -1111,7 +1046,7 @@ mod tests {
     #[test]
     fn stage_breakdown_attributes_sweeps_to_the_current_tag() {
         let n = 16;
-        let mut engine = SweepEngine::new(1);
+        let mut engine = SweepEngine::default();
         engine.begin_run(n, 2);
         engine.frontier.seed_all(n);
         let mut parts = vec![1i32; n];
@@ -1235,15 +1170,5 @@ mod tests {
             }
             assert!(fast.epoch < Stamp::MAX - 4, "the sequence never wrapped");
         }
-    }
-
-    #[test]
-    fn auto_thread_count_is_shared_between_colocated_ranks() {
-        // An explicit request always wins.
-        assert_eq!(resolve_threads(3, 4), 3);
-        let machine = resolve_threads(0, 1);
-        assert_eq!(resolve_threads(0, 2), (machine / 2).max(1));
-        assert_eq!(resolve_threads(0, 4 * machine), 1);
-        assert_eq!(resolve_threads(0, 0), machine);
     }
 }

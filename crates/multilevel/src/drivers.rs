@@ -68,7 +68,7 @@ fn multilevel_partition(
     // Initial partition of the coarsest level. One sweep workspace serves the whole
     // V-cycle (and both passes per level), so no level allocates its own frontier,
     // weight or gain buffers.
-    let mut ws = SweepWorkspace::new(params.sweep_threads);
+    let mut ws = SweepWorkspace::default();
     let mut parts = greedy_growing(&current, params.num_parts, params.seed ^ 0xC0A53);
     rebalance(
         &current,
@@ -125,7 +125,7 @@ fn multilevel_partition_from(
     let max_part_weight = ((1.0 + params.vertex_imbalance) * graph.total_vertex_weight() as f64
         / params.num_parts as f64)
         .ceil() as u64;
-    let mut ws = SweepWorkspace::new(params.sweep_threads);
+    let mut ws = SweepWorkspace::default();
     rebalance(
         &graph,
         &mut parts,

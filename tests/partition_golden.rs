@@ -255,7 +255,6 @@ fn measure() -> Vec<(String, Row)> {
         let base = PartitionParams {
             num_parts: fx.num_parts,
             seed: fx.seed,
-            sweep_threads: 1,
             ..Default::default()
         };
         let cold = try_pulp_run(&fx.csr, &base, None).expect("seed run").parts;
