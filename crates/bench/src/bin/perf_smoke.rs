@@ -1,11 +1,13 @@
 //! CI perf smoke gate for the sweep engine and the warm analytics kernels: runs the quick
-//! preset cold plus a touched-scoped warm start, a 2-rank dynamic session over four
-//! epochs of 0.5% churn, and a 2-rank analytics consumer over a fixed 4-epoch churn
-//! stream, and fails — exit code 1 — if any of the deterministic work counters (sweeps,
-//! scored vertices, loopback frames; the warm epochs' scored vertices, sweeps, delta
-//! apply bytes and arcs counted; warm PageRank scored vertices, coreness rounds, analytics bytes
-//! exchanged) differs from the checked-in baseline (`crates/bench/perf_baseline.json`);
-//! wall time is printed for context but never gates, since CI machines vary.
+//! preset cold plus a touched-scoped warm start, the same cold job on 4 in-process
+//! ranks, a 2-rank dynamic session over four epochs of 0.5% churn, and a 2-rank
+//! analytics consumer over a fixed 4-epoch churn stream, and fails — exit code 1 — if
+//! any of the deterministic work counters (sweeps, scored vertices; the 4-rank job's
+//! frames, scored vertices and balance sweeps; the warm epochs' scored vertices, sweeps,
+//! delta apply bytes and arcs counted; warm PageRank scored vertices, coreness rounds,
+//! analytics bytes exchanged) differs from the checked-in baseline
+//! (`crates/bench/perf_baseline.json`); wall time is printed for context but never
+//! gates, since CI machines vary.
 //!
 //! The counters repeat bit-for-bit on every machine, so the gate is equality: a
 //! refactor that adds one sweep or one frame trips it, in either direction. A change
@@ -14,7 +16,7 @@
 
 use std::time::Instant;
 
-use xtrapulp::{try_pulp_run, PartitionParams};
+use xtrapulp::{run_xtrapulp_job, try_pulp_run, GraphSource, PartitionParams};
 use xtrapulp_analytics::{AnalyticsConsumer, WarmPolicy};
 use xtrapulp_api::{DynamicSession, Method, PartitionJob, UpdateBatch};
 use xtrapulp_bench::json::Flat;
@@ -165,20 +167,23 @@ fn measure() -> Vec<(&'static str, f64)> {
 
     // Distributed loopback: the same graph through the 4-rank in-process
     // transport, so collective traffic pays the full Transport-trait
-    // indirection. Wall time is informational; the frame count is
-    // deterministic and gates (a regression here means a collective started
-    // sending more frames than it should).
-    let mut session = xtrapulp_api::Session::new(4).expect("loopback session");
-    let _ = session.partition(&csr, &frontier).unwrap(); // warm-up
+    // indirection. Wall time is informational; the frame count, the vertices
+    // scored and the balance sweeps are deterministic and gate (a regression
+    // here means a collective started sending more frames than it should, or
+    // the distributed schedule started doing more work).
+    let mut runtime = Runtime::new(4);
+    let source = GraphSource::Csr(&csr, &Distribution::Block);
+    let _ = run_xtrapulp_job(&mut runtime, source, &frontier, None, None).unwrap(); // warm-up
     let mut dist_times = Vec::new();
-    let mut dist_frames = 0;
+    let mut dist = None;
     for _ in 0..3 {
         let t = Instant::now();
-        let report = session.partition(&csr, &frontier).unwrap();
+        let job = run_xtrapulp_job(&mut runtime, source, &frontier, None, None).unwrap();
         dist_times.push(t.elapsed().as_secs_f64());
-        dist_frames = report.comm.frames_sent;
+        dist = Some(job);
     }
     dist_times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let dist = dist.expect("three loopback jobs ran");
     let [warm_churn_scored, warm_churn_sweeps, warm_churn_apply_bytes, warm_churn_arcs_counted] =
         measure_warm_churn();
     let [analytics_warm_scored, analytics_kcore_rounds, analytics_comm_bytes] = measure_analytics();
@@ -189,7 +194,12 @@ fn measure() -> Vec<(&'static str, f64)> {
         ("cold_frontier_sweeps", stats.sweeps as f64),
         ("warm_touched_scored", warm_stats.vertices_scored as f64),
         ("dist_loopback_seconds", dist_times[1]),
-        ("dist_loopback_frames", dist_frames as f64),
+        ("dist_loopback_frames", dist.comm.frames_sent as f64),
+        ("dist_loopback_scored", dist.vertices_scored as f64),
+        (
+            "dist_loopback_balance_sweeps",
+            dist.stages.balance_sweeps as f64,
+        ),
         ("warm_churn_scored", warm_churn_scored as f64),
         ("warm_churn_sweeps", warm_churn_sweeps as f64),
         ("warm_churn_apply_bytes", warm_churn_apply_bytes as f64),

@@ -214,3 +214,53 @@ fn touched_warm_start_scores_a_fraction_of_cold() {
     assert!(warm.report.quality.vertex_imbalance <= 1.13);
     assert!(is_valid_partition(&warm.report.parts, 8));
 }
+
+/// The work one cold XtraPuLP job does at 1, 2 and 4 in-process ranks on `cold_rmat`'s
+/// four inputs (R-MAT scale 15, edge factor 16, seed `42·1000 + g`, 16 parts, `Block`):
+/// sweeps, vertices scored and their split by stage, the transport traffic, and the
+/// partition's quality. Nothing is asserted; it is the table a change to the stage
+/// schedule reads to see whether more ranks still mean more work. Run with
+/// `cargo test --release --test sweep_engine -- --ignored --nocapture print_work_parity_table`.
+#[test]
+#[ignore]
+fn print_work_parity_table() {
+    println!(
+        "g ranks sweeps scored | refine sw/scored | balance sw/scored | churn sw/scored \
+         | frames wire_bytes | cut_ratio v_imb e_imb"
+    );
+    for g in 0..4u64 {
+        let seed = 42 * 1000 + g;
+        let kind = GraphKind::Rmat {
+            scale: 15,
+            edge_factor: 16,
+        };
+        let csr = preset(kind, seed);
+        let params = PartitionParams {
+            num_parts: 16,
+            seed,
+            ..Default::default()
+        };
+        for nranks in [1, 2, 4] {
+            let source = GraphSource::Csr(&csr, &Distribution::Block);
+            let job =
+                run_xtrapulp_job(&mut Runtime::new(nranks), source, &params, None, None).unwrap();
+            let (s, q) = (job.stages, job.quality);
+            println!(
+                "{g} {nranks} {} {} | {} {} | {} {} | {} {} | {} {} | {:.5} {:.4} {:.4}",
+                job.lp_sweeps,
+                job.vertices_scored,
+                s.refine_sweeps,
+                s.refine_scored,
+                s.balance_sweeps,
+                s.balance_scored,
+                s.churn_sweeps,
+                s.churn_scored,
+                job.comm.frames_sent,
+                job.comm.wire_bytes_sent,
+                q.edge_cut_ratio,
+                q.vertex_imbalance,
+                q.edge_imbalance,
+            );
+        }
+    }
+}
