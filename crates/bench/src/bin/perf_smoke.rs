@@ -173,17 +173,14 @@ fn measure() -> Vec<(&'static str, f64)> {
     // the distributed schedule started doing more work).
     let mut runtime = Runtime::new(4);
     let source = GraphSource::Csr(&csr, &Distribution::Block);
-    let _ = run_xtrapulp_job(&mut runtime, source, &frontier, None, None).unwrap(); // warm-up
+    let mut dist = run_xtrapulp_job(&mut runtime, source, &frontier, None, None).unwrap(); // warm-up
     let mut dist_times = Vec::new();
-    let mut dist = None;
     for _ in 0..3 {
         let t = Instant::now();
-        let job = run_xtrapulp_job(&mut runtime, source, &frontier, None, None).unwrap();
+        dist = run_xtrapulp_job(&mut runtime, source, &frontier, None, None).unwrap();
         dist_times.push(t.elapsed().as_secs_f64());
-        dist = Some(job);
     }
     dist_times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let dist = dist.expect("three loopback jobs ran");
     let [warm_churn_scored, warm_churn_sweeps, warm_churn_apply_bytes, warm_churn_arcs_counted] =
         measure_warm_churn();
     let [analytics_warm_scored, analytics_kcore_rounds, analytics_comm_bytes] = measure_analytics();

@@ -29,7 +29,8 @@
 //! The distributed-memory realisation keeps a one-dimensional vertex distribution
 //! (see [`xtrapulp_graph::DistGraph`]), exchanges boundary labels with an
 //! `Alltoallv`-based update queue ([`exchange`]), and throttles per-rank moves with the
-//! dynamic multiplier described in the paper (see [`PartitionParams::multiplier`]).
+//! dynamic multiplier described in the paper, never below the rank count (see
+//! [`PartitionParams::multiplier`]).
 //!
 //! ## Entry points
 //!

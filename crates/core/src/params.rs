@@ -108,14 +108,18 @@ impl PartitionParams {
     /// The dynamic multiplier `mult = nprocs * ((X - Y) * iter_tot / I_tot + Y)` that
     /// throttles how many vertices a single rank may move into one part per iteration.
     ///
-    /// The value is clamped from below at 1.0: a rank always knows its *own* changes
-    /// exactly, so charging them at less than face value (which the raw formula produces
-    /// for very small rank counts or tiny X/Y) would let a single rank overshoot a part's
-    /// target all by itself. At the paper's scales (hundreds to thousands of ranks) the
-    /// clamp never engages.
+    /// A distributed sweep, balance or refinement, charges a rank's changes at
+    /// `max(mult, nranks)`: every rank scores against the same stale loads and tends to
+    /// fill the same underweight part, so charged below the rank count the ranks
+    /// overshoot it together, and a balance pass swings its largest part over and under
+    /// the target sweep after sweep. So while `(X - Y) · frac + Y` stays at or below 1,
+    /// the schedule charges the rank count and `X` and `Y` change nothing. It goes above
+    /// 1 for `X` or `Y` above 1, and for `X = 1, Y < 1` (the paper's defaults) once a
+    /// stage runs more than `I_tot` sweeps, which refinement's 1.5× budget allows: `frac`
+    /// is not capped at 1.
     pub fn multiplier(&self, nranks: usize, iter_tot: usize) -> f64 {
         let frac = iter_tot as f64 / self.total_iters().max(1) as f64;
-        (nranks as f64 * ((self.mult_x - self.mult_y) * frac + self.mult_y)).max(1.0)
+        nranks as f64 * ((self.mult_x - self.mult_y) * frac + self.mult_y)
     }
 
     /// Validate parameter sanity, reporting the first violation as a typed error.

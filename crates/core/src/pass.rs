@@ -44,8 +44,16 @@
 //! The staleness is the distributed subtlety: every rank reassigns vertices using sizes
 //! refreshed only at the end of the sweep, so an underweight part would receive a flood
 //! from *every* rank at once and overshoot. Each rank therefore bounds its contribution
-//! by charging `mult × (its local change)`, with `mult` ramping from `nranks·Y` to
-//! `nranks·X` over the stage (see [`PartitionParams::multiplier`]).
+//! by charging `mult × (its local change)`, with `mult` the paper's multiplier ramping
+//! from `nranks·Y` to `nranks·X` over the stage (see [`PartitionParams::multiplier`]) but
+//! never below `nranks`, in every sweep: charged at less, every rank fills the same
+//! underweight part, and a balance pass swings its largest part over and under the
+//! target sweep after sweep. Two more rules are the distributed backend's alone
+//! ([`Backend::STALE`]): a balance pass that started over its target stops after the
+//! first sweep that leaves no part over it, and every refinement pass, cold polish
+//! passes included, settles the swaps of boundary pairs that see each other's labels one
+//! sweep late ([`SweepEngine::settle_swaps`]). Live loads see every move at once, so
+//! serial PuLP keeps the papers' schedule.
 //!
 //! The paper does not give the functional form of `We`, `Wc`, `Re` and `Rc`. All three
 //! weights here use the reciprocal-headroom form `max(target / load − 1, 0)` of `Wv`
@@ -410,6 +418,13 @@ fn global_part_loads(
 /// kept current while vertices move, and who needs to agree that something moved or is
 /// still active.
 pub(crate) trait Backend {
+    /// Whether sweeps score against the loads and ghost labels of the last exchange, so
+    /// that the other ranks' moves are seen one sweep late. Such a backend ends a balance
+    /// pass at the first sweep that meets its target (see [`balance_pass`]) and settles
+    /// swaps in every refinement pass ([`SweepEngine::settle_swaps`]); live loads keep
+    /// the papers' schedule.
+    const STALE: bool = false;
+
     /// Vertices and arcs of the whole graph.
     fn global_size(&self) -> (u64, u64);
 
@@ -481,10 +496,8 @@ pub(crate) trait Backend {
         use_frontier: bool,
     ) -> Result<u64, PartitionError>;
 
-    /// One balance sweep under `bounds` with the edge bias `(Re, Rc)`; `capped` marks a
-    /// pass cut down to this single sweep. Returns the moves applied globally, after
-    /// which `counters.size` is current again.
-    #[allow(clippy::too_many_arguments)]
+    /// One balance sweep under `bounds` with the edge bias `(Re, Rc)`. Returns the
+    /// moves applied globally, after which `counters.size` is current again.
     fn balance_sweep(
         &mut self,
         objective: Objective,
@@ -493,7 +506,6 @@ pub(crate) trait Backend {
         ws: &mut SweepWorkspace,
         bounds: Bounds,
         bias: (f64, f64),
-        capped: bool,
     ) -> Result<u64, PartitionError>;
 }
 
@@ -712,8 +724,11 @@ fn measure_for_pass<B: Backend>(
 
 /// One balance pass (Algorithm 4, and its §III-E edge variant): up to
 /// `params.balance_iters` weighted label-propagation sweeps towards the parts under
-/// `objective`'s target. Collective on a distributed backend; every branch below is
-/// taken on global numbers, so all ranks take it together.
+/// `objective`'s target, ending early at a move-free sweep and, on a [`Backend::STALE`]
+/// backend, at the first sweep after which no part is over the target: each further
+/// sweep would move vertices on estimates that lag the other ranks' moves, and
+/// overshoot. Collective on a distributed backend; every branch below is taken on global
+/// numbers, so all ranks take it together.
 fn balance_pass<B: Backend>(
     backend: &mut B,
     objective: Objective,
@@ -786,19 +801,12 @@ fn balance_pass<B: Backend>(
                 r_c += 1.0;
             }
         }
-        let moves = backend.balance_sweep(
-            objective,
-            parts,
-            params,
-            ws,
-            bounds,
-            (r_e, r_c),
-            sweep_cap == 1,
-        )?;
+        let moves = backend.balance_sweep(objective, parts, params, ws, bounds, (r_e, r_c))?;
         // A globally move-free balance sweep leaves sizes (hence weights and
         // admissibility) untouched, so every remaining sweep of this pass would be
-        // identical: skip them.
-        if moves == 0 {
+        // identical: skip them. On stale loads a sweep that met the target ends the pass
+        // too: the next would move vertices on loads that lag the other ranks' moves.
+        if moves == 0 || (B::STALE && !over_target(&ws.counters)) {
             break;
         }
     }
@@ -827,7 +835,9 @@ fn refine_pass<B: Backend>(
     let targets = targets(backend, params);
     measure_for_pass(backend, objective, parts, ws);
     ws.engine.set_stage(StageKind::Refine);
-    ws.engine.settle_swaps = frontier_only;
+    // Stale ghost labels make boundary pairs swap back and forth in polish passes as
+    // much as in frontier-only ones.
+    ws.engine.settle_swaps = frontier_only || B::STALE;
     // A pass inheriting a large frontier (the previous round did not converge — heavy
     // churn classes) drops it and opens with the polish full sweep: that costs barely
     // more than the frontier sweep it replaces and restores per-round global coverage.
@@ -1026,18 +1036,13 @@ impl<'a> Stale<'a> {
             weight,
         )
     }
-
-    #[inline]
-    fn est_at(&self, load: usize, i: usize, mult: f64) -> f64 {
-        let at = load * self.p + i;
-        self.size[at] as f64 + mult * self.change[at] as f64
-    }
 }
 
 impl Loads for Stale<'_> {
     #[inline]
     fn est(&self, load: usize, i: usize) -> f64 {
-        self.est_at(load, i, self.mult)
+        let at = load * self.p + i;
+        self.size[at] as f64 + self.mult * self.change[at] as f64
     }
 
     #[inline]
@@ -1310,7 +1315,6 @@ impl Backend for Serial<'_> {
         ws: &mut SweepWorkspace,
         bounds: Bounds,
         bias: (f64, f64),
-        _capped: bool,
     ) -> Result<u64, PartitionError> {
         let (csr, engine) = (self.0, &mut ws.engine);
         let (loads, weight) = Live::open(&mut ws.counters);
@@ -1409,9 +1413,13 @@ impl<'a> Dist<'a> {
         }
     }
 
-    /// The dynamic multiplier at this point of the stage's schedule.
-    fn multiplier(&self, params: &PartitionParams) -> f64 {
-        params.multiplier(self.ctx.nranks(), self.iter_tot)
+    /// The rate a sweep, refinement or balance, charges this rank's changes at: the
+    /// dynamic multiplier at this point of the stage's schedule, never less than the
+    /// rank count, so that each rank claims at most its `1/nranks` share of a part's
+    /// headroom.
+    fn charge(&self, params: &PartitionParams) -> f64 {
+        let nranks = self.ctx.nranks();
+        params.multiplier(nranks, self.iter_tot).max(nranks as f64)
     }
 
     /// Close a sweep that tracked the first `loads` loads in one round: push the moved
@@ -1454,6 +1462,8 @@ impl<'a> Dist<'a> {
 }
 
 impl Backend for Dist<'_> {
+    const STALE: bool = true;
+
     fn global_size(&self) -> (u64, u64) {
         (self.graph.global_n(), 2 * self.graph.global_m())
     }
@@ -1533,14 +1543,9 @@ impl Backend for Dist<'_> {
         bounds: Bounds,
         use_frontier: bool,
     ) -> Result<u64, PartitionError> {
-        let nranks = self.ctx.nranks() as f64;
-        // Refinement must never push a part above the current maximum, even when every
-        // rank funnels vertices into the same popular part within one stale sweep, so
-        // admissibility is charged at the full rank count at least (each rank claims at
-        // most its 1/nranks share of the remaining headroom).
-        let mult = self.multiplier(params).max(nranks);
+        let charge = self.charge(params);
         let (graph, engine, updates) = (self.graph, &mut ws.engine, &mut self.updates);
-        let (loads, _) = Stale::open(&mut ws.counters, mult);
+        let (loads, _) = Stale::open(&mut ws.counters, charge);
         let kernel = Refine::<_, _, EDGE> {
             graph,
             loads,
@@ -1559,15 +1564,10 @@ impl Backend for Dist<'_> {
         ws: &mut SweepWorkspace,
         bounds: Bounds,
         bias: (f64, f64),
-        capped: bool,
     ) -> Result<u64, PartitionError> {
-        let nranks = self.ctx.nranks() as f64;
-        // A capped churn sweep has no follow-up sweeps to correct collective overshoot,
-        // so it charges changes at the conservative end-of-schedule rate.
-        let mult = self.multiplier(params);
-        let mult = if capped { mult.max(nranks) } else { mult };
+        let charge = self.charge(params);
         let (graph, engine, updates) = (self.graph, &mut ws.engine, &mut self.updates);
-        let (stale, weight) = Stale::open(&mut ws.counters, mult);
+        let (stale, weight) = Stale::open(&mut ws.counters, charge);
         let collect = |v, part| updates.push((v, part));
         match objective {
             Objective::Vertex => {
@@ -1575,13 +1575,11 @@ impl Backend for Dist<'_> {
                 for (w, &s) in weights.iter_mut().zip(stale.size) {
                     *w = headroom(bounds.imb_v, s as f64);
                 }
-                let spill_mult = mult.max(nranks);
                 let kernel = DistVertexBalance {
                     graph,
                     stale,
                     weights,
                     bounds,
-                    spill_mult,
                 };
                 step_sweep(graph, engine, parts, kernel, collect);
             }
@@ -1602,14 +1600,6 @@ struct DistVertexBalance<'a> {
     /// `Wv(i)` under the current estimates, refreshed as moves land.
     weights: &'a mut [f64],
     bounds: Bounds,
-    spill_mult: f64,
-}
-
-impl DistVertexBalance<'_> {
-    #[inline]
-    fn spill_estimate(&self, i: usize) -> f64 {
-        self.stale.est_at(V, i, self.spill_mult)
-    }
 }
 
 impl SweepStep for DistVertexBalance<'_> {
@@ -1642,20 +1632,16 @@ impl SweepStep for DistVertexBalance<'_> {
             // move the vertex to the globally most underweight part directly. This
             // preferentially relocates zero-degree vertices (whose move is free) and
             // is what lets the balance constraint be met on graphs with many tiny
-            // components. Spill moves are invisible to the other ranks until the end
-            // of the iteration, and every rank picks the same most-underweight target,
-            // so they are charged at the full rank count to avoid collective
-            // overshoot of that one part; like any move, one must fit under the cap.
+            // components. Every rank picks the same most-underweight target, which the
+            // sweep's charge at the rank count keeps from overshooting collectively;
+            // a spill must fit under the target itself, not only under the cap.
             if self.stale.est(V, x) <= self.bounds.imb_v {
                 return NO_MOVE;
             }
             let spill_target = (0..self.stale.p)
-                .min_by(|&a, &b| self.spill_estimate(a).total_cmp(&self.spill_estimate(b)))
+                .min_by(|&a, &b| self.stale.est(V, a).total_cmp(&self.stale.est(V, b)))
                 .unwrap_or(x);
-            if spill_target == x
-                || self.spill_estimate(spill_target) + 1.0 > self.bounds.imb_v
-                || self.stale.est(V, spill_target) + 1.0 > self.bounds.max_v
-            {
+            if spill_target == x || self.stale.est(V, spill_target) + 1.0 > self.bounds.imb_v {
                 return NO_MOVE;
             }
             spill_target
@@ -2144,10 +2130,8 @@ mod tests {
                             let bounds = Bounds::of(&ws.counters, objective, targets);
                             let bias = (1.0 + round as f64, 1.0);
                             let ws = &mut ws;
-                            dist.balance_sweep(
-                                objective, &mut parts, &params, ws, bounds, bias, false,
-                            )
-                            .unwrap();
+                            dist.balance_sweep(objective, &mut parts, &params, ws, bounds, bias)
+                                .unwrap();
                             check_known(ctx, ws, false, &what("balance sweep"));
                             for use_frontier in [true, true, false] {
                                 let bounds = Bounds::of(&ws.counters, objective, targets);

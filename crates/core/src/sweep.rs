@@ -466,9 +466,11 @@ pub struct SweepEngine {
     /// Whether a vertex that moved in both of the two sweeps before sits the next one
     /// out. Ranks score against ghost labels one sweep old, so two adjacent vertices on
     /// different ranks can each join the other's part, see the mirror image of what they
-    /// left and swap back, sweep after sweep; a pass that only ends on an empty frontier
-    /// turns this on so that such a pair comes to rest after one round trip and the
-    /// frontier drains. Purely local, so no rank needs to hear of it.
+    /// left and swap back, sweep after sweep; a pass that only ends on an empty frontier,
+    /// and every distributed refinement pass, turns this on so that such a pair comes to
+    /// rest after one round trip and the frontier drains. Each refinement pass sets it,
+    /// and the balance passes between them keep it. Purely local, so no rank needs to
+    /// hear of it.
     pub settle_swaps: bool,
     /// Wall-clock nanoseconds spent sweeping per stage
     /// (indexed Refine/Balance/Churn). Timing only — never feeds back into any

@@ -351,14 +351,14 @@ fn print_method_table() {
 
 #[rustfmt::skip]
 const METHOD_TABLE: &[(&str, MethodRow)] = &[
-    ("rmat10/XtraPuLP", [10910131161758467792, 4318, 4293693092888539477, 4307]),
+    ("rmat10/XtraPuLP", [4997904718563866083, 4276, 16792885802836209959, 4265]),
     ("rmat10/PuLP", [9584214184835759381, 4999, 14664872440027515666, 4536]),
     ("rmat10/Random", [11452233154896633074, 5221, 11452233154896633074, 5223]),
     ("rmat10/VertexBlock", [8679368175584654117, 4824, 8679368175584654117, 4827]),
     ("rmat10/EdgeBlock", [8055852713916195729, 5341, 14242899921204661844, 5340]),
     ("rmat10/MetisLike", [6307023095250074773, 4163, 16928041263075821959, 4166]),
     ("rmat10/LpCoarsenKway", [15648321103527398279, 4026, 9536026419302133349, 4019]),
-    ("mesh32/XtraPuLP", [4198028620007977092, 379, 12603192707040590675, 376]),
+    ("mesh32/XtraPuLP", [14217118854631720800, 398, 17325857411606010631, 398]),
     ("mesh32/PuLP", [1591771841691918631, 447, 1591771841691918631, 450]),
     ("mesh32/Random", [11452233154896633074, 1740, 11452233154896633074, 1729]),
     ("mesh32/VertexBlock", [8679368175584654117, 224, 8679368175584654117, 224]),

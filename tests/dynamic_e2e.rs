@@ -510,132 +510,132 @@ fn dynamic_chains_match_the_pinned_tables() {
 
 #[rustfmt::skip]
 const DYNAMIC_TABLE: &[(&str, DynamicRow)] = &[
-    ("ba/r1/block/e0", [8507732961628520069, 81, 43005, 0, 5442]),
-    ("ba/r1/block/e1", [2683551213001874017, 2, 96, 2, 5439]),
-    ("ba/r1/block/e2", [11862113937899462023, 3, 116, 4, 5443]),
-    ("ba/r1/block/e3", [109924461626006500, 2, 37, 0, 5461]),
-    ("ba/r1/block/e4", [1130088540685311392, 2, 107, 3, 5458]),
-    ("ba/r1/block/e5", [1130088540685311392, 0, 0, 0, 5458]),
-    ("ba/r1/block/e6", [15531733770491937538, 5, 210, 10, 5449]),
-    ("ba/r1/cyclic/e0", [8507732961628520069, 81, 43005, 0, 5442]),
-    ("ba/r1/cyclic/e1", [2683551213001874017, 2, 96, 2, 5439]),
-    ("ba/r1/cyclic/e2", [11862113937899462023, 3, 116, 4, 5443]),
-    ("ba/r1/cyclic/e3", [109924461626006500, 2, 37, 0, 5461]),
-    ("ba/r1/cyclic/e4", [1130088540685311392, 2, 107, 3, 5458]),
-    ("ba/r1/cyclic/e5", [1130088540685311392, 0, 0, 0, 5458]),
-    ("ba/r1/cyclic/e6", [15531733770491937538, 5, 210, 10, 5449]),
-    ("ba/r1/hashed/e0", [8507732961628520069, 81, 43005, 0, 5442]),
-    ("ba/r1/hashed/e1", [2683551213001874017, 2, 96, 2, 5439]),
-    ("ba/r1/hashed/e2", [11862113937899462023, 3, 116, 4, 5443]),
-    ("ba/r1/hashed/e3", [109924461626006500, 2, 37, 0, 5461]),
-    ("ba/r1/hashed/e4", [1130088540685311392, 2, 107, 3, 5458]),
-    ("ba/r1/hashed/e5", [1130088540685311392, 0, 0, 0, 5458]),
-    ("ba/r1/hashed/e6", [15531733770491937538, 5, 210, 10, 5449]),
-    ("ba/r2/block/e0", [13802341709165014166, 116, 60270, 0, 5386]),
-    ("ba/r2/block/e1", [9099173119332923543, 5, 188, 7, 5380]),
-    ("ba/r2/block/e2", [9929568376784611287, 3, 98, 2, 5388]),
-    ("ba/r2/block/e3", [11600478134636585571, 1, 31, 0, 5407]),
-    ("ba/r2/block/e4", [15763521551316133686, 2, 80, 1, 5405]),
-    ("ba/r2/block/e5", [15763521551316133686, 0, 0, 0, 5405]),
-    ("ba/r2/block/e6", [7201989437896266691, 3, 133, 3, 5409]),
-    ("ba/r2/cyclic/e0", [6444907987069600002, 112, 59997, 0, 5766]),
-    ("ba/r2/cyclic/e1", [11416684251106932661, 9, 1789, 54, 5522]),
-    ("ba/r2/cyclic/e2", [8735289466471499187, 109, 58557, 892, 5574]),
-    ("ba/r2/cyclic/e3", [1898731923134025367, 116, 63599, 880, 6091]),
-    ("ba/r2/cyclic/e4", [17896301484305903863, 103, 51823, 907, 5401]),
-    ("ba/r2/cyclic/e5", [17896301484305903863, 0, 0, 0, 5401]),
-    ("ba/r2/cyclic/e6", [237940242967077427, 2, 92, 1, 5407]),
-    ("ba/r2/hashed/e0", [3704091510574182932, 112, 54386, 0, 5435]),
-    ("ba/r2/hashed/e1", [9924726040936079940, 2, 129, 5, 5429]),
-    ("ba/r2/hashed/e2", [14528413304092453655, 2, 86, 1, 5434]),
-    ("ba/r2/hashed/e3", [517096887424160416, 2, 37, 0, 5452]),
-    ("ba/r2/hashed/e4", [17316006981168516738, 2, 82, 1, 5450]),
-    ("ba/r2/hashed/e5", [17316006981168516738, 0, 0, 0, 5450]),
-    ("ba/r2/hashed/e6", [4024280995842122401, 4, 145, 6, 5445]),
-    ("ba/r3/block/e0", [17986913671022137441, 84, 46644, 0, 6402]),
-    ("ba/r3/block/e1", [5623910083180051792, 102, 50048, 871, 6275]),
-    ("ba/r3/block/e2", [7275499787101188195, 100, 54503, 809, 6043]),
-    ("ba/r3/block/e3", [14482689005632615730, 99, 54556, 870, 6335]),
-    ("ba/r3/block/e4", [6246411276433712113, 106, 56206, 887, 5393]),
-    ("ba/r3/block/e5", [6246411276433712113, 0, 0, 0, 5393]),
-    ("ba/r3/block/e6", [6246411276433712113, 1, 75, 0, 5399]),
-    ("ba/r3/cyclic/e0", [5414150743803517332, 99, 56069, 0, 6412]),
-    ("ba/r3/cyclic/e1", [6925615619381183125, 109, 60667, 879, 6152]),
-    ("ba/r3/cyclic/e2", [5872052243803069927, 103, 56047, 927, 6072]),
-    ("ba/r3/cyclic/e3", [2891811358011437104, 112, 61503, 941, 6256]),
-    ("ba/r3/cyclic/e4", [10564527552322091380, 98, 50782, 843, 6258]),
-    ("ba/r3/cyclic/e5", [7002119720131825287, 111, 55626, 878, 6289]),
-    ("ba/r3/cyclic/e6", [17975282083629164979, 107, 58137, 878, 6282]),
-    ("ba/r3/hashed/e0", [7007094709077313266, 77, 45914, 0, 6395]),
-    ("ba/r3/hashed/e1", [4041776803847616401, 99, 54411, 877, 6314]),
-    ("ba/r3/hashed/e2", [13752217416206507990, 103, 54301, 676, 6404]),
-    ("ba/r3/hashed/e3", [7483910988341700499, 109, 59195, 919, 6449]),
-    ("ba/r3/hashed/e4", [10813566872069865701, 99, 54229, 880, 6286]),
-    ("ba/r3/hashed/e5", [11897926518348772102, 112, 57152, 908, 6334]),
-    ("ba/r3/hashed/e6", [14637128984323208978, 101, 57187, 936, 6342]),
-    ("grid/r1/block/e0", [12391625405204636130, 60, 25131, 0, 380]),
-    ("grid/r1/block/e1", [12391625405204636130, 1, 18, 0, 383]),
-    ("grid/r1/block/e2", [12391625405204636130, 1, 18, 0, 388]),
-    ("grid/r1/block/e3", [6804046822898598114, 1, 31, 0, 402]),
-    ("grid/r1/block/e4", [9459775827510596369, 2, 22, 1, 402]),
-    ("grid/r1/block/e5", [9459775827510596369, 0, 0, 0, 402]),
-    ("grid/r1/block/e6", [9459775827510596369, 1, 18, 0, 405]),
-    ("grid/r1/cyclic/e0", [12391625405204636130, 60, 25131, 0, 380]),
-    ("grid/r1/cyclic/e1", [12391625405204636130, 1, 18, 0, 383]),
-    ("grid/r1/cyclic/e2", [12391625405204636130, 1, 18, 0, 388]),
-    ("grid/r1/cyclic/e3", [6804046822898598114, 1, 31, 0, 402]),
-    ("grid/r1/cyclic/e4", [9459775827510596369, 2, 22, 1, 402]),
-    ("grid/r1/cyclic/e5", [9459775827510596369, 0, 0, 0, 402]),
-    ("grid/r1/cyclic/e6", [9459775827510596369, 1, 18, 0, 405]),
-    ("grid/r1/hashed/e0", [12391625405204636130, 60, 25131, 0, 380]),
-    ("grid/r1/hashed/e1", [12391625405204636130, 1, 18, 0, 383]),
-    ("grid/r1/hashed/e2", [12391625405204636130, 1, 18, 0, 388]),
-    ("grid/r1/hashed/e3", [6804046822898598114, 1, 31, 0, 402]),
-    ("grid/r1/hashed/e4", [9459775827510596369, 2, 22, 1, 402]),
-    ("grid/r1/hashed/e5", [9459775827510596369, 0, 0, 0, 402]),
-    ("grid/r1/hashed/e6", [9459775827510596369, 1, 18, 0, 405]),
-    ("grid/r2/block/e0", [4615639538572522854, 85, 37970, 0, 392]),
-    ("grid/r2/block/e1", [11766493338925869505, 2, 22, 1, 394]),
-    ("grid/r2/block/e2", [11766493338925869505, 1, 18, 0, 398]),
-    ("grid/r2/block/e3", [16801680531174542755, 1, 31, 0, 415]),
-    ("grid/r2/block/e4", [18074958461908310627, 3, 27, 2, 414]),
-    ("grid/r2/block/e5", [18074958461908310627, 0, 0, 0, 414]),
-    ("grid/r2/block/e6", [683470568335698279, 2, 22, 1, 416]),
-    ("grid/r2/cyclic/e0", [860032130841735350, 75, 28747, 0, 406]),
-    ("grid/r2/cyclic/e1", [860032130841735350, 1, 18, 0, 409]),
-    ("grid/r2/cyclic/e2", [10236340450175666327, 5, 55, 8, 397]),
-    ("grid/r2/cyclic/e3", [5786585976119565972, 1, 31, 0, 416]),
-    ("grid/r2/cyclic/e4", [5786585976119565972, 1, 18, 0, 414]),
-    ("grid/r2/cyclic/e5", [5786585976119565972, 0, 0, 0, 414]),
-    ("grid/r2/cyclic/e6", [3497983237439284277, 3, 31, 3, 412]),
-    ("grid/r2/hashed/e0", [5366756875388194083, 79, 41510, 0, 483]),
-    ("grid/r2/hashed/e1", [5366756875388194083, 1, 18, 0, 484]),
-    ("grid/r2/hashed/e2", [10725705652740611348, 2, 22, 1, 488]),
-    ("grid/r2/hashed/e3", [1645478274087173796, 2, 43, 0, 504]),
-    ("grid/r2/hashed/e4", [9219298513847741190, 2, 30, 3, 501]),
-    ("grid/r2/hashed/e5", [9219298513847741190, 0, 0, 0, 501]),
-    ("grid/r2/hashed/e6", [9219298513847741190, 1, 18, 0, 502]),
-    ("grid/r3/block/e0", [13506139749747936355, 79, 33101, 0, 341]),
-    ("grid/r3/block/e1", [5219047969838265792, 2, 22, 1, 344]),
-    ("grid/r3/block/e2", [12284079215686360452, 2, 22, 1, 348]),
-    ("grid/r3/block/e3", [17761147170234864178, 2, 37, 0, 367]),
-    ("grid/r3/block/e4", [17761147170234864178, 1, 18, 0, 366]),
-    ("grid/r3/block/e5", [17761147170234864178, 0, 0, 0, 366]),
-    ("grid/r3/block/e6", [17761147170234864178, 1, 18, 0, 368]),
-    ("grid/r3/cyclic/e0", [14403852763139266512, 56, 23812, 0, 185]),
-    ("grid/r3/cyclic/e1", [14403852763139266512, 1, 18, 0, 188]),
-    ("grid/r3/cyclic/e2", [14403852763139266512, 1, 18, 0, 192]),
-    ("grid/r3/cyclic/e3", [6083270698992433558, 91, 13396, 99, 190]),
-    ("grid/r3/cyclic/e4", [6083270698992433558, 1, 18, 0, 189]),
-    ("grid/r3/cyclic/e5", [6083270698992433558, 0, 0, 0, 189]),
-    ("grid/r3/cyclic/e6", [6083270698992433558, 1, 18, 0, 191]),
-    ("grid/r3/hashed/e0", [14830625478802196033, 75, 34219, 0, 259]),
-    ("grid/r3/hashed/e1", [14830625478802196033, 1, 18, 0, 261]),
-    ("grid/r3/hashed/e2", [14830625478802196033, 1, 18, 0, 266]),
-    ("grid/r3/hashed/e3", [13585754548351335810, 1, 31, 0, 286]),
-    ("grid/r3/hashed/e4", [17731322867072956695, 2, 22, 1, 284]),
-    ("grid/r3/hashed/e5", [17731322867072956695, 0, 0, 0, 284]),
-    ("grid/r3/hashed/e6", [3454158114148210514, 3, 31, 3, 284]),
+    ("ba/r1/block/e0", [3548060239864686144, 72, 34473, 0, 5430]),
+    ("ba/r1/block/e1", [7769687485563759296, 3, 95, 2, 5426]),
+    ("ba/r1/block/e2", [13154782882111161670, 2, 95, 2, 5431]),
+    ("ba/r1/block/e3", [15503073782199694356, 1, 31, 0, 5449]),
+    ("ba/r1/block/e4", [335976324770051604, 3, 179, 6, 5444]),
+    ("ba/r1/block/e5", [335976324770051604, 0, 0, 0, 5444]),
+    ("ba/r1/block/e6", [5857230124072705607, 2, 92, 2, 5447]),
+    ("ba/r1/cyclic/e0", [3548060239864686144, 72, 34473, 0, 5430]),
+    ("ba/r1/cyclic/e1", [7769687485563759296, 3, 95, 2, 5426]),
+    ("ba/r1/cyclic/e2", [13154782882111161670, 2, 95, 2, 5431]),
+    ("ba/r1/cyclic/e3", [15503073782199694356, 1, 31, 0, 5449]),
+    ("ba/r1/cyclic/e4", [335976324770051604, 3, 179, 6, 5444]),
+    ("ba/r1/cyclic/e5", [335976324770051604, 0, 0, 0, 5444]),
+    ("ba/r1/cyclic/e6", [5857230124072705607, 2, 92, 2, 5447]),
+    ("ba/r1/hashed/e0", [3548060239864686144, 72, 34473, 0, 5430]),
+    ("ba/r1/hashed/e1", [7769687485563759296, 3, 95, 2, 5426]),
+    ("ba/r1/hashed/e2", [13154782882111161670, 2, 95, 2, 5431]),
+    ("ba/r1/hashed/e3", [15503073782199694356, 1, 31, 0, 5449]),
+    ("ba/r1/hashed/e4", [335976324770051604, 3, 179, 6, 5444]),
+    ("ba/r1/hashed/e5", [335976324770051604, 0, 0, 0, 5444]),
+    ("ba/r1/hashed/e6", [5857230124072705607, 2, 92, 2, 5447]),
+    ("ba/r2/block/e0", [15737601544944606835, 95, 38522, 0, 5387]),
+    ("ba/r2/block/e1", [12906143768564900162, 2, 96, 2, 5385]),
+    ("ba/r2/block/e2", [12097441315957822771, 2, 107, 3, 5392]),
+    ("ba/r2/block/e3", [7660009289942861488, 1, 31, 0, 5410]),
+    ("ba/r2/block/e4", [7660009289942861488, 1, 71, 0, 5413]),
+    ("ba/r2/block/e5", [7660009289942861488, 0, 0, 0, 5413]),
+    ("ba/r2/block/e6", [4942161551416332819, 2, 88, 1, 5418]),
+    ("ba/r2/cyclic/e0", [12328050864603681027, 85, 38760, 0, 5374]),
+    ("ba/r2/cyclic/e1", [10722097502566691824, 2, 97, 2, 5370]),
+    ("ba/r2/cyclic/e2", [10722097502566691824, 1, 74, 0, 5381]),
+    ("ba/r2/cyclic/e3", [7639673512655526423, 2, 37, 0, 5399]),
+    ("ba/r2/cyclic/e4", [7639673512655526423, 1, 71, 0, 5399]),
+    ("ba/r2/cyclic/e5", [7639673512655526423, 0, 0, 0, 5399]),
+    ("ba/r2/cyclic/e6", [4815713436484630835, 7, 192, 9, 5389]),
+    ("ba/r2/hashed/e0", [9955958879808176437, 94, 40510, 0, 5516]),
+    ("ba/r2/hashed/e1", [11968836220492714678, 4, 156, 4, 5510]),
+    ("ba/r2/hashed/e2", [3687630960508907008, 2, 114, 4, 5516]),
+    ("ba/r2/hashed/e3", [7049911419922083622, 97, 42261, 882, 5415]),
+    ("ba/r2/hashed/e4", [16338647954458611461, 3, 118, 5, 5412]),
+    ("ba/r2/hashed/e5", [16338647954458611461, 0, 0, 0, 5412]),
+    ("ba/r2/hashed/e6", [1487643059644666647, 5, 246, 12, 5405]),
+    ("ba/r3/block/e0", [3944621117580952117, 77, 36563, 0, 5346]),
+    ("ba/r3/block/e1", [13516909349900841237, 2, 92, 2, 5349]),
+    ("ba/r3/block/e2", [7036418691159351047, 2, 99, 2, 5358]),
+    ("ba/r3/block/e3", [5023630433828740066, 2, 37, 0, 5374]),
+    ("ba/r3/block/e4", [3190303951057366675, 6, 171, 8, 5370]),
+    ("ba/r3/block/e5", [3190303951057366675, 0, 0, 0, 5370]),
+    ("ba/r3/block/e6", [3190303951057366675, 1, 75, 0, 5376]),
+    ("ba/r3/cyclic/e0", [5377155491861676451, 96, 44446, 0, 5481]),
+    ("ba/r3/cyclic/e1", [15713356640389337830, 3, 172, 9, 5472]),
+    ("ba/r3/cyclic/e2", [10045557030466479808, 2, 91, 2, 5483]),
+    ("ba/r3/cyclic/e3", [2456520111656615315, 87, 42097, 898, 5407]),
+    ("ba/r3/cyclic/e4", [10953914900733683908, 2, 83, 1, 5409]),
+    ("ba/r3/cyclic/e5", [10953914900733683908, 0, 0, 0, 5409]),
+    ("ba/r3/cyclic/e6", [10953914900733683908, 1, 75, 0, 5409]),
+    ("ba/r3/hashed/e0", [1685168914007574401, 96, 42061, 0, 5476]),
+    ("ba/r3/hashed/e1", [2328292241892045731, 2, 89, 1, 5475]),
+    ("ba/r3/hashed/e2", [17087512310166449076, 2, 97, 2, 5480]),
+    ("ba/r3/hashed/e3", [4624346973124056546, 95, 43293, 911, 5656]),
+    ("ba/r3/hashed/e4", [4428367720258560419, 10, 1575, 63, 5459]),
+    ("ba/r3/hashed/e5", [4428367720258560419, 0, 0, 0, 5459]),
+    ("ba/r3/hashed/e6", [4428367720258560419, 1, 75, 0, 5462]),
+    ("grid/r1/block/e0", [2097103537304227825, 51, 22244, 0, 322]),
+    ("grid/r1/block/e1", [2097103537304227825, 1, 18, 0, 323]),
+    ("grid/r1/block/e2", [2097103537304227825, 1, 18, 0, 327]),
+    ("grid/r1/block/e3", [2305651476734151009, 1, 31, 0, 342]),
+    ("grid/r1/block/e4", [2305651476734151009, 1, 18, 0, 341]),
+    ("grid/r1/block/e5", [2305651476734151009, 0, 0, 0, 341]),
+    ("grid/r1/block/e6", [2305651476734151009, 1, 18, 0, 344]),
+    ("grid/r1/cyclic/e0", [2097103537304227825, 51, 22244, 0, 322]),
+    ("grid/r1/cyclic/e1", [2097103537304227825, 1, 18, 0, 323]),
+    ("grid/r1/cyclic/e2", [2097103537304227825, 1, 18, 0, 327]),
+    ("grid/r1/cyclic/e3", [2305651476734151009, 1, 31, 0, 342]),
+    ("grid/r1/cyclic/e4", [2305651476734151009, 1, 18, 0, 341]),
+    ("grid/r1/cyclic/e5", [2305651476734151009, 0, 0, 0, 341]),
+    ("grid/r1/cyclic/e6", [2305651476734151009, 1, 18, 0, 344]),
+    ("grid/r1/hashed/e0", [2097103537304227825, 51, 22244, 0, 322]),
+    ("grid/r1/hashed/e1", [2097103537304227825, 1, 18, 0, 323]),
+    ("grid/r1/hashed/e2", [2097103537304227825, 1, 18, 0, 327]),
+    ("grid/r1/hashed/e3", [2305651476734151009, 1, 31, 0, 342]),
+    ("grid/r1/hashed/e4", [2305651476734151009, 1, 18, 0, 341]),
+    ("grid/r1/hashed/e5", [2305651476734151009, 0, 0, 0, 341]),
+    ("grid/r1/hashed/e6", [2305651476734151009, 1, 18, 0, 344]),
+    ("grid/r2/block/e0", [7393246233075246080, 77, 19761, 0, 473]),
+    ("grid/r2/block/e1", [7393246233075246080, 1, 18, 0, 475]),
+    ("grid/r2/block/e2", [7393246233075246080, 1, 18, 0, 476]),
+    ("grid/r2/block/e3", [1715644437216788643, 2, 42, 1, 488]),
+    ("grid/r2/block/e4", [13241855992031683121, 3, 33, 3, 486]),
+    ("grid/r2/block/e5", [13241855992031683121, 0, 0, 0, 486]),
+    ("grid/r2/block/e6", [16550140591874272326, 2, 22, 1, 488]),
+    ("grid/r2/cyclic/e0", [5024083592787676423, 67, 24132, 0, 306]),
+    ("grid/r2/cyclic/e1", [5024083592787676423, 1, 18, 0, 309]),
+    ("grid/r2/cyclic/e2", [5024083592787676423, 1, 18, 0, 314]),
+    ("grid/r2/cyclic/e3", [18075057999023755366, 3, 55, 1, 324]),
+    ("grid/r2/cyclic/e4", [975638452702341492, 5, 45, 6, 313]),
+    ("grid/r2/cyclic/e5", [975638452702341492, 0, 0, 0, 313]),
+    ("grid/r2/cyclic/e6", [17208524018523110947, 3, 31, 3, 311]),
+    ("grid/r2/hashed/e0", [6464765233855485319, 67, 26463, 0, 277]),
+    ("grid/r2/hashed/e1", [6464765233855485319, 1, 18, 0, 280]),
+    ("grid/r2/hashed/e2", [6464765233855485319, 1, 18, 0, 283]),
+    ("grid/r2/hashed/e3", [3622932521193212645, 2, 43, 1, 298]),
+    ("grid/r2/hashed/e4", [14124080186294456039, 2, 22, 1, 298]),
+    ("grid/r2/hashed/e5", [14124080186294456039, 0, 0, 0, 298]),
+    ("grid/r2/hashed/e6", [14124080186294456039, 1, 18, 0, 301]),
+    ("grid/r3/block/e0", [8085208901251437781, 62, 21751, 0, 378]),
+    ("grid/r3/block/e1", [8085208901251437781, 1, 18, 0, 381]),
+    ("grid/r3/block/e2", [16032260194806405397, 3, 27, 2, 383]),
+    ("grid/r3/block/e3", [10850834613236785828, 3, 47, 2, 396]),
+    ("grid/r3/block/e4", [10850834613236785828, 1, 18, 0, 395]),
+    ("grid/r3/block/e5", [10850834613236785828, 0, 0, 0, 395]),
+    ("grid/r3/block/e6", [15000434675263900113, 3, 31, 3, 394]),
+    ("grid/r3/cyclic/e0", [7630507118805553792, 91, 34768, 0, 226]),
+    ("grid/r3/cyclic/e1", [7630507118805553792, 1, 18, 0, 229]),
+    ("grid/r3/cyclic/e2", [7630507118805553792, 1, 18, 0, 233]),
+    ("grid/r3/cyclic/e3", [15704781201603036278, 4, 69, 4, 239]),
+    ("grid/r3/cyclic/e4", [17945650405914058674, 2, 22, 1, 237]),
+    ("grid/r3/cyclic/e5", [17945650405914058674, 0, 0, 0, 237]),
+    ("grid/r3/cyclic/e6", [1130827418465686802, 3, 28, 2, 238]),
+    ("grid/r3/hashed/e0", [6412676961063735408, 67, 27149, 0, 258]),
+    ("grid/r3/hashed/e1", [9200822126082475731, 2, 22, 1, 260]),
+    ("grid/r3/hashed/e2", [7885325953454980196, 2, 22, 1, 264]),
+    ("grid/r3/hashed/e3", [10613269676177390199, 2, 37, 1, 278]),
+    ("grid/r3/hashed/e4", [3884583304105867509, 2, 22, 1, 277]),
+    ("grid/r3/hashed/e5", [3884583304105867509, 0, 0, 0, 277]),
+    ("grid/r3/hashed/e6", [3884583304105867509, 1, 18, 0, 277]),
 ];
 #[rustfmt::skip]
 const DYNAMIC_COMM_TABLE: &[(&str, DynamicCommRow)] = &[
@@ -660,48 +660,48 @@ const DYNAMIC_COMM_TABLE: &[(&str, DynamicCommRow)] = &[
     ("ba/r1/hashed/e4", [0, 0, 0, 0]),
     ("ba/r1/hashed/e5", [0, 0, 0, 0]),
     ("ba/r1/hashed/e6", [0, 0, 0, 0]),
-    ("ba/r2/block/e0", [298, 265784, 0, 0]),
-    ("ba/r2/block/e1", [18, 2816, 4, 84]),
-    ("ba/r2/block/e2", [14, 1880, 4, 48]),
+    ("ba/r2/block/e0", [256, 107896, 0, 0]),
+    ("ba/r2/block/e1", [12, 1440, 4, 84]),
+    ("ba/r2/block/e2", [12, 1448, 4, 48]),
     ("ba/r2/block/e3", [22, 1512, 8, 21072]),
-    ("ba/r2/block/e4", [12, 1432, 4, 72]),
+    ("ba/r2/block/e4", [10, 984, 4, 72]),
     ("ba/r2/block/e5", [8, 544, 0, 0]),
-    ("ba/r2/block/e6", [14, 1896, 4, 48]),
-    ("ba/r2/cyclic/e0", [294, 234536, 0, 0]),
-    ("ba/r2/cyclic/e1", [26, 5032, 4, 48]),
-    ("ba/r2/cyclic/e2", [264, 220088, 4, 48]),
-    ("ba/r2/cyclic/e3", [288, 249128, 4, 240]),
-    ("ba/r2/cyclic/e4", [246, 203032, 4, 48]),
+    ("ba/r2/block/e6", [12, 1432, 4, 48]),
+    ("ba/r2/cyclic/e0", [236, 114488, 0, 0]),
+    ("ba/r2/cyclic/e1", [12, 1440, 4, 48]),
+    ("ba/r2/cyclic/e2", [10, 984, 4, 48]),
+    ("ba/r2/cyclic/e3", [24, 1960, 4, 240]),
+    ("ba/r2/cyclic/e4", [10, 984, 4, 48]),
     ("ba/r2/cyclic/e5", [8, 544, 0, 0]),
-    ("ba/r2/cyclic/e6", [12, 1432, 4, 48]),
-    ("ba/r2/hashed/e0", [290, 239560, 0, 0]),
-    ("ba/r2/hashed/e1", [12, 1464, 4, 48]),
-    ("ba/r2/hashed/e2", [12, 1432, 4, 48]),
-    ("ba/r2/hashed/e3", [24, 1960, 4, 240]),
-    ("ba/r2/hashed/e4", [12, 1432, 4, 48]),
+    ("ba/r2/cyclic/e6", [22, 3696, 4, 48]),
+    ("ba/r2/hashed/e0", [254, 116160, 0, 0]),
+    ("ba/r2/hashed/e1", [16, 2360, 4, 48]),
+    ("ba/r2/hashed/e2", [12, 1456, 4, 48]),
+    ("ba/r2/hashed/e3", [248, 106960, 4, 240]),
+    ("ba/r2/hashed/e4", [14, 1904, 4, 48]),
     ("ba/r2/hashed/e5", [8, 544, 0, 0]),
-    ("ba/r2/hashed/e6", [16, 2352, 4, 48]),
-    ("ba/r3/block/e0", [702, 411968, 0, 0]),
-    ("ba/r3/block/e1", [738, 357328, 12, 144]),
-    ("ba/r3/block/e2", [732, 375960, 12, 288]),
-    ("ba/r3/block/e3", [762, 446024, 24, 40484]),
-    ("ba/r3/block/e4", [756, 406728, 12, 204]),
+    ("ba/r2/hashed/e6", [18, 2840, 4, 48]),
+    ("ba/r3/block/e0", [660, 232688, 0, 0]),
+    ("ba/r3/block/e1", [36, 4304, 12, 144]),
+    ("ba/r3/block/e2", [36, 4304, 12, 288]),
+    ("ba/r3/block/e3", [72, 5792, 24, 40484]),
+    ("ba/r3/block/e4", [60, 9664, 12, 204]),
     ("ba/r3/block/e5", [24, 1632, 0, 0]),
     ("ba/r3/block/e6", [30, 2952, 12, 168]),
-    ("ba/r3/cyclic/e0", [912, 501104, 0, 0]),
-    ("ba/r3/cyclic/e1", [900, 523072, 12, 144]),
-    ("ba/r3/cyclic/e2", [864, 478056, 12, 180]),
-    ("ba/r3/cyclic/e3", [846, 477648, 12, 528]),
-    ("ba/r3/cyclic/e4", [828, 423432, 12, 144]),
-    ("ba/r3/cyclic/e5", [912, 504128, 0, 0]),
-    ("ba/r3/cyclic/e6", [888, 490728, 12, 168]),
-    ("ba/r3/hashed/e0", [660, 420296, 0, 0]),
-    ("ba/r3/hashed/e1", [834, 404096, 12, 144]),
-    ("ba/r3/hashed/e2", [864, 496056, 12, 144]),
-    ("ba/r3/hashed/e3", [828, 465000, 12, 552]),
-    ("ba/r3/hashed/e4", [834, 448360, 12, 168]),
-    ("ba/r3/hashed/e5", [918, 518040, 0, 0]),
-    ("ba/r3/hashed/e6", [852, 495224, 12, 168]),
+    ("ba/r3/cyclic/e0", [774, 304280, 0, 0]),
+    ("ba/r3/cyclic/e1", [42, 5736, 12, 144]),
+    ("ba/r3/cyclic/e2", [36, 4304, 12, 180]),
+    ("ba/r3/cyclic/e3", [684, 222208, 12, 528]),
+    ("ba/r3/cyclic/e4", [36, 4288, 12, 144]),
+    ("ba/r3/cyclic/e5", [24, 1632, 0, 0]),
+    ("ba/r3/cyclic/e6", [30, 2952, 12, 168]),
+    ("ba/r3/hashed/e0", [774, 288616, 0, 0]),
+    ("ba/r3/hashed/e1", [36, 4288, 12, 144]),
+    ("ba/r3/hashed/e2", [36, 4304, 12, 144]),
+    ("ba/r3/hashed/e3", [852, 258944, 12, 552]),
+    ("ba/r3/hashed/e4", [84, 16024, 12, 168]),
+    ("ba/r3/hashed/e5", [24, 1632, 0, 0]),
+    ("ba/r3/hashed/e6", [30, 2952, 12, 168]),
     ("grid/r1/block/e0", [0, 0, 0, 0]),
     ("grid/r1/block/e1", [0, 0, 0, 0]),
     ("grid/r1/block/e2", [0, 0, 0, 0]),
@@ -723,46 +723,46 @@ const DYNAMIC_COMM_TABLE: &[(&str, DynamicCommRow)] = &[
     ("grid/r1/hashed/e4", [0, 0, 0, 0]),
     ("grid/r1/hashed/e5", [0, 0, 0, 0]),
     ("grid/r1/hashed/e6", [0, 0, 0, 0]),
-    ("grid/r2/block/e0", [284, 45488, 0, 0]),
-    ("grid/r2/block/e1", [12, 1424, 4, 96]),
+    ("grid/r2/block/e0", [268, 40664, 0, 0]),
+    ("grid/r2/block/e1", [10, 984, 4, 96]),
     ("grid/r2/block/e2", [10, 984, 4, 216]),
-    ("grid/r2/block/e3", [22, 1512, 8, 2268]),
+    ("grid/r2/block/e3", [24, 1968, 8, 2268]),
     ("grid/r2/block/e4", [14, 1864, 4, 96]),
     ("grid/r2/block/e5", [8, 544, 0, 0]),
     ("grid/r2/block/e6", [12, 1424, 4, 192]),
-    ("grid/r2/cyclic/e0", [264, 72936, 0, 0]),
+    ("grid/r2/cyclic/e0", [248, 56760, 0, 0]),
     ("grid/r2/cyclic/e1", [10, 984, 4, 84]),
-    ("grid/r2/cyclic/e2", [18, 2808, 4, 48]),
-    ("grid/r2/cyclic/e3", [22, 1512, 4, 240]),
-    ("grid/r2/cyclic/e4", [10, 984, 4, 48]),
+    ("grid/r2/cyclic/e2", [10, 984, 4, 48]),
+    ("grid/r2/cyclic/e3", [26, 2424, 4, 240]),
+    ("grid/r2/cyclic/e4", [18, 2792, 4, 48]),
     ("grid/r2/cyclic/e5", [8, 544, 0, 0]),
     ("grid/r2/cyclic/e6", [14, 1888, 4, 48]),
-    ("grid/r2/hashed/e0", [272, 103760, 0, 0]),
+    ("grid/r2/hashed/e0", [248, 57104, 0, 0]),
     ("grid/r2/hashed/e1", [10, 984, 4, 48]),
-    ("grid/r2/hashed/e2", [12, 1432, 4, 84]),
+    ("grid/r2/hashed/e2", [10, 984, 4, 84]),
     ("grid/r2/hashed/e3", [24, 1968, 4, 288]),
-    ("grid/r2/hashed/e4", [12, 1440, 4, 84]),
+    ("grid/r2/hashed/e4", [12, 1432, 4, 84]),
     ("grid/r2/hashed/e5", [8, 544, 0, 0]),
     ("grid/r2/hashed/e6", [10, 984, 4, 48]),
-    ("grid/r3/block/e0", [816, 108064, 0, 0]),
-    ("grid/r3/block/e1", [36, 4272, 12, 240]),
-    ("grid/r3/block/e2", [36, 4280, 12, 384]),
-    ("grid/r3/block/e3", [72, 5792, 24, 4044]),
+    ("grid/r3/block/e0", [714, 103072, 0, 0]),
+    ("grid/r3/block/e1", [30, 2952, 12, 240]),
+    ("grid/r3/block/e2", [42, 5592, 12, 384]),
+    ("grid/r3/block/e3", [78, 7120, 24, 4044]),
     ("grid/r3/block/e4", [30, 2952, 12, 240]),
     ("grid/r3/block/e5", [24, 1632, 0, 0]),
-    ("grid/r3/block/e6", [30, 2952, 12, 336]),
-    ("grid/r3/cyclic/e0", [678, 137192, 0, 0]),
+    ("grid/r3/block/e6", [42, 5616, 12, 336]),
+    ("grid/r3/cyclic/e0", [888, 156320, 0, 0]),
     ("grid/r3/cyclic/e1", [30, 2952, 12, 144]),
     ("grid/r3/cyclic/e2", [30, 2952, 12, 180]),
-    ("grid/r3/cyclic/e3", [702, 108832, 12, 504]),
-    ("grid/r3/cyclic/e4", [30, 2952, 12, 144]),
+    ("grid/r3/cyclic/e3", [84, 8544, 12, 504]),
+    ("grid/r3/cyclic/e4", [36, 4288, 12, 144]),
     ("grid/r3/cyclic/e5", [24, 1632, 0, 0]),
-    ("grid/r3/cyclic/e6", [30, 2952, 12, 180]),
-    ("grid/r3/hashed/e0", [792, 158688, 0, 0]),
-    ("grid/r3/hashed/e1", [30, 2952, 12, 228]),
-    ("grid/r3/hashed/e2", [30, 2952, 12, 180]),
-    ("grid/r3/hashed/e3", [66, 4472, 12, 696]),
-    ("grid/r3/hashed/e4", [36, 4280, 12, 252]),
+    ("grid/r3/cyclic/e6", [42, 5624, 12, 180]),
+    ("grid/r3/hashed/e0", [744, 140688, 0, 0]),
+    ("grid/r3/hashed/e1", [36, 4288, 12, 228]),
+    ("grid/r3/hashed/e2", [36, 4280, 12, 180]),
+    ("grid/r3/hashed/e3", [72, 5808, 12, 696]),
+    ("grid/r3/hashed/e4", [36, 4288, 12, 252]),
     ("grid/r3/hashed/e5", [24, 1632, 0, 0]),
-    ("grid/r3/hashed/e6", [42, 5624, 12, 252]),
+    ("grid/r3/hashed/e6", [30, 2952, 12, 252]),
 ];

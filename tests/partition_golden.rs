@@ -363,30 +363,30 @@ const GOLDEN: &[(&str, Row)] = &[
     ("grid/pulp/frontier/single/warm_touched", [11473717341554758919, 2, 52, 2, 52, 0, 0, 0, 0, 0, 0]),
     ("grid/pulp/frontier/single/warm_blind", [5791010637251899526, 10, 484, 10, 484, 0, 0, 0, 0, 0, 0]),
     ("grid/pulp/frontier/single/warm_over", [14499762222189909956, 14, 4477, 7, 1677, 5, 2000, 2, 800, 0, 0]),
-    ("grid/x1/frontier/mm/cold", [1864928048885372439, 38, 8967, 28, 4967, 5, 2000, 5, 2000, 102, 7552]),
+    ("grid/x1/frontier/mm/cold", [14040339210421737287, 46, 8702, 40, 6302, 1, 400, 5, 2000, 110, 8512]),
     ("grid/x1/frontier/mm/warm_touched", [15035215763687230181, 2, 27, 2, 27, 0, 0, 0, 0, 12, 496]),
     ("grid/x1/frontier/mm/warm_blind", [15035215763687230181, 2, 409, 2, 409, 0, 0, 0, 0, 6, 472]),
-    ("grid/x1/frontier/mm/warm_over", [4504300919241347367, 47, 10359, 37, 6359, 5, 2000, 5, 2000, 67, 5704]),
-    ("grid/x1/frontier/single/cold", [8055622318017196740, 17, 4448, 10, 1648, 5, 2000, 2, 800, 72, 4600]),
+    ("grid/x1/frontier/mm/warm_over", [11534587240660124087, 48, 8384, 43, 6384, 1, 400, 4, 1600, 70, 5832]),
+    ("grid/x1/frontier/single/cold", [13008326833107674663, 16, 2923, 13, 1723, 1, 400, 2, 800, 71, 4552]),
     ("grid/x1/frontier/single/warm_touched", [11473717341554758919, 2, 52, 2, 52, 0, 0, 0, 0, 12, 336]),
     ("grid/x1/frontier/single/warm_blind", [5791010637251899526, 10, 484, 10, 484, 0, 0, 0, 0, 14, 696]),
-    ("grid/x1/frontier/single/warm_over", [8020323062623794869, 10, 4000, 3, 1200, 5, 2000, 2, 800, 21, 928]),
-    ("grid/x2/frontier/mm/cold", [5712355409435909316, 63, 13199, 36, 4799, 20, 8000, 1, 400, 127, 21640]),
+    ("grid/x1/frontier/single/warm_over", [8003885609803807878, 10, 2867, 7, 1667, 1, 400, 2, 800, 23, 944]),
+    ("grid/x2/frontier/mm/cold", [18166870743806170247, 52, 11525, 45, 9525, 1, 400, 4, 1600, 116, 17464]),
     ("grid/x2/frontier/mm/warm_touched", [496311163282246918, 2, 32, 2, 32, 0, 0, 0, 0, 12, 1000]),
     ("grid/x2/frontier/mm/warm_blind", [11646049208776184135, 2, 414, 2, 414, 0, 0, 0, 0, 6, 952]),
-    ("grid/x2/frontier/mm/warm_over", [16506951093904997559, 66, 14853, 37, 6053, 20, 8000, 2, 800, 89, 19520]),
-    ("grid/x2/frontier/single/cold", [9221362700485100804, 18, 7200, 3, 1200, 15, 6000, 0, 0, 74, 9464]),
+    ("grid/x2/frontier/mm/warm_over", [2299418619103386693, 59, 10519, 51, 8519, 2, 800, 3, 1200, 81, 13984]),
+    ("grid/x2/frontier/single/cold", [7725724213588637364, 11, 2837, 8, 1637, 1, 400, 2, 800, 66, 6680]),
     ("grid/x2/frontier/single/warm_touched", [11473717341554758919, 2, 52, 2, 52, 0, 0, 0, 0, 12, 680]),
     ("grid/x2/frontier/single/warm_blind", [5791010637251899526, 10, 484, 10, 484, 0, 0, 0, 0, 14, 1400]),
-    ("grid/x2/frontier/single/warm_over", [2275824727187733092, 18, 7200, 3, 1200, 15, 6000, 0, 0, 32, 5568]),
-    ("grid/x4/frontier/mm/cold", [13570007233049075476, 79, 16416, 49, 7616, 20, 8000, 2, 800, 143, 51176]),
+    ("grid/x2/frontier/single/warm_over", [11788873450213025495, 16, 3706, 13, 2506, 2, 800, 1, 400, 29, 2608]),
+    ("grid/x4/frontier/mm/cold", [7005874258280704422, 59, 9798, 43, 7398, 1, 400, 5, 2000, 123, 36264]),
     ("grid/x4/frontier/mm/warm_touched", [496311163282246918, 2, 32, 2, 32, 0, 0, 0, 0, 12, 1992]),
     ("grid/x4/frontier/mm/warm_blind", [1779753635320526839, 2, 414, 2, 414, 0, 0, 0, 0, 6, 1896]),
-    ("grid/x4/frontier/mm/warm_over", [2129270381860774103, 67, 14117, 47, 6917, 15, 6000, 3, 1200, 89, 34144]),
-    ("grid/x4/frontier/single/cold", [1424592600079537764, 31, 8512, 16, 2512, 15, 6000, 0, 0, 86, 21080]),
+    ("grid/x4/frontier/mm/warm_over", [15956491773251147239, 55, 8772, 39, 6772, 1, 400, 4, 1600, 77, 25992]),
+    ("grid/x4/frontier/single/cold", [8038350647982524933, 13, 3648, 10, 2448, 1, 400, 2, 800, 68, 11664]),
     ("grid/x4/frontier/single/warm_touched", [11473717341554758919, 2, 52, 2, 52, 0, 0, 0, 0, 12, 1360]),
     ("grid/x4/frontier/single/warm_blind", [5791010637251899526, 10, 484, 10, 484, 0, 0, 0, 0, 14, 2808]),
-    ("grid/x4/frontier/single/warm_over", [11571230074546515349, 26, 8437, 10, 2437, 15, 6000, 0, 0, 39, 11904]),
+    ("grid/x4/frontier/single/warm_over", [11559523954642921876, 20, 3896, 15, 2696, 1, 400, 2, 800, 33, 6312]),
     ("isolated/pulp/frontier/mm/cold", [5251830912804164290, 15, 3870, 8, 1938, 5, 1380, 2, 552, 0, 0]),
     ("isolated/pulp/frontier/mm/warm_touched", [15676612022221400833, 15, 3615, 9, 1959, 4, 1104, 2, 552, 0, 0]),
     ("isolated/pulp/frontier/mm/warm_blind", [15676612022221400833, 25, 4999, 19, 3343, 4, 1104, 2, 552, 0, 0]),
@@ -395,30 +395,30 @@ const GOLDEN: &[(&str, Row)] = &[
     ("isolated/pulp/frontier/single/warm_touched", [15676612022221400833, 9, 1959, 6, 1131, 3, 828, 0, 0, 0, 0]),
     ("isolated/pulp/frontier/single/warm_blind", [15676612022221400833, 19, 3343, 16, 2515, 3, 828, 0, 0, 0, 0]),
     ("isolated/pulp/frontier/single/warm_over", [9108385079780718145, 14, 2309, 10, 1205, 4, 1104, 0, 0, 0, 0]),
-    ("isolated/x1/frontier/mm/cold", [6537745938969948194, 56, 8384, 43, 4796, 10, 2760, 3, 828, 110, 10952]),
-    ("isolated/x1/frontier/mm/warm_touched", [9407210671345225394, 42, 6801, 32, 4041, 5, 1380, 5, 1380, 69, 7080]),
-    ("isolated/x1/frontier/mm/warm_blind", [9407210671345225394, 42, 6801, 32, 4041, 5, 1380, 5, 1380, 64, 7064]),
-    ("isolated/x1/frontier/mm/warm_over", [11603640501457466289, 63, 10387, 45, 5419, 15, 4140, 3, 828, 85, 10232]),
-    ("isolated/x1/frontier/single/cold", [11371105621186010869, 14, 2821, 7, 889, 5, 1380, 2, 552, 59, 3344]),
-    ("isolated/x1/frontier/single/warm_touched", [5429223973466503397, 13, 2774, 6, 842, 5, 1380, 2, 552, 31, 1504]),
-    ("isolated/x1/frontier/single/warm_blind", [5429223973466503397, 13, 2774, 6, 842, 5, 1380, 2, 552, 26, 1488]),
-    ("isolated/x1/frontier/single/warm_over", [14025303390589487493, 15, 3065, 8, 1133, 5, 1380, 2, 552, 28, 1616]),
-    ("isolated/x2/frontier/mm/cold", [15128585626503472787, 58, 10032, 33, 3960, 20, 5520, 2, 552, 112, 20200]),
-    ("isolated/x2/frontier/mm/warm_touched", [17757572807620701140, 88, 13778, 62, 6878, 25, 6900, 0, 0, 116, 27656]),
-    ("isolated/x2/frontier/mm/warm_blind", [9410825482060064725, 75, 12426, 48, 5250, 25, 6900, 1, 276, 99, 26208]),
-    ("isolated/x2/frontier/mm/warm_over", [15438410654329253476, 85, 14158, 55, 5878, 30, 8280, 0, 0, 108, 27776]),
-    ("isolated/x2/frontier/single/cold", [5617485327235914406, 34, 5892, 17, 1752, 15, 4140, 0, 0, 79, 9576]),
-    ("isolated/x2/frontier/single/warm_touched", [9604242851729335203, 35, 5927, 20, 1787, 15, 4140, 0, 0, 53, 7280]),
-    ("isolated/x2/frontier/single/warm_blind", [8525366824388242695, 29, 5852, 14, 1712, 15, 4140, 0, 0, 42, 6808]),
-    ("isolated/x2/frontier/single/warm_over", [2573782054835234644, 38, 6187, 23, 2047, 15, 4140, 0, 0, 51, 7816]),
-    ("isolated/x4/frontier/mm/cold", [10719660571273392469, 86, 10768, 63, 4696, 20, 5520, 2, 552, 140, 58792]),
-    ("isolated/x4/frontier/mm/warm_touched", [16681250938713298998, 85, 13373, 54, 6197, 25, 6900, 1, 276, 112, 55912]),
-    ("isolated/x4/frontier/mm/warm_blind", [10894796766601473203, 93, 14983, 56, 6703, 30, 8280, 0, 0, 115, 61640]),
-    ("isolated/x4/frontier/mm/warm_over", [16459993904831552837, 68, 11523, 40, 5451, 20, 5520, 2, 552, 90, 42888]),
-    ("isolated/x4/frontier/single/cold", [11917903766191065042, 34, 6276, 18, 2136, 15, 4140, 0, 0, 79, 18464]),
-    ("isolated/x4/frontier/single/warm_touched", [2285278950157086198, 29, 5909, 13, 1769, 15, 4140, 0, 0, 47, 13200]),
-    ("isolated/x4/frontier/single/warm_blind", [14616593949950134068, 35, 6344, 19, 2204, 15, 4140, 0, 0, 48, 15312]),
-    ("isolated/x4/frontier/single/warm_over", [17018921821142642851, 34, 6266, 18, 2126, 15, 4140, 0, 0, 47, 14888]),
+    ("isolated/x1/frontier/mm/cold", [2840937659344711159, 59, 8731, 50, 6247, 5, 1380, 4, 1104, 113, 11432]),
+    ("isolated/x1/frontier/mm/warm_touched", [7330265935449212821, 32, 4538, 27, 3158, 1, 276, 4, 1104, 59, 5576]),
+    ("isolated/x1/frontier/mm/warm_blind", [7330265935449212821, 32, 4538, 27, 3158, 1, 276, 4, 1104, 54, 5560]),
+    ("isolated/x1/frontier/mm/warm_over", [9583172984088807888, 52, 8011, 43, 5527, 6, 1656, 3, 828, 74, 8664]),
+    ("isolated/x1/frontier/single/cold", [13819500815372205652, 14, 2537, 11, 1709, 1, 276, 2, 552, 59, 3344]),
+    ("isolated/x1/frontier/single/warm_touched", [3997373817233087908, 12, 2244, 9, 1416, 1, 276, 2, 552, 30, 1440]),
+    ("isolated/x1/frontier/single/warm_blind", [3997373817233087908, 12, 2244, 9, 1416, 1, 276, 2, 552, 25, 1424]),
+    ("isolated/x1/frontier/single/warm_over", [10390525910447868515, 13, 2513, 10, 1685, 1, 276, 2, 552, 26, 1488]),
+    ("isolated/x2/frontier/mm/cold", [9285361814262147812, 55, 7367, 46, 4883, 6, 1656, 3, 828, 109, 21320]),
+    ("isolated/x2/frontier/mm/warm_touched", [4224359027805402996, 79, 11504, 65, 8192, 10, 2760, 2, 552, 106, 24888]),
+    ("isolated/x2/frontier/mm/warm_blind", [17184597084980897393, 71, 10186, 54, 6322, 12, 3312, 2, 552, 95, 24736]),
+    ("isolated/x2/frontier/mm/warm_over", [10066304968100653830, 72, 10174, 52, 6310, 11, 3036, 3, 828, 94, 24184]),
+    ("isolated/x2/frontier/single/cold", [7025516823083247474, 16, 2068, 13, 1240, 1, 276, 2, 552, 61, 6168]),
+    ("isolated/x2/frontier/single/warm_touched", [15504208586140398244, 26, 3676, 22, 2572, 2, 552, 2, 552, 44, 5008]),
+    ("isolated/x2/frontier/single/warm_blind", [1676530654152446469, 17, 2813, 14, 1985, 1, 276, 2, 552, 30, 3784]),
+    ("isolated/x2/frontier/single/warm_over", [13081320901000326019, 18, 3380, 12, 2000, 3, 828, 2, 552, 31, 3968]),
+    ("isolated/x4/frontier/mm/cold", [8991431622805261376, 89, 10909, 72, 7873, 9, 2484, 2, 552, 144, 51104]),
+    ("isolated/x4/frontier/mm/warm_touched", [16009017745876850949, 62, 9076, 47, 5764, 9, 2484, 3, 828, 91, 40160]),
+    ("isolated/x4/frontier/mm/warm_blind", [652840048120903414, 77, 10968, 61, 7104, 11, 3036, 3, 828, 119, 59352]),
+    ("isolated/x4/frontier/mm/warm_over", [17095679008254026624, 79, 10570, 61, 7534, 9, 2484, 2, 552, 103, 50056]),
+    ("isolated/x4/frontier/single/cold", [5570630679283926806, 48, 5333, 45, 4505, 2, 552, 1, 276, 93, 19376]),
+    ("isolated/x4/frontier/single/warm_touched", [1310864593523012867, 24, 3483, 19, 2379, 2, 552, 2, 552, 42, 9432]),
+    ("isolated/x4/frontier/single/warm_blind", [17838716152564008547, 22, 3238, 18, 2134, 2, 552, 2, 552, 35, 8912]),
+    ("isolated/x4/frontier/single/warm_over", [420093256608707108, 27, 4052, 20, 2948, 3, 828, 1, 276, 40, 10224]),
     ("hub/pulp/frontier/mm/cold", [14282834400408843365, 48, 10998, 22, 3406, 25, 7300, 1, 292, 0, 0]),
     ("hub/pulp/frontier/mm/warm_touched", [17966769319974481348, 51, 11406, 25, 3814, 25, 7300, 1, 292, 0, 0]),
     ("hub/pulp/frontier/mm/warm_blind", [17966769319974481348, 51, 11406, 25, 3814, 25, 7300, 1, 292, 0, 0]),
@@ -427,28 +427,28 @@ const GOLDEN: &[(&str, Row)] = &[
     ("hub/pulp/frontier/single/warm_touched", [8867957223613744563, 26, 6243, 11, 1863, 15, 4380, 0, 0, 0, 0]),
     ("hub/pulp/frontier/single/warm_blind", [8867957223613744563, 26, 6243, 11, 1863, 15, 4380, 0, 0, 0, 0]),
     ("hub/pulp/frontier/single/warm_over", [6877988856046683719, 26, 6243, 11, 1863, 15, 4380, 0, 0, 0, 0]),
-    ("hub/x1/frontier/mm/cold", [6802950292517515509, 40, 8509, 26, 4421, 11, 3212, 3, 876, 84, 10376]),
-    ("hub/x1/frontier/mm/warm_touched", [6154823749634903702, 71, 12700, 53, 7444, 15, 4380, 3, 876, 98, 14952]),
-    ("hub/x1/frontier/mm/warm_blind", [6154823749634903702, 71, 12700, 53, 7444, 15, 4380, 3, 876, 93, 14936]),
-    ("hub/x1/frontier/mm/warm_over", [16729901906579730480, 62, 11109, 44, 5853, 15, 4380, 3, 876, 84, 12680]),
-    ("hub/x1/frontier/single/cold", [2527281484141998546, 18, 4058, 11, 2014, 5, 1460, 2, 584, 55, 4640]),
-    ("hub/x1/frontier/single/warm_touched", [12106286836607087127, 15, 3719, 8, 1675, 5, 1460, 2, 584, 33, 2064]),
-    ("hub/x1/frontier/single/warm_blind", [12106286836607087127, 15, 3719, 8, 1675, 5, 1460, 2, 584, 28, 2048]),
-    ("hub/x1/frontier/single/warm_over", [13660001892596912823, 18, 3935, 11, 1891, 5, 1460, 2, 584, 31, 2288]),
-    ("hub/x2/frontier/mm/cold", [17901351699918536916, 75, 13426, 49, 5834, 25, 7300, 1, 292, 123, 30956]),
-    ("hub/x2/frontier/mm/warm_touched", [2622875087517459255, 79, 14604, 52, 7012, 25, 7300, 1, 292, 108, 29520]),
-    ("hub/x2/frontier/mm/warm_blind", [582264993915615527, 70, 12577, 48, 6153, 20, 5840, 2, 584, 94, 27472]),
-    ("hub/x2/frontier/mm/warm_over", [9517502069897785440, 57, 12754, 25, 3994, 30, 8760, 0, 0, 82, 23440]),
-    ("hub/x2/frontier/single/cold", [3571653311046997926, 33, 7281, 18, 2901, 15, 4380, 0, 0, 71, 10660]),
-    ("hub/x2/frontier/single/warm_touched", [3002779468887172468, 36, 7441, 20, 3061, 15, 4380, 0, 0, 54, 8336]),
-    ("hub/x2/frontier/single/warm_blind", [16061051550238827889, 29, 6707, 14, 2327, 15, 4380, 0, 0, 44, 7744]),
-    ("hub/x2/frontier/single/warm_over", [18072527849576746467, 25, 6325, 9, 1945, 15, 4380, 0, 0, 38, 6464]),
-    ("hub/x4/frontier/mm/cold", [11899914104108218631, 62, 11813, 41, 6557, 15, 4380, 3, 876, 108, 54064]),
-    ("hub/x4/frontier/mm/warm_touched", [17856262163531581463, 73, 11701, 51, 6445, 15, 4380, 3, 876, 101, 54840]),
-    ("hub/x4/frontier/mm/warm_blind", [6146724425187117059, 78, 13484, 57, 8228, 15, 4380, 3, 876, 100, 58200]),
-    ("hub/x4/frontier/mm/warm_over", [6545470244930721200, 74, 11771, 49, 6515, 15, 4380, 3, 876, 96, 53240]),
-    ("hub/x4/frontier/single/cold", [8420956468790948631, 28, 6368, 15, 3156, 10, 2920, 1, 292, 65, 19968]),
-    ("hub/x4/frontier/single/warm_touched", [13300241237928645894, 37, 5885, 26, 2673, 10, 2920, 1, 292, 55, 18120]),
-    ("hub/x4/frontier/single/warm_blind", [7964012515169574802, 37, 7629, 25, 4417, 10, 2920, 1, 292, 50, 17768]),
-    ("hub/x4/frontier/single/warm_over", [12252508687913101668, 40, 6044, 28, 2832, 10, 2920, 1, 292, 53, 19096]),
+    ("hub/x1/frontier/mm/cold", [10076719733224738369, 51, 9489, 36, 5109, 12, 3504, 3, 876, 97, 12808]),
+    ("hub/x1/frontier/mm/warm_touched", [13471877860488513110, 62, 10408, 47, 6028, 12, 3504, 3, 876, 89, 13720]),
+    ("hub/x1/frontier/mm/warm_blind", [13471877860488513110, 62, 10408, 47, 6028, 12, 3504, 3, 876, 84, 13704]),
+    ("hub/x1/frontier/mm/warm_over", [14881465214266313905, 66, 11820, 46, 5980, 18, 5256, 2, 584, 88, 13256]),
+    ("hub/x1/frontier/single/cold", [12479514972181058645, 17, 3469, 13, 2301, 2, 584, 2, 584, 54, 4560]),
+    ("hub/x1/frontier/single/warm_touched", [3280452696031128151, 10, 2503, 6, 1335, 2, 584, 2, 584, 28, 1664]),
+    ("hub/x1/frontier/single/warm_blind", [3280452696031128151, 10, 2503, 6, 1335, 2, 584, 2, 584, 23, 1648]),
+    ("hub/x1/frontier/single/warm_over", [9475983853470912695, 20, 3949, 15, 2489, 3, 876, 2, 584, 33, 2448]),
+    ("hub/x2/frontier/mm/cold", [12191325257845353605, 74, 13985, 51, 7269, 22, 6424, 1, 292, 120, 28684]),
+    ("hub/x2/frontier/mm/warm_touched", [16916983174161773414, 68, 12019, 50, 7055, 14, 4088, 3, 876, 96, 26304]),
+    ("hub/x2/frontier/mm/warm_blind", [8645101728790531280, 70, 12854, 48, 6430, 21, 6132, 1, 292, 92, 28288]),
+    ("hub/x2/frontier/mm/warm_over", [10329193585677248885, 78, 14223, 56, 7799, 21, 6132, 1, 292, 100, 28664]),
+    ("hub/x2/frontier/single/cold", [3805292738051866436, 37, 6410, 29, 4074, 7, 2044, 1, 292, 74, 10764]),
+    ("hub/x2/frontier/single/warm_touched", [10419875520764848470, 27, 5274, 20, 3522, 4, 1168, 2, 584, 45, 6296]),
+    ("hub/x2/frontier/single/warm_blind", [13452464719417025191, 22, 4623, 15, 2579, 6, 1752, 1, 292, 35, 5608]),
+    ("hub/x2/frontier/single/warm_over", [10927345897196741061, 33, 6398, 25, 4062, 7, 2044, 1, 292, 46, 7344]),
+    ("hub/x4/frontier/mm/cold", [10454702637937708839, 81, 11884, 61, 8088, 11, 3212, 2, 584, 127, 60408]),
+    ("hub/x4/frontier/mm/warm_touched", [1145876423386195376, 75, 13325, 48, 7193, 19, 5548, 2, 584, 102, 61640]),
+    ("hub/x4/frontier/mm/warm_blind", [5727253790461779954, 66, 11181, 50, 7385, 9, 2628, 4, 1168, 88, 52320]),
+    ("hub/x4/frontier/mm/warm_over", [12190288143577022290, 75, 12217, 48, 6377, 19, 5548, 1, 292, 98, 59304]),
+    ("hub/x4/frontier/single/cold", [15805747263004620548, 47, 6717, 41, 4965, 6, 1752, 0, 0, 84, 26480]),
+    ("hub/x4/frontier/single/warm_touched", [6087357029582864787, 23, 4830, 17, 3078, 4, 1168, 2, 584, 41, 11784]),
+    ("hub/x4/frontier/single/warm_blind", [7506203066146544706, 25, 5119, 19, 3367, 4, 1168, 2, 584, 38, 12264]),
+    ("hub/x4/frontier/single/warm_over", [8458830076560946850, 30, 5907, 21, 3279, 9, 2628, 0, 0, 43, 14720]),
 ];

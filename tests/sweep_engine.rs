@@ -1,6 +1,7 @@
 //! End-to-end tests of the frontier-driven sweep engine across the workspace: quality
 //! against a recorded full-sweep baseline on the generator presets, delta-scoped warm
-//! starts, and the empty-frontier early exit on already-converged seeds.
+//! starts, the empty-frontier early exit on already-converged seeds, and an ignored
+//! table of the work a cold job does at 1, 2 and 4 ranks.
 
 use xtrapulp::metrics::{is_valid_partition, PartitionQuality};
 use xtrapulp::{run_xtrapulp_job, try_pulp_run, GraphSource, PartitionParams};
