@@ -60,7 +60,9 @@
 //! (`Wc`'s target is the current maximum cut load), and the bias schedule is monotone:
 //! every sweep adds one to `Re` while the edge constraint is unmet and to `Rc` once it
 //! holds. That reproduces the qualitative behaviour: edge balance is met first, then
-//! the maximum per-part cut is reduced and evened out.
+//! the maximum per-part cut is reduced and evened out. The distributed backend ends an
+//! unbalanced pass at the sweep that meets the edge constraint, so it raises `Rc` only
+//! in the churn sweeps of passes that start balanced.
 
 use xtrapulp_comm::{PhaseTimer, RankCtx};
 use xtrapulp_graph::{Csr, DistGraph, GlobalId, LocalId, UNASSIGNED};
@@ -790,7 +792,9 @@ fn balance_pass<B: Backend>(
     });
 
     // Bias schedule: emphasise edge balance until the constraint is met, then shift the
-    // emphasis to the cut-balance objective.
+    // emphasis to the cut-balance objective. A stale backend's pass ends at the sweep
+    // that meets the constraint, so there the shift happens only in the churn sweep of
+    // a pass that starts balanced.
     let (mut r_e, mut r_c) = (1.0f64, 1.0f64);
     for _ in 0..sweep_cap {
         let bounds = Bounds::of(&ws.counters, objective, targets);
